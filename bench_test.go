@@ -8,7 +8,7 @@
 // Regenerate the figures directly with:
 //
 //	go test -bench=Fig3 -benchtime=1x
-//	go run ./cmd/fig3bench   (full sweep, pretty tables)
+//	go run ./cmd/benchsuite -experiments E1,E2   (full sweep, pretty tables)
 package rubin_test
 
 import (

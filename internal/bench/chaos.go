@@ -131,8 +131,8 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 	// Cycle a bounded key space: the store (and therefore per-checkpoint
 	// snapshot cost) stays constant over an arbitrarily long run. The
 	// space is sized to the payload to bound per-checkpoint marshal cost;
-	// snapshots above the transport frame limit are fine (msgnet chunks
-	// the StateResponse), they just cost more virtual time to ship.
+	// state above the transport frame limit is fine (it crosses as
+	// per-partition StateParts), it just costs more virtual time to ship.
 	keySpace := 200_000 / (cfg.Payload + 24)
 	if keySpace > 128 {
 		keySpace = 128

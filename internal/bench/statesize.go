@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"rubin/internal/auth"
 	"rubin/internal/chaos"
@@ -20,15 +19,17 @@ import (
 // keeps committing, a backup crashes and restarts, and the run measures
 // what the accumulated state costs — the steady per-checkpoint
 // serialization (and its modeled digest pause), the bytes a recovery
-// moves, and the time until the restarted replica rejoins — under both
-// the incremental/partial machinery and the legacy full-state baseline
-// (pbft.Config.FullStateTransfer).
+// moves, and the time until the restarted replica rejoins. Two inputs to
+// the one transfer protocol are compared: a replica that reboots from its
+// durable cold state (partial — only the hot subtrees diverge) and one
+// that reboots with an empty store (empty-restart — every partition
+// diverges, so the whole state crosses the wire: the baseline).
 //
 // Hot keys are confined to the low Merkle buckets and cold prefill to
 // the rest: incremental checkpoints win exactly when updates concentrate
 // in a subset of partitions (hot-set/cold-mass separation); a workload
 // that sprayed writes uniformly across all 256 buckets would re-dirty
-// everything and degrade to the full path — that is the granularity
+// everything and ship the whole state — that is the granularity
 // tradeoff of partition-level deltas, not a failure of the mechanism.
 
 // stateSizeHotBuckets is the bucket cutoff: workload keys hash below it,
@@ -42,7 +43,9 @@ type StateSizeConfig struct {
 	Payload int   // value size in bytes for cold and hot keys
 	Window  int   // client-side outstanding requests
 	Seed    int64 // simulation seed
-	Full    bool  // legacy full-snapshot checkpoints + transfer (baseline)
+	// EmptyRestart reboots the crashed replica with an empty store instead
+	// of the cold prefill (baseline: the whole state is transferred).
+	EmptyRestart bool
 }
 
 // DefaultStateSizeConfig returns the standard E12 single-run setup.
@@ -51,12 +54,12 @@ func DefaultStateSizeConfig(kind transport.Kind) StateSizeConfig {
 }
 
 // StateSizeResult is one E12 run: one transport, one prefill size, one
-// transfer mode.
+// restart input.
 type StateSizeResult struct {
-	Kind       transport.Kind
-	Prefill    int
-	Full       bool
-	StateBytes int // serialized store size at run end
+	Kind         transport.Kind
+	Prefill      int
+	EmptyRestart bool
+	StateBytes   int // serialized store size at run end
 
 	// Checkpoint cost after the first (base) checkpoint: mean bytes
 	// serialized per interval and the modeled digest pause they imply.
@@ -121,17 +124,22 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 	pcfg.BatchSize = 4
 	pcfg.CheckpointEvery = 8
 	pcfg.LogWindow = 128
-	pcfg.FullStateTransfer = cfg.Full
 
-	// Every store instance — initial and restarted — starts from the
-	// identical cold prefill, modeling a replica that recovers from its
-	// durable local checkpoint: the cold partitions match the group's
-	// digests, so a partial transfer ships only the hot subtrees, while
-	// the legacy baseline re-ships everything regardless.
+	// Every store instance starts from the identical cold prefill — the
+	// restarted one too, modeling a replica that recovers from its durable
+	// local checkpoint: the cold partitions match the group's digests, so
+	// the transfer ships only the hot subtrees. Under EmptyRestart the
+	// rebooted replica has lost that too and matches nothing.
 	coldValue := string(make([]byte, cfg.Payload))
 	coldKeys := stateSizeKeys("cold", cfg.Prefill, func(b int) bool { return b >= stateSizeHotBuckets })
+	booted := make(map[int]bool)
 	appFactory := func(i int) pbft.Application {
 		s := kvstore.New()
+		restart := booted[i]
+		booted[i] = true
+		if restart && cfg.EmptyRestart {
+			return s
+		}
 		for _, k := range coldKeys {
 			s.Execute(kvstore.EncodeOp(kvstore.OpPut, k, coldValue))
 		}
@@ -211,10 +219,10 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 		return StateSizeResult{}, err
 	}
 	if recovery < 0 {
-		return StateSizeResult{}, fmt.Errorf("bench: E12 replica never recovered (prefill=%d full=%v %s)", cfg.Prefill, cfg.Full, cfg.Kind)
+		return StateSizeResult{}, fmt.Errorf("bench: E12 replica never recovered (prefill=%d empty-restart=%v %s)", cfg.Prefill, cfg.EmptyRestart, cfg.Kind)
 	}
 	if healthy.Count() == 0 || recovered.Count() == 0 {
-		return StateSizeResult{}, fmt.Errorf("bench: E12 phase committed nothing (prefill=%d full=%v %s)", cfg.Prefill, cfg.Full, cfg.Kind)
+		return StateSizeResult{}, fmt.Errorf("bench: E12 phase committed nothing (prefill=%d empty-restart=%v %s)", cfg.Prefill, cfg.EmptyRestart, cfg.Kind)
 	}
 	var served uint64
 	for _, rep := range cluster.Replicas {
@@ -230,7 +238,7 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 	return StateSizeResult{
 		Kind:                  cfg.Kind,
 		Prefill:               cfg.Prefill,
-		Full:                  cfg.Full,
+		EmptyRestart:          cfg.EmptyRestart,
 		StateBytes:            len(cluster.Apps[0].(*kvstore.Store).MarshalState()),
 		SteadyCheckpoints:     cpCount,
 		SteadyCheckpointBytes: meanCp,
@@ -253,7 +261,7 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 func init() {
 	Register(Experiment{
 		Name:   "E12",
-		Title:  "Checkpoint and recovery cost vs state size (incremental + partial transfer vs full)",
+		Title:  "Checkpoint and recovery cost vs state size (cold restart vs empty restart)",
 		Figure: "beyond the paper: state-transfer amplification study",
 		Params: func(rc RunContext) (map[string]string, error) {
 			_, _, cfg, err := resolveE12(rc)
@@ -294,10 +302,10 @@ func runE12(rc RunContext, res *metrics.Result) error {
 		return err
 	}
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		for _, full := range []bool{false, true} {
+		for _, empty := range []bool{false, true} {
 			mode := "partial"
-			if full {
-				mode = "full"
+			if empty {
+				mode = "empty-restart"
 			}
 			name := mode + " " + string(kind)
 			tr := string(kind)
@@ -311,7 +319,7 @@ func runE12(rc RunContext, res *metrics.Result) error {
 			for _, prefill := range prefills {
 				cfg := base
 				cfg.Kind = kind
-				cfg.Full = full
+				cfg.EmptyRestart = empty
 				cfg.Prefill = prefill
 				r, err := RunStateSize(cfg, rc.Model)
 				if err != nil {
@@ -333,24 +341,6 @@ func runE12(rc RunContext, res *metrics.Result) error {
 		}
 	}
 	res.SetConfig("cluster", fmt.Sprintf("%d replicas, f=%d", pbft.DefaultConfig().N, pbft.DefaultConfig().F))
-	res.SetConfig("modes", "partial=incremental checkpoints + Merkle partial transfer, full=legacy whole-snapshot baseline")
+	res.SetConfig("modes", "partial=restart from the cold prefill (only hot partitions diverge), empty-restart=restart with an empty store (every partition diverges; baseline)")
 	return nil
-}
-
-// Render formats one E12 run as text.
-func (r StateSizeResult) Render() string {
-	mode := "partial"
-	if r.Full {
-		mode = "full"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "# E12: state-size run (%s, %s, %d cold keys, %d-byte state)\n",
-		r.Kind, mode, r.Prefill, r.StateBytes)
-	fmt.Fprintf(&b, "steady checkpoints: %d x %d bytes (pause %v)\n",
-		r.SteadyCheckpoints, r.SteadyCheckpointBytes, r.CheckpointPause)
-	fmt.Fprintf(&b, "recovery: %v after %d transfer bytes (%d adoptions)\n",
-		r.Recovery, r.TransferBytes, r.StateTransfers)
-	fmt.Fprintf(&b, "throughput: healthy %.0f req/s, recovered %.0f req/s (%d committed)\n",
-		r.HealthyTput, r.RecoveredTput, r.Committed)
-	return b.String()
 }

@@ -9,56 +9,64 @@ import (
 )
 
 // quickStateSize shrinks the prefill so a single run is cheap while the
-// crash/restart arc and both transfer modes stay exercised.
-func quickStateSize(kind transport.Kind, full bool) StateSizeConfig {
+// crash/restart arc and both restart inputs stay exercised.
+func quickStateSize(kind transport.Kind, emptyRestart bool) StateSizeConfig {
 	cfg := DefaultStateSizeConfig(kind)
 	cfg.Prefill = 1000
-	cfg.Full = full
+	cfg.EmptyRestart = emptyRestart
 	return cfg
 }
 
-// TestStateSizeRecoveryBothModes asserts the E12 arc completes in both
-// transfer modes on both transports: the restarted replica adopts a
+// TestStateSizeRecoveryBothModes asserts the E12 arc completes for both
+// restart inputs on both transports: the restarted replica adopts a
 // checkpoint, catches up, and commits resume — with zero transfer
 // rejections on a fault-free network.
 func TestStateSizeRecoveryBothModes(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		for _, full := range []bool{false, true} {
-			r, err := RunStateSize(quickStateSize(kind, full), model.Default())
+		for _, empty := range []bool{false, true} {
+			r, err := RunStateSize(quickStateSize(kind, empty), model.Default())
 			if err != nil {
-				t.Errorf("%s full=%v: %v", kind, full, err)
+				t.Errorf("%s empty-restart=%v: %v", kind, empty, err)
 				continue
 			}
 			if r.StateTransfers == 0 || r.Recovery <= 0 {
-				t.Errorf("%s full=%v: no recovery (%+v)", kind, full, r)
+				t.Errorf("%s empty-restart=%v: no recovery (%+v)", kind, empty, r)
 			}
 			if r.StateRejects != 0 {
-				t.Errorf("%s full=%v: %d transfer rejections on a clean network", kind, full, r.StateRejects)
+				t.Errorf("%s empty-restart=%v: %d transfer rejections on a clean network", kind, empty, r.StateRejects)
 			}
 			if r.SteadyCheckpoints == 0 || r.SteadyCheckpointBytes == 0 {
-				t.Errorf("%s full=%v: no steady checkpoints measured", kind, full)
+				t.Errorf("%s empty-restart=%v: no steady checkpoints measured", kind, empty)
 			}
 		}
 	}
 }
 
-// TestStateSizePartialBeatsFull asserts the headline comparison at one
-// prefill size: the partial path serves fewer transfer bytes and takes
-// checkpoints with less steady serialization than the full baseline.
-func TestStateSizePartialBeatsFull(t *testing.T) {
+// TestStateSizePartialBeatsEmptyRestart asserts the headline comparison
+// at one prefill size: a replica rebooting from its cold state recovers
+// over fewer transfer bytes than one rebooting empty — which must receive
+// at least the whole state — and steady checkpoints serialize a fraction
+// of the state.
+func TestStateSizePartialBeatsEmptyRestart(t *testing.T) {
 	partial, err := RunStateSize(quickStateSize(transport.KindTCP, false), model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := RunStateSize(quickStateSize(transport.KindTCP, true), model.Default())
+	empty, err := RunStateSize(quickStateSize(transport.KindTCP, true), model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if partial.TransferBytes >= full.TransferBytes {
-		t.Errorf("partial transfer served %d bytes, full served %d", partial.TransferBytes, full.TransferBytes)
+	if partial.TransferBytes >= empty.TransferBytes {
+		t.Errorf("partial transfer served %d bytes, empty restart %d", partial.TransferBytes, empty.TransferBytes)
 	}
-	if partial.SteadyCheckpointBytes >= full.SteadyCheckpointBytes {
-		t.Errorf("partial steady checkpoint %d bytes, full %d", partial.SteadyCheckpointBytes, full.SteadyCheckpointBytes)
+	if empty.TransferBytes < uint64(empty.StateBytes) {
+		t.Errorf("empty restart received %d bytes, below the %d-byte state", empty.TransferBytes, empty.StateBytes)
+	}
+	if partial.Recovery >= empty.Recovery {
+		t.Errorf("partial recovery %v not faster than empty restart %v", partial.Recovery, empty.Recovery)
+	}
+	if partial.SteadyCheckpointBytes*4 >= uint64(partial.StateBytes) {
+		t.Errorf("steady checkpoint %d bytes is not a fraction of the %d-byte state", partial.SteadyCheckpointBytes, partial.StateBytes)
 	}
 }
 

@@ -346,8 +346,8 @@ func (s *Store) encodePrepared() []byte {
 	return buf
 }
 
-// MarshalState serializes the full store for PBFT state transfer
-// (pbft.StateTransferable): the applied-operation counter, a partition
+// MarshalState serializes the full store (pbft.PartitionedState; the state
+// fetcher's rollback copy): the applied-operation counter, a partition
 // count followed by every bucket's canonical encoding in bucket order,
 // and the staged 2PC transactions — a replica recovering mid-transaction
 // must learn the in-doubt set, or a later COMMIT would find nothing to

@@ -382,9 +382,9 @@ func BenchmarkCheckpointTakeIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointTakeFull measures the pre-incremental cost: a
-// whole-store serialization per checkpoint, as the legacy
-// FullStateTransfer mode still performs.
+// BenchmarkCheckpointTakeFull measures a whole-store serialization per
+// checkpoint — the O(state) reference the incremental checkpoint above is
+// read against, and what the state fetcher's rollback copy costs.
 func BenchmarkCheckpointTakeFull(b *testing.B) {
 	s := benchStore(10_000)
 	b.ReportAllocs()

@@ -1,0 +1,156 @@
+package pbft
+
+import (
+	"fmt"
+
+	"rubin/internal/auth"
+	"rubin/internal/sim"
+)
+
+// Application is the replicated service executed by the agreement layer.
+// A plain Application takes part in agreement and checkpoint voting but
+// cannot be state-transferred: a replica of it that falls a checkpoint
+// interval behind stays behind. Implement PartitionedState to enable
+// recovery.
+type Application interface {
+	// Execute applies one ordered operation and returns its result.
+	Execute(op []byte) []byte
+	// Snapshot returns a digest of the current state (checkpoints).
+	Snapshot() auth.Digest
+}
+
+// PartitionedState is the optional application interface enabling
+// checkpoint retention and state transfer (Castro & Liskov §6.3,
+// hierarchical state partitions) — the one transfer protocol this package
+// speaks. The application's state is split into a fixed number of
+// partitions, each with a stable digest; the root digest returned by
+// Snapshot must be recomputable from a transfer header plus the partition
+// digests via ComposeRoot.
+//
+// With this interface a replica retains checkpoints as delta chains (one
+// materialized base plus, per later checkpoint, only the partitions
+// dirtied since the previous one) and serves state transfer as a subtree
+// negotiation: the fetcher advertises its partition digests, the
+// responder streams only divergent partitions, and the fetcher verifies
+// every partition against the certified root's digest list on arrival. A
+// fetcher with nothing in common — a replica rebooted with an empty
+// store — is the degenerate case in which every partition diverges and
+// the whole state crosses the wire.
+type PartitionedState interface {
+	Application
+	// PartitionCount returns the fixed number of leaf partitions.
+	PartitionCount() int
+	// PartitionDigests returns the current digest of every partition.
+	PartitionDigests() []auth.Digest
+	// CheckpointDelta returns the partitions mutated since the
+	// application's applied-operation counter read since.
+	CheckpointDelta(since uint64) []int
+	// Applied returns the applied-operation counter (the clock
+	// CheckpointDelta is expressed in).
+	Applied() uint64
+	// MarshalPartition serializes one partition; auth.Hash of the result
+	// must equal its entry in PartitionDigests.
+	MarshalPartition(part int) []byte
+	// MarshalHeader serializes the state outside the partitions (e.g.
+	// the applied counter and any non-partitioned sections).
+	MarshalHeader() []byte
+	// ComposeRoot statelessly recomputes the Snapshot root a store with
+	// this header and these partition digests would report.
+	ComposeRoot(header []byte, digests []auth.Digest) auth.Digest
+	// ApplyTransfer atomically replaces the full state from a header
+	// plus one serialized partition per index; the state must be
+	// unchanged on error.
+	ApplyTransfer(header []byte, parts [][]byte) error
+	// MarshalState and UnmarshalState serialize and fully replace the
+	// whole state. The fetcher saves the state with MarshalState before
+	// ApplyTransfer and puts it back with UnmarshalState if the applied
+	// transfer does not hash to the certified root; a restored state must
+	// produce the same Snapshot digest as the original.
+	MarshalState() []byte
+	UnmarshalState(state []byte) error
+}
+
+// TentativeReader is the optional application interface enabling the
+// read-only fast path (Castro & Liskov §4.4): applications that can
+// evaluate side-effect-free operations without mutating state let a
+// replica answer ReadRequests tentatively from its last-executed state,
+// bypassing agreement. ExecuteReadOnly must return exactly what Execute
+// would return for the same operation and state, and must leave the
+// state — including any snapshot digest — byte-identical: replicas serve
+// tentative reads at different times, and a read that perturbed state
+// would diverge their checkpoints. Applications without this interface
+// simply never answer ReadRequests; clients fall back to the ordered
+// path on timeout.
+type TentativeReader interface {
+	ExecuteReadOnly(op []byte) []byte
+}
+
+// Config tunes a replica group.
+type Config struct {
+	// N is the group size; F the tolerated faults. N must be >= 3F+1.
+	N, F int
+	// BatchSize is the maximum requests per pre-prepare.
+	BatchSize int
+	// BatchDelay bounds how long the leader waits to fill a batch.
+	BatchDelay sim.Time
+	// CheckpointEvery takes a checkpoint each K executed sequences.
+	CheckpointEvery uint64
+	// LogWindow is the high-watermark window above the stable
+	// checkpoint within which proposals are accepted.
+	LogWindow uint64
+	// ViewTimeout is how long a replica waits for a known request to
+	// execute before suspecting the leader.
+	ViewTimeout sim.Time
+	// InitialView lets multi-instance deployments (Reptor's COP) start
+	// each instance in a different view so leadership is spread across
+	// replicas.
+	InitialView uint64
+}
+
+// DefaultConfig returns a reasonable small-cluster configuration
+// tolerating one fault.
+func DefaultConfig() Config {
+	return Config{
+		N:               4,
+		F:               1,
+		BatchSize:       8,
+		BatchDelay:      200 * sim.Microsecond,
+		CheckpointEvery: 64,
+		LogWindow:       256,
+		ViewTimeout:     40 * sim.Millisecond,
+	}
+}
+
+// Validate checks the quorum arithmetic.
+func (c Config) Validate() error {
+	if c.N < 3*c.F+1 {
+		return fmt.Errorf("pbft: need N >= 3F+1, got N=%d F=%d", c.N, c.F)
+	}
+	if c.BatchSize < 1 || c.CheckpointEvery < 1 || c.LogWindow < c.CheckpointEvery {
+		return fmt.Errorf("pbft: invalid batching/checkpoint config")
+	}
+	return nil
+}
+
+// Quorum returns the 2F+1 agreement quorum size.
+func (c Config) Quorum() int { return 2*c.F + 1 }
+
+// Faults injects Byzantine behaviours for testing (zero value = correct).
+type Faults struct {
+	// Crashed drops all outgoing messages.
+	Crashed bool
+	// Mute drops outgoing messages of these types.
+	Mute map[MsgType]bool
+	// EquivocateLeader makes a leader send pre-prepares with corrupted
+	// digests to half the backups (detected, triggers view change).
+	EquivocateLeader bool
+	// CorruptMACs invalidates outgoing authenticators.
+	CorruptMACs bool
+	// SendDelay postpones every outgoing message by this duration (a
+	// slow or deliberately delaying replica).
+	SendDelay sim.Time
+	// CorruptStateParts flips a byte in every served StatePart payload —
+	// a Byzantine responder feeding junk into a state transfer (caught by
+	// the fetcher's per-partition digest check on arrival).
+	CorruptStateParts bool
+}

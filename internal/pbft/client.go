@@ -46,10 +46,10 @@ type Client struct {
 	onReadPath  func(key string, fast bool)
 
 	// Stats.
-	invoked, completed uint64
-	sendErrs           uint64
-	fastReads          uint64
-	fastFallbacks      uint64
+	completed     uint64
+	sendErrs      uint64
+	fastReads     uint64
+	fastFallbacks uint64
 }
 
 type invocation struct {
@@ -59,15 +59,10 @@ type invocation struct {
 	fired   bool
 }
 
-type readReplyVote struct {
-	result   []byte
-	executed uint64
-}
-
 type readInvocation struct {
 	op      []byte
 	key     string
-	replies map[uint32]readReplyVote // replica -> first vote (equivocation-proof)
+	replies map[uint32][]byte // replica -> first result voted (equivocation-proof)
 	done    func(result []byte)
 	timer   sim.Timer
 	fired   bool
@@ -160,7 +155,6 @@ func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next
 	c.pending[ts] = &invocation{op: op, replies: make(map[uint32][]byte), done: done}
-	c.invoked++
 	req := Request{Client: c.id, Timestamp: ts, Op: op}
 	c.broadcast(Encode(req))
 	return req.Key()
@@ -178,9 +172,8 @@ func (c *Client) InvokeRead(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next
 	req := ReadRequest{Client: c.id, Timestamp: ts, Op: op}
-	inv := &readInvocation{op: op, key: req.Key(), replies: make(map[uint32]readReplyVote), done: done}
+	inv := &readInvocation{op: op, key: req.Key(), replies: make(map[uint32][]byte), done: done}
 	c.reads[ts] = inv
-	c.invoked++
 	inv.timer = c.loop.After(c.readTimeout, func() { c.fallbackRead(ts) })
 	c.broadcast(Encode(req))
 	return inv.key
@@ -202,6 +195,17 @@ func (c *Client) broadcast(raw []byte) {
 	}
 }
 
+// matching counts the replicas whose reply is byte-identical to result.
+func matching(replies map[uint32][]byte, result []byte) int {
+	n := 0
+	for _, res := range replies {
+		if bytes.Equal(res, result) {
+			n++
+		}
+	}
+	return n
+}
+
 func (c *Client) handleReply(rep Reply) {
 	inv := c.pending[rep.Timestamp]
 	if inv == nil || inv.fired {
@@ -209,13 +213,7 @@ func (c *Client) handleReply(rep Reply) {
 	}
 	inv.replies[rep.Replica] = rep.Result
 	// Accept when F+1 replicas report the same result.
-	count := 0
-	for _, res := range inv.replies {
-		if bytes.Equal(res, rep.Result) {
-			count++
-		}
-	}
-	if count >= c.f+1 {
+	if matching(inv.replies, rep.Result) >= c.f+1 {
 		inv.fired = true
 		delete(c.pending, rep.Timestamp)
 		c.completed++
@@ -235,18 +233,11 @@ func (c *Client) handleReadReply(rep ReadReply) {
 	if _, dup := inv.replies[rep.Replica]; dup {
 		return
 	}
-	inv.replies[rep.Replica] = readReplyVote{result: rep.Result, executed: rep.Executed}
+	inv.replies[rep.Replica] = rep.Result
 	// Accept when 2F+1 replicas report byte-identical results. Matching
 	// on the value (not the state tag) keeps the fast path live while
-	// replicas execute at slightly different positions; the tag is
-	// carried for diagnostics.
-	count := 0
-	for _, v := range inv.replies {
-		if bytes.Equal(v.result, rep.Result) {
-			count++
-		}
-	}
-	if count >= 2*c.f+1 {
+	// replicas execute at slightly different positions.
+	if matching(inv.replies, rep.Result) >= 2*c.f+1 {
 		inv.fired = true
 		inv.timer.Cancel()
 		delete(c.reads, rep.Timestamp)
@@ -281,9 +272,6 @@ func (c *Client) fallbackRead(ts uint64) {
 	delete(c.reads, ts)
 	c.fastFallbacks++
 	key, done := inv.key, inv.done
-	// Invoke counts its own invocation and completion; cancel out the
-	// double-count so stats reflect one logical operation.
-	c.invoked--
 	c.Invoke(inv.op, func(result []byte) {
 		if c.onReadPath != nil {
 			c.onReadPath(key, false)

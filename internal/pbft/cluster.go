@@ -188,14 +188,7 @@ func (c *Cluster) Start() error {
 // AddClient creates a client on its own node, links it to every replica
 // and dials the client ports. Must run after Start.
 func (c *Cluster) AddClient() (*Client, error) {
-	return c.AddClientID(uint32(100 + len(c.Clients)))
-}
-
-// AddClientID is AddClient with an explicit PBFT client identity. The
-// shard router derives identities unique across every group of a
-// deployment — request keys (client, timestamp) name traces in the
-// shared observability stream, so two groups' clients must not collide.
-func (c *Cluster) AddClientID(id uint32) (*Client, error) {
+	id := uint32(100 + len(c.Clients))
 	node := c.Network.AddNode(fmt.Sprintf("%sclient%d", c.prefix, id))
 	for i := 0; i < c.Config.N; i++ {
 		c.Network.Connect(node, c.nodes[i])
@@ -320,7 +313,7 @@ func (c *Cluster) Restart(i int) error {
 	if c.OnRestart != nil {
 		c.OnRestart(i, rep)
 	}
-	rep.RequestStateTransfer()
+	rep.requestStateTransfer()
 	return nil
 }
 

@@ -36,7 +36,6 @@ func TestCodecRoundTripAllTypes(t *testing.T) {
 		NewView{View: 5, PrePrepares: []PrePrepare{{View: 5, Seq: 65, Digest: d, Batch: reqs}}},
 		StateRequest{Seq: 42, Replica: 3},
 		StateRequest{Seq: 42, Replica: 3, Root: d, Digests: []auth.Digest{d, auth.Hash(nil)}},
-		StateResponse{Seq: 64, View: 5, Digest: d, State: []byte("snapshot"), Replica: 1},
 		StateManifest{Seq: 64, View: 5, Root: d, Header: []byte("hdr"), Digests: []auth.Digest{auth.Hash(nil), d}, Replica: 2},
 		StatePart{Seq: 64, Part: 17, Data: []byte("bucket-bytes"), Replica: 2},
 	}
@@ -90,9 +89,6 @@ func normalize(m Message) Message {
 			v.PrePrepares[i].Batch = fixReqs(v.PrePrepares[i].Batch)
 		}
 		return v
-	case StateResponse:
-		v.State = fix(v.State)
-		return v
 	case StateManifest:
 		v.Header = fix(v.Header)
 		return v
@@ -110,6 +106,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		{},
 		{0},                     // unknown type
 		{99},                    // unknown type
+		{10},                    // retired type
+		retiredType10Frame(),    // retired type, well-formed legacy body
 		{byte(MsgPrepare)},      // truncated
 		{byte(MsgRequest), 1},   // truncated
 		{byte(MsgCommit), 0, 0}, // truncated
@@ -123,6 +121,44 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	good := Encode(Prepare{View: 1, Seq: 2, Replica: 3})
 	if _, err := Decode(append(good, 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestPrePrepareSizeMatchesEncoding pins the arithmetic the leader uses to
+// size a proposal's digest charge to the codec, so the modeled cost is
+// exactly what encoding-to-measure used to yield.
+func TestPrePrepareSizeMatchesEncoding(t *testing.T) {
+	batchOf := func(n, opBytes int) []Request {
+		b := make([]Request, n)
+		for i := range b {
+			b[i] = Request{Client: 100, Timestamp: uint64(i + 1), Op: make([]byte, opBytes)}
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []Request
+	}{
+		{"empty", nil},
+		{"1x0B", batchOf(1, 0)},
+		{"8x128B", batchOf(8, 128)},
+		{"8x32KiB", batchOf(8, 32<<10)},
+	} {
+		if got, want := prePrepareSize(tc.batch), len(Encode(PrePrepare{Batch: tc.batch})); got != want {
+			t.Errorf("%s: prePrepareSize = %d, encoded length %d", tc.name, got, want)
+		}
+	}
+}
+
+// TestWireTypeBytesStable pins the type bytes that follow the retired
+// type 10: retiring it must not renumber them.
+func TestWireTypeBytesStable(t *testing.T) {
+	for want, got := range map[uint8]MsgType{
+		9: MsgStateRequest, 11: MsgReadRequest, 12: MsgReadReply, 13: MsgStateManifest, 14: MsgStatePart,
+	} {
+		if uint8(got) != want {
+			t.Errorf("%s is wire type %d, want %d", got, uint8(got), want)
+		}
 	}
 }
 

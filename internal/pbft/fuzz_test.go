@@ -26,7 +26,6 @@ func fuzzSeedMessages() [][]byte {
 		NewView{View: 2, PrePrepares: []PrePrepare{{View: 2, Seq: 65, Digest: d, Batch: batch}}},
 		StateRequest{Seq: 12, Replica: 1},
 		StateRequest{Seq: 12, Replica: 1, Root: d, Digests: []auth.Digest{d, d}},
-		StateResponse{Seq: 64, View: 2, Digest: d, State: []byte("state"), Replica: 1},
 		ReadRequest{Client: 1, Timestamp: 2, Op: []byte("get/k")},
 		ReadReply{Timestamp: 2, Client: 1, Replica: 3, Executed: 17, Result: []byte("v")},
 		StateManifest{Seq: 64, View: 2, Root: d, Header: []byte("hd"), Digests: []auth.Digest{d}, Replica: 1},
@@ -39,6 +38,20 @@ func fuzzSeedMessages() [][]byte {
 	return out
 }
 
+// retiredType10Frame is a well-formed body of the retired whole-snapshot
+// response (seq, view, digest, state bytes, replica) under its old type
+// byte: the most plausible type-10 frame an old peer could still send.
+func retiredType10Frame() []byte {
+	e := &encoder{}
+	e.u8(10)
+	e.u64(64)
+	e.u64(2)
+	e.digest(auth.Hash([]byte("root")))
+	e.bytes([]byte("state"))
+	e.u32(1)
+	return e.buf
+}
+
 // FuzzDecode asserts the protocol codec is total: arbitrary input either
 // decodes into a message whose canonical re-encoding is byte-identical to
 // the input, or errors — it must never panic and never accept two
@@ -49,10 +62,14 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00})
+	f.Add(retiredType10Frame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
 			return
+		}
+		if len(data) > 0 && data[0] == 10 {
+			t.Fatalf("retired wire type 10 decoded to %T", m)
 		}
 		if m == nil {
 			t.Fatal("Decode returned nil message without error")

@@ -32,46 +32,34 @@ const (
 	MsgViewChange
 	MsgNewView
 	MsgStateRequest
-	MsgStateResponse
+	_ // 10 is retired (the legacy whole-snapshot StateResponse): never reused, so every later type keeps its byte
 	MsgReadRequest
 	MsgReadReply
 	MsgStateManifest
 	MsgStatePart
 )
 
+var msgTypeNames = [...]string{
+	MsgRequest:       "REQUEST",
+	MsgPrePrepare:    "PRE-PREPARE",
+	MsgPrepare:       "PREPARE",
+	MsgCommit:        "COMMIT",
+	MsgReply:         "REPLY",
+	MsgCheckpoint:    "CHECKPOINT",
+	MsgViewChange:    "VIEW-CHANGE",
+	MsgNewView:       "NEW-VIEW",
+	MsgStateRequest:  "STATE-REQUEST",
+	MsgReadRequest:   "READ-REQUEST",
+	MsgReadReply:     "READ-REPLY",
+	MsgStateManifest: "STATE-MANIFEST",
+	MsgStatePart:     "STATE-PART",
+}
+
 func (t MsgType) String() string {
-	switch t {
-	case MsgRequest:
-		return "REQUEST"
-	case MsgPrePrepare:
-		return "PRE-PREPARE"
-	case MsgPrepare:
-		return "PREPARE"
-	case MsgCommit:
-		return "COMMIT"
-	case MsgReply:
-		return "REPLY"
-	case MsgCheckpoint:
-		return "CHECKPOINT"
-	case MsgViewChange:
-		return "VIEW-CHANGE"
-	case MsgNewView:
-		return "NEW-VIEW"
-	case MsgStateRequest:
-		return "STATE-REQUEST"
-	case MsgStateResponse:
-		return "STATE-RESPONSE"
-	case MsgReadRequest:
-		return "READ-REQUEST"
-	case MsgReadReply:
-		return "READ-REPLY"
-	case MsgStateManifest:
-		return "STATE-MANIFEST"
-	case MsgStatePart:
-		return "STATE-PART"
-	default:
-		return fmt.Sprintf("msg(%d)", uint8(t))
+	if int(t) < len(msgTypeNames) && msgTypeNames[t] != "" {
+		return msgTypeNames[t]
 	}
+	return fmt.Sprintf("msg(%d)", uint8(t))
 }
 
 // Request is a client operation to be ordered and executed.
@@ -81,8 +69,19 @@ type Request struct {
 	Op        []byte
 }
 
-// Key identifies a request for reply caching and timer bookkeeping.
+// Key renders the request identity as text: the handle Client.Invoke
+// returns and the id the observability layer traces the request under.
+// Replica bookkeeping uses the allocation-free id() instead.
 func (r Request) Key() string { return fmt.Sprintf("%d/%d", r.Client, r.Timestamp) }
+
+// reqID is a request's identity — unique because each client's timestamps
+// are — as a comparable map key for proposal, store and timer bookkeeping.
+type reqID struct {
+	client    uint32
+	timestamp uint64
+}
+
+func (r Request) id() reqID { return reqID{r.Client, r.Timestamp} }
 
 // PrePrepare is the leader's ordering proposal for one batch.
 type PrePrepare struct {
@@ -149,25 +148,24 @@ type NewView struct {
 	PrePrepares []PrePrepare
 }
 
-// StateRequest asks peers for the state at their latest stable checkpoint.
-// A restarted or lagging replica sends it when it detects that the group
-// has advanced past its own execution point (Castro & Liskov §4.6, state
-// transfer).
+// StateRequest asks peers for the state at their newest retained
+// checkpoint. A restarted or lagging replica sends it when it detects
+// that the group has advanced past its own execution point (Castro &
+// Liskov §4.6, state transfer).
 type StateRequest struct {
 	// Seq is the requester's last executed sequence; peers respond only
-	// if their stable checkpoint is beyond it.
+	// if they retain a checkpoint beyond it.
 	Seq     uint64
 	Replica uint32
-	// Root and Digests describe the requester's current Merkle state
-	// (partitioned applications only): the root digest plus every leaf
-	// partition digest. A responder holding partitioned checkpoints
-	// streams only the partitions whose digests diverge; an empty digest
-	// list requests the legacy full-snapshot StateResponse.
+	// Root and Digests describe the requester's current Merkle state: the
+	// root digest plus every leaf partition digest. A responder streams
+	// only the partitions whose digests diverge, and ignores a request
+	// whose digest list does not have its own partition count.
 	Root    auth.Digest
 	Digests []auth.Digest
 }
 
-// StateManifest opens a partial state transfer: it describes one retained
+// StateManifest opens a state transfer: it describes one retained
 // checkpoint of a partitioned application — the quorum-certifiable root,
 // the transfer header (application metadata outside the partitions) and
 // every leaf partition digest. The requester verifies the manifest is
@@ -179,8 +177,8 @@ type StateRequest struct {
 type StateManifest struct {
 	// Seq is the responder's retained checkpoint sequence.
 	Seq uint64
-	// View is the responder's current view (rejoin hint, as in
-	// StateResponse).
+	// View is the responder's current view, letting a restarted replica
+	// rejoin the active view instead of timing out from view 0.
 	View uint64
 	// Root is the checkpoint's state digest (the Merkle root).
 	Root auth.Digest
@@ -191,9 +189,9 @@ type StateManifest struct {
 	Replica uint32
 }
 
-// StatePart carries one divergent partition of a partial state transfer.
-// It rides msgnet's bulk class like full snapshots, so streaming a large
-// state never head-of-line-blocks agreement traffic.
+// StatePart carries one divergent partition of a state transfer. It
+// rides msgnet's bulk class, so streaming a large state never
+// head-of-line-blocks agreement traffic.
 type StatePart struct {
 	// Seq is the checkpoint sequence of the manifest this part belongs to.
 	Seq uint64
@@ -202,23 +200,6 @@ type StatePart struct {
 	// Data is the serialized partition; auth.Hash(Data) must equal the
 	// manifest's Digests[Part].
 	Data    []byte
-	Replica uint32
-}
-
-// StateResponse carries a responder's stable checkpoint: the application
-// snapshot plus the checkpoint digest the group certified. The requester
-// adopts a checkpoint once F+1 responders vouch for the same (Seq, Digest)
-// and the carried state verifies against the digest.
-type StateResponse struct {
-	// Seq is the responder's stable checkpoint sequence.
-	Seq uint64
-	// View is the responder's current view, letting a restarted replica
-	// rejoin the active view instead of timing out from view 0.
-	View uint64
-	// Digest is the checkpoint digest certified by a checkpoint quorum.
-	Digest auth.Digest
-	// State is the serialized application snapshot at Seq.
-	State   []byte
 	Replica uint32
 }
 
@@ -266,7 +247,6 @@ func (Checkpoint) msgType() MsgType    { return MsgCheckpoint }
 func (ViewChange) msgType() MsgType    { return MsgViewChange }
 func (NewView) msgType() MsgType       { return MsgNewView }
 func (StateRequest) msgType() MsgType  { return MsgStateRequest }
-func (StateResponse) msgType() MsgType { return MsgStateResponse }
 func (ReadRequest) msgType() MsgType   { return MsgReadRequest }
 func (ReadReply) msgType() MsgType     { return MsgReadReply }
 func (StateManifest) msgType() MsgType { return MsgStateManifest }
@@ -347,6 +327,17 @@ func (d *decoder) digest() auth.Digest {
 	return out
 }
 
+// count reads an element count, failing on one above limit: a forged
+// count must not size an allocation or a loop.
+func (d *decoder) count(limit int) int {
+	n := int(d.u32())
+	if d.err != nil || n < 0 || n > limit {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
 func encodeRequests(e *encoder, reqs []Request) {
 	e.u32(uint32(len(reqs)))
 	for _, r := range reqs {
@@ -354,6 +345,18 @@ func encodeRequests(e *encoder, reqs []Request) {
 		e.u64(r.Timestamp)
 		e.bytes(r.Op)
 	}
+}
+
+// encodeProposal writes the fields PrePrepare and PreparedProof share.
+func encodeProposal(e *encoder, pp PrePrepare) {
+	e.u64(pp.View)
+	e.u64(pp.Seq)
+	e.digest(pp.Digest)
+	encodeRequests(e, pp.Batch)
+}
+
+func decodeProposal(d *decoder) PrePrepare {
+	return PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Batch: decodeRequests(d)}
 }
 
 func encodeDigests(e *encoder, ds []auth.Digest) {
@@ -364,11 +367,7 @@ func encodeDigests(e *encoder, ds []auth.Digest) {
 }
 
 func decodeDigests(d *decoder) []auth.Digest {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > 1<<20 {
-		d.fail()
-		return nil
-	}
+	n := d.count(1 << 20)
 	if n == 0 {
 		return nil // nil round-trips to nil (reflect-equal for tests)
 	}
@@ -383,9 +382,8 @@ func decodeDigests(d *decoder) []auth.Digest {
 }
 
 func decodeRequests(d *decoder) []Request {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || n > 1<<20 {
-		d.fail()
+	n := d.count(1 << 20)
+	if d.err != nil {
 		return nil
 	}
 	reqs := make([]Request, 0, n)
@@ -409,10 +407,7 @@ func Encode(m Message) []byte {
 		e.u64(v.Timestamp)
 		e.bytes(v.Op)
 	case PrePrepare:
-		e.u64(v.View)
-		e.u64(v.Seq)
-		e.digest(v.Digest)
-		encodeRequests(e, v.Batch)
+		encodeProposal(e, v)
 	case Prepare:
 		e.u64(v.View)
 		e.u64(v.Seq)
@@ -438,20 +433,14 @@ func Encode(m Message) []byte {
 		e.u64(v.Stable)
 		e.u32(uint32(len(v.Prepared)))
 		for _, p := range v.Prepared {
-			e.u64(p.View)
-			e.u64(p.Seq)
-			e.digest(p.Digest)
-			encodeRequests(e, p.Batch)
+			encodeProposal(e, PrePrepare(p))
 		}
 		e.u32(v.Replica)
 	case NewView:
 		e.u64(v.View)
 		e.u32(uint32(len(v.PrePrepares)))
 		for _, pp := range v.PrePrepares {
-			e.u64(pp.View)
-			e.u64(pp.Seq)
-			e.digest(pp.Digest)
-			encodeRequests(e, pp.Batch)
+			encodeProposal(e, pp)
 		}
 	case StateRequest:
 		e.u64(v.Seq)
@@ -469,12 +458,6 @@ func Encode(m Message) []byte {
 		e.u64(v.Seq)
 		e.u32(v.Part)
 		e.bytes(v.Data)
-		e.u32(v.Replica)
-	case StateResponse:
-		e.u64(v.Seq)
-		e.u64(v.View)
-		e.digest(v.Digest)
-		e.bytes(v.State)
 		e.u32(v.Replica)
 	case ReadRequest:
 		e.u32(v.Client)
@@ -501,7 +484,7 @@ func Decode(raw []byte) (Message, error) {
 	case MsgRequest:
 		m = Request{Client: d.u32(), Timestamp: d.u64(), Op: d.bytes()}
 	case MsgPrePrepare:
-		m = PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Batch: decodeRequests(d)}
+		m = decodeProposal(d)
 	case MsgPrepare:
 		m = Prepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Replica: d.u32()}
 	case MsgCommit:
@@ -512,29 +495,15 @@ func Decode(raw []byte) (Message, error) {
 		m = Checkpoint{Seq: d.u64(), Digest: d.digest(), Replica: d.u32()}
 	case MsgViewChange:
 		vc := ViewChange{NewView: d.u64(), Stable: d.u64()}
-		n := int(d.u32())
-		if d.err == nil && n >= 0 && n < 1<<20 {
-			for i := 0; i < n; i++ {
-				vc.Prepared = append(vc.Prepared, PreparedProof{
-					View: d.u64(), Seq: d.u64(), Digest: d.digest(), Batch: decodeRequests(d),
-				})
-			}
-		} else {
-			d.fail()
+		for n := d.count(1 << 20); n > 0 && d.err == nil; n-- {
+			vc.Prepared = append(vc.Prepared, PreparedProof(decodeProposal(d)))
 		}
 		vc.Replica = d.u32()
 		m = vc
 	case MsgNewView:
 		nv := NewView{View: d.u64()}
-		n := int(d.u32())
-		if d.err == nil && n >= 0 && n < 1<<20 {
-			for i := 0; i < n; i++ {
-				nv.PrePrepares = append(nv.PrePrepares, PrePrepare{
-					View: d.u64(), Seq: d.u64(), Digest: d.digest(), Batch: decodeRequests(d),
-				})
-			}
-		} else {
-			d.fail()
+		for n := d.count(1 << 20); n > 0 && d.err == nil; n-- {
+			nv.PrePrepares = append(nv.PrePrepares, decodeProposal(d))
 		}
 		m = nv
 	case MsgStateRequest:
@@ -543,8 +512,6 @@ func Decode(raw []byte) (Message, error) {
 		m = StateManifest{Seq: d.u64(), View: d.u64(), Root: d.digest(), Header: d.bytes(), Digests: decodeDigests(d), Replica: d.u32()}
 	case MsgStatePart:
 		m = StatePart{Seq: d.u64(), Part: d.u32(), Data: d.bytes(), Replica: d.u32()}
-	case MsgStateResponse:
-		m = StateResponse{Seq: d.u64(), View: d.u64(), Digest: d.digest(), State: d.bytes(), Replica: d.u32()}
 	case MsgReadRequest:
 		m = ReadRequest{Client: d.u32(), Timestamp: d.u64(), Op: d.bytes()}
 	case MsgReadReply:
@@ -561,49 +528,21 @@ func Decode(raw []byte) (Message, error) {
 	return m, nil
 }
 
+// prePrepareSize returns len(Encode(PrePrepare{Batch: batch})) without
+// encoding: type tag, view, sequence, digest and request count, then per
+// request client, timestamp and the length-prefixed operation. It sizes
+// the modeled digest charge of a proposal.
+func prePrepareSize(batch []Request) int {
+	n := 1 + 8 + 8 + auth.DigestSize + 4
+	for _, r := range batch {
+		n += 4 + 8 + 4 + len(r.Op)
+	}
+	return n
+}
+
 // BatchDigest computes the digest a pre-prepare commits to.
 func BatchDigest(batch []Request) auth.Digest {
 	e := &encoder{}
 	encodeRequests(e, batch)
 	return auth.Hash(e.buf)
-}
-
-// Envelope is the authenticated wrapper for replica-to-replica messages.
-type Envelope struct {
-	Sender  uint32
-	Payload []byte
-	Auth    auth.Authenticator
-}
-
-// EncodeEnvelope serializes an envelope.
-func EncodeEnvelope(env Envelope) []byte {
-	e := &encoder{}
-	e.u32(env.Sender)
-	e.bytes(env.Payload)
-	e.u32(uint32(len(env.Auth)))
-	for _, mac := range env.Auth {
-		e.bytes(mac)
-	}
-	return e.buf
-}
-
-// DecodeEnvelope parses an envelope.
-func DecodeEnvelope(raw []byte) (Envelope, error) {
-	d := &decoder{buf: raw}
-	env := Envelope{Sender: d.u32(), Payload: d.bytes()}
-	n := int(d.u32())
-	if d.err == nil && n >= 0 && n < 1<<16 {
-		for i := 0; i < n; i++ {
-			env.Auth = append(env.Auth, d.bytes())
-		}
-	} else {
-		d.fail()
-	}
-	if d.err != nil {
-		return Envelope{}, d.err
-	}
-	if len(d.buf) != 0 {
-		return Envelope{}, fmt.Errorf("pbft: %d trailing envelope bytes", len(d.buf))
-	}
-	return env, nil
 }

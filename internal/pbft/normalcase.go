@@ -1,0 +1,358 @@
+package pbft
+
+import (
+	"rubin/internal/auth"
+	"rubin/internal/msgnet"
+	"rubin/internal/sim"
+)
+
+// Normal case: request intake, leader batching, the three-phase agreement
+// and in-order execution, plus the read-only fast path and replies.
+
+// slot is one sequence number's agreement state.
+type slot struct {
+	pp       *PrePrepare
+	prepares map[uint32]auth.Digest
+	commits  map[uint32]auth.Digest
+	sentPrep bool
+	sentComm bool
+	executed bool
+}
+
+func newSlot() *slot {
+	return &slot{prepares: make(map[uint32]auth.Digest), commits: make(map[uint32]auth.Digest)}
+}
+
+// countDigest returns how many voters in votes named digest d.
+func countDigest(votes map[uint32]auth.Digest, d auth.Digest) int {
+	n := 0
+	for _, got := range votes {
+		if got == d {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *Replica) handleRequest(req Request) {
+	if r.stopped {
+		return
+	}
+	id := req.id()
+	// Exactly-once: answer repeats from the cache.
+	if last, ok := r.replyCache[req.Client]; ok && last.Timestamp == req.Timestamp {
+		r.sendToClient(req.Client, Encode(last))
+		return
+	}
+	if r.proposed[id] {
+		return
+	}
+	if _, known := r.requestStore[id]; !known {
+		r.requestStore[id] = req
+	}
+	// Liveness: watch this request until it executes.
+	r.armRequestTimer(id)
+	if !r.IsLeader() {
+		// Clients broadcast requests to all replicas (see Client), so
+		// the leader already has it; backups only watch the timer.
+		return
+	}
+	if r.tracer != nil {
+		r.tracer.MarkLeaderRecv(req.Key(), r.node.Loop().Now())
+	}
+	r.pending = append(r.pending, req)
+	r.proposed[id] = true
+	if len(r.pending) >= r.cfg.BatchSize {
+		r.proposeBatch()
+		return
+	}
+	if !r.batchTimer.Pending() {
+		r.batchTimer = r.node.Loop().After(r.cfg.BatchDelay, r.proposeBatch)
+	}
+}
+
+func (r *Replica) armRequestTimer(id reqID) {
+	if _, armed := r.reqTimers[id]; armed {
+		return
+	}
+	r.reqTimers[id] = r.node.Loop().After(r.cfg.ViewTimeout, func() {
+		delete(r.reqTimers, id)
+		r.startViewChange(r.view + 1)
+	})
+}
+
+func (r *Replica) cancelRequestTimer(id reqID) {
+	if t, ok := r.reqTimers[id]; ok {
+		t.Cancel()
+		delete(r.reqTimers, id)
+	}
+}
+
+// proposeBatch assigns the next sequence number to the pending batch and
+// broadcasts the pre-prepare.
+func (r *Replica) proposeBatch() {
+	if r.stopped || len(r.pending) == 0 || !r.IsLeader() || r.viewChanging {
+		return
+	}
+	if r.seqNext >= r.stable+r.cfg.LogWindow {
+		return // watermark window full; retried after the next checkpoint
+	}
+	n := len(r.pending)
+	if n > r.cfg.BatchSize {
+		n = r.cfg.BatchSize
+	}
+	batch := r.pending[:n:n]
+	r.pending = r.pending[n:]
+	r.seqNext++
+	seq := r.seqNext
+
+	params := r.node.Network().Params()
+	// Ordering is leader work: validating, bookkeeping and marshalling
+	// every request of the batch into the proposal burns leader CPU.
+	// The proposal leaves only after the host CPU has actually served
+	// that work, so a saturated leader delays its own pipeline — the
+	// single-pipeline bottleneck COP spreads across K leaders.
+	var order sim.Time
+	for _, req := range batch {
+		order += params.Protocol.OrderCost(len(req.Op))
+	}
+	d := BatchDigest(batch)
+	r.crypto(auth.DigestCost(params.Crypto, prePrepareSize(batch)))
+
+	pp := PrePrepare{View: r.view, Seq: seq, Digest: d, Batch: batch}
+	r.slotFor(seq).pp = &pp
+	r.node.CPU.Acquire(order, func() {
+		// A view change while the proposal was being marshalled makes it
+		// stale: the requests stay in requestStore and the new leader
+		// re-proposes them.
+		if r.stopped || r.viewChanging || r.view != pp.View {
+			return
+		}
+		if r.tracer != nil {
+			now := r.node.Loop().Now()
+			for _, req := range pp.Batch {
+				r.tracer.MarkPropose(req.Key(), now)
+			}
+		}
+		r.broadcast(pp)
+		r.tryPrepare(seq)
+	})
+	if len(r.pending) > 0 {
+		r.node.Loop().Post(r.proposeBatch)
+	}
+}
+
+// ProposeHeartbeat makes a leader propose empty batches for every
+// unassigned sequence up to and including upTo — a ranged fill: one call
+// covers a contiguous run of holes, and the resulting agreements run
+// pipelined (all pre-prepares broadcast back-to-back) instead of one full
+// three-phase round per slot. It never proposes past upTo: if proposals at
+// or beyond upTo are already in flight the call is a no-op (otherwise
+// executors waiting on in-flight commits would mint ever-higher sequence
+// numbers and the merge would never converge). Reptor's executor uses this
+// to fill holes in the merged global order when an instance is idle.
+// It returns the number of slots proposed.
+func (r *Replica) ProposeHeartbeat(upTo uint64) int {
+	if r.stopped || !r.IsLeader() || r.viewChanging {
+		return 0
+	}
+	proposed := 0
+	for r.seqNext < upTo && r.seqNext < r.stable+r.cfg.LogWindow {
+		r.seqNext++
+		seq := r.seqNext
+		pp := PrePrepare{View: r.view, Seq: seq, Digest: BatchDigest(nil)}
+		r.slotFor(seq).pp = &pp
+		r.broadcast(pp)
+		proposed++
+	}
+	// Prepare after all proposals are out so the fill is one pipelined
+	// round of messages rather than interleaved per-slot rounds.
+	for i := proposed; i > 0; i-- {
+		r.tryPrepare(r.seqNext - uint64(i) + 1)
+	}
+	return proposed
+}
+
+func (r *Replica) slotFor(seq uint64) *slot {
+	s := r.log[seq]
+	if s == nil {
+		s = newSlot()
+		r.log[seq] = s
+	}
+	return s
+}
+
+// accepts reports whether an agreement message for (view, seq) is for the
+// installed view and inside the watermark window.
+func (r *Replica) accepts(view, seq uint64) bool {
+	return view == r.view && !r.viewChanging && seq > r.stable && seq <= r.stable+r.cfg.LogWindow
+}
+
+// handlePrePrepare processes a proposal; size is its encoded length as
+// received, which the modeled digest check is charged for.
+func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
+	if !r.accepts(pp.View, pp.Seq) || sender != r.Leader(pp.View) {
+		return // only the view's leader may propose
+	}
+	// Integrity: the digest must match the carried batch (an
+	// equivocating leader fails here).
+	r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, size))
+	if BatchDigest(pp.Batch) != pp.Digest {
+		r.startViewChange(r.view + 1)
+		return
+	}
+	s := r.slotFor(pp.Seq)
+	if s.pp != nil && s.pp.Digest != pp.Digest && s.pp.View == pp.View {
+		// Conflicting proposal for the same (view, seq): Byzantine
+		// leader; demand a view change.
+		r.startViewChange(r.view + 1)
+		return
+	}
+	s.pp = &pp
+	for _, req := range pp.Batch {
+		id := req.id()
+		r.proposed[id] = true
+		r.requestStore[id] = req
+		r.armRequestTimer(id) // watch progress even if first seen here
+	}
+	if !s.sentPrep {
+		s.sentPrep = true
+		prep := Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: r.id}
+		s.prepares[r.id] = pp.Digest
+		r.broadcast(prep)
+	}
+	r.tryPrepare(pp.Seq)
+	r.tryCommit(pp.Seq)
+}
+
+func (r *Replica) handlePrepare(m Prepare) {
+	if !r.accepts(m.View, m.Seq) || m.Replica == r.Leader(m.View) {
+		return
+	}
+	s := r.slotFor(m.Seq)
+	s.prepares[m.Replica] = m.Digest
+	r.tryPrepare(m.Seq)
+	r.tryCommit(m.Seq)
+}
+
+// prepared implements the PBFT predicate: a matching pre-prepare plus 2F
+// prepares (from distinct non-leader replicas, possibly including our own).
+func (r *Replica) prepared(s *slot) bool {
+	return s.pp != nil && countDigest(s.prepares, s.pp.Digest) >= 2*r.cfg.F
+}
+
+func (r *Replica) tryPrepare(seq uint64) {
+	s := r.log[seq]
+	if s == nil || s.sentComm || !r.prepared(s) {
+		return
+	}
+	s.sentComm = true
+	c := Commit{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Replica: r.id}
+	s.commits[r.id] = s.pp.Digest
+	r.broadcast(c)
+	r.tryCommit(seq)
+}
+
+func (r *Replica) handleCommit(m Commit) {
+	if !r.accepts(m.View, m.Seq) {
+		return
+	}
+	s := r.slotFor(m.Seq)
+	s.commits[m.Replica] = m.Digest
+	r.tryCommit(m.Seq)
+}
+
+// committed requires prepared plus a 2F+1 commit quorum.
+func (r *Replica) committedSlot(s *slot) bool {
+	return r.prepared(s) && countDigest(s.commits, s.pp.Digest) >= r.cfg.Quorum()
+}
+
+func (r *Replica) tryCommit(seq uint64) {
+	s := r.log[seq]
+	if s == nil || !r.committedSlot(s) {
+		return
+	}
+	r.tryExecute()
+}
+
+// tryExecute applies committed batches strictly in sequence order.
+func (r *Replica) tryExecute() {
+	for {
+		next := r.executed + 1
+		s := r.log[next]
+		if s == nil || s.executed || !r.committedSlot(s) {
+			return
+		}
+		s.executed = true
+		r.executed = next
+		proto := r.node.Network().Params().Protocol
+		for _, req := range s.pp.Batch {
+			if r.tracer != nil {
+				r.tracer.MarkCommit(req.Key(), r.node.Loop().Now())
+			}
+			r.node.CPU.Delay(proto.ExecRequest)
+			result := r.app.Execute(req.Op)
+			rep := Reply{View: r.view, Timestamp: req.Timestamp, Client: req.Client, Replica: r.id, Result: result}
+			r.replyCache[req.Client] = rep
+			r.sendToClient(req.Client, Encode(rep))
+			r.cancelRequestTimer(req.id())
+			delete(r.requestStore, req.id())
+		}
+		if r.onExecute != nil {
+			r.onExecute(next, s.pp.Batch)
+		}
+		if r.executed%r.cfg.CheckpointEvery == 0 {
+			r.takeCheckpoint(r.executed)
+		}
+	}
+}
+
+// handleReadRequest serves the read-only fast path: evaluate the
+// operation tentatively against the last-executed state and report the
+// result tagged with the state position it was read from. No agreement
+// messages are exchanged — the client is responsible for only accepting
+// a result 2F+1 replicas agree on. Applications without TentativeReader
+// support never answer; the client's timeout falls the read back to the
+// ordered path.
+func (r *Replica) handleReadRequest(req ReadRequest) {
+	if r.stopped || r.faults.Crashed {
+		return
+	}
+	tr, ok := r.app.(TentativeReader)
+	if !ok {
+		return
+	}
+	proto := r.node.Network().Params().Protocol
+	r.node.CPU.Delay(proto.ExecRequest)
+	result := tr.ExecuteReadOnly(req.Op)
+	r.readsServed++
+	if r.tracer != nil {
+		r.tracer.MarkReadServe(req.Key(), r.node.Loop().Now())
+	}
+	r.sendToClient(req.Client, Encode(ReadReply{
+		Timestamp: req.Timestamp, Client: req.Client, Replica: r.id,
+		Executed: r.executed, Result: result,
+	}))
+}
+
+// ReadsServed returns the number of tentative reads this replica answered.
+func (r *Replica) ReadsServed() uint64 { return r.readsServed }
+
+// sendToClient transmits one encoded reply payload to a client
+// connection (plain payload — client traffic is unauthenticated; the
+// client's reply quorum provides the integrity).
+func (r *Replica) sendToClient(client uint32, payload []byte) {
+	if r.stopped || r.faults.Crashed {
+		return
+	}
+	peer := r.clientConns[client]
+	if peer == nil {
+		return
+	}
+	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
+	r.deferSend(func() {
+		if err := peer.Send(msgnet.ClassControl, payload); err != nil {
+			r.sendFaults.Inc()
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rubin/internal/kvstore"
+	"rubin/internal/model"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -22,18 +23,39 @@ func prefillCluster(c *Cluster, n int) {
 	}
 }
 
-// TestPartialTransferShipsOnlyDivergentState verifies the tentpole
-// economics: recovering a replica into a cluster with a large cold
-// state must move far fewer bytes than a full snapshot, because the
-// restarted replica's empty buckets match nothing and only the
-// populated partitions stream. The same scenario under
-// FullStateTransfer must move at least one whole snapshot, and the
-// partial path must serve strictly fewer bytes.
-func TestPartialTransferShipsOnlyDivergentState(t *testing.T) {
-	served := func(full bool) (bytes uint64, c *Cluster) {
-		cfg := transferConfig()
-		cfg.FullStateTransfer = full
-		c = newTestCluster(t, transport.KindTCP, cfg)
+// TestTransferShipsOnlyDivergentState verifies the transfer economics on
+// the one protocol, table-driven over what the restarted replica boots
+// with. A replica rebooting from its durable cold state shares every cold
+// partition with the group, so recovery moves only the hot partitions —
+// far less than one snapshot. A replica rebooting with an empty store
+// shares nothing: every populated partition diverges and each responder
+// ships (nearly) the whole state, so at least one snapshot crosses the
+// wire — the degenerate input that used to be a protocol of its own.
+func TestTransferShipsOnlyDivergentState(t *testing.T) {
+	const cold = 2000
+	coldStore := func() *kvstore.Store {
+		s := kvstore.New()
+		for k := 0; k < cold; k++ {
+			s.Execute(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("cold%06d", k), "prefill-value"))
+		}
+		return s
+	}
+	served := func(t *testing.T, restartEmpty bool) (bytes, snapshot uint64) {
+		booted := make(map[int]bool)
+		c, err := NewCluster(transport.KindTCP, transferConfig(), model.Default(), 1, func(i int) Application {
+			restart := booted[i]
+			booted[i] = true
+			if restart && restartEmpty {
+				return kvstore.New()
+			}
+			return coldStore()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
 		cl, err := c.AddClient()
 		if err != nil {
 			t.Fatal(err)
@@ -49,28 +71,32 @@ func TestPartialTransferShipsOnlyDivergentState(t *testing.T) {
 		if c.Replicas[3].StateTransfers() == 0 {
 			t.Fatal("restarted replica completed no state transfer")
 		}
+		if c.Replicas[3].StateRejects() != 0 {
+			t.Fatalf("%d transfer rejections on a fault-free network", c.Replicas[3].StateRejects())
+		}
 		if got, want := c.Replicas[3].Executed(), c.Replicas[0].Executed(); got != want {
 			t.Fatalf("restarted replica executed %d, group %d", got, want)
+		}
+		if c.Apps[3].Snapshot() != c.Apps[0].Snapshot() {
+			t.Fatal("recovered state diverged")
 		}
 		for i := 0; i < 4; i++ {
 			bytes += c.Replicas[i].StateBytesServed()
 		}
-		return bytes, c
+		return bytes, uint64(len(c.Apps[0].(*kvstore.Store).MarshalState()))
 	}
-	partial, c := served(false)
-	full, _ := served(true)
-	snapshot := uint64(len(c.Apps[0].(*kvstore.Store).MarshalState()))
-	if full < snapshot {
-		t.Fatalf("legacy transfer served %d bytes, below one snapshot (%d)", full, snapshot)
-	}
-	if partial >= full {
-		t.Fatalf("partial transfer served %d bytes, legacy served %d — no savings", partial, full)
-	}
-	// The hot keys occupy a handful of the 256 buckets; the savings
-	// should be substantial, not marginal.
-	if partial*2 > full {
-		t.Fatalf("partial transfer served %d of %d legacy bytes — expected < half", partial, full)
-	}
+	t.Run("cold-restart", func(t *testing.T) {
+		// The hot keys occupy a handful of the 256 buckets; the savings
+		// should be substantial, not marginal.
+		if bytes, snapshot := served(t, false); bytes*2 > snapshot {
+			t.Fatalf("served %d bytes against a %d-byte snapshot — expected < half", bytes, snapshot)
+		}
+	})
+	t.Run("empty-restart", func(t *testing.T) {
+		if bytes, snapshot := served(t, true); bytes < snapshot {
+			t.Fatalf("served %d bytes, below one snapshot (%d) — the whole state must cross the wire", bytes, snapshot)
+		}
+	})
 }
 
 // TestByzantineCorruptedSubtree restarts a replica while one responder
@@ -118,34 +144,23 @@ func TestByzantineCorruptedSubtree(t *testing.T) {
 // checkpoint-amplification bug: across a long run the per-replica
 // retained checkpoint bytes must stay within a small multiple of one
 // state snapshot (one materialized base plus delta partitions), where
-// the old full-state retention held a snapshot per in-window
-// checkpoint. The legacy mode run alongside pins the contrast.
+// retaining a snapshot per in-window checkpoint would hold several.
 func TestCheckpointRetentionBounded(t *testing.T) {
-	retained := func(full bool) (perCheckpoint float64, snapshot uint64) {
-		cfg := transferConfig()
-		cfg.FullStateTransfer = full
-		c := newTestCluster(t, transport.KindTCP, cfg)
-		prefillCluster(c, 2000) // sizeable cold state amplifies full retention
-		cl, err := c.AddClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		invokeN(t, c, cl, "ret", 48) // 24 seqs = 6 checkpoint intervals
-		count, _ := c.Replicas[0].CheckpointStats()
-		if count < 4 {
-			t.Fatalf("only %d checkpoints taken", count)
-		}
-		snapshot = uint64(len(c.Apps[0].(*kvstore.Store).MarshalState()))
-		return float64(c.Replicas[0].RetainedStateBytes()) / float64(snapshot), snapshot
+	c := newTestCluster(t, transport.KindTCP, transferConfig())
+	prefillCluster(c, 2000) // sizeable cold state amplifies retention
+	cl, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
 	}
-	deltaRatio, snap := retained(false)
-	legacyRatio, _ := retained(true)
+	invokeN(t, c, cl, "ret", 48) // 24 seqs = 6 checkpoint intervals
+	count, _ := c.Replicas[0].CheckpointStats()
+	if count < 4 {
+		t.Fatalf("only %d checkpoints taken", count)
+	}
+	snapshot := len(c.Apps[0].(*kvstore.Store).MarshalState())
 	// Delta retention: one base (≈1 snapshot) + in-window dirty buckets.
-	if deltaRatio > 2.0 {
-		t.Fatalf("delta retention holds %.1f× the %d-byte snapshot, want <= 2.0×", deltaRatio, snap)
-	}
-	if legacyRatio <= deltaRatio {
-		t.Fatalf("legacy retention %.1f× not above delta retention %.1f× — test lost its contrast", legacyRatio, deltaRatio)
+	if ratio := float64(c.Replicas[0].RetainedStateBytes()) / float64(snapshot); ratio > 2.0 {
+		t.Fatalf("retention holds %.1f× the %d-byte snapshot over %d checkpoints, want <= 2.0×", ratio, snapshot, count)
 	}
 }
 
@@ -218,35 +233,5 @@ func TestIncrementalCheckpointCostSublinear(t *testing.T) {
 	// checkpoint bytes; allow generous slack for per-interval variance.
 	if large > small*4 {
 		t.Fatalf("steady checkpoint bytes grew %d -> %d with 16x state — not sublinear", small, large)
-	}
-}
-
-// TestFullStateTransferFallback pins the E12 baseline mode: with
-// FullStateTransfer set cluster-wide, recovery must still work through
-// the legacy whole-snapshot path, with zero partial-protocol activity.
-func TestFullStateTransferFallback(t *testing.T) {
-	cfg := transferConfig()
-	cfg.FullStateTransfer = true
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Crash(3)
-	invokeN(t, c, cl, "legacy", 20)
-	if err := c.Restart(3); err != nil {
-		t.Fatal(err)
-	}
-	c.Loop.Run()
-	invokeN(t, c, cl, "post", 10)
-	c.RunFor(200 * sim.Millisecond)
-	if c.Replicas[3].StateTransfers() == 0 {
-		t.Fatal("legacy transfer never completed")
-	}
-	if got, want := c.Replicas[3].Executed(), c.Replicas[0].Executed(); got != want {
-		t.Fatalf("replica 3 executed %d, group %d", got, want)
-	}
-	if d0 := c.Apps[0].Snapshot(); c.Apps[3].Snapshot() != d0 {
-		t.Fatal("legacy-recovered state diverged")
 	}
 }

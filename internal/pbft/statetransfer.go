@@ -1,0 +1,429 @@
+package pbft
+
+import (
+	"errors"
+	"fmt"
+	"math"
+
+	"rubin/internal/auth"
+	"rubin/internal/metrics"
+	"rubin/internal/sim"
+)
+
+// State transfer (Castro & Liskov §4.6 / §6.3). A replica that detects the
+// group has passed a checkpoint beyond its own execution point — because
+// it just restarted, was partitioned away, or fell behind — advertises
+// its partition digests; each peer answers with a manifest of its newest
+// retained checkpoint and streams the partitions that diverge.
+
+// stateXfer is one in-progress transfer from one sender: the
+// self-consistency-verified manifest plus the partitions received and
+// digest-verified so far.
+type stateXfer struct {
+	manifest StateManifest
+	parts    map[int][]byte
+}
+
+// stateFetcher owns the fetching side of state transfer: one in-progress
+// transfer per authenticated sender — bounded by N, so a Byzantine peer
+// streaming manifests only ever occupies its own slot — the senders
+// banned for failing verification, the fetch target and retry timer, and
+// the certification rule.
+type stateFetcher struct {
+	cfg    Config
+	xfers  map[uint32]*stateXfer
+	banned map[uint32]bool // until the next successful adoption
+
+	// target is the newest checkpoint F+1 peers are known to have passed
+	// and this replica is missing; fetch retries stop once execution
+	// reaches it.
+	target   uint64
+	fetching bool
+	retry    sim.Timer
+
+	transfers uint64
+	// rejects counts every manifest or partition that failed verification
+	// (each one dropped and banned its sender).
+	rejects *metrics.Counter
+}
+
+func newStateFetcher(cfg Config) *stateFetcher {
+	return &stateFetcher{
+		cfg:     cfg,
+		xfers:   make(map[uint32]*stateXfer),
+		banned:  make(map[uint32]bool),
+		rejects: metrics.NewCounter(),
+	}
+}
+
+// offerManifest verifies and stores a transfer manifest, reporting
+// whether it was kept. Self-consistency — the root must be recomputable
+// from the header and digest list — is checked before anything else, so
+// every later per-partition check is anchored in a root that adoption
+// will verify against F+1 matching manifests or a checkpoint certificate.
+func (f *stateFetcher) offerManifest(ps PartitionedState, executed uint64, sender uint32, m StateManifest) bool {
+	if m.Seq <= executed || f.banned[sender] {
+		return false
+	}
+	if len(m.Digests) != ps.PartitionCount() || ps.ComposeRoot(m.Header, m.Digests) != m.Root {
+		f.reject(sender)
+		return false
+	}
+	if prev, held := f.xfers[sender]; held && prev.manifest.Seq > m.Seq {
+		return false // keep the newer transfer
+	}
+	f.xfers[sender] = &stateXfer{manifest: m, parts: make(map[int][]byte)}
+	return true
+}
+
+// offerPart verifies one received partition against its manifest's
+// digest on arrival. The first mismatch drops the sender: a Byzantine
+// peer can not feed junk bytes that are detected only after the whole
+// state downloaded. hashed reports whether the data was digested (the
+// caller charges the modeled cost), stored whether it verified.
+func (f *stateFetcher) offerPart(sender uint32, m StatePart) (hashed, stored bool) {
+	if f.banned[sender] {
+		return false, false
+	}
+	x, held := f.xfers[sender]
+	if !held || x.manifest.Seq != m.Seq {
+		return false, false // no matching manifest (e.g. already pruned): ignore
+	}
+	if int(m.Part) >= len(x.manifest.Digests) {
+		f.reject(sender)
+		return false, false
+	}
+	if auth.Hash(m.Data) != x.manifest.Digests[m.Part] {
+		f.reject(sender)
+		return true, false
+	}
+	x.parts[int(m.Part)] = m.Data
+	return true, true
+}
+
+// reject drops a sender's in-progress transfer after a failed
+// verification and bans it until the next successful adoption.
+func (f *stateFetcher) reject(sender uint32) {
+	f.rejects.Inc()
+	delete(f.xfers, sender)
+	f.banned[sender] = true
+}
+
+// peersAhead reports whether any collected manifest is beyond executed.
+func (f *stateFetcher) peersAhead(executed uint64) bool {
+	for _, x := range f.xfers {
+		if x.manifest.Seq > executed {
+			return true
+		}
+	}
+	return false
+}
+
+// prune drops transfers at or below the stable point: they can never be
+// adopted (adoption requires seq > executed >= stable).
+func (f *stateFetcher) prune(stable uint64) {
+	for id, x := range f.xfers {
+		if x.manifest.Seq <= stable {
+			delete(f.xfers, id)
+		}
+	}
+}
+
+// adopted ends a fetch round after a successful adoption. The next round
+// starts from a clean slate: peers rejected for corrupt parts get another
+// chance (the reject counter keeps the permanent record).
+func (f *stateFetcher) adopted() {
+	f.fetching = false
+	f.retry.Cancel()
+	f.banned = make(map[uint32]bool)
+	f.transfers++
+}
+
+var errRootMismatch = errors.New("pbft: applied transfer does not hash to the certified root")
+
+// adoption is a transferred checkpoint that was certified, verified and
+// applied, plus the view the replica should rejoin in.
+type adoption struct {
+	seq  uint64
+	root auth.Digest
+	view uint64
+}
+
+// tryAdopt installs a transferred checkpoint into ps if one is certified
+// and complete, and retains it in cps as a base record. view is the
+// replica's current view. Two certification paths:
+//
+//  1. F+1 senders vouch for the same (seq, root) — at least one of them
+//     is correct.
+//  2. A single manifest matches a checkpoint-quorum certificate this
+//     replica assembled from the group's normal CHECKPOINT broadcasts
+//     (2F+1 matching digests in cps). This is how a replica catches up
+//     while the group keeps executing at full speed: peers' checkpoints
+//     advance so quickly that F+1 identical manifests may never
+//     accumulate, but certificates keep arriving.
+//
+// The state arrives as partitions that were each digest-verified on
+// receipt; partitions already matching locally are reused without any
+// transfer.
+func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, executed, view uint64) (adoption, bool) {
+	if len(f.xfers) == 0 {
+		return adoption{}, false
+	}
+	// Scan transfers in replica order for determinism, one adoption
+	// attempt per distinct (seq, root) group — made at its lowest sender.
+	for id := uint32(0); id < uint32(f.cfg.N); id++ {
+		x, held := f.xfers[id]
+		if !held || x.manifest.Seq <= executed {
+			continue
+		}
+		seq, root := x.manifest.Seq, x.manifest.Root
+		var matching []*stateXfer
+		var senders []uint32
+		for j := uint32(0); j < uint32(f.cfg.N); j++ {
+			if other, held := f.xfers[j]; held && other.manifest.Seq == seq && other.manifest.Root == root {
+				matching = append(matching, other)
+				senders = append(senders, j)
+			}
+		}
+		if senders[0] != id {
+			continue // this group was tried at its lowest sender
+		}
+		if len(matching) < f.cfg.F+1 && cps.votesFor(seq, root) < f.cfg.Quorum() {
+			continue
+		}
+		// Certified root. Assemble the full partition set: local
+		// partitions whose digests already match the manifest are reused
+		// as-is; the divergent ones must have arrived (from any matching
+		// sender — parts are interchangeable once verified against the
+		// same digest list).
+		manifest := matching[0].manifest
+		local := ps.PartitionDigests()
+		parts := make([][]byte, ps.PartitionCount())
+		complete := true
+		for i := range parts {
+			if i < len(local) && local[i] == manifest.Digests[i] {
+				parts[i] = ps.MarshalPartition(i)
+				continue
+			}
+			for _, cand := range matching {
+				if data, ok := cand.parts[i]; ok {
+					parts[i] = data
+					break
+				}
+			}
+			if parts[i] == nil {
+				complete = false
+				break
+			}
+		}
+		if !complete {
+			continue // divergent partitions still streaming in
+		}
+		prev := ps.MarshalState()
+		err := ps.ApplyTransfer(manifest.Header, parts)
+		if err == nil && ps.Snapshot() != root {
+			// Defense in depth (the composition rules make this
+			// unreachable for a conforming application): roll back.
+			if err = ps.UnmarshalState(prev); err != nil {
+				panic(fmt.Sprintf("pbft: failed to restore state after rejected transfer: %v", err))
+			}
+			err = errRootMismatch
+		}
+		if err != nil {
+			// Digest-verified partitions under a certified root that still
+			// fail to decode or compose: the vouching senders colluded on
+			// a malformed encoding. Drop them and keep fetching.
+			for _, s := range senders {
+				f.reject(s)
+			}
+			continue
+		}
+		// The View field is only corroborated when F+1 senders agree; a
+		// lone certificate-backed manifest could carry an inflated view
+		// that would wedge us. The minimum is conservative (at most as new
+		// as some correct replica's view); a stale view only costs extra
+		// view-change latency.
+		if len(matching) >= f.cfg.F+1 {
+			view = matching[0].manifest.View
+			for _, x := range matching[1:] {
+				if x.manifest.View < view {
+					view = x.manifest.View
+				}
+			}
+		}
+		cps.installBase(seq, ps.Applied(), manifest.Header, manifest.Digests, parts)
+		return adoption{seq, root, view}, true
+	}
+	return adoption{}, false
+}
+
+// Replica: requesting, serving and adopting state.
+
+// StateTransfers returns the number of completed state transfers.
+func (r *Replica) StateTransfers() uint64 { return r.fetch.transfers }
+
+// StateRejects returns how many transfer manifests or partitions failed
+// digest verification on arrival (each one dropped its sender).
+func (r *Replica) StateRejects() uint64 { return r.fetch.rejects.Value() }
+
+// StateBytesServed returns the serialized partition bytes this replica
+// shipped to fetching peers.
+func (r *Replica) StateBytesServed() uint64 { return r.stateBytesServed }
+
+// requestStateTransfer probes peers for their newest retained checkpoint
+// (Cluster.Restart calls it for a rebooted replica). It is a no-op if the
+// application cannot transfer state or a fetch is already in flight.
+// Retries only persist while a checkpoint beyond our execution point is
+// actually known to exist (the fetch target, maintained by
+// recordCheckpoint): if no peer has anything to serve — the group has no
+// checkpoint yet — the probe goes unanswered once and the replica stays
+// quiet until live checkpoint votes reveal a gap, keeping an idle
+// simulation drainable.
+func (r *Replica) requestStateTransfer() {
+	if r.stopped || r.fetch.fetching || r.ps == nil {
+		return
+	}
+	r.fetch.fetching = true
+	// Advertise our Merkle position so responders ship only the divergent
+	// partitions. Snapshot and the digest list come from per-partition
+	// caches, so this is cheap for a mostly-clean store.
+	r.broadcast(StateRequest{Seq: r.executed, Replica: r.id, Root: r.ps.Snapshot(), Digests: r.ps.PartitionDigests()})
+	// If no adoptable transfer arrives, ask again — unless we caught up
+	// through normal execution in the meantime. Retrying is warranted
+	// while either a checkpoint is known to be missing or peers
+	// demonstrably hold state ahead of us (manifests collected but not
+	// yet adoptable, e.g. transiently scattered checkpoints); with
+	// neither, the probe goes quiet so an idle simulation drains.
+	r.fetch.retry = r.node.Loop().After(r.cfg.ViewTimeout, func() {
+		if r.stopped || !r.fetch.fetching {
+			return
+		}
+		r.fetch.fetching = false
+		if r.executed < r.fetch.target || r.fetch.peersAhead(r.executed) {
+			r.requestStateTransfer()
+		}
+	})
+}
+
+func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
+	// Serve the newest retained checkpoint beyond the requester's
+	// execution point — not only the stable one. When F+1 replicas lag
+	// together the group cannot certify any new stable checkpoint (the
+	// certificate needs the laggards' own votes), yet the laggards can
+	// still safely adopt a newer checkpoint: adoption demands F+1
+	// responders vouching for the same (seq, root), so one correct
+	// responder is always among them.
+	best, rec := r.cps.latest(math.MaxUint64)
+	if best <= m.Seq || len(m.Digests) != len(rec.digests) {
+		return // requester as current as anything we hold, or not our partition layout
+	}
+	// Subtree negotiation: open with the manifest, then stream only the
+	// partitions whose digests diverge from the requester's. Reply to the
+	// authenticated sender, not the claimed Replica field.
+	r.send(sender, StateManifest{
+		Seq: best, View: r.view, Root: r.cps.own[best],
+		Header: rec.header, Digests: rec.digests, Replica: r.id,
+	})
+	for i, d := range rec.digests {
+		if m.Digests[i] == d {
+			continue
+		}
+		data := r.cps.part(best, i)
+		if r.faults.CorruptStateParts {
+			bad := append([]byte(nil), data...)
+			if len(bad) > 0 {
+				bad[len(bad)-1] ^= 0xFF
+			}
+			data = bad
+		}
+		r.stateBytesServed += uint64(len(data))
+		r.send(sender, StatePart{Seq: best, Part: uint32(i), Data: data, Replica: r.id})
+	}
+}
+
+func (r *Replica) handleStateManifest(sender uint32, m StateManifest) {
+	if r.ps != nil && r.fetch.offerManifest(r.ps, r.executed, sender, m) {
+		r.tryAdoptState()
+	}
+}
+
+func (r *Replica) handleStatePart(sender uint32, m StatePart) {
+	hashed, stored := r.fetch.offerPart(sender, m)
+	if hashed {
+		r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, len(m.Data)))
+	}
+	if stored {
+		r.tryAdoptState()
+	}
+}
+
+// tryAdoptState adopts a transferred checkpoint if one is certified and
+// complete, reporting success.
+func (r *Replica) tryAdoptState() bool {
+	if r.ps == nil {
+		return false
+	}
+	a, ok := r.fetch.tryAdopt(r.ps, r.cps, r.executed, r.view)
+	if ok {
+		r.adoptCheckpoint(a.seq, a.root, a.view)
+	}
+	return ok
+}
+
+// adoptCheckpoint installs a fetched checkpoint: the application state is
+// already restored and the serving copy retained; fast-forward the
+// agreement bookkeeping.
+func (r *Replica) adoptCheckpoint(seq uint64, d auth.Digest, view uint64) {
+	r.executed = seq
+	if r.seqNext < seq {
+		r.seqNext = seq
+	}
+	r.cps.own[seq] = d
+	// Advertise the adopted checkpoint. When several replicas lagged
+	// together, the group's stable checkpoint stalled precisely because
+	// the laggards' votes were missing — this vote (plus the peers who
+	// already voted) completes the certificate so everyone's watermark
+	// window can move again.
+	cp := Checkpoint{Seq: seq, Digest: d, Replica: r.id}
+	r.recordCheckpoint(r.id, cp)
+	r.broadcast(cp)
+	if view > r.view {
+		r.view = view
+		// Observers track the current leader through this hook on
+		// every other view-installation path; a recovered replica's
+		// jump must be visible too.
+		if r.onViewChange != nil {
+			r.onViewChange(view)
+		}
+	}
+	// The checkpoint subsumes every request ordered below it, but we
+	// cannot tell which of the requests we are watching those are: drop
+	// all request bookkeeping and let live traffic re-arm. Leaving the
+	// timers armed would fire view-change demands for long-committed
+	// requests and wedge the replica in viewChanging — blocking the very
+	// catch-up the transfer enables.
+	r.pending = nil
+	r.proposed = make(map[reqID]bool)
+	r.requestStore = make(map[reqID]Request)
+	for id, t := range r.reqTimers {
+		t.Cancel()
+		delete(r.reqTimers, id)
+	}
+	// Any view change we demanded was based on pre-transfer lag; rejoin
+	// the group's current view instead of staying wedged. If a genuine
+	// view change is in progress, its NEW-VIEW will reach us normally.
+	r.settleView()
+	r.advanceStable(seq) // also prunes transfers at or below seq
+	r.fetch.adopted()
+	if r.onCheckpointAdopt != nil {
+		r.onCheckpointAdopt(seq)
+	}
+	// Commits above the checkpoint may already be quorate in the log.
+	r.tryExecute()
+	// An older certified checkpoint can win the adoption scan while a
+	// newer one is still known to be missing; keep fetching until
+	// execution reaches the target instead of going quiet here.
+	if r.executed < r.fetch.target {
+		r.requestStateTransfer()
+	}
+}

@@ -138,8 +138,8 @@ func TestRestartBeforeFirstCheckpointDrains(t *testing.T) {
 // TestStateTransferLargeSnapshot is the regression test for the ROADMAP
 // item msgnet closes: a kvstore snapshot far above the transport's
 // MaxMessage (≈1.1 MB vs the 256 KB frame limit) must still transfer
-// after Crash/Restart — the StateResponse rides msgnet's bulk class as a
-// digest-chained chunk stream — on both backends.
+// after Crash/Restart — it crosses as per-partition StateParts on msgnet's
+// bulk class — on both backends.
 func TestStateTransferLargeSnapshot(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindTCP, transport.KindRDMA} {
 		kind := kind
