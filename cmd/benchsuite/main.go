@@ -24,8 +24,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,26 +59,41 @@ func (k knobFlags) Set(s string) error {
 	return nil
 }
 
-func main() {
-	experiments := flag.String("experiments", "all", "comma-separated experiment names (E1..E12, ALLOC) or 'all'")
-	out := flag.String("out", ".", "directory to write BENCH_<name>.json files into")
-	quick := flag.Bool("quick", false, "shrink sweeps and message counts (CI smoke mode)")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	compare := flag.String("compare", "", "previous run to diff against: a BENCH_*.json file or a directory of them")
-	validate := flag.String("validate", "", "validate every BENCH_*.json in this directory against the schema, then exit")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON of every measurement run to this file")
-	list := flag.Bool("list", false, "list registered experiments and exit")
-	listKnobs := flag.Bool("knobs", false, "list each experiment's accepted knobs with effective defaults and exit")
-	tables := flag.Bool("tables", true, "print human-readable tables alongside the JSON")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns the process exit status — non-zero
+// when a run fails or a requested comparison could not be made.
+func run(args []string, stdout, stderr io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "benchsuite:", err)
+		return 1
+	}
+	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiments := fs.String("experiments", "all", "comma-separated experiment names (E1..E12, ALLOC) or 'all'")
+	out := fs.String("out", ".", "directory to write BENCH_<name>.json files into")
+	quick := fs.Bool("quick", false, "shrink sweeps and message counts (CI smoke mode)")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	compare := fs.String("compare", "", "previous run to diff against: a BENCH_*.json file or a directory of them")
+	validate := fs.String("validate", "", "validate every BENCH_*.json in this directory against the schema, then exit")
+	trace := fs.String("trace", "", "write a Chrome trace-event JSON of every measurement run to this file")
+	list := fs.Bool("list", false, "list registered experiments and exit")
+	listKnobs := fs.Bool("knobs", false, "list each experiment's accepted knobs with effective defaults and exit")
+	tables := fs.Bool("tables", true, "print human-readable tables alongside the JSON")
 	knobs := knobFlags{}
-	flag.Var(knobs, "knob", "experiment knob override, name=value (repeatable)")
-	flag.Parse()
+	fs.Var(knobs, "knob", "experiment knob override, name=value (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range bench.Experiments() {
-			fmt.Printf("%-4s %-70s [%s]\n", e.Name, e.Title, e.Figure)
+			fmt.Fprintf(stdout, "%-4s %-70s [%s]\n", e.Name, e.Title, e.Figure)
 		}
-		return
+		return 0
 	}
 	if *listKnobs {
 		rc := bench.DefaultRunContext()
@@ -84,33 +101,33 @@ func main() {
 		for _, e := range bench.Experiments() {
 			cfg, err := e.Params(rc)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			names := make([]string, 0, len(cfg))
 			for k := range cfg {
 				names = append(names, k)
 			}
 			sort.Strings(names)
-			fmt.Printf("%s:\n", e.Name)
+			fmt.Fprintf(stdout, "%s:\n", e.Name)
 			for _, k := range names {
-				fmt.Printf("  -knob %s=%s\n", k, cfg[k])
+				fmt.Fprintf(stdout, "  -knob %s=%s\n", k, cfg[k])
 			}
 		}
-		return
+		return 0
 	}
 	if *validate != "" {
-		if err := validateDir(*validate); err != nil {
-			fatal(err)
+		if err := validateDir(stdout, *validate); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	names, err := selectExperiments(*experiments)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rc := bench.DefaultRunContext()
 	rc.Seed = *seed
@@ -122,39 +139,42 @@ func main() {
 
 	failedCompares := 0
 	for _, name := range names {
-		fmt.Printf("== %s ==\n", name)
+		fmt.Fprintf(stdout, "== %s ==\n", name)
 		res, err := bench.Run(name, rc)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		path, err := res.WriteFile(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s (%d series)\n", path, len(res.Series))
+		fmt.Fprintf(stdout, "wrote %s (%d series)\n", path, len(res.Series))
 		if *tables {
 			for _, tab := range res.Tables() {
-				fmt.Println(tab.Render())
+				fmt.Fprintln(stdout, tab.Render())
 			}
 		}
 		if *compare != "" {
-			n, err := compareAgainst(*compare, res)
+			n, err := compareAgainst(stdout, *compare, res)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			failedCompares += n
 		}
 	}
-	if failedCompares > 0 {
-		fmt.Fprintf(os.Stderr, "benchsuite: %d comparison(s) could not be made\n", failedCompares)
-	}
 	if *trace != "" {
 		if err := writeTrace(*trace, rc.Trace); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s (%d spans, %d samples, %d runs; %d spans dropped)\n",
+		fmt.Fprintf(stdout, "wrote %s (%d spans, %d samples, %d runs; %d spans dropped)\n",
 			*trace, rc.Trace.SpanCount(), rc.Trace.SampleCount(), rc.Trace.RunCount(), rc.Trace.DroppedSpans())
 	}
+	// A compare against a mistyped directory must not pass silently: the
+	// results are written, but the command fails.
+	if failedCompares > 0 {
+		return fail(fmt.Errorf("%d comparison(s) could not be made", failedCompares))
+	}
+	return 0
 }
 
 // writeTrace exports the collected span trees and time series as a Chrome
@@ -193,8 +213,9 @@ func selectExperiments(s string) ([]string, error) {
 
 // compareAgainst diffs res against the stored baseline at path (a file or
 // a directory holding BENCH_<name>.json). A missing baseline for this
-// experiment is reported but not fatal; it counts as a failed compare.
-func compareAgainst(path string, res *metrics.Result) (failed int, err error) {
+// experiment is reported and counted as a failed compare, so the
+// remaining experiments still run before the command exits non-zero.
+func compareAgainst(stdout io.Writer, path string, res *metrics.Result) (failed int, err error) {
 	info, err := os.Stat(path)
 	if err != nil {
 		return 0, err
@@ -205,7 +226,7 @@ func compareAgainst(path string, res *metrics.Result) (failed int, err error) {
 	}
 	old, err := metrics.ReadResultFile(file)
 	if os.IsNotExist(err) {
-		fmt.Printf("compare: no baseline %s\n", file)
+		fmt.Fprintf(stdout, "compare: no baseline %s\n", file)
 		return 1, nil
 	}
 	if err != nil {
@@ -215,12 +236,12 @@ func compareAgainst(path string, res *metrics.Result) (failed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	fmt.Printf("deltas vs %s:\n%s\n", file, metrics.RenderDeltas(deltas))
+	fmt.Fprintf(stdout, "deltas vs %s:\n%s\n", file, metrics.RenderDeltas(deltas))
 	return 0, nil
 }
 
 // validateDir checks every BENCH_*.json below dir against the schema.
-func validateDir(dir string) error {
+func validateDir(stdout io.Writer, dir string) error {
 	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil {
 		return err
@@ -238,12 +259,7 @@ func validateDir(dir string) error {
 		if got := filepath.Base(path); got != want {
 			return fmt.Errorf("%s: holds experiment %s (want file name %s)", path, res.Experiment, want)
 		}
-		fmt.Printf("%s: valid (%s, %d series, seed %d)\n", path, res.Experiment, len(res.Series), res.Seed)
+		fmt.Fprintf(stdout, "%s: valid (%s, %d series, seed %d)\n", path, res.Experiment, len(res.Series), res.Seed)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchsuite:", err)
-	os.Exit(1)
 }

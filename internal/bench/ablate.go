@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"strconv"
-
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/rubin"
@@ -72,61 +70,23 @@ func AblationTable(payloadsKB []int, params model.Params) (*metrics.Table, error
 
 func init() {
 	Register(Experiment{
-		Name:   "E6",
-		Title:  "RUBIN channel optimization ablations (echo mean RTT)",
-		Figure: "paper Section IV/V",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE6(rc)
-			return cfg, err
+		Name: "E6", Title: "RUBIN channel optimization ablations (echo mean RTT)", Figure: "paper Section IV/V",
+		knobs: []knob{
+			{name: "payloads_kb", def: "1,4,16,64,100", quick: "2", min: 1, list: true},
+			{name: "messages", def: "1000", quick: "150", min: 1},
+			{name: "warmup", def: "50", quick: "20"},
+			{name: "window", def: "8", min: 1},
 		},
-		Run: runE6,
+		run: runE6,
 	})
 }
 
-type e6Knobs struct {
-	payloadsKB []int
-	messages   int
-	warmup     int
-	window     int
-}
-
-func resolveE6(rc RunContext) (e6Knobs, map[string]string, error) {
-	k := e6Knobs{payloadsKB: []int{1, 4, 16, 64, 100}, messages: 1000, warmup: 50, window: 8}
-	if rc.Quick {
-		k.payloadsKB, k.messages, k.warmup = []int{2}, 150, 20
-	}
-	var err error
-	if k.payloadsKB, err = rc.intsKnob("payloads_kb", k.payloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.messages, err = rc.intKnob("messages", k.messages); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	cfg := map[string]string{
-		"payloads_kb": formatInts(k.payloadsKB),
-		"messages":    strconv.Itoa(k.messages),
-		"warmup":      strconv.Itoa(k.warmup),
-		"window":      strconv.Itoa(k.window),
-	}
-	return k, cfg, nil
-}
-
-func runE6(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE6(rc)
-	if err != nil {
-		return err
-	}
+func runE6(rc RunContext, v values, res *metrics.Result) error {
 	for _, ab := range Ablations() {
 		mean := res.AddSeries(ab.Name, metrics.MetricLatencyMean, "us", "rdma", "payload_kb")
-		for _, kb := range k.payloadsKB {
-			cfg := EchoConfig{Payload: kb << 10, Messages: k.messages, Warmup: k.warmup,
-				Window: k.window, Seed: rc.Seed}
+		for _, kb := range v.ints("payloads_kb") {
+			cfg := EchoConfig{Payload: kb << 10, Messages: v.int("messages"), Warmup: v.int("warmup"),
+				Window: v.int("window"), Seed: rc.Seed}
 			r, err := runAblation(ab, cfg, rc.Model)
 			if err != nil {
 				return err

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strconv"
 	"testing"
 
 	"rubin/internal/auth"
@@ -22,14 +21,6 @@ import (
 //
 // Quick mode shrinks the AllocsPerRun iteration count but keeps every
 // sweep point, so quick and full runs are point-for-point comparable.
-
-// allocRuns returns the AllocsPerRun iteration count under rc.
-func allocRuns(rc RunContext) int {
-	if rc.Quick {
-		return 60
-	}
-	return 400
-}
 
 // authAllocsPerOp measures the keyring hot paths of an n-replica group:
 // MAC and Verify against one peer, and a full Authenticate vector.
@@ -86,78 +77,36 @@ func init() {
 		Name:   "ALLOC",
 		Title:  "Steady-state heap allocations per hot-path operation (msgnet send, auth MAC, sim timers)",
 		Figure: "beyond the paper: hot-path efficiency audit",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveAlloc(rc)
-			return cfg, err
+		knobs: []knob{
+			{name: "runs", def: "400", quick: "60", min: 1}, // AllocsPerRun iterations
+			// Whole-frame (<= one transport frame) and chunked Send payloads.
+			{name: "whole_payloads", def: "256,4096,65536", min: 1, list: true},
+			{name: "chunked_payloads", def: "1048576,4194304", min: 1, list: true},
+			{name: "replicas", def: "4,7,16", min: 1, list: true},   // keyring group sizes
+			{name: "pending", def: "1,64,1024", min: 1, list: true}, // parked timers behind the measured one
 		},
-		Run: runAlloc,
+		run: runAlloc,
 	})
 }
 
-// allocSweeps bundles the resolved sweep axes of one ALLOC run.
-type allocSweeps struct {
-	runs     int
-	wholes   []int // whole-frame Send payload bytes (<= one transport frame)
-	chunked  []int // chunked Send payload bytes (> one transport frame)
-	replicas []int // keyring group sizes
-	pending  []int // parked timers behind the measured one
-}
-
-func resolveAlloc(rc RunContext) (allocSweeps, map[string]string, error) {
-	s := allocSweeps{
-		runs:     allocRuns(rc),
-		wholes:   []int{256, 4096, 65536},
-		chunked:  []int{1 << 20, 4 << 20},
-		replicas: []int{4, 7, 16},
-		pending:  []int{1, 64, 1024},
-	}
-	var err error
-	if s.runs, err = rc.intKnob("runs", s.runs); err != nil {
-		return s, nil, err
-	}
-	if s.wholes, err = rc.intsKnob("whole_payloads", s.wholes); err != nil {
-		return s, nil, err
-	}
-	if s.chunked, err = rc.intsKnob("chunked_payloads", s.chunked); err != nil {
-		return s, nil, err
-	}
-	if s.replicas, err = rc.intsKnob("replicas", s.replicas); err != nil {
-		return s, nil, err
-	}
-	if s.pending, err = rc.intsKnob("pending", s.pending); err != nil {
-		return s, nil, err
-	}
-	cfg := map[string]string{
-		"runs":             strconv.Itoa(s.runs),
-		"whole_payloads":   formatInts(s.wholes),
-		"chunked_payloads": formatInts(s.chunked),
-		"replicas":         formatInts(s.replicas),
-		"pending":          formatInts(s.pending),
-	}
-	return s, cfg, nil
-}
-
-func runAlloc(rc RunContext, res *metrics.Result) error {
-	s, _, err := resolveAlloc(rc)
-	if err != nil {
-		return err
-	}
+func runAlloc(_ RunContext, v values, res *metrics.Result) error {
+	runs := v.int("runs")
 	const unit = "allocs/op"
 
 	whole := res.AddSeries("msgnet send whole", metrics.MetricAllocsPerOp, unit, "", "payload_bytes")
-	for _, n := range s.wholes {
-		whole.Add(float64(n), msgnet.SendAllocsPerOp(s.runs, n))
+	for _, n := range v.ints("whole_payloads") {
+		whole.Add(float64(n), msgnet.SendAllocsPerOp(runs, n))
 	}
 	chunked := res.AddSeries("msgnet send chunked", metrics.MetricAllocsPerOp, unit, "", "payload_bytes")
-	for _, n := range s.chunked {
-		chunked.Add(float64(n), msgnet.SendAllocsPerOp(s.runs, n))
+	for _, n := range v.ints("chunked_payloads") {
+		chunked.Add(float64(n), msgnet.SendAllocsPerOp(runs, n))
 	}
 
 	macS := res.AddSeries("auth mac", metrics.MetricAllocsPerOp, unit, "", "replicas")
 	verifyS := res.AddSeries("auth verify", metrics.MetricAllocsPerOp, unit, "", "replicas")
 	authnS := res.AddSeries("auth authenticate", metrics.MetricAllocsPerOp, unit, "", "replicas")
-	for _, n := range s.replicas {
-		mac, verify, authn := authAllocsPerOp(s.runs, n, 1<<10)
+	for _, n := range v.ints("replicas") {
+		mac, verify, authn := authAllocsPerOp(runs, n, 1<<10)
 		macS.Add(float64(n), mac)
 		verifyS.Add(float64(n), verify)
 		authnS.Add(float64(n), authn)
@@ -165,8 +114,8 @@ func runAlloc(rc RunContext, res *metrics.Result) error {
 
 	fireS := res.AddSeries("sim timer arm+fire", metrics.MetricAllocsPerOp, unit, "", "pending_timers")
 	cancelS := res.AddSeries("sim timer arm+cancel", metrics.MetricAllocsPerOp, unit, "", "pending_timers")
-	for _, n := range s.pending {
-		fire, cancel := simTimerAllocsPerOp(s.runs, n)
+	for _, n := range v.ints("pending") {
+		fire, cancel := simTimerAllocsPerOp(runs, n)
 		fireS.Add(float64(n), fire)
 		cancelS.Add(float64(n), cancel)
 	}

@@ -2,13 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
-	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/obs"
-	"rubin/internal/pbft"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -67,75 +64,6 @@ type BFTResult struct {
 	PeakQueueBytes int
 }
 
-// closedLoop is the measurement driver RunBFT and RunCOP share: each of
-// clients runs its own closed loop of window outstanding requests through
-// invoke(ci, op, done). Latency samples start after the per-client warmup;
-// startAt is the moment the first client sends its first measured request
-// and endAt the last measured completion.
-type closedLoop struct {
-	rec     *metrics.Recorder
-	startAt sim.Time
-	endAt   sim.Time
-	done    int
-}
-
-// runClosedLoop drives the workload to completion on loop; makeOp builds
-// the idx-th operation of client ci (keys must be unique per (ci, idx)).
-// invoke returns the submitted request's trace id ("" when untraceable);
-// tr folds each finished request into the latency breakdown.
-func runClosedLoop(loop *sim.Loop, tr *obs.Tracer, clients, requests, warmup, window int,
-	makeOp func(ci, idx int) []byte,
-	invoke func(ci int, op []byte, done func([]byte)) string) closedLoop {
-	cl := closedLoop{rec: metrics.NewRecorder()}
-	perClient := requests + warmup
-	started := false
-	launch := func(ci int) {
-		sent, done := 0, 0
-		var sendOne func()
-		sendOne = func() {
-			if sent == warmup && !started {
-				cl.startAt, started = loop.Now(), true
-			}
-			idx := sent
-			sent++
-			t0 := loop.Now()
-			var id string
-			id = invoke(ci, makeOp(ci, idx), func([]byte) {
-				done++
-				cl.done++
-				measured := done > warmup
-				if measured {
-					cl.rec.Record(loop.Now() - t0)
-					cl.endAt = loop.Now()
-				}
-				if tr != nil && id != "" {
-					tr.MarkReturn(id, loop.Now())
-					tr.Finish(id, measured)
-				}
-				if sent < perClient {
-					sendOne()
-				}
-			})
-			// Safe after the invoke: replies cross the simulated network,
-			// so done cannot have fired synchronously at this same event.
-			if tr != nil && id != "" {
-				tr.MarkArrive(id, t0)
-				tr.MarkInvoke(id, t0)
-			}
-		}
-		loop.Post(func() {
-			for i := 0; i < window && sent < perClient; i++ {
-				sendOne()
-			}
-		})
-	}
-	for ci := 0; ci < clients; ci++ {
-		launch(ci)
-	}
-	loop.Run()
-	return cl
-}
-
 // RunBFT measures agreement latency and throughput of the full replicated
 // system for one configuration. Each client runs its own closed loop of
 // Window outstanding requests; latency samples start after the per-client
@@ -145,46 +73,28 @@ func RunBFT(cfg BFTConfig, params model.Params) (BFTResult, error) {
 	if clients < 1 {
 		clients = 1
 	}
-	pcfg := pbft.DefaultConfig()
-	pcfg.N, pcfg.F = cfg.N, cfg.F
-	pcfg.BatchSize = cfg.Batch
-	cluster, err := pbft.NewCluster(cfg.Kind, pcfg, params, cfg.Seed,
-		func(i int) pbft.Application { return kvstore.New() })
+	d, err := newPBFT(deploySpec{
+		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, cfg.Batch), seed: cfg.Seed, conns: clients,
+		label: fmt.Sprintf("PBFT %s N=%d clients=%d payload=%dB seed=%d",
+			cfg.Kind, cfg.N, clients, cfg.Payload, cfg.Seed),
+		trace: cfg.Trace,
+	}, params)
 	if err != nil {
 		return BFTResult{}, err
 	}
-	if err := cluster.Start(); err != nil {
+	res, err := d.runClosedLoop("bench", cfg.Payload, cfg.Requests, cfg.Warmup, cfg.Window)
+	if err != nil {
 		return BFTResult{}, err
-	}
-	tr := benchTracer(cfg.Trace, fmt.Sprintf("PBFT %s N=%d clients=%d payload=%dB seed=%d",
-		cfg.Kind, cfg.N, clients, cfg.Payload, cfg.Seed))
-	cluster.SetTracer(tr)
-	cls := make([]*pbft.Client, clients)
-	for i := range cls {
-		if cls[i], err = cluster.AddClient(); err != nil {
-			return BFTResult{}, err
-		}
-	}
-	startSamplers(tr, cluster.Loop, cluster.Meshes, nil)
-
-	value := string(make([]byte, cfg.Payload))
-	res := runClosedLoop(cluster.Loop, tr, clients, cfg.Requests, cfg.Warmup, cfg.Window,
-		func(ci, idx int) []byte {
-			return kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("bench-%d-%06d", ci, idx), value)
-		},
-		func(ci int, op []byte, done func([]byte)) string { return cls[ci].Invoke(op, done) })
-	if want := (cfg.Requests + cfg.Warmup) * clients; res.done != want {
-		return BFTResult{}, fmt.Errorf("bench: completed %d of %d requests", res.done, want)
 	}
 	return BFTResult{
 		Kind:           cfg.Kind,
 		Payload:        cfg.Payload,
 		MeanLat:        res.rec.Mean(),
 		P99Lat:         res.rec.Percentile(99),
-		Throughput:     metrics.Throughput(res.rec.Count(), res.endAt-res.startAt),
-		SendFaults:     cluster.SendFaults(),
-		Breakdown:      tr.Summary(),
-		PeakQueueBytes: cluster.PeakQueueBytes(),
+		Throughput:     res.throughput(),
+		SendFaults:     d.sendFaults(),
+		Breakdown:      d.tr.Summary(),
+		PeakQueueBytes: d.peakQueueBytes(),
 	}, nil
 }
 
@@ -197,11 +107,17 @@ func init() {
 		Name:   "E5",
 		Title:  "BFT agreement latency and throughput (PBFT over RUBIN vs NIO)",
 		Figure: "paper Section VI (stated future work)",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE5(rc)
-			return cfg, err
+		knobs: []knob{
+			{name: "payloads_kb", def: "1,4,16", quick: "1", min: 1, list: true},
+			{name: "n", def: "4", min: 1},
+			{name: "f", derive: func(v values) int { return (v.int("n") - 1) / 3 }},
+			{name: "requests", def: "150", quick: "60", min: 1},
+			{name: "warmup", def: "20", quick: "10"},
+			{name: "window", def: "16", min: 1},
+			{name: "batch", def: "8", min: 1},
+			{name: "clients", def: "1", min: 1},
 		},
-		Run: runE5,
+		run: runE5,
 	})
 }
 
@@ -211,61 +127,11 @@ var e5SeriesNames = map[transport.Kind]string{
 	transport.KindTCP:  "Reptor+NIO",
 }
 
-func resolveE5(rc RunContext) (BFTConfig, map[string]string, error) {
-	base := DefaultBFTConfig(transport.KindRDMA, 0)
-	base.Seed = rc.Seed
-	payloadsKB := []int{1, 4, 16}
-	if rc.Quick {
-		payloadsKB = []int{1}
-		base.Requests, base.Warmup = 60, 10
-	}
-	var err error
-	if payloadsKB, err = rc.intsKnob("payloads_kb", payloadsKB); err != nil {
-		return base, nil, err
-	}
-	if base.N, err = rc.intKnob("n", base.N); err != nil {
-		return base, nil, err
-	}
-	if base.F, err = rc.intKnob("f", (base.N-1)/3); err != nil {
-		return base, nil, err
-	}
-	if base.Requests, err = rc.intKnob("requests", base.Requests); err != nil {
-		return base, nil, err
-	}
-	if base.Warmup, err = rc.intKnob("warmup", base.Warmup); err != nil {
-		return base, nil, err
-	}
-	if base.Window, err = rc.intKnob("window", base.Window); err != nil {
-		return base, nil, err
-	}
-	if base.Batch, err = rc.intKnob("batch", base.Batch); err != nil {
-		return base, nil, err
-	}
-	if base.Clients, err = rc.intKnob("clients", base.Clients); err != nil {
-		return base, nil, err
-	}
-	cfg := map[string]string{
-		"payloads_kb": formatInts(payloadsKB),
-		"n":           strconv.Itoa(base.N),
-		"f":           strconv.Itoa(base.F),
-		"requests":    strconv.Itoa(base.Requests),
-		"warmup":      strconv.Itoa(base.Warmup),
-		"window":      strconv.Itoa(base.Window),
-		"batch":       strconv.Itoa(base.Batch),
-		"clients":     strconv.Itoa(base.Clients),
-	}
-	return base, cfg, nil
-}
-
-func runE5(rc RunContext, res *metrics.Result) error {
-	base, cfg, err := resolveE5(rc)
-	if err != nil {
-		return err
-	}
-	base.Trace = rc.Trace
-	payloadsKB, err := ParseInts(cfg["payloads_kb"])
-	if err != nil {
-		return err
+func runE5(rc RunContext, v values, res *metrics.Result) error {
+	base := BFTConfig{
+		Requests: v.int("requests"), Warmup: v.int("warmup"), Window: v.int("window"),
+		Batch: v.int("batch"), N: v.int("n"), F: v.int("f"), Clients: v.int("clients"),
+		Seed: rc.Seed, Trace: rc.Trace,
 	}
 	res.SetConfig("cluster", base.Label())
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
@@ -274,7 +140,7 @@ func runE5(rc RunContext, res *metrics.Result) error {
 		p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", string(kind), "payload_kb")
 		tput := res.AddSeries(name, metrics.MetricThroughput, "req/s", string(kind), "payload_kb")
 		faults := res.AddSeries(name, metrics.MetricSendFaults, "count", string(kind), "payload_kb")
-		for _, kb := range payloadsKB {
+		for _, kb := range v.ints("payloads_kb") {
 			c := base
 			c.Kind = kind
 			c.Payload = kb << 10

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"rubin/internal/chaos"
@@ -78,6 +77,17 @@ func chaosTimeline() (*chaos.Scenario, []ChaosPhase) {
 	return s, phases
 }
 
+// faultTimelineConfig is the protocol configuration of the fault-timeline
+// experiments (E7, E12): small batches and a short checkpoint interval so
+// a few hundred milliseconds of traffic cross many checkpoints.
+func faultTimelineConfig() pbft.Config {
+	cfg := pbft.DefaultConfig()
+	cfg.BatchSize = 4
+	cfg.CheckpointEvery = 8
+	cfg.LogWindow = 128
+	return cfg
+}
+
 // maxChaosPayload bounds the request payload. This is purely a
 // simulation-cost bound now: msgnet chunks any protocol message above the
 // transport frame limit (VIEW-CHANGE aggregates and state snapshots
@@ -91,26 +101,15 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 	if cfg.Payload < 1 || cfg.Payload > maxChaosPayload {
 		return ChaosResult{}, fmt.Errorf("bench: chaos payload %d out of range [1, %d]", cfg.Payload, maxChaosPayload)
 	}
-	pcfg := pbft.DefaultConfig()
-	pcfg.BatchSize = 4
-	pcfg.CheckpointEvery = 8
-	pcfg.LogWindow = 128
-	cluster, err := pbft.NewCluster(cfg.Kind, pcfg, params, cfg.Seed,
-		func(i int) pbft.Application { return kvstore.New() })
+	d, err := newPBFT(deploySpec{kind: cfg.Kind, pbft: faultTimelineConfig(), seed: cfg.Seed, conns: 1}, params)
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	if err := cluster.Start(); err != nil {
-		return ChaosResult{}, err
-	}
-	client, err := cluster.AddClient()
-	if err != nil {
-		return ChaosResult{}, err
-	}
+	cluster := d.cluster
 
 	scenario, phases := chaosTimeline()
 	sched := chaos.Apply(cluster, scenario)
-	loop := cluster.Loop
+	loop := d.loop
 	base := loop.Now()
 	end := phases[len(phases)-1].End
 
@@ -150,7 +149,7 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 		sent++
 		t0 := loop.Now()
 		op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("chaos-%03d", idx%keySpace), value)
-		client.Invoke(op, func([]byte) {
+		d.submit(0, op, func([]byte) {
 			if p := phaseAt(loop.Now() - base); p >= 0 {
 				recs[p].Record(loop.Now() - t0)
 			}
@@ -179,19 +178,19 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 			return ChaosResult{}, fmt.Errorf("bench: phase %q committed nothing (cluster wedged — check payload/transport limits)", phases[i].Name)
 		}
 	}
-	perReplica := make([]int, len(cluster.Meshes))
-	for i, mesh := range cluster.Meshes {
+	perReplica := make([]int, len(d.meshes))
+	for i, mesh := range d.meshes {
 		perReplica[i] = mesh.PeakQueueBytes()
 	}
 	return ChaosResult{
 		Kind:                     cfg.Kind,
-		N:                        pcfg.N,
-		F:                        pcfg.F,
+		N:                        cluster.Config.N,
+		F:                        cluster.Config.F,
 		Phases:                   phases,
 		Trace:                    sched.TraceString(),
 		StateTransfers:           cluster.Replicas[0].StateTransfers(),
-		SendFaults:               cluster.SendFaults(),
-		PeakQueueBytes:           cluster.PeakQueueBytes(),
+		SendFaults:               d.sendFaults(),
+		PeakQueueBytes:           d.peakQueueBytes(),
 		PeakQueueBytesPerReplica: perReplica,
 	}, nil
 }
@@ -205,37 +204,18 @@ func init() {
 		Name:   "E7",
 		Title:  "BFT agreement under faults (crash, view change, state transfer, partition, heal)",
 		Figure: "beyond the paper: fault-regime evaluation",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE7(rc)
-			return cfg, err
+		knobs: []knob{
+			{name: "payload", def: "512", min: 1},
+			// Quick mode was once pinned to window 4 because window 8
+			// wedged the healed phase (two replicas lagging together
+			// deadlocked the stable checkpoint; see
+			// TestChaosWindow8Regression). Fixed by the F+1 state-transfer
+			// trigger — quick mode now runs the once-bad window to keep the
+			// regression visible in CI.
+			{name: "window", def: "16", quick: "8", min: 1},
 		},
-		Run: runE7,
+		run: runE7,
 	})
-}
-
-func resolveE7(rc RunContext) (ChaosConfig, map[string]string, error) {
-	base := DefaultChaosConfig(transport.KindRDMA)
-	base.Seed = rc.Seed
-	if rc.Quick {
-		// Once pinned to window 4 because window 8 wedged the healed
-		// phase (two replicas lagging together deadlocked the stable
-		// checkpoint; see TestChaosWindow8Regression). Fixed by the
-		// F+1 state-transfer trigger — quick mode now runs the once-bad
-		// window to keep the regression visible in CI.
-		base.Window = 8
-	}
-	var err error
-	if base.Payload, err = rc.intKnob("payload", base.Payload); err != nil {
-		return base, nil, err
-	}
-	if base.Window, err = rc.intKnob("window", base.Window); err != nil {
-		return base, nil, err
-	}
-	cfg := map[string]string{
-		"payload": strconv.Itoa(base.Payload),
-		"window":  strconv.Itoa(base.Window),
-	}
-	return base, cfg, nil
 }
 
 // phaseNames lists the fixed E7 timeline phases in index order.
@@ -248,15 +228,10 @@ func phaseNames() []string {
 	return names
 }
 
-func runE7(rc RunContext, res *metrics.Result) error {
-	base, _, err := resolveE7(rc)
-	if err != nil {
-		return err
-	}
+func runE7(rc RunContext, v values, res *metrics.Result) error {
 	res.SetConfig("phases", strings.Join(phaseNames(), ","))
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		cfg := base
-		cfg.Kind = kind
+		cfg := ChaosConfig{Kind: kind, Payload: v.int("payload"), Window: v.int("window"), Seed: rc.Seed}
 		r, err := RunChaos(cfg, rc.Model)
 		if err != nil {
 			return err

@@ -1,0 +1,408 @@
+package bench
+
+import (
+	"fmt"
+
+	"rubin/internal/kvstore"
+	"rubin/internal/metrics"
+	"rubin/internal/model"
+	"rubin/internal/msgnet"
+	"rubin/internal/obs"
+	"rubin/internal/pbft"
+	"rubin/internal/reptor"
+	"rubin/internal/shard"
+	"rubin/internal/sim"
+	"rubin/internal/transport"
+	"rubin/internal/workload"
+)
+
+// frontEnd is what one client connection of any deployment exposes to
+// the harness: *reptor.Client and *shard.Router as they are, a plain PBFT
+// client through plainClient.
+type frontEnd interface {
+	InvokeOp(op []byte, done func([]byte)) string
+	SetReadPathHook(fn func(key string, fast bool))
+	FastReads() uint64
+	FastReadFallbacks() uint64
+	Outstanding() int
+}
+
+// plainClient is the one-partition front-end: every key lives in the one
+// group, so the routing plan only decides read path or ordered path.
+type plainClient struct{ *pbft.Client }
+
+func (c plainClient) InvokeOp(op []byte, done func([]byte)) string {
+	if kvstore.PlanOp(op, 1).Read {
+		return c.InvokeRead(op, done)
+	}
+	return c.Invoke(op, done)
+}
+
+// deploySpec is what every replicated-system run builds from: S shards ×
+// K instances × N replicas on one backend, plain PBFT being S=1, K=1.
+type deploySpec struct {
+	kind  transport.Kind
+	pbft  pbft.Config
+	seed  int64
+	conns int // client connections (front-ends)
+	// label names the run in the tracer; "" leaves the run untraced (the
+	// fault-timeline experiments E7/E12 measure at the client only).
+	label string
+	trace *obs.Tracer // shared -trace tracer, or nil for a run-local one
+	// readTimeout, when positive, enables the read fast path on every
+	// front-end with this fallback timeout.
+	readTimeout sim.Time
+	// app overrides the per-replica state machine (default: a fresh
+	// kvstore per replica).
+	app func(i int) pbft.Application
+}
+
+// pbftConfig returns the default protocol configuration for an N-replica
+// group; a positive batch overrides the default batch size.
+func pbftConfig(n, f, batch int) pbft.Config {
+	cfg := pbft.DefaultConfig()
+	cfg.N, cfg.F = n, f
+	if batch > 0 {
+		cfg.BatchSize = batch
+	}
+	return cfg
+}
+
+func (s deploySpec) appFactory() func(int) pbft.Application {
+	if s.app != nil {
+		return s.app
+	}
+	return func(int) pbft.Application { return kvstore.New() }
+}
+
+// deployment is one system under test, built and ready for load: the
+// loop to drive, the replica meshes and executors to observe, one
+// front-end per connection to submit through, and the end-of-run health
+// checks. The three constructors differ only in what they build.
+type deployment struct {
+	loop   *sim.Loop
+	tr     *obs.Tracer        // nil for untraced runs
+	meshes []*msgnet.Mesh     // every replica host
+	execs  []*reptor.Executor // COP only: one per host
+	fronts []frontEnd
+	// submit sends raw bytes down connection conn's default route with no
+	// kvstore routing — what the fixed-key closed loops (E5/E7/E8/E12)
+	// drive. nil for sharded deployments, which have no default route.
+	submit     workload.Invoker
+	sendFaults func() uint64
+
+	cluster   *pbft.Cluster   // plain PBFT only: fault-injection and replica-probe handle
+	instances int             // COP only: K
+	routers   []*shard.Router // sharded only: 2PC counters and errors
+}
+
+// up brings a built system to the ready state in the one order every run
+// shares: start it, attach the run's tracer (after set-up, so connection
+// establishment is not traced), add one front-end per connection (after
+// the tracer, so their meshes inherit it), start the samplers.
+func (d *deployment) up(s deploySpec, sys interface {
+	Start() error
+	SetTracer(*obs.Tracer)
+}, addFront func() (frontEnd, error)) error {
+	if err := sys.Start(); err != nil {
+		return err
+	}
+	if s.label != "" {
+		d.tr = benchTracer(s.trace, s.label)
+		sys.SetTracer(d.tr)
+	}
+	for i := 0; i < s.conns; i++ {
+		fe, err := addFront()
+		if err != nil {
+			return err
+		}
+		d.fronts = append(d.fronts, fe)
+	}
+	startSamplers(d.tr, d.loop, d.meshes, d.execs)
+	return nil
+}
+
+// newPBFT builds a plain PBFT cluster.
+func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
+	c, err := pbft.NewCluster(s.kind, s.pbft, params, s.seed, s.appFactory())
+	if err != nil {
+		return nil, err
+	}
+	d := &deployment{loop: c.Loop, meshes: c.Meshes, cluster: c, sendFaults: c.SendFaults}
+	d.submit = func(conn int, op []byte, done func([]byte)) string { return c.Clients[conn].Invoke(op, done) }
+	return d, d.up(s, c, func() (frontEnd, error) {
+		cl, err := c.AddClient()
+		if err == nil && s.readTimeout > 0 {
+			cl.EnableReadFastPath(c.Loop, s.readTimeout)
+		}
+		return plainClient{cl}, err
+	})
+}
+
+// newCOP builds a Reptor COP group of the given instance count; positive
+// heartbeat delays override the reptor defaults.
+func newCOP(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.Params) (*deployment, error) {
+	gcfg := reptor.DefaultConfig()
+	gcfg.Instances, gcfg.PBFT = instances, s.pbft
+	if hbDelay > 0 {
+		gcfg.HeartbeatDelay = hbDelay
+	}
+	if hbMax > 0 {
+		gcfg.HeartbeatMax = hbMax
+	}
+	g, err := reptor.NewGroup(s.kind, gcfg, params, s.seed, s.appFactory())
+	if err != nil {
+		return nil, err
+	}
+	if s.readTimeout > 0 {
+		g.EnableReadFastPath(s.readTimeout)
+	}
+	d := &deployment{loop: g.Loop, meshes: g.Meshes, execs: g.Executors, instances: instances, sendFaults: g.SendFaults}
+	var cls []*reptor.Client
+	d.submit = func(conn int, op []byte, done func([]byte)) string { return cls[conn].Invoke(op, done) }
+	return d, d.up(s, g, func() (frontEnd, error) {
+		cl, err := g.AddClient()
+		cls = append(cls, cl)
+		return cl, err
+	})
+}
+
+// newShards builds a sharded deployment of independent PBFT groups, one
+// router per connection.
+func newShards(s deploySpec, shards int, params model.Params) (*deployment, error) {
+	scfg := shard.DefaultConfig()
+	scfg.Shards, scfg.PBFT = shards, s.pbft
+	dep, err := shard.NewKV(s.kind, scfg, params, s.seed)
+	if err != nil {
+		return nil, err
+	}
+	d := &deployment{loop: dep.Loop, sendFaults: dep.SendFaults}
+	for _, cl := range dep.Clusters {
+		d.meshes = append(d.meshes, cl.Meshes...)
+	}
+	return d, d.up(s, dep, func() (frontEnd, error) {
+		r, err := dep.AddRouter()
+		d.routers = append(d.routers, r)
+		return r, err
+	})
+}
+
+// peakQueueBytes is the deepest msgnet send queue any replica saw.
+func (d *deployment) peakQueueBytes() int {
+	peak := 0
+	for _, mesh := range d.meshes {
+		if q := mesh.PeakQueueBytes(); q > peak {
+			peak = q
+		}
+	}
+	return peak
+}
+
+// check is the end-of-run health gate: a run on a fault-free network
+// must have surfaced no send faults, left no executor holding committed
+// batches, no front-end holding invocations, and no 2PC protocol error.
+func (d *deployment) check() error {
+	if n := d.sendFaults(); n != 0 {
+		return fmt.Errorf("bench: %d send faults on a healthy network", n)
+	}
+	for i, ex := range d.execs {
+		if b := ex.Backlog(); b != 0 {
+			return fmt.Errorf("bench: node %d executor stalled with %d committed-but-unmerged batches", i, b)
+		}
+	}
+	for i, r := range d.routers {
+		if err := r.Errs(); err != nil {
+			return fmt.Errorf("bench: router %d: %w", i, err)
+		}
+	}
+	for i, fe := range d.fronts {
+		if n := fe.Outstanding(); n != 0 {
+			return fmt.Errorf("bench: connection %d left %d operations outstanding", i, n)
+		}
+	}
+	return nil
+}
+
+// TrafficResult is one measurement point of a traffic experiment
+// (E9–E11), whatever the deployment shape; counters a shape does not
+// have stay zero.
+type TrafficResult struct {
+	P50, P90, P99, P999 sim.Time // latency percentiles, arrival to reply
+	Mean                sim.Time // mean latency (the breakdown partitions it)
+	Goodput             float64  // measured completions per second
+	CommittedGoodput    float64  // goodput excluding aborted transactions
+	Completed           int
+	Aborted             int // transactions lost to no-wait conflicts
+	HistoryOps          int
+	// Breakdown attributes the mean latency to protocol phases;
+	// Breakdown.Total equals Mean up to integer-mean rounding.
+	Breakdown obs.Summary
+	// PeakQueueBytes is the deepest msgnet send queue any replica saw.
+	PeakQueueBytes int
+	// COP executor health: heartbeat fill slots summed across nodes, the
+	// largest adaptive heartbeat delay any instance backed off to, and the
+	// deepest committed-but-unmerged backlog any node's executor held.
+	HeartbeatSlots    uint64
+	HeartbeatDelayMax sim.Time
+	PeakBacklog       int
+	// Read fast-path counters summed across connections: reads served by
+	// 2F+1 matching tentative replies, and reads that timed out or
+	// mismatched and retried through the ordered path.
+	FastReads     uint64
+	FastFallbacks uint64
+	// FastOps is the number of history operations the oracle saw tagged
+	// as fast-path-served; the checkers treat them identically.
+	FastOps int
+	// Sharded deployments: transactions committed through 2PC and LOCKED
+	// resubmissions by the routers.
+	CrossShardTxns uint64
+	LockRetries    uint64
+}
+
+// runWorkload drives one workload configuration through the deployment's
+// front-ends to completion, verifies the run was healthy (check) and the
+// recorded history linearizable and atomic, and collects the result.
+func (d *deployment) runWorkload(wcfg workload.Config) (TrafficResult, error) {
+	drv, err := workload.New(d.loop, wcfg, func(conn int, op []byte, done func([]byte)) string {
+		return d.fronts[conn].InvokeOp(op, done)
+	})
+	if err != nil {
+		return TrafficResult{}, err
+	}
+	drv.SetTracer(d.tr)
+	for _, fe := range d.fronts {
+		fe.SetReadPathHook(drv.NotePath)
+	}
+	if err := drv.Run(); err != nil {
+		return TrafficResult{}, err
+	}
+	if err := d.check(); err != nil {
+		return TrafficResult{}, err
+	}
+	if err := drv.History().Check(); err != nil {
+		return TrafficResult{}, err
+	}
+	rec := drv.Latencies()
+	r := TrafficResult{
+		P50: rec.Percentile(50), P90: rec.Percentile(90),
+		P99: rec.Percentile(99), P999: rec.Percentile(99.9),
+		Mean:             rec.Mean(),
+		Goodput:          drv.Goodput(),
+		CommittedGoodput: drv.CommittedGoodput(),
+		Completed:        drv.Completed(),
+		Aborted:          drv.Aborted(),
+		HistoryOps:       drv.History().Len(),
+		FastOps:          drv.History().FastOps(),
+		Breakdown:        d.tr.Summary(),
+		PeakQueueBytes:   d.peakQueueBytes(),
+	}
+	for _, fe := range d.fronts {
+		r.FastReads += fe.FastReads()
+		r.FastFallbacks += fe.FastReadFallbacks()
+	}
+	for _, ex := range d.execs {
+		r.HeartbeatSlots += ex.HeartbeatSlots()
+		if pb := ex.PeakBacklog(); pb > r.PeakBacklog {
+			r.PeakBacklog = pb
+		}
+		for k := 0; k < d.instances; k++ {
+			if hb := ex.HeartbeatDelay(k); hb > r.HeartbeatDelayMax {
+				r.HeartbeatDelayMax = hb
+			}
+		}
+	}
+	for _, rt := range d.routers {
+		r.CrossShardTxns += rt.CrossShardTxns()
+		r.LockRetries += rt.Retries()
+	}
+	return r, nil
+}
+
+// trafficWorkload assembles the workload description the traffic
+// experiments share.
+func trafficWorkload(users, conns, keys, valueSize, ops, warmup, zipf100 int, mix workload.Mix, arrival workload.Arrival, seed int64) workload.Config {
+	var chooser workload.KeyChooser = workload.NewUniform(keys)
+	if zipf100 > 0 {
+		chooser = workload.NewZipf(keys, float64(zipf100)/100)
+	}
+	return workload.Config{
+		Users: users, Conns: conns, Ops: ops, Warmup: warmup,
+		Keys: chooser, Mix: mix, Arrival: arrival,
+		ValueSize: valueSize, Seed: seed,
+	}
+}
+
+// closedLoop is the measurement of one fixed-key closed-loop run: each
+// connection keeps window requests outstanding through submit. Latency
+// samples start after the per-connection warmup; startAt is the moment
+// the first connection sends its first measured request and endAt the
+// last measured completion.
+type closedLoop struct {
+	rec     *metrics.Recorder
+	startAt sim.Time
+	endAt   sim.Time
+}
+
+// throughput is the measured completions per second across connections.
+func (cl closedLoop) throughput() float64 {
+	return metrics.Throughput(cl.rec.Count(), cl.endAt-cl.startAt)
+}
+
+// runClosedLoop drives requests+warmup puts per connection to completion;
+// the idx-th key of connection ci is "<keyPrefix>-<ci>-<idx>". Each
+// finished request is folded into the tracer's latency breakdown.
+func (d *deployment) runClosedLoop(keyPrefix string, payload, requests, warmup, window int) (closedLoop, error) {
+	loop, tr := d.loop, d.tr
+	cl := closedLoop{rec: metrics.NewRecorder()}
+	value := string(make([]byte, payload))
+	perConn := requests + warmup
+	started, finished := false, 0
+	launch := func(ci int) {
+		sent, done := 0, 0
+		var sendOne func()
+		sendOne = func() {
+			if sent == warmup && !started {
+				cl.startAt, started = loop.Now(), true
+			}
+			op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("%s-%d-%06d", keyPrefix, ci, sent), value)
+			sent++
+			t0 := loop.Now()
+			var id string
+			id = d.submit(ci, op, func([]byte) {
+				done++
+				finished++
+				measured := done > warmup
+				if measured {
+					cl.rec.Record(loop.Now() - t0)
+					cl.endAt = loop.Now()
+				}
+				if id != "" {
+					tr.MarkReturn(id, loop.Now())
+					tr.Finish(id, measured)
+				}
+				if sent < perConn {
+					sendOne()
+				}
+			})
+			// Safe after the submit: replies cross the simulated network,
+			// so done cannot have fired synchronously at this same event.
+			if id != "" {
+				tr.MarkArrive(id, t0)
+				tr.MarkInvoke(id, t0)
+			}
+		}
+		loop.Post(func() {
+			for i := 0; i < window && sent < perConn; i++ {
+				sendOne()
+			}
+		})
+	}
+	for ci := range d.fronts {
+		launch(ci)
+	}
+	loop.Run()
+	if want := perConn * len(d.fronts); finished != want {
+		return cl, fmt.Errorf("bench: completed %d of %d requests", finished, want)
+	}
+	return cl, nil
+}

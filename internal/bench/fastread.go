@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/metrics"
 	"rubin/internal/sim"
-	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
 
@@ -38,138 +36,30 @@ func init() {
 		Name:   "E11",
 		Title:  "read-only fast path: read share and batch size under the linearizability oracle",
 		Figure: "beyond the paper: Castro-Liskov read optimization on the RDMA transport study",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE11(rc)
-			return cfg, err
+		knobs: []knob{
+			{name: "read_pcts", def: "50,90,99", quick: "90", list: true},    // read shares of the mix sweep
+			{name: "batches", def: "1,8,32", quick: "8", min: 1, list: true}, // agreement batch sizes of the batch sweep
+			{name: "n", def: "4", min: 4},                                    // 3f+1
+			{name: "users", def: "96", quick: "24", min: 1},
+			{name: "conns", def: "4", quick: "2", min: 1},
+			{name: "keys", def: "128", quick: "32", min: 10},
+			{name: "ops", def: "300", quick: "60", min: 1},
+			{name: "warmup", def: "30", quick: "10"},
+			{name: "value_bytes", def: "128"},
+			{name: "window", def: "1", min: 1},             // closed-loop outstanding per user
+			{name: "read_timeout_us", def: "2000", min: 1}, // fast-read fallback timeout
 		},
-		Run: runE11,
+		check: func(v values) error {
+			if v.int("users") < v.int("conns") {
+				return fmt.Errorf("need conns <= users, got %d/%d", v.int("conns"), v.int("users"))
+			}
+			if r := v.max("read_pcts"); r > 100 {
+				return fmt.Errorf("read_pcts are percentages, got %d", r)
+			}
+			return nil
+		},
+		run: runE11,
 	})
-}
-
-// e11Knobs are the resolved parameters of one E11 run.
-type e11Knobs struct {
-	readPcts    []int // read shares of the mix sweep
-	batches     []int // agreement batch sizes of the batch sweep
-	n           int
-	users       int
-	conns       int
-	keys        int
-	ops         int
-	warmup      int
-	valueBytes  int
-	window      int // closed-loop outstanding per user
-	readTimeout int // fast-read fallback timeout, us
-}
-
-func resolveE11(rc RunContext) (e11Knobs, map[string]string, error) {
-	k := e11Knobs{
-		readPcts: []int{50, 90, 99},
-		batches:  []int{1, 8, 32},
-		n:        4, users: 96, conns: 4, keys: 128,
-		ops: 300, warmup: 30, valueBytes: 128, window: 1,
-		readTimeout: 2000,
-	}
-	if rc.Quick {
-		k.readPcts, k.batches = []int{90}, []int{8}
-		k.users, k.conns, k.keys = 24, 2, 32
-		k.ops, k.warmup = 60, 10
-	}
-	var err error
-	if k.readPcts, err = rc.nonNegIntsKnob("read_pcts", k.readPcts); err != nil {
-		return k, nil, err
-	}
-	if k.batches, err = rc.intsKnob("batches", k.batches); err != nil {
-		return k, nil, err
-	}
-	if k.n, err = rc.intKnob("n", k.n); err != nil {
-		return k, nil, err
-	}
-	if k.users, err = rc.intKnob("users", k.users); err != nil {
-		return k, nil, err
-	}
-	if k.conns, err = rc.intKnob("conns", k.conns); err != nil {
-		return k, nil, err
-	}
-	if k.keys, err = rc.intKnob("keys", k.keys); err != nil {
-		return k, nil, err
-	}
-	if k.ops, err = rc.intKnob("ops", k.ops); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.valueBytes, err = rc.intKnob("value_bytes", k.valueBytes); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.readTimeout, err = rc.intKnob("read_timeout_us", k.readTimeout); err != nil {
-		return k, nil, err
-	}
-	if k.n < 4 {
-		return k, nil, fmt.Errorf("bench: E11 needs n >= 4 (3f+1), got %d", k.n)
-	}
-	if k.users < k.conns || k.conns < 1 {
-		return k, nil, fmt.Errorf("bench: E11 needs 1 <= conns <= users, got %d/%d", k.conns, k.users)
-	}
-	if k.window < 1 || k.keys < 10 || k.readTimeout < 1 {
-		return k, nil, fmt.Errorf("bench: E11 needs window >= 1, keys >= 10 and read_timeout_us >= 1")
-	}
-	if len(k.readPcts) == 0 || len(k.batches) == 0 {
-		return k, nil, fmt.Errorf("bench: E11 needs non-empty read_pcts and batches")
-	}
-	for _, r := range k.readPcts {
-		if r > 100 {
-			return k, nil, fmt.Errorf("bench: E11 read_pcts are percentages, got %d", r)
-		}
-	}
-	for _, b := range k.batches {
-		if b < 1 {
-			return k, nil, fmt.Errorf("bench: E11 batch sizes must be >= 1, got %d", b)
-		}
-	}
-	cfg := map[string]string{
-		"read_pcts":       formatInts(k.readPcts),
-		"batches":         formatInts(k.batches),
-		"n":               strconv.Itoa(k.n),
-		"users":           strconv.Itoa(k.users),
-		"conns":           strconv.Itoa(k.conns),
-		"keys":            strconv.Itoa(k.keys),
-		"ops":             strconv.Itoa(k.ops),
-		"warmup":          strconv.Itoa(k.warmup),
-		"value_bytes":     strconv.Itoa(k.valueBytes),
-		"window":          strconv.Itoa(k.window),
-		"read_timeout_us": strconv.Itoa(k.readTimeout),
-	}
-	return k, cfg, nil
-}
-
-// e11Series is one E11 sweep combo's series bundle: the shared E9
-// percentile/breakdown bundle plus — for fast-path-on combos only — the
-// fast-read and fallback counters.
-type e11Series struct {
-	e9Series
-	fastReads *metrics.ResultSeries
-	fastFalls *metrics.ResultSeries
-}
-
-func addE11Series(res *metrics.Result, name, transport, xLabel string, fast bool) e11Series {
-	s := e11Series{e9Series: addE9Series(res, name, transport, xLabel, false)}
-	if fast {
-		s.fastReads = res.AddSeries(name, metrics.MetricFastReads, "count", transport, xLabel)
-		s.fastFalls = res.AddSeries(name, metrics.MetricFastFallbacks, "count", transport, xLabel)
-	}
-	return s
-}
-
-func (s e11Series) observe(x float64, r TrafficResult) {
-	s.e9Series.observe(x, r)
-	if s.fastReads != nil {
-		s.fastReads.Add(x, float64(r.FastReads))
-		s.fastFalls.Add(x, float64(r.FastFallbacks))
-	}
 }
 
 // e11Check enforces the invariants every E11 point must satisfy beyond
@@ -192,71 +82,53 @@ func e11Check(r TrafficResult, fast bool, readPct int) error {
 	return nil
 }
 
-func runE11(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE11(rc)
-	if err != nil {
-		return err
-	}
-	readTimeout := sim.Time(k.readTimeout) * sim.Microsecond
+func runE11(rc RunContext, v values, res *metrics.Result) error {
 	// The batch sweep pins the read share at the mix sweep's highest —
 	// where the fast path has the most agreement work to remove.
-	topRead := k.readPcts[0]
-	for _, r := range k.readPcts[1:] {
-		if r > topRead {
-			topRead = r
-		}
+	topRead := v.max("read_pcts")
+	// Sweep 1: read share at the default batch size. Sweep 2: agreement
+	// batch size at the highest read share.
+	type sweep struct {
+		prefix, xLabel string
+		xs             []int
+		set            func(cfg *TrafficConfig, x int) (readPct int)
 	}
-	base := func(kind transport.Kind, fast bool) TrafficConfig {
-		cfg := TrafficConfig{
-			Kind: kind,
-			N:    k.n, F: (k.n - 1) / 3,
-			Users: k.users, Conns: k.conns, Keys: k.keys,
-			ValueSize: k.valueBytes, Ops: k.ops, Warmup: k.warmup,
-			Zipf100: 99, Arrival: workload.Closed(k.window, 0),
-			Seed: rc.Seed, Trace: rc.Trace,
-		}
-		if fast {
-			cfg.ReadFastPath, cfg.ReadTimeout = true, readTimeout
-		}
-		return cfg
+	sweeps := []sweep{
+		{"mix", "read_pct", v.ints("read_pcts"), func(_ *TrafficConfig, readPct int) int { return readPct }},
+		{"batch", "batch", v.ints("batches"), func(cfg *TrafficConfig, batch int) int {
+			cfg.BatchSize = batch
+			return topRead
+		}},
 	}
-	fpLabel := map[bool]string{true: "fp=on", false: "fp=off"}
-	// Sweep 1: read share at the default batch size.
-	for _, kind := range e8Transports {
-		for _, fast := range []bool{true, false} {
-			name := fmt.Sprintf("mix %s %s", fpLabel[fast], e8Label(kind))
-			ss := addE11Series(res, name, string(kind), "read_pct", fast)
-			for _, readPct := range k.readPcts {
-				cfg := base(kind, fast)
-				cfg.Mix = e9Mix(readPct, 0, 0)
-				r, err := RunTraffic(cfg, rc.Model)
-				if err != nil {
-					return fmt.Errorf("read_pct=%d %s %s: %w", readPct, fpLabel[fast], kind, err)
+	for _, sw := range sweeps {
+		for _, kind := range e8Transports {
+			for _, fast := range []bool{true, false} {
+				fp, cols := "fp=off", []column{colPeakQueue}
+				if fast {
+					fp, cols = "fp=on", append(cols, fastColumns...)
 				}
-				if err := e11Check(r, fast, readPct); err != nil {
-					return fmt.Errorf("read_pct=%d %s %s: %w", readPct, fpLabel[fast], kind, err)
+				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, fp, e8Label(kind)), string(kind), sw.xLabel, cols...)
+				for _, x := range sw.xs {
+					cfg := TrafficConfig{
+						Kind: kind,
+						N:    v.int("n"), F: (v.int("n") - 1) / 3,
+						Users: v.int("users"), Conns: v.int("conns"), Keys: v.int("keys"),
+						ValueSize: v.int("value_bytes"), Ops: v.int("ops"), Warmup: v.int("warmup"),
+						Zipf100: 99, Arrival: workload.Closed(v.int("window"), 0),
+						Seed: rc.Seed, Trace: rc.Trace,
+						ReadFastPath: fast, ReadTimeout: sim.Time(v.int("read_timeout_us")) * sim.Microsecond,
+					}
+					readPct := sw.set(&cfg, x)
+					cfg.Mix = e9Mix(readPct, 0, 0)
+					r, err := RunTraffic(cfg, rc.Model)
+					if err == nil {
+						err = e11Check(r, fast, readPct)
+					}
+					if err != nil {
+						return fmt.Errorf("%s=%d %s %s: %w", sw.xLabel, x, fp, kind, err)
+					}
+					ss.observe(float64(x), r)
 				}
-				ss.observe(float64(readPct), r)
-			}
-		}
-	}
-	// Sweep 2: agreement batch size at the highest read share.
-	for _, kind := range e8Transports {
-		for _, fast := range []bool{true, false} {
-			name := fmt.Sprintf("batch %s %s", fpLabel[fast], e8Label(kind))
-			ss := addE11Series(res, name, string(kind), "batch", fast)
-			for _, batch := range k.batches {
-				cfg := base(kind, fast)
-				cfg.Mix = e9Mix(topRead, 0, 0)
-				cfg.BatchSize = batch
-				r, err := RunTraffic(cfg, rc.Model)
-				if err != nil {
-					return fmt.Errorf("batch=%d %s %s: %w", batch, fpLabel[fast], kind, err)
-				}
-				if err := e11Check(r, fast, topRead); err != nil {
-					return fmt.Errorf("batch=%d %s %s: %w", batch, fpLabel[fast], kind, err)
-				}
-				ss.observe(float64(batch), r)
 			}
 		}
 	}

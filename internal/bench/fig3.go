@@ -2,23 +2,26 @@
 // regenerating the paper's evaluation and its extensions, with every
 // experiment emitting machine-readable results.
 //
-// Experiments E1–E9 register themselves (from their defining files' init
-// functions) as Experiment values: E1/E2 reproduce Figure 3 (transport
-// micro-benchmark), E3/E4 Figure 4 (RUBIN vs Java-NIO selector over the
-// Reptor communication stack), E5 the full replicated-system evaluation
-// the paper lists as future work, E6 ablations of the Section IV
-// optimizations, E7 agreement under a scripted fault timeline, and E8 the
-// scaling study (PBFT cluster size, Reptor COP parallelism, multi-client
-// load). Run executes one experiment under a RunContext (seed, quick
-// mode, cost model, knob overrides) and returns a validated
-// metrics.Result; cmd/benchsuite persists those as BENCH_<name>.json and
-// diffs them across runs. Knob names and the result schema are documented
-// in docs/EXPERIMENTS.md.
+// Experiments E1–E12 and ALLOC register themselves (from their defining
+// files' init functions) as Experiment values: E1/E2 reproduce Figure 3
+// (transport micro-benchmark), E3/E4 Figure 4 (RUBIN vs Java-NIO selector
+// over the Reptor communication stack), E5 the full replicated-system
+// evaluation the paper lists as future work, E6 ablations of the Section
+// IV optimizations, E7 agreement under a scripted fault timeline, E8 the
+// scaling study (PBFT cluster size, Reptor COP parallelism), E9–E11 the
+// traffic studies (workload shape, shard scale-out, read fast path), E12
+// the state-size study and ALLOC the hot-path allocation audit. Every
+// replicated-system experiment builds its system through one deployment
+// value (deploy.go) and each experiment's parameters are one declarative
+// knob table (registry.go). Run executes one experiment under a
+// RunContext (seed, quick mode, cost model, knob overrides) and returns a
+// validated metrics.Result; cmd/benchsuite persists those as
+// BENCH_<name>.json and diffs them across runs. Knob names and the
+// result schema are documented in docs/EXPERIMENTS.md.
 package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/fabric"
 	"rubin/internal/metrics"
@@ -91,64 +94,26 @@ func RunFig3(stack Fig3Stack, cfg EchoConfig, params model.Params) (EchoResult, 
 
 func init() {
 	Register(Experiment{
-		Name:   "E1",
-		Title:  "echo latency across transport stacks",
-		Figure: "Figure 3a",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveFig3(rc)
-			return cfg, err
-		},
-		Run: func(rc RunContext, res *metrics.Result) error {
-			return runFig3Suite(rc, res, true)
+		Name: "E1", Title: "echo latency across transport stacks", Figure: "Figure 3a",
+		knobs: fig3Knobs,
+		run: func(rc RunContext, v values, res *metrics.Result) error {
+			return runFig3Suite(rc, v, res, true)
 		},
 	})
 	Register(Experiment{
-		Name:   "E2",
-		Title:  "echo throughput across transport stacks",
-		Figure: "Figure 3b",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveFig3(rc)
-			return cfg, err
-		},
-		Run: func(rc RunContext, res *metrics.Result) error {
-			return runFig3Suite(rc, res, false)
+		Name: "E2", Title: "echo throughput across transport stacks", Figure: "Figure 3b",
+		knobs: fig3Knobs,
+		run: func(rc RunContext, v values, res *metrics.Result) error {
+			return runFig3Suite(rc, v, res, false)
 		},
 	})
 }
 
-// fig3Knobs are the resolved parameters of one E1/E2 run.
-type fig3Knobs struct {
-	payloadsKB []int
-	messages   int
-	warmup     int
-	window     int
-}
-
-func resolveFig3(rc RunContext) (fig3Knobs, map[string]string, error) {
-	k := fig3Knobs{payloadsKB: []int{1, 2, 4, 8, 16, 32, 64, 100}, messages: 1000, warmup: 50, window: 3}
-	if rc.Quick {
-		k.payloadsKB, k.messages, k.warmup = []int{1, 16}, 150, 20
-	}
-	var err error
-	if k.payloadsKB, err = rc.intsKnob("payloads_kb", k.payloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.messages, err = rc.intKnob("messages", k.messages); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	cfg := map[string]string{
-		"payloads_kb": formatInts(k.payloadsKB),
-		"messages":    strconv.Itoa(k.messages),
-		"warmup":      strconv.Itoa(k.warmup),
-		"window":      strconv.Itoa(k.window),
-	}
-	return k, cfg, nil
+var fig3Knobs = []knob{
+	{name: "payloads_kb", def: "1,2,4,8,16,32,64,100", quick: "1,16", min: 1, list: true},
+	{name: "messages", def: "1000", quick: "150", min: 1},
+	{name: "warmup", def: "50", quick: "20"},
+	{name: "window", def: "3", min: 1},
 }
 
 // fig3Transport labels the backend each Figure 3 series exercises.
@@ -161,11 +126,7 @@ func fig3Transport(stack Fig3Stack) string {
 
 // runFig3Suite sweeps all four stacks; latency selects Figure 3a (mean and
 // p99 round trip in µs), otherwise Figure 3b (closed-loop krps).
-func runFig3Suite(rc RunContext, res *metrics.Result, latency bool) error {
-	k, _, err := resolveFig3(rc)
-	if err != nil {
-		return err
-	}
+func runFig3Suite(rc RunContext, v values, res *metrics.Result, latency bool) error {
 	for _, stack := range Fig3Stacks() {
 		var mean, p99, tput *metrics.ResultSeries
 		if latency {
@@ -174,8 +135,8 @@ func runFig3Suite(rc RunContext, res *metrics.Result, latency bool) error {
 		} else {
 			tput = res.AddSeries(string(stack), metrics.MetricThroughput, "krps", fig3Transport(stack), "payload_kb")
 		}
-		for _, kb := range k.payloadsKB {
-			cfg := EchoConfig{Payload: kb << 10, Messages: k.messages, Warmup: k.warmup, Window: k.window, Seed: rc.Seed}
+		for _, kb := range v.ints("payloads_kb") {
+			cfg := EchoConfig{Payload: kb << 10, Messages: v.int("messages"), Warmup: v.int("warmup"), Window: v.int("window"), Seed: rc.Seed}
 			r, err := RunFig3(stack, cfg, rc.Model)
 			if err != nil {
 				return err

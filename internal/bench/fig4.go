@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/fabric"
 	"rubin/internal/metrics"
@@ -86,69 +85,27 @@ func RunFig4(kind transport.Kind, cfg Fig4Config, params model.Params) (EchoResu
 
 func init() {
 	Register(Experiment{
-		Name:   "E3",
-		Title:  "selector-stack echo latency (RUBIN vs Java NIO)",
-		Figure: "Figure 4a",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveFig4(rc)
-			return cfg, err
-		},
-		Run: func(rc RunContext, res *metrics.Result) error {
-			return runFig4Suite(rc, res, true)
+		Name: "E3", Title: "selector-stack echo latency (RUBIN vs Java NIO)", Figure: "Figure 4a",
+		knobs: fig4Knobs,
+		run: func(rc RunContext, v values, res *metrics.Result) error {
+			return runFig4Suite(rc, v, res, true)
 		},
 	})
 	Register(Experiment{
-		Name:   "E4",
-		Title:  "selector-stack echo throughput (RUBIN vs Java NIO)",
-		Figure: "Figure 4b",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveFig4(rc)
-			return cfg, err
-		},
-		Run: func(rc RunContext, res *metrics.Result) error {
-			return runFig4Suite(rc, res, false)
+		Name: "E4", Title: "selector-stack echo throughput (RUBIN vs Java NIO)", Figure: "Figure 4b",
+		knobs: fig4Knobs,
+		run: func(rc RunContext, v values, res *metrics.Result) error {
+			return runFig4Suite(rc, v, res, false)
 		},
 	})
 }
 
-// fig4Knobs are the resolved parameters of one E3/E4 run.
-type fig4Knobs struct {
-	payloadsKB []int
-	messages   int
-	warmup     int
-	window     int
-	batch      int
-}
-
-func resolveFig4(rc RunContext) (fig4Knobs, map[string]string, error) {
-	k := fig4Knobs{payloadsKB: []int{1, 10, 20, 40, 60, 80, 100}, messages: 1000, warmup: 100, window: 30, batch: 10}
-	if rc.Quick {
-		k.payloadsKB, k.messages, k.warmup = []int{1, 20}, 200, 40
-	}
-	var err error
-	if k.payloadsKB, err = rc.intsKnob("payloads_kb", k.payloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.messages, err = rc.intKnob("messages", k.messages); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.batch, err = rc.intKnob("batch", k.batch); err != nil {
-		return k, nil, err
-	}
-	cfg := map[string]string{
-		"payloads_kb": formatInts(k.payloadsKB),
-		"messages":    strconv.Itoa(k.messages),
-		"warmup":      strconv.Itoa(k.warmup),
-		"window":      strconv.Itoa(k.window),
-		"batch":       strconv.Itoa(k.batch),
-	}
-	return k, cfg, nil
+var fig4Knobs = []knob{
+	{name: "payloads_kb", def: "1,10,20,40,60,80,100", quick: "1,20", min: 1, list: true},
+	{name: "messages", def: "1000", quick: "200", min: 1},
+	{name: "warmup", def: "100", quick: "40"},
+	{name: "window", def: "30", min: 1},
+	{name: "batch", def: "10", min: 1},
 }
 
 // fig4SeriesNames label the two selector stacks the way the paper's legend
@@ -157,11 +114,7 @@ var fig4SeriesNames = map[transport.Kind]string{transport.KindRDMA: "Rubin", tra
 
 // runFig4Suite sweeps both selector stacks; latency selects Figure 4a,
 // otherwise Figure 4b.
-func runFig4Suite(rc RunContext, res *metrics.Result, latency bool) error {
-	k, _, err := resolveFig4(rc)
-	if err != nil {
-		return err
-	}
+func runFig4Suite(rc RunContext, v values, res *metrics.Result, latency bool) error {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		name := fig4SeriesNames[kind]
 		var mean, p99, tput *metrics.ResultSeries
@@ -171,9 +124,9 @@ func runFig4Suite(rc RunContext, res *metrics.Result, latency bool) error {
 		} else {
 			tput = res.AddSeries(name, metrics.MetricThroughput, "req/s", string(kind), "payload_kb")
 		}
-		for _, kb := range k.payloadsKB {
-			cfg := Fig4Config{Payload: kb << 10, Messages: k.messages, Warmup: k.warmup,
-				Window: k.window, Batch: k.batch, Seed: rc.Seed}
+		for _, kb := range v.ints("payloads_kb") {
+			cfg := Fig4Config{Payload: kb << 10, Messages: v.int("messages"), Warmup: v.int("warmup"),
+				Window: v.int("window"), Batch: v.int("batch"), Seed: rc.Seed}
 			r, err := RunFig4(kind, cfg, rc.Model)
 			if err != nil {
 				return err

@@ -38,54 +38,46 @@ func DefaultRunContext() RunContext {
 	return RunContext{Seed: 1, Model: model.Default()}
 }
 
-// knob returns the override for name, or def.
-func (rc RunContext) knob(name, def string) string {
-	if v, ok := rc.Knobs[name]; ok {
-		return v
-	}
-	return def
+// knob declares one experiment parameter. The table is the single
+// statement of each knob's name, defaults and lower bound: parsing, the
+// Params echo (and so `benchsuite -knobs` and Result.Config) and the
+// unknown-knob rejection all derive from it.
+type knob struct {
+	name  string
+	def   string // full-fidelity default, in -knob syntax
+	quick string // quick-mode default; "" = same as def
+	min   int    // lower bound of every element
+	list  bool   // comma-separated list; otherwise exactly one integer
+	// derive, when set, computes the default from the knobs declared
+	// before this one (E5's f follows n).
+	derive func(values) int
 }
 
-// intKnob parses an integer knob.
-func (rc RunContext) intKnob(name string, def int) (int, error) {
-	v, ok := rc.Knobs[name]
-	if !ok {
-		return def, nil
+// values are the resolved knobs of one run, by name.
+type values map[string][]int
+
+func (v values) int(name string) int    { return v[name][0] }
+func (v values) ints(name string) []int { return v[name] }
+
+// max returns the largest element of a list knob.
+func (v values) max(name string) int {
+	m := v[name][0]
+	for _, x := range v[name] {
+		if x > m {
+			m = x
+		}
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(v))
-	if err != nil {
-		return 0, fmt.Errorf("bench: knob %s=%q: %v", name, v, err)
-	}
-	return n, nil
+	return m
 }
 
-// intsKnob parses a comma-separated positive integer list knob.
-func (rc RunContext) intsKnob(name string, def []int) ([]int, error) {
-	return rc.listKnob(name, def, 1)
-}
-
-// nonNegIntsKnob parses a comma-separated non-negative integer list knob
-// — zero is meaningful here (a uniform skew, an all-write mix).
-func (rc RunContext) nonNegIntsKnob(name string, def []int) ([]int, error) {
-	return rc.listKnob(name, def, 0)
-}
-
-// listKnob parses an integer-list knob with a lower bound per element.
-func (rc RunContext) listKnob(name string, def []int, min int) ([]int, error) {
-	v, ok := rc.Knobs[name]
-	if !ok {
-		return def, nil
+// echo renders the values in -knob syntax.
+func (v values) echo() map[string]string {
+	cfg := make(map[string]string, len(v))
+	for name, xs := range v {
+		cfg[name] = formatInts(xs)
 	}
-	out, err := parseInts(v, min)
-	if err != nil {
-		return nil, fmt.Errorf("bench: knob %s: %v", name, err)
-	}
-	return out, nil
+	return cfg
 }
-
-// ParseInts parses a comma-separated list of positive integers (the
-// format of payload/size-sweep flags and knobs).
-func ParseInts(s string) ([]int, error) { return parseInts(s, 1) }
 
 // parseInts parses a comma-separated integer list with a lower bound.
 func parseInts(s string, min int) ([]int, error) {
@@ -93,7 +85,7 @@ func parseInts(s string, min int) ([]int, error) {
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < min {
-			return nil, fmt.Errorf("bad value %q", part)
+			return nil, fmt.Errorf("bad value %q (want an integer >= %d)", part, min)
 		}
 		out = append(out, n)
 	}
@@ -110,24 +102,83 @@ func formatInts(xs []int) string {
 }
 
 // Experiment is one registered entry of the benchmark suite. Every
-// experiment E1–E9 registers itself from its defining file's init, so any
-// binary importing internal/bench sees the full suite.
+// experiment (E1–E12 and ALLOC) registers itself from its defining
+// file's init, so any binary importing internal/bench sees the full
+// suite.
 type Experiment struct {
-	// Name is the registry key: "E1".."E9".
+	// Name is the registry key: "E1".."E12" or "ALLOC".
 	Name string
 	// Title is the one-line human description.
 	Title string
 	// Figure maps the experiment to the paper figure/section (or the
 	// follow-up work) it reproduces.
 	Figure string
-	// Params resolves the effective knob values under rc — exactly the
-	// set of accepted knob names (Run rejects any other), echoed into
-	// Result.Config so a stored file documents its own run.
-	Params func(rc RunContext) (map[string]string, error)
-	// Run executes the experiment and fills res with series; the registry
-	// has already populated identity, seed and the knob echo. Run may add
+
+	// knobs is the declarative parameter table; check validates what a
+	// per-knob bound cannot (relations between knobs) and may be nil.
+	knobs []knob
+	check func(values) error
+	// run executes the experiment and fills res with series; the registry
+	// has already populated identity, seed and the knob echo. run may add
 	// derived config entries (e.g. E5's "cluster" label) on top.
-	Run func(rc RunContext, res *metrics.Result) error
+	run func(rc RunContext, v values, res *metrics.Result) error
+}
+
+// resolve computes the effective knob values under rc: overrides where
+// given, else the (quick) defaults. Unknown knobs are rejected.
+func (e Experiment) resolve(rc RunContext) (values, error) {
+	v := make(values, len(e.knobs))
+	for _, k := range e.knobs {
+		s, overridden := rc.Knobs[k.name]
+		switch {
+		case overridden:
+		case k.derive != nil:
+			s = strconv.Itoa(k.derive(v))
+		case rc.Quick && k.quick != "":
+			s = k.quick
+		default:
+			s = k.def
+		}
+		xs, err := parseInts(s, k.min)
+		if err == nil && !k.list && len(xs) != 1 {
+			err = fmt.Errorf("want one integer, got %q", s)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: knob %s: %v", e.Name, k.name, err)
+		}
+		v[k.name] = xs
+	}
+	for name := range rc.Knobs {
+		if _, known := v[name]; !known {
+			return nil, fmt.Errorf("bench: %s: unknown knob %q (have %s)", e.Name, name, e.knobNames())
+		}
+	}
+	if e.check != nil {
+		if err := e.check(v); err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", e.Name, err)
+		}
+	}
+	return v, nil
+}
+
+// Params returns the effective knob values under rc in -knob syntax —
+// exactly the set of accepted knob names, echoed into Result.Config so a
+// stored file documents its own run.
+func (e Experiment) Params(rc RunContext) (map[string]string, error) {
+	v, err := e.resolve(rc)
+	if err != nil {
+		return nil, err
+	}
+	return v.echo(), nil
+}
+
+func (e Experiment) knobNames() string {
+	names := make([]string, len(e.knobs))
+	for i, k := range e.knobs {
+		names[i] = k.name
+	}
+	sort.Strings(names)
+	return strings.Join(names, ",")
 }
 
 var registry = map[string]Experiment{}
@@ -135,7 +186,7 @@ var registry = map[string]Experiment{}
 // Register adds an experiment to the registry; it panics on duplicate or
 // malformed registrations (these are programmer errors wired at init).
 func Register(e Experiment) {
-	if e.Name == "" || e.Title == "" || e.Figure == "" || e.Params == nil || e.Run == nil {
+	if e.Name == "" || e.Title == "" || e.Figure == "" || e.run == nil {
 		panic(fmt.Sprintf("bench: incomplete experiment registration %+v", e))
 	}
 	if _, dup := registry[e.Name]; dup {
@@ -172,20 +223,15 @@ func Run(name string, rc RunContext) (*metrics.Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", name, knownNames())
 	}
-	cfg, err := e.Params(rc)
+	v, err := e.resolve(rc)
 	if err != nil {
 		return nil, err
 	}
-	for k := range rc.Knobs {
-		if _, known := cfg[k]; !known {
-			return nil, fmt.Errorf("bench: %s: unknown knob %q (have %s)", name, k, knownKnobs(cfg))
-		}
-	}
 	res := metrics.NewResult(e.Name, e.Title, e.Figure, rc.Seed, rc.Quick)
-	for k, v := range cfg {
-		res.SetConfig(k, v)
+	for k, val := range v.echo() {
+		res.SetConfig(k, val)
 	}
-	if err := e.Run(rc, res); err != nil {
+	if err := e.run(rc, v, res); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", name, err)
 	}
 	if err := res.Validate(); err != nil {
@@ -199,14 +245,5 @@ func knownNames() string {
 	for _, e := range Experiments() {
 		names = append(names, e.Name)
 	}
-	return strings.Join(names, ",")
-}
-
-func knownKnobs(cfg map[string]string) string {
-	var names []string
-	for k := range cfg {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	return strings.Join(names, ",")
 }

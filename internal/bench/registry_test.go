@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"rubin/internal/metrics"
@@ -21,7 +23,7 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Name != want[i] {
 			t.Errorf("experiment %d is %s, want %s", i, e.Name, want[i])
 		}
-		if e.Title == "" || e.Figure == "" || e.Params == nil || e.Run == nil {
+		if e.Title == "" || e.Figure == "" || len(e.knobs) == 0 || e.run == nil {
 			t.Errorf("%s: incomplete metadata %+v", e.Name, e)
 		}
 		if _, ok := Lookup(e.Name); !ok {
@@ -30,21 +32,47 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-// TestRunRejectsUnknown asserts unknown experiments and unknown knobs are
-// errors, not silent no-ops.
-func TestRunRejectsUnknown(t *testing.T) {
-	rc := DefaultRunContext()
-	if _, err := Run("E99", rc); err == nil {
+// TestKnobTableRejections drives the rejections every experiment shares
+// through its declared table: an unknown experiment, an unknown knob, and
+// — for every knob of every experiment — a non-integer, a value below
+// the knob's stated minimum, and a list where one integer is expected.
+func TestKnobTableRejections(t *testing.T) {
+	if _, err := Run("E99", DefaultRunContext()); err == nil {
 		t.Error("Run accepted unknown experiment E99")
 	}
-	rc.Quick = true
-	rc.Knobs = map[string]string{"no_such_knob": "1"}
-	if _, err := Run("E1", rc); err == nil {
-		t.Error("Run accepted unknown knob")
-	}
-	rc.Knobs = map[string]string{"payloads_kb": "zero"}
-	if _, err := Run("E1", rc); err == nil {
-		t.Error("Run accepted malformed knob value")
+	for _, e := range Experiments() {
+		for _, quick := range []bool{false, true} {
+			rc := DefaultRunContext()
+			rc.Quick = quick
+			defaults, err := e.Params(rc)
+			if err != nil {
+				t.Fatalf("%s quick=%v: defaults rejected: %v", e.Name, quick, err)
+			}
+			if len(defaults) != len(e.knobs) {
+				t.Errorf("%s: Params echoes %d knobs, the table declares %d", e.Name, len(defaults), len(e.knobs))
+			}
+		}
+		reject := func(why, knob, value string) {
+			rc := DefaultRunContext()
+			rc.Knobs = map[string]string{knob: value}
+			if _, err := e.Params(rc); err == nil {
+				t.Errorf("%s: accepted %s %s=%q", e.Name, why, knob, value)
+			}
+			if _, err := Run(e.Name, rc); err == nil {
+				t.Errorf("%s: ran with %s %s=%q", e.Name, why, knob, value)
+			}
+		}
+		reject("unknown knob", "no_such_knob", "1")
+		for _, k := range e.knobs {
+			reject("non-integer", k.name, "zero")
+			reject("empty", k.name, "")
+			reject("below-minimum", k.name, strconv.Itoa(k.min-1))
+			if k.list {
+				reject("below-minimum element", k.name, fmt.Sprintf("%d,%d", k.min+1, k.min-1))
+			} else {
+				reject("list for a scalar", k.name, fmt.Sprintf("%d,%d", k.min+1, k.min+1))
+			}
+		}
 	}
 }
 

@@ -2,14 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
-	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/obs"
-	"rubin/internal/pbft"
-	"rubin/internal/reptor"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -96,76 +92,44 @@ func RunCOP(cfg COPConfig, params model.Params) (COPResult, error) {
 	if clients < 1 {
 		clients = 1
 	}
-	gcfg := reptor.DefaultConfig()
-	gcfg.Instances = cfg.Instances
-	gcfg.PBFT.N, gcfg.PBFT.F = cfg.N, cfg.F
-	gcfg.PBFT.BatchSize = cfg.Batch
-	if cfg.HeartbeatDelay > 0 {
-		gcfg.HeartbeatDelay = cfg.HeartbeatDelay
-	}
-	if cfg.HeartbeatMax > 0 {
-		gcfg.HeartbeatMax = cfg.HeartbeatMax
-	}
-	group, err := reptor.NewGroup(cfg.Kind, gcfg, params, cfg.Seed,
-		func(int) pbft.Application { return kvstore.New() })
+	d, err := newCOP(deploySpec{
+		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, cfg.Batch), seed: cfg.Seed, conns: clients,
+		label: fmt.Sprintf("COP %s K=%d N=%d clients=%d payload=%dB seed=%d",
+			cfg.Kind, cfg.Instances, cfg.N, clients, cfg.Payload, cfg.Seed),
+		trace: cfg.Trace,
+	}, cfg.Instances, cfg.HeartbeatDelay, cfg.HeartbeatMax, params)
 	if err != nil {
 		return COPResult{}, err
 	}
-	if err := group.Start(); err != nil {
+	res, err := d.runClosedLoop("cop", cfg.Payload, cfg.Requests, cfg.Warmup, cfg.Window)
+	if err != nil {
 		return COPResult{}, err
 	}
-	tr := benchTracer(cfg.Trace, fmt.Sprintf("COP %s K=%d N=%d clients=%d payload=%dB seed=%d",
-		cfg.Kind, cfg.Instances, cfg.N, clients, cfg.Payload, cfg.Seed))
-	group.SetTracer(tr)
-	cls := make([]*reptor.Client, clients)
-	for i := range cls {
-		if cls[i], err = group.AddClient(); err != nil {
-			return COPResult{}, err
+	r := COPResult{
+		Kind:           cfg.Kind,
+		Instances:      cfg.Instances,
+		Payload:        cfg.Payload,
+		MeanLat:        res.rec.Mean(),
+		P99Lat:         res.rec.Percentile(99),
+		Throughput:     res.throughput(),
+		MergedSlots:    d.execs[0].MergedSlots(),
+		Breakdown:      d.tr.Summary(),
+		PeakQueueBytes: d.peakQueueBytes(),
+	}
+	for _, mesh := range d.meshes {
+		if u := mesh.Node().CPU.Utilization(); u > r.LeaderCPU {
+			r.LeaderCPU = u
 		}
 	}
-	startSamplers(tr, group.Loop, group.Meshes, group.Executors)
-
-	value := string(make([]byte, cfg.Payload))
-	res := runClosedLoop(group.Loop, tr, clients, cfg.Requests, cfg.Warmup, cfg.Window,
-		func(ci, idx int) []byte {
-			return kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("cop-%d-%06d", ci, idx), value)
-		},
-		func(ci int, op []byte, done func([]byte)) string { return cls[ci].Invoke(op, done) })
-	if want := (cfg.Requests + cfg.Warmup) * clients; res.done != want {
-		return COPResult{}, fmt.Errorf("bench: COP completed %d of %d requests", res.done, want)
-	}
-	var maxCPU float64
-	for i := 0; i < cfg.N; i++ {
-		if u := group.Network.Node(fmt.Sprintf("r%d", i)).CPU.Utilization(); u > maxCPU {
-			maxCPU = u
+	for _, ex := range d.execs {
+		r.HeartbeatRounds += ex.HeartbeatRounds()
+		r.HeartbeatSlots += ex.HeartbeatSlots()
+		r.Backlog += ex.Backlog()
+		if pb := ex.PeakBacklog(); pb > r.PeakBacklog {
+			r.PeakBacklog = pb
 		}
 	}
-	var hbRounds, hbSlots uint64
-	backlog, peakBacklog := 0, 0
-	for _, ex := range group.Executors {
-		hbRounds += ex.HeartbeatRounds()
-		hbSlots += ex.HeartbeatSlots()
-		backlog += ex.Backlog()
-		if pb := ex.PeakBacklog(); pb > peakBacklog {
-			peakBacklog = pb
-		}
-	}
-	return COPResult{
-		Kind:            cfg.Kind,
-		Instances:       cfg.Instances,
-		Payload:         cfg.Payload,
-		MeanLat:         res.rec.Mean(),
-		P99Lat:          res.rec.Percentile(99),
-		Throughput:      metrics.Throughput(res.rec.Count(), res.endAt-res.startAt),
-		MergedSlots:     group.Executors[0].MergedSlots(),
-		HeartbeatRounds: hbRounds,
-		HeartbeatSlots:  hbSlots,
-		Backlog:         backlog,
-		LeaderCPU:       maxCPU,
-		Breakdown:       tr.Summary(),
-		PeakBacklog:     peakBacklog,
-		PeakQueueBytes:  group.PeakQueueBytes(),
-	}, nil
+	return r, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -177,105 +141,29 @@ func init() {
 		Name:   "E8",
 		Title:  "scaling study: PBFT cluster size (N) and Reptor COP parallelism (K)",
 		Figure: "beyond the paper: COP (Behl et al., Middleware '15) scaling axis",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE8(rc)
-			return cfg, err
+		knobs: []knob{
+			{name: "ns", def: "4,7,10", quick: "4,7", min: 4, list: true},  // PBFT cluster sizes (3f+1); f = (n-1)/3 each
+			{name: "ks", def: "1,2,4,8", quick: "1,2", min: 1, list: true}, // COP instance counts on the cop_n-replica group
+			{name: "payloads_kb", def: "1,16", quick: "1", min: 1, list: true},
+			// The COP axis sweeps further: the largest payload shows the crossover.
+			{name: "cop_payloads_kb", def: "1,16,64", quick: "1", min: 1, list: true},
+			{name: "cop_n", def: "4", min: 4},
+			{name: "requests", def: "80", quick: "30", min: 1},
+			{name: "warmup", def: "10", quick: "5"},
+			{name: "window", def: "16", min: 1},
+			{name: "clients", def: "4", quick: "2", min: 1},
+			{name: "batch", def: "8", min: 1},
+			{name: "hb_us", def: "100", min: 1},      // adaptive heartbeat floor
+			{name: "hb_max_us", def: "4000", min: 1}, // adaptive heartbeat backoff ceiling
 		},
-		Run: runE8,
+		check: func(v values) error {
+			if v.int("hb_max_us") < v.int("hb_us") {
+				return fmt.Errorf("need hb_us <= hb_max_us, got %d/%d", v.int("hb_us"), v.int("hb_max_us"))
+			}
+			return nil
+		},
+		run: runE8,
 	})
-}
-
-// e8Knobs are the resolved parameters of one E8 run.
-type e8Knobs struct {
-	ns            []int // PBFT cluster sizes; f = (n-1)/3 each
-	ks            []int // COP instance counts on the copN-replica group
-	payloadsKB    []int // PBFT-axis payload sweep
-	copPayloadsKB []int // COP-axis payload sweep (largest shows the crossover)
-	copN          int
-	requests      int
-	warmup        int
-	window        int
-	clients       int
-	batch         int
-	hbUS          int // adaptive heartbeat floor, µs
-	hbMaxUS       int // adaptive heartbeat backoff ceiling, µs
-}
-
-func resolveE8(rc RunContext) (e8Knobs, map[string]string, error) {
-	k := e8Knobs{
-		ns: []int{4, 7, 10}, ks: []int{1, 2, 4, 8},
-		payloadsKB: []int{1, 16}, copPayloadsKB: []int{1, 16, 64},
-		copN: 4, requests: 80, warmup: 10, window: 16, clients: 4, batch: 8,
-		hbUS: 100, hbMaxUS: 4000,
-	}
-	if rc.Quick {
-		k.ns, k.ks = []int{4, 7}, []int{1, 2}
-		k.payloadsKB, k.copPayloadsKB = []int{1}, []int{1}
-		k.requests, k.warmup, k.clients = 30, 5, 2
-	}
-	var err error
-	if k.ns, err = rc.intsKnob("ns", k.ns); err != nil {
-		return k, nil, err
-	}
-	if k.ks, err = rc.intsKnob("ks", k.ks); err != nil {
-		return k, nil, err
-	}
-	if k.payloadsKB, err = rc.intsKnob("payloads_kb", k.payloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.copPayloadsKB, err = rc.intsKnob("cop_payloads_kb", k.copPayloadsKB); err != nil {
-		return k, nil, err
-	}
-	if k.copN, err = rc.intKnob("cop_n", k.copN); err != nil {
-		return k, nil, err
-	}
-	if k.requests, err = rc.intKnob("requests", k.requests); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.clients, err = rc.intKnob("clients", k.clients); err != nil {
-		return k, nil, err
-	}
-	if k.batch, err = rc.intKnob("batch", k.batch); err != nil {
-		return k, nil, err
-	}
-	if k.hbUS, err = rc.intKnob("hb_us", k.hbUS); err != nil {
-		return k, nil, err
-	}
-	if k.hbMaxUS, err = rc.intKnob("hb_max_us", k.hbMaxUS); err != nil {
-		return k, nil, err
-	}
-	for _, n := range k.ns {
-		if n < 4 {
-			return k, nil, fmt.Errorf("bench: E8 needs N >= 4 (3f+1), got %d", n)
-		}
-	}
-	if k.copN < 4 {
-		return k, nil, fmt.Errorf("bench: E8 needs cop_n >= 4 (3f+1), got %d", k.copN)
-	}
-	if k.hbUS < 1 || k.hbMaxUS < k.hbUS {
-		return k, nil, fmt.Errorf("bench: E8 needs 1 <= hb_us <= hb_max_us, got %d/%d", k.hbUS, k.hbMaxUS)
-	}
-	cfg := map[string]string{
-		"ns":              formatInts(k.ns),
-		"ks":              formatInts(k.ks),
-		"payloads_kb":     formatInts(k.payloadsKB),
-		"cop_payloads_kb": formatInts(k.copPayloadsKB),
-		"cop_n":           strconv.Itoa(k.copN),
-		"requests":        strconv.Itoa(k.requests),
-		"warmup":          strconv.Itoa(k.warmup),
-		"window":          strconv.Itoa(k.window),
-		"clients":         strconv.Itoa(k.clients),
-		"batch":           strconv.Itoa(k.batch),
-		"hb_us":           strconv.Itoa(k.hbUS),
-		"hb_max_us":       strconv.Itoa(k.hbMaxUS),
-	}
-	return k, cfg, nil
 }
 
 // e8Transports are the two backends every E8 sweep runs on.
@@ -289,24 +177,20 @@ func e8Label(kind transport.Kind) string {
 	return "NIO"
 }
 
-func runE8(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE8(rc)
-	if err != nil {
-		return err
-	}
+func runE8(rc RunContext, v values, res *metrics.Result) error {
 	// Axis 1: PBFT agreement vs cluster size (f scales with N).
 	for _, kind := range e8Transports {
-		for _, kb := range k.payloadsKB {
+		for _, kb := range v.ints("payloads_kb") {
 			name := fmt.Sprintf("PBFT %s %dKB", e8Label(kind), kb)
 			mean := res.AddSeries(name, metrics.MetricLatencyMean, "us", string(kind), "replicas")
 			p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", string(kind), "replicas")
 			tput := res.AddSeries(name, metrics.MetricThroughput, "req/s", string(kind), "replicas")
 			bd := addBreakdownSeries(res, name, string(kind), "replicas")
-			for _, n := range k.ns {
+			for _, n := range v.ints("ns") {
 				cfg := BFTConfig{
 					Kind: kind, Payload: kb << 10,
-					Requests: k.requests, Warmup: k.warmup, Window: k.window,
-					Batch: k.batch, N: n, F: (n - 1) / 3, Clients: k.clients,
+					Requests: v.int("requests"), Warmup: v.int("warmup"), Window: v.int("window"),
+					Batch: v.int("batch"), N: n, F: (n - 1) / 3, Clients: v.int("clients"),
 					Seed: rc.Seed, Trace: rc.Trace,
 				}
 				r, err := RunBFT(cfg, rc.Model)
@@ -326,7 +210,7 @@ func runE8(rc RunContext, res *metrics.Result) error {
 	// adaptive/batched heartbeat keeps the merge's hole-filling cost from
 	// growing with K.
 	for _, kind := range e8Transports {
-		for _, kb := range k.copPayloadsKB {
+		for _, kb := range v.ints("cop_payloads_kb") {
 			name := fmt.Sprintf("COP %s %dKB", e8Label(kind), kb)
 			mean := res.AddSeries(name, metrics.MetricLatencyMean, "us", string(kind), "instances")
 			p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", string(kind), "instances")
@@ -335,14 +219,14 @@ func runE8(rc RunContext, res *metrics.Result) error {
 			cpu := res.AddSeries(name, metrics.MetricLeaderCPU, "utilization", string(kind), "instances")
 			bd := addBreakdownSeries(res, name, string(kind), "instances")
 			mw := res.AddSeries(name, metrics.MetricMergeWait, "us", string(kind), "instances")
-			for _, ki := range k.ks {
+			for _, ki := range v.ints("ks") {
 				cfg := COPConfig{
 					Kind: kind, Instances: ki, Payload: kb << 10,
-					Requests: k.requests, Warmup: k.warmup, Window: k.window,
-					Batch: k.batch, N: k.copN, F: (k.copN - 1) / 3, Clients: k.clients,
+					Requests: v.int("requests"), Warmup: v.int("warmup"), Window: v.int("window"),
+					Batch: v.int("batch"), N: v.int("cop_n"), F: (v.int("cop_n") - 1) / 3, Clients: v.int("clients"),
 					Seed:           rc.Seed,
-					HeartbeatDelay: sim.Time(k.hbUS) * sim.Microsecond,
-					HeartbeatMax:   sim.Time(k.hbMaxUS) * sim.Microsecond,
+					HeartbeatDelay: sim.Time(v.int("hb_us")) * sim.Microsecond,
+					HeartbeatMax:   sim.Time(v.int("hb_max_us")) * sim.Microsecond,
 					Trace:          rc.Trace,
 				}
 				r, err := RunCOP(cfg, rc.Model)

@@ -3,15 +3,11 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
-	"rubin/internal/msgnet"
 	"rubin/internal/obs"
-	"rubin/internal/shard"
-	"rubin/internal/sim"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
@@ -41,21 +37,6 @@ type ShardTrafficConfig struct {
 	Arrival   workload.Arrival
 	Seed      int64
 	Trace     *obs.Tracer
-}
-
-// ShardTrafficResult is one measurement point of E10.
-type ShardTrafficResult struct {
-	P50, P90, P99, P999 sim.Time
-	Mean                sim.Time
-	Goodput             float64 // measured completions per second
-	CommittedGoodput    float64 // goodput excluding aborted transactions
-	Completed           int
-	Aborted             int // transactions lost to no-wait conflicts
-	HistoryOps          int
-	Breakdown           obs.Summary
-	PeakQueueBytes      int
-	CrossShardTxns      uint64 // transactions committed through 2PC
-	LockRetries         uint64 // LOCKED resubmissions by the routers
 }
 
 // shardPools groups the workload's key names by owning shard. Every
@@ -109,94 +90,27 @@ func crossPick(pools [][]string, crossPct int) func(r *rand.Rand) (string, strin
 // faults, no dangling invocations, no 2PC protocol errors) and that the
 // history passes the atomicity plus per-key linearizability check, and
 // returns the latency and committed-throughput measurements.
-func RunShardTraffic(cfg ShardTrafficConfig, params model.Params) (ShardTrafficResult, error) {
+func RunShardTraffic(cfg ShardTrafficConfig, params model.Params) (TrafficResult, error) {
 	if cfg.CrossPct < 0 || cfg.CrossPct > 100 {
-		return ShardTrafficResult{}, fmt.Errorf("bench: cross-shard share %d%% out of range", cfg.CrossPct)
+		return TrafficResult{}, fmt.Errorf("bench: cross-shard share %d%% out of range", cfg.CrossPct)
 	}
 	pools, err := shardPools(cfg.Keys, cfg.Shards)
 	if err != nil {
-		return ShardTrafficResult{}, err
+		return TrafficResult{}, err
 	}
-	var chooser workload.KeyChooser = workload.NewUniform(cfg.Keys)
-	if cfg.Zipf100 > 0 {
-		chooser = workload.NewZipf(cfg.Keys, float64(cfg.Zipf100)/100)
-	}
-	wcfg := workload.Config{
-		Users: cfg.Users, Conns: cfg.Conns,
-		Ops: cfg.Ops, Warmup: cfg.Warmup,
-		Keys: chooser, Mix: cfg.Mix, Arrival: cfg.Arrival,
-		ValueSize: cfg.ValueSize, Seed: cfg.Seed,
-		TxnPick: crossPick(pools, cfg.CrossPct),
-	}
-
-	tr := benchTracer(cfg.Trace, fmt.Sprintf("E10 S=%d cross=%d%% %s N=%d users=%d conns=%d seed=%d",
-		cfg.Shards, cfg.CrossPct, cfg.Kind, cfg.N, cfg.Users, cfg.Conns, cfg.Seed))
-
-	scfg := shard.DefaultConfig()
-	scfg.Shards = cfg.Shards
-	scfg.PBFT.N, scfg.PBFT.F = cfg.N, cfg.F
-	dep, err := shard.NewKV(cfg.Kind, scfg, params, cfg.Seed)
+	d, err := newShards(deploySpec{
+		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, 0), seed: cfg.Seed, conns: cfg.Conns,
+		label: fmt.Sprintf("E10 S=%d cross=%d%% %s N=%d users=%d conns=%d seed=%d",
+			cfg.Shards, cfg.CrossPct, cfg.Kind, cfg.N, cfg.Users, cfg.Conns, cfg.Seed),
+		trace: cfg.Trace,
+	}, cfg.Shards, params)
 	if err != nil {
-		return ShardTrafficResult{}, err
+		return TrafficResult{}, err
 	}
-	if err := dep.Start(); err != nil {
-		return ShardTrafficResult{}, err
-	}
-	dep.SetTracer(tr)
-	routers := make([]*shard.Router, cfg.Conns)
-	for i := range routers {
-		if routers[i], err = dep.AddRouter(); err != nil {
-			return ShardTrafficResult{}, err
-		}
-	}
-	var meshes []*msgnet.Mesh
-	for _, cl := range dep.Clusters {
-		meshes = append(meshes, cl.Meshes...)
-	}
-	startSamplers(tr, dep.Loop, meshes, nil)
-
-	d, err := workload.New(dep.Loop, wcfg, func(conn int, op []byte, done func([]byte)) string {
-		return routers[conn].InvokeOp(op, done)
-	})
-	if err != nil {
-		return ShardTrafficResult{}, err
-	}
-	d.SetTracer(tr)
-	if err := d.Run(); err != nil {
-		return ShardTrafficResult{}, err
-	}
-	if n := dep.SendFaults(); n != 0 {
-		return ShardTrafficResult{}, fmt.Errorf("bench: %d send faults on a healthy network", n)
-	}
-	for i, r := range routers {
-		if err := r.Errs(); err != nil {
-			return ShardTrafficResult{}, fmt.Errorf("bench: router %d: %w", i, err)
-		}
-		if n := r.Outstanding(); n != 0 {
-			return ShardTrafficResult{}, fmt.Errorf("bench: router %d left %d operations outstanding", i, n)
-		}
-	}
-	if err := d.History().Check(); err != nil {
-		return ShardTrafficResult{}, err
-	}
-	rec := d.Latencies()
-	r := ShardTrafficResult{
-		P50: rec.Percentile(50), P90: rec.Percentile(90),
-		P99: rec.Percentile(99), P999: rec.Percentile(99.9),
-		Mean:             rec.Mean(),
-		Goodput:          d.Goodput(),
-		CommittedGoodput: d.CommittedGoodput(),
-		Completed:        d.Completed(),
-		Aborted:          d.Aborted(),
-		HistoryOps:       d.History().Len(),
-		Breakdown:        tr.Summary(),
-		PeakQueueBytes:   dep.PeakQueueBytes(),
-	}
-	for _, rt := range routers {
-		r.CrossShardTxns += rt.CrossShardTxns()
-		r.LockRetries += rt.Retries()
-	}
-	return r, nil
+	wcfg := trafficWorkload(cfg.Users, cfg.Conns, cfg.Keys, cfg.ValueSize,
+		cfg.Ops, cfg.Warmup, cfg.Zipf100, cfg.Mix, cfg.Arrival, cfg.Seed)
+	wcfg.TxnPick = crossPick(pools, cfg.CrossPct)
+	return d.runWorkload(wcfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -208,210 +122,63 @@ func init() {
 		Name:   "E10",
 		Title:  "shard scale-out: committed throughput vs shard count and cross-shard transaction share",
 		Figure: "beyond the paper: keyspace partitioning over independent consensus groups with 2PC-over-consensus",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE10(rc)
-			return cfg, err
+		// The full-mode load (users, conns) is sized to saturate a single
+		// group with headroom for eight: the scaling curve must measure the
+		// shards, not the client pool. 16 routers keep the front-end off the
+		// critical path up to S=8.
+		knobs: []knob{
+			{name: "shards", def: "1,2,4,8", quick: "1,2", min: 1, list: true},
+			{name: "cross_pcts", def: "0,1,10", quick: "0,10", list: true}, // cross-shard transaction shares, percent
+			{name: "n", def: "4", min: 4},                                  // 3f+1
+			{name: "users", def: "512", quick: "24", min: 1},
+			{name: "conns", def: "16", quick: "2", min: 1},
+			{name: "keys", def: "256", quick: "64", min: 1},
+			{name: "ops", def: "1500", quick: "60", min: 1},
+			{name: "warmup", def: "150", quick: "10"},
+			{name: "value_bytes", def: "128"},
+			{name: "window", def: "1", min: 1}, // closed-loop outstanding per user
+			{name: "read_pct", def: "40"},
+			{name: "scan_pct", def: "5"},
+			{name: "delete_pct", def: "5"},
+			{name: "txn_pct", def: "20", min: 1},
 		},
-		Run: runE10,
+		check: func(v values) error {
+			if v.int("users") < v.int("conns") {
+				return fmt.Errorf("need conns <= users, got %d/%d", v.int("conns"), v.int("users"))
+			}
+			if sum := v.int("read_pct") + v.int("scan_pct") + v.int("delete_pct") + v.int("txn_pct"); sum > 100 {
+				return fmt.Errorf("mix read+scan+delete+txn = %d exceeds 100", sum)
+			}
+			if c := v.max("cross_pcts"); c > 100 {
+				return fmt.Errorf("cross-shard share %d%% out of range", c)
+			}
+			// Every shard of the largest deployment must own at least two
+			// keys (see shardPools); fail at knob time, not mid-sweep.
+			_, err := shardPools(v.int("keys"), v.max("shards"))
+			return err
+		},
+		run: runE10,
 	})
 }
 
-// e10Knobs are the resolved parameters of one E10 run.
-type e10Knobs struct {
-	shards     []int // shard counts of the scaling sweep
-	crossPcts  []int // cross-shard transaction shares, percent
-	n          int
-	users      int
-	conns      int
-	keys       int
-	ops        int
-	warmup     int
-	valueBytes int
-	window     int // closed-loop outstanding per user
-	readPct    int
-	scanPct    int
-	deletePct  int
-	txnPct     int
-}
-
-func resolveE10(rc RunContext) (e10Knobs, map[string]string, error) {
-	// The full-mode load (users, conns) is sized to saturate a single
-	// group with headroom for eight: the scaling curve must measure the
-	// shards, not the client pool. 16 routers keep the front-end off the
-	// critical path up to S=8.
-	k := e10Knobs{
-		shards:    []int{1, 2, 4, 8},
-		crossPcts: []int{0, 1, 10},
-		n:         4, users: 512, conns: 16, keys: 256,
-		ops: 1500, warmup: 150, valueBytes: 128, window: 1,
-		readPct: 40, scanPct: 5, deletePct: 5, txnPct: 20,
-	}
-	if rc.Quick {
-		k.shards, k.crossPcts = []int{1, 2}, []int{0, 10}
-		k.users, k.conns, k.keys = 24, 2, 64
-		k.ops, k.warmup = 60, 10
-	}
-	var err error
-	if k.shards, err = rc.intsKnob("shards", k.shards); err != nil {
-		return k, nil, err
-	}
-	if k.crossPcts, err = rc.nonNegIntsKnob("cross_pcts", k.crossPcts); err != nil {
-		return k, nil, err
-	}
-	if k.n, err = rc.intKnob("n", k.n); err != nil {
-		return k, nil, err
-	}
-	if k.users, err = rc.intKnob("users", k.users); err != nil {
-		return k, nil, err
-	}
-	if k.conns, err = rc.intKnob("conns", k.conns); err != nil {
-		return k, nil, err
-	}
-	if k.keys, err = rc.intKnob("keys", k.keys); err != nil {
-		return k, nil, err
-	}
-	if k.ops, err = rc.intKnob("ops", k.ops); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.valueBytes, err = rc.intKnob("value_bytes", k.valueBytes); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.readPct, err = rc.intKnob("read_pct", k.readPct); err != nil {
-		return k, nil, err
-	}
-	if k.scanPct, err = rc.intKnob("scan_pct", k.scanPct); err != nil {
-		return k, nil, err
-	}
-	if k.deletePct, err = rc.intKnob("delete_pct", k.deletePct); err != nil {
-		return k, nil, err
-	}
-	if k.txnPct, err = rc.intKnob("txn_pct", k.txnPct); err != nil {
-		return k, nil, err
-	}
-	if k.n < 4 {
-		return k, nil, fmt.Errorf("bench: E10 needs n >= 4 (3f+1), got %d", k.n)
-	}
-	if k.users < k.conns || k.conns < 1 {
-		return k, nil, fmt.Errorf("bench: E10 needs 1 <= conns <= users, got %d/%d", k.conns, k.users)
-	}
-	if k.window < 1 {
-		return k, nil, fmt.Errorf("bench: E10 needs window >= 1, got %d", k.window)
-	}
-	if k.readPct < 0 || k.scanPct < 0 || k.deletePct < 0 || k.txnPct < 1 {
-		return k, nil, fmt.Errorf("bench: E10 mix shares must be non-negative with txn_pct >= 1")
-	}
-	if k.readPct+k.scanPct+k.deletePct+k.txnPct > 100 {
-		return k, nil, fmt.Errorf("bench: E10 mix read=%d + scan=%d + delete=%d + txn=%d exceeds 100",
-			k.readPct, k.scanPct, k.deletePct, k.txnPct)
-	}
-	maxShards := 0
-	for _, s := range k.shards {
-		if s > maxShards {
-			maxShards = s
-		}
-	}
-	for _, c := range k.crossPcts {
-		if c > 100 {
-			return k, nil, fmt.Errorf("bench: E10 cross-shard share %d%% out of range", c)
-		}
-	}
-	// Every shard of the largest deployment must own at least two keys
-	// (see shardPools); fail at knob time, not mid-sweep.
-	if _, err := shardPools(k.keys, maxShards); err != nil {
-		return k, nil, err
-	}
-	cfg := map[string]string{
-		"shards":      formatInts(k.shards),
-		"cross_pcts":  formatInts(k.crossPcts),
-		"n":           strconv.Itoa(k.n),
-		"users":       strconv.Itoa(k.users),
-		"conns":       strconv.Itoa(k.conns),
-		"keys":        strconv.Itoa(k.keys),
-		"ops":         strconv.Itoa(k.ops),
-		"warmup":      strconv.Itoa(k.warmup),
-		"value_bytes": strconv.Itoa(k.valueBytes),
-		"window":      strconv.Itoa(k.window),
-		"read_pct":    strconv.Itoa(k.readPct),
-		"scan_pct":    strconv.Itoa(k.scanPct),
-		"delete_pct":  strconv.Itoa(k.deletePct),
-		"txn_pct":     strconv.Itoa(k.txnPct),
-	}
-	return k, cfg, nil
-}
-
-// e10Series bundles the series one E10 sweep combo reports: the
-// percentile/goodput bundle, committed goodput (the headline scaling
-// curve), the abort/2PC/retry counters, the mean latency with its phase
-// breakdown, the 2PC phase waits and the send-queue high watermark.
-type e10Series struct {
-	ps       metrics.PercentileSeries
-	mean     *metrics.ResultSeries
-	bd       breakdownSeries
-	commit   *metrics.ResultSeries
-	aborted  *metrics.ResultSeries
-	cross    *metrics.ResultSeries
-	retries  *metrics.ResultSeries
-	prepWait *metrics.ResultSeries
-	commWait *metrics.ResultSeries
-	peakQ    *metrics.ResultSeries
-}
-
-func addE10Series(res *metrics.Result, name, transport, xLabel string) e10Series {
-	return e10Series{
-		ps:       res.AddPercentileSeries(name, transport, xLabel),
-		mean:     res.AddSeries(name, metrics.MetricLatencyMean, "us", transport, xLabel),
-		bd:       addBreakdownSeries(res, name, transport, xLabel),
-		commit:   res.AddSeries(name, metrics.MetricCommittedGoodput, "op/s", transport, xLabel),
-		aborted:  res.AddSeries(name, metrics.MetricAbortedTxns, "count", transport, xLabel),
-		cross:    res.AddSeries(name, metrics.MetricCrossShardTxns, "count", transport, xLabel),
-		retries:  res.AddSeries(name, metrics.MetricLockRetries, "count", transport, xLabel),
-		prepWait: res.AddSeries(name, metrics.MetricPrepareWait, "us", transport, xLabel),
-		commWait: res.AddSeries(name, metrics.MetricCommitWait, "us", transport, xLabel),
-		peakQ:    res.AddSeries(name, metrics.MetricPeakQueueBytes, "bytes", transport, xLabel),
-	}
-}
-
-func (s e10Series) observe(x float64, r ShardTrafficResult) {
-	s.ps.Observe(x, r.P50, r.P90, r.P99, r.P999, r.Goodput)
-	s.mean.Add(x, r.Mean.Micros())
-	s.bd.observe(x, r.Breakdown)
-	s.commit.Add(x, r.CommittedGoodput)
-	s.aborted.Add(x, float64(r.Aborted))
-	s.cross.Add(x, float64(r.CrossShardTxns))
-	s.retries.Add(x, float64(r.LockRetries))
-	s.prepWait.Add(x, r.Breakdown.PrepareWait.Micros())
-	s.commWait.Add(x, r.Breakdown.CommitWait.Micros())
-	s.peakQ.Add(x, float64(r.PeakQueueBytes))
-}
-
-func runE10(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE10(rc)
-	if err != nil {
-		return err
-	}
+func runE10(rc RunContext, v values, res *metrics.Result) error {
 	mix := workload.Mix{
-		ReadPct: k.readPct, ScanPct: k.scanPct,
-		DeletePct: k.deletePct, TxnPct: k.txnPct,
+		ReadPct: v.int("read_pct"), ScanPct: v.int("scan_pct"),
+		DeletePct: v.int("delete_pct"), TxnPct: v.int("txn_pct"),
 	}
-	mix.WritePct = 100 - k.readPct - k.scanPct - k.deletePct - k.txnPct
+	mix.WritePct = 100 - mix.ReadPct - mix.ScanPct - mix.DeletePct - mix.TxnPct
 	for _, kind := range e8Transports {
-		for _, cross := range k.crossPcts {
+		for _, cross := range v.ints("cross_pcts") {
 			name := fmt.Sprintf("scale cross=%d%% %s", cross, e8Label(kind))
-			ss := addE10Series(res, name, string(kind), "shards")
-			for _, shards := range k.shards {
+			ss := addTrafficSeries(res, name, string(kind), "shards", shardColumns...)
+			for _, shards := range v.ints("shards") {
 				cfg := ShardTrafficConfig{
 					Kind: kind, Shards: shards,
-					N: k.n, F: (k.n - 1) / 3,
-					Users: k.users, Conns: k.conns, Keys: k.keys,
-					ValueSize: k.valueBytes, Ops: k.ops, Warmup: k.warmup,
+					N: v.int("n"), F: (v.int("n") - 1) / 3,
+					Users: v.int("users"), Conns: v.int("conns"), Keys: v.int("keys"),
+					ValueSize: v.int("value_bytes"), Ops: v.int("ops"), Warmup: v.int("warmup"),
 					Mix: mix, CrossPct: cross,
-					Arrival: workload.Closed(k.window, 0),
+					Arrival: workload.Closed(v.int("window"), 0),
 					Seed:    rc.Seed, Trace: rc.Trace,
 				}
 				r, err := RunShardTraffic(cfg, rc.Model)

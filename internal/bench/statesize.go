@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/auth"
 	"rubin/internal/chaos"
@@ -120,11 +119,6 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 	if cfg.Payload < 1 || cfg.Payload > 4<<10 {
 		return StateSizeResult{}, fmt.Errorf("bench: payload %d out of range [1, %d]", cfg.Payload, 4<<10)
 	}
-	pcfg := pbft.DefaultConfig()
-	pcfg.BatchSize = 4
-	pcfg.CheckpointEvery = 8
-	pcfg.LogWindow = 128
-
 	// Every store instance starts from the identical cold prefill — the
 	// restarted one too, modeling a replica that recovers from its durable
 	// local checkpoint: the cold partitions match the group's digests, so
@@ -145,21 +139,15 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 		}
 		return s
 	}
-	cluster, err := pbft.NewCluster(cfg.Kind, pcfg, params, cfg.Seed, appFactory)
+	d, err := newPBFT(deploySpec{kind: cfg.Kind, pbft: faultTimelineConfig(), seed: cfg.Seed, conns: 1, app: appFactory}, params)
 	if err != nil {
 		return StateSizeResult{}, err
 	}
-	if err := cluster.Start(); err != nil {
-		return StateSizeResult{}, err
-	}
-	client, err := cluster.AddClient()
-	if err != nil {
-		return StateSizeResult{}, err
-	}
+	cluster := d.cluster
 
 	scenario, pts := stateSizeTimeline()
 	sched := chaos.Apply(cluster, scenario)
-	loop := cluster.Loop
+	loop := d.loop
 	base := loop.Now()
 
 	// Closed-loop hot-key workload, cycling a bounded working set.
@@ -176,7 +164,7 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 		sent++
 		t0 := loop.Now()
 		op := kvstore.EncodeOp(kvstore.OpPut, hotKeys[idx%len(hotKeys)], value)
-		client.Invoke(op, func([]byte) {
+		d.submit(0, op, func([]byte) {
 			committed++
 			switch at := loop.Now() - base; {
 			case at < pts.Crash:
@@ -263,44 +251,16 @@ func init() {
 		Name:   "E12",
 		Title:  "Checkpoint and recovery cost vs state size (cold restart vs empty restart)",
 		Figure: "beyond the paper: state-transfer amplification study",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, _, cfg, err := resolveE12(rc)
-			return cfg, err
+		knobs: []knob{
+			{name: "prefills", def: "2000,8000,32000", quick: "500,2000", min: 1, list: true},
+			{name: "payload", def: "64", min: 1},
+			{name: "window", def: "8", min: 1},
 		},
-		Run: runE12,
+		run: runE12,
 	})
 }
 
-func resolveE12(rc RunContext) ([]int, StateSizeConfig, map[string]string, error) {
-	base := DefaultStateSizeConfig(transport.KindRDMA)
-	base.Seed = rc.Seed
-	prefills := []int{2000, 8000, 32000}
-	if rc.Quick {
-		prefills = []int{500, 2000}
-	}
-	var err error
-	if prefills, err = rc.intsKnob("prefills", prefills); err != nil {
-		return nil, base, nil, err
-	}
-	if base.Payload, err = rc.intKnob("payload", base.Payload); err != nil {
-		return nil, base, nil, err
-	}
-	if base.Window, err = rc.intKnob("window", base.Window); err != nil {
-		return nil, base, nil, err
-	}
-	cfg := map[string]string{
-		"prefills": formatInts(prefills),
-		"payload":  strconv.Itoa(base.Payload),
-		"window":   strconv.Itoa(base.Window),
-	}
-	return prefills, base, cfg, nil
-}
-
-func runE12(rc RunContext, res *metrics.Result) error {
-	prefills, base, _, err := resolveE12(rc)
-	if err != nil {
-		return err
-	}
+func runE12(rc RunContext, v values, res *metrics.Result) error {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		for _, empty := range []bool{false, true} {
 			mode := "partial"
@@ -316,11 +276,9 @@ func runE12(rc RunContext, res *metrics.Result) error {
 			stateS := res.AddSeries(name, metrics.MetricStateBytes, "bytes", tr, "prefill_keys")
 			tputS := res.AddSeries(name, metrics.MetricThroughput, "req/s", tr, "prefill_keys")
 			dipS := res.AddSeries(name, metrics.MetricThroughputDip, "ratio", tr, "prefill_keys")
-			for _, prefill := range prefills {
-				cfg := base
-				cfg.Kind = kind
-				cfg.EmptyRestart = empty
-				cfg.Prefill = prefill
+			for _, prefill := range v.ints("prefills") {
+				cfg := StateSizeConfig{Kind: kind, Prefill: prefill, Payload: v.int("payload"),
+					Window: v.int("window"), Seed: rc.Seed, EmptyRestart: empty}
 				r, err := RunStateSize(cfg, rc.Model)
 				if err != nil {
 					return err

@@ -2,14 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
 
-	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/obs"
-	"rubin/internal/pbft"
-	"rubin/internal/reptor"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
@@ -50,529 +46,216 @@ type TrafficConfig struct {
 	Trace *obs.Tracer
 }
 
-// TrafficResult is one measurement point of E9.
-type TrafficResult struct {
-	P50, P90, P99, P999 sim.Time // latency percentiles, arrival to reply
-	Mean                sim.Time // mean latency (the breakdown partitions it)
-	Goodput             float64  // measured completions per second
-	Completed           int
-	HistoryOps          int
-	// Breakdown attributes the mean latency to protocol phases;
-	// Breakdown.Total equals Mean up to integer-mean rounding.
-	Breakdown obs.Summary
-	// PeakQueueBytes is the deepest msgnet send queue any replica saw.
-	PeakQueueBytes int
-	// COP-only executor health counters (zero for plain PBFT): heartbeat
-	// fill slots summed across nodes, the largest adaptive heartbeat delay
-	// any instance backed off to, and the deepest committed-but-unmerged
-	// backlog any node's executor held at once.
-	HeartbeatSlots    uint64
-	HeartbeatDelayMax sim.Time
-	PeakBacklog       int
-	// Read fast-path counters summed across client connections (zero
-	// unless ReadFastPath is set): reads served by 2F+1 matching
-	// tentative replies, and reads that timed out or mismatched and
-	// retried through the ordered path.
-	FastReads     uint64
-	FastFallbacks uint64
-	// FastOps is the number of history operations the oracle saw tagged
-	// as fast-path-served; the checkers treat them identically.
-	FastOps int
-}
-
 // RunTraffic drives one workload configuration to completion, verifies
 // the run was healthy (no send faults, no stalled executor, no dangling
 // invocations) and linearizable, and returns the latency percentiles
 // and goodput.
 func RunTraffic(cfg TrafficConfig, params model.Params) (TrafficResult, error) {
-	var chooser workload.KeyChooser = workload.NewUniform(cfg.Keys)
-	if cfg.Zipf100 > 0 {
-		chooser = workload.NewZipf(cfg.Keys, float64(cfg.Zipf100)/100)
-	}
-	wcfg := workload.Config{
-		Users: cfg.Users, Conns: cfg.Conns,
-		Ops: cfg.Ops, Warmup: cfg.Warmup,
-		Keys: chooser, Mix: cfg.Mix, Arrival: cfg.Arrival,
-		ValueSize: cfg.ValueSize, Seed: cfg.Seed,
-	}
-
 	sysLabel := "PBFT"
 	if cfg.Instances > 0 {
 		sysLabel = fmt.Sprintf("COP-%d", cfg.Instances)
 	}
-	tr := benchTracer(cfg.Trace, fmt.Sprintf("E9 %s %s N=%d users=%d conns=%d seed=%d",
-		sysLabel, cfg.Kind, cfg.N, cfg.Users, cfg.Conns, cfg.Seed))
-
-	readTimeout := cfg.ReadTimeout
-	if readTimeout <= 0 {
-		readTimeout = 2 * sim.Millisecond
+	spec := deploySpec{
+		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, cfg.BatchSize), seed: cfg.Seed, conns: cfg.Conns,
+		label: fmt.Sprintf("E9 %s %s N=%d users=%d conns=%d seed=%d",
+			sysLabel, cfg.Kind, cfg.N, cfg.Users, cfg.Conns, cfg.Seed),
+		trace: cfg.Trace,
 	}
-
-	var loop *sim.Loop
-	var invoke workload.Invoker
-	var finish func() error
-	var health func(r *TrafficResult)
-	var wireHooks func(d *workload.Driver)
+	if cfg.ReadFastPath {
+		if spec.readTimeout = cfg.ReadTimeout; spec.readTimeout <= 0 {
+			spec.readTimeout = 2 * sim.Millisecond
+		}
+	}
+	var d *deployment
+	var err error
 	if cfg.Instances == 0 {
-		pcfg := pbft.DefaultConfig()
-		pcfg.N, pcfg.F = cfg.N, cfg.F
-		if cfg.BatchSize > 0 {
-			pcfg.BatchSize = cfg.BatchSize
-		}
-		cluster, err := pbft.NewCluster(cfg.Kind, pcfg, params, cfg.Seed,
-			func(int) pbft.Application { return kvstore.New() })
-		if err != nil {
-			return TrafficResult{}, err
-		}
-		if err := cluster.Start(); err != nil {
-			return TrafficResult{}, err
-		}
-		cluster.SetTracer(tr)
-		cls := make([]*pbft.Client, cfg.Conns)
-		for i := range cls {
-			if cls[i], err = cluster.AddClient(); err != nil {
-				return TrafficResult{}, err
-			}
-		}
-		loop = cluster.Loop
-		startSamplers(tr, loop, cluster.Meshes, nil)
-		if cfg.ReadFastPath {
-			for _, cl := range cls {
-				cl.EnableReadFastPath(cluster.Loop, readTimeout)
-			}
-		}
-		invoke = func(conn int, op []byte, done func([]byte)) string {
-			if cfg.ReadFastPath {
-				if code, _, _, err := kvstore.DecodeOp(op); err == nil && code == kvstore.OpGet {
-					return cls[conn].InvokeRead(op, done)
-				}
-			}
-			return cls[conn].Invoke(op, done)
-		}
-		wireHooks = func(d *workload.Driver) {
-			for _, cl := range cls {
-				cl.SetReadPathHook(d.NotePath)
-			}
-		}
-		health = func(r *TrafficResult) {
-			r.PeakQueueBytes = cluster.PeakQueueBytes()
-			for _, cl := range cls {
-				r.FastReads += cl.FastReads()
-				r.FastFallbacks += cl.FastReadFallbacks()
-			}
-		}
-		finish = func() error {
-			if n := cluster.SendFaults(); n != 0 {
-				return fmt.Errorf("bench: %d send faults on a healthy network", n)
-			}
-			for _, cl := range cls {
-				if n := cl.Outstanding(); n != 0 {
-					return fmt.Errorf("bench: client %d left %d invocations outstanding", cl.ID(), n)
-				}
-			}
-			return nil
-		}
+		d, err = newPBFT(spec, params)
 	} else {
-		gcfg := reptor.DefaultConfig()
-		gcfg.Instances = cfg.Instances
-		gcfg.PBFT.N, gcfg.PBFT.F = cfg.N, cfg.F
-		if cfg.BatchSize > 0 {
-			gcfg.PBFT.BatchSize = cfg.BatchSize
-		}
-		group, err := reptor.NewGroup(cfg.Kind, gcfg, params, cfg.Seed,
-			func(int) pbft.Application { return kvstore.New() })
-		if err != nil {
-			return TrafficResult{}, err
-		}
-		if err := group.Start(); err != nil {
-			return TrafficResult{}, err
-		}
-		group.SetTracer(tr)
-		if cfg.ReadFastPath {
-			group.EnableReadFastPath(readTimeout)
-		}
-		cls := make([]*reptor.Client, cfg.Conns)
-		for i := range cls {
-			if cls[i], err = group.AddClient(); err != nil {
-				return TrafficResult{}, err
-			}
-		}
-		loop = group.Loop
-		startSamplers(tr, loop, group.Meshes, group.Executors)
-		// COP routes by the state-machine key, so one instance orders
-		// every operation of a key; scans fan out as partition-filtered
-		// sub-scans and merge locally (see reptor.Client.InvokeOp).
-		invoke = func(conn int, op []byte, done func([]byte)) string {
-			return cls[conn].InvokeOp(op, done)
-		}
-		wireHooks = func(d *workload.Driver) {
-			for _, cl := range cls {
-				cl.SetReadPathHook(d.NotePath)
-			}
-		}
-		health = func(r *TrafficResult) {
-			r.PeakQueueBytes = group.PeakQueueBytes()
-			for _, cl := range cls {
-				r.FastReads += cl.FastReads()
-				r.FastFallbacks += cl.FastReadFallbacks()
-			}
-			for _, ex := range group.Executors {
-				r.HeartbeatSlots += ex.HeartbeatSlots()
-				if pb := ex.PeakBacklog(); pb > r.PeakBacklog {
-					r.PeakBacklog = pb
-				}
-				for i := 0; i < cfg.Instances; i++ {
-					if d := ex.HeartbeatDelay(i); d > r.HeartbeatDelayMax {
-						r.HeartbeatDelayMax = d
-					}
-				}
-			}
-		}
-		finish = func() error {
-			if n := group.SendFaults(); n != 0 {
-				return fmt.Errorf("bench: %d send faults on a healthy network", n)
-			}
-			for i, ex := range group.Executors {
-				if b := ex.Backlog(); b != 0 {
-					return fmt.Errorf("bench: node %d executor stalled with %d committed-but-unmerged batches", i, b)
-				}
-			}
-			for i, cl := range cls {
-				if n := cl.Outstanding(); n != 0 {
-					return fmt.Errorf("bench: client %d left %d invocations outstanding", i, n)
-				}
-			}
-			return nil
-		}
+		d, err = newCOP(spec, cfg.Instances, 0, 0, params)
 	}
-
-	d, err := workload.New(loop, wcfg, invoke)
 	if err != nil {
 		return TrafficResult{}, err
 	}
-	d.SetTracer(tr)
-	if cfg.ReadFastPath {
-		wireHooks(d)
-	}
-	if err := d.Run(); err != nil {
-		return TrafficResult{}, err
-	}
-	if err := finish(); err != nil {
-		return TrafficResult{}, err
-	}
-	if err := d.History().Check(); err != nil {
-		return TrafficResult{}, err
-	}
-	rec := d.Latencies()
-	r := TrafficResult{
-		P50: rec.Percentile(50), P90: rec.Percentile(90),
-		P99: rec.Percentile(99), P999: rec.Percentile(99.9),
-		Mean:       rec.Mean(),
-		Goodput:    d.Goodput(),
-		Completed:  d.Completed(),
-		HistoryOps: d.History().Len(),
-		FastOps:    d.History().FastOps(),
-		Breakdown:  tr.Summary(),
-	}
-	health(&r)
-	return r, nil
+	return d.runWorkload(trafficWorkload(cfg.Users, cfg.Conns, cfg.Keys, cfg.ValueSize,
+		cfg.Ops, cfg.Warmup, cfg.Zipf100, cfg.Mix, cfg.Arrival, cfg.Seed))
 }
 
 // ---------------------------------------------------------------------------
 // Registry entry: E9 (traffic study under a linearizability oracle).
 // ---------------------------------------------------------------------------
 
+// e9MidRead is the fixed read share of the rate, burst and skew sweeps.
+const e9MidRead = 45
+
 func init() {
 	Register(Experiment{
 		Name:   "E9",
 		Title:  "traffic study: arrival rate, key skew and operation mix under a linearizability oracle",
 		Figure: "beyond the paper: YCSB-style open/closed-loop workloads over the replicated system",
-		Params: func(rc RunContext) (map[string]string, error) {
-			_, cfg, err := resolveE9(rc)
-			return cfg, err
+		knobs: []knob{
+			{name: "rates", def: "3000,8000,16000", quick: "1500", min: 1, list: true}, // open-loop arrival rates, ops/s
+			{name: "skews", def: "0,90,99", quick: "99", list: true},                   // Zipf theta x100; 0 = uniform
+			{name: "read_pcts", def: "0,45,90", quick: "50", list: true},               // read shares of the mix sweep
+			{name: "ks", def: "1,4", quick: "1", min: 1, list: true},                   // COP instance counts (PBFT always runs too)
+			{name: "n", def: "4", min: 4},                                              // 3f+1
+			{name: "users", def: "96", quick: "24", min: 1},
+			{name: "conns", def: "4", quick: "2", min: 1},
+			{name: "keys", def: "128", quick: "32", min: 10},
+			{name: "ops", def: "300", quick: "60", min: 1},
+			{name: "warmup", def: "30", quick: "10"},
+			{name: "value_bytes", def: "128"},
+			{name: "window", def: "1", min: 1}, // closed-loop outstanding per user
+			{name: "scan_pct", def: "5"},
+			{name: "delete_pct", def: "5"},
+			{name: "burst_us", def: "2000", quick: "0"}, // on/off half-period of the burst sweep; 0 disables it
 		},
-		Run: runE9,
+		check: func(v values) error {
+			if v.int("users") < v.int("conns") {
+				return fmt.Errorf("need conns <= users, got %d/%d", v.int("conns"), v.int("users"))
+			}
+			if v.max("skews") >= 100 {
+				return fmt.Errorf("skews are Zipf theta x100 in [0, 100), got %d", v.max("skews"))
+			}
+			// Every read share the sweeps use — the read_pcts axis and the
+			// fixed e9MidRead of the rate/burst/skew sweeps — must leave
+			// the mix a valid percentage split.
+			if r := max(e9MidRead, v.max("read_pcts")); r+v.int("scan_pct")+v.int("delete_pct") > 100 {
+				return fmt.Errorf("mix read=%d + scan=%d + delete=%d exceeds 100", r, v.int("scan_pct"), v.int("delete_pct"))
+			}
+			return nil
+		},
+		run: runE9,
 	})
 }
-
-// e9Knobs are the resolved parameters of one E9 run.
-type e9Knobs struct {
-	rates      []int // open-loop arrival rates, ops/s
-	skews      []int // Zipf theta ×100; 0 = uniform
-	readPcts   []int // read shares of the mix sweep
-	ks         []int // COP instance counts (PBFT always runs too)
-	n          int
-	users      int
-	conns      int
-	keys       int
-	ops        int
-	warmup     int
-	valueBytes int
-	window     int // closed-loop outstanding per user
-	scanPct    int
-	deletePct  int
-	burstUS    int // on/off half-period of the burst sweep; 0 disables it
-}
-
-func resolveE9(rc RunContext) (e9Knobs, map[string]string, error) {
-	k := e9Knobs{
-		rates:    []int{3000, 8000, 16000},
-		skews:    []int{0, 90, 99},
-		readPcts: []int{0, 45, 90},
-		ks:       []int{1, 4},
-		n:        4, users: 96, conns: 4, keys: 128,
-		ops: 300, warmup: 30, valueBytes: 128, window: 1,
-		scanPct: 5, deletePct: 5, burstUS: 2000,
-	}
-	if rc.Quick {
-		k.rates, k.skews, k.readPcts = []int{1500}, []int{99}, []int{50}
-		k.ks = []int{1}
-		k.users, k.conns, k.keys = 24, 2, 32
-		k.ops, k.warmup = 60, 10
-		k.burstUS = 0
-	}
-	var err error
-	if k.rates, err = rc.intsKnob("rates", k.rates); err != nil {
-		return k, nil, err
-	}
-	if k.skews, err = rc.nonNegIntsKnob("skews", k.skews); err != nil {
-		return k, nil, err
-	}
-	if k.readPcts, err = rc.nonNegIntsKnob("read_pcts", k.readPcts); err != nil {
-		return k, nil, err
-	}
-	if k.ks, err = rc.intsKnob("ks", k.ks); err != nil {
-		return k, nil, err
-	}
-	if k.n, err = rc.intKnob("n", k.n); err != nil {
-		return k, nil, err
-	}
-	if k.users, err = rc.intKnob("users", k.users); err != nil {
-		return k, nil, err
-	}
-	if k.conns, err = rc.intKnob("conns", k.conns); err != nil {
-		return k, nil, err
-	}
-	if k.keys, err = rc.intKnob("keys", k.keys); err != nil {
-		return k, nil, err
-	}
-	if k.ops, err = rc.intKnob("ops", k.ops); err != nil {
-		return k, nil, err
-	}
-	if k.warmup, err = rc.intKnob("warmup", k.warmup); err != nil {
-		return k, nil, err
-	}
-	if k.valueBytes, err = rc.intKnob("value_bytes", k.valueBytes); err != nil {
-		return k, nil, err
-	}
-	if k.window, err = rc.intKnob("window", k.window); err != nil {
-		return k, nil, err
-	}
-	if k.scanPct, err = rc.intKnob("scan_pct", k.scanPct); err != nil {
-		return k, nil, err
-	}
-	if k.deletePct, err = rc.intKnob("delete_pct", k.deletePct); err != nil {
-		return k, nil, err
-	}
-	if k.burstUS, err = rc.intKnob("burst_us", k.burstUS); err != nil {
-		return k, nil, err
-	}
-	if k.n < 4 {
-		return k, nil, fmt.Errorf("bench: E9 needs n >= 4 (3f+1), got %d", k.n)
-	}
-	if k.users < k.conns || k.conns < 1 {
-		return k, nil, fmt.Errorf("bench: E9 needs 1 <= conns <= users, got %d/%d", k.conns, k.users)
-	}
-	if k.window < 1 || k.keys < 10 || k.burstUS < 0 {
-		return k, nil, fmt.Errorf("bench: E9 needs window >= 1, keys >= 10 and burst_us >= 0")
-	}
-	for _, s := range k.skews {
-		if s >= 100 {
-			return k, nil, fmt.Errorf("bench: E9 skews are Zipf theta x100 in [0, 100), got %d", s)
-		}
-	}
-	if k.scanPct < 0 || k.deletePct < 0 {
-		return k, nil, fmt.Errorf("bench: E9 needs scan_pct/delete_pct >= 0, got %d/%d", k.scanPct, k.deletePct)
-	}
-	// Every read share the sweeps use — the read_pcts axis and the fixed
-	// e9MidRead of the rate/burst/skew sweeps — must leave the mix a
-	// valid percentage split.
-	for _, r := range append([]int{e9MidRead}, k.readPcts...) {
-		if r+k.scanPct+k.deletePct > 100 {
-			return k, nil, fmt.Errorf("bench: E9 mix read=%d + scan=%d + delete=%d exceeds 100",
-				r, k.scanPct, k.deletePct)
-		}
-	}
-	cfg := map[string]string{
-		"rates":       formatInts(k.rates),
-		"skews":       formatInts(k.skews),
-		"read_pcts":   formatInts(k.readPcts),
-		"ks":          formatInts(k.ks),
-		"n":           strconv.Itoa(k.n),
-		"users":       strconv.Itoa(k.users),
-		"conns":       strconv.Itoa(k.conns),
-		"keys":        strconv.Itoa(k.keys),
-		"ops":         strconv.Itoa(k.ops),
-		"warmup":      strconv.Itoa(k.warmup),
-		"value_bytes": strconv.Itoa(k.valueBytes),
-		"window":      strconv.Itoa(k.window),
-		"scan_pct":    strconv.Itoa(k.scanPct),
-		"delete_pct":  strconv.Itoa(k.deletePct),
-		"burst_us":    strconv.Itoa(k.burstUS),
-	}
-	return k, cfg, nil
-}
-
-// e9System is one system-under-test of the E9 sweeps.
-type e9System struct {
-	label     string
-	instances int // 0 = PBFT
-}
-
-// e9MidRead is the fixed read share of the rate, burst and skew sweeps.
-const e9MidRead = 45
 
 // e9Mix builds the operation mix for one read share. Scans run on COP
 // too: they fan out as partition-filtered sub-scans, one per instance,
 // whose partial results are deterministic because only instance k's
-// order ever mutates partition-k keys (see reptor.Client.InvokeOp).
+// order ever mutates partition-k keys (see kvstore.ScatterScan).
 func e9Mix(readPct, scanPct, deletePct int) workload.Mix {
 	m := workload.Mix{ReadPct: readPct, ScanPct: scanPct, DeletePct: deletePct}
 	m.WritePct = 100 - m.ReadPct - m.ScanPct - m.DeletePct
 	return m
 }
 
-// e9Series bundles every series one E9 sweep combo reports: the
-// percentile/goodput bundle, the mean latency with its phase breakdown,
-// the msgnet send-queue high watermark, and — for COP systems only — the
-// executor health counters (heartbeat fill slots, the adaptive-delay
-// ceiling reached, the peak merge backlog) plus the commit-to-merge wait.
-type e9Series struct {
+// column is one per-point series a traffic sweep reports beyond the
+// common bundle: its metric, unit and the result field it plots.
+type column struct {
+	metric, unit string
+	value        func(TrafficResult) float64
+}
+
+var (
+	colPeakQueue = column{metrics.MetricPeakQueueBytes, "bytes", func(r TrafficResult) float64 { return float64(r.PeakQueueBytes) }}
+	// copColumns are the executor health counters and the commit-to-merge
+	// wait, reported for COP systems only.
+	copColumns = []column{
+		{metrics.MetricHeartbeatSlots, "count", func(r TrafficResult) float64 { return float64(r.HeartbeatSlots) }},
+		{metrics.MetricHeartbeatDelay, "us", func(r TrafficResult) float64 { return r.HeartbeatDelayMax.Micros() }},
+		{metrics.MetricPeakBacklog, "count", func(r TrafficResult) float64 { return float64(r.PeakBacklog) }},
+		{metrics.MetricMergeWait, "us", func(r TrafficResult) float64 { return r.Breakdown.MergeWait.Micros() }},
+	}
+	// fastColumns are reported for fast-path-on combos only.
+	fastColumns = []column{
+		{metrics.MetricFastReads, "count", func(r TrafficResult) float64 { return float64(r.FastReads) }},
+		{metrics.MetricFastFallbacks, "count", func(r TrafficResult) float64 { return float64(r.FastFallbacks) }},
+	}
+	// shardColumns are E10's: committed goodput (the headline scaling
+	// curve), the abort/2PC/retry counters and the 2PC phase waits.
+	shardColumns = []column{
+		{metrics.MetricCommittedGoodput, "op/s", func(r TrafficResult) float64 { return r.CommittedGoodput }},
+		{metrics.MetricAbortedTxns, "count", func(r TrafficResult) float64 { return float64(r.Aborted) }},
+		{metrics.MetricCrossShardTxns, "count", func(r TrafficResult) float64 { return float64(r.CrossShardTxns) }},
+		{metrics.MetricLockRetries, "count", func(r TrafficResult) float64 { return float64(r.LockRetries) }},
+		{metrics.MetricPrepareWait, "us", func(r TrafficResult) float64 { return r.Breakdown.PrepareWait.Micros() }},
+		{metrics.MetricCommitWait, "us", func(r TrafficResult) float64 { return r.Breakdown.CommitWait.Micros() }},
+		colPeakQueue,
+	}
+)
+
+// trafficSeries bundles every series one traffic sweep combo reports:
+// the percentile/goodput bundle and the mean latency with its phase
+// breakdown, then the combo's columns in order.
+type trafficSeries struct {
 	ps    metrics.PercentileSeries
 	mean  *metrics.ResultSeries
 	bd    breakdownSeries
-	peakQ *metrics.ResultSeries
-	// COP-only (nil for plain PBFT):
-	hbSlots *metrics.ResultSeries
-	hbDelay *metrics.ResultSeries
-	backlog *metrics.ResultSeries
-	mergeW  *metrics.ResultSeries
+	cols  []column
+	extra []*metrics.ResultSeries
 }
 
-func addE9Series(res *metrics.Result, name, transport, xLabel string, cop bool) e9Series {
-	s := e9Series{
-		ps:    res.AddPercentileSeries(name, transport, xLabel),
-		mean:  res.AddSeries(name, metrics.MetricLatencyMean, "us", transport, xLabel),
-		bd:    addBreakdownSeries(res, name, transport, xLabel),
-		peakQ: res.AddSeries(name, metrics.MetricPeakQueueBytes, "bytes", transport, xLabel),
+func addTrafficSeries(res *metrics.Result, name, transport, xLabel string, cols ...column) trafficSeries {
+	s := trafficSeries{
+		ps:   res.AddPercentileSeries(name, transport, xLabel),
+		mean: res.AddSeries(name, metrics.MetricLatencyMean, "us", transport, xLabel),
+		bd:   addBreakdownSeries(res, name, transport, xLabel),
+		cols: cols,
 	}
-	if cop {
-		s.hbSlots = res.AddSeries(name, metrics.MetricHeartbeatSlots, "count", transport, xLabel)
-		s.hbDelay = res.AddSeries(name, metrics.MetricHeartbeatDelay, "us", transport, xLabel)
-		s.backlog = res.AddSeries(name, metrics.MetricPeakBacklog, "count", transport, xLabel)
-		s.mergeW = res.AddSeries(name, metrics.MetricMergeWait, "us", transport, xLabel)
+	for _, c := range cols {
+		s.extra = append(s.extra, res.AddSeries(name, c.metric, c.unit, transport, xLabel))
 	}
 	return s
 }
 
-func (s e9Series) observe(x float64, r TrafficResult) {
+func (s trafficSeries) observe(x float64, r TrafficResult) {
 	s.ps.Observe(x, r.P50, r.P90, r.P99, r.P999, r.Goodput)
 	s.mean.Add(x, r.Mean.Micros())
 	s.bd.observe(x, r.Breakdown)
-	s.peakQ.Add(x, float64(r.PeakQueueBytes))
-	if s.hbSlots != nil {
-		s.hbSlots.Add(x, float64(r.HeartbeatSlots))
-		s.hbDelay.Add(x, r.HeartbeatDelayMax.Micros())
-		s.backlog.Add(x, float64(r.PeakBacklog))
-		s.mergeW.Add(x, r.Breakdown.MergeWait.Micros())
+	for i, c := range s.cols {
+		s.extra[i].Add(x, c.value(r))
 	}
 }
 
-func runE9(rc RunContext, res *metrics.Result) error {
-	k, _, err := resolveE9(rc)
-	if err != nil {
-		return err
+func runE9(rc RunContext, v values, res *metrics.Result) error {
+	scan, del, window := v.int("scan_pct"), v.int("delete_pct"), v.int("window")
+	// One sweep per x axis: open-loop arrival rate (Poisson — and, when
+	// enabled, the same rates as on/off bursts) at fixed skew and mix,
+	// then key skew and read share under closed-loop load.
+	type sweep struct {
+		prefix, xLabel string
+		xs             []int
+		set            func(cfg *TrafficConfig, x int)
 	}
-	systems := []e9System{{"PBFT", 0}}
-	for _, ki := range k.ks {
-		systems = append(systems, e9System{fmt.Sprintf("COP-%d", ki), ki})
-	}
-	base := func(kind transport.Kind, sys e9System) TrafficConfig {
-		return TrafficConfig{
-			Kind: kind, Instances: sys.instances,
-			N: k.n, F: (k.n - 1) / 3,
-			Users: k.users, Conns: k.conns, Keys: k.keys,
-			ValueSize: k.valueBytes, Ops: k.ops, Warmup: k.warmup,
-			Seed: rc.Seed, Trace: rc.Trace,
-		}
-	}
-	// Sweep 1 (+2): open-loop arrival rate, Poisson — and, when enabled,
-	// the same rates as on/off bursts — at fixed skew and mix.
-	type arrivalSweep struct {
-		prefix  string
-		arrival func(rate int) workload.Arrival
-	}
-	sweeps := []arrivalSweep{
-		{"rate", func(rate int) workload.Arrival { return workload.Poisson(float64(rate)) }},
-	}
-	if k.burstUS > 0 {
-		burst := sim.Time(k.burstUS) * sim.Microsecond
-		sweeps = append(sweeps, arrivalSweep{"burst", func(rate int) workload.Arrival {
-			return workload.Bursts(float64(rate), burst, burst)
+	closed := workload.Closed(window, 0)
+	sweeps := []sweep{{"rate", "rate_ops_s", v.ints("rates"), func(cfg *TrafficConfig, rate int) {
+		cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(e9MidRead, scan, del), 99, workload.Poisson(float64(rate))
+	}}}
+	if burst := sim.Time(v.int("burst_us")) * sim.Microsecond; burst > 0 {
+		sweeps = append(sweeps, sweep{"burst", "rate_ops_s", v.ints("rates"), func(cfg *TrafficConfig, rate int) {
+			cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(e9MidRead, scan, del), 99, workload.Bursts(float64(rate), burst, burst)
 		}})
 	}
-	for _, sweep := range sweeps {
+	sweeps = append(sweeps,
+		sweep{"skew", "zipf_theta_x100", v.ints("skews"), func(cfg *TrafficConfig, skew int) {
+			cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(e9MidRead, scan, del), skew, closed
+		}},
+		sweep{"mix", "read_pct", v.ints("read_pcts"), func(cfg *TrafficConfig, readPct int) {
+			cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(readPct, scan, del), 99, closed
+		}})
+	// Systems under test: plain PBFT (0 instances), then COP at each K.
+	for _, sw := range sweeps {
 		for _, kind := range e8Transports {
-			for _, sys := range systems {
-				name := fmt.Sprintf("%s %s %s", sweep.prefix, sys.label, e8Label(kind))
-				ss := addE9Series(res, name, string(kind), "rate_ops_s", sys.instances > 0)
-				for _, rate := range k.rates {
-					cfg := base(kind, sys)
-					cfg.Mix = e9Mix(e9MidRead, k.scanPct, k.deletePct)
-					cfg.Zipf100 = 99
-					cfg.Arrival = sweep.arrival(rate)
+			for _, instances := range append([]int{0}, v.ints("ks")...) {
+				sys, cols := "PBFT", []column{colPeakQueue}
+				if instances > 0 {
+					sys, cols = fmt.Sprintf("COP-%d", instances), append(cols, copColumns...)
+				}
+				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, sys, e8Label(kind)), string(kind), sw.xLabel, cols...)
+				for _, x := range sw.xs {
+					cfg := TrafficConfig{
+						Kind: kind, Instances: instances,
+						N: v.int("n"), F: (v.int("n") - 1) / 3,
+						Users: v.int("users"), Conns: v.int("conns"), Keys: v.int("keys"),
+						ValueSize: v.int("value_bytes"), Ops: v.int("ops"), Warmup: v.int("warmup"),
+						Seed: rc.Seed, Trace: rc.Trace,
+					}
+					sw.set(&cfg, x)
 					r, err := RunTraffic(cfg, rc.Model)
 					if err != nil {
-						return fmt.Errorf("%s=%d %s %s: %w", sweep.prefix, rate, sys.label, kind, err)
+						return fmt.Errorf("%s=%d %s %s: %w", sw.xLabel, x, sys, kind, err)
 					}
-					ss.observe(float64(rate), r)
+					ss.observe(float64(x), r)
 				}
-			}
-		}
-	}
-	// Sweep 3: key skew under closed-loop load.
-	for _, kind := range e8Transports {
-		for _, sys := range systems {
-			name := fmt.Sprintf("skew %s %s", sys.label, e8Label(kind))
-			ss := addE9Series(res, name, string(kind), "zipf_theta_x100", sys.instances > 0)
-			for _, skew := range k.skews {
-				cfg := base(kind, sys)
-				cfg.Mix = e9Mix(e9MidRead, k.scanPct, k.deletePct)
-				cfg.Zipf100 = skew
-				cfg.Arrival = workload.Closed(k.window, 0)
-				r, err := RunTraffic(cfg, rc.Model)
-				if err != nil {
-					return fmt.Errorf("skew=%d %s %s: %w", skew, sys.label, kind, err)
-				}
-				ss.observe(float64(skew), r)
-			}
-		}
-	}
-	// Sweep 4: read share under closed-loop load at fixed skew.
-	for _, kind := range e8Transports {
-		for _, sys := range systems {
-			name := fmt.Sprintf("mix %s %s", sys.label, e8Label(kind))
-			ss := addE9Series(res, name, string(kind), "read_pct", sys.instances > 0)
-			for _, readPct := range k.readPcts {
-				cfg := base(kind, sys)
-				cfg.Mix = e9Mix(readPct, k.scanPct, k.deletePct)
-				cfg.Zipf100 = 99
-				cfg.Arrival = workload.Closed(k.window, 0)
-				r, err := RunTraffic(cfg, rc.Model)
-				if err != nil {
-					return fmt.Errorf("read_pct=%d %s %s: %w", readPct, sys.label, kind, err)
-				}
-				ss.observe(float64(readPct), r)
 			}
 		}
 	}

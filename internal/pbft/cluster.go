@@ -13,76 +13,349 @@ import (
 	"rubin/internal/transport"
 )
 
-// Ports used by cluster wiring.
+// Every deployment in this repository — a plain PBFT cluster, a COP
+// group of K instances, S sharded clusters — is assembled from the three
+// parts in this file: Hosts (named machines with msgnet meshes),
+// Placements (a replica group put on hosts at an instance's ports) and
+// FrontEnds (a client-side machine holding one Client per group it
+// talks to). The node names, ports, client identities and the order
+// dials are posted in are fixed here and nowhere else, so the same
+// wiring sits above both transports in every experiment.
+
+// Ports of instance 0; instance k of a COP group listens portStride·k
+// above them, so K groups can share one set of hosts.
 const (
 	PeerPort   = 1000
 	ClientPort = 2000
+	portStride = 10
 )
 
-// Cluster assembles a full replica group plus clients over a chosen
-// transport backend on one simulation loop — the harness used by tests,
-// benchmarks and examples. Beyond wiring, it exposes the fault
-// orchestration surface the chaos subsystem drives: Crash, Restart,
-// Partition, Heal and DegradeLink.
-//
-// All messaging goes through per-node msgnet meshes; the meshes own the
-// peer handles, which survive replica crashes and are re-attached (or
-// re-dialed, with failures recorded — see AttachErr) on Restart.
-type Cluster struct {
-	Loop     *sim.Loop
-	Network  *fabric.Network
-	Config   Config
-	Kind     transport.Kind
+// clientIDStride separates the PBFT identities of one front-end's
+// clients. Request keys are (client, timestamp) pairs and every Client
+// counts timestamps independently, so clients sharing an identity would
+// make unrelated operations indistinguishable in reply caches, a merged
+// global order and the shared trace. The stride bounds a deployment at
+// 1024 front-ends before identities could collide.
+const clientIDStride = 1024
+
+// KeySeedStride separates the keyring seeds of replica groups sharing a
+// network: COP instance k is keyed from seed + k·stride, shard s from
+// seed + (s+1)·stride. Any constant larger than zero works; a prime just
+// makes collisions with unrelated seed arithmetic unlikely.
+const KeySeedStride = 7919
+
+// Hosts is the machine layer of a deployment: N fabric nodes named
+// <prefix>r<i>, fully meshed by links, each with one msgnet mesh (one
+// transport stack per node). The meshes own the peer handles, which
+// survive replica crashes.
+type Hosts struct {
+	Loop    *sim.Loop
+	Network *fabric.Network
+	Kind    transport.Kind
+	Meshes  []*msgnet.Mesh
+
+	prefix string
+	tracer *obs.Tracer
+	// Peer dials posted by Start and not yet completed by Await.
+	posted, dialed int
+	dialErr        error
+}
+
+// NewHosts adds n nodes to the network. Co-hosted deployments (the
+// shards of a sharded service) keep their nodes disjoint by prefix.
+func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix string, n int) (*Hosts, error) {
+	h := &Hosts{Loop: loop, Network: nw, Kind: kind, prefix: prefix}
+	for i := 0; i < n; i++ {
+		mesh, err := msgnet.NewMesh(kind, nw.AddNode(fmt.Sprintf("%sr%d", prefix, i)), msgnet.DefaultOptions())
+		if err != nil {
+			return nil, err
+		}
+		h.Meshes = append(h.Meshes, mesh)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			nw.Connect(h.Node(i), h.Node(j))
+		}
+	}
+	return h, nil
+}
+
+// Node returns host i's fabric node.
+func (h *Hosts) Node(i int) *fabric.Node { return h.Meshes[i].Node() }
+
+// SetTracer attaches an observability tracer to every host mesh and to
+// the meshes of front-ends created later. A nil tracer detaches.
+func (h *Hosts) SetTracer(t *obs.Tracer) {
+	h.tracer = t
+	for _, mesh := range h.Meshes {
+		mesh.SetTracer(t)
+	}
+}
+
+// PeakQueueBytes returns the deepest msgnet send queue observed on any
+// host mesh.
+func (h *Hosts) PeakQueueBytes() int {
+	peak := 0
+	for _, mesh := range h.Meshes {
+		if d := mesh.PeakQueueBytes(); d > peak {
+			peak = d
+		}
+	}
+	return peak
+}
+
+// Await runs the loop until every dial posted by Placement.Start has
+// completed — once, however many groups were started — and reports the
+// first failure.
+func (h *Hosts) Await() error {
+	h.Loop.Run()
+	if h.dialErr != nil {
+		return h.dialErr
+	}
+	if h.dialed != h.posted {
+		return fmt.Errorf("pbft: only %d of %d peer connections established", h.dialed, h.posted)
+	}
+	return nil
+}
+
+// Placement is one replica group placed on hosts — replica i on host i —
+// together with the connection bookkeeping that lets a restarted replica
+// be re-attached to the surviving msgnet peers (and dead ones re-dialed).
+type Placement struct {
 	Replicas []*Replica
-	Meshes   []*msgnet.Mesh
-	Apps     []Application
 
-	nodes      []*fabric.Node
-	prefix     string // node-name prefix ("" standalone, "s3" for shard 3)
-	appFactory func(i int) Application
-	keyrings   []*auth.Keyring
+	hosts    *Hosts
+	instance int
+	keyrings []*auth.Keyring
 
-	// Peer bookkeeping so a restarted replica can be re-attached to the
-	// surviving msgnet peers (and dead ones re-dialed).
 	peerLinks     [][]*msgnet.Peer // peerLinks[i][j]: outbound i -> j
 	inboundPeer   [][]*msgnet.Peer // peer-initiated conns accepted by i
 	inboundClient [][]*msgnet.Peer // client conns accepted by i
+}
+
+// NewPlacement creates one replica per host, replica i running apps[i],
+// to serve at instance's ports with keyrings derived from the seed and
+// the instance. Groups sharing a network at the same instance number
+// (shards) must pass seeds KeySeedStride apart so their keyrings differ.
+func (h *Hosts) NewPlacement(cfg Config, instance int, keySeed int64, apps []Application) (*Placement, error) {
+	n := len(h.Meshes)
+	pl := &Placement{
+		hosts:         h,
+		instance:      instance,
+		keyrings:      auth.GenerateKeyrings(n, uint64(keySeed+int64(instance)*KeySeedStride)+1),
+		peerLinks:     make([][]*msgnet.Peer, n),
+		inboundPeer:   make([][]*msgnet.Peer, n),
+		inboundClient: make([][]*msgnet.Peer, n),
+	}
+	for i := 0; i < n; i++ {
+		rep, err := NewReplica(uint32(i), cfg, h.Node(i), pl.keyrings[i], apps[i])
+		if err != nil {
+			return nil, err
+		}
+		pl.Replicas = append(pl.Replicas, rep)
+		pl.peerLinks[i] = make([]*msgnet.Peer, n)
+	}
+	return pl, nil
+}
+
+// Start listens on every host at the instance's peer and client ports
+// and posts the group's N·(N−1) peer dials; Hosts.Await completes them.
+// Connections are handed to whichever replica occupies the slot when
+// they arrive, so late ones reach a restarted instance.
+func (pl *Placement) Start() error {
+	h, instance := pl.hosts, pl.instance
+	for i, mesh := range h.Meshes {
+		if err := mesh.Listen(PeerPort+portStride*instance, func(p *msgnet.Peer) {
+			pl.inboundPeer[i] = append(pl.inboundPeer[i], p)
+			pl.Replicas[i].AttachInbound(p)
+		}); err != nil {
+			return err
+		}
+		if err := mesh.Listen(ClientPort+portStride*instance, func(p *msgnet.Peer) {
+			pl.inboundClient[i] = append(pl.inboundClient[i], p)
+			pl.Replicas[i].HandleClientConn(p)
+		}); err != nil {
+			return err
+		}
+	}
+	for i := range h.Meshes {
+		for j := range h.Meshes {
+			if i == j {
+				continue
+			}
+			h.posted++
+			h.Loop.Post(func() {
+				pl.dial(i, j, func(err error) {
+					if err != nil {
+						h.dialErr = err
+						return
+					}
+					h.dialed++
+				})
+			})
+		}
+	}
+	return nil
+}
+
+// dial opens replica i's outbound link to j; done reports the outcome.
+func (pl *Placement) dial(i, j int, done func(error)) {
+	h := pl.hosts
+	h.Meshes[i].Dial(h.Node(j), PeerPort+portStride*pl.instance, func(p *msgnet.Peer, err error) {
+		if err != nil {
+			done(fmt.Errorf("dial %s->%s (instance %d): %w", h.Node(i).Name(), h.Node(j).Name(), pl.instance, err))
+			return
+		}
+		pl.peerLinks[i][j] = p
+		pl.Replicas[i].AttachPeer(uint32(j), p)
+		done(nil)
+	})
+}
+
+// FrontEnd is a client-side machine: its own node and mesh, linked to
+// every host of every group it fronts, holding one Client per (group,
+// instance). Which client an operation goes to is the application's
+// business — this package orders opaque bytes.
+type FrontEnd struct {
+	Mesh    *msgnet.Mesh
+	Clients []*Client
+
+	loop *sim.Loop
+}
+
+// NewFrontEnd creates node name, links it to the hosts of every group and
+// dials one Client per (group, instance) pair: client g·instances+k has
+// identity firstID + 1024·(g·instances+k) and talks to instance k of
+// groups[g]. All dials are posted (group-outer, then instance, then
+// replica) before the loop runs once. Groups must have been awaited.
+func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances int) (*FrontEnd, error) {
+	h0 := groups[0]
+	node := h0.Network.AddNode(name)
+	for _, h := range groups {
+		for i := range h.Meshes {
+			h0.Network.Connect(node, h.Node(i))
+		}
+	}
+	mesh, err := msgnet.NewMesh(h0.Kind, node, msgnet.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	mesh.SetTracer(h0.tracer)
+	fe := &FrontEnd{Mesh: mesh, loop: h0.Loop}
+	var dialErr error
+	dials, want := 0, 0
+	for _, h := range groups {
+		for k := 0; k < instances; k++ {
+			cl := NewClient(firstID+clientIDStride*uint32(len(fe.Clients)), f)
+			fe.Clients = append(fe.Clients, cl)
+			for i := range h.Meshes {
+				want++
+				h0.Loop.Post(func() {
+					mesh.Dial(h.Node(i), ClientPort+portStride*k, func(p *msgnet.Peer, err error) {
+						if err != nil {
+							dialErr = err
+							return
+						}
+						cl.AttachReplica(uint32(i), p)
+						dials++
+					})
+				})
+			}
+		}
+	}
+	h0.Loop.Run()
+	if dialErr != nil {
+		return nil, dialErr
+	}
+	if dials != want {
+		return nil, fmt.Errorf("pbft: front-end %s wired %d of %d connections", name, dials, want)
+	}
+	return fe, nil
+}
+
+// EnableReadFastPath turns on the read-only optimization on every client
+// with this fallback timeout (see Client.EnableReadFastPath).
+func (fe *FrontEnd) EnableReadFastPath(timeout sim.Time) {
+	for _, cl := range fe.Clients {
+		cl.EnableReadFastPath(fe.loop, timeout)
+	}
+}
+
+// SetReadPathHook propagates a path-taken callback to every client (see
+// Client.SetReadPathHook).
+func (fe *FrontEnd) SetReadPathHook(fn func(key string, fast bool)) {
+	for _, cl := range fe.Clients {
+		cl.SetReadPathHook(fn)
+	}
+}
+
+// sum adds one per-client counter across the front-end's clients.
+func (fe *FrontEnd) sum(counter func(*Client) uint64) uint64 {
+	var total uint64
+	for _, cl := range fe.Clients {
+		total += counter(cl)
+	}
+	return total
+}
+
+// FastReads returns fast-path-served reads across clients.
+func (fe *FrontEnd) FastReads() uint64 { return fe.sum((*Client).FastReads) }
+
+// FastReadFallbacks returns ordered-path fallbacks across clients.
+func (fe *FrontEnd) FastReadFallbacks() uint64 { return fe.sum((*Client).FastReadFallbacks) }
+
+// Outstanding returns the invocations still awaiting quorum replies
+// across clients.
+func (fe *FrontEnd) Outstanding() int {
+	n := 0
+	for _, cl := range fe.Clients {
+		n += cl.Outstanding()
+	}
+	return n
+}
+
+// Cluster is the S=1, K=1 deployment: one replica group on its own
+// hosts plus single-client front-ends, over a chosen transport backend
+// on one simulation loop — the harness used by tests, benchmarks and
+// examples. Beyond wiring, it exposes the fault orchestration surface
+// the chaos subsystem drives: Crash, Restart, Partition, Heal and
+// DegradeLink.
+type Cluster struct {
+	*Hosts
+	*Placement
+	Config  Config
+	Apps    []Application
+	Clients []*Client
+
+	appFactory func(i int) Application
+	fronts     []*FrontEnd
 
 	// attachErrs collects re-attach/re-dial failures from Restart; they
 	// surface through AttachErr (and chaos.Schedule.Err).
 	attachErrs []error
 
-	clientNodes  []*fabric.Node
-	clientMeshes []*msgnet.Mesh
-	Clients      []*Client
-
 	// OnRestart, if set, is invoked after Restart wires up a fresh
 	// replica — the place to re-attach OnExecute/OnViewChange hooks.
 	OnRestart func(i int, rep *Replica)
-
-	tracer *obs.Tracer
 }
 
 // SetTracer attaches an observability tracer to every current replica
 // and mesh, and to ones created later (AddClient meshes, Restart
 // replicas). Call before generating traffic; a nil tracer detaches.
 func (c *Cluster) SetTracer(t *obs.Tracer) {
-	c.tracer = t
+	c.Hosts.SetTracer(t)
 	for _, rep := range c.Replicas {
 		rep.SetTracer(t)
 	}
-	for _, mesh := range c.Meshes {
-		mesh.SetTracer(t)
-	}
-	for _, mesh := range c.clientMeshes {
-		mesh.SetTracer(t)
+	for _, fe := range c.fronts {
+		fe.Mesh.SetTracer(t)
 	}
 }
 
 // NewCluster builds N replica nodes (full mesh), opens msgnet meshes of
-// the given transport kind, creates replicas running app instances from
-// the factory, and interconnects all replica pairs. Call Start to
-// complete connection setup, then AddClient.
+// the given transport kind and creates replicas running app instances
+// from the factory. Call Start to complete connection setup, then
+// AddClient.
 func NewCluster(kind transport.Kind, cfg Config, params model.Params, seed int64, appFactory func(i int) Application) (*Cluster, error) {
 	loop := sim.NewLoop(seed)
 	return NewClusterIn(loop, fabric.New(loop, params), "", kind, cfg, seed, appFactory)
@@ -90,141 +363,44 @@ func NewCluster(kind transport.Kind, cfg Config, params model.Params, seed int64
 
 // NewClusterIn builds a replica group on an existing simulation loop and
 // fabric network, so several independent groups — the shard layer's
-// deployment — can share one simulated world. Node names are prefixed
-// (replica i of prefix "s2" is node "s2r1") to keep groups disjoint on
-// the shared network, and keySeed must differ between co-hosted groups
-// so their keyrings do.
+// deployment — can share one simulated world under distinct node-name
+// prefixes and key seeds.
 func NewClusterIn(loop *sim.Loop, nw *fabric.Network, prefix string, kind transport.Kind, cfg Config, keySeed int64, appFactory func(i int) Application) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{
-		Loop: loop, Network: nw, Config: cfg, Kind: kind,
-		prefix:        prefix,
-		appFactory:    appFactory,
-		peerLinks:     make([][]*msgnet.Peer, cfg.N),
-		inboundPeer:   make([][]*msgnet.Peer, cfg.N),
-		inboundClient: make([][]*msgnet.Peer, cfg.N),
+	hosts, err := NewHosts(loop, nw, kind, prefix, cfg.N)
+	if err != nil {
+		return nil, err
 	}
-
-	opts := msgnet.DefaultOptions()
-	c.keyrings = auth.GenerateKeyrings(cfg.N, uint64(keySeed)+1)
+	c := &Cluster{Hosts: hosts, Config: cfg, appFactory: appFactory}
 	for i := 0; i < cfg.N; i++ {
-		node := nw.AddNode(fmt.Sprintf("%sr%d", prefix, i))
-		mesh, err := msgnet.NewMesh(kind, node, opts)
-		if err != nil {
-			return nil, err
-		}
-		app := appFactory(i)
-		rep, err := NewReplica(uint32(i), cfg, node, c.keyrings[i], app)
-		if err != nil {
-			return nil, err
-		}
-		c.nodes = append(c.nodes, node)
-		c.Meshes = append(c.Meshes, mesh)
-		c.Replicas = append(c.Replicas, rep)
-		c.Apps = append(c.Apps, app)
-		c.peerLinks[i] = make([]*msgnet.Peer, cfg.N)
+		c.Apps = append(c.Apps, appFactory(i))
 	}
-	// Full mesh links.
-	for i := 0; i < cfg.N; i++ {
-		for j := i + 1; j < cfg.N; j++ {
-			nw.Connect(c.nodes[i], c.nodes[j])
-		}
-	}
-	return c, nil
+	c.Placement, err = hosts.NewPlacement(cfg, 0, keySeed, c.Apps)
+	return c, err
 }
 
 // Start listens on every replica and dials the full connection mesh,
 // running the loop until setup completes.
 func (c *Cluster) Start() error {
-	var setupErr error
-	for i, mesh := range c.Meshes {
-		i := i
-		if err := mesh.Listen(PeerPort, func(p *msgnet.Peer) {
-			c.inboundPeer[i] = append(c.inboundPeer[i], p)
-			c.Replicas[i].AttachInbound(p)
-		}); err != nil {
-			return err
-		}
-		if err := mesh.Listen(ClientPort, func(p *msgnet.Peer) {
-			c.inboundClient[i] = append(c.inboundClient[i], p)
-			c.Replicas[i].HandleClientConn(p)
-		}); err != nil {
-			return err
-		}
+	if err := c.Placement.Start(); err != nil {
+		return err
 	}
-	dials := 0
-	for i := range c.Meshes {
-		for j := range c.Meshes {
-			if i == j {
-				continue
-			}
-			i, j := i, j
-			c.Loop.Post(func() {
-				c.Meshes[i].Dial(c.nodes[j], PeerPort, func(p *msgnet.Peer, err error) {
-					if err != nil {
-						setupErr = fmt.Errorf("dial r%d->r%d: %w", i, j, err)
-						return
-					}
-					c.peerLinks[i][j] = p
-					c.Replicas[i].AttachPeer(uint32(j), p)
-					dials++
-				})
-			})
-		}
-	}
-	c.Loop.Run()
-	if setupErr != nil {
-		return setupErr
-	}
-	want := c.Config.N * (c.Config.N - 1)
-	if dials != want {
-		return fmt.Errorf("pbft: only %d of %d peer connections established", dials, want)
-	}
-	return nil
+	return c.Await()
 }
 
 // AddClient creates a client on its own node, links it to every replica
 // and dials the client ports. Must run after Start.
 func (c *Cluster) AddClient() (*Client, error) {
 	id := uint32(100 + len(c.Clients))
-	node := c.Network.AddNode(fmt.Sprintf("%sclient%d", c.prefix, id))
-	for i := 0; i < c.Config.N; i++ {
-		c.Network.Connect(node, c.nodes[i])
-	}
-	mesh, err := msgnet.NewMesh(c.Kind, node, msgnet.DefaultOptions())
+	fe, err := NewFrontEnd(fmt.Sprintf("%sclient%d", c.prefix, id), id, c.Config.F, []*Hosts{c.Hosts}, 1)
 	if err != nil {
 		return nil, err
 	}
-	mesh.SetTracer(c.tracer)
-	cl := NewClient(id, c.Config.F)
-	var dialErr error
-	dials := 0
-	for i := 0; i < c.Config.N; i++ {
-		i := i
-		c.Loop.Post(func() {
-			mesh.Dial(c.nodes[i], ClientPort, func(p *msgnet.Peer, err error) {
-				if err != nil {
-					dialErr = err
-					return
-				}
-				cl.AttachReplica(uint32(i), p)
-				dials++
-			})
-		})
-	}
-	c.Loop.Run()
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	if dials != c.Config.N {
-		return nil, fmt.Errorf("pbft: client connected to %d of %d replicas", dials, c.Config.N)
-	}
-	c.clientNodes = append(c.clientNodes, node)
-	c.clientMeshes = append(c.clientMeshes, mesh)
-	c.Clients = append(c.Clients, cl)
-	return cl, nil
+	c.fronts = append(c.fronts, fe)
+	c.Clients = append(c.Clients, fe.Clients[0])
+	return fe.Clients[0], nil
 }
 
 // RunFor advances the simulation by d.
@@ -232,24 +408,12 @@ func (c *Cluster) RunFor(d sim.Time) { c.Loop.RunUntil(c.Loop.Now() + d) }
 
 // SendFaults sums the surfaced delivery failures across the current
 // replica instances (a restarted replica starts a fresh counter).
-func (c *Cluster) SendFaults() uint64 {
+func (pl *Placement) SendFaults() uint64 {
 	var n uint64
-	for _, rep := range c.Replicas {
+	for _, rep := range pl.Replicas {
 		n += rep.SendFaults()
 	}
 	return n
-}
-
-// PeakQueueBytes returns the deepest msgnet send queue observed on any
-// replica mesh — the queue-depth metric experiment E7 reports.
-func (c *Cluster) PeakQueueBytes() int {
-	peak := 0
-	for _, mesh := range c.Meshes {
-		if d := mesh.PeakQueueBytes(); d > peak {
-			peak = d
-		}
-	}
-	return peak
 }
 
 // ---------------------------------------------------------------------------
@@ -272,7 +436,7 @@ func (c *Cluster) Restart(i int) error {
 	// replicas sharing identity and keyring would equivocate.
 	c.Replicas[i].Stop()
 	app := c.appFactory(i)
-	rep, err := NewReplica(uint32(i), c.Config, c.nodes[i], c.keyrings[i], app)
+	rep, err := NewReplica(uint32(i), c.Config, c.Node(i), c.keyrings[i], app)
 	if err != nil {
 		return err
 	}
@@ -290,14 +454,10 @@ func (c *Cluster) Restart(i int) error {
 		// The outbound link died while the replica was down: re-dial it.
 		// The dial completes on the loop; failures are recorded for
 		// AttachErr so chaos scenarios see them.
-		i, j := i, j
-		c.Meshes[i].Dial(c.nodes[j], PeerPort, func(p *msgnet.Peer, err error) {
+		c.dial(i, j, func(err error) {
 			if err != nil {
-				c.attachErrs = append(c.attachErrs, fmt.Errorf("pbft: restart r%d: re-dial r%d: %w", i, j, err))
-				return
+				c.attachErrs = append(c.attachErrs, fmt.Errorf("pbft: restart %s: re-%w", c.Node(i).Name(), err))
 			}
-			c.peerLinks[i][j] = p
-			c.Replicas[i].AttachPeer(uint32(j), p)
 		})
 	}
 	for _, p := range c.inboundPeer[i] {
@@ -324,7 +484,7 @@ func (c *Cluster) AttachErr() error { return errors.Join(c.attachErrs...) }
 
 // ReplicaLink returns the fabric link between replicas i and j.
 func (c *Cluster) ReplicaLink(i, j int) *fabric.Link {
-	return c.Network.Link(c.nodes[i], c.nodes[j])
+	return c.Network.Link(c.Node(i), c.Node(j))
 }
 
 // Partition installs the requested topology among the listed replicas:

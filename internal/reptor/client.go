@@ -2,214 +2,61 @@ package reptor
 
 import (
 	"fmt"
-	"strconv"
 
 	"rubin/internal/kvstore"
-	"rubin/internal/msgnet"
-	"rubin/internal/obs"
 	"rubin/internal/pbft"
 )
 
 // Client routes operations to the responsible COP instance and collects
-// BFT-quorum replies, one sub-client per instance.
-//
-// Every sub-client gets its own globally unique PBFT client identity:
-// request keys are (client, timestamp) pairs and each sub-client counts
-// timestamps independently, so sharing one identity across instances
-// would make unrelated operations indistinguishable in the merged global
-// order (and in the replicas' reply caches).
+// BFT-quorum replies: a front-end with one PBFT client per instance.
 type Client struct {
-	group *Group
-	id    uint32
-	sub   []*pbft.Client
-	mesh  *msgnet.Mesh
+	*pbft.FrontEnd
+	cfg Config
 }
-
-// setTracer propagates the group's tracer to this client's mesh.
-func (c *Client) setTracer(t *obs.Tracer) { c.mesh.SetTracer(t) }
-
-// subClientID derives the PBFT identity of client id's instance-k
-// sub-client. The stride bounds group size at 1024 clients per deployment
-// before identities could collide — far beyond any simulated workload.
-func subClientID(id uint32, k int) uint32 { return id + uint32(k)*1024 }
 
 // AddClient creates a client on its own node connected to every replica's
 // per-instance client port.
 func (g *Group) AddClient() (*Client, error) {
 	id := uint32(100 + len(g.clients))
-	node := g.Network.AddNode(fmt.Sprintf("client%d", id))
-	n := g.Config.PBFT.N
-	for i := 0; i < n; i++ {
-		g.Network.Connect(node, g.Network.Node(fmt.Sprintf("r%d", i)))
-	}
-	mesh, err := msgnet.NewMesh(g.Kind, node, msgnet.DefaultOptions())
+	fe, err := pbft.NewFrontEnd(fmt.Sprintf("client%d", id), id, g.Config.PBFT.F, []*pbft.Hosts{g.Hosts}, g.Config.Instances)
 	if err != nil {
 		return nil, err
 	}
-	mesh.SetTracer(g.tracer)
-	cl := &Client{group: g, id: id, mesh: mesh}
-	var dialErr error
-	dials, want := 0, 0
-	for k := 0; k < g.Config.Instances; k++ {
-		sub := pbft.NewClient(subClientID(id, k), g.Config.PBFT.F)
-		if g.readFastPath > 0 {
-			sub.EnableReadFastPath(g.Loop, g.readFastPath)
-		}
-		cl.sub = append(cl.sub, sub)
-		for i := 0; i < n; i++ {
-			want++
-			k, i := k, i
-			g.Loop.Post(func() {
-				mesh.Dial(g.Network.Node(fmt.Sprintf("r%d", i)), clientPortFor(k), func(p *msgnet.Peer, err error) {
-					if err != nil {
-						dialErr = err
-						return
-					}
-					cl.sub[k].AttachReplica(uint32(i), p)
-					dials++
-				})
-			})
-		}
+	if g.readFastPath > 0 {
+		fe.EnableReadFastPath(g.readFastPath)
 	}
-	g.Loop.Run()
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	if dials != want {
-		return nil, fmt.Errorf("reptor: client wired %d of %d connections", dials, want)
-	}
+	cl := &Client{FrontEnd: fe, cfg: g.Config}
 	g.clients = append(g.clients, cl)
 	return cl, nil
 }
 
-// Invoke routes one operation to its instance; done fires on a BFT quorum
-// of matching replies. The returned string is the request key the
-// observability layer traces the operation under.
+// Invoke routes one operation to its instance by hash of its bytes; done
+// fires on a BFT quorum of matching replies. The returned string is the
+// request key the observability layer traces the operation under.
 func (c *Client) Invoke(op []byte, done func([]byte)) string {
-	k := c.group.Config.Route(op)
-	return c.sub[k].Invoke(op, done)
+	return c.Clients[c.cfg.Route(op)].Invoke(op, done)
 }
 
 // InvokeOp routes one encoded kvstore operation by the state-machine
-// keys it touches (kvstore.OpKeys hashed through kvstore.PartitionKey,
-// the repository's single partitioning function). Instances execute
-// independently against the shared node-local state machine, so per-key
-// semantics hold only when every operation of a key is ordered by the
-// same instance — routing by the state-machine key guarantees that even
-// when unique values make each operation's bytes distinct.
-//
-// Multi-key operations go through the partition structure:
-//
-//   - A scan fans out as one partition-filtered kvstore.OpScanPart per
-//     instance. Partition k's keys are only ever mutated in instance k's
-//     order, so each partial result is deterministic even though the
-//     cross-instance merge interleaves differently per replica; the
-//     partials are merged locally into the reply a whole-store scan
-//     would have produced.
-//   - A one-phase transaction routes to the instance owning its keys
-//     when they all hash to one partition, and is refused otherwise —
-//     cross-instance transactions need the shard layer's 2PC, not COP.
+// keys it touches (kvstore.PlanOp over K partitions). Instances execute
+// independently against the shared node-local state machine, so a key's
+// operations must all be ordered by the instance owning it. Single-key
+// reads ride that instance's fast path (a no-op routing to the ordered
+// path while the fast path is off); scans scatter across instances; a
+// transaction runs one-phase when its keys share an instance and is
+// refused otherwise — COP has no 2PC.
 func (c *Client) InvokeOp(op []byte, done func([]byte)) string {
-	parts := len(c.sub)
-	code, key, value, err := kvstore.DecodeOp(op)
-	if err != nil {
-		// Undecodable bytes still deserve an ordered ERR reply.
-		return c.Invoke(op, done)
+	p := kvstore.PlanOp(op, len(c.Clients))
+	switch {
+	case p.Route == kvstore.RouteScan:
+		return kvstore.ScatterScan(p, len(c.Clients), func(k int, sub []byte, done func([]byte)) string {
+			return c.Clients[k].Invoke(sub, done)
+		}, done)
+	case p.Route == kvstore.RouteCross:
+		done([]byte("ERR cross-instance transaction (COP has no 2PC; use the shard layer)"))
+		return ""
+	case p.Read:
+		return c.Clients[p.Part].InvokeRead(op, done)
 	}
-	if code == kvstore.OpScan && parts > 1 {
-		limit := 0
-		if n, err := strconv.Atoi(value); err == nil && n > 0 {
-			limit = n
-		}
-		return c.scatterScan(key, limit, done)
-	}
-	keys, err := kvstore.OpKeys(op)
-	if err != nil || len(keys) == 0 {
-		return c.Invoke(op, done)
-	}
-	k := kvstore.PartitionKey(keys[0], parts)
-	for _, extra := range keys[1:] {
-		if kvstore.PartitionKey(extra, parts) != k {
-			done([]byte("ERR cross-instance transaction (COP has no 2PC; use the shard layer)"))
-			return ""
-		}
-	}
-	// Single-key reads ride the fast path of the owning instance (a
-	// no-op routing to the ordered path while the fast path is off).
-	// Scans and transactions stay ordered: their consistency spans more
-	// than one key.
-	if code == kvstore.OpGet {
-		return c.sub[k].InvokeRead(op, done)
-	}
-	return c.sub[k].Invoke(op, done)
-}
-
-// SetReadPathHook propagates a path-taken callback to every sub-client:
-// it fires per completed fast-path-eligible operation with the trace key
-// and whether the fast path served it (see pbft.Client.SetReadPathHook).
-func (c *Client) SetReadPathHook(fn func(key string, fast bool)) {
-	for _, s := range c.sub {
-		s.SetReadPathHook(fn)
-	}
-}
-
-// FastReads returns fast-path-served reads across sub-clients.
-func (c *Client) FastReads() uint64 {
-	var total uint64
-	for _, s := range c.sub {
-		total += s.FastReads()
-	}
-	return total
-}
-
-// FastReadFallbacks returns ordered-path fallbacks across sub-clients.
-func (c *Client) FastReadFallbacks() uint64 {
-	var total uint64
-	for _, s := range c.sub {
-		total += s.FastReadFallbacks()
-	}
-	return total
-}
-
-// scatterScan fans a scan out as one OpScanPart per instance and merges
-// the partial replies. done fires once, after the last partial lands.
-// The returned trace id is the partition-0 sub-request's — one
-// representative leg of the scatter.
-func (c *Client) scatterScan(prefix string, limit int, done func([]byte)) string {
-	parts := len(c.sub)
-	partials := make([]string, parts)
-	pending := parts
-	var traceID string
-	for p, sub := range kvstore.SplitScan(prefix, limit, parts) {
-		p := p
-		id := c.sub[p].Invoke(sub, func(res []byte) {
-			partials[p] = string(res)
-			if pending--; pending == 0 {
-				done([]byte(kvstore.MergeScans(partials, limit)))
-			}
-		})
-		if p == 0 {
-			traceID = id
-		}
-	}
-	return traceID
-}
-
-// Completed returns the number of finished invocations across instances.
-func (c *Client) Completed() uint64 {
-	var total uint64
-	for _, s := range c.sub {
-		total += s.Completed()
-	}
-	return total
-}
-
-// Outstanding returns the invocations still awaiting quorum replies
-// across all sub-clients.
-func (c *Client) Outstanding() int {
-	n := 0
-	for _, s := range c.sub {
-		n += s.Outstanding()
-	}
-	return n
+	return c.Clients[p.Part].Invoke(op, done)
 }

@@ -6,6 +6,7 @@ import (
 
 	"rubin/internal/kvstore"
 	"rubin/internal/pbft"
+	"rubin/internal/raceflag"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -210,5 +211,49 @@ func TestAdaptiveBackoffResetsOnTraffic(t *testing.T) {
 	}
 	if got := ex.HeartbeatDelay(idle); got != cfg.HeartbeatDelay {
 		t.Errorf("delay after traffic = %v, want reset to floor %v", got, cfg.HeartbeatDelay)
+	}
+}
+
+// TestDrainFormatsNothing merges pre-delivered batches on a bare executor
+// and asserts the merge path allocates nothing per request — the order
+// log records {client, timestamp} values — while GlobalOrder still
+// renders the same request keys it always did.
+func TestDrainFormatsNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	cfg := DefaultConfig()
+	g := &Group{Hosts: &pbft.Hosts{Loop: sim.NewLoop(1)}, Config: cfg}
+	e := newExecutor(g, 0)
+	g.Executors = []*Executor{e}
+
+	const runs, perBatch = 50, 8
+	batches := make([][]pbft.Request, cfg.Instances)
+	for k := range batches {
+		for i := 0; i < perBatch; i++ {
+			batches[k] = append(batches[k], pbft.Request{Client: uint32(100 + k), Timestamp: uint64(i + 1)})
+		}
+	}
+	e.order = make([]orderID, 0, (runs+1)*cfg.Instances*perBatch)
+	mergeRound := func() {
+		for k := range e.ready {
+			e.ready[k][e.round] = batches[k]
+		}
+		e.drain()
+	}
+	if allocs := testing.AllocsPerRun(runs, mergeRound); allocs != 0 {
+		t.Errorf("merging one round of %d requests allocates %.0f times, want 0", cfg.Instances*perBatch, allocs)
+	}
+	if e.Backlog() != 0 || e.MergedSlots() != uint64((runs+1)*cfg.Instances) {
+		t.Fatalf("merged %d slots with backlog %d", e.MergedSlots(), e.Backlog())
+	}
+	order := g.GlobalOrder(0)
+	if len(order) != (runs+1)*cfg.Instances*perBatch {
+		t.Fatalf("global order holds %d requests", len(order))
+	}
+	for i, key := range order[:cfg.Instances*perBatch] {
+		if want := batches[i/perBatch][i%perBatch].Key(); key != want {
+			t.Fatalf("global order entry %d is %q, want %q", i, key, want)
+		}
 	}
 }

@@ -15,10 +15,8 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"rubin/internal/auth"
 	"rubin/internal/fabric"
 	"rubin/internal/model"
-	"rubin/internal/msgnet"
 	"rubin/internal/obs"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
@@ -71,24 +69,26 @@ func (c Config) Validate() error {
 func (c Config) Route(op []byte) int {
 	h := fnv.New32a()
 	_, _ = h.Write(op)
-	return int(h.Sum32()) % c.Instances
+	return routeSum(h.Sum32(), c.Instances)
 }
 
-// Group is a running COP deployment: N nodes, K PBFT instances sharing
-// each node's msgnet mesh (one transport stack per node), one merged
-// executor per node.
+// routeSum maps a 32-bit hash to an instance. The modulo is taken
+// unsigned: converted to a 32-bit int first, half of all sums would go
+// negative and index out of range.
+func routeSum(sum uint32, instances int) int { return int(sum % uint32(instances)) }
+
+// Group is a running COP deployment: N hosts, K PBFT instances placed
+// side by side on them (sharing each node's msgnet mesh — one transport
+// stack per node), one merged executor per node.
 type Group struct {
-	Loop      *sim.Loop
-	Network   *fabric.Network
+	*pbft.Hosts
 	Config    Config
-	Kind      transport.Kind
-	Meshes    []*msgnet.Mesh
 	Instances [][]*pbft.Replica // [instance][replica]
 	Executors []*Executor       // one per node
 	Apps      []pbft.Application
 
-	clients []*Client
-	tracer  *obs.Tracer
+	placements []*pbft.Placement
+	clients    []*Client
 
 	// readFastPath, when non-zero, enables the read-only fast path on
 	// every client (existing and future) with this fallback timeout.
@@ -105,9 +105,7 @@ type Group struct {
 func (g *Group) EnableReadFastPath(timeout sim.Time) {
 	g.readFastPath = timeout
 	for _, cl := range g.clients {
-		for _, sub := range cl.sub {
-			sub.EnableReadFastPath(g.Loop, timeout)
-		}
+		cl.EnableReadFastPath(timeout)
 	}
 }
 
@@ -115,40 +113,19 @@ func (g *Group) EnableReadFastPath(timeout sim.Time) {
 // executor and mesh, including client meshes created later by AddClient.
 // Call before generating traffic; a nil tracer detaches.
 func (g *Group) SetTracer(t *obs.Tracer) {
-	g.tracer = t
+	g.Hosts.SetTracer(t)
 	for _, reps := range g.Instances {
 		for _, rep := range reps {
 			rep.SetTracer(t)
 		}
 	}
-	for _, mesh := range g.Meshes {
-		mesh.SetTracer(t)
-	}
 	for _, e := range g.Executors {
 		e.tracer = t
 	}
 	for _, cl := range g.clients {
-		cl.setTracer(t)
+		cl.Mesh.SetTracer(t)
 	}
 }
-
-// PeakQueueBytes returns the deepest msgnet send queue observed on any
-// replica mesh — the group-level counterpart of pbft.Cluster.PeakQueueBytes.
-func (g *Group) PeakQueueBytes() int {
-	peak := 0
-	for _, mesh := range g.Meshes {
-		if d := mesh.PeakQueueBytes(); d > peak {
-			peak = d
-		}
-	}
-	return peak
-}
-
-// peerPortFor returns the replica-to-replica port of an instance.
-func peerPortFor(instance int) int { return pbft.PeerPort + 10*instance }
-
-// clientPortFor returns the client port of an instance.
-func clientPortFor(instance int) int { return pbft.ClientPort + 10*instance }
 
 // NewGroup assembles the deployment on a fresh simulation loop.
 // appFactory provides the node-local state machine shared by all
@@ -159,27 +136,14 @@ func NewGroup(kind transport.Kind, cfg Config, params model.Params, seed int64, 
 		return nil, err
 	}
 	loop := sim.NewLoop(seed)
-	nw := fabric.New(loop, params)
-	g := &Group{Loop: loop, Network: nw, Config: cfg, Kind: kind}
-
-	n := cfg.PBFT.N
-	opts := msgnet.DefaultOptions()
-	for i := 0; i < n; i++ {
-		node := nw.AddNode(fmt.Sprintf("r%d", i))
-		mesh, err := msgnet.NewMesh(kind, node, opts)
-		if err != nil {
-			return nil, err
-		}
-		g.Meshes = append(g.Meshes, mesh)
-		g.Apps = append(g.Apps, appFactory(i))
+	hosts, err := pbft.NewHosts(loop, fabric.New(loop, params), kind, "", cfg.PBFT.N)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			nw.Connect(nw.Node(fmt.Sprintf("r%d", i)), nw.Node(fmt.Sprintf("r%d", j)))
-		}
-	}
+	g := &Group{Hosts: hosts, Config: cfg}
 	// Executors merge the instances' committed batches per node.
-	for i := 0; i < n; i++ {
+	for i := 0; i < cfg.PBFT.N; i++ {
+		g.Apps = append(g.Apps, appFactory(i))
 		g.Executors = append(g.Executors, newExecutor(g, i))
 	}
 	// Build the K instances; instance k starts in view k so leadership
@@ -188,92 +152,52 @@ func NewGroup(kind transport.Kind, cfg Config, params model.Params, seed int64, 
 	for k := 0; k < cfg.Instances; k++ {
 		icfg := cfg.PBFT
 		icfg.InitialView = uint64(k)
-		rings := auth.GenerateKeyrings(n, uint64(seed)+uint64(k)*7919+1)
-		var reps []*pbft.Replica
-		for i := 0; i < n; i++ {
-			rep, err := pbft.NewReplica(uint32(i), icfg, nw.Node(fmt.Sprintf("r%d", i)), rings[i], g.Apps[i])
-			if err != nil {
-				return nil, err
-			}
-			k, i := k, i
+		pl, err := hosts.NewPlacement(icfg, k, seed, g.Apps)
+		if err != nil {
+			return nil, err
+		}
+		for i, rep := range pl.Replicas {
 			rep.OnExecute(func(seq uint64, batch []pbft.Request) {
 				g.Executors[i].deliver(k, seq, batch)
 			})
 			rep.OnCheckpointAdopt(func(seq uint64) {
 				g.Executors[i].subsume(k, seq)
 			})
-			reps = append(reps, rep)
 		}
-		g.Instances = append(g.Instances, reps)
+		g.placements = append(g.placements, pl)
+		g.Instances = append(g.Instances, pl.Replicas)
 	}
 	return g, nil
 }
 
-// Start wires every instance's connection mesh.
+// Start wires every instance's connection mesh: all K groups listen and
+// post their dials, then the loop runs once.
 func (g *Group) Start() error {
-	n := g.Config.PBFT.N
-	for k, reps := range g.Instances {
-		for i := 0; i < n; i++ {
-			rep := reps[i]
-			if err := g.Meshes[i].Listen(peerPortFor(k), func(p *msgnet.Peer) {
-				rep.AttachInbound(p)
-			}); err != nil {
-				return err
-			}
-			if err := g.Meshes[i].Listen(clientPortFor(k), func(p *msgnet.Peer) {
-				rep.HandleClientConn(p)
-			}); err != nil {
-				return err
-			}
+	for _, pl := range g.placements {
+		if err := pl.Start(); err != nil {
+			return err
 		}
 	}
-	var setupErr error
-	dials := 0
-	want := 0
-	for k := range g.Instances {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i == j {
-					continue
-				}
-				want++
-				k, i, j := k, i, j
-				g.Loop.Post(func() {
-					g.Meshes[i].Dial(g.Network.Node(fmt.Sprintf("r%d", j)), peerPortFor(k), func(p *msgnet.Peer, err error) {
-						if err != nil {
-							setupErr = fmt.Errorf("instance %d dial r%d->r%d: %w", k, i, j, err)
-							return
-						}
-						g.Instances[k][i].AttachPeer(uint32(j), p)
-						dials++
-					})
-				})
-			}
-		}
-	}
-	g.Loop.Run()
-	if setupErr != nil {
-		return setupErr
-	}
-	if dials != want {
-		return fmt.Errorf("reptor: %d of %d connections established", dials, want)
-	}
-	return nil
+	return g.Await()
 }
 
 // GlobalOrder returns the merged global log of a node's executor as
 // request keys, for cross-replica comparison in tests.
-func (g *Group) GlobalOrder(node int) []string { return g.Executors[node].order }
+func (g *Group) GlobalOrder(node int) []string {
+	order := g.Executors[node].order
+	keys := make([]string, len(order))
+	for i, id := range order {
+		keys[i] = pbft.Request{Client: id.client, Timestamp: id.timestamp}.Key()
+	}
+	return keys
+}
 
 // SendFaults sums the surfaced delivery failures across every replica of
-// every instance — the group-level counterpart of pbft.Cluster.SendFaults,
-// zero on a healthy network.
+// every instance — zero on a healthy network.
 func (g *Group) SendFaults() uint64 {
 	var n uint64
-	for _, reps := range g.Instances {
-		for _, rep := range reps {
-			n += rep.SendFaults()
-		}
+	for _, pl := range g.placements {
+		n += pl.SendFaults()
 	}
 	return n
 }
@@ -292,7 +216,9 @@ type Executor struct {
 	// cursor is the next instance within the current round.
 	cursor int
 
-	order []string
+	// order is the merged log as request identities; GlobalOrder renders
+	// them, so the merge path formats nothing.
+	order []orderID
 	slots uint64
 	// hbArmed/hbRound/hbCursor/hbTimer track the one in-flight heartbeat
 	// timer and the hole it was armed for, so a timer backed off for a
@@ -323,6 +249,12 @@ type Executor struct {
 	// barrier sat on it (RecordMergeWait + "merge-wait" spans).
 	tracer    *obs.Tracer
 	deliverAt map[slotKey]sim.Time
+}
+
+// orderID is one merged request's identity.
+type orderID struct {
+	client    uint32
+	timestamp uint64
 }
 
 // slotKey identifies one instance-local sequence in the merge buffer.
@@ -444,12 +376,12 @@ func (e *Executor) drain() {
 				e.tracer.RecordMergeWait(now - at)
 				if now > at {
 					e.tracer.Span("reptor", "merge-wait",
-						fmt.Sprintf("r%d/i%d", e.node, e.cursor), "", at, now)
+						fmt.Sprintf("%s/i%d", e.group.Node(e.node).Name(), e.cursor), "", at, now)
 				}
 			}
 		}
 		for _, req := range batch {
-			e.order = append(e.order, req.Key())
+			e.order = append(e.order, orderID{req.Client, req.Timestamp})
 		}
 		e.slots++
 		e.advanceCursor()

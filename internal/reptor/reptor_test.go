@@ -147,6 +147,28 @@ func TestRouteIsDeterministicAndInRange(t *testing.T) {
 	}
 }
 
+// TestRouteSumHighHashes pins the unsigned modulo: hash sums at or above
+// 2^31 — negative once squeezed through a 32-bit int — must still land on
+// an instance in range, the one uint32 arithmetic names.
+func TestRouteSumHighHashes(t *testing.T) {
+	for _, tc := range []struct {
+		sum       uint32
+		instances int
+		want      int
+	}{
+		{1 << 31, 4, 0},
+		{1<<31 + 1, 4, 1},
+		{1<<32 - 1, 3, 0},
+		{1<<32 - 1, 7, 3},
+		{0xdeadbeef, 5, 4},
+		{7, 4, 3},
+	} {
+		if got := routeSum(tc.sum, tc.instances); got != tc.want {
+			t.Errorf("routeSum(%#x, %d) = %d, want %d", tc.sum, tc.instances, got, tc.want)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Instances = 0

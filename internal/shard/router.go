@@ -3,11 +3,8 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strconv"
 
 	"rubin/internal/kvstore"
-	"rubin/internal/msgnet"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
 )
@@ -21,10 +18,8 @@ import (
 // a BFT quorum of the participant shard executes, so a faulty router
 // can stall its own transactions but cannot break atomicity.
 type Router struct {
-	dep  *Deployment
-	node string
-	mesh *msgnet.Mesh
-	sub  []*pbft.Client
+	*pbft.FrontEnd
+	dep *Deployment
 
 	// inflight counts operations accepted by InvokeOp whose done has
 	// not fired — unlike the sub-clients' Outstanding, it also covers
@@ -35,74 +30,35 @@ type Router struct {
 	errs     []error
 }
 
-// routerClientID derives the PBFT identity router ridx uses toward
-// shard s. Each (router, shard) pair needs its own identity: request
-// keys are (client, timestamp) pairs traced in the deployment's shared
-// observability stream, so two sub-clients sharing an identity would
-// make unrelated operations indistinguishable. The stride bounds a
-// deployment at 1024 routers before identities could collide.
-func routerClientID(ridx, s int) uint32 { return uint32(100+ridx) + uint32(s)*1024 }
-
 // AddRouter creates a router on its own network node, connected to
 // every replica of every shard. Must run after Start.
 func (d *Deployment) AddRouter() (*Router, error) {
 	ridx := len(d.routers)
-	name := fmt.Sprintf("router%d", ridx)
-	node := d.Network.AddNode(name)
-	n := d.Config.PBFT.N
-	for s := 0; s < d.Config.Shards; s++ {
-		for i := 0; i < n; i++ {
-			d.Network.Connect(node, d.Network.Node(fmt.Sprintf("s%dr%d", s, i)))
-		}
+	groups := make([]*pbft.Hosts, len(d.Clusters))
+	for s, cl := range d.Clusters {
+		groups[s] = cl.Hosts
 	}
-	mesh, err := msgnet.NewMesh(d.Kind, node, msgnet.DefaultOptions())
+	fe, err := pbft.NewFrontEnd(fmt.Sprintf("router%d", ridx), uint32(100+ridx), d.Config.PBFT.F, groups, 1)
 	if err != nil {
 		return nil, err
 	}
-	mesh.SetTracer(d.tracer)
-	r := &Router{dep: d, node: name, mesh: mesh}
-	var dialErr error
-	dials, want := 0, 0
-	for s := 0; s < d.Config.Shards; s++ {
-		sub := pbft.NewClient(routerClientID(ridx, s), d.Config.PBFT.F)
-		if d.readFastPath > 0 {
-			sub.EnableReadFastPath(d.Loop, d.readFastPath)
-		}
-		r.sub = append(r.sub, sub)
-		for i := 0; i < n; i++ {
-			want++
-			s, i := s, i
-			d.Loop.Post(func() {
-				mesh.Dial(d.Network.Node(fmt.Sprintf("s%dr%d", s, i)), pbft.ClientPort, func(p *msgnet.Peer, err error) {
-					if err != nil {
-						dialErr = err
-						return
-					}
-					r.sub[s].AttachReplica(uint32(i), p)
-					dials++
-				})
-			})
-		}
+	if d.readFastPath > 0 {
+		fe.EnableReadFastPath(d.readFastPath)
 	}
-	d.Loop.Run()
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	if dials != want {
-		return nil, fmt.Errorf("shard: router wired %d of %d connections", dials, want)
-	}
+	r := &Router{FrontEnd: fe, dep: d}
 	d.routers = append(d.routers, r)
 	return r, nil
 }
 
-// InvokeOp routes one encoded kvstore operation; done fires exactly
-// once with the final reply. Single-key operations go to the shard
-// owning the key, with a deterministic backoff-and-resubmit whenever
-// the state machine refuses a write with kvstore.Locked. Scans scatter
-// as partition-filtered sub-scans and merge locally. A multi-key
-// transaction runs one-phase on its home shard when every key hashes
-// there, and through 2PC over consensus otherwise. The returned string
-// is the trace id of the operation's (first) sub-request.
+// InvokeOp routes one encoded kvstore operation (kvstore.PlanOp over S
+// partitions); done fires exactly once with the final reply. Single-key
+// operations go to the shard owning the key, with a deterministic
+// backoff-and-resubmit whenever the state machine refuses a write with
+// kvstore.Locked. Scans scatter as partition-filtered sub-scans and
+// merge locally. A multi-key transaction runs one-phase on its home
+// shard when every key hashes there, and through 2PC over consensus
+// otherwise. The returned string is the trace id of the operation's
+// (first) sub-request.
 func (r *Router) InvokeOp(op []byte, done func([]byte)) string {
 	r.inflight++
 	finish := func(res []byte) {
@@ -111,67 +67,24 @@ func (r *Router) InvokeOp(op []byte, done func([]byte)) string {
 			done(res)
 		}
 	}
-	S := len(r.sub)
-	code, key, value, err := kvstore.DecodeOp(op)
-	if err != nil {
-		// Undecodable bytes still deserve an ordered ERR reply.
-		return r.sub[0].Invoke(op, finish)
+	p := kvstore.PlanOp(op, len(r.Clients))
+	switch {
+	case p.Route == kvstore.RouteScan:
+		return kvstore.ScatterScan(p, len(r.Clients), func(s int, sub []byte, done func([]byte)) string {
+			return r.Clients[s].Invoke(sub, done)
+		}, finish)
+	case p.Route == kvstore.RouteCross:
+		return r.invoke2PC(p.Key, p.Value, finish)
+	case p.Read:
+		// Single-key reads ride the owning shard's fast path (a no-op
+		// routing to the ordered path while the fast path is off). A Get
+		// needs no lock-retry loop: reads never observe kvstore.Locked —
+		// staged transaction writes are invisible until their COMMIT
+		// executes, which is exactly what makes the tentative read safe
+		// against in-flight 2PC.
+		return r.Clients[p.Part].InvokeRead(op, finish)
 	}
-	if code == kvstore.OpScan && S > 1 {
-		limit := 0
-		if n, err := strconv.Atoi(value); err == nil && n > 0 {
-			limit = n
-		}
-		return r.scatterScan(key, limit, finish)
-	}
-	keys, err := kvstore.OpKeys(op)
-	if err != nil || len(keys) == 0 {
-		return r.sub[0].Invoke(op, finish)
-	}
-	home := kvstore.PartitionKey(keys[0], S)
-	if code == kvstore.OpTxn {
-		for _, k := range keys[1:] {
-			if kvstore.PartitionKey(k, S) != home {
-				return r.invoke2PC(key, value, finish)
-			}
-		}
-	}
-	// Single-key reads ride the owning shard's fast path (a no-op
-	// routing to the ordered path while the fast path is off). A Get
-	// needs no lock-retry loop: reads never observe kvstore.Locked —
-	// staged transaction writes are invisible until their COMMIT
-	// executes, which is exactly what makes the tentative read safe
-	// against in-flight 2PC.
-	if code == kvstore.OpGet {
-		return r.sub[home].InvokeRead(op, finish)
-	}
-	return r.invokeRetry(home, op, finish)
-}
-
-// SetReadPathHook propagates a path-taken callback to every shard's
-// sub-client (see pbft.Client.SetReadPathHook).
-func (r *Router) SetReadPathHook(fn func(key string, fast bool)) {
-	for _, s := range r.sub {
-		s.SetReadPathHook(fn)
-	}
-}
-
-// FastReads returns fast-path-served reads across shards.
-func (r *Router) FastReads() uint64 {
-	var total uint64
-	for _, s := range r.sub {
-		total += s.FastReads()
-	}
-	return total
-}
-
-// FastReadFallbacks returns ordered-path fallbacks across shards.
-func (r *Router) FastReadFallbacks() uint64 {
-	var total uint64
-	for _, s := range r.sub {
-		total += s.FastReadFallbacks()
-	}
-	return total
+	return r.invokeRetry(p.Part, op, finish)
 }
 
 // invokeRetry submits op to one shard, resubmitting after the
@@ -190,39 +103,8 @@ func (r *Router) invokeRetry(shard int, op []byte, done func([]byte)) string {
 		}
 		done(res)
 	}
-	submit = func() string { return r.sub[shard].Invoke(op, handle) }
+	submit = func() string { return r.Clients[shard].Invoke(op, handle) }
 	return submit()
-}
-
-// scatterScan fans a scan out as one partition-filtered OpScanPart per
-// shard and merges the partial replies into the result a whole-keyspace
-// scan would have produced. done fires once, after the last partial
-// lands. The returned trace id is the shard-0 leg's.
-func (r *Router) scatterScan(prefix string, limit int, done func([]byte)) string {
-	S := len(r.sub)
-	partials := make([]string, S)
-	pending := S
-	var traceID string
-	for s, sub := range kvstore.SplitScan(prefix, limit, S) {
-		s := s
-		id := r.sub[s].Invoke(sub, func(res []byte) {
-			partials[s] = string(res)
-			if pending--; pending == 0 {
-				done([]byte(kvstore.MergeScans(partials, limit)))
-			}
-		})
-		if s == 0 {
-			traceID = id
-		}
-	}
-	return traceID
-}
-
-// participant is one shard's slice of a cross-shard transaction.
-type participant struct {
-	shard int
-	subs  []kvstore.TxnSub
-	idx   []int // positions of subs within the original transaction
 }
 
 // invoke2PC coordinates a cross-shard transaction: a PREPARE carrying
@@ -236,40 +118,24 @@ type participant struct {
 // confirms, with the per-sub results (read values captured at prepare
 // time, under the locks) merged back into original sub order.
 func (r *Router) invoke2PC(id, payload string, done func([]byte)) string {
-	subs, err := kvstore.DecodeTxnSubs([]byte(payload))
+	parts, n, err := kvstore.SplitTxn(payload, len(r.Clients))
 	if err != nil {
 		done([]byte("ERR " + err.Error()))
 		return ""
 	}
-	S := len(r.sub)
-	byShard := make(map[int]*participant)
-	var order []int
-	for i, sub := range subs {
-		s := kvstore.PartitionKey(sub.Key, S)
-		p := byShard[s]
-		if p == nil {
-			p = &participant{shard: s}
-			byShard[s] = p
-			order = append(order, s)
-		}
-		p.subs = append(p.subs, sub)
-		p.idx = append(p.idx, i)
-	}
-	sort.Ints(order) // deterministic dispatch order
 	r.txns2PC++
 
-	results := make([][]byte, len(subs))
+	results := make([][]byte, n)
 	commit := true
-	pending := len(order)
+	pending := len(parts)
 	start := r.dep.Loop.Now()
 	var traceID string
-	for _, s := range order {
-		p := byShard[s]
-		tid := r.sub[s].Invoke(kvstore.EncodePrepare(id, p.subs), func(res []byte) {
+	for _, p := range parts {
+		tid := r.Clients[p.Part].Invoke(kvstore.EncodePrepare(id, p.Subs), func(res []byte) {
 			status, rs, err := kvstore.DecodeTxnResult(res)
 			switch {
-			case err == nil && status == kvstore.TxnPrepared && len(rs) == len(p.idx):
-				for j, orig := range p.idx {
+			case err == nil && status == kvstore.TxnPrepared && len(rs) == len(p.Idx):
+				for j, orig := range p.Idx {
 					results[orig] = rs[j]
 				}
 			case err == nil && status == kvstore.TxnAborted:
@@ -279,10 +145,10 @@ func (r *Router) invoke2PC(id, payload string, done func([]byte)) string {
 				// abort is a protocol error (malformed transaction, buggy
 				// coordinator); abort and surface it through Errs.
 				commit = false
-				r.errs = append(r.errs, fmt.Errorf("shard %d: txn %s prepare reply %q", p.shard, id, res))
+				r.errs = append(r.errs, fmt.Errorf("shard %d: txn %s prepare reply %q", p.Part, id, res))
 			}
 			if pending--; pending == 0 {
-				r.decide(id, order, commit, results, start, traceID, done)
+				r.decide(id, parts, commit, results, start, traceID, done)
 			}
 		})
 		if traceID == "" {
@@ -298,21 +164,21 @@ func (r *Router) invoke2PC(id, payload string, done func([]byte)) string {
 // ABORTED without staging anything — aborting an unknown transaction is
 // an idempotent no-op, and the decision must land in each log so every
 // replica of every participant resolves the transaction the same way.
-func (r *Router) decide(id string, order []int, commit bool, results [][]byte, start sim.Time, traceID string, done func([]byte)) {
+func (r *Router) decide(id string, parts []kvstore.Participant, commit bool, results [][]byte, start sim.Time, traceID string, done func([]byte)) {
 	loop := r.dep.Loop
 	voted := loop.Now()
 	if t := r.dep.tracer; t != nil {
 		t.RecordPrepareWait(voted - start)
-		t.Span("shard", "2pc-prepare", r.node, traceID, start, voted)
+		t.Span("shard", "2pc-prepare", r.Mesh.Node().Name(), traceID, start, voted)
 	}
 	decision, want, span := kvstore.EncodeCommit(id), kvstore.TxnCommitted, "2pc-commit"
 	if !commit {
 		decision, want, span = kvstore.EncodeAbort(id), kvstore.TxnAborted, "2pc-abort"
 	}
-	pending := len(order)
-	for _, s := range order {
-		s := s
-		r.sub[s].Invoke(decision, func(res []byte) {
+	pending := len(parts)
+	for _, p := range parts {
+		s := p.Part
+		r.Clients[s].Invoke(decision, func(res []byte) {
 			status, _, err := kvstore.DecodeTxnResult(res)
 			if err != nil || status != want {
 				r.errs = append(r.errs, fmt.Errorf("shard %d: txn %s decision reply %q (want %s)", s, id, res, want))
@@ -321,7 +187,7 @@ func (r *Router) decide(id string, order []int, commit bool, results [][]byte, s
 				end := loop.Now()
 				if t := r.dep.tracer; t != nil {
 					t.RecordCommitWait(end - voted)
-					t.Span("shard", span, r.node, traceID, voted, end)
+					t.Span("shard", span, r.Mesh.Node().Name(), traceID, voted, end)
 				}
 				if commit {
 					done(kvstore.EncodeTxnResult(kvstore.TxnCommitted, results))
@@ -337,16 +203,6 @@ func (r *Router) decide(id string, order []int, commit bool, results [][]byte, s
 // replied — including ones parked in a lock-retry backoff or between
 // 2PC phases, which hold no sub-client invocation at that instant.
 func (r *Router) Outstanding() int { return r.inflight }
-
-// Completed returns the finished sub-invocations across all shards
-// (2PC counts one per phase per participant).
-func (r *Router) Completed() uint64 {
-	var total uint64
-	for _, s := range r.sub {
-		total += s.Completed()
-	}
-	return total
-}
 
 // Retries returns how many lock-conflict resubmissions the router
 // performed.

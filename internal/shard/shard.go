@@ -53,11 +53,6 @@ func (c Config) Validate() error {
 	return c.PBFT.Validate()
 }
 
-// keySeedStride separates co-hosted groups' keyring seeds; any constant
-// larger than zero works, a prime just makes collisions with unrelated
-// seed arithmetic unlikely.
-const keySeedStride = 7919
-
 // Deployment is a set of independent PBFT groups sharing one simulation
 // loop and one fabric network — shard s's replica i is node "s<s>r<i>"
 // on the shared network — plus the routers fronting them.
@@ -84,9 +79,7 @@ type Deployment struct {
 func (d *Deployment) EnableReadFastPath(timeout sim.Time) {
 	d.readFastPath = timeout
 	for _, r := range d.routers {
-		for _, sub := range r.sub {
-			sub.EnableReadFastPath(d.Loop, timeout)
-		}
+		r.EnableReadFastPath(timeout)
 	}
 }
 
@@ -109,7 +102,7 @@ func New(kind transport.Kind, cfg Config, params model.Params, seed int64, appFa
 	for s := 0; s < cfg.Shards; s++ {
 		s := s
 		cl, err := pbft.NewClusterIn(loop, d.Network, fmt.Sprintf("s%d", s), kind, cfg.PBFT,
-			seed+int64(s+1)*keySeedStride,
+			seed+int64(s+1)*pbft.KeySeedStride,
 			func(i int) pbft.Application { return appFactory(s, i) })
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
@@ -143,7 +136,7 @@ func (d *Deployment) SetTracer(t *obs.Tracer) {
 		cl.SetTracer(t)
 	}
 	for _, r := range d.routers {
-		r.mesh.SetTracer(t)
+		r.Mesh.SetTracer(t)
 	}
 }
 
@@ -161,16 +154,4 @@ func (d *Deployment) SendFaults() uint64 {
 		n += cl.SendFaults()
 	}
 	return n
-}
-
-// PeakQueueBytes returns the deepest msgnet send queue observed on any
-// replica mesh of any group.
-func (d *Deployment) PeakQueueBytes() int {
-	peak := 0
-	for _, cl := range d.Clusters {
-		if q := cl.PeakQueueBytes(); q > peak {
-			peak = q
-		}
-	}
-	return peak
 }
