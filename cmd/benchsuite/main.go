@@ -11,6 +11,7 @@
 //	go run ./cmd/benchsuite -experiments E5 -compare old/   # regression deltas
 //	go run ./cmd/benchsuite -validate /tmp/bench            # schema check only
 //	go run ./cmd/benchsuite -quick -experiments E9 -trace out.json
+//	go run ./cmd/benchsuite -quick -experiments E9 -cpuprofile cpu.pprof
 //
 // Every run is deterministic: the same -seed, knobs and code produce
 // byte-identical JSON (including the -trace file). -compare loads a
@@ -21,6 +22,8 @@
 // "config" object. -trace records per-request span trees and queue/CPU/
 // backlog time series across every measurement run and writes one Chrome
 // trace-event file (open in chrome://tracing or https://ui.perfetto.dev).
+// -cpuprofile and -memprofile record where the simulator itself spends
+// host CPU and allocates (read with go tool pprof -top <file>).
 package main
 
 import (
@@ -30,6 +33,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -63,7 +68,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it returns the process exit status — non-zero
 // when a run fails or a requested comparison could not be made.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "benchsuite:", err)
 		return 1
@@ -80,6 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list registered experiments and exit")
 	listKnobs := fs.Bool("knobs", false, "list each experiment's accepted knobs with effective defaults and exit")
 	tables := fs.Bool("tables", true, "print human-readable tables alongside the JSON")
+	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile of the experiment runs to this file")
+	memprofile := fs.String("memprofile", "", "write a host allocation profile to this file after the runs")
 	knobs := knobFlags{}
 	fs.Var(knobs, "knob", "experiment knob override, name=value (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -137,6 +144,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rc.Trace = obs.New(obs.Options{Spans: true})
 	}
 
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		return fail(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil && code == 0 {
+			code = fail(err)
+		}
+	}()
+
 	failedCompares := 0
 	for _, name := range names {
 		fmt.Fprintf(stdout, "== %s ==\n", name)
@@ -175,6 +192,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("%d comparison(s) could not be made", failedCompares))
 	}
 	return 0
+}
+
+// startProfiles starts the CPU profile (if cpu names a file) and returns
+// the function that stops it and then writes the allocation profile (if
+// mem names a file).
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // bring the profile's statistics up to date
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // writeTrace exports the collected span trees and time series as a Chrome

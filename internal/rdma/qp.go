@@ -46,12 +46,16 @@ type SendWR struct {
 	ID uint64
 	Op Opcode
 
-	// Local buffer: either a registered-region slice...
+	// Local buffer: either a registered-region extent, which belongs to
+	// the NIC from PostSend until the WR's completion — the NIC reads it in
+	// place, so rewriting it earlier changes what is sent...
 	MR     *MR
 	Offset int
 	Length int
 	// ...or inline payload carried in the WR itself (SEND/WRITE only,
-	// subject to MaxInline); inline sends skip the NIC's DMA read.
+	// subject to MaxInline); inline sends skip the NIC's DMA read. PostSend
+	// copies the bytes into the WR, so the caller's buffer is free for
+	// reuse as soon as it returns.
 	Inline []byte
 
 	// Remote target for one-sided WRITE/READ.
@@ -192,7 +196,7 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 	}
 	for _, wr := range wrs {
 		if wr.MR == nil || !wr.MR.valid || wr.MR.access&AccessLocalWrite == 0 ||
-			wr.Offset < 0 || wr.Length < 0 || wr.Offset+wr.Length > wr.MR.Len() {
+			!wr.MR.holds(wr.Offset, wr.Length) {
 			return fmt.Errorf("%w: recv wr %d", ErrBadMR, wr.ID)
 		}
 	}
@@ -205,7 +209,7 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 // PostSend posts one or more send-side WRs with a single doorbell: the
 // first WR pays the full doorbell cost, the rest the batched marginal cost
 // (the paper's batched posting optimization). WRs are processed by the NIC
-// in order.
+// in order and belong to the QP until they complete.
 func (qp *QP) PostSend(wrs ...*SendWR) error {
 	if qp.state != QPReady {
 		return ErrQPState
@@ -219,6 +223,11 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 	for _, wr := range wrs {
 		if err := qp.validateSend(wr); err != nil {
 			return err
+		}
+	}
+	for _, wr := range wrs {
+		if len(wr.Inline) > 0 {
+			wr.Inline = append([]byte(nil), wr.Inline...)
 		}
 	}
 	p := qp.dev.params.RDMA
@@ -244,8 +253,7 @@ func (qp *QP) validateSend(wr *SendWR) error {
 		}
 		return nil
 	}
-	if wr.MR == nil || !wr.MR.valid ||
-		wr.Offset < 0 || wr.Length < 0 || wr.Offset+wr.Length > wr.MR.Len() {
+	if wr.MR == nil || !wr.MR.valid || !wr.MR.holds(wr.Offset, wr.Length) {
 		return fmt.Errorf("%w: send wr %d", ErrBadMR, wr.ID)
 	}
 	return nil
@@ -264,11 +272,15 @@ func (qp *QP) pumpSend() {
 	qp.outstanding++
 
 	p := qp.dev.params.RDMA
+	// The wire carries the WR's own bytes: the inline copy PostSend took,
+	// or the region extent itself, which the poster may not touch before
+	// the completion — that follows the ack, which follows the responder's
+	// copy into its own memory, and an RNR retry re-sends this same entry.
 	var payload []byte
 	if len(wr.Inline) > 0 {
-		payload = append([]byte(nil), wr.Inline...)
+		payload = wr.Inline
 	} else if wr.Op != OpRead {
-		payload = append([]byte(nil), wr.MR.buf[wr.Offset:wr.Offset+wr.Length]...)
+		payload = wr.MR.Slice(wr.Offset, wr.Length)
 	}
 
 	// NIC engine work: descriptor processing plus the DMA read of the

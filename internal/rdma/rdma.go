@@ -10,10 +10,10 @@
 // while payload bytes move on the NIC's DMA engines. This is the property
 // the paper exploits and the baseline TCP stack (package tcpsim) lacks.
 //
-// Memory regions carry real backing bytes and one-sided operations are
-// bounds- and access-checked against the remote key, so the security
-// concerns of Section III-C (stray STag access, read/write races) are
-// observable in tests.
+// Memory regions carry real bytes (backed on first touch, see MR) and
+// one-sided operations are bounds- and access-checked against the remote
+// key, so the security concerns of Section III-C (stray STag access,
+// read/write races) are observable in tests.
 package rdma
 
 import (
@@ -157,6 +157,9 @@ func (d *Device) loop() *sim.Loop { return d.node.Loop() }
 // RNRNaks returns how many receiver-not-ready NAKs this device has sent.
 func (d *Device) RNRNaks() uint64 { return d.rnrNaks }
 
+// RegisteredMRs returns how many memory regions are currently registered.
+func (d *Device) RegisteredMRs() int { return len(d.mrs) }
+
 // AllocPD allocates a protection domain.
 func (d *Device) AllocPD() *PD {
 	return &PD{dev: d}
@@ -170,33 +173,49 @@ type PD struct {
 // Device returns the owning device.
 func (pd *PD) Device() *Device { return pd.dev }
 
-// MR is a registered memory region with real backing bytes.
+// MR is a registered memory region: a table of equally sized blocks.
+// Registered is not resident — registration charges the modeled pinning
+// cost for the whole region, but a block's bytes are backed only when first
+// touched and only as far as the highest byte ever touched (growing by at
+// least doubling, like append, capped at the block size), so a pool of
+// large slots that carries small messages costs the host what the messages
+// cost.
 type MR struct {
-	pd     *PD
-	buf    []byte
-	lkey   uint32
-	rkey   uint32
-	access Access
-	valid  bool
+	pd        *PD
+	blocks    [][]byte // blocks[i] backs region bytes from i*blockSize; nil until touched
+	blockSize int
+	lkey      uint32
+	rkey      uint32
+	access    Access
+	valid     bool
 }
 
-// RegisterMR pins and registers size bytes with the NIC. The CPU cost of
-// page pinning and NIC translation-table programming is charged
-// immediately; ready runs when registration completes (may be nil for
-// setup-time registration where the caller does not care about the delay).
+// RegisterMR pins and registers size bytes with the NIC as a single block.
+// The CPU cost of page pinning and NIC translation-table programming is
+// charged immediately; ready runs when registration completes (may be nil
+// for setup-time registration where the caller does not care about the
+// delay).
 func (pd *PD) RegisterMR(size int, access Access, ready func()) *MR {
+	return pd.RegisterPool(1, size, access, ready)
+}
+
+// RegisterPool registers one region of blocks × blockSize bytes — a buffer
+// pool whose slots are the blocks. It costs exactly what RegisterMR of the
+// same total size costs; a work request's extent must stay inside one block.
+func (pd *PD) RegisterPool(blocks, blockSize int, access Access, ready func()) *MR {
 	dev := pd.dev
 	mr := &MR{
-		pd:     pd,
-		buf:    make([]byte, size),
-		lkey:   dev.nextKey,
-		rkey:   dev.nextKey + 1,
-		access: access,
-		valid:  true,
+		pd:        pd,
+		blocks:    make([][]byte, blocks),
+		blockSize: blockSize,
+		lkey:      dev.nextKey,
+		rkey:      dev.nextKey + 1,
+		access:    access,
+		valid:     true,
 	}
 	dev.nextKey += 2
 	dev.mrs[mr.rkey] = mr
-	cost := dev.params.RDMA.MemRegisterBase + model.KB(dev.params.RDMA.MemRegisterPerKB, size)
+	cost := dev.params.RDMA.MemRegisterBase + model.KB(dev.params.RDMA.MemRegisterPerKB, mr.Len())
 	dev.node.CPU.Acquire(cost, func() {
 		if ready != nil {
 			ready()
@@ -213,11 +232,41 @@ func (mr *MR) Deregister() {
 	}
 }
 
-// Bytes exposes the region's backing memory.
-func (mr *MR) Bytes() []byte { return mr.buf }
+// holds reports whether [off, off+n) lies inside the region and inside one
+// block — the extent check of every work request and one-sided access.
+func (mr *MR) holds(off, n int) bool {
+	return off >= 0 && n >= 0 && off+n <= mr.Len() &&
+		(n == 0 || off/mr.blockSize == (off+n-1)/mr.blockSize)
+}
+
+// Slice returns the n region bytes at off, which must lie inside one block
+// (it panics on an extent the posting verbs would have rejected). The block
+// is backed as far as off+n first, so never-written bytes read as zeros. The result aliases the block's backing at the time of the call: a
+// reader may keep it (it retains its bytes if the block later grows), a
+// writer must take a fresh Slice for every write.
+func (mr *MR) Slice(off, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	i, lo := off/mr.blockSize, off%mr.blockSize
+	hi := lo + n
+	if hi > len(mr.blocks[i]) {
+		size := 2 * len(mr.blocks[i])
+		if size < hi {
+			size = hi
+		}
+		if size > mr.blockSize {
+			size = mr.blockSize
+		}
+		grown := make([]byte, size)
+		copy(grown, mr.blocks[i])
+		mr.blocks[i] = grown
+	}
+	return mr.blocks[i][lo:hi:hi]
+}
 
 // Len returns the region size.
-func (mr *MR) Len() int { return len(mr.buf) }
+func (mr *MR) Len() int { return len(mr.blocks) * mr.blockSize }
 
 // RKey returns the remote key a peer needs for one-sided access.
 func (mr *MR) RKey() uint32 { return mr.rkey }

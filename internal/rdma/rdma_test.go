@@ -104,7 +104,7 @@ func TestSendRecvTransfersData(t *testing.T) {
 	recvMR := r.pb.RegisterMR(4096, AccessLocalWrite, nil)
 
 	msg := bytes.Repeat([]byte{0xAB}, 2048)
-	copy(sendMR.Bytes(), msg)
+	copy(sendMR.Slice(0, len(msg)), msg)
 
 	var recvCQE, sendCQE *CQE
 	r.loop.At(0, func() {
@@ -133,7 +133,7 @@ func TestSendRecvTransfersData(t *testing.T) {
 	if sendCQE == nil || sendCQE.Status != StatusOK || sendCQE.WRID != 2 {
 		t.Fatalf("bad send CQE: %+v", sendCQE)
 	}
-	if !bytes.Equal(recvMR.Bytes()[:2048], msg) {
+	if !bytes.Equal(recvMR.Slice(0, 2048), msg) {
 		t.Fatal("payload corrupted in flight")
 	}
 	if r.qpA.Sent() != 1 || r.qpB.Received() != 1 {
@@ -173,7 +173,7 @@ func TestInlineSendDeliversAndRejectsOversize(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if !bytes.Equal(recvMR.Bytes()[:len(payload)], payload) {
+	if !bytes.Equal(recvMR.Slice(0, len(payload)), payload) {
 		t.Fatal("inline payload corrupted")
 	}
 }
@@ -182,7 +182,7 @@ func TestRNRNakAndRetryDelivers(t *testing.T) {
 	r := newRig(t)
 	sendMR := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
 	recvMR := r.pb.RegisterMR(1024, AccessLocalWrite, nil)
-	copy(sendMR.Bytes(), "retry me")
+	copy(sendMR.Slice(0, 8), "retry me")
 	r.loop.Post(func() {
 		// No receive posted yet: first attempt draws an RNR NAK.
 		_ = r.qpA.PostSend(&SendWR{ID: 1, Op: OpSend, MR: sendMR, Length: 8, Signaled: true})
@@ -199,7 +199,7 @@ func TestRNRNakAndRetryDelivers(t *testing.T) {
 	if len(cqes) != 1 || cqes[0].Status != StatusOK {
 		t.Fatalf("send did not complete after retry: %+v", cqes)
 	}
-	if string(recvMR.Bytes()[:8]) != "retry me" {
+	if string(recvMR.Slice(0, 8)) != "retry me" {
 		t.Fatal("payload corrupted across retry")
 	}
 }
@@ -256,7 +256,7 @@ func TestOneSidedWrite(t *testing.T) {
 	r := newRig(t)
 	local := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
 	remote := r.pb.RegisterMR(1024, AccessLocalWrite|AccessRemoteWrite, nil)
-	copy(local.Bytes(), "one-sided write")
+	copy(local.Slice(0, 15), "one-sided write")
 
 	r.loop.At(0, func() {
 		err := r.qpA.PostSend(&SendWR{
@@ -268,7 +268,7 @@ func TestOneSidedWrite(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if string(remote.Bytes()[100:115]) != "one-sided write" {
+	if string(remote.Slice(100, 15)) != "one-sided write" {
 		t.Fatal("write did not land in remote memory")
 	}
 	cqes := r.cqA.Poll(16)
@@ -340,7 +340,7 @@ func TestOneSidedRead(t *testing.T) {
 	r := newRig(t)
 	local := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
 	remote := r.pb.RegisterMR(1024, AccessLocalWrite|AccessRemoteRead, nil)
-	copy(remote.Bytes()[200:], "read me remotely")
+	copy(remote.Slice(200, 16), "read me remotely")
 
 	r.loop.At(0, func() {
 		err := r.qpA.PostSend(&SendWR{
@@ -352,8 +352,8 @@ func TestOneSidedRead(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if string(local.Bytes()[8:24]) != "read me remotely" {
-		t.Fatalf("read data wrong: %q", local.Bytes()[8:24])
+	if string(local.Slice(8, 16)) != "read me remotely" {
+		t.Fatalf("read data wrong: %q", local.Slice(8, 16))
 	}
 	cqes := r.cqA.Poll(16)
 	if len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Op != OpRead || cqes[0].Bytes != 16 {
@@ -466,7 +466,7 @@ func TestManyMessagesArriveInOrder(t *testing.T) {
 			_ = r.qpB.PostRecv(RecvWR{ID: uint64(i), MR: recvMR, Offset: i, Length: 1})
 		}
 		for i := 0; i < n; i++ {
-			sendMR.Bytes()[i] = byte(i)
+			sendMR.Slice(i, 1)[0] = byte(i)
 			if err := r.qpA.PostSend(&SendWR{ID: uint64(i), Op: OpSend, MR: sendMR, Offset: i, Length: 1, Signaled: i == n-1}); err != nil {
 				t.Errorf("PostSend %d: %v", i, err)
 			}
@@ -491,7 +491,7 @@ func TestManyMessagesArriveInOrder(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if recvMR.Bytes()[i] != byte(i) {
+		if recvMR.Slice(i, 1)[0] != byte(i) {
 			t.Fatalf("data order broken at %d", i)
 		}
 	}

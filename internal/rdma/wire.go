@@ -153,7 +153,7 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		}
 		qp.recvQ = qp.recvQ[1:]
 		qp.rxExpected = msg.psn + 1
-		copy(wr.MR.buf[wr.Offset:], msg.data)
+		copy(wr.MR.Slice(wr.Offset, len(msg.data)), msg.data)
 		qp.received++
 		qp.dev.sendsRx++
 		qp.dev.node.NIC.Delay(p.CQEGenerate)
@@ -164,11 +164,11 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		qp.rxExpected = msg.psn + 1
 		mr := qp.dev.mrs[msg.rkey]
 		if mr == nil || !mr.valid || mr.access&AccessRemoteWrite == 0 ||
-			msg.roffset < 0 || msg.roffset+len(msg.data) > mr.Len() {
+			!mr.holds(msg.roffset, len(msg.data)) {
 			qp.reply(&wireMsg{kind: wireNakAccess, psn: msg.psn})
 			return
 		}
-		copy(mr.buf[msg.roffset:], msg.data)
+		copy(mr.Slice(msg.roffset, len(msg.data)), msg.data)
 		qp.dev.writesRx++
 		// One-sided: no receive CQE, no CPU involvement; just the ack.
 		qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
@@ -177,12 +177,12 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		qp.rxExpected = msg.psn + 1
 		mr := qp.dev.mrs[msg.rkey]
 		if mr == nil || !mr.valid || mr.access&AccessRemoteRead == 0 ||
-			msg.roffset < 0 || msg.roffset+msg.length > mr.Len() {
+			!mr.holds(msg.roffset, msg.length) {
 			qp.reply(&wireMsg{kind: wireNakAccess, psn: msg.psn})
 			return
 		}
 		qp.dev.readsRx++
-		data := append([]byte(nil), mr.buf[msg.roffset:msg.roffset+msg.length]...)
+		data := append([]byte(nil), mr.Slice(msg.roffset, msg.length)...)
 		resp := &wireMsg{kind: wireReadResp, psn: msg.psn, wrid: msg.wrid, data: data}
 		resp.dstQPN = msg.srcQPN
 		resp.srcQPN = qp.num
@@ -273,7 +273,7 @@ func (qp *QP) handleReadResp(msg *wireMsg) {
 	p := qp.dev.params.RDMA
 	// The local NIC DMA-writes the returned data into the WR's region.
 	qp.dev.node.NIC.Acquire(p.NICProcess+model.KB(p.DMAPerKB, len(msg.data)), func() {
-		copy(wr.MR.buf[wr.Offset:], msg.data)
+		copy(wr.MR.Slice(wr.Offset, len(msg.data)), msg.data)
 		if entry != nil {
 			delete(qp.pending, msg.psn)
 			qp.outstanding--

@@ -160,9 +160,11 @@ func (c *Channel) finishSetup(qp *rdma.QP) error {
 	pd := c.dev.AllocPD()
 	// Pool registration happens once at connection setup — the cost is
 	// deliberately front-loaded (paper: buffer pools are pre-registered
-	// and reused as needed).
-	c.sendMR = pd.RegisterMR(c.cfg.SendWRs*c.cfg.BufferSize, rdma.AccessLocalWrite, nil)
-	c.recvMR = pd.RegisterMR(c.cfg.RecvWRs*c.cfg.BufferSize, rdma.AccessLocalWrite, nil)
+	// and reused as needed). One block per slot: the modeled cost covers
+	// the whole pool, the host backs a slot only as far as its messages
+	// reach.
+	c.sendMR = pd.RegisterPool(c.cfg.SendWRs, c.cfg.BufferSize, rdma.AccessLocalWrite, nil)
+	c.recvMR = pd.RegisterPool(c.cfg.RecvWRs, c.cfg.BufferSize, rdma.AccessLocalWrite, nil)
 	for i := 0; i < c.cfg.RecvWRs; i++ {
 		wr := rdma.RecvWR{ID: uint64(i), MR: c.recvMR, Offset: i * c.cfg.BufferSize, Length: c.cfg.BufferSize}
 		if err := qp.PostRecv(wr); err != nil {
@@ -274,7 +276,7 @@ func (c *Channel) finishRecvCQE(cqe rdma.CQE) bool {
 	}
 	slot := int(cqe.WRID)
 	off := slot * c.cfg.BufferSize
-	raw := c.recvMR.Bytes()[off : off+cqe.Bytes]
+	raw := c.recvMR.Slice(off, cqe.Bytes)
 	var msg []byte
 	if c.cfg.ZeroCopyReceive {
 		msg = raw
@@ -365,7 +367,7 @@ func (c *Channel) Send(msg []byte) error {
 		// Zero-copy send: the pool region is registered, so staging
 		// the application bytes costs no modeled CPU copy (Section IV:
 		// the application's send buffer is registered directly).
-		copy(c.sendMR.Bytes()[off:], msg)
+		copy(c.sendMR.Slice(off, len(msg)), msg)
 		wr.MR = c.sendMR
 		wr.Offset = off
 		wr.Length = len(msg)
@@ -430,8 +432,19 @@ func (c *Channel) Close() {
 	}
 	c.closed = true
 	c.connected = false
+	c.releasePools()
 	if c.key != nil {
 		c.key.Cancel()
+	}
+}
+
+// releasePools deregisters the buffer pools of a channel that is closed
+// for good, so the device does not keep them registered for its lifetime.
+// Work already handed to the QP keeps its reference to the region.
+func (c *Channel) releasePools() {
+	if c.sendMR != nil {
+		c.sendMR.Deregister()
+		c.recvMR.Deregister()
 	}
 }
 
@@ -441,6 +454,7 @@ func (c *Channel) Closed() bool { return c.closed }
 func (c *Channel) fail() {
 	c.closed = true
 	c.connected = false
+	c.releasePools()
 	if c.key != nil {
 		c.key.signal(OpReceive) // surface the failure to the event loop
 	}

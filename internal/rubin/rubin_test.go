@@ -580,3 +580,70 @@ func TestChannelIDsAreUnique(t *testing.T) {
 		t.Fatal("unreachable")
 	}
 }
+
+// Closing a channel deregisters its two buffer pools, so a close + re-dial
+// loop (what every restart does) leaves the devices' registered-region
+// counts where they started.
+func TestCloseAndRedialReleasesPools(t *testing.T) {
+	r := newRig(t, nil)
+	cfg := DefaultConfig(r.params)
+	srv, err := Listen(r.db, 7, cfg)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	var server *Channel
+	r.selB.Register(srv, OpConnect, nil)
+	r.selB.Select(func(keys []*SelectionKey) {
+		for ch := srv.Accept(); ch != nil; ch = srv.Accept() {
+			server = ch
+		}
+	})
+	startA, startB := r.da.RegisteredMRs(), r.db.RegisteredMRs()
+	for i := 0; i < 3; i++ {
+		var client *Channel
+		server = nil
+		r.loop.Post(func() {
+			_, _ = Connect(r.da, r.nb, 7, cfg, func(ch *Channel, err error) { client = ch })
+		})
+		r.loop.Run()
+		if client == nil || server == nil {
+			t.Fatalf("dial %d: channel pair not established", i)
+		}
+		if a, b := r.da.RegisteredMRs(), r.db.RegisteredMRs(); a != startA+2 || b != startB+2 {
+			t.Fatalf("dial %d: %d/%d regions registered, want %d/%d", i, a, b, startA+2, startB+2)
+		}
+		client.Close()
+		server.fail()
+		if a, b := r.da.RegisteredMRs(), r.db.RegisteredMRs(); a != startA || b != startB {
+			t.Fatalf("dial %d: %d/%d regions still registered after close, want %d/%d", i, a, b, startA, startB)
+		}
+	}
+}
+
+// A zero-copy message aliases its receive slot's backing. When the ring
+// comes round and a larger message grows that slot, the alias must keep
+// the bytes it was delivered with.
+func TestZeroCopyAliasSurvivesSlotGrowth(t *testing.T) {
+	r := newRig(t, nil)
+	cfg := DefaultConfig(r.params)
+	cfg.ZeroCopyReceive = true
+	cfg.RecvWRs = 1 // every message lands in the same slot
+	client, server := r.connect(t, cfg)
+	var got [][]byte
+	pumpReceiver(r.selB, server, &got)
+	small, large := bytes.Repeat([]byte{0x11}, 300), bytes.Repeat([]byte{0x22}, 64<<10)
+	r.loop.Post(func() {
+		_ = client.Send(small)
+		_ = client.Send(large)
+	})
+	r.loop.Run()
+	if len(got) != 2 {
+		t.Fatalf("received %d messages, want 2", len(got))
+	}
+	if !bytes.Equal(got[0], small) {
+		t.Fatal("alias of the first message changed when its slot grew")
+	}
+	if !bytes.Equal(got[1], large) {
+		t.Fatal("second message corrupted")
+	}
+}
