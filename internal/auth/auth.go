@@ -111,10 +111,14 @@ func (kr *Keyring) state(peer int) hash.Hash {
 // only until the next MAC or Authenticate call on this keyring. Callers
 // that retain the value past that point must copy it (Authenticate
 // already returns stable copies).
-func (kr *Keyring) MAC(peer int, msg []byte) []byte {
+func (kr *Keyring) MAC(peer int, msg []byte) []byte { return kr.AppendMAC(kr.sum[:0], peer, msg) }
+
+// AppendMAC appends the HMAC of msg under the pairwise key with peer to
+// dst — how a sender lays MACs straight into an outgoing buffer.
+func (kr *Keyring) AppendMAC(dst []byte, peer int, msg []byte) []byte {
 	m := kr.state(peer)
 	m.Write(msg)
-	return m.Sum(kr.sum[:0])
+	return m.Sum(dst)
 }
 
 // Verify checks a MAC received from peer. It uses its own scratch, so a
@@ -145,10 +149,8 @@ func (kr *Keyring) Authenticate(msg []byte) Authenticator {
 		if peer == kr.self {
 			continue
 		}
-		m := kr.state(peer)
-		m.Write(msg)
 		start := len(buf)
-		buf = m.Sum(buf)
+		buf = kr.AppendMAC(buf, peer, msg)
 		a[peer] = buf[start:len(buf):len(buf)]
 	}
 	return a

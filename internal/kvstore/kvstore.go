@@ -147,7 +147,8 @@ func (s *Store) forEach(fn func(k, v string)) {
 // EncodeOp serializes an operation for submission through the agreement
 // layer.
 func EncodeOp(code OpCode, key, value string) []byte {
-	buf := []byte{byte(code)}
+	buf := make([]byte, 1, 1+4+len(key)+4+len(value))
+	buf[0] = byte(code)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
 	buf = append(buf, key...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(value)))

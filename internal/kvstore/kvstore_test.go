@@ -2,6 +2,8 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -52,6 +54,17 @@ func TestOpCodecRoundTrip(t *testing.T) {
 	code, key, val, err := DecodeOp(EncodeOp(OpPut, "key-1", "value-1"))
 	if err != nil || code != OpPut || key != "key-1" || val != "value-1" {
 		t.Fatalf("round trip failed: %v %v %q %q", err, code, key, val)
+	}
+}
+
+func TestEncodeOpIsSizeExact(t *testing.T) {
+	for _, value := range []string{"", "v", strings.Repeat("v", 32<<10)} {
+		op := EncodeOp(OpPut, "key-1", value)
+		want := append([]byte{byte(OpPut), 0, 0, 0, 5}, "key-1"...)
+		want = append(binary.BigEndian.AppendUint32(want, uint32(len(value))), value...)
+		if !bytes.Equal(op, want) || cap(op) != len(op) {
+			t.Fatalf("EncodeOp with a %d-byte value: %d bytes, capacity %d, want %d exact", len(value), len(op), cap(op), len(want))
+		}
 	}
 }
 

@@ -29,8 +29,13 @@ type pair struct {
 
 func newPair(t *testing.T, kind transport.Kind, opts Options) *pair {
 	t.Helper()
+	return newPairWith(t, kind, opts, model.Default())
+}
+
+func newPairWith(t *testing.T, kind transport.Kind, opts Options, params model.Params) *pair {
+	t.Helper()
 	loop := sim.NewLoop(1)
-	nw := fabric.New(loop, model.Default())
+	nw := fabric.New(loop, params)
 	p := &pair{loop: loop, na: nw.AddNode("a"), nb: nw.AddNode("b")}
 	nw.Connect(p.na, p.nb)
 	var err error
@@ -132,6 +137,66 @@ func TestFragmentationRoundTrip(t *testing.T) {
 				t.Errorf("recvErrs=%d sendErrs=%d, want 0/0", p.ba.RecvErrors(), p.ab.SendErrors())
 			}
 		})
+	}
+}
+
+// TestDeliveredBytesBelongToReceiver is the hand-over rule pbft's
+// decode-by-reference rests on: a consumer that keeps every delivered
+// message, whole or reassembled, without copying finds each one intact
+// after the receive ring below has come round many times over — on both
+// backends, and with the rubin channel's zero-copy receive, where the
+// channel itself hands out slices of re-posted slots.
+func TestDeliveredBytesBelongToReceiver(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Transport.WRs = 4
+	opts.Transport.MaxMessage = 4 << 10
+	// Equal sizes per shape, so a reused slot is overwritten in place
+	// rather than regrown.
+	sizes := []int{1000, 3*opts.chunkPayload() - 5}
+	for _, kind := range kinds() {
+		for _, zeroCopy := range []bool{false, true} {
+			kind, zeroCopy := kind, zeroCopy
+			t.Run(fmt.Sprintf("%s/zerocopy=%v", kind, zeroCopy), func(t *testing.T) {
+				params := model.Default()
+				params.Selector.ZeroCopyReceive = zeroCopy
+				p := newPairWith(t, kind, opts, params)
+				var held [][]byte
+				p.ba.OnMessage(func(_ Class, m []byte) { held = append(held, m) })
+				const messages = 64 // 16 × WRs whole frames, more chunk frames
+				for i := 0; i < messages; i++ {
+					if err := p.ab.Send(ClassControl, pattern(sizes[i%2], byte(i))); err != nil {
+						t.Fatalf("send %d: %v", i, err)
+					}
+				}
+				p.loop.Run()
+				if len(held) != messages {
+					t.Fatalf("delivered %d of %d messages", len(held), messages)
+				}
+				for i, m := range held {
+					if !bytes.Equal(m, pattern(sizes[i%2], byte(i))) {
+						t.Fatalf("message %d changed after delivery: the layer below reused its bytes", i)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestReassemblyAllocatesOnce: a chunked message is joined into a buffer of
+// exactly its size — no growth on the way, no slack for a consumer that
+// keeps the message to keep alive with it.
+func TestReassemblyAllocatesOnce(t *testing.T) {
+	opts := DefaultOptions()
+	p := newPair(t, transport.KindRDMA, opts)
+	var got []byte
+	p.ba.OnMessage(func(_ Class, m []byte) { got = m })
+	msg := pattern(3*opts.chunkPayload()+17, 5)
+	if err := p.ab.Send(ClassBulk, msg); err != nil {
+		t.Fatal(err)
+	}
+	p.loop.Run()
+	if !bytes.Equal(got, msg) || cap(got) != len(msg) {
+		t.Fatalf("reassembled %d bytes in a %d-byte buffer, want %d exact", len(got), cap(got), len(msg))
 	}
 }
 

@@ -62,13 +62,16 @@ func (q *classQueue) pop() *outItem {
 
 func (q *classQueue) len() int { return len(q.items) - q.head }
 
-// inStream is the reassembly state of one inbound chunked message.
+// inStream is the reassembly state of one inbound chunked message. Verified
+// chunk payloads wait in parts (slices of delivered frames, msgnet's to
+// keep) and are joined once the size is known: one exact allocation.
 type inStream struct {
 	class Class
 	count uint32
 	next  uint32
 	prev  auth.Digest
-	buf   []byte
+	parts [][]byte
+	size  int
 }
 
 // Peer is one bidirectional message channel to a remote node. Handles are
@@ -144,7 +147,9 @@ func (p *Peer) RecvErrors() uint64 { return p.recvErrs }
 // OnMessage installs the delivery callback, receiving each reassembled
 // message with its traffic class. Messages arriving before a callback is
 // installed queue internally, so a restarted consumer can re-attach
-// without loss.
+// without loss. A delivered msg belongs to the receiver — msgnet and the
+// transport below never touch those bytes again — so a consumer may keep
+// it, or decode it by reference and keep the pieces.
 func (p *Peer) OnMessage(fn func(class Class, msg []byte)) {
 	p.onMsg = fn
 	for len(p.inbox) > 0 && p.onMsg != nil {
@@ -478,7 +483,7 @@ func (p *Peer) dispatch(raw []byte) {
 			p.recvFail(fmt.Errorf("msgnet: stream %d advertises %d chunks", f.stream, f.count))
 			return
 		}
-		st = &inStream{class: f.class, count: f.count}
+		st = &inStream{class: f.class, count: f.count, parts: make([][]byte, 0, f.count)}
 		p.streams[f.stream] = st
 	}
 	if f.index != st.next || f.count != st.count || f.class != st.class || f.prev != st.prev {
@@ -486,12 +491,17 @@ func (p *Peer) dispatch(raw []byte) {
 		p.recvFail(fmt.Errorf("msgnet: chunk chain broken on stream %d (chunk %d)", f.stream, f.index))
 		return
 	}
-	st.buf = append(st.buf, f.payload...)
+	st.parts = append(st.parts, f.payload)
+	st.size += len(f.payload)
 	st.next++
 	st.prev = f.digest
 	if st.next == st.count {
 		delete(p.streams, f.stream)
-		p.handOff(st.class, st.buf)
+		msg := make([]byte, 0, st.size)
+		for _, part := range st.parts {
+			msg = append(msg, part...)
+		}
+		p.handOff(st.class, msg)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"rubin/internal/auth"
+	"rubin/internal/raceflag"
 )
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -124,29 +125,203 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestPrePrepareSizeMatchesEncoding pins the arithmetic the leader uses to
-// size a proposal's digest charge to the codec, so the modeled cost is
-// exactly what encoding-to-measure used to yield.
-func TestPrePrepareSizeMatchesEncoding(t *testing.T) {
-	batchOf := func(n, opBytes int) []Request {
-		b := make([]Request, n)
-		for i := range b {
-			b[i] = Request{Client: 100, Timestamp: uint64(i + 1), Op: make([]byte, opBytes)}
-		}
-		return b
+func batchOf(n, opBytes int) []Request {
+	b := make([]Request, n)
+	for i := range b {
+		b[i] = Request{Client: 100, Timestamp: uint64(i + 1), Op: bytes.Repeat([]byte{byte(i + 1)}, opBytes)}
 	}
-	for _, tc := range []struct {
-		name  string
-		batch []Request
-	}{
-		{"empty", nil},
-		{"1x0B", batchOf(1, 0)},
-		{"8x128B", batchOf(8, 128)},
-		{"8x32KiB", batchOf(8, 32<<10)},
-	} {
-		if got, want := prePrepareSize(tc.batch), len(Encode(PrePrepare{Batch: tc.batch})); got != want {
-			t.Errorf("%s: prePrepareSize = %d, encoded length %d", tc.name, got, want)
+	return b
+}
+
+// codecTable holds every message type, the variable-length ones at empty,
+// small and 32 KiB-operation sizes.
+func codecTable() []Message {
+	d := auth.Hash([]byte("digest"))
+	var msgs []Message
+	for _, batch := range [][]Request{nil, batchOf(1, 0), batchOf(8, 128), batchOf(8, 32<<10)} {
+		msgs = append(msgs,
+			PrePrepare{View: 3, Seq: 4, Digest: d, Batch: batch},
+			ViewChange{NewView: 5, Stable: 64, Replica: 2, Prepared: []PreparedProof{{View: 4, Seq: 65, Digest: d, Batch: batch}, {View: 4, Seq: 66, Digest: d}}},
+			NewView{View: 5, PrePrepares: []PrePrepare{{View: 5, Seq: 65, Digest: d, Batch: batch}, {View: 5, Seq: 66, Digest: d}}},
+		)
+	}
+	for _, b := range [][]byte{nil, []byte("x"), make([]byte, 32<<10)} {
+		msgs = append(msgs,
+			Request{Client: 1, Timestamp: 2, Op: b},
+			Reply{View: 3, Timestamp: 9, Client: 7, Replica: 1, Result: b},
+			ReadRequest{Client: 1, Timestamp: 2, Op: b},
+			ReadReply{Timestamp: 2, Client: 1, Replica: 3, Executed: 17, Result: b},
+			StatePart{Seq: 64, Part: 17, Data: b, Replica: 2},
+			StateManifest{Seq: 64, View: 5, Root: d, Header: b, Digests: []auth.Digest{auth.Hash(nil), d}, Replica: 2},
+		)
+	}
+	return append(msgs,
+		Prepare{View: 3, Seq: 4, Digest: d, Replica: 2},
+		Commit{View: 3, Seq: 4, Digest: d, Replica: 1},
+		Checkpoint{Seq: 64, Digest: d, Replica: 3},
+		ViewChange{NewView: 5, Stable: 64, Replica: 2},
+		NewView{View: 5},
+		StateRequest{Seq: 42, Replica: 3},
+		StateRequest{Seq: 42, Replica: 3, Root: d, Digests: []auth.Digest{d, auth.Hash(nil)}},
+		StateManifest{Seq: 64, View: 5, Root: d, Replica: 2},
+	)
+}
+
+// TestEncodeIsSizeExact pins the arithmetic that sizes every outgoing
+// buffer and every modeled crypto charge to the codec: encodedSize is the
+// encoded length, and Encode is one allocation of exactly that size.
+func TestEncodeIsSizeExact(t *testing.T) {
+	for _, m := range codecTable() {
+		raw := Encode(m)
+		if got := encodedSize(m); got != len(raw) || cap(raw) != len(raw) {
+			t.Errorf("%T: encodedSize %d, encoded length %d, capacity %d", m, got, len(raw), cap(raw))
 		}
+		if raceflag.Enabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { Encode(m) }); allocs != 1 {
+			t.Errorf("Encode(%T) allocates %v times, want 1", m, allocs)
+		}
+	}
+}
+
+// encodeEnvelope is the reference envelope encoding: the fields written
+// one after another through the growing encoder.
+func encodeEnvelope(env Envelope) []byte {
+	e := refEncoder()
+	e.u32(env.Sender)
+	e.bytes(env.Payload)
+	e.u32(uint32(len(env.Auth)))
+	for _, mac := range env.Auth {
+		e.bytes(mac)
+	}
+	return e.buf
+}
+
+// TestSealMatchesReference checks the one-buffer envelope against
+// encoding and authenticating separately: same bytes, exact size, one
+// allocation, and every receiver verifies its MAC over the aliased payload.
+func TestSealMatchesReference(t *testing.T) {
+	rings := auth.GenerateKeyrings(4, 7)
+	for _, m := range codecTable() {
+		payload := Encode(m)
+		want := encodeEnvelope(Envelope{Sender: 2, Payload: payload, Auth: rings[2].Authenticate(payload)})
+		sender := &Replica{id: 2, keyring: rings[2]}
+		got, size := sender.seal(m)
+		if !bytes.Equal(got, want) || cap(got) != len(got) || size != len(payload) {
+			t.Fatalf("%T: sealed envelope differs from the reference (len %d/%d, cap %d)", m, len(got), len(want), cap(got))
+		}
+		env, err := DecodeEnvelope(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupted, _ := (&Replica{id: 2, keyring: rings[2], faults: Faults{CorruptMACs: true}}).seal(m)
+		bad, _ := DecodeEnvelope(corrupted)
+		for _, to := range []int{0, 1, 3} {
+			if !rings[to].VerifyFrom(2, env.Payload, env.Auth) {
+				t.Errorf("%T: replica %d rejects the sealed envelope", m, to)
+			}
+			if rings[to].VerifyFrom(2, bad.Payload, bad.Auth) {
+				t.Errorf("%T: replica %d accepts corrupted MACs", m, to)
+			}
+		}
+		if raceflag.Enabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { sender.seal(m) }); allocs != 1 {
+			t.Errorf("seal(%T) allocates %v times, want 1", m, allocs)
+		}
+	}
+}
+
+// TestDecodeAliasesInput pins decode-by-reference: every byte field of a
+// decoded message or envelope lies inside the input buffer, with its
+// capacity cut to its length.
+func TestDecodeAliasesInput(t *testing.T) {
+	inside := func(field, raw []byte) bool {
+		if len(field) == 0 {
+			return true
+		}
+		for i := range raw {
+			if &raw[i] == &field[0] {
+				return cap(field) == len(field) && i+len(field) <= len(raw)
+			}
+		}
+		return false
+	}
+	batch := batchOf(3, 100)
+	raw, _ := (&Replica{keyring: auth.GenerateKeyrings(4, 7)[0]}).seal(PrePrepare{View: 1, Seq: 2, Batch: batch})
+	env, err := DecodeEnvelope(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !inside(env.Payload, raw) {
+		t.Error("envelope payload does not alias the input")
+	}
+	for i, mac := range env.Auth {
+		if !inside(mac, raw) {
+			t.Errorf("MAC %d does not alias the input", i)
+		}
+	}
+	m, err := Decode(env.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range m.(PrePrepare).Batch {
+		if !inside(r.Op, raw) || !bytes.Equal(r.Op, batch[i].Op) {
+			t.Errorf("operation %d does not alias the input", i)
+		}
+	}
+	for _, m := range []Message{
+		Reply{Result: []byte("result")}, ReadReply{Result: []byte("result")}, ReadRequest{Op: []byte("op")},
+		StatePart{Data: []byte("data")}, StateManifest{Header: []byte("header")},
+	} {
+		raw := Encode(m)
+		out, err := Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var field []byte
+		switch v := out.(type) {
+		case Reply:
+			field = v.Result
+		case ReadReply:
+			field = v.Result
+		case ReadRequest:
+			field = v.Op
+		case StatePart:
+			field = v.Data
+		case StateManifest:
+			field = v.Header
+		}
+		if len(field) == 0 || !inside(field, raw) {
+			t.Errorf("%T: byte field does not alias the input", m)
+		}
+	}
+}
+
+// TestBatchDigestStreamsTheEncoding checks the streamed digest against
+// its definition — the hash of the batch's encoding — including on a
+// reused digester, which must carry nothing from one batch to the next.
+func TestBatchDigestStreamsTheEncoding(t *testing.T) {
+	var reused batchDigester
+	for _, batch := range [][]Request{nil, {}, batchOf(1, 0), batchOf(1, 5), batchOf(8, 128), batchOf(8, 32<<10), batchOf(1, 1<<20)} {
+		e := refEncoder()
+		encodeRequests(e, batch)
+		want := auth.Hash(e.buf)
+		if got := BatchDigest(batch); got != want {
+			t.Errorf("BatchDigest of %d requests differs from the hash of their encoding", len(batch))
+		}
+		if got := reused.digest(batch); got != want {
+			t.Errorf("reused digester of %d requests differs from the hash of their encoding", len(batch))
+		}
+	}
+	if raceflag.Enabled {
+		return
+	}
+	batch := batchOf(8, 32<<10)
+	if allocs := testing.AllocsPerRun(10, func() { reused.digest(batch) }); allocs != 0 {
+		t.Errorf("a reused digester allocates %v times per batch, want 0", allocs)
 	}
 }
 
@@ -178,7 +353,7 @@ func TestBatchDigestDistinguishesBatches(t *testing.T) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	env := Envelope{Sender: 2, Payload: []byte("payload"), Auth: auth.Authenticator{nil, []byte("mac1"), []byte("mac2")}}
-	got, err := DecodeEnvelope(EncodeEnvelope(env))
+	got, err := DecodeEnvelope(encodeEnvelope(env))
 	if err != nil {
 		t.Fatal(err)
 	}

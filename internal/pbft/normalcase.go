@@ -116,10 +116,8 @@ func (r *Replica) proposeBatch() {
 	for _, req := range batch {
 		order += params.Protocol.OrderCost(len(req.Op))
 	}
-	d := BatchDigest(batch)
-	r.crypto(auth.DigestCost(params.Crypto, prePrepareSize(batch)))
-
-	pp := PrePrepare{View: r.view, Seq: seq, Digest: d, Batch: batch}
+	pp := PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(batch), Batch: batch}
+	r.crypto(auth.DigestCost(params.Crypto, encodedSize(pp)))
 	r.slotFor(seq).pp = &pp
 	r.node.CPU.Acquire(order, func() {
 		// A view change while the proposal was being marshalled makes it
@@ -160,7 +158,7 @@ func (r *Replica) ProposeHeartbeat(upTo uint64) int {
 	for r.seqNext < upTo && r.seqNext < r.stable+r.cfg.LogWindow {
 		r.seqNext++
 		seq := r.seqNext
-		pp := PrePrepare{View: r.view, Seq: seq, Digest: BatchDigest(nil)}
+		pp := PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(nil)}
 		r.slotFor(seq).pp = &pp
 		r.broadcast(pp)
 		proposed++
@@ -197,7 +195,7 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	// Integrity: the digest must match the carried batch (an
 	// equivocating leader fails here).
 	r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, size))
-	if BatchDigest(pp.Batch) != pp.Digest {
+	if r.batches.digest(pp.Batch) != pp.Digest {
 		r.startViewChange(r.view + 1)
 		return
 	}

@@ -70,6 +70,9 @@ type Replica struct {
 	// replica's outbound traffic — nothing is silently discarded.
 	sendFaults *metrics.Counter
 
+	// batches digests proposals without materialising their encoding.
+	batches batchDigester
+
 	// peerIDScratch backs peerIDs so per-broadcast id collection does not
 	// allocate; consumers use the slice synchronously.
 	peerIDScratch []uint32
@@ -221,18 +224,12 @@ func (r *Replica) broadcast(m Message) {
 	if r.stopped || r.faults.Crashed || (r.faults.Mute != nil && r.faults.Mute[m.msgType()]) {
 		return
 	}
-	payload := Encode(m)
-	p := r.node.Network().Params().Crypto
-	r.crypto(auth.AuthenticatorCost(p, r.cfg.N, len(payload)))
-	a := r.keyring.Authenticate(payload)
-	if r.faults.CorruptMACs {
-		corruptAuth(a)
-	}
+	env, size := r.seal(m)
+	r.crypto(auth.AuthenticatorCost(r.node.Network().Params().Crypto, r.cfg.N, size))
 	if pp, isPP := m.(PrePrepare); isPP && r.faults.EquivocateLeader {
-		r.deferSend(func() { r.equivocate(pp, a) })
+		r.deferSend(func() { r.equivocate(pp, env) })
 		return
 	}
-	env := EncodeEnvelope(Envelope{Sender: r.id, Payload: payload, Auth: a})
 	cls := classFor(m.msgType())
 	r.deferSend(func() {
 		ids := r.peerIDs()
@@ -280,12 +277,10 @@ func (r *Replica) peerIDs() []uint32 {
 
 // equivocate sends conflicting pre-prepares: correct to low-id backups,
 // digest-corrupted to the rest.
-func (r *Replica) equivocate(pp PrePrepare, a auth.Authenticator) {
+func (r *Replica) equivocate(pp PrePrepare, goodEnv []byte) {
 	bad := pp
 	bad.Digest[0] ^= 0xFF
-	goodEnv := EncodeEnvelope(Envelope{Sender: r.id, Payload: Encode(pp), Auth: a})
-	badPayload := Encode(bad)
-	badEnv := EncodeEnvelope(Envelope{Sender: r.id, Payload: badPayload, Auth: r.keyring.Authenticate(badPayload)})
+	badEnv, _ := r.seal(bad)
 	for _, id := range r.peerIDs() {
 		env := goodEnv
 		if id%2 != 0 {
@@ -307,28 +302,14 @@ func (r *Replica) send(to uint32, m Message) {
 		r.sendFaults.Inc() // no live handle: a delivery failure, not a silent skip
 		return
 	}
-	payload := Encode(m)
-	p := r.node.Network().Params().Crypto
-	r.crypto(auth.Cost(p, len(payload)))
-	a := r.keyring.Authenticate(payload)
-	if r.faults.CorruptMACs {
-		corruptAuth(a)
-	}
-	env := EncodeEnvelope(Envelope{Sender: r.id, Payload: payload, Auth: a})
+	env, size := r.seal(m)
+	r.crypto(auth.Cost(r.node.Network().Params().Crypto, size))
 	cls := classFor(m.msgType())
 	r.deferSend(func() {
 		if err := peer.Send(cls, env); err != nil {
 			r.sendFaults.Inc()
 		}
 	})
-}
-
-func corruptAuth(a auth.Authenticator) {
-	for _, mac := range a {
-		if len(mac) > 0 {
-			mac[0] ^= 0xFF
-		}
-	}
 }
 
 // Envelope is the authenticated wrapper for replica-to-replica messages.
@@ -338,24 +319,45 @@ type Envelope struct {
 	Auth    auth.Authenticator
 }
 
-// EncodeEnvelope serializes an envelope.
-func EncodeEnvelope(env Envelope) []byte {
-	e := &encoder{}
-	e.u32(env.Sender)
-	e.bytes(env.Payload)
-	e.u32(uint32(len(env.Auth)))
-	for _, mac := range env.Auth {
-		e.bytes(mac)
+// seal lays sender | len | payload | MACs out in one buffer of exactly the
+// envelope's size: m is encoded once, straight into place, and each MAC is
+// computed over that sub-slice and appended behind it. size is the payload's
+// length, which the modeled crypto charges go by.
+func (r *Replica) seal(m Message) (env []byte, size int) {
+	kr := r.keyring
+	size, n := encodedSize(m), kr.N()
+	e := &encoder{buf: make([]byte, 0, 4+4+size+4+4*n+(n-1)*auth.MACSize)}
+	e.u32(r.id)
+	e.u32(uint32(size))
+	e.message(m)
+	payload := e.buf[8:]
+	e.u32(uint32(n))
+	for peer := 0; peer < n; peer++ {
+		if peer == kr.Self() {
+			e.u32(0)
+			continue
+		}
+		e.u32(auth.MACSize)
+		e.buf = kr.AppendMAC(e.buf, peer, payload)
+		if r.faults.CorruptMACs {
+			e.buf[len(e.buf)-auth.MACSize] ^= 0xFF
+		}
 	}
-	return e.buf
+	return e.buf, size
 }
 
-// DecodeEnvelope parses an envelope.
+// DecodeEnvelope parses an envelope. Payload and the MACs alias raw, under
+// the same rule as Decode.
 func DecodeEnvelope(raw []byte) (Envelope, error) {
 	d := &decoder{buf: raw}
 	env := Envelope{Sender: d.u32(), Payload: d.bytes()}
-	for n := d.count(1 << 16); n > 0 && d.err == nil; n-- {
-		env.Auth = append(env.Auth, d.bytes())
+	// Every entry takes at least its length prefix, so a forged count
+	// cannot size the vector beyond what the input could hold.
+	if n := d.count(min(1<<16, len(d.buf)/4)); n > 0 {
+		env.Auth = make(auth.Authenticator, n)
+		for i := range env.Auth {
+			env.Auth[i] = d.bytes()
+		}
 	}
 	if d.err != nil {
 		return Envelope{}, d.err

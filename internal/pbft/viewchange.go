@@ -103,7 +103,7 @@ func (r *Replica) installNewView(v uint64) {
 		if p, ok := best[seq]; ok {
 			pps = append(pps, PrePrepare{View: v, Seq: seq, Digest: p.Digest, Batch: p.Batch})
 		} else {
-			pps = append(pps, PrePrepare{View: v, Seq: seq, Digest: BatchDigest(nil)})
+			pps = append(pps, PrePrepare{View: v, Seq: seq, Digest: r.batches.digest(nil)})
 		}
 	}
 	nv := NewView{View: v, PrePrepares: pps}

@@ -56,6 +56,27 @@ func TestBlockGrowthKeepsEarlierBytes(t *testing.T) {
 	}
 }
 
+// Take gives a block's backing away: the taker's bytes stay what they were
+// when the block is written again, the block reads as never written, and
+// the other blocks of the pool keep theirs.
+func TestTakeDetachesBlockBacking(t *testing.T) {
+	r := newRig(t)
+	pool := r.pa.RegisterPool(2, 1024, AccessLocalWrite, nil)
+	copy(pool.Slice(0, 5), "first")
+	copy(pool.Slice(1024, 5), "other")
+	taken := pool.Take(0, 5)
+	if string(taken) != "first" {
+		t.Fatalf("Take returned %q", taken)
+	}
+	if got := pool.Slice(0, 5); !bytes.Equal(got, make([]byte, 5)) {
+		t.Fatalf("a taken block reads %q, want zeros", got)
+	}
+	copy(pool.Slice(0, 5), "again")
+	if string(taken) != "first" || string(pool.Slice(1024, 5)) != "other" {
+		t.Fatalf("after rewriting the block: taken %q, neighbour %q", taken, pool.Slice(1024, 5))
+	}
+}
+
 func TestExtentCrossingBlockRejected(t *testing.T) {
 	r := newRig(t)
 	pool := r.pa.RegisterPool(2, 64, AccessLocalWrite, nil)

@@ -265,6 +265,15 @@ func (mr *MR) Slice(off, n int) []byte {
 	return mr.blocks[i][lo:hi:hi]
 }
 
+// Take returns what Slice would and detaches the block's backing from the
+// region: the bytes are the caller's from here on, and the block is backed
+// afresh by its next touch — a landed message handed upward without a copy.
+func (mr *MR) Take(off, n int) []byte {
+	b := mr.Slice(off, n)
+	mr.blocks[off/mr.blockSize] = nil
+	return b
+}
+
 // Len returns the region size.
 func (mr *MR) Len() int { return len(mr.blocks) * mr.blockSize }
 

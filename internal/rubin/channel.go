@@ -36,8 +36,9 @@ type Config struct {
 	Inline bool
 	// ZeroCopyReceive skips the receive-side copy out of the registered
 	// buffer (the paper's planned future optimization). The message
-	// returned by Receive then aliases the pool buffer and must be
-	// consumed before the next selector turn.
+	// returned by Receive is then the very memory the NIC wrote: the slot
+	// gives its backing up with the message and is re-posted empty, so
+	// the receiver owns the bytes exactly as it owns a copied message.
 	ZeroCopyReceive bool
 }
 
@@ -276,12 +277,11 @@ func (c *Channel) finishRecvCQE(cqe rdma.CQE) bool {
 	}
 	slot := int(cqe.WRID)
 	off := slot * c.cfg.BufferSize
-	raw := c.recvMR.Slice(off, cqe.Bytes)
 	var msg []byte
 	if c.cfg.ZeroCopyReceive {
-		msg = raw
+		msg = c.recvMR.Take(off, cqe.Bytes)
 	} else {
-		msg = append([]byte(nil), raw...)
+		msg = append([]byte(nil), c.recvMR.Slice(off, cqe.Bytes)...)
 	}
 	c.inbox = append(c.inbox, msg)
 	c.received++

@@ -67,6 +67,9 @@ type Conn interface {
 	Send(msg []byte) error
 	// OnMessage installs the delivery callback. Must be set before
 	// messages arrive; delivery without a callback queues internally.
+	// A delivered msg belongs to the receiver: the connection never
+	// reads, writes or reuses those bytes again, so the layers above may
+	// keep them, and slices of them, for as long as they like.
 	OnMessage(fn func(msg []byte))
 	// OnClose installs a callback for connection teardown.
 	OnClose(fn func())

@@ -347,15 +347,22 @@ func (d *Driver) complete(rec Op, traceID string, res []byte) {
 // write); the stem stays unique across both forms because no stem is
 // another stem followed by padding dots.
 func (d *Driver) writeValue(user, seq, sub int) string {
-	v := fmt.Sprintf("u%d.%d", user, seq)
+	var scratch [64]byte // holds any stem
+	stem := strconv.AppendInt(append(scratch[:0], 'u'), int64(user), 10)
+	stem = strconv.AppendInt(append(stem, '.'), int64(seq), 10)
 	if sub >= 0 {
-		v = fmt.Sprintf("%s.%d", v, sub)
+		stem = strconv.AppendInt(append(stem, '.'), int64(sub), 10)
 	}
-	if pad := d.cfg.ValueSize - len(v); pad > 0 {
-		v += strings.Repeat(".", pad)
+	var v strings.Builder
+	v.Grow(max(len(stem), d.cfg.ValueSize)) // the value's one allocation
+	v.Write(stem)
+	for pad := d.cfg.ValueSize - len(stem); pad > 0; pad -= len(padding) {
+		v.WriteString(padding[:min(pad, len(padding))])
 	}
-	return v
+	return v.String()
 }
+
+const padding = "................................................................"
 
 // normalize maps a kvstore reply onto the observation the history
 // records: reads record the value seen (Absent for a missing key),

@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"rubin/internal/kvstore"
+	"rubin/internal/raceflag"
 	"rubin/internal/sim"
 )
 
@@ -391,6 +393,33 @@ func TestDriverWriteValuesUniqueAndPadded(t *testing.T) {
 			t.Fatalf("duplicate write value %q", op.Value)
 		}
 		seen[op.Value] = true
+	}
+}
+
+// TestWriteValueBytesPinned holds the generated values — the benchmark's
+// input — to their definition: the stem, then dots up to ValueSize, built
+// in the value's one allocation.
+func TestWriteValueBytesPinned(t *testing.T) {
+	for _, size := range []int{0, 3, 8, 63, 64, 65, 128, 32 << 10} {
+		d := &Driver{cfg: Config{ValueSize: size}}
+		for _, c := range [][3]int{{0, 0, -1}, {7, 12, -1}, {95, 8799, 1}, {1 << 30, 1 << 40, 0}} {
+			want := fmt.Sprintf("u%d.%d", c[0], c[1])
+			if c[2] >= 0 {
+				want = fmt.Sprintf("%s.%d", want, c[2])
+			}
+			if pad := size - len(want); pad > 0 {
+				want += strings.Repeat(".", pad)
+			}
+			if got := d.writeValue(c[0], c[1], c[2]); got != want {
+				t.Fatalf("writeValue(%v) at ValueSize %d = %q, want %q", c, size, got, want)
+			}
+		}
+		if raceflag.Enabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() { d.writeValue(7, 12, -1) }); allocs != 1 {
+			t.Errorf("writeValue at ValueSize %d allocates %v times, want 1", size, allocs)
+		}
 	}
 }
 
