@@ -55,12 +55,18 @@ type ChaosResult struct {
 	// replicas asymmetrically — the restarted replica absorbs a state
 	// snapshot and the partition dams up queues toward the cut-off node.
 	PeakQueueBytesPerReplica []int
+	// LeaderAtPartition is who led the group when the partition fired, and
+	// FinalViews each replica's view at the end (index = replica id): the
+	// checks that the timeline's phases contain the faults they are named
+	// after.
+	LeaderAtPartition uint32
+	FinalViews        []uint64
 }
 
 // chaosTimeline returns the scripted fault events and the matching
 // measurement phases. Replica 0 leads view 0 and crashes first; replica 1
-// leads view 1 and is partitioned away later, forcing a second view
-// change in the majority partition.
+// leads view 1 — one crash costs one view change — and is partitioned
+// away later, forcing a second view change in the majority partition.
 func chaosTimeline() (*chaos.Scenario, []ChaosPhase) {
 	s := chaos.NewScenario("E7-fault-timeline").
 		Crash(150*sim.Millisecond, 0).
@@ -161,6 +167,10 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 			sendOne()
 		}
 	})
+	var leaderAtPartition uint32
+	loop.At(base+phases[3].Start, func() {
+		leaderAtPartition = cluster.Replicas[2].Leader(cluster.Replicas[2].View())
+	})
 	loop.RunUntil(base + end)
 
 	if err := sched.Err(); err != nil {
@@ -182,7 +192,13 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 	for i, mesh := range d.meshes {
 		perReplica[i] = mesh.PeakQueueBytes()
 	}
+	views := make([]uint64, len(cluster.Replicas))
+	for i, rep := range cluster.Replicas {
+		views[i] = rep.View()
+	}
 	return ChaosResult{
+		LeaderAtPartition:        leaderAtPartition,
+		FinalViews:               views,
 		Kind:                     cfg.Kind,
 		N:                        cluster.Config.N,
 		F:                        cluster.Config.F,

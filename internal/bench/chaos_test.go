@@ -38,6 +38,17 @@ func TestChaosLivenessAcrossTimeline(t *testing.T) {
 			if res.StateTransfers == 0 {
 				t.Errorf("restarted replica completed no state transfer")
 			}
+			// One crash, one view change: replica 1 must still lead when
+			// the partition cuts it off, or the partition phase measures
+			// a cut-off backup and contains no view change at all.
+			if res.LeaderAtPartition != 1 {
+				t.Errorf("replica %d led when the partition fired, want replica 1 (view 1)", res.LeaderAtPartition)
+			}
+			for _, i := range []int{0, 2, 3} {
+				if res.FinalViews[i] != 2 {
+					t.Errorf("majority replica %d ended in view %d, want 2 (views: %v)", i, res.FinalViews[i], res.FinalViews)
+				}
+			}
 			// The healthy phase must outperform the view-change phase
 			// in mean latency (faults are not free).
 			if res.Phases[0].MeanLat >= res.Phases[1].MeanLat {

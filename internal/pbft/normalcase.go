@@ -47,14 +47,10 @@ func (r *Replica) handleRequest(req Request) {
 	if r.proposed[id] {
 		return
 	}
-	if _, known := r.requestStore[id]; !known {
-		r.requestStore[id] = req
-	}
-	// Liveness: watch this request until it executes.
-	r.armRequestTimer(id)
+	r.remember(req)
 	if !r.IsLeader() {
 		// Clients broadcast requests to all replicas (see Client), so
-		// the leader already has it; backups only watch the timer.
+		// the leader already has it; backups only watch for progress.
 		return
 	}
 	if r.tracer != nil {
@@ -71,21 +67,51 @@ func (r *Replica) handleRequest(req Request) {
 	}
 }
 
-func (r *Replica) armRequestTimer(id reqID) {
-	if _, armed := r.reqTimers[id]; armed {
+// remember stores a request until it executes and, if the progress timer
+// was idle, starts watching it.
+func (r *Replica) remember(req Request) {
+	id := req.id()
+	if _, known := r.requestStore[id]; known {
 		return
 	}
-	r.reqTimers[id] = r.node.Loop().After(r.cfg.ViewTimeout, func() {
-		delete(r.reqTimers, id)
-		r.startViewChange(r.view + 1)
-	})
+	r.requestStore[id] = req
+	r.arrivals = append(r.arrivals, id)
+	if !r.viewChanging && !r.progress.Pending() {
+		r.watchOldest()
+	}
 }
 
-func (r *Replica) cancelRequestTimer(id reqID) {
-	if t, ok := r.reqTimers[id]; ok {
-		t.Cancel()
-		delete(r.reqTimers, id)
+// watchOldest restarts the progress timer, with a full timeout, on the
+// stored request that arrived first — a fixed choice, so runs reproduce
+// and a leader cannot starve one client by serving the others. With
+// nothing stored the timer stays cancelled rather than left to lapse: an
+// armed timer on an idle replica would keep Loop.Run alive past the work.
+func (r *Replica) watchOldest() {
+	r.progress.Cancel()
+	for ; len(r.arrivals) > 0; r.arrivals = r.arrivals[1:] {
+		if _, waiting := r.requestStore[r.arrivals[0]]; waiting {
+			r.watched = r.arrivals[0]
+			r.armProgress()
+			return
+		}
 	}
+}
+
+// armProgress starts the progress timer: one ViewTimeout, doubled for each
+// consecutive demanded view that failed to install.
+func (r *Replica) armProgress() {
+	r.progress = r.node.Loop().After(r.cfg.ViewTimeout<<r.failedViews, r.onProgress)
+}
+
+// progressExpired: the watched request did not execute in time, or the
+// awaited NEW-VIEW never came — then the next view's wait doubles.
+func (r *Replica) progressExpired() {
+	next := r.view + 1
+	if r.viewChanging {
+		r.failedViews++
+		next = r.demanded + 1
+	}
+	r.startViewChange(next)
 }
 
 // proposeBatch assigns the next sequence number to the pending batch and
@@ -208,10 +234,8 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	}
 	s.pp = &pp
 	for _, req := range pp.Batch {
-		id := req.id()
-		r.proposed[id] = true
-		r.requestStore[id] = req
-		r.armRequestTimer(id) // watch progress even if first seen here
+		r.proposed[req.id()] = true
+		r.remember(req) // watch progress even if first seen here
 	}
 	if !s.sentPrep {
 		s.sentPrep = true
@@ -293,8 +317,13 @@ func (r *Replica) tryExecute() {
 			rep := Reply{View: r.view, Timestamp: req.Timestamp, Client: req.Client, Replica: r.id, Result: result}
 			r.replyCache[req.Client] = rep
 			r.sendToClient(req.Client, Encode(rep))
-			r.cancelRequestTimer(req.id())
 			delete(r.requestStore, req.id())
+		}
+		// Execution only happens in an installed view (never while
+		// viewChanging), so the timer here is watching or idle.
+		if _, waiting := r.requestStore[r.watched]; !waiting {
+			r.failedViews = 0
+			r.watchOldest()
 		}
 		if r.onExecute != nil {
 			r.onExecute(next, s.pp.Batch)

@@ -48,15 +48,25 @@ type Replica struct {
 	batchTimer sim.Timer
 
 	// requestStore remembers every known-but-unexecuted request so a
-	// new leader can re-propose work the old leader dropped.
+	// new leader can re-propose work the old leader dropped; arrivals is
+	// its arrival order (executed entries are skipped when reached).
 	requestStore map[reqID]Request
+	arrivals     []reqID
 
 	// Exactly-once reply cache per client.
 	replyCache map[uint32]Reply
 
-	// Liveness: per-request timers and view-change state.
-	reqTimers    map[reqID]sim.Timer
+	// Liveness: ONE timer per replica. Idle when nothing waits; else it
+	// watches the oldest stored request, or — while viewChanging, and only
+	// once 2F+1 replicas demand the view this one demanded — awaits the
+	// NEW-VIEW. Each consecutive demanded view that fails to install
+	// doubles the timeout until a request executes again.
+	progress     sim.Timer
+	onProgress   func() // progressExpired, bound once so arming allocates nothing
+	watched      reqID
 	viewChanging bool
+	demanded     uint64 // view of this replica's latest VIEW-CHANGE
+	failedViews  uint
 	vcVotes      map[uint64]map[uint32]ViewChange
 
 	// Stats and hooks.
@@ -85,7 +95,7 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		return nil, err
 	}
 	ps, _ := app.(PartitionedState)
-	return &Replica{
+	r := &Replica{
 		ps:           ps,
 		id:           id,
 		cfg:          cfg,
@@ -100,11 +110,12 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		fetch:        newStateFetcher(cfg),
 		proposed:     make(map[reqID]bool),
 		replyCache:   make(map[uint32]Reply),
-		reqTimers:    make(map[reqID]sim.Timer),
 		vcVotes:      make(map[uint64]map[uint32]ViewChange),
 		requestStore: make(map[reqID]Request),
 		sendFaults:   metrics.NewCounter(),
-	}, nil
+	}
+	r.onProgress = r.progressExpired
+	return r, nil
 }
 
 // ID returns the replica identifier.
@@ -133,10 +144,7 @@ func (r *Replica) SetFaults(f Faults) { r.faults = f }
 func (r *Replica) Stop() {
 	r.stopped = true
 	r.batchTimer.Cancel()
-	for _, t := range r.reqTimers {
-		t.Cancel()
-	}
-	r.reqTimers = make(map[reqID]sim.Timer)
+	r.progress.Cancel()
 	r.fetch.retry.Cancel()
 }
 

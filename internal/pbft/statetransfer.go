@@ -399,16 +399,14 @@ func (r *Replica) adoptCheckpoint(seq uint64, d auth.Digest, view uint64) {
 	// The checkpoint subsumes every request ordered below it, but we
 	// cannot tell which of the requests we are watching those are: drop
 	// all request bookkeeping and let live traffic re-arm. Leaving the
-	// timers armed would fire view-change demands for long-committed
-	// requests and wedge the replica in viewChanging — blocking the very
-	// catch-up the transfer enables.
+	// progress timer armed would fire a view-change demand for a
+	// long-committed request and wedge the replica in viewChanging —
+	// blocking the very catch-up the transfer enables.
 	r.pending = nil
 	r.proposed = make(map[reqID]bool)
 	r.requestStore = make(map[reqID]Request)
-	for id, t := range r.reqTimers {
-		t.Cancel()
-		delete(r.reqTimers, id)
-	}
+	r.arrivals = nil
+	r.progress.Cancel()
 	// Any view change we demanded was based on pre-transfer lag; rejoin
 	// the group's current view instead of staying wedged. If a genuine
 	// view change is in progress, its NEW-VIEW will reach us normally.

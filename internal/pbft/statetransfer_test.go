@@ -262,10 +262,12 @@ func TestRestartRedialsDeadPeers(t *testing.T) {
 	}
 }
 
-// TestCascadingViewChanges exercises the startViewChange(newView+1)
-// escalation path: when the leaders of consecutive views fail, replicas
-// must keep escalating until a live leader installs a view. Table-driven
-// over the two failure variants.
+// TestCascadingViewChanges exercises the NEW-VIEW wait: when the leaders
+// of consecutive views fail, replicas must keep escalating until a live
+// leader installs a view — waiting one ViewTimeout for the first NEW-VIEW
+// and twice as long for each next one (Castro & Liskov §4.5.2), so a slow
+// but correct leader is eventually given the time it needs. Table-driven
+// over the failure variants.
 func TestCascadingViewChanges(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -295,6 +297,19 @@ func TestCascadingViewChanges(t *testing.T) {
 			minView:  2,
 			liveFrom: 1,
 		},
+		{
+			// Views 1 and 2 both fail (a crashed and a NEW-VIEW-muting
+			// leader): the wait for view 2 is the doubled one, and it
+			// has to run out before view 3 is demanded.
+			name: "crashed-then-muted-n7", n: 7, f: 2,
+			setup: func(c *Cluster) {
+				c.Crash(0)
+				c.Crash(1)
+				c.Replicas[2].SetFaults(Faults{Mute: map[MsgType]bool{MsgNewView: true}})
+			},
+			minView:  3,
+			liveFrom: 2,
+		},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -307,6 +322,14 @@ func TestCascadingViewChanges(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.setup(c)
+			// When the last replica heard each view demanded by the one
+			// before it (both are correct in every variant).
+			demandedAt := make(map[uint64]sim.Time)
+			tapViewChanges(c, func(to int, vc ViewChange) {
+				if _, seen := demandedAt[vc.NewView]; to == tc.n-1 && int(vc.Replica) == tc.n-2 && !seen {
+					demandedAt[vc.NewView] = c.Loop.Now()
+				}
+			})
 			done := 0
 			c.Loop.Post(func() {
 				cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "cascade", "1"), func([]byte) { done++ })
@@ -314,6 +337,14 @@ func TestCascadingViewChanges(t *testing.T) {
 			c.Loop.Run()
 			if done != 1 {
 				t.Fatalf("request never committed across cascading view changes")
+			}
+			// The k-th NEW-VIEW wait is 2^(k-1) ViewTimeouts, give or take
+			// the moment it takes 2F+1 VIEW-CHANGEs to get around.
+			for v, wait := uint64(1), cfg.ViewTimeout; v < tc.minView; v, wait = v+1, 2*wait {
+				got := demandedAt[v+1] - demandedAt[v]
+				if got < wait || got > wait+sim.Millisecond {
+					t.Errorf("view %d was demanded %v after view %d, want %v (+ < 1ms)", v+1, got, v, wait)
+				}
 			}
 			for i := tc.liveFrom; i < tc.n; i++ {
 				if v := c.Replicas[i].View(); v < tc.minView {

@@ -8,12 +8,14 @@ import "sort"
 // MAC'd, and a run must reproduce them exactly.
 
 func (r *Replica) startViewChange(newView uint64) {
-	if r.stopped || newView <= r.view || (r.viewChanging && newView <= r.pendingView()) {
+	if r.stopped || newView <= r.view || (r.viewChanging && newView <= r.demanded) {
 		return
 	}
-	r.viewChanging = true
-	// Cancel batch work; collect prepared proofs above the stable point.
+	r.viewChanging, r.demanded = true, newView
+	// Cancel batch work and the progress timer (awaitNewView re-arms it);
+	// collect prepared proofs above the stable point.
 	r.batchTimer.Cancel()
+	r.progress.Cancel()
 	var seqs []uint64
 	for seq, s := range r.log {
 		if s.pp != nil && r.prepared(s) && !s.executed {
@@ -29,22 +31,17 @@ func (r *Replica) startViewChange(newView uint64) {
 	vc := ViewChange{NewView: newView, Stable: r.stable, Prepared: proofs, Replica: r.id}
 	r.recordViewChange(vc)
 	r.broadcast(vc)
-	// If the new leader's NEW-VIEW never arrives, escalate further.
-	r.node.Loop().After(r.cfg.ViewTimeout, func() {
-		if r.viewChanging && r.view < newView {
-			r.startViewChange(newView + 1)
-		}
-	})
+	r.awaitNewView()
 }
 
-func (r *Replica) pendingView() uint64 {
-	var max uint64
-	for v := range r.vcVotes {
-		if _, voted := r.vcVotes[v][r.id]; voted && v > max {
-			max = v
-		}
+// awaitNewView starts the wait for the demanded view's NEW-VIEW once 2F+1
+// replicas demand that view (Castro & Liskov §4.5.2): until then its
+// leader cannot install it, and a replica cut off from the group must not
+// climb one view per timeout on its own.
+func (r *Replica) awaitNewView() {
+	if r.viewChanging && !r.progress.Pending() && len(r.vcVotes[r.demanded]) >= r.cfg.Quorum() {
+		r.armProgress()
 	}
-	return max
 }
 
 func (r *Replica) handleViewChange(m ViewChange) {
@@ -61,6 +58,7 @@ func (r *Replica) handleViewChange(m ViewChange) {
 	if r.Leader(m.NewView) == r.id && len(votes) >= r.cfg.Quorum() {
 		r.installNewView(m.NewView)
 	}
+	r.awaitNewView()
 }
 
 func (r *Replica) recordViewChange(m ViewChange) {
@@ -183,8 +181,8 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 			r.proposed[req.id()] = true
 		}
 	}
+	r.watchOldest() // the new leader gets a full timeout
 	for _, id := range r.storedIDs() {
-		r.armRequestTimer(id)
 		if r.IsLeader() && !r.proposed[id] {
 			r.pending = append(r.pending, r.requestStore[id])
 			r.proposed[id] = true

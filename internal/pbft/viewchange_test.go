@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rubin/internal/kvstore"
-	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -28,19 +27,11 @@ func viewChangeWire(t *testing.T) [][]byte {
 		t.Fatal(err)
 	}
 	var wire [][]byte
-	for i, rep := range c.Replicas {
-		rep := rep
-		for _, p := range c.inboundPeer[i] {
-			p.OnMessage(func(_ msgnet.Class, raw []byte) {
-				if env, err := DecodeEnvelope(raw); err == nil && len(env.Payload) > 0 {
-					if mt := MsgType(env.Payload[0]); mt == MsgViewChange || mt == MsgNewView {
-						wire = append(wire, bytes.Clone(env.Payload))
-					}
-				}
-				rep.handleEnvelope(raw)
-			})
+	tapInbound(c, func(_ int, payload []byte) {
+		if mt := MsgType(payload[0]); mt == MsgViewChange || mt == MsgNewView {
+			wire = append(wire, bytes.Clone(payload))
 		}
-	}
+	})
 	setMute := func(mute bool) {
 		for _, rep := range c.Replicas {
 			rep.SetFaults(Faults{Mute: map[MsgType]bool{MsgCommit: mute}})
