@@ -340,18 +340,12 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 		_ = sqp.PostSend(wr)
 	}
 	qprs.serverRecvCQ.OnEvent(func() {
-		for {
-			cqes := qprs.serverRecvCQ.Poll(16)
-			if cqes == nil {
-				break
-			}
-			for _, cqe := range cqes {
-				slot := int(cqe.WRID)
-				serverSend(slot, cqe.Bytes)
-				_ = sqp.PostRecv(rdma.RecvWR{ID: cqe.WRID, MR: qprs.serverRecvMR,
-					Offset: slot * cfg.Payload, Length: cfg.Payload})
-			}
-		}
+		pollAll(qprs.serverRecvCQ, func(cqe rdma.CQE) {
+			slot := int(cqe.WRID)
+			serverSend(slot, cqe.Bytes)
+			_ = sqp.PostRecv(rdma.RecvWR{ID: cqe.WRID, MR: qprs.serverRecvMR,
+				Offset: slot * cfg.Payload, Length: cfg.Payload})
+		})
 		qprs.serverRecvCQ.RequestNotify()
 	})
 	qprs.serverRecvCQ.RequestNotify()
@@ -362,18 +356,12 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 
 	// Client: completion of an echo per received message.
 	qprs.clientRecvCQ.OnEvent(func() {
-		for {
-			cqes := qprs.clientRecvCQ.Poll(16)
-			if cqes == nil {
-				break
-			}
-			for _, cqe := range cqes {
-				slot := int(cqe.WRID)
-				_ = cqp.PostRecv(rdma.RecvWR{ID: cqe.WRID, MR: qprs.clientRecvMR,
-					Offset: slot * cfg.Payload, Length: cfg.Payload})
-				d.completed()
-			}
-		}
+		pollAll(qprs.clientRecvCQ, func(cqe rdma.CQE) {
+			slot := int(cqe.WRID)
+			_ = cqp.PostRecv(rdma.RecvWR{ID: cqe.WRID, MR: qprs.clientRecvMR,
+				Offset: slot * cfg.Payload, Length: cfg.Payload})
+			d.completed()
+		})
 		qprs.clientRecvCQ.RequestNotify()
 	})
 	qprs.clientRecvCQ.RequestNotify()
@@ -393,20 +381,29 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 	return d.result(StackSendRecv), nil
 }
 
+// pollAll empties a completion queue as a verbs poll loop does, sixteen
+// entries per poll, handing each to visit; it returns how many there were.
+func pollAll(cq *rdma.CQ, visit func(rdma.CQE)) int {
+	var buf [16]rdma.CQE
+	total := 0
+	for {
+		n := cq.Poll(buf[:])
+		if n == 0 {
+			return total
+		}
+		for _, cqe := range buf[:n] {
+			visit(cqe)
+		}
+		total += n
+	}
+}
+
 // drainCQStrict keeps a completion queue empty, charging the full
 // completion-handling cost for every entry (no event coalescing): the
 // behaviour of an application that signals and processes every send.
 func drainCQStrict(cq *rdma.CQ, thread *sim.Resource, params model.Params) {
-	var pump func()
-	pump = func() {
-		drained := 0
-		for {
-			cqes := cq.Poll(16)
-			if cqes == nil {
-				break
-			}
-			drained += len(cqes)
-		}
+	pump := func() {
+		drained := pollAll(cq, func(rdma.CQE) {})
 		if drained > 1 {
 			// The notification already charged one CompletionHandle;
 			// charge the rest so the cost stays strictly per message.
@@ -509,15 +506,7 @@ func echoOneSided(cfg EchoConfig, params model.Params) (EchoResult, error) {
 
 	// Completion = hardware ack of the write; the server CPU never runs.
 	qprs.clientSendCQ.OnEvent(func() {
-		for {
-			cqes := qprs.clientSendCQ.Poll(16)
-			if cqes == nil {
-				break
-			}
-			for range cqes {
-				d.completed()
-			}
-		}
+		pollAll(qprs.clientSendCQ, func(rdma.CQE) { d.completed() })
 		qprs.clientSendCQ.RequestNotify()
 	})
 	qprs.clientSendCQ.RequestNotify()

@@ -56,16 +56,8 @@ type Network struct {
 	loop   *sim.Loop
 	params model.Params
 	nodes  map[string]*Node
-	links  map[linkKey]*Link
-}
 
-type linkKey struct{ a, b string }
-
-func orderedKey(a, b string) linkKey {
-	if a < b {
-		return linkKey{a, b}
-	}
-	return linkKey{b, a}
+	frames sim.FreeList[frame] // delivered frames' records
 }
 
 // New creates an empty network on the given loop.
@@ -74,7 +66,6 @@ func New(loop *sim.Loop, params model.Params) *Network {
 		loop:   loop,
 		params: params,
 		nodes:  make(map[string]*Node),
-		links:  make(map[linkKey]*Link),
 	}
 }
 
@@ -91,11 +82,11 @@ func (nw *Network) AddNode(name string) *Node {
 		panic(fmt.Sprintf("fabric: duplicate node %q", name))
 	}
 	n := &Node{
-		name:     name,
-		net:      nw,
-		CPU:      sim.NewResource(nw.loop, name+"/cpu", nw.params.Host.Cores),
-		NIC:      sim.NewResource(nw.loop, name+"/nic", nw.params.Host.NICEngines),
-		handlers: make(map[Protocol]Handler),
+		name: name,
+		id:   len(nw.nodes),
+		net:  nw,
+		CPU:  sim.NewResource(nw.loop, name+"/cpu", nw.params.Host.Cores),
+		NIC:  sim.NewResource(nw.loop, name+"/nic", nw.params.Host.NICEngines),
 	}
 	nw.nodes[name] = n
 	return n
@@ -110,8 +101,7 @@ func (nw *Network) Connect(a, b *Node) *Link {
 	if a == b {
 		panic("fabric: cannot link a node to itself")
 	}
-	key := orderedKey(a.name, b.name)
-	if l, ok := nw.links[key]; ok {
+	if l := nw.Link(a, b); l != nil {
 		return l
 	}
 	l := &Link{
@@ -122,13 +112,17 @@ func (nw *Network) Connect(a, b *Node) *Link {
 		ab:     sim.NewResource(nw.loop, a.name+"->"+b.name, 1),
 		ba:     sim.NewResource(nw.loop, b.name+"->"+a.name, 1),
 	}
-	nw.links[key] = l
+	a.setLink(b, l)
+	b.setLink(a, l)
 	return l
 }
 
 // Link returns the link between two nodes, or nil if they are not connected.
 func (nw *Network) Link(a, b *Node) *Link {
-	return nw.links[orderedKey(a.name, b.name)]
+	if b.id < len(a.links) {
+		return a.links[b.id]
+	}
+	return nil
 }
 
 // Send serializes a payload onto the link from one node to another and
@@ -141,7 +135,7 @@ func (nw *Network) Send(from, to *Node, proto Protocol, payload any, wireBytes i
 	if link == nil {
 		return fmt.Errorf("fabric: no link %s -> %s", from.name, to.name)
 	}
-	if _, ok := to.handlers[proto]; !ok {
+	if int(proto) >= len(to.handlers) || to.handlers[proto] == nil {
 		return fmt.Errorf("fabric: node %s has no %v handler", to.name, proto)
 	}
 	link.transmit(from, to, proto, payload, wireBytes)
@@ -151,6 +145,7 @@ func (nw *Network) Send(from, to *Node, proto Protocol, payload any, wireBytes i
 // Node is one simulated host.
 type Node struct {
 	name string
+	id   int // position in the network's creation order; indexes links
 	net  *Network
 
 	// CPU is the host processor (Cores parallel servers). All software
@@ -163,7 +158,8 @@ type Node struct {
 	// kernel-bypass / zero-copy advantage.
 	NIC *sim.Resource
 
-	handlers map[Protocol]Handler
+	handlers [ProtoRDMA + 1]Handler // by Protocol
+	links    []*Link                // by peer id, filled by Connect; nil where unconnected
 }
 
 // Name returns the node's unique name.
@@ -181,6 +177,13 @@ func (n *Node) Register(proto Protocol, h Handler) {
 		panic("fabric: nil handler")
 	}
 	n.handlers[proto] = h
+}
+
+func (n *Node) setLink(peer *Node, l *Link) {
+	for len(n.links) <= peer.id {
+		n.links = append(n.links, nil)
+	}
+	n.links[peer.id] = l
 }
 
 // LinkFaults is the injected fault state of one link (both directions).
@@ -214,6 +217,49 @@ type heldFrame struct {
 	proto     Protocol
 	payload   any
 	wireBytes int
+}
+
+// frame is one frame on a link, from the start of serialization to the
+// destination handler. Many are in flight at once, so unlike the one-job
+// stages above the fabric its operands cannot be fields of its owner; the
+// record is recycled through Network.frames, its two stage callbacks bound
+// when it is first made, so a frame schedules its events without allocating.
+type frame struct {
+	link      *Link
+	from, to  *Node
+	proto     Protocol
+	payload   any
+	wireBytes int
+	prop      sim.Time // propagation delay drawn at transmit time
+
+	onWire, arrive func() // f.serialized and f.deliver, bound once
+}
+
+// serialized runs when the frame's last bit has left the sender: it
+// schedules the arrival one propagation delay later.
+func (f *frame) serialized() {
+	loop := f.link.net.loop
+	last := f.link.lastArrival(f.from)
+	at := loop.Now() + f.prop
+	if at < *last {
+		at = *last // FIFO: never overtake an earlier frame
+	}
+	*last = at
+	loop.At(at, f.arrive)
+}
+
+// deliver hands the frame to the destination's handler — after the record
+// is back on the free list, as Loop.Step releases its event before the
+// callback: the handler transmits from inside delivery (acks), and the
+// frame it sends may be this very record.
+func (f *frame) deliver() {
+	nw := f.link.net
+	from, to, proto, payload, wireBytes := f.from, f.to, f.proto, f.payload, f.wireBytes
+	f.payload = nil
+	nw.frames.Put(f)
+	if h := to.handlers[proto]; h != nil {
+		h(from, payload, wireBytes)
+	}
 }
 
 // Link is a full-duplex point-to-point link.
@@ -315,18 +361,11 @@ func (l *Link) transmit(from, to *Node, proto Protocol, payload any, wireBytes i
 	if l.faults.Jitter > 0 {
 		prop += sim.Time(l.net.loop.Rand().Int63n(int64(l.faults.Jitter)))
 	}
-	loop := l.net.loop
-	last := l.lastArrival(from)
-	l.direction(from).Acquire(ser, func() {
-		at := loop.Now() + prop
-		if at < *last {
-			at = *last // FIFO: never overtake an earlier frame
-		}
-		*last = at
-		loop.At(at, func() {
-			if h := to.handlers[proto]; h != nil {
-				h(from, payload, wireBytes)
-			}
-		})
-	})
+	f := l.net.frames.Get()
+	if f.onWire == nil {
+		f.onWire, f.arrive = f.serialized, f.deliver
+	}
+	f.link, f.from, f.to, f.proto = l, from, to, proto
+	f.payload, f.wireBytes, f.prop = payload, wireBytes, prop
+	l.direction(from).Acquire(ser, f.onWire)
 }

@@ -29,39 +29,6 @@ type outItem struct {
 	enqAt  sim.Time
 }
 
-// classQueue is one class's FIFO of queued items. Pops advance a head
-// index instead of re-slicing, and the backing array resets once the
-// queue drains — so steady-state queuing allocates nothing.
-type classQueue struct {
-	items []*outItem
-	head  int
-}
-
-func (q *classQueue) push(it *outItem) { q.items = append(q.items, it) }
-
-func (q *classQueue) peek() *outItem {
-	if q.head >= len(q.items) {
-		return nil
-	}
-	return q.items[q.head]
-}
-
-func (q *classQueue) pop() *outItem {
-	if q.head >= len(q.items) {
-		return nil
-	}
-	it := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return it
-}
-
-func (q *classQueue) len() int { return len(q.items) - q.head }
-
 // inStream is the reassembly state of one inbound chunked message. Verified
 // chunk payloads wait in parts (slices of delivered frames, msgnet's to
 // keep) and are joined once the size is known: one exact allocation.
@@ -85,14 +52,14 @@ type Peer struct {
 
 	// Delivery.
 	onMsg   func(Class, []byte)
-	inbox   []inboxEntry
+	inbox   sim.Queue[inboxEntry]
 	streams map[uint64]*inStream
 
 	// Send scheduling. queueBytes counts on-wire framed bytes (headers
 	// included) for every queued frame, so admission, watermarks and the
 	// peak series all speak the same unit. pumpFn is the pump bound once
 	// at creation so arming does not allocate a method value per turn.
-	queues      [numClasses]classQueue
+	queues      [numClasses]sim.Queue[*outItem]
 	cursor      int
 	queueBytes  int
 	queueFrames int
@@ -152,9 +119,8 @@ func (p *Peer) RecvErrors() uint64 { return p.recvErrs }
 // it, or decode it by reference and keep the pieces.
 func (p *Peer) OnMessage(fn func(class Class, msg []byte)) {
 	p.onMsg = fn
-	for len(p.inbox) > 0 && p.onMsg != nil {
-		e := p.inbox[0]
-		p.inbox = p.inbox[1:]
+	for p.inbox.Len() > 0 && p.onMsg != nil {
+		e := p.inbox.Pop()
 		p.onMsg(e.class, e.msg)
 	}
 }
@@ -247,7 +213,7 @@ func (p *Peer) Send(class Class, msg []byte) error {
 	if p.mesh.tracer.SpansEnabled() {
 		it.traced, it.enqAt = true, p.mesh.node.Loop().Now()
 	}
-	p.queues[class].push(it)
+	p.queues[class].Push(it)
 	p.queueBytes += framed
 	if p.queueBytes > p.peakQueueBytes {
 		p.peakQueueBytes = p.queueBytes
@@ -321,14 +287,14 @@ func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
 	for i := 0; i < numClasses; i++ {
 		cls := (p.cursor + i) % numClasses
 		q := &p.queues[cls]
-		it := q.peek()
-		if it == nil {
+		if q.Len() == 0 {
 			continue
 		}
+		it := *q.Front()
 		p.cursor = (cls + 1) % numClasses
 		p.queueFrames--
 		if it.count == 0 {
-			q.pop()
+			q.Pop()
 			p.queueBytes -= len(it.msg)
 			p.traceDequeue(it, Class(cls))
 			return it.msg, it, true
@@ -348,7 +314,7 @@ func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
 		it.prev = digest
 		p.queueBytes -= len(f)
 		if it.index == it.count {
-			q.pop()
+			q.Pop()
 			p.traceDequeue(it, Class(cls))
 			fin = it
 		}
@@ -413,12 +379,9 @@ func (p *Peer) connClosed() {
 	dropped := 0
 	for cls := range p.queues {
 		q := &p.queues[cls]
-		dropped += q.len()
-		for {
-			it := q.pop()
-			if it == nil {
-				break
-			}
+		dropped += q.Len()
+		for q.Len() > 0 {
+			it := q.Pop()
 			p.mesh.putBuf(it.msg)
 			p.mesh.putItem(it)
 		}
@@ -522,7 +485,7 @@ func (p *Peer) handOff(class Class, msg []byte) {
 	if p.onMsg != nil {
 		p.onMsg(class, msg)
 	} else {
-		p.inbox = append(p.inbox, inboxEntry{class: class, msg: msg})
+		p.inbox.Push(inboxEntry{class: class, msg: msg})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"errors"
 
 	"rubin/internal/fabric"
+	"rubin/internal/sim"
 	"rubin/internal/tcpsim"
 )
 
@@ -214,7 +215,7 @@ func (k *SelectionKey) signal(ops InterestOps) {
 type ServerSocketChannel struct {
 	stack    *tcpsim.Stack
 	listener *tcpsim.Listener
-	backlog  []*tcpsim.Conn
+	backlog  sim.Queue[*tcpsim.Conn]
 	key      *SelectionKey
 }
 
@@ -222,7 +223,7 @@ type ServerSocketChannel struct {
 func ListenSocket(stack *tcpsim.Stack, port int) (*ServerSocketChannel, error) {
 	ssc := &ServerSocketChannel{stack: stack}
 	l, err := stack.Listen(port, func(c *tcpsim.Conn) {
-		ssc.backlog = append(ssc.backlog, c)
+		ssc.backlog.Push(c)
 		ssc.key.signal(OpAccept)
 	})
 	if err != nil {
@@ -235,7 +236,7 @@ func ListenSocket(stack *tcpsim.Stack, port int) (*ServerSocketChannel, error) {
 func (ssc *ServerSocketChannel) bind(k *SelectionKey) { ssc.key = k }
 
 func (ssc *ServerSocketChannel) readiness() InterestOps {
-	if len(ssc.backlog) > 0 {
+	if ssc.backlog.Len() > 0 {
 		return OpAccept
 	}
 	return 0
@@ -244,15 +245,14 @@ func (ssc *ServerSocketChannel) readiness() InterestOps {
 // Accept dequeues one established inbound connection as a SocketChannel,
 // or nil if none is pending.
 func (ssc *ServerSocketChannel) Accept() *SocketChannel {
-	if len(ssc.backlog) == 0 {
+	if ssc.backlog.Len() == 0 {
 		if ssc.key != nil {
 			ssc.key.ResetReady(OpAccept)
 		}
 		return nil
 	}
-	conn := ssc.backlog[0]
-	ssc.backlog = ssc.backlog[1:]
-	if len(ssc.backlog) == 0 && ssc.key != nil {
+	conn := ssc.backlog.Pop()
+	if ssc.backlog.Len() == 0 && ssc.key != nil {
 		ssc.key.ResetReady(OpAccept)
 	}
 	return newSocketChannel(conn)

@@ -290,7 +290,7 @@ func (r *Replica) advanceStable(seq uint64) {
 	}
 	r.cps.gc(seq)
 	r.fetch.prune(seq)
-	if r.IsLeader() && len(r.pending) > 0 {
+	if r.IsLeader() && r.pending.Len() > 0 {
 		r.node.Loop().Post(r.proposeBatch)
 	}
 }

@@ -56,9 +56,9 @@ func (r *Replica) handleRequest(req Request) {
 	if r.tracer != nil {
 		r.tracer.MarkLeaderRecv(req.Key(), r.node.Loop().Now())
 	}
-	r.pending = append(r.pending, req)
+	r.pending.Push(req)
 	r.proposed[id] = true
-	if len(r.pending) >= r.cfg.BatchSize {
+	if r.pending.Len() >= r.cfg.BatchSize {
 		r.proposeBatch()
 		return
 	}
@@ -75,7 +75,7 @@ func (r *Replica) remember(req Request) {
 		return
 	}
 	r.requestStore[id] = req
-	r.arrivals = append(r.arrivals, id)
+	r.arrivals.Push(id)
 	if !r.viewChanging && !r.progress.Pending() {
 		r.watchOldest()
 	}
@@ -88,9 +88,9 @@ func (r *Replica) remember(req Request) {
 // armed timer on an idle replica would keep Loop.Run alive past the work.
 func (r *Replica) watchOldest() {
 	r.progress.Cancel()
-	for ; len(r.arrivals) > 0; r.arrivals = r.arrivals[1:] {
-		if _, waiting := r.requestStore[r.arrivals[0]]; waiting {
-			r.watched = r.arrivals[0]
+	for ; r.arrivals.Len() > 0; r.arrivals.Pop() {
+		if _, waiting := r.requestStore[*r.arrivals.Front()]; waiting {
+			r.watched = *r.arrivals.Front()
 			r.armProgress()
 			return
 		}
@@ -117,18 +117,20 @@ func (r *Replica) progressExpired() {
 // proposeBatch assigns the next sequence number to the pending batch and
 // broadcasts the pre-prepare.
 func (r *Replica) proposeBatch() {
-	if r.stopped || len(r.pending) == 0 || !r.IsLeader() || r.viewChanging {
+	if r.stopped || r.pending.Len() == 0 || !r.IsLeader() || r.viewChanging {
 		return
 	}
 	if r.seqNext >= r.stable+r.cfg.LogWindow {
 		return // watermark window full; retried after the next checkpoint
 	}
-	n := len(r.pending)
+	n := r.pending.Len()
 	if n > r.cfg.BatchSize {
 		n = r.cfg.BatchSize
 	}
-	batch := r.pending[:n:n]
-	r.pending = r.pending[n:]
+	batch := make([]Request, n)
+	for i := range batch {
+		batch[i] = r.pending.Pop()
+	}
 	r.seqNext++
 	seq := r.seqNext
 
@@ -161,7 +163,7 @@ func (r *Replica) proposeBatch() {
 		r.broadcast(pp)
 		r.tryPrepare(seq)
 	})
-	if len(r.pending) > 0 {
+	if r.pending.Len() > 0 {
 		r.node.Loop().Post(r.proposeBatch)
 	}
 }

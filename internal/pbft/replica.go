@@ -43,7 +43,7 @@ type Replica struct {
 	stopped bool
 
 	// Leader batching.
-	pending    []Request
+	pending    sim.Queue[Request]
 	proposed   map[reqID]bool // requests already assigned a slot
 	batchTimer sim.Timer
 
@@ -51,7 +51,7 @@ type Replica struct {
 	// new leader can re-propose work the old leader dropped; arrivals is
 	// its arrival order (executed entries are skipped when reached).
 	requestStore map[reqID]Request
-	arrivals     []reqID
+	arrivals     sim.Queue[reqID]
 
 	// Exactly-once reply cache per client.
 	replyCache map[uint32]Reply

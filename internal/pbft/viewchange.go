@@ -1,6 +1,10 @@
 package pbft
 
-import "sort"
+import (
+	"sort"
+
+	"rubin/internal/sim"
+)
 
 // View change. Everything that reaches the wire here is built in a fixed
 // order — prepared proofs by ascending sequence, VIEW-CHANGE votes by
@@ -174,7 +178,7 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	// Rebuild proposal bookkeeping: only the re-proposed slots count as
 	// in flight; everything else known-but-unexecuted goes back to the
 	// new leader's queue.
-	r.pending = nil
+	r.pending = sim.Queue[Request]{}
 	r.proposed = make(map[reqID]bool)
 	for _, pp := range nv.PrePrepares {
 		for _, req := range pp.Batch {
@@ -184,14 +188,14 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	r.watchOldest() // the new leader gets a full timeout
 	for _, id := range r.storedIDs() {
 		if r.IsLeader() && !r.proposed[id] {
-			r.pending = append(r.pending, r.requestStore[id])
+			r.pending.Push(r.requestStore[id])
 			r.proposed[id] = true
 		}
 	}
 	if r.onViewChange != nil {
 		r.onViewChange(v)
 	}
-	if r.IsLeader() && len(r.pending) > 0 {
+	if r.IsLeader() && r.pending.Len() > 0 {
 		r.node.Loop().Post(r.proposeBatch)
 	}
 	for _, pp := range nv.PrePrepares {

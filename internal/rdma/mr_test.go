@@ -21,7 +21,7 @@ func TestReadOfNeverWrittenExtentReturnsZeros(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if cqes := r.cqA.Poll(16); len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Bytes != 32 {
+	if cqes := poll(r.cqA); len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Bytes != 32 {
 		t.Fatalf("bad read CQE: %+v", cqes)
 	}
 	if !bytes.Equal(local.Slice(0, 32), make([]byte, 32)) {
@@ -122,7 +122,7 @@ func TestInPlaceSendSurvivesRNRRetryWhileOtherSlotRewritten(t *testing.T) {
 		_ = r.qpB.PostRecv(RecvWR{ID: 2, MR: recvMR, Offset: 4096, Length: 4096})
 	})
 	r.loop.Run()
-	if cqes := r.cqA.Poll(16); len(cqes) != 2 || cqes[0].Status != StatusOK || cqes[1].Status != StatusOK {
+	if cqes := poll(r.cqA); len(cqes) != 2 || cqes[0].Status != StatusOK || cqes[1].Status != StatusOK {
 		t.Fatalf("sends did not complete: %+v", cqes)
 	}
 	if !bytes.Equal(recvMR.Slice(0, len(first)), first) {

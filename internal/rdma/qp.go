@@ -54,9 +54,11 @@ type SendWR struct {
 	Length int
 	// ...or inline payload carried in the WR itself (SEND/WRITE only,
 	// subject to MaxInline); inline sends skip the NIC's DMA read. PostSend
-	// copies the bytes into the WR, so the caller's buffer is free for
-	// reuse as soon as it returns.
+	// copies the bytes into storage the WR owns and keeps (staged), so the
+	// caller's buffer is free for reuse as soon as it returns and a poster
+	// that reuses its WRs pays for the storage once.
 	Inline []byte
+	staged []byte
 
 	// Remote target for one-sided WRITE/READ.
 	RemoteKey    uint32
@@ -64,6 +66,14 @@ type SendWR struct {
 
 	// Signaled requests a CQE on success. Errors always generate CQEs.
 	Signaled bool
+}
+
+// StageInline copies p into the WR's own storage and makes that the inline
+// payload: the one copy an inline send costs, taken ahead of PostSend (which
+// then takes none) by a poster that queues WRs before it rings the doorbell.
+func (wr *SendWR) StageInline(p []byte) {
+	wr.staged = append(wr.staged[:0], p...)
+	wr.Inline = wr.staged
 }
 
 // RecvWR is a posted receive buffer for two-sided SENDs.
@@ -87,16 +97,25 @@ type QP struct {
 
 	// Send pipeline: WRs are processed by the NIC strictly in order per
 	// QP (RC ordering); outstanding counts WRs posted but not yet acked.
-	sendQ       []*SendWR
+	// txActive admits one WR to the NIC at a time: its operands are fields
+	// (txWR, txPayload), its callbacks method values bound once.
+	sendQ       sim.Queue[*SendWR]
 	txActive    bool
+	txWR        *SendWR
+	txPayload   []byte
 	outstanding int
+	pumpSendFn  func() // qp.pumpSend
+	txDoneFn    func() // qp.txDone
 
 	// Receive queue of posted buffers, consumed FIFO by arriving SENDs.
-	recvQ []RecvWR
+	recvQ sim.Queue[RecvWR]
 
-	// Receive pipeline serialization (per-QP in-order delivery).
-	rxQ      []*wireMsg
+	// Receive pipeline serialization (per-QP in-order delivery): rxActive
+	// admits one message at a time, rxMsg is the one on the NIC.
+	rxQ      sim.Queue[*wireMsg]
 	rxActive bool
+	rxMsg    *wireMsg
+	rxDoneFn func() // qp.rxDone
 
 	// Pending one-sided READ WRs awaiting responses, by WR ID.
 	pendingReads map[uint64]*SendWR
@@ -107,9 +126,15 @@ type QP struct {
 	// beyond the expected PSN are NAKed for retry, duplicates below it
 	// are re-acked and dropped, so acks (and thus selective-signaling
 	// coverage) can never complete out of order.
-	nextPSN    uint64
-	rxExpected uint64
-	pending    map[uint64]*txEntry
+	//
+	// PSNs are consecutive, so pending is a window: cell i holds the entry
+	// of PSN pendingBase+i, nil once retired. Acks retire the front; only a
+	// one-sided READ, whose data lands after later acks, retires mid-window.
+	nextPSN     uint64
+	rxExpected  uint64
+	pending     sim.Queue[*txEntry]
+	pendingBase uint64
+	freeTx      sim.FreeList[txEntry] // retired entries
 
 	// thread is where posting (doorbell) CPU costs are charged;
 	// defaults to the node CPU.
@@ -119,12 +144,35 @@ type QP struct {
 	sent, received uint64
 }
 
-// txEntry is an unacknowledged transmitted WR kept for RNR retry.
+// txEntry is an unacknowledged transmitted WR kept for RNR retry. Every
+// (re)transmission puts &entry.msg on the fabric, so only the ack or NAK that
+// retires its PSN may release it — a responder may be reading it until then.
 type txEntry struct {
-	msg     *wireMsg
+	msg     wireMsg
 	wire    int
 	op      Opcode
 	retries int
+}
+
+// unacked returns psn's pending entry, nil once retired or if never sent.
+func (qp *QP) unacked(psn uint64) *txEntry {
+	if i := psn - qp.pendingBase; i < uint64(qp.pending.Len()) {
+		return *qp.pending.At(int(i))
+	}
+	return nil
+}
+
+// retire closes e's cell, slides the window past every closed cell at its
+// front, and recycles the entry.
+func (qp *QP) retire(e *txEntry) {
+	*qp.pending.At(int(e.msg.psn - qp.pendingBase)) = nil
+	for qp.pending.Len() > 0 && *qp.pending.Front() == nil {
+		qp.pending.Pop()
+		qp.pendingBase++
+	}
+	qp.outstanding--
+	e.msg.data = nil
+	qp.freeTx.Put(e)
 }
 
 // CreateQP creates a queue pair in the Init state. Connect it via the
@@ -146,8 +194,8 @@ func (d *Device) CreateQP(pd *PD, cfg QPConfig) (*QP, error) {
 		state:        QPInit,
 		cfg:          cfg,
 		pendingReads: make(map[uint64]*SendWR),
-		pending:      make(map[uint64]*txEntry),
 	}
+	qp.pumpSendFn, qp.txDoneFn, qp.rxDoneFn = qp.pumpSend, qp.txDone, qp.rxDone
 	d.nextQPN++
 	d.qps[qp.num] = qp
 	return qp, nil
@@ -180,10 +228,10 @@ func (qp *QP) Sent() uint64 { return qp.sent }
 func (qp *QP) Received() uint64 { return qp.received }
 
 // RecvDepth returns the number of receive WRs currently posted.
-func (qp *QP) RecvDepth() int { return len(qp.recvQ) }
+func (qp *QP) RecvDepth() int { return qp.recvQ.Len() }
 
 // SendSlots returns how many more send WRs can be posted right now.
-func (qp *QP) SendSlots() int { return qp.cfg.MaxSendWR - qp.outstanding - len(qp.sendQ) }
+func (qp *QP) SendSlots() int { return qp.cfg.MaxSendWR - qp.outstanding - qp.sendQ.Len() }
 
 // PostRecv posts receive buffers. Each WR must reference a local-writable
 // registered region.
@@ -191,7 +239,7 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 	if qp.state == QPError {
 		return ErrQPState
 	}
-	if len(qp.recvQ)+len(wrs) > qp.cfg.MaxRecvWR {
+	if qp.recvQ.Len()+len(wrs) > qp.cfg.MaxRecvWR {
 		return ErrRecvQueueFul
 	}
 	for _, wr := range wrs {
@@ -200,7 +248,9 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 			return fmt.Errorf("%w: recv wr %d", ErrBadMR, wr.ID)
 		}
 	}
-	qp.recvQ = append(qp.recvQ, wrs...)
+	for _, wr := range wrs {
+		qp.recvQ.Push(wr)
+	}
 	// Re-posting receives is a cheap doorbell on the posting thread.
 	qp.workThread().Delay(qp.dev.params.RDMA.RecvWRRefill * sim.Time(len(wrs)))
 	return nil
@@ -217,7 +267,7 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 	if len(wrs) == 0 {
 		return nil
 	}
-	if qp.outstanding+len(qp.sendQ)+len(wrs) > qp.cfg.MaxSendWR {
+	if len(wrs) > qp.SendSlots() {
 		return ErrSendQueueFul
 	}
 	for _, wr := range wrs {
@@ -226,14 +276,14 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 		}
 	}
 	for _, wr := range wrs {
-		if len(wr.Inline) > 0 {
-			wr.Inline = append([]byte(nil), wr.Inline...)
+		if n := len(wr.Inline); n > 0 && (n != len(wr.staged) || &wr.Inline[0] != &wr.staged[0]) {
+			wr.StageInline(wr.Inline) // not the WR's own copy yet
 		}
+		qp.sendQ.Push(wr)
 	}
 	p := qp.dev.params.RDMA
 	cost := p.PostWR + p.PostWRBatched*sim.Time(len(wrs)-1)
-	qp.sendQ = append(qp.sendQ, wrs...)
-	qp.workThread().Acquire(cost, qp.pumpSend)
+	qp.workThread().Acquire(cost, qp.pumpSendFn)
 	return nil
 }
 
@@ -263,12 +313,11 @@ func (qp *QP) validateSend(wr *SendWR) error {
 // preserve RC ordering. Parallelism across QPs comes from the NIC engine
 // pool.
 func (qp *QP) pumpSend() {
-	if qp.txActive || len(qp.sendQ) == 0 || qp.state != QPReady {
+	if qp.txActive || qp.sendQ.Len() == 0 || qp.state != QPReady {
 		return
 	}
 	qp.txActive = true
-	wr := qp.sendQ[0]
-	qp.sendQ = qp.sendQ[1:]
+	wr := qp.sendQ.Pop()
 	qp.outstanding++
 
 	p := qp.dev.params.RDMA
@@ -296,34 +345,42 @@ func (qp *QP) pumpSend() {
 			cost += model.KB(p.DMAPerKB, len(payload))
 		}
 	}
-	qp.dev.node.NIC.Acquire(cost, func() {
-		msg := &wireMsg{srcQPN: qp.num, dstQPN: qp.remoteQPN, wrid: wr.ID}
-		wire := len(payload)
-		switch wr.Op {
-		case OpSend:
-			msg.kind = wireSend
-			msg.data = payload
-		case OpWrite:
-			msg.kind = wireWrite
-			msg.data = payload
-			msg.rkey = wr.RemoteKey
-			msg.roffset = wr.RemoteOffset
-		case OpRead:
-			msg.kind = wireReadReq
-			msg.rkey = wr.RemoteKey
-			msg.roffset = wr.RemoteOffset
-			msg.length = wr.Length
-			wire = ctrlWireBytes
-			qp.pendingReads[wr.ID] = wr
-		}
-		msg.signaled = wr.Signaled
-		msg.psn = qp.nextPSN
-		qp.nextPSN++
-		qp.pending[msg.psn] = &txEntry{msg: msg, wire: wire, op: wr.Op}
-		qp.transmit(msg, wire)
-		qp.txActive = false
-		qp.pumpSend()
-	})
+	qp.txWR, qp.txPayload = wr, payload
+	qp.dev.node.NIC.Acquire(cost, qp.txDoneFn)
+}
+
+// txDone runs when the NIC has processed the WR pumpSend admitted: the
+// message gets its PSN, goes on the wire, and the next WR is admitted.
+func (qp *QP) txDone() {
+	wr, payload := qp.txWR, qp.txPayload
+	qp.txWR, qp.txPayload = nil, nil
+	entry := qp.freeTx.Get()
+	*entry = txEntry{wire: len(payload), op: wr.Op}
+	qp.pending.Push(entry) // the window cell of PSN nextPSN
+	msg := &entry.msg
+	msg.srcQPN, msg.dstQPN, msg.wrid, msg.signaled = qp.num, qp.remoteQPN, wr.ID, wr.Signaled
+	msg.psn = qp.nextPSN
+	qp.nextPSN++
+	switch wr.Op {
+	case OpSend:
+		msg.kind = wireSend
+		msg.data = payload
+	case OpWrite:
+		msg.kind = wireWrite
+		msg.data = payload
+		msg.rkey = wr.RemoteKey
+		msg.roffset = wr.RemoteOffset
+	case OpRead:
+		msg.kind = wireReadReq
+		msg.rkey = wr.RemoteKey
+		msg.roffset = wr.RemoteOffset
+		msg.length = wr.Length
+		entry.wire = ctrlWireBytes
+		qp.pendingReads[wr.ID] = wr
+	}
+	qp.transmit(msg, entry.wire)
+	qp.txActive = false
+	qp.pumpSend()
 }
 
 const ctrlWireBytes = 60

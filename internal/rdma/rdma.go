@@ -127,6 +127,10 @@ type Device struct {
 	pendingCM   map[uint32]*pendingConnect // by local (client) QPN
 	cmAccepting map[uint32]*cmListener     // by local (server) QPN awaiting RTU
 
+	// ctrl recycles the control replies (ack, RNR, NAK) this device sent,
+	// each put back by the peer device that consumed it.
+	ctrl sim.FreeList[wireMsg]
+
 	// Stats.
 	sendsRx, writesRx, readsRx uint64
 	rnrNaks                    uint64
@@ -216,7 +220,7 @@ func (pd *PD) RegisterPool(blocks, blockSize int, access Access, ready func()) *
 	dev.nextKey += 2
 	dev.mrs[mr.rkey] = mr
 	cost := dev.params.RDMA.MemRegisterBase + model.KB(dev.params.RDMA.MemRegisterPerKB, mr.Len())
-	dev.node.CPU.Acquire(cost, func() {
+	dev.node.CPU.Acquire(cost, func() { // set-up, off the frame path: the closure stays
 		if ready != nil {
 			ready()
 		}
@@ -287,7 +291,7 @@ func (mr *MR) Access() Access { return mr.access }
 type CQ struct {
 	dev      *Device
 	capacity int
-	entries  []CQE
+	entries  sim.Queue[CQE]
 	onEvent  func()
 	armed    bool
 	overflow bool
@@ -305,8 +309,10 @@ type CQ struct {
 	eventCost sim.Time
 	hasCost   bool
 
-	// notifyPending prevents charging more than one in-flight wakeup.
+	// notifyPending prevents charging more than one in-flight wakeup, so
+	// the wakeup's callback is bound once.
 	notifyPending bool
+	notifyFn      func() // cq.notify
 }
 
 // SetEventCost overrides the CPU cost charged per completion-channel
@@ -339,7 +345,9 @@ func (d *Device) CreateCQ(capacity int) *CQ {
 	if capacity < 1 {
 		panic("rdma: CQ capacity must be positive")
 	}
-	return &CQ{dev: d, capacity: capacity}
+	cq := &CQ{dev: d, capacity: capacity}
+	cq.notifyFn = cq.notify
+	return cq
 }
 
 // OnEvent installs the completion-channel callback. The callback fires
@@ -351,41 +359,39 @@ func (cq *CQ) OnEvent(fn func()) { cq.onEvent = fn }
 // RequestNotify arms the completion channel for the next CQE.
 func (cq *CQ) RequestNotify() {
 	cq.armed = true
-	if len(cq.entries) > 0 {
+	if cq.entries.Len() > 0 {
 		cq.fire()
 	}
 }
 
-// Poll removes and returns up to max entries. The poll cost is charged to
-// the CPU. Polling an empty CQ returns nil.
-func (cq *CQ) Poll(max int) []CQE {
-	if len(cq.entries) == 0 || max <= 0 {
-		return nil
+// Poll moves up to len(buf) entries, oldest first, into the caller's array
+// and returns how many — ibv_poll_cq's shape; the rest stay queued. The poll
+// cost is charged to the CPU unless the CQ was empty.
+func (cq *CQ) Poll(buf []CQE) int {
+	n := min(cq.entries.Len(), len(buf))
+	if n == 0 {
+		return 0
 	}
-	n := max
-	if n > len(cq.entries) {
-		n = len(cq.entries)
+	for i := range buf[:n] {
+		buf[i] = cq.entries.Pop()
 	}
-	out := make([]CQE, n)
-	copy(out, cq.entries[:n])
-	cq.entries = cq.entries[n:]
 	cq.workThread().Delay(cq.dev.params.RDMA.CQPoll)
-	return out
+	return n
 }
 
 // Depth returns the number of entries waiting in the queue.
-func (cq *CQ) Depth() int { return len(cq.entries) }
+func (cq *CQ) Depth() int { return cq.entries.Len() }
 
 // Overflowed reports whether the CQ ever dropped an entry because it was
 // full — a fatal condition for a real application.
 func (cq *CQ) Overflowed() bool { return cq.overflow }
 
 func (cq *CQ) push(e CQE) {
-	if len(cq.entries) >= cq.capacity {
+	if cq.entries.Len() >= cq.capacity {
 		cq.overflow = true
 		return
 	}
-	cq.entries = append(cq.entries, e)
+	cq.entries.Push(e)
 	if cq.armed {
 		cq.fire()
 	}
@@ -397,10 +403,12 @@ func (cq *CQ) fire() {
 	}
 	cq.armed = false
 	cq.notifyPending = true
-	cq.workThread().Acquire(cq.notifyCost(), func() {
-		cq.notifyPending = false
-		if cq.onEvent != nil {
-			cq.onEvent()
-		}
-	})
+	cq.workThread().Acquire(cq.notifyCost(), cq.notifyFn)
+}
+
+func (cq *CQ) notify() {
+	cq.notifyPending = false
+	if cq.onEvent != nil {
+		cq.onEvent()
+	}
 }

@@ -64,6 +64,15 @@ func newRigParams(t *testing.T, mutate func(*model.Params)) *rig {
 	return r
 }
 
+// poll takes up to 16 completions off a CQ; nil when it was empty.
+func poll(cq *CQ) []CQE {
+	buf := make([]CQE, 16)
+	if n := cq.Poll(buf); n > 0 {
+		return buf[:n]
+	}
+	return nil
+}
+
 func TestCMHandshakeEstablishesQPs(t *testing.T) {
 	r := newRig(t)
 	if r.qpA.Num() == r.qpB.Num() && r.da == r.db {
@@ -116,11 +125,11 @@ func TestSendRecvTransfersData(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	for _, e := range r.rqB.Poll(16) {
+	for _, e := range poll(r.rqB) {
 		e := e
 		recvCQE = &e
 	}
-	for _, e := range r.cqA.Poll(16) {
+	for _, e := range poll(r.cqA) {
 		e := e
 		sendCQE = &e
 	}
@@ -150,7 +159,7 @@ func TestUnsignaledSendProducesNoCQE(t *testing.T) {
 		_ = r.qpA.PostSend(&SendWR{ID: 2, Op: OpSend, MR: sendMR, Length: 512, Signaled: false})
 	})
 	r.loop.Run()
-	if got := r.cqA.Poll(16); got != nil {
+	if got := poll(r.cqA); got != nil {
 		t.Fatalf("unsignaled send produced CQEs: %+v", got)
 	}
 	// The WR slot must still be reclaimed on ack.
@@ -195,7 +204,7 @@ func TestRNRNakAndRetryDelivers(t *testing.T) {
 	if r.db.RNRNaks() == 0 {
 		t.Fatal("expected at least one RNR NAK")
 	}
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusOK {
 		t.Fatalf("send did not complete after retry: %+v", cqes)
 	}
@@ -217,7 +226,7 @@ func TestRNRRetriesExhaustedErrorsQP(t *testing.T) {
 		_ = r.qpA.PostSend(&SendWR{ID: 1, Op: OpSend, MR: sendMR, Length: 8, Signaled: true})
 	})
 	r.loop.Run() // receiver never posts a buffer
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusRNRRetryExceeded {
 		t.Fatalf("want RNR_RETRY_EXCEEDED, got %+v", cqes)
 	}
@@ -243,7 +252,7 @@ func TestRNRDefaultRetriesForever(t *testing.T) {
 		_ = r.qpB.PostRecv(RecvWR{ID: 2, MR: recvMR, Length: 1024})
 	})
 	r.loop.Run()
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusOK {
 		t.Fatalf("send did not survive extended RNR: %+v", cqes)
 	}
@@ -271,7 +280,7 @@ func TestOneSidedWrite(t *testing.T) {
 	if string(remote.Slice(100, 15)) != "one-sided write" {
 		t.Fatal("write did not land in remote memory")
 	}
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Op != OpWrite {
 		t.Fatalf("bad write CQE: %+v", cqes)
 	}
@@ -294,7 +303,7 @@ func TestOneSidedWriteAccessViolation(t *testing.T) {
 		})
 	})
 	r.loop.Run()
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusRemoteAccess {
 		t.Fatalf("want REMOTE_ACCESS_ERROR, got %+v", cqes)
 	}
@@ -314,7 +323,7 @@ func TestOneSidedWriteBoundsViolation(t *testing.T) {
 		})
 	})
 	r.loop.Run()
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusRemoteAccess {
 		t.Fatalf("bounds violation not caught: %+v", cqes)
 	}
@@ -330,7 +339,7 @@ func TestOneSidedWriteToDeregisteredMR(t *testing.T) {
 		_ = r.qpA.PostSend(&SendWR{ID: 1, Op: OpWrite, MR: local, Length: 8, RemoteKey: rkey, Signaled: true})
 	})
 	r.loop.Run()
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusRemoteAccess {
 		t.Fatalf("deregistered MR access not caught: %+v", cqes)
 	}
@@ -355,7 +364,7 @@ func TestOneSidedRead(t *testing.T) {
 	if string(local.Slice(8, 16)) != "read me remotely" {
 		t.Fatalf("read data wrong: %q", local.Slice(8, 16))
 	}
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Op != OpRead || cqes[0].Bytes != 16 {
 		t.Fatalf("bad read CQE: %+v", cqes)
 	}
@@ -369,7 +378,7 @@ func TestReadWithoutRemoteReadAccessFails(t *testing.T) {
 		_ = r.qpA.PostSend(&SendWR{ID: 1, Op: OpRead, MR: local, Length: 8, RemoteKey: remote.RKey(), Signaled: true})
 	})
 	r.loop.Run()
-	cqes := r.cqA.Poll(16)
+	cqes := poll(r.cqA)
 	if len(cqes) != 1 || cqes[0].Status != StatusRemoteAccess {
 		t.Fatalf("read access violation not caught: %+v", cqes)
 	}
@@ -384,11 +393,11 @@ func TestRecvBufferTooSmallErrors(t *testing.T) {
 		_ = r.qpA.PostSend(&SendWR{ID: 2, Op: OpSend, MR: sendMR, Length: 512, Signaled: true})
 	})
 	r.loop.Run()
-	recvCQEs := r.rqB.Poll(16)
+	recvCQEs := poll(r.rqB)
 	if len(recvCQEs) != 1 || recvCQEs[0].Status != StatusRecvLengthErr {
 		t.Fatalf("want RECV_LENGTH_ERROR at receiver, got %+v", recvCQEs)
 	}
-	sendCQEs := r.cqA.Poll(16)
+	sendCQEs := poll(r.cqA)
 	if len(sendCQEs) != 1 || sendCQEs[0].Status != StatusRecvLengthErr {
 		t.Fatalf("want RECV_LENGTH_ERROR at sender, got %+v", sendCQEs)
 	}
@@ -474,7 +483,7 @@ func TestManyMessagesArriveInOrder(t *testing.T) {
 	})
 	r.loop.Run()
 	for {
-		cqes := r.rqB.Poll(16)
+		cqes := poll(r.rqB)
 		if cqes == nil {
 			break
 		}

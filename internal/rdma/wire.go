@@ -51,6 +51,8 @@ type wireMsg struct {
 	signaled bool
 	// CM fields.
 	cmPort int
+
+	home *Device // control replies only: the device whose free list it goes back to
 }
 
 // deliver is the fabric handler for ProtoRDMA frames: it demultiplexes to
@@ -73,12 +75,12 @@ func (d *Device) deliver(from *fabric.Node, payload any, wireBytes int) {
 	case wireSend, wireWrite, wireReadReq:
 		// Requester->responder traffic runs through the per-QP receive
 		// pipeline to preserve RC ordering.
-		qp.rxQ = append(qp.rxQ, msg)
+		qp.rxQ.Push(msg)
 		qp.pumpRecv()
 	case wireAck:
-		qp.handleAck(msg)
+		qp.handleAck(msg.psn)
 	case wireRNR:
-		qp.handleRNR(msg)
+		qp.handleRNR(msg.psn)
 	case wireNakAccess:
 		qp.completeSend(msg.psn, StatusRemoteAccess)
 	case wireNakLength:
@@ -86,16 +88,20 @@ func (d *Device) deliver(from *fabric.Node, payload any, wireBytes int) {
 	case wireReadResp:
 		qp.handleReadResp(msg)
 	}
+	// A control reply was consumed synchronously above: the one point that
+	// returns it to its sender. One a fault drops is left to the collector.
+	if msg.home != nil {
+		msg.home.ctrl.Put(msg)
+	}
 }
 
 // pumpRecv drives the per-QP responder pipeline one message at a time.
 func (qp *QP) pumpRecv() {
-	if qp.rxActive || len(qp.rxQ) == 0 || qp.state == QPError {
+	if qp.rxActive || qp.rxQ.Len() == 0 || qp.state == QPError {
 		return
 	}
 	qp.rxActive = true
-	msg := qp.rxQ[0]
-	qp.rxQ = qp.rxQ[1:]
+	msg := qp.rxQ.Pop()
 
 	p := qp.dev.params.RDMA
 	// Responder NIC work: descriptor processing plus the DMA that moves
@@ -108,11 +114,15 @@ func (qp *QP) pumpRecv() {
 	case wireReadReq:
 		cost += model.KB(p.DMAPerKB, msg.length)
 	}
-	qp.dev.node.NIC.Acquire(cost, func() {
-		qp.finishRecv(msg)
-		qp.rxActive = false
-		qp.pumpRecv()
-	})
+	qp.rxMsg = msg
+	qp.dev.node.NIC.Acquire(cost, qp.rxDoneFn)
+}
+
+// rxDone runs when the NIC has processed the message pumpRecv admitted.
+func (qp *QP) rxDone() {
+	qp.finishRecv(qp.rxMsg)
+	qp.rxMsg, qp.rxActive = nil, false
+	qp.pumpRecv()
 }
 
 func (qp *QP) finishRecv(msg *wireMsg) {
@@ -123,62 +133,59 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		// sender can retire it; re-execute reads (idempotent).
 		switch msg.kind {
 		case wireSend, wireWrite:
-			qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
+			qp.reply(wireAck, msg.psn)
 			return
 		}
 	} else if msg.psn > qp.rxExpected {
 		// A gap: an earlier packet is in RNR backoff. Reject so the
 		// sender retries this one after the gap fills.
-		qp.reply(&wireMsg{kind: wireRNR, psn: msg.psn})
+		qp.reply(wireRNR, msg.psn)
 		return
 	}
 	switch msg.kind {
 	case wireSend:
-		if len(qp.recvQ) == 0 {
+		if qp.recvQ.Len() == 0 {
 			// Receiver not ready: NAK so the sender backs off and
 			// retries (paper: "it is important to allocate enough
 			// receive requests").
 			qp.dev.rnrNaks++
-			qp.reply(&wireMsg{kind: wireRNR, psn: msg.psn})
+			qp.reply(wireRNR, msg.psn)
 			return
 		}
-		wr := qp.recvQ[0]
+		wr := qp.recvQ.Pop()
+		qp.rxExpected = msg.psn + 1
 		if wr.Length < len(msg.data) {
-			qp.recvQ = qp.recvQ[1:]
-			qp.rxExpected = msg.psn + 1
 			qp.cfg.RecvCQ.push(CQE{WRID: wr.ID, QPN: qp.num, Op: OpRecv, Status: StatusRecvLengthErr})
-			qp.reply(&wireMsg{kind: wireNakLength, psn: msg.psn})
+			qp.reply(wireNakLength, msg.psn)
 			qp.state = QPError
 			return
 		}
-		qp.recvQ = qp.recvQ[1:]
-		qp.rxExpected = msg.psn + 1
 		copy(wr.MR.Slice(wr.Offset, len(msg.data)), msg.data)
 		qp.received++
 		qp.dev.sendsRx++
 		qp.dev.node.NIC.Delay(p.CQEGenerate)
 		qp.cfg.RecvCQ.push(CQE{WRID: wr.ID, QPN: qp.num, Op: OpRecv, Status: StatusOK, Bytes: len(msg.data)})
-		qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
+		qp.reply(wireAck, msg.psn)
 
 	case wireWrite:
 		qp.rxExpected = msg.psn + 1
 		mr := qp.dev.mrs[msg.rkey]
 		if mr == nil || !mr.valid || mr.access&AccessRemoteWrite == 0 ||
 			!mr.holds(msg.roffset, len(msg.data)) {
-			qp.reply(&wireMsg{kind: wireNakAccess, psn: msg.psn})
+			qp.reply(wireNakAccess, msg.psn)
 			return
 		}
 		copy(mr.Slice(msg.roffset, len(msg.data)), msg.data)
 		qp.dev.writesRx++
 		// One-sided: no receive CQE, no CPU involvement; just the ack.
-		qp.reply(&wireMsg{kind: wireAck, psn: msg.psn})
+		qp.reply(wireAck, msg.psn)
 
 	case wireReadReq:
 		qp.rxExpected = msg.psn + 1
 		mr := qp.dev.mrs[msg.rkey]
 		if mr == nil || !mr.valid || mr.access&AccessRemoteRead == 0 ||
 			!mr.holds(msg.roffset, msg.length) {
-			qp.reply(&wireMsg{kind: wireNakAccess, psn: msg.psn})
+			qp.reply(wireNakAccess, msg.psn)
 			return
 		}
 		qp.dev.readsRx++
@@ -190,23 +197,22 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 	}
 }
 
-// reply sends a control message back to the peer QP.
-func (qp *QP) reply(msg *wireMsg) {
-	msg.srcQPN = qp.num
-	msg.dstQPN = qp.remoteQPN
+// reply sends a control message back to the peer QP. The message comes from
+// the device's free list; the receiving device returns it (Device.deliver).
+func (qp *QP) reply(kind wireKind, psn uint64) {
+	msg := qp.dev.ctrl.Get()
+	*msg = wireMsg{kind: kind, psn: psn, srcQPN: qp.num, dstQPN: qp.remoteQPN, home: qp.dev}
 	qp.transmit(msg, ctrlWireBytes)
 }
 
 // handleAck retires a pending send: the WR slot frees and, if the WR was
 // signaled, a CQE is generated (selective signaling: unsignaled successes
-// complete silently).
-func (qp *QP) handleAck(msg *wireMsg) {
-	entry := qp.pending[msg.psn]
+// complete silently). An ack for a PSN already retired is ignored.
+func (qp *QP) handleAck(psn uint64) {
+	entry := qp.unacked(psn)
 	if entry == nil {
 		return
 	}
-	delete(qp.pending, msg.psn)
-	qp.outstanding--
 	qp.sent++
 	if entry.msg.signaled {
 		qp.dev.node.NIC.Delay(qp.dev.params.RDMA.CQEGenerate)
@@ -218,12 +224,15 @@ func (qp *QP) handleAck(msg *wireMsg) {
 			Bytes:  len(entry.msg.data),
 		})
 	}
+	qp.retire(entry)
 	qp.pumpSend()
 }
 
 // handleRNR retransmits after a backoff, up to the configured retry count.
-func (qp *QP) handleRNR(msg *wireMsg) {
-	entry := qp.pending[msg.psn]
+// The backoff is off the steady-state path and keeps its closures: several
+// entries can be backing off at once, and each retry re-sends its own.
+func (qp *QP) handleRNR(psn uint64) {
+	entry := qp.unacked(psn)
 	if entry == nil {
 		return
 	}
@@ -231,9 +240,7 @@ func (qp *QP) handleRNR(msg *wireMsg) {
 	entry.retries++
 	// IB semantics: an RNR retry count of 7 retries forever.
 	if p.RNRRetry < 7 && entry.retries > p.RNRRetry {
-		delete(qp.pending, msg.psn)
-		qp.outstanding--
-		qp.fatal(entry.msg.wrid, entry.op, StatusRNRRetryExceeded)
+		qp.failSend(entry, StatusRNRRetryExceeded)
 		return
 	}
 	qp.dev.loop().After(p.RNRDelay, func() {
@@ -244,7 +251,7 @@ func (qp *QP) handleRNR(msg *wireMsg) {
 		cost := p.NICProcess + model.KB(p.DMAPerKB, len(entry.msg.data))
 		qp.dev.node.NIC.Acquire(cost, func() {
 			if qp.state == QPReady {
-				qp.transmit(entry.msg, entry.wire)
+				qp.transmit(&entry.msg, entry.wire)
 			}
 		})
 	})
@@ -253,30 +260,31 @@ func (qp *QP) handleRNR(msg *wireMsg) {
 // completeSend finishes a pending send with an error status and moves the
 // QP to the error state.
 func (qp *QP) completeSend(psn uint64, status Status) {
-	entry := qp.pending[psn]
-	if entry == nil {
-		return
+	if entry := qp.unacked(psn); entry != nil {
+		qp.failSend(entry, status)
 	}
-	delete(qp.pending, psn)
-	qp.outstanding--
-	qp.fatal(entry.msg.wrid, entry.op, status)
+}
+
+func (qp *QP) failSend(entry *txEntry, status Status) {
+	wrid, op := entry.msg.wrid, entry.op
+	qp.retire(entry)
+	qp.fatal(wrid, op, status)
 }
 
 // handleReadResp lands one-sided READ data in the requester's local region.
+// One-sided READ is off the steady-state path and keeps its closure.
 func (qp *QP) handleReadResp(msg *wireMsg) {
 	wr := qp.pendingReads[msg.wrid]
 	if wr == nil {
 		return
 	}
 	delete(qp.pendingReads, msg.wrid)
-	entry := qp.pending[msg.psn]
 	p := qp.dev.params.RDMA
 	// The local NIC DMA-writes the returned data into the WR's region.
 	qp.dev.node.NIC.Acquire(p.NICProcess+model.KB(p.DMAPerKB, len(msg.data)), func() {
 		copy(wr.MR.Slice(wr.Offset, len(msg.data)), msg.data)
-		if entry != nil {
-			delete(qp.pending, msg.psn)
-			qp.outstanding--
+		if entry := qp.unacked(msg.psn); entry != nil {
+			qp.retire(entry)
 			qp.sent++
 		}
 		if wr.Signaled {

@@ -95,20 +95,32 @@ type Channel struct {
 	// Selective signaling bookkeeping: sends are numbered; every
 	// SignalInterval-th WR is signaled and its completion releases all
 	// slots up to it.
-	sendSeq    uint64
-	inFlight   []pendingSlot // slots awaiting a covering signaled CQE
-	pendingWRs []*rdma.SendWR
+	sendSeq  uint64
+	inFlight sim.Queue[pendingSlot] // slots awaiting a covering signaled CQE
+
+	// Send seq uses wrs[seq%SendWRs], a table made by the first Send. The
+	// sends in inFlight have consecutive seqs, at most SendWRs of them, so
+	// no two live sends share a WR, and the QP is done with one that a
+	// completion has covered. pendingWRs awaits the end-of-turn doorbell;
+	// postBuf is the batch handed to PostSend.
+	wrs        []rdma.SendWR
+	pendingWRs sim.Queue[*rdma.SendWR]
+	postBuf    []*rdma.SendWR
 
 	flushArmed bool
+	flushFn    func() // c.flushTurn
 	wantSend   bool
 
-	// Receive pipeline: CQEs queue here and are processed one at a time
-	// on the owning thread so per-message copies cannot reorder.
-	rxPending []rdma.CQE
+	// Receive pipeline: CQEs queue here and are processed one burst at a
+	// time (rxActive; rxBatch is its size) on the owning thread so
+	// per-message copies cannot reorder.
+	rxPending sim.Queue[rdma.CQE]
 	rxActive  bool
+	rxBatch   int
+	rxDoneFn  func() // c.rxDone
 
 	// Received messages ready for Receive().
-	inbox [][]byte
+	inbox sim.Queue[[]byte]
 
 	key       *SelectionKey
 	sel       *Selector
@@ -131,6 +143,7 @@ func newChannel(dev *rdma.Device, cfg Config, id uint64) (*Channel, error) {
 		return nil, err
 	}
 	c := &Channel{id: id, dev: dev, cfg: cfg}
+	c.flushFn, c.rxDoneFn = c.flushTurn, c.rxDone
 	c.sendCQ = dev.CreateCQ(2*cfg.SendWRs + 8)
 	c.recvCQ = dev.CreateCQ(2*cfg.RecvWRs + 8)
 	c.freeSend = make([]int, 0, cfg.SendWRs)
@@ -202,12 +215,13 @@ func (c *Channel) thread() *sim.Resource {
 
 // drainSendCQ retires signaled send completions, releasing buffer slots.
 func (c *Channel) drainSendCQ() {
+	var cqes [16]rdma.CQE
 	for {
-		cqes := c.sendCQ.Poll(16)
-		if cqes == nil {
+		n := c.sendCQ.Poll(cqes[:])
+		if n == 0 {
 			break
 		}
-		for _, cqe := range cqes {
+		for _, cqe := range cqes[:n] {
 			c.onSendCompletion(cqe)
 		}
 	}
@@ -217,12 +231,15 @@ func (c *Channel) drainSendCQ() {
 // drainRecvCQ queues receive completions into the serialized receive
 // pipeline.
 func (c *Channel) drainRecvCQ() {
+	var cqes [16]rdma.CQE
 	for {
-		cqes := c.recvCQ.Poll(16)
-		if cqes == nil {
+		n := c.recvCQ.Poll(cqes[:])
+		if n == 0 {
 			break
 		}
-		c.rxPending = append(c.rxPending, cqes...)
+		for _, cqe := range cqes[:n] {
+			c.rxPending.Push(cqe)
+		}
 	}
 	c.recvCQ.RequestNotify()
 	c.pumpRx()
@@ -233,39 +250,39 @@ func (c *Channel) drainRecvCQ() {
 // pushed per burst, so heavy traffic amortizes the event machinery the
 // same way a real selector loop does.
 func (c *Channel) pumpRx() {
-	if c.rxActive || len(c.rxPending) == 0 || c.closed {
+	if c.rxActive || c.rxPending.Len() == 0 || c.closed {
 		return
 	}
 	c.rxActive = true
-	batch := c.rxPending
-	c.rxPending = nil
+	c.rxBatch = c.rxPending.Len()
 
 	p := c.dev.Node().Network().Params()
 	var copyCost sim.Time
 	if !c.cfg.ZeroCopyReceive {
-		for _, cqe := range batch {
-			if cqe.Status == rdma.StatusOK {
+		for i := 0; i < c.rxBatch; i++ {
+			if cqe := c.rxPending.At(i); cqe.Status == rdma.StatusOK {
 				copyCost += model.KB(p.Selector.CopyPerKB, cqe.Bytes)
 			}
 		}
 	}
-	c.thread().Acquire(copyCost, func() {
-		delivered := 0
-		for _, cqe := range batch {
-			if c.closed {
-				break
-			}
-			if c.finishRecvCQE(cqe) {
-				delivered++
-			}
+	c.thread().Acquire(copyCost, c.rxDoneFn)
+}
+
+// rxDone lands the burst pumpRx charged for: the rxBatch completions at the
+// front of rxPending (later arrivals queued behind them wait their turn).
+func (c *Channel) rxDone() {
+	delivered := 0
+	for ; c.rxBatch > 0 && !c.closed; c.rxBatch-- {
+		if c.finishRecvCQE(c.rxPending.Pop()) {
+			delivered++
 		}
-		c.rxActive = false
-		if delivered > 0 && c.key != nil && c.sel != nil {
-			c.key.markReady(OpReceive)
-			c.sel.push(event{key: c.key, ops: OpReceive})
-		}
-		c.pumpRx()
-	})
+	}
+	c.rxActive = false
+	if delivered > 0 && c.key != nil && c.sel != nil {
+		c.key.markReady(OpReceive)
+		c.sel.push(event{key: c.key, ops: OpReceive})
+	}
+	c.pumpRx()
 }
 
 // finishRecvCQE lands one received message (copy already charged by
@@ -283,7 +300,7 @@ func (c *Channel) finishRecvCQE(cqe rdma.CQE) bool {
 	} else {
 		msg = append([]byte(nil), c.recvMR.Slice(off, cqe.Bytes)...)
 	}
-	c.inbox = append(c.inbox, msg)
+	c.inbox.Push(msg)
 	c.received++
 	wr := rdma.RecvWR{ID: cqe.WRID, MR: c.recvMR, Offset: off, Length: c.cfg.BufferSize}
 	if err := c.qp.PostRecv(wr); err != nil {
@@ -321,11 +338,11 @@ func (c *Channel) SignaledCompletions() uint64 { return c.signaled }
 // (bounded by the work-request queue depth; non-inline messages
 // additionally need a free pool buffer).
 func (c *Channel) SendCapacity() int {
-	return c.cfg.SendWRs - len(c.inFlight)
+	return c.cfg.SendWRs - c.inFlight.Len()
 }
 
 // Pending returns the number of received messages waiting in the inbox.
-func (c *Channel) Pending() int { return len(c.inbox) }
+func (c *Channel) Pending() int { return c.inbox.Len() }
 
 // Send queues one message (non-blocking). It returns ErrWouldBlock when
 // the send pool is exhausted; register for OpSend to learn when capacity
@@ -356,10 +373,17 @@ func (c *Channel) Send(msg []byte) error {
 	signaled := seq%uint64(c.cfg.SignalInterval) == 0 ||
 		c.SendCapacity() <= 2 || (!inline && len(c.freeSend) <= 1)
 
-	wr := &rdma.SendWR{ID: seq, Op: rdma.OpSend, Signaled: signaled}
+	if c.wrs == nil {
+		c.wrs = make([]rdma.SendWR, c.cfg.SendWRs)
+	}
+	wr := &c.wrs[seq%uint64(c.cfg.SendWRs)]
+	wr.ID, wr.Op, wr.Signaled = seq, rdma.OpSend, signaled
+	wr.MR, wr.Offset, wr.Length, wr.Inline = nil, 0, 0, nil
 	slot := -1
 	if inline {
-		wr.Inline = append([]byte(nil), msg...)
+		// The one copy of an inline send, into the WR's own storage: the
+		// caller's buffer is free the moment Send returns.
+		wr.StageInline(msg)
 	} else {
 		slot = c.freeSend[len(c.freeSend)-1]
 		c.freeSend = c.freeSend[:len(c.freeSend)-1]
@@ -372,8 +396,8 @@ func (c *Channel) Send(msg []byte) error {
 		wr.Offset = off
 		wr.Length = len(msg)
 	}
-	c.inFlight = append(c.inFlight, pendingSlot{seq: seq, slot: slot})
-	c.pendingWRs = append(c.pendingWRs, wr)
+	c.inFlight.Push(pendingSlot{seq: seq, slot: slot})
+	c.pendingWRs.Push(wr)
 	c.armFlush()
 	return nil
 }
@@ -385,41 +409,41 @@ func (c *Channel) armFlush() {
 		return
 	}
 	c.flushArmed = true
-	c.dev.Node().Loop().Post(func() {
-		c.flushArmed = false
-		c.Flush()
-	})
+	c.dev.Node().Loop().Post(c.flushFn)
+}
+
+func (c *Channel) flushTurn() {
+	c.flushArmed = false
+	c.Flush()
 }
 
 // Flush posts all queued sends immediately, PostBatch WRs per doorbell.
 func (c *Channel) Flush() {
-	for len(c.pendingWRs) > 0 && !c.closed {
-		n := len(c.pendingWRs)
-		if n > c.cfg.PostBatch {
-			n = c.cfg.PostBatch
+	for c.pendingWRs.Len() > 0 && !c.closed {
+		batch := c.postBuf[:0]
+		for c.pendingWRs.Len() > 0 && len(batch) < c.cfg.PostBatch {
+			batch = append(batch, c.pendingWRs.Pop())
 		}
-		batch := c.pendingWRs[:n]
-		c.pendingWRs = c.pendingWRs[n:]
+		c.postBuf = batch
 		if err := c.qp.PostSend(batch...); err != nil {
 			c.fail()
 			return
 		}
-		c.sent += uint64(n)
+		c.sent += uint64(len(batch))
 	}
 }
 
 // Receive pops the next received message. ok is false when the inbox is
 // empty; the selector reports OpReceive readiness while messages wait.
 func (c *Channel) Receive() ([]byte, bool) {
-	if len(c.inbox) == 0 {
+	if c.inbox.Len() == 0 {
 		if c.key != nil {
 			c.key.ResetReady(OpReceive)
 		}
 		return nil, false
 	}
-	msg := c.inbox[0]
-	c.inbox = c.inbox[1:]
-	if len(c.inbox) == 0 && c.key != nil {
+	msg := c.inbox.Pop()
+	if c.inbox.Len() == 0 && c.key != nil {
 		c.key.ResetReady(OpReceive)
 	}
 	return msg, true
@@ -470,11 +494,10 @@ func (c *Channel) onSendCompletion(cqe rdma.CQE) {
 	}
 	c.signaled++
 	released := 0
-	for len(c.inFlight) > 0 && c.inFlight[0].seq <= cqe.WRID {
-		if s := c.inFlight[0].slot; s >= 0 {
+	for c.inFlight.Len() > 0 && c.inFlight.Front().seq <= cqe.WRID {
+		if s := c.inFlight.Pop().slot; s >= 0 {
 			c.freeSend = append(c.freeSend, s)
 		}
-		c.inFlight = c.inFlight[1:]
 		released++
 	}
 	if released > 0 && c.wantSend {

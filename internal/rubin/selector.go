@@ -50,10 +50,15 @@ type Selector struct {
 	keys    []*SelectionKey
 	nextKey uint64
 
-	// The hybrid event queue and its event-manager state.
-	hybridQ  []event
-	dispatch bool
-	handler  func([]*SelectionKey)
+	// The hybrid event queue and its event-manager state. dispatch admits
+	// one select turn at a time, so the turn's callback is bound once and
+	// its ready list is one slice, good until the next turn.
+	hybridQ    []event
+	dispatch   bool
+	dispatchFn func() // s.dispatchTurn
+	turn       uint64 // stamps keys already taken this turn
+	ready      []*SelectionKey
+	handler    func([]*SelectionKey)
 
 	// Stats.
 	events  uint64
@@ -62,10 +67,12 @@ type Selector struct {
 
 // NewSelector creates a selector on a device's node.
 func NewSelector(dev *rdma.Device) *Selector {
-	return &Selector{
+	s := &Selector{
 		dev:    dev,
 		thread: sim.NewResource(dev.Node().Loop(), dev.Node().Name()+"/rubin", 1),
 	}
+	s.dispatchFn = s.dispatchTurn
+	return s
 }
 
 // Device returns the RDMA device the selector serves.
@@ -127,13 +134,14 @@ func (s *Selector) push(ev event) {
 // Figure 2, step 3: it "blocks" until events arrive). The same contract
 // as the NIO selector applies: the handler must consume or clear every
 // ready+interesting bit or the dispatch loop spins, like any
-// level-triggered event loop.
+// level-triggered event loop. The keys slice is reused by the next turn.
 func (s *Selector) Select(handler func([]*SelectionKey)) {
 	s.handler = handler
 	s.pump()
 }
 
-// SelectNow drains currently ready keys without dispatch cost.
+// SelectNow drains currently ready keys without dispatch cost (into the
+// slice the next turn reuses).
 func (s *Selector) SelectNow() []*SelectionKey { return s.takeReady() }
 
 func (s *Selector) takeReady() []*SelectionKey {
@@ -142,20 +150,18 @@ func (s *Selector) takeReady() []*SelectionKey {
 	}
 	// Match events to interested keys (ID comparison per the paper);
 	// deduplicate to one entry per key preserving first-event order.
-	seen := make(map[*SelectionKey]struct{}, len(s.hybridQ))
-	var keys []*SelectionKey
+	s.turn++
+	keys := s.ready[:0]
 	for _, ev := range s.hybridQ {
 		k := ev.key
-		if k.canceled || k.ready&k.interest == 0 {
+		if k.canceled || k.ready&k.interest == 0 || k.turn == s.turn {
 			continue
 		}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
+		k.turn = s.turn
 		keys = append(keys, k)
 	}
 	s.hybridQ = s.hybridQ[:0]
+	s.ready = keys
 	return keys
 }
 
@@ -168,21 +174,25 @@ func (s *Selector) pump() {
 	// select() path, slower than the native epoll-backed NIO selector
 	// (paper Section IV notes native code as future work).
 	params := s.dev.Node().Network().Params()
-	s.thread.Acquire(params.Selector.RubinDispatch, func() {
-		s.dispatch = false
-		keys := s.takeReady()
-		if len(keys) == 0 || s.handler == nil {
-			return
+	s.thread.Acquire(params.Selector.RubinDispatch, s.dispatchFn)
+}
+
+// dispatchTurn is one select turn: hand the ready keys to the handler, then
+// re-queue whichever it left ready and interesting (level-triggered).
+func (s *Selector) dispatchTurn() {
+	s.dispatch = false
+	keys := s.takeReady()
+	if len(keys) == 0 || s.handler == nil {
+		return
+	}
+	s.wakeups++
+	s.handler(keys)
+	for _, k := range keys {
+		if !k.canceled && k.ready&k.interest != 0 {
+			s.hybridQ = append(s.hybridQ, event{key: k, ops: k.ready & k.interest})
 		}
-		s.wakeups++
-		s.handler(keys)
-		for _, k := range keys {
-			if !k.canceled && k.ready&k.interest != 0 {
-				s.hybridQ = append(s.hybridQ, event{key: k, ops: k.ready & k.interest})
-			}
-		}
-		s.pump()
-	})
+	}
+	s.pump()
 }
 
 // SelectionKey ties a channel to a selector; its unique ID characterizes
@@ -195,6 +205,7 @@ type SelectionKey struct {
 	ready      InterestOps
 	attachment any
 	canceled   bool
+	turn       uint64 // the selector turn that last took this key
 }
 
 // ID returns the key's unique identifier.

@@ -5,6 +5,7 @@ import (
 
 	"rubin/internal/fabric"
 	"rubin/internal/rdma"
+	"rubin/internal/sim"
 )
 
 // ServerChannel accepts inbound RDMA connections on a CM port, queueing
@@ -14,7 +15,7 @@ type ServerChannel struct {
 	dev      *rdma.Device
 	cfg      Config
 	listener *rdma.Listener
-	backlog  []*Channel
+	backlog  sim.Queue[*Channel]
 	key      *SelectionKey
 	nextID   *uint64
 	err      error
@@ -33,7 +34,7 @@ func Listen(dev *rdma.Device, port int, cfg Config) (*ServerChannel, error) {
 	// Each inbound handshake needs a fresh channel (with its own CQs)
 	// before the QP exists, so the config factory creates it and the
 	// establishment callback finishes it.
-	var pending []*Channel
+	var pending sim.Queue[*Channel]
 	l, err := dev.ListenCM(port, pd, func() rdma.QPConfig {
 		*sc.nextID++
 		ch, err := newChannel(dev, cfg, *sc.nextID)
@@ -41,19 +42,18 @@ func Listen(dev *rdma.Device, port int, cfg Config) (*ServerChannel, error) {
 			// Config was validated above; a failure here is a bug.
 			panic(fmt.Sprintf("rubin: newChannel: %v", err))
 		}
-		pending = append(pending, ch)
+		pending.Push(ch)
 		return ch.qpConfig()
 	}, func(qp *rdma.QP) {
-		if len(pending) == 0 {
+		if pending.Len() == 0 {
 			return
 		}
-		ch := pending[0]
-		pending = pending[1:]
+		ch := pending.Pop()
 		if err := ch.finishSetup(qp); err != nil {
 			sc.err = err
 			return
 		}
-		sc.backlog = append(sc.backlog, ch)
+		sc.backlog.Push(ch)
 		sc.key.signal(OpConnect)
 	})
 	if err != nil {
@@ -66,7 +66,7 @@ func Listen(dev *rdma.Device, port int, cfg Config) (*ServerChannel, error) {
 func (sc *ServerChannel) bindKey(k *SelectionKey) { sc.key = k }
 
 func (sc *ServerChannel) readiness() InterestOps {
-	if len(sc.backlog) > 0 {
+	if sc.backlog.Len() > 0 {
 		return OpConnect
 	}
 	return 0
@@ -76,15 +76,14 @@ func (sc *ServerChannel) readiness() InterestOps {
 // The caller must register the returned channel with a selector to
 // receive messages on it.
 func (sc *ServerChannel) Accept() *Channel {
-	if len(sc.backlog) == 0 {
+	if sc.backlog.Len() == 0 {
 		if sc.key != nil {
 			sc.key.ResetReady(OpConnect)
 		}
 		return nil
 	}
-	ch := sc.backlog[0]
-	sc.backlog = sc.backlog[1:]
-	if len(sc.backlog) == 0 && sc.key != nil {
+	ch := sc.backlog.Pop()
+	if sc.backlog.Len() == 0 && sc.key != nil {
 		sc.key.ResetReady(OpConnect)
 	}
 	return ch
@@ -143,7 +142,7 @@ func (c *Channel) bindKey(k *SelectionKey) {
 
 func (c *Channel) readiness() InterestOps {
 	var r InterestOps
-	if len(c.inbox) > 0 {
+	if c.inbox.Len() > 0 {
 		r |= OpReceive
 	}
 	if c.connected && c.SendCapacity() > 0 {

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -60,36 +59,63 @@ type event struct {
 	gen   uint64 // reuse generation, bumped on release
 }
 
-type eventHeap []*event
+// less is the loop's total order: deadline, then scheduling sequence. seq is
+// unique, so no two events compare equal and every correct heap pops the
+// same sequence — the layout below is free to change, the order is not.
+func less(a, b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
+// The event queue is a 4-ary min-heap sifted inline on []*event (half a
+// binary heap's depth, no interface calls). Every move records the event's
+// slot in index, which lets Timer.Cancel remove one from the middle.
 
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// up settles ev, which belongs at or above slot i, sliding parents down.
+func (l *Loop) up(i int, ev *event) {
+	h := l.events
+	for p := (i - 1) / 4; i > 0 && less(ev, h[p]); p = (i - 1) / 4 {
+		h[i] = h[p]
+		h[i].index = i
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	h[i], ev.index = ev, i
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// down settles ev, which belongs at or below slot i, pulling the least
+// child up.
+func (l *Loop) down(i int, ev *event) {
+	h := l.events
+	for c := 4*i + 1; c < len(h); c = 4*i + 1 {
+		m, end := c, min(c+4, len(h))
+		for j := c + 1; j < end; j++ {
+			if less(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !less(h[m], ev) {
+			break
+		}
+		h[i] = h[m]
+		h[i].index = i
+		i = m
+	}
+	h[i], ev.index = ev, i
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
+// remove takes the event in slot i out of the heap, for release: the last
+// event fills the hole and settles downwards or, if it stayed put, upwards.
+func (l *Loop) remove(i int) *event {
+	ev := l.events[i]
+	n := len(l.events) - 1
+	last := l.events[n]
+	l.events[n] = nil
+	l.events = l.events[:n]
+	if i < n {
+		l.down(i, last)
+		if last.index == i {
+			l.up(i, last)
+		}
+	}
 	return ev
 }
 
@@ -111,8 +137,7 @@ func (t Timer) Cancel() bool {
 	if ev == nil || ev.gen != t.gen || ev.index < 0 {
 		return false
 	}
-	heap.Remove(&t.loop.events, ev.index)
-	t.loop.release(ev)
+	t.loop.release(t.loop.remove(ev.index))
 	return true
 }
 
@@ -126,15 +151,13 @@ func (t Timer) Pending() bool {
 // event callbacks on the loop.
 type Loop struct {
 	now       Time
-	events    eventHeap
+	events    []*event // 4-ary min-heap ordered by less
 	seq       uint64
 	rng       *rand.Rand
 	processed uint64
 	maxEvents uint64 // safety valve against runaway simulations; 0 = unlimited
 
-	// free recycles fired/canceled events (plain LIFO — the loop is
-	// single-threaded, so this is deterministic, unlike sync.Pool).
-	free []*event
+	free FreeList[event] // fired and canceled events
 }
 
 // NewLoop returns a Loop whose random source is seeded with seed.
@@ -155,24 +178,13 @@ func (l *Loop) Processed() uint64 { return l.processed }
 // Run panics once the cap is exceeded. Zero disables the cap.
 func (l *Loop) SetEventLimit(n uint64) { l.maxEvents = n }
 
-// acquire takes an event from the free list, or allocates one.
-func (l *Loop) acquire() *event {
-	if n := len(l.free); n > 0 {
-		ev := l.free[n-1]
-		l.free[n-1] = nil
-		l.free = l.free[:n-1]
-		return ev
-	}
-	return &event{}
-}
-
 // release returns a fired or canceled event to the free list. Bumping gen
 // invalidates every outstanding Timer for the old occupancy.
 func (l *Loop) release(ev *event) {
 	ev.fn = nil
 	ev.index = -1
 	ev.gen++
-	l.free = append(l.free, ev)
+	l.free.Put(ev)
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past (t less
@@ -186,9 +198,10 @@ func (l *Loop) At(t Time, fn func()) Timer {
 		t = l.now
 	}
 	l.seq++
-	ev := l.acquire()
+	ev := l.free.Get()
 	ev.at, ev.seq, ev.fn = t, l.seq, fn
-	heap.Push(&l.events, ev)
+	l.events = append(l.events, ev)
+	l.up(len(l.events)-1, ev)
 	return Timer{loop: l, ev: ev, gen: ev.gen}
 }
 
@@ -212,7 +225,7 @@ func (l *Loop) Step() bool {
 	if len(l.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&l.events).(*event)
+	ev := l.remove(0)
 	l.now = ev.at
 	l.processed++
 	if l.maxEvents != 0 && l.processed > l.maxEvents {

@@ -49,10 +49,15 @@ type Stack struct {
 
 	// Interrupt coalescing: segments arriving while the receive softirq
 	// is active are drained in the same batch without a fresh interrupt
-	// charge. rxFrom parallels rxQueue.
-	rxQueue  []*segment
-	rxFrom   []*fabric.Node
+	// charge.
+	rxQueue  sim.Queue[rxSegment]
 	rxActive bool
+}
+
+// rxSegment is a received segment waiting for the softirq, with its sender.
+type rxSegment struct {
+	seg  *segment
+	from *fabric.Node
 }
 
 type connID struct {
@@ -173,7 +178,7 @@ type Conn struct {
 
 	// Send side: bytes accepted from the application but not yet
 	// permitted onto the wire by the peer's advertised window.
-	sendQ    [][]byte
+	sendQ    sim.Queue[[]byte]
 	sendQLen int
 	inFlight int // bytes on the wire not yet consumed by the peer app
 
@@ -258,7 +263,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		tp.SegmentProc*sim.Time(c.stack.params.Link.Frames(n))
 	c.sendQLen += n
 	c.stack.app.Acquire(cost, func() {
-		c.sendQ = append(c.sendQ, data)
+		c.sendQ.Push(data)
 		c.pump()
 	})
 	return n, nil
@@ -271,12 +276,12 @@ func (c *Conn) pump() {
 		return
 	}
 	mtu := c.stack.params.Link.MTU
-	for len(c.sendQ) > 0 {
+	for c.sendQ.Len() > 0 {
 		window := c.stack.params.TCP.SocketBuffer - c.inFlight
 		if window <= 0 {
 			return
 		}
-		head := c.sendQ[0]
+		head := *c.sendQ.Front()
 		n := len(head)
 		if n > mtu {
 			n = mtu
@@ -286,9 +291,9 @@ func (c *Conn) pump() {
 		}
 		chunk := head[:n]
 		if n == len(head) {
-			c.sendQ = c.sendQ[1:]
+			c.sendQ.Pop()
 		} else {
-			c.sendQ[0] = head[n:]
+			*c.sendQ.Front() = head[n:]
 		}
 		c.sendQLen -= n
 		c.inFlight += n
@@ -364,8 +369,7 @@ func (s *Stack) deliver(from *fabric.Node, payload any, wireBytes int) {
 	if !ok {
 		return
 	}
-	s.rxQueue = append(s.rxQueue, seg)
-	s.rxFrom = append(s.rxFrom, from)
+	s.rxQueue.Push(rxSegment{seg, from})
 	if s.rxActive {
 		return
 	}
@@ -374,16 +378,13 @@ func (s *Stack) deliver(from *fabric.Node, payload any, wireBytes int) {
 }
 
 func (s *Stack) drainRx() {
-	if len(s.rxQueue) == 0 {
+	if s.rxQueue.Len() == 0 {
 		s.rxActive = false
 		return
 	}
-	seg := s.rxQueue[0]
-	from := s.rxFrom[0]
-	s.rxQueue = s.rxQueue[1:]
-	s.rxFrom = s.rxFrom[1:]
+	rx := s.rxQueue.Pop()
 	s.node.CPU.Acquire(s.params.TCP.SegmentProc, func() {
-		s.handleSegment(from, seg)
+		s.handleSegment(rx.from, rx.seg)
 		s.drainRx()
 	})
 }

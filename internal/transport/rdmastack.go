@@ -6,6 +6,7 @@ import (
 	"rubin/internal/fabric"
 	"rubin/internal/rdma"
 	"rubin/internal/rubin"
+	"rubin/internal/sim"
 )
 
 // rdmaStack is the RUBIN backend: one RDMA device and one RUBIN selector
@@ -115,8 +116,8 @@ type rdmaConn struct {
 	onDrain func()
 	closed  bool
 
-	overflow [][]byte
-	inbox    [][]byte
+	overflow sim.Queue[[]byte]
+	inbox    sim.Queue[[]byte]
 }
 
 var _ Conn = (*rdmaConn)(nil)
@@ -127,10 +128,8 @@ func (c *rdmaConn) Peer() *fabric.Node { return c.ch.Peer() }
 
 func (c *rdmaConn) OnMessage(fn func([]byte)) {
 	c.onMsg = fn
-	for len(c.inbox) > 0 && c.onMsg != nil {
-		m := c.inbox[0]
-		c.inbox = c.inbox[1:]
-		c.onMsg(m)
+	for c.inbox.Len() > 0 && c.onMsg != nil {
+		c.onMsg(c.inbox.Pop())
 	}
 }
 
@@ -140,7 +139,7 @@ func (c *rdmaConn) OnDrain(fn func()) { c.onDrain = fn }
 
 // Unsent counts messages spilled past the work-request pool. Messages the
 // channel already owns WRs for are NIC-queued, not software backlog.
-func (c *rdmaConn) Unsent() int { return len(c.overflow) }
+func (c *rdmaConn) Unsent() int { return c.overflow.Len() }
 
 func (c *rdmaConn) Send(msg []byte) error {
 	if c.closed || c.ch.Closed() {
@@ -149,13 +148,13 @@ func (c *rdmaConn) Send(msg []byte) error {
 	if len(msg) > c.stack.opts.MaxMessage {
 		return fmt.Errorf("%w: %d", ErrTooBig, len(msg))
 	}
-	if len(c.overflow) > 0 {
-		c.overflow = append(c.overflow, cloneBytes(msg))
+	if c.overflow.Len() > 0 {
+		c.overflow.Push(cloneBytes(msg))
 		return nil
 	}
 	err := c.ch.Send(msg)
 	if err == rubin.ErrWouldBlock {
-		c.overflow = append(c.overflow, cloneBytes(msg))
+		c.overflow.Push(cloneBytes(msg))
 		c.key.SetInterest(rubin.OpReceive | rubin.OpSend)
 		return nil
 	}
@@ -168,8 +167,8 @@ func (c *rdmaConn) Send(msg []byte) error {
 // retry drains the overflow queue once send capacity returns.
 func (c *rdmaConn) retry() {
 	drained := false
-	for len(c.overflow) > 0 {
-		err := c.ch.Send(c.overflow[0])
+	for c.overflow.Len() > 0 {
+		err := c.ch.Send(*c.overflow.Front())
 		if err == rubin.ErrWouldBlock {
 			c.key.SetInterest(rubin.OpReceive | rubin.OpSend)
 			return
@@ -178,7 +177,7 @@ func (c *rdmaConn) retry() {
 			c.teardown()
 			return
 		}
-		c.overflow = c.overflow[1:]
+		c.overflow.Pop()
 		drained = true
 	}
 	if drained && c.onDrain != nil {
@@ -203,7 +202,7 @@ func (c *rdmaConn) drain() {
 		if c.onMsg != nil {
 			c.onMsg(msg)
 		} else {
-			c.inbox = append(c.inbox, msg)
+			c.inbox.Push(msg)
 		}
 	}
 	if c.ch.Closed() {

@@ -17,6 +17,7 @@ import (
 
 	"rubin/internal/fabric"
 	"rubin/internal/nio"
+	"rubin/internal/sim"
 	"rubin/internal/tcpsim"
 )
 
@@ -219,10 +220,10 @@ type tcpConn struct {
 	// Reassembly state.
 	readBuf []byte
 	acc     []byte
-	inbox   [][]byte
+	inbox   sim.Queue[[]byte]
 
 	// Send side.
-	sendQ      [][]byte
+	sendQ      sim.Queue[[]byte]
 	flushArmed bool
 }
 
@@ -233,10 +234,8 @@ func (c *tcpConn) Peer() *fabric.Node { return c.conn.RemoteNode() }
 
 func (c *tcpConn) OnMessage(fn func([]byte)) {
 	c.onMsg = fn
-	for len(c.inbox) > 0 && c.onMsg != nil {
-		m := c.inbox[0]
-		c.inbox = c.inbox[1:]
-		c.onMsg(m)
+	for c.inbox.Len() > 0 && c.onMsg != nil {
+		c.onMsg(c.inbox.Pop())
 	}
 }
 
@@ -244,7 +243,7 @@ func (c *tcpConn) OnClose(fn func()) { c.onClose = fn }
 
 func (c *tcpConn) OnDrain(fn func()) { c.onDrain = fn }
 
-func (c *tcpConn) Unsent() int { return len(c.sendQ) }
+func (c *tcpConn) Unsent() int { return c.sendQ.Len() }
 
 func (c *tcpConn) Send(msg []byte) error {
 	if c.closed {
@@ -256,7 +255,7 @@ func (c *tcpConn) Send(msg []byte) error {
 	framed := make([]byte, 4+len(msg))
 	binary.BigEndian.PutUint32(framed, uint32(len(msg)))
 	copy(framed[4:], msg)
-	c.sendQ = append(c.sendQ, framed)
+	c.sendQ.Push(framed)
 	c.armFlush()
 	return nil
 }
@@ -276,14 +275,14 @@ func (c *tcpConn) armFlush() {
 
 func (c *tcpConn) flush() {
 	wroteAny := false
-	for len(c.sendQ) > 0 && !c.closed {
-		n := len(c.sendQ)
+	for c.sendQ.Len() > 0 && !c.closed {
+		n := c.sendQ.Len()
 		if n > c.stack.opts.Batch {
 			n = c.stack.opts.Batch
 		}
 		var chunk []byte
-		for _, f := range c.sendQ[:n] {
-			chunk = append(chunk, f...)
+		for i := 0; i < n; i++ {
+			chunk = append(chunk, *c.sendQ.At(i)...)
 		}
 		wrote, err := c.conn.Write(chunk)
 		if err != nil {
@@ -291,25 +290,28 @@ func (c *tcpConn) flush() {
 			return
 		}
 		if wrote < len(chunk) {
-			// Socket buffer full: keep the unwritten tail and resume
-			// on OpWrite readiness.
-			c.sendQ = c.sendQ[n:]
+			// Socket buffer full: the unwritten tail replaces the batch at
+			// the head of the queue, to resume on OpWrite readiness.
+			for ; n > 1; n-- {
+				c.sendQ.Pop()
+			}
 			if wrote > 0 {
 				rest := make([]byte, len(chunk)-wrote)
 				copy(rest, chunk[wrote:])
-				c.sendQ = append([][]byte{rest}, c.sendQ...)
-			} else {
-				c.sendQ = append([][]byte{chunk}, c.sendQ...)
+				chunk = rest
 			}
+			*c.sendQ.Front() = chunk
 			if c.ch != nil {
 				c.keyInterest(nio.OpRead | nio.OpWrite)
 			}
 			return
 		}
-		c.sendQ = c.sendQ[n:]
+		for ; n > 0; n-- {
+			c.sendQ.Pop()
+		}
 		wroteAny = true
 	}
-	if wroteAny && len(c.sendQ) == 0 && !c.closed && c.onDrain != nil {
+	if wroteAny && c.sendQ.Len() == 0 && !c.closed && c.onDrain != nil {
 		c.onDrain()
 	}
 }
@@ -359,7 +361,7 @@ func (c *tcpConn) drain() {
 		if c.onMsg != nil {
 			c.onMsg(msg)
 		} else {
-			c.inbox = append(c.inbox, msg)
+			c.inbox.Push(msg)
 		}
 	}
 }

@@ -1,0 +1,72 @@
+package rubin_test
+
+import (
+	"runtime"
+	"testing"
+
+	"rubin/internal/kvstore"
+	"rubin/internal/model"
+	"rubin/internal/pbft"
+	"rubin/internal/raceflag"
+	"rubin/internal/transport"
+	"rubin/internal/workload"
+)
+
+// putRun commits ops closed-loop puts of valueSize bytes, from users users
+// over four clients, on an N=4 rdma-rubin group, and returns what the run
+// itself — set-up excluded — allocated on the host.
+func putRun(t *testing.T, users, ops, keys, valueSize int) (bytes, mallocs uint64) {
+	t.Helper()
+	c, err := pbft.NewCluster(transport.KindRDMA, pbft.DefaultConfig(), model.Default(), 1,
+		func(int) pbft.Application { return kvstore.New() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	clients := make([]*pbft.Client, 4)
+	for i := range clients {
+		if clients[i], err = c.AddClient(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := workload.New(c.Loop, workload.Config{
+		Users: users, Conns: len(clients), Ops: ops, Keys: workload.NewUniform(keys),
+		Mix: workload.Mix{WritePct: 100}, Arrival: workload.Closed(1, 0), ValueSize: valueSize, Seed: 1,
+	}, func(conn int, op []byte, done func([]byte)) string { return clients[conn].Invoke(op, done) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = d.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil || d.Completed() != ops {
+		t.Fatalf("run: %v, %d of %d puts committed", err, d.Completed(), ops)
+	}
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestMallocBudgetPerRequest is the gate on the per-message path: an N=4
+// rdma-rubin group committing 2 000 128-byte puts (small-rubin's shape, all
+// writes) may make at most 116 heap allocations per request inside the
+// run. The run measures 92.6; the budget is that plus 25 %. It measured
+// 336.8 while every frame cost two closures in fabric, every send a closure,
+// a wireMsg, a txEntry and a map insert in rdma, every ack a fresh wireMsg,
+// and every rubin message a SendWR, a completion slice per poll and a map
+// per select turn (docs/ARCHITECTURE.md, "Records, not closures") — a
+// per-frame allocation put back below msgnet fails here before it shows in
+// the benchmark's host_mallocs_per_op.
+func TestMallocBudgetPerRequest(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime's own allocations are not the path's")
+	}
+	const users, ops, keys, valueSize, budget = 32, 2000, 1024, 128, 116
+	_, mallocs := putRun(t, users, ops, keys, valueSize)
+	if perOp := float64(mallocs) / ops; perOp > budget {
+		t.Errorf("%.1f mallocs per request, want <= %d", perOp, budget)
+	} else {
+		t.Logf("%.1f mallocs per request", perOp)
+	}
+}

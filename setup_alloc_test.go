@@ -58,6 +58,7 @@ func TestRDMASetupDoesNotBackPools(t *testing.T) {
 	if conn >= MiB {
 		t.Errorf("rdma-rubin Listen + Dial allocated %.1f MiB, want < 1", float64(conn)/MiB)
 	}
+	t.Logf("rdma-rubin Listen + Dial allocated %.3f MiB", float64(conn)/MiB)
 
 	cluster := allocatedBy(func() {
 		c, err := pbft.NewCluster(transport.KindRDMA, pbft.DefaultConfig(), model.Default(), 1,
@@ -72,4 +73,5 @@ func TestRDMASetupDoesNotBackPools(t *testing.T) {
 	if cluster >= 16*MiB {
 		t.Errorf("pbft.NewCluster + Start (N=4, rdma-rubin) allocated %.1f MiB, want < 16", float64(cluster)/MiB)
 	}
+	t.Logf("pbft.NewCluster + Start (N=4, rdma-rubin) allocated %.3f MiB", float64(cluster)/MiB)
 }
