@@ -41,18 +41,26 @@ type Channel interface {
 // Selector multiplexes readiness events from many channels onto a single
 // application thread.
 type Selector struct {
-	stack    *tcpsim.Stack
-	keys     []*SelectionKey
-	handler  func([]*SelectionKey)
-	ready    map[*SelectionKey]struct{}
-	dispatch bool // a dispatch is already scheduled
+	stack   *tcpsim.Stack
+	keys    []*SelectionKey
+	handler func([]*SelectionKey)
+
+	// The ready set is a flag per key and a count; dispatch admits one
+	// select turn at a time, so the turn's callback is bound once and its
+	// key list is one slice, good until the next turn.
+	queued     int
+	turn       []*SelectionKey
+	dispatch   bool   // a dispatch is already scheduled
+	dispatchFn func() // s.dispatchTurn
 
 	wakeups uint64
 }
 
 // NewSelector creates a selector bound to a node's TCP stack.
 func NewSelector(stack *tcpsim.Stack) *Selector {
-	return &Selector{stack: stack, ready: make(map[*SelectionKey]struct{})}
+	s := &Selector{stack: stack}
+	s.dispatchFn = s.dispatchTurn
+	return s
 }
 
 // Stack returns the underlying TCP stack.
@@ -79,7 +87,8 @@ func (s *Selector) Register(ch Channel, ops InterestOps, attachment any) *Select
 
 // Select installs the readiness handler. The handler runs once per
 // readiness batch with the set of ready keys; readiness bits persist until
-// consumed (read drained, write performed, accept taken), Java-style.
+// consumed (read drained, write performed, accept taken), Java-style. The
+// keys slice is reused by the next turn.
 //
 // Contract: like a level-triggered epoll loop, the handler MUST consume or
 // explicitly clear (ResetReady / SetInterest) every readiness bit it is
@@ -92,25 +101,25 @@ func (s *Selector) Select(handler func(keys []*SelectionKey)) {
 }
 
 // SelectNow returns the currently ready keys without waiting and clears
-// the pending set.
-func (s *Selector) SelectNow() []*SelectionKey {
-	keys := s.takeReady()
-	return keys
-}
+// the pending set. The slice is reused by the next turn (a dispatch or
+// another SelectNow): copy out what must outlive it.
+func (s *Selector) SelectNow() []*SelectionKey { return s.takeReady() }
 
+// takeReady moves the queued keys, in registration order, into the turn
+// slice.
 func (s *Selector) takeReady() []*SelectionKey {
-	if len(s.ready) == 0 {
+	s.turn = s.turn[:0]
+	if s.queued == 0 {
 		return nil
 	}
-	keys := make([]*SelectionKey, 0, len(s.ready))
-	// Deterministic order: iterate registration list, not the map.
 	for _, k := range s.keys {
-		if _, ok := s.ready[k]; ok && !k.canceled {
-			keys = append(keys, k)
+		if k.queued {
+			k.queued = false
+			s.turn = append(s.turn, k)
 		}
 	}
-	s.ready = make(map[*SelectionKey]struct{})
-	return keys
+	s.queued = 0
+	return s.turn
 }
 
 // enqueue marks a key ready and schedules a dispatch batch.
@@ -118,33 +127,39 @@ func (s *Selector) enqueue(k *SelectionKey) {
 	if k.canceled {
 		return
 	}
-	s.ready[k] = struct{}{}
+	if !k.queued {
+		k.queued = true
+		s.queued++
+	}
 	s.pump()
 }
 
 func (s *Selector) pump() {
-	if s.handler == nil || s.dispatch || len(s.ready) == 0 {
+	if s.handler == nil || s.dispatch || s.queued == 0 {
 		return
 	}
 	s.dispatch = true
 	// The epoll_wait return + key scan cost of the Java selector.
 	params := s.stack.Node().Network().Params()
-	s.stack.Node().CPU.Acquire(params.Selector.NIODispatch, func() {
-		s.dispatch = false
-		keys := s.takeReady()
-		if len(keys) == 0 || s.handler == nil {
-			return
+	s.stack.Node().CPU.Acquire(params.Selector.NIODispatch, s.dispatchFn)
+}
+
+// dispatchTurn is one select turn: the handler sees the keys queued so far;
+// what it makes ready is queued for the next turn.
+func (s *Selector) dispatchTurn() {
+	s.dispatch = false
+	keys := s.takeReady()
+	if len(keys) == 0 || s.handler == nil {
+		return
+	}
+	s.wakeups++
+	s.handler(keys)
+	// Keys whose readiness was not consumed re-enter the set.
+	for _, k := range keys {
+		if k.ready&k.interest != 0 {
+			s.enqueue(k)
 		}
-		s.wakeups++
-		s.handler(keys)
-		// Keys whose readiness was not consumed re-enter the set.
-		for _, k := range keys {
-			if !k.canceled && k.ready&k.interest != 0 {
-				s.ready[k] = struct{}{}
-			}
-		}
-		s.pump()
-	})
+	}
 }
 
 // SelectionKey ties a channel to a selector with an interest set.
@@ -155,6 +170,7 @@ type SelectionKey struct {
 	ready      InterestOps
 	attachment any
 	canceled   bool
+	queued     bool // in the selector's ready set
 }
 
 // Channel returns the registered channel.
@@ -190,7 +206,10 @@ func (k *SelectionKey) Cancel() {
 		return
 	}
 	k.canceled = true
-	delete(k.sel.ready, k)
+	if k.queued {
+		k.queued = false
+		k.sel.queued--
+	}
 	for i, other := range k.sel.keys {
 		if other == k {
 			k.sel.keys = append(k.sel.keys[:i], k.sel.keys[i+1:]...)
@@ -295,6 +314,8 @@ func WrapConn(conn *tcpsim.Conn) *SocketChannel {
 	return newSocketChannel(conn)
 }
 
+// hook binds the connection's callbacks, once per connection (set-up, so
+// closures).
 func (sc *SocketChannel) hook() {
 	sc.conn.OnReadable(func() { sc.key.signal(OpRead) })
 	sc.conn.OnWritable(func() { sc.key.signal(OpWrite) })

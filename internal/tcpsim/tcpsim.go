@@ -15,6 +15,7 @@
 package tcpsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -25,12 +26,13 @@ import (
 
 // Errors returned by connection operations.
 var (
-	ErrClosed       = errors.New("tcpsim: connection closed")
-	ErrPortInUse    = errors.New("tcpsim: port already in use")
-	ErrNoListener   = errors.New("tcpsim: connection refused")
-	ErrStackExists  = errors.New("tcpsim: node already has a TCP stack")
-	headerWireBytes = 60 // control segment size on the wire
+	ErrClosed      = errors.New("tcpsim: connection closed")
+	ErrPortInUse   = errors.New("tcpsim: port already in use")
+	ErrNoListener  = errors.New("tcpsim: connection refused")
+	ErrStackExists = errors.New("tcpsim: node already has a TCP stack")
 )
+
+const headerWireBytes = 60 // control segment size on the wire
 
 // Stack is the per-node TCP instance. Create one per fabric node.
 type Stack struct {
@@ -49,9 +51,19 @@ type Stack struct {
 
 	// Interrupt coalescing: segments arriving while the receive softirq
 	// is active are drained in the same batch without a fresh interrupt
-	// charge.
-	rxQueue  sim.Queue[rxSegment]
-	rxActive bool
+	// charge. rxActive admits one segment at a time, so the one being
+	// processed is a field (rxCur) and the two stage callbacks are bound
+	// once.
+	rxQueue   sim.Queue[rxSegment]
+	rxActive  bool
+	rxCur     rxSegment
+	drainRxFn func() // s.drainRx
+	rxDoneFn  func() // s.rxDone
+
+	// segments recycles the segments this stack sends. The receiving stack
+	// puts each back once handleSegment has returned (rxDone); one on a
+	// dropped frame never comes home and is ordinary garbage.
+	segments sim.FreeList[segment]
 }
 
 // rxSegment is a received segment waiting for the softirq, with its sender.
@@ -61,18 +73,21 @@ type rxSegment struct {
 }
 
 type connID struct {
-	peer       string
+	peer       *fabric.Node
 	localPort  int
 	remotePort int
 }
 
-// segment is the unit carried over the fabric.
+// segment is the unit carried over the fabric: a recycled record that owns
+// its payload storage (at most one MTU), so nothing on the wire aliases a
+// socket buffer.
 type segment struct {
 	kind     segKind
 	srcPort  int
 	dstPort  int
 	payload  []byte
-	consumed int // windowUpdate: bytes the peer application consumed
+	consumed int    // windowUpdate: bytes the peer application consumed
+	home     *Stack // the sender, whose free list the record returns to
 }
 
 type segKind uint8
@@ -97,6 +112,7 @@ func NewStack(node *fabric.Node) *Stack {
 		nextPort:  49152,
 		app:       sim.NewResource(node.Loop(), node.Name()+"/tcp-app", 1),
 	}
+	s.drainRxFn, s.rxDoneFn = s.drainRx, s.rxDone
 	node.Register(fabric.ProtoTCP, s.deliver)
 	return s
 }
@@ -130,7 +146,8 @@ func (s *Stack) Dial(remote *fabric.Node, port int, done func(*Conn, error)) {
 	c.state = stateSYNSent
 	c.onDialed = done
 	s.conns[c.id()] = c
-	// Connection setup costs one syscall plus the handshake round trip.
+	// Connection setup costs one syscall plus the handshake round trip
+	// (set-up, like the handshake and teardown's onClose post: a closure).
 	s.app.Acquire(s.params.TCP.SendSyscall, func() {
 		c.sendControl(segSYN)
 	})
@@ -176,29 +193,41 @@ type Conn struct {
 	onWritable func()
 	onClose    func()
 
-	// Send side: bytes accepted from the application but not yet
-	// permitted onto the wire by the peer's advertised window.
-	sendQ    sim.Queue[[]byte]
-	sendQLen int
-	inFlight int // bytes on the wire not yet consumed by the peer app
+	// Send side: sendBuf is the kernel send buffer, the bytes accepted
+	// from the application but not yet permitted onto the wire by the
+	// peer's advertised window. writes holds the size of every Write still
+	// in it, oldest first (a segment never spans two): the first served
+	// have had their syscall cost served and wait for window, the rest are
+	// on the app thread — a FIFO server, so writeDone needs no operand.
+	sendBuf     bytes.Buffer
+	writes      sim.Queue[int]
+	served      int
+	writeDoneFn func() // c.writeDone
+	inFlight    int    // bytes on the wire not yet consumed by the peer app
 
-	// Receive side: the kernel socket buffer.
-	recvBuf    []byte
-	notifyArm  bool // a readable wakeup is already scheduled
-	writeBlock bool // application hit a zero window and awaits OnWritable
+	// Receive side: the kernel socket buffer, and the byte count of every
+	// Read whose syscall cost is being served, for readDone to advertise.
+	recvBuf    bytes.Buffer
+	reads      sim.Queue[int]
+	readDoneFn func() // c.readDone
+	notifyArm  bool   // a readable wakeup is already scheduled
+	notifyFn   func() // c.notify
+	writeBlock bool   // application hit a zero window and awaits OnWritable
 }
 
 func (s *Stack) newConn(remote *fabric.Node, localPort, remotePort int) *Conn {
-	return &Conn{
+	c := &Conn{
 		stack:      s,
 		remote:     remote,
 		localPort:  localPort,
 		remotePort: remotePort,
 	}
+	c.writeDoneFn, c.readDoneFn, c.notifyFn = c.writeDone, c.readDone, c.notify
+	return c
 }
 
 func (c *Conn) id() connID {
-	return connID{peer: c.remote.Name(), localPort: c.localPort, remotePort: c.remotePort}
+	return connID{peer: c.remote, localPort: c.localPort, remotePort: c.remotePort}
 }
 
 // LocalNode returns the node this endpoint lives on.
@@ -228,15 +257,11 @@ func (c *Conn) OnWritable(fn func()) { c.onWritable = fn }
 func (c *Conn) OnClose(fn func()) { c.onClose = fn }
 
 // Readable returns the number of bytes immediately available to Read.
-func (c *Conn) Readable() int { return len(c.recvBuf) }
+func (c *Conn) Readable() int { return c.recvBuf.Len() }
 
 // WritableSpace returns how many bytes Write would currently accept.
 func (c *Conn) WritableSpace() int {
-	space := c.stack.params.TCP.SocketBuffer - c.sendQLen - c.inFlight
-	if space < 0 {
-		return 0
-	}
-	return space
+	return max(0, c.stack.params.TCP.SocketBuffer-c.sendBuf.Len()-c.inFlight)
 }
 
 // Write queues up to len(p) bytes for transmission and returns how many
@@ -256,48 +281,47 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.writeBlock = true
 		return 0, nil
 	}
-	data := make([]byte, n)
-	copy(data, p)
+	c.sendBuf.Write(p[:n])
+	c.writes.Push(n)
 	tp := c.stack.params.TCP
 	cost := tp.SendSyscall + model.KB(tp.CopyPerKB, n) +
 		tp.SegmentProc*sim.Time(c.stack.params.Link.Frames(n))
-	c.sendQLen += n
-	c.stack.app.Acquire(cost, func() {
-		c.sendQ.Push(data)
-		c.pump()
-	})
+	c.stack.app.Acquire(cost, c.writeDoneFn)
 	return n, nil
 }
 
-// pump moves queued bytes onto the wire as MTU segments while the peer's
+// writeDone runs when the oldest Write still on the app thread has been
+// served: its bytes may now enter the wire.
+func (c *Conn) writeDone() {
+	c.served++
+	c.pump()
+}
+
+// pump moves served bytes onto the wire as MTU segments while the peer's
 // advertised window has room.
 func (c *Conn) pump() {
 	if c.state != stateEstablished {
 		return
 	}
 	mtu := c.stack.params.Link.MTU
-	for c.sendQ.Len() > 0 {
+	for c.served > 0 {
 		window := c.stack.params.TCP.SocketBuffer - c.inFlight
 		if window <= 0 {
 			return
 		}
-		head := *c.sendQ.Front()
-		n := len(head)
-		if n > mtu {
-			n = mtu
-		}
-		if n > window {
-			n = window
-		}
-		chunk := head[:n]
-		if n == len(head) {
-			c.sendQ.Pop()
+		head := c.writes.Front()
+		n := min(*head, mtu, window)
+		if n == *head {
+			c.writes.Pop()
+			c.served--
 		} else {
-			*c.sendQ.Front() = head[n:]
+			*head -= n
 		}
-		c.sendQLen -= n
 		c.inFlight += n
-		c.send(&segment{kind: segDATA, srcPort: c.localPort, dstPort: c.remotePort, payload: chunk}, n)
+		seg := c.segment(segDATA)
+		// Next aliases storage the next Write may slide: copy out now.
+		seg.payload = append(seg.payload, c.sendBuf.Next(n)...)
+		c.send(seg, n)
 	}
 }
 
@@ -306,22 +330,28 @@ func (c *Conn) pump() {
 // charged to the CPU; the window update advertising freed space is sent
 // once that charge has been served.
 func (c *Conn) Read(p []byte) (int, error) {
-	if c.state == stateClosed && len(c.recvBuf) == 0 {
+	if c.state == stateClosed && c.recvBuf.Len() == 0 {
 		return 0, ErrClosed
 	}
-	n := copy(p, c.recvBuf)
+	n, _ := c.recvBuf.Read(p)
 	if n == 0 {
 		return 0, nil
 	}
-	c.recvBuf = c.recvBuf[n:]
+	c.reads.Push(n)
 	tp := c.stack.params.TCP
-	cost := tp.RecvSyscall + model.KB(tp.CopyPerKB, n)
-	c.stack.app.Acquire(cost, func() {
-		if c.state == stateEstablished {
-			c.send(&segment{kind: segWINDOW, srcPort: c.localPort, dstPort: c.remotePort, consumed: n}, 0)
-		}
-	})
+	c.stack.app.Acquire(tp.RecvSyscall+model.KB(tp.CopyPerKB, n), c.readDoneFn)
 	return n, nil
+}
+
+// readDone runs when the oldest Read still on the app thread has been
+// served.
+func (c *Conn) readDone() {
+	n := c.reads.Pop()
+	if c.state == stateEstablished {
+		seg := c.segment(segWINDOW)
+		seg.consumed = n
+		c.send(seg, 0)
+	}
 }
 
 // Close shuts the connection down and notifies the peer.
@@ -347,8 +377,18 @@ func (c *Conn) teardown() {
 	}
 }
 
-func (c *Conn) sendControl(kind segKind) {
-	c.send(&segment{kind: kind, srcPort: c.localPort, dstPort: c.remotePort}, 0)
+func (c *Conn) sendControl(kind segKind) { c.send(c.segment(kind), 0) }
+
+func (c *Conn) segment(kind segKind) *segment {
+	return c.stack.segment(kind, c.localPort, c.remotePort)
+}
+
+// segment takes a record off the stack's free list, empty but keeping its
+// payload storage.
+func (s *Stack) segment(kind segKind, srcPort, dstPort int) *segment {
+	seg := s.segments.Get()
+	*seg = segment{kind: kind, srcPort: srcPort, dstPort: dstPort, payload: seg.payload[:0], home: s}
+	return seg
 }
 
 func (c *Conn) send(seg *segment, payloadBytes int) {
@@ -374,7 +414,7 @@ func (s *Stack) deliver(from *fabric.Node, payload any, wireBytes int) {
 		return
 	}
 	s.rxActive = true
-	s.node.CPU.Acquire(s.params.TCP.Interrupt, s.drainRx)
+	s.node.CPU.Acquire(s.params.TCP.Interrupt, s.drainRxFn)
 }
 
 func (s *Stack) drainRx() {
@@ -382,19 +422,24 @@ func (s *Stack) drainRx() {
 		s.rxActive = false
 		return
 	}
-	rx := s.rxQueue.Pop()
-	s.node.CPU.Acquire(s.params.TCP.SegmentProc, func() {
-		s.handleSegment(rx.from, rx.seg)
-		s.drainRx()
-	})
+	s.rxCur = s.rxQueue.Pop()
+	s.node.CPU.Acquire(s.params.TCP.SegmentProc, s.rxDoneFn)
+}
+
+// rxDone handles the segment whose processing cost has been served and
+// sends the record home: the one release point, whatever handleSegment did.
+func (s *Stack) rxDone() {
+	seg := s.rxCur.seg
+	s.handleSegment(s.rxCur.from, seg)
+	seg.home.segments.Put(seg)
+	s.drainRx()
 }
 
 func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
-	switch seg.kind {
-	case segSYN:
+	if seg.kind == segSYN {
 		l := s.listeners[seg.dstPort]
 		if l == nil || l.closed {
-			reply := &segment{kind: segRST, srcPort: seg.dstPort, dstPort: seg.srcPort}
+			reply := s.segment(segRST, seg.dstPort, seg.srcPort)
 			_ = s.node.Network().Send(s.node, from, fabric.ProtoTCP, reply, headerWireBytes)
 			return
 		}
@@ -405,9 +450,15 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 		if l.onAccept != nil {
 			l.onAccept(c)
 		}
+		return
+	}
+	c := s.conns[connID{peer: from, localPort: seg.dstPort, remotePort: seg.srcPort}]
+	if c == nil {
+		return
+	}
+	switch seg.kind {
 	case segSYNACK:
-		c := s.conns[connID{peer: from.Name(), localPort: seg.dstPort, remotePort: seg.srcPort}]
-		if c == nil || c.state != stateSYNSent {
+		if c.state != stateSYNSent {
 			return
 		}
 		c.state = stateEstablished
@@ -417,10 +468,6 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 			done(c, nil)
 		}
 	case segRST:
-		c := s.conns[connID{peer: from.Name(), localPort: seg.dstPort, remotePort: seg.srcPort}]
-		if c == nil {
-			return
-		}
 		if c.onDialed != nil {
 			done := c.onDialed
 			c.onDialed = nil
@@ -431,15 +478,13 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 		}
 		c.teardown()
 	case segDATA:
-		c := s.conns[connID{peer: from.Name(), localPort: seg.dstPort, remotePort: seg.srcPort}]
-		if c == nil || c.state != stateEstablished {
+		if c.state != stateEstablished {
 			return
 		}
-		c.recvBuf = append(c.recvBuf, seg.payload...)
+		c.recvBuf.Write(seg.payload)
 		c.notifyReadable()
 	case segWINDOW:
-		c := s.conns[connID{peer: from.Name(), localPort: seg.dstPort, remotePort: seg.srcPort}]
-		if c == nil || c.state != stateEstablished {
+		if c.state != stateEstablished {
 			return
 		}
 		c.inFlight -= seg.consumed
@@ -452,10 +497,6 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 			c.onWritable()
 		}
 	case segFIN:
-		c := s.conns[connID{peer: from.Name(), localPort: seg.dstPort, remotePort: seg.srcPort}]
-		if c == nil {
-			return
-		}
 		c.teardown()
 	}
 }
@@ -466,10 +507,12 @@ func (c *Conn) notifyReadable() {
 		return
 	}
 	c.notifyArm = true
-	c.stack.node.CPU.Acquire(c.stack.params.TCP.Wakeup, func() {
-		c.notifyArm = false
-		if c.onReadable != nil && len(c.recvBuf) > 0 {
-			c.onReadable()
-		}
-	})
+	c.stack.node.CPU.Acquire(c.stack.params.TCP.Wakeup, c.notifyFn)
+}
+
+func (c *Conn) notify() {
+	c.notifyArm = false
+	if c.onReadable != nil && c.recvBuf.Len() > 0 {
+		c.onReadable()
+	}
 }

@@ -19,8 +19,12 @@ type pair struct {
 
 func newPair(t *testing.T) *pair {
 	t.Helper()
+	return newPairWith(model.Default())
+}
+
+func newPairWith(params model.Params) *pair {
 	loop := sim.NewLoop(1)
-	nw := fabric.New(loop, model.Default())
+	nw := fabric.New(loop, params)
 	a, b := nw.AddNode("a"), nw.AddNode("b")
 	nw.Connect(a, b)
 	return &pair{loop: loop, nw: nw, a: a, b: b, sa: NewStack(a), sb: NewStack(b)}

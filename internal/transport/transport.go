@@ -11,6 +11,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -164,7 +165,8 @@ func (s *tcpStack) Dial(remote *fabric.Node, port int, done func(Conn, error)) {
 // wrap builds the framed connection around an established socket channel
 // and registers it for reads.
 func (s *tcpStack) wrap(ch *nio.SocketChannel) *tcpConn {
-	tc := &tcpConn{stack: s, conn: ch.Conn(), ch: ch, readBuf: make([]byte, 64<<10)}
+	tc := &tcpConn{stack: s, conn: ch.Conn(), ch: ch}
+	tc.flushFn = tc.flushTurn
 	tc.key = s.sel.Register(ch, nio.OpRead, tc)
 	return tc
 }
@@ -217,14 +219,18 @@ type tcpConn struct {
 	onDrain func()
 	closed  bool
 
-	// Reassembly state.
-	readBuf []byte
-	acc     []byte
-	inbox   sim.Queue[[]byte]
+	// Reassembly state: acc is the user-space receive buffer, holding
+	// what read() returned and deframing has not yet consumed.
+	acc   bytes.Buffer
+	inbox sim.Queue[[]byte]
 
-	// Send side.
-	sendQ      sim.Queue[[]byte]
+	// Send side: out is the user-space send buffer, the frames Send
+	// accepted back to back; sendQ holds the length of each entry in it —
+	// a frame, or the unwritten tail a short write merged its batch into.
+	out        bytes.Buffer
+	sendQ      sim.Queue[int]
 	flushArmed bool
+	flushFn    func() // c.flushTurn
 }
 
 var _ Conn = (*tcpConn)(nil)
@@ -252,10 +258,11 @@ func (c *tcpConn) Send(msg []byte) error {
 	if len(msg) > c.stack.opts.MaxMessage {
 		return fmt.Errorf("%w: %d", ErrTooBig, len(msg))
 	}
-	framed := make([]byte, 4+len(msg))
-	binary.BigEndian.PutUint32(framed, uint32(len(msg)))
-	copy(framed[4:], msg)
-	c.sendQ.Push(framed)
+	var header [4]byte
+	binary.BigEndian.PutUint32(header[:], uint32(len(msg)))
+	c.out.Write(header[:])
+	c.out.Write(msg)
+	c.sendQ.Push(4 + len(msg))
 	c.armFlush()
 	return nil
 }
@@ -267,43 +274,37 @@ func (c *tcpConn) armFlush() {
 		return
 	}
 	c.flushArmed = true
-	c.conn.LocalNode().Loop().Post(func() {
-		c.flushArmed = false
-		c.flush()
-	})
+	c.conn.LocalNode().Loop().Post(c.flushFn)
+}
+
+func (c *tcpConn) flushTurn() {
+	c.flushArmed = false
+	c.flush()
 }
 
 func (c *tcpConn) flush() {
 	wroteAny := false
 	for c.sendQ.Len() > 0 && !c.closed {
-		n := c.sendQ.Len()
-		if n > c.stack.opts.Batch {
-			n = c.stack.opts.Batch
-		}
-		var chunk []byte
+		n, size := min(c.sendQ.Len(), c.stack.opts.Batch), 0
 		for i := 0; i < n; i++ {
-			chunk = append(chunk, *c.sendQ.At(i)...)
+			size += *c.sendQ.At(i)
 		}
-		wrote, err := c.conn.Write(chunk)
+		// Write copies before it returns, so it may be handed the buffer's
+		// own bytes.
+		wrote, err := c.conn.Write(c.out.Bytes()[:size])
 		if err != nil {
 			c.teardown()
 			return
 		}
-		if wrote < len(chunk) {
+		c.out.Next(wrote)
+		if wrote < size {
 			// Socket buffer full: the unwritten tail replaces the batch at
 			// the head of the queue, to resume on OpWrite readiness.
 			for ; n > 1; n-- {
 				c.sendQ.Pop()
 			}
-			if wrote > 0 {
-				rest := make([]byte, len(chunk)-wrote)
-				copy(rest, chunk[wrote:])
-				chunk = rest
-			}
-			*c.sendQ.Front() = chunk
-			if c.ch != nil {
-				c.keyInterest(nio.OpRead | nio.OpWrite)
-			}
+			*c.sendQ.Front() = size - wrote
+			c.key.SetInterest(nio.OpRead | nio.OpWrite)
 			return
 		}
 		for ; n > 0; n-- {
@@ -316,14 +317,6 @@ func (c *tcpConn) flush() {
 	}
 }
 
-func (c *tcpConn) keyInterest(ops nio.InterestOps) {
-	// The transport registered the channel; adjust via its key through
-	// the selector by re-registering interest on readiness changes.
-	if c.key != nil {
-		c.key.SetInterest(ops)
-	}
-}
-
 func (c *tcpConn) drain() {
 	if c.closed {
 		return
@@ -333,7 +326,12 @@ func (c *tcpConn) drain() {
 		return
 	}
 	for {
-		n, err := c.ch.Read(c.readBuf)
+		// One read() of up to 64 KiB, straight into acc's spare room. The
+		// last one finds nothing and is still made: it is what reports a
+		// torn-down connection and clears OpRead.
+		window := min(c.ch.Readable(), 64<<10)
+		c.acc.Grow(window)
+		n, err := c.ch.Read(c.acc.AvailableBuffer()[:window])
 		if err != nil {
 			c.teardown()
 			return
@@ -341,20 +339,21 @@ func (c *tcpConn) drain() {
 		if n == 0 {
 			break
 		}
-		c.acc = append(c.acc, c.readBuf[:n]...)
+		c.acc.Write(c.acc.AvailableBuffer()[:n]) // in place: commits, copies nothing
 	}
 	params := c.stack.node.Network().Params()
 	for {
-		if len(c.acc) < 4 {
+		acc := c.acc.Bytes()
+		if len(acc) < 4 {
 			break
 		}
-		size := int(binary.BigEndian.Uint32(c.acc))
-		if len(c.acc) < 4+size {
+		size := int(binary.BigEndian.Uint32(acc))
+		if len(acc) < 4+size {
 			break
 		}
+		// The delivered copy: the one allocation a message costs.
 		msg := make([]byte, size)
-		copy(msg, c.acc[4:4+size])
-		c.acc = c.acc[4+size:]
+		copy(msg, c.acc.Next(4 + size)[4:])
 		// Deframing plus handler dispatch costs real selector-thread
 		// time per message.
 		c.stack.st.AppThread().Delay(params.TCP.MsgHandle)

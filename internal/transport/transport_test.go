@@ -20,8 +20,13 @@ type rig struct {
 
 func newRig(t *testing.T, kind Kind, n int, opts Options) *rig {
 	t.Helper()
+	return newRigWith(t, kind, n, opts, model.Default())
+}
+
+func newRigWith(t *testing.T, kind Kind, n int, opts Options, params model.Params) *rig {
+	t.Helper()
 	loop := sim.NewLoop(1)
-	nw := fabric.New(loop, model.Default())
+	nw := fabric.New(loop, params)
 	r := &rig{loop: loop, nw: nw}
 	for i := 0; i < n; i++ {
 		node := nw.AddNode(fmt.Sprintf("n%d", i))
