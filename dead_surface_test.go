@@ -1,0 +1,215 @@
+package rubin_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// deadSurfaceAllowed is what stays although no non-test file references
+// it: one `identifier — reason` per line. An entry without a reason, or
+// one that is no longer needed, fails the test.
+const deadSurfaceAllowed = `
+chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (ROADMAP O13 will)
+chaos.Scenario.ClearFaults — scenario vocabulary, the inverse of Byzantine
+chaos.Scenario.Degrade — scenario vocabulary: link loss/latency/jitter, what makes a fault trace diverge across seeds
+fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
+fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
+kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it
+kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket/setBucket for all 256
+kvstore.Store.LockHolder — probe the kvstore and shard tests share: who holds a 2PC write lock
+main.knobFlags.Set — flag.Value, called by package flag
+msgnet.Peer.OnRecvError — how a caller learns why an inbound frame was rejected; production only counts them
+msgnet.Peer.OnWritable — the release edge after ErrBacklog; pbft drops instead of waiting, large state transfers should wait (ROADMAP O15(3))
+pbft.Replica.Stable — probe the pbft, chaos and shard tests share: last stable checkpoint
+raceflag.Enabled — allocation gates in fourteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
+rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
+reptor.Group.GlobalOrder — the merged order as request keys, how the executor and invariant tests compare replicas
+rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up
+shard.Deployment.EnableReadFastPath — the sharded read fast path is tested but no experiment turns it on (E11 runs plain PBFT and COP)
+sim.Loop.SetEventLimit — runaway guard the sim and reptor tests set
+sim.Resource.QueueDelay — backlog probe of the service station, pinned by TestResourceQueueDelay
+tcpsim.Conn.Established — probe the tcpsim and nio tests share
+`
+
+// TestDeadSurface type-checks every package of the tree with its tests
+// and fails on any package-level function, method, type, constant or
+// variable declared in a non-test file (outside benchmark/ and examples/)
+// that no non-test file references — surface only tests call is a second
+// copy of something, or nothing at all (ROADMAP O17). References from
+// benchmark/ and examples/ count as uses. A method also counts as used
+// when an interface declared in the tree, fmt.Stringer or error has a
+// method of that name, since it may be called through that interface.
+func TestDeadSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	// One importer for the whole walk: it caches every package it
+	// type-checks from source, the standard library included.
+	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+
+	// Absolute paths: the importer names files that way, and a declaration
+	// is recognised across type-checking units by its position.
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dirs []string
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "baseline" || name == "traces") {
+				return filepath.SkipDir
+			}
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type decl struct {
+		id     string // pkg.Name or pkg.Type.Method
+		method string // its name, for a method
+		used   bool   // by a non-test file
+		tested bool   // by a _test.go file
+	}
+	type use struct {
+		of   string // position of the declaration referenced
+		test bool
+	}
+	decls := map[string]*decl{} // by declaration position
+	var uses []use
+	ifaceMethods := map[string]bool{"String": true, "Error": true}
+	at := func(pos token.Pos) string { return strings.TrimPrefix(fset.Position(pos).String(), root+"/") }
+	inTest := func(pos token.Pos) bool { return strings.HasSuffix(fset.File(pos).Name(), "_test.go") }
+
+	for _, dir := range dirs {
+		// The package's own files (with in-package tests) and its external
+		// test package are two type-checking units.
+		units := map[string][]*ast.File{}
+		matches, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+		for _, path := range matches {
+			if ok, err := build.Default.MatchFile(dir, filepath.Base(path)); err != nil || !ok {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			units[f.Name.Name] = append(units[f.Name.Name], f)
+		}
+		rel, _ := filepath.Rel(root, dir)
+		counted := !strings.HasPrefix(rel, "benchmark") && !strings.HasPrefix(rel, "examples")
+		for name, files := range units {
+			info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+			var errs []error
+			conf := types.Config{Importer: importerFrom{imp, dir}, Error: func(err error) { errs = append(errs, err) }}
+			pkg, _ := conf.Check(name, fset, files, info)
+			// An external test package sees its package through the importer,
+			// without what export_test.go adds; go vet checks those, here they
+			// only say which tests still reference a dead identifier.
+			if len(errs) > 0 && !strings.HasSuffix(name, "_test") {
+				t.Fatalf("type-checking %s (%s): %v", dir, name, errs[0])
+			}
+			for expr, tv := range info.Types {
+				if _, ok := expr.(*ast.InterfaceType); !ok || inTest(expr.Pos()) {
+					continue
+				}
+				it := tv.Type.Underlying().(*types.Interface)
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaceMethods[it.Method(i).Name()] = true
+				}
+			}
+			for ident, obj := range info.Defs {
+				if obj == nil || !counted || ident.Name == "_" || inTest(ident.Pos()) {
+					continue
+				}
+				d := &decl{id: pkg.Name() + "." + obj.Name()}
+				if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+					recv := fn.Type().(*types.Signature).Recv().Type()
+					if p, ok := recv.(*types.Pointer); ok {
+						recv = p.Elem()
+					}
+					named, ok := recv.(*types.Named)
+					if !ok || types.IsInterface(named) {
+						continue // a method of an interface type is a requirement, not surface
+					}
+					d.id, d.method = pkg.Name()+"."+named.Obj().Name()+"."+obj.Name(), obj.Name()
+				} else if obj.Parent() != pkg.Scope() || obj.Name() == "main" || obj.Name() == "init" {
+					continue
+				}
+				decls[at(obj.Pos())] = d
+			}
+			for ident, obj := range info.Uses {
+				if obj.Pos().IsValid() {
+					uses = append(uses, use{at(obj.Pos()), inTest(ident.Pos())})
+				}
+			}
+		}
+	}
+	for _, u := range uses {
+		if d := decls[u.of]; d != nil {
+			d.used = d.used || !u.test
+			d.tested = d.tested || u.test
+		}
+	}
+
+	allowed := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(deadSurfaceAllowed), "\n") {
+		if line == "" {
+			continue
+		}
+		id, reason, ok := strings.Cut(line, " — ")
+		if !ok || strings.TrimSpace(reason) == "" {
+			t.Errorf("allow-list line %q: want `identifier — reason`", line)
+		}
+		allowed[strings.TrimSpace(id)] = false
+	}
+	var dead []string
+	for pos, d := range decls {
+		if d.used || ifaceMethods[d.method] {
+			continue
+		}
+		if _, ok := allowed[d.id]; ok {
+			allowed[d.id] = true
+			continue
+		}
+		who := "nothing references it"
+		if d.tested {
+			who = "only _test.go files reference it"
+		}
+		dead = append(dead, fmt.Sprintf("%s (%s): %s", d.id, pos, who))
+	}
+	sort.Strings(dead)
+	for _, line := range dead {
+		t.Error(line)
+	}
+	for id, needed := range allowed {
+		if !needed {
+			t.Errorf("allow-list entry %s is stale: the identifier is gone or a non-test file references it", id)
+		}
+	}
+}
+
+// importerFrom resolves imports relative to the importing package's
+// directory, so benchmark/ (its own module) finds the tree through its
+// replace directive.
+type importerFrom struct {
+	imp types.ImporterFrom
+	dir string
+}
+
+func (i importerFrom) Import(path string) (*types.Package, error) {
+	return i.imp.ImportFrom(path, i.dir, 0)
+}

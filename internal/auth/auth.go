@@ -165,15 +165,6 @@ func (kr *Keyring) VerifyFrom(sender int, msg []byte, a Authenticator) bool {
 	return kr.Verify(sender, msg, a[kr.self])
 }
 
-// Size returns the wire size of an authenticator for n replicas.
-func (a Authenticator) Size() int {
-	total := 0
-	for _, m := range a {
-		total += len(m)
-	}
-	return total
-}
-
 // Hash computes the SHA-256 digest of msg.
 func Hash(msg []byte) Digest { return sha256.Sum256(msg) }
 

@@ -3,16 +3,15 @@ package bench
 import (
 	"testing"
 
+	"rubin/internal/metrics"
 	"rubin/internal/model"
+	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
 // quickEcho shortens the runs for test time while keeping the shapes.
 func quickEcho(payload int) EchoConfig {
-	cfg := DefaultEchoConfig(payload)
-	cfg.Messages = 200
-	cfg.Warmup = 20
-	return cfg
+	return EchoConfig{Payload: payload, Messages: 200, Warmup: 20, Window: 3, Seed: 1}
 }
 
 func runStack(t *testing.T, stack Fig3Stack, payload int) EchoResult {
@@ -120,10 +119,7 @@ func TestFig3ThroughputMirrorsLatency(t *testing.T) {
 }
 
 func quickFig4(payload int) Fig4Config {
-	cfg := DefaultFig4Config(payload)
-	cfg.Messages = 300
-	cfg.Warmup = 50
-	return cfg
+	return Fig4Config{Payload: payload, Messages: 300, Warmup: 50, Window: 30, Batch: 10, Seed: 1}
 }
 
 // TestFig4Shape asserts Figure 4: RUBIN's throughput beats the NIO stack
@@ -155,23 +151,23 @@ func TestFig4Shape(t *testing.T) {
 // TestBFTAgreementFasterOverRUBIN asserts the end goal (experiment E5):
 // the replicated system commits faster over RUBIN than over the NIO stack.
 func TestBFTAgreementFasterOverRUBIN(t *testing.T) {
-	cfgR := DefaultBFTConfig(transport.KindRDMA, 1<<10)
-	cfgR.Requests, cfgR.Warmup = 120, 20
+	cfgR := quickBFTN(transport.KindRDMA, 4)
+	cfgR.Requests, cfgR.Warmup, cfgR.Window, cfgR.Clients = 120, 20, 16, 1
 	cfgT := cfgR
 	cfgT.Kind = transport.KindTCP
-	r, err := RunBFT(cfgR, model.Default())
+	r, err := RunClosedLoop(cfgR, model.Default())
 	if err != nil {
 		t.Fatalf("bft rdma: %v", err)
 	}
-	tc, err := RunBFT(cfgT, model.Default())
+	tc, err := RunClosedLoop(cfgT, model.Default())
 	if err != nil {
 		t.Fatalf("bft tcp: %v", err)
 	}
-	if r.MeanLat >= tc.MeanLat {
-		t.Errorf("BFT latency over RUBIN (%v) should beat NIO (%v)", r.MeanLat, tc.MeanLat)
+	if r.Mean >= tc.Mean {
+		t.Errorf("BFT latency over RUBIN (%v) should beat NIO (%v)", r.Mean, tc.Mean)
 	}
-	if r.Throughput <= tc.Throughput {
-		t.Errorf("BFT throughput over RUBIN (%.0f) should beat NIO (%.0f)", r.Throughput, tc.Throughput)
+	if r.Goodput <= tc.Goodput {
+		t.Errorf("BFT throughput over RUBIN (%.0f) should beat NIO (%.0f)", r.Goodput, tc.Goodput)
 	}
 }
 
@@ -183,18 +179,20 @@ func TestBFTAgreementFasterOverRUBIN(t *testing.T) {
 // rubin package tests where the counters are visible; end-to-end latency
 // deltas can hide in idle thread gaps depending on load alignment.)
 func TestAblationTable(t *testing.T) {
-	tab, err := AblationTable([]int{2, 32, 100}, model.Default())
+	rc := DefaultRunContext()
+	rc.Knobs = map[string]string{"payloads_kb": "2,32,100"}
+	res, err := Run("E6", rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Series) != len(Ablations()) {
-		t.Fatalf("table has %d series, want %d", len(tab.Series), len(Ablations()))
+	if len(res.Series) != len(Ablations()) {
+		t.Fatalf("table has %d series, want %d", len(res.Series), len(Ablations()))
 	}
-	full := tab.Get("full (all optimizations)")
+	full := res.GetSeries("full (all optimizations)", metrics.MetricLatencyMean)
 	if full == nil {
 		t.Fatal("missing full series")
 	}
-	for _, s := range tab.Series {
+	for _, s := range res.Series {
 		for _, kb := range []float64{2, 32, 100} {
 			v := s.At(kb)
 			if !(v > 0) {
@@ -202,14 +200,34 @@ func TestAblationTable(t *testing.T) {
 			}
 		}
 	}
-	zc := tab.Get("zero-copy receive (projected)")
+	zc := res.GetSeries("zero-copy receive (projected)", metrics.MetricLatencyMean)
 	for _, kb := range []float64{2, 32, 100} {
 		if zc.At(kb) > full.At(kb)*1.001 {
 			t.Errorf("zero-copy receive slower than copying at %vKB: %.2f vs %.2f", kb, zc.At(kb), full.At(kb))
 		}
 	}
-	nb := tab.Get("no doorbell batching")
+	nb := res.GetSeries("no doorbell batching", metrics.MetricLatencyMean)
 	if nb.At(2) < full.At(2)*0.95 {
 		t.Errorf("disabling batching improved 2KB latency: %.2f vs %.2f", nb.At(2), full.At(2))
+	}
+}
+
+// TestEchoWedgeFails pins that an echo which stops part-way is an error,
+// not a mean over whatever finished: the reply direction stalls after
+// eight of twelve round trips.
+func TestEchoWedgeFails(t *testing.T) {
+	loop := sim.NewLoop(1)
+	d := newEchoDriver(loop, EchoConfig{Messages: 10, Warmup: 2, Window: 3})
+	sends := 0
+	loop.Post(func() {
+		d.start(func() {
+			if sends++; sends <= 8 {
+				loop.After(sim.Microsecond, d.completed)
+			}
+		})
+	})
+	loop.Run()
+	if res, err := d.result(StackTCP); err == nil {
+		t.Fatalf("wedged echo (%d of %d round trips) reported a result: %+v", d.done, d.total(), res)
 	}
 }

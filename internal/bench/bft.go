@@ -10,92 +10,85 @@ import (
 	"rubin/internal/transport"
 )
 
-// BFTConfig parameterizes the fully-replicated-system evaluation (the
-// paper's stated future work, experiment E5, and the N-axis of the E8
-// scaling study): a 3F+1 PBFT cluster ordering closed-loop client requests
-// over either transport stack. Cluster size (N, F) and offered load
-// (Clients, Window) are parameters, not constants.
-type BFTConfig struct {
-	Kind     transport.Kind
-	Payload  int // request operation size
-	Requests int // measured requests per client
-	Warmup   int // unmeasured requests per client
-	Window   int // outstanding requests per client
-	Batch    int // PBFT batch size
-	N, F     int
-	Clients  int // closed-loop clients (0 means 1)
-	Seed     int64
+// ClosedLoopConfig parameterizes the fixed-key closed-loop measurement of
+// the replicated system: the paper's stated future work (experiment E5)
+// and both axes of the E8 scaling study. Closed-loop clients drive an
+// N-replica PBFT cluster (Instances == 0) or a Reptor COP group of K
+// parallel instances (Instances == K) over either transport stack.
+type ClosedLoopConfig struct {
+	Kind      transport.Kind
+	Instances int // 0 = plain PBFT cluster; K >= 1 = Reptor COP group
+	Payload   int // request operation size
+	Requests  int // measured requests per client
+	Warmup    int // unmeasured requests per client
+	Window    int // outstanding requests per client
+	Batch     int // (per-instance) PBFT batch size
+	N, F      int
+	Clients   int // closed-loop clients (0 means 1)
+	Seed      int64
+	// HeartbeatDelay/HeartbeatMax tune the COP executor's adaptive
+	// hole-filling heartbeat (zero keeps the reptor defaults).
+	HeartbeatDelay sim.Time
+	HeartbeatMax   sim.Time
 	// Trace, when non-nil, records spans and samples into the shared
 	// -trace tracer; nil still aggregates the latency breakdown.
 	Trace *obs.Tracer
 }
 
-// DefaultBFTConfig returns the 4-replica, f=1, single-client setup.
-func DefaultBFTConfig(kind transport.Kind, payload int) BFTConfig {
-	return BFTConfig{
-		Kind: kind, Payload: payload,
-		Requests: 150, Warmup: 20, Window: 16, Batch: 8,
-		N: 4, F: 1, Clients: 1, Seed: 1,
+// RunClosedLoop measures agreement latency and throughput of the
+// replicated system for one configuration. Each client runs its own
+// closed loop of Window outstanding puts to keys of its own; latency
+// samples start after the per-client warmup and throughput spans the
+// first measured send to the last measured reply across all clients. COP
+// clients route operations to instances by hash (each instance orders a
+// disjoint partition), so adding instances scales the ordering pipeline —
+// the Middleware '15 parallelization the paper targets RUBIN at.
+func RunClosedLoop(cfg ClosedLoopConfig, params model.Params) (TrafficResult, error) {
+	clients := max(cfg.Clients, 1)
+	sys, keyPrefix := fmt.Sprintf("PBFT %s", cfg.Kind), "bench"
+	if cfg.Instances > 0 {
+		sys, keyPrefix = fmt.Sprintf("COP %s K=%d", cfg.Kind, cfg.Instances), "cop"
 	}
-}
-
-// Label describes the replica-group shape of this configuration — derived
-// from the actual values, so a 7-replica run never reads "4 replicas".
-func (c BFTConfig) Label() string {
-	label := fmt.Sprintf("%d replicas, f=%d", c.N, c.F)
-	if c.Clients > 1 {
-		label += fmt.Sprintf(", %d clients", c.Clients)
-	}
-	return label
-}
-
-// BFTResult is one measurement point of the replicated system.
-type BFTResult struct {
-	Kind       transport.Kind
-	Payload    int
-	MeanLat    sim.Time // client-observed request latency
-	P99Lat     sim.Time
-	Throughput float64 // requests per second across all clients
-	SendFaults uint64  // delivery failures surfaced by msgnet across replicas
-	// Breakdown attributes the measured latency to protocol phases
-	// (Breakdown.Total equals MeanLat up to integer-mean rounding).
-	Breakdown obs.Summary
-	// PeakQueueBytes is the deepest msgnet send queue any replica saw.
-	PeakQueueBytes int
-}
-
-// RunBFT measures agreement latency and throughput of the full replicated
-// system for one configuration. Each client runs its own closed loop of
-// Window outstanding requests; latency samples start after the per-client
-// warmup and throughput aggregates all clients.
-func RunBFT(cfg BFTConfig, params model.Params) (BFTResult, error) {
-	clients := cfg.Clients
-	if clients < 1 {
-		clients = 1
-	}
-	d, err := newPBFT(deploySpec{
-		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, cfg.Batch), seed: cfg.Seed, conns: clients,
-		label: fmt.Sprintf("PBFT %s N=%d clients=%d payload=%dB seed=%d",
-			cfg.Kind, cfg.N, clients, cfg.Payload, cfg.Seed),
-		trace: cfg.Trace,
-	}, params)
+	d, err := newAgreement(deploySpec{
+		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, cfg.Batch), seed: cfg.Seed, conns: clients, trace: cfg.Trace,
+		label: fmt.Sprintf("%s N=%d clients=%d payload=%dB seed=%d", sys, cfg.N, clients, cfg.Payload, cfg.Seed),
+	}, cfg.Instances, cfg.HeartbeatDelay, cfg.HeartbeatMax, params)
 	if err != nil {
-		return BFTResult{}, err
+		return TrafficResult{}, err
 	}
-	res, err := d.runClosedLoop("bench", cfg.Payload, cfg.Requests, cfg.Warmup, cfg.Window)
-	if err != nil {
-		return BFTResult{}, err
+	rec := metrics.NewRecorder()
+	perConn := cfg.Requests + cfg.Warmup
+	done, finished := make([]int, clients), 0
+	var startAt, endAt sim.Time // first measured send, last measured reply
+	started := false
+	d.putLoop(cfg.Window, cfg.Payload, func(conn, sent int) (string, bool) {
+		if sent >= perConn {
+			return "", false
+		}
+		if sent == cfg.Warmup && !started {
+			startAt, started = d.loop.Now(), true
+		}
+		return fmt.Sprintf("%s-%d-%06d", keyPrefix, conn, sent), true
+	}, func(conn int, latency sim.Time) bool {
+		done[conn]++
+		finished++
+		if done[conn] <= cfg.Warmup {
+			return false
+		}
+		rec.Record(latency)
+		endAt = d.loop.Now()
+		return true
+	})
+	d.loop.Run()
+	if want := perConn * clients; finished != want {
+		return TrafficResult{}, fmt.Errorf("bench: completed %d of %d requests", finished, want)
 	}
-	return BFTResult{
-		Kind:           cfg.Kind,
-		Payload:        cfg.Payload,
-		MeanLat:        res.rec.Mean(),
-		P99Lat:         res.rec.Percentile(99),
-		Throughput:     res.throughput(),
-		SendFaults:     d.sendFaults(),
-		Breakdown:      d.tr.Summary(),
-		PeakQueueBytes: d.peakQueueBytes(),
-	}, nil
+	if err := d.check(); err != nil {
+		return TrafficResult{}, err
+	}
+	r := d.result(rec)
+	r.Goodput, r.Completed = metrics.Throughput(rec.Count(), endAt-startAt), rec.Count()
+	return r, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -128,30 +121,24 @@ var e5SeriesNames = map[transport.Kind]string{
 }
 
 func runE5(rc RunContext, v values, res *metrics.Result) error {
-	base := BFTConfig{
-		Requests: v.int("requests"), Warmup: v.int("warmup"), Window: v.int("window"),
-		Batch: v.int("batch"), N: v.int("n"), F: v.int("f"), Clients: v.int("clients"),
-		Seed: rc.Seed, Trace: rc.Trace,
+	cluster := fmt.Sprintf("%d replicas, f=%d", v.int("n"), v.int("f"))
+	if v.int("clients") > 1 {
+		cluster += fmt.Sprintf(", %d clients", v.int("clients"))
 	}
-	res.SetConfig("cluster", base.Label())
-	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		name := e5SeriesNames[kind]
-		mean := res.AddSeries(name, metrics.MetricLatencyMean, "us", string(kind), "payload_kb")
-		p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", string(kind), "payload_kb")
-		tput := res.AddSeries(name, metrics.MetricThroughput, "req/s", string(kind), "payload_kb")
-		faults := res.AddSeries(name, metrics.MetricSendFaults, "count", string(kind), "payload_kb")
+	res.SetConfig("cluster", cluster)
+	for _, kind := range e8Transports {
+		ss := addColumns(res, e5SeriesNames[kind], string(kind), "payload_kb", colMean, colP99, colThroughput, colSendFaults)
 		for _, kb := range v.ints("payloads_kb") {
-			c := base
-			c.Kind = kind
-			c.Payload = kb << 10
-			r, err := RunBFT(c, rc.Model)
+			r, err := RunClosedLoop(ClosedLoopConfig{
+				Kind: kind, Payload: kb << 10,
+				Requests: v.int("requests"), Warmup: v.int("warmup"), Window: v.int("window"),
+				Batch: v.int("batch"), N: v.int("n"), F: v.int("f"), Clients: v.int("clients"),
+				Seed: rc.Seed, Trace: rc.Trace,
+			}, rc.Model)
 			if err != nil {
 				return err
 			}
-			mean.Add(float64(kb), r.MeanLat.Micros())
-			p99.Add(float64(kb), r.P99Lat.Micros())
-			tput.Add(float64(kb), r.Throughput)
-			faults.Add(float64(kb), float64(r.SendFaults))
+			ss.observe(float64(kb), r)
 		}
 	}
 	return nil

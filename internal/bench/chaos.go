@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"rubin/internal/chaos"
-	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/pbft"
@@ -24,11 +23,6 @@ type ChaosConfig struct {
 	Seed    int64 // simulation seed
 }
 
-// DefaultChaosConfig returns the standard E7 setup.
-func DefaultChaosConfig(kind transport.Kind) ChaosConfig {
-	return ChaosConfig{Kind: kind, Payload: 512, Window: 16, Seed: 1}
-}
-
 // ChaosPhase is one segment of the E7 fault timeline with its measured
 // client-side metrics. Commits are attributed to the phase in which they
 // complete.
@@ -43,7 +37,6 @@ type ChaosPhase struct {
 
 // ChaosResult is one full E7 run.
 type ChaosResult struct {
-	Kind           transport.Kind
 	N, F           int // replica-group shape the timeline ran against
 	Phases         []ChaosPhase
 	Trace          string // virtual-time fault trace (deterministic per seed)
@@ -63,22 +56,31 @@ type ChaosResult struct {
 	FinalViews        []uint64
 }
 
-// chaosTimeline returns the scripted fault events and the matching
-// measurement phases. Replica 0 leads view 0 and crashes first; replica 1
+// The E7 timeline: replica 0 leads view 0 and crashes first; replica 1
 // leads view 1 — one crash costs one view change — and is partitioned
 // away later, forcing a second view change in the majority partition.
+const (
+	e7Crash     = 150 * sim.Millisecond
+	e7Restart   = 500 * sim.Millisecond
+	e7Partition = 900 * sim.Millisecond
+	e7Heal      = 1400 * sim.Millisecond
+	e7End       = 1900 * sim.Millisecond
+)
+
+// chaosTimeline returns the scripted fault events and the matching
+// measurement phases.
 func chaosTimeline() (*chaos.Scenario, []ChaosPhase) {
 	s := chaos.NewScenario("E7-fault-timeline").
-		Crash(150*sim.Millisecond, 0).
-		Restart(500*sim.Millisecond, 0).
-		Partition(900*sim.Millisecond, []int{1}, []int{0, 2, 3}).
-		Heal(1400 * sim.Millisecond)
+		Crash(e7Crash, 0).
+		Restart(e7Restart, 0).
+		Partition(e7Partition, []int{1}, []int{0, 2, 3}).
+		Heal(e7Heal)
 	phases := []ChaosPhase{
-		{Name: "healthy", Start: 0, End: 150 * sim.Millisecond},
-		{Name: "crash+viewchange", Start: 150 * sim.Millisecond, End: 500 * sim.Millisecond},
-		{Name: "recovery", Start: 500 * sim.Millisecond, End: 900 * sim.Millisecond},
-		{Name: "partition", Start: 900 * sim.Millisecond, End: 1400 * sim.Millisecond},
-		{Name: "healed", Start: 1400 * sim.Millisecond, End: 1900 * sim.Millisecond},
+		{Name: "healthy", Start: 0, End: e7Crash},
+		{Name: "crash+viewchange", Start: e7Crash, End: e7Restart},
+		{Name: "recovery", Start: e7Restart, End: e7Partition},
+		{Name: "partition", Start: e7Partition, End: e7Heal},
+		{Name: "healed", Start: e7Heal, End: e7End},
 	}
 	return s, phases
 }
@@ -94,6 +96,39 @@ func faultTimelineConfig() pbft.Config {
 	return cfg
 }
 
+// runFaultTimeline is the one run E7 and E12 share: a plain PBFT cluster
+// on faultTimelineConfig (spec names its backend, seed and state
+// machines), the scenario applied, one connection keeping window puts
+// outstanding from now until end — key names the sent-th put's key,
+// completed sees each reply with its offset into the run and its latency —
+// and watch scheduling the caller's probes before the loop runs. It
+// returns the deployment to read counters from and the fault trace.
+func runFaultTimeline(spec deploySpec, params model.Params, scenario *chaos.Scenario, end sim.Time, window, payload int,
+	key func(sent int) string, completed func(at, latency sim.Time), watch func(c *pbft.Cluster, base sim.Time)) (*deployment, string, error) {
+	spec.pbft, spec.conns = faultTimelineConfig(), 1
+	d, err := newPBFT(spec, params)
+	if err != nil {
+		return nil, "", err
+	}
+	sched := chaos.Apply(d.cluster, scenario)
+	loop, base := d.loop, d.loop.Now()
+	d.putLoop(window, payload, func(_, sent int) (string, bool) {
+		if loop.Now()-base >= end {
+			return "", false
+		}
+		return key(sent), true
+	}, func(_ int, latency sim.Time) bool {
+		completed(loop.Now()-base, latency)
+		return true
+	})
+	watch(d.cluster, base)
+	loop.RunUntil(base + end)
+	if err := sched.Err(); err != nil {
+		return nil, "", err
+	}
+	return d, sched.TraceString(), nil
+}
+
 // maxChaosPayload bounds the request payload. This is purely a
 // simulation-cost bound now: msgnet chunks any protocol message above the
 // transport frame limit (VIEW-CHANGE aggregates and state snapshots
@@ -107,75 +142,37 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 	if cfg.Payload < 1 || cfg.Payload > maxChaosPayload {
 		return ChaosResult{}, fmt.Errorf("bench: chaos payload %d out of range [1, %d]", cfg.Payload, maxChaosPayload)
 	}
-	d, err := newPBFT(deploySpec{kind: cfg.Kind, pbft: faultTimelineConfig(), seed: cfg.Seed, conns: 1}, params)
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	cluster := d.cluster
-
 	scenario, phases := chaosTimeline()
-	sched := chaos.Apply(cluster, scenario)
-	loop := d.loop
-	base := loop.Now()
-	end := phases[len(phases)-1].End
-
 	recs := make([]*metrics.Recorder, len(phases))
 	for i := range recs {
 		recs[i] = metrics.NewRecorder()
 	}
-	phaseAt := func(t sim.Time) int {
-		for i := range phases {
-			if t < phases[i].End {
-				return i
-			}
-		}
-		return -1
-	}
-
-	value := string(make([]byte, cfg.Payload))
 	// Cycle a bounded key space: the store (and therefore per-checkpoint
 	// snapshot cost) stays constant over an arbitrarily long run. The
 	// space is sized to the payload to bound per-checkpoint marshal cost;
 	// state above the transport frame limit is fine (it crosses as
 	// per-partition StateParts), it just costs more virtual time to ship.
-	keySpace := 200_000 / (cfg.Payload + 24)
-	if keySpace > 128 {
-		keySpace = 128
-	}
-	if keySpace < 4 {
-		keySpace = 4
-	}
-	sent := 0
-	var sendOne func()
-	sendOne = func() {
-		if loop.Now()-base >= end {
-			return
-		}
-		idx := sent
-		sent++
-		t0 := loop.Now()
-		op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("chaos-%03d", idx%keySpace), value)
-		d.submit(0, op, func([]byte) {
-			if p := phaseAt(loop.Now() - base); p >= 0 {
-				recs[p].Record(loop.Now() - t0)
-			}
-			sendOne()
-		})
-	}
-	loop.Post(func() {
-		for i := 0; i < cfg.Window; i++ {
-			sendOne()
-		}
-	})
+	keySpace := min(max(200_000/(cfg.Payload+24), 4), 128)
 	var leaderAtPartition uint32
-	loop.At(base+phases[3].Start, func() {
-		leaderAtPartition = cluster.Replicas[2].Leader(cluster.Replicas[2].View())
-	})
-	loop.RunUntil(base + end)
-
-	if err := sched.Err(); err != nil {
+	d, trace, err := runFaultTimeline(deploySpec{kind: cfg.Kind, seed: cfg.Seed}, params, scenario, e7End, cfg.Window, cfg.Payload,
+		func(sent int) string { return fmt.Sprintf("chaos-%03d", sent%keySpace) },
+		func(at, latency sim.Time) {
+			for i := range phases {
+				if at < phases[i].End {
+					recs[i].Record(latency)
+					return
+				}
+			}
+		},
+		func(c *pbft.Cluster, base sim.Time) {
+			c.Loop.At(base+e7Partition, func() {
+				leaderAtPartition = c.Replicas[2].Leader(c.Replicas[2].View())
+			})
+		})
+	if err != nil {
 		return ChaosResult{}, err
 	}
+	cluster := d.cluster
 	for i := range phases {
 		phases[i].Committed = recs[i].Count()
 		phases[i].MeanLat = recs[i].Mean()
@@ -199,11 +196,10 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 	return ChaosResult{
 		LeaderAtPartition:        leaderAtPartition,
 		FinalViews:               views,
-		Kind:                     cfg.Kind,
 		N:                        cluster.Config.N,
 		F:                        cluster.Config.F,
 		Phases:                   phases,
-		Trace:                    sched.TraceString(),
+		Trace:                    trace,
 		StateTransfers:           cluster.Replicas[0].StateTransfers(),
 		SendFaults:               d.sendFaults(),
 		PeakQueueBytes:           d.peakQueueBytes(),
@@ -277,19 +273,4 @@ func runE7(rc RunContext, v values, res *metrics.Result) error {
 	}
 	res.SetConfig("counter_index", "0=state_transfers,1=send_faults,2=peak_queue_bytes")
 	return nil
-}
-
-// Render formats the per-phase measurements as an aligned text table.
-func (r ChaosResult) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# E7: BFT agreement under faults (%s, %d replicas, f=%d)\n", r.Kind, r.N, r.F)
-	fmt.Fprintf(&b, "%-18s %12s %10s %12s %12s %12s\n",
-		"phase", "window", "commits", "req/s", "mean lat", "p99 lat")
-	for _, p := range r.Phases {
-		fmt.Fprintf(&b, "%-18s %5v-%-6v %10d %12.0f %12v %12v\n",
-			p.Name, p.Start, p.End, p.Committed, p.Throughput, p.MeanLat, p.P99Lat)
-	}
-	fmt.Fprintf(&b, "send faults surfaced: %d   peak msgnet queue: %d bytes\n",
-		r.SendFaults, r.PeakQueueBytes)
-	return b.String()
 }

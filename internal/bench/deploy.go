@@ -86,8 +86,9 @@ type deployment struct {
 	execs  []*reptor.Executor // COP only: one per host
 	fronts []frontEnd
 	// submit sends raw bytes down connection conn's default route with no
-	// kvstore routing — what the fixed-key closed loops (E5/E7/E8/E12)
-	// drive. nil for sharded deployments, which have no default route.
+	// kvstore routing — what putLoop drives: E8's COP axis routes by hash
+	// of the bytes (reptor.Client.Invoke), not by key. nil for sharded
+	// deployments, which have no default route.
 	submit     workload.Invoker
 	sendFaults func() uint64
 
@@ -167,6 +168,16 @@ func newCOP(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.P
 	})
 }
 
+// newAgreement builds the one-keyspace system the closed-loop and traffic
+// runs share a convention for: instances 0 is a plain PBFT cluster, K a
+// COP group of K instances.
+func newAgreement(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.Params) (*deployment, error) {
+	if instances == 0 {
+		return newPBFT(s, params)
+	}
+	return newCOP(s, instances, hbDelay, hbMax, params)
+}
+
 // newShards builds a sharded deployment of independent PBFT groups, one
 // router per connection.
 func newShards(s deploySpec, shards int, params model.Params) (*deployment, error) {
@@ -223,9 +234,10 @@ func (d *deployment) check() error {
 	return nil
 }
 
-// TrafficResult is one measurement point of a traffic experiment
-// (E9–E11), whatever the deployment shape; counters a shape does not
-// have stay zero.
+// TrafficResult is one measurement point of a replicated-system run —
+// the fixed-key closed loop (E5, E8) or a traffic experiment (E9–E11) —
+// whatever the deployment shape; counters a shape or load generator does
+// not have stay zero.
 type TrafficResult struct {
 	P50, P90, P99, P999 sim.Time // latency percentiles, arrival to reply
 	Mean                sim.Time // mean latency (the breakdown partitions it)
@@ -239,6 +251,12 @@ type TrafficResult struct {
 	Breakdown obs.Summary
 	// PeakQueueBytes is the deepest msgnet send queue any replica saw.
 	PeakQueueBytes int
+	// LeaderCPU is the highest CPU utilization across replica nodes — the
+	// saturation signal that decides whether parallelizing the ordering
+	// stage can pay off at all. SendFaults counts the delivery failures
+	// msgnet surfaced across replicas (check fails a run that has any).
+	LeaderCPU  float64
+	SendFaults uint64
 	// COP executor health: heartbeat fill slots summed across nodes, the
 	// largest adaptive heartbeat delay any instance backed off to, and the
 	// deepest committed-but-unmerged backlog any node's executor held.
@@ -282,19 +300,29 @@ func (d *deployment) runWorkload(wcfg workload.Config) (TrafficResult, error) {
 	if err := drv.History().Check(); err != nil {
 		return TrafficResult{}, err
 	}
-	rec := drv.Latencies()
+	r := d.result(drv.Latencies())
+	r.Goodput, r.CommittedGoodput = drv.Goodput(), drv.CommittedGoodput()
+	r.Completed, r.Aborted = drv.Completed(), drv.Aborted()
+	r.HistoryOps, r.FastOps = drv.History().Len(), drv.History().FastOps()
+	return r, nil
+}
+
+// result is the part of a measurement point every run fills alike: the
+// latency statistics of its measured samples and what the deployment
+// itself counted during the run.
+func (d *deployment) result(rec *metrics.Recorder) TrafficResult {
 	r := TrafficResult{
 		P50: rec.Percentile(50), P90: rec.Percentile(90),
 		P99: rec.Percentile(99), P999: rec.Percentile(99.9),
-		Mean:             rec.Mean(),
-		Goodput:          drv.Goodput(),
-		CommittedGoodput: drv.CommittedGoodput(),
-		Completed:        drv.Completed(),
-		Aborted:          drv.Aborted(),
-		HistoryOps:       drv.History().Len(),
-		FastOps:          drv.History().FastOps(),
-		Breakdown:        d.tr.Summary(),
-		PeakQueueBytes:   d.peakQueueBytes(),
+		Mean:           rec.Mean(),
+		Breakdown:      d.tr.Summary(),
+		PeakQueueBytes: d.peakQueueBytes(),
+		SendFaults:     d.sendFaults(),
+	}
+	for _, mesh := range d.meshes {
+		if u := mesh.Node().CPU.Utilization(); u > r.LeaderCPU {
+			r.LeaderCPU = u
+		}
 	}
 	for _, fe := range d.fronts {
 		r.FastReads += fe.FastReads()
@@ -315,7 +343,7 @@ func (d *deployment) runWorkload(wcfg workload.Config) (TrafficResult, error) {
 		r.CrossShardTxns += rt.CrossShardTxns()
 		r.LockRetries += rt.Retries()
 	}
-	return r, nil
+	return r
 }
 
 // trafficWorkload assembles the workload description the traffic
@@ -332,77 +360,46 @@ func trafficWorkload(users, conns, keys, valueSize, ops, warmup, zipf100 int, mi
 	}
 }
 
-// closedLoop is the measurement of one fixed-key closed-loop run: each
-// connection keeps window requests outstanding through submit. Latency
-// samples start after the per-connection warmup; startAt is the moment
-// the first connection sends its first measured request and endAt the
-// last measured completion.
-type closedLoop struct {
-	rec     *metrics.Recorder
-	startAt sim.Time
-	endAt   sim.Time
-}
-
-// throughput is the measured completions per second across connections.
-func (cl closedLoop) throughput() float64 {
-	return metrics.Throughput(cl.rec.Count(), cl.endAt-cl.startAt)
-}
-
-// runClosedLoop drives requests+warmup puts per connection to completion;
-// the idx-th key of connection ci is "<keyPrefix>-<ci>-<idx>". Each
-// finished request is folded into the tracer's latency breakdown.
-func (d *deployment) runClosedLoop(keyPrefix string, payload, requests, warmup, window int) (closedLoop, error) {
+// putLoop is the fixed-key put loop of E5, E7, E8 and E12 — the load
+// generator beside workload.Driver, for runs that stop on the clock or
+// lose requests to a crash: every connection keeps window puts of payload
+// bytes outstanding through submit. next names the key of a connection's
+// sent-th put, or stops that connection's refill; completed sees every
+// reply with its latency and says whether it counts as measured. The
+// caller runs the loop.
+func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key string, ok bool), completed func(conn int, latency sim.Time) (measured bool)) {
 	loop, tr := d.loop, d.tr
-	cl := closedLoop{rec: metrics.NewRecorder()}
 	value := string(make([]byte, payload))
-	perConn := requests + warmup
-	started, finished := false, 0
-	launch := func(ci int) {
-		sent, done := 0, 0
+	for ci := range d.fronts {
+		sent := 0
 		var sendOne func()
 		sendOne = func() {
-			if sent == warmup && !started {
-				cl.startAt, started = loop.Now(), true
+			key, ok := next(ci, sent)
+			if !ok {
+				return
 			}
-			op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("%s-%d-%06d", keyPrefix, ci, sent), value)
 			sent++
 			t0 := loop.Now()
 			var id string
-			id = d.submit(ci, op, func([]byte) {
-				done++
-				finished++
-				measured := done > warmup
-				if measured {
-					cl.rec.Record(loop.Now() - t0)
-					cl.endAt = loop.Now()
-				}
+			id = d.submit(ci, kvstore.EncodeOp(kvstore.OpPut, key, value), func([]byte) {
+				measured := completed(ci, loop.Now()-t0)
 				if id != "" {
 					tr.MarkReturn(id, loop.Now())
 					tr.Finish(id, measured)
 				}
-				if sent < perConn {
-					sendOne()
-				}
+				sendOne()
 			})
 			// Safe after the submit: replies cross the simulated network,
-			// so done cannot have fired synchronously at this same event.
+			// so the callback cannot have fired synchronously at this event.
 			if id != "" {
 				tr.MarkArrive(id, t0)
 				tr.MarkInvoke(id, t0)
 			}
 		}
 		loop.Post(func() {
-			for i := 0; i < window && sent < perConn; i++ {
+			for i := 0; i < window; i++ {
 				sendOne()
 			}
 		})
 	}
-	for ci := range d.fronts {
-		launch(ci)
-	}
-	loop.Run()
-	if want := perConn * len(d.fronts); finished != want {
-		return cl, fmt.Errorf("bench: completed %d of %d requests", finished, want)
-	}
-	return cl, nil
 }

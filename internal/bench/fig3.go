@@ -57,16 +57,8 @@ type EchoConfig struct {
 	Seed     int64
 }
 
-// DefaultEchoConfig mirrors the paper's micro-benchmark: 1000 messages
-// exchanged per run with a small pipeline of outstanding requests.
-func DefaultEchoConfig(payload int) EchoConfig {
-	return EchoConfig{Payload: payload, Messages: 1000, Warmup: 50, Window: 3, Seed: 1}
-}
-
 // EchoResult is one measurement point.
 type EchoResult struct {
-	Stack      Fig3Stack
-	Payload    int
 	MeanRT     sim.Time // mean request round-trip latency
 	P99RT      sim.Time
 	Throughput float64 // requests per second (closed loop)
@@ -82,7 +74,7 @@ func RunFig3(stack Fig3Stack, cfg EchoConfig, params model.Params) (EchoResult, 
 	case StackOneSided:
 		return echoOneSided(cfg, params)
 	case StackChannel:
-		return echoChannel(cfg, params)
+		return echoChannelCfg(cfg, params, nil)
 	default:
 		return EchoResult{}, fmt.Errorf("bench: unknown stack %q", stack)
 	}
@@ -164,16 +156,15 @@ func twoNodes(seed int64, params model.Params) (*sim.Loop, *fabric.Node, *fabric
 // echoDriver runs the common closed-loop measurement: send() transmits one
 // payload; the transport calls completed() per finished round trip.
 type echoDriver struct {
-	loop     *sim.Loop
-	cfg      EchoConfig
-	rec      *metrics.Recorder
-	sendFn   func()
-	started  []sim.Time
-	inFlight int
-	sent     int
-	done     int
-	startAt  sim.Time
-	endAt    sim.Time
+	loop    *sim.Loop
+	cfg     EchoConfig
+	rec     *metrics.Recorder
+	sendFn  func()
+	started []sim.Time
+	sent    int
+	done    int
+	startAt sim.Time
+	endAt   sim.Time
 }
 
 func newEchoDriver(loop *sim.Loop, cfg EchoConfig) *echoDriver {
@@ -216,15 +207,17 @@ func (d *echoDriver) completed() {
 	}
 }
 
-func (d *echoDriver) result(stack Fig3Stack) EchoResult {
-	elapsed := d.endAt - d.startAt
+// result is the measurement once the loop has drained; an echo that
+// wedged part-way is an error, not a mean over whatever finished.
+func (d *echoDriver) result(stack Fig3Stack) (EchoResult, error) {
+	if d.done != d.total() {
+		return EchoResult{}, fmt.Errorf("bench: %s echo completed %d of %d round trips", stack, d.done, d.total())
+	}
 	return EchoResult{
-		Stack:      stack,
-		Payload:    d.cfg.Payload,
 		MeanRT:     d.rec.Mean(),
 		P99RT:      d.rec.Percentile(99),
-		Throughput: metrics.Throughput(d.rec.Count(), elapsed),
-	}
+		Throughput: metrics.Throughput(d.rec.Count(), d.endAt-d.startAt),
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -302,7 +295,7 @@ func echoTCP(cfg EchoConfig, params model.Params) (EchoResult, error) {
 		})
 	})
 	loop.Run()
-	return d.result(StackTCP), nil
+	return d.result(StackTCP)
 }
 
 // ---------------------------------------------------------------------------
@@ -378,109 +371,7 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 		})
 	})
 	loop.Run()
-	return d.result(StackSendRecv), nil
-}
-
-// pollAll empties a completion queue as a verbs poll loop does, sixteen
-// entries per poll, handing each to visit; it returns how many there were.
-func pollAll(cq *rdma.CQ, visit func(rdma.CQE)) int {
-	var buf [16]rdma.CQE
-	total := 0
-	for {
-		n := cq.Poll(buf[:])
-		if n == 0 {
-			return total
-		}
-		for _, cqe := range buf[:n] {
-			visit(cqe)
-		}
-		total += n
-	}
-}
-
-// drainCQStrict keeps a completion queue empty, charging the full
-// completion-handling cost for every entry (no event coalescing): the
-// behaviour of an application that signals and processes every send.
-func drainCQStrict(cq *rdma.CQ, thread *sim.Resource, params model.Params) {
-	pump := func() {
-		drained := pollAll(cq, func(rdma.CQE) {})
-		if drained > 1 {
-			// The notification already charged one CompletionHandle;
-			// charge the rest so the cost stays strictly per message.
-			thread.Delay(params.RDMA.CompletionHandle * sim.Time(drained-1))
-		}
-		cq.RequestNotify()
-	}
-	cq.OnEvent(pump)
-	cq.RequestNotify()
-}
-
-const qpSlots = 64
-
-// qpPair bundles the verbs resources of a two-node echo.
-type qpPair struct {
-	client, server             *rdma.QP
-	clientSendCQ, clientRecvCQ *rdma.CQ
-	serverSendCQ, serverRecvCQ *rdma.CQ
-	clientSendMR, clientRecvMR *rdma.MR
-	serverSendMR, serverRecvMR *rdma.MR
-	clientRemoteMR             *rdma.MR // server-exposed region for one-sided ops
-	clientRemoteKey            uint32
-	clientLocalMR              *rdma.MR
-	clientDevice, serverDevice *rdma.Device
-	clientPD, serverPD         *rdma.PD
-	payload, slots             int
-}
-
-func connectQPs(loop *sim.Loop, cd, sd *rdma.Device, cfg EchoConfig) (*qpPair, error) {
-	p := &qpPair{payload: cfg.Payload, slots: qpSlots, clientDevice: cd, serverDevice: sd}
-	p.clientPD, p.serverPD = cd.AllocPD(), sd.AllocPD()
-	p.clientSendCQ, p.clientRecvCQ = cd.CreateCQ(2*qpSlots+8), cd.CreateCQ(2*qpSlots+8)
-	p.serverSendCQ, p.serverRecvCQ = sd.CreateCQ(2*qpSlots+8), sd.CreateCQ(2*qpSlots+8)
-
-	size := qpSlots * cfg.Payload
-	if size == 0 {
-		size = qpSlots
-	}
-	p.clientSendMR = p.clientPD.RegisterMR(size, rdma.AccessLocalWrite, nil)
-	p.clientRecvMR = p.clientPD.RegisterMR(size, rdma.AccessLocalWrite, nil)
-	p.serverSendMR = p.serverPD.RegisterMR(size, rdma.AccessLocalWrite, nil)
-	p.serverRecvMR = p.serverPD.RegisterMR(size, rdma.AccessLocalWrite, nil)
-	// One-sided target region on the server.
-	p.clientRemoteMR = p.serverPD.RegisterMR(size, rdma.AccessLocalWrite|rdma.AccessRemoteWrite|rdma.AccessRemoteRead, nil)
-	p.clientRemoteKey = p.clientRemoteMR.RKey()
-	p.clientLocalMR = p.clientSendMR
-
-	var server *rdma.QP
-	_, err := sd.ListenCM(9, p.serverPD, func() rdma.QPConfig {
-		return rdma.QPConfig{SendCQ: p.serverSendCQ, RecvCQ: p.serverRecvCQ, MaxSendWR: qpSlots, MaxRecvWR: qpSlots}
-	}, func(qp *rdma.QP) { server = qp })
-	if err != nil {
-		return nil, err
-	}
-	var client *rdma.QP
-	var dialErr error
-	loop.At(0, func() {
-		cd.ConnectCM(sd.Node(), 9, p.clientPD,
-			rdma.QPConfig{SendCQ: p.clientSendCQ, RecvCQ: p.clientRecvCQ, MaxSendWR: qpSlots, MaxRecvWR: qpSlots},
-			func(qp *rdma.QP, err error) { client, dialErr = qp, err })
-	})
-	loop.Run()
-	if dialErr != nil || client == nil || server == nil {
-		return nil, fmt.Errorf("bench: QP setup failed: %v", dialErr)
-	}
-	p.client, p.server = client, server
-	// Pre-post the full receive rings on both sides.
-	for i := 0; i < qpSlots; i++ {
-		off := i * cfg.Payload
-		if err := server.PostRecv(rdma.RecvWR{ID: uint64(i), MR: p.serverRecvMR, Offset: off, Length: cfg.Payload}); err != nil {
-			return nil, err
-		}
-		if err := client.PostRecv(rdma.RecvWR{ID: uint64(i), MR: p.clientRecvMR, Offset: off, Length: cfg.Payload}); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return d.result(StackSendRecv)
 }
 
 // ---------------------------------------------------------------------------
@@ -518,13 +409,13 @@ func echoOneSided(cfg EchoConfig, params model.Params) (EchoResult, error) {
 			slotN++
 			off := slot * cfg.Payload
 			wr := &rdma.SendWR{ID: uint64(slot), Op: rdma.OpWrite,
-				MR: qprs.clientLocalMR, Offset: off, Length: cfg.Payload,
+				MR: qprs.clientSendMR, Offset: off, Length: cfg.Payload,
 				RemoteKey: qprs.clientRemoteKey, RemoteOffset: off, Signaled: true}
 			_ = cqp.PostSend(wr)
 		})
 	})
 	loop.Run()
-	return d.result(StackOneSided), nil
+	return d.result(StackOneSided)
 }
 
 // ---------------------------------------------------------------------------
@@ -533,11 +424,8 @@ func echoOneSided(cfg EchoConfig, params model.Params) (EchoResult, error) {
 // signaling, zero-copy send, inline small messages).
 // ---------------------------------------------------------------------------
 
-func echoChannel(cfg EchoConfig, params model.Params) (EchoResult, error) {
-	return echoChannelCfg(cfg, params, nil)
-}
-
-// echoChannelCfg allows ablations to mutate the channel configuration.
+// echoChannelCfg lets an ablation mutate the channel configuration; nil is
+// the full channel.
 func echoChannelCfg(cfg EchoConfig, params model.Params, mutate func(*rubin.Config)) (EchoResult, error) {
 	loop, cn, sn := twoNodes(cfg.Seed, params)
 	cd, sd := rdma.OpenDevice(cn), rdma.OpenDevice(sn)
@@ -626,5 +514,5 @@ func echoChannelCfg(cfg EchoConfig, params model.Params, mutate func(*rubin.Conf
 		d.start(func() { _ = clientCh.Send(payload) })
 	})
 	loop.Run()
-	return d.result(StackChannel), nil
+	return d.result(StackChannel)
 }

@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 
-	"rubin/internal/fabric"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
-	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
@@ -22,18 +20,10 @@ type Fig4Config struct {
 	Seed     int64
 }
 
-// DefaultFig4Config returns the paper's measurement parameters.
-func DefaultFig4Config(payload int) Fig4Config {
-	return Fig4Config{Payload: payload, Messages: 1000, Warmup: 100, Window: 30, Batch: 10, Seed: 1}
-}
-
 // RunFig4 measures one (kind, payload) point: mean request latency and
 // closed-loop throughput through the full transport stack.
 func RunFig4(kind transport.Kind, cfg Fig4Config, params model.Params) (EchoResult, error) {
-	loop := sim.NewLoop(cfg.Seed)
-	nw := fabric.New(loop, params)
-	cn, sn := nw.AddNode("client"), nw.AddNode("server")
-	nw.Connect(cn, sn)
+	loop, cn, sn := twoNodes(cfg.Seed, params)
 
 	opts := transport.DefaultOptions()
 	opts.Batch = cfg.Batch
@@ -75,8 +65,7 @@ func RunFig4(kind transport.Kind, cfg Fig4Config, params model.Params) (EchoResu
 		d.start(func() { _ = clientConn.Send(payload) })
 	})
 	loop.Run()
-	res := d.result(Fig3Stack(kind))
-	return res, nil
+	return d.result(Fig3Stack(kind))
 }
 
 // ---------------------------------------------------------------------------

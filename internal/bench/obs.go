@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"rubin/internal/metrics"
 	"rubin/internal/msgnet"
 	"rubin/internal/obs"
 	"rubin/internal/reptor"
@@ -47,29 +46,4 @@ func startSamplers(tr *obs.Tracer, loop *sim.Loop, meshes []*msgnet.Mesh, execs 
 			tr.Sample("executor_backlog", meshes[i].Node().Name(), now, float64(ex.Backlog()))
 		}
 	})
-}
-
-// breakdownSeries bundles the five breakdown_* series of one sweep combo.
-// The phases partition the measured end-to-end latency: per point,
-// queue + order + net + merge + exec equals the latency_mean series.
-type breakdownSeries struct {
-	queue, order, net, merge, exec *metrics.ResultSeries
-}
-
-func addBreakdownSeries(res *metrics.Result, name, transport, xLabel string) breakdownSeries {
-	return breakdownSeries{
-		queue: res.AddSeries(name, metrics.MetricBreakdownQueue, "us", transport, xLabel),
-		order: res.AddSeries(name, metrics.MetricBreakdownOrder, "us", transport, xLabel),
-		net:   res.AddSeries(name, metrics.MetricBreakdownNet, "us", transport, xLabel),
-		merge: res.AddSeries(name, metrics.MetricBreakdownMerge, "us", transport, xLabel),
-		exec:  res.AddSeries(name, metrics.MetricBreakdownExec, "us", transport, xLabel),
-	}
-}
-
-func (b breakdownSeries) observe(x float64, s obs.Summary) {
-	b.queue.Add(x, s.Queue.Micros())
-	b.order.Add(x, s.Order.Micros())
-	b.net.Add(x, s.Net.Micros())
-	b.merge.Add(x, s.Merge.Micros())
-	b.exec.Add(x, s.Exec.Micros())
 }

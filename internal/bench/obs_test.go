@@ -39,17 +39,17 @@ func assertPartition(t *testing.T, label string, s obs.Summary, mean sim.Time) {
 // three measurement drivers: PBFT closed loop, COP closed loop, and the
 // workload-driven traffic study.
 func TestBreakdownPartitionsMeanLatency(t *testing.T) {
-	bft, err := RunBFT(quickBFTN(transport.KindRDMA, 4), model.Default())
+	bft, err := RunClosedLoop(quickBFTN(transport.KindRDMA, 4), model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPartition(t, "RunBFT", bft.Breakdown, bft.MeanLat)
+	assertPartition(t, "RunClosedLoop PBFT", bft.Breakdown, bft.Mean)
 
-	cop, err := RunCOP(quickCOP(transport.KindTCP, 2), model.Default())
+	cop, err := RunClosedLoop(quickCOP(transport.KindTCP, 2), model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPartition(t, "RunCOP", cop.Breakdown, cop.MeanLat)
+	assertPartition(t, "RunClosedLoop COP", cop.Breakdown, cop.Mean)
 
 	traffic, err := RunTraffic(TrafficConfig{
 		Kind: transport.KindRDMA, Instances: 2, N: 4, F: 1,
@@ -170,9 +170,7 @@ func TestE8AndE9QuickCarryBreakdownSeries(t *testing.T) {
 // TestE7CarriesPerReplicaQueueSeries pins the per-replica send-queue
 // watermark series of the fault-timeline experiment.
 func TestE7CarriesPerReplicaQueueSeries(t *testing.T) {
-	rc := DefaultRunContext()
-	rc.Quick = true
-	res, err := Run("E7", rc)
+	res, err := quickE7()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 func TestProbe(t *testing.T) {
 	p := model.Default()
 	for _, kb := range []int{1, 2, 8, 16, 32, 64, 100} {
-		cfg := DefaultEchoConfig(kb << 10)
-		cfg.Messages, cfg.Warmup = 300, 30
+		cfg := EchoConfig{Payload: kb << 10, Messages: 300, Warmup: 30, Window: 3, Seed: 1}
 		var line string
 		line = fmt.Sprintf("%3dKB", kb)
 		for _, st := range Fig3Stacks() {
@@ -25,8 +24,7 @@ func TestProbe(t *testing.T) {
 		fmt.Println(line)
 	}
 	for _, kb := range []int{1, 20, 100} {
-		c4 := DefaultFig4Config(kb << 10)
-		c4.Messages, c4.Warmup = 300, 50
+		c4 := quickFig4(kb << 10)
 		r, err := RunFig4(transport.KindRDMA, c4, p)
 		if err != nil {
 			t.Fatal(err)

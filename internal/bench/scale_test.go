@@ -8,13 +8,11 @@ import (
 )
 
 // quickBFTN returns a small closed-loop config for an N-replica cluster.
-func quickBFTN(kind transport.Kind, n int) BFTConfig {
-	cfg := DefaultBFTConfig(kind, 1<<10)
-	cfg.N, cfg.F = n, (n-1)/3
-	cfg.Requests, cfg.Warmup = 40, 5
-	cfg.Clients = 2
-	cfg.Window = 8
-	return cfg
+func quickBFTN(kind transport.Kind, n int) ClosedLoopConfig {
+	return ClosedLoopConfig{
+		Kind: kind, Payload: 1 << 10, N: n, F: (n - 1) / 3,
+		Requests: 40, Warmup: 5, Window: 8, Batch: 8, Clients: 2, Seed: 1,
+	}
 }
 
 // TestBFTScalesWithN asserts the N axis of E8 works at all swept sizes and
@@ -24,17 +22,17 @@ func TestBFTScalesWithN(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		lats := map[int]float64{}
 		for _, n := range []int{4, 7, 10} {
-			res, err := RunBFT(quickBFTN(kind, n), model.Default())
+			res, err := RunClosedLoop(quickBFTN(kind, n), model.Default())
 			if err != nil {
 				t.Fatalf("%s N=%d: %v", kind, n, err)
 			}
-			if res.MeanLat <= 0 || res.Throughput <= 0 {
+			if res.Mean <= 0 || res.Goodput <= 0 {
 				t.Fatalf("%s N=%d: degenerate result %+v", kind, n, res)
 			}
 			if res.SendFaults != 0 {
 				t.Errorf("%s N=%d: %d send faults on a healthy network", kind, n, res.SendFaults)
 			}
-			lats[n] = res.MeanLat.Micros()
+			lats[n] = res.Mean.Micros()
 		}
 		if lats[10] <= lats[4] {
 			t.Errorf("%s: N=10 latency (%.1fus) should exceed N=4 (%.1fus)", kind, lats[10], lats[4])
@@ -45,29 +43,27 @@ func TestBFTScalesWithN(t *testing.T) {
 // TestBFTMultiClientAddsLoad asserts the closed-loop client count is a real
 // load axis: two clients commit more requests per second than one.
 func TestBFTMultiClientAddsLoad(t *testing.T) {
-	one := DefaultBFTConfig(transport.KindRDMA, 1<<10)
-	one.Requests, one.Warmup, one.Window = 60, 10, 8
+	one := quickBFTN(transport.KindRDMA, 4)
+	one.Requests, one.Warmup, one.Clients = 60, 10, 1
 	two := one
 	two.Clients = 2
-	r1, err := RunBFT(one, model.Default())
+	r1, err := RunClosedLoop(one, model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunBFT(two, model.Default())
+	r2, err := RunClosedLoop(two, model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Throughput <= r1.Throughput {
+	if r2.Goodput <= r1.Goodput {
 		t.Errorf("2 clients (%.0f req/s) should out-commit 1 client (%.0f req/s)",
-			r2.Throughput, r1.Throughput)
+			r2.Goodput, r1.Goodput)
 	}
 }
 
-func quickCOP(kind transport.Kind, k int) COPConfig {
-	cfg := DefaultCOPConfig(kind, 1<<10)
+func quickCOP(kind transport.Kind, k int) ClosedLoopConfig {
+	cfg := quickBFTN(kind, 4)
 	cfg.Instances = k
-	cfg.Requests, cfg.Warmup = 40, 5
-	cfg.Clients = 2
 	return cfg
 }
 
@@ -81,14 +77,14 @@ func TestCOPInstanceSweep(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		lats := map[int]float64{}
 		for _, k := range []int{1, 2, 4} {
-			r, err := RunCOP(quickCOP(kind, k), model.Default())
+			r, err := RunClosedLoop(quickCOP(kind, k), model.Default())
 			if err != nil {
 				t.Fatalf("%s K=%d: %v", kind, k, err)
 			}
-			if r.MeanLat <= 0 || r.Throughput <= 0 || r.MergedSlots == 0 {
+			if r.Mean <= 0 || r.Goodput <= 0 || r.Completed == 0 {
 				t.Fatalf("%s K=%d: degenerate result %+v", kind, k, r)
 			}
-			lats[k] = r.MeanLat.Micros()
+			lats[k] = r.Mean.Micros()
 		}
 		if lats[4] <= lats[1] {
 			t.Errorf("%s: K=4 latency (%.1fus) should exceed K=1 (%.1fus) under the merge barrier",
@@ -100,15 +96,15 @@ func TestCOPInstanceSweep(t *testing.T) {
 // TestCOPFasterOverRUBIN extends the paper's claim to the parallelized
 // system: COP ordering commits faster over RUBIN than over the NIO stack.
 func TestCOPFasterOverRUBIN(t *testing.T) {
-	r, err := RunCOP(quickCOP(transport.KindRDMA, 4), model.Default())
+	r, err := RunClosedLoop(quickCOP(transport.KindRDMA, 4), model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := RunCOP(quickCOP(transport.KindTCP, 4), model.Default())
+	n, err := RunClosedLoop(quickCOP(transport.KindTCP, 4), model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MeanLat >= n.MeanLat {
-		t.Errorf("COP latency over RUBIN (%v) should beat NIO (%v)", r.MeanLat, n.MeanLat)
+	if r.Mean >= n.Mean {
+		t.Errorf("COP latency over RUBIN (%v) should beat NIO (%v)", r.Mean, n.Mean)
 	}
 }

@@ -47,18 +47,10 @@ type StateSizeConfig struct {
 	EmptyRestart bool
 }
 
-// DefaultStateSizeConfig returns the standard E12 single-run setup.
-func DefaultStateSizeConfig(kind transport.Kind) StateSizeConfig {
-	return StateSizeConfig{Kind: kind, Prefill: 8000, Payload: 64, Window: 8, Seed: 1}
-}
-
 // StateSizeResult is one E12 run: one transport, one prefill size, one
 // restart input.
 type StateSizeResult struct {
-	Kind         transport.Kind
-	Prefill      int
-	EmptyRestart bool
-	StateBytes   int // serialized store size at run end
+	StateBytes int // serialized store size at run end
 
 	// Checkpoint cost after the first (base) checkpoint: mean bytes
 	// serialized per interval and the modeled digest pause they imply.
@@ -80,23 +72,13 @@ type StateSizeResult struct {
 	Trace         string // deterministic virtual-time fault trace
 }
 
-// stateSizeTimeline mirrors E7's crash/recover arc without the
-// partition act: traffic, a backup crash, a restart into a large state.
-func stateSizeTimeline() (*chaos.Scenario, crashPoints) {
-	pts := crashPoints{
-		Crash:   300 * sim.Millisecond,
-		Restart: 600 * sim.Millisecond,
-		End:     1200 * sim.Millisecond,
-	}
-	s := chaos.NewScenario("E12-state-size").
-		Crash(pts.Crash, 3).
-		Restart(pts.Restart, 3)
-	return s, pts
-}
-
-type crashPoints struct {
-	Crash, Restart, End sim.Time
-}
+// The E12 timeline mirrors E7's crash/recover arc without the partition
+// act: traffic, a backup crash, a restart into a large state.
+const (
+	e12Crash   = 300 * sim.Millisecond
+	e12Restart = 600 * sim.Millisecond
+	e12End     = 1200 * sim.Millisecond
+)
 
 // stateSizeKeys returns n keys whose Merkle bucket satisfies keep,
 // generated deterministically.
@@ -139,73 +121,46 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 		}
 		return s
 	}
-	d, err := newPBFT(deploySpec{kind: cfg.Kind, pbft: faultTimelineConfig(), seed: cfg.Seed, conns: 1, app: appFactory}, params)
+	// Closed-loop hot-key workload, cycling a bounded working set.
+	hotKeys := stateSizeKeys("hot", 64, func(b int) bool { return b < stateSizeHotBuckets })
+	healthy, recovered := metrics.NewRecorder(), metrics.NewRecorder()
+	committed := 0
+	var recovery sim.Time = -1
+	scenario := chaos.NewScenario("E12-state-size").Crash(e12Crash, 3).Restart(e12Restart, 3)
+	d, trace, err := runFaultTimeline(deploySpec{kind: cfg.Kind, seed: cfg.Seed, app: appFactory}, params, scenario, e12End, cfg.Window, cfg.Payload,
+		func(sent int) string { return hotKeys[sent%len(hotKeys)] },
+		func(at, latency sim.Time) {
+			committed++
+			switch {
+			case at < e12Crash:
+				healthy.Record(latency)
+			case at >= e12Restart:
+				recovered.Record(latency)
+			}
+		},
+		// Recovery probe: from the restart instant, poll virtual time until
+		// the restarted replica has adopted a checkpoint and executed past
+		// the group's position at restart. Polling on the deterministic loop
+		// keeps the measurement byte-reproducible.
+		func(c *pbft.Cluster, base sim.Time) {
+			loop := c.Loop
+			loop.At(base+e12Restart, func() {
+				target := c.Replicas[0].Executed()
+				var poll func()
+				poll = func() {
+					if rep := c.Replicas[3]; rep.StateTransfers() > 0 && rep.Executed() >= target {
+						recovery = loop.Now() - (base + e12Restart)
+					} else if loop.Now()-base < e12End {
+						loop.After(250*sim.Microsecond, poll)
+					}
+				}
+				poll()
+			})
+		})
 	if err != nil {
 		return StateSizeResult{}, err
 	}
 	cluster := d.cluster
-
-	scenario, pts := stateSizeTimeline()
-	sched := chaos.Apply(cluster, scenario)
-	loop := d.loop
-	base := loop.Now()
-
-	// Closed-loop hot-key workload, cycling a bounded working set.
-	hotKeys := stateSizeKeys("hot", 64, func(b int) bool { return b < stateSizeHotBuckets })
-	value := string(make([]byte, cfg.Payload))
-	healthy, recovered := metrics.NewRecorder(), metrics.NewRecorder()
-	committed, sent := 0, 0
-	var sendOne func()
-	sendOne = func() {
-		if loop.Now()-base >= pts.End {
-			return
-		}
-		idx := sent
-		sent++
-		t0 := loop.Now()
-		op := kvstore.EncodeOp(kvstore.OpPut, hotKeys[idx%len(hotKeys)], value)
-		d.submit(0, op, func([]byte) {
-			committed++
-			switch at := loop.Now() - base; {
-			case at < pts.Crash:
-				healthy.Record(loop.Now() - t0)
-			case at >= pts.Restart:
-				recovered.Record(loop.Now() - t0)
-			}
-			sendOne()
-		})
-	}
-	loop.Post(func() {
-		for i := 0; i < cfg.Window; i++ {
-			sendOne()
-		}
-	})
-
-	// Recovery probe: from the restart instant, poll virtual time until
-	// the restarted replica has adopted a checkpoint and executed past
-	// the group's position at restart. Polling on the deterministic loop
-	// keeps the measurement byte-reproducible.
-	var recovery sim.Time = -1
-	loop.At(base+pts.Restart, func() {
-		target := cluster.Replicas[0].Executed()
-		var poll func()
-		poll = func() {
-			rep := cluster.Replicas[3]
-			if rep.StateTransfers() > 0 && rep.Executed() >= target {
-				recovery = loop.Now() - (base + pts.Restart)
-				return
-			}
-			if loop.Now()-base < pts.End {
-				loop.After(250*sim.Microsecond, poll)
-			}
-		}
-		poll()
-	})
-	loop.RunUntil(base + pts.End)
-
-	if err := sched.Err(); err != nil {
-		return StateSizeResult{}, err
-	}
 	if recovery < 0 {
 		return StateSizeResult{}, fmt.Errorf("bench: E12 replica never recovered (prefill=%d empty-restart=%v %s)", cfg.Prefill, cfg.EmptyRestart, cfg.Kind)
 	}
@@ -224,9 +179,6 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 		pause = auth.DigestCost(params.Crypto, int(meanCp))
 	}
 	return StateSizeResult{
-		Kind:                  cfg.Kind,
-		Prefill:               cfg.Prefill,
-		EmptyRestart:          cfg.EmptyRestart,
 		StateBytes:            len(cluster.Apps[0].(*kvstore.Store).MarshalState()),
 		SteadyCheckpoints:     cpCount,
 		SteadyCheckpointBytes: meanCp,
@@ -235,10 +187,10 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 		TransferBytes:         served,
 		StateTransfers:        cluster.Replicas[3].StateTransfers(),
 		StateRejects:          cluster.Replicas[3].StateRejects(),
-		HealthyTput:           metrics.Throughput(healthy.Count(), pts.Crash),
-		RecoveredTput:         metrics.Throughput(recovered.Count(), pts.End-pts.Restart),
+		HealthyTput:           metrics.Throughput(healthy.Count(), e12Crash),
+		RecoveredTput:         metrics.Throughput(recovered.Count(), e12End-e12Restart),
 		Committed:             committed,
-		Trace:                 sched.TraceString(),
+		Trace:                 trace,
 	}, nil
 }
 

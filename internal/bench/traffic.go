@@ -66,13 +66,7 @@ func RunTraffic(cfg TrafficConfig, params model.Params) (TrafficResult, error) {
 			spec.readTimeout = 2 * sim.Millisecond
 		}
 	}
-	var d *deployment
-	var err error
-	if cfg.Instances == 0 {
-		d, err = newPBFT(spec, params)
-	} else {
-		d, err = newCOP(spec, cfg.Instances, 0, 0, params)
-	}
+	d, err := newAgreement(spec, cfg.Instances, 0, 0, params)
 	if err != nil {
 		return TrafficResult{}, err
 	}
@@ -138,22 +132,39 @@ func e9Mix(readPct, scanPct, deletePct int) workload.Mix {
 	return m
 }
 
-// column is one per-point series a traffic sweep reports beyond the
-// common bundle: its metric, unit and the result field it plots.
+// column is one per-point series a sweep reports: its metric, unit and
+// the result field it plots.
 type column struct {
 	metric, unit string
 	value        func(TrafficResult) float64
 }
 
 var (
-	colPeakQueue = column{metrics.MetricPeakQueueBytes, "bytes", func(r TrafficResult) float64 { return float64(r.PeakQueueBytes) }}
+	colMean           = column{metrics.MetricLatencyMean, "us", func(r TrafficResult) float64 { return r.Mean.Micros() }}
+	colP99            = column{metrics.MetricLatencyP99, "us", func(r TrafficResult) float64 { return r.P99.Micros() }}
+	colThroughput     = column{metrics.MetricThroughput, "req/s", func(r TrafficResult) float64 { return r.Goodput }}
+	colSendFaults     = column{metrics.MetricSendFaults, "count", func(r TrafficResult) float64 { return float64(r.SendFaults) }}
+	colLeaderCPU      = column{metrics.MetricLeaderCPU, "utilization", func(r TrafficResult) float64 { return r.LeaderCPU }}
+	colPeakQueue      = column{metrics.MetricPeakQueueBytes, "bytes", func(r TrafficResult) float64 { return float64(r.PeakQueueBytes) }}
+	colHeartbeatSlots = column{metrics.MetricHeartbeatSlots, "count", func(r TrafficResult) float64 { return float64(r.HeartbeatSlots) }}
+	colMergeWait      = column{metrics.MetricMergeWait, "us", func(r TrafficResult) float64 { return r.Breakdown.MergeWait.Micros() }}
+	// breakdownColumns partition the measured end-to-end latency: per
+	// point, queue + order + net + merge + exec equals the latency_mean
+	// series.
+	breakdownColumns = []column{
+		{metrics.MetricBreakdownQueue, "us", func(r TrafficResult) float64 { return r.Breakdown.Queue.Micros() }},
+		{metrics.MetricBreakdownOrder, "us", func(r TrafficResult) float64 { return r.Breakdown.Order.Micros() }},
+		{metrics.MetricBreakdownNet, "us", func(r TrafficResult) float64 { return r.Breakdown.Net.Micros() }},
+		{metrics.MetricBreakdownMerge, "us", func(r TrafficResult) float64 { return r.Breakdown.Merge.Micros() }},
+		{metrics.MetricBreakdownExec, "us", func(r TrafficResult) float64 { return r.Breakdown.Exec.Micros() }},
+	}
 	// copColumns are the executor health counters and the commit-to-merge
 	// wait, reported for COP systems only.
 	copColumns = []column{
-		{metrics.MetricHeartbeatSlots, "count", func(r TrafficResult) float64 { return float64(r.HeartbeatSlots) }},
+		colHeartbeatSlots,
 		{metrics.MetricHeartbeatDelay, "us", func(r TrafficResult) float64 { return r.HeartbeatDelayMax.Micros() }},
 		{metrics.MetricPeakBacklog, "count", func(r TrafficResult) float64 { return float64(r.PeakBacklog) }},
-		{metrics.MetricMergeWait, "us", func(r TrafficResult) float64 { return r.Breakdown.MergeWait.Micros() }},
+		colMergeWait,
 	}
 	// fastColumns are reported for fast-path-on combos only.
 	fastColumns = []column{
@@ -173,37 +184,43 @@ var (
 	}
 )
 
-// trafficSeries bundles every series one traffic sweep combo reports:
-// the percentile/goodput bundle and the mean latency with its phase
-// breakdown, then the combo's columns in order.
-type trafficSeries struct {
-	ps    metrics.PercentileSeries
-	mean  *metrics.ResultSeries
-	bd    breakdownSeries
-	cols  []column
-	extra []*metrics.ResultSeries
+// columnSeries are the series of one sweep combo, one per column in order.
+type columnSeries struct {
+	cols   []column
+	series []*metrics.ResultSeries
 }
 
-func addTrafficSeries(res *metrics.Result, name, transport, xLabel string, cols ...column) trafficSeries {
-	s := trafficSeries{
-		ps:   res.AddPercentileSeries(name, transport, xLabel),
-		mean: res.AddSeries(name, metrics.MetricLatencyMean, "us", transport, xLabel),
-		bd:   addBreakdownSeries(res, name, transport, xLabel),
-		cols: cols,
-	}
+func addColumns(res *metrics.Result, name, transport, xLabel string, cols ...column) columnSeries {
+	s := columnSeries{cols: cols}
 	for _, c := range cols {
-		s.extra = append(s.extra, res.AddSeries(name, c.metric, c.unit, transport, xLabel))
+		s.series = append(s.series, res.AddSeries(name, c.metric, c.unit, transport, xLabel))
 	}
 	return s
 }
 
+func (s columnSeries) observe(x float64, r TrafficResult) {
+	for i, c := range s.cols {
+		s.series[i].Add(x, c.value(r))
+	}
+}
+
+// trafficSeries bundles every series one traffic sweep combo reports:
+// the percentile/goodput bundle, then the mean latency with its phase
+// breakdown and the combo's columns.
+type trafficSeries struct {
+	ps   metrics.PercentileSeries
+	cols columnSeries
+}
+
+func addTrafficSeries(res *metrics.Result, name, transport, xLabel string, cols ...column) trafficSeries {
+	ps := res.AddPercentileSeries(name, transport, xLabel)
+	all := append(append([]column{colMean}, breakdownColumns...), cols...)
+	return trafficSeries{ps, addColumns(res, name, transport, xLabel, all...)}
+}
+
 func (s trafficSeries) observe(x float64, r TrafficResult) {
 	s.ps.Observe(x, r.P50, r.P90, r.P99, r.P999, r.Goodput)
-	s.mean.Add(x, r.Mean.Micros())
-	s.bd.observe(x, r.Breakdown)
-	for i, c := range s.cols {
-		s.extra[i].Add(x, c.value(r))
-	}
+	s.cols.observe(x, r)
 }
 
 func runE9(rc RunContext, v values, res *metrics.Result) error {

@@ -56,16 +56,6 @@ type Scenario struct {
 // NewScenario creates an empty scenario.
 func NewScenario(name string) *Scenario { return &Scenario{name: name} }
 
-// Name returns the scenario name.
-func (s *Scenario) Name() string { return s.name }
-
-// Events returns a copy of the scripted events.
-func (s *Scenario) Events() []Event {
-	out := make([]Event, len(s.events))
-	copy(out, s.events)
-	return out
-}
-
 // At appends an arbitrary named action — the escape hatch for faults the
 // built-in primitives do not cover.
 func (s *Scenario) At(t sim.Time, name string, do Action) *Scenario {

@@ -69,9 +69,6 @@ func New(loop *sim.Loop, params model.Params) *Network {
 	}
 }
 
-// Loop returns the simulation loop.
-func (nw *Network) Loop() *sim.Loop { return nw.loop }
-
 // Params returns the network's parameter set.
 func (nw *Network) Params() model.Params { return nw.params }
 
@@ -287,9 +284,6 @@ type Link struct {
 // SetDrop installs a fault-injection predicate; frames for which it returns
 // true vanish before entering the wire.
 func (l *Link) SetDrop(fn DropFunc) { l.drop = fn }
-
-// Faults returns the link's current fault state.
-func (l *Link) Faults() LinkFaults { return l.faults }
 
 // SetFaults replaces the link's fault state. Clearing Down releases all
 // held frames, in their original order, through the then-current fault

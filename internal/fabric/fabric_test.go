@@ -298,7 +298,7 @@ func TestSetFaultsPreservedAcrossSetDown(t *testing.T) {
 	link.SetFaults(LinkFaults{ExtraLatency: sim.Millisecond, LossRate: 0.1})
 	link.SetDown(true)
 	link.SetDown(false)
-	f := link.Faults()
+	f := link.faults
 	if f.ExtraLatency != sim.Millisecond || f.LossRate != 0.1 || f.Down {
 		t.Fatalf("SetDown clobbered fault state: %+v", f)
 	}

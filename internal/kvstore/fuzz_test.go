@@ -56,9 +56,9 @@ func FuzzUnmarshalState(f *testing.F) {
 		if !bytes.Equal(s2.MarshalState(), m) {
 			t.Fatalf("re-marshaling is not a fixed point:\n%x\nvs\n%x", m, s2.MarshalState())
 		}
-		if s2.Applied() != s.Applied() || s2.Len() != s.Len() {
+		if s2.Applied() != s.Applied() || s2.size != s.size {
 			t.Fatalf("round trip changed counters: applied %d->%d, len %d->%d",
-				s.Applied(), s2.Applied(), s.Len(), s2.Len())
+				s.Applied(), s2.Applied(), s.size, s2.size)
 		}
 		if s2.Snapshot() != s.Snapshot() {
 			t.Fatal("round trip changed the snapshot digest")

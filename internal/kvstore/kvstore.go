@@ -77,20 +77,12 @@ func New() *Store {
 	}
 }
 
-// Len returns the number of keys.
-func (s *Store) Len() int { return s.size }
-
 // Applied returns the number of operations executed.
 func (s *Store) Applied() uint64 { return s.applied }
 
-// Get reads a key directly (local, not ordered — for inspection).
+// Get reads a key from its bucket: what the state machine does, and how a
+// test inspects a replica's store directly (local, not ordered).
 func (s *Store) Get(key string) (string, bool) {
-	v, ok := s.buckets[bucketOf(key)][key]
-	return v, ok
-}
-
-// get reads a key from its bucket.
-func (s *Store) get(key string) (string, bool) {
 	v, ok := s.buckets[bucketOf(key)][key]
 	return v, ok
 }
@@ -195,7 +187,7 @@ func (s *Store) Execute(op []byte) []byte {
 		s.put(key, value)
 		return []byte("OK")
 	case OpGet:
-		v, ok := s.get(key)
+		v, ok := s.Get(key)
 		if !ok {
 			return []byte("NOTFOUND")
 		}
@@ -233,24 +225,6 @@ func (s *Store) Execute(op []byte) []byte {
 	}
 }
 
-// OpReadOnly reports whether an encoded operation is side-effect-free:
-// executing it leaves the store byte-identical. Only such operations are
-// eligible for the agreement-bypassing read fast path; malformed
-// encodings are conservatively not read-only (the ordered path will
-// surface the decode error).
-func OpReadOnly(op []byte) bool {
-	code, _, _, err := DecodeOp(op)
-	if err != nil {
-		return false
-	}
-	switch code {
-	case OpGet, OpScan, OpScanPart:
-		return true
-	default:
-		return false
-	}
-}
-
 // ExecuteReadOnly evaluates a side-effect-free operation against the
 // current state without mutating anything — unlike Execute it leaves the
 // applied counter and the marshaled-state cache untouched, so tentative
@@ -264,7 +238,7 @@ func (s *Store) ExecuteReadOnly(op []byte) []byte {
 	}
 	switch code {
 	case OpGet:
-		v, ok := s.get(key)
+		v, ok := s.Get(key)
 		if !ok {
 			return []byte("NOTFOUND")
 		}
@@ -307,7 +281,7 @@ func (s *Store) Scan(prefix string, limit int) string {
 		}
 		b.WriteString(k)
 		b.WriteByte('=')
-		v, _ := s.get(k)
+		v, _ := s.Get(k)
 		b.WriteString(v)
 	}
 	return b.String()

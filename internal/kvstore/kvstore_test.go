@@ -31,8 +31,8 @@ func TestPutGetDelete(t *testing.T) {
 	if got := s.Execute(EncodeOp(OpDelete, "k", "")); string(got) != "NOTFOUND" {
 		t.Fatalf("double delete = %q", got)
 	}
-	if s.Applied() != 7 || s.Len() != 0 {
-		t.Fatalf("applied=%d len=%d", s.Applied(), s.Len())
+	if s.Applied() != 7 || s.size != 0 {
+		t.Fatalf("applied=%d len=%d", s.Applied(), s.size)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestMalformedOps(t *testing.T) {
 		}
 	}
 	// A malformed op must not mutate state.
-	if s.Len() != 0 {
+	if s.size != 0 {
 		t.Fatal("malformed op mutated state")
 	}
 }

@@ -153,8 +153,8 @@ func TestApplyPartitionRoundTrip(t *testing.T) {
 	if v, ok := dst.Get(k1); !ok || v != "one" {
 		t.Fatal("transferred key unreadable")
 	}
-	if dst.Len() != 2 {
-		t.Fatalf("Len = %d after partition install, want 2", dst.Len())
+	if dst.size != 2 {
+		t.Fatalf("Len = %d after partition install, want 2", dst.size)
 	}
 
 	// Rejections: wrong bucket, trailing bytes, truncation, unsorted keys.
@@ -283,8 +283,8 @@ func TestApplyTransferAtomic(t *testing.T) {
 	if _, ok := dst.Get("stale"); ok {
 		t.Fatal("transfer did not replace prior contents")
 	}
-	if dst.Len() != src.Len() || dst.Applied() != src.Applied() {
-		t.Fatalf("counters diverged: len %d/%d applied %d/%d", dst.Len(), src.Len(), dst.Applied(), src.Applied())
+	if dst.size != src.size || dst.Applied() != src.Applied() {
+		t.Fatalf("counters diverged: len %d/%d applied %d/%d", dst.size, src.size, dst.Applied(), src.Applied())
 	}
 
 	// A corrupt partition in the set must reject without mutating.

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// TestOpReadOnlyClassification pins which operations the tentative-read
+// path serves: ExecuteReadOnly refuses everything that could mutate the
+// store, and bytes that do not decode.
 func TestOpReadOnlyClassification(t *testing.T) {
 	cases := []struct {
 		name string
@@ -13,7 +16,7 @@ func TestOpReadOnlyClassification(t *testing.T) {
 	}{
 		{"get", EncodeOp(OpGet, "k", ""), true},
 		{"scan", EncodeOp(OpScan, "pre", "10"), true},
-		{"scan-part", EncodeOp(OpScanPart, "pre", "0/4/10"), true},
+		{"scan-part", EncodeOp(OpScanPart, "pre", "10 0 4"), true},
 		{"put", EncodeOp(OpPut, "k", "v"), false},
 		{"delete", EncodeOp(OpDelete, "k", ""), false},
 		{"txn", EncodeOp(OpTxn, "t1", "r:a"), false},
@@ -24,8 +27,9 @@ func TestOpReadOnlyClassification(t *testing.T) {
 		{"empty", nil, false},
 	}
 	for _, tc := range cases {
-		if got := OpReadOnly(tc.op); got != tc.want {
-			t.Errorf("%s: OpReadOnly = %v, want %v", tc.name, got, tc.want)
+		res := New().ExecuteReadOnly(tc.op)
+		if got := !bytes.HasPrefix(res, []byte("ERR ")); got != tc.want {
+			t.Errorf("%s: served read-only = %v (%q), want %v", tc.name, got, res, tc.want)
 		}
 	}
 }

@@ -351,7 +351,7 @@ func (s *Store) executeTxn(id, payload string) []byte {
 			s.put(sub.Key, sub.Value)
 			results[i] = []byte("OK")
 		case OpGet:
-			if v, ok := s.get(sub.Key); ok {
+			if v, ok := s.Get(sub.Key); ok {
 				results[i] = []byte(v)
 			} else {
 				results[i] = []byte("NOTFOUND")
@@ -393,7 +393,7 @@ func (s *Store) executePrepare(id, payload string) []byte {
 		case OpGet:
 			if v, ok := overlay[sub.Key]; ok {
 				results[i] = []byte(v)
-			} else if v, ok := s.get(sub.Key); ok {
+			} else if v, ok := s.Get(sub.Key); ok {
 				results[i] = []byte(v)
 			} else {
 				results[i] = []byte("NOTFOUND")
@@ -470,7 +470,7 @@ func (s *Store) executeScanPart(prefix, value string) []byte {
 		}
 		b.WriteString(k)
 		b.WriteByte('=')
-		v, _ := s.get(k)
+		v, _ := s.Get(k)
 		b.WriteString(v)
 	}
 	return []byte(b.String())

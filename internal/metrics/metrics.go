@@ -52,24 +52,6 @@ func (r *Recorder) Mean() sim.Time {
 	return sum / sim.Time(len(r.samples))
 }
 
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Recorder) Min() sim.Time {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sort()
-	return r.samples[0]
-}
-
-// Max returns the largest sample, or 0 with no samples.
-func (r *Recorder) Max() sim.Time {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	r.sort()
-	return r.samples[len(r.samples)-1]
-}
-
 // Percentile returns the p-th percentile (0 < p <= 100) using
 // nearest-rank, or 0 with no samples.
 func (r *Recorder) Percentile(p float64) sim.Time {
@@ -88,21 +70,6 @@ func (r *Recorder) Percentile(p float64) sim.Time {
 		rank = len(r.samples)
 	}
 	return r.samples[rank-1]
-}
-
-// Stddev returns the population standard deviation in nanoseconds.
-func (r *Recorder) Stddev() float64 {
-	n := len(r.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(r.Mean())
-	var ss float64
-	for _, s := range r.samples {
-		d := float64(s) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Reset discards all samples.
@@ -158,9 +125,6 @@ type Series struct {
 	Points []Point
 }
 
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
-
 // At returns the Y value at the given X, or NaN if absent.
 func (s *Series) At(x float64) float64 {
 	for _, p := range s.Points {
@@ -191,16 +155,6 @@ func (t *Table) AddSeries(name string) *Series {
 	s := &Series{Name: name}
 	t.Series = append(t.Series, s)
 	return s
-}
-
-// Get returns the named series, or nil.
-func (t *Table) Get(name string) *Series {
-	for _, s := range t.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // Render formats the table.

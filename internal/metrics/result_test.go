@@ -219,8 +219,8 @@ func TestResultTables(t *testing.T) {
 	if len(tabs) != 2 {
 		t.Fatalf("got %d tables, want 2 (one per metric)", len(tabs))
 	}
-	if got := tabs[0].Get("Reptor+RUBIN").At(4); got != 150.5 {
-		t.Fatalf("latency table at 4KB = %v, want 150.5", got)
+	if s := tabs[0].Series[0]; s.Name != "Reptor+RUBIN" || s.At(4) != 150.5 {
+		t.Fatalf("latency table leads with %q, %v at 4KB; want Reptor+RUBIN, 150.5", s.Name, s.At(4))
 	}
 	if !strings.Contains(tabs[1].Render(), "req/s") {
 		t.Fatalf("throughput table missing unit:\n%s", tabs[1].Render())

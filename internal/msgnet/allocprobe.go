@@ -39,8 +39,8 @@ func SendAllocsPerOp(runs, payloadLen int) float64 {
 	loop := sim.NewLoop(1)
 	nw := fabric.New(loop, model.Default())
 	node := nw.AddNode("alloc-probe")
-	m := &Mesh{node: node, kind: transport.KindTCP, opts: DefaultOptions()}
-	p := m.wrap(&nullConn{remote: node}, true)
+	m := &Mesh{node: node, opts: DefaultOptions()}
+	p := m.wrap(&nullConn{remote: node})
 	msg := make([]byte, payloadLen)
 	warm := func() {
 		if err := p.Send(ClassControl, msg); err != nil {

@@ -35,14 +35,6 @@ type frame struct {
 	payload []byte
 }
 
-func encodeWhole(class Class, msg []byte) []byte {
-	out := make([]byte, wholeHeaderLen+len(msg))
-	out[0] = frameWhole
-	out[1] = byte(class)
-	copy(out[wholeHeaderLen:], msg)
-	return out
-}
-
 // putChunkHeader writes a chunk header in place into the first
 // chunkHeaderLen bytes of f. The hot path pre-lays chunk frames out in
 // the send buffer and fills each header here just before the frame hits
@@ -55,13 +47,6 @@ func putChunkHeader(f []byte, class Class, stream uint64, index, count uint32, d
 	binary.BigEndian.PutUint32(f[14:], count)
 	copy(f[18:], digest[:])
 	copy(f[18+auth.DigestSize:], prev[:])
-}
-
-func encodeChunk(class Class, stream uint64, index, count uint32, digest, prev auth.Digest, payload []byte) []byte {
-	out := make([]byte, chunkHeaderLen+len(payload))
-	putChunkHeader(out, class, stream, index, count, digest, prev)
-	copy(out[chunkHeaderLen:], payload)
-	return out
 }
 
 func decodeFrame(raw []byte) (frame, error) {

@@ -102,8 +102,8 @@ func FuzzChunkReassembly(f *testing.F) {
 		if len(delivered) != 1 || !bytes.Equal(delivered[0], msg) {
 			t.Fatalf("clean reassembly failed: delivered %d messages", len(delivered))
 		}
-		if p.RecvErrors() != 0 {
-			t.Fatalf("clean reassembly surfaced %d errors", p.RecvErrors())
+		if p.recvErrs != 0 {
+			t.Fatalf("clean reassembly surfaced %d errors", p.recvErrs)
 		}
 
 		// Corrupted run on a fresh stream: flip one bit of one frame.
@@ -129,7 +129,7 @@ func FuzzChunkReassembly(f *testing.F) {
 				t.Fatalf("mis-reassembly: corrupted stream delivered a different %d-byte message", len(m))
 			}
 		}
-		if len(delivered) == 0 && p.RecvErrors() == 0 {
+		if len(delivered) == 0 && p.recvErrs == 0 {
 			t.Fatal("corrupted stream vanished without a surfaced receive error")
 		}
 	})

@@ -132,7 +132,6 @@ func (o Options) maxWhole() int { return o.Transport.MaxMessage - wholeHeaderLen
 // survive a replica crash and are re-attached (or re-dialed) on recovery.
 type Mesh struct {
 	node   *fabric.Node
-	kind   transport.Kind
 	stack  transport.Stack
 	opts   Options
 	peers  []*Peer
@@ -154,17 +153,11 @@ func NewMesh(kind transport.Kind, node *fabric.Node, opts Options) (*Mesh, error
 	if err != nil {
 		return nil, err
 	}
-	return &Mesh{node: node, kind: kind, stack: stack, opts: opts}, nil
+	return &Mesh{node: node, stack: stack, opts: opts}, nil
 }
 
 // Node returns the fabric node this mesh runs on.
 func (m *Mesh) Node() *fabric.Node { return m.node }
-
-// Kind reports the backend.
-func (m *Mesh) Kind() transport.Kind { return m.kind }
-
-// Options returns the mesh configuration.
-func (m *Mesh) Options() Options { return m.opts }
 
 // SetTracer attaches an observability tracer: with span recording on,
 // peers emit a "sendq" span for every message that waited in a class
@@ -174,7 +167,7 @@ func (m *Mesh) SetTracer(t *obs.Tracer) { m.tracer = t }
 // Listen accepts inbound peers on a port.
 func (m *Mesh) Listen(port int, accept func(*Peer)) error {
 	return m.stack.Listen(port, func(conn transport.Conn) {
-		p := m.wrap(conn, false)
+		p := m.wrap(conn)
 		if accept != nil {
 			accept(p)
 		}
@@ -190,17 +183,8 @@ func (m *Mesh) Dial(remote *fabric.Node, port int, done func(*Peer, error)) {
 			done(nil, err)
 			return
 		}
-		done(m.wrap(conn, true), nil)
+		done(m.wrap(conn), nil)
 	})
-}
-
-// Peers returns every peer this mesh has created, dialed and accepted, in
-// creation order (deterministic under the sim loop). Closed peers remain
-// listed so their stats stay observable.
-func (m *Mesh) Peers() []*Peer {
-	out := make([]*Peer, len(m.peers))
-	copy(out, m.peers)
-	return out
 }
 
 // PeakQueueBytes returns the largest send-queue depth any peer of this
@@ -235,19 +219,11 @@ func (m *Mesh) SendErrors() uint64 {
 	return n
 }
 
-// Close tears down every peer.
-func (m *Mesh) Close() {
-	for _, p := range m.peers {
-		p.Close()
-	}
-}
-
-func (m *Mesh) wrap(conn transport.Conn, outbound bool) *Peer {
+func (m *Mesh) wrap(conn transport.Conn) *Peer {
 	p := &Peer{
-		mesh:     m,
-		conn:     conn,
-		outbound: outbound,
-		streams:  make(map[uint64]*inStream),
+		mesh:    m,
+		conn:    conn,
+		streams: make(map[uint64]*inStream),
 	}
 	p.pumpFn = p.pump
 	conn.OnMessage(p.dispatch)

@@ -133,8 +133,8 @@ func TestFragmentationRoundTrip(t *testing.T) {
 					t.Errorf("%s: payload mismatch (%d bytes delivered)", tc.name, len(g.msg))
 				}
 			}
-			if p.ba.RecvErrors() != 0 || p.ab.SendErrors() != 0 {
-				t.Errorf("recvErrs=%d sendErrs=%d, want 0/0", p.ba.RecvErrors(), p.ab.SendErrors())
+			if p.ba.recvErrs != 0 || p.ab.sendErrs != 0 {
+				t.Errorf("recvErrs=%d sendErrs=%d, want 0/0", p.ba.recvErrs, p.ab.sendErrs)
 			}
 		})
 	}
@@ -280,7 +280,7 @@ func TestCloseDropsLateChunksAndReportsQueued(t *testing.T) {
 			// message stuck in the msgnet queue with no surfaced failure —
 			// frames already handed to the substrate are the NIC's loss,
 			// like any real network.
-			if p.ab.QueueBytes() != 0 && p.ab.SendErrors() == 0 && !p.ab.Closed() {
+			if p.ab.QueueBytes() != 0 && p.ab.sendErrs == 0 && !p.ab.Closed() {
 				t.Errorf("queued bytes stranded with no surfaced failure (sendErr=%v)", sendErr)
 			}
 		})
@@ -298,8 +298,8 @@ func TestDispatchAfterCloseIsInert(t *testing.T) {
 	payload := pattern(100, 1)
 	p.ba.dispatch(encodeWhole(ClassControl, payload))
 	p.ba.dispatch(encodeChunk(ClassBulk, 1, 0, 2, auth.Hash(payload), auth.Digest{}, payload))
-	if delivered != 0 || p.ba.RecvErrors() != 0 {
-		t.Errorf("closed peer delivered=%d recvErrs=%d, want 0/0", delivered, p.ba.RecvErrors())
+	if delivered != 0 || p.ba.recvErrs != 0 {
+		t.Errorf("closed peer delivered=%d recvErrs=%d, want 0/0", delivered, p.ba.recvErrs)
 	}
 }
 
@@ -374,8 +374,8 @@ func TestCorruptChunkRejectedWithoutWedging(t *testing.T) {
 	// As must a plain whole frame.
 	send(encodeWhole(ClassControl, []byte("still alive")))
 
-	if len(recvErrs) != 2 || in.RecvErrors() != 2 {
-		t.Fatalf("recv errors = %d (%v), want 2", in.RecvErrors(), recvErrs)
+	if len(recvErrs) != 2 || in.recvErrs != 2 {
+		t.Fatalf("recv errors = %d (%v), want 2", in.recvErrs, recvErrs)
 	}
 	want := append(append([]byte{}, c0...), c1...)
 	if len(delivered) != 2 || !bytes.Equal(delivered[0], want) || string(delivered[1]) != "still alive" {
@@ -415,11 +415,11 @@ func TestBackpressureWatermarks(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("32 KB of sends never hit the 8 KB high watermark")
 	}
-	if got := p.ab.SendErrors(); got != uint64(rejected) {
+	if got := p.ab.sendErrs; got != uint64(rejected) {
 		t.Errorf("SendErrors = %d, want %d rejected sends", got, rejected)
 	}
-	if p.ab.PeakQueueBytes() < opts.LowWaterBytes {
-		t.Errorf("peak queue %d below low watermark", p.ab.PeakQueueBytes())
+	if p.ab.peakQueueBytes < opts.LowWaterBytes {
+		t.Errorf("peak queue %d below low watermark", p.ab.peakQueueBytes)
 	}
 	p.loop.Run()
 	if delivered != accepted {
@@ -428,8 +428,8 @@ func TestBackpressureWatermarks(t *testing.T) {
 	if writable != 1 {
 		t.Errorf("OnWritable fired %d times, want 1", writable)
 	}
-	if p.ab.QueueBytes() != 0 || p.ab.QueueDepth() != 0 {
-		t.Errorf("queue not drained: %d bytes / %d frames", p.ab.QueueBytes(), p.ab.QueueDepth())
+	if p.ab.QueueBytes() != 0 || p.ab.queueFrames != 0 {
+		t.Errorf("queue not drained: %d bytes / %d frames", p.ab.QueueBytes(), p.ab.queueFrames)
 	}
 }
 
@@ -439,8 +439,8 @@ func probePeer(opts Options) (*sim.Loop, *Peer) {
 	loop := sim.NewLoop(1)
 	nw := fabric.New(loop, model.Default())
 	node := nw.AddNode("probe")
-	m := &Mesh{node: node, kind: transport.KindTCP, opts: opts}
-	return loop, m.wrap(&nullConn{remote: node}, true)
+	m := &Mesh{node: node, opts: opts}
+	return loop, m.wrap(&nullConn{remote: node})
 }
 
 // TestQueueBytesFramedAccounting pins the send-queue accounting to
@@ -477,8 +477,8 @@ func TestQueueBytesFramedAccounting(t *testing.T) {
 	if got, want := p.QueueBytes(), size+2*chunkHeaderLen; got != want {
 		t.Fatalf("chunked past boundary: queueBytes = %d, want %d", got, want)
 	}
-	if p.QueueDepth() != 2 {
-		t.Fatalf("queue depth = %d frames, want 2", p.QueueDepth())
+	if p.queueFrames != 2 {
+		t.Fatalf("queue depth = %d frames, want 2", p.queueFrames)
 	}
 	// One scheduler turn emits one full chunk frame (Burst=1): the queue
 	// must release header+payload for that frame, not the payload alone.
@@ -487,8 +487,8 @@ func TestQueueBytesFramedAccounting(t *testing.T) {
 		t.Fatalf("after one chunk: queueBytes = %d, want %d", got, want)
 	}
 	loop.Run()
-	if p.QueueBytes() != 0 || p.QueueDepth() != 0 {
-		t.Fatalf("queue not drained: %d bytes / %d frames", p.QueueBytes(), p.QueueDepth())
+	if p.QueueBytes() != 0 || p.queueFrames != 0 {
+		t.Fatalf("queue not drained: %d bytes / %d frames", p.QueueBytes(), p.queueFrames)
 	}
 }
 
@@ -533,8 +533,8 @@ func TestBacklogThenCloseSurfacesAndClearsSuspension(t *testing.T) {
 	if p.suspended {
 		t.Error("suspended flag wedged on after close")
 	}
-	if p.QueueBytes() != 0 || p.QueueDepth() != 0 {
-		t.Errorf("queue not cleared: %d bytes / %d frames", p.QueueBytes(), p.QueueDepth())
+	if p.QueueBytes() != 0 || p.queueFrames != 0 {
+		t.Errorf("queue not cleared: %d bytes / %d frames", p.QueueBytes(), p.queueFrames)
 	}
 }
 

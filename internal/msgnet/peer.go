@@ -45,10 +45,9 @@ type inStream struct {
 // created by Mesh.Dial and Mesh.Listen and survive protocol-layer
 // restarts: callbacks may be re-installed at any time.
 type Peer struct {
-	mesh     *Mesh
-	conn     transport.Conn
-	outbound bool
-	closed   bool
+	mesh   *Mesh
+	conn   transport.Conn
+	closed bool
 
 	// Delivery.
 	onMsg   func(Class, []byte)
@@ -87,29 +86,12 @@ type inboxEntry struct {
 // Remote returns the peer's node.
 func (p *Peer) Remote() *fabric.Node { return p.conn.Peer() }
 
-// Outbound reports whether this side dialed the connection.
-func (p *Peer) Outbound() bool { return p.outbound }
-
 // Closed reports whether the peer (or its substrate connection) is torn
 // down.
 func (p *Peer) Closed() bool { return p.closed }
 
 // QueueBytes returns the bytes currently queued for sending.
 func (p *Peer) QueueBytes() int { return p.queueBytes }
-
-// QueueDepth returns the frames currently queued for sending.
-func (p *Peer) QueueDepth() int { return p.queueFrames }
-
-// PeakQueueBytes returns the high-water mark the send queue has reached.
-func (p *Peer) PeakQueueBytes() int { return p.peakQueueBytes }
-
-// SendErrors counts every surfaced send failure: rejected Sends and
-// messages dropped because the connection died while they were queued.
-func (p *Peer) SendErrors() uint64 { return p.sendErrs }
-
-// RecvErrors counts rejected inbound frames (corrupted digests, broken
-// chunk chains, malformed frames).
-func (p *Peer) RecvErrors() uint64 { return p.recvErrs }
 
 // OnMessage installs the delivery callback, receiving each reassembled
 // message with its traffic class. Messages arriving before a callback is

@@ -10,9 +10,6 @@
 package nio
 
 import (
-	"errors"
-
-	"rubin/internal/fabric"
 	"rubin/internal/sim"
 	"rubin/internal/tcpsim"
 )
@@ -24,13 +21,9 @@ type InterestOps uint8
 // Interest/readiness bits.
 const (
 	OpAccept InterestOps = 1 << iota
-	OpConnect
 	OpRead
 	OpWrite
 )
-
-// ErrCanceled is returned when operating on a canceled key.
-var ErrCanceled = errors.New("nio: selection key canceled")
 
 // Channel is anything registrable with a Selector.
 type Channel interface {
@@ -63,13 +56,6 @@ func NewSelector(stack *tcpsim.Stack) *Selector {
 	return s
 }
 
-// Stack returns the underlying TCP stack.
-func (s *Selector) Stack() *tcpsim.Stack { return s.stack }
-
-// Wakeups returns the number of dispatch batches delivered (a measure of
-// how well readiness events coalesce).
-func (s *Selector) Wakeups() uint64 { return s.wakeups }
-
 // Register attaches a channel to the selector with the given interest set
 // and optional attachment, returning its selection key.
 func (s *Selector) Register(ch Channel, ops InterestOps, attachment any) *SelectionKey {
@@ -100,13 +86,8 @@ func (s *Selector) Select(handler func(keys []*SelectionKey)) {
 	s.pump()
 }
 
-// SelectNow returns the currently ready keys without waiting and clears
-// the pending set. The slice is reused by the next turn (a dispatch or
-// another SelectNow): copy out what must outlive it.
-func (s *Selector) SelectNow() []*SelectionKey { return s.takeReady() }
-
 // takeReady moves the queued keys, in registration order, into the turn
-// slice.
+// slice and clears the pending set. The slice is reused by the next turn.
 func (s *Selector) takeReady() []*SelectionKey {
 	s.turn = s.turn[:0]
 	if s.queued == 0 {
@@ -179,12 +160,6 @@ func (k *SelectionKey) Channel() Channel { return k.ch }
 // Attachment returns the object attached at registration.
 func (k *SelectionKey) Attachment() any { return k.attachment }
 
-// Attach replaces the attachment.
-func (k *SelectionKey) Attach(a any) { k.attachment = a }
-
-// Interest returns the current interest set.
-func (k *SelectionKey) Interest() InterestOps { return k.interest }
-
 // SetInterest replaces the interest set, re-evaluating readiness.
 func (k *SelectionKey) SetInterest(ops InterestOps) {
 	k.interest = ops
@@ -232,23 +207,20 @@ func (k *SelectionKey) signal(ops InterestOps) {
 // ServerSocketChannel accepts inbound connections, queueing them until the
 // application calls Accept.
 type ServerSocketChannel struct {
-	stack    *tcpsim.Stack
-	listener *tcpsim.Listener
-	backlog  sim.Queue[*tcpsim.Conn]
-	key      *SelectionKey
+	backlog sim.Queue[*tcpsim.Conn]
+	key     *SelectionKey
 }
 
 // ListenSocket opens a listening server socket channel on the stack.
 func ListenSocket(stack *tcpsim.Stack, port int) (*ServerSocketChannel, error) {
-	ssc := &ServerSocketChannel{stack: stack}
-	l, err := stack.Listen(port, func(c *tcpsim.Conn) {
+	ssc := &ServerSocketChannel{}
+	_, err := stack.Listen(port, func(c *tcpsim.Conn) {
 		ssc.backlog.Push(c)
 		ssc.key.signal(OpAccept)
 	})
 	if err != nil {
 		return nil, err
 	}
-	ssc.listener = l
 	return ssc, nil
 }
 
@@ -274,102 +246,41 @@ func (ssc *ServerSocketChannel) Accept() *SocketChannel {
 	if ssc.backlog.Len() == 0 && ssc.key != nil {
 		ssc.key.ResetReady(OpAccept)
 	}
-	return newSocketChannel(conn)
-}
-
-// Close stops listening.
-func (ssc *ServerSocketChannel) Close() {
-	ssc.listener.Close()
-	if ssc.key != nil {
-		ssc.key.Cancel()
-	}
+	return WrapConn(conn)
 }
 
 // SocketChannel is a non-blocking byte-stream channel over one TCP
 // connection.
 type SocketChannel struct {
-	conn      *tcpsim.Conn
-	connStack *tcpsim.Stack // set on OpenSocket channels until connected
-	key       *SelectionKey
-	connected bool
-	pendConn  bool // connect() issued, not yet finished
-	closed    bool
+	conn   *tcpsim.Conn
+	key    *SelectionKey
+	closed bool
 }
 
-func newSocketChannel(conn *tcpsim.Conn) *SocketChannel {
-	sc := &SocketChannel{conn: conn, connected: true}
-	sc.hook()
-	return sc
-}
-
-// OpenSocket creates an unconnected socket channel on a stack; call
-// Connect and register for OpConnect to complete it.
-func OpenSocket(stack *tcpsim.Stack) *SocketChannel {
-	return &SocketChannel{connStack: stack}
-}
-
-// WrapConn adapts an already-established TCP connection (e.g. from a bare
-// Dial callback) into a socket channel.
+// WrapConn adapts an established TCP connection (accepted, or from a Dial
+// callback) into a socket channel, binding the connection's callbacks
+// (set-up, so closures).
 func WrapConn(conn *tcpsim.Conn) *SocketChannel {
-	return newSocketChannel(conn)
-}
-
-// hook binds the connection's callbacks, once per connection (set-up, so
-// closures).
-func (sc *SocketChannel) hook() {
-	sc.conn.OnReadable(func() { sc.key.signal(OpRead) })
-	sc.conn.OnWritable(func() { sc.key.signal(OpWrite) })
-	sc.conn.OnClose(func() {
+	sc := &SocketChannel{conn: conn}
+	conn.OnReadable(func() { sc.key.signal(OpRead) })
+	conn.OnWritable(func() { sc.key.signal(OpWrite) })
+	conn.OnClose(func() {
 		sc.closed = true
 		// A closed peer manifests as readability (read returns error).
 		sc.key.signal(OpRead)
 	})
-}
-
-// Connect initiates a non-blocking connect to port on the remote node.
-// Completion is signaled as OpConnect readiness; call FinishConnect there.
-func (sc *SocketChannel) Connect(remote *fabric.Node, port int) {
-	if sc.pendConn || sc.connected {
-		return
-	}
-	sc.pendConn = true
-	sc.connStack.Dial(remote, port, func(c *tcpsim.Conn, err error) {
-		sc.pendConn = false
-		if err != nil {
-			sc.closed = true
-			sc.key.signal(OpConnect)
-			return
-		}
-		sc.conn = c
-		sc.connected = true
-		sc.hook()
-		sc.key.signal(OpConnect)
-	})
-}
-
-// FinishConnect reports whether the channel is now connected; false after
-// a failed connect.
-func (sc *SocketChannel) FinishConnect() bool {
-	if sc.key != nil {
-		sc.key.ResetReady(OpConnect)
-	}
-	return sc.connected
+	return sc
 }
 
 func (sc *SocketChannel) bind(k *SelectionKey) { sc.key = k }
 
 func (sc *SocketChannel) readiness() InterestOps {
 	var r InterestOps
-	if sc.conn != nil {
-		if sc.conn.Readable() > 0 {
-			r |= OpRead
-		}
-		if sc.conn.WritableSpace() > 0 {
-			r |= OpWrite
-		}
-	}
-	if sc.closed {
+	if sc.conn.Readable() > 0 || sc.closed {
 		r |= OpRead
+	}
+	if sc.conn.WritableSpace() > 0 {
+		r |= OpWrite
 	}
 	return r
 }
@@ -377,9 +288,6 @@ func (sc *SocketChannel) readiness() InterestOps {
 // Read copies available bytes into p (0 means would-block). Draining the
 // buffer clears OpRead readiness.
 func (sc *SocketChannel) Read(p []byte) (int, error) {
-	if sc.conn == nil {
-		return 0, tcpsim.ErrClosed
-	}
 	n, err := sc.conn.Read(p)
 	if sc.conn.Readable() == 0 && sc.key != nil && !sc.closed {
 		sc.key.ResetReady(OpRead)
@@ -387,21 +295,8 @@ func (sc *SocketChannel) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write queues bytes for transmission, returning the accepted count.
-func (sc *SocketChannel) Write(p []byte) (int, error) {
-	if sc.conn == nil {
-		return 0, tcpsim.ErrClosed
-	}
-	return sc.conn.Write(p)
-}
-
 // Readable returns the bytes immediately available.
-func (sc *SocketChannel) Readable() int {
-	if sc.conn == nil {
-		return 0
-	}
-	return sc.conn.Readable()
-}
+func (sc *SocketChannel) Readable() int { return sc.conn.Readable() }
 
 // Conn exposes the underlying simulated TCP connection.
 func (sc *SocketChannel) Conn() *tcpsim.Conn { return sc.conn }
@@ -412,9 +307,7 @@ func (sc *SocketChannel) Closed() bool { return sc.closed }
 // Close closes the channel and cancels its key.
 func (sc *SocketChannel) Close() {
 	sc.closed = true
-	if sc.conn != nil {
-		sc.conn.Close()
-	}
+	sc.conn.Close()
 	if sc.key != nil {
 		sc.key.Cancel()
 	}

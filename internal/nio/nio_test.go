@@ -62,56 +62,6 @@ func TestAcceptViaSelector(t *testing.T) {
 	}
 }
 
-func TestConnectViaSelector(t *testing.T) {
-	r := newRig(t)
-	if _, err := r.sb.Listen(100, nil); err != nil {
-		t.Fatal(err)
-	}
-	selA := NewSelector(r.sa)
-	sc := OpenSocket(r.sa)
-	key := selA.Register(sc, OpConnect, nil)
-	finished := false
-	selA.Select(func(keys []*SelectionKey) {
-		for _, k := range keys {
-			if k.Ready()&OpConnect != 0 {
-				finished = k.Channel().(*SocketChannel).FinishConnect()
-			}
-		}
-	})
-	r.loop.At(0, func() { sc.Connect(r.nb, 100) })
-	r.loop.Run()
-	if !finished {
-		t.Fatal("FinishConnect reported failure")
-	}
-	if key.Ready()&OpConnect != 0 {
-		t.Fatal("OpConnect readiness not cleared by FinishConnect")
-	}
-}
-
-func TestConnectFailureSignalsOpConnect(t *testing.T) {
-	r := newRig(t)
-	selA := NewSelector(r.sa)
-	sc := OpenSocket(r.sa)
-	selA.Register(sc, OpConnect, nil)
-	var finished, handled bool
-	selA.Select(func(keys []*SelectionKey) {
-		for _, k := range keys {
-			if k.Ready()&OpConnect != 0 {
-				handled = true
-				finished = k.Channel().(*SocketChannel).FinishConnect()
-			}
-		}
-	})
-	r.loop.At(0, func() { sc.Connect(r.nb, 42) }) // nothing listening
-	r.loop.Run()
-	if !handled {
-		t.Fatal("failed connect never signaled")
-	}
-	if finished {
-		t.Fatal("FinishConnect should report failure")
-	}
-}
-
 // echoPair builds a connected client/server channel pair with selectors.
 func echoPair(t *testing.T, r *rig) (selA, selB *Selector, client, server *SocketChannel) {
 	t.Helper()
@@ -134,7 +84,7 @@ func echoPair(t *testing.T, r *rig) (selA, selB *Selector, client, server *Socke
 				t.Errorf("Dial: %v", err)
 				return
 			}
-			client = newSocketChannel(c)
+			client = WrapConn(c)
 		})
 	})
 	r.loop.Run()
@@ -160,7 +110,7 @@ func TestReadWriteThroughSelector(t *testing.T) {
 					if n == 0 {
 						break
 					}
-					_, _ = sc.Write(buf[:n])
+					_, _ = sc.Conn().Write(buf[:n])
 				}
 			}
 		}
@@ -185,7 +135,7 @@ func TestReadWriteThroughSelector(t *testing.T) {
 	})
 
 	msg := bytes.Repeat([]byte("nio!"), 1000)
-	r.loop.Post(func() { _, _ = client.Write(msg) })
+	r.loop.Post(func() { _, _ = client.Conn().Write(msg) })
 	r.loop.Run()
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("echo mismatch: got %d bytes, want %d", len(got), len(msg))
@@ -251,22 +201,24 @@ func TestCancelStopsDelivery(t *testing.T) {
 			}
 		}
 	})
-	r.loop.Post(func() { _, _ = client.Write([]byte("one")) })
+	r.loop.Post(func() { _, _ = client.Conn().Write([]byte("one")) })
 	r.loop.Run()
 	first := deliveries
-	r.loop.Post(func() { _, _ = client.Write([]byte("two")) })
+	r.loop.Post(func() { _, _ = client.Conn().Write([]byte("two")) })
 	r.loop.Run()
 	if deliveries != first {
 		t.Fatalf("canceled key still delivered: %d -> %d", first, deliveries)
 	}
 }
 
+// TestSelectNowDrainsReadySet polls the ready set the way a dispatch turn
+// takes it.
 func TestSelectNowDrainsReadySet(t *testing.T) {
 	r := newRig(t)
 	// Build the pair without installing a Select handler anywhere, so
-	// readiness accumulates for SelectNow-style polling.
+	// readiness accumulates.
 	var server *SocketChannel
-	if _, err := r.sb.Listen(100, func(c *tcpsim.Conn) { server = newSocketChannel(c) }); err != nil {
+	if _, err := r.sb.Listen(100, func(c *tcpsim.Conn) { server = WrapConn(c) }); err != nil {
 		t.Fatal(err)
 	}
 	var client *tcpsim.Conn
@@ -281,12 +233,12 @@ func TestSelectNowDrainsReadySet(t *testing.T) {
 	selB.Register(server, OpRead, nil)
 	r.loop.Post(func() { _, _ = client.Write([]byte("x")) })
 	r.loop.Run()
-	keys := selB.SelectNow()
+	keys := selB.takeReady()
 	if len(keys) != 1 || keys[0].Ready()&OpRead == 0 {
-		t.Fatalf("SelectNow = %v", keys)
+		t.Fatalf("takeReady = %v", keys)
 	}
-	if got := selB.SelectNow(); got != nil {
-		t.Fatalf("second SelectNow should be empty, got %v", got)
+	if got := selB.takeReady(); got != nil {
+		t.Fatalf("second takeReady should be empty, got %v", got)
 	}
 }
 
@@ -358,7 +310,7 @@ func TestMultipleChannelsOneSelector(t *testing.T) {
 		}
 	}
 	// A single-threaded selector served all five connections.
-	if selB.Wakeups() == 0 {
+	if selB.wakeups == 0 {
 		t.Fatal("no selector wakeups recorded")
 	}
 }

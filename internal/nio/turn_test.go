@@ -67,8 +67,8 @@ func TestKeyMadeReadyDuringTurnWaitsForNextTurn(t *testing.T) {
 	if want := [][]string{{"c"}, {"a", "b"}}; !reflect.DeepEqual(tr.turns, want) {
 		t.Fatalf("turns = %v, want %v", tr.turns, want)
 	}
-	if tr.sel.queued != 0 || tr.sel.Wakeups() != 2 {
-		t.Fatalf("idle selector: %d keys queued after %d wakeups", tr.sel.queued, tr.sel.Wakeups())
+	if tr.sel.queued != 0 || tr.sel.wakeups != 2 {
+		t.Fatalf("idle selector: %d keys queued after %d wakeups", tr.sel.queued, tr.sel.wakeups)
 	}
 }
 
@@ -127,7 +127,7 @@ func TestSelectTurnAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, turn); allocs != 0 {
 		t.Errorf("one select turn of two keys: %v allocs, want 0", allocs)
 	}
-	if tr.sel.Wakeups() != 202 {
-		t.Fatalf("%d wakeups, want 202", tr.sel.Wakeups())
+	if tr.sel.wakeups != 202 {
+		t.Fatalf("%d wakeups, want 202", tr.sel.wakeups)
 	}
 }

@@ -83,9 +83,6 @@ func NewClient(id uint32, f int) *Client {
 // ID returns the client identifier.
 func (c *Client) ID() uint32 { return c.id }
 
-// Completed returns the number of finished invocations.
-func (c *Client) Completed() uint64 { return c.completed }
-
 // Outstanding returns the invocations still waiting for their reply
 // quorum — zero once a workload has fully drained.
 func (c *Client) Outstanding() int { return len(c.pending) + len(c.reads) }

@@ -403,9 +403,6 @@ func (c *Cluster) AddClient() (*Client, error) {
 	return fe.Clients[0], nil
 }
 
-// RunFor advances the simulation by d.
-func (c *Cluster) RunFor(d sim.Time) { c.Loop.RunUntil(c.Loop.Now() + d) }
-
 // SendFaults sums the surfaced delivery failures across the current
 // replica instances (a restarted replica starts a fresh counter).
 func (pl *Placement) SendFaults() uint64 {

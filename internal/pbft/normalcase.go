@@ -364,9 +364,6 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 	}))
 }
 
-// ReadsServed returns the number of tentative reads this replica answered.
-func (r *Replica) ReadsServed() uint64 { return r.readsServed }
-
 // sendToClient transmits one encoded reply payload to a client
 // connection (plain payload — client traffic is unauthenticated; the
 // client's reply quorum provides the integrity).

@@ -67,7 +67,7 @@ func TestTransferShipsOnlyDivergentState(t *testing.T) {
 		}
 		c.Loop.Run()
 		invokeN(t, c, cl, "post", 10)
-		c.RunFor(200 * sim.Millisecond)
+		c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
 		if c.Replicas[3].StateTransfers() == 0 {
 			t.Fatal("restarted replica completed no state transfer")
 		}
@@ -120,7 +120,7 @@ func TestByzantineCorruptedSubtree(t *testing.T) {
 	}
 	c.Loop.Run()
 	invokeN(t, c, cl, "post", 10)
-	c.RunFor(200 * sim.Millisecond)
+	c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
 
 	rep := c.Replicas[3]
 	if rep.StateTransfers() == 0 {

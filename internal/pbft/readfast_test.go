@@ -150,8 +150,8 @@ func TestReadTimeoutFallsBackAndCompletesOrdered(t *testing.T) {
 	if len(hooks) != 1 || hooks[0] != false {
 		t.Fatalf("path hook = %v, want one ordered-path report", hooks)
 	}
-	if cl.Completed() != 1 || cl.Outstanding() != 0 {
-		t.Fatalf("completed=%d outstanding=%d, want 1/0", cl.Completed(), cl.Outstanding())
+	if cl.completed != 1 || cl.Outstanding() != 0 {
+		t.Fatalf("completed=%d outstanding=%d, want 1/0", cl.completed, cl.Outstanding())
 	}
 }
 
@@ -191,7 +191,7 @@ func TestReadFastPathServesReads(t *testing.T) {
 			}
 			served := 0
 			for _, rep := range c.Replicas {
-				served += int(rep.ReadsServed())
+				served += int(rep.readsServed)
 				// The read must not have entered the log: only the write
 				// was ordered.
 				if rep.Executed() != 1 {

@@ -118,9 +118,6 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 	return r, nil
 }
 
-// ID returns the replica identifier.
-func (r *Replica) ID() uint32 { return r.id }
-
 // View returns the current view number.
 func (r *Replica) View() uint64 { return r.view }
 
@@ -129,9 +126,6 @@ func (r *Replica) Executed() uint64 { return r.executed }
 
 // Stable returns the last stable checkpoint sequence.
 func (r *Replica) Stable() uint64 { return r.stable }
-
-// LogSize returns the number of live slots (for GC assertions).
-func (r *Replica) LogSize() int { return len(r.log) }
 
 // SetFaults installs fault-injection behaviour.
 func (r *Replica) SetFaults(f Faults) { r.faults = f }

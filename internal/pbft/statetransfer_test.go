@@ -57,7 +57,7 @@ func TestStateTransferRoundTrip(t *testing.T) {
 			}
 			c.Loop.Run() // let the state transfer complete
 			invokeN(t, c, cl, "up", 10)
-			c.RunFor(200 * sim.Millisecond)
+			c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
 
 			rep := c.Replicas[3]
 			if rep.StateTransfers() == 0 {
@@ -100,7 +100,7 @@ func TestStateTransferLaggingReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	invokeN(t, c, cl, "b", 24)
-	c.RunFor(200 * sim.Millisecond)
+	c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
 	if c.Replicas[3].StateTransfers() == 0 {
 		t.Fatal("lagging replica never fetched state")
 	}
@@ -129,7 +129,7 @@ func TestRestartBeforeFirstCheckpointDrains(t *testing.T) {
 		t.Fatalf("nothing to transfer yet, got %d transfers", c.Replicas[3].StateTransfers())
 	}
 	invokeN(t, c, cl, "late", 24) // now checkpoints form; certificates drive catch-up
-	c.RunFor(200 * sim.Millisecond)
+	c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
 	if got, want := c.Replicas[3].Executed(), c.Replicas[0].Executed(); got != want {
 		t.Fatalf("replica 3 executed %d, group %d", got, want)
 	}
@@ -196,7 +196,7 @@ func TestStateTransferLargeSnapshot(t *testing.T) {
 			// point and catches the head through the live certificate,
 			// like TestStateTransferLaggingReplica.
 			invokeN(t, c, cl, "post", 28)
-			c.RunFor(200 * sim.Millisecond)
+			c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
 			rep := c.Replicas[3]
 			if rep.StateTransfers() == 0 {
 				t.Fatal("restarted replica completed no state transfer")
@@ -256,7 +256,7 @@ func TestRestartRedialsDeadPeers(t *testing.T) {
 		}
 	}
 	invokeN(t, c, cl, "post", 10)
-	c.RunFor(200 * sim.Millisecond)
+	c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
 	if got, want := c.Replicas[3].Executed(), c.Replicas[0].Executed(); got != want {
 		t.Fatalf("restarted replica executed %d, group %d", got, want)
 	}
@@ -381,8 +381,8 @@ func TestCheckpointGCAtWindowBoundary(t *testing.T) {
 		if rep.Stable() < uint64(n)-cfg.CheckpointEvery {
 			t.Fatalf("replica %d stable %d, want >= %d", i, rep.Stable(), uint64(n)-cfg.CheckpointEvery)
 		}
-		if rep.LogSize() > int(cfg.CheckpointEvery) {
-			t.Fatalf("replica %d log holds %d slots, want <= %d", i, rep.LogSize(), cfg.CheckpointEvery)
+		if len(rep.log) > int(cfg.CheckpointEvery) {
+			t.Fatalf("replica %d log holds %d slots, want <= %d", i, len(rep.log), cfg.CheckpointEvery)
 		}
 	}
 }

@@ -13,29 +13,21 @@ type cmListener struct {
 	pd      *PD
 	makeCfg func() QPConfig
 	onConn  func(*QP)
-	closed  bool
 }
-
-// Listener is the public handle to a CM listener.
-type Listener struct{ l *cmListener }
-
-// Close stops accepting connections on the port.
-func (ln *Listener) Close() { ln.l.closed = true }
 
 // ListenCM accepts queue-pair connections on a port. For each inbound
 // request a QP is created in pd using makeCfg (called per connection so
 // each QP gets fresh CQs if desired) and onConn runs once the handshake
 // completes.
-func (d *Device) ListenCM(port int, pd *PD, makeCfg func() QPConfig, onConn func(*QP)) (*Listener, error) {
+func (d *Device) ListenCM(port int, pd *PD, makeCfg func() QPConfig, onConn func(*QP)) error {
 	if _, used := d.cmPorts[port]; used {
-		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
+		return fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
 	if pd == nil || makeCfg == nil {
-		return nil, fmt.Errorf("rdma: ListenCM requires a PD and config factory")
+		return fmt.Errorf("rdma: ListenCM requires a PD and config factory")
 	}
-	l := &cmListener{port: port, pd: pd, makeCfg: makeCfg, onConn: onConn}
-	d.cmPorts[port] = l
-	return &Listener{l: l}, nil
+	d.cmPorts[port] = &cmListener{port: port, pd: pd, makeCfg: makeCfg, onConn: onConn}
+	return nil
 }
 
 // pendingConnect tracks an in-flight outbound CM handshake keyed by the
@@ -86,7 +78,7 @@ func (d *Device) handleCM(from *fabric.Node, msg *wireMsg) {
 	switch msg.kind {
 	case wireCMReq:
 		l := d.cmPorts[msg.cmPort]
-		if l == nil || l.closed {
+		if l == nil {
 			rej := &wireMsg{kind: wireCMRej, dstQPN: msg.srcQPN}
 			_ = d.node.Network().Send(d.node, from, fabric.ProtoRDMA, rej, ctrlWireBytes)
 			return

@@ -113,7 +113,7 @@ func TestInPlaceSendSurvivesRNRRetryWhileOtherSlotRewritten(t *testing.T) {
 	})
 	second := bytes.Repeat([]byte{0xB2}, 4096)
 	r.loop.After(int64EqDelay(), func() {
-		if r.db.RNRNaks() == 0 {
+		if r.db.rnrNaks == 0 {
 			t.Error("slot rewritten before the first attempt was NAKed")
 		}
 		copy(pool.Slice(4096, len(second)), second) // grows slot 1

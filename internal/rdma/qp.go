@@ -212,23 +212,8 @@ func (qp *QP) workThread() *sim.Resource {
 	return qp.dev.node.CPU
 }
 
-// Num returns the queue pair number.
-func (qp *QP) Num() uint32 { return qp.num }
-
 // RemoteNode returns the peer's fabric node once connected, else nil.
 func (qp *QP) RemoteNode() *fabric.Node { return qp.remoteNode }
-
-// State returns the QP's lifecycle state.
-func (qp *QP) State() QPState { return qp.state }
-
-// Sent returns the number of send-side WRs completed successfully.
-func (qp *QP) Sent() uint64 { return qp.sent }
-
-// Received returns the number of receive completions delivered.
-func (qp *QP) Received() uint64 { return qp.received }
-
-// RecvDepth returns the number of receive WRs currently posted.
-func (qp *QP) RecvDepth() int { return qp.recvQ.Len() }
 
 // SendSlots returns how many more send WRs can be posted right now.
 func (qp *QP) SendSlots() int { return qp.cfg.MaxSendWR - qp.outstanding - qp.sendQ.Len() }

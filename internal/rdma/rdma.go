@@ -158,9 +158,6 @@ func (d *Device) Node() *fabric.Node { return d.node }
 
 func (d *Device) loop() *sim.Loop { return d.node.Loop() }
 
-// RNRNaks returns how many receiver-not-ready NAKs this device has sent.
-func (d *Device) RNRNaks() uint64 { return d.rnrNaks }
-
 // RegisteredMRs returns how many memory regions are currently registered.
 func (d *Device) RegisteredMRs() int { return len(d.mrs) }
 
@@ -173,9 +170,6 @@ func (d *Device) AllocPD() *PD {
 type PD struct {
 	dev *Device
 }
-
-// Device returns the owning device.
-func (pd *PD) Device() *Device { return pd.dev }
 
 // MR is a registered memory region: a table of equally sized blocks.
 // Registered is not resident — registration charges the modeled pinning
@@ -284,9 +278,6 @@ func (mr *MR) Len() int { return len(mr.blocks) * mr.blockSize }
 // RKey returns the remote key a peer needs for one-sided access.
 func (mr *MR) RKey() uint32 { return mr.rkey }
 
-// Access returns the region's permission mask.
-func (mr *MR) Access() Access { return mr.access }
-
 // CQ is a completion queue with an optional completion-channel callback.
 type CQ struct {
 	dev      *Device
@@ -378,13 +369,6 @@ func (cq *CQ) Poll(buf []CQE) int {
 	cq.workThread().Delay(cq.dev.params.RDMA.CQPoll)
 	return n
 }
-
-// Depth returns the number of entries waiting in the queue.
-func (cq *CQ) Depth() int { return cq.entries.Len() }
-
-// Overflowed reports whether the CQ ever dropped an entry because it was
-// full — a fatal condition for a real application.
-func (cq *CQ) Overflowed() bool { return cq.overflow }
 
 func (cq *CQ) push(e CQE) {
 	if cq.entries.Len() >= cq.capacity {

@@ -37,7 +37,7 @@ func newRigParams(t *testing.T, mutate func(*model.Params)) *rig {
 	r.cqA, r.rqA = r.da.CreateCQ(128), r.da.CreateCQ(128)
 	r.cqB, r.rqB = r.db.CreateCQ(128), r.db.CreateCQ(128)
 
-	_, err := r.db.ListenCM(7, r.pb, func() QPConfig {
+	err := r.db.ListenCM(7, r.pb, func() QPConfig {
 		return QPConfig{SendCQ: r.cqB, RecvCQ: r.rqB, MaxSendWR: 64, MaxRecvWR: 64, MaxInline: 256}
 	}, func(qp *QP) { r.qpB = qp })
 	if err != nil {
@@ -58,8 +58,8 @@ func newRigParams(t *testing.T, mutate func(*model.Params)) *rig {
 	if r.qpA == nil || r.qpB == nil {
 		t.Fatal("CM handshake did not complete")
 	}
-	if r.qpA.State() != QPReady || r.qpB.State() != QPReady {
-		t.Fatalf("QPs not ready: %v / %v", r.qpA.State(), r.qpB.State())
+	if r.qpA.state != QPReady || r.qpB.state != QPReady {
+		t.Fatalf("QPs not ready: %v / %v", r.qpA.state, r.qpB.state)
 	}
 	return r
 }
@@ -75,7 +75,7 @@ func poll(cq *CQ) []CQE {
 
 func TestCMHandshakeEstablishesQPs(t *testing.T) {
 	r := newRig(t)
-	if r.qpA.Num() == r.qpB.Num() && r.da == r.db {
+	if r.qpA.num == r.qpB.num && r.da == r.db {
 		t.Fatal("QP numbers must differ on one device")
 	}
 }
@@ -102,7 +102,7 @@ func TestCMConnectionRejectedWithoutListener(t *testing.T) {
 
 func TestListenCMPortInUse(t *testing.T) {
 	r := newRig(t)
-	if _, err := r.db.ListenCM(7, r.pb, func() QPConfig { return QPConfig{} }, nil); err == nil {
+	if err := r.db.ListenCM(7, r.pb, func() QPConfig { return QPConfig{} }, nil); err == nil {
 		t.Fatal("duplicate ListenCM should fail")
 	}
 }
@@ -145,8 +145,8 @@ func TestSendRecvTransfersData(t *testing.T) {
 	if !bytes.Equal(recvMR.Slice(0, 2048), msg) {
 		t.Fatal("payload corrupted in flight")
 	}
-	if r.qpA.Sent() != 1 || r.qpB.Received() != 1 {
-		t.Fatalf("counters wrong: sent=%d received=%d", r.qpA.Sent(), r.qpB.Received())
+	if r.qpA.sent != 1 || r.qpB.received != 1 {
+		t.Fatalf("counters wrong: sent=%d received=%d", r.qpA.sent, r.qpB.received)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestRNRNakAndRetryDelivers(t *testing.T) {
 		_ = r.qpB.PostRecv(RecvWR{ID: 2, MR: recvMR, Length: 1024})
 	})
 	r.loop.Run()
-	if r.db.RNRNaks() == 0 {
+	if r.db.rnrNaks == 0 {
 		t.Fatal("expected at least one RNR NAK")
 	}
 	cqes := poll(r.cqA)
@@ -230,10 +230,10 @@ func TestRNRRetriesExhaustedErrorsQP(t *testing.T) {
 	if len(cqes) != 1 || cqes[0].Status != StatusRNRRetryExceeded {
 		t.Fatalf("want RNR_RETRY_EXCEEDED, got %+v", cqes)
 	}
-	if r.qpA.State() != QPError {
-		t.Fatalf("QP state = %v, want ERROR", r.qpA.State())
+	if r.qpA.state != QPError {
+		t.Fatalf("QP state = %v, want ERROR", r.qpA.state)
 	}
-	if got := int(r.db.RNRNaks()); got != retries+1 {
+	if got := int(r.db.rnrNaks); got != retries+1 {
 		t.Fatalf("RNR NAKs = %d, want %d", got, retries+1)
 	}
 }
@@ -256,8 +256,8 @@ func TestRNRDefaultRetriesForever(t *testing.T) {
 	if len(cqes) != 1 || cqes[0].Status != StatusOK {
 		t.Fatalf("send did not survive extended RNR: %+v", cqes)
 	}
-	if r.db.RNRNaks() < 8 {
-		t.Fatalf("expected > 7 NAKs, got %d", r.db.RNRNaks())
+	if r.db.rnrNaks < 8 {
+		t.Fatalf("expected > 7 NAKs, got %d", r.db.rnrNaks)
 	}
 }
 
@@ -286,7 +286,7 @@ func TestOneSidedWrite(t *testing.T) {
 	}
 	// One-sided: the responder CPU must not have been involved and no
 	// receive CQE generated.
-	if r.rqB.Depth() != 0 {
+	if r.rqB.entries.Len() != 0 {
 		t.Fatal("one-sided write generated a receive CQE")
 	}
 }
@@ -307,7 +307,7 @@ func TestOneSidedWriteAccessViolation(t *testing.T) {
 	if len(cqes) != 1 || cqes[0].Status != StatusRemoteAccess {
 		t.Fatalf("want REMOTE_ACCESS_ERROR, got %+v", cqes)
 	}
-	if r.qpA.State() != QPError {
+	if r.qpA.state != QPError {
 		t.Fatal("QP should be in error state after access violation")
 	}
 }
@@ -536,7 +536,7 @@ func TestCQOverflowDetected(t *testing.T) {
 	small := r.db.CreateCQ(1)
 	// Replace b's recv CQ via a fresh QP pair on port 8.
 	var qpB2 *QP
-	_, err := r.db.ListenCM(8, r.pb, func() QPConfig {
+	err := r.db.ListenCM(8, r.pb, func() QPConfig {
 		return QPConfig{SendCQ: r.cqB, RecvCQ: small, MaxSendWR: 8, MaxRecvWR: 8}
 	}, func(qp *QP) { qpB2 = qp })
 	if err != nil {
@@ -561,7 +561,7 @@ func TestCQOverflowDetected(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if !small.Overflowed() {
+	if !small.overflow {
 		t.Fatal("CQ overflow not detected")
 	}
 }

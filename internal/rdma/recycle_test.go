@@ -49,8 +49,8 @@ func TestRNRRetrySurvivesRecycledEntriesAndReplies(t *testing.T) {
 		_ = r.qpA.PostSend(&SendWR{ID: 100, Op: OpSend, MR: pool, Length: len(first), Signaled: true})
 	})
 	r.loop.After(int64EqDelay(), func() {
-		if r.db.RNRNaks() != 1 {
-			t.Errorf("RNR NAKs before the churn = %d, want 1", r.db.RNRNaks())
+		if r.db.rnrNaks != 1 {
+			t.Errorf("RNR NAKs before the churn = %d, want 1", r.db.rnrNaks)
 		}
 		for i := 0; i < 40; i++ {
 			_ = b2.PostRecv(RecvWR{ID: uint64(i), MR: recv2, Offset: i * 256, Length: 256})
@@ -80,13 +80,13 @@ func TestRNRRetrySurvivesRecycledEntriesAndReplies(t *testing.T) {
 		}
 		return n
 	}
-	if len(sends) != 41 || count(sends, r.qpA.Num(), 100) != 1 {
+	if len(sends) != 41 || count(sends, r.qpA.num, 100) != 1 {
 		t.Fatalf("retried send completed %d times among %d send completions, want once among 41",
-			count(sends, r.qpA.Num(), 100), len(sends))
+			count(sends, r.qpA.num, 100), len(sends))
 	}
-	if len(recvs) != 41 || count(recvs, r.qpB.Num(), 200) != 1 {
+	if len(recvs) != 41 || count(recvs, r.qpB.num, 200) != 1 {
 		t.Fatalf("retried send arrived %d times among %d receive completions, want once among 41",
-			count(recvs, r.qpB.Num(), 200), len(recvs))
+			count(recvs, r.qpB.num, 200), len(recvs))
 	}
 	if !bytes.Equal(recv1.Slice(0, len(first)), first) {
 		t.Fatal("retried send did not arrive intact")
@@ -112,8 +112,8 @@ func TestRNRRetrySurvivesRecycledEntriesAndReplies(t *testing.T) {
 			t.Fatalf("send %d after the retry did not arrive intact", i)
 		}
 	}
-	if r.qpA.Sent() != 11 || r.qpB.Received() != 11 || r.db.RNRNaks() != 1 {
-		t.Fatalf("sent %d, received %d, RNR NAKs %d: want 11, 11, 1", r.qpA.Sent(), r.qpB.Received(), r.db.RNRNaks())
+	if r.qpA.sent != 11 || r.qpB.received != 11 || r.db.rnrNaks != 1 {
+		t.Fatalf("sent %d, received %d, RNR NAKs %d: want 11, 11, 1", r.qpA.sent, r.qpB.received, r.db.rnrNaks)
 	}
 }
 
@@ -133,12 +133,12 @@ func TestStaleAckIgnored(t *testing.T) {
 		t.Fatalf("first send: %+v", cqes)
 	}
 	ack := func(psn uint64) {
-		r.da.deliver(r.db.Node(), &wireMsg{kind: wireAck, srcQPN: r.qpB.Num(), dstQPN: r.qpA.Num(), psn: psn}, ctrlWireBytes)
+		r.da.deliver(r.db.Node(), &wireMsg{kind: wireAck, srcQPN: r.qpB.num, dstQPN: r.qpA.num, psn: psn}, ctrlWireBytes)
 	}
 	ack(0)  // PSN 0 again: retired
 	ack(99) // never sent
-	if r.qpA.Sent() != 1 || r.qpA.SendSlots() != 64 || r.cqA.Depth() != 0 {
-		t.Fatalf("stale acks moved state: sent %d, slots %d, CQ depth %d", r.qpA.Sent(), r.qpA.SendSlots(), r.cqA.Depth())
+	if r.qpA.sent != 1 || r.qpA.SendSlots() != 64 || r.cqA.entries.Len() != 0 {
+		t.Fatalf("stale acks moved state: sent %d, slots %d, CQ depth %d", r.qpA.sent, r.qpA.SendSlots(), r.cqA.entries.Len())
 	}
 	// PSN 1 is in flight (no receive posted: it will be NAKed) when the
 	// duplicate for PSN 0 arrives once more; it must not complete PSN 1.
@@ -147,14 +147,14 @@ func TestStaleAckIgnored(t *testing.T) {
 	})
 	r.loop.After(int64EqDelay(), func() {
 		ack(0)
-		if r.qpA.Sent() != 1 || r.qpA.SendSlots() != 63 {
-			t.Errorf("duplicate ack retired the wrong send: sent %d, slots %d", r.qpA.Sent(), r.qpA.SendSlots())
+		if r.qpA.sent != 1 || r.qpA.SendSlots() != 63 {
+			t.Errorf("duplicate ack retired the wrong send: sent %d, slots %d", r.qpA.sent, r.qpA.SendSlots())
 		}
 		_ = r.qpB.PostRecv(RecvWR{ID: 2, MR: recvMR, Offset: 1024, Length: 1024})
 	})
 	r.loop.Run()
-	if cqes := poll(r.cqA); len(cqes) != 1 || cqes[0].WRID != 2 || r.qpA.Sent() != 2 {
-		t.Fatalf("second send: %+v, sent %d", cqes, r.qpA.Sent())
+	if cqes := poll(r.cqA); len(cqes) != 1 || cqes[0].WRID != 2 || r.qpA.sent != 2 {
+		t.Fatalf("second send: %+v, sent %d", cqes, r.qpA.sent)
 	}
 }
 
@@ -176,8 +176,8 @@ func TestPollIntoShortBufferLeavesTheRestQueuedInOrder(t *testing.T) {
 		for _, e := range buf[:n] {
 			got = append(got, e.WRID)
 		}
-		if r.cqA.Depth() != wantDepth {
-			t.Fatalf("after polling %v: depth %d, want %d", got, r.cqA.Depth(), wantDepth)
+		if r.cqA.entries.Len() != wantDepth {
+			t.Fatalf("after polling %v: depth %d, want %d", got, r.cqA.entries.Len(), wantDepth)
 		}
 	}
 	if n := r.cqA.Poll(buf); n != 0 {

@@ -60,7 +60,7 @@ func TestBatchedFillAcrossMultiRoundHoleRun(t *testing.T) {
 	// counters live on different executors — aggregate them.
 	var rounds, slots uint64
 	for node := 0; node < cfg.PBFT.N; node++ {
-		rounds += g.Executors[node].HeartbeatRounds()
+		rounds += g.Executors[node].hbRounds
 		slots += g.Executors[node].HeartbeatSlots()
 	}
 	if rounds == 0 {
@@ -108,9 +108,9 @@ func TestHeartbeatSkippedWhenHoleFillsConcurrently(t *testing.T) {
 	}
 	for node := 0; node < cfg.PBFT.N; node++ {
 		ex := g.Executors[node]
-		if ex.HeartbeatRounds() != 0 {
+		if ex.hbRounds != 0 {
 			t.Errorf("node %d fired %d heartbeat fills for holes that filled concurrently",
-				node, ex.HeartbeatRounds())
+				node, ex.hbRounds)
 		}
 		if ex.Backlog() != 0 {
 			t.Errorf("node %d stalled with backlog %d", node, ex.Backlog())
@@ -138,15 +138,15 @@ func TestSubsumedRoundsUnblockMerge(t *testing.T) {
 	// past them (its rounds 1-2 will never be delivered).
 	e.deliver(1, 1, req(1))
 	e.deliver(1, 2, req(2))
-	if e.MergedSlots() != 0 {
-		t.Fatalf("merged %d slots before instance 0 resolved", e.MergedSlots())
+	if e.slots != 0 {
+		t.Fatalf("merged %d slots before instance 0 resolved", e.slots)
 	}
 	e.subsume(0, 2)
-	if e.MergedSlots() != 4 {
-		t.Fatalf("merged %d slots after subsume, want 4", e.MergedSlots())
+	if e.slots != 4 {
+		t.Fatalf("merged %d slots after subsume, want 4", e.slots)
 	}
-	if e.SubsumedSlots() != 2 {
-		t.Fatalf("SubsumedSlots = %d, want 2", e.SubsumedSlots())
+	if e.subsumedSlots != 2 {
+		t.Fatalf("SubsumedSlots = %d, want 2", e.subsumedSlots)
 	}
 	if e.Backlog() != 0 {
 		t.Fatalf("backlog %d after subsume, want 0", e.Backlog())
@@ -163,8 +163,8 @@ func TestSubsumedRoundsUnblockMerge(t *testing.T) {
 	// Normal merging continues beyond the subsumed prefix.
 	e.deliver(0, 3, req(3))
 	e.deliver(1, 3, req(4))
-	if e.MergedSlots() != 6 || e.Backlog() != 0 {
-		t.Fatalf("merge did not resume: slots=%d backlog=%d", e.MergedSlots(), e.Backlog())
+	if e.slots != 6 || e.Backlog() != 0 {
+		t.Fatalf("merge did not resume: slots=%d backlog=%d", e.slots, e.Backlog())
 	}
 }
 
@@ -244,8 +244,8 @@ func TestDrainFormatsNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, mergeRound); allocs != 0 {
 		t.Errorf("merging one round of %d requests allocates %.0f times, want 0", cfg.Instances*perBatch, allocs)
 	}
-	if e.Backlog() != 0 || e.MergedSlots() != uint64((runs+1)*cfg.Instances) {
-		t.Fatalf("merged %d slots with backlog %d", e.MergedSlots(), e.Backlog())
+	if e.Backlog() != 0 || e.slots != uint64((runs+1)*cfg.Instances) {
+		t.Fatalf("merged %d slots with backlog %d", e.slots, e.Backlog())
 	}
 	order := g.GlobalOrder(0)
 	if len(order) != (runs+1)*cfg.Instances*perBatch {

@@ -161,7 +161,7 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 	// future schedule does, this names the real cause instead of a
 	// baffling order mismatch.
 	for nodeIdx := 0; nodeIdx < n; nodeIdx++ {
-		if s := g.Executors[nodeIdx].SubsumedSlots(); s != 0 {
+		if s := g.Executors[nodeIdx].subsumedSlots; s != 0 {
 			t.Fatalf("seed %d: node %d subsumed %d slots via state transfer — order comparison not applicable, adjust the schedule or the assertions", seed, nodeIdx, s)
 		}
 	}

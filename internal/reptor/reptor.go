@@ -238,6 +238,8 @@ type Executor struct {
 	// subsumed[k] is the highest instance-k sequence folded into an
 	// adopted state-transfer checkpoint: those rounds will never be
 	// delivered through OnExecute and the merge must not wait for them.
+	// subsumedSlots counts the global slots skipped that way: a node with
+	// a non-zero count has a gap in its local view of the merged order.
 	subsumed      []uint64
 	subsumedSlots uint64
 
@@ -273,25 +275,12 @@ func newExecutor(g *Group, node int) *Executor {
 	return e
 }
 
-// MergedSlots returns how many global slots have been merged.
-func (e *Executor) MergedSlots() uint64 { return e.slots }
-
-// HeartbeatRounds returns how many heartbeat fills this executor fired.
-func (e *Executor) HeartbeatRounds() uint64 { return e.hbRounds }
-
-// HeartbeatSlots returns how many empty slots those fills requested —
-// with batched hole-filling this can exceed HeartbeatRounds.
+// HeartbeatSlots returns how many empty slots this executor's heartbeat
+// fills requested — with batched hole-filling more than it fired rounds.
 func (e *Executor) HeartbeatSlots() uint64 { return e.hbSlots }
 
 // HeartbeatDelay returns the current adaptive delay of an instance.
 func (e *Executor) HeartbeatDelay(instance int) sim.Time { return e.hbDelay[instance] }
-
-// SubsumedSlots returns how many global slots were skipped because a
-// state transfer folded their batches into an adopted checkpoint — a
-// node with a non-zero count has a gap in its local view of the merged
-// order (its application state is nevertheless the transferred, correct
-// one).
-func (e *Executor) SubsumedSlots() uint64 { return e.subsumedSlots }
 
 // Backlog returns the number of committed-but-unmerged batches buffered
 // by this executor — committed work the merge barrier is sitting on.

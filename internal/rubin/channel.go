@@ -321,15 +321,6 @@ func (c *Channel) Peer() *fabric.Node {
 	return c.qp.RemoteNode()
 }
 
-// Connected reports whether the channel is usable for data transfer.
-func (c *Channel) Connected() bool { return c.connected && !c.closed }
-
-// Sent returns the number of messages sent.
-func (c *Channel) Sent() uint64 { return c.sent }
-
-// Received returns the number of messages received.
-func (c *Channel) Received() uint64 { return c.received }
-
 // SignaledCompletions returns how many send completions were actually
 // signaled — with selective signaling this is ~Sent/SignalInterval.
 func (c *Channel) SignaledCompletions() uint64 { return c.signaled }
@@ -340,9 +331,6 @@ func (c *Channel) SignaledCompletions() uint64 { return c.signaled }
 func (c *Channel) SendCapacity() int {
 	return c.cfg.SendWRs - c.inFlight.Len()
 }
-
-// Pending returns the number of received messages waiting in the inbox.
-func (c *Channel) Pending() int { return c.inbox.Len() }
 
 // Send queues one message (non-blocking). It returns ErrWouldBlock when
 // the send pool is exhausted; register for OpSend to learn when capacity

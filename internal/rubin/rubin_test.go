@@ -85,7 +85,7 @@ func (r *rig) connect(t *testing.T, cfg Config) (client, server *Channel) {
 func TestConnectEstablishesChannelPair(t *testing.T) {
 	r := newRig(t, nil)
 	client, server := r.connect(t, DefaultConfig(r.params))
-	if !client.Connected() || !server.Connected() {
+	if !client.connected || client.closed || !server.connected || server.closed {
 		t.Fatal("channels should be connected")
 	}
 	if server.ID() == 0 {
@@ -172,8 +172,8 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 			t.Fatalf("message %d corrupted: %d bytes vs %d", i, len(got[i]), len(want[i]))
 		}
 	}
-	if server.Received() != 3 || client.Sent() != 3 {
-		t.Fatalf("counters wrong: %d sent / %d received", client.Sent(), server.Received())
+	if server.received != 3 || client.sent != 3 {
+		t.Fatalf("counters wrong: %d sent / %d received", client.sent, server.received)
 	}
 }
 
@@ -518,10 +518,10 @@ func TestSelectorStatsAdvance(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if r.selB.Events() == 0 || r.selB.Wakeups() == 0 {
-		t.Fatalf("selector stats did not advance: events=%d wakeups=%d", r.selB.Events(), r.selB.Wakeups())
+	if r.selB.events == 0 || r.selB.wakeups == 0 {
+		t.Fatalf("selector stats did not advance: events=%d wakeups=%d", r.selB.events, r.selB.wakeups)
 	}
-	if r.selB.Wakeups() > r.selB.Events() {
+	if r.selB.wakeups > r.selB.events {
 		t.Fatal("wakeups cannot exceed events (batching invariant)")
 	}
 }
@@ -573,7 +573,7 @@ func TestChannelIDsAreUnique(t *testing.T) {
 	}
 	ka := r.selA.Register(a, 0, nil)
 	kb := r.selA.Register(b, 0, nil)
-	if ka.ID() == kb.ID() {
+	if ka.id == kb.id {
 		t.Fatal("selection key IDs must be unique")
 	}
 	if fmt.Sprint(a.ID()) == "" {

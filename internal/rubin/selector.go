@@ -75,19 +75,9 @@ func NewSelector(dev *rdma.Device) *Selector {
 	return s
 }
 
-// Device returns the RDMA device the selector serves.
-func (s *Selector) Device() *rdma.Device { return s.dev }
-
 // Thread returns the selector's single application thread resource; its
 // busy time measures RUBIN's CPU overhead (useful for ablations).
 func (s *Selector) Thread() *sim.Resource { return s.thread }
-
-// Events returns the total number of events that traversed the hybrid
-// event queue.
-func (s *Selector) Events() uint64 { return s.events }
-
-// Wakeups returns the number of dispatch batches delivered to the handler.
-func (s *Selector) Wakeups() uint64 { return s.wakeups }
 
 // Register attaches a channel with an interest set, returning its
 // selection key (a "selectable channel" per the paper). Registering a
@@ -140,10 +130,8 @@ func (s *Selector) Select(handler func([]*SelectionKey)) {
 	s.pump()
 }
 
-// SelectNow drains currently ready keys without dispatch cost (into the
-// slice the next turn reuses).
-func (s *Selector) SelectNow() []*SelectionKey { return s.takeReady() }
-
+// takeReady drains the currently ready keys into the slice the next turn
+// reuses.
 func (s *Selector) takeReady() []*SelectionKey {
 	if len(s.hybridQ) == 0 {
 		return nil
@@ -208,20 +196,11 @@ type SelectionKey struct {
 	turn       uint64 // the selector turn that last took this key
 }
 
-// ID returns the key's unique identifier.
-func (k *SelectionKey) ID() uint64 { return k.id }
-
 // Channel returns the registered channel (a *Channel or *ServerChannel).
 func (k *SelectionKey) Channel() Registrable { return k.ch }
 
 // Attachment returns the object attached at registration.
 func (k *SelectionKey) Attachment() any { return k.attachment }
-
-// Attach replaces the attachment.
-func (k *SelectionKey) Attach(a any) { k.attachment = a }
-
-// Interest returns the interest set.
-func (k *SelectionKey) Interest() InterestOps { return k.interest }
 
 // SetInterest replaces the interest set, re-evaluating readiness.
 func (k *SelectionKey) SetInterest(ops InterestOps) {

@@ -12,13 +12,10 @@ import (
 // established channels until the application calls Accept. Incoming
 // connections surface as OpConnect readiness on its selection key.
 type ServerChannel struct {
-	dev      *rdma.Device
-	cfg      Config
-	listener *rdma.Listener
-	backlog  sim.Queue[*Channel]
-	key      *SelectionKey
-	nextID   *uint64
-	err      error
+	backlog sim.Queue[*Channel]
+	key     *SelectionKey
+	nextID  *uint64
+	err     error
 }
 
 // Listen opens a server channel on the device. Each accepted connection
@@ -28,14 +25,14 @@ func Listen(dev *rdma.Device, port int, cfg Config) (*ServerChannel, error) {
 		return nil, err
 	}
 	var idCounter uint64
-	sc := &ServerChannel{dev: dev, cfg: cfg, nextID: &idCounter}
+	sc := &ServerChannel{nextID: &idCounter}
 	pd := dev.AllocPD()
 
 	// Each inbound handshake needs a fresh channel (with its own CQs)
 	// before the QP exists, so the config factory creates it and the
 	// establishment callback finishes it.
 	var pending sim.Queue[*Channel]
-	l, err := dev.ListenCM(port, pd, func() rdma.QPConfig {
+	err := dev.ListenCM(port, pd, func() rdma.QPConfig {
 		*sc.nextID++
 		ch, err := newChannel(dev, cfg, *sc.nextID)
 		if err != nil {
@@ -59,7 +56,6 @@ func Listen(dev *rdma.Device, port int, cfg Config) (*ServerChannel, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.listener = l
 	return sc, nil
 }
 
@@ -91,14 +87,6 @@ func (sc *ServerChannel) Accept() *Channel {
 
 // Err returns the first setup error encountered while accepting, if any.
 func (sc *ServerChannel) Err() error { return sc.err }
-
-// Close stops accepting.
-func (sc *ServerChannel) Close() {
-	sc.listener.Close()
-	if sc.key != nil {
-		sc.key.Cancel()
-	}
-}
 
 // Connect opens a channel to a server channel listening on the remote
 // node. Establishment is signaled as OpAccept readiness if the channel is

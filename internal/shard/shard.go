@@ -140,13 +140,6 @@ func (d *Deployment) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// Cluster returns shard s's replica group — the handle chaos scenarios
-// target to fault one shard.
-func (d *Deployment) Cluster(s int) *pbft.Cluster { return d.Clusters[s] }
-
-// RunFor advances the shared simulation by dur.
-func (d *Deployment) RunFor(dur sim.Time) { d.Loop.RunUntil(d.Loop.Now() + dur) }
-
 // SendFaults sums surfaced delivery failures across every group.
 func (d *Deployment) SendFaults() uint64 {
 	var n uint64

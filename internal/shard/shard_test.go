@@ -354,7 +354,7 @@ func TestShardLeaderCrashMid2PC(t *testing.T) {
 	// wave of cross-shard transactions starts, so the fault lands in
 	// the middle of their 2PC exchanges.
 	const wave = 5
-	sched := chaos.Apply(d.Cluster(0), chaos.NewScenario("s0-leader-crash").
+	sched := chaos.Apply(d.Clusters[0], chaos.NewScenario("s0-leader-crash").
 		Crash(d.Loop.Now()+50*sim.Microsecond, 0))
 	for i := 0; i < wave; i++ {
 		invokeTxn(d, r, statuses, fmt.Sprintf("t%d", i), []kvstore.TxnSub{
@@ -362,7 +362,7 @@ func TestShardLeaderCrashMid2PC(t *testing.T) {
 			{Code: kvstore.OpPut, Key: keyOn(1, S, fmt.Sprintf("d%d.", i)), Value: "2"},
 		})
 	}
-	d.RunFor(time2PCOutage(d))
+	d.Loop.RunUntil(d.Loop.Now() + time2PCOutage(d))
 
 	// While shard 0 is leaderless (its view change has not fired yet),
 	// shard 1 keeps committing single-key writes.
@@ -376,7 +376,7 @@ func TestShardLeaderCrashMid2PC(t *testing.T) {
 			})
 		}
 	})
-	d.RunFor(d.Config.PBFT.ViewTimeout / 2)
+	d.Loop.RunUntil(d.Loop.Now() + d.Config.PBFT.ViewTimeout/2)
 	if okCount != 10 {
 		t.Fatalf("shard 1 committed %d of 10 writes during shard 0's outage", okCount)
 	}
@@ -417,7 +417,7 @@ func TestShardBackupRecoveryViaPartialTransfer(t *testing.T) {
 	const S = 2
 	d, r := newTestDeployment(t, transport.KindRDMA, S)
 
-	c0 := d.Cluster(0)
+	c0 := d.Clusters[0]
 	c0.Crash(3)
 	okCount := 0
 	d.Loop.Post(func() {
@@ -458,7 +458,7 @@ func TestShardBackupRecoveryViaPartialTransfer(t *testing.T) {
 	if statuses["post"] != kvstore.TxnCommitted {
 		t.Fatalf("post-recovery txn status = %q", statuses["post"])
 	}
-	d.RunFor(200 * sim.Millisecond)
+	d.Loop.RunUntil(d.Loop.Now() + 200*sim.Millisecond)
 	if got, want := c0.Replicas[3].Executed(), c0.Replicas[0].Executed(); got != want {
 		t.Fatalf("recovered replica executed %d, group %d", got, want)
 	}

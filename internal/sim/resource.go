@@ -21,7 +21,6 @@ type Resource struct {
 	// Statistics.
 	jobs      uint64
 	busyTotal Time
-	lastIdle  Time
 }
 
 // NewResource creates a resource with the given number of parallel servers.
@@ -32,12 +31,6 @@ func NewResource(loop *Loop, name string, servers int) *Resource {
 	}
 	return &Resource{loop: loop, name: name, busyUntil: make([]Time, servers)}
 }
-
-// Name returns the resource's diagnostic name.
-func (r *Resource) Name() string { return r.name }
-
-// Servers returns the number of parallel servers.
-func (r *Resource) Servers() int { return len(r.busyUntil) }
 
 // Acquire enqueues a job with the given service time and returns the virtual
 // time at which it will complete. If done is non-nil it is scheduled to run
@@ -87,9 +80,6 @@ func (r *Resource) QueueDelay() Time {
 	}
 	return best - now
 }
-
-// Jobs returns the number of jobs submitted so far.
-func (r *Resource) Jobs() uint64 { return r.jobs }
 
 // BusyTotal returns the cumulative service time charged to this resource.
 func (r *Resource) BusyTotal() Time { return r.busyTotal }

@@ -76,8 +76,8 @@ func TestResourceStats(t *testing.T) {
 		r.Acquire(40, func() {})
 	})
 	l.Run()
-	if r.Jobs() != 2 {
-		t.Errorf("Jobs = %d, want 2", r.Jobs())
+	if r.jobs != 2 {
+		t.Errorf("Jobs = %d, want 2", r.jobs)
 	}
 	if r.BusyTotal() != 100 {
 		t.Errorf("BusyTotal = %v, want 100", r.BusyTotal())

@@ -26,10 +26,9 @@ import (
 
 // Errors returned by connection operations.
 var (
-	ErrClosed      = errors.New("tcpsim: connection closed")
-	ErrPortInUse   = errors.New("tcpsim: port already in use")
-	ErrNoListener  = errors.New("tcpsim: connection refused")
-	ErrStackExists = errors.New("tcpsim: node already has a TCP stack")
+	ErrClosed     = errors.New("tcpsim: connection closed")
+	ErrPortInUse  = errors.New("tcpsim: port already in use")
+	ErrNoListener = errors.New("tcpsim: connection refused")
 )
 
 const headerWireBytes = 60 // control segment size on the wire
@@ -161,9 +160,6 @@ type Listener struct {
 	closed   bool
 }
 
-// Port returns the listening port.
-func (l *Listener) Port() int { return l.port }
-
 // Close stops accepting new connections.
 func (l *Listener) Close() {
 	if !l.closed {
@@ -235,12 +231,6 @@ func (c *Conn) LocalNode() *fabric.Node { return c.stack.node }
 
 // RemoteNode returns the peer's node.
 func (c *Conn) RemoteNode() *fabric.Node { return c.remote }
-
-// LocalPort returns the local port number.
-func (c *Conn) LocalPort() int { return c.localPort }
-
-// RemotePort returns the peer's port number.
-func (c *Conn) RemotePort() int { return c.remotePort }
 
 // Established reports whether the connection is open for data transfer.
 func (c *Conn) Established() bool { return c.state == stateEstablished }

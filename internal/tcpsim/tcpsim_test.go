@@ -59,7 +59,7 @@ func TestHandshake(t *testing.T) {
 	if !client.Established() || !server.Established() {
 		t.Fatal("connections should be established")
 	}
-	if client.RemotePort() != 1000 || server.LocalPort() != 1000 {
+	if client.remotePort != 1000 || server.localPort != 1000 {
 		t.Fatal("port mismatch")
 	}
 	if client.LocalNode() != p.a || client.RemoteNode() != p.b {

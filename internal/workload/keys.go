@@ -103,36 +103,3 @@ func (z *Zipf) Pick(r *rand.Rand) int {
 func (z *Zipf) Keys() int { return z.n }
 
 func (z *Zipf) String() string { return fmt.Sprintf("zipf(%d, theta=%.2f)", z.n, z.theta) }
-
-// HotSet sends a fixed fraction of accesses to the first hot keys and
-// spreads the rest uniformly over the remainder — the two-temperature
-// caricature of a celebrity workload.
-type HotSet struct {
-	n    int
-	hot  int
-	frac float64
-}
-
-// NewHotSet returns a hot-set distribution: frac of accesses hit the
-// first hot keys of an n-key space. It panics on a malformed shape.
-func NewHotSet(n, hot int, frac float64) HotSet {
-	if n < 1 || hot < 1 || hot > n || frac < 0 || frac > 1 {
-		panic(fmt.Sprintf("workload: hotset(n=%d, hot=%d, frac=%v)", n, hot, frac))
-	}
-	return HotSet{n: n, hot: hot, frac: frac}
-}
-
-// Pick draws one key index.
-func (h HotSet) Pick(r *rand.Rand) int {
-	if h.hot == h.n || r.Float64() < h.frac {
-		return r.Intn(h.hot)
-	}
-	return h.hot + r.Intn(h.n-h.hot)
-}
-
-// Keys returns the keyspace size.
-func (h HotSet) Keys() int { return h.n }
-
-func (h HotSet) String() string {
-	return fmt.Sprintf("hotset(%d, hot=%d, frac=%.2f)", h.n, h.hot, h.frac)
-}

@@ -1,6 +1,6 @@
 // Package workload generates deterministic client traffic for the
-// replicated experiments: skewed key distributions (uniform, Zipf,
-// hot-set), mixed operation types (reads, writes, deletes, scans),
+// replicated experiments: skewed key distributions (uniform, Zipf),
+// mixed operation types (reads, writes, deletes, scans),
 // closed- and open-loop arrival models (per-user windows, Poisson,
 // on/off bursts), and a driver that multiplexes thousands of logical
 // users over a bounded pool of client connections.
@@ -440,9 +440,6 @@ func (d *Driver) Issued() int { return d.issued }
 
 // Completed returns how many operations have finished.
 func (d *Driver) Completed() int { return d.completed }
-
-// MeasuredOps returns how many finished operations were after warmup.
-func (d *Driver) MeasuredOps() int { return d.measured }
 
 // MeasuredSpan returns the measured window: the arrival of the first
 // measured operation and the completion of the last.
