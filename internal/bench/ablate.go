@@ -45,9 +45,7 @@ func runE6(rc RunContext, v values, res *metrics.Result) error {
 	for _, ab := range Ablations() {
 		mean := res.AddSeries(ab.Name, metrics.MetricLatencyMean, "us", "rdma", "payload_kb")
 		for _, kb := range v.ints("payloads_kb") {
-			cfg := EchoConfig{Payload: kb << 10, Messages: v.int("messages"), Warmup: v.int("warmup"),
-				Window: v.int("window"), Seed: rc.Seed}
-			r, err := echoChannelCfg(cfg, rc.Model, ab.Mutate)
+			r, err := echoChannelCfg(echoConfig(rc, v, kb), rc.Model, ab.Mutate)
 			if err != nil {
 				return err
 			}

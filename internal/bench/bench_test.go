@@ -118,8 +118,8 @@ func TestFig3ThroughputMirrorsLatency(t *testing.T) {
 	}
 }
 
-func quickFig4(payload int) Fig4Config {
-	return Fig4Config{Payload: payload, Messages: 300, Warmup: 50, Window: 30, Batch: 10, Seed: 1}
+func quickFig4(payload int) EchoConfig {
+	return EchoConfig{Payload: payload, Messages: 300, Warmup: 50, Window: 30, Batch: 10, Seed: 1}
 }
 
 // TestFig4Shape asserts Figure 4: RUBIN's throughput beats the NIO stack

@@ -98,9 +98,9 @@ type deployment struct {
 }
 
 // up brings a built system to the ready state in the one order every run
-// shares: start it, attach the run's tracer (after set-up, so connection
-// establishment is not traced), add one front-end per connection (after
-// the tracer, so their meshes inherit it), start the samplers.
+// shares: start it, give its world the run's tracer (after set-up, so
+// connection establishment is not traced), add one front-end per
+// connection, start the samplers.
 func (d *deployment) up(s deploySpec, sys interface {
 	Start() error
 	SetTracer(*obs.Tracer)
@@ -384,7 +384,7 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 			id = d.submit(ci, kvstore.EncodeOp(kvstore.OpPut, key, value), func([]byte) {
 				measured := completed(ci, loop.Now()-t0)
 				if id != "" {
-					tr.MarkReturn(id, loop.Now())
+					tr.Mark(obs.Return, id, loop.Now())
 					tr.Finish(id, measured)
 				}
 				sendOne()
@@ -392,8 +392,8 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 			// Safe after the submit: replies cross the simulated network,
 			// so the callback cannot have fired synchronously at this event.
 			if id != "" {
-				tr.MarkArrive(id, t0)
-				tr.MarkInvoke(id, t0)
+				tr.Mark(obs.Arrive, id, t0)
+				tr.Mark(obs.Invoke, id, t0)
 			}
 		}
 		loop.Post(func() {

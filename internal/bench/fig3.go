@@ -53,7 +53,8 @@ type EchoConfig struct {
 	Payload  int // message size in bytes
 	Messages int // measured round trips
 	Warmup   int // unmeasured round trips
-	Window   int // outstanding messages (the paper streams 1000 msgs)
+	Window   int // outstanding messages (Figure 3 streams with 3, Figure 4 with 30)
+	Batch    int // Figure 4 only: messages coalesced per syscall/doorbell (paper: 10)
 	Seed     int64
 }
 
@@ -81,67 +82,84 @@ func RunFig3(stack Fig3Stack, cfg EchoConfig, params model.Params) (EchoResult, 
 }
 
 // ---------------------------------------------------------------------------
-// Registry entries: E1 (Figure 3a, latency) and E2 (Figure 3b, throughput).
+// Registry entries: E1/E2 (Figure 3a/3b) here, E3/E4 (Figure 4a/4b) in
+// fig4.go — each figure is one list of curves registered twice.
 // ---------------------------------------------------------------------------
 
+// echoCurve is one series of an echo figure: its legend name, the backend
+// label its series carry, and the measurement of one point.
+type echoCurve struct {
+	name, backend string
+	run           func(EchoConfig, model.Params) (EchoResult, error)
+}
+
+// echoConfig reads one sweep point's configuration from an echo
+// experiment's knobs (batch only where the experiment declares it).
+func echoConfig(rc RunContext, v values, kb int) EchoConfig {
+	cfg := EchoConfig{Payload: kb << 10, Messages: v.int("messages"), Warmup: v.int("warmup"), Window: v.int("window"), Seed: rc.Seed}
+	if batch := v.ints("batch"); len(batch) > 0 {
+		cfg.Batch = batch[0]
+	}
+	return cfg
+}
+
+// registerEchoFigure registers the two experiments of an echo figure over
+// one list of curves: lat (panel a) reports mean and p99 round trip in µs,
+// tput (panel b) closed-loop requests per second divided by tputScale, in
+// tputUnit. Both sweep every curve over payloads_kb.
+func registerEchoFigure(lat, tput Experiment, knobs []knob, curves []echoCurve, tputUnit string, tputScale float64) {
+	sweep := func(latency bool) func(RunContext, values, *metrics.Result) error {
+		return func(rc RunContext, v values, res *metrics.Result) error {
+			for _, c := range curves {
+				var mean, p99, rate *metrics.ResultSeries
+				if latency {
+					mean = res.AddSeries(c.name, metrics.MetricLatencyMean, "us", c.backend, "payload_kb")
+					p99 = res.AddSeries(c.name, metrics.MetricLatencyP99, "us", c.backend, "payload_kb")
+				} else {
+					rate = res.AddSeries(c.name, metrics.MetricThroughput, tputUnit, c.backend, "payload_kb")
+				}
+				for _, kb := range v.ints("payloads_kb") {
+					r, err := c.run(echoConfig(rc, v, kb), rc.Model)
+					if err != nil {
+						return err
+					}
+					if latency {
+						mean.Add(float64(kb), r.MeanRT.Micros())
+						p99.Add(float64(kb), r.P99RT.Micros())
+					} else {
+						rate.Add(float64(kb), r.Throughput/tputScale)
+					}
+				}
+			}
+			return nil
+		}
+	}
+	lat.knobs, lat.run = knobs, sweep(true)
+	tput.knobs, tput.run = knobs, sweep(false)
+	Register(lat)
+	Register(tput)
+}
+
 func init() {
-	Register(Experiment{
-		Name: "E1", Title: "echo latency across transport stacks", Figure: "Figure 3a",
-		knobs: fig3Knobs,
-		run: func(rc RunContext, v values, res *metrics.Result) error {
-			return runFig3Suite(rc, v, res, true)
-		},
-	})
-	Register(Experiment{
-		Name: "E2", Title: "echo throughput across transport stacks", Figure: "Figure 3b",
-		knobs: fig3Knobs,
-		run: func(rc RunContext, v values, res *metrics.Result) error {
-			return runFig3Suite(rc, v, res, false)
-		},
-	})
-}
-
-var fig3Knobs = []knob{
-	{name: "payloads_kb", def: "1,2,4,8,16,32,64,100", quick: "1,16", min: 1, list: true},
-	{name: "messages", def: "1000", quick: "150", min: 1},
-	{name: "warmup", def: "50", quick: "20"},
-	{name: "window", def: "3", min: 1},
-}
-
-// fig3Transport labels the backend each Figure 3 series exercises.
-func fig3Transport(stack Fig3Stack) string {
-	if stack == StackTCP {
-		return "tcp"
-	}
-	return "rdma"
-}
-
-// runFig3Suite sweeps all four stacks; latency selects Figure 3a (mean and
-// p99 round trip in µs), otherwise Figure 3b (closed-loop krps).
-func runFig3Suite(rc RunContext, v values, res *metrics.Result, latency bool) error {
+	var curves []echoCurve
 	for _, stack := range Fig3Stacks() {
-		var mean, p99, tput *metrics.ResultSeries
-		if latency {
-			mean = res.AddSeries(string(stack), metrics.MetricLatencyMean, "us", fig3Transport(stack), "payload_kb")
-			p99 = res.AddSeries(string(stack), metrics.MetricLatencyP99, "us", fig3Transport(stack), "payload_kb")
-		} else {
-			tput = res.AddSeries(string(stack), metrics.MetricThroughput, "krps", fig3Transport(stack), "payload_kb")
+		backend := "rdma"
+		if stack == StackTCP {
+			backend = "tcp"
 		}
-		for _, kb := range v.ints("payloads_kb") {
-			cfg := EchoConfig{Payload: kb << 10, Messages: v.int("messages"), Warmup: v.int("warmup"), Window: v.int("window"), Seed: rc.Seed}
-			r, err := RunFig3(stack, cfg, rc.Model)
-			if err != nil {
-				return err
-			}
-			if latency {
-				mean.Add(float64(kb), r.MeanRT.Micros())
-				p99.Add(float64(kb), r.P99RT.Micros())
-			} else {
-				tput.Add(float64(kb), r.Throughput/1000)
-			}
-		}
+		curves = append(curves, echoCurve{string(stack), backend, func(cfg EchoConfig, p model.Params) (EchoResult, error) {
+			return RunFig3(stack, cfg, p)
+		}})
 	}
-	return nil
+	registerEchoFigure(
+		Experiment{Name: "E1", Title: "echo latency across transport stacks", Figure: "Figure 3a"},
+		Experiment{Name: "E2", Title: "echo throughput across transport stacks", Figure: "Figure 3b"},
+		[]knob{
+			{name: "payloads_kb", def: "1,2,4,8,16,32,64,100", quick: "1,16", min: 1, list: true},
+			{name: "messages", def: "1000", quick: "150", min: 1},
+			{name: "warmup", def: "50", quick: "20"},
+			{name: "window", def: "3", min: 1},
+		}, curves, "krps", 1000)
 }
 
 // twoNodes builds the two-machine testbed of the paper's evaluation.
@@ -160,7 +178,7 @@ type echoDriver struct {
 	cfg     EchoConfig
 	rec     *metrics.Recorder
 	sendFn  func()
-	started []sim.Time
+	started sim.Queue[sim.Time]
 	sent    int
 	done    int
 	startAt sim.Time
@@ -186,17 +204,16 @@ func (d *echoDriver) sendOne() {
 		d.startAt = d.loop.Now()
 	}
 	d.sent++
-	d.started = append(d.started, d.loop.Now())
+	d.started.Push(d.loop.Now())
 	d.sendFn()
 }
 
 // completed records one round trip and refills the pipeline.
 func (d *echoDriver) completed() {
-	if len(d.started) == 0 {
+	if d.started.Len() == 0 {
 		return
 	}
-	t0 := d.started[0]
-	d.started = d.started[1:]
+	t0 := d.started.Pop()
 	d.done++
 	if d.done > d.cfg.Warmup {
 		d.rec.Record(d.loop.Now() - t0)

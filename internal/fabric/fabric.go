@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"rubin/internal/model"
+	"rubin/internal/obs"
 	"rubin/internal/sim"
 )
 
@@ -56,6 +57,7 @@ type Network struct {
 	loop   *sim.Loop
 	params model.Params
 	nodes  map[string]*Node
+	tracer *obs.Tracer
 
 	frames sim.FreeList[frame] // delivered frames' records
 }
@@ -71,6 +73,14 @@ func New(loop *sim.Loop, params model.Params) *Network {
 
 // Params returns the network's parameter set.
 func (nw *Network) Params() model.Params { return nw.params }
+
+// SetTracer gives the simulated world its observability tracer: every
+// layer holding a Node reads it through Tracer, so components that join
+// later are traced without re-attachment. Nil (the default) disables it.
+func (nw *Network) SetTracer(t *obs.Tracer) { nw.tracer = t }
+
+// Tracer returns the world's tracer, nil when observability is off.
+func (nw *Network) Tracer() *obs.Tracer { return nw.tracer }
 
 // AddNode creates a node with the configured CPU core and NIC engine
 // counts. Node names must be unique.

@@ -141,29 +141,16 @@ func (s *Store) forEach(fn func(k, v string)) {
 func EncodeOp(code OpCode, key, value string) []byte {
 	buf := make([]byte, 1, 1+4+len(key)+4+len(value))
 	buf[0] = byte(code)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
-	buf = append(buf, key...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(value)))
-	buf = append(buf, value...)
-	return buf
+	return appendStr(appendStr(buf, key), value)
 }
 
 // DecodeOp parses an operation.
 func DecodeOp(op []byte) (code OpCode, key, value string, err error) {
-	if len(op) < 9 {
-		return 0, "", "", fmt.Errorf("kvstore: op too short (%d bytes)", len(op))
+	d := dec{buf: op, what: "op"}
+	code, key, value = OpCode(d.u8()), d.str(), d.str()
+	if err = d.end(); err != nil {
+		return 0, "", "", err
 	}
-	code = OpCode(op[0])
-	kl := int(binary.BigEndian.Uint32(op[1:5]))
-	if len(op) < 5+kl+4 {
-		return 0, "", "", fmt.Errorf("kvstore: truncated key")
-	}
-	key = string(op[5 : 5+kl])
-	vl := int(binary.BigEndian.Uint32(op[5+kl : 9+kl]))
-	if len(op) != 9+kl+vl {
-		return 0, "", "", fmt.Errorf("kvstore: truncated value")
-	}
-	value = string(op[9+kl : 9+kl+vl])
 	return code, key, value, nil
 }
 
@@ -179,24 +166,17 @@ func (s *Store) Execute(op []byte) []byte {
 	if err != nil {
 		return []byte("ERR " + err.Error())
 	}
+	if reply, ok := s.read(code, key, value); ok {
+		return reply
+	}
 	switch code {
-	case OpPut:
+	case OpPut, OpDelete:
 		if _, locked := s.locks[key]; locked {
 			return []byte(Locked)
 		}
-		s.put(key, value)
-		return []byte("OK")
-	case OpGet:
-		v, ok := s.Get(key)
-		if !ok {
-			return []byte("NOTFOUND")
-		}
-		return []byte(v)
-	case OpDelete:
-		if _, locked := s.locks[key]; locked {
-			return []byte(Locked)
-		}
-		if !s.del(key) {
+		if code == OpPut {
+			s.put(key, value)
+		} else if !s.del(key) {
 			return []byte("NOTFOUND")
 		}
 		return []byte("OK")
@@ -208,18 +188,6 @@ func (s *Store) Execute(op []byte) []byte {
 		return s.executeCommit(key)
 	case OpAbort:
 		return s.executeAbort(key)
-	case OpScanPart:
-		return s.executeScanPart(key, value)
-	case OpScan:
-		limit := 0
-		if value != "" {
-			n, err := strconv.Atoi(value)
-			if err != nil || n < 0 {
-				return []byte("ERR bad scan limit " + value)
-			}
-			limit = n
-		}
-		return []byte(s.Scan(key, limit))
 	default:
 		return []byte("ERR unknown op")
 	}
@@ -230,43 +198,75 @@ func (s *Store) Execute(op []byte) []byte {
 // applied counter and the marshaled-state cache untouched, so tentative
 // reads served at different times on different replicas cannot diverge
 // their checkpoint digests. Results are byte-identical to what Execute
-// would return for the same operation and state (pbft.TentativeReader).
+// would return for the same operation and state (pbft.TentativeReader):
+// both answer from read.
 func (s *Store) ExecuteReadOnly(op []byte) []byte {
 	code, key, value, err := DecodeOp(op)
 	if err != nil {
 		return []byte("ERR " + err.Error())
 	}
+	if reply, ok := s.read(code, key, value); ok {
+		return reply
+	}
+	return []byte("ERR not read-only")
+}
+
+// read answers the three side-effect-free operations; ok is false for
+// every other code. It is the only interpreter of OpGet, OpScan and
+// OpScanPart, so a tentative read returns exactly what ordered execution
+// would (the condition of PBFT's read-only optimisation, Castro & Liskov
+// §4.4) by construction.
+func (s *Store) read(code OpCode, key, value string) (reply []byte, ok bool) {
 	switch code {
 	case OpGet:
-		v, ok := s.Get(key)
-		if !ok {
-			return []byte("NOTFOUND")
-		}
-		return []byte(v)
+		return s.getReply(key), true
 	case OpScan:
-		limit := 0
-		if value != "" {
-			n, err := strconv.Atoi(value)
-			if err != nil || n < 0 {
-				return []byte("ERR bad scan limit " + value)
-			}
-			limit = n
+		limit, err := scanLimit(value)
+		if err != nil {
+			return []byte("ERR " + err.Error()), true
 		}
-		return []byte(s.Scan(key, limit))
+		return []byte(s.Scan(key, limit)), true
 	case OpScanPart:
-		return s.executeScanPart(key, value)
-	default:
-		return []byte("ERR not read-only")
+		return s.executeScanPart(key, value), true
 	}
+	return nil, false
+}
+
+// getReply is the reply to a read of one key, inside a transaction or
+// out: the value, or NOTFOUND.
+func (s *Store) getReply(key string) []byte {
+	if v, ok := s.Get(key); ok {
+		return []byte(v)
+	}
+	return []byte("NOTFOUND")
+}
+
+// scanLimit parses an OpScan's value field: an optional decimal result
+// cap, "" and 0 meaning none. PlanOp and read share it, so a limit that
+// does not parse gets the same ERR wherever the scan is sent.
+func scanLimit(value string) (int, error) {
+	if value == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(value)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad scan limit %s", value)
+	}
+	return n, nil
 }
 
 // Scan returns up to limit key=value pairs whose keys start with prefix,
 // in sorted key order, joined by newlines (limit <= 0 means no cap). An
-// empty result is the empty string.
-func (s *Store) Scan(prefix string, limit int) string {
+// empty result is the empty string. It is the one-partition case of
+// scanPart.
+func (s *Store) Scan(prefix string, limit int) string { return s.scanPart(prefix, limit, 0, 1) }
+
+// scanPart is the scan loop: the matching keys PartitionKey assigns to
+// partition part of parts, sorted, capped, joined.
+func (s *Store) scanPart(prefix string, limit, part, parts int) string {
 	var keys []string
 	s.forEach(func(k, _ string) {
-		if strings.HasPrefix(k, prefix) {
+		if strings.HasPrefix(k, prefix) && PartitionKey(k, parts) == part {
 			keys = append(keys, k)
 		}
 	})
@@ -306,17 +306,7 @@ func (s *Store) encodePrepared() []byte {
 	ids := s.Prepared()
 	buf := binary.BigEndian.AppendUint32(nil, uint32(len(ids)))
 	for _, id := range ids {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(id)))
-		buf = append(buf, id...)
-		subs := s.prepared[id].subs
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(subs)))
-		for _, sub := range subs {
-			buf = append(buf, byte(sub.Code))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.Key)))
-			buf = append(buf, sub.Key...)
-			buf = binary.BigEndian.AppendUint32(buf, uint32(len(sub.Value)))
-			buf = append(buf, sub.Value...)
-		}
+		buf = appendSubs(appendStr(buf, id), s.prepared[id].subs)
 	}
 	return buf
 }
@@ -353,6 +343,7 @@ func (s *Store) MarshalState() []byte {
 // mutated buckets costs O(K + interior nodes), not O(state) — this is
 // what makes frequent checkpoints affordable at large state sizes.
 func (s *Store) Snapshot() auth.Digest {
+	// Not PartitionDigests: this slice never escapes, so it costs no heap.
 	digests := make([]auth.Digest, MerkleBuckets)
 	for i := range digests {
 		s.bucketBytes(i)
@@ -366,34 +357,16 @@ func (s *Store) Snapshot() auth.Digest {
 // into their owning buckets regardless of which partition section they
 // arrived in, so any decodable input re-marshals canonically.
 func (s *Store) UnmarshalState(state []byte) error {
-	if len(state) < 8 {
-		return fmt.Errorf("kvstore: state too short (%d bytes)", len(state))
-	}
-	applied := binary.BigEndian.Uint64(state)
-	rest := state[8:]
-
-	nbuckets, rest, err := takeCount(rest, "partition count")
-	if err != nil {
-		return err
-	}
-	if nbuckets != MerkleBuckets {
-		return fmt.Errorf("kvstore: state has %d partitions (want %d)", nbuckets, MerkleBuckets)
+	d := dec{buf: state, what: "state"}
+	applied := d.u64()
+	if n := d.u32(); d.err == nil && n != MerkleBuckets {
+		return fmt.Errorf("kvstore: state has %d partitions (want %d)", n, MerkleBuckets)
 	}
 	var buckets [MerkleBuckets]map[string]string
 	size := 0
-	for b := uint32(0); b < nbuckets; b++ {
-		var npairs uint32
-		if npairs, rest, err = takeCount(rest, "pair count"); err != nil {
-			return err
-		}
-		for i := uint32(0); i < npairs; i++ {
-			var k, v string
-			if k, rest, err = takeString(rest); err != nil {
-				return fmt.Errorf("kvstore: state key: %w", err)
-			}
-			if v, rest, err = takeString(rest); err != nil {
-				return fmt.Errorf("kvstore: state value: %w", err)
-			}
+	for b := 0; b < MerkleBuckets && d.err == nil; b++ {
+		for npairs := d.u32(); npairs > 0 && d.err == nil; npairs-- {
+			k, v := d.str(), d.str()
 			home := bucketOf(k)
 			if buckets[home] == nil {
 				buckets[home] = make(map[string]string)
@@ -404,8 +377,7 @@ func (s *Store) UnmarshalState(state []byte) error {
 			buckets[home][k] = v
 		}
 	}
-
-	prepared, locks, err := decodePrepared(rest)
+	prepared, locks, err := decodePrepared(&d)
 	if err != nil {
 		return err
 	}
@@ -421,12 +393,4 @@ func (s *Store) UnmarshalState(state []byte) error {
 	s.preparedEnc = nil
 	s.marshaled = nil
 	return nil
-}
-
-// takeCount pops one uint32 count off a buffer.
-func takeCount(raw []byte, what string) (uint32, []byte, error) {
-	if len(raw) < 4 {
-		return 0, nil, fmt.Errorf("kvstore: truncated %s", what)
-	}
-	return binary.BigEndian.Uint32(raw), raw[4:], nil
 }

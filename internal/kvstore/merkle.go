@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -67,10 +68,7 @@ func (s *Store) MarshalPartition(part int) []byte {
 	if part < 0 || part >= MerkleBuckets {
 		return nil
 	}
-	enc := s.bucketBytes(part)
-	out := make([]byte, len(enc))
-	copy(out, enc)
-	return out
+	return bytes.Clone(s.bucketBytes(part))
 }
 
 // MarshalHeader serializes the non-partitioned remainder of the state:
@@ -91,11 +89,12 @@ func (s *Store) MarshalHeader() []byte {
 // or digest count yields the zero digest, which no honest replica ever
 // certifies (roots are hash outputs).
 func (s *Store) ComposeRoot(header []byte, digests []auth.Digest) auth.Digest {
-	if len(header) < 8 || len(digests) != MerkleBuckets {
+	d := dec{buf: header, what: "transfer header"}
+	applied := d.u64()
+	if d.err != nil || len(digests) != MerkleBuckets {
 		return auth.Digest{}
 	}
-	applied := binary.BigEndian.Uint64(header)
-	return composeRoot(applied, merkleRoot(digests), auth.Hash(header[8:]))
+	return composeRoot(applied, merkleRoot(digests), auth.Hash(d.buf))
 }
 
 // composeRoot combines the three state components into the root digest:
@@ -152,10 +151,8 @@ func (s *Store) ApplyPartition(part int, data []byte) error {
 func (s *Store) setBucket(part int, m map[string]string, enc []byte) {
 	s.size += len(m) - len(s.buckets[part])
 	s.buckets[part] = m
-	cp := make([]byte, len(enc))
-	copy(cp, enc)
-	s.bucketEnc[part] = cp
-	s.bucketDig[part] = auth.Hash(cp)
+	s.bucketEnc[part] = bytes.Clone(enc)
+	s.bucketDig[part] = auth.Hash(enc)
 	s.bucketMod[part] = s.applied
 	s.marshaled = nil
 }
@@ -164,21 +161,15 @@ func (s *Store) setBucket(part int, m map[string]string, enc []byte) {
 // strictly ascending keys, every key owned by the bucket, no trailing
 // bytes.
 func decodeBucket(part int, data []byte) (map[string]string, error) {
-	npairs, rest, err := takeCount(data, "partition pair count")
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]string, min(int(npairs), 1<<16))
-	prev := ""
-	for i := uint32(0); i < npairs; i++ {
-		var k, v string
-		if k, rest, err = takeString(rest); err != nil {
-			return nil, fmt.Errorf("kvstore: partition key: %w", err)
+	d := dec{buf: data, what: "partition"}
+	npairs := d.u32()
+	m := make(map[string]string, min(npairs, 1<<16))
+	for prev := ""; npairs > 0 && d.err == nil; npairs-- {
+		k, v := d.str(), d.str()
+		if d.err != nil {
+			break
 		}
-		if v, rest, err = takeString(rest); err != nil {
-			return nil, fmt.Errorf("kvstore: partition value: %w", err)
-		}
-		if i > 0 && k <= prev {
+		if len(m) > 0 && k <= prev {
 			return nil, fmt.Errorf("kvstore: partition keys not strictly sorted (%q after %q)", k, prev)
 		}
 		if bucketOf(k) != part {
@@ -187,10 +178,7 @@ func decodeBucket(part int, data []byte) (map[string]string, error) {
 		prev = k
 		m[k] = v
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("kvstore: %d trailing partition bytes", len(rest))
-	}
-	return m, nil
+	return m, d.end()
 }
 
 // ApplyTransfer atomically replaces the whole store from a transfer
@@ -201,11 +189,9 @@ func (s *Store) ApplyTransfer(header []byte, parts [][]byte) error {
 	if len(parts) != MerkleBuckets {
 		return fmt.Errorf("kvstore: transfer has %d partitions (want %d)", len(parts), MerkleBuckets)
 	}
-	if len(header) < 8 {
-		return fmt.Errorf("kvstore: transfer header too short (%d bytes)", len(header))
-	}
-	applied := binary.BigEndian.Uint64(header)
-	prepared, locks, err := decodePrepared(header[8:])
+	d := dec{buf: header, what: "transfer header"}
+	applied := d.u64()
+	prepared, locks, err := decodePrepared(&d)
 	if err != nil {
 		return err
 	}
@@ -228,56 +214,32 @@ func (s *Store) ApplyTransfer(header []byte, parts [][]byte) error {
 }
 
 // decodePrepared parses the staged-2PC section (the byte layout of
-// encodePrepared) and rebuilds the lock table from the staged key sets.
-// It rejects trailing bytes.
-func decodePrepared(raw []byte) (map[string]*preparedTxn, map[string]string, error) {
-	ntxns, rest, err := takeCount(raw, "txn count")
-	if err != nil {
-		return nil, nil, err
-	}
+// encodePrepared) — the last thing in every layout that carries it, so it
+// also rejects trailing bytes — and rebuilds the lock table from the
+// staged key sets.
+func decodePrepared(d *dec) (map[string]*preparedTxn, map[string]string, error) {
 	prepared := make(map[string]*preparedTxn)
 	locks := make(map[string]string)
-	for i := uint32(0); i < ntxns; i++ {
-		var id string
-		if id, rest, err = takeString(rest); err != nil {
-			return nil, nil, fmt.Errorf("kvstore: staged txn id: %w", err)
+	for ntxns := d.u32(); ntxns > 0 && d.err == nil; ntxns-- {
+		id, subs := d.str(), d.subs()
+		if d.err != nil {
+			break
 		}
 		if _, dup := prepared[id]; dup {
 			return nil, nil, fmt.Errorf("kvstore: duplicate staged txn %q", id)
 		}
-		var nsubs uint32
-		if nsubs, rest, err = takeCount(rest, "staged sub count"); err != nil {
+		if err := validateSubs(subs); err != nil {
 			return nil, nil, err
 		}
-		staged := &preparedTxn{}
-		for j := uint32(0); j < nsubs; j++ {
-			if len(rest) < 1 {
-				return nil, nil, fmt.Errorf("kvstore: truncated staged sub code")
+		for _, sub := range subs {
+			if holder, locked := locks[sub.Key]; locked && holder != id {
+				return nil, nil, fmt.Errorf("kvstore: staged txns %q and %q both lock %q", holder, id, sub.Key)
 			}
-			code := OpCode(rest[0])
-			rest = rest[1:]
-			if code != OpGet && code != OpPut {
-				return nil, nil, fmt.Errorf("kvstore: staged sub op %d (only get/put allowed)", code)
-			}
-			var k, v string
-			if k, rest, err = takeString(rest); err != nil {
-				return nil, nil, fmt.Errorf("kvstore: staged sub key: %w", err)
-			}
-			if v, rest, err = takeString(rest); err != nil {
-				return nil, nil, fmt.Errorf("kvstore: staged sub value: %w", err)
-			}
-			if holder, locked := locks[k]; locked && holder != id {
-				return nil, nil, fmt.Errorf("kvstore: staged txns %q and %q both lock %q", holder, id, k)
-			}
-			staged.subs = append(staged.subs, TxnSub{Code: code, Key: k, Value: v})
-			locks[k] = id
+			locks[sub.Key] = id
 		}
-		prepared[id] = staged
+		prepared[id] = &preparedTxn{subs: subs}
 	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("kvstore: %d trailing state bytes", len(rest))
-	}
-	return prepared, locks, nil
+	return prepared, locks, d.end()
 }
 
 // bucketBytes returns the canonical encoding of one bucket, re-encoding
@@ -301,11 +263,7 @@ func encodeBucket(m map[string]string) []byte {
 	sort.Strings(keys)
 	buf := binary.BigEndian.AppendUint32(nil, uint32(len(keys)))
 	for _, k := range keys {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(k)))
-		buf = append(buf, k...)
-		v := m[k]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
-		buf = append(buf, v...)
+		buf = appendStr(appendStr(buf, k), m[k])
 	}
 	return buf
 }

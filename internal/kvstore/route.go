@@ -1,9 +1,6 @@
 package kvstore
 
-import (
-	"sort"
-	"strconv"
-)
+import "sort"
 
 // Route is the shape of an operation's path through a keyspace split
 // over hash partitions (shards, or the instances of a COP group).
@@ -42,8 +39,9 @@ type Plan struct {
 // Per-key semantics hold only when every operation of a key is ordered by
 // the same partition; routing by the state-machine key guarantees that
 // even when unique values make each operation's bytes distinct. Bytes
-// that do not decode, and operations naming no key (COMMIT/ABORT), go to
-// partition 0: they still deserve an ordered ERR reply. Only an OpTxn can
+// that do not decode, a scan whose limit does not parse, and operations
+// naming no key (COMMIT/ABORT), go to partition 0: they still deserve an
+// ordered ERR reply, the one a single group would give. Only an OpTxn can
 // be RouteCross — a PREPARE is addressed to one participant by
 // construction and follows its first key.
 func PlanOp(op []byte, parts int) Plan {
@@ -55,9 +53,9 @@ func PlanOp(op []byte, parts int) Plan {
 		return Plan{Read: code == OpGet} // one group owns and orders everything
 	}
 	if code == OpScan {
-		limit, err := strconv.Atoi(value)
-		if err != nil || limit < 0 {
-			limit = 0
+		limit, err := scanLimit(value)
+		if err != nil {
+			return Plan{} // partition 0 orders it and answers the ERR
 		}
 		return Plan{Route: RouteScan, Key: key, Limit: limit}
 	}

@@ -39,7 +39,7 @@ func TestPlanOp(t *testing.T) {
 		home := PartitionKey(a, parts)
 		local := []TxnSub{{OpPut, a, "1"}, {OpGet, same, ""}}
 		spread := []TxnSub{{OpPut, a, "1"}, {OpPut, other, "2"}}
-		spreadPayload := string(encodeTxnSubs(spread))
+		spreadPayload := string(appendSubs(nil, spread))
 
 		// Scans and cross-partition transactions only exist with more
 		// than one partition; a single group orders them like any op.
@@ -75,7 +75,7 @@ func TestPlanOp(t *testing.T) {
 			{"delete", EncodeOp(OpDelete, a, ""), Plan{Part: home}},
 			{"scan with limit", EncodeOp(OpScan, "pre", "7"), scan(7)},
 			{"scan without limit", EncodeOp(OpScan, "pre", ""), scan(0)},
-			{"scan with junk limit", EncodeOp(OpScan, "pre", "-3"), scan(0)},
+			{"scan with junk limit", EncodeOp(OpScan, "pre", "-3"), Plan{}},
 			{"one-partition txn", EncodeTxn("t1", local), Plan{Part: home}},
 			{"cross-partition txn", EncodeTxn("t2", spread), cross},
 			{"prepare follows its first key", EncodePrepare("t3", spread), Plan{Part: home}},
@@ -128,6 +128,48 @@ func TestScatterScanMergesPartials(t *testing.T) {
 		}
 		if limit > 0 && strings.Count(want, "\n") != limit-1 {
 			t.Errorf("limit=%d: whole-store scan returned %q", limit, want)
+		}
+	}
+}
+
+// TestJunkScanLimitGetsOneAnswer sends a scan whose limit does not parse
+// the way every front-end does — PlanOp, then the plan's route — over one
+// store and over four partitions: the single group's ordered ERR is the
+// only answer. (PlanOp used to swallow the parse error and scatter an
+// unbounded scan, so the partitioned deployments returned data instead.)
+func TestJunkScanLimitGetsOneAnswer(t *testing.T) {
+	const parts = 4
+	whole := New()
+	stores := make([]*Store, parts)
+	for p := range stores {
+		stores[p] = New()
+	}
+	for i := 0; i < 8; i++ {
+		put := EncodeOp(OpPut, fmt.Sprintf("k%d", i), "v")
+		whole.Execute(put)
+		stores[PlanOp(put, parts).Part].Execute(put)
+	}
+	for _, limit := range []string{"bogus", "-3", "1e3", " 5"} {
+		op := EncodeOp(OpScan, "k", limit)
+		want := string(whole.Execute(op))
+		if !strings.HasPrefix(want, "ERR bad scan limit") {
+			t.Fatalf("limit %q: single store answered %q", limit, want)
+		}
+		var got string
+		switch plan := PlanOp(op, parts); plan.Route {
+		case RouteOne:
+			got = string(stores[plan.Part].Execute(op))
+		case RouteScan:
+			ScatterScan(plan, parts, func(part int, sub []byte, done func([]byte)) string {
+				done(stores[part].Execute(sub))
+				return ""
+			}, func(res []byte) { got = string(res) })
+		}
+		if got != want {
+			t.Errorf("limit %q: %d partitions answered %q, one store %q", limit, parts, got, want)
+		}
+		if tentative := string(whole.ExecuteReadOnly(op)); tentative != want {
+			t.Errorf("limit %q: tentative read answered %q, ordered %q", limit, tentative, want)
 		}
 	}
 }

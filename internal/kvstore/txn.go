@@ -122,13 +122,13 @@ func OpKeys(op []byte) ([]string, error) {
 // field carries the transaction id (used only for reporting; the
 // one-phase path needs no staging).
 func EncodeTxn(id string, subs []TxnSub) []byte {
-	return EncodeOp(OpTxn, id, string(encodeTxnSubs(subs)))
+	return EncodeOp(OpTxn, id, string(appendSubs(nil, subs)))
 }
 
 // EncodePrepare encodes the PREPARE of transaction id carrying the
 // sub-operations one participant group is responsible for.
 func EncodePrepare(id string, subs []TxnSub) []byte {
-	return EncodeOp(OpPrepare, id, string(encodeTxnSubs(subs)))
+	return EncodeOp(OpPrepare, id, string(appendSubs(nil, subs)))
 }
 
 // EncodeCommit encodes the COMMIT decision for transaction id.
@@ -137,64 +137,14 @@ func EncodeCommit(id string) []byte { return EncodeOp(OpCommit, id, "") }
 // EncodeAbort encodes the ABORT decision for transaction id.
 func EncodeAbort(id string) []byte { return EncodeOp(OpAbort, id, "") }
 
-// encodeTxnSubs serializes a sub-operation list: count, then per sub the
-// code byte and length-prefixed key and value.
-func encodeTxnSubs(subs []TxnSub) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(subs)))
-	for _, s := range subs {
-		buf = append(buf, byte(s.Code))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Key)))
-		buf = append(buf, s.Key...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Value)))
-		buf = append(buf, s.Value...)
-	}
-	return buf
-}
-
-// DecodeTxnSubs parses a sub-operation list.
+// DecodeTxnSubs parses a sub-operation list (the layout of appendSubs).
 func DecodeTxnSubs(raw []byte) ([]TxnSub, error) {
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("kvstore: txn subs too short (%d bytes)", len(raw))
-	}
-	n := binary.BigEndian.Uint32(raw)
-	rest := raw[4:]
-	subs := make([]TxnSub, 0, min(int(n), 64))
-	for i := uint32(0); i < n; i++ {
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("kvstore: truncated txn sub code")
-		}
-		code := OpCode(rest[0])
-		rest = rest[1:]
-		var key, value string
-		var err error
-		if key, rest, err = takeString(rest); err != nil {
-			return nil, fmt.Errorf("kvstore: txn sub key: %w", err)
-		}
-		if value, rest, err = takeString(rest); err != nil {
-			return nil, fmt.Errorf("kvstore: txn sub value: %w", err)
-		}
-		subs = append(subs, TxnSub{Code: code, Key: key, Value: value})
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("kvstore: %d trailing bytes after txn subs", len(rest))
+	d := dec{buf: raw, what: "txn subs"}
+	subs := d.subs()
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return subs, nil
-}
-
-// takeString pops one length-prefixed string off a buffer, comparing
-// lengths in uint64 so hostile 32-bit length fields cannot overflow int
-// arithmetic on 32-bit platforms.
-func takeString(raw []byte) (string, []byte, error) {
-	if len(raw) < 4 {
-		return "", nil, fmt.Errorf("truncated length")
-	}
-	n64 := uint64(binary.BigEndian.Uint32(raw))
-	raw = raw[4:]
-	if n64 > uint64(len(raw)) {
-		return "", nil, fmt.Errorf("truncated payload")
-	}
-	n := int(n64)
-	return string(raw[:n]), raw[n:], nil
 }
 
 // txnResultMarker leads every transaction reply so it can never be
@@ -205,40 +155,26 @@ const txnResultMarker = 'T'
 // TxnPrepared or TxnAborted) plus one result per sub-operation, in
 // sub-operation order. An aborted reply carries no results.
 func EncodeTxnResult(status string, results [][]byte) []byte {
-	buf := []byte{txnResultMarker}
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(status)))
-	buf = append(buf, status...)
+	buf := appendStr([]byte{txnResultMarker}, status)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(results)))
 	for _, r := range results {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(r)))
-		buf = append(buf, r...)
+		buf = appendStr(buf, r)
 	}
 	return buf
 }
 
 // DecodeTxnResult parses a transaction reply.
 func DecodeTxnResult(raw []byte) (status string, results [][]byte, err error) {
-	if len(raw) < 1 || raw[0] != txnResultMarker {
+	d := dec{buf: raw, what: "txn result"}
+	if d.u8() != txnResultMarker {
 		return "", nil, fmt.Errorf("kvstore: not a txn result (%q)", raw)
 	}
-	rest := raw[1:]
-	if status, rest, err = takeString(rest); err != nil {
-		return "", nil, fmt.Errorf("kvstore: txn result status: %w", err)
+	status = d.str()
+	for n := d.u32(); n > 0 && d.err == nil; n-- {
+		results = append(results, []byte(d.str()))
 	}
-	if len(rest) < 4 {
-		return "", nil, fmt.Errorf("kvstore: truncated txn result count")
-	}
-	n := binary.BigEndian.Uint32(rest)
-	rest = rest[4:]
-	for i := uint32(0); i < n; i++ {
-		var r string
-		if r, rest, err = takeString(rest); err != nil {
-			return "", nil, fmt.Errorf("kvstore: txn result %d: %w", i, err)
-		}
-		results = append(results, []byte(r))
-	}
-	if len(rest) != 0 {
-		return "", nil, fmt.Errorf("kvstore: %d trailing bytes after txn result", len(rest))
+	if err = d.end(); err != nil {
+		return "", nil, err
 	}
 	return status, results, nil
 }
@@ -305,6 +241,15 @@ func (s *Store) Prepared() []string {
 // key ("" if unlocked).
 func (s *Store) LockHolder(key string) string { return s.locks[key] }
 
+// txnSubs parses and checks the payload of an OpTxn or OpPrepare.
+func txnSubs(payload string) ([]TxnSub, error) {
+	subs, err := DecodeTxnSubs([]byte(payload))
+	if err != nil {
+		return nil, err
+	}
+	return subs, validateSubs(subs)
+}
+
 // validateSubs checks a transaction's sub-operations: only reads and
 // writes are allowed inside a transaction.
 func validateSubs(subs []TxnSub) error {
@@ -334,11 +279,8 @@ func (s *Store) conflicts(id string, subs []TxnSub) bool {
 // transaction conflicts with prepared write locks like any single-key
 // write would.
 func (s *Store) executeTxn(id, payload string) []byte {
-	subs, err := DecodeTxnSubs([]byte(payload))
+	subs, err := txnSubs(payload)
 	if err != nil {
-		return []byte("ERR " + err.Error())
-	}
-	if err := validateSubs(subs); err != nil {
 		return []byte("ERR " + err.Error())
 	}
 	if s.conflicts(id, subs) {
@@ -351,11 +293,7 @@ func (s *Store) executeTxn(id, payload string) []byte {
 			s.put(sub.Key, sub.Value)
 			results[i] = []byte("OK")
 		case OpGet:
-			if v, ok := s.Get(sub.Key); ok {
-				results[i] = []byte(v)
-			} else {
-				results[i] = []byte("NOTFOUND")
-			}
+			results[i] = s.getReply(sub.Key)
 		}
 	}
 	return EncodeTxnResult(TxnCommitted, results)
@@ -369,11 +307,8 @@ func (s *Store) executeTxn(id, payload string) []byte {
 // state is part of MarshalState, so checkpoints and state transfer carry
 // in-doubt transactions to recovering replicas.
 func (s *Store) executePrepare(id, payload string) []byte {
-	subs, err := DecodeTxnSubs([]byte(payload))
+	subs, err := txnSubs(payload)
 	if err != nil {
-		return []byte("ERR " + err.Error())
-	}
-	if err := validateSubs(subs); err != nil {
 		return []byte("ERR " + err.Error())
 	}
 	if _, dup := s.prepared[id]; dup {
@@ -393,10 +328,8 @@ func (s *Store) executePrepare(id, payload string) []byte {
 		case OpGet:
 			if v, ok := overlay[sub.Key]; ok {
 				results[i] = []byte(v)
-			} else if v, ok := s.Get(sub.Key); ok {
-				results[i] = []byte(v)
 			} else {
-				results[i] = []byte("NOTFOUND")
+				results[i] = s.getReply(sub.Key)
 			}
 		}
 	}
@@ -447,31 +380,9 @@ func (s *Store) releaseTxn(id string, staged *preparedTxn) {
 // carries "limit part parts".
 func (s *Store) executeScanPart(prefix, value string) []byte {
 	var limit, part, parts int
-	if n, err := fmt.Sscanf(value, "%d %d %d", &limit, &part, &parts); n != 3 || err != nil {
+	if n, err := fmt.Sscanf(value, "%d %d %d", &limit, &part, &parts); n != 3 || err != nil ||
+		limit < 0 || parts < 1 || part < 0 || part >= parts {
 		return []byte("ERR bad scan partition spec " + strconv.Quote(value))
 	}
-	if limit < 0 || parts < 1 || part < 0 || part >= parts {
-		return []byte("ERR bad scan partition spec " + strconv.Quote(value))
-	}
-	var keys []string
-	s.forEach(func(k, _ string) {
-		if strings.HasPrefix(k, prefix) && PartitionKey(k, parts) == part {
-			keys = append(keys, k)
-		}
-	})
-	sort.Strings(keys)
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-	}
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		v, _ := s.Get(k)
-		b.WriteString(v)
-	}
-	return []byte(b.String())
+	return []byte(s.scanPart(prefix, limit, part, parts))
 }

@@ -279,7 +279,7 @@ func TestTxnCodecRoundTrips(t *testing.T) {
 		t.Fatal("plain reply decoded as txn result")
 	}
 	// Trailing bytes are rejected (canonical decode).
-	if _, err := DecodeTxnSubs(append(encodeTxnSubs(subs), 0)); err == nil {
+	if _, err := DecodeTxnSubs(append(appendSubs(nil, subs), 0)); err == nil {
 		t.Fatal("trailing sub bytes accepted")
 	}
 	if _, _, err := DecodeTxnResult(append(res, 0)); err == nil {

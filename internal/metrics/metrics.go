@@ -1,16 +1,15 @@
 // Package metrics provides measurement instrumentation and result
 // formats for the simulated experiments.
 //
-// Three layers build on each other. Recorder and Counter collect raw
-// per-operation virtual-time samples and event counts while a simulation
-// runs. Series and Table shape samples into the sweep curves the paper's
-// figures plot, rendered as aligned text tables. Result is the
-// machine-readable counterpart: a schema-versioned, deterministic JSON
+// Three layers build on each other. Recorder collects raw per-operation
+// virtual-time samples while a simulation runs. Result is the
+// machine-readable outcome: a schema-versioned, deterministic JSON
 // document (one BENCH_<experiment>.json per run) carrying per-series
-// points with explicit units, the effective configuration echo and the
-// seed, so benchmark trajectories can be validated, stored and diffed
-// across commits (Compare/RenderDeltas implement the -compare output of
-// cmd/benchsuite).
+// points — the sweep curves the paper's figures plot — with explicit
+// units, the effective configuration echo and the seed, so benchmark
+// trajectories can be validated, stored and diffed across commits
+// (Compare/RenderDeltas implement the -compare output of cmd/benchsuite).
+// Table renders a result's series as aligned text tables.
 package metrics
 
 import (
@@ -85,25 +84,6 @@ func (r *Recorder) sort() {
 	}
 }
 
-// Counter is a monotonically increasing event counter — the fault/error
-// instrumentation the replicas expose (e.g. surfaced transport send
-// failures) and the experiment tables report.
-type Counter struct {
-	n uint64
-}
-
-// NewCounter returns a zeroed counter.
-func NewCounter() *Counter { return &Counter{} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
 // Throughput converts an operation count over a virtual duration into
 // operations per second.
 func Throughput(ops int, elapsed sim.Time) float64 {
@@ -119,22 +99,6 @@ type Point struct {
 	Y float64 `json:"y"`
 }
 
-// Series is a named curve of a figure, e.g. "TCP" latency vs payload.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// At returns the Y value at the given X, or NaN if absent.
-func (s *Series) At(x float64) float64 {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y
-		}
-	}
-	return math.NaN()
-}
-
 // Table renders a set of series sharing an X axis as an aligned text table
 // — one row per X value, one column per series — the same rows the paper's
 // figures plot.
@@ -142,19 +106,12 @@ type Table struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Series []*Series
+	Series []*ResultSeries
 }
 
 // NewTable creates a table with the given labels.
 func NewTable(title, xLabel, yLabel string) *Table {
 	return &Table{Title: title, XLabel: xLabel, YLabel: yLabel}
-}
-
-// AddSeries appends a new named series and returns it.
-func (t *Table) AddSeries(name string) *Series {
-	s := &Series{Name: name}
-	t.Series = append(t.Series, s)
-	return s
 }
 
 // Render formats the table.

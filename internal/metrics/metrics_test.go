@@ -76,7 +76,7 @@ func TestThroughput(t *testing.T) {
 }
 
 func TestSeriesAt(t *testing.T) {
-	s := &Series{Name: "x"}
+	s := &ResultSeries{Name: "x"}
 	s.Points = append(s.Points, Point{1, 10})
 	s.Points = append(s.Points, Point{2, 20})
 	if s.At(2) != 20 {
@@ -89,8 +89,8 @@ func TestSeriesAt(t *testing.T) {
 
 func TestTableRender(t *testing.T) {
 	tab := NewTable("Latency", "payload_kb", "µs")
-	a := tab.AddSeries("TCP")
-	b := tab.AddSeries("RDMA")
+	a, b := &ResultSeries{Name: "TCP"}, &ResultSeries{Name: "RDMA"}
+	tab.Series = []*ResultSeries{a, b}
 	a.Points = append(a.Points, Point{1, 100})
 	a.Points = append(a.Points, Point{10, 200})
 	b.Points = append(b.Points, Point{1, 50})
@@ -159,7 +159,8 @@ func TestPropertyMeanBounded(t *testing.T) {
 func TestPropertyTableSortedX(t *testing.T) {
 	prop := func(xs []uint8) bool {
 		tab := NewTable("t", "x", "y")
-		s := tab.AddSeries("s")
+		s := &ResultSeries{Name: "s"}
+		tab.Series = []*ResultSeries{s}
 		for _, x := range xs {
 			s.Points = append(s.Points, Point{float64(x), 1})
 		}

@@ -318,8 +318,7 @@ func (r *Result) Tables() []*Table {
 			byAxis[key] = tab
 			order = append(order, key)
 		}
-		ts := tab.AddSeries(s.Name)
-		ts.Points = append(ts.Points, s.Points...)
+		tab.Series = append(tab.Series, s)
 	}
 	tables := make([]*Table, 0, len(order))
 	for _, key := range order {

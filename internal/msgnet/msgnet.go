@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"rubin/internal/fabric"
-	"rubin/internal/obs"
 	"rubin/internal/transport"
 )
 
@@ -130,12 +129,14 @@ func (o Options) maxWhole() int { return o.Transport.MaxMessage - wholeHeaderLen
 // peer handle created by Dial or accepted by Listen. It is the unit the
 // cluster orchestration holds on to across replica restarts — peers
 // survive a replica crash and are re-attached (or re-dialed) on recovery.
+// When the node's world has a tracer with span recording on, peers emit a
+// "sendq" span for every message that waited in a class queue before
+// reaching the wire.
 type Mesh struct {
-	node   *fabric.Node
-	stack  transport.Stack
-	opts   Options
-	peers  []*Peer
-	tracer *obs.Tracer
+	node  *fabric.Node
+	stack transport.Stack
+	opts  Options
+	peers []*Peer
 
 	// Free lists shared by this mesh's peers (see pool.go): frame
 	// buffers classed by power-of-two capacity, and send-queue items.
@@ -158,11 +159,6 @@ func NewMesh(kind transport.Kind, node *fabric.Node, opts Options) (*Mesh, error
 
 // Node returns the fabric node this mesh runs on.
 func (m *Mesh) Node() *fabric.Node { return m.node }
-
-// SetTracer attaches an observability tracer: with span recording on,
-// peers emit a "sendq" span for every message that waited in a class
-// queue before reaching the wire. A nil tracer detaches.
-func (m *Mesh) SetTracer(t *obs.Tracer) { m.tracer = t }
 
 // Listen accepts inbound peers on a port.
 func (m *Mesh) Listen(port int, accept func(*Peer)) error {

@@ -192,7 +192,7 @@ func (p *Peer) Send(class Class, msg []byte) error {
 		copy(it.msg[wholeHeaderLen:], msg)
 		p.queueFrames++
 	}
-	if p.mesh.tracer.SpansEnabled() {
+	if p.mesh.node.Network().Tracer().SpansEnabled() {
 		it.traced, it.enqAt = true, p.mesh.node.Loop().Now()
 	}
 	p.queues[class].Push(it)
@@ -314,7 +314,7 @@ func (p *Peer) traceDequeue(it *outItem, cls Class) {
 	}
 	now := p.mesh.node.Loop().Now()
 	if now > it.enqAt {
-		p.mesh.tracer.Span("msgnet", "sendq "+cls.String(),
+		p.mesh.node.Network().Tracer().Span("msgnet", "sendq "+cls.String(),
 			p.mesh.node.Name()+"->"+p.Remote().Name(), "", it.enqAt, now)
 	}
 }

@@ -9,17 +9,22 @@
 //
 // The central type is Tracer. A nil *Tracer is the disabled state: every
 // method nil-checks and returns immediately, so instrumented components
-// guard their call sites (`if r.tracer != nil { ... }`) and pay nothing —
-// not even the request-key formatting — when observability is off.
+// guard their call sites (`if tr := node.Network().Tracer(); tr != nil`)
+// and pay nothing — not even the request-key formatting — when
+// observability is off. The tracer belongs to the simulated world
+// (fabric.Network owns it), so whatever joins the world later — a
+// restarted replica, a client added mid-run — is traced without anyone
+// re-attaching it.
 //
 // A Tracer does two jobs:
 //
-//   - Latency attribution: per-request milestone marks (arrive, invoke,
-//     leader receipt, proposal, commit, return) are folded by Finish into
-//     a strict phase partition — queue, order, net, merge, exec — whose
-//     sum equals the end-to-end latency by construction (milestones are
-//     clamped monotone, phases are the gaps). The per-phase recorders
-//     feed the breakdown_* series of experiments E8/E9.
+//   - Latency attribution: per-request milestone marks (the Milestone
+//     constants: arrive, invoke, leader receipt, proposal, read-serve,
+//     commit, return) are folded by Finish into a strict phase partition
+//     — queue, order, net, merge, exec — whose sum equals the end-to-end
+//     latency by construction (milestones are clamped monotone, phases
+//     are the gaps). The per-phase recorders feed the breakdown_* series
+//     of experiments E8/E9.
 //
 //   - Span/counter recording (Options.Spans): finished requests emit a
 //     span tree, components emit extra spans (msgnet send-queue waits,
@@ -69,24 +74,69 @@ type Sample struct {
 	Value float64
 }
 
-// Milestone bits of reqMarks.set.
+// Milestone is one per-request instant a component marks. The constants
+// are declared in clamp order — Finish makes them monotone in exactly
+// this order — and read-serve slots between propose and commit: for a
+// fast-path read neither leader-recv, propose nor commit ever fire, so
+// the clamped partition attributes the whole server-side interval to net
+// plus the serve point, and the sum stays exact because the phases are
+// still the gaps between monotone milestones.
+type Milestone uint8
+
 const (
-	hasArrive = 1 << iota
-	hasInvoke
-	hasLeaderRecv
-	hasPropose
-	hasCommit
-	hasReturn
-	hasReadServe
+	// Arrive: the operation entered the system — before the invoke when
+	// it queued behind the user's previous operation (open loop).
+	Arrive Milestone = iota
+	// Invoke: the client submitted the request to the group.
+	Invoke
+	// LeaderRecv: the leader accepted the request for batching.
+	LeaderRecv
+	// Propose: the leader's proposal carrying this request left (after
+	// the ordering-CPU service completed).
+	Propose
+	// ReadServe: the earliest replica answered a fast-path read
+	// tentatively (no agreement round).
+	ReadServe
+	// Commit: the earliest replica committed and executed the request
+	// (the instant its reply leaves).
+	Commit
+	// Return: the client accepted its F+1 reply quorum.
+	Return
+	numMilestones
+)
+
+// Phase names one latency recorder of a run: the five widths of the
+// request-latency partition and their total, which Finish feeds, and the
+// three waits components feed through Record — off the reply path, so
+// each is reported as its own series rather than a slice of the partition.
+type Phase uint8
+
+const (
+	Queue Phase = iota
+	Order
+	Net
+	Merge
+	Exec
+	Total
+	// MergeWait is one committed-to-merged delay of the COP executor (the
+	// merge barrier sits behind the replies, which leave at commit time).
+	MergeWait
+	// PrepareWait is the PREPARE phase of one cross-shard transaction:
+	// dispatching the prepares until the last participant's vote quorum
+	// lands at the coordinator.
+	PrepareWait
+	// CommitWait is its decision phase: broadcasting COMMIT/ABORT until
+	// the last participant acknowledged applying it.
+	CommitWait
+	numPhases
 )
 
 // reqMarks holds the in-flight milestones of one request. Marks are
 // first-wins: the simulation loop fires events in virtual-time order, so
 // the first call (e.g. the first replica to commit) is the earliest.
 type reqMarks struct {
-	arrive, invoke, leaderRecv, propose, commit, ret sim.Time
-	readServe                                        sim.Time
-	set                                              uint8
+	at  [numMilestones]sim.Time
+	set uint8 // bit m: milestone m was marked
 }
 
 // Tracer collects milestone marks, spans and samples for one benchmark
@@ -95,12 +145,9 @@ type reqMarks struct {
 type Tracer struct {
 	spansOn bool
 
-	marks map[string]*reqMarks
-
-	queue, order, net, merge, exec, total *metrics.Recorder
-	mergeWait                             *metrics.Recorder
-	prepareWait, commitWait               *metrics.Recorder
-	readServed                            int
+	marks      map[string]*reqMarks
+	rec        [numPhases]metrics.Recorder
+	readServed int
 
 	runs    []string
 	spans   *ring[Span]
@@ -110,19 +157,7 @@ type Tracer struct {
 // New creates an enabled tracer. The disabled state is a nil *Tracer, not
 // an Options combination: nil is what makes the off path a true no-op.
 func New(opts Options) *Tracer {
-	t := &Tracer{
-		spansOn:     opts.Spans,
-		marks:       make(map[string]*reqMarks),
-		queue:       metrics.NewRecorder(),
-		order:       metrics.NewRecorder(),
-		net:         metrics.NewRecorder(),
-		merge:       metrics.NewRecorder(),
-		exec:        metrics.NewRecorder(),
-		total:       metrics.NewRecorder(),
-		mergeWait:   metrics.NewRecorder(),
-		prepareWait: metrics.NewRecorder(),
-		commitWait:  metrics.NewRecorder(),
-	}
+	t := &Tracer{spansOn: opts.Spans, marks: make(map[string]*reqMarks)}
 	if opts.Spans {
 		cap := opts.SpanCap
 		if cap <= 0 {
@@ -149,134 +184,36 @@ func (t *Tracer) BeginRun(label string) {
 	}
 	t.runs = append(t.runs, label)
 	t.marks = make(map[string]*reqMarks)
-	t.queue.Reset()
-	t.order.Reset()
-	t.net.Reset()
-	t.merge.Reset()
-	t.exec.Reset()
-	t.total.Reset()
-	t.mergeWait.Reset()
-	t.prepareWait.Reset()
-	t.commitWait.Reset()
+	for p := range t.rec {
+		t.rec[p].Reset()
+	}
 	t.readServed = 0
 }
 
 // run returns the current 1-based run index.
 func (t *Tracer) run() int { return len(t.runs) }
 
-// marksFor returns (creating if needed) the milestone record of a request.
-func (t *Tracer) marksFor(key string) *reqMarks {
-	m := t.marks[key]
-	if m == nil {
-		m = &reqMarks{}
-		t.marks[key] = m
-	}
-	return m
-}
-
-// MarkArrive records when the operation entered the system — before the
-// invoke when it queued behind the user's previous operation (open loop).
-func (t *Tracer) MarkArrive(key string, at sim.Time) {
+// Mark records milestone m of the request named key, first call wins.
+func (t *Tracer) Mark(m Milestone, key string, at sim.Time) {
 	if t == nil {
 		return
 	}
-	m := t.marksFor(key)
-	if m.set&hasArrive == 0 {
-		m.arrive, m.set = at, m.set|hasArrive
+	r := t.marks[key]
+	if r == nil {
+		r = &reqMarks{}
+		t.marks[key] = r
 	}
-}
-
-// MarkInvoke records when the client submitted the request to the group.
-func (t *Tracer) MarkInvoke(key string, at sim.Time) {
-	if t == nil {
-		return
+	if r.set&(1<<m) == 0 {
+		r.at[m], r.set = at, r.set|1<<m
 	}
-	m := t.marksFor(key)
-	if m.set&hasInvoke == 0 {
-		m.invoke, m.set = at, m.set|hasInvoke
-	}
-}
-
-// MarkLeaderRecv records the leader accepting the request for batching.
-func (t *Tracer) MarkLeaderRecv(key string, at sim.Time) {
-	if t == nil {
-		return
-	}
-	m := t.marksFor(key)
-	if m.set&hasLeaderRecv == 0 {
-		m.leaderRecv, m.set = at, m.set|hasLeaderRecv
-	}
-}
-
-// MarkPropose records the instant the leader's proposal carrying this
-// request left (after the ordering-CPU service completed).
-func (t *Tracer) MarkPropose(key string, at sim.Time) {
-	if t == nil {
-		return
-	}
-	m := t.marksFor(key)
-	if m.set&hasPropose == 0 {
-		m.propose, m.set = at, m.set|hasPropose
-	}
-}
-
-// MarkCommit records the earliest replica committing-and-executing the
-// request (the instant its reply leaves; first-wins keeps the earliest).
-func (t *Tracer) MarkCommit(key string, at sim.Time) {
-	if t == nil {
-		return
-	}
-	m := t.marksFor(key)
-	if m.set&hasCommit == 0 {
-		m.commit, m.set = at, m.set|hasCommit
-	}
-}
-
-// MarkReadServe records the earliest replica answering a fast-path read
-// tentatively (no agreement round; first-wins keeps the earliest). It
-// slots between propose and commit in the milestone order: for a
-// fast-path read neither leader-recv, propose nor commit ever fire, so
-// the clamped partition attributes the whole server-side interval to net
-// plus this serve point — and the sum stays exact because the phases are
-// still the gaps between monotone milestones.
-func (t *Tracer) MarkReadServe(key string, at sim.Time) {
-	if t == nil {
-		return
-	}
-	m := t.marksFor(key)
-	if m.set&hasReadServe == 0 {
-		m.readServe, m.set = at, m.set|hasReadServe
-	}
-}
-
-// MarkReturn records the client accepting its F+1 reply quorum.
-func (t *Tracer) MarkReturn(key string, at sim.Time) {
-	if t == nil {
-		return
-	}
-	m := t.marksFor(key)
-	if m.set&hasReturn == 0 {
-		m.ret, m.set = at, m.set|hasReturn
-	}
-}
-
-// clampMark returns the milestone if it is set and not before floor, and
-// floor otherwise — the monotone clamp that makes the phase partition sum
-// exactly to the end-to-end latency even when a milestone was never
-// observed (e.g. a request re-proposed through a view change).
-func clampMark(v sim.Time, has bool, floor sim.Time) sim.Time {
-	if !has || v < floor {
-		return floor
-	}
-	return v
 }
 
 // Finish finalizes one request: its milestones are clamped monotone
-// (arrive <= invoke <= leader-recv <= propose <= commit/exec <= return),
-// folded into the breakdown recorders when the operation was measured,
-// and — with span recording on — emitted as a span tree. The marks entry
-// is dropped, so a long -trace run's memory stays bounded by the requests
-// actually in flight. Finishing an unknown key is a no-op.
+// (arrive <= invoke <= leader-recv <= propose <= read-serve <= commit/exec
+// <= return), folded into the breakdown recorders when the operation was
+// measured, and — with span recording on — emitted as a span tree. The
+// marks entry is dropped, so a long -trace run's memory stays bounded by
+// the requests actually in flight. Finishing an unknown key is a no-op.
 func (t *Tracer) Finish(key string, measured bool) {
 	if t == nil {
 		return
@@ -286,28 +223,34 @@ func (t *Tracer) Finish(key string, measured bool) {
 		return
 	}
 	delete(t.marks, key)
-	if m.set&(hasArrive|hasInvoke) == 0 {
+	if m.set&(1<<Arrive|1<<Invoke) == 0 {
 		return // nothing client-side was ever marked; unattributable
 	}
-	a := m.arrive
-	if m.set&hasArrive == 0 {
-		a = m.invoke
+	// The monotone clamp: a milestone that was never observed (e.g. a
+	// request re-proposed through a view change) or reads before its
+	// predecessor collapses onto it, which is what makes the phase
+	// partition sum exactly to the end-to-end latency.
+	at := m.at
+	floor := at[Arrive]
+	if m.set&(1<<Arrive) == 0 {
+		floor = at[Invoke]
 	}
-	i := clampMark(m.invoke, m.set&hasInvoke != 0, a)
-	s := clampMark(m.leaderRecv, m.set&hasLeaderRecv != 0, i)
-	p := clampMark(m.propose, m.set&hasPropose != 0, s)
-	rs := clampMark(m.readServe, m.set&hasReadServe != 0, p)
-	c := clampMark(m.commit, m.set&hasCommit != 0, rs)
+	for k := range at {
+		if m.set&(1<<k) != 0 && at[k] > floor {
+			floor = at[k]
+		}
+		at[k] = floor
+	}
+	a, i, s, p, rs, c, r := at[Arrive], at[Invoke], at[LeaderRecv], at[Propose], at[ReadServe], at[Commit], at[Return]
 	x := c // exec completes at the commit instant; see Summary.Exec
-	r := clampMark(m.ret, m.set&hasReturn != 0, x)
 	if measured {
-		t.queue.Record(i - a)
-		t.order.Record(p - s)
-		t.net.Record((s - i) + (c - p) + (r - x))
-		t.merge.Record(0) // COP's merge barrier is off the reply path
-		t.exec.Record(x - c)
-		t.total.Record(r - a)
-		if m.set&hasReadServe != 0 {
+		t.rec[Queue].Record(i - a)
+		t.rec[Order].Record(p - s)
+		t.rec[Net].Record((s - i) + (c - p) + (r - x))
+		t.rec[Merge].Record(0) // COP's merge barrier is off the reply path
+		t.rec[Exec].Record(x - c)
+		t.rec[Total].Record(r - a)
+		if m.set&(1<<ReadServe) != 0 {
 			t.readServed++
 		}
 	}
@@ -348,35 +291,13 @@ func (t *Tracer) Sample(name, node string, at sim.Time, value float64) {
 	t.samples.push(Sample{Run: t.run(), Name: name, Node: node, At: at, Value: value})
 }
 
-// RecordMergeWait feeds one committed-to-merged delay of the COP
-// executor. The merge barrier is off the reply path (replies leave at
-// commit time), so this wait is reported as its own series rather than a
-// slice of the request-latency partition.
-func (t *Tracer) RecordMergeWait(d sim.Time) {
+// Record feeds one duration into a phase recorder — MergeWait,
+// PrepareWait or CommitWait; Finish feeds the partition itself.
+func (t *Tracer) Record(p Phase, d sim.Time) {
 	if t == nil {
 		return
 	}
-	t.mergeWait.Record(d)
-}
-
-// RecordPrepareWait feeds the PREPARE phase duration of one cross-shard
-// transaction: dispatching the prepares until the last participant's
-// vote quorum lands at the coordinator.
-func (t *Tracer) RecordPrepareWait(d sim.Time) {
-	if t == nil {
-		return
-	}
-	t.prepareWait.Record(d)
-}
-
-// RecordCommitWait feeds the decision phase duration of one cross-shard
-// transaction: broadcasting COMMIT/ABORT until the last participant
-// acknowledged applying it.
-func (t *Tracer) RecordCommitWait(d sim.Time) {
-	if t == nil {
-		return
-	}
-	t.commitWait.Record(d)
+	t.rec[p].Record(d)
 }
 
 // Summary is the per-run latency attribution: mean widths of the phase
@@ -411,16 +332,15 @@ func (t *Tracer) Summary() Summary {
 	if t == nil {
 		return Summary{}
 	}
+	mean := func(p Phase) sim.Time { return t.rec[p].Mean() }
 	return Summary{
-		Count: t.total.Count(),
-		Queue: t.queue.Mean(), Order: t.order.Mean(), Net: t.net.Mean(),
-		Merge: t.merge.Mean(), Exec: t.exec.Mean(), Total: t.total.Mean(),
-		MergeWait:   t.mergeWait.Mean(),
-		MergeCount:  t.mergeWait.Count(),
-		PrepareWait: t.prepareWait.Mean(),
-		CommitWait:  t.commitWait.Mean(),
-		TxnCount:    t.prepareWait.Count(),
-		FastCount:   t.readServed,
+		Count: t.rec[Total].Count(),
+		Queue: mean(Queue), Order: mean(Order), Net: mean(Net),
+		Merge: mean(Merge), Exec: mean(Exec), Total: mean(Total),
+		MergeWait: mean(MergeWait), MergeCount: t.rec[MergeWait].Count(),
+		PrepareWait: mean(PrepareWait), CommitWait: mean(CommitWait),
+		TxnCount:  t.rec[PrepareWait].Count(),
+		FastCount: t.readServed,
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"rubin/internal/sim"
@@ -13,16 +14,16 @@ import (
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.BeginRun("x")
-	tr.MarkArrive("k", 1)
-	tr.MarkInvoke("k", 2)
-	tr.MarkLeaderRecv("k", 3)
-	tr.MarkPropose("k", 4)
-	tr.MarkCommit("k", 5)
-	tr.MarkReturn("k", 6)
+	tr.Mark(Arrive, "k", 1)
+	tr.Mark(Invoke, "k", 2)
+	tr.Mark(LeaderRecv, "k", 3)
+	tr.Mark(Propose, "k", 4)
+	tr.Mark(Commit, "k", 5)
+	tr.Mark(Return, "k", 6)
 	tr.Finish("k", true)
 	tr.Span("l", "n", "node", "", 1, 2)
 	tr.Sample("c", "node", 1, 2)
-	tr.RecordMergeWait(7)
+	tr.Record(MergeWait, 7)
 	if tr.SpansEnabled() {
 		t.Fatal("nil tracer reports spans enabled")
 	}
@@ -46,12 +47,12 @@ func TestBreakdownPartitionSums(t *testing.T) {
 	tr := New(Options{})
 	tr.BeginRun("run")
 	mark := func(key string, a, i, s, p, c, r sim.Time) {
-		tr.MarkArrive(key, a)
-		tr.MarkInvoke(key, i)
-		tr.MarkLeaderRecv(key, s)
-		tr.MarkPropose(key, p)
-		tr.MarkCommit(key, c)
-		tr.MarkReturn(key, r)
+		tr.Mark(Arrive, key, a)
+		tr.Mark(Invoke, key, i)
+		tr.Mark(LeaderRecv, key, s)
+		tr.Mark(Propose, key, p)
+		tr.Mark(Commit, key, c)
+		tr.Mark(Return, key, r)
 		tr.Finish(key, true)
 	}
 	mark("a", 0, 10, 30, 70, 150, 310)
@@ -81,10 +82,10 @@ func TestFinishClampsMissingAndRetrogradeMarks(t *testing.T) {
 	// No leader-recv/propose marks (e.g. lost through a view change), and
 	// a commit mark that sits before invoke (impossible, but the clamp
 	// must still hold the ordering).
-	tr.MarkArrive("k", 100)
-	tr.MarkInvoke("k", 120)
-	tr.MarkCommit("k", 50)
-	tr.MarkReturn("k", 200)
+	tr.Mark(Arrive, "k", 100)
+	tr.Mark(Invoke, "k", 120)
+	tr.Mark(Commit, "k", 50)
+	tr.Mark(Return, "k", 200)
 	tr.Finish("k", true)
 	s := tr.Summary()
 	if s.Total != 100 {
@@ -102,8 +103,8 @@ func TestFinishUnknownKeyAndUnmeasured(t *testing.T) {
 	tr := New(Options{})
 	tr.BeginRun("run")
 	tr.Finish("never-marked", true) // must not panic or record
-	tr.MarkArrive("warm", 0)
-	tr.MarkReturn("warm", 10)
+	tr.Mark(Arrive, "warm", 0)
+	tr.Mark(Return, "warm", 10)
 	tr.Finish("warm", false) // warmup: marks consumed, nothing recorded
 	if s := tr.Summary(); s.Count != 0 {
 		t.Fatalf("unmeasured finish recorded: %+v", s)
@@ -118,10 +119,10 @@ func TestFinishUnknownKeyAndUnmeasured(t *testing.T) {
 func TestBeginRunResetsAggregation(t *testing.T) {
 	tr := New(Options{})
 	tr.BeginRun("one")
-	tr.MarkArrive("k", 0)
-	tr.MarkReturn("k", 100)
+	tr.Mark(Arrive, "k", 0)
+	tr.Mark(Return, "k", 100)
 	tr.Finish("k", true)
-	tr.RecordMergeWait(50)
+	tr.Record(MergeWait, 50)
 	tr.BeginRun("two")
 	if s := tr.Summary(); s.Count != 0 || s.MergeCount != 0 {
 		t.Fatalf("BeginRun did not reset: %+v", s)
@@ -191,12 +192,12 @@ func TestChromeTraceDeterministicAndValid(t *testing.T) {
 	build := func() []byte {
 		tr := New(Options{Spans: true})
 		tr.BeginRun("point-1")
-		tr.MarkArrive("1/1", 1000)
-		tr.MarkInvoke("1/1", 1500)
-		tr.MarkLeaderRecv("1/1", 2500)
-		tr.MarkPropose("1/1", 4000)
-		tr.MarkCommit("1/1", 9000)
-		tr.MarkReturn("1/1", 12345)
+		tr.Mark(Arrive, "1/1", 1000)
+		tr.Mark(Invoke, "1/1", 1500)
+		tr.Mark(LeaderRecv, "1/1", 2500)
+		tr.Mark(Propose, "1/1", 4000)
+		tr.Mark(Commit, "1/1", 9000)
+		tr.Mark(Return, "1/1", 12345)
 		tr.Finish("1/1", true)
 		tr.Span("msgnet", "sendq bulk", "r0->r1", "", 2000, 2400)
 		tr.Sample("msgnet_queue_bytes", "r0", 5000, 4096)
@@ -239,5 +240,62 @@ func TestChromeTraceDeterministicAndValid(t *testing.T) {
 	}
 	if metas < 3 { // two process names + at least one thread name
 		t.Fatalf("metadata events = %d, want >= 3", metas)
+	}
+}
+
+// TestClampHoldsForEverySubsetOfMilestones is the property the clamp loop
+// in Finish exists for, over all 128 subsets of the seven milestones with
+// seeded, partly retrograde times: whichever marks a request collected,
+// in whatever order their times read, every phase is non-negative, queue +
+// order + net + merge + exec is exactly the total, the span tree tiles the
+// request span — and a request with no client-side mark records nothing.
+func TestClampHoldsForEverySubsetOfMilestones(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for set := 0; set < 1<<numMilestones; set++ {
+		for draw := 0; draw < 16; draw++ {
+			tr := New(Options{Spans: true, SpanCap: 8})
+			tr.BeginRun("run")
+			for m := Milestone(0); m < numMilestones; m++ {
+				if set&(1<<m) == 0 {
+					continue
+				}
+				// Roughly ascending in milestone order, with jitter wide
+				// enough that about a third of neighbours read backwards.
+				tr.Mark(m, "k", sim.Time(1000+100*int(m)+rng.Intn(300)))
+			}
+			tr.Finish("k", true)
+			s := tr.Summary()
+			if set&(1<<Arrive|1<<Invoke) == 0 {
+				if s.Count != 0 || tr.SpanCount() != 0 {
+					t.Fatalf("set %07b: no client-side mark, yet %d requests and %d spans recorded", set, s.Count, tr.SpanCount())
+				}
+				continue
+			}
+			if s.Count != 1 {
+				t.Fatalf("set %07b: recorded %d requests, want 1", set, s.Count)
+			}
+			for name, d := range map[string]sim.Time{"queue": s.Queue, "order": s.Order, "net": s.Net, "merge": s.Merge, "exec": s.Exec, "total": s.Total} {
+				if d < 0 {
+					t.Fatalf("set %07b: %s = %d is negative (%+v)", set, name, d, s)
+				}
+			}
+			if sum := s.Queue + s.Order + s.Net + s.Merge + s.Exec; sum != s.Total {
+				t.Fatalf("set %07b: phases sum to %d, total is %d (%+v)", set, sum, s.Total, s)
+			}
+			if want := set&(1<<ReadServe) != 0; (s.FastCount == 1) != want {
+				t.Fatalf("set %07b: FastCount = %d", set, s.FastCount)
+			}
+			var request, tiled sim.Time
+			tr.spans.each(func(sp Span) {
+				if sp.Name == "request" {
+					request = sp.End - sp.Start
+				} else {
+					tiled += sp.End - sp.Start
+				}
+			})
+			if request != s.Total || tiled != s.Total {
+				t.Fatalf("set %07b: request span %d, sub-spans %d, total %d", set, request, tiled, s.Total)
+			}
+		}
 	}
 }

@@ -55,7 +55,6 @@ type Hosts struct {
 	Meshes  []*msgnet.Mesh
 
 	prefix string
-	tracer *obs.Tracer
 	// Peer dials posted by Start and not yet completed by Await.
 	posted, dialed int
 	dialErr        error
@@ -83,14 +82,11 @@ func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix st
 // Node returns host i's fabric node.
 func (h *Hosts) Node(i int) *fabric.Node { return h.Meshes[i].Node() }
 
-// SetTracer attaches an observability tracer to every host mesh and to
-// the meshes of front-ends created later. A nil tracer detaches.
-func (h *Hosts) SetTracer(t *obs.Tracer) {
-	h.tracer = t
-	for _, mesh := range h.Meshes {
-		mesh.SetTracer(t)
-	}
-}
+// SetTracer gives the hosts' world an observability tracer: every mesh,
+// replica, executor and front-end on the network reads it from there, so
+// ones created later (AddClient meshes, Restart replicas) are traced too.
+// Call before generating traffic; a nil tracer detaches.
+func (h *Hosts) SetTracer(t *obs.Tracer) { h.Network.SetTracer(t) }
 
 // PeakQueueBytes returns the deepest msgnet send queue observed on any
 // host mesh.
@@ -240,7 +236,6 @@ func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances 
 	if err != nil {
 		return nil, err
 	}
-	mesh.SetTracer(h0.tracer)
 	fe := &FrontEnd{Mesh: mesh, loop: h0.Loop}
 	var dialErr error
 	dials, want := 0, 0
@@ -328,7 +323,6 @@ type Cluster struct {
 	Clients []*Client
 
 	appFactory func(i int) Application
-	fronts     []*FrontEnd
 
 	// attachErrs collects re-attach/re-dial failures from Restart; they
 	// surface through AttachErr (and chaos.Schedule.Err).
@@ -337,19 +331,6 @@ type Cluster struct {
 	// OnRestart, if set, is invoked after Restart wires up a fresh
 	// replica — the place to re-attach OnExecute/OnViewChange hooks.
 	OnRestart func(i int, rep *Replica)
-}
-
-// SetTracer attaches an observability tracer to every current replica
-// and mesh, and to ones created later (AddClient meshes, Restart
-// replicas). Call before generating traffic; a nil tracer detaches.
-func (c *Cluster) SetTracer(t *obs.Tracer) {
-	c.Hosts.SetTracer(t)
-	for _, rep := range c.Replicas {
-		rep.SetTracer(t)
-	}
-	for _, fe := range c.fronts {
-		fe.Mesh.SetTracer(t)
-	}
 }
 
 // NewCluster builds N replica nodes (full mesh), opens msgnet meshes of
@@ -398,7 +379,6 @@ func (c *Cluster) AddClient() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.fronts = append(c.fronts, fe)
 	c.Clients = append(c.Clients, fe.Clients[0])
 	return fe.Clients[0], nil
 }
@@ -439,7 +419,6 @@ func (c *Cluster) Restart(i int) error {
 	}
 	c.Replicas[i] = rep
 	c.Apps[i] = app
-	rep.SetTracer(c.tracer)
 	for j, p := range c.peerLinks[i] {
 		if j == i {
 			continue

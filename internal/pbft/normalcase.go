@@ -3,6 +3,7 @@ package pbft
 import (
 	"rubin/internal/auth"
 	"rubin/internal/msgnet"
+	"rubin/internal/obs"
 	"rubin/internal/sim"
 )
 
@@ -53,8 +54,8 @@ func (r *Replica) handleRequest(req Request) {
 		// the leader already has it; backups only watch for progress.
 		return
 	}
-	if r.tracer != nil {
-		r.tracer.MarkLeaderRecv(req.Key(), r.node.Loop().Now())
+	if t := r.tracer(); t != nil {
+		t.Mark(obs.LeaderRecv, req.Key(), r.node.Loop().Now())
 	}
 	r.pending.Push(req)
 	r.proposed[id] = true
@@ -154,10 +155,10 @@ func (r *Replica) proposeBatch() {
 		if r.stopped || r.viewChanging || r.view != pp.View {
 			return
 		}
-		if r.tracer != nil {
+		if t := r.tracer(); t != nil {
 			now := r.node.Loop().Now()
 			for _, req := range pp.Batch {
-				r.tracer.MarkPropose(req.Key(), now)
+				t.Mark(obs.Propose, req.Key(), now)
 			}
 		}
 		r.broadcast(pp)
@@ -311,8 +312,8 @@ func (r *Replica) tryExecute() {
 		r.executed = next
 		proto := r.node.Network().Params().Protocol
 		for _, req := range s.pp.Batch {
-			if r.tracer != nil {
-				r.tracer.MarkCommit(req.Key(), r.node.Loop().Now())
+			if t := r.tracer(); t != nil {
+				t.Mark(obs.Commit, req.Key(), r.node.Loop().Now())
 			}
 			r.node.CPU.Delay(proto.ExecRequest)
 			result := r.app.Execute(req.Op)
@@ -355,8 +356,8 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 	r.node.CPU.Delay(proto.ExecRequest)
 	result := tr.ExecuteReadOnly(req.Op)
 	r.readsServed++
-	if r.tracer != nil {
-		r.tracer.MarkReadServe(req.Key(), r.node.Loop().Now())
+	if t := r.tracer(); t != nil {
+		t.Mark(obs.ReadServe, req.Key(), r.node.Loop().Now())
 	}
 	r.sendToClient(req.Client, Encode(ReadReply{
 		Timestamp: req.Timestamp, Client: req.Client, Replica: r.id,
@@ -378,7 +379,7 @@ func (r *Replica) sendToClient(client uint32, payload []byte) {
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
 	r.deferSend(func() {
 		if err := peer.Send(msgnet.ClassControl, payload); err != nil {
-			r.sendFaults.Inc()
+			r.sendFaults++
 		}
 	})
 }

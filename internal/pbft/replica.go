@@ -5,7 +5,6 @@ import (
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
-	"rubin/internal/metrics"
 	"rubin/internal/msgnet"
 	"rubin/internal/obs"
 	"rubin/internal/sim"
@@ -74,11 +73,10 @@ type Replica struct {
 	onExecute         func(seq uint64, batch []Request)
 	onViewChange      func(newView uint64)
 	onCheckpointAdopt func(seq uint64)
-	tracer            *obs.Tracer
 
 	// sendFaults counts every surfaced delivery failure on this
 	// replica's outbound traffic — nothing is silently discarded.
-	sendFaults *metrics.Counter
+	sendFaults uint64
 
 	// batches digests proposals without materialising their encoding.
 	batches batchDigester
@@ -112,7 +110,6 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		replyCache:   make(map[uint32]Reply),
 		vcVotes:      make(map[uint64]map[uint32]ViewChange),
 		requestStore: make(map[reqID]Request),
-		sendFaults:   metrics.NewCounter(),
 	}
 	r.onProgress = r.progressExpired
 	return r, nil
@@ -145,11 +142,11 @@ func (r *Replica) Stop() {
 // OnExecute installs a hook invoked after each executed batch.
 func (r *Replica) OnExecute(fn func(seq uint64, batch []Request)) { r.onExecute = fn }
 
-// SetTracer attaches an observability tracer recording the request
-// milestones this replica observes (leader receipt, proposal broadcast,
-// commit/execute). A nil tracer — the default — costs one pointer test
-// per milestone site.
-func (r *Replica) SetTracer(t *obs.Tracer) { r.tracer = t }
+// tracer returns the world's observability tracer, which records the
+// request milestones this replica observes (leader receipt, proposal
+// broadcast, read-serve, commit/execute). Nil — the default — costs one
+// pointer test per milestone site.
+func (r *Replica) tracer() *obs.Tracer { return r.node.Network().Tracer() }
 
 // OnViewChange installs a hook invoked when a new view is installed.
 func (r *Replica) OnViewChange(fn func(uint64)) { r.onViewChange = fn }
@@ -175,7 +172,7 @@ func (r *Replica) IsLeader() bool { return r.Leader(r.view) == r.id }
 func (r *Replica) AttachPeer(id uint32, p *msgnet.Peer) {
 	r.peers[id] = p
 	p.OnMessage(func(_ msgnet.Class, raw []byte) { r.handleEnvelope(raw) })
-	p.OnSendError(func(error) { r.sendFaults.Inc() })
+	p.OnSendError(func(error) { r.sendFaults++ })
 }
 
 // AttachInbound consumes messages from a peer-initiated connection
@@ -186,7 +183,7 @@ func (r *Replica) AttachInbound(p *msgnet.Peer) {
 
 // HandleClientConn consumes client requests from a client connection.
 func (r *Replica) HandleClientConn(p *msgnet.Peer) {
-	p.OnSendError(func(error) { r.sendFaults.Inc() })
+	p.OnSendError(func(error) { r.sendFaults++ })
 	p.OnMessage(func(_ msgnet.Class, raw []byte) {
 		msg, err := Decode(raw)
 		if err != nil {
@@ -237,10 +234,10 @@ func (r *Replica) broadcast(m Message) {
 		ids := r.peerIDs()
 		// Peers with no live handle (e.g. mid-re-dial after a Restart)
 		// are delivery failures too — counted, never silently skipped.
-		r.sendFaults.Add(uint64(r.cfg.N - 1 - len(ids)))
+		r.sendFaults += uint64(r.cfg.N - 1 - len(ids))
 		for _, id := range ids {
 			if err := r.peers[id].Send(cls, env); err != nil {
-				r.sendFaults.Inc()
+				r.sendFaults++
 			}
 		}
 	})
@@ -260,7 +257,7 @@ func classFor(t MsgType) msgnet.Class {
 
 // SendFaults returns the surfaced delivery failures of this replica
 // instance (reported by experiments E5/E7).
-func (r *Replica) SendFaults() uint64 { return r.sendFaults.Value() }
+func (r *Replica) SendFaults() uint64 { return r.sendFaults }
 
 // peerIDs returns connected peers in ascending order so send order (and
 // therefore the simulation) is deterministic. The returned slice aliases a
@@ -289,7 +286,7 @@ func (r *Replica) equivocate(pp PrePrepare, goodEnv []byte) {
 			env = badEnv
 		}
 		if err := r.peers[id].Send(msgnet.ClassControl, env); err != nil {
-			r.sendFaults.Inc()
+			r.sendFaults++
 		}
 	}
 }
@@ -301,7 +298,7 @@ func (r *Replica) send(to uint32, m Message) {
 	}
 	peer := r.peers[to]
 	if peer == nil {
-		r.sendFaults.Inc() // no live handle: a delivery failure, not a silent skip
+		r.sendFaults++ // no live handle: a delivery failure, not a silent skip
 		return
 	}
 	env, size := r.seal(m)
@@ -309,7 +306,7 @@ func (r *Replica) send(to uint32, m Message) {
 	cls := classFor(m.msgType())
 	r.deferSend(func() {
 		if err := peer.Send(cls, env); err != nil {
-			r.sendFaults.Inc()
+			r.sendFaults++
 		}
 	})
 }

@@ -134,7 +134,7 @@ func TestFetcherRejectsCorruptPart(t *testing.T) {
 	if !hashed || stored {
 		t.Fatalf("corrupt part: hashed=%v stored=%v, want digested and refused", hashed, stored)
 	}
-	if x.fetch.rejects.Value() != 1 || !x.fetch.banned[2] || x.fetch.xfers[2] != nil {
+	if x.fetch.rejects != 1 || !x.fetch.banned[2] || x.fetch.xfers[2] != nil {
 		t.Fatal("corrupt sender was not dropped, banned and counted")
 	}
 	if x.fetch.offerManifest(x.dst, 0, 2, x.manifest(2, 1)) {
@@ -150,8 +150,8 @@ func TestFetcherRejectsCorruptPart(t *testing.T) {
 	}
 	lie := x.manifest(3, 1)
 	lie.Root[0] ^= 0xFF
-	if x.fetch.offerManifest(x.dst, 0, 3, lie) || x.fetch.rejects.Value() != 3 {
-		t.Fatalf("inconsistent manifest accepted (rejects=%d)", x.fetch.rejects.Value())
+	if x.fetch.offerManifest(x.dst, 0, 3, lie) || x.fetch.rejects != 3 {
+		t.Fatalf("inconsistent manifest accepted (rejects=%d)", x.fetch.rejects)
 	}
 }
 

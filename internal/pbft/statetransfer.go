@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"rubin/internal/auth"
-	"rubin/internal/metrics"
 	"rubin/internal/sim"
 )
 
@@ -44,15 +43,14 @@ type stateFetcher struct {
 	transfers uint64
 	// rejects counts every manifest or partition that failed verification
 	// (each one dropped and banned its sender).
-	rejects *metrics.Counter
+	rejects uint64
 }
 
 func newStateFetcher(cfg Config) *stateFetcher {
 	return &stateFetcher{
-		cfg:     cfg,
-		xfers:   make(map[uint32]*stateXfer),
-		banned:  make(map[uint32]bool),
-		rejects: metrics.NewCounter(),
+		cfg:    cfg,
+		xfers:  make(map[uint32]*stateXfer),
+		banned: make(map[uint32]bool),
 	}
 }
 
@@ -104,7 +102,7 @@ func (f *stateFetcher) offerPart(sender uint32, m StatePart) (hashed, stored boo
 // reject drops a sender's in-progress transfer after a failed
 // verification and bans it until the next successful adoption.
 func (f *stateFetcher) reject(sender uint32) {
-	f.rejects.Inc()
+	f.rejects++
 	delete(f.xfers, sender)
 	f.banned[sender] = true
 }
@@ -264,7 +262,7 @@ func (r *Replica) StateTransfers() uint64 { return r.fetch.transfers }
 
 // StateRejects returns how many transfer manifests or partitions failed
 // digest verification on arrival (each one dropped its sender).
-func (r *Replica) StateRejects() uint64 { return r.fetch.rejects.Value() }
+func (r *Replica) StateRejects() uint64 { return r.fetch.rejects }
 
 // StateBytesServed returns the serialized partition bytes this replica
 // shipped to fetching peers.

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
+	"rubin/internal/model"
 	"rubin/internal/pbft"
 	"rubin/internal/raceflag"
 	"rubin/internal/sim"
@@ -223,7 +225,8 @@ func TestDrainFormatsNothing(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	cfg := DefaultConfig()
-	g := &Group{Hosts: &pbft.Hosts{Loop: sim.NewLoop(1)}, Config: cfg}
+	loop := sim.NewLoop(1)
+	g := &Group{Hosts: &pbft.Hosts{Loop: loop, Network: fabric.New(loop, model.Default())}, Config: cfg}
 	e := newExecutor(g, 0)
 	g.Executors = []*Executor{e}
 

@@ -109,24 +109,6 @@ func (g *Group) EnableReadFastPath(timeout sim.Time) {
 	}
 }
 
-// SetTracer attaches an observability tracer to every instance replica,
-// executor and mesh, including client meshes created later by AddClient.
-// Call before generating traffic; a nil tracer detaches.
-func (g *Group) SetTracer(t *obs.Tracer) {
-	g.Hosts.SetTracer(t)
-	for _, reps := range g.Instances {
-		for _, rep := range reps {
-			rep.SetTracer(t)
-		}
-	}
-	for _, e := range g.Executors {
-		e.tracer = t
-	}
-	for _, cl := range g.clients {
-		cl.Mesh.SetTracer(t)
-	}
-}
-
 // NewGroup assembles the deployment on a fresh simulation loop.
 // appFactory provides the node-local state machine shared by all
 // instances on that node (instances order disjoint partitions, so
@@ -246,10 +228,9 @@ type Executor struct {
 	// peakBacklog is the largest Backlog observed — the merge-pressure
 	// high watermark E8/E9 report.
 	peakBacklog int
-	// Observability: with a tracer attached, deliverAt remembers when
-	// each buffered batch committed so the merge can report how long the
-	// barrier sat on it (RecordMergeWait + "merge-wait" spans).
-	tracer    *obs.Tracer
+	// Observability: while the group's world has a tracer, deliverAt
+	// remembers when each buffered batch committed so the merge can report
+	// how long the barrier sat on it (obs.MergeWait + "merge-wait" spans).
 	deliverAt map[slotKey]sim.Time
 }
 
@@ -312,7 +293,7 @@ func (e *Executor) deliver(instance int, seq uint64, batch []pbft.Request) {
 	if b := e.Backlog(); b > e.peakBacklog {
 		e.peakBacklog = b
 	}
-	if e.tracer != nil {
+	if e.group.Network.Tracer() != nil {
 		if e.deliverAt == nil {
 			e.deliverAt = make(map[slotKey]sim.Time)
 		}
@@ -358,13 +339,13 @@ func (e *Executor) drain() {
 			return
 		}
 		delete(e.ready[e.cursor], e.round)
-		if e.tracer != nil {
+		if t := e.group.Network.Tracer(); t != nil {
 			if at, ok := e.deliverAt[slotKey{e.cursor, e.round}]; ok {
 				delete(e.deliverAt, slotKey{e.cursor, e.round})
 				now := e.group.Loop.Now()
-				e.tracer.RecordMergeWait(now - at)
+				t.Record(obs.MergeWait, now-at)
 				if now > at {
-					e.tracer.Span("reptor", "merge-wait",
+					t.Span("reptor", "merge-wait",
 						fmt.Sprintf("%s/i%d", e.group.Node(e.node).Name(), e.cursor), "", at, now)
 				}
 			}

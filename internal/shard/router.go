@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rubin/internal/kvstore"
+	"rubin/internal/obs"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
 )
@@ -167,8 +168,8 @@ func (r *Router) invoke2PC(id, payload string, done func([]byte)) string {
 func (r *Router) decide(id string, parts []kvstore.Participant, commit bool, results [][]byte, start sim.Time, traceID string, done func([]byte)) {
 	loop := r.dep.Loop
 	voted := loop.Now()
-	if t := r.dep.tracer; t != nil {
-		t.RecordPrepareWait(voted - start)
+	if t := r.dep.Network.Tracer(); t != nil {
+		t.Record(obs.PrepareWait, voted-start)
 		t.Span("shard", "2pc-prepare", r.Mesh.Node().Name(), traceID, start, voted)
 	}
 	decision, want, span := kvstore.EncodeCommit(id), kvstore.TxnCommitted, "2pc-commit"
@@ -185,8 +186,8 @@ func (r *Router) decide(id string, parts []kvstore.Participant, commit bool, res
 			}
 			if pending--; pending == 0 {
 				end := loop.Now()
-				if t := r.dep.tracer; t != nil {
-					t.RecordCommitWait(end - voted)
+				if t := r.dep.Network.Tracer(); t != nil {
+					t.Record(obs.CommitWait, end-voted)
 					t.Span("shard", span, r.Mesh.Node().Name(), traceID, voted, end)
 				}
 				if commit {

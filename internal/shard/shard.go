@@ -64,7 +64,6 @@ type Deployment struct {
 	Clusters []*pbft.Cluster
 
 	routers []*Router
-	tracer  *obs.Tracer
 
 	// readFastPath, when non-zero, enables the read-only fast path on
 	// every router (existing and future) with this fallback timeout.
@@ -128,17 +127,10 @@ func (d *Deployment) Start() error {
 	return nil
 }
 
-// SetTracer attaches an observability tracer to every group and router
-// mesh. Call before generating traffic; a nil tracer detaches.
-func (d *Deployment) SetTracer(t *obs.Tracer) {
-	d.tracer = t
-	for _, cl := range d.Clusters {
-		cl.SetTracer(t)
-	}
-	for _, r := range d.routers {
-		r.Mesh.SetTracer(t)
-	}
-}
+// SetTracer gives the deployment's world an observability tracer: every
+// group, router and mesh on the shared network reads it from there. Call
+// before generating traffic; a nil tracer detaches.
+func (d *Deployment) SetTracer(t *obs.Tracer) { d.Network.SetTracer(t) }
 
 // SendFaults sums surfaced delivery failures across every group.
 func (d *Deployment) SendFaults() uint64 {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 
 	"rubin/internal/fabric"
@@ -108,16 +109,12 @@ func (s *rdmaStack) dispatch(keys []*rubin.SelectionKey) {
 // channel is message-oriented already, so no framing is needed) and spills
 // into an overflow queue under backpressure.
 type rdmaConn struct {
-	stack   *rdmaStack
-	ch      *rubin.Channel
-	key     *rubin.SelectionKey
-	onMsg   func([]byte)
-	onClose func()
-	onDrain func()
-	closed  bool
+	connCore
+	stack *rdmaStack
+	ch    *rubin.Channel
+	key   *rubin.SelectionKey
 
 	overflow sim.Queue[[]byte]
-	inbox    sim.Queue[[]byte]
 }
 
 var _ Conn = (*rdmaConn)(nil)
@@ -125,17 +122,6 @@ var _ Conn = (*rdmaConn)(nil)
 func (c *rdmaConn) Kind() Kind { return KindRDMA }
 
 func (c *rdmaConn) Peer() *fabric.Node { return c.ch.Peer() }
-
-func (c *rdmaConn) OnMessage(fn func([]byte)) {
-	c.onMsg = fn
-	for c.inbox.Len() > 0 && c.onMsg != nil {
-		c.onMsg(c.inbox.Pop())
-	}
-}
-
-func (c *rdmaConn) OnClose(fn func()) { c.onClose = fn }
-
-func (c *rdmaConn) OnDrain(fn func()) { c.onDrain = fn }
 
 // Unsent counts messages spilled past the work-request pool. Messages the
 // channel already owns WRs for are NIC-queued, not software backlog.
@@ -149,12 +135,12 @@ func (c *rdmaConn) Send(msg []byte) error {
 		return fmt.Errorf("%w: %d", ErrTooBig, len(msg))
 	}
 	if c.overflow.Len() > 0 {
-		c.overflow.Push(cloneBytes(msg))
+		c.overflow.Push(bytes.Clone(msg))
 		return nil
 	}
 	err := c.ch.Send(msg)
 	if err == rubin.ErrWouldBlock {
-		c.overflow.Push(cloneBytes(msg))
+		c.overflow.Push(bytes.Clone(msg))
 		c.key.SetInterest(rubin.OpReceive | rubin.OpSend)
 		return nil
 	}
@@ -174,7 +160,7 @@ func (c *rdmaConn) retry() {
 			return
 		}
 		if err != nil {
-			c.teardown()
+			c.teardown(c.key)
 			return
 		}
 		c.overflow.Pop()
@@ -193,20 +179,16 @@ func (c *rdmaConn) drain() {
 			break
 		}
 		if c.ch.Closed() {
-			c.teardown()
+			c.teardown(c.key)
 			return
 		}
 		// Per-message handler dispatch on the selector thread (cheaper
 		// than TCP's: the channel is already message-oriented).
 		c.stack.sel.Thread().Delay(params.Selector.MsgHandle)
-		if c.onMsg != nil {
-			c.onMsg(msg)
-		} else {
-			c.inbox.Push(msg)
-		}
+		c.deliver(msg)
 	}
 	if c.ch.Closed() {
-		c.teardown()
+		c.teardown(c.key)
 	}
 }
 
@@ -215,24 +197,5 @@ func (c *rdmaConn) Close() {
 		return
 	}
 	c.ch.Close()
-	c.teardown()
-}
-
-func (c *rdmaConn) teardown() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if c.key != nil {
-		c.key.Cancel()
-	}
-	if c.onClose != nil {
-		c.onClose()
-	}
-}
-
-func cloneBytes(b []byte) []byte {
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
+	c.teardown(c.key)
 }

@@ -121,6 +121,51 @@ func NewStack(kind Kind, node *fabric.Node, opts Options) (Stack, error) {
 	}
 }
 
+// connCore is what a connection is on either backend: the three
+// callbacks, the inbox of messages delivered before OnMessage installed
+// one, and a teardown that runs once. tcpConn and rdmaConn embed it.
+type connCore struct {
+	onMsg   func([]byte)
+	onClose func()
+	onDrain func()
+	closed  bool
+	inbox   sim.Queue[[]byte]
+}
+
+func (c *connCore) OnMessage(fn func([]byte)) {
+	c.onMsg = fn
+	for c.inbox.Len() > 0 && c.onMsg != nil {
+		c.onMsg(c.inbox.Pop())
+	}
+}
+
+func (c *connCore) OnClose(fn func()) { c.onClose = fn }
+
+func (c *connCore) OnDrain(fn func()) { c.onDrain = fn }
+
+// deliver hands one received message up, or parks it in the inbox.
+func (c *connCore) deliver(msg []byte) {
+	if c.onMsg != nil {
+		c.onMsg(msg)
+	} else {
+		c.inbox.Push(msg)
+	}
+}
+
+// teardown marks the connection closed, cancels its selection key and
+// fires OnClose — once, however many paths (Close, a failed write, a
+// dead channel seen by drain) get there.
+func (c *connCore) teardown(key interface{ Cancel() }) {
+	if c.closed {
+		return
+	}
+	c.closed = true
+	key.Cancel()
+	if c.onClose != nil {
+		c.onClose()
+	}
+}
+
 // ---------------------------------------------------------------------------
 // TCP / Java-NIO backend
 // ---------------------------------------------------------------------------
@@ -210,19 +255,15 @@ func (s *tcpStack) dispatch(keys []*nio.SelectionKey) {
 // tcpConn frames messages with a 4-byte big-endian length prefix and
 // coalesces up to Batch messages per write syscall.
 type tcpConn struct {
-	stack   *tcpStack
-	conn    *tcpsim.Conn
-	ch      *nio.SocketChannel
-	key     *nio.SelectionKey
-	onMsg   func([]byte)
-	onClose func()
-	onDrain func()
-	closed  bool
+	connCore
+	stack *tcpStack
+	conn  *tcpsim.Conn
+	ch    *nio.SocketChannel
+	key   *nio.SelectionKey
 
 	// Reassembly state: acc is the user-space receive buffer, holding
 	// what read() returned and deframing has not yet consumed.
-	acc   bytes.Buffer
-	inbox sim.Queue[[]byte]
+	acc bytes.Buffer
 
 	// Send side: out is the user-space send buffer, the frames Send
 	// accepted back to back; sendQ holds the length of each entry in it —
@@ -237,17 +278,6 @@ var _ Conn = (*tcpConn)(nil)
 
 func (c *tcpConn) Kind() Kind         { return KindTCP }
 func (c *tcpConn) Peer() *fabric.Node { return c.conn.RemoteNode() }
-
-func (c *tcpConn) OnMessage(fn func([]byte)) {
-	c.onMsg = fn
-	for c.inbox.Len() > 0 && c.onMsg != nil {
-		c.onMsg(c.inbox.Pop())
-	}
-}
-
-func (c *tcpConn) OnClose(fn func()) { c.onClose = fn }
-
-func (c *tcpConn) OnDrain(fn func()) { c.onDrain = fn }
 
 func (c *tcpConn) Unsent() int { return c.sendQ.Len() }
 
@@ -293,7 +323,7 @@ func (c *tcpConn) flush() {
 		// own bytes.
 		wrote, err := c.conn.Write(c.out.Bytes()[:size])
 		if err != nil {
-			c.teardown()
+			c.teardown(c.key)
 			return
 		}
 		c.out.Next(wrote)
@@ -322,7 +352,7 @@ func (c *tcpConn) drain() {
 		return
 	}
 	if c.ch.Closed() {
-		c.teardown()
+		c.teardown(c.key)
 		return
 	}
 	for {
@@ -333,7 +363,7 @@ func (c *tcpConn) drain() {
 		c.acc.Grow(window)
 		n, err := c.ch.Read(c.acc.AvailableBuffer()[:window])
 		if err != nil {
-			c.teardown()
+			c.teardown(c.key)
 			return
 		}
 		if n == 0 {
@@ -357,11 +387,7 @@ func (c *tcpConn) drain() {
 		// Deframing plus handler dispatch costs real selector-thread
 		// time per message.
 		c.stack.st.AppThread().Delay(params.TCP.MsgHandle)
-		if c.onMsg != nil {
-			c.onMsg(msg)
-		} else {
-			c.inbox.Push(msg)
-		}
+		c.deliver(msg)
 	}
 }
 
@@ -370,18 +396,5 @@ func (c *tcpConn) Close() {
 		return
 	}
 	c.conn.Close()
-	c.teardown()
-}
-
-func (c *tcpConn) teardown() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if c.key != nil {
-		c.key.Cancel()
-	}
-	if c.onClose != nil {
-		c.onClose()
-	}
+	c.teardown(c.key)
 }

@@ -125,7 +125,7 @@ type Driver struct {
 
 	// Open-loop bookkeeping: arrivals hitting a busy user queue behind it.
 	busy     []bool
-	queued   [][]sim.Time
+	queued   []sim.Queue[sim.Time]
 	nextUser int
 	arrivals int
 }
@@ -148,7 +148,7 @@ func New(loop *sim.Loop, cfg Config, invoke Invoker) (*Driver, error) {
 		rec:    metrics.NewRecorder(),
 		total:  cfg.Ops + cfg.Warmup,
 		busy:   make([]bool, cfg.Users),
-		queued: make([][]sim.Time, cfg.Users),
+		queued: make([]sim.Queue[sim.Time], cfg.Users),
 		paths:  make(map[string]bool),
 	}, nil
 }
@@ -204,7 +204,7 @@ func (d *Driver) arrive(at sim.Time) {
 	u := d.nextUser
 	d.nextUser = (d.nextUser + 1) % d.cfg.Users
 	if d.busy[u] {
-		d.queued[u] = append(d.queued[u], at)
+		d.queued[u].Push(at)
 		return
 	}
 	d.issue(u, at)
@@ -250,8 +250,8 @@ func (d *Driver) issue(user int, arrive sim.Time) {
 	// Safe after the invoke: replies cross the simulated network, so done
 	// cannot have fired synchronously at this same event.
 	if d.tracer != nil && traceID != "" {
-		d.tracer.MarkArrive(traceID, rec.Arrive)
-		d.tracer.MarkInvoke(traceID, rec.Invoke)
+		d.tracer.Mark(obs.Arrive, traceID, rec.Arrive)
+		d.tracer.Mark(obs.Invoke, traceID, rec.Invoke)
 	}
 }
 
@@ -297,7 +297,7 @@ func (d *Driver) complete(rec Op, traceID string, res []byte) {
 	ret := d.loop.Now()
 	measured := rec.Measured
 	if d.tracer != nil && traceID != "" {
-		d.tracer.MarkReturn(traceID, ret)
+		d.tracer.Mark(obs.Return, traceID, ret)
 		d.tracer.Finish(traceID, measured)
 	}
 	rec.Return = ret
@@ -335,10 +335,8 @@ func (d *Driver) complete(rec Op, traceID string, res []byte) {
 		return
 	}
 	d.busy[user] = false
-	if q := d.queued[user]; len(q) > 0 {
-		at := q[0]
-		d.queued[user] = q[1:]
-		d.issue(user, at)
+	if q := &d.queued[user]; q.Len() > 0 {
+		d.issue(user, q.Pop())
 	}
 }
 
