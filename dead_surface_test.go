@@ -28,8 +28,10 @@ kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without n
 kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket/setBucket for all 256
 kvstore.Store.LockHolder — probe the kvstore and shard tests share: who holds a 2PC write lock
 main.knobFlags.Set — flag.Value, called by package flag
-msgnet.Peer.OnRecvError — how a caller learns why an inbound frame was rejected; production only counts them
+msgnet.Peer.Close — how the msgnet tests reach connClosed: queued messages are reported as failed through the send-error surface, never silently discarded
+msgnet.Peer.OnClose — the teardown callback of that same path, which the tests watch
 msgnet.Peer.OnWritable — the release edge after ErrBacklog; pbft drops instead of waiting, large state transfers should wait (ROADMAP O15(3))
+nio.SocketChannel.Close — how the nio tests produce the peer close a selector must report as read-readiness, the edge msgnet's connClosed path above starts from; transport closes the tcpsim.Conn itself
 pbft.Replica.Stable — probe the pbft, chaos and shard tests share: last stable checkpoint
 raceflag.Enabled — allocation gates in fourteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
@@ -47,8 +49,13 @@ tcpsim.Conn.Established — probe the tcpsim and nio tests share
 // that no non-test file references — surface only tests call is a second
 // copy of something, or nothing at all (ROADMAP O17). References from
 // benchmark/ and examples/ count as uses. A method also counts as used
-// when an interface declared in the tree, fmt.Stringer or error has a
-// method of that name, since it may be called through that interface.
+// when it may be called through an interface: some named type whose method
+// set holds it — declared on the type or promoted from an embedded one —
+// has a method of every name that an interface declared in the tree,
+// fmt.Stringer or error asks for. (By name, not by signature: a method set
+// that answers every name of an interface is one somebody meant to pass as
+// it.) A lone method that merely shares its name with an interface method
+// somewhere — a Close nobody calls — is surface like any other.
 func TestDeadSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	// One importer for the whole walk: it caches every package it
@@ -80,7 +87,6 @@ func TestDeadSurface(t *testing.T) {
 
 	type decl struct {
 		id     string // pkg.Name or pkg.Type.Method
-		method string // its name, for a method
 		used   bool   // by a non-test file
 		tested bool   // by a _test.go file
 	}
@@ -90,7 +96,8 @@ func TestDeadSurface(t *testing.T) {
 	}
 	decls := map[string]*decl{} // by declaration position
 	var uses []use
-	ifaceMethods := map[string]bool{"String": true, "Error": true}
+	ifaces := [][]string{{"String"}, {"Error"}} // method names of every interface in the tree
+	var methodSets []map[string]string          // per named type: method name -> position of its declaration
 	at := func(pos token.Pos) string { return strings.TrimPrefix(fset.Position(pos).String(), root+"/") }
 	// By Position, not File: the implicit interface go/types wraps an inline
 	// constraint ([S string | []byte]) in has no position and so no file.
@@ -129,11 +136,20 @@ func TestDeadSurface(t *testing.T) {
 					continue
 				}
 				it := tv.Type.Underlying().(*types.Interface)
+				var names []string
 				for i := 0; i < it.NumMethods(); i++ {
-					ifaceMethods[it.Method(i).Name()] = true
+					names = append(names, it.Method(i).Name())
 				}
+				ifaces = append(ifaces, names)
 			}
 			for ident, obj := range info.Defs {
+				if tn, ok := obj.(*types.TypeName); ok && !inTest(ident.Pos()) && !types.IsInterface(tn.Type()) {
+					set := map[string]string{}
+					for ms, i := types.NewMethodSet(types.NewPointer(tn.Type())), 0; i < ms.Len(); i++ {
+						set[ms.At(i).Obj().Name()] = at(ms.At(i).Obj().Pos())
+					}
+					methodSets = append(methodSets, set)
+				}
 				if obj == nil || !counted || ident.Name == "_" || inTest(ident.Pos()) {
 					continue
 				}
@@ -147,7 +163,7 @@ func TestDeadSurface(t *testing.T) {
 					if !ok || types.IsInterface(named) {
 						continue // a method of an interface type is a requirement, not surface
 					}
-					d.id, d.method = pkg.Name()+"."+named.Obj().Name()+"."+obj.Name(), obj.Name()
+					d.id = pkg.Name() + "." + named.Obj().Name() + "." + obj.Name()
 				} else if obj.Parent() != pkg.Scope() || obj.Name() == "main" || obj.Name() == "init" {
 					continue
 				}
@@ -166,6 +182,21 @@ func TestDeadSurface(t *testing.T) {
 			d.tested = d.tested || u.test
 		}
 	}
+	for _, names := range ifaces {
+	nextSet:
+		for _, set := range methodSets {
+			for _, name := range names {
+				if set[name] == "" {
+					continue nextSet
+				}
+			}
+			for _, name := range names {
+				if d := decls[set[name]]; d != nil {
+					d.used = true
+				}
+			}
+		}
+	}
 
 	allowed := map[string]bool{}
 	for _, line := range strings.Split(strings.TrimSpace(deadSurfaceAllowed), "\n") {
@@ -180,7 +211,7 @@ func TestDeadSurface(t *testing.T) {
 	}
 	var dead []string
 	for pos, d := range decls {
-		if d.used || ifaceMethods[d.method] {
+		if d.used {
 			continue
 		}
 		if _, ok := allowed[d.id]; ok {

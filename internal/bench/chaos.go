@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"rubin/internal/chaos"
+	"rubin/internal/fabric"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/pbft"
@@ -185,10 +186,11 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 			return ChaosResult{}, fmt.Errorf("bench: phase %q committed nothing (cluster wedged — check payload/transport limits)", phases[i].Name)
 		}
 	}
-	perReplica := make([]int, len(d.meshes))
-	for i, mesh := range d.meshes {
-		perReplica[i] = mesh.PeakQueueBytes()
+	perReplica := make([]int, len(d.hosts))
+	for i, node := range d.hosts {
+		perReplica[i] = int(fabric.Fold(node)["msgnet.peak_queue_bytes"])
 	}
+	stats := d.stats()
 	views := make([]uint64, len(cluster.Replicas))
 	for i, rep := range cluster.Replicas {
 		views[i] = rep.View()
@@ -201,8 +203,8 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 		Phases:                   phases,
 		Trace:                    trace,
 		StateTransfers:           cluster.Replicas[0].StateTransfers(),
-		SendFaults:               d.sendFaults(),
-		PeakQueueBytes:           d.peakQueueBytes(),
+		SendFaults:               uint64(stats["pbft.send_faults"]),
+		PeakQueueBytes:           int(stats["msgnet.peak_queue_bytes"]),
 		PeakQueueBytesPerReplica: perReplica,
 	}, nil
 }

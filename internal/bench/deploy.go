@@ -2,11 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 
+	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
 	"rubin/internal/model"
-	"rubin/internal/msgnet"
 	"rubin/internal/obs"
 	"rubin/internal/pbft"
 	"rubin/internal/reptor"
@@ -22,8 +23,6 @@ import (
 type frontEnd interface {
 	InvokeOp(op []byte, done func([]byte)) string
 	SetReadPathHook(fn func(key string, fast bool))
-	FastReads() uint64
-	FastReadFallbacks() uint64
 	Outstanding() int
 }
 
@@ -76,25 +75,25 @@ func (s deploySpec) appFactory() func(int) pbft.Application {
 }
 
 // deployment is one system under test, built and ready for load: the
-// loop to drive, the replica meshes and executors to observe, one
-// front-end per connection to submit through, and the end-of-run health
-// checks. The three constructors differ only in what they build.
+// loop to drive, the simulated world whose stat tables say what happened,
+// one front-end per connection to submit through, and the end-of-run
+// health checks. The three constructors differ only in what they build.
 type deployment struct {
-	loop   *sim.Loop
-	tr     *obs.Tracer        // nil for untraced runs
-	meshes []*msgnet.Mesh     // every replica host
-	execs  []*reptor.Executor // COP only: one per host
+	loop *sim.Loop
+	tr   *obs.Tracer // nil for untraced runs
+	nw   *fabric.Network
+	// hosts are the replica machines: the network's nodes as the started
+	// system left them, before the first front-end machine joined.
+	hosts  []*fabric.Node
 	fronts []frontEnd
 	// submit sends raw bytes down connection conn's default route with no
 	// kvstore routing — what putLoop drives: E8's COP axis routes by hash
 	// of the bytes (reptor.Client.Invoke), not by key. nil for sharded
 	// deployments, which have no default route.
-	submit     workload.Invoker
-	sendFaults func() uint64
+	submit workload.Invoker
 
-	cluster   *pbft.Cluster   // plain PBFT only: fault-injection and replica-probe handle
-	instances int             // COP only: K
-	routers   []*shard.Router // sharded only: 2PC counters and errors
+	cluster *pbft.Cluster   // plain PBFT only: fault-injection and replica-probe handle
+	routers []*shard.Router // sharded only: 2PC protocol errors
 }
 
 // up brings a built system to the ready state in the one order every run
@@ -108,6 +107,7 @@ func (d *deployment) up(s deploySpec, sys interface {
 	if err := sys.Start(); err != nil {
 		return err
 	}
+	d.hosts = d.nw.Nodes()
 	if s.label != "" {
 		d.tr = benchTracer(s.trace, s.label)
 		sys.SetTracer(d.tr)
@@ -119,7 +119,7 @@ func (d *deployment) up(s deploySpec, sys interface {
 		}
 		d.fronts = append(d.fronts, fe)
 	}
-	startSamplers(d.tr, d.loop, d.meshes, d.execs)
+	startSamplers(d.tr, d.loop, d.hosts)
 	return nil
 }
 
@@ -129,7 +129,7 @@ func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &deployment{loop: c.Loop, meshes: c.Meshes, cluster: c, sendFaults: c.SendFaults}
+	d := &deployment{loop: c.Loop, nw: c.Network, cluster: c}
 	d.submit = func(conn int, op []byte, done func([]byte)) string { return c.Clients[conn].Invoke(op, done) }
 	return d, d.up(s, c, func() (frontEnd, error) {
 		cl, err := c.AddClient()
@@ -158,7 +158,7 @@ func newCOP(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.P
 	if s.readTimeout > 0 {
 		g.EnableReadFastPath(s.readTimeout)
 	}
-	d := &deployment{loop: g.Loop, meshes: g.Meshes, execs: g.Executors, instances: instances, sendFaults: g.SendFaults}
+	d := &deployment{loop: g.Loop, nw: g.Network}
 	var cls []*reptor.Client
 	d.submit = func(conn int, op []byte, done func([]byte)) string { return cls[conn].Invoke(op, done) }
 	return d, d.up(s, g, func() (frontEnd, error) {
@@ -187,10 +187,7 @@ func newShards(s deploySpec, shards int, params model.Params) (*deployment, erro
 	if err != nil {
 		return nil, err
 	}
-	d := &deployment{loop: dep.Loop, sendFaults: dep.SendFaults}
-	for _, cl := range dep.Clusters {
-		d.meshes = append(d.meshes, cl.Meshes...)
-	}
+	d := &deployment{loop: dep.Loop, nw: dep.Network}
 	return d, d.up(s, dep, func() (frontEnd, error) {
 		r, err := dep.AddRouter()
 		d.routers = append(d.routers, r)
@@ -198,27 +195,26 @@ func newShards(s deploySpec, shards int, params model.Params) (*deployment, erro
 	})
 }
 
-// peakQueueBytes is the deepest msgnet send queue any replica saw.
-func (d *deployment) peakQueueBytes() int {
-	peak := 0
-	for _, mesh := range d.meshes {
-		if q := mesh.PeakQueueBytes(); q > peak {
-			peak = q
-		}
-	}
-	return peak
+// stats folds the stat tables — the one place the harness does: every
+// machine's counters, and for a name the replica hosts register (queue
+// depth, CPU, send and receive errors) the hosts' own value, which is what
+// those columns and the health gate have always meant.
+func (d *deployment) stats() map[string]float64 {
+	all := fabric.Fold(d.nw.Nodes()...)
+	maps.Copy(all, fabric.Fold(d.hosts...))
+	return all
 }
 
-// check is the end-of-run health gate: a run on a fault-free network
-// must have surfaced no send faults, left no executor holding committed
-// batches, no front-end holding invocations, and no 2PC protocol error.
+// check is the end-of-run health gate. After a run on a fault-free network
+// four stats must read 0 — no delivery failure surfaced to a replica or its
+// mesh, no inbound frame rejected, no executor holding committed batches —
+// no front-end may still hold an invocation, and no router may have seen a
+// 2PC protocol error.
 func (d *deployment) check() error {
-	if n := d.sendFaults(); n != 0 {
-		return fmt.Errorf("bench: %d send faults on a healthy network", n)
-	}
-	for i, ex := range d.execs {
-		if b := ex.Backlog(); b != 0 {
-			return fmt.Errorf("bench: node %d executor stalled with %d committed-but-unmerged batches", i, b)
+	stats := d.stats()
+	for _, name := range []string{"pbft.send_faults", "msgnet.send_errors", "msgnet.recv_errors", "executor_backlog"} {
+		if v := stats[name]; v != 0 {
+			return fmt.Errorf("bench: %s = %v on a healthy network", name, v)
 		}
 	}
 	for i, r := range d.routers {
@@ -236,8 +232,7 @@ func (d *deployment) check() error {
 
 // TrafficResult is one measurement point of a replicated-system run —
 // the fixed-key closed loop (E5, E8) or a traffic experiment (E9–E11) —
-// whatever the deployment shape; counters a shape or load generator does
-// not have stay zero.
+// whatever the deployment shape.
 type TrafficResult struct {
 	P50, P90, P99, P999 sim.Time // latency percentiles, arrival to reply
 	Mean                sim.Time // mean latency (the breakdown partitions it)
@@ -249,32 +244,13 @@ type TrafficResult struct {
 	// Breakdown attributes the mean latency to protocol phases;
 	// Breakdown.Total equals Mean up to integer-mean rounding.
 	Breakdown obs.Summary
-	// PeakQueueBytes is the deepest msgnet send queue any replica saw.
-	PeakQueueBytes int
-	// LeaderCPU is the highest CPU utilization across replica nodes — the
-	// saturation signal that decides whether parallelizing the ordering
-	// stage can pay off at all. SendFaults counts the delivery failures
-	// msgnet surfaced across replicas (check fails a run that has any).
-	LeaderCPU  float64
-	SendFaults uint64
-	// COP executor health: heartbeat fill slots summed across nodes, the
-	// largest adaptive heartbeat delay any instance backed off to, and the
-	// deepest committed-but-unmerged backlog any node's executor held.
-	HeartbeatSlots    uint64
-	HeartbeatDelayMax sim.Time
-	PeakBacklog       int
-	// Read fast-path counters summed across connections: reads served by
-	// 2F+1 matching tentative replies, and reads that timed out or
-	// mismatched and retried through the ordered path.
-	FastReads     uint64
-	FastFallbacks uint64
+	// Stats is the deployment's folded stat table as the run left it (see
+	// deployment.stats; docs/ARCHITECTURE.md lists the names): what the
+	// statColumns plot. A name the shape does not register reads 0.
+	Stats map[string]float64
 	// FastOps is the number of history operations the oracle saw tagged
 	// as fast-path-served; the checkers treat them identically.
 	FastOps int
-	// Sharded deployments: transactions committed through 2PC and LOCKED
-	// resubmissions by the routers.
-	CrossShardTxns uint64
-	LockRetries    uint64
 }
 
 // runWorkload drives one workload configuration through the deployment's
@@ -311,39 +287,13 @@ func (d *deployment) runWorkload(wcfg workload.Config) (TrafficResult, error) {
 // latency statistics of its measured samples and what the deployment
 // itself counted during the run.
 func (d *deployment) result(rec *metrics.Recorder) TrafficResult {
-	r := TrafficResult{
+	return TrafficResult{
 		P50: rec.Percentile(50), P90: rec.Percentile(90),
 		P99: rec.Percentile(99), P999: rec.Percentile(99.9),
-		Mean:           rec.Mean(),
-		Breakdown:      d.tr.Summary(),
-		PeakQueueBytes: d.peakQueueBytes(),
-		SendFaults:     d.sendFaults(),
+		Mean:      rec.Mean(),
+		Breakdown: d.tr.Summary(),
+		Stats:     d.stats(),
 	}
-	for _, mesh := range d.meshes {
-		if u := mesh.Node().CPU.Utilization(); u > r.LeaderCPU {
-			r.LeaderCPU = u
-		}
-	}
-	for _, fe := range d.fronts {
-		r.FastReads += fe.FastReads()
-		r.FastFallbacks += fe.FastReadFallbacks()
-	}
-	for _, ex := range d.execs {
-		r.HeartbeatSlots += ex.HeartbeatSlots()
-		if pb := ex.PeakBacklog(); pb > r.PeakBacklog {
-			r.PeakBacklog = pb
-		}
-		for k := 0; k < d.instances; k++ {
-			if hb := ex.HeartbeatDelay(k); hb > r.HeartbeatDelayMax {
-				r.HeartbeatDelayMax = hb
-			}
-		}
-	}
-	for _, rt := range d.routers {
-		r.CrossShardTxns += rt.CrossShardTxns()
-		r.LockRetries += rt.Retries()
-	}
-	return r
 }
 
 // trafficWorkload assembles the workload description the traffic

@@ -68,16 +68,15 @@ func init() {
 // that silently degraded to ordering is a failed experiment, not a
 // slow one), and a fast-path-off point must never use it.
 func e11Check(r TrafficResult, fast bool, readPct int) error {
+	reads, fallbacks := r.Stats["pbft.fast_reads"], r.Stats["pbft.fast_read_fallbacks"]
 	if !fast {
-		if r.FastReads != 0 || r.FastFallbacks != 0 {
-			return fmt.Errorf("bench: fast path off but served %d fast reads, %d fallbacks",
-				r.FastReads, r.FastFallbacks)
+		if reads != 0 || fallbacks != 0 {
+			return fmt.Errorf("bench: fast path off but served %v fast reads, %v fallbacks", reads, fallbacks)
 		}
 		return nil
 	}
-	if readPct > 0 && r.FastReads == 0 {
-		return fmt.Errorf("bench: fast path on with %d%% reads served none fast (%d fallbacks)",
-			readPct, r.FastFallbacks)
+	if readPct > 0 && reads == 0 {
+		return fmt.Errorf("bench: fast path on with %d%% reads served none fast (%v fallbacks)", readPct, fallbacks)
 	}
 	return nil
 }

@@ -91,14 +91,15 @@ func TestRunTrafficCOPFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.FastReads == 0 {
-		t.Fatalf("COP run served no fast reads (fallbacks=%d)", r.FastFallbacks)
+	fastReads := r.Stats["pbft.fast_reads"]
+	if fastReads == 0 {
+		t.Fatalf("COP run served no fast reads (fallbacks=%v)", r.Stats["pbft.fast_read_fallbacks"])
 	}
 	if r.FastOps == 0 {
 		t.Fatal("history recorded no fast-path operations")
 	}
-	if r.FastOps > int(r.FastReads) {
-		t.Fatalf("history tags %d fast ops but clients served only %d", r.FastOps, r.FastReads)
+	if r.FastOps > int(fastReads) {
+		t.Fatalf("history tags %d fast ops but clients served only %v", r.FastOps, fastReads)
 	}
 }
 
@@ -118,9 +119,8 @@ func TestRunTrafficFastPathOffIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.FastReads != 0 || r.FastFallbacks != 0 || r.FastOps != 0 {
-		t.Fatalf("fast path leaked into a disabled run: reads=%d fallbacks=%d ops=%d",
-			r.FastReads, r.FastFallbacks, r.FastOps)
+	if reads, fallbacks := r.Stats["pbft.fast_reads"], r.Stats["pbft.fast_read_fallbacks"]; reads != 0 || fallbacks != 0 || r.FastOps != 0 {
+		t.Fatalf("fast path leaked into a disabled run: reads=%v fallbacks=%v ops=%d", reads, fallbacks, r.FastOps)
 	}
 }
 

@@ -1,9 +1,8 @@
 package bench
 
 import (
-	"rubin/internal/msgnet"
+	"rubin/internal/fabric"
 	"rubin/internal/obs"
-	"rubin/internal/reptor"
 	"rubin/internal/sim"
 )
 
@@ -25,25 +24,25 @@ func benchTracer(shared *obs.Tracer, label string) *obs.Tracer {
 // backlog time-series samplers attached to span-traced runs.
 const samplePeriod = 250 * sim.Microsecond
 
-// startSamplers attaches the time-series samplers of one run — per-node
-// msgnet queue bytes, per-node CPU utilization and (for COP) per-node
-// executor backlog — when span recording is on. Samplers are pure
-// observers on the loop: they read counters and record samples, so they
-// cannot perturb the run being measured, and the sampler group stops
-// re-arming once only its own ticks remain (the loop still drains).
-func startSamplers(tr *obs.Tracer, loop *sim.Loop, meshes []*msgnet.Mesh, execs []*reptor.Executor) {
+// startSamplers attaches the time-series samplers of one run — every
+// level-kind stat the replica hosts register: CPU utilization, msgnet queue
+// bytes and (for COP) executor backlog, one series per name and node — when
+// span recording is on. Samplers are pure observers on the loop: they read
+// the stat tables and record samples, so they cannot perturb the run being
+// measured, and the sampler group stops re-arming once only its own ticks
+// remain (the loop still drains).
+func startSamplers(tr *obs.Tracer, loop *sim.Loop, hosts []*fabric.Node) {
 	if !tr.SpansEnabled() {
 		return
 	}
 	g := obs.NewSamplerGroup(loop)
 	g.Every(samplePeriod, func(now sim.Time) {
-		for _, mesh := range meshes {
-			node := mesh.Node()
-			tr.Sample("msgnet_queue_bytes", node.Name(), now, float64(mesh.QueueBytes()))
-			tr.Sample("cpu_util", node.Name(), now, node.CPU.Utilization())
-		}
-		for i, ex := range execs {
-			tr.Sample("executor_backlog", meshes[i].Node().Name(), now, float64(ex.Backlog()))
+		for _, node := range hosts {
+			node.EachStat(func(name string, kind fabric.StatKind, v float64) {
+				if kind == fabric.StatLevel {
+					tr.Sample(name, node.Name(), now, v)
+				}
+			})
 		}
 	})
 }

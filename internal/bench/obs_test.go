@@ -64,8 +64,8 @@ func TestBreakdownPartitionsMeanLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertPartition(t, "RunTraffic", traffic.Breakdown, traffic.Mean)
-	if traffic.PeakQueueBytes <= 0 {
-		t.Errorf("traffic run saw no msgnet queueing (peak %d bytes)", traffic.PeakQueueBytes)
+	if peak := traffic.Stats["msgnet.peak_queue_bytes"]; peak <= 0 {
+		t.Errorf("traffic run saw no msgnet queueing (peak %v bytes)", peak)
 	}
 }
 

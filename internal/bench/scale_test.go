@@ -29,8 +29,8 @@ func TestBFTScalesWithN(t *testing.T) {
 			if res.Mean <= 0 || res.Goodput <= 0 {
 				t.Fatalf("%s N=%d: degenerate result %+v", kind, n, res)
 			}
-			if res.SendFaults != 0 {
-				t.Errorf("%s N=%d: %d send faults on a healthy network", kind, n, res.SendFaults)
+			if faults := res.Stats["pbft.send_faults"]; faults != 0 {
+				t.Errorf("%s N=%d: %v send faults on a healthy network", kind, n, faults)
 			}
 			lats[n] = res.Mean.Micros()
 		}

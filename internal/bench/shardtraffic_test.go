@@ -96,7 +96,7 @@ func TestRunShardTrafficCrossShard(t *testing.T) {
 	if r.Completed != 65 || r.HistoryOps != 65 {
 		t.Fatalf("completed %d, history %d, want 65", r.Completed, r.HistoryOps)
 	}
-	if r.CrossShardTxns == 0 {
+	if r.Stats["shard.cross_shard_txns"] == 0 {
 		t.Fatal("no transactions went through 2PC despite an 80% cross-shard share")
 	}
 	if r.Goodput <= 0 || r.P50 <= 0 || r.P999 < r.P50 {

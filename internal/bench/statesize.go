@@ -167,10 +167,6 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 	if healthy.Count() == 0 || recovered.Count() == 0 {
 		return StateSizeResult{}, fmt.Errorf("bench: E12 phase committed nothing (prefill=%d empty-restart=%v %s)", cfg.Prefill, cfg.EmptyRestart, cfg.Kind)
 	}
-	var served uint64
-	for _, rep := range cluster.Replicas {
-		served += rep.StateBytesServed()
-	}
 	cpCount, cpBytes := cluster.Replicas[0].CheckpointSteadyStats()
 	var meanCp uint64
 	var pause sim.Time
@@ -184,7 +180,7 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 		SteadyCheckpointBytes: meanCp,
 		CheckpointPause:       pause,
 		Recovery:              recovery,
-		TransferBytes:         served,
+		TransferBytes:         uint64(d.stats()["pbft.state_bytes_served"]),
 		StateTransfers:        cluster.Replicas[3].StateTransfers(),
 		StateRejects:          cluster.Replicas[3].StateRejects(),
 		HealthyTput:           metrics.Throughput(healthy.Count(), e12Crash),

@@ -139,14 +139,23 @@ type column struct {
 	value        func(TrafficResult) float64
 }
 
+// statColumn plots one name of the run's folded stat table.
+func statColumn(metric, unit, stat string) column {
+	return column{metric, unit, func(r TrafficResult) float64 { return r.Stats[stat] }}
+}
+
 var (
+	// colLeaderCPU is the highest CPU utilization across replica nodes — the
+	// saturation signal that decides whether parallelizing the ordering
+	// stage can pay off at all.
+	colLeaderCPU = statColumn(metrics.MetricLeaderCPU, "utilization", "cpu_util")
+
 	colMean           = column{metrics.MetricLatencyMean, "us", func(r TrafficResult) float64 { return r.Mean.Micros() }}
 	colP99            = column{metrics.MetricLatencyP99, "us", func(r TrafficResult) float64 { return r.P99.Micros() }}
 	colThroughput     = column{metrics.MetricThroughput, "req/s", func(r TrafficResult) float64 { return r.Goodput }}
-	colSendFaults     = column{metrics.MetricSendFaults, "count", func(r TrafficResult) float64 { return float64(r.SendFaults) }}
-	colLeaderCPU      = column{metrics.MetricLeaderCPU, "utilization", func(r TrafficResult) float64 { return r.LeaderCPU }}
-	colPeakQueue      = column{metrics.MetricPeakQueueBytes, "bytes", func(r TrafficResult) float64 { return float64(r.PeakQueueBytes) }}
-	colHeartbeatSlots = column{metrics.MetricHeartbeatSlots, "count", func(r TrafficResult) float64 { return float64(r.HeartbeatSlots) }}
+	colSendFaults     = statColumn(metrics.MetricSendFaults, "count", "pbft.send_faults")
+	colPeakQueue      = statColumn(metrics.MetricPeakQueueBytes, "bytes", "msgnet.peak_queue_bytes")
+	colHeartbeatSlots = statColumn(metrics.MetricHeartbeatSlots, "count", "reptor.heartbeat_slots")
 	colMergeWait      = column{metrics.MetricMergeWait, "us", func(r TrafficResult) float64 { return r.Breakdown.MergeWait.Micros() }}
 	// breakdownColumns partition the measured end-to-end latency: per
 	// point, queue + order + net + merge + exec equals the latency_mean
@@ -162,22 +171,22 @@ var (
 	// wait, reported for COP systems only.
 	copColumns = []column{
 		colHeartbeatSlots,
-		{metrics.MetricHeartbeatDelay, "us", func(r TrafficResult) float64 { return r.HeartbeatDelayMax.Micros() }},
-		{metrics.MetricPeakBacklog, "count", func(r TrafficResult) float64 { return float64(r.PeakBacklog) }},
+		statColumn(metrics.MetricHeartbeatDelay, "us", "reptor.heartbeat_delay_us"),
+		statColumn(metrics.MetricPeakBacklog, "count", "reptor.peak_backlog"),
 		colMergeWait,
 	}
 	// fastColumns are reported for fast-path-on combos only.
 	fastColumns = []column{
-		{metrics.MetricFastReads, "count", func(r TrafficResult) float64 { return float64(r.FastReads) }},
-		{metrics.MetricFastFallbacks, "count", func(r TrafficResult) float64 { return float64(r.FastFallbacks) }},
+		statColumn(metrics.MetricFastReads, "count", "pbft.fast_reads"),
+		statColumn(metrics.MetricFastFallbacks, "count", "pbft.fast_read_fallbacks"),
 	}
 	// shardColumns are E10's: committed goodput (the headline scaling
 	// curve), the abort/2PC/retry counters and the 2PC phase waits.
 	shardColumns = []column{
 		{metrics.MetricCommittedGoodput, "op/s", func(r TrafficResult) float64 { return r.CommittedGoodput }},
 		{metrics.MetricAbortedTxns, "count", func(r TrafficResult) float64 { return float64(r.Aborted) }},
-		{metrics.MetricCrossShardTxns, "count", func(r TrafficResult) float64 { return float64(r.CrossShardTxns) }},
-		{metrics.MetricLockRetries, "count", func(r TrafficResult) float64 { return float64(r.LockRetries) }},
+		statColumn(metrics.MetricCrossShardTxns, "count", "shard.cross_shard_txns"),
+		statColumn(metrics.MetricLockRetries, "count", "shard.lock_retries"),
 		{metrics.MetricPrepareWait, "us", func(r TrafficResult) float64 { return r.Breakdown.PrepareWait.Micros() }},
 		{metrics.MetricCommitWait, "us", func(r TrafficResult) float64 { return r.Breakdown.CommitWait.Micros() }},
 		colPeakQueue,

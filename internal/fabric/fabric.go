@@ -57,6 +57,7 @@ type Network struct {
 	loop   *sim.Loop
 	params model.Params
 	nodes  map[string]*Node
+	order  []*Node // nodes in creation order
 	tracer *obs.Tracer
 
 	frames sim.FreeList[frame] // delivered frames' records
@@ -95,12 +96,17 @@ func (nw *Network) AddNode(name string) *Node {
 		CPU:  sim.NewResource(nw.loop, name+"/cpu", nw.params.Host.Cores),
 		NIC:  sim.NewResource(nw.loop, name+"/nic", nw.params.Host.NICEngines),
 	}
+	n.Gauge("cpu_util", StatLevel, n.CPU.Utilization)
 	nw.nodes[name] = n
+	nw.order = append(nw.order, n)
 	return n
 }
 
 // Node returns the named node, or nil if absent.
 func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
+
+// Nodes returns every node in creation order.
+func (nw *Network) Nodes() []*Node { return nw.order }
 
 // Connect creates (or returns the existing) full-duplex link between two
 // nodes using the network's link parameters.
@@ -167,6 +173,7 @@ type Node struct {
 
 	handlers [ProtoRDMA + 1]Handler // by Protocol
 	links    []*Link                // by peer id, filled by Connect; nil where unconnected
+	stats    []stat                 // the stat table, in registration order (stats.go)
 }
 
 // Name returns the node's unique name.

@@ -39,7 +39,7 @@ func SendAllocsPerOp(runs, payloadLen int) float64 {
 	loop := sim.NewLoop(1)
 	nw := fabric.New(loop, model.Default())
 	node := nw.AddNode("alloc-probe")
-	m := &Mesh{node: node, opts: DefaultOptions()}
+	m := newMesh(node, nil, DefaultOptions())
 	p := m.wrap(&nullConn{remote: node})
 	msg := make([]byte, payloadLen)
 	warm := func() {

@@ -50,7 +50,7 @@ func fuzzPeer() *Peer {
 	node := nw.AddNode("rx")
 	opts := DefaultOptions()
 	opts.Transport.MaxMessage = 128 // small chunks so short inputs span several
-	mesh := &Mesh{node: node, opts: opts}
+	mesh := newMesh(node, nil, opts)
 	return &Peer{mesh: mesh, streams: make(map[uint64]*inStream)}
 }
 
@@ -102,8 +102,8 @@ func FuzzChunkReassembly(f *testing.F) {
 		if len(delivered) != 1 || !bytes.Equal(delivered[0], msg) {
 			t.Fatalf("clean reassembly failed: delivered %d messages", len(delivered))
 		}
-		if p.recvErrs != 0 {
-			t.Fatalf("clean reassembly surfaced %d errors", p.recvErrs)
+		if *p.mesh.recvErrs != 0 {
+			t.Fatalf("clean reassembly surfaced %d errors", *p.mesh.recvErrs)
 		}
 
 		// Corrupted run on a fresh stream: flip one bit of one frame.
@@ -129,7 +129,7 @@ func FuzzChunkReassembly(f *testing.F) {
 				t.Fatalf("mis-reassembly: corrupted stream delivered a different %d-byte message", len(m))
 			}
 		}
-		if len(delivered) == 0 && p.recvErrs == 0 {
+		if len(delivered) == 0 && *p.mesh.recvErrs == 0 {
 			t.Fatal("corrupted stream vanished without a surfaced receive error")
 		}
 	})

@@ -138,6 +138,10 @@ type Mesh struct {
 	opts  Options
 	peers []*Peer
 
+	// The node's stat-table cells this mesh's peers bump: surfaced send
+	// failures, rejected inbound frames, deepest send queue of any peer.
+	sendErrs, recvErrs, peakQueue *uint64
+
 	// Free lists shared by this mesh's peers (see pool.go): frame
 	// buffers classed by power-of-two capacity, and send-queue items.
 	bufFree  [bufClasses][][]byte
@@ -154,7 +158,18 @@ func NewMesh(kind transport.Kind, node *fabric.Node, opts Options) (*Mesh, error
 	if err != nil {
 		return nil, err
 	}
-	return &Mesh{node: node, stack: stack, opts: opts}, nil
+	return newMesh(node, stack, opts), nil
+}
+
+// newMesh registers the mesh's stats on its node.
+func newMesh(node *fabric.Node, stack transport.Stack, opts Options) *Mesh {
+	m := &Mesh{node: node, stack: stack, opts: opts,
+		sendErrs:  node.Counter("msgnet.send_errors"),
+		recvErrs:  node.Counter("msgnet.recv_errors"),
+		peakQueue: node.Peak("msgnet.peak_queue_bytes"),
+	}
+	node.Gauge("msgnet_queue_bytes", fabric.StatLevel, func() float64 { return float64(m.QueueBytes()) })
+	return m
 }
 
 // Node returns the fabric node this mesh runs on.
@@ -183,21 +198,9 @@ func (m *Mesh) Dial(remote *fabric.Node, port int, done func(*Peer, error)) {
 	})
 }
 
-// PeakQueueBytes returns the largest send-queue depth any peer of this
-// mesh has observed — the queue-depth metric the bench layer reports.
-func (m *Mesh) PeakQueueBytes() int {
-	peak := 0
-	for _, p := range m.peers {
-		if p.peakQueueBytes > peak {
-			peak = p.peakQueueBytes
-		}
-	}
-	return peak
-}
-
 // QueueBytes returns the bytes currently waiting in the send queues of
-// all peers — the instantaneous counterpart of PeakQueueBytes, sampled
-// by the observability layer's queue-depth time series.
+// all peers — the instantaneous counterpart of msgnet.peak_queue_bytes,
+// registered as the msgnet_queue_bytes level traced runs sample.
 func (m *Mesh) QueueBytes() int {
 	n := 0
 	for _, p := range m.peers {
@@ -206,14 +209,8 @@ func (m *Mesh) QueueBytes() int {
 	return n
 }
 
-// SendErrors sums the surfaced send failures across this mesh's peers.
-func (m *Mesh) SendErrors() uint64 {
-	var n uint64
-	for _, p := range m.peers {
-		n += p.sendErrs
-	}
-	return n
-}
+// SendErrors returns the send failures surfaced by this mesh's peers.
+func (m *Mesh) SendErrors() uint64 { return *m.sendErrs }
 
 func (m *Mesh) wrap(conn transport.Conn) *Peer {
 	p := &Peer{

@@ -133,8 +133,8 @@ func TestFragmentationRoundTrip(t *testing.T) {
 					t.Errorf("%s: payload mismatch (%d bytes delivered)", tc.name, len(g.msg))
 				}
 			}
-			if p.ba.recvErrs != 0 || p.ab.sendErrs != 0 {
-				t.Errorf("recvErrs=%d sendErrs=%d, want 0/0", p.ba.recvErrs, p.ab.sendErrs)
+			if *p.ba.mesh.recvErrs != 0 || *p.ab.mesh.sendErrs != 0 {
+				t.Errorf("recvErrs=%d sendErrs=%d, want 0/0", *p.ba.mesh.recvErrs, *p.ab.mesh.sendErrs)
 			}
 		})
 	}
@@ -280,7 +280,7 @@ func TestCloseDropsLateChunksAndReportsQueued(t *testing.T) {
 			// message stuck in the msgnet queue with no surfaced failure —
 			// frames already handed to the substrate are the NIC's loss,
 			// like any real network.
-			if p.ab.QueueBytes() != 0 && p.ab.sendErrs == 0 && !p.ab.Closed() {
+			if p.ab.QueueBytes() != 0 && *p.ab.mesh.sendErrs == 0 && !p.ab.Closed() {
 				t.Errorf("queued bytes stranded with no surfaced failure (sendErr=%v)", sendErr)
 			}
 		})
@@ -298,8 +298,8 @@ func TestDispatchAfterCloseIsInert(t *testing.T) {
 	payload := pattern(100, 1)
 	p.ba.dispatch(encodeWhole(ClassControl, payload))
 	p.ba.dispatch(encodeChunk(ClassBulk, 1, 0, 2, auth.Hash(payload), auth.Digest{}, payload))
-	if delivered != 0 || p.ba.recvErrs != 0 {
-		t.Errorf("closed peer delivered=%d recvErrs=%d, want 0/0", delivered, p.ba.recvErrs)
+	if delivered != 0 || *p.ba.mesh.recvErrs != 0 {
+		t.Errorf("closed peer delivered=%d recvErrs=%d, want 0/0", delivered, *p.ba.mesh.recvErrs)
 	}
 }
 
@@ -347,9 +347,6 @@ func TestCorruptChunkRejectedWithoutWedging(t *testing.T) {
 		copy(cp, m)
 		delivered = append(delivered, cp)
 	})
-	var recvErrs []error
-	in.OnRecvError(func(err error) { recvErrs = append(recvErrs, err) })
-
 	c0, c1 := pattern(64, 1), pattern(64, 2)
 	send := func(frame []byte) {
 		loop.Post(func() {
@@ -374,8 +371,8 @@ func TestCorruptChunkRejectedWithoutWedging(t *testing.T) {
 	// As must a plain whole frame.
 	send(encodeWhole(ClassControl, []byte("still alive")))
 
-	if len(recvErrs) != 2 || in.recvErrs != 2 {
-		t.Fatalf("recv errors = %d (%v), want 2", in.recvErrs, recvErrs)
+	if got := *in.mesh.recvErrs; got != 2 {
+		t.Fatalf("msgnet.recv_errors = %d, want 2", got)
 	}
 	want := append(append([]byte{}, c0...), c1...)
 	if len(delivered) != 2 || !bytes.Equal(delivered[0], want) || string(delivered[1]) != "still alive" {
@@ -415,11 +412,11 @@ func TestBackpressureWatermarks(t *testing.T) {
 	if rejected == 0 {
 		t.Fatal("32 KB of sends never hit the 8 KB high watermark")
 	}
-	if got := p.ab.sendErrs; got != uint64(rejected) {
+	if got := *p.ab.mesh.sendErrs; got != uint64(rejected) {
 		t.Errorf("SendErrors = %d, want %d rejected sends", got, rejected)
 	}
-	if p.ab.peakQueueBytes < opts.LowWaterBytes {
-		t.Errorf("peak queue %d below low watermark", p.ab.peakQueueBytes)
+	if int(*p.ab.mesh.peakQueue) < opts.LowWaterBytes {
+		t.Errorf("peak queue %d below low watermark", *p.ab.mesh.peakQueue)
 	}
 	p.loop.Run()
 	if delivered != accepted {
@@ -439,7 +436,7 @@ func probePeer(opts Options) (*sim.Loop, *Peer) {
 	loop := sim.NewLoop(1)
 	nw := fabric.New(loop, model.Default())
 	node := nw.AddNode("probe")
-	m := &Mesh{node: node, opts: opts}
+	m := newMesh(node, nil, opts)
 	return loop, m.wrap(&nullConn{remote: node})
 }
 

@@ -68,14 +68,10 @@ type Peer struct {
 	nextStream  uint64
 	pumpFn      func()
 
-	// Error surface and stats.
-	onClose        func()
-	onSendErr      func(error)
-	onRecvErr      func(error)
-	onWritable     func()
-	sendErrs       uint64
-	recvErrs       uint64
-	peakQueueBytes int
+	// Error surface; the counts live in the mesh's stat cells.
+	onClose    func()
+	onSendErr  func(error)
+	onWritable func()
 }
 
 type inboxEntry struct {
@@ -117,11 +113,6 @@ func (p *Peer) OnClose(fn func()) { p.onClose = fn }
 // counting in the hook and checking Send's return never double-reports
 // or under-reports a failure.
 func (p *Peer) OnSendError(fn func(error)) { p.onSendErr = fn }
-
-// OnRecvError installs a callback for rejected inbound frames. The
-// stream the frame belonged to is dropped; other streams and subsequent
-// messages are unaffected.
-func (p *Peer) OnRecvError(fn func(error)) { p.onRecvErr = fn }
 
 // OnWritable installs the backpressure-release callback: after a Send
 // has been rejected with ErrBacklog, it fires once the queue drains to
@@ -197,8 +188,8 @@ func (p *Peer) Send(class Class, msg []byte) error {
 	}
 	p.queues[class].Push(it)
 	p.queueBytes += framed
-	if p.queueBytes > p.peakQueueBytes {
-		p.peakQueueBytes = p.queueBytes
+	if peak := p.mesh.peakQueue; uint64(p.queueBytes) > *peak {
+		*peak = uint64(p.queueBytes)
 	}
 	p.arm()
 	return nil
@@ -206,7 +197,7 @@ func (p *Peer) Send(class Class, msg []byte) error {
 
 // sendFail counts and returns a synchronous send error.
 func (p *Peer) sendFail(err error) error {
-	p.sendErrs++
+	*p.mesh.sendErrs++
 	return err
 }
 
@@ -342,7 +333,7 @@ func (p *Peer) substrateDrained() {
 
 // asyncSendFail surfaces a substrate-level send failure.
 func (p *Peer) asyncSendFail(err error) {
-	p.sendErrs++
+	*p.mesh.sendErrs++
 	if p.onSendErr != nil {
 		p.onSendErr(err)
 	}
@@ -378,7 +369,7 @@ func (p *Peer) connClosed() {
 	p.suspended = false
 	p.streams = make(map[uint64]*inStream)
 	if dropped > 0 {
-		p.sendErrs += uint64(dropped)
+		*p.mesh.sendErrs += uint64(dropped)
 		if p.onSendErr != nil {
 			// One invocation per dropped message, matching the counter,
 			// so per-invocation consumers tally the same total.
@@ -400,12 +391,8 @@ func (p *Peer) dispatch(raw []byte) {
 		return // frames (including late chunks) after Close are dropped
 	}
 	f, err := decodeFrame(raw)
-	if err != nil {
-		p.recvFail(err)
-		return
-	}
-	if int(f.class) >= numClasses {
-		p.recvFail(fmt.Errorf("msgnet: frame with invalid class %d", f.class))
+	if err != nil || int(f.class) >= numClasses {
+		p.recvFail() // malformed, or of a class nobody defined
 		return
 	}
 	if f.kind == frameWhole {
@@ -415,17 +402,13 @@ func (p *Peer) dispatch(raw []byte) {
 	p.chargeDigest(len(f.payload))
 	if auth.Hash(f.payload) != f.digest {
 		delete(p.streams, f.stream)
-		p.recvFail(fmt.Errorf("msgnet: chunk %d of stream %d fails its digest", f.index, f.stream))
+		p.recvFail() // the chunk fails its digest
 		return
 	}
 	st := p.streams[f.stream]
 	if st == nil {
-		if f.index != 0 {
-			p.recvFail(fmt.Errorf("msgnet: stream %d starts at chunk %d", f.stream, f.index))
-			return
-		}
-		if f.count < 1 || int(f.count) > p.maxChunks() {
-			p.recvFail(fmt.Errorf("msgnet: stream %d advertises %d chunks", f.stream, f.count))
+		if f.index != 0 || f.count < 1 || int(f.count) > p.maxChunks() {
+			p.recvFail() // starts past its first chunk, or advertises none or too many
 			return
 		}
 		st = &inStream{class: f.class, count: f.count, parts: make([][]byte, 0, f.count)}
@@ -433,7 +416,7 @@ func (p *Peer) dispatch(raw []byte) {
 	}
 	if f.index != st.next || f.count != st.count || f.class != st.class || f.prev != st.prev {
 		delete(p.streams, f.stream)
-		p.recvFail(fmt.Errorf("msgnet: chunk chain broken on stream %d (chunk %d)", f.stream, f.index))
+		p.recvFail() // the chunk chain is broken
 		return
 	}
 	st.parts = append(st.parts, f.payload)
@@ -456,12 +439,10 @@ func (p *Peer) maxChunks() int {
 	return (p.mesh.opts.MaxTransfer + chunk - 1) / chunk
 }
 
-func (p *Peer) recvFail(err error) {
-	p.recvErrs++
-	if p.onRecvErr != nil {
-		p.onRecvErr(err)
-	}
-}
+// recvFail counts a rejected inbound frame (msgnet.recv_errors). Only the
+// stream it belonged to is dropped; other streams and later messages are
+// unaffected.
+func (p *Peer) recvFail() { *p.mesh.recvErrs++ }
 
 func (p *Peer) handOff(class Class, msg []byte) {
 	if p.onMsg != nil {

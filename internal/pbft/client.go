@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 
+	"rubin/internal/fabric"
 	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 )
@@ -45,11 +46,9 @@ type Client struct {
 	reads       map[uint64]*readInvocation
 	onReadPath  func(key string, fast bool)
 
-	// Stats.
-	completed     uint64
-	sendErrs      uint64
-	fastReads     uint64
-	fastFallbacks uint64
+	// Stats: completed, and this client's cells in its node's stat table.
+	completed                          uint64
+	sendErrs, fastReads, fastFallbacks *uint64
 }
 
 type invocation struct {
@@ -68,15 +67,19 @@ type readInvocation struct {
 	fired   bool
 }
 
-// NewClient creates a client. Attach replica connections with
-// AttachReplica before invoking.
-func NewClient(id uint32, f int) *Client {
+// NewClient creates a client running on node, where its counters
+// register. Attach replica connections with AttachReplica before invoking.
+func NewClient(id uint32, f int, node *fabric.Node) *Client {
 	return &Client{
 		id:      id,
 		f:       f,
 		conns:   make(map[uint32]*msgnet.Peer),
 		pending: make(map[uint64]*invocation),
 		reads:   make(map[uint64]*readInvocation),
+
+		sendErrs:      node.Counter("pbft.client_send_errors"),
+		fastReads:     node.Counter("pbft.fast_reads"),
+		fastFallbacks: node.Counter("pbft.fast_read_fallbacks"),
 	}
 }
 
@@ -90,7 +93,7 @@ func (c *Client) Outstanding() int { return len(c.pending) + len(c.reads) }
 // SendErrors returns the surfaced request-send failures. A client
 // tolerates up to F failed sends per invocation (the quorum absorbs
 // them), but the failures are still counted, never discarded.
-func (c *Client) SendErrors() uint64 { return c.sendErrs }
+func (c *Client) SendErrors() uint64 { return *c.sendErrs }
 
 // EnableReadFastPath turns on the read-only optimization: InvokeRead
 // multicasts reads instead of ordering them, falling back to the ordered
@@ -108,11 +111,11 @@ func (c *Client) EnableReadFastPath(loop *sim.Loop, timeout sim.Time) {
 func (c *Client) SetReadPathHook(fn func(key string, fast bool)) { c.onReadPath = fn }
 
 // FastReads returns the number of reads served by the fast path.
-func (c *Client) FastReads() uint64 { return c.fastReads }
+func (c *Client) FastReads() uint64 { return *c.fastReads }
 
 // FastReadFallbacks returns the number of reads that failed to gather a
 // matching 2F+1 quorum and were resubmitted through the ordered path.
-func (c *Client) FastReadFallbacks() uint64 { return c.fastFallbacks }
+func (c *Client) FastReadFallbacks() uint64 { return *c.fastFallbacks }
 
 // AttachReplica wires the msgnet peer to one replica and consumes
 // replies.
@@ -122,7 +125,7 @@ func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
 		sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
 	}
 	c.conns[id] = p
-	p.OnSendError(func(error) { c.sendErrs++ })
+	p.OnSendError(func(error) { *c.sendErrs++ })
 	p.OnMessage(func(_ msgnet.Class, raw []byte) {
 		msg, err := Decode(raw)
 		if err != nil {
@@ -183,11 +186,11 @@ func (c *Client) broadcast(raw []byte) {
 	for _, id := range c.order {
 		p := c.conns[id]
 		if p == nil {
-			c.sendErrs++
+			*c.sendErrs++
 			continue
 		}
 		if err := p.Send(msgnet.ClassControl, raw); err != nil {
-			c.sendErrs++
+			*c.sendErrs++
 		}
 	}
 }
@@ -238,7 +241,7 @@ func (c *Client) handleReadReply(rep ReadReply) {
 		inv.fired = true
 		inv.timer.Cancel()
 		delete(c.reads, rep.Timestamp)
-		c.fastReads++
+		*c.fastReads++
 		c.completed++
 		if c.onReadPath != nil {
 			c.onReadPath(inv.key, true)
@@ -267,7 +270,7 @@ func (c *Client) fallbackRead(ts uint64) {
 	inv.fired = true
 	inv.timer.Cancel()
 	delete(c.reads, ts)
-	c.fastFallbacks++
+	*c.fastFallbacks++
 	key, done := inv.key, inv.done
 	c.Invoke(inv.op, func(result []byte) {
 		if c.onReadPath != nil {

@@ -54,6 +54,7 @@ type Hosts struct {
 	Kind    transport.Kind
 	Meshes  []*msgnet.Mesh
 
+	nodes  []*fabric.Node // host i's node: what the group's counters fold over
 	prefix string
 	// Peer dials posted by Start and not yet completed by Await.
 	posted, dialed int
@@ -65,7 +66,8 @@ type Hosts struct {
 func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix string, n int) (*Hosts, error) {
 	h := &Hosts{Loop: loop, Network: nw, Kind: kind, prefix: prefix}
 	for i := 0; i < n; i++ {
-		mesh, err := msgnet.NewMesh(kind, nw.AddNode(fmt.Sprintf("%sr%d", prefix, i)), msgnet.DefaultOptions())
+		h.nodes = append(h.nodes, nw.AddNode(fmt.Sprintf("%sr%d", prefix, i)))
+		mesh, err := msgnet.NewMesh(kind, h.nodes[i], msgnet.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -80,7 +82,7 @@ func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix st
 }
 
 // Node returns host i's fabric node.
-func (h *Hosts) Node(i int) *fabric.Node { return h.Meshes[i].Node() }
+func (h *Hosts) Node(i int) *fabric.Node { return h.nodes[i] }
 
 // SetTracer gives the hosts' world an observability tracer: every mesh,
 // replica, executor and front-end on the network reads it from there, so
@@ -91,13 +93,7 @@ func (h *Hosts) SetTracer(t *obs.Tracer) { h.Network.SetTracer(t) }
 // PeakQueueBytes returns the deepest msgnet send queue observed on any
 // host mesh.
 func (h *Hosts) PeakQueueBytes() int {
-	peak := 0
-	for _, mesh := range h.Meshes {
-		if d := mesh.PeakQueueBytes(); d > peak {
-			peak = d
-		}
-	}
-	return peak
+	return int(fabric.Fold(h.nodes...)["msgnet.peak_queue_bytes"])
 }
 
 // Await runs the loop until every dial posted by Placement.Start has
@@ -241,7 +237,7 @@ func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances 
 	dials, want := 0, 0
 	for _, h := range groups {
 		for k := 0; k < instances; k++ {
-			cl := NewClient(firstID+clientIDStride*uint32(len(fe.Clients)), f)
+			cl := NewClient(firstID+clientIDStride*uint32(len(fe.Clients)), f, node)
 			fe.Clients = append(fe.Clients, cl)
 			for i := range h.Meshes {
 				want++
@@ -283,21 +279,6 @@ func (fe *FrontEnd) SetReadPathHook(fn func(key string, fast bool)) {
 		cl.SetReadPathHook(fn)
 	}
 }
-
-// sum adds one per-client counter across the front-end's clients.
-func (fe *FrontEnd) sum(counter func(*Client) uint64) uint64 {
-	var total uint64
-	for _, cl := range fe.Clients {
-		total += counter(cl)
-	}
-	return total
-}
-
-// FastReads returns fast-path-served reads across clients.
-func (fe *FrontEnd) FastReads() uint64 { return fe.sum((*Client).FastReads) }
-
-// FastReadFallbacks returns ordered-path fallbacks across clients.
-func (fe *FrontEnd) FastReadFallbacks() uint64 { return fe.sum((*Client).FastReadFallbacks) }
 
 // Outstanding returns the invocations still awaiting quorum replies
 // across clients.
@@ -383,14 +364,13 @@ func (c *Cluster) AddClient() (*Client, error) {
 	return fe.Clients[0], nil
 }
 
-// SendFaults sums the surfaced delivery failures across the current
-// replica instances (a restarted replica starts a fresh counter).
+// SendFaults returns the delivery failures surfaced by every replica that
+// ever ran on the placement's hosts, and on no other host of a shared
+// network: a crashed replica's count stays in the sum beside its
+// successor's (the node keeps the history), and placements sharing hosts —
+// the instances of a COP group — share the sum.
 func (pl *Placement) SendFaults() uint64 {
-	var n uint64
-	for _, rep := range pl.Replicas {
-		n += rep.SendFaults()
-	}
-	return n
+	return uint64(fabric.Fold(pl.hosts.nodes...)["pbft.send_faults"])
 }
 
 // ---------------------------------------------------------------------------

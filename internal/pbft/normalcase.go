@@ -379,7 +379,7 @@ func (r *Replica) sendToClient(client uint32, payload []byte) {
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
 	r.deferSend(func() {
 		if err := peer.Send(msgnet.ClassControl, payload); err != nil {
-			r.sendFaults++
+			*r.sendFaults++
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
 	"rubin/internal/sim"
@@ -16,7 +17,7 @@ import (
 // logic directly through handleReadReply without a network.
 func newReadTestClient(f, n int) (*Client, *sim.Loop) {
 	loop := sim.NewLoop(1)
-	cl := NewClient(1, f)
+	cl := NewClient(1, f, fabric.New(loop, model.Default()).AddNode("client"))
 	cl.EnableReadFastPath(loop, 2*sim.Millisecond)
 	for i := 0; i < n; i++ {
 		cl.conns[uint32(i)] = nil

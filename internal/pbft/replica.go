@@ -33,10 +33,8 @@ type Replica struct {
 
 	// cps owns checkpoint votes, own digests and the retained delta
 	// chain; fetch owns the fetching side of state transfer.
-	// stateBytesServed counts the bytes this replica shipped to fetchers.
-	cps              *checkpointStore
-	fetch            *stateFetcher
-	stateBytesServed uint64
+	cps   *checkpointStore
+	fetch *stateFetcher
 
 	// stopped marks a crashed process: no sends, no receives, no timers.
 	stopped bool
@@ -74,9 +72,12 @@ type Replica struct {
 	onViewChange      func(newView uint64)
 	onCheckpointAdopt func(seq uint64)
 
-	// sendFaults counts every surfaced delivery failure on this
-	// replica's outbound traffic — nothing is silently discarded.
-	sendFaults uint64
+	// This instance's cells in its node's stat table (a restarted
+	// replica's successor registers its own, so the node keeps the history):
+	// sendFaults counts every surfaced delivery failure on the replica's
+	// outbound traffic — nothing is silently discarded — stateBytesServed
+	// the bytes it shipped to fetchers.
+	sendFaults, stateBytesServed *uint64
 
 	// batches digests proposals without materialising their encoding.
 	batches batchDigester
@@ -105,11 +106,14 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		clientConns:  make(map[uint32]*msgnet.Peer),
 		log:          make(map[uint64]*slot),
 		cps:          newCheckpointStore(),
-		fetch:        newStateFetcher(cfg),
+		fetch:        newStateFetcher(cfg, node),
 		proposed:     make(map[reqID]bool),
 		replyCache:   make(map[uint32]Reply),
 		vcVotes:      make(map[uint64]map[uint32]ViewChange),
 		requestStore: make(map[reqID]Request),
+
+		sendFaults:       node.Counter("pbft.send_faults"),
+		stateBytesServed: node.Counter("pbft.state_bytes_served"),
 	}
 	r.onProgress = r.progressExpired
 	return r, nil
@@ -172,7 +176,7 @@ func (r *Replica) IsLeader() bool { return r.Leader(r.view) == r.id }
 func (r *Replica) AttachPeer(id uint32, p *msgnet.Peer) {
 	r.peers[id] = p
 	p.OnMessage(func(_ msgnet.Class, raw []byte) { r.handleEnvelope(raw) })
-	p.OnSendError(func(error) { r.sendFaults++ })
+	p.OnSendError(func(error) { *r.sendFaults++ })
 }
 
 // AttachInbound consumes messages from a peer-initiated connection
@@ -183,7 +187,7 @@ func (r *Replica) AttachInbound(p *msgnet.Peer) {
 
 // HandleClientConn consumes client requests from a client connection.
 func (r *Replica) HandleClientConn(p *msgnet.Peer) {
-	p.OnSendError(func(error) { r.sendFaults++ })
+	p.OnSendError(func(error) { *r.sendFaults++ })
 	p.OnMessage(func(_ msgnet.Class, raw []byte) {
 		msg, err := Decode(raw)
 		if err != nil {
@@ -234,10 +238,10 @@ func (r *Replica) broadcast(m Message) {
 		ids := r.peerIDs()
 		// Peers with no live handle (e.g. mid-re-dial after a Restart)
 		// are delivery failures too — counted, never silently skipped.
-		r.sendFaults += uint64(r.cfg.N - 1 - len(ids))
+		*r.sendFaults += uint64(r.cfg.N - 1 - len(ids))
 		for _, id := range ids {
 			if err := r.peers[id].Send(cls, env); err != nil {
-				r.sendFaults++
+				*r.sendFaults++
 			}
 		}
 	})
@@ -254,10 +258,6 @@ func classFor(t MsgType) msgnet.Class {
 	}
 	return msgnet.ClassControl
 }
-
-// SendFaults returns the surfaced delivery failures of this replica
-// instance (reported by experiments E5/E7).
-func (r *Replica) SendFaults() uint64 { return r.sendFaults }
 
 // peerIDs returns connected peers in ascending order so send order (and
 // therefore the simulation) is deterministic. The returned slice aliases a
@@ -286,7 +286,7 @@ func (r *Replica) equivocate(pp PrePrepare, goodEnv []byte) {
 			env = badEnv
 		}
 		if err := r.peers[id].Send(msgnet.ClassControl, env); err != nil {
-			r.sendFaults++
+			*r.sendFaults++
 		}
 	}
 }
@@ -298,7 +298,7 @@ func (r *Replica) send(to uint32, m Message) {
 	}
 	peer := r.peers[to]
 	if peer == nil {
-		r.sendFaults++ // no live handle: a delivery failure, not a silent skip
+		*r.sendFaults++ // no live handle: a delivery failure, not a silent skip
 		return
 	}
 	env, size := r.seal(m)
@@ -306,7 +306,7 @@ func (r *Replica) send(to uint32, m Message) {
 	cls := classFor(m.msgType())
 	r.deferSend(func() {
 		if err := peer.Send(cls, env); err != nil {
-			r.sendFaults++
+			*r.sendFaults++
 		}
 	})
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"rubin/internal/auth"
+	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
+	"rubin/internal/model"
+	"rubin/internal/sim"
 )
 
 // fetchFixture is a source store ahead of an empty fetching store, with
@@ -23,7 +26,7 @@ func newFetchFixture() *fetchFixture {
 	for k := 0; k < 40; k++ {
 		put(src, fmt.Sprintf("key%03d", k), "value")
 	}
-	return &fetchFixture{src: src, dst: kvstore.New(), cps: newCheckpointStore(), fetch: newStateFetcher(DefaultConfig())}
+	return &fetchFixture{src: src, dst: kvstore.New(), cps: newCheckpointStore(), fetch: newStateFetcher(DefaultConfig(), fabric.New(sim.NewLoop(1), model.Default()).AddNode("dst"))}
 }
 
 func (x *fetchFixture) manifest(sender uint32, view uint64) StateManifest {
@@ -134,7 +137,7 @@ func TestFetcherRejectsCorruptPart(t *testing.T) {
 	if !hashed || stored {
 		t.Fatalf("corrupt part: hashed=%v stored=%v, want digested and refused", hashed, stored)
 	}
-	if x.fetch.rejects != 1 || !x.fetch.banned[2] || x.fetch.xfers[2] != nil {
+	if *x.fetch.rejects != 1 || !x.fetch.banned[2] || x.fetch.xfers[2] != nil {
 		t.Fatal("corrupt sender was not dropped, banned and counted")
 	}
 	if x.fetch.offerManifest(x.dst, 0, 2, x.manifest(2, 1)) {
@@ -150,8 +153,8 @@ func TestFetcherRejectsCorruptPart(t *testing.T) {
 	}
 	lie := x.manifest(3, 1)
 	lie.Root[0] ^= 0xFF
-	if x.fetch.offerManifest(x.dst, 0, 3, lie) || x.fetch.rejects != 3 {
-		t.Fatalf("inconsistent manifest accepted (rejects=%d)", x.fetch.rejects)
+	if x.fetch.offerManifest(x.dst, 0, 3, lie) || *x.fetch.rejects != 3 {
+		t.Fatalf("inconsistent manifest accepted (rejects=%d)", *x.fetch.rejects)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"rubin/internal/auth"
+	"rubin/internal/fabric"
 	"rubin/internal/sim"
 )
 
@@ -40,17 +41,19 @@ type stateFetcher struct {
 	fetching bool
 	retry    sim.Timer
 
-	transfers uint64
-	// rejects counts every manifest or partition that failed verification
-	// (each one dropped and banned its sender).
-	rejects uint64
+	// Cells of the node's stat table: completed transfers, and every
+	// manifest or partition that failed verification (each one dropped and
+	// banned its sender).
+	transfers, rejects *uint64
 }
 
-func newStateFetcher(cfg Config) *stateFetcher {
+func newStateFetcher(cfg Config, node *fabric.Node) *stateFetcher {
 	return &stateFetcher{
-		cfg:    cfg,
-		xfers:  make(map[uint32]*stateXfer),
-		banned: make(map[uint32]bool),
+		cfg:       cfg,
+		xfers:     make(map[uint32]*stateXfer),
+		banned:    make(map[uint32]bool),
+		transfers: node.Counter("pbft.state_transfers"),
+		rejects:   node.Counter("pbft.state_rejects"),
 	}
 }
 
@@ -102,7 +105,7 @@ func (f *stateFetcher) offerPart(sender uint32, m StatePart) (hashed, stored boo
 // reject drops a sender's in-progress transfer after a failed
 // verification and bans it until the next successful adoption.
 func (f *stateFetcher) reject(sender uint32) {
-	f.rejects++
+	*f.rejects++
 	delete(f.xfers, sender)
 	f.banned[sender] = true
 }
@@ -134,7 +137,7 @@ func (f *stateFetcher) adopted() {
 	f.fetching = false
 	f.retry.Cancel()
 	f.banned = make(map[uint32]bool)
-	f.transfers++
+	*f.transfers++
 }
 
 var errRootMismatch = errors.New("pbft: applied transfer does not hash to the certified root")
@@ -258,15 +261,15 @@ func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, execu
 // Replica: requesting, serving and adopting state.
 
 // StateTransfers returns the number of completed state transfers.
-func (r *Replica) StateTransfers() uint64 { return r.fetch.transfers }
+func (r *Replica) StateTransfers() uint64 { return *r.fetch.transfers }
 
 // StateRejects returns how many transfer manifests or partitions failed
 // digest verification on arrival (each one dropped its sender).
-func (r *Replica) StateRejects() uint64 { return r.fetch.rejects }
+func (r *Replica) StateRejects() uint64 { return *r.fetch.rejects }
 
 // StateBytesServed returns the serialized partition bytes this replica
 // shipped to fetching peers.
-func (r *Replica) StateBytesServed() uint64 { return r.stateBytesServed }
+func (r *Replica) StateBytesServed() uint64 { return *r.stateBytesServed }
 
 // requestStateTransfer probes peers for their newest retained checkpoint
 // (Cluster.Restart calls it for a rebooted replica). It is a no-op if the
@@ -334,7 +337,7 @@ func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 			}
 			data = bad
 		}
-		r.stateBytesServed += uint64(len(data))
+		*r.stateBytesServed += uint64(len(data))
 		r.send(sender, StatePart{Seq: best, Part: uint32(i), Data: data, Replica: r.id})
 	}
 }

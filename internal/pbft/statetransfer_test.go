@@ -213,8 +213,8 @@ func TestStateTransferLargeSnapshot(t *testing.T) {
 			if v, ok := c.Apps[3].(*kvstore.Store).Get("big000"); !ok || v != value {
 				t.Fatal("transferred state missing or corrupted a bulk key")
 			}
-			if c.Replicas[3].SendFaults() != 0 {
-				t.Errorf("restarted replica surfaced %d send faults on a healthy network", c.Replicas[3].SendFaults())
+			if n := *c.Replicas[3].sendFaults; n != 0 {
+				t.Errorf("restarted replica surfaced %d send faults on a healthy network", n)
 			}
 		})
 	}

@@ -63,7 +63,7 @@ func TestBatchedFillAcrossMultiRoundHoleRun(t *testing.T) {
 	var rounds, slots uint64
 	for node := 0; node < cfg.PBFT.N; node++ {
 		rounds += g.Executors[node].hbRounds
-		slots += g.Executors[node].HeartbeatSlots()
+		slots += *g.Executors[node].hbSlots
 	}
 	if rounds == 0 {
 		t.Fatal("single-instance traffic should require heartbeat fills")
@@ -195,7 +195,7 @@ func TestAdaptiveBackoffResetsOnTraffic(t *testing.T) {
 	}
 	ex := g.Executors[0]
 	idle := 1
-	backedOff := ex.HeartbeatDelay(idle)
+	backedOff := ex.hbDelay[idle]
 	if backedOff <= cfg.HeartbeatDelay {
 		t.Fatalf("idle instance %d delay %v did not back off beyond the floor %v",
 			idle, backedOff, cfg.HeartbeatDelay)
@@ -211,7 +211,7 @@ func TestAdaptiveBackoffResetsOnTraffic(t *testing.T) {
 	if done != 25 {
 		t.Fatalf("phase 2 completed %d of 25", done)
 	}
-	if got := ex.HeartbeatDelay(idle); got != cfg.HeartbeatDelay {
+	if got := ex.hbDelay[idle]; got != cfg.HeartbeatDelay {
 		t.Errorf("delay after traffic = %v, want reset to floor %v", got, cfg.HeartbeatDelay)
 	}
 }
@@ -226,7 +226,11 @@ func TestDrainFormatsNothing(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	loop := sim.NewLoop(1)
-	g := &Group{Hosts: &pbft.Hosts{Loop: loop, Network: fabric.New(loop, model.Default())}, Config: cfg}
+	hosts, err := pbft.NewHosts(loop, fabric.New(loop, model.Default()), transport.KindTCP, "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &Group{Hosts: hosts, Config: cfg}
 	e := newExecutor(g, 0)
 	g.Executors = []*Executor{e}
 

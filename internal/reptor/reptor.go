@@ -14,6 +14,7 @@ package reptor
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"rubin/internal/fabric"
 	"rubin/internal/model"
@@ -174,16 +175,6 @@ func (g *Group) GlobalOrder(node int) []string {
 	return keys
 }
 
-// SendFaults sums the surfaced delivery failures across every replica of
-// every instance — zero on a healthy network.
-func (g *Group) SendFaults() uint64 {
-	var n uint64
-	for _, pl := range g.placements {
-		n += pl.SendFaults()
-	}
-	return n
-}
-
 // Executor merges instance-local commits into the global total order on
 // one node.
 type Executor struct {
@@ -215,7 +206,6 @@ type Executor struct {
 	// to Config.HeartbeatMax) each heartbeat round the instance sits idle.
 	hbDelay  []sim.Time
 	hbRounds uint64
-	hbSlots  uint64
 	delivers uint64
 	// subsumed[k] is the highest instance-k sequence folded into an
 	// adopted state-transfer checkpoint: those rounds will never be
@@ -225,9 +215,11 @@ type Executor struct {
 	subsumed      []uint64
 	subsumedSlots uint64
 
-	// peakBacklog is the largest Backlog observed — the merge-pressure
-	// high watermark E8/E9 report.
-	peakBacklog int
+	// Cells of the node's stat table: hbSlots is how many empty slots this
+	// executor's heartbeat fills requested (with batched hole-filling more
+	// than it fired rounds), peakBacklog the largest Backlog observed — the
+	// merge-pressure high watermark E8/E9 report.
+	hbSlots, peakBacklog *uint64
 	// Observability: while the group's world has a tracer, deliverAt
 	// remembers when each buffered batch committed so the merge can report
 	// how long the barrier sat on it (obs.MergeWait + "merge-wait" spans).
@@ -247,21 +239,21 @@ type slotKey struct {
 }
 
 func newExecutor(g *Group, node int) *Executor {
-	e := &Executor{group: g, node: node, round: 1}
+	host := g.Node(node)
+	e := &Executor{group: g, node: node, round: 1,
+		hbSlots:     host.Counter("reptor.heartbeat_slots"),
+		peakBacklog: host.Peak("reptor.peak_backlog"),
+	}
 	for k := 0; k < g.Config.Instances; k++ {
 		e.ready = append(e.ready, make(map[uint64][]pbft.Request))
 		e.hbDelay = append(e.hbDelay, g.Config.HeartbeatDelay)
 		e.subsumed = append(e.subsumed, 0)
 	}
+	host.Gauge("executor_backlog", fabric.StatLevel, func() float64 { return float64(e.Backlog()) })
+	// The largest adaptive delay any instance is backed off to right now.
+	host.Gauge("reptor.heartbeat_delay_us", fabric.StatPeak, func() float64 { return slices.Max(e.hbDelay).Micros() })
 	return e
 }
-
-// HeartbeatSlots returns how many empty slots this executor's heartbeat
-// fills requested — with batched hole-filling more than it fired rounds.
-func (e *Executor) HeartbeatSlots() uint64 { return e.hbSlots }
-
-// HeartbeatDelay returns the current adaptive delay of an instance.
-func (e *Executor) HeartbeatDelay(instance int) sim.Time { return e.hbDelay[instance] }
 
 // Backlog returns the number of committed-but-unmerged batches buffered
 // by this executor — committed work the merge barrier is sitting on.
@@ -272,9 +264,6 @@ func (e *Executor) Backlog() int {
 	}
 	return n
 }
-
-// PeakBacklog returns the largest backlog this executor ever buffered.
-func (e *Executor) PeakBacklog() int { return e.peakBacklog }
 
 func (e *Executor) deliver(instance int, seq uint64, batch []pbft.Request) {
 	e.delivers++
@@ -290,8 +279,8 @@ func (e *Executor) deliver(instance int, seq uint64, batch []pbft.Request) {
 		e.hbDelay[instance] = e.group.Config.HeartbeatDelay
 	}
 	e.ready[instance][seq] = batch
-	if b := e.Backlog(); b > e.peakBacklog {
-		e.peakBacklog = b
+	if b := uint64(e.Backlog()); b > *e.peakBacklog {
+		*e.peakBacklog = b
 	}
 	if e.group.Network.Tracer() != nil {
 		if e.deliverAt == nil {
@@ -429,7 +418,7 @@ func (e *Executor) armHeartbeat() {
 			rep := e.group.Instances[instance][e.node]
 			if n := rep.ProposeHeartbeat(upTo); n > 0 {
 				e.hbRounds++
-				e.hbSlots += uint64(n)
+				*e.hbSlots += uint64(n)
 			}
 			if next := 2 * e.hbDelay[instance]; next <= e.group.Config.HeartbeatMax {
 				e.hbDelay[instance] = next

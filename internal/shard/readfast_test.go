@@ -3,6 +3,7 @@ package shard
 import (
 	"testing"
 
+	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -43,11 +44,11 @@ func TestRouterReadFastPath(t *testing.T) {
 	if got[k0] != "v0" || got[k1] != "v1" {
 		t.Fatalf("fast reads returned %v", got)
 	}
-	if n := r1.FastReads() + r2.FastReads(); n != 2 {
-		t.Fatalf("fast reads = %d, want 2 (one per router)", n)
+	if n := fabric.Fold(r1.Mesh.Node(), r2.Mesh.Node())["pbft.fast_reads"]; n != 2 {
+		t.Fatalf("fast reads = %v, want 2 (one per router)", n)
 	}
-	if n := r1.FastReadFallbacks() + r2.FastReadFallbacks(); n != 0 {
-		t.Fatalf("fallbacks = %d on a healthy deployment", n)
+	if n := fabric.Fold(r1.Mesh.Node(), r2.Mesh.Node())["pbft.fast_read_fallbacks"]; n != 0 {
+		t.Fatalf("fallbacks = %v on a healthy deployment", n)
 	}
 	if len(paths) != 2 || !paths[0] || !paths[1] {
 		t.Fatalf("path hooks = %v, want two fast reports", paths)
@@ -72,7 +73,7 @@ func TestRouterReadFastPath(t *testing.T) {
 	if txnRes == "" {
 		t.Fatal("transaction returned nothing")
 	}
-	if n := r1.FastReads() + r2.FastReads(); n != 2 {
-		t.Fatalf("fast reads = %d after scan+txn, want still 2 (both must stay ordered)", n)
+	if n := fabric.Fold(r1.Mesh.Node(), r2.Mesh.Node())["pbft.fast_reads"]; n != 2 {
+		t.Fatalf("fast reads = %v after scan+txn, want still 2 (both must stay ordered)", n)
 	}
 }

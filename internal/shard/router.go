@@ -26,9 +26,10 @@ type Router struct {
 	// not fired — unlike the sub-clients' Outstanding, it also covers
 	// lock-retry backoffs and the gap between 2PC phases.
 	inflight int
-	retries  uint64
-	txns2PC  uint64
 	errs     []error
+	// Cells of the router node's stat table: lock-conflict resubmissions,
+	// and transactions that went through 2PC.
+	retries, txns2PC *uint64
 }
 
 // AddRouter creates a router on its own network node, connected to
@@ -46,7 +47,9 @@ func (d *Deployment) AddRouter() (*Router, error) {
 	if d.readFastPath > 0 {
 		fe.EnableReadFastPath(d.readFastPath)
 	}
-	r := &Router{FrontEnd: fe, dep: d}
+	node := fe.Mesh.Node()
+	r := &Router{FrontEnd: fe, dep: d,
+		retries: node.Counter("shard.lock_retries"), txns2PC: node.Counter("shard.cross_shard_txns")}
 	d.routers = append(d.routers, r)
 	return r, nil
 }
@@ -98,7 +101,7 @@ func (r *Router) invokeRetry(shard int, op []byte, done func([]byte)) string {
 	var submit func() string
 	handle := func(res []byte) {
 		if string(res) == kvstore.Locked {
-			r.retries++
+			*r.retries++
 			r.dep.Loop.After(r.dep.Config.Retry, func() { submit() })
 			return
 		}
@@ -124,7 +127,7 @@ func (r *Router) invoke2PC(id, payload string, done func([]byte)) string {
 		done([]byte("ERR " + err.Error()))
 		return ""
 	}
-	r.txns2PC++
+	*r.txns2PC++
 
 	results := make([][]byte, n)
 	commit := true
@@ -204,13 +207,6 @@ func (r *Router) decide(id string, parts []kvstore.Participant, commit bool, res
 // replied — including ones parked in a lock-retry backoff or between
 // 2PC phases, which hold no sub-client invocation at that instant.
 func (r *Router) Outstanding() int { return r.inflight }
-
-// Retries returns how many lock-conflict resubmissions the router
-// performed.
-func (r *Router) Retries() uint64 { return r.retries }
-
-// CrossShardTxns returns how many transactions went through 2PC.
-func (r *Router) CrossShardTxns() uint64 { return r.txns2PC }
 
 // Errs joins the 2PC protocol errors observed so far — nil in a
 // healthy run. Votes of ABORTED are normal conflicts, not errors.

@@ -131,12 +131,3 @@ func (d *Deployment) Start() error {
 // group, router and mesh on the shared network reads it from there. Call
 // before generating traffic; a nil tracer detaches.
 func (d *Deployment) SetTracer(t *obs.Tracer) { d.Network.SetTracer(t) }
-
-// SendFaults sums surfaced delivery failures across every group.
-func (d *Deployment) SendFaults() uint64 {
-	var n uint64
-	for _, cl := range d.Clusters {
-		n += cl.SendFaults()
-	}
-	return n
-}

@@ -169,8 +169,8 @@ func TestCrossShardTxnCommitsAtomically(t *testing.T) {
 	if statuses["w"] != kvstore.TxnCommitted {
 		t.Fatalf("writer txn status = %q", statuses["w"])
 	}
-	if r.CrossShardTxns() != 1 {
-		t.Fatalf("CrossShardTxns = %d, want 1", r.CrossShardTxns())
+	if *r.txns2PC != 1 {
+		t.Fatalf("shard.cross_shard_txns = %d, want 1", *r.txns2PC)
 	}
 
 	// A cross-shard reader observes both writes; its reply carries the
@@ -224,8 +224,8 @@ func TestSingleShardTxnTakesFastPath(t *testing.T) {
 	if statuses["fast"] != kvstore.TxnCommitted {
 		t.Fatalf("txn status = %q", statuses["fast"])
 	}
-	if r.CrossShardTxns() != 0 {
-		t.Fatalf("CrossShardTxns = %d, want 0 (one-phase fast path)", r.CrossShardTxns())
+	if *r.txns2PC != 0 {
+		t.Fatalf("shard.cross_shard_txns = %d, want 0 (one-phase fast path)", *r.txns2PC)
 	}
 	if v, _ := store(d, 0, 0).Get(ka); v != "1" {
 		t.Fatalf("%s = %q, want 1", ka, v)

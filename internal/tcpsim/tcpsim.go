@@ -131,7 +131,7 @@ func (s *Stack) Listen(port int, onAccept func(*Conn)) (*Listener, error) {
 	if _, used := s.listeners[port]; used {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
-	l := &Listener{stack: s, port: port, onAccept: onAccept}
+	l := &Listener{onAccept: onAccept}
 	s.listeners[port] = l
 	return l, nil
 }
@@ -154,18 +154,7 @@ func (s *Stack) Dial(remote *fabric.Node, port int, done func(*Conn, error)) {
 
 // Listener accepts inbound connections on a port.
 type Listener struct {
-	stack    *Stack
-	port     int
 	onAccept func(*Conn)
-	closed   bool
-}
-
-// Close stops accepting new connections.
-func (l *Listener) Close() {
-	if !l.closed {
-		l.closed = true
-		delete(l.stack.listeners, l.port)
-	}
 }
 
 type connState uint8
@@ -428,7 +417,7 @@ func (s *Stack) rxDone() {
 func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 	if seg.kind == segSYN {
 		l := s.listeners[seg.dstPort]
-		if l == nil || l.closed {
+		if l == nil {
 			reply := s.segment(segRST, seg.dstPort, seg.srcPort)
 			_ = s.node.Network().Send(s.node, from, fabric.ProtoTCP, reply, headerWireBytes)
 			return

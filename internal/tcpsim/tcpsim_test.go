@@ -99,18 +99,6 @@ func TestListenPortInUse(t *testing.T) {
 	}
 }
 
-func TestListenerCloseFreesPort(t *testing.T) {
-	p := newPair(t)
-	l, err := p.sb.Listen(7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if _, err := p.sb.Listen(7, nil); err != nil {
-		t.Fatalf("Listen after Close: %v", err)
-	}
-}
-
 func TestDataTransferPreservesBytes(t *testing.T) {
 	p := newPair(t)
 	client, server := p.connect(t, 1000)

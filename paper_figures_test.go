@@ -37,7 +37,7 @@ func checkedIn(t *testing.T, name string) func(series string, kb float64) float6
 // moves a figure's shape fails here when the file is regenerated.
 //
 // E6 is pinned as the file reads, including two things that are open
-// questions rather than claims (ROADMAP O11): the projected zero-copy
+// questions rather than claims (ROADMAP O19): the projected zero-copy
 // receive is 3.5 µs *slower* than the copying channel at 4 KB, and at 64
 // and 100 KB no ablation moves the mean at all.
 func TestPaperFiguresCheckedIn(t *testing.T) {
