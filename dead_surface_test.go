@@ -3,13 +3,7 @@ package rubin_test
 import (
 	"fmt"
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
 	"go/types"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -57,33 +51,8 @@ tcpsim.Conn.Established — probe the tcpsim and nio tests share
 // it.) A lone method that merely shares its name with an interface method
 // somewhere — a Close nobody calls — is surface like any other.
 func TestDeadSurface(t *testing.T) {
-	fset := token.NewFileSet()
-	// One importer for the whole walk: it caches every package it
-	// type-checks from source, the standard library included.
-	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-
-	// Absolute paths: the importer names files that way, and a declaration
-	// is recognised across type-checking units by its position.
-	root, err := filepath.Abs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dirs []string
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata" || name == "baseline" || name == "traces") {
-				return filepath.SkipDir
-			}
-			dirs = append(dirs, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := loadTree(t)
+	at, inTest := tree.at, tree.inTest
 
 	type decl struct {
 		id     string // pkg.Name or pkg.Type.Method
@@ -98,81 +67,51 @@ func TestDeadSurface(t *testing.T) {
 	var uses []use
 	ifaces := [][]string{{"String"}, {"Error"}} // method names of every interface in the tree
 	var methodSets []map[string]string          // per named type: method name -> position of its declaration
-	at := func(pos token.Pos) string { return strings.TrimPrefix(fset.Position(pos).String(), root+"/") }
-	// By Position, not File: the implicit interface go/types wraps an inline
-	// constraint ([S string | []byte]) in has no position and so no file.
-	inTest := func(pos token.Pos) bool { return strings.HasSuffix(fset.Position(pos).Filename, "_test.go") }
 
-	for _, dir := range dirs {
-		// The package's own files (with in-package tests) and its external
-		// test package are two type-checking units.
-		units := map[string][]*ast.File{}
-		matches, _ := filepath.Glob(filepath.Join(dir, "*.go"))
-		for _, path := range matches {
-			if ok, err := build.Default.MatchFile(dir, filepath.Base(path)); err != nil || !ok {
+	for _, u := range tree.units {
+		pkg, info := u.pkg, u.info
+		counted := !strings.HasPrefix(u.rel, "benchmark") && !strings.HasPrefix(u.rel, "examples")
+		for expr, tv := range info.Types {
+			if _, ok := expr.(*ast.InterfaceType); !ok || inTest(expr.Pos()) {
 				continue
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
+			it := tv.Type.Underlying().(*types.Interface)
+			var names []string
+			for i := 0; i < it.NumMethods(); i++ {
+				names = append(names, it.Method(i).Name())
 			}
-			units[f.Name.Name] = append(units[f.Name.Name], f)
+			ifaces = append(ifaces, names)
 		}
-		rel, _ := filepath.Rel(root, dir)
-		counted := !strings.HasPrefix(rel, "benchmark") && !strings.HasPrefix(rel, "examples")
-		for name, files := range units {
-			info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
-			var errs []error
-			conf := types.Config{Importer: importerFrom{imp, dir}, Error: func(err error) { errs = append(errs, err) }}
-			pkg, _ := conf.Check(name, fset, files, info)
-			// An external test package sees its package through the importer,
-			// without what export_test.go adds; go vet checks those, here they
-			// only say which tests still reference a dead identifier.
-			if len(errs) > 0 && !strings.HasSuffix(name, "_test") {
-				t.Fatalf("type-checking %s (%s): %v", dir, name, errs[0])
+		for ident, obj := range info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !inTest(ident.Pos()) && !types.IsInterface(tn.Type()) {
+				set := map[string]string{}
+				for ms, i := types.NewMethodSet(types.NewPointer(tn.Type())), 0; i < ms.Len(); i++ {
+					set[ms.At(i).Obj().Name()] = at(ms.At(i).Obj().Pos())
+				}
+				methodSets = append(methodSets, set)
 			}
-			for expr, tv := range info.Types {
-				if _, ok := expr.(*ast.InterfaceType); !ok || inTest(expr.Pos()) {
-					continue
-				}
-				it := tv.Type.Underlying().(*types.Interface)
-				var names []string
-				for i := 0; i < it.NumMethods(); i++ {
-					names = append(names, it.Method(i).Name())
-				}
-				ifaces = append(ifaces, names)
+			if obj == nil || !counted || ident.Name == "_" || inTest(ident.Pos()) {
+				continue
 			}
-			for ident, obj := range info.Defs {
-				if tn, ok := obj.(*types.TypeName); ok && !inTest(ident.Pos()) && !types.IsInterface(tn.Type()) {
-					set := map[string]string{}
-					for ms, i := types.NewMethodSet(types.NewPointer(tn.Type())), 0; i < ms.Len(); i++ {
-						set[ms.At(i).Obj().Name()] = at(ms.At(i).Obj().Pos())
-					}
-					methodSets = append(methodSets, set)
+			d := &decl{id: pkg.Name() + "." + obj.Name()}
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				recv := fn.Type().(*types.Signature).Recv().Type()
+				if p, ok := recv.(*types.Pointer); ok {
+					recv = p.Elem()
 				}
-				if obj == nil || !counted || ident.Name == "_" || inTest(ident.Pos()) {
-					continue
+				named, ok := recv.(*types.Named)
+				if !ok || types.IsInterface(named) {
+					continue // a method of an interface type is a requirement, not surface
 				}
-				d := &decl{id: pkg.Name() + "." + obj.Name()}
-				if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
-					recv := fn.Type().(*types.Signature).Recv().Type()
-					if p, ok := recv.(*types.Pointer); ok {
-						recv = p.Elem()
-					}
-					named, ok := recv.(*types.Named)
-					if !ok || types.IsInterface(named) {
-						continue // a method of an interface type is a requirement, not surface
-					}
-					d.id = pkg.Name() + "." + named.Obj().Name() + "." + obj.Name()
-				} else if obj.Parent() != pkg.Scope() || obj.Name() == "main" || obj.Name() == "init" {
-					continue
-				}
-				decls[at(obj.Pos())] = d
+				d.id = pkg.Name() + "." + named.Obj().Name() + "." + obj.Name()
+			} else if obj.Parent() != pkg.Scope() || obj.Name() == "main" || obj.Name() == "init" {
+				continue
 			}
-			for ident, obj := range info.Uses {
-				if obj.Pos().IsValid() {
-					uses = append(uses, use{at(obj.Pos()), inTest(ident.Pos())})
-				}
+			decls[at(obj.Pos())] = d
+		}
+		for ident, obj := range info.Uses {
+			if obj.Pos().IsValid() {
+				uses = append(uses, use{at(obj.Pos()), inTest(ident.Pos())})
 			}
 		}
 	}
@@ -198,16 +137,9 @@ func TestDeadSurface(t *testing.T) {
 		}
 	}
 
-	allowed := map[string]bool{}
-	for _, line := range strings.Split(strings.TrimSpace(deadSurfaceAllowed), "\n") {
-		if line == "" {
-			continue
-		}
-		id, reason, ok := strings.Cut(line, " — ")
-		if !ok || strings.TrimSpace(reason) == "" {
-			t.Errorf("allow-list line %q: want `identifier — reason`", line)
-		}
-		allowed[strings.TrimSpace(id)] = false
+	allowed := map[string]bool{} // entry -> needed
+	for id := range parseAllowList(t, deadSurfaceAllowed) {
+		allowed[id] = false
 	}
 	var dead []string
 	for pos, d := range decls {
@@ -233,16 +165,4 @@ func TestDeadSurface(t *testing.T) {
 			t.Errorf("allow-list entry %s is stale: the identifier is gone or a non-test file references it", id)
 		}
 	}
-}
-
-// importerFrom resolves imports relative to the importing package's
-// directory, so benchmark/ (its own module) finds the tree through its
-// replace directive.
-type importerFrom struct {
-	imp types.ImporterFrom
-	dir string
-}
-
-func (i importerFrom) Import(path string) (*types.Package, error) {
-	return i.imp.ImportFrom(path, i.dir, 0)
 }

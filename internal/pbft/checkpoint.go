@@ -1,16 +1,20 @@
 package pbft
 
 import (
-	"sort"
+	"slices"
 
 	"rubin/internal/auth"
 )
 
-// cpRecord is one retained checkpoint of a partitioned application. A
-// base record materializes every partition; a delta record holds only
-// the partitions dirtied since the previous retained record, so serving
-// a partition walks the chain newest-first to the base.
+// cpRecord is one of this replica's checkpoints: the sequence, the state
+// digest it computed (or adopted) there and — for a partitioned
+// application; the rest stays zero otherwise — the retained state. A base
+// record materializes every partition; a delta record holds only the
+// partitions dirtied since the previous record, so serving a partition
+// walks the records newest-first to the base.
 type cpRecord struct {
+	seq     uint64
+	digest  auth.Digest
 	applied uint64 // the application's applied counter at the checkpoint
 	header  []byte
 	digests []auth.Digest
@@ -19,19 +23,21 @@ type cpRecord struct {
 }
 
 // checkpointStore owns everything a replica remembers about checkpoints:
-// the group's votes, its own digests, and — for partitioned applications —
-// the retained state as a delta chain: the oldest retained record is a
-// materialized base holding every partition, each later record holds only
-// the partitions dirtied since the previous one, and gc folds the chain
-// at the stable point so retention stays O(state + recent deltas) rather
-// than O(retained checkpoints × state).
+// the group's votes and its own records, which — for partitioned
+// applications — hold the retained state as a delta chain: the oldest
+// record is a materialized base holding every partition, each later record
+// holds only the partitions dirtied since the previous one, and gc folds
+// the chain at the stable point so retention stays O(state + recent
+// deltas) rather than O(retained checkpoints × state).
 type checkpointStore struct {
-	// votes[seq][sender] is the digest the envelope-verified sender
-	// advertised for seq.
-	votes map[uint64]map[uint32]auth.Digest
-	// own[seq] is this replica's digest at seq (taken or adopted).
-	own     map[uint64]auth.Digest
-	records map[uint64]*cpRecord
+	// votes[seq] tallies the digest each envelope-verified sender
+	// advertised for seq. Keyed by sequence because a lagging replica must
+	// keep votes arbitrarily far ahead of its own window.
+	votes map[uint64]tally
+	n     int // group size: the cells of a tally
+	// records is ascending in seq by construction: checkpoints are taken at
+	// the execution point and adopted only beyond it.
+	records []*cpRecord
 
 	// Cost accounting (reported by E12): every retained checkpoint's
 	// serialized bytes, plus the steady-state subset — the true deltas.
@@ -39,29 +45,28 @@ type checkpointStore struct {
 	steadyCount, steadyBytes uint64
 }
 
-func newCheckpointStore() *checkpointStore {
-	return &checkpointStore{
-		votes:   make(map[uint64]map[uint32]auth.Digest),
-		own:     make(map[uint64]auth.Digest),
-		records: make(map[uint64]*cpRecord),
-	}
+func newCheckpointStore(n int) *checkpointStore {
+	return &checkpointStore{votes: make(map[uint64]tally), n: n}
 }
 
-// retain records the application's state at seq as the next link of the
-// delta chain — only the partitions dirtied since the previous retained
-// checkpoint, all of them for the first (the chain's base) — and returns
-// the bytes serialized. That is also what the caller charges as digest
-// cost, which is what makes the checkpoint pause O(dirty state) instead
-// of O(state).
-func (s *checkpointStore) retain(seq uint64, ps PartitionedState) int {
-	rec := &cpRecord{
-		applied: ps.Applied(),
-		header:  ps.MarshalHeader(),
-		digests: ps.PartitionDigests(),
-		parts:   make(map[int][]byte),
+// take records this replica's checkpoint at seq, where its state digests
+// to d. Given a partitioned application it also retains the state as the
+// next link of the delta chain — only the partitions dirtied since the
+// previous record, all of them for the first (the chain's base) — and
+// returns the bytes serialized. That is also what the caller charges as
+// digest cost, which is what makes the checkpoint pause O(dirty state)
+// instead of O(state).
+func (s *checkpointStore) take(seq uint64, d auth.Digest, ps PartitionedState) int {
+	rec := &cpRecord{seq: seq, digest: d}
+	prev := s.latest(seq - 1)
+	s.records = append(s.records, rec)
+	if ps == nil {
+		return 0
 	}
+	rec.applied, rec.header, rec.digests = ps.Applied(), ps.MarshalHeader(), ps.PartitionDigests()
+	rec.parts = make(map[int][]byte)
 	var dirty []int
-	if _, prev := s.latest(seq - 1); prev != nil {
+	if prev != nil {
 		dirty = ps.CheckpointDelta(prev.applied)
 	} else {
 		rec.base = true
@@ -76,7 +81,6 @@ func (s *checkpointStore) retain(seq uint64, ps PartitionedState) int {
 		rec.parts[b] = part
 		bytes += len(part)
 	}
-	s.records[seq] = rec
 	s.count++
 	s.bytes += uint64(bytes)
 	if !rec.base {
@@ -86,47 +90,38 @@ func (s *checkpointStore) retain(seq uint64, ps PartitionedState) int {
 	return bytes
 }
 
-// installBase retains a checkpoint adopted through state transfer as a
-// fresh base record, so this replica can serve lagging peers in turn.
-func (s *checkpointStore) installBase(seq, applied uint64, header []byte, digests []auth.Digest, parts [][]byte) {
-	rec := &cpRecord{applied: applied, header: header, digests: digests, parts: make(map[int][]byte, len(parts)), base: true}
+// installBase records a checkpoint adopted through state transfer, its
+// state retained as a fresh base, so this replica can serve lagging peers
+// in turn.
+func (s *checkpointStore) installBase(seq uint64, root auth.Digest, applied uint64, header []byte, digests []auth.Digest, parts [][]byte) {
+	rec := &cpRecord{seq: seq, digest: root, applied: applied, header: header, digests: digests, parts: make(map[int][]byte, len(parts)), base: true}
 	for i, data := range parts {
 		rec.parts[i] = data
 	}
-	s.records[seq] = rec
+	s.records = append(s.records, rec)
 }
 
-// latest returns the newest retained record at or below seq (0, nil if
-// none).
-func (s *checkpointStore) latest(seq uint64) (uint64, *cpRecord) {
-	if chain := s.chain(seq); len(chain) > 0 {
-		return chain[0], s.records[chain[0]]
-	}
-	return 0, nil
-}
-
-// part materializes one partition of the retained checkpoint at seq by
-// walking the delta chain newest-first down to the base.
-func (s *checkpointStore) part(seq uint64, part int) []byte {
-	for _, at := range s.chain(seq) {
-		if data, ok := s.records[at].parts[part]; ok {
-			return data
+// latest returns the newest record at or below seq (nil if none).
+func (s *checkpointStore) latest(seq uint64) *cpRecord {
+	for i := len(s.records) - 1; i >= 0; i-- {
+		if s.records[i].seq <= seq {
+			return s.records[i]
 		}
 	}
 	return nil
 }
 
-// chain returns the retained record sequences at or below seq, newest
-// first.
-func (s *checkpointStore) chain(seq uint64) []uint64 {
-	var seqs []uint64
-	for at := range s.records {
-		if at <= seq {
-			seqs = append(seqs, at)
+// part materializes one partition of the retained checkpoint at seq by
+// walking the delta chain newest-first down to the base.
+func (s *checkpointStore) part(seq uint64, part int) []byte {
+	for i := len(s.records) - 1; i >= 0; i-- {
+		if rec := s.records[i]; rec.seq <= seq {
+			if data, ok := rec.parts[part]; ok {
+				return data
+			}
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	return seqs
+	return nil
 }
 
 // vote records the digest an authenticated sender advertised for seq.
@@ -135,65 +130,41 @@ func (s *checkpointStore) chain(seq uint64) []uint64 {
 // identities would let one Byzantine peer authorize a state transfer of
 // attacker-chosen state.
 func (s *checkpointStore) vote(seq uint64, sender uint32, d auth.Digest) {
-	set := s.votes[seq]
-	if set == nil {
-		set = make(map[uint32]auth.Digest)
-		s.votes[seq] = set
+	if s.votes[seq] == nil {
+		s.votes[seq] = make(tally, s.n)
 	}
-	set[sender] = d
-}
-
-// votesFor counts the senders that advertised digest d for seq.
-func (s *checkpointStore) votesFor(seq uint64, d auth.Digest) int {
-	return countDigest(s.votes[seq], d)
-}
-
-// maxVotes returns the largest number of senders agreeing on any one
-// digest for seq. A maximum does not depend on map iteration order.
-func (s *checkpointStore) maxVotes(seq uint64) int {
-	best := 0
-	for _, d := range s.votes[seq] {
-		if n := s.votesFor(seq, d); n > best {
-			best = n
-		}
-	}
-	return best
+	s.votes[seq].set(sender, d)
 }
 
 // gc drops everything the new stable checkpoint makes unreachable: votes
-// at or below it, own digests below it, and the delta chain below it —
-// folded first into one materialized base record at stable, so retention
-// is one base plus the deltas above stable.
+// at or below it and the records below it — folded first into one
+// materialized base record at stable, so retention is one base plus the
+// deltas above stable.
 func (s *checkpointStore) gc(stable uint64) {
 	for seq := range s.votes {
 		if seq <= stable {
 			delete(s.votes, seq)
 		}
 	}
-	for seq := range s.own {
-		if seq < stable {
-			delete(s.own, seq)
-		}
+	below := 0
+	for below < len(s.records) && s.records[below].seq < stable {
+		below++
 	}
-	if target := s.records[stable]; target != nil && !target.base {
+	if below < len(s.records) && s.records[below].seq == stable && !s.records[below].base {
 		// Overlay every record up to stable in ascending order: the
-		// oldest retained record is always a base, so the merge holds
-		// every partition.
-		chain := s.chain(stable)
+		// oldest record is always a base, so the merge holds every
+		// partition.
+		target := s.records[below]
 		merged := make(map[int][]byte)
-		for i := len(chain) - 1; i >= 0; i-- {
-			for part, data := range s.records[chain[i]].parts {
+		for _, rec := range s.records[:below+1] {
+			for part, data := range rec.parts {
 				merged[part] = data
 			}
 		}
 		target.parts = merged
 		target.base = true
 	}
-	for seq := range s.records {
-		if seq < stable {
-			delete(s.records, seq)
-		}
-	}
+	s.records = slices.Delete(s.records, 0, below)
 }
 
 // retainedBytes returns the serialized state bytes currently held for
@@ -231,9 +202,7 @@ func (r *Replica) RetainedStateBytes() uint64 { return r.cps.retainedBytes() }
 
 func (r *Replica) takeCheckpoint(seq uint64) {
 	d := r.app.Snapshot()
-	r.cps.own[seq] = d
-	if r.ps != nil {
-		bytes := r.cps.retain(seq, r.ps)
+	if bytes := r.cps.take(seq, d, r.ps); r.ps != nil {
 		r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, bytes))
 	}
 	cp := Checkpoint{Seq: seq, Digest: d, Replica: r.id}
@@ -248,11 +217,11 @@ func (r *Replica) recordCheckpoint(sender uint32, m Checkpoint) {
 	r.cps.vote(m.Seq, sender, m.Digest)
 	// Own digest first: only a quorum on the digest this replica computed
 	// itself makes the checkpoint stable here.
-	if own, have := r.cps.own[m.Seq]; have && r.cps.votesFor(m.Seq, own) >= r.cfg.Quorum() {
+	if own := r.cps.latest(m.Seq); own != nil && own.seq == m.Seq && r.cps.votes[m.Seq].count(own.digest) >= r.cfg.Quorum() {
 		r.advanceStable(m.Seq)
 		return
 	}
-	if m.Seq >= r.executed+r.cfg.CheckpointEvery && r.cps.maxVotes(m.Seq) >= r.cfg.F+1 {
+	if m.Seq >= r.executed+r.cfg.CheckpointEvery && r.cps.votes[m.Seq].max() >= r.cfg.F+1 {
 		// F+1 matching votes mean at least one correct replica
 		// executed through m.Seq — at least one full interval beyond
 		// our execution point: we missed commits (restarted,
@@ -277,17 +246,20 @@ func (r *Replica) recordCheckpoint(sender uint32, m Checkpoint) {
 	}
 }
 
-// advanceStable garbage-collects the log below the new stable checkpoint.
+// advanceStable moves the watermark window up to the new stable
+// checkpoint: the log's cells at or below it read as absent from here on.
+// They keep their vote storage for the next lap but not their proposal —
+// the batch is the bulk of a slot, and the ring would pin LogWindow of them.
 func (r *Replica) advanceStable(seq uint64) {
 	if seq <= r.stable {
 		return
 	}
-	r.stable = seq
-	for s := range r.log {
-		if s <= seq {
-			delete(r.log, s)
+	for at := r.stable + 1; at <= seq && r.inWindow(at); at++ {
+		if s := r.lookup(at); s != nil {
+			s.pp = nil
 		}
 	}
+	r.stable = seq
 	r.cps.gc(seq)
 	r.fetch.prune(seq)
 	if r.IsLeader() && r.pending.Len() > 0 {

@@ -13,11 +13,19 @@ func put(s *kvstore.Store, key, value string) {
 	s.Execute(kvstore.EncodeOp(kvstore.OpPut, key, value))
 }
 
+// recordAt returns the store's record at exactly seq, or nil.
+func recordAt(cps *checkpointStore, seq uint64) *cpRecord {
+	if rec := cps.latest(seq); rec != nil && rec.seq == seq {
+		return rec
+	}
+	return nil
+}
+
 // verifyChain asserts every partition of the retained checkpoint at seq
 // materializes to bytes hashing to that checkpoint's own digest list.
 func verifyChain(t *testing.T, cps *checkpointStore, seq uint64) {
 	t.Helper()
-	rec := cps.records[seq]
+	rec := recordAt(cps, seq)
 	if rec == nil {
 		t.Fatalf("no record retained at %d", seq)
 	}
@@ -37,17 +45,17 @@ func TestCheckpointStoreDeltaChain(t *testing.T) {
 	for k := 0; k < 500; k++ {
 		put(s, fmt.Sprintf("cold%04d", k), "v")
 	}
-	cps := newCheckpointStore()
-	if got, want := cps.retain(4, s), len(s.MarshalHeader()); got <= want {
+	cps := newCheckpointStore(4)
+	if got, want := cps.take(4, s.Snapshot(), s), len(s.MarshalHeader()); got <= want {
 		t.Fatalf("base checkpoint serialized %d bytes, want the whole state", got)
 	}
-	if !cps.records[4].base || len(cps.records[4].parts) != s.PartitionCount() {
+	if base := recordAt(cps, 4); !base.base || len(base.parts) != s.PartitionCount() {
 		t.Fatal("first retained checkpoint is not a full base")
 	}
 	for i, seq := range []uint64{8, 12, 16} {
 		put(s, fmt.Sprintf("hot%d", i), "x")
-		cps.retain(seq, s)
-		if rec := cps.records[seq]; rec.base || len(rec.parts) != 1 {
+		cps.take(seq, s.Snapshot(), s)
+		if rec := recordAt(cps, seq); rec.base || len(rec.parts) != 1 {
 			t.Fatalf("checkpoint %d holds %d partitions (base=%v), want one dirty partition", seq, len(rec.parts), rec.base)
 		}
 	}
@@ -60,7 +68,7 @@ func TestCheckpointStoreDeltaChain(t *testing.T) {
 	// The partition dirtied before checkpoint 8 must come from record 8
 	// when asked at 16, not from the stale base.
 	hot0 := kvstore.PartitionKey("hot0", kvstore.MerkleBuckets)
-	if string(cps.part(16, hot0)) == string(cps.records[4].parts[hot0]) {
+	if string(cps.part(16, hot0)) == string(recordAt(cps, 4).parts[hot0]) {
 		t.Fatal("partition resolved to the base copy, skipping its delta")
 	}
 }
@@ -70,28 +78,27 @@ func TestCheckpointStoreDeltaChain(t *testing.T) {
 // into one base at stable, and everything above still resolves.
 func TestCheckpointStoreGCFoldsAtStable(t *testing.T) {
 	s := kvstore.New()
-	cps := newCheckpointStore()
+	cps := newCheckpointStore(4)
 	for i, seq := range []uint64{4, 8, 12, 16} {
 		put(s, fmt.Sprintf("k%d", i), "v")
-		cps.own[seq] = s.Snapshot()
-		cps.retain(seq, s)
-		cps.vote(seq, 0, cps.own[seq])
+		cps.take(seq, s.Snapshot(), s)
+		cps.vote(seq, 0, s.Snapshot())
 	}
 	cps.gc(12)
 	for _, seq := range []uint64{4, 8} {
-		if cps.records[seq] != nil {
+		if recordAt(cps, seq) != nil {
 			t.Fatalf("record %d survived GC at 12", seq)
 		}
 	}
-	if rec := cps.records[12]; rec == nil || !rec.base || len(rec.parts) != s.PartitionCount() {
+	if rec := recordAt(cps, 12); rec == nil || !rec.base || len(rec.parts) != s.PartitionCount() {
 		t.Fatal("stable checkpoint was not folded into a full base")
 	}
 	verifyChain(t, cps, 12)
 	verifyChain(t, cps, 16)
-	if _, kept := cps.own[12]; !kept || len(cps.own) != 2 {
-		t.Fatalf("own digests after GC: %d kept, want those at 12 and 16", len(cps.own))
+	if recordAt(cps, 12) == nil || len(cps.records) != 2 {
+		t.Fatalf("own digests after GC: %d kept, want those at 12 and 16", len(cps.records))
 	}
-	if len(cps.votes) != 1 || cps.votesFor(16, cps.own[16]) != 1 {
+	if len(cps.votes) != 1 || cps.votes[16].count(recordAt(cps, 16).digest) != 1 {
 		t.Fatalf("votes after GC: %v, want only checkpoint 16's", cps.votes)
 	}
 }
@@ -105,12 +112,12 @@ func TestCheckpointStoreRetentionBounded(t *testing.T) {
 	for k := 0; k < 2000; k++ {
 		put(s, fmt.Sprintf("cold%06d", k), "prefill-value")
 	}
-	cps := newCheckpointStore()
+	cps := newCheckpointStore(4)
 	for cp := uint64(1); cp <= 10; cp++ {
 		for k := 0; k < 8; k++ {
 			put(s, fmt.Sprintf("hot%02d", k), fmt.Sprint(cp))
 		}
-		cps.retain(cp*4, s)
+		cps.take(cp*4, s.Snapshot(), s)
 		if cp > 1 {
 			cps.gc((cp - 1) * 4)
 		}
@@ -125,19 +132,20 @@ func TestCheckpointStoreRetentionBounded(t *testing.T) {
 
 // TestCheckpointVoteTally pins the counting rules recordCheckpoint relies
 // on: votes are per sender (a re-vote replaces), and the largest agreeing
-// group is found whatever the map order.
+// group is found whichever cells hold it.
 func TestCheckpointVoteTally(t *testing.T) {
 	a, b := auth.Hash([]byte("a")), auth.Hash([]byte("b"))
-	cps := newCheckpointStore()
+	cps := newCheckpointStore(4)
 	cps.vote(8, 0, a)
 	cps.vote(8, 1, b)
 	cps.vote(8, 2, b)
 	cps.vote(8, 0, b) // sender 0 changes its mind: still one vote
 	cps.vote(8, 3, a)
-	if cps.votesFor(8, a) != 1 || cps.votesFor(8, b) != 3 || cps.maxVotes(8) != 3 {
-		t.Fatalf("tally a=%d b=%d max=%d, want 1, 3, 3", cps.votesFor(8, a), cps.votesFor(8, b), cps.maxVotes(8))
+	cps.vote(8, 4, b) // not a member of the group: no cell, no vote
+	if v := cps.votes[8]; v.count(a) != 1 || v.count(b) != 3 || v.max() != 3 {
+		t.Fatalf("tally a=%d b=%d max=%d, want 1, 3, 3", v.count(a), v.count(b), v.max())
 	}
-	if cps.maxVotes(12) != 0 {
+	if cps.votes[12].max() != 0 {
 		t.Fatal("votes counted for a checkpoint nobody advertised")
 	}
 }

@@ -2,7 +2,6 @@ package pbft
 
 import (
 	"bytes"
-	"sort"
 
 	"rubin/internal/fabric"
 	"rubin/internal/msgnet"
@@ -33,8 +32,7 @@ import (
 type Client struct {
 	id    uint32
 	f     int
-	conns map[uint32]*msgnet.Peer
-	order []uint32 // attached replica ids, ascending; broadcast send order
+	conns []*msgnet.Peer // by replica id (nil: not attached); broadcast send order
 	next  uint64
 
 	pending map[uint64]*invocation
@@ -46,14 +44,21 @@ type Client struct {
 	reads       map[uint64]*readInvocation
 	onReadPath  func(key string, fast bool)
 
-	// Stats: completed, and this client's cells in its node's stat table.
-	completed                          uint64
+	// This client's cells in its node's stat table.
 	sendErrs, fastReads, fastFallbacks *uint64
+}
+
+// replyVote is one replica's cell of an invocation's replies: replies are
+// unauthenticated, so a vote is bound to the connection it arrived on —
+// the cell's index — and a replica has one however many replies it sends.
+type replyVote struct {
+	cast   bool
+	result []byte
 }
 
 type invocation struct {
 	op      []byte
-	replies map[uint32][]byte // replica -> result
+	replies []replyVote // by replica id; its latest result
 	done    func(result []byte)
 	fired   bool
 }
@@ -61,7 +66,8 @@ type invocation struct {
 type readInvocation struct {
 	op      []byte
 	key     string
-	replies map[uint32][]byte // replica -> first result voted (equivocation-proof)
+	replies []replyVote // by replica id; the first result it voted (equivocation-proof)
+	voted   int
 	done    func(result []byte)
 	timer   sim.Timer
 	fired   bool
@@ -73,7 +79,6 @@ func NewClient(id uint32, f int, node *fabric.Node) *Client {
 	return &Client{
 		id:      id,
 		f:       f,
-		conns:   make(map[uint32]*msgnet.Peer),
 		pending: make(map[uint64]*invocation),
 		reads:   make(map[uint64]*readInvocation),
 
@@ -117,12 +122,13 @@ func (c *Client) FastReads() uint64 { return *c.fastReads }
 // matching 2F+1 quorum and were resubmitted through the ordered path.
 func (c *Client) FastReadFallbacks() uint64 { return *c.fastFallbacks }
 
-// AttachReplica wires the msgnet peer to one replica and consumes
-// replies.
+// AttachReplica wires the msgnet peer to replica id and consumes its
+// replies. Only this connection votes as id: a reply claiming another
+// replica's identity is dropped, as handleEnvelope drops a vote whose
+// claimed replica is not the authenticated sender.
 func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
-	if _, seen := c.conns[id]; !seen {
-		c.order = append(c.order, id)
-		sort.Slice(c.order, func(i, j int) bool { return c.order[i] < c.order[j] })
+	for int(id) >= len(c.conns) {
+		c.conns = append(c.conns, nil)
 	}
 	c.conns[id] = p
 	p.OnSendError(func(error) { *c.sendErrs++ })
@@ -133,15 +139,13 @@ func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
 		}
 		switch rep := msg.(type) {
 		case Reply:
-			if rep.Client != c.id {
-				return
+			if rep.Client == c.id && rep.Replica == id {
+				c.handleReply(rep)
 			}
-			c.handleReply(rep)
 		case ReadReply:
-			if rep.Client != c.id {
-				return
+			if rep.Client == c.id && rep.Replica == id {
+				c.handleReadReply(rep)
 			}
-			c.handleReadReply(rep)
 		}
 	})
 }
@@ -154,7 +158,7 @@ func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
 func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next
-	c.pending[ts] = &invocation{op: op, replies: make(map[uint32][]byte), done: done}
+	c.pending[ts] = &invocation{op: op, replies: make([]replyVote, len(c.conns)), done: done}
 	req := Request{Client: c.id, Timestamp: ts, Op: op}
 	c.broadcast(Encode(req))
 	return req.Key()
@@ -172,34 +176,28 @@ func (c *Client) InvokeRead(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next
 	req := ReadRequest{Client: c.id, Timestamp: ts, Op: op}
-	inv := &readInvocation{op: op, key: req.Key(), replies: make(map[uint32][]byte), done: done}
+	inv := &readInvocation{op: op, key: req.Key(), replies: make([]replyVote, len(c.conns)), done: done}
 	c.reads[ts] = inv
 	inv.timer = c.loop.After(c.readTimeout, func() { c.fallbackRead(ts) })
 	c.broadcast(Encode(req))
 	return inv.key
 }
 
-// broadcast sends one encoded client message to every attached replica in
-// deterministic id order (keeps simulations reproducible). The order is
-// precomputed at attach time so the per-invocation path does not allocate.
+// broadcast sends one encoded client message to every replica in id order
+// (keeps simulations reproducible); a missing connection is a failed send.
 func (c *Client) broadcast(raw []byte) {
-	for _, id := range c.order {
-		p := c.conns[id]
-		if p == nil {
-			*c.sendErrs++
-			continue
-		}
-		if err := p.Send(msgnet.ClassControl, raw); err != nil {
+	for _, p := range c.conns {
+		if p == nil || p.Send(msgnet.ClassControl, raw) != nil {
 			*c.sendErrs++
 		}
 	}
 }
 
 // matching counts the replicas whose reply is byte-identical to result.
-func matching(replies map[uint32][]byte, result []byte) int {
+func matching(replies []replyVote, result []byte) int {
 	n := 0
-	for _, res := range replies {
-		if bytes.Equal(res, result) {
+	for _, v := range replies {
+		if v.cast && bytes.Equal(v.result, result) {
 			n++
 		}
 	}
@@ -208,15 +206,14 @@ func matching(replies map[uint32][]byte, result []byte) int {
 
 func (c *Client) handleReply(rep Reply) {
 	inv := c.pending[rep.Timestamp]
-	if inv == nil || inv.fired {
+	if inv == nil || inv.fired || int(rep.Replica) >= len(inv.replies) {
 		return
 	}
-	inv.replies[rep.Replica] = rep.Result
+	inv.replies[rep.Replica] = replyVote{true, rep.Result}
 	// Accept when F+1 replicas report the same result.
 	if matching(inv.replies, rep.Result) >= c.f+1 {
 		inv.fired = true
 		delete(c.pending, rep.Timestamp)
-		c.completed++
 		if inv.done != nil {
 			inv.done(rep.Result)
 		}
@@ -225,15 +222,16 @@ func (c *Client) handleReply(rep Reply) {
 
 func (c *Client) handleReadReply(rep ReadReply) {
 	inv := c.reads[rep.Timestamp]
-	if inv == nil || inv.fired {
+	if inv == nil || inv.fired || int(rep.Replica) >= len(inv.replies) {
 		return
 	}
 	// First vote per replica wins: an equivocating replica cannot
 	// contribute twice to a quorum, whatever tags it claims.
-	if _, dup := inv.replies[rep.Replica]; dup {
+	if inv.replies[rep.Replica].cast {
 		return
 	}
-	inv.replies[rep.Replica] = rep.Result
+	inv.replies[rep.Replica] = replyVote{true, rep.Result}
+	inv.voted++
 	// Accept when 2F+1 replicas report byte-identical results. Matching
 	// on the value (not the state tag) keeps the fast path live while
 	// replicas execute at slightly different positions.
@@ -242,7 +240,6 @@ func (c *Client) handleReadReply(rep ReadReply) {
 		inv.timer.Cancel()
 		delete(c.reads, rep.Timestamp)
 		*c.fastReads++
-		c.completed++
 		if c.onReadPath != nil {
 			c.onReadPath(inv.key, true)
 		}
@@ -254,7 +251,7 @@ func (c *Client) handleReadReply(rep ReadReply) {
 	// Every attached replica has voted and no value reached 2F+1: no
 	// quorum can form anymore. Fall back now instead of burning the
 	// remaining timeout.
-	if len(inv.replies) >= len(c.conns) {
+	if inv.voted >= len(c.conns) {
 		c.fallbackRead(rep.Timestamp)
 	}
 }

@@ -10,29 +10,94 @@ import (
 // Normal case: request intake, leader batching, the three-phase agreement
 // and in-order execution, plus the read-only fast path and replies.
 
-// slot is one sequence number's agreement state.
-type slot struct {
-	pp       *PrePrepare
-	prepares map[uint32]auth.Digest
-	commits  map[uint32]auth.Digest
-	sentPrep bool
-	sentComm bool
-	executed bool
+// tally holds at most one vote per replica, indexed by replica id: a
+// replica that votes again replaces its vote, and counting walks the ids
+// in order.
+type tally []struct {
+	cast   bool
+	digest auth.Digest
 }
 
-func newSlot() *slot {
-	return &slot{prepares: make(map[uint32]auth.Digest), commits: make(map[uint32]auth.Digest)}
+// set records id's vote; an id outside the group has no cell.
+func (t tally) set(id uint32, d auth.Digest) {
+	if int(id) < len(t) {
+		t[id].cast, t[id].digest = true, d
+	}
 }
 
-// countDigest returns how many voters in votes named digest d.
-func countDigest(votes map[uint32]auth.Digest, d auth.Digest) int {
+// count returns how many replicas voted for d.
+func (t tally) count(d auth.Digest) int {
 	n := 0
-	for _, got := range votes {
-		if got == d {
+	for _, v := range t {
+		if v.cast && v.digest == d {
 			n++
 		}
 	}
 	return n
+}
+
+// max returns the largest number of replicas agreeing on any one digest.
+func (t tally) max() int {
+	best := 0
+	for _, v := range t {
+		if v.cast {
+			best = max(best, t.count(v.digest))
+		}
+	}
+	return best
+}
+
+// slot is one sequence number's agreement state: a cell of the replica's
+// log, tagged with the sequence it currently holds (0: none).
+type slot struct {
+	seq      uint64
+	pp       *PrePrepare
+	prepares tally
+	commits  tally
+	sentPrep bool
+	sentComm bool
+}
+
+// reset hands the cell to seq with no agreement state. The tallies keep
+// their storage: a log that has wrapped once allocates nothing per slot.
+func (s *slot) reset(seq uint64) {
+	clear(s.prepares)
+	clear(s.commits)
+	*s = slot{seq: seq, prepares: s.prepares, commits: s.commits}
+}
+
+// inWindow is the watermark rule h < seq <= h+L. It admits one sequence per
+// residue of LogWindow, so the log is a ring of LogWindow cells indexed by
+// seq % LogWindow and advancing the stable point sweeps nothing.
+func (r *Replica) inWindow(seq uint64) bool {
+	return seq > r.stable && seq-r.stable <= r.cfg.LogWindow
+}
+
+// lookup returns seq's slot, or nil if the log holds none: a cell answers
+// only for the sequence it is tagged with and only inside the window, so
+// what the window's previous lap left behind reads as absent.
+func (r *Replica) lookup(seq uint64) *slot {
+	if s := r.log[seq%r.cfg.LogWindow]; s != nil && s.seq == seq && r.inWindow(seq) {
+		return s
+	}
+	return nil
+}
+
+// slotFor returns seq's slot, claiming its cell if another lap's sequence
+// (or nothing) holds it. Outside the window there is no cell to claim.
+func (r *Replica) slotFor(seq uint64) *slot {
+	if !r.inWindow(seq) {
+		return nil
+	}
+	s := r.log[seq%r.cfg.LogWindow]
+	if s == nil {
+		s = &slot{prepares: make(tally, r.cfg.N), commits: make(tally, r.cfg.N)}
+		r.log[seq%r.cfg.LogWindow] = s
+	}
+	if s.seq != seq {
+		s.reset(seq)
+	}
+	return s
 }
 
 func (r *Replica) handleRequest(req Request) {
@@ -200,19 +265,10 @@ func (r *Replica) ProposeHeartbeat(upTo uint64) int {
 	return proposed
 }
 
-func (r *Replica) slotFor(seq uint64) *slot {
-	s := r.log[seq]
-	if s == nil {
-		s = newSlot()
-		r.log[seq] = s
-	}
-	return s
-}
-
 // accepts reports whether an agreement message for (view, seq) is for the
 // installed view and inside the watermark window.
 func (r *Replica) accepts(view, seq uint64) bool {
-	return view == r.view && !r.viewChanging && seq > r.stable && seq <= r.stable+r.cfg.LogWindow
+	return view == r.view && !r.viewChanging && r.inWindow(seq)
 }
 
 // handlePrePrepare processes a proposal; size is its encoded length as
@@ -243,7 +299,7 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	if !s.sentPrep {
 		s.sentPrep = true
 		prep := Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: r.id}
-		s.prepares[r.id] = pp.Digest
+		s.prepares.set(r.id, pp.Digest)
 		r.broadcast(prep)
 	}
 	r.tryPrepare(pp.Seq)
@@ -255,7 +311,7 @@ func (r *Replica) handlePrepare(m Prepare) {
 		return
 	}
 	s := r.slotFor(m.Seq)
-	s.prepares[m.Replica] = m.Digest
+	s.prepares.set(m.Replica, m.Digest)
 	r.tryPrepare(m.Seq)
 	r.tryCommit(m.Seq)
 }
@@ -263,17 +319,17 @@ func (r *Replica) handlePrepare(m Prepare) {
 // prepared implements the PBFT predicate: a matching pre-prepare plus 2F
 // prepares (from distinct non-leader replicas, possibly including our own).
 func (r *Replica) prepared(s *slot) bool {
-	return s.pp != nil && countDigest(s.prepares, s.pp.Digest) >= 2*r.cfg.F
+	return s.pp != nil && s.prepares.count(s.pp.Digest) >= 2*r.cfg.F
 }
 
 func (r *Replica) tryPrepare(seq uint64) {
-	s := r.log[seq]
+	s := r.lookup(seq)
 	if s == nil || s.sentComm || !r.prepared(s) {
 		return
 	}
 	s.sentComm = true
 	c := Commit{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Replica: r.id}
-	s.commits[r.id] = s.pp.Digest
+	s.commits.set(r.id, s.pp.Digest)
 	r.broadcast(c)
 	r.tryCommit(seq)
 }
@@ -283,17 +339,17 @@ func (r *Replica) handleCommit(m Commit) {
 		return
 	}
 	s := r.slotFor(m.Seq)
-	s.commits[m.Replica] = m.Digest
+	s.commits.set(m.Replica, m.Digest)
 	r.tryCommit(m.Seq)
 }
 
 // committed requires prepared plus a 2F+1 commit quorum.
 func (r *Replica) committedSlot(s *slot) bool {
-	return r.prepared(s) && countDigest(s.commits, s.pp.Digest) >= r.cfg.Quorum()
+	return r.prepared(s) && s.commits.count(s.pp.Digest) >= r.cfg.Quorum()
 }
 
 func (r *Replica) tryCommit(seq uint64) {
-	s := r.log[seq]
+	s := r.lookup(seq)
 	if s == nil || !r.committedSlot(s) {
 		return
 	}
@@ -304,11 +360,10 @@ func (r *Replica) tryCommit(seq uint64) {
 func (r *Replica) tryExecute() {
 	for {
 		next := r.executed + 1
-		s := r.log[next]
-		if s == nil || s.executed || !r.committedSlot(s) {
+		s := r.lookup(next)
+		if s == nil || !r.committedSlot(s) {
 			return
 		}
-		s.executed = true
 		r.executed = next
 		proto := r.node.Network().Params().Protocol
 		for _, req := range s.pp.Batch {
@@ -355,7 +410,7 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 	proto := r.node.Network().Params().Protocol
 	r.node.CPU.Delay(proto.ExecRequest)
 	result := tr.ExecuteReadOnly(req.Op)
-	r.readsServed++
+	*r.readsServed++
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.ReadServe, req.Key(), r.node.Loop().Now())
 	}

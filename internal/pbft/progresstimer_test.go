@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"rubin/internal/auth"
-	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
-	"rubin/internal/model"
 	"rubin/internal/sim"
 )
 
@@ -21,12 +19,8 @@ type timerFixture struct {
 
 func newTimerFixture(t *testing.T) *timerFixture {
 	t.Helper()
-	loop := sim.NewLoop(1)
-	node := fabric.New(loop, model.Default()).AddNode("r3")
-	r, err := NewReplica(3, DefaultConfig(), node, auth.GenerateKeyrings(4, 1)[3], kvstore.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := bareReplica(t, 3, DefaultConfig())
+	loop := r.node.Loop()
 	x := &timerFixture{loop: loop, r: r}
 	expired := r.onProgress
 	r.onProgress = func() {
@@ -46,12 +40,12 @@ func (x *timerFixture) arrive(ts uint64) { x.r.handleRequest(timerRequest(ts)) }
 func (x *timerFixture) execute(ts uint64) {
 	batch := []Request{timerRequest(ts)}
 	d := BatchDigest(batch)
-	s := newSlot()
-	s.pp = &PrePrepare{View: x.r.view, Seq: x.r.executed + 1, Digest: d, Batch: batch}
+	s := x.r.slotFor(x.r.executed + 1)
+	s.pp = &PrePrepare{View: x.r.view, Seq: s.seq, Digest: d, Batch: batch}
 	for id := uint32(0); id < 3; id++ {
-		s.prepares[id], s.commits[id] = d, d
+		s.prepares.set(id, d)
+		s.commits.set(id, d)
 	}
-	x.r.log[s.pp.Seq] = s
 	x.r.tryExecute()
 }
 

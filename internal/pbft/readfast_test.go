@@ -7,6 +7,7 @@ import (
 	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
+	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
@@ -19,9 +20,7 @@ func newReadTestClient(f, n int) (*Client, *sim.Loop) {
 	loop := sim.NewLoop(1)
 	cl := NewClient(1, f, fabric.New(loop, model.Default()).AddNode("client"))
 	cl.EnableReadFastPath(loop, 2*sim.Millisecond)
-	for i := 0; i < n; i++ {
-		cl.conns[uint32(i)] = nil
-	}
+	cl.conns = make([]*msgnet.Peer, n)
 	return cl, loop
 }
 
@@ -131,7 +130,8 @@ func TestReadTimeoutFallsBackAndCompletesOrdered(t *testing.T) {
 	var hooks []bool
 	cl.SetReadPathHook(func(_ string, fast bool) { hooks = append(hooks, fast) })
 	var result []byte
-	key := cl.InvokeRead([]byte("op"), func(res []byte) { result = res })
+	fired := 0
+	key := cl.InvokeRead([]byte("op"), func(res []byte) { result, fired = res, fired+1 })
 	cl.handleReadReply(vote(0, "a", 7))
 	cl.handleReadReply(vote(1, "b", 8))
 	loop.Run() // the fallback timer fires
@@ -151,8 +151,8 @@ func TestReadTimeoutFallsBackAndCompletesOrdered(t *testing.T) {
 	if len(hooks) != 1 || hooks[0] != false {
 		t.Fatalf("path hook = %v, want one ordered-path report", hooks)
 	}
-	if cl.completed != 1 || cl.Outstanding() != 0 {
-		t.Fatalf("completed=%d outstanding=%d, want 1/0", cl.completed, cl.Outstanding())
+	if fired != 1 || cl.Outstanding() != 0 {
+		t.Fatalf("done fired %d times, outstanding=%d, want 1/0", fired, cl.Outstanding())
 	}
 }
 
@@ -192,7 +192,7 @@ func TestReadFastPathServesReads(t *testing.T) {
 			}
 			served := 0
 			for _, rep := range c.Replicas {
-				served += int(rep.readsServed)
+				served += int(*rep.readsServed)
 				// The read must not have entered the log: only the write
 				// was ordered.
 				if rep.Executed() != 1 {
@@ -382,5 +382,42 @@ func TestStaleFastReadsFailOracle(t *testing.T) {
 	}
 	if err := h.CheckLinearizable(); err != nil {
 		t.Fatalf("oracle rejected the honest control run: %v", err)
+	}
+}
+
+// TestClientBindsReplyVotesToConnections: replies are unauthenticated, so
+// the only thing that makes F+1 of them a quorum is that each connection
+// votes once, as the replica it was attached for. One Byzantine replica
+// that sends replies claiming its peers' identities over its own
+// connection — F+1 ordered ones, 2F+1 tentative reads — completes nothing.
+func TestClientBindsReplyVotesToConnections(t *testing.T) {
+	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
+	cl, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.EnableReadFastPath(c.Loop, 2*sim.Millisecond)
+	// The honest replicas stay silent, so every reply the client sees is
+	// replica 3's.
+	for i := 0; i < 3; i++ {
+		c.Replicas[i].SetFaults(Faults{Crashed: true})
+	}
+	var results []string
+	done := func(res []byte) { results = append(results, string(res)) }
+	start := c.Loop.Now()
+	c.Loop.Post(func() {
+		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "v"), done)    // timestamp 1
+		cl.InvokeRead(kvstore.EncodeOp(kvstore.OpGet, "k", ""), done) // timestamp 2
+	})
+	c.Loop.RunUntil(start + sim.Millisecond) // the requests arrive: replica 3 knows the client's connection
+	byzantine := c.Replicas[3]
+	for id := uint32(0); id < 3; id++ {
+		byzantine.sendToClient(cl.ID(), Encode(Reply{Timestamp: 1, Client: cl.ID(), Replica: id, Result: []byte("forged")}))
+		byzantine.sendToClient(cl.ID(), Encode(ReadReply{Timestamp: 2, Client: cl.ID(), Replica: id, Result: []byte("forged")}))
+	}
+	c.Loop.RunUntil(start + 3*sim.Millisecond/2) // delivered, and before the read's fallback timer
+	if len(results) != 0 || cl.Outstanding() != 2 || cl.FastReads() != 0 {
+		t.Fatalf("one replica's forged replies completed %q (outstanding %d, fast reads %d); want nothing completed",
+			results, cl.Outstanding(), cl.FastReads())
 	}
 }

@@ -20,14 +20,15 @@ type Replica struct {
 	ps      PartitionedState // app, if it can be checkpointed and transferred; else nil
 	faults  Faults
 
-	// peers[i] is the msgnet handle used to send to replica i.
-	peers map[uint32]*msgnet.Peer
+	// peers[i] is the msgnet handle used to send to replica i (nil: none
+	// attached, as for i == id).
+	peers []*msgnet.Peer
 	// clientConns[c] is where replies to client c go.
 	clientConns map[uint32]*msgnet.Peer
 
 	view     uint64
-	seqNext  uint64 // next sequence the leader assigns
-	log      map[uint64]*slot
+	seqNext  uint64  // next sequence the leader assigns
+	log      []*slot // ring of LogWindow cells, see lookup
 	executed uint64
 	stable   uint64
 
@@ -64,10 +65,9 @@ type Replica struct {
 	viewChanging bool
 	demanded     uint64 // view of this replica's latest VIEW-CHANGE
 	failedViews  uint
-	vcVotes      map[uint64]map[uint32]ViewChange
+	vcVotes      map[uint64][]*ViewChange // by demanded view, then replica id
 
-	// Stats and hooks.
-	readsServed       uint64
+	// Hooks.
 	onExecute         func(seq uint64, batch []Request)
 	onViewChange      func(newView uint64)
 	onCheckpointAdopt func(seq uint64)
@@ -76,15 +76,11 @@ type Replica struct {
 	// replica's successor registers its own, so the node keeps the history):
 	// sendFaults counts every surfaced delivery failure on the replica's
 	// outbound traffic — nothing is silently discarded — stateBytesServed
-	// the bytes it shipped to fetchers.
-	sendFaults, stateBytesServed *uint64
+	// the bytes it shipped to fetchers, readsServed its fast-path answers.
+	sendFaults, stateBytesServed, readsServed *uint64
 
 	// batches digests proposals without materialising their encoding.
 	batches batchDigester
-
-	// peerIDScratch backs peerIDs so per-broadcast id collection does not
-	// allocate; consumers use the slice synchronously.
-	peerIDScratch []uint32
 }
 
 // NewReplica builds a replica. Connections are attached afterwards with
@@ -102,18 +98,19 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		keyring:      keyring,
 		app:          app,
 		view:         cfg.InitialView,
-		peers:        make(map[uint32]*msgnet.Peer),
+		peers:        make([]*msgnet.Peer, cfg.N),
 		clientConns:  make(map[uint32]*msgnet.Peer),
-		log:          make(map[uint64]*slot),
-		cps:          newCheckpointStore(),
+		log:          make([]*slot, cfg.LogWindow),
+		cps:          newCheckpointStore(cfg.N),
 		fetch:        newStateFetcher(cfg, node),
 		proposed:     make(map[reqID]bool),
 		replyCache:   make(map[uint32]Reply),
-		vcVotes:      make(map[uint64]map[uint32]ViewChange),
+		vcVotes:      make(map[uint64][]*ViewChange),
 		requestStore: make(map[reqID]Request),
 
 		sendFaults:       node.Counter("pbft.send_faults"),
 		stateBytesServed: node.Counter("pbft.state_bytes_served"),
+		readsServed:      node.Counter("pbft.reads_served"),
 	}
 	r.onProgress = r.progressExpired
 	return r, nil
@@ -229,18 +226,25 @@ func (r *Replica) broadcast(m Message) {
 	}
 	env, size := r.seal(m)
 	r.crypto(auth.AuthenticatorCost(r.node.Network().Params().Crypto, r.cfg.N, size))
+	// An equivocating leader's pre-prepares conflict: correct to the even
+	// backups, digest-corrupted to the odd ones.
+	oddEnv := env
 	if pp, isPP := m.(PrePrepare); isPP && r.faults.EquivocateLeader {
-		r.deferSend(func() { r.equivocate(pp, env) })
-		return
+		pp.Digest[0] ^= 0xFF
+		oddEnv, _ = r.seal(pp)
 	}
 	cls := classFor(m.msgType())
 	r.deferSend(func() {
-		ids := r.peerIDs()
-		// Peers with no live handle (e.g. mid-re-dial after a Restart)
-		// are delivery failures too — counted, never silently skipped.
-		*r.sendFaults += uint64(r.cfg.N - 1 - len(ids))
-		for _, id := range ids {
-			if err := r.peers[id].Send(cls, env); err != nil {
+		// Ascending id order, so send order (and therefore the simulation)
+		// is deterministic. A peer with no live handle (e.g. mid-re-dial
+		// after a Restart) is a delivery failure too — counted, never
+		// silently skipped.
+		for id, peer := range r.peers {
+			out := env
+			if id%2 != 0 {
+				out = oddEnv
+			}
+			if uint32(id) != r.id && (peer == nil || peer.Send(cls, out) != nil) {
 				*r.sendFaults++
 			}
 		}
@@ -259,51 +263,19 @@ func classFor(t MsgType) msgnet.Class {
 	return msgnet.ClassControl
 }
 
-// peerIDs returns connected peers in ascending order so send order (and
-// therefore the simulation) is deterministic. The returned slice aliases a
-// per-replica scratch buffer: it is valid only until the next peerIDs call,
-// which is fine for the broadcast loops that consume it synchronously.
-func (r *Replica) peerIDs() []uint32 {
-	ids := r.peerIDScratch[:0]
-	for id := uint32(0); id < uint32(r.cfg.N); id++ {
-		if id != r.id && r.peers[id] != nil {
-			ids = append(ids, id)
-		}
-	}
-	r.peerIDScratch = ids
-	return ids
-}
-
-// equivocate sends conflicting pre-prepares: correct to low-id backups,
-// digest-corrupted to the rest.
-func (r *Replica) equivocate(pp PrePrepare, goodEnv []byte) {
-	bad := pp
-	bad.Digest[0] ^= 0xFF
-	badEnv, _ := r.seal(bad)
-	for _, id := range r.peerIDs() {
-		env := goodEnv
-		if id%2 != 0 {
-			env = badEnv
-		}
-		if err := r.peers[id].Send(msgnet.ClassControl, env); err != nil {
-			*r.sendFaults++
-		}
-	}
-}
-
 // send authenticates and sends to one replica.
 func (r *Replica) send(to uint32, m Message) {
 	if r.stopped || r.faults.Crashed || (r.faults.Mute != nil && r.faults.Mute[m.msgType()]) {
 		return
 	}
-	peer := r.peers[to]
-	if peer == nil {
+	if int(to) >= len(r.peers) || r.peers[to] == nil {
 		*r.sendFaults++ // no live handle: a delivery failure, not a silent skip
 		return
 	}
 	env, size := r.seal(m)
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, size))
 	cls := classFor(m.msgType())
+	peer := r.peers[to]
 	r.deferSend(func() {
 		if err := peer.Send(cls, env); err != nil {
 			*r.sendFaults++

@@ -26,7 +26,7 @@ func newFetchFixture() *fetchFixture {
 	for k := 0; k < 40; k++ {
 		put(src, fmt.Sprintf("key%03d", k), "value")
 	}
-	return &fetchFixture{src: src, dst: kvstore.New(), cps: newCheckpointStore(), fetch: newStateFetcher(DefaultConfig(), fabric.New(sim.NewLoop(1), model.Default()).AddNode("dst"))}
+	return &fetchFixture{src: src, dst: kvstore.New(), cps: newCheckpointStore(4), fetch: newStateFetcher(DefaultConfig(), fabric.New(sim.NewLoop(1), model.Default()).AddNode("dst"))}
 }
 
 func (x *fetchFixture) manifest(sender uint32, view uint64) StateManifest {
@@ -93,7 +93,7 @@ func TestFetcherCertification(t *testing.T) {
 		if x.dst.Snapshot() != x.src.Snapshot() {
 			t.Fatal("adopted state does not match the source")
 		}
-		if rec := x.cps.records[fixtureSeq]; rec == nil || !rec.base {
+		if rec := recordAt(x.cps, fixtureSeq); rec == nil || !rec.base || rec.digest != a.root {
 			t.Fatal("adopted checkpoint was not retained as a base for serving peers")
 		}
 	})
@@ -169,7 +169,7 @@ func TestFetcherIncompleteDoesNotAdopt(t *testing.T) {
 	if _, ok := x.tryAdopt(0); ok {
 		t.Fatal("adopted with a divergent partition still missing")
 	}
-	if x.dst.Snapshot() != before || x.cps.records[fixtureSeq] != nil {
+	if x.dst.Snapshot() != before || recordAt(x.cps, fixtureSeq) != nil {
 		t.Fatal("a refused adoption left traces in the application or the store")
 	}
 	part := StatePart{Seq: fixtureSeq, Part: uint32(missing), Data: x.src.MarshalPartition(missing), Replica: 2}

@@ -25,14 +25,14 @@ type stateXfer struct {
 }
 
 // stateFetcher owns the fetching side of state transfer: one in-progress
-// transfer per authenticated sender — bounded by N, so a Byzantine peer
-// streaming manifests only ever occupies its own slot — the senders
-// banned for failing verification, the fetch target and retry timer, and
-// the certification rule.
+// transfer per authenticated sender — a cell per replica id, so a
+// Byzantine peer streaming manifests only ever occupies its own — the
+// senders banned for failing verification, the fetch target and retry
+// timer, and the certification rule.
 type stateFetcher struct {
 	cfg    Config
-	xfers  map[uint32]*stateXfer
-	banned map[uint32]bool // until the next successful adoption
+	xfers  []*stateXfer // by sender; nil: none in progress
+	banned []bool       // by sender, until the next successful adoption
 
 	// target is the newest checkpoint F+1 peers are known to have passed
 	// and this replica is missing; fetch retries stop once execution
@@ -50,8 +50,8 @@ type stateFetcher struct {
 func newStateFetcher(cfg Config, node *fabric.Node) *stateFetcher {
 	return &stateFetcher{
 		cfg:       cfg,
-		xfers:     make(map[uint32]*stateXfer),
-		banned:    make(map[uint32]bool),
+		xfers:     make([]*stateXfer, cfg.N),
+		banned:    make([]bool, cfg.N),
 		transfers: node.Counter("pbft.state_transfers"),
 		rejects:   node.Counter("pbft.state_rejects"),
 	}
@@ -63,14 +63,14 @@ func newStateFetcher(cfg Config, node *fabric.Node) *stateFetcher {
 // every later per-partition check is anchored in a root that adoption
 // will verify against F+1 matching manifests or a checkpoint certificate.
 func (f *stateFetcher) offerManifest(ps PartitionedState, executed uint64, sender uint32, m StateManifest) bool {
-	if m.Seq <= executed || f.banned[sender] {
+	if m.Seq <= executed || int(sender) >= len(f.xfers) || f.banned[sender] {
 		return false
 	}
 	if len(m.Digests) != ps.PartitionCount() || ps.ComposeRoot(m.Header, m.Digests) != m.Root {
 		f.reject(sender)
 		return false
 	}
-	if prev, held := f.xfers[sender]; held && prev.manifest.Seq > m.Seq {
+	if prev := f.xfers[sender]; prev != nil && prev.manifest.Seq > m.Seq {
 		return false // keep the newer transfer
 	}
 	f.xfers[sender] = &stateXfer{manifest: m, parts: make(map[int][]byte)}
@@ -83,11 +83,11 @@ func (f *stateFetcher) offerManifest(ps PartitionedState, executed uint64, sende
 // state downloaded. hashed reports whether the data was digested (the
 // caller charges the modeled cost), stored whether it verified.
 func (f *stateFetcher) offerPart(sender uint32, m StatePart) (hashed, stored bool) {
-	if f.banned[sender] {
+	if int(sender) >= len(f.xfers) || f.banned[sender] {
 		return false, false
 	}
-	x, held := f.xfers[sender]
-	if !held || x.manifest.Seq != m.Seq {
+	x := f.xfers[sender]
+	if x == nil || x.manifest.Seq != m.Seq {
 		return false, false // no matching manifest (e.g. already pruned): ignore
 	}
 	if int(m.Part) >= len(x.manifest.Digests) {
@@ -106,14 +106,14 @@ func (f *stateFetcher) offerPart(sender uint32, m StatePart) (hashed, stored boo
 // verification and bans it until the next successful adoption.
 func (f *stateFetcher) reject(sender uint32) {
 	*f.rejects++
-	delete(f.xfers, sender)
+	f.xfers[sender] = nil
 	f.banned[sender] = true
 }
 
 // peersAhead reports whether any collected manifest is beyond executed.
 func (f *stateFetcher) peersAhead(executed uint64) bool {
 	for _, x := range f.xfers {
-		if x.manifest.Seq > executed {
+		if x != nil && x.manifest.Seq > executed {
 			return true
 		}
 	}
@@ -124,8 +124,8 @@ func (f *stateFetcher) peersAhead(executed uint64) bool {
 // adopted (adoption requires seq > executed >= stable).
 func (f *stateFetcher) prune(stable uint64) {
 	for id, x := range f.xfers {
-		if x.manifest.Seq <= stable {
-			delete(f.xfers, id)
+		if x != nil && x.manifest.Seq <= stable {
+			f.xfers[id] = nil
 		}
 	}
 }
@@ -136,7 +136,7 @@ func (f *stateFetcher) prune(stable uint64) {
 func (f *stateFetcher) adopted() {
 	f.fetching = false
 	f.retry.Cancel()
-	f.banned = make(map[uint32]bool)
+	clear(f.banned)
 	*f.transfers++
 }
 
@@ -167,29 +167,23 @@ type adoption struct {
 // receipt; partitions already matching locally are reused without any
 // transfer.
 func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, executed, view uint64) (adoption, bool) {
-	if len(f.xfers) == 0 {
-		return adoption{}, false
-	}
-	// Scan transfers in replica order for determinism, one adoption
-	// attempt per distinct (seq, root) group — made at its lowest sender.
-	for id := uint32(0); id < uint32(f.cfg.N); id++ {
-		x, held := f.xfers[id]
-		if !held || x.manifest.Seq <= executed {
+	// Scan transfers in replica order, one adoption attempt per distinct
+	// (seq, root) group — made at its lowest sender.
+	for id, x := range f.xfers {
+		if x == nil || x.manifest.Seq <= executed {
 			continue
 		}
 		seq, root := x.manifest.Seq, x.manifest.Root
-		var matching []*stateXfer
-		var senders []uint32
-		for j := uint32(0); j < uint32(f.cfg.N); j++ {
-			if other, held := f.xfers[j]; held && other.manifest.Seq == seq && other.manifest.Root == root {
-				matching = append(matching, other)
-				senders = append(senders, j)
+		var senders []uint32 // of the transfers vouching for (seq, root), ascending
+		for j, other := range f.xfers {
+			if other != nil && other.manifest.Seq == seq && other.manifest.Root == root {
+				senders = append(senders, uint32(j))
 			}
 		}
-		if senders[0] != id {
+		if senders[0] != uint32(id) {
 			continue // this group was tried at its lowest sender
 		}
-		if len(matching) < f.cfg.F+1 && cps.votesFor(seq, root) < f.cfg.Quorum() {
+		if len(senders) < f.cfg.F+1 && cps.votes[seq].count(root) < f.cfg.Quorum() {
 			continue
 		}
 		// Certified root. Assemble the full partition set: local
@@ -197,7 +191,7 @@ func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, execu
 		// as-is; the divergent ones must have arrived (from any matching
 		// sender — parts are interchangeable once verified against the
 		// same digest list).
-		manifest := matching[0].manifest
+		manifest := x.manifest
 		local := ps.PartitionDigests()
 		parts := make([][]byte, ps.PartitionCount())
 		complete := true
@@ -206,8 +200,8 @@ func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, execu
 				parts[i] = ps.MarshalPartition(i)
 				continue
 			}
-			for _, cand := range matching {
-				if data, ok := cand.parts[i]; ok {
+			for _, s := range senders {
+				if data, ok := f.xfers[s].parts[i]; ok {
 					parts[i] = data
 					break
 				}
@@ -244,15 +238,13 @@ func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, execu
 		// that would wedge us. The minimum is conservative (at most as new
 		// as some correct replica's view); a stale view only costs extra
 		// view-change latency.
-		if len(matching) >= f.cfg.F+1 {
-			view = matching[0].manifest.View
-			for _, x := range matching[1:] {
-				if x.manifest.View < view {
-					view = x.manifest.View
-				}
+		if len(senders) >= f.cfg.F+1 {
+			view = manifest.View
+			for _, s := range senders[1:] {
+				view = min(view, f.xfers[s].manifest.View)
 			}
 		}
-		cps.installBase(seq, ps.Applied(), manifest.Header, manifest.Digests, parts)
+		cps.installBase(seq, root, ps.Applied(), manifest.Header, manifest.Digests, parts)
 		return adoption{seq, root, view}, true
 	}
 	return adoption{}, false
@@ -314,22 +306,22 @@ func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 	// still safely adopt a newer checkpoint: adoption demands F+1
 	// responders vouching for the same (seq, root), so one correct
 	// responder is always among them.
-	best, rec := r.cps.latest(math.MaxUint64)
-	if best <= m.Seq || len(m.Digests) != len(rec.digests) {
-		return // requester as current as anything we hold, or not our partition layout
+	rec := r.cps.latest(math.MaxUint64)
+	if r.ps == nil || rec == nil || rec.seq <= m.Seq || len(m.Digests) != len(rec.digests) {
+		return // nothing to serve, requester as current as anything we hold, or not our partition layout
 	}
 	// Subtree negotiation: open with the manifest, then stream only the
 	// partitions whose digests diverge from the requester's. Reply to the
 	// authenticated sender, not the claimed Replica field.
 	r.send(sender, StateManifest{
-		Seq: best, View: r.view, Root: r.cps.own[best],
+		Seq: rec.seq, View: r.view, Root: rec.digest,
 		Header: rec.header, Digests: rec.digests, Replica: r.id,
 	})
 	for i, d := range rec.digests {
 		if m.Digests[i] == d {
 			continue
 		}
-		data := r.cps.part(best, i)
+		data := r.cps.part(rec.seq, i)
 		if r.faults.CorruptStateParts {
 			bad := append([]byte(nil), data...)
 			if len(bad) > 0 {
@@ -338,7 +330,7 @@ func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 			data = bad
 		}
 		*r.stateBytesServed += uint64(len(data))
-		r.send(sender, StatePart{Seq: best, Part: uint32(i), Data: data, Replica: r.id})
+		r.send(sender, StatePart{Seq: rec.seq, Part: uint32(i), Data: data, Replica: r.id})
 	}
 }
 
@@ -379,7 +371,6 @@ func (r *Replica) adoptCheckpoint(seq uint64, d auth.Digest, view uint64) {
 	if r.seqNext < seq {
 		r.seqNext = seq
 	}
-	r.cps.own[seq] = d
 	// Advertise the adopted checkpoint. When several replicas lagged
 	// together, the group's stable checkpoint stalled precisely because
 	// the laggards' votes were missing — this vote (plus the peers who

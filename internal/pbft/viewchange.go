@@ -17,20 +17,14 @@ func (r *Replica) startViewChange(newView uint64) {
 	}
 	r.viewChanging, r.demanded = true, newView
 	// Cancel batch work and the progress timer (awaitNewView re-arms it);
-	// collect prepared proofs above the stable point.
+	// collect prepared proofs above the execution point, in sequence order.
 	r.batchTimer.Cancel()
 	r.progress.Cancel()
-	var seqs []uint64
-	for seq, s := range r.log {
-		if s.pp != nil && r.prepared(s) && !s.executed {
-			seqs = append(seqs, seq)
+	var proofs []PreparedProof
+	for seq := r.executed + 1; seq-r.stable <= r.cfg.LogWindow; seq++ {
+		if s := r.lookup(seq); s != nil && r.prepared(s) {
+			proofs = append(proofs, PreparedProof{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Batch: s.pp.Batch})
 		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	proofs := make([]PreparedProof, 0, len(seqs))
-	for _, seq := range seqs {
-		pp := r.log[seq].pp
-		proofs = append(proofs, PreparedProof{View: pp.View, Seq: seq, Digest: pp.Digest, Batch: pp.Batch})
 	}
 	vc := ViewChange{NewView: newView, Stable: r.stable, Prepared: proofs, Replica: r.id}
 	r.recordViewChange(vc)
@@ -43,7 +37,7 @@ func (r *Replica) startViewChange(newView uint64) {
 // leader cannot install it, and a replica cut off from the group must not
 // climb one view per timeout on its own.
 func (r *Replica) awaitNewView() {
-	if r.viewChanging && !r.progress.Pending() && len(r.vcVotes[r.demanded]) >= r.cfg.Quorum() {
+	if r.viewChanging && !r.progress.Pending() && r.demands(r.demanded) >= r.cfg.Quorum() {
 		r.armProgress()
 	}
 }
@@ -53,39 +47,51 @@ func (r *Replica) handleViewChange(m ViewChange) {
 		return
 	}
 	r.recordViewChange(m)
-	votes := r.vcVotes[m.NewView]
 	// Join an in-progress view change once F+1 replicas demand it (we
-	// cannot all be faulty).
-	if len(votes) >= r.cfg.F+1 {
+	// cannot all be faulty) — which adds this replica's own demand to the
+	// count the new leader installs the view on.
+	if r.demands(m.NewView) >= r.cfg.F+1 {
 		r.startViewChange(m.NewView)
 	}
-	if r.Leader(m.NewView) == r.id && len(votes) >= r.cfg.Quorum() {
+	if r.Leader(m.NewView) == r.id && r.demands(m.NewView) >= r.cfg.Quorum() {
 		r.installNewView(m.NewView)
 	}
 	r.awaitNewView()
 }
 
+// recordViewChange files a vote under its view, in its sender's cell.
 func (r *Replica) recordViewChange(m ViewChange) {
 	set := r.vcVotes[m.NewView]
 	if set == nil {
-		set = make(map[uint32]ViewChange)
+		set = make([]*ViewChange, r.cfg.N)
 		r.vcVotes[m.NewView] = set
 	}
-	set[m.Replica] = m
+	if int(m.Replica) < len(set) {
+		set[m.Replica] = &m
+	}
+}
+
+// demands counts the replicas whose VIEW-CHANGE for view v is on file.
+func (r *Replica) demands(v uint64) int {
+	n := 0
+	for _, vc := range r.vcVotes[v] {
+		if vc != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // installNewView (new leader): re-propose every prepared slot reported by
 // the view-change quorum, filling gaps with empty batches.
 func (r *Replica) installNewView(v uint64) {
-	votes := r.vcVotes[v]
 	maxStable := r.stable
 	best := make(map[uint64]PreparedProof)
 	var maxSeq uint64
 	// Replica-id order: which of two equal-view proofs for one sequence
-	// wins must not depend on map iteration.
-	for id := uint32(0); id < uint32(r.cfg.N); id++ {
-		vc, voted := votes[id]
-		if !voted {
+	// wins is fixed by it.
+	for _, vc := range r.vcVotes[v] {
+		if vc == nil {
 			continue
 		}
 		if vc.Stable > maxStable {
@@ -100,8 +106,11 @@ func (r *Replica) installNewView(v uint64) {
 			}
 		}
 	}
+	// Every correct replica's proofs lie in its own window, which ends at or
+	// below maxStable+LogWindow: a proof claiming more is not re-proposed,
+	// and a forged one cannot size the NEW-VIEW.
 	var pps []PrePrepare
-	for seq := maxStable + 1; seq <= maxSeq; seq++ {
+	for seq := maxStable + 1; seq <= maxSeq && seq-maxStable <= r.cfg.LogWindow; seq++ {
 		if p, ok := best[seq]; ok {
 			pps = append(pps, PrePrepare{View: v, Seq: seq, Digest: p.Digest, Batch: p.Batch})
 		} else {
@@ -135,22 +144,24 @@ func (r *Replica) settleView() {
 func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	r.view = v
 	r.settleView()
-	// Reset per-slot voting state for re-proposed slots.
+	// Reset per-slot voting state for re-proposed slots. The watermark rule
+	// holds here as for any proposal: one outside the window gets no slot
+	// and no PREPARE, however many sequences a NEW-VIEW names.
 	var maxSeq uint64
 	for _, pp := range nv.PrePrepares {
 		pp := pp
-		if pp.Seq <= r.executed {
-			continue // already executed here; state transfer not needed
+		if pp.Seq <= r.executed || !r.inWindow(pp.Seq) {
+			continue // already executed here (state transfer not needed), or not ours to hold
 		}
-		s := newSlot()
+		s := r.slotFor(pp.Seq)
+		s.reset(pp.Seq)
 		s.pp = &pp
-		r.log[pp.Seq] = s
 		if pp.Seq > maxSeq {
 			maxSeq = pp.Seq
 		}
 		if r.Leader(v) != r.id {
 			s.sentPrep = true
-			s.prepares[r.id] = pp.Digest
+			s.prepares.set(r.id, pp.Digest)
 			r.broadcast(Prepare{View: v, Seq: pp.Seq, Digest: pp.Digest, Replica: r.id})
 		}
 	}
@@ -168,11 +179,12 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	// view may have left slots there (a received pre-prepare sets
 	// sentPrep and records votes that are not view-tagged). Reusing such
 	// a slot would suppress the new view's PREPARE/COMMIT broadcasts and
-	// count stale cross-view votes, so unexecuted slots beyond the
-	// frontier are dropped — their requests live on in requestStore.
-	for seq, s := range r.log {
-		if seq > r.seqNext && !s.executed {
-			delete(r.log, seq)
+	// count stale cross-view votes, so the slots beyond the frontier — at
+	// or above the execution point, hence all unexecuted — are dropped;
+	// their requests live on in requestStore.
+	for seq := r.seqNext + 1; seq-r.stable <= r.cfg.LogWindow; seq++ {
+		if s := r.lookup(seq); s != nil {
+			s.reset(0)
 		}
 	}
 	// Rebuild proposal bookkeeping: only the re-proposed slots count as

@@ -84,3 +84,19 @@ func TestViewChangeBytesDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestNewLeaderCountsItsOwnViewChange: the new view's leader that joins a
+// view change on the F+1st demand has, with its own, 2F+1 — and installs
+// the view on the spot rather than waiting for a demand that a crashed
+// replica will never send.
+func TestNewLeaderCountsItsOwnViewChange(t *testing.T) {
+	r := bareReplica(t, 1, DefaultConfig())
+	r.handleViewChange(ViewChange{NewView: 1, Replica: 2})
+	if r.viewChanging || r.view != 0 {
+		t.Fatalf("one demand of F+1: viewChanging=%v view=%d, want the replica unmoved", r.viewChanging, r.view)
+	}
+	r.handleViewChange(ViewChange{NewView: 1, Replica: 3})
+	if r.view != 1 || r.viewChanging {
+		t.Fatalf("F+1 demands plus its own: view=%d viewChanging=%v, want view 1 installed", r.view, r.viewChanging)
+	}
+}
