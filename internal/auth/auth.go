@@ -156,15 +156,6 @@ func (kr *Keyring) Authenticate(msg []byte) Authenticator {
 	return a
 }
 
-// VerifyFrom checks the receiver's entry of an authenticator produced by
-// sender.
-func (kr *Keyring) VerifyFrom(sender int, msg []byte, a Authenticator) bool {
-	if sender < 0 || sender >= len(kr.keys) || kr.self >= len(a) {
-		return false
-	}
-	return kr.Verify(sender, msg, a[kr.self])
-}
-
 // Hash computes the SHA-256 digest of msg.
 func Hash(msg []byte) Digest { return sha256.Sum256(msg) }
 

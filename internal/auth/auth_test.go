@@ -9,6 +9,13 @@ import (
 	"rubin/internal/raceflag"
 )
 
+// VerifyFrom checks the receiver's entry of an authenticator produced by
+// sender: what a receiver that holds the whole vector does. (pbft's receive
+// path walks the vector in place and calls Verify on its own entry.)
+func (kr *Keyring) VerifyFrom(sender int, msg []byte, a Authenticator) bool {
+	return kr.self < len(a) && kr.Verify(sender, msg, a[kr.self])
+}
+
 func TestPairwiseKeysAreSymmetricAndDistinct(t *testing.T) {
 	rings := GenerateKeyrings(4, 42)
 	for i := 0; i < 4; i++ {

@@ -36,6 +36,7 @@ type Client struct {
 	next  uint64
 
 	pending map[uint64]*invocation
+	scratch []byte // the request being sent, see broadcast
 
 	// Read-only fast path (disabled until EnableReadFastPath).
 	fastReadsOn bool
@@ -133,19 +134,15 @@ func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
 	c.conns[id] = p
 	p.OnSendError(func(error) { *c.sendErrs++ })
 	p.OnMessage(func(_ msgnet.Class, raw []byte) {
-		msg, err := Decode(raw)
-		if err != nil {
+		var m decoded
+		if m.decode(raw) != nil || m.claimed != id {
 			return
 		}
-		switch rep := msg.(type) {
-		case Reply:
-			if rep.Client == c.id && rep.Replica == id {
-				c.handleReply(rep)
-			}
-		case ReadReply:
-			if rep.Client == c.id && rep.Replica == id {
-				c.handleReadReply(rep)
-			}
+		switch {
+		case m.typ == MsgReply && m.reply.Client == c.id:
+			c.handleReply(m.reply)
+		case m.typ == MsgReadReply && m.read.Client == c.id:
+			c.handleReadReply(m.read)
 		}
 	})
 }
@@ -160,7 +157,7 @@ func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 	ts := c.next
 	c.pending[ts] = &invocation{op: op, replies: make([]replyVote, len(c.conns)), done: done}
 	req := Request{Client: c.id, Timestamp: ts, Op: op}
-	c.broadcast(Encode(req))
+	c.broadcast(req)
 	return req.Key()
 }
 
@@ -179,13 +176,16 @@ func (c *Client) InvokeRead(op []byte, done func(result []byte)) string {
 	inv := &readInvocation{op: op, key: req.Key(), replies: make([]replyVote, len(c.conns)), done: done}
 	c.reads[ts] = inv
 	inv.timer = c.loop.After(c.readTimeout, func() { c.fallbackRead(ts) })
-	c.broadcast(Encode(req))
+	c.broadcast(req)
 	return inv.key
 }
 
-// broadcast sends one encoded client message to every replica in id order
-// (keeps simulations reproducible); a missing connection is a failed send.
-func (c *Client) broadcast(raw []byte) {
+// broadcast encodes one client message into the client's scratch — Peer.Send
+// copies before it returns (see room) — and sends it to every replica in id
+// order (keeps simulations reproducible); a missing connection is a failed
+// send.
+func (c *Client) broadcast(m Message) {
+	raw := encodeTo(&c.scratch, m)
 	for _, p := range c.conns {
 		if p == nil || p.Send(msgnet.ClassControl, raw) != nil {
 			*c.sendErrs++

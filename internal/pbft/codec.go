@@ -3,6 +3,7 @@ package pbft
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 
@@ -56,54 +57,22 @@ func (e *encoder) bytes(b []byte) {
 	copy(e.next(len(b)), b)
 }
 
+// decoder consumes buf field by field; the first short read sticks in err
+// and every later field reads as zero.
 type decoder struct {
 	buf []byte
 	err error
 }
 
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("pbft: truncated message")
-	}
-}
+// errTruncated is a value, so dropping malformed input allocates nothing.
+var errTruncated = errors.New("pbft: truncated message")
 
-func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.buf) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.buf[0]
-	d.buf = d.buf[1:]
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.buf) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf)
-	d.buf = d.buf[4:]
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.buf) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf)
-	d.buf = d.buf[8:]
-	return v
-}
-
-// bytes returns a length-prefixed field as a sub-slice of the input, its
-// capacity cut to its length so an append by the holder cannot run into
-// the bytes that follow.
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || len(d.buf) < n || n < 0 {
-		d.fail()
+// take consumes the next n bytes as a sub-slice of the input, its capacity
+// cut to its length so an append by the holder cannot run into the bytes
+// that follow.
+func (d *decoder) take(n int) []byte {
+	if d.err != nil || n < 0 || len(d.buf) < n {
+		d.err = errTruncated
 		return nil
 	}
 	out := d.buf[:n:n]
@@ -111,38 +80,78 @@ func (d *decoder) bytes() []byte {
 	return out
 }
 
-func (d *decoder) digest() auth.Digest {
-	var out auth.Digest
-	if d.err != nil || len(d.buf) < auth.DigestSize {
-		d.fail()
-		return out
+// uint reads an n-byte big-endian integer.
+func (d *decoder) uint(n int) (v uint64) {
+	for _, b := range d.take(n) {
+		v = v<<8 | uint64(b)
 	}
-	copy(out[:], d.buf[:auth.DigestSize])
-	d.buf = d.buf[auth.DigestSize:]
+	return v
+}
+
+func (d *decoder) u8() uint8     { return uint8(d.uint(1)) }
+func (d *decoder) u32() uint32   { return uint32(d.uint(4)) }
+func (d *decoder) u64() uint64   { return d.uint(8) }
+func (d *decoder) bytes() []byte { return d.take(int(d.u32())) }
+func (d *decoder) digest() (out auth.Digest) {
+	copy(out[:], d.take(auth.DigestSize))
 	return out
+}
+
+// end is the verdict on a fully walked input: canonical encodings only, so
+// bytes left over are an error like bytes missing.
+func (d *decoder) end() error {
+	if d.err == nil && len(d.buf) != 0 {
+		d.err = fmt.Errorf("pbft: %d trailing bytes", len(d.buf))
+	}
+	return d.err
 }
 
 // count reads an element count, failing on one above limit: a forged
 // count must not size an allocation or a loop.
 func (d *decoder) count(limit int) int {
 	n := int(d.u32())
-	if d.err != nil || n < 0 || n > limit {
-		d.fail()
+	if n < 0 || n > limit {
+		d.err = errTruncated
 		return 0
 	}
 	return n
 }
 
+// encodeRequest writes the layout Request and ReadRequest share, bare or
+// as one element of a batch.
+func encodeRequest(e *encoder, r Request) {
+	e.u32(r.Client)
+	e.u64(r.Timestamp)
+	e.bytes(r.Op)
+}
+
+func decodeRequest(d *decoder) Request {
+	return Request{Client: d.u32(), Timestamp: d.u64(), Op: d.bytes()}
+}
+
 func encodeRequests(e *encoder, reqs []Request) {
 	e.u32(uint32(len(reqs)))
 	for _, r := range reqs {
-		e.u32(r.Client)
-		e.u64(r.Timestamp)
-		e.bytes(r.Op)
+		encodeRequest(e, r)
 	}
 }
 
-// encodeProposal writes the fields PrePrepare and PreparedProof share.
+func decodeRequests(d *decoder) []Request {
+	n := d.count(1 << 20)
+	if d.err != nil {
+		return nil
+	}
+	reqs := make([]Request, 0, n)
+	for i := 0; i < n; i++ {
+		r := decodeRequest(d)
+		if d.err != nil {
+			return nil
+		}
+		reqs = append(reqs, r)
+	}
+	return reqs
+}
+
 func encodeProposal(e *encoder, pp PrePrepare) {
 	e.u64(pp.View)
 	e.u64(pp.Seq)
@@ -152,6 +161,29 @@ func encodeProposal(e *encoder, pp PrePrepare) {
 
 func decodeProposal(d *decoder) PrePrepare {
 	return PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Batch: decodeRequests(d)}
+}
+
+// encodeProposals writes the proposal list of a VIEW-CHANGE or a NEW-VIEW.
+func encodeProposals(e *encoder, pps []PrePrepare) {
+	e.u32(uint32(len(pps)))
+	for _, pp := range pps {
+		encodeProposal(e, pp)
+	}
+}
+
+func decodeProposals(d *decoder) (pps []PrePrepare) {
+	for n := d.count(1 << 20); n > 0 && d.err == nil; n-- {
+		pps = append(pps, decodeProposal(d))
+	}
+	return pps
+}
+
+// encodeVote writes the layout Prepare and Commit share.
+func encodeVote(e *encoder, v Prepare) {
+	e.u64(v.View)
+	e.u64(v.Seq)
+	e.digest(v.Digest)
+	e.u32(v.Replica)
 }
 
 func encodeDigests(e *encoder, ds []auth.Digest) {
@@ -176,80 +208,79 @@ func decodeDigests(d *decoder) []auth.Digest {
 	return ds
 }
 
-func decodeRequests(d *decoder) []Request {
-	n := d.count(1 << 20)
-	if d.err != nil {
-		return nil
-	}
-	reqs := make([]Request, 0, n)
-	for i := 0; i < n; i++ {
-		r := Request{Client: d.u32(), Timestamp: d.u64(), Op: d.bytes()}
-		if d.err != nil {
-			return nil
-		}
-		reqs = append(reqs, r)
-	}
-	return reqs
-}
-
 // Encode serializes a protocol message with its type tag, in one
 // allocation of exactly its encoded size.
-func Encode(m Message) []byte {
-	e := &encoder{buf: make([]byte, 0, encodedSize(m))}
+func Encode(m Message) []byte { return encodeTo(new([]byte), m) }
+
+// room empties an owner's send scratch, regrown first if it cannot hold n
+// bytes. The scratch is made by first use, never ahead of it, and reused
+// for every message after: sound for bytes handed straight to Peer.Send,
+// which copies before it returns, and for nothing that keeps them.
+func room(scratch *[]byte, n int) []byte {
+	if cap(*scratch) < n {
+		*scratch = make([]byte, 0, n)
+	}
+	return (*scratch)[:0]
+}
+
+// encodeTo is Encode into the owner's scratch: what it returns is valid
+// until the owner's next use of the scratch.
+func encodeTo(scratch *[]byte, m Message) []byte {
+	e := &encoder{buf: room(scratch, encodedSize(m))}
 	e.message(m)
 	return e.buf
 }
 
-// message appends m behind its type tag.
+// message appends m behind its type tag. m must not escape from here — no
+// dynamic m.msgType(), no %T — or every struct a caller passes as Message
+// is boxed on the heap: each arm asks its own concrete type for the tag.
 func (e *encoder) message(m Message) {
-	e.u8(uint8(m.msgType()))
 	switch v := m.(type) {
 	case Request:
-		e.u32(v.Client)
-		e.u64(v.Timestamp)
-		e.bytes(v.Op)
+		e.u8(uint8(v.msgType()))
+		encodeRequest(e, v)
+	case ReadRequest:
+		e.u8(uint8(v.msgType()))
+		encodeRequest(e, Request(v))
 	case PrePrepare:
+		e.u8(uint8(v.msgType()))
 		encodeProposal(e, v)
 	case Prepare:
-		e.u64(v.View)
-		e.u64(v.Seq)
-		e.digest(v.Digest)
-		e.u32(v.Replica)
+		e.u8(uint8(v.msgType()))
+		encodeVote(e, v)
 	case Commit:
-		e.u64(v.View)
-		e.u64(v.Seq)
-		e.digest(v.Digest)
-		e.u32(v.Replica)
+		e.u8(uint8(v.msgType()))
+		encodeVote(e, Prepare(v))
 	case Reply:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.View)
 		e.u64(v.Timestamp)
 		e.u32(v.Client)
 		e.u32(v.Replica)
 		e.bytes(v.Result)
 	case Checkpoint:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.Seq)
 		e.digest(v.Digest)
 		e.u32(v.Replica)
 	case ViewChange:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.NewView)
 		e.u64(v.Stable)
-		e.u32(uint32(len(v.Prepared)))
-		for _, p := range v.Prepared {
-			encodeProposal(e, PrePrepare(p))
-		}
+		encodeProposals(e, v.Prepared)
 		e.u32(v.Replica)
 	case NewView:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.View)
-		e.u32(uint32(len(v.PrePrepares)))
-		for _, pp := range v.PrePrepares {
-			encodeProposal(e, pp)
-		}
+		encodeProposals(e, v.PrePrepares)
 	case StateRequest:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.Seq)
 		e.u32(v.Replica)
 		e.digest(v.Root)
 		encodeDigests(e, v.Digests)
 	case StateManifest:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.Seq)
 		e.u64(v.View)
 		e.digest(v.Root)
@@ -257,79 +288,113 @@ func (e *encoder) message(m Message) {
 		encodeDigests(e, v.Digests)
 		e.u32(v.Replica)
 	case StatePart:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.Seq)
 		e.u32(v.Part)
 		e.bytes(v.Data)
 		e.u32(v.Replica)
-	case ReadRequest:
-		e.u32(v.Client)
-		e.u64(v.Timestamp)
-		e.bytes(v.Op)
 	case ReadReply:
+		e.u8(uint8(v.msgType()))
 		e.u64(v.Timestamp)
 		e.u32(v.Client)
 		e.u32(v.Replica)
 		e.u64(v.Executed)
 		e.bytes(v.Result)
 	default:
-		panic(fmt.Sprintf("pbft: cannot encode %T", m))
+		panic("pbft: cannot encode a message of this type")
 	}
 }
 
-// Decode parses a serialized protocol message. The byte fields of the
-// result (operations, results, transfer headers and partitions) alias raw:
-// the caller must own raw and leave it unchanged for as long as it keeps
-// the message.
-func Decode(raw []byte) (Message, error) {
-	d := &decoder{buf: raw}
-	t := MsgType(d.u8())
-	var m Message
-	switch t {
-	case MsgRequest:
-		m = Request{Client: d.u32(), Timestamp: d.u64(), Op: d.bytes()}
+// decoded is one message decoded by value: typ names the field that is
+// set. A receive path declares one on its stack and dispatches on typ, so a
+// delivered message costs the heap only what its handler keeps. Twin
+// layouts share a field: request holds a Request or a ReadRequest, vote a
+// Prepare or a Commit.
+type decoded struct {
+	typ      MsgType
+	claimed  uint32 // the replica the message names as its origin, if claims
+	claims   bool
+	request  Request
+	proposal PrePrepare
+	vote     Prepare
+	reply    Reply
+	cp       Checkpoint
+	vc       ViewChange
+	nv       NewView
+	stateReq StateRequest
+	manifest StateManifest
+	part     StatePart
+	read     ReadReply
+}
+
+// decode parses a serialized protocol message into m. The byte fields of
+// the result (operations, results, transfer headers and partitions) alias
+// raw: the caller must own raw and leave it unchanged for as long as it
+// keeps them.
+func (m *decoded) decode(raw []byte) error {
+	d := decoder{buf: raw}
+	m.claims = false
+	switch m.typ = MsgType(d.u8()); m.typ {
+	case MsgRequest, MsgReadRequest:
+		m.request = decodeRequest(&d)
 	case MsgPrePrepare:
-		m = decodeProposal(d)
-	case MsgPrepare:
-		m = Prepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Replica: d.u32()}
-	case MsgCommit:
-		m = Commit{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Replica: d.u32()}
+		m.proposal = decodeProposal(&d)
+	case MsgPrepare, MsgCommit:
+		m.vote = Prepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Replica: m.origin(&d)}
 	case MsgReply:
-		m = Reply{View: d.u64(), Timestamp: d.u64(), Client: d.u32(), Replica: d.u32(), Result: d.bytes()}
+		m.reply = Reply{View: d.u64(), Timestamp: d.u64(), Client: d.u32(), Replica: m.origin(&d), Result: d.bytes()}
 	case MsgCheckpoint:
-		m = Checkpoint{Seq: d.u64(), Digest: d.digest(), Replica: d.u32()}
+		m.cp = Checkpoint{Seq: d.u64(), Digest: d.digest(), Replica: m.origin(&d)}
 	case MsgViewChange:
-		vc := ViewChange{NewView: d.u64(), Stable: d.u64()}
-		for n := d.count(1 << 20); n > 0 && d.err == nil; n-- {
-			vc.Prepared = append(vc.Prepared, PreparedProof(decodeProposal(d)))
-		}
-		vc.Replica = d.u32()
-		m = vc
+		m.vc = ViewChange{NewView: d.u64(), Stable: d.u64(), Prepared: decodeProposals(&d), Replica: m.origin(&d)}
 	case MsgNewView:
-		nv := NewView{View: d.u64()}
-		for n := d.count(1 << 20); n > 0 && d.err == nil; n-- {
-			nv.PrePrepares = append(nv.PrePrepares, decodeProposal(d))
-		}
-		m = nv
+		m.nv = NewView{View: d.u64(), PrePrepares: decodeProposals(&d)}
 	case MsgStateRequest:
-		m = StateRequest{Seq: d.u64(), Replica: d.u32(), Root: d.digest(), Digests: decodeDigests(d)}
+		m.stateReq = StateRequest{Seq: d.u64(), Replica: m.origin(&d), Root: d.digest(), Digests: decodeDigests(&d)}
 	case MsgStateManifest:
-		m = StateManifest{Seq: d.u64(), View: d.u64(), Root: d.digest(), Header: d.bytes(), Digests: decodeDigests(d), Replica: d.u32()}
+		m.manifest = StateManifest{Seq: d.u64(), View: d.u64(), Root: d.digest(), Header: d.bytes(), Digests: decodeDigests(&d), Replica: m.origin(&d)}
 	case MsgStatePart:
-		m = StatePart{Seq: d.u64(), Part: d.u32(), Data: d.bytes(), Replica: d.u32()}
-	case MsgReadRequest:
-		m = ReadRequest{Client: d.u32(), Timestamp: d.u64(), Op: d.bytes()}
+		m.part = StatePart{Seq: d.u64(), Part: d.u32(), Data: d.bytes(), Replica: m.origin(&d)}
 	case MsgReadReply:
-		m = ReadReply{Timestamp: d.u64(), Client: d.u32(), Replica: d.u32(), Executed: d.u64(), Result: d.bytes()}
+		m.read = ReadReply{Timestamp: d.u64(), Client: d.u32(), Replica: m.origin(&d), Executed: d.u64(), Result: d.bytes()}
 	default:
-		return nil, fmt.Errorf("pbft: unknown message type %d", t)
+		return fmt.Errorf("pbft: unknown message type %d", m.typ)
 	}
-	if d.err != nil {
-		return nil, d.err
+	return d.end()
+}
+
+// origin reads the Replica field of a message that carries its origin.
+func (m *decoded) origin(d *decoder) uint32 {
+	m.claimed, m.claims = d.u32(), true
+	return m.claimed
+}
+
+// Decode is decode boxed: the message as a value of its own type, for
+// callers that want one rather than a dispatch (tests, the benchmark's
+// codec probe). Its byte fields alias raw under decode's rule.
+func Decode(raw []byte) (Message, error) {
+	var m decoded
+	if err := m.decode(raw); err != nil {
+		return nil, err
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("pbft: %d trailing bytes", len(d.buf))
-	}
-	return m, nil
+	return boxed[m.typ](m), nil
+}
+
+// boxed[t] boxes the field of a decoded message that typ t names.
+var boxed = [...]func(decoded) Message{
+	MsgRequest:       func(m decoded) Message { return m.request },
+	MsgReadRequest:   func(m decoded) Message { return ReadRequest(m.request) },
+	MsgPrePrepare:    func(m decoded) Message { return m.proposal },
+	MsgPrepare:       func(m decoded) Message { return m.vote },
+	MsgCommit:        func(m decoded) Message { return Commit(m.vote) },
+	MsgReply:         func(m decoded) Message { return m.reply },
+	MsgCheckpoint:    func(m decoded) Message { return m.cp },
+	MsgViewChange:    func(m decoded) Message { return m.vc },
+	MsgNewView:       func(m decoded) Message { return m.nv },
+	MsgStateRequest:  func(m decoded) Message { return m.stateReq },
+	MsgStateManifest: func(m decoded) Message { return m.manifest },
+	MsgStatePart:     func(m decoded) Message { return m.part },
+	MsgReadReply:     func(m decoded) Message { return m.read },
 }
 
 // encodedSize returns len(Encode(m)) without encoding. It sizes every

@@ -199,44 +199,51 @@ func encodeEnvelope(env Envelope) []byte {
 }
 
 // TestSealMatchesReference checks the one-buffer envelope against
-// encoding and authenticating separately: same bytes, exact size, one
-// allocation, and every receiver verifies its MAC over the aliased payload.
+// encoding and authenticating separately: same bytes, the payload's type
+// and size, every receiver verifies its MAC over the aliased payload — and
+// it is the replica's scratch: made exactly by first use, no allocation
+// after, whatever the order of sizes.
 func TestSealMatchesReference(t *testing.T) {
 	rings := auth.GenerateKeyrings(4, 7)
+	sender := &Replica{id: 2, keyring: rings[2]}
 	for _, m := range codecTable() {
 		payload := Encode(m)
 		want := encodeEnvelope(Envelope{Sender: 2, Payload: payload, Auth: rings[2].Authenticate(payload)})
-		sender := &Replica{id: 2, keyring: rings[2]}
-		got, size := sender.seal(m)
-		if !bytes.Equal(got, want) || cap(got) != len(got) || size != len(payload) {
-			t.Fatalf("%T: sealed envelope differs from the reference (len %d/%d, cap %d)", m, len(got), len(want), cap(got))
+		fresh := &Replica{id: 2, keyring: rings[2]}
+		if first, _, _ := fresh.seal(m); !bytes.Equal(first, want) || cap(first) != len(first) {
+			t.Fatalf("%T: a first seal differs from the reference or over-allocates (len %d/%d, cap %d)", m, len(first), len(want), cap(first))
+		}
+		got, typ, size := sender.seal(m)
+		if !bytes.Equal(got, want) || typ != MsgType(payload[0]) || size != len(payload) {
+			t.Fatalf("%T: sealed envelope differs from the reference (len %d/%d, type %v, size %d)", m, len(got), len(want), typ, size)
 		}
 		env, err := DecodeEnvelope(got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrupted, _ := (&Replica{id: 2, keyring: rings[2], faults: Faults{CorruptMACs: true}}).seal(m)
+		corrupted, _, _ := (&Replica{id: 2, keyring: rings[2], faults: Faults{CorruptMACs: true}}).seal(m)
 		bad, _ := DecodeEnvelope(corrupted)
 		for _, to := range []int{0, 1, 3} {
-			if !rings[to].VerifyFrom(2, env.Payload, env.Auth) {
+			if !rings[to].Verify(2, env.Payload, env.Auth[to]) {
 				t.Errorf("%T: replica %d rejects the sealed envelope", m, to)
 			}
-			if rings[to].VerifyFrom(2, bad.Payload, bad.Auth) {
+			if rings[to].Verify(2, bad.Payload, bad.Auth[to]) {
 				t.Errorf("%T: replica %d accepts corrupted MACs", m, to)
 			}
 		}
 		if raceflag.Enabled {
 			continue
 		}
-		if allocs := testing.AllocsPerRun(20, func() { sender.seal(m) }); allocs != 1 {
-			t.Errorf("seal(%T) allocates %v times, want 1", m, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { sender.seal(m) }); allocs != 0 {
+			t.Errorf("seal(%T) into a scratch that fits allocates %v times, want 0", m, allocs)
 		}
 	}
 }
 
-// TestDecodeAliasesInput pins decode-by-reference: every byte field of a
-// decoded message or envelope lies inside the input buffer, with its
-// capacity cut to its length.
+// TestDecodeAliasesInput pins decode-by-reference, the up rule: every byte
+// field of a decoded message or envelope — boxed by Decode or by value in
+// the record the receive paths dispatch on — lies inside the input buffer,
+// with its capacity cut to its length.
 func TestDecodeAliasesInput(t *testing.T) {
 	inside := func(field, raw []byte) bool {
 		if len(field) == 0 {
@@ -250,7 +257,7 @@ func TestDecodeAliasesInput(t *testing.T) {
 		return false
 	}
 	batch := batchOf(3, 100)
-	raw, _ := (&Replica{keyring: auth.GenerateKeyrings(4, 7)[0]}).seal(PrePrepare{View: 1, Seq: 2, Batch: batch})
+	raw, _, _ := (&Replica{keyring: auth.GenerateKeyrings(4, 7)[0]}).seal(PrePrepare{View: 1, Seq: 2, Batch: batch})
 	env, err := DecodeEnvelope(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -296,6 +303,33 @@ func TestDecodeAliasesInput(t *testing.T) {
 		}
 		if len(field) == 0 || !inside(field, raw) {
 			t.Errorf("%T: byte field does not alias the input", m)
+		}
+		// The by-value record the receive paths decode into holds the very
+		// same sub-slice: nothing is copied on the way to a handler either.
+		var v decoded
+		if err := v.decode(raw); err != nil {
+			t.Fatal(err)
+		}
+		set := 0
+		for _, f := range [][]byte{v.request.Op, v.reply.Result, v.read.Result, v.part.Data, v.manifest.Header} {
+			if len(f) > 0 {
+				set++
+				if !inside(f, raw) || &f[0] != &field[0] {
+					t.Errorf("%T: the by-value decoder's byte field does not alias the input", m)
+				}
+			}
+		}
+		if set != 1 {
+			t.Errorf("%T: the by-value decoder set %d byte fields, want 1", m, set)
+		}
+	}
+	var v decoded
+	if err := v.decode(env.Payload); err != nil || v.typ != MsgPrePrepare || len(v.proposal.Batch) != len(batch) {
+		t.Fatalf("by-value decode of the proposal: %v (type %v, %d requests)", err, v.typ, len(v.proposal.Batch))
+	}
+	for i, r := range v.proposal.Batch {
+		if !inside(r.Op, raw) {
+			t.Errorf("by-value operation %d does not alias the input", i)
 		}
 	}
 }

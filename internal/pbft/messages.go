@@ -13,6 +13,7 @@ package pbft
 
 import (
 	"fmt"
+	"strconv"
 
 	"rubin/internal/auth"
 )
@@ -68,10 +69,15 @@ type Request struct {
 	Op        []byte
 }
 
-// Key renders the request identity as text: the handle Client.Invoke
-// returns and the id the observability layer traces the request under.
-// Replica bookkeeping uses the allocation-free id() instead.
-func (r Request) Key() string { return fmt.Sprintf("%d/%d", r.Client, r.Timestamp) }
+// Key renders the request identity as text, "client/timestamp": the handle
+// Client.Invoke returns and the id the observability layer traces the
+// request under, in one allocation (the string). Replica bookkeeping uses
+// the allocation-free id() instead.
+func (r Request) Key() string {
+	var b [10 + 1 + 20]byte // the longest uint32, a slash, the longest uint64
+	key := append(strconv.AppendUint(b[:0], uint64(r.Client), 10), '/')
+	return string(strconv.AppendUint(key, r.Timestamp, 10))
+}
 
 // reqID is a request's identity — unique because each client's timestamps
 // are — as a comparable map key for proposal, store and timer bookkeeping.
@@ -123,13 +129,8 @@ type Checkpoint struct {
 }
 
 // PreparedProof summarizes one prepared-but-unexecuted slot for a view
-// change.
-type PreparedProof struct {
-	View   uint64
-	Seq    uint64
-	Digest auth.Digest
-	Batch  []Request
-}
+// change: the proposal that prepared there, in the proposal's own layout.
+type PreparedProof = PrePrepare
 
 // ViewChange asks to move to a new view, carrying the prepared set above
 // the sender's last stable checkpoint.
@@ -215,7 +216,7 @@ type ReadRequest struct {
 
 // Key identifies a read for timer bookkeeping and tracing, in the same
 // namespace as Request keys (timestamps are shared, so keys are unique).
-func (r ReadRequest) Key() string { return fmt.Sprintf("%d/%d", r.Client, r.Timestamp) }
+func (r ReadRequest) Key() string { return Request(r).Key() }
 
 // ReadReply carries a tentative read result. Executed is the replica's
 // last-executed sequence number — the state position the read was served

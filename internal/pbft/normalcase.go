@@ -107,7 +107,7 @@ func (r *Replica) handleRequest(req Request) {
 	id := req.id()
 	// Exactly-once: answer repeats from the cache.
 	if last, ok := r.replyCache[req.Client]; ok && last.Timestamp == req.Timestamp {
-		r.sendToClient(req.Client, Encode(last))
+		r.sendToClient(req.Client, last)
 		return
 	}
 	if r.proposed[id] {
@@ -374,7 +374,7 @@ func (r *Replica) tryExecute() {
 			result := r.app.Execute(req.Op)
 			rep := Reply{View: r.view, Timestamp: req.Timestamp, Client: req.Client, Replica: r.id, Result: result}
 			r.replyCache[req.Client] = rep
-			r.sendToClient(req.Client, Encode(rep))
+			r.sendToClient(req.Client, rep)
 			delete(r.requestStore, req.id())
 		}
 		// Execution only happens in an installed view (never while
@@ -414,27 +414,21 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.ReadServe, req.Key(), r.node.Loop().Now())
 	}
-	r.sendToClient(req.Client, Encode(ReadReply{
+	r.sendToClient(req.Client, ReadReply{
 		Timestamp: req.Timestamp, Client: req.Client, Replica: r.id,
 		Executed: r.executed, Result: result,
-	}))
+	})
 }
 
-// sendToClient transmits one encoded reply payload to a client
-// connection (plain payload — client traffic is unauthenticated; the
-// client's reply quorum provides the integrity).
-func (r *Replica) sendToClient(client uint32, payload []byte) {
-	if r.stopped || r.faults.Crashed {
-		return
-	}
+// sendToClient encodes one reply into the replica's scratch and transmits
+// it to a client connection (plain payload — client traffic is
+// unauthenticated; the client's reply quorum provides the integrity).
+func (r *Replica) sendToClient(client uint32, m Message) {
 	peer := r.clientConns[client]
-	if peer == nil {
+	if r.stopped || r.faults.Crashed || peer == nil {
 		return
 	}
+	payload := encodeTo(&r.scratch, m)
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
-	r.deferSend(func() {
-		if err := peer.Send(msgnet.ClassControl, payload); err != nil {
-			*r.sendFaults++
-		}
-	})
+	r.deferSend(r.faults.SendDelay, peer, msgnet.ClassControl, payload, nil)
 }

@@ -1,7 +1,7 @@
 package pbft
 
 import (
-	"fmt"
+	"bytes"
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
@@ -81,6 +81,11 @@ type Replica struct {
 
 	// batches digests proposals without materialising their encoding.
 	batches batchDigester
+
+	// scratch holds whatever this replica sends, one message at a time: an
+	// envelope or a reply is encoded into it and handed to Peer.Send, which
+	// copies before it returns (see room).
+	scratch []byte
 }
 
 // NewReplica builds a replica. Connections are attached afterwards with
@@ -186,17 +191,15 @@ func (r *Replica) AttachInbound(p *msgnet.Peer) {
 func (r *Replica) HandleClientConn(p *msgnet.Peer) {
 	p.OnSendError(func(error) { *r.sendFaults++ })
 	p.OnMessage(func(_ msgnet.Class, raw []byte) {
-		msg, err := Decode(raw)
-		if err != nil {
+		var m decoded
+		if m.decode(raw) != nil || (m.typ != MsgRequest && m.typ != MsgReadRequest) {
 			return
 		}
-		switch req := msg.(type) {
-		case Request:
-			r.clientConns[req.Client] = p
-			r.handleRequest(req)
-		case ReadRequest:
-			r.clientConns[req.Client] = p
-			r.handleReadRequest(req)
+		r.clientConns[m.request.Client] = p
+		if m.typ == MsgRequest {
+			r.handleRequest(m.request)
+		} else {
+			r.handleReadRequest(ReadRequest(m.request))
 		}
 	})
 }
@@ -204,51 +207,62 @@ func (r *Replica) HandleClientConn(p *msgnet.Peer) {
 // crypto charges modeled CPU time for cryptographic work.
 func (r *Replica) crypto(d sim.Time) { r.node.CPU.Delay(d) }
 
-// deferSend runs fn now, or after the injected SendDelay fault. A delayed
-// send re-checks the crash state at fire time: a replica that Stop()s
-// while a send is queued must not transmit afterwards.
-func (r *Replica) deferSend(fn func()) {
-	if r.faults.SendDelay > 0 {
-		r.node.Loop().After(r.faults.SendDelay, func() {
+// deferSend sends env to one peer — or, with to nil, to every other replica,
+// the odd-numbered ones getting oddEnv — now, or after delay, the injected
+// SendDelay fault. env is the sender's scratch, which Peer.Send copies
+// before it returns; a delayed send copies it first, since the scratch will
+// long have been reused when it fires, and re-checks the crash state then: a
+// replica that Stop()s while a send is queued must not transmit afterwards.
+// Un-faulted, nothing here allocates — the closure belongs to the delay.
+func (r *Replica) deferSend(delay sim.Time, to *msgnet.Peer, cls msgnet.Class, env, oddEnv []byte) {
+	if delay > 0 {
+		env, oddEnv := bytes.Clone(env), bytes.Clone(oddEnv)
+		r.node.Loop().After(delay, func() {
 			if !r.stopped {
-				fn()
+				r.deferSend(0, to, cls, env, oddEnv)
 			}
 		})
 		return
 	}
-	fn()
+	if to != nil {
+		if to.Send(cls, env) != nil {
+			*r.sendFaults++
+		}
+		return
+	}
+	// Ascending id order, so send order (and therefore the simulation) is
+	// deterministic. A peer with no live handle (e.g. mid-re-dial after a
+	// Restart) is a delivery failure too — counted, never silently skipped.
+	for id, peer := range r.peers {
+		out := env
+		if id%2 != 0 {
+			out = oddEnv
+		}
+		if uint32(id) != r.id && (peer == nil || peer.Send(cls, out) != nil) {
+			*r.sendFaults++
+		}
+	}
 }
 
 // broadcast authenticates and sends a message to all other replicas.
 func (r *Replica) broadcast(m Message) {
-	if r.stopped || r.faults.Crashed || (r.faults.Mute != nil && r.faults.Mute[m.msgType()]) {
+	if r.stopped || r.faults.Crashed {
 		return
 	}
-	env, size := r.seal(m)
+	env, t, size := r.seal(m)
+	if r.faults.Mute[t] {
+		return
+	}
 	r.crypto(auth.AuthenticatorCost(r.node.Network().Params().Crypto, r.cfg.N, size))
 	// An equivocating leader's pre-prepares conflict: correct to the even
 	// backups, digest-corrupted to the odd ones.
 	oddEnv := env
 	if pp, isPP := m.(PrePrepare); isPP && r.faults.EquivocateLeader {
 		pp.Digest[0] ^= 0xFF
-		oddEnv, _ = r.seal(pp)
+		env = bytes.Clone(env) // the second seal reuses the scratch
+		oddEnv, _, _ = r.seal(pp)
 	}
-	cls := classFor(m.msgType())
-	r.deferSend(func() {
-		// Ascending id order, so send order (and therefore the simulation)
-		// is deterministic. A peer with no live handle (e.g. mid-re-dial
-		// after a Restart) is a delivery failure too — counted, never
-		// silently skipped.
-		for id, peer := range r.peers {
-			out := env
-			if id%2 != 0 {
-				out = oddEnv
-			}
-			if uint32(id) != r.id && (peer == nil || peer.Send(cls, out) != nil) {
-				*r.sendFaults++
-			}
-		}
-	})
+	r.deferSend(r.faults.SendDelay, nil, classFor(t), env, oddEnv)
 }
 
 // classFor routes protocol messages onto msgnet traffic classes: state
@@ -265,39 +279,31 @@ func classFor(t MsgType) msgnet.Class {
 
 // send authenticates and sends to one replica.
 func (r *Replica) send(to uint32, m Message) {
-	if r.stopped || r.faults.Crashed || (r.faults.Mute != nil && r.faults.Mute[m.msgType()]) {
+	if r.stopped || r.faults.Crashed {
+		return
+	}
+	env, t, size := r.seal(m)
+	if r.faults.Mute[t] {
 		return
 	}
 	if int(to) >= len(r.peers) || r.peers[to] == nil {
 		*r.sendFaults++ // no live handle: a delivery failure, not a silent skip
 		return
 	}
-	env, size := r.seal(m)
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, size))
-	cls := classFor(m.msgType())
-	peer := r.peers[to]
-	r.deferSend(func() {
-		if err := peer.Send(cls, env); err != nil {
-			*r.sendFaults++
-		}
-	})
+	r.deferSend(r.faults.SendDelay, r.peers[to], classFor(t), env, nil)
 }
 
-// Envelope is the authenticated wrapper for replica-to-replica messages.
-type Envelope struct {
-	Sender  uint32
-	Payload []byte
-	Auth    auth.Authenticator
-}
-
-// seal lays sender | len | payload | MACs out in one buffer of exactly the
-// envelope's size: m is encoded once, straight into place, and each MAC is
-// computed over that sub-slice and appended behind it. size is the payload's
-// length, which the modeled crypto charges go by.
-func (r *Replica) seal(m Message) (env []byte, size int) {
+// seal lays sender | len | payload | MACs out in the replica's scratch, at
+// exactly the envelope's size: m is encoded once, straight into place, and
+// each MAC is computed over that sub-slice and appended behind it. t is the
+// payload's type — read off its tag, because asking m would box it — and
+// size its length, which the modeled crypto charges go by. env is valid
+// until the replica's next seal or reply.
+func (r *Replica) seal(m Message) (env []byte, t MsgType, size int) {
 	kr := r.keyring
 	size, n := encodedSize(m), kr.N()
-	e := &encoder{buf: make([]byte, 0, 4+4+size+4+4*n+(n-1)*auth.MACSize)}
+	e := &encoder{buf: room(&r.scratch, 4+4+size+4+4*n+(n-1)*auth.MACSize)}
 	e.u32(r.id)
 	e.u32(uint32(size))
 	e.message(m)
@@ -314,29 +320,22 @@ func (r *Replica) seal(m Message) (env []byte, size int) {
 			e.buf[len(e.buf)-auth.MACSize] ^= 0xFF
 		}
 	}
-	return e.buf, size
+	return e.buf, MsgType(payload[0]), size
 }
 
-// DecodeEnvelope parses an envelope. Payload and the MACs alias raw, under
-// the same rule as Decode.
-func DecodeEnvelope(raw []byte) (Envelope, error) {
-	d := &decoder{buf: raw}
-	env := Envelope{Sender: d.u32(), Payload: d.bytes()}
-	// Every entry takes at least its length prefix, so a forged count
-	// cannot size the vector beyond what the input could hold.
-	if n := d.count(min(1<<16, len(d.buf)/4)); n > 0 {
-		env.Auth = make(auth.Authenticator, n)
-		for i := range env.Auth {
-			env.Auth[i] = d.bytes()
-		}
+// openEnvelope walks the authenticated wrapper of a replica-to-replica
+// message in place and shows every entry of its MAC vector to visit.
+// Payload and MACs alias raw, under the same rule as decode. The entry
+// count is input no MAC has vouched for yet: it sizes nothing and only
+// bounds the walk — by what raw could hold, every entry taking at least
+// its length prefix.
+func openEnvelope(raw []byte, visit func(i int, mac []byte)) (sender uint32, payload []byte, err error) {
+	d := decoder{buf: raw}
+	sender, payload = d.u32(), d.bytes()
+	for i, n := 0, d.count(min(1<<16, len(d.buf)/4)); i < n; i++ {
+		visit(i, d.bytes())
 	}
-	if d.err != nil {
-		return Envelope{}, d.err
-	}
-	if len(d.buf) != 0 {
-		return Envelope{}, fmt.Errorf("pbft: %d trailing envelope bytes", len(d.buf))
-	}
-	return env, nil
+	return sender, payload, d.end()
 }
 
 // handleEnvelope verifies and dispatches one replica-to-replica message.
@@ -344,70 +343,49 @@ func (r *Replica) handleEnvelope(raw []byte) {
 	if r.stopped {
 		return
 	}
-	env, err := DecodeEnvelope(raw)
+	var mac []byte // this replica's entry of the sender's authenticator
+	self := r.keyring.Self()
+	sender, payload, err := openEnvelope(raw, func(i int, entry []byte) {
+		if i == self {
+			mac = entry
+		}
+	})
 	if err != nil {
 		return
 	}
-	p := r.node.Network().Params().Crypto
-	r.crypto(auth.Cost(p, len(env.Payload)))
-	if !r.keyring.VerifyFrom(int(env.Sender), env.Payload, env.Auth) {
+	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
+	if !r.keyring.Verify(int(sender), payload, mac) {
 		return // forged or corrupted: drop (paper III-C: HMACs detect)
 	}
-	msg, err := Decode(env.Payload)
-	if err != nil {
-		return
-	}
+	var m decoded
 	// Bind claimed identity to the authenticated sender: vote-carrying
 	// messages whose in-payload Replica field does not match the MAC'd
 	// envelope sender are forgeries (one Byzantine peer spoofing other
 	// replicas' votes to fabricate quorums) and are dropped here so no
 	// handler ever counts a vote under a spoofed identity.
-	if claimed, ok := claimedReplica(msg); ok && claimed != env.Sender {
+	if m.decode(payload) != nil || (m.claims && m.claimed != sender) {
 		return
 	}
-	switch m := msg.(type) {
-	case Request: // forwarded by a backup to the leader
-		r.handleRequest(m)
-	case PrePrepare:
-		r.handlePrePrepare(env.Sender, m, len(env.Payload))
-	case Prepare:
-		r.handlePrepare(m)
-	case Commit:
-		r.handleCommit(m)
-	case Checkpoint:
-		r.recordCheckpoint(env.Sender, m)
-	case ViewChange:
-		r.handleViewChange(m)
-	case NewView:
-		r.handleNewView(env.Sender, m)
-	case StateRequest:
-		r.handleStateRequest(env.Sender, m)
-	case StateManifest:
-		r.handleStateManifest(env.Sender, m)
-	case StatePart:
-		r.handleStatePart(env.Sender, m)
-	}
-}
-
-// claimedReplica extracts the replica identity a message claims to
-// originate from, for messages that carry one.
-func claimedReplica(m Message) (uint32, bool) {
-	switch v := m.(type) {
-	case Prepare:
-		return v.Replica, true
-	case Commit:
-		return v.Replica, true
-	case Checkpoint:
-		return v.Replica, true
-	case ViewChange:
-		return v.Replica, true
-	case StateRequest:
-		return v.Replica, true
-	case StateManifest:
-		return v.Replica, true
-	case StatePart:
-		return v.Replica, true
-	default:
-		return 0, false
+	switch m.typ {
+	case MsgRequest: // forwarded by a backup to the leader
+		r.handleRequest(m.request)
+	case MsgPrePrepare:
+		r.handlePrePrepare(sender, m.proposal, len(payload))
+	case MsgPrepare:
+		r.handlePrepare(m.vote)
+	case MsgCommit:
+		r.handleCommit(Commit(m.vote))
+	case MsgCheckpoint:
+		r.recordCheckpoint(sender, m.cp)
+	case MsgViewChange:
+		r.handleViewChange(m.vc)
+	case MsgNewView:
+		r.handleNewView(sender, m.nv)
+	case MsgStateRequest:
+		r.handleStateRequest(sender, m.stateReq)
+	case MsgStateManifest:
+		r.handleStateManifest(sender, m.manifest)
+	case MsgStatePart:
+		r.handleStatePart(sender, m.part)
 	}
 }
