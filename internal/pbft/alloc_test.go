@@ -135,7 +135,7 @@ func TestReplyAllocatesNothing(t *testing.T) {
 		cl.reads[ts] = &readInvocation{replies: make([]replyVote, len(cl.conns))}
 		receive, arrived := cl.conns[3], 0
 		receive.OnMessage(func(msgnet.Class, []byte) { arrived++ })
-		out, rawReply, rawRead := rep.clientConns[cl.ID()], Encode(reply), Encode(read)
+		out, rawReply, rawRead := rep.clients[cl.ID()].conn, Encode(reply), Encode(read)
 		carry := func() {
 			_ = out.Send(msgnet.ClassControl, rawReply)
 			_ = out.Send(msgnet.ClassControl, rawRead)
@@ -144,8 +144,8 @@ func TestReplyAllocatesNothing(t *testing.T) {
 		testing.AllocsPerRun(149, carry) // every receive slot of the channel backed
 		carried := testing.AllocsPerRun(50, carry)
 		roundTrip := func() {
-			rep.sendToClient(cl.ID(), reply)
-			rep.sendToClient(cl.ID(), read)
+			rep.sendToClient(rep.clients[cl.ID()], reply)
+			rep.sendToClient(rep.clients[cl.ID()], read)
 			c.Loop.Run()
 		}
 		if allocs := testing.AllocsPerRun(50, roundTrip); allocs != carried {

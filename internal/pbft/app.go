@@ -137,8 +137,6 @@ func (c Config) Quorum() int { return 2*c.F + 1 }
 
 // Faults injects Byzantine behaviours for testing (zero value = correct).
 type Faults struct {
-	// Crashed drops all outgoing messages.
-	Crashed bool
 	// Mute drops outgoing messages of these types.
 	Mute map[MsgType]bool
 	// EquivocateLeader makes a leader send pre-prepares with corrupted

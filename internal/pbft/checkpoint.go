@@ -249,15 +249,26 @@ func (r *Replica) recordCheckpoint(sender uint32, m Checkpoint) {
 // advanceStable moves the watermark window up to the new stable
 // checkpoint: the log's cells at or below it read as absent from here on.
 // They keep their vote storage for the next lap but not their proposal —
-// the batch is the bulk of a slot, and the ring would pin LogWindow of them.
+// the batch is the bulk of a slot, and the ring would pin LogWindow of them —
+// and its requests leave the request table with it, executed here or not:
+// below the stable point a quorum executed them, as the clients' floors record.
 func (r *Replica) advanceStable(seq uint64) {
 	if seq <= r.stable {
 		return
 	}
 	for at := r.stable + 1; at <= seq && r.inWindow(at); at++ {
-		if s := r.lookup(at); s != nil {
-			s.pp = nil
+		s := r.lookup(at)
+		if s == nil || s.pp == nil {
+			continue
 		}
+		for _, req := range s.pp.Batch {
+			if r.requests[req.ID()].seq <= at { // not one a later slot holds again
+				delete(r.requests, req.ID())
+			}
+			c := r.client(req.Client)
+			c.floor = max(c.floor, req.Timestamp)
+		}
+		s.pp = nil
 	}
 	r.stable = seq
 	r.cps.gc(seq)

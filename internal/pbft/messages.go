@@ -69,24 +69,25 @@ type Request struct {
 	Op        []byte
 }
 
+// RequestID is a request's identity — unique because each client's
+// timestamps are — and comparable: the key of a replica's request table and
+// of every log that names requests without holding them.
+type RequestID struct {
+	Client    uint32
+	Timestamp uint64
+}
+
+// ID returns the request's identity; it allocates nothing.
+func (r Request) ID() RequestID { return RequestID{r.Client, r.Timestamp} }
+
 // Key renders the request identity as text, "client/timestamp": the handle
 // Client.Invoke returns and the id the observability layer traces the
-// request under, in one allocation (the string). Replica bookkeeping uses
-// the allocation-free id() instead.
+// request under, in one allocation (the string).
 func (r Request) Key() string {
 	var b [10 + 1 + 20]byte // the longest uint32, a slash, the longest uint64
 	key := append(strconv.AppendUint(b[:0], uint64(r.Client), 10), '/')
 	return string(strconv.AppendUint(key, r.Timestamp, 10))
 }
-
-// reqID is a request's identity — unique because each client's timestamps
-// are — as a comparable map key for proposal, store and timer bookkeeping.
-type reqID struct {
-	client    uint32
-	timestamp uint64
-}
-
-func (r Request) id() reqID { return reqID{r.Client, r.Timestamp} }
 
 // PrePrepare is the leader's ordering proposal for one batch.
 type PrePrepare struct {

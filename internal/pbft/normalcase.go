@@ -100,30 +100,72 @@ func (r *Replica) slotFor(seq uint64) *slot {
 	return s
 }
 
+// client is a row of the client table: where the client's replies go, the
+// last one (a repeat of that request is answered from it: exactly-once) and
+// the floor, the highest timestamp whose sequence left the watermark window.
+// At or below it a request is old news — a quorum executed it — and has no
+// row in the request table any more (Castro & Liskov §4.1).
+type client struct {
+	conn  *msgnet.Peer
+	last  Reply
+	floor uint64
+}
+
+// client returns id's row, starting one at first sight.
+func (r *Replica) client(id uint32) *client {
+	c := r.clients[id]
+	if c == nil {
+		c = &client{}
+		r.clients[id] = c
+	}
+	return c
+}
+
+// request is a row of the request table: known (stored until a leader orders
+// it), assigned (in this leader's queue, or in slot seq of the installed
+// view) or done (executed here at seq). advanceStable forgets the row when
+// seq leaves the watermark window, so the table holds what is outstanding
+// plus at most a window of batches.
+type request struct {
+	Request
+	state reqState
+	seq   uint64
+}
+
+type reqState uint8
+
+const (
+	known reqState = iota
+	assigned
+	done
+)
+
+// handleRequest admits a request. The two tables decide, and only here:
+// execution applies whatever a committed batch holds, because replicas trim
+// their tables at different times and would diverge over one consulted there.
 func (r *Replica) handleRequest(req Request) {
 	if r.stopped {
 		return
 	}
-	id := req.id()
-	// Exactly-once: answer repeats from the cache.
-	if last, ok := r.replyCache[req.Client]; ok && last.Timestamp == req.Timestamp {
-		r.sendToClient(req.Client, last)
+	c := r.client(req.Client)
+	if c.last.Timestamp == req.Timestamp { // timestamps start at 1
+		r.sendToClient(c, c.last)
 		return
 	}
-	if r.proposed[id] {
+	if row, seen := r.requests[req.ID()]; req.Timestamp <= c.floor || seen && row.state != known {
 		return
 	}
-	r.remember(req)
 	if !r.IsLeader() {
 		// Clients broadcast requests to all replicas (see Client), so
 		// the leader already has it; backups only watch for progress.
+		r.file(req, known, 0)
 		return
 	}
+	r.file(req, assigned, 0)
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.LeaderRecv, req.Key(), r.node.Loop().Now())
 	}
 	r.pending.Push(req)
-	r.proposed[id] = true
 	if r.pending.Len() >= r.cfg.BatchSize {
 		r.proposeBatch()
 		return
@@ -133,29 +175,36 @@ func (r *Replica) handleRequest(req Request) {
 	}
 }
 
-// remember stores a request until it executes and, if the progress timer
-// was idle, starts watching it.
-func (r *Replica) remember(req Request) {
-	id := req.id()
-	if _, known := r.requestStore[id]; known {
+// file writes req's row and, if it is the first, queues the request for the
+// progress timer — which starts watching it if it was idle.
+func (r *Replica) file(req Request, state reqState, seq uint64) {
+	id := req.ID()
+	_, seen := r.requests[id]
+	r.requests[id] = request{req, state, seq}
+	if seen {
 		return
 	}
-	r.requestStore[id] = req
 	r.arrivals.Push(id)
 	if !r.viewChanging && !r.progress.Pending() {
 		r.watchOldest()
 	}
 }
 
+// waiting reports whether id has a row and is yet to execute.
+func (r *Replica) waiting(id RequestID) bool {
+	row, seen := r.requests[id]
+	return seen && row.state != done
+}
+
 // watchOldest restarts the progress timer, with a full timeout, on the
-// stored request that arrived first — a fixed choice, so runs reproduce
+// waiting request that arrived first — a fixed choice, so runs reproduce
 // and a leader cannot starve one client by serving the others. With
-// nothing stored the timer stays cancelled rather than left to lapse: an
+// nothing waiting the timer stays cancelled rather than left to lapse: an
 // armed timer on an idle replica would keep Loop.Run alive past the work.
 func (r *Replica) watchOldest() {
 	r.progress.Cancel()
 	for ; r.arrivals.Len() > 0; r.arrivals.Pop() {
-		if _, waiting := r.requestStore[*r.arrivals.Front()]; waiting {
+		if r.waiting(*r.arrivals.Front()) {
 			r.watched = *r.arrivals.Front()
 			r.armProgress()
 			return
@@ -215,7 +264,7 @@ func (r *Replica) proposeBatch() {
 	r.slotFor(seq).pp = &pp
 	r.node.CPU.Acquire(order, func() {
 		// A view change while the proposal was being marshalled makes it
-		// stale: the requests stay in requestStore and the new leader
+		// stale: the requests keep their rows and the new leader
 		// re-proposes them.
 		if r.stopped || r.viewChanging || r.view != pp.View {
 			return
@@ -293,8 +342,7 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	}
 	s.pp = &pp
 	for _, req := range pp.Batch {
-		r.proposed[req.id()] = true
-		r.remember(req) // watch progress even if first seen here
+		r.file(req, assigned, pp.Seq) // watch progress even if first seen here
 	}
 	if !s.sentPrep {
 		s.sentPrep = true
@@ -372,14 +420,14 @@ func (r *Replica) tryExecute() {
 			}
 			r.node.CPU.Delay(proto.ExecRequest)
 			result := r.app.Execute(req.Op)
-			rep := Reply{View: r.view, Timestamp: req.Timestamp, Client: req.Client, Replica: r.id, Result: result}
-			r.replyCache[req.Client] = rep
-			r.sendToClient(req.Client, rep)
-			delete(r.requestStore, req.id())
+			c := r.client(req.Client)
+			c.last = Reply{View: r.view, Timestamp: req.Timestamp, Client: req.Client, Replica: r.id, Result: result}
+			r.sendToClient(c, c.last)
+			r.requests[req.ID()] = request{req, done, next}
 		}
 		// Execution only happens in an installed view (never while
 		// viewChanging), so the timer here is watching or idle.
-		if _, waiting := r.requestStore[r.watched]; !waiting {
+		if !r.waiting(r.watched) {
 			r.failedViews = 0
 			r.watchOldest()
 		}
@@ -400,7 +448,7 @@ func (r *Replica) tryExecute() {
 // support never answer; the client's timeout falls the read back to the
 // ordered path.
 func (r *Replica) handleReadRequest(req ReadRequest) {
-	if r.stopped || r.faults.Crashed {
+	if r.stopped {
 		return
 	}
 	tr, ok := r.app.(TentativeReader)
@@ -414,7 +462,7 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.ReadServe, req.Key(), r.node.Loop().Now())
 	}
-	r.sendToClient(req.Client, ReadReply{
+	r.sendToClient(r.client(req.Client), ReadReply{
 		Timestamp: req.Timestamp, Client: req.Client, Replica: r.id,
 		Executed: r.executed, Result: result,
 	})
@@ -423,12 +471,11 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 // sendToClient encodes one reply into the replica's scratch and transmits
 // it to a client connection (plain payload — client traffic is
 // unauthenticated; the client's reply quorum provides the integrity).
-func (r *Replica) sendToClient(client uint32, m Message) {
-	peer := r.clientConns[client]
-	if r.stopped || r.faults.Crashed || peer == nil {
+func (r *Replica) sendToClient(to *client, m Message) {
+	if r.stopped || to.conn == nil {
 		return
 	}
 	payload := encodeTo(&r.scratch, m)
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
-	r.deferSend(r.faults.SendDelay, peer, msgnet.ClassControl, payload, nil)
+	r.deferSend(r.faults.SendDelay, to.conn, msgnet.ClassControl, payload, nil)
 }

@@ -211,7 +211,7 @@ func TestExactlyOnceReplayedRequest(t *testing.T) {
 
 func TestCrashedBackupDoesNotBlockProgress(t *testing.T) {
 	c := newTestCluster(t, transport.KindRDMA, DefaultConfig())
-	c.Replicas[3].SetFaults(Faults{Crashed: true}) // a non-leader replica
+	c.Crash(3) // a non-leader replica
 	cl, err := c.AddClient()
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestCrashedBackupDoesNotBlockProgress(t *testing.T) {
 func TestCrashedLeaderTriggersViewChange(t *testing.T) {
 	cfg := DefaultConfig()
 	c := newTestCluster(t, transport.KindTCP, cfg)
-	c.Replicas[0].SetFaults(Faults{Crashed: true}) // leader of view 0
+	c.Crash(0) // leader of view 0
 	cl, err := c.AddClient()
 	if err != nil {
 		t.Fatal(err)
@@ -344,8 +344,8 @@ func TestLargerClusterN7F2(t *testing.T) {
 	cfg.N, cfg.F = 7, 2
 	c := newTestCluster(t, transport.KindTCP, cfg)
 	// Crash two replicas — the maximum tolerated.
-	c.Replicas[5].SetFaults(Faults{Crashed: true})
-	c.Replicas[6].SetFaults(Faults{Crashed: true})
+	c.Crash(5)
+	c.Crash(6)
 	cl, err := c.AddClient()
 	if err != nil {
 		t.Fatal(err)

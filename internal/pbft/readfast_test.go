@@ -400,7 +400,7 @@ func TestClientBindsReplyVotesToConnections(t *testing.T) {
 	// The honest replicas stay silent, so every reply the client sees is
 	// replica 3's.
 	for i := 0; i < 3; i++ {
-		c.Replicas[i].SetFaults(Faults{Crashed: true})
+		c.Crash(i)
 	}
 	var results []string
 	done := func(res []byte) { results = append(results, string(res)) }
@@ -412,8 +412,8 @@ func TestClientBindsReplyVotesToConnections(t *testing.T) {
 	c.Loop.RunUntil(start + sim.Millisecond) // the requests arrive: replica 3 knows the client's connection
 	byzantine := c.Replicas[3]
 	for id := uint32(0); id < 3; id++ {
-		byzantine.sendToClient(cl.ID(), Reply{Timestamp: 1, Client: cl.ID(), Replica: id, Result: []byte("forged")})
-		byzantine.sendToClient(cl.ID(), ReadReply{Timestamp: 2, Client: cl.ID(), Replica: id, Result: []byte("forged")})
+		byzantine.sendToClient(byzantine.clients[cl.ID()], Reply{Timestamp: 1, Client: cl.ID(), Replica: id, Result: []byte("forged")})
+		byzantine.sendToClient(byzantine.clients[cl.ID()], ReadReply{Timestamp: 2, Client: cl.ID(), Replica: id, Result: []byte("forged")})
 	}
 	c.Loop.RunUntil(start + 3*sim.Millisecond/2) // delivered, and before the read's fallback timer
 	if len(results) != 0 || cl.Outstanding() != 2 || cl.FastReads() != 0 {

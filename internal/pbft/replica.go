@@ -23,8 +23,6 @@ type Replica struct {
 	// peers[i] is the msgnet handle used to send to replica i (nil: none
 	// attached, as for i == id).
 	peers []*msgnet.Peer
-	// clientConns[c] is where replies to client c go.
-	clientConns map[uint32]*msgnet.Peer
 
 	view     uint64
 	seqNext  uint64  // next sequence the leader assigns
@@ -42,17 +40,16 @@ type Replica struct {
 
 	// Leader batching.
 	pending    sim.Queue[Request]
-	proposed   map[reqID]bool // requests already assigned a slot
 	batchTimer sim.Timer
 
-	// requestStore remembers every known-but-unexecuted request so a
-	// new leader can re-propose work the old leader dropped; arrivals is
-	// its arrival order (executed entries are skipped when reached).
-	requestStore map[reqID]Request
-	arrivals     sim.Queue[reqID]
-
-	// Exactly-once reply cache per client.
-	replyCache map[uint32]Reply
+	// What request admission reads, one row per client and one per request
+	// (see client, request). A request waits in its row until it executes, so
+	// a new leader can re-propose work the old leader dropped; arrivals is
+	// the order rows were first filed in, which the progress timer follows
+	// (rows done or forgotten are skipped when reached).
+	clients  map[uint32]*client
+	requests map[RequestID]request
+	arrivals sim.Queue[RequestID]
 
 	// Liveness: ONE timer per replica. Idle when nothing waits; else it
 	// watches the oldest stored request, or — while viewChanging, and only
@@ -61,7 +58,7 @@ type Replica struct {
 	// doubles the timeout until a request executes again.
 	progress     sim.Timer
 	onProgress   func() // progressExpired, bound once so arming allocates nothing
-	watched      reqID
+	watched      RequestID
 	viewChanging bool
 	demanded     uint64 // view of this replica's latest VIEW-CHANGE
 	failedViews  uint
@@ -96,22 +93,20 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 	}
 	ps, _ := app.(PartitionedState)
 	r := &Replica{
-		ps:           ps,
-		id:           id,
-		cfg:          cfg,
-		node:         node,
-		keyring:      keyring,
-		app:          app,
-		view:         cfg.InitialView,
-		peers:        make([]*msgnet.Peer, cfg.N),
-		clientConns:  make(map[uint32]*msgnet.Peer),
-		log:          make([]*slot, cfg.LogWindow),
-		cps:          newCheckpointStore(cfg.N),
-		fetch:        newStateFetcher(cfg, node),
-		proposed:     make(map[reqID]bool),
-		replyCache:   make(map[uint32]Reply),
-		vcVotes:      make(map[uint64][]*ViewChange),
-		requestStore: make(map[reqID]Request),
+		ps:       ps,
+		id:       id,
+		cfg:      cfg,
+		node:     node,
+		keyring:  keyring,
+		app:      app,
+		view:     cfg.InitialView,
+		peers:    make([]*msgnet.Peer, cfg.N),
+		log:      make([]*slot, cfg.LogWindow),
+		cps:      newCheckpointStore(cfg.N),
+		fetch:    newStateFetcher(cfg, node),
+		clients:  make(map[uint32]*client),
+		requests: make(map[RequestID]request),
+		vcVotes:  make(map[uint64][]*ViewChange),
 
 		sendFaults:       node.Counter("pbft.send_faults"),
 		stateBytesServed: node.Counter("pbft.state_bytes_served"),
@@ -195,7 +190,7 @@ func (r *Replica) HandleClientConn(p *msgnet.Peer) {
 		if m.decode(raw) != nil || (m.typ != MsgRequest && m.typ != MsgReadRequest) {
 			return
 		}
-		r.clientConns[m.request.Client] = p
+		r.client(m.request.Client).conn = p
 		if m.typ == MsgRequest {
 			r.handleRequest(m.request)
 		} else {
@@ -246,7 +241,7 @@ func (r *Replica) deferSend(delay sim.Time, to *msgnet.Peer, cls msgnet.Class, e
 
 // broadcast authenticates and sends a message to all other replicas.
 func (r *Replica) broadcast(m Message) {
-	if r.stopped || r.faults.Crashed {
+	if r.stopped {
 		return
 	}
 	env, t, size := r.seal(m)
@@ -279,7 +274,7 @@ func classFor(t MsgType) msgnet.Class {
 
 // send authenticates and sends to one replica.
 func (r *Replica) send(to uint32, m Message) {
-	if r.stopped || r.faults.Crashed {
+	if r.stopped {
 		return
 	}
 	env, t, size := r.seal(m)

@@ -394,10 +394,7 @@ func (r *Replica) adoptCheckpoint(seq uint64, d auth.Digest, view uint64) {
 	// progress timer armed would fire a view-change demand for a
 	// long-committed request and wedge the replica in viewChanging —
 	// blocking the very catch-up the transfer enables.
-	r.pending = sim.Queue[Request]{}
-	r.proposed = make(map[reqID]bool)
-	r.requestStore = make(map[reqID]Request)
-	r.arrivals = sim.Queue[reqID]{}
+	r.resetRequests(true)
 	r.progress.Cancel()
 	// Any view change we demanded was based on pre-transfer lag; rejoin
 	// the group's current view instead of staying wedged. If a genuine

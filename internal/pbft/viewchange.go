@@ -144,14 +144,23 @@ func (r *Replica) settleView() {
 func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	r.view = v
 	r.settleView()
+	// Only what the NEW-VIEW re-proposes is in flight in the new view; the
+	// rest, unless it executed here, goes back to the new leader's queue.
+	r.resetRequests(false)
 	// Reset per-slot voting state for re-proposed slots. The watermark rule
 	// holds here as for any proposal: one outside the window gets no slot
 	// and no PREPARE, however many sequences a NEW-VIEW names.
 	var maxSeq uint64
 	for _, pp := range nv.PrePrepares {
 		pp := pp
-		if pp.Seq <= r.executed || !r.inWindow(pp.Seq) {
-			continue // already executed here (state transfer not needed), or not ours to hold
+		if pp.Seq <= r.executed {
+			continue // already executed here (state transfer not needed)
+		}
+		for _, req := range pp.Batch {
+			r.file(req, assigned, pp.Seq)
+		}
+		if !r.inWindow(pp.Seq) {
+			continue // not ours to hold
 		}
 		s := r.slotFor(pp.Seq)
 		s.reset(pp.Seq)
@@ -181,27 +190,18 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	// a slot would suppress the new view's PREPARE/COMMIT broadcasts and
 	// count stale cross-view votes, so the slots beyond the frontier — at
 	// or above the execution point, hence all unexecuted — are dropped;
-	// their requests live on in requestStore.
+	// their requests live on in the request table.
 	for seq := r.seqNext + 1; seq-r.stable <= r.cfg.LogWindow; seq++ {
 		if s := r.lookup(seq); s != nil {
 			s.reset(0)
 		}
 	}
-	// Rebuild proposal bookkeeping: only the re-proposed slots count as
-	// in flight; everything else known-but-unexecuted goes back to the
-	// new leader's queue.
-	r.pending = sim.Queue[Request]{}
-	r.proposed = make(map[reqID]bool)
-	for _, pp := range nv.PrePrepares {
-		for _, req := range pp.Batch {
-			r.proposed[req.id()] = true
-		}
-	}
 	r.watchOldest() // the new leader gets a full timeout
-	for _, id := range r.storedIDs() {
-		if r.IsLeader() && !r.proposed[id] {
-			r.pending.Push(r.requestStore[id])
-			r.proposed[id] = true
+	if r.IsLeader() {
+		for _, id := range r.knownIDs() {
+			row := r.requests[id]
+			r.pending.Push(row.Request)
+			r.requests[id] = request{row.Request, assigned, 0}
 		}
 	}
 	if r.onViewChange != nil {
@@ -216,19 +216,37 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	}
 }
 
-// storedIDs returns the identities in requestStore ordered by (client,
-// timestamp): a total order, so re-proposal after a view change is
-// deterministic.
-func (r *Replica) storedIDs() []reqID {
-	ids := make([]reqID, 0, len(r.requestStore))
-	for id := range r.requestStore {
-		ids = append(ids, id)
+// resetRequests empties the leader's queue and takes every slot assignment
+// back — what was assigned is merely known again, what is done stays done —
+// or, with drop, forgets every request. The clients' floors outlive both.
+func (r *Replica) resetRequests(drop bool) {
+	r.pending = sim.Queue[Request]{}
+	if drop {
+		clear(r.requests)
+		r.arrivals = sim.Queue[RequestID]{}
+	}
+	for id, row := range r.requests {
+		if row.state == assigned {
+			r.requests[id] = request{row.Request, known, 0}
+		}
+	}
+}
+
+// knownIDs returns the identities of the known rows of the request table
+// ordered by (client, timestamp): a total order, so re-proposal after a view
+// change is deterministic.
+func (r *Replica) knownIDs() []RequestID {
+	var ids []RequestID
+	for id, row := range r.requests {
+		if row.state == known {
+			ids = append(ids, id)
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].client != ids[j].client {
-			return ids[i].client < ids[j].client
+		if ids[i].Client != ids[j].Client {
+			return ids[i].Client < ids[j].Client
 		}
-		return ids[i].timestamp < ids[j].timestamp
+		return ids[i].Timestamp < ids[j].Timestamp
 	})
 	return ids
 }

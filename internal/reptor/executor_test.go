@@ -218,8 +218,7 @@ func TestAdaptiveBackoffResetsOnTraffic(t *testing.T) {
 
 // TestDrainFormatsNothing merges pre-delivered batches on a bare executor
 // and asserts the merge path allocates nothing per request — the order
-// log records {client, timestamp} values — while GlobalOrder still
-// renders the same request keys it always did.
+// log records request identities, which is what GlobalOrder returns.
 func TestDrainFormatsNothing(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -241,7 +240,7 @@ func TestDrainFormatsNothing(t *testing.T) {
 			batches[k] = append(batches[k], pbft.Request{Client: uint32(100 + k), Timestamp: uint64(i + 1)})
 		}
 	}
-	e.order = make([]orderID, 0, (runs+1)*cfg.Instances*perBatch)
+	e.order = make([]pbft.RequestID, 0, (runs+1)*cfg.Instances*perBatch)
 	mergeRound := func() {
 		for k := range e.ready {
 			e.ready[k][e.round] = batches[k]
@@ -258,9 +257,9 @@ func TestDrainFormatsNothing(t *testing.T) {
 	if len(order) != (runs+1)*cfg.Instances*perBatch {
 		t.Fatalf("global order holds %d requests", len(order))
 	}
-	for i, key := range order[:cfg.Instances*perBatch] {
-		if want := batches[i/perBatch][i%perBatch].Key(); key != want {
-			t.Fatalf("global order entry %d is %q, want %q", i, key, want)
+	for i, id := range order[:cfg.Instances*perBatch] {
+		if want := batches[i/perBatch][i%perBatch].ID(); id != want {
+			t.Fatalf("global order entry %d is %v, want %v", i, id, want)
 		}
 	}
 }

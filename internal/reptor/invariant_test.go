@@ -174,11 +174,11 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 		}
 		for p := range ref {
 			if got[p] != ref[p] {
-				t.Fatalf("seed %d: global order diverges at %d: %q vs %q", seed, p, got[p], ref[p])
+				t.Fatalf("seed %d: global order diverges at %d: %v vs %v", seed, p, got[p], ref[p])
 			}
 		}
 	}
-	seen := make(map[string]int)
+	seen := make(map[pbft.RequestID]int)
 	for _, key := range ref {
 		seen[key]++
 	}
@@ -187,7 +187,7 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 	}
 	for key, c := range seen {
 		if c != 1 {
-			t.Errorf("seed %d: operation %q merged %d times", seed, key, c)
+			t.Errorf("seed %d: operation %v merged %d times", seed, key, c)
 		}
 	}
 	for nodeIdx := 0; nodeIdx < n; nodeIdx++ {

@@ -165,15 +165,8 @@ func (g *Group) Start() error {
 }
 
 // GlobalOrder returns the merged global log of a node's executor as
-// request keys, for cross-replica comparison in tests.
-func (g *Group) GlobalOrder(node int) []string {
-	order := g.Executors[node].order
-	keys := make([]string, len(order))
-	for i, id := range order {
-		keys[i] = pbft.Request{Client: id.client, Timestamp: id.timestamp}.Key()
-	}
-	return keys
-}
+// request identities, for cross-replica comparison in tests.
+func (g *Group) GlobalOrder(node int) []pbft.RequestID { return g.Executors[node].order }
 
 // Executor merges instance-local commits into the global total order on
 // one node.
@@ -189,9 +182,9 @@ type Executor struct {
 	// cursor is the next instance within the current round.
 	cursor int
 
-	// order is the merged log as request identities; GlobalOrder renders
-	// them, so the merge path formats nothing.
-	order []orderID
+	// order is the merged log as request identities, so the merge path
+	// formats nothing.
+	order []pbft.RequestID
 	slots uint64
 	// hbArmed/hbRound/hbCursor/hbTimer track the one in-flight heartbeat
 	// timer and the hole it was armed for, so a timer backed off for a
@@ -224,12 +217,6 @@ type Executor struct {
 	// remembers when each buffered batch committed so the merge can report
 	// how long the barrier sat on it (obs.MergeWait + "merge-wait" spans).
 	deliverAt map[slotKey]sim.Time
-}
-
-// orderID is one merged request's identity.
-type orderID struct {
-	client    uint32
-	timestamp uint64
 }
 
 // slotKey identifies one instance-local sequence in the merge buffer.
@@ -340,7 +327,7 @@ func (e *Executor) drain() {
 			}
 		}
 		for _, req := range batch {
-			e.order = append(e.order, orderID{req.Client, req.Timestamp})
+			e.order = append(e.order, req.ID())
 		}
 		e.slots++
 		e.advanceCursor()

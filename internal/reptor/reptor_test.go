@@ -97,7 +97,7 @@ func TestGlobalOrderIsIdenticalOnAllNodes(t *testing.T) {
 		}
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Fatalf("global order diverges at %d: %s vs %s", i, got[i], ref[i])
+				t.Fatalf("global order diverges at %d: %v vs %v", i, got[i], ref[i])
 			}
 		}
 		total = len(got)
