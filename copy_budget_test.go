@@ -13,9 +13,11 @@ import (
 // transport. A put's value crosses the client→replica hop four times and
 // the leader→backup hop three times, and each hop is allowed its one copy
 // in and its one copy out (the per-hop table in docs/ARCHITECTURE.md): the
-// run measures 22.7 on rdma-rubin and 21.1 on tcp-nio (25.1 and 23.5 while
-// every request and every envelope was encoded into a fresh buffer rather
-// than its sender's scratch). rdma-rubin measured 60.5 while BatchDigest encoded the batch to hash it, Decode copied every
+// run measures 21.8 on rdma-rubin and 19.8 on tcp-nio (22.7 and 21.1 while
+// MarshalPartition cloned every checkpointed bucket and a checkpoint grew
+// each bucket's encoding field by field; 25.1 and 23.5 while every request
+// and every envelope was encoded into a fresh buffer rather than its
+// sender's scratch). rdma-rubin measured 60.5 while BatchDigest encoded the batch to hash it, Decode copied every
 // field out of the receive buffer and an envelope was put together from
 // three buffers; tcp-nio measured 94.6 while Send, flush and Write each
 // made their own copy and the socket buffers were re-grown as they were

@@ -19,7 +19,7 @@ chaos.Scenario.Degrade — scenario vocabulary: link loss/latency/jitter, what m
 fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
 kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it
-kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket/setBucket for all 256
+kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket for all 256
 kvstore.Store.LockHolder — probe the kvstore and shard tests share: who holds a 2PC write lock
 main.knobFlags.Set — flag.Value, called by package flag
 msgnet.Peer.Close — how the msgnet tests reach connClosed: queued messages are reported as failed through the send-error surface, never silently discarded
@@ -27,7 +27,7 @@ msgnet.Peer.OnClose — the teardown callback of that same path, which the tests
 msgnet.Peer.OnWritable — the release edge after ErrBacklog; pbft drops instead of waiting, large state transfers should wait (ROADMAP O15(3))
 nio.SocketChannel.Close — how the nio tests produce the peer close a selector must report as read-readiness, the edge msgnet's connClosed path above starts from; transport closes the tcpsim.Conn itself
 pbft.Replica.Stable — probe the pbft, chaos and shard tests share: last stable checkpoint
-raceflag.Enabled — allocation gates in fourteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
+raceflag.Enabled — allocation gates in fifteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
 reptor.Group.GlobalOrder — the merged order as request keys, how the executor and invariant tests compare replicas
 rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up

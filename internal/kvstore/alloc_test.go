@@ -1,0 +1,86 @@
+package kvstore
+
+import (
+	"fmt"
+	"testing"
+
+	"rubin/internal/raceflag"
+)
+
+// The gates on what the store allocates: an operation costs the heap what
+// the store keeps — a put's key and value — plus the one reply that is not
+// shared (a get's copy of the value, a scan's lines); a checkpoint costs one
+// exactly sized encoding per dirty bucket. Like the gates below pbft they
+// skip under -race, whose runtime allocates on its own.
+
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceflag.Enabled {
+		t.Skip("the race runtime's own allocations are not the path's")
+	}
+}
+
+func TestExecuteAllocatesOnlyWhatTheStoreKeeps(t *testing.T) {
+	skipUnderRace(t)
+	s := New()
+	for _, k := range []string{"k000010", "k000011", "k000012", "x"} {
+		s.Execute(EncodeOp(OpPut, k, "value-"+k))
+	}
+	gone := EncodeOp(OpPut, "gone", "value")
+	for _, tc := range []struct {
+		name  string
+		ops   [][]byte
+		want  float64
+		reply string
+	}{
+		{"get", [][]byte{EncodeOp(OpGet, "k000010", "")}, 1, "value-k000010"},
+		{"get of a missing key", [][]byte{EncodeOp(OpGet, "nope", "")}, 0, "NOTFOUND"},
+		{"put", [][]byte{EncodeOp(OpPut, "k000011", "value-k000011")}, 2, "OK"},
+		{"put, then delete", [][]byte{gone, EncodeOp(OpDelete, "gone", "")}, 2, "OK"},
+		{"delete of a missing key", [][]byte{EncodeOp(OpDelete, "nope", "")}, 0, "NOTFOUND"},
+		{"scan", [][]byte{EncodeOp(OpScan, "k00001", "16")}, 1, "k000010=value-k000010\nk000011=value-k000011\nk000012=value-k000012"},
+		{"scan matching nothing", [][]byte{EncodeOp(OpScan, "zz", "16")}, 0, ""},
+	} {
+		var reply []byte
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, op := range tc.ops {
+				reply = s.Execute(op)
+			}
+		})
+		if allocs != tc.want || string(reply) != tc.reply {
+			t.Errorf("%s: %v allocations, reply %q; want %v and %q", tc.name, allocs, reply, tc.want, tc.reply)
+		}
+		if op := tc.ops[len(tc.ops)-1]; op[0] != byte(OpPut) && op[0] != byte(OpDelete) {
+			if allocs := testing.AllocsPerRun(50, func() { reply = s.ExecuteReadOnly(op) }); allocs != tc.want {
+				t.Errorf("%s read-only: %v allocations, want %v", tc.name, allocs, tc.want)
+			}
+		}
+	}
+}
+
+func TestCheckpointAllocatesOneEncodingPerDirtyBucket(t *testing.T) {
+	skipUnderRace(t)
+	s := New()
+	for i := 0; i < 2000; i++ {
+		s.Execute(EncodeOp(OpPut, fmt.Sprintf("k%04d", i), "v"))
+	}
+	s.MarshalState()
+	for _, b := range []int{0, 7, MerkleBuckets - 1} {
+		if allocs := testing.AllocsPerRun(50, func() {
+			s.touchBucket(b)
+			s.bucketBytes(b)
+		}); allocs != 1 {
+			t.Errorf("re-encoding dirty bucket %d (%d keys) allocates %v times, want 1", b, len(s.buckets[b]), allocs)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { s.MarshalPartition(b) }); allocs != 0 {
+			t.Errorf("MarshalPartition of clean bucket %d allocates %v times, want 0: it hands out the cache", b, allocs)
+		}
+	}
+	empty := New()
+	if allocs := testing.AllocsPerRun(50, func() {
+		empty.touchBucket(3)
+		empty.bucketBytes(3)
+	}); allocs != 1 {
+		t.Errorf("re-encoding an empty bucket allocates %v times, want 1", allocs)
+	}
+}

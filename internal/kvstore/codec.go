@@ -63,8 +63,11 @@ func (d *dec) u8() byte    { return byte(d.uint(1)) }
 func (d *dec) u32() uint32 { return uint32(d.uint(4)) }
 func (d *dec) u64() uint64 { return d.uint(8) }
 
+// field pops one length-prefixed byte string, aliasing the input.
+func (d *dec) field() []byte { return d.take(uint64(d.u32())) }
+
 // str pops one length-prefixed string.
-func (d *dec) str() string { return string(d.take(uint64(d.u32()))) }
+func (d *dec) str() string { return string(d.field()) }
 
 // subs pops a sub-operation list (the layout of appendSubs). The capacity
 // hint is capped: the count is the sender's claim, not a fact.

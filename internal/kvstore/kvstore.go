@@ -7,9 +7,8 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 
 	"rubin/internal/auth"
 )
@@ -34,9 +33,8 @@ const (
 // (see merkle.go) so checkpoints and state transfer work per bucket.
 type Store struct {
 	// buckets holds the key/value data, partitioned by bucketOf. A nil
-	// bucket map is an empty bucket; size is the total key count.
+	// bucket map is an empty bucket.
 	buckets [MerkleBuckets]map[string]string
-	size    int
 
 	// 2PC participant state (see txn.go): staged transactions and the
 	// write locks they hold. Both are part of the marshaled state, so
@@ -53,9 +51,10 @@ type Store struct {
 	// bucketMod[i] is the applied counter at the bucket's last
 	// mutation, which is what CheckpointDelta answers from. Cached
 	// slices are never mutated after creation and never aliased into
-	// other caches: encodeBucket builds a fresh slice, MarshalState
-	// copies bucket encodings into its own buffer, and setBucket copies
-	// the incoming encoding.
+	// other caches or from a caller's buffer: encodeBucket builds a fresh
+	// slice, MarshalState copies bucket encodings into its own buffer, and
+	// an installed partition is re-encoded. So MarshalPartition hands a
+	// bucket's cache out as it is, for a checkpoint to retain.
 	bucketEnc [MerkleBuckets][]byte
 	bucketDig [MerkleBuckets]auth.Digest
 	bucketMod [MerkleBuckets]uint64
@@ -67,7 +66,17 @@ type Store struct {
 	// invalidates it (the applied counter is part of the encoding), but
 	// rebuilding it only re-encodes dirty buckets.
 	marshaled []byte
+
+	keys []string // scratch: where a bucket encoding or a scan sorts its keys
 }
+
+// The fixed replies, shared by every Execute: read-only like every result
+// (pbft.Application) and capacity-limited, so an append by a caller copies.
+var (
+	replyOK       = []byte("OK")[:2:2]
+	replyNotFound = []byte("NOTFOUND")[:8:8]
+	replyLocked   = []byte(Locked)[:len(Locked):len(Locked)]
+)
 
 // New returns an empty store.
 func New() *Store {
@@ -93,22 +102,18 @@ func (s *Store) put(key, value string) {
 	if s.buckets[b] == nil {
 		s.buckets[b] = make(map[string]string)
 	}
-	if _, ok := s.buckets[b][key]; !ok {
-		s.size++
-	}
 	s.buckets[b][key] = value
 	s.touchBucket(b)
 }
 
 // del removes a key, dirtying its bucket; it reports whether the key
 // existed.
-func (s *Store) del(key string) bool {
+func (s *Store) del(key []byte) bool {
 	b := bucketOf(key)
-	if _, ok := s.buckets[b][key]; !ok {
+	if _, ok := s.buckets[b][string(key)]; !ok {
 		return false
 	}
-	delete(s.buckets[b], key)
-	s.size--
+	delete(s.buckets[b], string(key))
 	s.touchBucket(b)
 	return true
 }
@@ -126,14 +131,15 @@ func (s *Store) touchPrepared() {
 	s.marshaled = nil
 }
 
-// forEach visits every key/value pair (bucket by bucket, map order
-// within a bucket — callers needing determinism sort what they collect).
-func (s *Store) forEach(fn func(k, v string)) {
-	for i := range s.buckets {
-		for k, v := range s.buckets[i] {
-			fn(k, v)
+// appendKeys appends the keys of m with prefix in partition part of parts,
+// in map order: every caller sorts what it collects.
+func appendKeys(keys []string, m map[string]string, prefix []byte, part, parts int) []string {
+	for k := range m {
+		if len(k) >= len(prefix) && k[:len(prefix)] == string(prefix) && PartitionKey(k, parts) == part {
+			keys = append(keys, k)
 		}
 	}
+	return keys
 }
 
 // EncodeOp serializes an operation for submission through the agreement
@@ -146,15 +152,19 @@ func EncodeOp(code OpCode, key, value string) []byte {
 
 // DecodeOp parses an operation.
 func DecodeOp(op []byte) (code OpCode, key, value string, err error) {
-	d := dec{buf: op, what: "op"}
-	code, key, value = OpCode(d.u8()), d.str(), d.str()
-	if err = d.end(); err != nil {
-		return 0, "", "", err
-	}
-	return code, key, value, nil
+	code, k, v, err := decodeOp(op)
+	return code, string(k), string(v), err
 }
 
-// Execute applies one ordered operation (pbft.Application).
+// decodeOp is the operation decoder: key and value alias op, so a store
+// makes a string only of what it keeps.
+func decodeOp(op []byte) (code OpCode, key, value []byte, err error) {
+	d := dec{buf: op, what: "op"}
+	code, key, value = OpCode(d.u8()), d.field(), d.field()
+	return code, key, value, d.end()
+}
+
+// Execute applies one ordered operation (pbft.Application); the reply is read-only.
 func (s *Store) Execute(op []byte) []byte {
 	// The applied counter is part of the marshaled state, so the full
 	// concatenation goes stale on every operation — but the per-bucket
@@ -162,7 +172,7 @@ func (s *Store) Execute(op []byte) []byte {
 	// the next checkpoint (a read dirties nothing).
 	s.marshaled = nil
 	s.applied++
-	code, key, value, err := DecodeOp(op)
+	code, key, value, err := decodeOp(op)
 	if err != nil {
 		return []byte("ERR " + err.Error())
 	}
@@ -171,23 +181,23 @@ func (s *Store) Execute(op []byte) []byte {
 	}
 	switch code {
 	case OpPut, OpDelete:
-		if _, locked := s.locks[key]; locked {
-			return []byte(Locked)
+		if _, locked := s.locks[string(key)]; locked {
+			return replyLocked
 		}
 		if code == OpPut {
-			s.put(key, value)
+			s.put(string(key), string(value))
 		} else if !s.del(key) {
-			return []byte("NOTFOUND")
+			return replyNotFound
 		}
-		return []byte("OK")
+		return replyOK
 	case OpTxn:
-		return s.executeTxn(key, value)
+		return s.executeTxn(string(key), value)
 	case OpPrepare:
-		return s.executePrepare(key, value)
+		return s.executePrepare(string(key), value)
 	case OpCommit:
-		return s.executeCommit(key)
+		return s.executeCommit(string(key))
 	case OpAbort:
-		return s.executeAbort(key)
+		return s.executeAbort(string(key))
 	default:
 		return []byte("ERR unknown op")
 	}
@@ -201,7 +211,7 @@ func (s *Store) Execute(op []byte) []byte {
 // would return for the same operation and state (pbft.TentativeReader):
 // both answer from read.
 func (s *Store) ExecuteReadOnly(op []byte) []byte {
-	code, key, value, err := DecodeOp(op)
+	code, key, value, err := decodeOp(op)
 	if err != nil {
 		return []byte("ERR " + err.Error())
 	}
@@ -216,16 +226,17 @@ func (s *Store) ExecuteReadOnly(op []byte) []byte {
 // OpScanPart, so a tentative read returns exactly what ordered execution
 // would (the condition of PBFT's read-only optimisation, Castro & Liskov
 // §4.4) by construction.
-func (s *Store) read(code OpCode, key, value string) (reply []byte, ok bool) {
+func (s *Store) read(code OpCode, key, value []byte) (reply []byte, ok bool) {
 	switch code {
-	case OpGet:
-		return s.getReply(key), true
+	case OpGet: // the key indexes the map without being made a string
+		v, found := s.buckets[bucketOf(key)][string(key)]
+		return getReply(v, found), true
 	case OpScan:
 		limit, err := scanLimit(value)
 		if err != nil {
 			return []byte("ERR " + err.Error()), true
 		}
-		return []byte(s.Scan(key, limit)), true
+		return s.scanPart(key, limit, 0, 1), true
 	case OpScanPart:
 		return s.executeScanPart(key, value), true
 	}
@@ -233,58 +244,55 @@ func (s *Store) read(code OpCode, key, value string) (reply []byte, ok bool) {
 }
 
 // getReply is the reply to a read of one key, inside a transaction or
-// out: the value, or NOTFOUND.
-func (s *Store) getReply(key string) []byte {
-	if v, ok := s.Get(key); ok {
+// out: a copy of the value, or NOTFOUND.
+func getReply(v string, found bool) []byte {
+	if found {
 		return []byte(v)
 	}
-	return []byte("NOTFOUND")
+	return replyNotFound
 }
 
 // scanLimit parses an OpScan's value field: an optional decimal result
 // cap, "" and 0 meaning none. PlanOp and read share it, so a limit that
 // does not parse gets the same ERR wherever the scan is sent.
-func scanLimit(value string) (int, error) {
-	if value == "" {
+func scanLimit[V string | []byte](value V) (int, error) {
+	if len(value) == 0 {
 		return 0, nil
 	}
-	n, err := strconv.Atoi(value)
+	n, err := strconv.Atoi(string(value))
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("bad scan limit %s", value)
 	}
 	return n, nil
 }
 
-// Scan returns up to limit key=value pairs whose keys start with prefix,
-// in sorted key order, joined by newlines (limit <= 0 means no cap). An
-// empty result is the empty string. It is the one-partition case of
-// scanPart.
-func (s *Store) Scan(prefix string, limit int) string { return s.scanPart(prefix, limit, 0, 1) }
-
-// scanPart is the scan loop: the matching keys PartitionKey assigns to
-// partition part of parts, sorted, capped, joined.
-func (s *Store) scanPart(prefix string, limit, part, parts int) string {
-	var keys []string
-	s.forEach(func(k, _ string) {
-		if strings.HasPrefix(k, prefix) && PartitionKey(k, parts) == part {
-			keys = append(keys, k)
-		}
-	})
-	sort.Strings(keys)
+// scanPart is the scan loop: up to limit (<= 0: no cap) key=value pairs of
+// the keys with prefix in partition part of parts, sorted, joined by
+// newlines — sorted in the scratch and counted, then built in one allocation.
+func (s *Store) scanPart(prefix []byte, limit, part, parts int) []byte {
+	keys := s.keys[:0]
+	for i := range s.buckets {
+		keys = appendKeys(keys, s.buckets[i], prefix, part, parts)
+	}
+	s.keys = keys
+	slices.Sort(keys)
 	if limit > 0 && len(keys) > limit {
 		keys = keys[:limit]
 	}
-	var b strings.Builder
+	size := max(len(keys)-1, 0) // the newlines
+	for _, k := range keys {
+		v, _ := s.Get(k)
+		size += len(k) + 1 + len(v)
+	}
+	reply := make([]byte, 0, size)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte('\n')
+			reply = append(reply, '\n')
 		}
-		b.WriteString(k)
-		b.WriteByte('=')
 		v, _ := s.Get(k)
-		b.WriteString(v)
+		reply = append(append(append(reply, k...), '='), v...)
 	}
-	return b.String()
+	return reply
 }
 
 // preparedBytes returns the staged-2PC section encoding, re-encoding
@@ -363,16 +371,12 @@ func (s *Store) UnmarshalState(state []byte) error {
 		return fmt.Errorf("kvstore: state has %d partitions (want %d)", n, MerkleBuckets)
 	}
 	var buckets [MerkleBuckets]map[string]string
-	size := 0
 	for b := 0; b < MerkleBuckets && d.err == nil; b++ {
 		for npairs := d.u32(); npairs > 0 && d.err == nil; npairs-- {
 			k, v := d.str(), d.str()
 			home := bucketOf(k)
 			if buckets[home] == nil {
 				buckets[home] = make(map[string]string)
-			}
-			if _, dup := buckets[home][k]; !dup {
-				size++
 			}
 			buckets[home][k] = v
 		}
@@ -381,16 +385,14 @@ func (s *Store) UnmarshalState(state []byte) error {
 	if err != nil {
 		return err
 	}
-	s.buckets = buckets
-	s.size = size
-	s.prepared = prepared
-	s.locks = locks
-	s.applied = applied
-	for i := range s.bucketEnc {
-		s.bucketEnc[i] = nil
+	s.install(applied, buckets, prepared, locks)
+	return nil
+}
+
+// install replaces the whole state, every bucket dirty: caches rebuild on demand.
+func (s *Store) install(applied uint64, buckets [MerkleBuckets]map[string]string, prepared map[string]*preparedTxn, locks map[string]string) {
+	*s = Store{buckets: buckets, prepared: prepared, locks: locks, applied: applied}
+	for i := range s.bucketMod {
 		s.bucketMod[i] = applied
 	}
-	s.preparedEnc = nil
-	s.marshaled = nil
-	return nil
 }

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"encoding/binary"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -31,8 +32,8 @@ func TestPutGetDelete(t *testing.T) {
 	if got := s.Execute(EncodeOp(OpDelete, "k", "")); string(got) != "NOTFOUND" {
 		t.Fatalf("double delete = %q", got)
 	}
-	if s.Applied() != 7 || s.size != 0 {
-		t.Fatalf("applied=%d len=%d", s.Applied(), s.size)
+	if s.Applied() != 7 || keyCount(s) != 0 {
+		t.Fatalf("applied=%d len=%d", s.Applied(), keyCount(s))
 	}
 }
 
@@ -45,7 +46,7 @@ func TestMalformedOps(t *testing.T) {
 		}
 	}
 	// A malformed op must not mutate state.
-	if s.size != 0 {
+	if keyCount(s) != 0 {
 		t.Fatal("malformed op mutated state")
 	}
 }
@@ -154,18 +155,32 @@ func TestPropertyReplicaDeterminism(t *testing.T) {
 	}
 }
 
+// keyCount is how many keys the store holds.
+func keyCount(s *Store) int {
+	n := 0
+	for _, m := range s.buckets {
+		n += len(m)
+	}
+	return n
+}
+
+// scan is a whole-store scan through the read-only path.
+func scan(s *Store, prefix string, limit int) string {
+	return string(s.ExecuteReadOnly(EncodeOp(OpScan, prefix, strconv.Itoa(limit))))
+}
+
 func TestScanReturnsSortedPrefixMatches(t *testing.T) {
 	s := New()
 	for _, k := range []string{"k000012", "k000010", "k000019", "k000104", "x9"} {
 		s.Execute(EncodeOp(OpPut, k, "v-"+k))
 	}
-	if got := s.Scan("k00001", 0); got != "k000010=v-k000010\nk000012=v-k000012\nk000019=v-k000019" {
+	if got := scan(s, "k00001", 0); got != "k000010=v-k000010\nk000012=v-k000012\nk000019=v-k000019" {
 		t.Fatalf("Scan = %q", got)
 	}
-	if got := s.Scan("k00001", 2); got != "k000010=v-k000010\nk000012=v-k000012" {
+	if got := scan(s, "k00001", 2); got != "k000010=v-k000010\nk000012=v-k000012" {
 		t.Fatalf("limited Scan = %q", got)
 	}
-	if got := s.Scan("zzz", 0); got != "" {
+	if got := scan(s, "zzz", 0); got != "" {
 		t.Fatalf("empty Scan = %q", got)
 	}
 }

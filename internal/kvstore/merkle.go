@@ -1,10 +1,9 @@
 package kvstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"rubin/internal/auth"
 )
@@ -29,7 +28,7 @@ const (
 )
 
 // bucketOf returns the Merkle leaf bucket owning a key.
-func bucketOf(key string) int { return PartitionKey(key, MerkleBuckets) }
+func bucketOf[K string | []byte](key K) int { return PartitionKey(key, MerkleBuckets) }
 
 // PartitionCount returns the number of Merkle leaf partitions
 // (pbft.PartitionedState).
@@ -62,13 +61,14 @@ func (s *Store) CheckpointDelta(since uint64) []int {
 }
 
 // MarshalPartition serializes one bucket in canonical form — pair count,
-// then the pairs in sorted key order (pbft.PartitionedState). The result
-// is a fresh copy; auth.Hash of it equals the bucket's leaf digest.
+// then the pairs in sorted key order (pbft.PartitionedState); auth.Hash of
+// it equals the bucket's leaf digest. It is the bucket's cache itself:
+// read-only, and safe to retain, since no cached slice is ever written.
 func (s *Store) MarshalPartition(part int) []byte {
 	if part < 0 || part >= MerkleBuckets {
 		return nil
 	}
-	return bytes.Clone(s.bucketBytes(part))
+	return s.bucketBytes(part)
 }
 
 // MarshalHeader serializes the non-partitioned remainder of the state:
@@ -141,20 +141,9 @@ func (s *Store) ApplyPartition(part int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	s.setBucket(part, m, data)
-	return nil
-}
-
-// setBucket installs a decoded bucket map plus its already-canonical
-// encoding, refreshing size and caches. The encoding is copied so the
-// cache cannot alias a caller-retained network buffer.
-func (s *Store) setBucket(part int, m map[string]string, enc []byte) {
-	s.size += len(m) - len(s.buckets[part])
 	s.buckets[part] = m
-	s.bucketEnc[part] = bytes.Clone(enc)
-	s.bucketDig[part] = auth.Hash(enc)
-	s.bucketMod[part] = s.applied
-	s.marshaled = nil
+	s.touchBucket(part) // canonical: re-encoding it reproduces data
+	return nil
 }
 
 // decodeBucket parses one bucket encoding, enforcing canonical form:
@@ -195,21 +184,13 @@ func (s *Store) ApplyTransfer(header []byte, parts [][]byte) error {
 	if err != nil {
 		return err
 	}
-	maps := make([]map[string]string, MerkleBuckets)
+	var buckets [MerkleBuckets]map[string]string
 	for i, p := range parts {
-		if maps[i], err = decodeBucket(i, p); err != nil {
+		if buckets[i], err = decodeBucket(i, p); err != nil {
 			return fmt.Errorf("kvstore: transfer partition %d: %w", i, err)
 		}
 	}
-	s.applied = applied
-	for i := range maps {
-		s.setBucket(i, maps[i], parts[i])
-		s.bucketMod[i] = applied
-	}
-	s.prepared = prepared
-	s.locks = locks
-	s.preparedEnc = nil
-	s.marshaled = nil
+	s.install(applied, buckets, prepared, locks)
 	return nil
 }
 
@@ -244,25 +225,26 @@ func decodePrepared(d *dec) (map[string]*preparedTxn, map[string]string, error) 
 
 // bucketBytes returns the canonical encoding of one bucket, re-encoding
 // it only if a mutation dirtied it since the last encoding. The returned
-// slice is the cache itself: callers must treat it as read-only (use
-// MarshalPartition for a retainable copy).
+// slice is the cache itself: read-only for callers.
 func (s *Store) bucketBytes(i int) []byte {
 	if s.bucketEnc[i] == nil {
-		s.bucketEnc[i] = encodeBucket(s.buckets[i])
+		s.bucketEnc[i] = s.encodeBucket(s.buckets[i])
 		s.bucketDig[i] = auth.Hash(s.bucketEnc[i])
 	}
 	return s.bucketEnc[i]
 }
 
-// encodeBucket serializes one bucket map in canonical form.
-func encodeBucket(m map[string]string) []byte {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// encodeBucket serializes one bucket map in canonical form, in one
+// allocation of its exact size: the keys are sorted in the scratch.
+func (s *Store) encodeBucket(m map[string]string) []byte {
+	s.keys = appendKeys(s.keys[:0], m, nil, 0, 1)
+	slices.Sort(s.keys)
+	size := 4
+	for _, k := range s.keys {
+		size += 4 + len(k) + 4 + len(m[k])
 	}
-	sort.Strings(keys)
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(keys)))
-	for _, k := range keys {
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(s.keys)))
+	for _, k := range s.keys {
 		buf = appendStr(appendStr(buf, k), m[k])
 	}
 	return buf

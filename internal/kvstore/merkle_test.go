@@ -153,8 +153,8 @@ func TestApplyPartitionRoundTrip(t *testing.T) {
 	if v, ok := dst.Get(k1); !ok || v != "one" {
 		t.Fatal("transferred key unreadable")
 	}
-	if dst.size != 2 {
-		t.Fatalf("Len = %d after partition install, want 2", dst.size)
+	if keyCount(dst) != 2 {
+		t.Fatalf("Len = %d after partition install, want 2", keyCount(dst))
 	}
 
 	// Rejections: wrong bucket, trailing bytes, truncation, unsorted keys.
@@ -215,7 +215,7 @@ func TestMarshalStateCopiesDoNotAlias(t *testing.T) {
 	src := New()
 	k := keyInBucket(t, "alias", 3)
 	src.Execute(EncodeOp(OpPut, k, "clean"))
-	buf := src.MarshalPartition(3)
+	buf := bytes.Clone(src.MarshalPartition(3)) // read-only: scribble on a copy
 	dst := New()
 	if err := dst.ApplyPartition(3, buf); err != nil {
 		t.Fatal(err)
@@ -227,6 +227,40 @@ func TestMarshalStateCopiesDoNotAlias(t *testing.T) {
 	if dst.PartitionDigests()[3] != want {
 		t.Fatal("store aliases the caller's partition buffer")
 	}
+}
+
+// TestRetainedPartitionKeepsItsDigest: MarshalPartition hands out the
+// bucket's cache, and a pbft checkpoint retains it as it is — sound only
+// because a cached slice is never written after creation. The kept bytes
+// still hash to the digest recorded with them after later puts re-encode
+// their bucket and after an ApplyPartition replaces it.
+func TestRetainedPartitionKeepsItsDigest(t *testing.T) {
+	const part = 5
+	s := New()
+	k := keyInBucket(t, "kept", part)
+	s.Execute(EncodeOp(OpPut, k, "v0"))
+	kept, digest := s.MarshalPartition(part), s.PartitionDigests()[part]
+	check := func(after string) {
+		t.Helper()
+		if auth.Hash(kept) != digest {
+			t.Fatalf("the retained partition no longer hashes to its digest after %s", after)
+		}
+		if s.PartitionDigests()[part] == digest {
+			t.Fatalf("the bucket did not change after %s: the test measured nothing", after)
+		}
+	}
+	for i := 1; i <= 8; i++ {
+		s.Execute(EncodeOp(OpPut, k, fmt.Sprintf("v%d", i)))
+		s.MarshalPartition(part) // re-encode at every put
+	}
+	check("later puts to its bucket")
+	donor := New()
+	donor.Execute(EncodeOp(OpPut, keyInBucket(t, "donor", part), "x"))
+	if err := s.ApplyPartition(part, donor.MarshalPartition(part)); err != nil {
+		t.Fatal(err)
+	}
+	s.MarshalState()
+	check("an ApplyPartition of its bucket")
 }
 
 // TestMarshalStateReusesCleanBucketEncodings asserts the incremental
@@ -283,8 +317,8 @@ func TestApplyTransferAtomic(t *testing.T) {
 	if _, ok := dst.Get("stale"); ok {
 		t.Fatal("transfer did not replace prior contents")
 	}
-	if dst.size != src.size || dst.Applied() != src.Applied() {
-		t.Fatalf("counters diverged: len %d/%d applied %d/%d", dst.size, src.size, dst.Applied(), src.Applied())
+	if keyCount(dst) != keyCount(src) || dst.Applied() != src.Applied() {
+		t.Fatalf("counters diverged: len %d/%d applied %d/%d", keyCount(dst), keyCount(src), dst.Applied(), src.Applied())
 	}
 
 	// A corrupt partition in the set must reject without mutating.

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,14 +70,17 @@ type TxnSub struct {
 // Range partitioning keys off the hash's upper bits, and FNV-1a's upper
 // bits correlate badly across near-identical inputs (workload key names
 // differ only in trailing digits — raw FNV left whole shards empty). A
-// murmur3-style finalizer avalanches the bits before the range split.
-func PartitionKey(key string, parts int) int {
+// murmur3-style finalizer avalanches the bits before the range split. The
+// key may be the bytes of one in an encoded operation, which a replica thus
+// routes without making it a string.
+func PartitionKey[K string | []byte](key K, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
-	f := fnv.New32a()
-	_, _ = f.Write([]byte(key))
-	h := f.Sum32()
+	h := uint32(2166136261) // FNV-1a, 32-bit
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
 	h ^= h >> 16
 	h *= 0x85ebca6b
 	h ^= h >> 13
@@ -242,8 +244,8 @@ func (s *Store) Prepared() []string {
 func (s *Store) LockHolder(key string) string { return s.locks[key] }
 
 // txnSubs parses and checks the payload of an OpTxn or OpPrepare.
-func txnSubs(payload string) ([]TxnSub, error) {
-	subs, err := DecodeTxnSubs([]byte(payload))
+func txnSubs(payload []byte) ([]TxnSub, error) {
+	subs, err := DecodeTxnSubs(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -278,22 +280,22 @@ func (s *Store) conflicts(id string, subs []TxnSub) bool {
 // apply in order (reads see the transaction's earlier writes), the whole
 // transaction conflicts with prepared write locks like any single-key
 // write would.
-func (s *Store) executeTxn(id, payload string) []byte {
+func (s *Store) executeTxn(id string, payload []byte) []byte {
 	subs, err := txnSubs(payload)
 	if err != nil {
 		return []byte("ERR " + err.Error())
 	}
 	if s.conflicts(id, subs) {
-		return []byte(Locked)
+		return replyLocked
 	}
 	results := make([][]byte, len(subs))
 	for i, sub := range subs {
 		switch sub.Code {
 		case OpPut:
 			s.put(sub.Key, sub.Value)
-			results[i] = []byte("OK")
+			results[i] = replyOK
 		case OpGet:
-			results[i] = s.getReply(sub.Key)
+			results[i] = getReply(s.Get(sub.Key))
 		}
 	}
 	return EncodeTxnResult(TxnCommitted, results)
@@ -306,7 +308,7 @@ func (s *Store) executeTxn(id, payload string) []byte {
 // stages the writes, locks the write set and votes PREPARED. The staged
 // state is part of MarshalState, so checkpoints and state transfer carry
 // in-doubt transactions to recovering replicas.
-func (s *Store) executePrepare(id, payload string) []byte {
+func (s *Store) executePrepare(id string, payload []byte) []byte {
 	subs, err := txnSubs(payload)
 	if err != nil {
 		return []byte("ERR " + err.Error())
@@ -324,12 +326,12 @@ func (s *Store) executePrepare(id, payload string) []byte {
 		switch sub.Code {
 		case OpPut:
 			overlay[sub.Key] = sub.Value
-			results[i] = []byte("OK")
+			results[i] = replyOK
 		case OpGet:
 			if v, ok := overlay[sub.Key]; ok {
 				results[i] = []byte(v)
 			} else {
-				results[i] = s.getReply(sub.Key)
+				results[i] = getReply(s.Get(sub.Key))
 			}
 		}
 	}
@@ -378,11 +380,11 @@ func (s *Store) releaseTxn(id string, staged *preparedTxn) {
 
 // executeScanPart runs a partition-filtered scan. The value field
 // carries "limit part parts".
-func (s *Store) executeScanPart(prefix, value string) []byte {
+func (s *Store) executeScanPart(prefix, value []byte) []byte {
 	var limit, part, parts int
-	if n, err := fmt.Sscanf(value, "%d %d %d", &limit, &part, &parts); n != 3 || err != nil ||
+	if n, err := fmt.Sscanf(string(value), "%d %d %d", &limit, &part, &parts); n != 3 || err != nil ||
 		limit < 0 || parts < 1 || part < 0 || part >= parts {
-		return []byte("ERR bad scan partition spec " + strconv.Quote(value))
+		return []byte("ERR bad scan partition spec " + strconv.Quote(string(value)))
 	}
-	return []byte(s.scanPart(prefix, limit, part, parts))
+	return s.scanPart(prefix, limit, part, parts)
 }

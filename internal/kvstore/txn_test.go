@@ -244,8 +244,8 @@ func TestScanPartPartitionsAndMerges(t *testing.T) {
 		t.Fatalf("merged scan mismatch:\n%s", merged)
 	}
 	// The merge of partition scans equals the whole-store scan, capped.
-	if got := MergeScans(partials, 7); got != s.Scan("k", 7) {
-		t.Fatalf("capped merge %q != direct scan %q", got, s.Scan("k", 7))
+	if got := MergeScans(partials, 7); got != scan(s, "k", 7) {
+		t.Fatalf("capped merge %q != direct scan %q", got, scan(s, "k", 7))
 	}
 	// Malformed partition specs are deterministic errors.
 	if got := string(s.Execute(EncodeOp(OpScanPart, "k", "nonsense"))); !strings.HasPrefix(got, "ERR") {

@@ -15,6 +15,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -29,6 +30,9 @@ type Recorder struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
+
+// Grow makes room for n more samples: a run of known length never re-grows.
+func (r *Recorder) Grow(n int) { r.samples = slices.Grow(r.samples, n) }
 
 // Record adds one sample.
 func (r *Recorder) Record(d sim.Time) {

@@ -167,6 +167,43 @@ func TestReplyAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestInvokeAllocatesOnlyTheRequestKey: an invocation's record and its vote
+// cells come back from the client's free list, so submitting an operation
+// costs the heap the key it is traced under and nothing else — and a fast
+// read's fallback timer, whose callback is bound once per record, nothing
+// more. Each measured cycle runs to its quorum, which recycles the record.
+func TestInvokeAllocatesOnlyTheRequestKey(t *testing.T) {
+	skipUnderRace(t)
+	cl, _ := newReadTestClient(1, 4) // unattached connections: each send fails, allocating nothing
+	op, result := kvstore.EncodeOp(kvstore.OpGet, "k", ""), []byte("v")
+	completed := 0
+	done := func([]byte) { completed++ }
+	ordered := func() {
+		cl.Invoke(op, done)
+		for r := uint32(0); r < 2; r++ { // F+1
+			cl.handleReply(Reply{Timestamp: cl.next, Client: cl.id, Replica: r, Result: result})
+		}
+	}
+	fast := func() {
+		cl.InvokeRead(op, done)
+		for r := uint32(0); r < 3; r++ { // 2F+1
+			cl.handleReadReply(ReadReply{Timestamp: cl.next, Client: cl.id, Replica: r, Result: result})
+		}
+	}
+	for name, cycle := range map[string]func(){"Invoke": ordered, "InvokeRead": fast} {
+		before := completed
+		if allocs := testing.AllocsPerRun(50, cycle); allocs != 1 {
+			t.Errorf("%s allocates %v times per operation, want 1: the request key", name, allocs)
+		}
+		if completed-before != 51 || cl.Outstanding() != 0 {
+			t.Fatalf("%s: %d of 51 operations completed, %d outstanding: the gate measured no quorum", name, completed-before, cl.Outstanding())
+		}
+	}
+	if *cl.fastReads != 51 || *cl.fastFallbacks != 0 {
+		t.Fatalf("%d fast reads, %d fallbacks; want 51 and 0", *cl.fastReads, *cl.fastFallbacks)
+	}
+}
+
 // TestBoxedDecodeAllocatesOnce: Decode is the by-value decoder plus one
 // boxing — for a message without a list, exactly one allocation.
 func TestBoxedDecodeAllocatesOnce(t *testing.T) {

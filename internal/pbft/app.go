@@ -13,7 +13,8 @@ import (
 // interval behind stays behind. Implement PartitionedState to enable
 // recovery.
 type Application interface {
-	// Execute applies one ordered operation and returns its result.
+	// Execute applies one ordered operation and returns its result, which
+	// is read-only for the caller and may be shared application storage.
 	Execute(op []byte) []byte
 	// Snapshot returns a digest of the current state (checkpoints).
 	Snapshot() auth.Digest
@@ -49,7 +50,9 @@ type PartitionedState interface {
 	// CheckpointDelta is expressed in).
 	Applied() uint64
 	// MarshalPartition serializes one partition; auth.Hash of the result
-	// must equal its entry in PartitionDigests.
+	// must equal its entry in PartitionDigests. The result is read-only and
+	// may be shared application storage, never written again: a checkpoint
+	// retains it across later operations.
 	MarshalPartition(part int) []byte
 	// MarshalHeader serializes the state outside the partitions (e.g.
 	// the applied counter and any non-partitioned sections).

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"bytes"
+	"slices"
 
 	"rubin/internal/fabric"
 	"rubin/internal/msgnet"
@@ -36,13 +37,15 @@ type Client struct {
 	next  uint64
 
 	pending map[uint64]*invocation
-	scratch []byte // the request being sent, see broadcast
+	spare   sim.FreeList[invocation] // finished records, vote cells emptied and kept
+	scratch []byte                   // the request being sent, see broadcast
 
 	// Read-only fast path (disabled until EnableReadFastPath).
 	fastReadsOn bool
 	loop        *sim.Loop
 	readTimeout sim.Time
 	reads       map[uint64]*readInvocation
+	spareReads  sim.FreeList[readInvocation]
 	onReadPath  func(key string, fast bool)
 
 	// This client's cells in its node's stat table.
@@ -58,21 +61,26 @@ type replyVote struct {
 }
 
 type invocation struct {
-	op      []byte
 	replies []replyVote // by replica id; its latest result
 	done    func(result []byte)
-	fired   bool
 }
 
 type readInvocation struct {
+	c       *Client
+	ts      uint64
 	op      []byte
 	key     string
 	replies []replyVote // by replica id; the first result it voted (equivocation-proof)
 	voted   int
 	done    func(result []byte)
 	timer   sim.Timer
-	fired   bool
+	expire  func() // fallback, bound once per record: arming the timer allocates nothing
 }
+
+func (inv *readInvocation) fallback() { inv.c.fallbackRead(inv.ts) }
+
+// votes sizes a recycled record's emptied cells to the (only growing) conns.
+func votes(cells []replyVote, n int) []replyVote { return slices.Grow(cells[:0], n)[:n] }
 
 // NewClient creates a client running on node, where its counters
 // register. Attach replica connections with AttachReplica before invoking.
@@ -155,7 +163,9 @@ func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
 func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next
-	c.pending[ts] = &invocation{op: op, replies: make([]replyVote, len(c.conns)), done: done}
+	inv := c.spare.Get()
+	inv.replies, inv.done = votes(inv.replies, len(c.conns)), done
+	c.pending[ts] = inv
 	req := Request{Client: c.id, Timestamp: ts, Op: op}
 	c.broadcast(req)
 	return req.Key()
@@ -173,9 +183,13 @@ func (c *Client) InvokeRead(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next
 	req := ReadRequest{Client: c.id, Timestamp: ts, Op: op}
-	inv := &readInvocation{op: op, key: req.Key(), replies: make([]replyVote, len(c.conns)), done: done}
+	inv := c.spareReads.Get()
+	if inv.expire == nil {
+		inv.c, inv.expire = c, inv.fallback
+	}
+	inv.ts, inv.op, inv.key, inv.replies, inv.done = ts, op, req.Key(), votes(inv.replies, len(c.conns)), done
 	c.reads[ts] = inv
-	inv.timer = c.loop.After(c.readTimeout, func() { c.fallbackRead(ts) })
+	inv.timer = c.loop.After(c.readTimeout, inv.expire)
 	c.broadcast(req)
 	return inv.key
 }
@@ -206,23 +220,26 @@ func matching(replies []replyVote, result []byte) int {
 
 func (c *Client) handleReply(rep Reply) {
 	inv := c.pending[rep.Timestamp]
-	if inv == nil || inv.fired || int(rep.Replica) >= len(inv.replies) {
+	if inv == nil || int(rep.Replica) >= len(inv.replies) {
 		return
 	}
 	inv.replies[rep.Replica] = replyVote{true, rep.Result}
 	// Accept when F+1 replicas report the same result.
 	if matching(inv.replies, rep.Result) >= c.f+1 {
-		inv.fired = true
 		delete(c.pending, rep.Timestamp)
-		if inv.done != nil {
-			inv.done(rep.Result)
+		done := inv.done
+		clear(inv.replies)
+		inv.done = nil
+		c.spare.Put(inv)
+		if done != nil {
+			done(rep.Result)
 		}
 	}
 }
 
 func (c *Client) handleReadReply(rep ReadReply) {
 	inv := c.reads[rep.Timestamp]
-	if inv == nil || inv.fired || int(rep.Replica) >= len(inv.replies) {
+	if inv == nil || int(rep.Replica) >= len(inv.replies) {
 		return
 	}
 	// First vote per replica wins: an equivocating replica cannot
@@ -236,15 +253,13 @@ func (c *Client) handleReadReply(rep ReadReply) {
 	// on the value (not the state tag) keeps the fast path live while
 	// replicas execute at slightly different positions.
 	if matching(inv.replies, rep.Result) >= 2*c.f+1 {
-		inv.fired = true
-		inv.timer.Cancel()
-		delete(c.reads, rep.Timestamp)
+		key, done := c.finishRead(inv)
 		*c.fastReads++
 		if c.onReadPath != nil {
-			c.onReadPath(inv.key, true)
+			c.onReadPath(key, true)
 		}
-		if inv.done != nil {
-			inv.done(rep.Result)
+		if done != nil {
+			done(rep.Result)
 		}
 		return
 	}
@@ -261,15 +276,13 @@ func (c *Client) handleReadReply(rep ReadReply) {
 // the ordered retry completes under its own request id.
 func (c *Client) fallbackRead(ts uint64) {
 	inv := c.reads[ts]
-	if inv == nil || inv.fired {
+	if inv == nil {
 		return
 	}
-	inv.fired = true
-	inv.timer.Cancel()
-	delete(c.reads, ts)
+	op := inv.op
+	key, done := c.finishRead(inv)
 	*c.fastFallbacks++
-	key, done := inv.key, inv.done
-	c.Invoke(inv.op, func(result []byte) {
+	c.Invoke(op, func(result []byte) {
 		if c.onReadPath != nil {
 			c.onReadPath(key, false)
 		}
@@ -277,4 +290,15 @@ func (c *Client) fallbackRead(ts uint64) {
 			done(result)
 		}
 	})
+}
+
+// finishRead cancels a read's timer, deletes its entry, recycles its record.
+func (c *Client) finishRead(inv *readInvocation) (key string, done func([]byte)) {
+	inv.timer.Cancel()
+	delete(c.reads, inv.ts)
+	key, done = inv.key, inv.done
+	clear(inv.replies)
+	*inv = readInvocation{c: inv.c, replies: inv.replies, expire: inv.expire}
+	c.spareReads.Put(inv)
+	return key, done
 }

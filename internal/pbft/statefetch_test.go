@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -130,8 +131,7 @@ func TestFetcherRejectsCorruptPart(t *testing.T) {
 		t.Fatal("manifest refused")
 	}
 	i := x.divergent()[0]
-	bad := x.src.MarshalPartition(i)
-	bad = append([]byte(nil), bad...)
+	bad := bytes.Clone(x.src.MarshalPartition(i)) // read-only: corrupt a copy
 	bad[len(bad)-1] ^= 0xFF
 	hashed, stored := x.fetch.offerPart(2, StatePart{Seq: fixtureSeq, Part: uint32(i), Data: bad, Replica: 2})
 	if !hashed || stored {

@@ -18,6 +18,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -108,10 +109,14 @@ type Driver struct {
 	rec    *metrics.Recorder
 	tracer *obs.Tracer
 
-	// paths holds the fast/ordered verdict per in-flight trace id,
-	// reported by the client stack via NotePath just before the done
-	// callback fires and consumed when the operation completes.
-	paths map[string]bool
+	// NotePath's last verdict, for the operation traced as notedID.
+	notedID   string
+	notedFast bool
+
+	// Made by Run: the operation slots, Window per user in closed loop
+	// (user u's at u*Window) and one in open loop; KeyName by key index.
+	flights  []flight
+	keyNames []string
 
 	total           int
 	issued          int
@@ -123,11 +128,31 @@ type Driver struct {
 	startAt         sim.Time
 	endAt           sim.Time
 
-	// Open-loop bookkeeping: arrivals hitting a busy user queue behind it.
-	busy     []bool
-	queued   []sim.Queue[sim.Time]
-	nextUser int
-	arrivals int
+	// The open-loop arrival stream.
+	clock    arrivalClock
+	onArrive func() // arrive, bound once
+	arrivals int    // armed so far
+}
+
+// flight is a user's operation slot: the operation in flight and callbacks
+// bound once, like pbft's onProgress, so completions and think times allocate nothing.
+type flight struct {
+	d       *Driver
+	user    int
+	seq     int  // of the operation last issued
+	busy    bool // it has not completed
+	op      Op
+	traceID string
+	queued  sim.Queue[sim.Time] // open loop: arrivals waiting behind it
+	done    func([]byte)        // complete, bound once
+	next    func()              // issueNext, bound once
+}
+
+// issueNext issues the slot's next closed-loop operation.
+func (f *flight) issueNext() {
+	if f.d.issued < f.d.total {
+		f.d.issue(f, f.d.loop.Now())
+	}
 }
 
 // New validates the configuration and prepares a driver; Run executes it.
@@ -143,23 +168,42 @@ func New(loop *sim.Loop, cfg Config, invoke Invoker) (*Driver, error) {
 	}
 	return &Driver{
 		loop: loop, cfg: cfg, invoke: invoke,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		hist:   &History{},
-		rec:    metrics.NewRecorder(),
-		total:  cfg.Ops + cfg.Warmup,
-		busy:   make([]bool, cfg.Users),
-		queued: make([]sim.Queue[sim.Time], cfg.Users),
-		paths:  make(map[string]bool),
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		hist:  &History{},
+		rec:   metrics.NewRecorder(),
+		total: cfg.Ops + cfg.Warmup,
 	}, nil
 }
 
 // Run drives the workload to completion (it runs the loop until the
 // event queue drains) and errors if any operation never finished.
 func (d *Driver) Run() error {
-	if d.cfg.Arrival.Model == ModelClosed {
-		d.launchClosed()
+	closed, per := d.cfg.Arrival.Model == ModelClosed, 1
+	if closed {
+		per = d.cfg.Arrival.Window
+	}
+	d.flights = make([]flight, d.cfg.Users*per)
+	for i := range d.flights {
+		f := &d.flights[i]
+		f.d, f.user = d, i/per
+		f.done, f.next = f.complete, f.issueNext
+	}
+	d.keyNames = make([]string, d.cfg.Keys.Keys())
+	d.hist.ops = slices.Grow(d.hist.ops, d.total)
+	d.rec.Grow(d.cfg.Ops)
+	if closed {
+		// Each user's window starts at once, each completion refills it.
+		for u := 0; u < d.cfg.Users; u++ {
+			window := d.flights[u*per : (u+1)*per]
+			d.loop.Post(func() {
+				for i := range window {
+					window[i].issueNext()
+				}
+			})
+		}
 	} else {
-		d.launchOpen()
+		d.clock, d.onArrive = arrivalClock{a: d.cfg.Arrival}, d.arrive
+		d.arrive()
 	}
 	d.loop.Run()
 	if d.completed != d.total {
@@ -168,70 +212,44 @@ func (d *Driver) Run() error {
 	return nil
 }
 
-// launchClosed starts every user's window of outstanding operations;
-// each completion triggers the next issue after the think time.
-func (d *Driver) launchClosed() {
-	for u := 0; u < d.cfg.Users; u++ {
-		u := u
-		d.loop.Post(func() {
-			for i := 0; i < d.cfg.Arrival.Window && d.issued < d.total; i++ {
-				d.issue(u, d.loop.Now())
-			}
-		})
-	}
-}
-
-// launchOpen schedules the open-loop arrival stream, one event at a time
-// so the event heap never holds more than the next arrival.
-func (d *Driver) launchOpen() {
-	clock := &arrivalClock{a: d.cfg.Arrival}
-	var next func()
-	next = func() {
-		if d.arrivals == d.total {
-			return
+// arrive assigns an open-loop arrival (none when Run starts the stream) to
+// the next user round-robin, then arms the next: one event at a time.
+func (d *Driver) arrive() {
+	if d.arrivals > 0 {
+		f := &d.flights[(d.arrivals-1)%d.cfg.Users]
+		if f.busy {
+			f.queued.Push(d.loop.Now())
+		} else {
+			d.issue(f, d.loop.Now())
 		}
+	}
+	if d.arrivals < d.total {
 		d.arrivals++
-		d.loop.After(clock.gap(d.rng), func() {
-			d.arrive(d.loop.Now())
-			next()
-		})
+		d.loop.After(d.clock.gap(d.rng), d.onArrive)
 	}
-	next()
 }
 
-// arrive assigns an open-loop arrival to the next user round-robin.
-func (d *Driver) arrive(at sim.Time) {
-	u := d.nextUser
-	d.nextUser = (d.nextUser + 1) % d.cfg.Users
-	if d.busy[u] {
-		d.queued[u].Push(at)
-		return
-	}
-	d.issue(u, at)
-}
-
-// issue builds and submits one operation for a user. arrive is when the
+// issue builds and submits one operation in a flight. arrive is when the
 // operation entered the system — before now when it queued behind the
 // user's previous operation.
-func (d *Driver) issue(user int, arrive sim.Time) {
+func (d *Driver) issue(f *flight, arrive sim.Time) {
 	seq := d.issued
 	d.issued++
 	measured := seq >= d.cfg.Warmup
 	if measured && !d.started {
 		d.started, d.startAt = true, arrive
 	}
-	if d.cfg.Arrival.Model != ModelClosed {
-		d.busy[user] = true
-	}
+	f.seq, f.busy = seq, true
 	kind := d.cfg.Mix.Pick(d.rng)
-	key := KeyName(d.cfg.Keys.Pick(d.rng))
-	rec := Op{User: user, Kind: kind, Key: key, Arrive: arrive, Measured: measured}
+	key := d.keyName(d.cfg.Keys.Pick(d.rng))
+	f.op = Op{User: f.user, Kind: kind, Key: key, Arrive: arrive, Measured: measured}
+	rec := &f.op
 	var raw []byte
 	switch kind {
 	case Read:
 		raw = kvstore.EncodeOp(kvstore.OpGet, key, "")
 	case Write:
-		rec.Value = d.writeValue(user, seq, -1)
+		rec.Value = d.writeValue(f.user, seq, -1)
 		raw = kvstore.EncodeOp(kvstore.OpPut, key, rec.Value)
 	case Delete:
 		raw = kvstore.EncodeOp(kvstore.OpDelete, key, "")
@@ -240,19 +258,27 @@ func (d *Driver) issue(user int, arrive sim.Time) {
 		rec.Key = key[:len(key)-1]
 		raw = kvstore.EncodeOp(kvstore.OpScan, rec.Key, strconv.Itoa(d.cfg.ScanLimit))
 	case Txn:
-		raw = d.buildTxn(&rec, user, seq)
+		raw = d.buildTxn(rec, f.user, seq)
 	}
-	rec.Invoke = d.loop.Now()
-	var traceID string
-	traceID = d.invoke(user%d.cfg.Conns, raw, func(res []byte) {
-		d.complete(rec, traceID, res)
-	})
-	// Safe after the invoke: replies cross the simulated network, so done
-	// cannot have fired synchronously at this same event.
+	invoke := d.loop.Now()
+	rec.Invoke = invoke
+	f.traceID = ""
+	traceID := d.invoke(f.user%d.cfg.Conns, raw, f.done)
+	if f.busy && f.seq == seq { // not answered at once (a refused operation)
+		f.traceID = traceID
+	}
 	if d.tracer != nil && traceID != "" {
-		d.tracer.Mark(obs.Arrive, traceID, rec.Arrive)
-		d.tracer.Mark(obs.Invoke, traceID, rec.Invoke)
+		d.tracer.Mark(obs.Arrive, traceID, arrive)
+		d.tracer.Mark(obs.Invoke, traceID, invoke)
 	}
+}
+
+// keyName is KeyName memoised per key index.
+func (d *Driver) keyName(i int) string {
+	if d.keyNames[i] == "" {
+		d.keyNames[i] = KeyName(i)
+	}
+	return d.keyNames[i]
 }
 
 // buildTxn fills in one multi-key transaction — half the draws write two
@@ -288,12 +314,13 @@ func (d *Driver) txnKeys() (string, string) {
 	if b == a {
 		b = (a + 1) % d.cfg.Keys.Keys()
 	}
-	return KeyName(a), KeyName(b)
+	return d.keyName(a), d.keyName(b)
 }
 
-// complete records one finished operation and schedules the user's next
-// work according to the arrival model.
-func (d *Driver) complete(rec Op, traceID string, res []byte) {
+// complete records the slot's finished operation and schedules the user's
+// next work according to the arrival model.
+func (f *flight) complete(res []byte) {
+	d, rec, traceID := f.d, &f.op, f.traceID
 	ret := d.loop.Now()
 	measured := rec.Measured
 	if d.tracer != nil && traceID != "" {
@@ -301,14 +328,11 @@ func (d *Driver) complete(rec Op, traceID string, res []byte) {
 		d.tracer.Finish(traceID, measured)
 	}
 	rec.Return = ret
-	if traceID != "" {
-		if fast, ok := d.paths[traceID]; ok {
-			rec.Fast = fast
-			delete(d.paths, traceID)
-		}
+	if traceID != "" && traceID == d.notedID {
+		rec.Fast = d.notedFast
 	}
-	d.normalize(&rec, res)
-	d.hist.Add(rec)
+	normalize(rec, res)
+	d.hist.Add(*rec)
 	d.completed++
 	if rec.Kind == Txn && rec.Result != Committed {
 		d.aborted++
@@ -323,20 +347,15 @@ func (d *Driver) complete(rec Op, traceID string, res []byte) {
 			d.endAt = ret
 		}
 	}
-	user := rec.User
+	f.busy = false
 	if d.cfg.Arrival.Model == ModelClosed {
 		if d.issued < d.total {
-			d.loop.After(d.cfg.Arrival.Think, func() {
-				if d.issued < d.total {
-					d.issue(user, d.loop.Now())
-				}
-			})
+			d.loop.After(d.cfg.Arrival.Think, f.next)
 		}
 		return
 	}
-	d.busy[user] = false
-	if q := &d.queued[user]; q.Len() > 0 {
-		d.issue(user, q.Pop())
+	if f.queued.Len() > 0 {
+		d.issue(f, f.queued.Pop())
 	}
 }
 
@@ -367,24 +386,20 @@ const padding = "...............................................................
 // deletes record Found/NotFound, transactions record their outcome plus
 // per-sub read observations, writes and scans record nothing the checker
 // uses. Unexpected replies are recorded verbatim so they surface as
-// correctness violations rather than vanishing.
-func (d *Driver) normalize(rec *Op, res []byte) {
-	s := string(res)
+// correctness violations rather than vanishing. A reply becomes a string
+// only where the history keeps it.
+func normalize(rec *Op, res []byte) {
 	switch rec.Kind {
 	case Read:
-		if s == "NOTFOUND" {
-			rec.Result = Absent
-		} else {
-			rec.Result = s
-		}
+		rec.Result = observed(res)
 	case Delete:
-		switch s {
+		switch string(res) {
 		case "OK":
 			rec.Result = Found
 		case "NOTFOUND":
 			rec.Result = NotFound
 		default:
-			rec.Result = s
+			rec.Result = string(res)
 		}
 	case Txn:
 		status, results, err := kvstore.DecodeTxnResult(res)
@@ -393,19 +408,23 @@ func (d *Driver) normalize(rec *Op, res []byte) {
 			rec.Result = Committed
 			for i := range rec.Sub {
 				if rec.Sub[i].Kind == Read {
-					if v := string(results[i]); v == "NOTFOUND" {
-						rec.Sub[i].Result = Absent
-					} else {
-						rec.Sub[i].Result = v
-					}
+					rec.Sub[i].Result = observed(results[i])
 				}
 			}
 		case err == nil && status == kvstore.TxnAborted:
 			rec.Result = Aborted
 		default:
-			rec.Result = s
+			rec.Result = string(res)
 		}
 	}
+}
+
+// observed is what a read records: the value seen, or Absent.
+func observed(res []byte) string {
+	if string(res) == "NOTFOUND" {
+		return Absent
+	}
+	return string(res)
 }
 
 // NotePath records which path served the operation traced as traceID:
@@ -413,12 +432,7 @@ func (d *Driver) normalize(rec *Op, res []byte) {
 // stacks with the read fast path enabled call it immediately before the
 // operation's done callback, so the verdict is in place when complete()
 // records the operation into the history.
-func (d *Driver) NotePath(traceID string, fast bool) {
-	if traceID == "" {
-		return
-	}
-	d.paths[traceID] = fast
-}
+func (d *Driver) NotePath(traceID string, fast bool) { d.notedID, d.notedFast = traceID, fast }
 
 // SetTracer attaches an observability tracer: each operation's arrival,
 // invocation and return are marked under the trace id its Invoker

@@ -19,8 +19,7 @@ bench.Experiments 1 — collect, then sorted by experiment number and name
 bench.Run 1 — copies the echoed knobs into Result.Config, a map, which encoding/json marshals with sorted keys
 bench.values.echo 1 — map to map, one entry per knob
 kvstore.Store.Prepared 1 — collect, then sort.Strings
-kvstore.Store.forEach 1 — its one caller, scanPart, collects the matching keys and sorts them before use
-kvstore.encodeBucket 1 — collect the keys, then sort.Strings: the canonical encoding every bucket digest is taken over
+kvstore.appendKeys 1 — collects keys; both callers sort them before use: scanPart, and encodeBucket for the canonical encoding every bucket digest is taken over
 main.knobFlags.String 1 — collect, then sort.Strings (flag.Value, for -help)
 main.run 1 — collect the knob names, then sort.Strings, to print -knobs
 pbft.Replica.knownIDs 1 — collects the known rows of the one request table (assigned and done rows are skipped), then sorted by (client, timestamp), a total order
