@@ -8,18 +8,21 @@ import (
 )
 
 // TestCopyBudgetPerPayloadByte is the gate on the per-byte message path:
-// an N=4 group committing 32 KiB puts may allocate at most 30 host bytes per
+// an N=4 group committing 32 KiB puts may allocate at most 25 host bytes per
 // payload byte inside the run (large-rubin's shape, all writes), on either
-// transport. A put's value crosses the client→replica hop four times and
-// the leader→backup hop three times, and each hop is allowed its one copy
-// in and its one copy out (the per-hop table in docs/ARCHITECTURE.md): the
-// run measures 21.8 on rdma-rubin and 19.8 on tcp-nio (22.7 and 21.1 while
-// MarshalPartition cloned every checkpointed bucket and a checkpoint grew
-// each bucket's encoding field by field; 25.1 and 23.5 while every request
-// and every envelope was encoded into a fresh buffer rather than its
-// sender's scratch). rdma-rubin measured 60.5 while BatchDigest encoded the batch to hash it, Decode copied every
-// field out of the receive buffer and an envelope was put together from
-// three buffers; tcp-nio measured 94.6 while Send, flush and Write each
+// transport — the larger reading plus 25 %. A put's value crosses the
+// client→replica hop four times and the leader→backup hop three times, and
+// each hop is allowed its one copy in and its one copy out (the per-hop
+// table in docs/ARCHITECTURE.md): the run measures 18.3 on rdma-rubin and
+// 19.8 on tcp-nio (rdma-rubin read 21.8 while a receive slot kept a backing
+// of its own and the channel copied each landed message out of it; 22.7
+// and 21.1 while MarshalPartition cloned every checkpointed bucket and a
+// checkpoint grew each bucket's encoding field by field; 25.1 and 23.5
+// while every request and every envelope was encoded into a fresh buffer
+// rather than its sender's scratch). rdma-rubin measured 60.5 while
+// BatchDigest encoded the batch to hash it, Decode copied every field out
+// of the receive buffer and an envelope was put together from three
+// buffers; tcp-nio measured 94.6 while Send, flush and Write each
 // made their own copy and the socket buffers were re-grown as they were
 // consumed — a copy put back on that path fails here before it shows in
 // the benchmark.
@@ -27,7 +30,7 @@ func TestCopyBudgetPerPayloadByte(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime's own allocations are not the path's")
 	}
-	const users, ops, keys, valueSize, budget = 32, 768, 64, 32 << 10, 30
+	const users, ops, keys, valueSize, budget = 32, 768, 64, 32 << 10, 25
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		allocated, _ := putRun(t, kind, users, ops, keys, valueSize)
 		if perByte := float64(allocated) / (ops * valueSize); perByte > budget {

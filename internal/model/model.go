@@ -163,8 +163,8 @@ type SelectorParams struct {
 	SignalInterval int
 	// PostBatch is how many WRs RUBIN accumulates per doorbell.
 	PostBatch int
-	// ZeroCopyReceive, when true, removes the receive-side copy —
-	// the paper's planned future optimization (used in ablations).
+	// ZeroCopyReceive, when true, removes the modeled CopyPerKB charge for
+	// the receive-side copy — the paper's planned future optimization.
 	ZeroCopyReceive bool
 }
 

@@ -144,14 +144,14 @@ func TestFragmentationRoundTrip(t *testing.T) {
 // decode-by-reference rests on: a consumer that keeps every delivered
 // message, whole or reassembled, without copying finds each one intact
 // after the receive ring below has come round many times over — on both
-// backends, and with the rubin channel's zero-copy receive, where the
-// channel itself hands out slices of re-posted slots.
+// backends, and with the rubin channel's zero-copy receive on and off; the
+// channel hands out the backing of each slot it re-posts in either mode.
 func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Transport.WRs = 4
 	opts.Transport.MaxMessage = 4 << 10
-	// Equal sizes per shape, so a reused slot is overwritten in place
-	// rather than regrown.
+	// Equal sizes per shape, so a slot that kept its backing would be
+	// overwritten in place rather than regrown.
 	sizes := []int{1000, 3*opts.chunkPayload() - 5}
 	for _, kind := range kinds() {
 		for _, zeroCopy := range []bool{false, true} {

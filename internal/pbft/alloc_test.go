@@ -118,8 +118,8 @@ func replyFixture(t *testing.T, kind transport.Kind) (c *Cluster, cl *Client, ts
 }
 
 // TestReplyAllocatesNothing: what a reply costs the host end to end is what
-// msgnet and the transport below charge for carrying its bytes — the modeled
-// receive copy, pinned by their own gates and measured here by handing the
+// msgnet and the transport below charge for carrying its bytes — the buffer
+// it is delivered in, pinned by their own gates and measured here by handing the
 // same bytes to Peer.Send directly. On top of that the replica encoding and
 // sending it (into its scratch and msgnet's pooled frame, no closure) and
 // the client decoding and counting it short of a quorum (by value, the

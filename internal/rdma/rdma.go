@@ -177,7 +177,8 @@ type PD struct {
 // touched and only as far as the highest byte ever touched (growing by at
 // least doubling, like append, capped at the block size), so a pool of
 // large slots that carries small messages costs the host what the messages
-// cost.
+// cost. A receive pool whose landed messages are handed up with Take is
+// backed only while a message sits in it.
 type MR struct {
 	pd        *PD
 	blocks    [][]byte // blocks[i] backs region bytes from i*blockSize; nil until touched
@@ -239,9 +240,10 @@ func (mr *MR) holds(off, n int) bool {
 
 // Slice returns the n region bytes at off, which must lie inside one block
 // (it panics on an extent the posting verbs would have rejected). The block
-// is backed as far as off+n first, so never-written bytes read as zeros. The result aliases the block's backing at the time of the call: a
-// reader may keep it (it retains its bytes if the block later grows), a
-// writer must take a fresh Slice for every write.
+// is backed as far as off+n first, so never-written bytes read as zeros.
+// The result aliases the block's backing at the time of the call: a reader
+// may keep it (it retains its bytes if the block later grows), a writer
+// must take a fresh Slice for every write.
 func (mr *MR) Slice(off, n int) []byte {
 	if n == 0 {
 		return nil

@@ -34,11 +34,10 @@ type Config struct {
 	// Inline sends payloads at or below the device inline limit inside
 	// the work request itself.
 	Inline bool
-	// ZeroCopyReceive skips the receive-side copy out of the registered
-	// buffer (the paper's planned future optimization). The message
-	// returned by Receive is then the very memory the NIC wrote: the slot
-	// gives its backing up with the message and is re-posted empty, so
-	// the receiver owns the bytes exactly as it owns a copied message.
+	// ZeroCopyReceive removes the modeled charge (CopyPerKB on the
+	// receiving thread) for the copy out of the registered buffer, the
+	// paper's planned future optimization. The host is the same either way:
+	// Receive returns the very memory the NIC wrote, which the slot gives up.
 	ZeroCopyReceive bool
 }
 
@@ -285,22 +284,16 @@ func (c *Channel) rxDone() {
 	c.pumpRx()
 }
 
-// finishRecvCQE lands one received message (copy already charged by
-// pumpRx) and re-posts its buffer; reports whether a message was queued.
+// finishRecvCQE queues one received message — the slot's backing, exactly
+// the bytes the NIC wrote (pumpRx charged any modeled copy) — and re-posts
+// the slot empty; reports whether a message was queued.
 func (c *Channel) finishRecvCQE(cqe rdma.CQE) bool {
 	if cqe.Status != rdma.StatusOK {
 		c.fail()
 		return false
 	}
-	slot := int(cqe.WRID)
-	off := slot * c.cfg.BufferSize
-	var msg []byte
-	if c.cfg.ZeroCopyReceive {
-		msg = c.recvMR.Take(off, cqe.Bytes)
-	} else {
-		msg = append([]byte(nil), c.recvMR.Slice(off, cqe.Bytes)...)
-	}
-	c.inbox.Push(msg)
+	off := int(cqe.WRID) * c.cfg.BufferSize
+	c.inbox.Push(c.recvMR.Take(off, cqe.Bytes))
 	c.received++
 	wr := rdma.RecvWR{ID: cqe.WRID, MR: c.recvMR, Offset: off, Length: c.cfg.BufferSize}
 	if err := c.qp.PostRecv(wr); err != nil {

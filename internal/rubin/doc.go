@@ -26,9 +26,9 @@
 //   - selective signaling (a send completion only every Nth message);
 //   - inline sends for payloads up to the device inline limit;
 //   - zero-copy send (the application buffer region is registered
-//     directly); the receive side still performs one copy out of the
-//     registered buffer — the paper's known limitation, removable with
-//     Config.ZeroCopyReceive to project the planned optimization.
+//     directly); the receive side is charged one copy out of the
+//     registered buffer — the paper's known limitation, a modeled charge
+//     that Config.ZeroCopyReceive removes to project the planned optimization.
 //
 // Security (Section III-C): RUBIN uses two-sided Send/Receive semantics
 // exclusively, so no buffer is ever exposed to remote one-sided access and

@@ -2,6 +2,7 @@ package rubin
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"rubin/internal/raceflag"
@@ -96,10 +97,28 @@ func TestInlineSendCopiesInsideSend(t *testing.T) {
 	}
 }
 
+// discardReceiver registers ch for OpReceive on sel and drops every message
+// it receives, counting them: a receiver that keeps nothing of its own.
+func discardReceiver(sel *Selector, ch *Channel) *int {
+	received := new(int)
+	sel.Register(ch, OpReceive, nil)
+	sel.Select(func(keys []*SelectionKey) {
+		for _, k := range keys {
+			for {
+				if _, ok := k.Channel().(*Channel).Receive(); !ok {
+					break
+				}
+				*received++
+			}
+		}
+	})
+	return received
+}
+
 // The allocation gate of the channel layer. One message Send → Receive
-// costs one allocation, and it is the modeled one: the receive copy out of
-// the registered buffer (§IV's one remaining copy), or with ZeroCopyReceive
-// the fresh backing of the slot whose bytes MR.Take handed upward.
+// costs one allocation: the landed slot backing, exactly the bytes the NIC
+// wrote, which MR.Take hands upward in both modes — ZeroCopyReceive removes
+// only the modeled charge for §IV's remaining copy, not a host one.
 func TestMessageAllocatesOnlyTheReceiveCopy(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime's own allocations are not the channel's")
@@ -110,18 +129,7 @@ func TestMessageAllocatesOnlyTheReceiveCopy(t *testing.T) {
 			cfg := DefaultConfig(r.params)
 			cfg.ZeroCopyReceive = zeroCopy
 			client, server := r.connect(t, cfg)
-			r.selB.Register(server, OpReceive, nil)
-			received := 0
-			r.selB.Select(func(keys []*SelectionKey) {
-				for _, k := range keys {
-					for {
-						if _, ok := k.Channel().(*Channel).Receive(); !ok {
-							break
-						}
-						received++
-					}
-				}
-			})
+			received := discardReceiver(r.selB, server)
 			msg := bytes.Repeat([]byte{5}, size)
 			message := func() {
 				if err := client.Send(msg); err != nil {
@@ -139,9 +147,60 @@ func TestMessageAllocatesOnlyTheReceiveCopy(t *testing.T) {
 			if allocs > 1 {
 				t.Errorf("zerocopy=%v %s: %v allocs per message, want <= 1", zeroCopy, name, allocs)
 			}
-			if received != 2*cfg.SendWRs+201 {
-				t.Fatalf("zerocopy=%v %s: received %d messages", zeroCopy, name, received)
+			if *received != 2*cfg.SendWRs+201 {
+				t.Fatalf("zerocopy=%v %s: received %d messages", zeroCopy, name, *received)
 			}
+		}
+	}
+}
+
+// A receive slot is backed only while a message sits in it, so the first lap
+// of the ring costs what every later lap does: each landing allocates its
+// message's bytes and hands them up. Were a slot to keep a backing of its
+// own and copy each message out of it, the first lap would pay for the
+// backings on top of the copies: twice the second lap. Every send is
+// signaled, so one send slot carries them all and the first lap backs that
+// one slot besides.
+func TestFirstLapOfTheRingAllocatesLikeTheNext(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime's own allocations are not the channel's")
+	}
+	for _, zeroCopy := range []bool{false, true} {
+		r := newRig(t, nil)
+		cfg := DefaultConfig(r.params)
+		cfg.ZeroCopyReceive = zeroCopy
+		cfg.SignalInterval = 1
+		client, server := r.connect(t, cfg)
+		received := discardReceiver(r.selB, server)
+		// One inline message first makes the WR table and the queues.
+		if err := client.Send([]byte("warm-up")); err != nil {
+			t.Fatal(err)
+		}
+		r.loop.Run()
+		msg := bytes.Repeat([]byte{5}, 32<<10)
+		lap := func() uint64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < cfg.RecvWRs; i++ {
+				if err := client.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+				r.loop.Run()
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		first, second := lap(), lap()
+		t.Logf("zerocopy=%v: first lap %d B, second lap %d B", zeroCopy, first, second)
+		const stray = 1 << 10 // the test runtime's own odd allocations
+		if first > second+uint64(len(msg))+stray {
+			t.Errorf("zerocopy=%v: the first lap of the receive ring allocated %d B, the second %d B: want at most one send slot (%d B) more",
+				zeroCopy, first, second, len(msg))
+		}
+		if *received != 2*cfg.RecvWRs+1 {
+			t.Fatalf("zerocopy=%v: received %d messages, want %d", zeroCopy, *received, 2*cfg.RecvWRs+1)
 		}
 	}
 }

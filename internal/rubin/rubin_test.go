@@ -339,32 +339,42 @@ func TestBatchedPostingSharesDoorbells(t *testing.T) {
 	}
 }
 
+// Zero-copy receive is a modeled charge and nothing else: the same messages,
+// sent one at a time, arrive as the same bytes in both modes, the receiving
+// selector thread is busy for exactly CopyPerKB per delivered KB less, and
+// the sequence finishes sooner.
 func TestZeroCopyReceiveAblation(t *testing.T) {
-	// Zero-copy receive must deliver identical bytes and strictly less
-	// virtual time for large messages.
-	run := func(zeroCopy bool) (sim.Time, []byte) {
-		r := newRig(t, func(p *model.Params) { p.Selector.ZeroCopyReceive = zeroCopy })
+	sizes := []int{100, 4096, 32 << 10, 100 << 10}
+	run := func(zeroCopy bool) (busy, elapsed sim.Time, got [][]byte) {
+		r := newRig(t, nil)
 		cfg := DefaultConfig(r.params)
 		cfg.ZeroCopyReceive = zeroCopy
 		client, server := r.connect(t, cfg)
-		var got [][]byte
 		pumpReceiver(r.selB, server, &got)
-		var start sim.Time
-		payload := bytes.Repeat([]byte{0x5A}, 100<<10)
-		r.loop.Post(func() {
-			start = r.loop.Now()
-			_ = client.Send(payload)
-		})
-		r.loop.Run()
-		if len(got) != 1 {
-			t.Fatalf("received %d, want 1", len(got))
+		busy, start := r.selB.Thread().BusyTotal(), r.loop.Now()
+		for i, size := range sizes {
+			if err := client.Send(bytes.Repeat([]byte{byte(i + 1)}, size)); err != nil {
+				t.Fatal(err)
+			}
+			r.loop.Run()
 		}
-		return r.loop.Now() - start, got[0]
+		return r.selB.Thread().BusyTotal() - busy, r.loop.Now() - start, got
 	}
-	tCopy, dataCopy := run(false)
-	tZero, dataZero := run(true)
-	if !bytes.Equal(dataCopy, dataZero) {
-		t.Fatal("zero-copy receive corrupted data")
+	busyCopy, tCopy, dataCopy := run(false)
+	busyZero, tZero, dataZero := run(true)
+	if len(dataCopy) != len(sizes) || len(dataZero) != len(sizes) {
+		t.Fatalf("received %d and %d messages, want %d", len(dataCopy), len(dataZero), len(sizes))
+	}
+	var charge sim.Time
+	for i := range sizes {
+		if !bytes.Equal(dataCopy[i], dataZero[i]) {
+			t.Fatalf("message %d differs between the modes", i)
+		}
+		charge += model.KB(model.Default().Selector.CopyPerKB, len(dataCopy[i]))
+	}
+	if busyCopy-busyZero != charge {
+		t.Fatalf("receiving selector thread busy %v copying, %v zero-copy: differ by %v, want the copy charge %v",
+			busyCopy, busyZero, busyCopy-busyZero, charge)
 	}
 	if tZero >= tCopy {
 		t.Fatalf("zero-copy receive (%v) not faster than copying (%v)", tZero, tCopy)
@@ -620,33 +630,36 @@ func TestCloseAndRedialReleasesPools(t *testing.T) {
 	}
 }
 
-// A zero-copy message takes its receive slot's backing with it: when the
-// ring comes round and the slot carries another message, of the same size
-// or a larger one, the receiver's bytes stay what they were delivered as.
+// A delivered message takes its receive slot's backing with it, in both
+// modes: when the ring comes round and the slot carries another message, of
+// the same size or a larger one, the receiver's bytes stay what they were
+// delivered as.
 func TestZeroCopyMessageOwnsItsBytes(t *testing.T) {
-	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
-	cfg.ZeroCopyReceive = true
-	cfg.RecvWRs = 1 // every message lands in the same slot
-	client, server := r.connect(t, cfg)
-	var got [][]byte
-	pumpReceiver(r.selB, server, &got)
-	want := [][]byte{
-		bytes.Repeat([]byte{0x11}, 300), bytes.Repeat([]byte{0x22}, 300),
-		bytes.Repeat([]byte{0x33}, 64<<10), bytes.Repeat([]byte{0x44}, 64<<10),
-	}
-	r.loop.Post(func() {
-		for _, m := range want {
-			_ = client.Send(m)
+	for _, zeroCopy := range []bool{false, true} {
+		r := newRig(t, nil)
+		cfg := DefaultConfig(r.params)
+		cfg.ZeroCopyReceive = zeroCopy
+		cfg.RecvWRs = 1 // every message lands in the same slot
+		client, server := r.connect(t, cfg)
+		var got [][]byte
+		pumpReceiver(r.selB, server, &got)
+		want := [][]byte{
+			bytes.Repeat([]byte{0x11}, 300), bytes.Repeat([]byte{0x22}, 300),
+			bytes.Repeat([]byte{0x33}, 64<<10), bytes.Repeat([]byte{0x44}, 64<<10),
 		}
-	})
-	r.loop.Run()
-	if len(got) != len(want) {
-		t.Fatalf("received %d messages, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("message %d changed after delivery: its slot was reused under it", i)
+		r.loop.Post(func() {
+			for _, m := range want {
+				_ = client.Send(m)
+			}
+		})
+		r.loop.Run()
+		if len(got) != len(want) {
+			t.Fatalf("zerocopy=%v: received %d messages, want %d", zeroCopy, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("zerocopy=%v: message %d changed after delivery: its slot was reused under it", zeroCopy, i)
+			}
 		}
 	}
 }

@@ -51,8 +51,10 @@ func putRun(t *testing.T, kind transport.Kind, users, ops, keys, valueSize int) 
 // TestMallocBudgetPerRequest is the gate on the per-message path: an N=4
 // group committing 2 000 128-byte puts (small-rubin's and small-nio's shape,
 // all writes) may make at most 43 heap allocations per request inside the
-// run on rdma-rubin and 38 on tcp-nio. The runs measure 34.0 and 30.5; the
-// budgets are that plus 25 %. They measured 55.7 and 52.3 (budgets 70 and
+// run on rdma-rubin and 38 on tcp-nio. The runs measure 32.5 and 30.5; the
+// budgets are 34.0 and 30.5 plus 25 %. rdma-rubin measured 34.0 while a
+// receive slot kept a backing of its own and the channel copied each landed
+// message out of it. They measured 55.7 and 52.3 (budgets 70 and
 // 65) while kvstore made strings of every op's key and value at every
 // replica, a fresh reply per put and a growing buffer per dirty bucket at
 // each checkpoint, the workload driver a closure per operation and per
