@@ -1,7 +1,7 @@
 // Command benchsuite runs any subset of the registered experiments
-// (E1–E12 and ALLOC)
-// and writes one machine-readable BENCH_<name>.json per experiment, so the
-// repository's benchmark trajectory can be recorded and diffed PR over PR.
+// (E1–E12) and writes one machine-readable BENCH_<name>.json per
+// experiment, so the repository's benchmark trajectory can be recorded and
+// diffed PR over PR.
 //
 // Usage:
 //
@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	experiments := fs.String("experiments", "all", "comma-separated experiment names (E1..E12, ALLOC) or 'all'")
+	experiments := fs.String("experiments", "all", "comma-separated experiment names (E1..E12) or 'all'")
 	out := fs.String("out", ".", "directory to write BENCH_<name>.json files into")
 	quick := fs.Bool("quick", false, "shrink sweeps and message counts (CI smoke mode)")
 	seed := fs.Int64("seed", 1, "simulation seed")

@@ -31,7 +31,6 @@ raceflag.Enabled — allocation gates in fifteen packages skip under -race; a bu
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
 reptor.Group.GlobalOrder — the merged order as request keys, how the executor and invariant tests compare replicas
 rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up
-shard.Deployment.EnableReadFastPath — the sharded read fast path is tested but no experiment turns it on (E11 runs plain PBFT and COP)
 sim.Loop.SetEventLimit — runaway guard the sim and reptor tests set
 sim.Resource.QueueDelay — backlog probe of the service station, pinned by TestResourceQueueDelay
 tcpsim.Conn.Established — probe the tcpsim and nio tests share

@@ -231,21 +231,28 @@ func TestMACVerifySteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
 	}
-	rings := GenerateKeyrings(4, 7)
 	msg := make([]byte, 4096)
-	mac := bytes.Clone(rings[0].MAC(1, msg)) // warm up peer-1 state
-	rings[1].Verify(0, msg, mac)             // warm up verifier state
-	if avg := testing.AllocsPerRun(200, func() { rings[0].MAC(1, msg) }); avg > 0 {
-		t.Fatalf("MAC allocates %.1f/op steady-state, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() { rings[1].Verify(0, msg, mac) }); avg > 0 {
-		t.Fatalf("Verify allocates %.1f/op steady-state, want 0", avg)
-	}
-	// Authenticate returns stable copies, so it pays exactly two
-	// allocations: the vector and its shared backing array.
-	rings[0].Authenticate(msg)
-	if avg := testing.AllocsPerRun(200, func() { rings[0].Authenticate(msg) }); avg > 2 {
-		t.Fatalf("Authenticate allocates %.1f/op steady-state, want <=2", avg)
+	for _, n := range []int{4, 7, 16} {
+		rings := GenerateKeyrings(n, 7)
+		mac := bytes.Clone(rings[0].MAC(1, msg)) // warm up peer-1 state
+		rings[1].Verify(0, msg, mac)             // warm up verifier state
+		rings[0].Authenticate(msg)
+		// Authenticate returns stable copies, so it pays exactly two
+		// allocations at any group size: the vector and its shared
+		// backing array.
+		for _, tc := range []struct {
+			op   string
+			fn   func()
+			want float64
+		}{
+			{"MAC", func() { rings[0].MAC(1, msg) }, 0},
+			{"Verify", func() { rings[1].Verify(0, msg, mac) }, 0},
+			{"Authenticate", func() { rings[0].Authenticate(msg) }, 2},
+		} {
+			if avg := testing.AllocsPerRun(200, tc.fn); avg != tc.want {
+				t.Errorf("n=%d: %s allocates %.2f/op steady-state, want %v", n, tc.op, avg, tc.want)
+			}
+		}
 	}
 }
 

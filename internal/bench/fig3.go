@@ -2,18 +2,18 @@
 // regenerating the paper's evaluation and its extensions, with every
 // experiment emitting machine-readable results.
 //
-// Experiments E1–E12 and ALLOC register themselves (from their defining
+// Experiments E1–E12 register themselves (from their defining
 // files' init functions) as Experiment values: E1/E2 reproduce Figure 3
 // (transport micro-benchmark), E3/E4 Figure 4 (RUBIN vs Java-NIO selector
 // over the Reptor communication stack), E5 the full replicated-system
 // evaluation the paper lists as future work, E6 ablations of the Section
 // IV optimizations, E7 agreement under a scripted fault timeline, E8 the
 // scaling study (PBFT cluster size, Reptor COP parallelism), E9–E11 the
-// traffic studies (workload shape, shard scale-out, read fast path), E12
-// the state-size study and ALLOC the hot-path allocation audit. Every
-// replicated-system experiment builds its system through one deployment
-// value (deploy.go) and each experiment's parameters are one declarative
-// knob table (registry.go). Run executes one experiment under a
+// traffic studies (workload shape, shard scale-out, read fast path) and
+// E12 the state-size study. Every replicated-system experiment builds its
+// system through one deployment value (deploy.go) and each experiment's
+// parameters are one declarative knob table (registry.go). Run executes
+// one experiment under a
 // RunContext (seed, quick mode, cost model, knob overrides) and returns a
 // validated metrics.Result; cmd/benchsuite persists those as
 // BENCH_<name>.json and diffs them across runs. Knob names and the

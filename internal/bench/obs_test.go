@@ -15,15 +15,15 @@ import (
 // assertPartition checks the breakdown invariant every measurement run
 // must satisfy: the phases partition the tracer's view of the latency
 // (they sum to Breakdown.Total exactly, up to integer-mean rounding of
-// the five recorders) and Breakdown.Total agrees with the independently
+// the three recorders) and Breakdown.Total agrees with the independently
 // recorded mean latency within 1%.
 func assertPartition(t *testing.T, label string, s obs.Summary, mean sim.Time) {
 	t.Helper()
 	if s.Count == 0 {
 		t.Fatalf("%s: breakdown saw no finished requests", label)
 	}
-	sum := s.Queue + s.Order + s.Net + s.Merge + s.Exec
-	if d := sum - s.Total; d > 5 || d < -5 {
+	sum := s.Queue + s.Order + s.Net
+	if d := sum - s.Total; d > 3 || d < -3 {
 		t.Errorf("%s: phases sum to %v but total is %v", label, sum, s.Total)
 	}
 	diff := float64(s.Total - mean)
@@ -89,8 +89,6 @@ func assertResultBreakdowns(t *testing.T, res *metrics.Result) int {
 			q,
 			res.GetSeries(s.Name, metrics.MetricBreakdownOrder),
 			res.GetSeries(s.Name, metrics.MetricBreakdownNet),
-			res.GetSeries(s.Name, metrics.MetricBreakdownMerge),
-			res.GetSeries(s.Name, metrics.MetricBreakdownExec),
 		}
 		for i, pt := range s.Points {
 			sum := 0.0

@@ -102,11 +102,10 @@ func formatInts(xs []int) string {
 }
 
 // Experiment is one registered entry of the benchmark suite. Every
-// experiment (E1–E12 and ALLOC) registers itself from its defining
-// file's init, so any binary importing internal/bench sees the full
-// suite.
+// experiment (E1–E12) registers itself from its defining file's init, so
+// any binary importing internal/bench sees the full suite.
 type Experiment struct {
-	// Name is the registry key: "E1".."E12" or "ALLOC".
+	// Name is the registry key: "E1".."E12".
 	Name string
 	// Title is the one-line human description.
 	Title string
@@ -195,8 +194,8 @@ func Register(e Experiment) {
 	registry[e.Name] = e
 }
 
-// Experiments returns all registered experiments sorted by name (numeric
-// suffix order: E1..E10).
+// Experiments returns all registered experiments in numeric order
+// (E1..E12).
 func Experiments() []Experiment {
 	out := make([]Experiment, 0, len(registry))
 	for _, e := range registry {
@@ -205,7 +204,7 @@ func Experiments() []Experiment {
 	sort.Slice(out, func(i, j int) bool {
 		ni, _ := strconv.Atoi(strings.TrimPrefix(out[i].Name, "E"))
 		nj, _ := strconv.Atoi(strings.TrimPrefix(out[j].Name, "E"))
-		return ni != nj && ni < nj || ni == nj && out[i].Name < out[j].Name
+		return ni < nj
 	})
 	return out
 }

@@ -10,11 +10,10 @@ import (
 	"rubin/internal/metrics"
 )
 
-// TestRegistryComplete asserts the suite registers E1–E12 plus the
-// ALLOC harness audit with full metadata, in numeric order (non-E names
-// sort first).
+// TestRegistryComplete asserts the suite registers E1–E12 with full
+// metadata, in numeric order.
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ALLOC", "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
 	got := Experiments()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(got), len(want))
@@ -101,12 +100,6 @@ var tinyKnobs = map[string]map[string]string{
 func TestExperimentJSONRoundTripAndDeterminism(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
-		if e.Name == "ALLOC" {
-			// AllocsPerRun reads process-global malloc counters, so the
-			// parallel subtests here would pollute its window; ALLOC has
-			// a dedicated serial determinism test in alloc_test.go.
-			continue
-		}
 		t.Run(e.Name, func(t *testing.T) {
 			t.Parallel()
 			rc := DefaultRunContext()

@@ -158,14 +158,11 @@ var (
 	colHeartbeatSlots = statColumn(metrics.MetricHeartbeatSlots, "count", "reptor.heartbeat_slots")
 	colMergeWait      = column{metrics.MetricMergeWait, "us", func(r TrafficResult) float64 { return r.Breakdown.MergeWait.Micros() }}
 	// breakdownColumns partition the measured end-to-end latency: per
-	// point, queue + order + net + merge + exec equals the latency_mean
-	// series.
+	// point, queue + order + net equals the latency_mean series.
 	breakdownColumns = []column{
 		{metrics.MetricBreakdownQueue, "us", func(r TrafficResult) float64 { return r.Breakdown.Queue.Micros() }},
 		{metrics.MetricBreakdownOrder, "us", func(r TrafficResult) float64 { return r.Breakdown.Order.Micros() }},
 		{metrics.MetricBreakdownNet, "us", func(r TrafficResult) float64 { return r.Breakdown.Net.Micros() }},
-		{metrics.MetricBreakdownMerge, "us", func(r TrafficResult) float64 { return r.Breakdown.Merge.Micros() }},
-		{metrics.MetricBreakdownExec, "us", func(r TrafficResult) float64 { return r.Breakdown.Exec.Micros() }},
 	}
 	// copColumns are the executor health counters and the commit-to-merge
 	// wait, reported for COP systems only.

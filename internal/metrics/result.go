@@ -31,14 +31,12 @@ const (
 	MetricCommits     = "commits"      // unit: count
 	MetricSendFaults  = "send_faults"  // unit: count
 
-	// Latency-attribution metrics (internal/obs). The five breakdown
+	// Latency-attribution metrics (internal/obs). The three breakdown
 	// phases partition the measured end-to-end latency: their per-point
 	// sum equals latency_mean.
 	MetricBreakdownQueue = "breakdown_queue" // unit: us (client-side queueing)
 	MetricBreakdownOrder = "breakdown_order" // unit: us (leader ordering CPU)
 	MetricBreakdownNet   = "breakdown_net"   // unit: us (wire + agreement rounds)
-	MetricBreakdownMerge = "breakdown_merge" // unit: us (COP merge on reply path: 0)
-	MetricBreakdownExec  = "breakdown_exec"  // unit: us (exec on reply path: 0)
 	MetricMergeWait      = "merge_wait"      // unit: us (COP commit->merge, off reply path)
 
 	// Pressure metrics exported by E7/E8/E9.
@@ -68,10 +66,6 @@ const (
 	MetricTransferBytes   = "transfer_bytes"   // unit: bytes (state bytes served by responders)
 	MetricStateBytes      = "state_bytes"      // unit: bytes (full snapshot size at run end)
 	MetricThroughputDip   = "throughput_dip"   // unit: ratio (recovered-phase / healthy throughput)
-
-	// Hot-path efficiency metric exported by ALLOC (testing.AllocsPerRun
-	// over the msgnet/auth/sim fast paths).
-	MetricAllocsPerOp = "allocs_per_op" // unit: allocs/op (steady-state heap allocations)
 )
 
 // ResultSeries is one named curve of an experiment result: points share an
@@ -191,9 +185,8 @@ func (r *Result) GetSeries(name, metric string) *ResultSeries {
 	return nil
 }
 
-// Experiment names are either figure-style ("E1".."E12") or an
-// upper-case tag for harness-level studies ("ALLOC").
-var experimentNameRE = regexp.MustCompile(`^(E[0-9]+|[A-Z]{2,12})$`)
+// Experiment names are figure-style: "E1".."E12".
+var experimentNameRE = regexp.MustCompile(`^E[0-9]+$`)
 
 // Validate checks the result against the documented schema (see
 // docs/EXPERIMENTS.md): version match, well-formed experiment name,

@@ -50,6 +50,7 @@ func TestResultValidate(t *testing.T) {
 	mutations := map[string]func(*Result){
 		"bad schema":       func(r *Result) { r.Schema = "rubin-bench/0" },
 		"bad name":         func(r *Result) { r.Experiment = "fig3" },
+		"tag name":         func(r *Result) { r.Experiment = "ALLOC" },
 		"empty title":      func(r *Result) { r.Title = "" },
 		"empty figure":     func(r *Result) { r.Figure = "" },
 		"nil config":       func(r *Result) { r.Config = nil },

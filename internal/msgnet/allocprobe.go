@@ -9,11 +9,12 @@ import (
 	"rubin/internal/transport"
 )
 
-// Alloc probes for the bench layer (experiment ALLOC): they measure the
+// The send-path alloc probe, called by TestSendAllocsSteadyState and by
+// benchmark/probes.go's msgnet.probe_send_allocs: it measures the
 // steady-state allocations of the send hot path over an inert substrate
 // connection, so the reported numbers isolate this layer from transport
-// internals. Probes run a private mesh on a private loop; they never
-// touch shared state.
+// internals. The probe runs a private mesh on a private loop; it never
+// touches shared state.
 
 // nullConn is an inert transport.Conn: Send accepts and discards every
 // frame, mimicking a substrate that copies synchronously (as both real

@@ -609,18 +609,20 @@ func TestPooledBufferReuseKeepsPayloadsIntact(t *testing.T) {
 	}
 }
 
-// TestSendAllocsSteadyState pins the hot-path allocation bounds: a whole
-// message Send plus its scheduler turn at most 1 allocation (0 with the
-// pools warm), and the chunked path flat as well.
+// TestSendAllocsSteadyState pins the hot-path allocations: a Send plus the
+// scheduler turns that drain it allocates nothing once the pools are warm,
+// whole-frame and chunked alike.
 func TestSendAllocsSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
 	}
-	if avg := SendAllocsPerOp(200, 1<<10); avg > 1 {
-		t.Errorf("whole-message Send allocates %.1f/op, want <=1", avg)
-	}
-	if avg := SendAllocsPerOp(50, 600_000); avg > 2 {
-		t.Errorf("chunked Send allocates %.1f/op, want <=2", avg)
+	for _, tc := range []struct{ runs, payload int }{
+		{200, 256}, {200, 4 << 10}, {200, 64 << 10}, // one transport frame
+		{50, 600_000}, {50, 1 << 20}, {20, 4 << 20}, // chunked
+	} {
+		if avg := SendAllocsPerOp(tc.runs, tc.payload); avg != 0 {
+			t.Errorf("Send of %d bytes allocates %.2f/op, want 0", tc.payload, avg)
+		}
 	}
 }
 

@@ -21,10 +21,10 @@
 //   - Latency attribution: per-request milestone marks (the Milestone
 //     constants: arrive, invoke, leader receipt, proposal, read-serve,
 //     commit, return) are folded by Finish into a strict phase partition
-//     — queue, order, net, merge, exec — whose sum equals the end-to-end
-//     latency by construction (milestones are clamped monotone, phases
-//     are the gaps). The per-phase recorders feed the breakdown_* series
-//     of experiments E8/E9.
+//     — queue, order, net — whose sum equals the end-to-end latency by
+//     construction (milestones are clamped monotone, phases are the
+//     gaps). The per-phase recorders feed the breakdown_* series of
+//     experiments E8–E11.
 //
 //   - Span/counter recording (Options.Spans): finished requests emit a
 //     span tree, components emit extra spans (msgnet send-queue waits,
@@ -105,7 +105,7 @@ const (
 	numMilestones
 )
 
-// Phase names one latency recorder of a run: the five widths of the
+// Phase names one latency recorder of a run: the three widths of the
 // request-latency partition and their total, which Finish feeds, and the
 // three waits components feed through Record — off the reply path, so
 // each is reported as its own series rather than a slice of the partition.
@@ -115,8 +115,6 @@ const (
 	Queue Phase = iota
 	Order
 	Net
-	Merge
-	Exec
 	Total
 	// MergeWait is one committed-to-merged delay of the COP executor (the
 	// merge barrier sits behind the replies, which leave at commit time).
@@ -209,8 +207,8 @@ func (t *Tracer) Mark(m Milestone, key string, at sim.Time) {
 }
 
 // Finish finalizes one request: its milestones are clamped monotone
-// (arrive <= invoke <= leader-recv <= propose <= read-serve <= commit/exec
-// <= return), folded into the breakdown recorders when the operation was
+// (arrive <= invoke <= leader-recv <= propose <= read-serve <= commit <=
+// return), folded into the breakdown recorders when the operation was
 // measured, and — with span recording on — emitted as a span tree. The
 // marks entry is dropped, so a long -trace run's memory stays bounded by
 // the requests actually in flight. Finishing an unknown key is a no-op.
@@ -242,13 +240,10 @@ func (t *Tracer) Finish(key string, measured bool) {
 		at[k] = floor
 	}
 	a, i, s, p, rs, c, r := at[Arrive], at[Invoke], at[LeaderRecv], at[Propose], at[ReadServe], at[Commit], at[Return]
-	x := c // exec completes at the commit instant; see Summary.Exec
 	if measured {
 		t.rec[Queue].Record(i - a)
 		t.rec[Order].Record(p - s)
-		t.rec[Net].Record((s - i) + (c - p) + (r - x))
-		t.rec[Merge].Record(0) // COP's merge barrier is off the reply path
-		t.rec[Exec].Record(x - c)
+		t.rec[Net].Record((s - i) + (c - p) + (r - c))
 		t.rec[Total].Record(r - a)
 		if m.set&(1<<ReadServe) != 0 {
 			t.readServed++
@@ -265,7 +260,7 @@ func (t *Tracer) Finish(key string, measured bool) {
 		{Layer: "pbft", Name: "order", Start: s, End: p},
 		{Layer: "pbft", Name: "read-serve", Start: p, End: rs},
 		{Layer: "pbft", Name: "agree", Start: rs, End: c},
-		{Layer: "msgnet", Name: "reply-net", Start: x, End: r},
+		{Layer: "msgnet", Name: "reply-net", Start: c, End: r},
 	}
 	for _, sp := range sub {
 		if sp.End > sp.Start {
@@ -301,21 +296,18 @@ func (t *Tracer) Record(p Phase, d sim.Time) {
 }
 
 // Summary is the per-run latency attribution: mean widths of the phase
-// partition over the measured requests. Queue+Order+Net+Merge+Exec ==
-// Total by construction (up to float rounding in downstream conversions).
-//
-// Two phases are structurally zero in the current stack and are reported
-// anyway so the accounting is visibly exhaustive rather than silently
-// incomplete: Exec, because the cost model charges execution CPU
-// asynchronously (replies leave at the commit instant, execution time
-// surfaces as node CPU utilization, not reply delay), and Merge, because
-// COP's merge barrier orders the global log behind the replies rather
-// than in front of them — the observed merge-wait is in MergeWait.
+// partition over the measured requests. Queue+Order+Net == Total by
+// construction (up to float rounding in downstream conversions).
 type Summary struct {
-	Count                                 int
-	Queue, Order, Net, Merge, Exec, Total sim.Time
-	MergeWait                             sim.Time
-	MergeCount                            int
+	Count                    int
+	Queue, Order, Net, Total sim.Time
+	// Exec is always zero and never set: the cost model charges execution
+	// CPU asynchronously (replies leave at the commit instant), so
+	// execution is no slice of the partition. It stays because
+	// benchmark/ reports it as obs.exec_us.
+	Exec       sim.Time
+	MergeWait  sim.Time
+	MergeCount int
 	// 2PC phase means of the shard layer's cross-shard transactions (zero
 	// when the run commits nothing across shards): PREPARE dispatch to
 	// vote quorum, and decision broadcast to applied acknowledgment.
@@ -335,8 +327,7 @@ func (t *Tracer) Summary() Summary {
 	mean := func(p Phase) sim.Time { return t.rec[p].Mean() }
 	return Summary{
 		Count: t.rec[Total].Count(),
-		Queue: mean(Queue), Order: mean(Order), Net: mean(Net),
-		Merge: mean(Merge), Exec: mean(Exec), Total: mean(Total),
+		Queue: mean(Queue), Order: mean(Order), Net: mean(Net), Total: mean(Total),
 		MergeWait: mean(MergeWait), MergeCount: t.rec[MergeWait].Count(),
 		PrepareWait: mean(PrepareWait), CommitWait: mean(CommitWait),
 		TxnCount:  t.rec[PrepareWait].Count(),

@@ -61,16 +61,13 @@ func TestBreakdownPartitionSums(t *testing.T) {
 	if s.Count != 2 {
 		t.Fatalf("count = %d, want 2", s.Count)
 	}
-	if got := s.Queue + s.Order + s.Net + s.Merge + s.Exec; got != s.Total {
+	if got := s.Queue + s.Order + s.Net; got != s.Total {
 		t.Fatalf("phase sum %d != total %d", got, s.Total)
 	}
 	// Request a: queue 10, order 40, net 20+80+160=260, total 310.
 	// Request b: queue 0, order 80, net 40+160+320=520, total 600.
 	if s.Queue != 5 || s.Order != 60 || s.Net != 390 || s.Total != 455 {
 		t.Fatalf("unexpected means: %+v", s)
-	}
-	if s.Merge != 0 || s.Exec != 0 {
-		t.Fatalf("merge/exec should be structurally zero: %+v", s)
 	}
 }
 
@@ -91,7 +88,7 @@ func TestFinishClampsMissingAndRetrogradeMarks(t *testing.T) {
 	if s.Total != 100 {
 		t.Fatalf("total = %d, want 100", s.Total)
 	}
-	if got := s.Queue + s.Order + s.Net + s.Merge + s.Exec; got != s.Total {
+	if got := s.Queue + s.Order + s.Net; got != s.Total {
 		t.Fatalf("phase sum %d != total %d", got, s.Total)
 	}
 	if s.Queue != 20 || s.Net != 80 {
@@ -247,7 +244,7 @@ func TestChromeTraceDeterministicAndValid(t *testing.T) {
 // in Finish exists for, over all 128 subsets of the seven milestones with
 // seeded, partly retrograde times: whichever marks a request collected,
 // in whatever order their times read, every phase is non-negative, queue +
-// order + net + merge + exec is exactly the total, the span tree tiles the
+// order + net is exactly the total, the span tree tiles the
 // request span — and a request with no client-side mark records nothing.
 func TestClampHoldsForEverySubsetOfMilestones(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -274,12 +271,12 @@ func TestClampHoldsForEverySubsetOfMilestones(t *testing.T) {
 			if s.Count != 1 {
 				t.Fatalf("set %07b: recorded %d requests, want 1", set, s.Count)
 			}
-			for name, d := range map[string]sim.Time{"queue": s.Queue, "order": s.Order, "net": s.Net, "merge": s.Merge, "exec": s.Exec, "total": s.Total} {
+			for name, d := range map[string]sim.Time{"queue": s.Queue, "order": s.Order, "net": s.Net, "total": s.Total} {
 				if d < 0 {
 					t.Fatalf("set %07b: %s = %d is negative (%+v)", set, name, d, s)
 				}
 			}
-			if sum := s.Queue + s.Order + s.Net + s.Merge + s.Exec; sum != s.Total {
+			if sum := s.Queue + s.Order + s.Net; sum != s.Total {
 				t.Fatalf("set %07b: phases sum to %d, total is %d (%+v)", set, sum, s.Total, s)
 			}
 			if want := set&(1<<ReadServe) != 0; (s.FastCount == 1) != want {

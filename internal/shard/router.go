@@ -44,9 +44,6 @@ func (d *Deployment) AddRouter() (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.readFastPath > 0 {
-		fe.EnableReadFastPath(d.readFastPath)
-	}
 	node := fe.Mesh.Node()
 	r := &Router{FrontEnd: fe, dep: d,
 		retries: node.Counter("shard.lock_retries"), txns2PC: node.Counter("shard.cross_shard_txns")}
@@ -80,13 +77,8 @@ func (r *Router) InvokeOp(op []byte, done func([]byte)) string {
 	case p.Route == kvstore.RouteCross:
 		return r.invoke2PC(p.Key, p.Value, finish)
 	case p.Read:
-		// Single-key reads ride the owning shard's fast path (a no-op
-		// routing to the ordered path while the fast path is off). A Get
-		// needs no lock-retry loop: reads never observe kvstore.Locked —
-		// staged transaction writes are invisible until their COMMIT
-		// executes, which is exactly what makes the tentative read safe
-		// against in-flight 2PC.
-		return r.Clients[p.Part].InvokeRead(op, finish)
+		// No lock-retry loop for a Get: a stored value may itself be the string LOCKED.
+		return r.Clients[p.Part].Invoke(op, finish)
 	}
 	return r.invokeRetry(p.Part, op, finish)
 }

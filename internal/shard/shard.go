@@ -64,22 +64,6 @@ type Deployment struct {
 	Clusters []*pbft.Cluster
 
 	routers []*Router
-
-	// readFastPath, when non-zero, enables the read-only fast path on
-	// every router (existing and future) with this fallback timeout.
-	readFastPath sim.Time
-}
-
-// EnableReadFastPath turns on the read-only optimization for the
-// deployment's routers: single-key reads are multicast to the owning
-// shard's replicas and accepted on 2F+1 matching tentative replies,
-// falling back to the ordered path after timeout. Scans and transaction
-// reads stay ordered — their consistency spans shards or lock state.
-func (d *Deployment) EnableReadFastPath(timeout sim.Time) {
-	d.readFastPath = timeout
-	for _, r := range d.routers {
-		r.EnableReadFastPath(timeout)
-	}
 }
 
 // New builds a deployment of cfg.Shards PBFT groups over a shared

@@ -325,24 +325,31 @@ func TestAtFireAllocsSteadyState(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("AllocsPerRun is meaningless under the race detector")
 	}
-	l := NewLoop(1)
 	fn := func() {}
-	// Warm up: grow the heap backing array and seed the free list.
-	for i := 0; i < 64; i++ {
-		l.After(1, fn)
-	}
-	l.Run()
-	if avg := testing.AllocsPerRun(200, func() {
-		l.After(1, fn)
-		l.Run()
-	}); avg > 0 {
-		t.Fatalf("At+fire allocates %.1f/op steady-state, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		tm := l.After(1, fn)
-		tm.Cancel()
-	}); avg > 0 {
-		t.Fatalf("At+Cancel allocates %.1f/op steady-state, want 0", avg)
+	// The measured timer sits in a heap already holding parked events, as
+	// a replica's does (request timers, heartbeats, batch deadlines).
+	for _, parked := range []int{0, 1, 64, 1024} {
+		l := NewLoop(1)
+		for i := 0; i < parked; i++ {
+			l.At(1<<40, fn) // far future: never runs
+		}
+		fire := func() {
+			at := l.Now() + 1
+			l.At(at, fn)
+			l.RunUntil(at)
+		}
+		cancel := func() { l.After(1, fn).Cancel() }
+		// Warm up: grow the heap backing array and seed the free list.
+		for i := 0; i < 64; i++ {
+			l.After(1, fn)
+		}
+		l.RunUntil(l.Now() + 1)
+		if avg := testing.AllocsPerRun(200, fire); avg != 0 {
+			t.Errorf("%d parked: At+fire allocates %.2f/op steady-state, want 0", parked, avg)
+		}
+		if avg := testing.AllocsPerRun(200, cancel); avg != 0 {
+			t.Errorf("%d parked: At+Cancel allocates %.2f/op steady-state, want 0", parked, avg)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // file means. Config entries a run derives on top (cluster labels, notes
 // on modes) are not knobs; they are counted so a dropped knob shows too.
 func TestParamsMatchCheckedIn(t *testing.T) {
-	derived := map[string]int{"E5": 1 /* cluster */, "E7": 4 /* cluster × 2, phases, counter_index */, "E12": 2 /* cluster, modes */, "ALLOC": 1 /* method */}
-	for _, name := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "ALLOC"} {
+	derived := map[string]int{"E5": 1 /* cluster */, "E7": 4 /* cluster × 2, phases, counter_index */, "E12": 2 /* cluster, modes */}
+	for _, name := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"} {
 		stored, err := metrics.ReadResultFile(metrics.ResultFilename(name))
 		if err != nil {
 			t.Fatal(err)
