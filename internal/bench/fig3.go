@@ -323,21 +323,12 @@ func echoTCP(cfg EchoConfig, params model.Params) (EchoResult, error) {
 func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 	loop, cn, sn := twoNodes(cfg.Seed, params)
 	cd, sd := rdma.OpenDevice(cn), rdma.OpenDevice(sn)
-	// One application thread per side, as in a verbs echo benchmark.
-	ct := sim.NewResource(loop, "client/app", 1)
-	st := sim.NewResource(loop, "server/app", 1)
 
 	qprs, err := connectQPs(loop, cd, sd, cfg)
 	if err != nil {
 		return EchoResult{}, err
 	}
 	cqp, sqp := qprs.client, qprs.server
-	cqp.SetWorkThread(ct)
-	sqp.SetWorkThread(st)
-	qprs.clientSendCQ.SetWorkThread(ct)
-	qprs.clientRecvCQ.SetWorkThread(ct)
-	qprs.serverSendCQ.SetWorkThread(st)
-	qprs.serverRecvCQ.SetWorkThread(st)
 
 	d := newEchoDriver(loop, cfg)
 
@@ -362,7 +353,7 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 	// Pay for every signaled send completion individually — the naive
 	// baseline processes one completion event per message; this is the
 	// cost RUBIN's selective signaling amortizes away.
-	drainCQStrict(qprs.serverSendCQ, st, params)
+	drainCQStrict(qprs.serverSendCQ, sn.App, params)
 
 	// Client: completion of an echo per received message.
 	qprs.clientRecvCQ.OnEvent(func() {
@@ -375,7 +366,7 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 		qprs.clientRecvCQ.RequestNotify()
 	})
 	qprs.clientRecvCQ.RequestNotify()
-	drainCQStrict(qprs.clientSendCQ, ct, params)
+	drainCQStrict(qprs.clientSendCQ, cn.App, params)
 
 	sendSlot := 0
 	loop.Post(func() {
@@ -400,15 +391,12 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 func echoOneSided(cfg EchoConfig, params model.Params) (EchoResult, error) {
 	loop, cn, sn := twoNodes(cfg.Seed, params)
 	cd, sd := rdma.OpenDevice(cn), rdma.OpenDevice(sn)
-	ct := sim.NewResource(loop, "client/app", 1)
 
 	qprs, err := connectQPs(loop, cd, sd, cfg)
 	if err != nil {
 		return EchoResult{}, err
 	}
 	cqp := qprs.client
-	cqp.SetWorkThread(ct)
-	qprs.clientSendCQ.SetWorkThread(ct)
 
 	d := newEchoDriver(loop, cfg)
 

@@ -72,7 +72,7 @@ func connectQPs(loop *sim.Loop, cd, sd *rdma.Device, cfg EchoConfig) (*qpPair, e
 	p.clientRecvMR = clientPD.RegisterMR(size, rdma.AccessLocalWrite, nil)
 	p.serverSendMR = serverPD.RegisterMR(size, rdma.AccessLocalWrite, nil)
 	p.serverRecvMR = serverPD.RegisterMR(size, rdma.AccessLocalWrite, nil)
-	p.clientRemoteKey = serverPD.RegisterMR(size, rdma.AccessLocalWrite|rdma.AccessRemoteWrite|rdma.AccessRemoteRead, nil).RKey()
+	p.clientRemoteKey = serverPD.RegisterMR(size, rdma.AccessLocalWrite|rdma.AccessRemoteWrite, nil).RKey()
 
 	var server *rdma.QP
 	err := sd.ListenCM(9, serverPD, func() rdma.QPConfig {

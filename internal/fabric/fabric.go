@@ -84,7 +84,7 @@ func (nw *Network) SetTracer(t *obs.Tracer) { nw.tracer = t }
 func (nw *Network) Tracer() *obs.Tracer { return nw.tracer }
 
 // AddNode creates a node with the configured CPU core and NIC engine
-// counts. Node names must be unique.
+// counts and its one application thread. Node names must be unique.
 func (nw *Network) AddNode(name string) *Node {
 	if _, dup := nw.nodes[name]; dup {
 		panic(fmt.Sprintf("fabric: duplicate node %q", name))
@@ -95,6 +95,7 @@ func (nw *Network) AddNode(name string) *Node {
 		net:  nw,
 		CPU:  sim.NewResource(nw.loop, name+"/cpu", nw.params.Host.Cores),
 		NIC:  sim.NewResource(nw.loop, name+"/nic", nw.params.Host.NICEngines),
+		App:  sim.NewResource(nw.loop, name+"/app", 1),
 	}
 	n.Gauge("cpu_util", StatLevel, n.CPU.Utilization)
 	nw.nodes[name] = n
@@ -161,15 +162,24 @@ type Node struct {
 	id   int // position in the network's creation order; indexes links
 	net  *Network
 
-	// CPU is the host processor (Cores parallel servers). All software
-	// costs — syscalls, copies, kernel protocol processing, selector
-	// dispatch, BFT logic — are charged here.
+	// CPU is the host processor (Cores parallel servers). Kernel work —
+	// interrupts, segment processing, connection set-up, memory
+	// registration — the NIO selector's dispatch and BFT logic are charged
+	// here.
 	CPU *sim.Resource
 
 	// NIC is the RDMA NIC's processing/DMA engine pool. RDMA data-path
 	// costs are charged here instead of the CPU: that asymmetry is the
 	// kernel-bypass / zero-copy advantage.
 	NIC *sim.Resource
+
+	// App is the host's single application thread (one server), onto which
+	// NIO and RUBIN both multiplex every connection (paper Section III):
+	// socket syscalls, verbs posts, CQ polls and completion handling, receive
+	// copies and per-message dispatch all queue here. Being one FIFO server,
+	// it also guarantees that a connection's writes enter the send queue in
+	// call order.
+	App *sim.Resource
 
 	handlers [ProtoRDMA + 1]Handler // by Protocol
 	links    []*Link                // by peer id, filled by Connect; nil where unconnected

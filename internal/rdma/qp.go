@@ -41,7 +41,7 @@ type QPConfig struct {
 }
 
 // SendWR is a send-side work request: a two-sided SEND or a one-sided
-// WRITE/READ.
+// WRITE.
 type SendWR struct {
 	ID uint64
 	Op Opcode
@@ -52,15 +52,15 @@ type SendWR struct {
 	MR     *MR
 	Offset int
 	Length int
-	// ...or inline payload carried in the WR itself (SEND/WRITE only,
-	// subject to MaxInline); inline sends skip the NIC's DMA read. PostSend
+	// ...or inline payload carried in the WR itself (subject to
+	// MaxInline); inline sends skip the NIC's DMA read. PostSend
 	// copies the bytes into storage the WR owns and keeps (staged), so the
 	// caller's buffer is free for reuse as soon as it returns and a poster
 	// that reuses its WRs pays for the storage once.
 	Inline []byte
 	staged []byte
 
-	// Remote target for one-sided WRITE/READ.
+	// Remote target for a one-sided WRITE.
 	RemoteKey    uint32
 	RemoteOffset int
 
@@ -117,9 +117,6 @@ type QP struct {
 	rxMsg    *wireMsg
 	rxDoneFn func() // qp.rxDone
 
-	// Pending one-sided READ WRs awaiting responses, by WR ID.
-	pendingReads map[uint64]*SendWR
-
 	// Reliability: every data-path message carries a packet sequence
 	// number; pending holds unacknowledged sends for RNR retransmission.
 	// rxExpected enforces strict RC ordering at the responder: packets
@@ -129,16 +126,12 @@ type QP struct {
 	//
 	// PSNs are consecutive, so pending is a window: cell i holds the entry
 	// of PSN pendingBase+i, nil once retired. Acks retire the front; only a
-	// one-sided READ, whose data lands after later acks, retires mid-window.
+	// failed send, which moves the QP to the error state, retires mid-window.
 	nextPSN     uint64
 	rxExpected  uint64
 	pending     sim.Queue[*txEntry]
 	pendingBase uint64
 	freeTx      sim.FreeList[txEntry] // retired entries
-
-	// thread is where posting (doorbell) CPU costs are charged;
-	// defaults to the node CPU.
-	thread *sim.Resource
 
 	// Stats.
 	sent, received uint64
@@ -188,28 +181,16 @@ func (d *Device) CreateQP(pd *PD, cfg QPConfig) (*QP, error) {
 		cfg.MaxInline = d.params.RDMA.InlineMax
 	}
 	qp := &QP{
-		dev:          d,
-		pd:           pd,
-		num:          d.nextQPN,
-		state:        QPInit,
-		cfg:          cfg,
-		pendingReads: make(map[uint64]*SendWR),
+		dev:   d,
+		pd:    pd,
+		num:   d.nextQPN,
+		state: QPInit,
+		cfg:   cfg,
 	}
 	qp.pumpSendFn, qp.txDoneFn, qp.rxDoneFn = qp.pumpSend, qp.txDone, qp.rxDone
 	d.nextQPN++
 	d.qps[qp.num] = qp
 	return qp, nil
-}
-
-// SetWorkThread redirects posting costs to the given resource, typically
-// the single application/selector thread that owns this QP.
-func (qp *QP) SetWorkThread(r *sim.Resource) { qp.thread = r }
-
-func (qp *QP) workThread() *sim.Resource {
-	if qp.thread != nil {
-		return qp.thread
-	}
-	return qp.dev.node.CPU
 }
 
 // RemoteNode returns the peer's fabric node once connected, else nil.
@@ -236,8 +217,8 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 	for _, wr := range wrs {
 		qp.recvQ.Push(wr)
 	}
-	// Re-posting receives is a cheap doorbell on the posting thread.
-	qp.workThread().Delay(qp.dev.params.RDMA.RecvWRRefill * sim.Time(len(wrs)))
+	// Re-posting receives is a cheap doorbell on the app thread.
+	qp.dev.node.App.Delay(qp.dev.params.RDMA.RecvWRRefill * sim.Time(len(wrs)))
 	return nil
 }
 
@@ -268,18 +249,12 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 	}
 	p := qp.dev.params.RDMA
 	cost := p.PostWR + p.PostWRBatched*sim.Time(len(wrs)-1)
-	qp.workThread().Acquire(cost, qp.pumpSendFn)
+	qp.dev.node.App.Acquire(cost, qp.pumpSendFn)
 	return nil
 }
 
 func (qp *QP) validateSend(wr *SendWR) error {
-	switch wr.Op {
-	case OpSend, OpWrite:
-	case OpRead:
-		if len(wr.Inline) > 0 {
-			return fmt.Errorf("rdma: READ cannot be inline")
-		}
-	default:
+	if wr.Op != OpSend && wr.Op != OpWrite {
 		return fmt.Errorf("rdma: bad opcode %v in send WR", wr.Op)
 	}
 	if len(wr.Inline) > 0 {
@@ -310,25 +285,15 @@ func (qp *QP) pumpSend() {
 	// or the region extent itself, which the poster may not touch before
 	// the completion — that follows the ack, which follows the responder's
 	// copy into its own memory, and an RNR retry re-sends this same entry.
-	var payload []byte
-	if len(wr.Inline) > 0 {
-		payload = wr.Inline
-	} else if wr.Op != OpRead {
-		payload = wr.MR.Slice(wr.Offset, wr.Length)
-	}
-
+	payload := wr.Inline
 	// NIC engine work: descriptor processing plus the DMA read of the
 	// payload (skipped for inline, which rode in with the doorbell).
 	cost := p.NICProcess
-	if wr.Op != OpRead {
-		if len(wr.Inline) > 0 {
-			cost -= p.InlineSave
-			if cost < 0 {
-				cost = 0
-			}
-		} else {
-			cost += model.KB(p.DMAPerKB, len(payload))
-		}
+	if len(payload) > 0 {
+		cost = max(0, cost-p.InlineSave)
+	} else {
+		payload = wr.MR.Slice(wr.Offset, wr.Length)
+		cost += model.KB(p.DMAPerKB, len(payload))
 	}
 	qp.txWR, qp.txPayload = wr, payload
 	qp.dev.node.NIC.Acquire(cost, qp.txDoneFn)
@@ -346,22 +311,9 @@ func (qp *QP) txDone() {
 	msg.srcQPN, msg.dstQPN, msg.wrid, msg.signaled = qp.num, qp.remoteQPN, wr.ID, wr.Signaled
 	msg.psn = qp.nextPSN
 	qp.nextPSN++
-	switch wr.Op {
-	case OpSend:
-		msg.kind = wireSend
-		msg.data = payload
-	case OpWrite:
-		msg.kind = wireWrite
-		msg.data = payload
-		msg.rkey = wr.RemoteKey
-		msg.roffset = wr.RemoteOffset
-	case OpRead:
-		msg.kind = wireReadReq
-		msg.rkey = wr.RemoteKey
-		msg.roffset = wr.RemoteOffset
-		msg.length = wr.Length
-		entry.wire = ctrlWireBytes
-		qp.pendingReads[wr.ID] = wr
+	msg.kind, msg.data = wireSend, payload
+	if wr.Op == OpWrite {
+		msg.kind, msg.rkey, msg.roffset = wireWrite, wr.RemoteKey, wr.RemoteOffset
 	}
 	qp.transmit(msg, entry.wire)
 	qp.txActive = false

@@ -1,19 +1,23 @@
 // Package rdma simulates an RDMA-capable NIC and the verbs programming
 // model: protection domains, registered memory regions, reliable-connection
 // queue pairs, work requests, completion queues with event notification,
-// two-sided SEND/RECV, one-sided WRITE/READ, inline sends, selective
-// signaling, doorbell batching and receiver-not-ready (RNR) retry.
+// two-sided SEND/RECV, one-sided WRITE, inline sends, selective signaling,
+// doorbell batching and receiver-not-ready (RNR) retry. One-sided READ is
+// not modeled: nothing in the paper's evaluation posts one.
 //
 // The simulation charges data-path work to the NIC engine resource rather
-// than the host CPU — kernel bypass and zero copy are therefore structural,
-// not just smaller constants: a SEND costs the CPU only the doorbell ring,
+// than the host — kernel bypass and zero copy are therefore structural,
+// not just smaller constants: a SEND costs the host only the doorbell ring,
 // while payload bytes move on the NIC's DMA engines. This is the property
 // the paper exploits and the baseline TCP stack (package tcpsim) lacks.
+// The host-side verbs work — posting, polling, completion handling — runs
+// on the node's single application thread (fabric.Node.App); connection
+// set-up and memory registration are kernel work on its CPU.
 //
 // Memory regions carry real bytes (backed on first touch, see MR) and
-// one-sided operations are bounds- and access-checked against the remote
-// key, so the security concerns of Section III-C (stray STag access,
-// read/write races) are observable in tests.
+// one-sided writes are bounds- and access-checked against the remote key,
+// so the security concerns of Section III-C (stray STag access, write
+// races) are observable in tests.
 package rdma
 
 import (
@@ -39,11 +43,10 @@ var (
 // Access is the bitmask of permissions granted when registering memory.
 type Access uint8
 
-// Access flags; LocalWrite is required for receive buffers, the remote
-// flags expose the region to one-sided operations from the peer.
+// Access flags; LocalWrite is required for receive buffers, RemoteWrite
+// exposes the region to one-sided writes from the peer.
 const (
 	AccessLocalWrite Access = 1 << iota
-	AccessRemoteRead
 	AccessRemoteWrite
 )
 
@@ -54,7 +57,6 @@ type Opcode uint8
 const (
 	OpSend Opcode = iota + 1
 	OpWrite
-	OpRead
 	OpRecv
 )
 
@@ -64,8 +66,6 @@ func (o Opcode) String() string {
 		return "SEND"
 	case OpWrite:
 		return "WRITE"
-	case OpRead:
-		return "READ"
 	case OpRecv:
 		return "RECV"
 	default:
@@ -131,9 +131,7 @@ type Device struct {
 	// each put back by the peer device that consumed it.
 	ctrl sim.FreeList[wireMsg]
 
-	// Stats.
-	sendsRx, writesRx, readsRx uint64
-	rnrNaks                    uint64
+	rnrNaks uint64 // receiver-not-ready NAKs sent
 }
 
 // OpenDevice creates the RNIC on a node and claims the node's ProtoRDMA
@@ -289,11 +287,6 @@ type CQ struct {
 	armed    bool
 	overflow bool
 
-	// thread is where poll and completion-handling CPU costs are
-	// charged; defaults to the node CPU, but applications with a single
-	// event-loop thread (selectors) point it at that thread's resource.
-	thread *sim.Resource
-
 	// eventCost overrides the per-notification CPU cost (default:
 	// RDMAParams.CompletionHandle, the heavy event-channel path).
 	// Frameworks with their own lightweight event manager — RUBIN's
@@ -322,17 +315,6 @@ func (cq *CQ) notifyCost() sim.Time {
 	return cq.dev.params.RDMA.CompletionHandle
 }
 
-// SetWorkThread redirects the CQ's CPU costs (poll, completion handling)
-// to the given resource, typically a single-server application thread.
-func (cq *CQ) SetWorkThread(r *sim.Resource) { cq.thread = r }
-
-func (cq *CQ) workThread() *sim.Resource {
-	if cq.thread != nil {
-		return cq.thread
-	}
-	return cq.dev.node.CPU
-}
-
 // CreateCQ creates a completion queue holding up to capacity entries.
 func (d *Device) CreateCQ(capacity int) *CQ {
 	if capacity < 1 {
@@ -359,7 +341,7 @@ func (cq *CQ) RequestNotify() {
 
 // Poll moves up to len(buf) entries, oldest first, into the caller's array
 // and returns how many — ibv_poll_cq's shape; the rest stay queued. The poll
-// cost is charged to the CPU unless the CQ was empty.
+// cost is charged to the app thread unless the CQ was empty.
 func (cq *CQ) Poll(buf []CQE) int {
 	n := min(cq.entries.Len(), len(buf))
 	if n == 0 {
@@ -368,7 +350,7 @@ func (cq *CQ) Poll(buf []CQE) int {
 	for i := range buf[:n] {
 		buf[i] = cq.entries.Pop()
 	}
-	cq.workThread().Delay(cq.dev.params.RDMA.CQPoll)
+	cq.dev.node.App.Delay(cq.dev.params.RDMA.CQPoll)
 	return n
 }
 
@@ -389,7 +371,7 @@ func (cq *CQ) fire() {
 	}
 	cq.armed = false
 	cq.notifyPending = true
-	cq.workThread().Acquire(cq.notifyCost(), cq.notifyFn)
+	cq.dev.node.App.Acquire(cq.notifyCost(), cq.notifyFn)
 }
 
 func (cq *CQ) notify() {

@@ -345,45 +345,6 @@ func TestOneSidedWriteToDeregisteredMR(t *testing.T) {
 	}
 }
 
-func TestOneSidedRead(t *testing.T) {
-	r := newRig(t)
-	local := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
-	remote := r.pb.RegisterMR(1024, AccessLocalWrite|AccessRemoteRead, nil)
-	copy(remote.Slice(200, 16), "read me remotely")
-
-	r.loop.At(0, func() {
-		err := r.qpA.PostSend(&SendWR{
-			ID: 1, Op: OpRead, MR: local, Offset: 8, Length: 16,
-			RemoteKey: remote.RKey(), RemoteOffset: 200, Signaled: true,
-		})
-		if err != nil {
-			t.Errorf("PostSend(READ): %v", err)
-		}
-	})
-	r.loop.Run()
-	if string(local.Slice(8, 16)) != "read me remotely" {
-		t.Fatalf("read data wrong: %q", local.Slice(8, 16))
-	}
-	cqes := poll(r.cqA)
-	if len(cqes) != 1 || cqes[0].Status != StatusOK || cqes[0].Op != OpRead || cqes[0].Bytes != 16 {
-		t.Fatalf("bad read CQE: %+v", cqes)
-	}
-}
-
-func TestReadWithoutRemoteReadAccessFails(t *testing.T) {
-	r := newRig(t)
-	local := r.pa.RegisterMR(64, AccessLocalWrite, nil)
-	remote := r.pb.RegisterMR(64, AccessLocalWrite|AccessRemoteWrite, nil)
-	r.loop.At(0, func() {
-		_ = r.qpA.PostSend(&SendWR{ID: 1, Op: OpRead, MR: local, Length: 8, RemoteKey: remote.RKey(), Signaled: true})
-	})
-	r.loop.Run()
-	cqes := poll(r.cqA)
-	if len(cqes) != 1 || cqes[0].Status != StatusRemoteAccess {
-		t.Fatalf("read access violation not caught: %+v", cqes)
-	}
-}
-
 func TestRecvBufferTooSmallErrors(t *testing.T) {
 	r := newRig(t)
 	sendMR := r.pa.RegisterMR(1024, AccessLocalWrite, nil)
@@ -584,7 +545,7 @@ func TestMRRegistrationChargesCPU(t *testing.T) {
 }
 
 func TestOpcodeAndStatusStrings(t *testing.T) {
-	if OpSend.String() != "SEND" || OpRead.String() != "READ" || OpWrite.String() != "WRITE" || OpRecv.String() != "RECV" {
+	if OpSend.String() != "SEND" || OpWrite.String() != "WRITE" || OpRecv.String() != "RECV" {
 		t.Fatal("opcode strings wrong")
 	}
 	if StatusOK.String() != "OK" || StatusRNRRetryExceeded.String() != "RNR_RETRY_EXCEEDED" {

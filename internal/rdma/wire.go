@@ -11,8 +11,6 @@ type wireKind uint8
 const (
 	wireSend wireKind = iota + 1
 	wireWrite
-	wireReadReq
-	wireReadResp
 	wireAck
 	wireRNR
 	wireNakAccess
@@ -30,8 +28,6 @@ func (k wireKind) op() Opcode {
 		return OpSend
 	case wireWrite:
 		return OpWrite
-	case wireReadReq, wireReadResp:
-		return OpRead
 	default:
 		return 0
 	}
@@ -47,7 +43,6 @@ type wireMsg struct {
 	data     []byte
 	rkey     uint32
 	roffset  int
-	length   int
 	signaled bool
 	// CM fields.
 	cmPort int
@@ -72,7 +67,7 @@ func (d *Device) deliver(from *fabric.Node, payload any, wireBytes int) {
 		return
 	}
 	switch msg.kind {
-	case wireSend, wireWrite, wireReadReq:
+	case wireSend, wireWrite:
 		// Requester->responder traffic runs through the per-QP receive
 		// pipeline to preserve RC ordering.
 		qp.rxQ.Push(msg)
@@ -85,8 +80,6 @@ func (d *Device) deliver(from *fabric.Node, payload any, wireBytes int) {
 		qp.completeSend(msg.psn, StatusRemoteAccess)
 	case wireNakLength:
 		qp.completeSend(msg.psn, StatusRecvLengthErr)
-	case wireReadResp:
-		qp.handleReadResp(msg)
 	}
 	// A control reply was consumed synchronously above: the one point that
 	// returns it to its sender. One a fault drops is left to the collector.
@@ -105,15 +98,9 @@ func (qp *QP) pumpRecv() {
 
 	p := qp.dev.params.RDMA
 	// Responder NIC work: descriptor processing plus the DMA that moves
-	// the payload to or from host memory. All of it is on the NIC —
-	// the remote CPU stays idle, which is RDMA's defining property.
-	cost := p.NICProcess
-	switch msg.kind {
-	case wireSend, wireWrite:
-		cost += model.KB(p.DMAPerKB, len(msg.data))
-	case wireReadReq:
-		cost += model.KB(p.DMAPerKB, msg.length)
-	}
+	// the payload to host memory. All of it is on the NIC — the remote
+	// CPU stays idle, which is RDMA's defining property.
+	cost := p.NICProcess + model.KB(p.DMAPerKB, len(msg.data))
 	qp.rxMsg = msg
 	qp.dev.node.NIC.Acquire(cost, qp.rxDoneFn)
 }
@@ -130,13 +117,11 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 	// Strict RC ordering at the responder.
 	if msg.psn < qp.rxExpected {
 		// Duplicate of an already-processed packet: re-ack so the
-		// sender can retire it; re-execute reads (idempotent).
-		switch msg.kind {
-		case wireSend, wireWrite:
-			qp.reply(wireAck, msg.psn)
-			return
-		}
-	} else if msg.psn > qp.rxExpected {
+		// sender can retire it.
+		qp.reply(wireAck, msg.psn)
+		return
+	}
+	if msg.psn > qp.rxExpected {
 		// A gap: an earlier packet is in RNR backoff. Reject so the
 		// sender retries this one after the gap fills.
 		qp.reply(wireRNR, msg.psn)
@@ -162,7 +147,6 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		}
 		copy(wr.MR.Slice(wr.Offset, len(msg.data)), msg.data)
 		qp.received++
-		qp.dev.sendsRx++
 		qp.dev.node.NIC.Delay(p.CQEGenerate)
 		qp.cfg.RecvCQ.push(CQE{WRID: wr.ID, QPN: qp.num, Op: OpRecv, Status: StatusOK, Bytes: len(msg.data)})
 		qp.reply(wireAck, msg.psn)
@@ -176,24 +160,8 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 			return
 		}
 		copy(mr.Slice(msg.roffset, len(msg.data)), msg.data)
-		qp.dev.writesRx++
 		// One-sided: no receive CQE, no CPU involvement; just the ack.
 		qp.reply(wireAck, msg.psn)
-
-	case wireReadReq:
-		qp.rxExpected = msg.psn + 1
-		mr := qp.dev.mrs[msg.rkey]
-		if mr == nil || !mr.valid || mr.access&AccessRemoteRead == 0 ||
-			!mr.holds(msg.roffset, msg.length) {
-			qp.reply(wireNakAccess, msg.psn)
-			return
-		}
-		qp.dev.readsRx++
-		data := append([]byte(nil), mr.Slice(msg.roffset, msg.length)...)
-		resp := &wireMsg{kind: wireReadResp, psn: msg.psn, wrid: msg.wrid, data: data}
-		resp.dstQPN = msg.srcQPN
-		resp.srcQPN = qp.num
-		qp.transmit(resp, len(data))
 	}
 }
 
@@ -269,34 +237,4 @@ func (qp *QP) failSend(entry *txEntry, status Status) {
 	wrid, op := entry.msg.wrid, entry.op
 	qp.retire(entry)
 	qp.fatal(wrid, op, status)
-}
-
-// handleReadResp lands one-sided READ data in the requester's local region.
-// One-sided READ is off the steady-state path and keeps its closure.
-func (qp *QP) handleReadResp(msg *wireMsg) {
-	wr := qp.pendingReads[msg.wrid]
-	if wr == nil {
-		return
-	}
-	delete(qp.pendingReads, msg.wrid)
-	p := qp.dev.params.RDMA
-	// The local NIC DMA-writes the returned data into the WR's region.
-	qp.dev.node.NIC.Acquire(p.NICProcess+model.KB(p.DMAPerKB, len(msg.data)), func() {
-		copy(wr.MR.Slice(wr.Offset, len(msg.data)), msg.data)
-		if entry := qp.unacked(msg.psn); entry != nil {
-			qp.retire(entry)
-			qp.sent++
-		}
-		if wr.Signaled {
-			qp.dev.node.NIC.Delay(p.CQEGenerate)
-			qp.cfg.SendCQ.push(CQE{
-				WRID:   wr.ID,
-				QPN:    qp.num,
-				Op:     OpRead,
-				Status: StatusOK,
-				Bytes:  len(msg.data),
-			})
-		}
-		qp.pumpSend()
-	})
 }

@@ -80,6 +80,10 @@ type Channel struct {
 	dev *rdma.Device
 	cfg Config
 
+	// inlineMax is the largest message sent inline: the device limit
+	// (model.RDMAParams.InlineMax) when Config.Inline is set, else 0.
+	inlineMax int
+
 	qp     *rdma.QP
 	sendCQ *rdma.CQ
 	recvCQ *rdma.CQ
@@ -111,7 +115,7 @@ type Channel struct {
 	wantSend   bool
 
 	// Receive pipeline: CQEs queue here and are processed one burst at a
-	// time (rxActive; rxBatch is its size) on the owning thread so
+	// time (rxActive; rxBatch is its size) on the node's app thread so
 	// per-message copies cannot reorder.
 	rxPending sim.Queue[rdma.CQE]
 	rxActive  bool
@@ -122,8 +126,6 @@ type Channel struct {
 	inbox sim.Queue[[]byte]
 
 	key       *SelectionKey
-	sel       *Selector
-	ownThread *sim.Resource // app thread stand-in before registration
 	connected bool
 	closed    bool
 
@@ -142,6 +144,9 @@ func newChannel(dev *rdma.Device, cfg Config, id uint64) (*Channel, error) {
 		return nil, err
 	}
 	c := &Channel{id: id, dev: dev, cfg: cfg}
+	if cfg.Inline {
+		c.inlineMax = dev.Node().Network().Params().RDMA.InlineMax
+	}
 	c.flushFn, c.rxDoneFn = c.flushTurn, c.rxDone
 	c.sendCQ = dev.CreateCQ(2*cfg.SendWRs + 8)
 	c.recvCQ = dev.CreateCQ(2*cfg.RecvWRs + 8)
@@ -159,7 +164,7 @@ func (c *Channel) qpConfig() rdma.QPConfig {
 		RecvCQ:    c.recvCQ,
 		MaxSendWR: c.cfg.SendWRs,
 		MaxRecvWR: c.cfg.RecvWRs,
-		MaxInline: 256,
+		MaxInline: c.inlineMax,
 	}
 }
 
@@ -167,9 +172,6 @@ func (c *Channel) qpConfig() rdma.QPConfig {
 // called once the QP exists (after CM handshake on either side).
 func (c *Channel) finishSetup(qp *rdma.QP) error {
 	c.qp = qp
-	if c.sel != nil {
-		qp.SetWorkThread(c.sel.thread)
-	}
 	pd := c.dev.AllocPD()
 	// Pool registration happens once at connection setup — the cost is
 	// deliberately front-loaded (paper: buffer pools are pre-registered
@@ -185,10 +187,10 @@ func (c *Channel) finishSetup(qp *rdma.QP) error {
 		}
 	}
 	// The channel drains its own completion queues; the selector (if
-	// registered) only contributes the event dispatch and the thread the
-	// work runs on. RUBIN's event manager reads completion events much
-	// more cheaply than the default per-event channel path (the heavy
-	// application wakeup is the selector dispatch, charged separately).
+	// registered) only contributes the event dispatch. RUBIN's event
+	// manager reads completion events much more cheaply than the default
+	// per-event channel path (the heavy application wakeup is the selector
+	// dispatch, charged separately).
 	c.sendCQ.SetEventCost(2 * sim.Microsecond)
 	c.recvCQ.SetEventCost(2 * sim.Microsecond)
 	c.sendCQ.OnEvent(c.drainSendCQ)
@@ -197,19 +199,6 @@ func (c *Channel) finishSetup(qp *rdma.QP) error {
 	c.recvCQ.RequestNotify()
 	c.connected = true
 	return nil
-}
-
-// thread returns the single application thread this channel's RUBIN-level
-// CPU work runs on: the selector's thread once registered, or a lazily
-// created stand-in for bare channels.
-func (c *Channel) thread() *sim.Resource {
-	if c.sel != nil {
-		return c.sel.thread
-	}
-	if c.ownThread == nil {
-		c.ownThread = sim.NewResource(c.dev.Node().Loop(), c.dev.Node().Name()+"/rubin-chan", 1)
-	}
-	return c.ownThread
 }
 
 // drainSendCQ retires signaled send completions, releasing buffer slots.
@@ -244,7 +233,7 @@ func (c *Channel) drainRecvCQ() {
 	c.pumpRx()
 }
 
-// pumpRx processes queued receive completions in bursts: one thread
+// pumpRx processes queued receive completions in bursts: one app-thread
 // acquisition covers the whole burst's copy cost and one selector event is
 // pushed per burst, so heavy traffic amortizes the event machinery the
 // same way a real selector loop does.
@@ -264,7 +253,7 @@ func (c *Channel) pumpRx() {
 			}
 		}
 	}
-	c.thread().Acquire(copyCost, c.rxDoneFn)
+	c.dev.Node().App.Acquire(copyCost, c.rxDoneFn)
 }
 
 // rxDone lands the burst pumpRx charged for: the rxBatch completions at the
@@ -277,9 +266,9 @@ func (c *Channel) rxDone() {
 		}
 	}
 	c.rxActive = false
-	if delivered > 0 && c.key != nil && c.sel != nil {
+	if delivered > 0 && c.key != nil {
 		c.key.markReady(OpReceive)
-		c.sel.push(event{key: c.key, ops: OpReceive})
+		c.key.sel.push(event{key: c.key, ops: OpReceive})
 	}
 	c.pumpRx()
 }
@@ -342,7 +331,7 @@ func (c *Channel) Send(msg []byte) error {
 	}
 	// Zero-length messages ride a pool slot (a WR must carry either
 	// inline bytes or a region reference).
-	inline := c.cfg.Inline && len(msg) > 0 && len(msg) <= 256
+	inline := len(msg) > 0 && len(msg) <= c.inlineMax
 	if !inline && len(c.freeSend) == 0 {
 		c.wantSend = true
 		return ErrWouldBlock

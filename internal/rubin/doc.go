@@ -13,6 +13,11 @@
 //     single thread. A hybrid event queue merges connection events (from
 //     the RDMA CM) with completion events (from completion queues), and an
 //     event manager replaces epoll (Section III-B.2).
+//
+// A host has one application thread (fabric.Node.App): every channel's
+// verbs posts, completion polls and receive copies and every selector's
+// dispatch queue there, registered or not — the single-threaded event loop
+// RUBIN shares with the NIO design it replaces.
 //   - SelectionKey: the result of registering a channel, holding the
 //     interest set — OpConnect (incoming connections), OpAccept
 //     (connection establishments), OpReceive (received messages), OpSend

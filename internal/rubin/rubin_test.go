@@ -308,6 +308,36 @@ func TestInlineSendSkipsPoolSlot(t *testing.T) {
 	}
 }
 
+// The inline threshold is the model's limit: at 128 B both messages take a
+// pool slot (a fixed 256 B cut-off would post the 200 B one inline and have
+// the QP refuse it), at 512 B both ride in the work request.
+func TestInlineLimitFollowsModel(t *testing.T) {
+	for _, tc := range []struct{ limit, slots int }{{128, 2}, {512, 0}} {
+		r := newRig(t, func(p *model.Params) { p.RDMA.InlineMax = tc.limit })
+		cfg := DefaultConfig(r.params)
+		client, server := r.connect(t, cfg)
+		var got [][]byte
+		pumpReceiver(r.selB, server, &got)
+		want := [][]byte{bytes.Repeat([]byte{1}, 200), bytes.Repeat([]byte{2}, 400)}
+		slots := 0
+		r.loop.Post(func() {
+			for _, m := range want {
+				if err := client.Send(m); err != nil {
+					t.Errorf("limit %d: Send(%d B): %v", tc.limit, len(m), err)
+				}
+			}
+			slots = cfg.SendWRs - len(client.freeSend)
+		})
+		r.loop.Run()
+		if len(got) != len(want) || client.Closed() {
+			t.Fatalf("limit %d: delivered %d of %d messages (channel closed: %v)", tc.limit, len(got), len(want), client.Closed())
+		}
+		if slots != tc.slots {
+			t.Errorf("limit %d: %d messages took a pool slot, want %d", tc.limit, slots, tc.slots)
+		}
+	}
+}
+
 func TestBatchedPostingSharesDoorbells(t *testing.T) {
 	// Doorbell batching is a CPU-overhead optimization: posting 8
 	// messages with one doorbell (PostWR + 7×PostWRBatched) must burn
@@ -319,8 +349,7 @@ func TestBatchedPostingSharesDoorbells(t *testing.T) {
 		client, server := r.connect(t, cfg)
 		var got [][]byte
 		pumpReceiver(r.selB, server, &got)
-		r.selA.Register(client, 0, nil) // pin posting to selA's thread
-		before := r.selA.Thread().BusyTotal()
+		before := r.na.App.BusyTotal()
 		r.loop.Post(func() {
 			for i := 0; i < 8; i++ {
 				_ = client.Send(bytes.Repeat([]byte{1}, 1024))
@@ -330,7 +359,7 @@ func TestBatchedPostingSharesDoorbells(t *testing.T) {
 		if len(got) != 8 {
 			t.Fatalf("received %d, want 8", len(got))
 		}
-		return r.selA.Thread().BusyTotal() - before
+		return r.na.App.BusyTotal() - before
 	}
 	batched := senderThreadBusy(8)
 	single := senderThreadBusy(1)
@@ -341,7 +370,7 @@ func TestBatchedPostingSharesDoorbells(t *testing.T) {
 
 // Zero-copy receive is a modeled charge and nothing else: the same messages,
 // sent one at a time, arrive as the same bytes in both modes, the receiving
-// selector thread is busy for exactly CopyPerKB per delivered KB less, and
+// app thread is busy for exactly CopyPerKB per delivered KB less, and
 // the sequence finishes sooner.
 func TestZeroCopyReceiveAblation(t *testing.T) {
 	sizes := []int{100, 4096, 32 << 10, 100 << 10}
@@ -351,14 +380,14 @@ func TestZeroCopyReceiveAblation(t *testing.T) {
 		cfg.ZeroCopyReceive = zeroCopy
 		client, server := r.connect(t, cfg)
 		pumpReceiver(r.selB, server, &got)
-		busy, start := r.selB.Thread().BusyTotal(), r.loop.Now()
+		busy, start := r.nb.App.BusyTotal(), r.loop.Now()
 		for i, size := range sizes {
 			if err := client.Send(bytes.Repeat([]byte{byte(i + 1)}, size)); err != nil {
 				t.Fatal(err)
 			}
 			r.loop.Run()
 		}
-		return r.selB.Thread().BusyTotal() - busy, r.loop.Now() - start, got
+		return r.nb.App.BusyTotal() - busy, r.loop.Now() - start, got
 	}
 	busyCopy, tCopy, dataCopy := run(false)
 	busyZero, tZero, dataZero := run(true)
@@ -373,7 +402,7 @@ func TestZeroCopyReceiveAblation(t *testing.T) {
 		charge += model.KB(model.Default().Selector.CopyPerKB, len(dataCopy[i]))
 	}
 	if busyCopy-busyZero != charge {
-		t.Fatalf("receiving selector thread busy %v copying, %v zero-copy: differ by %v, want the copy charge %v",
+		t.Fatalf("receiving app thread busy %v copying, %v zero-copy: differ by %v, want the copy charge %v",
 			busyCopy, busyZero, busyCopy-busyZero, charge)
 	}
 	if tZero >= tCopy {

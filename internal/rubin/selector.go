@@ -1,9 +1,6 @@
 package rubin
 
-import (
-	"rubin/internal/rdma"
-	"rubin/internal/sim"
-)
+import "rubin/internal/rdma"
 
 // InterestOps is the bitmask of events a RUBIN selection key watches —
 // the four interests of paper Section III-B.
@@ -38,14 +35,11 @@ type event struct {
 }
 
 // Selector multiplexes RDMA connection and completion events from many
-// channels onto one application thread, mirroring the Java NIO selector's
-// role in BFT frameworks.
+// channels onto the node's one application thread (fabric.Node.App),
+// mirroring the Java NIO selector's role in BFT frameworks: event dispatch,
+// receive copies and the channels' verbs work all serialize there.
 type Selector struct {
 	dev *rdma.Device
-
-	// thread is the single selector/application thread; RUBIN-level CPU
-	// work (event dispatch, receive copies) serializes here.
-	thread *sim.Resource
 
 	keys    []*SelectionKey
 	nextKey uint64
@@ -67,46 +61,23 @@ type Selector struct {
 
 // NewSelector creates a selector on a device's node.
 func NewSelector(dev *rdma.Device) *Selector {
-	s := &Selector{
-		dev:    dev,
-		thread: sim.NewResource(dev.Node().Loop(), dev.Node().Name()+"/rubin", 1),
-	}
+	s := &Selector{dev: dev}
 	s.dispatchFn = s.dispatchTurn
 	return s
 }
 
-// Thread returns the selector's single application thread resource; its
-// busy time measures RUBIN's CPU overhead (useful for ablations).
-func (s *Selector) Thread() *sim.Resource { return s.thread }
-
 // Register attaches a channel with an interest set, returning its
-// selection key (a "selectable channel" per the paper). Registering a
-// Channel also arms its completion queues with the selector's event
-// manager.
+// selection key (a "selectable channel" per the paper).
 func (s *Selector) Register(ch Registrable, ops InterestOps, attachment any) *SelectionKey {
 	s.nextKey++
 	k := &SelectionKey{sel: s, ch: ch, id: s.nextKey, interest: ops, attachment: attachment}
 	s.keys = append(s.keys, k)
 	ch.bindKey(k)
-	if c, ok := ch.(*Channel); ok {
-		s.armChannel(c)
-	}
 	if r := ch.readiness() & ops; r != 0 {
 		k.ready |= r
 		s.push(event{key: k, ops: r})
 	}
 	return k
-}
-
-// armChannel moves the channel's RUBIN-level CPU work onto the selector's
-// single thread; the channel itself already drains its completion queues.
-func (s *Selector) armChannel(c *Channel) {
-	c.sel = s
-	c.sendCQ.SetWorkThread(s.thread)
-	c.recvCQ.SetWorkThread(s.thread)
-	if c.qp != nil {
-		c.qp.SetWorkThread(s.thread)
-	}
 }
 
 // push adds an event to the hybrid queue; the event manager then notifies
@@ -161,8 +132,8 @@ func (s *Selector) pump() {
 	// The event-manager notification plus key matching: RUBIN's
 	// select() path, slower than the native epoll-backed NIO selector
 	// (paper Section IV notes native code as future work).
-	params := s.dev.Node().Network().Params()
-	s.thread.Acquire(params.Selector.RubinDispatch, s.dispatchFn)
+	node := s.dev.Node()
+	node.App.Acquire(node.Network().Params().Selector.RubinDispatch, s.dispatchFn)
 }
 
 // dispatchTurn is one select turn: hand the ready keys to the handler, then

@@ -1,8 +1,9 @@
 // Package tcpsim simulates a kernel TCP/IP stack with the cost structure
 // the paper attributes to it: per-call syscall crossings, user<->kernel
 // buffer copies, per-MTU-segment protocol processing, interrupts, and
-// scheduler wakeups — all charged to the host CPU resource. This is the
-// baseline that RDMA's kernel bypass and zero copy eliminate.
+// scheduler wakeups — the calls charged to the node's application thread,
+// the kernel's work to its CPU. This is the baseline that RDMA's kernel
+// bypass and zero copy eliminate.
 //
 // The API is non-blocking and event-driven (the simulator has no blocked
 // goroutines): Read and Write transfer whatever is possible immediately and
@@ -40,13 +41,6 @@ type Stack struct {
 	listeners map[int]*Listener
 	conns     map[connID]*Conn
 	nextPort  int
-
-	// app serializes application-side syscall work (Write/Read/Dial).
-	// It models the single selector thread of the NIO architecture the
-	// paper targets, and guarantees that a connection's writes enter the
-	// send queue in call order. Kernel work (interrupts, segment
-	// processing) runs on the node's multi-core CPU instead.
-	app *sim.Resource
 
 	// Interrupt coalescing: segments arriving while the receive softirq
 	// is active are drained in the same batch without a fresh interrupt
@@ -109,7 +103,6 @@ func NewStack(node *fabric.Node) *Stack {
 		listeners: make(map[int]*Listener),
 		conns:     make(map[connID]*Conn),
 		nextPort:  49152,
-		app:       sim.NewResource(node.Loop(), node.Name()+"/tcp-app", 1),
 	}
 	s.drainRxFn, s.rxDoneFn = s.drainRx, s.rxDone
 	node.Register(fabric.ProtoTCP, s.deliver)
@@ -118,10 +111,6 @@ func NewStack(node *fabric.Node) *Stack {
 
 // Node returns the fabric node this stack runs on.
 func (s *Stack) Node() *fabric.Node { return s.node }
-
-// AppThread returns the stack's single application/selector thread
-// resource, where layers above the socket charge their per-message work.
-func (s *Stack) AppThread() *sim.Resource { return s.app }
 
 func (s *Stack) loop() *sim.Loop { return s.node.Loop() }
 
@@ -147,7 +136,7 @@ func (s *Stack) Dial(remote *fabric.Node, port int, done func(*Conn, error)) {
 	s.conns[c.id()] = c
 	// Connection setup costs one syscall plus the handshake round trip
 	// (set-up, like the handshake and teardown's onClose post: a closure).
-	s.app.Acquire(s.params.TCP.SendSyscall, func() {
+	s.node.App.Acquire(s.params.TCP.SendSyscall, func() {
 		c.sendControl(segSYN)
 	})
 }
@@ -245,7 +234,7 @@ func (c *Conn) WritableSpace() int {
 
 // Write queues up to len(p) bytes for transmission and returns how many
 // were accepted (non-blocking). The syscall, user-to-kernel copy and
-// per-segment processing costs are charged to the host CPU; bytes enter the
+// per-segment processing costs are charged to the app thread; bytes enter the
 // wire once those costs have been served and the flow-control window
 // permits.
 func (c *Conn) Write(p []byte) (int, error) {
@@ -265,7 +254,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	tp := c.stack.params.TCP
 	cost := tp.SendSyscall + model.KB(tp.CopyPerKB, n) +
 		tp.SegmentProc*sim.Time(c.stack.params.Link.Frames(n))
-	c.stack.app.Acquire(cost, c.writeDoneFn)
+	c.stack.node.App.Acquire(cost, c.writeDoneFn)
 	return n, nil
 }
 
@@ -306,7 +295,7 @@ func (c *Conn) pump() {
 
 // Read copies up to len(p) bytes out of the receive buffer, returning the
 // count (0 means would-block). The syscall and kernel-to-user copy are
-// charged to the CPU; the window update advertising freed space is sent
+// charged to the app thread; the window update advertising freed space is sent
 // once that charge has been served.
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.state == stateClosed && c.recvBuf.Len() == 0 {
@@ -318,7 +307,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	}
 	c.reads.Push(n)
 	tp := c.stack.params.TCP
-	c.stack.app.Acquire(tp.RecvSyscall+model.KB(tp.CopyPerKB, n), c.readDoneFn)
+	c.stack.node.App.Acquire(tp.RecvSyscall+model.KB(tp.CopyPerKB, n), c.readDoneFn)
 	return n, nil
 }
 

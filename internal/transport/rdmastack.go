@@ -11,7 +11,7 @@ import (
 )
 
 // rdmaStack is the RUBIN backend: one RDMA device and one RUBIN selector
-// per node, all connections multiplexed on the selector's single thread —
+// per node, all connections multiplexed on the node's app thread —
 // the drop-in replacement for the NIO stack that the paper integrates into
 // Reptor.
 type rdmaStack struct {
@@ -172,7 +172,8 @@ func (c *rdmaConn) retry() {
 }
 
 func (c *rdmaConn) drain() {
-	params := c.stack.node.Network().Params()
+	node := c.stack.node
+	params := node.Network().Params()
 	for {
 		msg, ok := c.ch.Receive()
 		if !ok {
@@ -182,9 +183,9 @@ func (c *rdmaConn) drain() {
 			c.teardown(c.key)
 			return
 		}
-		// Per-message handler dispatch on the selector thread (cheaper
-		// than TCP's: the channel is already message-oriented).
-		c.stack.sel.Thread().Delay(params.Selector.MsgHandle)
+		// Per-message handler dispatch on the app thread (cheaper than
+		// TCP's: the channel is already message-oriented).
+		node.App.Delay(params.Selector.MsgHandle)
 		c.deliver(msg)
 	}
 	if c.ch.Closed() {

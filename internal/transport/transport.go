@@ -384,9 +384,9 @@ func (c *tcpConn) drain() {
 		// The delivered copy: the one allocation a message costs.
 		msg := make([]byte, size)
 		copy(msg, c.acc.Next(4 + size)[4:])
-		// Deframing plus handler dispatch costs real selector-thread
-		// time per message.
-		c.stack.st.AppThread().Delay(params.TCP.MsgHandle)
+		// Deframing plus handler dispatch costs real app-thread time
+		// per message.
+		c.stack.node.App.Delay(params.TCP.MsgHandle)
 		c.deliver(msg)
 	}
 }

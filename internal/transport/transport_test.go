@@ -358,3 +358,38 @@ func TestLargeVolumeStream(t *testing.T) {
 		})
 	}
 }
+
+// Over rdma-rubin the host CPU carries only kernel work — the client's
+// rdma_cm connect and each side's two pool registrations (8.364 ms and
+// 8.352 ms at the defaults) — and everything RUBIN does per connection and
+// per message, the 64 initial receive posts included, runs on the node's
+// one app thread.
+func TestRDMAStackChargesOnlyKernelWorkToCPU(t *testing.T) {
+	r := newRig(t, KindRDMA, 2, DefaultOptions())
+	client, server := r.pair(t, 700)
+	echoed := 0
+	server.OnMessage(func(m []byte) { _ = server.Send(m) })
+	client.OnMessage(func([]byte) { echoed++ })
+	r.loop.Post(func() {
+		for i := 0; i < 20; i++ {
+			_ = client.Send(bytes.Repeat([]byte{byte(i)}, 1<<10))
+		}
+	})
+	r.loop.Run()
+	if echoed != 20 {
+		t.Fatalf("echoed %d of 20", echoed)
+	}
+	p, opts := r.nw.Params(), DefaultOptions()
+	pools := 2 * (p.RDMA.MemRegisterBase + model.KB(p.RDMA.MemRegisterPerKB, opts.WRs*opts.MaxMessage))
+	if got, want := r.nodes[0].CPU.BusyTotal(), p.TCP.SendSyscall+pools; got != want {
+		t.Errorf("client CPU busy %v, want one connect syscall plus two pool registrations, %v", got, want)
+	}
+	if got := r.nodes[1].CPU.BusyTotal(); got != pools {
+		t.Errorf("server CPU busy %v, want two pool registrations, %v", got, pools)
+	}
+	for _, n := range r.nodes {
+		if n.App.BusyTotal() == 0 {
+			t.Errorf("%s: app thread never busy", n.Name())
+		}
+	}
+}
