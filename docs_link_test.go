@@ -86,7 +86,8 @@ var statsTableRowRE = regexp.MustCompile("(?m)^\\| `([a-z_.]+)` \\| (counter|pea
 // each shape is built — a plain cluster with the read fast path on, a COP
 // group of two instances, two shards — every node of its network is
 // enumerated, and a name that is registered but not documented, documented
-// but registered by no shape, or documented under another kind fails.
+// but registered by no shape, or documented under another kind fails, as
+// does a node whose CPU, application thread or NIC is not in its table.
 func TestDocsStatsTable(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("docs", "ARCHITECTURE.md"))
 	if err != nil {
@@ -145,8 +146,9 @@ func TestDocsStatsTable(t *testing.T) {
 	registered := map[string]bool{}
 	for _, nw := range worlds {
 		for _, node := range nw.Nodes() {
+			own := map[string]bool{}
 			node.EachStat(func(name string, kind fabric.StatKind, _ float64) {
-				registered[name] = true
+				registered[name], own[name] = true, true
 				switch want, ok := documented[name]; {
 				case !ok:
 					t.Errorf("%s registers %q, which the Stats table does not list", node.Name(), name)
@@ -154,6 +156,11 @@ func TestDocsStatsTable(t *testing.T) {
 					t.Errorf("%s registers %q as a %s, the Stats table says %s", node.Name(), name, kindNames[kind], want)
 				}
 			})
+			for _, name := range []string{"cpu_util", "app_util", "nic_util"} {
+				if !own[name] {
+					t.Errorf("%s does not register %q: its resource is missing from its table", node.Name(), name)
+				}
+			}
 		}
 	}
 	for name := range documented {

@@ -29,7 +29,7 @@ func main() {
 	cfg := rubin.DefaultConfig(params)
 
 	// Server: accept channels via OpConnect, echo messages via OpReceive.
-	srv, err := rubin.Listen(serverDev, 7000, cfg)
+	srv, err := rubin.Listen(serverSel, 7000, cfg)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
@@ -66,7 +66,7 @@ func main() {
 
 	// Client: connect, send a few messages, measure round trips.
 	var client *rubin.Channel
-	_, err = rubin.Connect(clientDev, serverNode, 7000, cfg, func(ch *rubin.Channel, err error) {
+	_, err = rubin.Connect(clientSel, serverNode, 7000, cfg, func(ch *rubin.Channel, err error) {
 		if err != nil {
 			log.Fatalf("connect: %v", err)
 		}

@@ -446,7 +446,7 @@ func echoChannelCfg(cfg EchoConfig, params model.Params, mutate func(*rubin.Conf
 		mutate(&ccfg)
 	}
 
-	srv, err := rubin.Listen(sd, 9, ccfg)
+	srv, err := rubin.Listen(selS, 9, ccfg)
 	if err != nil {
 		return EchoResult{}, err
 	}
@@ -483,7 +483,7 @@ func echoChannelCfg(cfg EchoConfig, params model.Params, mutate func(*rubin.Conf
 	var clientCh *rubin.Channel
 	var dialErr error
 	loop.At(0, func() {
-		_, dialErr = rubin.Connect(cd, sn, 9, ccfg, func(ch *rubin.Channel, err error) {
+		_, dialErr = rubin.Connect(selC, sn, 9, ccfg, func(ch *rubin.Channel, err error) {
 			if err != nil {
 				dialErr = err
 				return

@@ -98,6 +98,8 @@ func (nw *Network) AddNode(name string) *Node {
 		App:  sim.NewResource(nw.loop, name+"/app", 1),
 	}
 	n.Gauge("cpu_util", StatLevel, n.CPU.Utilization)
+	n.Gauge("app_util", StatLevel, n.App.Utilization)
+	n.Gauge("nic_util", StatLevel, n.NIC.Utilization)
 	nw.nodes[name] = n
 	nw.order = append(nw.order, n)
 	return n

@@ -9,8 +9,8 @@ import (
 
 // TestStatsEnumerateInRegistrationOrder pins the table's shape: entries
 // come back in the order layers registered them (behind the node's own
-// cpu_util), a name registered twice is two entries, and a gauge is read
-// at enumeration time.
+// utilization gauges), a name registered twice is two entries, and a gauge
+// is read at enumeration time.
 func TestStatsEnumerateInRegistrationOrder(t *testing.T) {
 	_, nw := testNet()
 	n := nw.AddNode("a")
@@ -30,6 +30,8 @@ func TestStatsEnumerateInRegistrationOrder(t *testing.T) {
 	n.EachStat(func(name string, kind StatKind, v float64) { got = append(got, entry{name, kind, v}) })
 	want := []entry{
 		{"cpu_util", StatLevel, 0},
+		{"app_util", StatLevel, 0},
+		{"nic_util", StatLevel, 0},
 		{"x.events", StatCounter, 2},
 		{"x_level", StatLevel, 4},
 		{"x.peak", StatPeak, 9},

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"cmp"
 	"fmt"
 
 	"rubin/internal/fabric"
@@ -177,6 +178,9 @@ func (d *Device) CreateQP(pd *PD, cfg QPConfig) (*QP, error) {
 	if cfg.MaxSendWR < 1 || cfg.MaxRecvWR < 1 {
 		return nil, fmt.Errorf("rdma: QP queue depths must be positive")
 	}
+	if err := cmp.Or(cfg.SendCQ.err, cfg.RecvCQ.err); err != nil {
+		return nil, fmt.Errorf("rdma: create QP: %w", err)
+	}
 	if cfg.MaxInline > d.params.RDMA.InlineMax {
 		cfg.MaxInline = d.params.RDMA.InlineMax
 	}
@@ -195,6 +199,20 @@ func (d *Device) CreateQP(pd *PD, cfg QPConfig) (*QP, error) {
 
 // RemoteNode returns the peer's fabric node once connected, else nil.
 func (qp *QP) RemoteNode() *fabric.Node { return qp.remoteNode }
+
+// Num returns the QP number, unique on its device: the QPN its CQEs carry.
+func (qp *QP) Num() uint32 { return qp.num }
+
+// Destroy tears the QP down, as ibv_destroy_qp does: the device forgets it,
+// so no frame reaches it and it completes nothing more, and the entries it
+// left unpolled leave its CQs with it — a consumer sharing a CQ among QPs
+// can shrink the CQ by this one's share at once.
+func (qp *QP) Destroy() {
+	delete(qp.dev.qps, qp.num)
+	qp.state = QPError
+	qp.cfg.SendCQ.clean(qp.num)
+	qp.cfg.RecvCQ.clean(qp.num)
+}
 
 // SendSlots returns how many more send WRs can be posted right now.
 func (qp *QP) SendSlots() int { return qp.cfg.MaxSendWR - qp.outstanding - qp.sendQ.Len() }

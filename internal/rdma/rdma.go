@@ -38,6 +38,7 @@ var (
 	ErrBadMR        = errors.New("rdma: memory region invalid for request")
 	ErrPortInUse    = errors.New("rdma: CM port already in use")
 	ErrRejected     = errors.New("rdma: connection rejected")
+	ErrCQOverrun    = errors.New("rdma: completion queue overrun")
 )
 
 // Access is the bitmask of permissions granted when registering memory.
@@ -285,7 +286,9 @@ type CQ struct {
 	entries  sim.Queue[CQE]
 	onEvent  func()
 	armed    bool
-	overflow bool
+	// err is ErrCQOverrun once a completion found the queue full: every
+	// QP completing to it was failed, and no QP can be created on it again.
+	err error
 
 	// eventCost overrides the per-notification CPU cost (default:
 	// RDMAParams.CompletionHandle, the heavy event-channel path).
@@ -325,6 +328,20 @@ func (d *Device) CreateCQ(capacity int) *CQ {
 	return cq
 }
 
+// Capacity returns how many entries the CQ holds.
+func (cq *CQ) Capacity() int { return cq.capacity }
+
+// Resize sets how many entries the CQ holds, as ibv_resize_cq does: a
+// consumer that shares one CQ among its QPs grows it by what each QP can have
+// outstanding as the QP joins and shrinks it as the QP leaves, so the CQ
+// cannot overrun. Queued entries stay queued.
+func (cq *CQ) Resize(capacity int) {
+	if capacity < 1 {
+		panic("rdma: CQ capacity must be positive")
+	}
+	cq.capacity = capacity
+}
+
 // OnEvent installs the completion-channel callback. The callback fires
 // (after the modeled completion-handling CPU cost) when a CQE is added
 // while the CQ is armed; it is then disarmed until RequestNotify is called
@@ -355,13 +372,39 @@ func (cq *CQ) Poll(buf []CQE) int {
 }
 
 func (cq *CQ) push(e CQE) {
+	if cq.err != nil {
+		return
+	}
 	if cq.entries.Len() >= cq.capacity {
-		cq.overflow = true
+		cq.overrun()
 		return
 	}
 	cq.entries.Push(e)
 	if cq.armed {
 		cq.fire()
+	}
+}
+
+// overrun fails the CQ and every QP that completes to it, as InfiniBand's CQ
+// error event does: a dropped completion would otherwise strand its work
+// request — a receive slot never re-posted, a send slot never released —
+// and stall its QP without a word.
+func (cq *CQ) overrun() {
+	cq.err = ErrCQOverrun
+	for n := uint32(1); n < cq.dev.nextQPN; n++ {
+		if qp := cq.dev.qps[n]; qp != nil && (qp.cfg.SendCQ == cq || qp.cfg.RecvCQ == cq) {
+			qp.state = QPError
+		}
+	}
+}
+
+// clean removes a destroyed QP's unpolled entries, as providers clean a CQ
+// when its QP is destroyed.
+func (cq *CQ) clean(qpn uint32) {
+	for i, n := 0, cq.entries.Len(); i < n; i++ {
+		if e := cq.entries.Pop(); e.QPN != qpn {
+			cq.entries.Push(e)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"rubin/internal/fabric"
@@ -522,8 +523,23 @@ func TestCQOverflowDetected(t *testing.T) {
 		}
 	})
 	r.loop.Run()
-	if !small.overflow {
-		t.Fatal("CQ overflow not detected")
+	if small.err != ErrCQOverrun {
+		t.Fatalf("CQ overrun reported as %v, want ErrCQOverrun", small.err)
+	}
+	// The overrun is loud: the QP completing to the full CQ is failed, not
+	// left waiting for the completion it lost; the QP beside it on other
+	// CQs runs on, and the dead CQ takes no new QP.
+	if qpB2.state != QPError {
+		t.Fatalf("QP on the overrun CQ is %v, want ERROR", qpB2.state)
+	}
+	if r.qpB.state != QPReady {
+		t.Fatalf("QP on healthy CQs is %v, want RTS", r.qpB.state)
+	}
+	if small.entries.Len() != 1 {
+		t.Fatalf("overrun CQ holds %d entries, want the 1 that fit", small.entries.Len())
+	}
+	if _, err := r.db.CreateQP(r.pb, QPConfig{SendCQ: r.cqB, RecvCQ: small, MaxSendWR: 1, MaxRecvWR: 1}); !errors.Is(err, ErrCQOverrun) {
+		t.Fatalf("CreateQP on the overrun CQ: %v, want ErrCQOverrun", err)
 	}
 }
 

@@ -105,9 +105,13 @@ func (qp *QP) pumpRecv() {
 	qp.dev.node.NIC.Acquire(cost, qp.rxDoneFn)
 }
 
-// rxDone runs when the NIC has processed the message pumpRecv admitted.
+// rxDone runs when the NIC has processed the message pumpRecv admitted. A QP
+// that failed or was destroyed meanwhile drops it, as it drops every frame
+// that arrives after.
 func (qp *QP) rxDone() {
-	qp.finishRecv(qp.rxMsg)
+	if qp.state != QPError {
+		qp.finishRecv(qp.rxMsg)
+	}
 	qp.rxMsg, qp.rxActive = nil, false
 	qp.pumpRecv()
 }

@@ -77,16 +77,14 @@ func (cfg Config) validate() error {
 // ServerChannel, then register with a Selector.
 type Channel struct {
 	id  uint64
-	dev *rdma.Device
+	sel *Selector // the selector it was made for, whose CQ pair it completes to
 	cfg Config
 
 	// inlineMax is the largest message sent inline: the device limit
 	// (model.RDMAParams.InlineMax) when Config.Inline is set, else 0.
 	inlineMax int
 
-	qp     *rdma.QP
-	sendCQ *rdma.CQ
-	recvCQ *rdma.CQ
+	qp *rdma.QP
 
 	// Pre-registered buffer pools (paper Section IV): one region per
 	// pool, partitioned into fixed-size slots.
@@ -139,17 +137,15 @@ type pendingSlot struct {
 	slot int // -1 for inline sends (no pool slot)
 }
 
-func newChannel(dev *rdma.Device, cfg Config, id uint64) (*Channel, error) {
+func newChannel(sel *Selector, cfg Config, id uint64) (*Channel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	c := &Channel{id: id, dev: dev, cfg: cfg}
+	c := &Channel{id: id, sel: sel, cfg: cfg}
 	if cfg.Inline {
-		c.inlineMax = dev.Node().Network().Params().RDMA.InlineMax
+		c.inlineMax = c.node().Network().Params().RDMA.InlineMax
 	}
 	c.flushFn, c.rxDoneFn = c.flushTurn, c.rxDone
-	c.sendCQ = dev.CreateCQ(2*cfg.SendWRs + 8)
-	c.recvCQ = dev.CreateCQ(2*cfg.RecvWRs + 8)
 	c.freeSend = make([]int, 0, cfg.SendWRs)
 	for i := 0; i < cfg.SendWRs; i++ {
 		c.freeSend = append(c.freeSend, i)
@@ -157,22 +153,25 @@ func newChannel(dev *rdma.Device, cfg Config, id uint64) (*Channel, error) {
 	return c, nil
 }
 
+func (c *Channel) node() *fabric.Node { return c.sel.dev.Node() }
+
 // qpConfig builds the QP sizing for this channel.
 func (c *Channel) qpConfig() rdma.QPConfig {
 	return rdma.QPConfig{
-		SendCQ:    c.sendCQ,
-		RecvCQ:    c.recvCQ,
+		SendCQ:    c.sel.sendCQ,
+		RecvCQ:    c.sel.recvCQ,
 		MaxSendWR: c.cfg.SendWRs,
 		MaxRecvWR: c.cfg.RecvWRs,
 		MaxInline: c.inlineMax,
 	}
 }
 
-// finishSetup registers buffer pools and posts the initial receive WRs;
-// called once the QP exists (after CM handshake on either side).
+// finishSetup registers buffer pools, posts the initial receive WRs and
+// joins the selector's QPN table; called once the QP exists (after CM
+// handshake on either side).
 func (c *Channel) finishSetup(qp *rdma.QP) error {
 	c.qp = qp
-	pd := c.dev.AllocPD()
+	pd := c.sel.dev.AllocPD()
 	// Pool registration happens once at connection setup — the cost is
 	// deliberately front-loaded (paper: buffer pools are pre-registered
 	// and reused as needed). One block per slot: the modeled cost covers
@@ -186,51 +185,9 @@ func (c *Channel) finishSetup(qp *rdma.QP) error {
 			return fmt.Errorf("rubin: initial PostRecv: %w", err)
 		}
 	}
-	// The channel drains its own completion queues; the selector (if
-	// registered) only contributes the event dispatch. RUBIN's event
-	// manager reads completion events much more cheaply than the default
-	// per-event channel path (the heavy application wakeup is the selector
-	// dispatch, charged separately).
-	c.sendCQ.SetEventCost(2 * sim.Microsecond)
-	c.recvCQ.SetEventCost(2 * sim.Microsecond)
-	c.sendCQ.OnEvent(c.drainSendCQ)
-	c.sendCQ.RequestNotify()
-	c.recvCQ.OnEvent(c.drainRecvCQ)
-	c.recvCQ.RequestNotify()
+	c.sel.attach(c)
 	c.connected = true
 	return nil
-}
-
-// drainSendCQ retires signaled send completions, releasing buffer slots.
-func (c *Channel) drainSendCQ() {
-	var cqes [16]rdma.CQE
-	for {
-		n := c.sendCQ.Poll(cqes[:])
-		if n == 0 {
-			break
-		}
-		for _, cqe := range cqes[:n] {
-			c.onSendCompletion(cqe)
-		}
-	}
-	c.sendCQ.RequestNotify()
-}
-
-// drainRecvCQ queues receive completions into the serialized receive
-// pipeline.
-func (c *Channel) drainRecvCQ() {
-	var cqes [16]rdma.CQE
-	for {
-		n := c.recvCQ.Poll(cqes[:])
-		if n == 0 {
-			break
-		}
-		for _, cqe := range cqes[:n] {
-			c.rxPending.Push(cqe)
-		}
-	}
-	c.recvCQ.RequestNotify()
-	c.pumpRx()
 }
 
 // pumpRx processes queued receive completions in bursts: one app-thread
@@ -244,7 +201,7 @@ func (c *Channel) pumpRx() {
 	c.rxActive = true
 	c.rxBatch = c.rxPending.Len()
 
-	p := c.dev.Node().Network().Params()
+	p := c.node().Network().Params()
 	var copyCost sim.Time
 	if !c.cfg.ZeroCopyReceive {
 		for i := 0; i < c.rxBatch; i++ {
@@ -253,7 +210,7 @@ func (c *Channel) pumpRx() {
 			}
 		}
 	}
-	c.dev.Node().App.Acquire(copyCost, c.rxDoneFn)
+	c.node().App.Acquire(copyCost, c.rxDoneFn)
 }
 
 // rxDone lands the burst pumpRx charged for: the rxBatch completions at the
@@ -379,7 +336,7 @@ func (c *Channel) armFlush() {
 		return
 	}
 	c.flushArmed = true
-	c.dev.Node().Loop().Post(c.flushFn)
+	c.node().Loop().Post(c.flushFn)
 }
 
 func (c *Channel) flushTurn() {
@@ -426,16 +383,20 @@ func (c *Channel) Close() {
 	}
 	c.closed = true
 	c.connected = false
-	c.releasePools()
+	c.release()
 	if c.key != nil {
 		c.key.Cancel()
 	}
 }
 
-// releasePools deregisters the buffer pools of a channel that is closed
-// for good, so the device does not keep them registered for its lifetime.
-// Work already handed to the QP keeps its reference to the region.
-func (c *Channel) releasePools() {
+// release gives up what a channel closed for good holds: its QP, with its
+// place in the selector's QPN table and its share of the CQ pair, and its
+// buffer pools, so the device does not keep them registered for its
+// lifetime.
+func (c *Channel) release() {
+	if c.qp != nil {
+		c.sel.detach(c)
+	}
 	if c.sendMR != nil {
 		c.sendMR.Deregister()
 		c.recvMR.Deregister()
@@ -448,7 +409,7 @@ func (c *Channel) Closed() bool { return c.closed }
 func (c *Channel) fail() {
 	c.closed = true
 	c.connected = false
-	c.releasePools()
+	c.release()
 	if c.key != nil {
 		c.key.signal(OpReceive) // surface the failure to the event loop
 	}

@@ -13,15 +13,20 @@
 //     single thread. A hybrid event queue merges connection events (from
 //     the RDMA CM) with completion events (from completion queues), and an
 //     event manager replaces epoll (Section III-B.2).
-//
-// A host has one application thread (fabric.Node.App): every channel's
-// verbs posts, completion polls and receive copies and every selector's
-// dispatch queue there, registered or not — the single-threaded event loop
-// RUBIN shares with the NIO design it replaces.
 //   - SelectionKey: the result of registering a channel, holding the
 //     interest set — OpConnect (incoming connections), OpAccept
 //     (connection establishments), OpReceive (received messages), OpSend
 //     (send capacity) — and the ready set updated as I/O events arrive.
+//
+// A host has one application thread (fabric.Node.App): every channel's
+// verbs posts, completion polls and receive copies and every selector's
+// dispatch queue there, registered or not — the single-threaded event loop
+// RUBIN shares with the NIO design it replaces. The selector owns one send
+// CQ and one receive CQ, and every channel made for it (Listen and Connect
+// take the selector) completes to them: one completion event and one poll
+// serve all the channels with completions, each CQE handed to its channel
+// by QP number. A channel grows the pair by its work-request depths as it
+// joins and shrinks it as it closes, so the pair cannot overrun.
 //
 // The Section IV optimizations are all implemented and individually
 // controllable through Config for ablation:

@@ -40,7 +40,7 @@ func newRig(t *testing.T, mutate func(*model.Params)) *rig {
 // would).
 func (r *rig) connect(t *testing.T, cfg Config) (client, server *Channel) {
 	t.Helper()
-	srv, err := Listen(r.db, 7, cfg)
+	srv, err := Listen(r.selB, 7, cfg)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -61,7 +61,7 @@ func (r *rig) connect(t *testing.T, cfg Config) (client, server *Channel) {
 		}
 	})
 	r.loop.Post(func() {
-		_, err := Connect(r.da, r.nb, 7, cfg, func(ch *Channel, err error) {
+		_, err := Connect(r.selA, r.nb, 7, cfg, func(ch *Channel, err error) {
 			if err != nil {
 				t.Errorf("Connect: %v", err)
 				return
@@ -97,7 +97,7 @@ func TestConnectToClosedPortFails(t *testing.T) {
 	r := newRig(t, nil)
 	var gotErr error
 	r.loop.Post(func() {
-		_, _ = Connect(r.da, r.nb, 99, DefaultConfig(r.params), func(ch *Channel, err error) {
+		_, _ = Connect(r.selA, r.nb, 99, DefaultConfig(r.params), func(ch *Channel, err error) {
 			gotErr = err
 		})
 	})
@@ -117,7 +117,7 @@ func TestConfigValidation(t *testing.T) {
 		{SendWRs: 1, RecvWRs: 1, BufferSize: 1, SignalInterval: 1, PostBatch: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := Listen(r.db, 100+i, cfg); err == nil {
+		if _, err := Listen(r.selB, 100+i, cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
@@ -413,7 +413,7 @@ func TestZeroCopyReceiveAblation(t *testing.T) {
 func TestManyChannelsOneSelector(t *testing.T) {
 	r := newRig(t, nil)
 	cfg := DefaultConfig(r.params)
-	srv, err := Listen(r.db, 7, cfg)
+	srv, err := Listen(r.selB, 7, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestManyChannelsOneSelector(t *testing.T) {
 	var clients []*Channel
 	r.loop.Post(func() {
 		for i := 0; i < nChans; i++ {
-			_, _ = Connect(r.da, r.nb, 7, cfg, func(ch *Channel, err error) {
+			_, _ = Connect(r.selA, r.nb, 7, cfg, func(ch *Channel, err error) {
 				if err != nil {
 					t.Errorf("Connect: %v", err)
 					return
@@ -529,6 +529,13 @@ func TestEchoThroughTwoSelectors(t *testing.T) {
 			t.Fatalf("echo %d corrupted", i)
 		}
 	}
+	// One channel per node: the selector's CQ pair serves exactly the
+	// completions the channel's own pair did, so every wake-up, poll and
+	// per-CQE charge lands as it did with per-channel CQs, to the
+	// nanosecond — set-up included.
+	if a, b := r.na.App.BusyTotal(), r.nb.App.BusyTotal(); a != 199*sim.Microsecond || b != 187*sim.Microsecond || end != 2320012 {
+		t.Fatalf("app threads busy %v / %v, last event at %d ns: want 199µs / 187µs at 2320012 ns", a, b, end)
+	}
 }
 
 func TestSendOnClosedChannelFails(t *testing.T) {
@@ -597,14 +604,14 @@ func TestChannelIDsAreUnique(t *testing.T) {
 	cfg := DefaultConfig(r.params)
 	a, _ := r.connect(t, cfg)
 	// Second pair over a second port.
-	srv2, err := Listen(r.db, 8, cfg)
+	srv2, err := Listen(r.selB, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b *Channel
 	r.selB.Register(srv2, OpConnect, nil)
 	r.loop.Post(func() {
-		_, _ = Connect(r.da, r.nb, 8, cfg, func(ch *Channel, err error) { b = ch })
+		_, _ = Connect(r.selA, r.nb, 8, cfg, func(ch *Channel, err error) { b = ch })
 	})
 	r.loop.Run()
 	if b == nil {
@@ -626,7 +633,7 @@ func TestChannelIDsAreUnique(t *testing.T) {
 func TestCloseAndRedialReleasesPools(t *testing.T) {
 	r := newRig(t, nil)
 	cfg := DefaultConfig(r.params)
-	srv, err := Listen(r.db, 7, cfg)
+	srv, err := Listen(r.selB, 7, cfg)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -642,7 +649,7 @@ func TestCloseAndRedialReleasesPools(t *testing.T) {
 		var client *Channel
 		server = nil
 		r.loop.Post(func() {
-			_, _ = Connect(r.da, r.nb, 7, cfg, func(ch *Channel, err error) { client = ch })
+			_, _ = Connect(r.selA, r.nb, 7, cfg, func(ch *Channel, err error) { client = ch })
 		})
 		r.loop.Run()
 		if client == nil || server == nil {

@@ -1,6 +1,9 @@
 package rubin
 
-import "rubin/internal/rdma"
+import (
+	"rubin/internal/rdma"
+	"rubin/internal/sim"
+)
 
 // InterestOps is the bitmask of events a RUBIN selection key watches —
 // the four interests of paper Section III-B.
@@ -41,6 +44,17 @@ type event struct {
 type Selector struct {
 	dev *rdma.Device
 
+	// The completion half of the hybrid event queue: every channel made for
+	// this selector completes to one send CQ and one receive CQ, so a
+	// wake-up and a poll serve all the channels with completions. byQPN
+	// hands each CQE to its channel: attach covers a QPN before its QP can
+	// complete, and a slot is nil once its channel closed, even for the
+	// CQEs a drain already polled. rxWoken lists the channels one receive
+	// drain gave their first pending CQE, good until the next drain.
+	sendCQ, recvCQ *rdma.CQ
+	byQPN          []*Channel
+	rxWoken        []*Channel
+
 	keys    []*SelectionKey
 	nextKey uint64
 
@@ -59,11 +73,98 @@ type Selector struct {
 	wakeups uint64
 }
 
-// NewSelector creates a selector on a device's node.
+// NewSelector creates a selector on a device's node, with the CQ pair its
+// channels complete to.
 func NewSelector(dev *rdma.Device) *Selector {
-	s := &Selector{dev: dev}
+	s := &Selector{dev: dev, sendCQ: dev.CreateCQ(1), recvCQ: dev.CreateCQ(1)}
 	s.dispatchFn = s.dispatchTurn
+	// RUBIN's event manager reads completion events much more cheaply than
+	// the default event-channel path (the heavy application wakeup is the
+	// select dispatch, charged separately).
+	const eventCost = 2 * sim.Microsecond
+	s.sendCQ.SetEventCost(eventCost)
+	s.recvCQ.SetEventCost(eventCost)
+	s.sendCQ.OnEvent(s.drainSendCQ)
+	s.recvCQ.OnEvent(s.drainRecvCQ)
+	s.sendCQ.RequestNotify()
+	s.recvCQ.RequestNotify()
 	return s
+}
+
+// attach enters a set-up channel in the QPN table and grows the CQ pair by
+// what the channel can have outstanding: a completion per work request, and
+// on the send side the one error completion its QP can raise besides.
+func (s *Selector) attach(c *Channel) {
+	n := int(c.qp.Num())
+	for len(s.byQPN) <= n {
+		s.byQPN = append(s.byQPN, nil)
+	}
+	s.byQPN[n] = c
+	s.sendCQ.Resize(s.sendCQ.Capacity() + c.cfg.SendWRs + 1)
+	s.recvCQ.Resize(s.recvCQ.Capacity() + c.cfg.RecvWRs)
+}
+
+// detach takes a closed channel out of the table and gives its share of the
+// CQ pair back. Its QP is destroyed first, which takes the completions it
+// left unpolled off the CQs, so the shrunken pair still cannot overrun.
+func (s *Selector) detach(c *Channel) {
+	n := int(c.qp.Num())
+	if n >= len(s.byQPN) || s.byQPN[n] != c {
+		return
+	}
+	c.qp.Destroy()
+	s.byQPN[n] = nil
+	s.sendCQ.Resize(s.sendCQ.Capacity() - c.cfg.SendWRs - 1)
+	s.recvCQ.Resize(s.recvCQ.Capacity() - c.cfg.RecvWRs)
+}
+
+// drainSendCQ is one wake-up for every channel's send completions: each
+// signaled CQE releases its channel's covered slots.
+func (s *Selector) drainSendCQ() {
+	var cqes [16]rdma.CQE
+	for {
+		n := s.sendCQ.Poll(cqes[:])
+		if n == 0 {
+			break
+		}
+		for _, cqe := range cqes[:n] {
+			if c := s.byQPN[cqe.QPN]; c != nil {
+				c.onSendCompletion(cqe)
+			}
+		}
+	}
+	s.sendCQ.RequestNotify()
+}
+
+// drainRecvCQ is one wake-up for every channel's receive completions: each
+// CQE joins its channel's receive pipeline, and every channel that had none
+// pending starts a burst.
+func (s *Selector) drainRecvCQ() {
+	var cqes [16]rdma.CQE
+	woken := s.rxWoken[:0]
+	for {
+		n := s.recvCQ.Poll(cqes[:])
+		if n == 0 {
+			break
+		}
+		for _, cqe := range cqes[:n] {
+			c := s.byQPN[cqe.QPN]
+			if c == nil {
+				continue
+			}
+			// A channel with CQEs pending has a burst in flight, whose
+			// end pumps again.
+			if c.rxPending.Len() == 0 {
+				woken = append(woken, c)
+			}
+			c.rxPending.Push(cqe)
+		}
+	}
+	s.recvCQ.RequestNotify()
+	s.rxWoken = woken
+	for _, c := range woken {
+		c.pumpRx()
+	}
 }
 
 // Register attaches a channel with an interest set, returning its

@@ -18,23 +18,24 @@ type ServerChannel struct {
 	err     error
 }
 
-// Listen opens a server channel on the device. Each accepted connection
-// gets its own channel built from cfg.
-func Listen(dev *rdma.Device, port int, cfg Config) (*ServerChannel, error) {
+// Listen opens a server channel on the selector's device. Each accepted
+// connection gets its own channel built from cfg, completing to the
+// selector's CQ pair.
+func Listen(sel *Selector, port int, cfg Config) (*ServerChannel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	var idCounter uint64
 	sc := &ServerChannel{nextID: &idCounter}
-	pd := dev.AllocPD()
+	pd := sel.dev.AllocPD()
 
-	// Each inbound handshake needs a fresh channel (with its own CQs)
-	// before the QP exists, so the config factory creates it and the
-	// establishment callback finishes it.
+	// Each inbound handshake needs a fresh channel before the QP exists,
+	// so the config factory creates it and the establishment callback
+	// finishes it.
 	var pending sim.Queue[*Channel]
-	err := dev.ListenCM(port, pd, func() rdma.QPConfig {
+	err := sel.dev.ListenCM(port, pd, func() rdma.QPConfig {
 		*sc.nextID++
-		ch, err := newChannel(dev, cfg, *sc.nextID)
+		ch, err := newChannel(sel, cfg, *sc.nextID)
 		if err != nil {
 			// Config was validated above; a failure here is a bug.
 			panic(fmt.Sprintf("rubin: newChannel: %v", err))
@@ -88,17 +89,18 @@ func (sc *ServerChannel) Accept() *Channel {
 // Err returns the first setup error encountered while accepting, if any.
 func (sc *ServerChannel) Err() error { return sc.err }
 
-// Connect opens a channel to a server channel listening on the remote
-// node. Establishment is signaled as OpAccept readiness if the channel is
-// registered with interest OpAccept, and via the optional done callback.
-func Connect(dev *rdma.Device, remote *fabric.Node, port int, cfg Config, done func(*Channel, error)) (*Channel, error) {
+// Connect opens a channel, completing to the selector's CQ pair, to a server
+// channel listening on the remote node. Establishment is signaled as
+// OpAccept readiness if the channel is registered with interest OpAccept,
+// and via the optional done callback.
+func Connect(sel *Selector, remote *fabric.Node, port int, cfg Config, done func(*Channel, error)) (*Channel, error) {
 	var id uint64 // client-side IDs come from the selector key instead
-	ch, err := newChannel(dev, cfg, id)
+	ch, err := newChannel(sel, cfg, id)
 	if err != nil {
 		return nil, err
 	}
-	pd := dev.AllocPD()
-	dev.ConnectCM(remote, port, pd, ch.qpConfig(), func(qp *rdma.QP, err error) {
+	pd := sel.dev.AllocPD()
+	sel.dev.ConnectCM(remote, port, pd, ch.qpConfig(), func(qp *rdma.QP, err error) {
 		if err != nil {
 			ch.closed = true
 			if done != nil {

@@ -42,7 +42,7 @@ func (s *rdmaStack) chanConfig() rubin.Config {
 }
 
 func (s *rdmaStack) Listen(port int, accept func(Conn)) error {
-	srv, err := rubin.Listen(s.dev, port, s.chanConfig())
+	srv, err := rubin.Listen(s.sel, port, s.chanConfig())
 	if err != nil {
 		return err
 	}
@@ -51,7 +51,7 @@ func (s *rdmaStack) Listen(port int, accept func(Conn)) error {
 }
 
 func (s *rdmaStack) Dial(remote *fabric.Node, port int, done func(Conn, error)) {
-	_, err := rubin.Connect(s.dev, remote, port, s.chanConfig(), func(ch *rubin.Channel, err error) {
+	_, err := rubin.Connect(s.sel, remote, port, s.chanConfig(), func(ch *rubin.Channel, err error) {
 		if err != nil {
 			done(nil, err)
 			return
