@@ -186,7 +186,10 @@ type CryptoParams struct {
 // single leader's CPU saturate under load: every replica pays
 // ExecRequest, but only the leader pays OrderRequest/OrderPerKB for the
 // whole offered load, which is exactly the bottleneck COP's K parallel
-// leaders (Behl et al., Middleware '15) are designed to spread.
+// leaders (Behl et al., Middleware '15) are designed to spread. The
+// leader charges OrderCost once per request it admits, as one CPU job
+// started at admission, and a proposal leaves only once all of its
+// requests' jobs are done.
 type ProtocolParams struct {
 	// OrderRequest is the leader-side fixed CPU cost to validate, enqueue
 	// and assign one client request into a proposal.

@@ -143,7 +143,8 @@ type Faults struct {
 	// Mute drops outgoing messages of these types.
 	Mute map[MsgType]bool
 	// EquivocateLeader makes a leader send pre-prepares with corrupted
-	// digests to half the backups (detected, triggers view change).
+	// digests to half the backups (dropped, so no quorum prepares and the
+	// progress timer replaces the leader).
 	EquivocateLeader bool
 	// CorruptMACs invalidates outgoing authenticators.
 	CorruptMACs bool

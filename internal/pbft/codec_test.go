@@ -199,22 +199,28 @@ func encodeEnvelope(env Envelope) []byte {
 }
 
 // TestSealMatchesReference checks the one-buffer envelope against
-// encoding and authenticating separately: same bytes, the payload's type
-// and size, every receiver verifies its MAC over the aliased payload — and
-// it is the replica's scratch: made exactly by first use, no allocation
-// after, whatever the order of sizes.
+// encoding and authenticating separately — a pre-prepare's MACs over its
+// header (type, view, sequence, batch digest), every other type's over its
+// whole payload: same bytes, the payload's type and the covered length,
+// every receiver verifies its MAC over the aliased payload — and it is the
+// replica's scratch: made exactly by first use, no allocation after,
+// whatever the order of sizes.
 func TestSealMatchesReference(t *testing.T) {
 	rings := auth.GenerateKeyrings(4, 7)
 	sender := &Replica{id: 2, keyring: rings[2]}
 	for _, m := range codecTable() {
 		payload := Encode(m)
-		want := encodeEnvelope(Envelope{Sender: 2, Payload: payload, Auth: rings[2].Authenticate(payload)})
+		covered := payload
+		if _, isPP := m.(PrePrepare); isPP {
+			covered = payload[:1+8+8+auth.DigestSize]
+		}
+		want := encodeEnvelope(Envelope{Sender: 2, Payload: payload, Auth: rings[2].Authenticate(covered)})
 		fresh := &Replica{id: 2, keyring: rings[2]}
 		if first, _, _ := fresh.seal(m); !bytes.Equal(first, want) || cap(first) != len(first) {
 			t.Fatalf("%T: a first seal differs from the reference or over-allocates (len %d/%d, cap %d)", m, len(first), len(want), cap(first))
 		}
 		got, typ, size := sender.seal(m)
-		if !bytes.Equal(got, want) || typ != MsgType(payload[0]) || size != len(payload) {
+		if !bytes.Equal(got, want) || typ != MsgType(payload[0]) || size != len(covered) {
 			t.Fatalf("%T: sealed envelope differs from the reference (len %d/%d, type %v, size %d)", m, len(got), len(want), typ, size)
 		}
 		env, err := DecodeEnvelope(got)
@@ -224,10 +230,10 @@ func TestSealMatchesReference(t *testing.T) {
 		corrupted, _, _ := (&Replica{id: 2, keyring: rings[2], faults: Faults{CorruptMACs: true}}).seal(m)
 		bad, _ := DecodeEnvelope(corrupted)
 		for _, to := range []int{0, 1, 3} {
-			if !rings[to].Verify(2, env.Payload, env.Auth[to]) {
+			if !rings[to].Verify(2, env.Payload[:len(covered)], env.Auth[to]) {
 				t.Errorf("%T: replica %d rejects the sealed envelope", m, to)
 			}
-			if rings[to].Verify(2, bad.Payload, bad.Auth[to]) {
+			if rings[to].Verify(2, bad.Payload[:len(covered)], bad.Auth[to]) {
 				t.Errorf("%T: replica %d accepts corrupted MACs", m, to)
 			}
 		}

@@ -165,7 +165,7 @@ func (r *Replica) handleRequest(req Request) {
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.LeaderRecv, req.Key(), r.node.Loop().Now())
 	}
-	r.pending.Push(req)
+	r.order(req)
 	if r.pending.Len() >= r.cfg.BatchSize {
 		r.proposeBatch()
 		return
@@ -173,6 +173,21 @@ func (r *Replica) handleRequest(req Request) {
 	if !r.batchTimer.Pending() {
 		r.batchTimer = r.node.Loop().After(r.cfg.BatchDelay, r.proposeBatch)
 	}
+}
+
+// admitted is a request in the leader's queue: ready is when the leader CPU
+// finishes ordering it.
+type admitted struct {
+	Request
+	ready sim.Time
+}
+
+// order queues req for the leader's next proposal and starts its ordering
+// work on the leader CPU now: validating, bookkeeping and marshalling it
+// into a proposal, one job per request, served while the batch fills.
+func (r *Replica) order(req Request) {
+	cost := r.node.Network().Params().Protocol.OrderCost(len(req.Op))
+	r.pending.Push(admitted{req, r.node.CPU.Acquire(cost, nil)})
 }
 
 // file writes req's row and, if it is the first, queues the request for the
@@ -230,7 +245,12 @@ func (r *Replica) progressExpired() {
 }
 
 // proposeBatch assigns the next sequence number to the pending batch and
-// broadcasts the pre-prepare.
+// broadcasts the pre-prepare once the leader CPU has served its work: every
+// request's ordering, started when it was admitted (see order), and the
+// batch digest, started now. So a saturated leader still delays its own
+// pipeline — the single-pipeline bottleneck COP spreads across K leaders —
+// but a batch that fills while the CPU has cores to spare waits for no
+// batch-length job.
 func (r *Replica) proposeBatch() {
 	if r.stopped || r.pending.Len() == 0 || !r.IsLeader() || r.viewChanging {
 		return
@@ -238,31 +258,18 @@ func (r *Replica) proposeBatch() {
 	if r.seqNext >= r.stable+r.cfg.LogWindow {
 		return // watermark window full; retried after the next checkpoint
 	}
-	n := r.pending.Len()
-	if n > r.cfg.BatchSize {
-		n = r.cfg.BatchSize
-	}
-	batch := make([]Request, n)
+	batch := make([]Request, min(r.pending.Len(), r.cfg.BatchSize))
+	var ready sim.Time
 	for i := range batch {
-		batch[i] = r.pending.Pop()
+		q := r.pending.Pop()
+		batch[i], ready = q.Request, max(ready, q.ready)
 	}
 	r.seqNext++
 	seq := r.seqNext
-
-	params := r.node.Network().Params()
-	// Ordering is leader work: validating, bookkeeping and marshalling
-	// every request of the batch into the proposal burns leader CPU.
-	// The proposal leaves only after the host CPU has actually served
-	// that work, so a saturated leader delays its own pipeline — the
-	// single-pipeline bottleneck COP spreads across K leaders.
-	var order sim.Time
-	for _, req := range batch {
-		order += params.Protocol.OrderCost(len(req.Op))
-	}
 	pp := PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(batch), Batch: batch}
-	r.crypto(auth.DigestCost(params.Crypto, encodedSize(pp)))
+	ready = max(ready, r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, encodedSize(pp))))
 	r.slotFor(seq).pp = &pp
-	r.node.CPU.Acquire(order, func() {
+	r.node.Loop().At(ready, func() {
 		// A view change while the proposal was being marshalled makes it
 		// stale: the requests keep their rows and the new leader
 		// re-proposes them.
@@ -326,11 +333,14 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	if !r.accepts(pp.View, pp.Seq) || sender != r.Leader(pp.View) {
 		return // only the view's leader may propose
 	}
-	// Integrity: the digest must match the carried batch (an
-	// equivocating leader fails here).
+	// Integrity: the digest must match the carried batch. The MACs cover
+	// only the header, so this is what binds the batch. A mismatch is no
+	// evidence against the leader — any replica can relay the leader's
+	// envelope with its batch altered — so the proposal is dropped, as in
+	// Castro & Liskov: a backup that never gets a valid one is covered by
+	// its progress timer.
 	r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, size))
 	if r.batches.digest(pp.Batch) != pp.Digest {
-		r.startViewChange(r.view + 1)
 		return
 	}
 	s := r.slotFor(pp.Seq)

@@ -38,8 +38,9 @@ type Replica struct {
 	// stopped marks a crashed process: no sends, no receives, no timers.
 	stopped bool
 
-	// Leader batching.
-	pending    sim.Queue[Request]
+	// Leader batching: admitted requests, each with the instant its
+	// ordering work is done (see order).
+	pending    sim.Queue[admitted]
 	batchTimer sim.Timer
 
 	// What request admission reads, one row per client and one per request
@@ -199,8 +200,9 @@ func (r *Replica) HandleClientConn(p *msgnet.Peer) {
 	})
 }
 
-// crypto charges modeled CPU time for cryptographic work.
-func (r *Replica) crypto(d sim.Time) { r.node.CPU.Delay(d) }
+// crypto charges modeled CPU time for cryptographic work and returns the
+// instant the work is done.
+func (r *Replica) crypto(d sim.Time) sim.Time { return r.node.CPU.Delay(d) }
 
 // deferSend sends env to one peer — or, with to nil, to every other replica,
 // the odd-numbered ones getting oddEnv — now, or after delay, the injected
@@ -289,20 +291,34 @@ func (r *Replica) send(to uint32, m Message) {
 	r.deferSend(r.faults.SendDelay, r.peers[to], classFor(t), env, nil)
 }
 
+// ppHeader is the length of a pre-prepare's header: type, view, sequence
+// and batch digest.
+const ppHeader = 1 + 8 + 8 + auth.DigestSize
+
+// authenticated returns what a replica authenticator covers of payload: a
+// pre-prepare's header, whose digest binds the batch (Castro & Liskov
+// §4.2), and any other message whole. The modeled MAC charges follow it.
+func authenticated(payload []byte) []byte {
+	if len(payload) > ppHeader && MsgType(payload[0]) == MsgPrePrepare {
+		return payload[:ppHeader]
+	}
+	return payload
+}
+
 // seal lays sender | len | payload | MACs out in the replica's scratch, at
 // exactly the envelope's size: m is encoded once, straight into place, and
-// each MAC is computed over that sub-slice and appended behind it. t is the
-// payload's type — read off its tag, because asking m would box it — and
-// size its length, which the modeled crypto charges go by. env is valid
-// until the replica's next seal or reply.
+// each MAC is computed over what of it is authenticated and appended behind
+// it. t is the payload's type — read off its tag, because asking m would box
+// it — and size the length the MACs cover, which the modeled crypto charges
+// go by. env is valid until the replica's next seal or reply.
 func (r *Replica) seal(m Message) (env []byte, t MsgType, size int) {
 	kr := r.keyring
-	size, n := encodedSize(m), kr.N()
-	e := &encoder{buf: room(&r.scratch, 4+4+size+4+4*n+(n-1)*auth.MACSize)}
+	length, n := encodedSize(m), kr.N()
+	e := &encoder{buf: room(&r.scratch, 4+4+length+4+4*n+(n-1)*auth.MACSize)}
 	e.u32(r.id)
-	e.u32(uint32(size))
+	e.u32(uint32(length))
 	e.message(m)
-	payload := e.buf[8:]
+	covered := authenticated(e.buf[8:])
 	e.u32(uint32(n))
 	for peer := 0; peer < n; peer++ {
 		if peer == kr.Self() {
@@ -310,12 +326,12 @@ func (r *Replica) seal(m Message) (env []byte, t MsgType, size int) {
 			continue
 		}
 		e.u32(auth.MACSize)
-		e.buf = kr.AppendMAC(e.buf, peer, payload)
+		e.buf = kr.AppendMAC(e.buf, peer, covered)
 		if r.faults.CorruptMACs {
 			e.buf[len(e.buf)-auth.MACSize] ^= 0xFF
 		}
 	}
-	return e.buf, MsgType(payload[0]), size
+	return e.buf, MsgType(covered[0]), len(covered)
 }
 
 // openEnvelope walks the authenticated wrapper of a replica-to-replica
@@ -348,8 +364,9 @@ func (r *Replica) handleEnvelope(raw []byte) {
 	if err != nil {
 		return
 	}
-	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
-	if !r.keyring.Verify(int(sender), payload, mac) {
+	covered := authenticated(payload)
+	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(covered)))
+	if !r.keyring.Verify(int(sender), covered, mac) {
 		return // forged or corrupted: drop (paper III-C: HMACs detect)
 	}
 	var m decoded

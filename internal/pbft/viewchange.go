@@ -200,7 +200,7 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	if r.IsLeader() {
 		for _, id := range r.knownIDs() {
 			row := r.requests[id]
-			r.pending.Push(row.Request)
+			r.order(row.Request)
 			r.requests[id] = request{row.Request, assigned, 0}
 		}
 	}
@@ -220,7 +220,7 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 // back — what was assigned is merely known again, what is done stays done —
 // or, with drop, forgets every request. The clients' floors outlive both.
 func (r *Replica) resetRequests(drop bool) {
-	r.pending = sim.Queue[Request]{}
+	r.pending = sim.Queue[admitted]{}
 	if drop {
 		clear(r.requests)
 		r.arrivals = sim.Queue[RequestID]{}

@@ -8,33 +8,34 @@ import (
 )
 
 // checkedIn reads one checked-in result file and returns a lookup of the
-// mean-latency point (series, payload KB) that fails the test when the
-// file has no such point.
-func checkedIn(t *testing.T, name string) func(series string, kb float64) float64 {
+// point (series, x) of one metric that fails the test when the file has no
+// such point.
+func checkedIn(t *testing.T, name, metric string) func(series string, x float64) float64 {
 	t.Helper()
 	res, err := metrics.ReadResultFile(metrics.ResultFilename(name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(series string, kb float64) float64 {
+	return func(series string, x float64) float64 {
 		t.Helper()
-		s := res.GetSeries(series, metrics.MetricLatencyMean)
+		s := res.GetSeries(series, metric)
 		if s == nil {
-			t.Fatalf("%s: missing series (%s, %s)", name, series, metrics.MetricLatencyMean)
+			t.Fatalf("%s: missing series (%s, %s)", name, series, metric)
 		}
-		y := s.At(kb)
+		y := s.At(x)
 		if math.IsNaN(y) || y <= 0 {
-			t.Fatalf("%s: series %q has no positive point at %v KB", name, series, kb)
+			t.Fatalf("%s: series (%s, %s) has no positive point at %v", name, series, metric, x)
 		}
 		return y
 	}
 }
 
 // TestPaperFiguresCheckedIn pins the paper's qualitative claims against
-// the checked-in BENCH_E1/E3/E6.json without running anything — on the
-// full sweeps, what TestFig3LatencyOrdering, TestFig3ChannelVsTCPBand,
-// TestFig4Shape and TestAblationTable assert on short runs. A change that
-// moves a figure's shape fails here when the file is regenerated.
+// the checked-in BENCH_E1/E3/E5/E6/E8.json without running anything — on
+// the full sweeps, what TestFig3LatencyOrdering, TestFig3ChannelVsTCPBand,
+// TestFig4Shape, TestAblationTable and TestBFTAgreementFasterOverRUBIN
+// assert on short runs. A change that moves a figure's shape fails here
+// when the file is regenerated.
 //
 // E6 is pinned as the file reads, including two things that are open
 // questions rather than claims (ROADMAP O19): the projected zero-copy
@@ -45,7 +46,7 @@ func TestPaperFiguresCheckedIn(t *testing.T) {
 	// series at every payload; the channel beats raw Send/Recv only at
 	// 1–2 KB (selective signaling) and trails it from 4 KB on (the receive
 	// copy).
-	e1 := checkedIn(t, "E1")
+	e1 := checkedIn(t, "E1", metrics.MetricLatencyMean)
 	for _, kb := range []float64{1, 2, 4, 8, 16, 32, 64, 100} {
 		tcp, sr, rw, ch := e1("TCP", kb), e1("RDMA Send/Recv", kb), e1("RDMA Read/Write", kb), e1("RDMA Channel", kb)
 		if tcp <= sr || tcp <= ch {
@@ -66,7 +67,7 @@ func TestPaperFiguresCheckedIn(t *testing.T) {
 	}
 
 	// Figure 4a: the RUBIN selector is below the NIO selector everywhere.
-	e3 := checkedIn(t, "E3")
+	e3 := checkedIn(t, "E3", metrics.MetricLatencyMean)
 	for _, kb := range []float64{1, 10, 20, 40, 60, 80, 100} {
 		if r, n := e3("Rubin", kb), e3("TCP", kb); r >= n {
 			t.Errorf("E3 %vKB: RUBIN (%.0f) should beat NIO (%.0f)", kb, r, n)
@@ -79,8 +80,28 @@ func TestPaperFiguresCheckedIn(t *testing.T) {
 		t.Errorf("E3 100KB: RUBIN %.0f / NIO %.0f, want 2556 / 4890", r, n)
 	}
 
+	// The paper's stated goal, BFT over RUBIN: the replicated system over
+	// RUBIN out-commits the same protocol code over NIO, at a lower mean
+	// latency, at every payload of E5.
+	e5Mean, e5Rate := checkedIn(t, "E5", metrics.MetricLatencyMean), checkedIn(t, "E5", metrics.MetricThroughput)
+	for _, kb := range []float64{1, 4, 16} {
+		if r, n := e5Rate("Reptor+RUBIN", kb), e5Rate("Reptor+NIO", kb); r <= n {
+			t.Errorf("E5 %vKB: Reptor+RUBIN commits %.0f req/s, Reptor+NIO %.0f; RUBIN should commit more", kb, r, n)
+		}
+		if r, n := e5Mean("Reptor+RUBIN", kb), e5Mean("Reptor+NIO", kb); r >= n {
+			t.Errorf("E5 %vKB: Reptor+RUBIN mean %.1f us, Reptor+NIO %.1f us; RUBIN should be lower", kb, r, n)
+		}
+	}
+
+	// COP (Behl et al.): at the largest payload the single leader's
+	// ordering CPU binds, and four leaders out-commit one over RUBIN.
+	e8Rate := checkedIn(t, "E8", metrics.MetricThroughput)
+	if k4, k1 := e8Rate("COP RUBIN 64KB", 4), e8Rate("COP RUBIN 64KB", 1); k4 <= k1 {
+		t.Errorf("E8 COP RUBIN 64KB: K=4 commits %.0f req/s, K=1 %.0f; K=4 should commit more", k4, k1)
+	}
+
 	// Section IV ablations: the sign of each, per payload.
-	e6 := checkedIn(t, "E6")
+	e6 := checkedIn(t, "E6", metrics.MetricLatencyMean)
 	for _, kb := range []float64{1, 4, 16, 64, 100} {
 		full := e6("full (all optimizations)", kb)
 		for _, name := range []string{"no selective signaling", "no doorbell batching"} {
