@@ -167,6 +167,9 @@ func (r *Replica) handleRequest(req Request) {
 	}
 	r.order(req)
 	if r.pending.Len() >= r.cfg.BatchSize {
+		// A batch cut by size takes the timer with it: the next request
+		// starts a full BatchDelay of its own.
+		r.batchTimer.Cancel()
 		r.proposeBatch()
 		return
 	}

@@ -49,6 +49,27 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	}
 }
 
+// TestSizeCutRestartsTheBatchTimer: with BatchSize 4, requests 1–4 arrive
+// 10 µs apart and the fourth cuts a batch by size; request 5 arrives 10 µs
+// after the cut. It waits one full BatchDelay for company, not what was
+// left of the timer request 1 armed.
+func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchSize = 4
+	r := bareReplica(t, 0, cfg)
+	loop := r.node.Loop()
+	const gap = 10 * sim.Microsecond
+	for i, req := range batchOf(5, 64) {
+		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req) })
+	}
+	for (r.lookup(2) == nil || r.lookup(2).pp == nil) && loop.Step() {
+	}
+	if want := 4*gap + cfg.BatchDelay; loop.Now() != want {
+		t.Errorf("the request admitted after the size cut was proposed at %v, want %v: its own BatchDelay after it arrived",
+			loop.Now(), want)
+	}
+}
+
 // sealedProposal returns a one-sequence proposal of leader 0 and its
 // envelope as the leader would send it, in a buffer of its own.
 func sealedProposal(r *Replica) (PrePrepare, []byte) {
