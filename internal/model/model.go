@@ -182,28 +182,28 @@ type CryptoParams struct {
 // ProtocolParams models the agreement-protocol bookkeeping CPU costs that
 // sit outside the transport and crypto stacks — the Java-flavored request
 // validation, proposal marshalling and reply construction the Reptor
-// leader pays for every request it orders. These terms are what make a
-// single leader's CPU saturate under load: every replica pays
+// leader pays for every request it orders. Every replica pays
 // ExecRequest, but only the leader pays OrderRequest/OrderPerKB for the
-// whole offered load, which is exactly the bottleneck COP's K parallel
-// leaders (Behl et al., Middleware '15) are designed to spread. The
-// leader charges OrderCost once per request it admits, as one CPU job
-// started at admission, and a proposal leaves only once all of its
-// requests' jobs are done.
+// whole offered load: the single-leader cost COP's K parallel leaders
+// (Behl et al., Middleware '15) are designed to spread. The leader charges
+// OrderCost once per request it admits, as one CPU job started at
+// admission, and a proposal leaves only once all of its requests' jobs are
+// done.
 type ProtocolParams struct {
 	// OrderRequest is the leader-side fixed CPU cost to validate, enqueue
 	// and assign one client request into a proposal.
 	OrderRequest sim.Time
 	// OrderPerKB is the additional leader-side marshalling cost per KB of
-	// request payload copied into the proposal.
+	// proposal. A proposal names each request by a 44-byte ref (client,
+	// timestamp, digest), so this is per KB of refs, not of payload.
 	OrderPerKB sim.Time
 	// ExecRequest is the per-request execution/reply bookkeeping cost
 	// every replica pays at execution time.
 	ExecRequest sim.Time
 }
 
-// OrderCost returns the leader CPU cost to order one request of the given
-// payload size.
+// OrderCost returns the leader CPU cost to order one request that takes
+// size bytes of a proposal.
 func (pp ProtocolParams) OrderCost(size int) sim.Time {
 	return pp.OrderRequest + KB(pp.OrderPerKB, size)
 }

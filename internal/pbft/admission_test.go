@@ -106,11 +106,17 @@ func TestRequestTablesStayBounded(t *testing.T) {
 	}
 }
 
-// preprepare delivers the view's proposal of a one-request batch at seq.
+// preprepare delivers the view's proposal of a one-request batch at seq, by
+// ref — and, if the replica holds no copy of the request and so parks the
+// proposal, the leader's answer to its FETCH.
 func (x *timerFixture) preprepare(seq, ts uint64) *slot {
-	batch := []Request{timerRequest(ts)}
-	pp := PrePrepare{View: x.r.view, Seq: seq, Digest: BatchDigest(batch), Batch: batch}
-	x.r.handlePrePrepare(x.r.Leader(x.r.view), pp, len(Encode(pp)))
+	req := timerRequest(ts)
+	pp := PrePrepare{View: x.r.view, Seq: seq, Digest: BatchDigest([]Request{req}), Refs: []RequestRef{refOf(req)}}
+	leader := x.r.Leader(x.r.view)
+	x.r.handlePrePrepare(leader, pp, len(Encode(pp)))
+	if s := x.r.lookup(seq); s != nil && s.parked {
+		x.r.handleEnvelope(sealedBy(x.r, leader, req))
+	}
 	return x.r.lookup(seq)
 }
 
@@ -135,9 +141,10 @@ func (x *timerFixture) idle(t *testing.T, when string) {
 }
 
 // TestLateCopyOfExecutedRequestIsIgnored: a backup sees a request first in
-// its leader's proposal and executes it; the client's own copy arrives
-// afterwards, its sequence still inside the window and a later reply
-// already cached. The copy changes nothing and arms no timer.
+// its leader's proposal, fetches it from the leader and executes it; the
+// client's own copy arrives afterwards, its sequence still inside the
+// window and a later reply already cached. The copy changes nothing and
+// arms no timer.
 func TestLateCopyOfExecutedRequestIsIgnored(t *testing.T) {
 	x := newTimerFixture(t)
 	x.commit(1, 1)
@@ -182,15 +189,21 @@ func TestStablePointPassingUnexecutedRequestsDropsThem(t *testing.T) {
 	}
 }
 
-// TestRowFollowsItsLatestSlot: a request that executed at sequence 1 and that
-// a (replaying) leader proposes again at sequence 70 has one row, and the row
-// is the later slot's: the first slot leaving the window raises the floor
-// but leaves the row to the slot that still holds the request.
+// TestRowFollowsItsLatestSlot: a request that a (replaying) leader proposes
+// at sequence 70 and at sequence 1 has one row, and the row is the later
+// slot's: executing sequence 1 keeps the copy slot 70 still names, and the
+// first slot leaving the window raises the floor but leaves the row to the
+// slot that still holds the request. Proposed again only after this backup
+// executed it and released its copy, the request matches no ref of the
+// replay, and the proposal is dropped.
 func TestRowFollowsItsLatestSlot(t *testing.T) {
 	x := newTimerFixture(t)
-	x.commit(1, 1)
 	x.preprepare(70, 1)
+	x.commit(1, 1)
 	id := timerRequest(1).ID()
+	if row := x.r.requests[id]; x.r.executed != 1 || row.state != done || row.seq != 70 || row.Op == nil {
+		t.Fatalf("sequence 1 executed (executed %d): row %+v; want it done, at sequence 70, its copy kept", x.r.executed, row)
+	}
 	x.r.advanceStable(64)
 	if row, seen := x.r.requests[id]; !seen || row.seq != 70 || x.r.clients[100].floor != 1 {
 		t.Errorf("sequence 1 left the window: row %+v (present %v), floor %d; want the row of slot 70 and floor 1", row, seen, x.r.clients[100].floor)
@@ -198,5 +211,14 @@ func TestRowFollowsItsLatestSlot(t *testing.T) {
 	x.r.advanceStable(128)
 	if _, seen := x.r.requests[id]; seen {
 		t.Error("sequence 70 left the window and the row is still there")
+	}
+
+	x = newTimerFixture(t)
+	x.commit(1, 1)
+	if s := x.preprepare(70, 1); s == nil || s.pp != nil {
+		t.Error("a replay of a request this backup executed and released was not dropped")
+	}
+	if row := x.r.requests[id]; row.state != done || row.seq != 1 || row.Op != nil {
+		t.Errorf("after the replay: row %+v; want it done at sequence 1, its copy released", row)
 	}
 }

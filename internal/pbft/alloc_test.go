@@ -63,6 +63,58 @@ func TestVoteDeliveryAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestProposalAllocatesWhatItKeeps: with nothing waiting for a request, a
+// proposal costs the heap what its replicas keep. A backup that holds the
+// client's copy of every request a PRE-PREPARE names opens, checks, decodes
+// and accepts it — moves each request's row, PREPAREs — allocating the
+// proposal and its one slice of refs, as it allocated the proposal and its
+// one slice of requests when a PRE-PREPARE carried them. A leader building
+// a proposal of eight admitted requests allocates the same two and the
+// closure that sends it once its work is done: no slice of digests, and
+// nothing for the retry it posts for the requests still queued.
+func TestProposalAllocatesWhatItKeeps(t *testing.T) {
+	skipUnderRace(t)
+	cfg := DefaultConfig()
+	const runs = 51 // AllocsPerRun's warm-up and 50 measured
+	backup, leader := bareReplica(t, 1, cfg), bareReplica(t, 0, cfg)
+	var raws [][]byte
+	for seq := uint64(1); seq <= runs+1; seq++ { // one batch more, so every proposal leaves some queued
+		batch := make([]Request, cfg.BatchSize)
+		for i := range batch {
+			batch[i] = timerRequest(seq*100 + uint64(i))
+			backup.handleRequest(batch[i])
+			d, _ := leader.digest(batch[i])
+			leader.file(batch[i], d, assigned, 0)
+			leader.order(refOf(batch[i]), 0)
+		}
+		backup.slotFor(seq) // a ring cell is state the replica keeps
+		leader.slotFor(seq)
+		raws = append(raws, sealedBy(backup, 0, PrePrepare{Seq: seq, Digest: BatchDigest(batch), Refs: refsOf(batch)}))
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(runs-1, func() { backup.handleEnvelope(raws[next]); next++ }); allocs != 2 {
+		t.Errorf("accepting a pre-prepare of %d held requests allocates %v times, want 2: the proposal and its refs", cfg.BatchSize, allocs)
+	}
+	if s := backup.lookup(runs); s == nil || !s.sentPrep || len(backup.parked) != 0 {
+		t.Fatal("the backup did not PREPARE the last proposal: the gate measured a drop")
+	}
+	// The loop recycles its events, but the leader's never runs here (its
+	// progress timer is armed): fill the free list it will draw on.
+	var timers []sim.Timer
+	for i := 0; i < 2*runs; i++ {
+		timers = append(timers, leader.node.Loop().Post(func() {}))
+	}
+	for _, timer := range timers {
+		timer.Cancel()
+	}
+	if allocs := testing.AllocsPerRun(runs-1, leader.proposeBatch); allocs != 3 {
+		t.Errorf("proposing %d admitted requests allocates %v times, want 3: the proposal, its refs and its send", cfg.BatchSize, allocs)
+	}
+	if s := leader.lookup(runs); s == nil || s.pp == nil || len(s.pp.Refs) != cfg.BatchSize {
+		t.Fatal("the leader did not propose its last batch: the gate measured nothing")
+	}
+}
+
 // TestForgedEnvelopeCountAllocatesNothing: the entry count of a MAC vector
 // is input no MAC has vouched for. The largest one the bound admits — 2^16
 // empty entries, a 256 KiB envelope — used to size 1.5 MiB of slice headers
@@ -214,6 +266,7 @@ func TestBoxedDecodeAllocatesOnce(t *testing.T) {
 		Prepare{View: 1, Seq: 2, Digest: d, Replica: 3}, Commit{View: 1, Seq: 2, Digest: d, Replica: 3},
 		Reply{View: 1, Timestamp: 2, Client: 3, Result: []byte("r")}, ReadReply{Timestamp: 2, Client: 1, Result: []byte("r")},
 		Checkpoint{Seq: 64, Digest: d, Replica: 2}, StatePart{Seq: 64, Part: 3, Data: []byte("part"), Replica: 1},
+		Fetch{Seq: 64, Replica: 2},
 	} {
 		raw := Encode(m)
 		if allocs := testing.AllocsPerRun(50, func() { _, _ = Decode(raw) }); allocs != 1 {

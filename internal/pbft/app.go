@@ -142,9 +142,10 @@ func (c Config) Quorum() int { return 2*c.F + 1 }
 type Faults struct {
 	// Mute drops outgoing messages of these types.
 	Mute map[MsgType]bool
-	// EquivocateLeader makes a leader send pre-prepares with corrupted
-	// digests to half the backups (dropped, so no quorum prepares and the
-	// progress timer replaces the leader).
+	// EquivocateLeader makes a leader send the odd backups pre-prepares
+	// that name a request by a corrupted digest (each backup's own copy
+	// does not match it, so no quorum prepares and the progress timer
+	// replaces the leader).
 	EquivocateLeader bool
 	// CorruptMACs invalidates outgoing authenticators.
 	CorruptMACs bool

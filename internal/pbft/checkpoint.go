@@ -221,7 +221,7 @@ func (r *Replica) recordCheckpoint(sender uint32, m Checkpoint) {
 		r.advanceStable(m.Seq)
 		return
 	}
-	if m.Seq >= r.executed+r.cfg.CheckpointEvery && r.cps.votes[m.Seq].max() >= r.cfg.F+1 {
+	if (m.Seq >= r.executed+r.cfg.CheckpointEvery || r.stranded(m.Seq)) && r.cps.votes[m.Seq].max() >= r.cfg.F+1 {
 		// F+1 matching votes mean at least one correct replica
 		// executed through m.Seq — at least one full interval beyond
 		// our execution point: we missed commits (restarted,
@@ -233,7 +233,9 @@ func (r *Replica) recordCheckpoint(sender uint32, m Checkpoint) {
 		// independently verifies the fetched state against F+1
 		// matching manifests or a full certificate. A replica less
 		// than one interval behind is still executing from its own
-		// log and needs no transfer.
+		// log and needs no transfer — unless a proposal it parked is at
+		// or below m.Seq: the group forgets a proposal's requests with
+		// it, so no FETCH can finish that one.
 		if m.Seq > r.fetch.target {
 			r.fetch.target = m.Seq
 		}
@@ -248,10 +250,10 @@ func (r *Replica) recordCheckpoint(sender uint32, m Checkpoint) {
 
 // advanceStable moves the watermark window up to the new stable
 // checkpoint: the log's cells at or below it read as absent from here on.
-// They keep their vote storage for the next lap but not their proposal —
-// the batch is the bulk of a slot, and the ring would pin LogWindow of them —
-// and its requests leave the request table with it, executed here or not:
-// below the stable point a quorum executed them, as the clients' floors record.
+// They keep their vote storage for the next lap but not their proposal,
+// and the requests it names leave the request table with it, executed here
+// or not: below the stable point a quorum executed them, as the clients'
+// floors record.
 func (r *Replica) advanceStable(seq uint64) {
 	if seq <= r.stable {
 		return
@@ -261,19 +263,19 @@ func (r *Replica) advanceStable(seq uint64) {
 		if s == nil || s.pp == nil {
 			continue
 		}
-		for _, req := range s.pp.Batch {
-			if r.requests[req.ID()].seq <= at { // not one a later slot holds again
-				delete(r.requests, req.ID())
+		for _, ref := range s.pp.Refs {
+			if r.requests[ref.RequestID].seq <= at { // not one a later slot names too
+				delete(r.requests, ref.RequestID)
 			}
-			c := r.client(req.Client)
-			c.floor = max(c.floor, req.Timestamp)
+			c := r.client(ref.Client)
+			c.floor = max(c.floor, ref.Timestamp)
 		}
-		s.pp = nil
+		s.pp, s.parked = nil, false
 	}
 	r.stable = seq
 	r.cps.gc(seq)
 	r.fetch.prune(seq)
 	if r.IsLeader() && r.pending.Len() > 0 {
-		r.node.Loop().Post(r.proposeBatch)
+		r.node.Loop().Post(r.propose)
 	}
 }

@@ -156,10 +156,12 @@ func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
 }
 
 // Invoke submits one operation to all replicas; done fires once F+1
-// matching replies arrive. (Production PBFT sends to the primary first
-// and broadcasts on timeout; broadcasting immediately is equivalent for
-// safety and simpler for a simulation client.) The returned string is
-// the request's key — the id the observability layer traces it under.
+// matching replies arrive. The replicas depend on the broadcast: a
+// pre-prepare names requests by digest, and every replica executes the
+// copy it got from the client — one that missed it fetches it from the
+// leader (Castro & Liskov, TOCS 2002, separate request transmission). The
+// returned string is the request's key — the id the observability layer
+// traces it under.
 func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next

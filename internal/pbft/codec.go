@@ -26,6 +26,7 @@ func (ReadRequest) msgType() MsgType   { return MsgReadRequest }
 func (ReadReply) msgType() MsgType     { return MsgReadReply }
 func (StateManifest) msgType() MsgType { return MsgStateManifest }
 func (StatePart) msgType() MsgType     { return MsgStatePart }
+func (Fetch) msgType() MsgType         { return MsgFetch }
 
 // encoder fills buf, which its creator sized exactly (a short buffer
 // panics instead of growing). With buf nil it only counts in n the bytes
@@ -152,6 +153,52 @@ func decodeRequests(d *decoder) []Request {
 	return reqs
 }
 
+// refSize is the encoded length of a RequestRef: client, timestamp, digest.
+const refSize = 4 + 8 + auth.DigestSize
+
+func (e *encoder) ref(ref RequestRef) {
+	e.u32(ref.Client)
+	e.u64(ref.Timestamp)
+	e.digest(ref.Digest)
+}
+
+// encodeRefs writes what a PRE-PREPARE carries: its Refs, or — for a
+// proposal that holds its requests instead — theirs, digested here unless
+// the encoder is only counting.
+func encodeRefs(e *encoder, pp PrePrepare) {
+	if pp.Refs == nil {
+		e.u32(uint32(len(pp.Batch)))
+		for _, req := range pp.Batch {
+			if e.buf == nil {
+				e.next(refSize)
+				continue
+			}
+			e.ref(refOf(req))
+		}
+		return
+	}
+	e.u32(uint32(len(pp.Refs)))
+	for _, ref := range pp.Refs {
+		e.ref(ref)
+	}
+}
+
+// decodeRefs reads a PRE-PREPARE's refs into one slice, sized by a count
+// no longer than the input could hold.
+func decodeRefs(d *decoder) []RequestRef {
+	n := d.count(len(d.buf) / refSize)
+	if n == 0 {
+		return nil
+	}
+	refs := make([]RequestRef, n)
+	for i := range refs {
+		refs[i] = RequestRef{RequestID{d.u32(), d.u64()}, d.digest()}
+	}
+	return refs
+}
+
+// encodeProposal writes a proposal of a VIEW-CHANGE or a NEW-VIEW: header
+// and requests.
 func encodeProposal(e *encoder, pp PrePrepare) {
 	e.u64(pp.View)
 	e.u64(pp.Seq)
@@ -244,7 +291,10 @@ func (e *encoder) message(m Message) {
 		encodeRequest(e, Request(v))
 	case PrePrepare:
 		e.u8(uint8(v.msgType()))
-		encodeProposal(e, v)
+		e.u64(v.View)
+		e.u64(v.Seq)
+		e.digest(v.Digest)
+		encodeRefs(e, v)
 	case Prepare:
 		e.u8(uint8(v.msgType()))
 		encodeVote(e, v)
@@ -300,6 +350,10 @@ func (e *encoder) message(m Message) {
 		e.u32(v.Replica)
 		e.u64(v.Executed)
 		e.bytes(v.Result)
+	case Fetch:
+		e.u8(uint8(v.msgType()))
+		e.u64(v.Seq)
+		e.u32(v.Replica)
 	default:
 		panic("pbft: cannot encode a message of this type")
 	}
@@ -325,6 +379,7 @@ type decoded struct {
 	manifest StateManifest
 	part     StatePart
 	read     ReadReply
+	fetch    Fetch
 }
 
 // decode parses a serialized protocol message into m. The byte fields of
@@ -338,7 +393,7 @@ func (m *decoded) decode(raw []byte) error {
 	case MsgRequest, MsgReadRequest:
 		m.request = decodeRequest(&d)
 	case MsgPrePrepare:
-		m.proposal = decodeProposal(&d)
+		m.proposal = PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Refs: decodeRefs(&d)}
 	case MsgPrepare, MsgCommit:
 		m.vote = Prepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Replica: m.origin(&d)}
 	case MsgReply:
@@ -357,6 +412,8 @@ func (m *decoded) decode(raw []byte) error {
 		m.part = StatePart{Seq: d.u64(), Part: d.u32(), Data: d.bytes(), Replica: m.origin(&d)}
 	case MsgReadReply:
 		m.read = ReadReply{Timestamp: d.u64(), Client: d.u32(), Replica: m.origin(&d), Executed: d.u64(), Result: d.bytes()}
+	case MsgFetch:
+		m.fetch = Fetch{Seq: d.u64(), Replica: m.origin(&d)}
 	default:
 		return fmt.Errorf("pbft: unknown message type %d", m.typ)
 	}
@@ -395,6 +452,7 @@ var boxed = [...]func(decoded) Message{
 	MsgStateManifest: func(m decoded) Message { return m.manifest },
 	MsgStatePart:     func(m decoded) Message { return m.part },
 	MsgReadReply:     func(m decoded) Message { return m.read },
+	MsgFetch:         func(m decoded) Message { return m.fetch },
 }
 
 // encodedSize returns len(Encode(m)) without encoding. It sizes every
@@ -407,35 +465,39 @@ func encodedSize(m Message) int {
 }
 
 // batchDigester computes the digest a pre-prepare commits to — SHA-256 over
-// the bytes encodeRequests produces — by streaming them into a Reset-reused
-// hash state, so no batch-sized buffer exists. Single-goroutine state, like
-// auth.Keyring; hdr and sum are scratches that keep a digest allocation-free.
+// the bytes encodeRefs produces — by streaming them into a Reset-reused
+// hash state. Single-goroutine state, like auth.Keyring; ref and sum are
+// scratches that keep a digest allocation-free.
 type batchDigester struct {
 	h   hash.Hash
-	hdr [4 + 8 + 4]byte // client, timestamp, operation length
+	ref [refSize]byte
 	sum auth.Digest
 }
 
-func (b *batchDigester) digest(batch []Request) auth.Digest {
+func (b *batchDigester) digest(refs []RequestRef) auth.Digest {
 	if b.h == nil {
 		b.h = sha256.New()
 	}
 	b.h.Reset()
-	binary.BigEndian.PutUint32(b.hdr[:], uint32(len(batch)))
-	b.h.Write(b.hdr[:4])
-	for _, r := range batch {
-		binary.BigEndian.PutUint32(b.hdr[:], r.Client)
-		binary.BigEndian.PutUint64(b.hdr[4:], r.Timestamp)
-		binary.BigEndian.PutUint32(b.hdr[12:], uint32(len(r.Op)))
-		b.h.Write(b.hdr[:])
-		b.h.Write(r.Op)
+	binary.BigEndian.PutUint32(b.ref[:], uint32(len(refs)))
+	b.h.Write(b.ref[:4])
+	for _, ref := range refs {
+		binary.BigEndian.PutUint32(b.ref[:], ref.Client)
+		binary.BigEndian.PutUint64(b.ref[4:], ref.Timestamp)
+		copy(b.ref[12:], ref.Digest[:])
+		b.h.Write(b.ref[:])
 	}
 	b.h.Sum(b.sum[:0])
 	return b.sum
 }
 
-// BatchDigest computes the digest a pre-prepare commits to.
+// BatchDigest computes the digest a pre-prepare of batch commits to: the
+// digest of the refs that name its requests.
 func BatchDigest(batch []Request) auth.Digest {
+	refs := make([]RequestRef, len(batch))
+	for i, req := range batch {
+		refs[i] = refOf(req)
+	}
 	var b batchDigester
-	return b.digest(batch)
+	return b.digest(refs)
 }

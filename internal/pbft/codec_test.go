@@ -27,7 +27,8 @@ func TestCodecRoundTripAllTypes(t *testing.T) {
 	}
 	msgs := []Message{
 		Request{Client: 1, Timestamp: 2, Op: []byte("x")},
-		PrePrepare{View: 3, Seq: 4, Digest: d, Batch: reqs},
+		PrePrepare{View: 3, Seq: 4, Digest: d, Refs: refsOf(reqs)},
+		Fetch{Seq: 4, Replica: 2},
 		Prepare{View: 3, Seq: 4, Digest: d, Replica: 2},
 		Commit{View: 3, Seq: 4, Digest: d, Replica: 1},
 		Reply{View: 3, Timestamp: 9, Client: 7, Replica: 0, Result: []byte("OK")},
@@ -73,9 +74,6 @@ func normalize(m Message) Message {
 	switch v := m.(type) {
 	case Request:
 		v.Op = fix(v.Op)
-		return v
-	case PrePrepare:
-		v.Batch = fixReqs(v.Batch)
 		return v
 	case Reply:
 		v.Result = fix(v.Result)
@@ -133,13 +131,25 @@ func batchOf(n, opBytes int) []Request {
 	return b
 }
 
+// refsOf returns the refs that name batch's requests (nil for none, as a
+// decoded PRE-PREPARE holds).
+func refsOf(batch []Request) []RequestRef {
+	var refs []RequestRef
+	for _, req := range batch {
+		refs = append(refs, refOf(req))
+	}
+	return refs
+}
+
 // codecTable holds every message type, the variable-length ones at empty,
-// small and 32 KiB-operation sizes.
+// small and 32 KiB-operation sizes — a pre-prepare both as a replica sends
+// it, by refs, and holding its requests instead.
 func codecTable() []Message {
 	d := auth.Hash([]byte("digest"))
 	var msgs []Message
 	for _, batch := range [][]Request{nil, batchOf(1, 0), batchOf(8, 128), batchOf(8, 32<<10)} {
 		msgs = append(msgs,
+			PrePrepare{View: 3, Seq: 4, Digest: d, Refs: refsOf(batch)},
 			PrePrepare{View: 3, Seq: 4, Digest: d, Batch: batch},
 			ViewChange{NewView: 5, Stable: 64, Replica: 2, Prepared: []PreparedProof{{View: 4, Seq: 65, Digest: d, Batch: batch}, {View: 4, Seq: 66, Digest: d}}},
 			NewView{View: 5, PrePrepares: []PrePrepare{{View: 5, Seq: 65, Digest: d, Batch: batch}, {View: 5, Seq: 66, Digest: d}}},
@@ -159,6 +169,7 @@ func codecTable() []Message {
 		Prepare{View: 3, Seq: 4, Digest: d, Replica: 2},
 		Commit{View: 3, Seq: 4, Digest: d, Replica: 1},
 		Checkpoint{Seq: 64, Digest: d, Replica: 3},
+		Fetch{Seq: 4, Replica: 2},
 		ViewChange{NewView: 5, Stable: 64, Replica: 2},
 		NewView{View: 5},
 		StateRequest{Seq: 42, Replica: 3},
@@ -263,7 +274,7 @@ func TestDecodeAliasesInput(t *testing.T) {
 		return false
 	}
 	batch := batchOf(3, 100)
-	raw, _, _ := (&Replica{keyring: auth.GenerateKeyrings(4, 7)[0]}).seal(PrePrepare{View: 1, Seq: 2, Batch: batch})
+	raw, _, _ := (&Replica{keyring: auth.GenerateKeyrings(4, 7)[0]}).seal(NewView{View: 1, PrePrepares: []PrePrepare{{View: 1, Seq: 2, Batch: batch}}})
 	env, err := DecodeEnvelope(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +291,7 @@ func TestDecodeAliasesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range m.(PrePrepare).Batch {
+	for i, r := range m.(NewView).PrePrepares[0].Batch {
 		if !inside(r.Op, raw) || !bytes.Equal(r.Op, batch[i].Op) {
 			t.Errorf("operation %d does not alias the input", i)
 		}
@@ -330,10 +341,10 @@ func TestDecodeAliasesInput(t *testing.T) {
 		}
 	}
 	var v decoded
-	if err := v.decode(env.Payload); err != nil || v.typ != MsgPrePrepare || len(v.proposal.Batch) != len(batch) {
-		t.Fatalf("by-value decode of the proposal: %v (type %v, %d requests)", err, v.typ, len(v.proposal.Batch))
+	if err := v.decode(env.Payload); err != nil || v.typ != MsgNewView || len(v.nv.PrePrepares[0].Batch) != len(batch) {
+		t.Fatalf("by-value decode of the proposal: %v (type %v)", err, v.typ)
 	}
-	for i, r := range v.proposal.Batch {
+	for i, r := range v.nv.PrePrepares[0].Batch {
 		if !inside(r.Op, raw) {
 			t.Errorf("by-value operation %d does not alias the input", i)
 		}
@@ -341,27 +352,56 @@ func TestDecodeAliasesInput(t *testing.T) {
 }
 
 // TestBatchDigestStreamsTheEncoding checks the streamed digest against
-// its definition — the hash of the batch's encoding — including on a
-// reused digester, which must carry nothing from one batch to the next.
+// its definition — the hash of the refs a PRE-PREPARE carries — including
+// on a reused digester, which must carry nothing from one batch to the
+// next, and BatchDigest, which names the requests by ref itself.
 func TestBatchDigestStreamsTheEncoding(t *testing.T) {
 	var reused batchDigester
 	for _, batch := range [][]Request{nil, {}, batchOf(1, 0), batchOf(1, 5), batchOf(8, 128), batchOf(8, 32<<10), batchOf(1, 1<<20)} {
 		e := refEncoder()
-		encodeRequests(e, batch)
+		encodeRefs(e, PrePrepare{Refs: refsOf(batch)})
 		want := auth.Hash(e.buf)
 		if got := BatchDigest(batch); got != want {
-			t.Errorf("BatchDigest of %d requests differs from the hash of their encoding", len(batch))
+			t.Errorf("BatchDigest of %d requests differs from the hash of their refs", len(batch))
 		}
-		if got := reused.digest(batch); got != want {
-			t.Errorf("reused digester of %d requests differs from the hash of their encoding", len(batch))
+		if got := reused.digest(refsOf(batch)); got != want {
+			t.Errorf("reused digester of %d refs differs from the hash of their encoding", len(batch))
 		}
 	}
 	if raceflag.Enabled {
 		return
 	}
-	batch := batchOf(8, 32<<10)
-	if allocs := testing.AllocsPerRun(10, func() { reused.digest(batch) }); allocs != 0 {
+	refs := refsOf(batchOf(8, 32<<10))
+	if allocs := testing.AllocsPerRun(10, func() { reused.digest(refs) }); allocs != 0 {
 		t.Errorf("a reused digester allocates %v times per batch, want 0", allocs)
+	}
+}
+
+// TestPrePrepareSizeIsIndependentOfPayload: a PRE-PREPARE names its
+// requests by ref, so a leader's proposal of eight 32 KiB requests encodes
+// to as many bytes as one of eight 128 B requests — as does a PrePrepare
+// handed to Encode holding the requests themselves — and carries no byte
+// of an operation.
+func TestPrePrepareSizeIsIndependentOfPayload(t *testing.T) {
+	var sizes []int
+	for _, opBytes := range []int{128, 32 << 10} {
+		batch := batchOf(8, opBytes)
+		leader := bareReplica(t, 0, DefaultConfig())
+		for _, req := range batch {
+			leader.handleRequest(req)
+		}
+		s := leader.lookup(1)
+		if s == nil || s.pp == nil {
+			t.Fatalf("%d B requests: the leader proposed nothing", opBytes)
+		}
+		raw := Encode(*s.pp)
+		if bytes.Contains(raw, batch[0].Op) {
+			t.Errorf("%d B requests: the pre-prepare carries an operation", opBytes)
+		}
+		sizes = append(sizes, len(raw), len(Encode(PrePrepare{View: 1, Seq: 7, Digest: BatchDigest(batch), Batch: batch})))
+	}
+	if want := 1 + 8 + 8 + auth.DigestSize + 4 + 8*refSize; sizes[0] != want || sizes[1] != want || sizes[2] != want || sizes[3] != want {
+		t.Errorf("pre-prepares of 8 × 128 B and 8 × 32 KiB encode to %v bytes (proposed, handed over), want %d each", sizes, want)
 	}
 }
 
@@ -369,7 +409,7 @@ func TestBatchDigestStreamsTheEncoding(t *testing.T) {
 // type 10: retiring it must not renumber them.
 func TestWireTypeBytesStable(t *testing.T) {
 	for want, got := range map[uint8]MsgType{
-		9: MsgStateRequest, 11: MsgReadRequest, 12: MsgReadReply, 13: MsgStateManifest, 14: MsgStatePart,
+		9: MsgStateRequest, 11: MsgReadRequest, 12: MsgReadReply, 13: MsgStateManifest, 14: MsgStatePart, 15: MsgFetch,
 	} {
 		if uint8(got) != want {
 			t.Errorf("%s is wire type %d, want %d", got, uint8(got), want)
@@ -380,7 +420,8 @@ func TestWireTypeBytesStable(t *testing.T) {
 func TestBatchDigestDistinguishesBatches(t *testing.T) {
 	a := []Request{{Client: 1, Timestamp: 1, Op: []byte("x")}}
 	b := []Request{{Client: 1, Timestamp: 2, Op: []byte("x")}}
-	if BatchDigest(a) == BatchDigest(b) {
+	c := []Request{{Client: 1, Timestamp: 1, Op: []byte("y")}}
+	if BatchDigest(a) == BatchDigest(b) || BatchDigest(a) == BatchDigest(c) {
 		t.Fatal("different batches share a digest")
 	}
 	if BatchDigest(a) != BatchDigest(a) {
@@ -440,7 +481,8 @@ func TestPropertyDecodeTotal(t *testing.T) {
 	}
 }
 
-// Property: PrePrepare with arbitrary batches round-trips.
+// Property: a PrePrepare holding arbitrary requests decodes to the refs
+// that name them, and its digest is the one those refs digest to.
 func TestPropertyPrePrepareCodec(t *testing.T) {
 	prop := func(view, seq uint64, ops [][]byte) bool {
 		var batch []Request
@@ -453,15 +495,9 @@ func TestPropertyPrePrepareCodec(t *testing.T) {
 			return false
 		}
 		got, ok := m.(PrePrepare)
-		if !ok || got.View != view || got.Seq != seq || got.Digest != pp.Digest || len(got.Batch) != len(batch) {
-			return false
-		}
-		for i := range batch {
-			if !bytes.Equal(got.Batch[i].Op, batch[i].Op) {
-				return false
-			}
-		}
-		return true
+		var b batchDigester
+		return ok && got.View == view && got.Seq == seq && got.Digest == pp.Digest && got.Batch == nil &&
+			reflect.DeepEqual(got.Refs, refsOf(batch)) && b.digest(got.Refs) == pp.Digest
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

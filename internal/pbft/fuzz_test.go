@@ -17,7 +17,8 @@ func fuzzSeedMessages() [][]byte {
 	batch := []Request{{Client: 7, Timestamp: 3, Op: []byte("put/k/v")}}
 	msgs := []Message{
 		Request{Client: 1, Timestamp: 2, Op: []byte("op")},
-		PrePrepare{View: 1, Seq: 2, Digest: d, Batch: batch},
+		PrePrepare{View: 1, Seq: 2, Digest: d, Refs: refsOf(batch)},
+		Fetch{Seq: 2, Replica: 3},
 		Prepare{View: 1, Seq: 2, Digest: d, Replica: 3},
 		Commit{View: 1, Seq: 2, Digest: d, Replica: 3},
 		Reply{View: 1, Timestamp: 2, Client: 3, Replica: 0, Result: []byte("r")},

@@ -37,6 +37,7 @@ const (
 	MsgReadReply
 	MsgStateManifest
 	MsgStatePart
+	MsgFetch
 )
 
 var msgTypeNames = [...]string{
@@ -53,6 +54,7 @@ var msgTypeNames = [...]string{
 	MsgReadReply:     "READ-REPLY",
 	MsgStateManifest: "STATE-MANIFEST",
 	MsgStatePart:     "STATE-PART",
+	MsgFetch:         "FETCH",
 }
 
 func (t MsgType) String() string {
@@ -83,17 +85,36 @@ func (r Request) ID() RequestID { return RequestID{r.Client, r.Timestamp} }
 // Key renders the request identity as text, "client/timestamp": the handle
 // Client.Invoke returns and the id the observability layer traces the
 // request under, in one allocation (the string).
-func (r Request) Key() string {
+func (r Request) Key() string { return r.ID().Key() }
+
+// Key renders the identity as text, as Request.Key does.
+func (id RequestID) Key() string {
 	var b [10 + 1 + 20]byte // the longest uint32, a slash, the longest uint64
-	key := append(strconv.AppendUint(b[:0], uint64(r.Client), 10), '/')
-	return string(strconv.AppendUint(key, r.Timestamp, 10))
+	key := append(strconv.AppendUint(b[:0], uint64(id.Client), 10), '/')
+	return string(strconv.AppendUint(key, id.Timestamp, 10))
 }
 
-// PrePrepare is the leader's ordering proposal for one batch.
+// RequestRef names a request inside a pre-prepare: its identity and the
+// digest of its operation. A proposal carries refs, not requests (Castro &
+// Liskov, TOCS 2002, separate request transmission): every replica has the
+// client's own copy and executes it once the copy's digest matches.
+type RequestRef struct {
+	RequestID
+	Digest auth.Digest
+}
+
+// refOf returns the ref that names req.
+func refOf(req Request) RequestRef { return RequestRef{req.ID(), auth.Hash(req.Op)} }
+
+// PrePrepare is the leader's ordering proposal for one batch. On the wire a
+// PRE-PREPARE carries Refs; a proposal inside a VIEW-CHANGE or a NEW-VIEW
+// carries the requests themselves, in Batch, since its receiver may hold
+// no copy of them. Digest commits to the refs either way (BatchDigest).
 type PrePrepare struct {
 	View   uint64
 	Seq    uint64
-	Digest auth.Digest // digest over the encoded batch
+	Digest auth.Digest
+	Refs   []RequestRef
 	Batch  []Request
 }
 
@@ -120,6 +141,14 @@ type Reply struct {
 	Client    uint32
 	Replica   uint32
 	Result    []byte
+}
+
+// Fetch asks the sender of a proposal for the requests it names: a backup
+// that holds no copy of some of them sends it, and the answer is each
+// request as an authenticated REQUEST.
+type Fetch struct {
+	Seq     uint64
+	Replica uint32
 }
 
 // Checkpoint advertises a replica's state digest at a checkpoint sequence.

@@ -48,10 +48,13 @@ func (t tally) max() int {
 }
 
 // slot is one sequence number's agreement state: a cell of the replica's
-// log, tagged with the sequence it currently holds (0: none).
+// log, tagged with the sequence it currently holds (0: none). A proposal is
+// parked while this replica lacks a copy of a request it names (see
+// resolve); a parked slot neither prepares nor executes.
 type slot struct {
 	seq      uint64
 	pp       *PrePrepare
+	parked   bool
 	prepares tally
 	commits  tally
 	sentPrep bool
@@ -121,15 +124,20 @@ func (r *Replica) client(id uint32) *client {
 	return c
 }
 
-// request is a row of the request table: known (stored until a leader orders
-// it), assigned (in this leader's queue, or in slot seq of the installed
-// view) or done (executed here at seq). advanceStable forgets the row when
-// seq leaves the watermark window, so the table holds what is outstanding
-// plus at most a window of batches.
+// request is a row of the request table: this replica's copy of a request
+// and its digest — what a proposal's ref is checked against, computed once,
+// when the copy is filed — and its state: known (stored until a leader
+// orders it), assigned (in this leader's queue, or in a slot) or done
+// (executed here; a replica that did not propose it has released the copy,
+// see tryExecute). seq is the latest sequence whose slot names the request
+// (0: none yet). advanceStable forgets the row when seq leaves the watermark
+// window, so a row outlives every slot that names it, and the table holds
+// what is outstanding plus at most a window of batches.
 type request struct {
 	Request
-	state reqState
-	seq   uint64
+	digest auth.Digest
+	state  reqState
+	seq    uint64
 }
 
 type reqState uint8
@@ -152,20 +160,29 @@ func (r *Replica) handleRequest(req Request) {
 		r.sendToClient(c, c.last)
 		return
 	}
-	if row, seen := r.requests[req.ID()]; req.Timestamp <= c.floor || seen && row.state != known {
+	row, seen := r.requests[req.ID()]
+	if req.Timestamp <= c.floor || seen && row.state != known {
 		return
 	}
+	digested := r.node.Loop().Now()
+	if !seen {
+		row.Request = req
+		row.digest, digested = r.digest(req)
+	}
+	ref := RequestRef{req.ID(), row.digest}
 	if !r.IsLeader() {
-		// Clients broadcast requests to all replicas (see Client), so
-		// the leader already has it; backups only watch for progress.
-		r.file(req, known, 0)
+		// Clients broadcast requests to all replicas (see Client), so the
+		// leader has it too. A backup keeps its copy, which is what it
+		// executes once a proposal names it, and watches for progress.
+		r.file(row.Request, row.digest, known, 0)
+		r.unpark(ref)
 		return
 	}
-	r.file(req, assigned, 0)
+	r.file(row.Request, row.digest, assigned, 0)
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.LeaderRecv, req.Key(), r.node.Loop().Now())
 	}
-	r.order(req)
+	r.order(ref, digested)
 	if r.pending.Len() >= r.cfg.BatchSize {
 		// A batch cut by size takes the timer with it: the next request
 		// starts a full BatchDelay of its own.
@@ -174,37 +191,54 @@ func (r *Replica) handleRequest(req Request) {
 		return
 	}
 	if !r.batchTimer.Pending() {
-		r.batchTimer = r.node.Loop().After(r.cfg.BatchDelay, r.proposeBatch)
+		r.batchTimer = r.node.Loop().After(r.cfg.BatchDelay, r.propose)
 	}
 }
 
-// admitted is a request in the leader's queue: ready is when the leader CPU
-// finishes ordering it.
+// admitted is a request in the leader's queue, by its ref: ready is when the
+// leader CPU has digested it and finished ordering it.
 type admitted struct {
-	Request
+	RequestRef
 	ready sim.Time
 }
 
-// order queues req for the leader's next proposal and starts its ordering
-// work on the leader CPU now: validating, bookkeeping and marshalling it
-// into a proposal, one job per request, served while the batch fills.
-func (r *Replica) order(req Request) {
-	cost := r.node.Network().Params().Protocol.OrderCost(len(req.Op))
-	r.pending.Push(admitted{req, r.node.CPU.Acquire(cost, nil)})
+// order queues ref for the leader's next proposal and starts its ordering
+// work on the leader CPU now: validating, bookkeeping and marshalling the
+// ref into a proposal, one job per request, served while the batch fills.
+// The request's digest is done at digested.
+func (r *Replica) order(ref RequestRef, digested sim.Time) {
+	cost := r.node.Network().Params().Protocol.OrderCost(refSize)
+	r.pending.Push(admitted{ref, max(digested, r.node.CPU.Acquire(cost, nil))})
 }
 
-// file writes req's row and, if it is the first, queues the request for the
-// progress timer — which starts watching it if it was idle.
-func (r *Replica) file(req Request, state reqState, seq uint64) {
+// digest returns the digest of req's operation — what a ref names it by —
+// and the instant this replica's CPU has computed it.
+func (r *Replica) digest(req Request) (auth.Digest, sim.Time) {
+	return auth.Hash(req.Op), r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, len(req.Op)))
+}
+
+// file stores a copy of req, digested d, in its row and, if the row is new,
+// queues the request for the progress timer — which starts watching it if
+// it was idle.
+func (r *Replica) file(req Request, d auth.Digest, state reqState, seq uint64) {
 	id := req.ID()
-	_, seen := r.requests[id]
-	r.requests[id] = request{req, state, seq}
+	row, seen := r.requests[id]
+	r.requests[id] = request{req, d, state, max(row.seq, seq)}
 	if seen {
 		return
 	}
 	r.arrivals.Push(id)
 	if !r.viewChanging && !r.progress.Pending() {
 		r.watchOldest()
+	}
+}
+
+// assign moves id's row, if it has one, to state, and to seq if that is the
+// later sequence.
+func (r *Replica) assign(id RequestID, state reqState, seq uint64) {
+	if row, seen := r.requests[id]; seen {
+		row.state, row.seq = state, max(row.seq, seq)
+		r.requests[id] = row
 	}
 }
 
@@ -261,15 +295,16 @@ func (r *Replica) proposeBatch() {
 	if r.seqNext >= r.stable+r.cfg.LogWindow {
 		return // watermark window full; retried after the next checkpoint
 	}
-	batch := make([]Request, min(r.pending.Len(), r.cfg.BatchSize))
-	var ready sim.Time
-	for i := range batch {
-		q := r.pending.Pop()
-		batch[i], ready = q.Request, max(ready, q.ready)
-	}
 	r.seqNext++
 	seq := r.seqNext
-	pp := PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(batch), Batch: batch}
+	refs := make([]RequestRef, min(r.pending.Len(), r.cfg.BatchSize))
+	var ready sim.Time
+	for i := range refs {
+		q := r.pending.Pop()
+		refs[i], ready = q.RequestRef, max(ready, q.ready)
+		r.assign(q.RequestID, assigned, seq)
+	}
+	pp := PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(refs), Refs: refs}
 	ready = max(ready, r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, encodedSize(pp))))
 	r.slotFor(seq).pp = &pp
 	r.node.Loop().At(ready, func() {
@@ -281,15 +316,15 @@ func (r *Replica) proposeBatch() {
 		}
 		if t := r.tracer(); t != nil {
 			now := r.node.Loop().Now()
-			for _, req := range pp.Batch {
-				t.Mark(obs.Propose, req.Key(), now)
+			for _, ref := range pp.Refs {
+				t.Mark(obs.Propose, ref.Key(), now)
 			}
 		}
 		r.broadcast(pp)
 		r.tryPrepare(seq)
 	})
 	if r.pending.Len() > 0 {
-		r.node.Loop().Post(r.proposeBatch)
+		r.node.Loop().Post(r.propose)
 	}
 }
 
@@ -336,14 +371,14 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	if !r.accepts(pp.View, pp.Seq) || sender != r.Leader(pp.View) {
 		return // only the view's leader may propose
 	}
-	// Integrity: the digest must match the carried batch. The MACs cover
+	// Integrity: the digest must match the carried refs. The MACs cover
 	// only the header, so this is what binds the batch. A mismatch is no
 	// evidence against the leader — any replica can relay the leader's
-	// envelope with its batch altered — so the proposal is dropped, as in
+	// envelope with a ref altered — so the proposal is dropped, as in
 	// Castro & Liskov: a backup that never gets a valid one is covered by
 	// its progress timer.
 	r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, size))
-	if r.batches.digest(pp.Batch) != pp.Digest {
+	if r.batches.digest(pp.Refs) != pp.Digest {
 		return
 	}
 	s := r.slotFor(pp.Seq)
@@ -354,17 +389,7 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 		return
 	}
 	s.pp = &pp
-	for _, req := range pp.Batch {
-		r.file(req, assigned, pp.Seq) // watch progress even if first seen here
-	}
-	if !s.sentPrep {
-		s.sentPrep = true
-		prep := Prepare{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Replica: r.id}
-		s.prepares.set(r.id, pp.Digest)
-		r.broadcast(prep)
-	}
-	r.tryPrepare(pp.Seq)
-	r.tryCommit(pp.Seq)
+	r.resolve(s)
 }
 
 func (r *Replica) handlePrepare(m Prepare) {
@@ -379,8 +404,9 @@ func (r *Replica) handlePrepare(m Prepare) {
 
 // prepared implements the PBFT predicate: a matching pre-prepare plus 2F
 // prepares (from distinct non-leader replicas, possibly including our own).
+// A parked proposal is not one yet: this replica could not execute it.
 func (r *Replica) prepared(s *slot) bool {
-	return s.pp != nil && s.prepares.count(s.pp.Digest) >= 2*r.cfg.F
+	return s.pp != nil && !s.parked && s.prepares.count(s.pp.Digest) >= 2*r.cfg.F
 }
 
 func (r *Replica) tryPrepare(seq uint64) {
@@ -427,16 +453,20 @@ func (r *Replica) tryExecute() {
 		}
 		r.executed = next
 		proto := r.node.Network().Params().Protocol
-		for _, req := range s.pp.Batch {
+		// Each request is this replica's own copy: resolve held one for every
+		// ref, and a row outlives the slots that name it.
+		for _, ref := range s.pp.Refs {
 			if t := r.tracer(); t != nil {
-				t.Mark(obs.Commit, req.Key(), r.node.Loop().Now())
+				t.Mark(obs.Commit, ref.Key(), r.node.Loop().Now())
 			}
+			row := r.requests[ref.RequestID]
 			r.node.CPU.Delay(proto.ExecRequest)
-			result := r.app.Execute(req.Op)
-			c := r.client(req.Client)
-			c.last = Reply{View: r.view, Timestamp: req.Timestamp, Client: req.Client, Replica: r.id, Result: result}
+			result := r.app.Execute(row.Op)
+			c := r.client(ref.Client)
+			c.last = Reply{View: r.view, Timestamp: ref.Timestamp, Client: ref.Client, Replica: r.id, Result: result}
 			r.sendToClient(c, c.last)
-			r.requests[req.ID()] = request{req, done, next}
+			row.state, row.seq = done, max(row.seq, next)
+			r.requests[ref.RequestID] = row
 		}
 		// Execution only happens in an installed view (never while
 		// viewChanging), so the timer here is watching or idle.
@@ -445,7 +475,16 @@ func (r *Replica) tryExecute() {
 			r.watchOldest()
 		}
 		if r.onExecute != nil {
-			r.onExecute(next, s.pp.Batch)
+			r.onExecute(next, r.copies(s.pp.Refs))
+		}
+		// Only the proposal's sender answers FETCHes for it, so any other
+		// replica releases each executed copy no later slot names. The row
+		// stays, digest zeroed: a replay of the request matches no ref.
+		for _, ref := range s.pp.Refs {
+			if row := r.requests[ref.RequestID]; r.Leader(s.pp.View) != r.id && row.seq == next {
+				row.Op, row.digest = nil, auth.Digest{}
+				r.requests[ref.RequestID] = row
+			}
 		}
 		if r.executed%r.cfg.CheckpointEvery == 0 {
 			r.takeCheckpoint(r.executed)

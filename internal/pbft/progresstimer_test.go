@@ -37,17 +37,7 @@ func timerRequest(ts uint64) Request {
 func (x *timerFixture) arrive(ts uint64) { x.r.handleRequest(timerRequest(ts)) }
 
 // execute commits a one-request batch at the next sequence number.
-func (x *timerFixture) execute(ts uint64) {
-	batch := []Request{timerRequest(ts)}
-	d := BatchDigest(batch)
-	s := x.r.slotFor(x.r.executed + 1)
-	s.pp = &PrePrepare{View: x.r.view, Seq: s.seq, Digest: d, Batch: batch}
-	for id := uint32(0); id < 3; id++ {
-		s.prepares.set(id, d)
-		s.commits.set(id, d)
-	}
-	x.r.tryExecute()
-}
+func (x *timerFixture) execute(ts uint64) { x.commit(x.r.executed+1, ts) }
 
 func (x *timerFixture) demand(view uint64, from ...uint32) {
 	for _, id := range from {

@@ -13,12 +13,12 @@ import (
 )
 
 // TestProposalLeavesWhenItsWorkIsDone: a leader with idle cores admits four
-// 1 KB requests 50 µs apart into a batch of four. Each request's ordering
-// starts on the leader CPU when it is admitted, so the pre-prepare leaves
-// when the last of those jobs and the batch digest are done — not one
-// batch-length job after the batch closed. The CPU is charged the same
-// ordering and digest work as when it was one job; only the authenticator
-// is cheaper, by the batch it no longer MACs.
+// 1 KB requests 50 µs apart into a batch of four. It digests each request
+// when it files it, and each one's ordering — marshalling a 44-byte ref,
+// not the request — starts on the leader CPU when it is admitted, so the
+// pre-prepare leaves when the last request's digest and ordering and the
+// batch digest are done: not one batch-length job after the batch closed.
+// The CPU is charged those jobs and an authenticator over the header.
 func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchSize, cfg.BatchDelay = 4, sim.Millisecond
@@ -35,17 +35,15 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 		t.Fatal("the leader never broadcast its pre-prepare")
 	}
 	closed := 3 * gap
-	order := params.Protocol.OrderCost(1024)
-	size := encodedSize(PrePrepare{Digest: BatchDigest(batch), Batch: batch})
+	order, filed := params.Protocol.OrderCost(refSize), auth.DigestCost(params.Crypto, 1024)
+	size := encodedSize(*r.lookup(1).pp)
 	digest := auth.DigestCost(params.Crypto, size)
-	if want := max(closed+order, closed+digest); loop.Now() != want {
-		t.Errorf("the pre-prepare left at %v, want %v: the last admission plus its ordering (%v), or the digest (%v); a batch-length job would make it %v",
-			loop.Now(), want, order, digest, closed+4*order)
+	if want := closed + max(order, filed, digest); loop.Now() != want {
+		t.Errorf("the pre-prepare left at %v, want %v: the last admission plus its ordering (%v), its digest (%v) or the batch digest (%v)",
+			loop.Now(), want, order, filed, digest)
 	}
-	wholeMAC := auth.AuthenticatorCost(params.Crypto, cfg.N, size)
-	saving := wholeMAC - auth.AuthenticatorCost(params.Crypto, cfg.N, ppHeader)
-	if busy, want := r.node.CPU.BusyTotal(), 4*order+digest+wholeMAC-saving; busy != want {
-		t.Errorf("leader CPU busy %v for the batch, want %v: four orderings, the digest and an authenticator over the header", busy, want)
+	if busy, want := r.node.CPU.BusyTotal(), 4*(filed+order)+digest+auth.AuthenticatorCost(params.Crypto, cfg.N, ppHeader); busy != want {
+		t.Errorf("leader CPU busy %v for the batch, want %v: four digests and orderings, the batch digest and an authenticator over the header", busy, want)
 	}
 }
 
@@ -70,16 +68,22 @@ func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
 	}
 }
 
-// sealedProposal returns a one-sequence proposal of leader 0 and its
-// envelope as the leader would send it, in a buffer of its own.
-func sealedProposal(r *Replica) (PrePrepare, []byte) {
+// sealedProposal returns a one-sequence proposal of leader 0, naming two
+// requests, and its envelope as the leader would send it, in a buffer of
+// its own; with hold, r first gets the client's copies of the requests.
+func sealedProposal(r *Replica, hold bool) (PrePrepare, []byte) {
 	batch := batchOf(2, 64)
-	pp := PrePrepare{View: 0, Seq: 1, Digest: BatchDigest(batch), Batch: batch}
+	if hold {
+		for _, req := range batch {
+			r.handleRequest(req)
+		}
+	}
+	pp := PrePrepare{View: 0, Seq: 1, Digest: BatchDigest(batch), Refs: refsOf(batch)}
 	return pp, sealedBy(r, 0, pp)
 }
 
 // TestPrePrepareMACCoversTheHeader: a pre-prepare's MACs cover its header
-// only, and its digest binds the batch. A batch byte flipped in transit
+// only, and its digest binds the refs. A ref byte flipped in transit
 // passes the MAC, but the digest check drops the proposal: no backup
 // PREPAREs it, and none suspects the leader, since whoever flipped it need
 // not be the leader. A flipped header byte is dropped by the MAC, before
@@ -91,25 +95,26 @@ func TestPrePrepareMACCoversTheHeader(t *testing.T) {
 		at       func(size int) int // offset of the flipped payload byte
 		prepared bool
 		suspects bool
-		charged  sim.Time // the backup's whole CPU charge, when pinned
+		charged  sim.Time // the backup's CPU charge for the proposal, when pinned
 	}{
 		{"intact", nil, true, false, 0},
-		{"batch byte", func(size int) int { return size - 1 }, false, false, 0},
+		{"ref byte", func(size int) int { return size - 1 }, false, false, 0},
 		{"header byte", func(int) int { return 1 + 8 }, false, false, auth.Cost(crypto, ppHeader)},
 	} {
 		for id := uint32(1); id < uint32(cfg.N); id++ {
 			backup := bareReplica(t, id, cfg)
-			pp, raw := sealedProposal(backup)
+			pp, raw := sealedProposal(backup, true)
 			if tc.at != nil {
 				raw[8+tc.at(encodedSize(pp))] ^= 0xFF
 			}
+			before := backup.node.CPU.BusyTotal()
 			backup.handleEnvelope(raw)
 			s := backup.lookup(1)
 			if prepared := s != nil && s.sentPrep; prepared != tc.prepared || backup.viewChanging != tc.suspects {
 				t.Errorf("%s, backup %d: prepared %v, suspects the leader %v; want %v, %v",
 					tc.name, id, prepared, backup.viewChanging, tc.prepared, tc.suspects)
 			}
-			if busy := backup.node.CPU.BusyTotal(); tc.charged > 0 && busy != tc.charged {
+			if busy := backup.node.CPU.BusyTotal() - before; tc.charged > 0 && busy != tc.charged {
 				t.Errorf("%s, backup %d: CPU busy %v, want %v: one MAC check over the header and nothing else", tc.name, id, busy, tc.charged)
 			}
 		}
@@ -119,7 +124,7 @@ func TestPrePrepareMACCoversTheHeader(t *testing.T) {
 // TestRelayedTamperedProposalStartsNoViewChange: a pre-prepare's envelope
 // holds every backup's MAC, and a connection does not vouch for the sender
 // the envelope names, so a faulty replica can relay the leader's proposal
-// with one batch byte flipped. Replica 2 does so to the other two backups,
+// with one byte of a ref flipped. Replica 2 does so to the other two backups,
 // once before the genuine proposal reaches them and once after they
 // accepted it: the request still commits, and no replica demands a view
 // change.
@@ -174,7 +179,7 @@ func TestPrePrepareAuthenticationCharges(t *testing.T) {
 	cfg := DefaultConfig()
 	leader := bareReplica(t, 0, cfg)
 	crypto := leader.node.Network().Params().Crypto
-	pp, raw := sealedProposal(leader)
+	pp, _ := sealedProposal(leader, false)
 	size := encodedSize(pp)
 	if ppHeader != 49 {
 		t.Fatalf("the pre-prepare header is %d bytes, want 49: type, view, sequence, digest", ppHeader)
@@ -192,11 +197,13 @@ func TestPrePrepareAuthenticationCharges(t *testing.T) {
 	}
 	backup := bareReplica(t, 1, cfg)
 	backup.SetFaults(Faults{Mute: map[MsgType]bool{MsgPrepare: true}}) // a muted send is not charged
+	_, raw := sealedProposal(backup, true)
+	before = backup.node.CPU.BusyTotal()
 	backup.handleEnvelope(raw)
 	if s := backup.lookup(1); s == nil || !s.sentPrep {
 		t.Fatal("the backup did not accept the proposal")
 	}
-	if got, want := backup.node.CPU.BusyTotal(), auth.Cost(crypto, ppHeader)+auth.DigestCost(crypto, size); got != want {
+	if got, want := backup.node.CPU.BusyTotal()-before, auth.Cost(crypto, ppHeader)+auth.DigestCost(crypto, size); got != want {
 		t.Errorf("checking the pre-prepare costs %v, want %v: a MAC over the header and the digest over %d bytes", got, want, size)
 	}
 }

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"bytes"
+	"slices"
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
@@ -25,8 +26,9 @@ type Replica struct {
 	peers []*msgnet.Peer
 
 	view     uint64
-	seqNext  uint64  // next sequence the leader assigns
-	log      []*slot // ring of LogWindow cells, see lookup
+	seqNext  uint64   // next sequence the leader assigns
+	log      []*slot  // ring of LogWindow cells, see lookup
+	parked   []uint64 // sequences whose proposal waits for request copies (see resolve)
 	executed uint64
 	stable   uint64
 
@@ -42,6 +44,7 @@ type Replica struct {
 	// ordering work is done (see order).
 	pending    sim.Queue[admitted]
 	batchTimer sim.Timer
+	propose    func() // proposeBatch, bound once so arming or posting it allocates nothing
 
 	// What request admission reads, one row per client and one per request
 	// (see client, request). A request waits in its row until it executes, so
@@ -113,7 +116,7 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		stateBytesServed: node.Counter("pbft.state_bytes_served"),
 		readsServed:      node.Counter("pbft.reads_served"),
 	}
-	r.onProgress = r.progressExpired
+	r.onProgress, r.propose = r.progressExpired, r.proposeBatch
 	return r, nil
 }
 
@@ -251,11 +254,18 @@ func (r *Replica) broadcast(m Message) {
 		return
 	}
 	r.crypto(auth.AuthenticatorCost(r.node.Network().Params().Crypto, r.cfg.N, size))
-	// An equivocating leader's pre-prepares conflict: correct to the even
-	// backups, digest-corrupted to the odd ones.
+	// An equivocating leader's pre-prepares conflict: the even backups get
+	// the proposal, the odd ones its first request named by a corrupted
+	// digest under a batch digest to match (an empty batch: a corrupted
+	// batch digest).
 	oddEnv := env
 	if pp, isPP := m.(PrePrepare); isPP && r.faults.EquivocateLeader {
-		pp.Digest[0] ^= 0xFF
+		if pp.Refs = slices.Clone(pp.Refs); len(pp.Refs) > 0 {
+			pp.Refs[0].Digest[0] ^= 0xFF
+			pp.Digest = r.batches.digest(pp.Refs)
+		} else {
+			pp.Digest[0] ^= 0xFF
+		}
 		env = bytes.Clone(env) // the second seal reuses the scratch
 		oddEnv, _, _ = r.seal(pp)
 	}
@@ -379,8 +389,10 @@ func (r *Replica) handleEnvelope(raw []byte) {
 		return
 	}
 	switch m.typ {
-	case MsgRequest: // forwarded by a backup to the leader
-		r.handleRequest(m.request)
+	case MsgRequest: // a FETCH answer
+		r.handleFetched(m.request)
+	case MsgFetch:
+		r.handleFetch(sender, m.fetch)
 	case MsgPrePrepare:
 		r.handlePrePrepare(sender, m.proposal, len(payload))
 	case MsgPrepare:

@@ -17,13 +17,15 @@ func (r *Replica) startViewChange(newView uint64) {
 	}
 	r.viewChanging, r.demanded = true, newView
 	// Cancel batch work and the progress timer (awaitNewView re-arms it);
-	// collect prepared proofs above the execution point, in sequence order.
+	// collect prepared proofs above the execution point, in sequence order,
+	// each carrying this replica's copies of its requests: the new leader
+	// may hold none of them.
 	r.batchTimer.Cancel()
 	r.progress.Cancel()
 	var proofs []PreparedProof
 	for seq := r.executed + 1; seq-r.stable <= r.cfg.LogWindow; seq++ {
 		if s := r.lookup(seq); s != nil && r.prepared(s) {
-			proofs = append(proofs, PreparedProof{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Batch: s.pp.Batch})
+			proofs = append(proofs, PreparedProof{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Batch: r.copies(s.pp.Refs)})
 		}
 	}
 	vc := ViewChange{NewView: newView, Stable: r.stable, Prepared: proofs, Replica: r.id}
@@ -156,9 +158,15 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 		if pp.Seq <= r.executed {
 			continue // already executed here (state transfer not needed)
 		}
-		for _, req := range pp.Batch {
-			r.file(req, assigned, pp.Seq)
+		// The NEW-VIEW carries the requests themselves: each becomes this
+		// replica's copy, and the slot names them by ref.
+		pp.Refs = make([]RequestRef, len(pp.Batch))
+		for i, req := range pp.Batch {
+			d, _ := r.digest(req)
+			r.file(req, d, assigned, pp.Seq)
+			pp.Refs[i] = RequestRef{req.ID(), d}
 		}
+		pp.Batch = nil
 		if !r.inWindow(pp.Seq) {
 			continue // not ours to hold
 		}
@@ -199,16 +207,15 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	r.watchOldest() // the new leader gets a full timeout
 	if r.IsLeader() {
 		for _, id := range r.knownIDs() {
-			row := r.requests[id]
-			r.order(row.Request)
-			r.requests[id] = request{row.Request, assigned, 0}
+			r.order(RequestRef{id, r.requests[id].digest}, 0)
+			r.assign(id, assigned, 0)
 		}
 	}
 	if r.onViewChange != nil {
 		r.onViewChange(v)
 	}
 	if r.IsLeader() && r.pending.Len() > 0 {
-		r.node.Loop().Post(r.proposeBatch)
+		r.node.Loop().Post(r.propose)
 	}
 	for _, pp := range nv.PrePrepares {
 		r.tryPrepare(pp.Seq)
@@ -218,16 +225,20 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 
 // resetRequests empties the leader's queue and takes every slot assignment
 // back — what was assigned is merely known again, what is done stays done —
-// or, with drop, forgets every request. The clients' floors outlive both.
+// or, with drop, forgets every request but the copies a slot above the
+// execution point names. The clients' floors outlive both.
 func (r *Replica) resetRequests(drop bool) {
 	r.pending = sim.Queue[admitted]{}
 	if drop {
-		clear(r.requests)
 		r.arrivals = sim.Queue[RequestID]{}
 	}
 	for id, row := range r.requests {
-		if row.state == assigned {
-			r.requests[id] = request{row.Request, known, 0}
+		switch {
+		case drop && row.seq <= r.executed:
+			delete(r.requests, id)
+		case !drop && row.state == assigned:
+			row.state = known
+			r.requests[id] = row
 		}
 	}
 }

@@ -50,9 +50,13 @@ func putRun(t *testing.T, kind transport.Kind, users, ops, keys, valueSize int) 
 
 // TestMallocBudgetPerRequest is the gate on the per-message path: an N=4
 // group committing 2 000 128-byte puts (small-rubin's and small-nio's shape,
-// all writes) may make at most 43 heap allocations per request inside the
-// run on rdma-rubin and 38 on tcp-nio. The runs measure 33.0 and 30.5; the
-// budgets are 34.0 and 30.5 plus 25 %. rdma-rubin measured 32.5 while every
+// all writes) may make at most 39 heap allocations per request inside the
+// run on rdma-rubin and 36 on tcp-nio. The runs measure 30.8 and 28.9; the
+// budgets are those plus 25 %, rounded. They measured 33.0 and 30.5 while a
+// batch cut by size left its timer armed, which cut the next batch early:
+// the 2 000 puts took more sequences, each with its per-sequence messages
+// (30.9 and 29.0 once it no longer did, while a pre-prepare still carried
+// its requests). rdma-rubin measured 32.5 while every
 // RUBIN channel had a CQ pair of its own: the slower agreement cut larger
 // batches, the 2 000 puts ended at sequence 318 rather than 321, one
 // checkpoint (at 320) short, and the 0.5 is that checkpoint's bucket
@@ -90,7 +94,7 @@ func TestMallocBudgetPerRequest(t *testing.T) {
 	for _, tc := range []struct {
 		kind   transport.Kind
 		budget float64
-	}{{transport.KindRDMA, 43}, {transport.KindTCP, 38}} {
+	}{{transport.KindRDMA, 39}, {transport.KindTCP, 36}} {
 		_, mallocs := putRun(t, tc.kind, users, ops, keys, valueSize)
 		if perOp := float64(mallocs) / ops; perOp > tc.budget {
 			t.Errorf("%s: %.1f mallocs per request, want <= %v", tc.kind, perOp, tc.budget)
