@@ -189,6 +189,26 @@ func TestStablePointPassingUnexecutedRequestsDropsThem(t *testing.T) {
 	}
 }
 
+// TestRepeatedProposalKeepsItsSlot: any replica can replay the leader's
+// sealed PRE-PREPARE, since its MACs pass. Delivered again after this backup
+// executed the sequence and released its copy, it changes nothing: the slot
+// keeps its proposal, and when the sequence leaves the window its row goes
+// and the client's floor rises.
+func TestRepeatedProposalKeepsItsSlot(t *testing.T) {
+	x := newTimerFixture(t)
+	x.commit(1, 1)
+	pp := *x.r.lookup(1).pp
+	x.r.handleEnvelope(sealedBy(x.r, x.r.Leader(pp.View), pp))
+	if s := x.r.lookup(1); s == nil || s.pp == nil || s.pp.Digest != pp.Digest {
+		t.Fatal("a repeat of the executed proposal took it out of its slot")
+	}
+	x.r.advanceStable(64)
+	if _, seen := x.r.requests[timerRequest(1).ID()]; seen || x.r.clients[100].floor != 1 {
+		t.Errorf("sequence 1 left the window: row present %v, floor %d; want the row gone and floor 1",
+			seen, x.r.clients[100].floor)
+	}
+}
+
 // TestRowFollowsItsLatestSlot: a request that a (replaying) leader proposes
 // at sequence 70 and at sequence 1 has one row, and the row is the later
 // slot's: executing sequence 1 keeps the copy slot 70 still names, and the

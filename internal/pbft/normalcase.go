@@ -388,6 +388,13 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 		r.startViewChange(r.view + 1)
 		return
 	}
+	if s.pp != nil && s.pp.View == pp.View || pp.Seq <= r.executed {
+		// A repeat, which any replica can replay since its MACs pass. Once
+		// executed, this replica has released its copies, and resolving the
+		// repeat would drop the slot's proposal and, with it, the rows
+		// advanceStable deletes.
+		return
+	}
 	s.pp = &pp
 	r.resolve(s)
 }

@@ -390,10 +390,14 @@ func (r *Replica) adoptCheckpoint(seq uint64, d auth.Digest, view uint64) {
 	}
 	// The checkpoint subsumes every request ordered below it, but we
 	// cannot tell which of the requests we are watching those are: drop
-	// all request bookkeeping and let live traffic re-arm. Leaving the
-	// progress timer armed would fire a view-change demand for a
-	// long-committed request and wedge the replica in viewChanging —
-	// blocking the very catch-up the transfer enables.
+	// every row no slot above the new execution point names, clear the
+	// progress timer's watch list and let live traffic re-arm. The rows
+	// kept are the copies this replica's proposals above the checkpoint
+	// name, which it needs to execute them; they leave the watch list
+	// with the rest, so until their slots execute only a request filed
+	// later re-arms the timer. Leaving it armed would fire a view-change
+	// demand for a long-committed request and wedge the replica in
+	// viewChanging — blocking the very catch-up the transfer enables.
 	r.resetRequests(true)
 	r.progress.Cancel()
 	// Any view change we demanded was based on pre-transfer lag; rejoin
