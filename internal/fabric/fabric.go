@@ -84,7 +84,7 @@ func (nw *Network) SetTracer(t *obs.Tracer) { nw.tracer = t }
 func (nw *Network) Tracer() *obs.Tracer { return nw.tracer }
 
 // AddNode creates a node with the configured CPU core and NIC engine
-// counts and its one application thread. Node names must be unique.
+// counts and its first application thread. Node names must be unique.
 func (nw *Network) AddNode(name string) *Node {
 	if _, dup := nw.nodes[name]; dup {
 		panic(fmt.Sprintf("fabric: duplicate node %q", name))
@@ -95,10 +95,10 @@ func (nw *Network) AddNode(name string) *Node {
 		net:  nw,
 		CPU:  sim.NewResource(nw.loop, name+"/cpu", nw.params.Host.Cores),
 		NIC:  sim.NewResource(nw.loop, name+"/nic", nw.params.Host.NICEngines),
-		App:  sim.NewResource(nw.loop, name+"/app", 1),
 	}
+	n.App = n.Thread(0)
 	n.Gauge("cpu_util", StatLevel, n.CPU.Utilization)
-	n.Gauge("app_util", StatLevel, n.App.Utilization)
+	n.Gauge("app_util", StatLevel, n.appUtil)
 	n.Gauge("nic_util", StatLevel, n.NIC.Utilization)
 	nw.nodes[name] = n
 	nw.order = append(nw.order, n)
@@ -175,17 +175,45 @@ type Node struct {
 	// kernel-bypass / zero-copy advantage.
 	NIC *sim.Resource
 
-	// App is the host's single application thread (one server), onto which
-	// NIO and RUBIN both multiplex every connection (paper Section III):
-	// socket syscalls, verbs posts, CQ polls and completion handling, receive
+	// App is the host's application thread (one server), onto which NIO and
+	// RUBIN both multiplex every connection (paper Section III): socket
+	// syscalls, verbs posts, CQ polls and completion handling, receive
 	// copies and per-message dispatch all queue here. Being one FIFO server,
 	// it also guarantees that a connection's writes enter the send queue in
-	// call order.
+	// call order. It is Thread(0): a COP host runs pillar k's selector on
+	// Thread(k), and every other host has App alone.
 	App *sim.Resource
 
+	threads  []*sim.Resource        // application threads by index; App is the first
 	handlers [ProtoRDMA + 1]Handler // by Protocol
 	links    []*Link                // by peer id, filled by Connect; nil where unconnected
 	stats    []stat                 // the stat table, in registration order (stats.go)
+}
+
+// Thread returns the host's application thread k, making it and any below
+// it on first use: thread 0 is App, thread k > 0 is <node>/app<k>. A COP
+// pillar multiplexes its own connections on a thread of its own (Behl et
+// al., Middleware '15), so K pillars on one host share its CPU cores and
+// NIC but no selector. A thread is a server of its own: it does not take
+// one of the CPU's cores.
+func (n *Node) Thread(k int) *sim.Resource {
+	for len(n.threads) <= k {
+		name := n.name + "/app"
+		if i := len(n.threads); i > 0 {
+			name += fmt.Sprint(i)
+		}
+		n.threads = append(n.threads, sim.NewResource(n.net.loop, name, 1))
+	}
+	return n.threads[k]
+}
+
+// appUtil is the busiest application thread's utilization.
+func (n *Node) appUtil() float64 {
+	u := 0.0
+	for _, t := range n.threads {
+		u = max(u, t.Utilization())
+	}
+	return u
 }
 
 // Name returns the node's unique name.

@@ -151,25 +151,45 @@ type Mesh struct {
 // NewMesh opens a messaging endpoint of the requested backend kind on a
 // node.
 func NewMesh(kind transport.Kind, node *fabric.Node, opts Options) (*Mesh, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	stack, err := transport.NewStack(kind, node, opts.Transport)
+	meshes, err := NewMeshes(kind, node, opts, 1)
 	if err != nil {
 		return nil, err
 	}
-	return newMesh(node, stack, opts), nil
+	return meshes[0], nil
 }
 
-// newMesh registers the mesh's stats on its node.
+// NewMeshes opens n messaging endpoints on a node, one per COP pillar: each
+// over a transport stack of its own, on the node's application thread of
+// its index (transport.NewStacks).
+func NewMeshes(kind transport.Kind, node *fabric.Node, opts Options, n int) ([]*Mesh, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	stacks, err := transport.NewStacks(kind, node, opts.Transport, n)
+	if err != nil {
+		return nil, err
+	}
+	meshes := make([]*Mesh, n)
+	for k, stack := range stacks {
+		meshes[k] = newMesh(node, stack, opts)
+	}
+	node.Gauge("msgnet_queue_bytes", fabric.StatLevel, func() float64 {
+		n := 0
+		for _, m := range meshes {
+			n += m.QueueBytes()
+		}
+		return float64(n)
+	})
+	return meshes, nil
+}
+
+// newMesh registers the mesh's stat cells on its node.
 func newMesh(node *fabric.Node, stack transport.Stack, opts Options) *Mesh {
-	m := &Mesh{node: node, stack: stack, opts: opts,
+	return &Mesh{node: node, stack: stack, opts: opts,
 		sendErrs:  node.Counter("msgnet.send_errors"),
 		recvErrs:  node.Counter("msgnet.recv_errors"),
 		peakQueue: node.Peak("msgnet.peak_queue_bytes"),
 	}
-	node.Gauge("msgnet_queue_bytes", fabric.StatLevel, func() float64 { return float64(m.QueueBytes()) })
-	return m
 }
 
 // Node returns the fabric node this mesh runs on.
@@ -199,8 +219,9 @@ func (m *Mesh) Dial(remote *fabric.Node, port int, done func(*Peer, error)) {
 }
 
 // QueueBytes returns the bytes currently waiting in the send queues of
-// all peers — the instantaneous counterpart of msgnet.peak_queue_bytes,
-// registered as the msgnet_queue_bytes level traced runs sample.
+// all peers — the instantaneous counterpart of msgnet.peak_queue_bytes;
+// summed over a node's meshes, it is the msgnet_queue_bytes level traced
+// runs sample.
 func (m *Mesh) QueueBytes() int {
 	n := 0
 	for _, p := range m.peers {

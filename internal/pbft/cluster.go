@@ -45,14 +45,18 @@ const clientIDStride = 1024
 const KeySeedStride = 7919
 
 // Hosts is the machine layer of a deployment: N fabric nodes named
-// <prefix>r<i>, fully meshed by links, each with one msgnet mesh (one
-// transport stack per node). The meshes own the peer handles, which
+// <prefix>r<i>, fully meshed by links, each with one msgnet mesh per
+// pillar. A pillar is what COP gives each of its instances: a transport
+// stack with a selector of its own on an application thread of its own, on
+// the node's one TCP stack or RNIC. The meshes own the peer handles, which
 // survive replica crashes.
 type Hosts struct {
 	Loop    *sim.Loop
 	Network *fabric.Network
 	Kind    transport.Kind
-	Meshes  []*msgnet.Mesh
+	Meshes  []*msgnet.Mesh // host i's mesh of pillar 0
+
+	pillars [][]*msgnet.Mesh // pillars[k][i]: host i's mesh of pillar k
 
 	nodes  []*fabric.Node // host i's node: what the group's counters fold over
 	prefix string
@@ -61,18 +65,23 @@ type Hosts struct {
 	dialErr        error
 }
 
-// NewHosts adds n nodes to the network. Co-hosted deployments (the
-// shards of a sharded service) keep their nodes disjoint by prefix.
-func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix string, n int) (*Hosts, error) {
-	h := &Hosts{Loop: loop, Network: nw, Kind: kind, prefix: prefix}
+// NewHosts adds n nodes to the network, each with the given number of
+// pillars: one for a replica group, K for a COP group, whose instance k
+// serves on pillar k. Co-hosted deployments (the shards of a sharded
+// service) keep their nodes disjoint by prefix.
+func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix string, n, pillars int) (*Hosts, error) {
+	h := &Hosts{Loop: loop, Network: nw, Kind: kind, prefix: prefix, pillars: make([][]*msgnet.Mesh, pillars)}
 	for i := 0; i < n; i++ {
 		h.nodes = append(h.nodes, nw.AddNode(fmt.Sprintf("%sr%d", prefix, i)))
-		mesh, err := msgnet.NewMesh(kind, h.nodes[i], msgnet.DefaultOptions())
+		meshes, err := msgnet.NewMeshes(kind, h.nodes[i], msgnet.DefaultOptions(), pillars)
 		if err != nil {
 			return nil, err
 		}
-		h.Meshes = append(h.Meshes, mesh)
+		for k, mesh := range meshes {
+			h.pillars[k] = append(h.pillars[k], mesh)
+		}
 	}
+	h.Meshes = h.pillars[0]
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			nw.Connect(h.Node(i), h.Node(j))
@@ -130,6 +139,9 @@ type Placement struct {
 // the instance. Groups sharing a network at the same instance number
 // (shards) must pass seeds KeySeedStride apart so their keyrings differ.
 func (h *Hosts) NewPlacement(cfg Config, instance int, keySeed int64, apps []Application) (*Placement, error) {
+	if instance >= len(h.pillars) {
+		return nil, fmt.Errorf("pbft: instance %d needs a pillar, the hosts have %d", instance, len(h.pillars))
+	}
 	n := len(h.Meshes)
 	pl := &Placement{
 		hosts:         h,
@@ -150,13 +162,14 @@ func (h *Hosts) NewPlacement(cfg Config, instance int, keySeed int64, apps []App
 	return pl, nil
 }
 
-// Start listens on every host at the instance's peer and client ports
-// and posts the group's N·(N−1) peer dials; Hosts.Await completes them.
-// Connections are handed to whichever replica occupies the slot when
-// they arrive, so late ones reach a restarted instance.
+// Start listens on every host at the instance's peer and client ports, on
+// the instance's pillar, and posts the group's N·(N−1) peer dials;
+// Hosts.Await completes them. Connections are handed to whichever replica
+// occupies the slot when they arrive, so late ones reach a restarted
+// instance.
 func (pl *Placement) Start() error {
 	h, instance := pl.hosts, pl.instance
-	for i, mesh := range h.Meshes {
+	for i, mesh := range h.pillars[instance] {
 		if err := mesh.Listen(PeerPort+portStride*instance, func(p *msgnet.Peer) {
 			pl.inboundPeer[i] = append(pl.inboundPeer[i], p)
 			pl.Replicas[i].AttachInbound(p)
@@ -193,7 +206,7 @@ func (pl *Placement) Start() error {
 // dial opens replica i's outbound link to j; done reports the outcome.
 func (pl *Placement) dial(i, j int, done func(error)) {
 	h := pl.hosts
-	h.Meshes[i].Dial(h.Node(j), PeerPort+portStride*pl.instance, func(p *msgnet.Peer, err error) {
+	h.pillars[pl.instance][i].Dial(h.Node(j), PeerPort+portStride*pl.instance, func(p *msgnet.Peer, err error) {
 		if err != nil {
 			done(fmt.Errorf("dial %s->%s (instance %d): %w", h.Node(i).Name(), h.Node(j).Name(), pl.instance, err))
 			return
@@ -331,7 +344,7 @@ func NewClusterIn(loop *sim.Loop, nw *fabric.Network, prefix string, kind transp
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hosts, err := NewHosts(loop, nw, kind, prefix, cfg.N)
+	hosts, err := NewHosts(loop, nw, kind, prefix, cfg.N, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -235,8 +235,8 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 	for _, wr := range wrs {
 		qp.recvQ.Push(wr)
 	}
-	// Re-posting receives is a cheap doorbell on the app thread.
-	qp.dev.node.App.Delay(qp.dev.params.RDMA.RecvWRRefill * sim.Time(len(wrs)))
+	// Re-posting receives is a cheap doorbell on the thread that polls them.
+	qp.cfg.RecvCQ.thread.Delay(qp.dev.params.RDMA.RecvWRRefill * sim.Time(len(wrs)))
 	return nil
 }
 
@@ -267,7 +267,7 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 	}
 	p := qp.dev.params.RDMA
 	cost := p.PostWR + p.PostWRBatched*sim.Time(len(wrs)-1)
-	qp.dev.node.App.Acquire(cost, qp.pumpSendFn)
+	qp.cfg.SendCQ.thread.Acquire(cost, qp.pumpSendFn)
 	return nil
 }
 

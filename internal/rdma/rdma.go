@@ -11,8 +11,9 @@
 // while payload bytes move on the NIC's DMA engines. This is the property
 // the paper exploits and the baseline TCP stack (package tcpsim) lacks.
 // The host-side verbs work — posting, polling, completion handling — runs
-// on the node's single application thread (fabric.Node.App); connection
-// set-up and memory registration are kernel work on its CPU.
+// on the application thread that consumes the completion queue (the node's
+// App unless CQ.SetThread says otherwise); connection set-up and memory
+// registration are kernel work on its CPU.
 //
 // Memory regions carry real bytes (backed on first touch, see MR) and
 // one-sided writes are bounds- and access-checked against the remote key,
@@ -302,7 +303,16 @@ type CQ struct {
 	// the wakeup's callback is bound once.
 	notifyPending bool
 	notifyFn      func() // cq.notify
+
+	// thread is the application thread that consumes the CQ: its polls and
+	// wake-ups, and the posts of every QP completing to it, are served there.
+	thread *sim.Resource
 }
+
+// SetThread moves the CQ's consumer to another application thread of its
+// node (fabric.Node.Thread): its polls and wake-ups, and the posts of the
+// QPs whose completions it takes, are charged there from now on.
+func (cq *CQ) SetThread(thread *sim.Resource) { cq.thread = thread }
 
 // SetEventCost overrides the CPU cost charged per completion-channel
 // notification.
@@ -323,7 +333,7 @@ func (d *Device) CreateCQ(capacity int) *CQ {
 	if capacity < 1 {
 		panic("rdma: CQ capacity must be positive")
 	}
-	cq := &CQ{dev: d, capacity: capacity}
+	cq := &CQ{dev: d, capacity: capacity, thread: d.node.App}
 	cq.notifyFn = cq.notify
 	return cq
 }
@@ -358,7 +368,7 @@ func (cq *CQ) RequestNotify() {
 
 // Poll moves up to len(buf) entries, oldest first, into the caller's array
 // and returns how many — ibv_poll_cq's shape; the rest stay queued. The poll
-// cost is charged to the app thread unless the CQ was empty.
+// cost is charged to the CQ's thread unless the CQ was empty.
 func (cq *CQ) Poll(buf []CQE) int {
 	n := min(cq.entries.Len(), len(buf))
 	if n == 0 {
@@ -367,7 +377,7 @@ func (cq *CQ) Poll(buf []CQE) int {
 	for i := range buf[:n] {
 		buf[i] = cq.entries.Pop()
 	}
-	cq.dev.node.App.Delay(cq.dev.params.RDMA.CQPoll)
+	cq.thread.Delay(cq.dev.params.RDMA.CQPoll)
 	return n
 }
 
@@ -414,7 +424,7 @@ func (cq *CQ) fire() {
 	}
 	cq.armed = false
 	cq.notifyPending = true
-	cq.dev.node.App.Acquire(cq.notifyCost(), cq.notifyFn)
+	cq.thread.Acquire(cq.notifyCost(), cq.notifyFn)
 }
 
 func (cq *CQ) notify() {

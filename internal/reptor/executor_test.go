@@ -225,7 +225,7 @@ func TestDrainFormatsNothing(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	loop := sim.NewLoop(1)
-	hosts, err := pbft.NewHosts(loop, fabric.New(loop, model.Default()), transport.KindTCP, "", 1)
+	hosts, err := pbft.NewHosts(loop, fabric.New(loop, model.Default()), transport.KindTCP, "", 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,8 +79,10 @@ func (c Config) Route(op []byte) int {
 func routeSum(sum uint32, instances int) int { return int(sum % uint32(instances)) }
 
 // Group is a running COP deployment: N hosts, K PBFT instances placed
-// side by side on them (sharing each node's msgnet mesh — one transport
-// stack per node), one merged executor per node.
+// side by side on them, instance k on each host's pillar k (a msgnet mesh
+// whose selector runs on the host's application thread k; the pillars
+// share the host's CPU cores, NIC and TCP stack or RNIC), one merged
+// executor per node.
 type Group struct {
 	*pbft.Hosts
 	Config    Config
@@ -119,7 +121,7 @@ func NewGroup(kind transport.Kind, cfg Config, params model.Params, seed int64, 
 		return nil, err
 	}
 	loop := sim.NewLoop(seed)
-	hosts, err := pbft.NewHosts(loop, fabric.New(loop, params), kind, "", cfg.PBFT.N)
+	hosts, err := pbft.NewHosts(loop, fabric.New(loop, params), kind, "", cfg.PBFT.N, cfg.Instances)
 	if err != nil {
 		return nil, err
 	}

@@ -259,3 +259,45 @@ func TestCOPSpreadsLeaderLoad(t *testing.T) {
 		t.Errorf("K=4 time %.6fs collapsed vs K=1 %.6fs", t4, t1)
 	}
 }
+
+// TestInstancesServeOnTheirOwnPillars: COP instance k serves on pillar k of
+// every host, a selector on the host's application thread k. Puts routed
+// to instance 2 alone load thread 2 of every host more than any other; the
+// other threads carry only the heartbeats that fill the merge's holes.
+func TestInstancesServeOnTheirOwnPillars(t *testing.T) {
+	g := newTestGroup(t, transport.KindRDMA, DefaultConfig())
+	cl, err := g.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const target = 2
+	busy := func(i, k int) sim.Time { return g.Node(i).Thread(k).BusyTotal() }
+	before := make([][]sim.Time, g.Config.PBFT.N)
+	for i := range before {
+		for k := 0; k < g.Config.Instances; k++ {
+			before[i] = append(before[i], busy(i, k))
+		}
+	}
+	value := string(make([]byte, 8<<10))
+	g.Loop.Post(func() {
+		for i, sent := 0, 0; sent < 20; i++ {
+			if op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("p%04d", i), value); g.Config.Route(op) == target {
+				cl.Invoke(op, nil)
+				sent++
+			}
+		}
+	})
+	g.Loop.Run()
+	for i := range before {
+		grew := make([]sim.Time, g.Config.Instances)
+		for k := range grew {
+			grew[k] = busy(i, k) - before[i][k]
+		}
+		for k := range grew {
+			if k != target && grew[k] >= grew[target] {
+				t.Errorf("host %d: application threads grew %v busy; want thread %d, instance %d's pillar, ahead of every other", i, grew, target, target)
+				break
+			}
+		}
+	}
+}

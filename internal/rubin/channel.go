@@ -113,7 +113,7 @@ type Channel struct {
 	wantSend   bool
 
 	// Receive pipeline: CQEs queue here and are processed one burst at a
-	// time (rxActive; rxBatch is its size) on the node's app thread so
+	// time (rxActive; rxBatch is its size) on the selector's thread so
 	// per-message copies cannot reorder.
 	rxPending sim.Queue[rdma.CQE]
 	rxActive  bool
@@ -210,7 +210,7 @@ func (c *Channel) pumpRx() {
 			}
 		}
 	}
-	c.node().App.Acquire(copyCost, c.rxDoneFn)
+	c.sel.thread.Acquire(copyCost, c.rxDoneFn)
 }
 
 // rxDone lands the burst pumpRx charged for: the rxBatch completions at the

@@ -18,10 +18,12 @@
 //     (connection establishments), OpReceive (received messages), OpSend
 //     (send capacity) — and the ready set updated as I/O events arrive.
 //
-// A host has one application thread (fabric.Node.App): every channel's
-// verbs posts, completion polls and receive copies and every selector's
-// dispatch queue there, registered or not — the single-threaded event loop
-// RUBIN shares with the NIO design it replaces. The selector owns one send
+// A selector runs on one application thread of its host (fabric.Node.App
+// unless NewSelectorOn names another): its channels' verbs posts,
+// completion polls and receive copies and its dispatch queue there,
+// registered or not — the single-threaded event loop RUBIN shares with the
+// NIO design it replaces. A host has one selector, or, under COP, one per
+// pillar, each on a thread of its own. The selector owns one send
 // CQ and one receive CQ, and every channel made for it (Listen and Connect
 // take the selector) completes to them: one completion event and one poll
 // serve all the channels with completions, each CQE handed to its channel

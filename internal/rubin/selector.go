@@ -38,11 +38,12 @@ type event struct {
 }
 
 // Selector multiplexes RDMA connection and completion events from many
-// channels onto the node's one application thread (fabric.Node.App),
-// mirroring the Java NIO selector's role in BFT frameworks: event dispatch,
-// receive copies and the channels' verbs work all serialize there.
+// channels onto one application thread of the node, mirroring the Java NIO
+// selector's role in BFT frameworks: event dispatch, receive copies and the
+// channels' verbs work all serialize there.
 type Selector struct {
-	dev *rdma.Device
+	dev    *rdma.Device
+	thread *sim.Resource
 
 	// The completion half of the hybrid event queue: every channel made for
 	// this selector completes to one send CQ and one receive CQ, so a
@@ -73,10 +74,17 @@ type Selector struct {
 	wakeups uint64
 }
 
-// NewSelector creates a selector on a device's node, with the CQ pair its
-// channels complete to.
-func NewSelector(dev *rdma.Device) *Selector {
-	s := &Selector{dev: dev, sendCQ: dev.CreateCQ(1), recvCQ: dev.CreateCQ(1)}
+// NewSelector creates a selector on the application thread of a device's
+// node (fabric.Node.App), with the CQ pair its channels complete to.
+func NewSelector(dev *rdma.Device) *Selector { return NewSelectorOn(dev, dev.Node().App) }
+
+// NewSelectorOn creates a selector on one of the application threads of a
+// device's node (fabric.Node.Thread): a COP pillar's, beside the others on
+// the one device.
+func NewSelectorOn(dev *rdma.Device, thread *sim.Resource) *Selector {
+	s := &Selector{dev: dev, thread: thread, sendCQ: dev.CreateCQ(1), recvCQ: dev.CreateCQ(1)}
+	s.sendCQ.SetThread(thread)
+	s.recvCQ.SetThread(thread)
 	s.dispatchFn = s.dispatchTurn
 	// RUBIN's event manager reads completion events much more cheaply than
 	// the default event-channel path (the heavy application wakeup is the
@@ -233,8 +241,7 @@ func (s *Selector) pump() {
 	// The event-manager notification plus key matching: RUBIN's
 	// select() path, slower than the native epoll-backed NIO selector
 	// (paper Section IV notes native code as future work).
-	node := s.dev.Node()
-	node.App.Acquire(node.Network().Params().Selector.RubinDispatch, s.dispatchFn)
+	s.thread.Acquire(s.dev.Node().Network().Params().Selector.RubinDispatch, s.dispatchFn)
 }
 
 // dispatchTurn is one select turn: hand the ready keys to the handler, then

@@ -1,9 +1,9 @@
 // Package tcpsim simulates a kernel TCP/IP stack with the cost structure
 // the paper attributes to it: per-call syscall crossings, user<->kernel
 // buffer copies, per-MTU-segment protocol processing, interrupts, and
-// scheduler wakeups — the calls charged to the node's application thread,
-// the kernel's work to its CPU. This is the baseline that RDMA's kernel
-// bypass and zero copy eliminate.
+// scheduler wakeups — the calls charged to the application thread that
+// makes them, the kernel's work to the node's CPU. This is the baseline
+// that RDMA's kernel bypass and zero copy eliminate.
 //
 // The API is non-blocking and event-driven (the simulator has no blocked
 // goroutines): Read and Write transfer whatever is possible immediately and
@@ -34,8 +34,17 @@ var (
 
 const headerWireBytes = 60 // control segment size on the wire
 
-// Stack is the per-node TCP instance. Create one per fabric node.
+// Stack is the per-node TCP instance as one application thread sees it:
+// the kernel state is the node's, and the syscalls of the sockets opened or
+// accepted through this Stack are served on its thread. Create one per
+// fabric node; On gives another thread of the node its own view.
 type Stack struct {
+	*kernel
+	thread *sim.Resource
+}
+
+// kernel is the node's TCP state, shared by every view of its stack.
+type kernel struct {
 	node      *fabric.Node
 	params    model.Params
 	listeners map[int]*Listener
@@ -97,20 +106,30 @@ const (
 // NewStack creates the TCP stack on a node and registers it for ProtoTCP
 // frames. A node can host at most one stack.
 func NewStack(node *fabric.Node) *Stack {
-	s := &Stack{
+	s := &Stack{&kernel{
 		node:      node,
 		params:    node.Network().Params(),
 		listeners: make(map[int]*Listener),
 		conns:     make(map[connID]*Conn),
 		nextPort:  49152,
-	}
+	}, node.App}
 	s.drainRxFn, s.rxDoneFn = s.drainRx, s.rxDone
 	node.Register(fabric.ProtoTCP, s.deliver)
 	return s
 }
 
+// On returns the stack as another application thread of its node
+// (fabric.Node.Thread) sees it: the same ports, connections and kernel
+// work, but the sockets opened or accepted through it make their syscalls
+// on thread — a COP pillar's.
+func (s *Stack) On(thread *sim.Resource) *Stack { return &Stack{s.kernel, thread} }
+
 // Node returns the fabric node this stack runs on.
 func (s *Stack) Node() *fabric.Node { return s.node }
+
+// Thread returns the application thread this view's sockets make their
+// syscalls on.
+func (s *Stack) Thread() *sim.Resource { return s.thread }
 
 func (s *Stack) loop() *sim.Loop { return s.node.Loop() }
 
@@ -120,7 +139,7 @@ func (s *Stack) Listen(port int, onAccept func(*Conn)) (*Listener, error) {
 	if _, used := s.listeners[port]; used {
 		return nil, fmt.Errorf("%w: %d", ErrPortInUse, port)
 	}
-	l := &Listener{onAccept: onAccept}
+	l := &Listener{stack: s, onAccept: onAccept}
 	s.listeners[port] = l
 	return l, nil
 }
@@ -136,13 +155,15 @@ func (s *Stack) Dial(remote *fabric.Node, port int, done func(*Conn, error)) {
 	s.conns[c.id()] = c
 	// Connection setup costs one syscall plus the handshake round trip
 	// (set-up, like the handshake and teardown's onClose post: a closure).
-	s.node.App.Acquire(s.params.TCP.SendSyscall, func() {
+	s.thread.Acquire(s.params.TCP.SendSyscall, func() {
 		c.sendControl(segSYN)
 	})
 }
 
-// Listener accepts inbound connections on a port.
+// Listener accepts inbound connections on a port, onto the thread of the
+// stack view that opened it.
 type Listener struct {
+	stack    *Stack
 	onAccept func(*Conn)
 }
 
@@ -254,7 +275,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	tp := c.stack.params.TCP
 	cost := tp.SendSyscall + model.KB(tp.CopyPerKB, n) +
 		tp.SegmentProc*sim.Time(c.stack.params.Link.Frames(n))
-	c.stack.node.App.Acquire(cost, c.writeDoneFn)
+	c.stack.thread.Acquire(cost, c.writeDoneFn)
 	return n, nil
 }
 
@@ -307,7 +328,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	}
 	c.reads.Push(n)
 	tp := c.stack.params.TCP
-	c.stack.node.App.Acquire(tp.RecvSyscall+model.KB(tp.CopyPerKB, n), c.readDoneFn)
+	c.stack.thread.Acquire(tp.RecvSyscall+model.KB(tp.CopyPerKB, n), c.readDoneFn)
 	return n, nil
 }
 
@@ -411,7 +432,7 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 			_ = s.node.Network().Send(s.node, from, fabric.ProtoTCP, reply, headerWireBytes)
 			return
 		}
-		c := s.newConn(from, seg.dstPort, seg.srcPort)
+		c := l.stack.newConn(from, seg.dstPort, seg.srcPort)
 		c.state = stateEstablished
 		s.conns[c.id()] = c
 		c.sendControl(segSYNACK)

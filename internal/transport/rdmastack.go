@@ -10,20 +10,20 @@ import (
 	"rubin/internal/sim"
 )
 
-// rdmaStack is the RUBIN backend: one RDMA device and one RUBIN selector
-// per node, all connections multiplexed on the node's app thread —
-// the drop-in replacement for the NIO stack that the paper integrates into
-// Reptor.
+// rdmaStack is the RUBIN backend: the node's RDMA device and one RUBIN
+// selector, all its connections multiplexed on the selector's application
+// thread — the drop-in replacement for the NIO stack that the paper
+// integrates into Reptor.
 type rdmaStack struct {
-	node *fabric.Node
-	opts Options
-	dev  *rdma.Device
-	sel  *rubin.Selector
+	node   *fabric.Node
+	thread *sim.Resource
+	opts   Options
+	dev    *rdma.Device
+	sel    *rubin.Selector
 }
 
-func newRDMAStack(node *fabric.Node, opts Options) *rdmaStack {
-	dev := rdma.OpenDevice(node)
-	s := &rdmaStack{node: node, opts: opts, dev: dev, sel: rubin.NewSelector(dev)}
+func newRDMAStack(dev *rdma.Device, thread *sim.Resource, opts Options) *rdmaStack {
+	s := &rdmaStack{node: dev.Node(), thread: thread, opts: opts, dev: dev, sel: rubin.NewSelectorOn(dev, thread)}
 	s.sel.Select(s.dispatch)
 	return s
 }
@@ -172,8 +172,7 @@ func (c *rdmaConn) retry() {
 }
 
 func (c *rdmaConn) drain() {
-	node := c.stack.node
-	params := node.Network().Params()
+	params := c.stack.node.Network().Params()
 	for {
 		msg, ok := c.ch.Receive()
 		if !ok {
@@ -183,9 +182,9 @@ func (c *rdmaConn) drain() {
 			c.teardown(c.key)
 			return
 		}
-		// Per-message handler dispatch on the app thread (cheaper than
-		// TCP's: the channel is already message-oriented).
-		node.App.Delay(params.Selector.MsgHandle)
+		// Per-message handler dispatch on the selector's thread (cheaper
+		// than TCP's: the channel is already message-oriented).
+		c.stack.thread.Delay(params.Selector.MsgHandle)
 		c.deliver(msg)
 	}
 	if c.ch.Closed() {

@@ -18,6 +18,7 @@ import (
 
 	"rubin/internal/fabric"
 	"rubin/internal/nio"
+	"rubin/internal/rdma"
 	"rubin/internal/sim"
 	"rubin/internal/tcpsim"
 )
@@ -104,21 +105,41 @@ type Stack interface {
 	Kind() Kind
 }
 
-// NewStack creates a stack of the requested kind on a node. TCP stacks
-// require the node to have no other TCP stack; RDMA stacks open the
-// node's RNIC.
+// NewStack creates a stack of the requested kind on a node, multiplexing
+// its connections on the node's application thread. TCP stacks require the
+// node to have no other TCP stack; RDMA stacks open the node's RNIC.
 func NewStack(kind Kind, node *fabric.Node, opts Options) (Stack, error) {
+	stacks, err := NewStacks(kind, node, opts, 1)
+	if err != nil {
+		return nil, err
+	}
+	return stacks[0], nil
+}
+
+// NewStacks creates n stacks of the requested kind on a node, the pillars
+// of a COP host: they share the node's TCP stack or RNIC, and stack k has
+// a selector of its own on the node's application thread k
+// (fabric.Node.Thread).
+func NewStacks(kind Kind, node *fabric.Node, opts Options, n int) ([]Stack, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	stacks := make([]Stack, n)
 	switch kind {
 	case KindTCP:
-		return newTCPStack(node, opts), nil
+		st := tcpsim.NewStack(node)
+		for k := range stacks {
+			stacks[k] = newTCPStack(st.On(node.Thread(k)), opts)
+		}
 	case KindRDMA:
-		return newRDMAStack(node, opts), nil
+		dev := rdma.OpenDevice(node)
+		for k := range stacks {
+			stacks[k] = newRDMAStack(dev, node.Thread(k), opts)
+		}
 	default:
 		return nil, fmt.Errorf("transport: unknown kind %q", kind)
 	}
+	return stacks, nil
 }
 
 // connCore is what a connection is on either backend: the three
@@ -171,15 +192,16 @@ func (c *connCore) teardown(key interface{ Cancel() }) {
 // ---------------------------------------------------------------------------
 
 type tcpStack struct {
-	node *fabric.Node
-	opts Options
-	st   *tcpsim.Stack
-	sel  *nio.Selector
+	node   *fabric.Node
+	thread *sim.Resource
+	opts   Options
+	st     *tcpsim.Stack
+	sel    *nio.Selector
 }
 
-func newTCPStack(node *fabric.Node, opts Options) *tcpStack {
-	st := tcpsim.NewStack(node)
-	s := &tcpStack{node: node, opts: opts, st: st, sel: nio.NewSelector(st)}
+// newTCPStack puts a selector on st's application thread.
+func newTCPStack(st *tcpsim.Stack, opts Options) *tcpStack {
+	s := &tcpStack{node: st.Node(), thread: st.Thread(), opts: opts, st: st, sel: nio.NewSelector(st)}
 	s.sel.Select(s.dispatch)
 	return s
 }
@@ -386,7 +408,7 @@ func (c *tcpConn) drain() {
 		copy(msg, c.acc.Next(4 + size)[4:])
 		// Deframing plus handler dispatch costs real app-thread time
 		// per message.
-		c.stack.node.App.Delay(params.TCP.MsgHandle)
+		c.stack.thread.Delay(params.TCP.MsgHandle)
 		c.deliver(msg)
 	}
 }

@@ -393,3 +393,58 @@ func TestRDMAStackChargesOnlyKernelWorkToCPU(t *testing.T) {
 		}
 	}
 }
+
+// TestPillarsServeOnTheirOwnThreads: two stacks made together on one node
+// share its TCP stack or RNIC, and each serves its connections on the
+// node's application thread of its index. Traffic to pillar 1 keeps thread
+// 1 busy and leaves App, thread 0, idle; traffic to pillar 0 then runs on
+// App and leaves thread 1 where it was.
+func TestPillarsServeOnTheirOwnThreads(t *testing.T) {
+	for _, kind := range kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			loop := sim.NewLoop(1)
+			nw := fabric.New(loop, model.Default())
+			cn, sn := nw.AddNode("client"), nw.AddNode("server")
+			nw.Connect(cn, sn)
+			cs, err := NewStack(kind, cn, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pillars, err := NewStacks(kind, sn, DefaultOptions(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			received := make([]int, 2)
+			for k, st := range pillars {
+				if err := st.Listen(700+k, func(c Conn) { c.OnMessage(func([]byte) { received[k]++ }) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			send := func(k int) {
+				loop.Post(func() {
+					cs.Dial(sn, 700+k, func(c Conn, err error) {
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := 0; i < 10; i++ {
+							_ = c.Send(bytes.Repeat([]byte{byte(i)}, 4<<10))
+						}
+					})
+				})
+				loop.Run()
+			}
+			send(1)
+			busy1 := sn.Thread(1).BusyTotal()
+			if received[1] != 10 || busy1 == 0 || sn.App.BusyTotal() != 0 {
+				t.Fatalf("pillar 1 received %d of 10: thread 1 busy %v, App busy %v; want thread 1 busy and App idle",
+					received[1], busy1, sn.App.BusyTotal())
+			}
+			send(0)
+			if received[0] != 10 || sn.App.BusyTotal() == 0 || sn.Thread(1).BusyTotal() != busy1 {
+				t.Errorf("pillar 0 received %d of 10: App busy %v, thread 1 busy %v (was %v); want App busy and thread 1 unmoved",
+					received[0], sn.App.BusyTotal(), sn.Thread(1).BusyTotal(), busy1)
+			}
+		})
+	}
+}
