@@ -9,7 +9,6 @@
 //	go run ./cmd/benchsuite -experiments E5,E8 -out .
 //	go run ./cmd/benchsuite -quick -out /tmp/bench          # CI smoke
 //	go run ./cmd/benchsuite -experiments E5 -compare old/   # regression deltas
-//	go run ./cmd/benchsuite -validate /tmp/bench            # schema check only
 //	go run ./cmd/benchsuite -quick -experiments E9 -trace out.json
 //	go run ./cmd/benchsuite -quick -experiments E9 -cpuprofile cpu.pprof
 //
@@ -80,7 +79,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	quick := fs.Bool("quick", false, "shrink sweeps and message counts (CI smoke mode)")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	compare := fs.String("compare", "", "previous run to diff against: a BENCH_*.json file or a directory of them")
-	validate := fs.String("validate", "", "validate every BENCH_*.json in this directory against the schema, then exit")
 	trace := fs.String("trace", "", "write a Chrome trace-event JSON of every measurement run to this file")
 	list := fs.Bool("list", false, "list registered experiments and exit")
 	listKnobs := fs.Bool("knobs", false, "list each experiment's accepted knobs with effective defaults and exit")
@@ -122,13 +120,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		return 0
 	}
-	if *validate != "" {
-		if err := validateDir(stdout, *validate); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	names, err := selectExperiments(*experiments)
 	if err != nil {
 		return fail(err)
@@ -292,28 +283,4 @@ func compareAgainst(stdout io.Writer, path string, res *metrics.Result) (failed 
 	}
 	fmt.Fprintf(stdout, "deltas vs %s:\n%s\n", file, metrics.RenderDeltas(deltas))
 	return 0, nil
-}
-
-// validateDir checks every BENCH_*.json below dir against the schema.
-func validateDir(stdout io.Writer, dir string) error {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil {
-		return err
-	}
-	if len(matches) == 0 {
-		return fmt.Errorf("no BENCH_*.json files in %s", dir)
-	}
-	sort.Strings(matches)
-	for _, path := range matches {
-		res, err := metrics.ReadResultFile(path)
-		if err != nil {
-			return err
-		}
-		want := metrics.ResultFilename(res.Experiment)
-		if got := filepath.Base(path); got != want {
-			return fmt.Errorf("%s: holds experiment %s (want file name %s)", path, res.Experiment, want)
-		}
-		fmt.Fprintf(stdout, "%s: valid (%s, %d series, seed %d)\n", path, res.Experiment, len(res.Series), res.Seed)
-	}
-	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"hash"
 
 	"rubin/internal/model"
@@ -30,9 +29,6 @@ type Key [KeySize]byte
 
 // Digest is a SHA-256 message digest.
 type Digest [DigestSize]byte
-
-// Short returns a compact hex prefix for logging.
-func (d Digest) Short() string { return fmt.Sprintf("%x", d[:6]) }
 
 // Keyring holds one replica's pairwise keys with every other replica.
 // Keyring[i][j] == Keyring[j][i] across the matching ring instances.

@@ -137,9 +137,9 @@ func runTimeline(t *testing.T, kind transport.Kind, seed int64) result {
 
 	metrics.WriteString(sched.TraceString())
 	for i, rep := range c.Replicas {
-		fmt.Fprintf(&metrics, "r%d view=%d executed=%d stable=%d transfers=%d digest=%s\n",
+		fmt.Fprintf(&metrics, "r%d view=%d executed=%d stable=%d transfers=%d digest=%x\n",
 			i, rep.View(), rep.Executed(), rep.Stable(), rep.StateTransfers(),
-			c.Apps[i].Snapshot().Short())
+			c.Apps[i].Snapshot())
 	}
 	fmt.Fprintf(&metrics, "end t=%v\n", c.Loop.Now()-base)
 	if err := sched.Err(); err != nil {

@@ -94,8 +94,6 @@ type Config struct {
 	N, F int
 	// BatchSize is the maximum requests per pre-prepare.
 	BatchSize int
-	// BatchDelay bounds how long the leader waits to fill a batch.
-	BatchDelay sim.Time
 	// CheckpointEvery takes a checkpoint each K executed sequences.
 	CheckpointEvery uint64
 	// LogWindow is the high-watermark window above the stable
@@ -110,6 +108,9 @@ type Config struct {
 	InitialView uint64
 }
 
+// batchDelay bounds how long a leader waits to fill a batch.
+const batchDelay = 200 * sim.Microsecond
+
 // DefaultConfig returns a reasonable small-cluster configuration
 // tolerating one fault.
 func DefaultConfig() Config {
@@ -117,7 +118,6 @@ func DefaultConfig() Config {
 		N:               4,
 		F:               1,
 		BatchSize:       8,
-		BatchDelay:      200 * sim.Microsecond,
 		CheckpointEvery: 64,
 		LogWindow:       256,
 		ViewTimeout:     40 * sim.Millisecond,

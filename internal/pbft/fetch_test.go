@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rubin/internal/kvstore"
-	"rubin/internal/sim"
 )
 
 // TestProposalWaitsForTheClientsCopy: a PRE-PREPARE overtakes the client's
@@ -72,14 +71,14 @@ func TestFetchAnswerIsFiledOnlyIfItMatches(t *testing.T) {
 // TestRestartedReplicaFetchesWhatItMissed: replica 3 crashes once the group
 // has a stable checkpoint, and a client sends three requests while it is
 // down; it restarts before the leader proposes them (the batch waits its
-// BatchDelay). The restarted replica adopts the checkpoint, then gets a
+// batchDelay). The restarted replica adopts the checkpoint, then gets a
 // proposal naming requests it never received: it fetches them from the
 // leader and reaches the group's Executed and state without waiting for
 // another checkpoint.
 func TestRestartedReplicaFetchesWhatItMissed(t *testing.T) {
 	for _, kind := range kinds() {
 		cfg := DefaultConfig()
-		cfg.CheckpointEvery, cfg.BatchDelay = 4, 2*sim.Millisecond
+		cfg.CheckpointEvery = 4
 		c := newTestCluster(t, kind, cfg)
 		cl, err := c.AddClient()
 		if err != nil {
@@ -103,7 +102,7 @@ func TestRestartedReplicaFetchesWhatItMissed(t *testing.T) {
 				cl.Invoke(put(k), func([]byte) { done++ })
 			}
 		})
-		c.Loop.RunUntil(c.Loop.Now() + cfg.BatchDelay/2)
+		c.Loop.RunUntil(c.Loop.Now() + batchDelay/2)
 		if err := c.Restart(3); err != nil {
 			t.Fatal(err)
 		}

@@ -185,13 +185,13 @@ func (r *Replica) handleRequest(req Request) {
 	r.order(ref, digested)
 	if r.pending.Len() >= r.cfg.BatchSize {
 		// A batch cut by size takes the timer with it: the next request
-		// starts a full BatchDelay of its own.
+		// starts a full batchDelay of its own.
 		r.batchTimer.Cancel()
 		r.proposeBatch()
 		return
 	}
 	if !r.batchTimer.Pending() {
-		r.batchTimer = r.node.Loop().After(r.cfg.BatchDelay, r.propose)
+		r.batchTimer = r.node.Loop().After(batchDelay, r.propose)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // The CPU is charged those jobs and an authenticator over the header.
 func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BatchSize, cfg.BatchDelay = 4, sim.Millisecond
+	cfg.BatchSize = 4
 	r := bareReplica(t, 0, cfg)
 	loop, params := r.node.Loop(), r.node.Network().Params()
 	const gap = 50 * sim.Microsecond
@@ -49,7 +49,7 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 
 // TestSizeCutRestartsTheBatchTimer: with BatchSize 4, requests 1–4 arrive
 // 10 µs apart and the fourth cuts a batch by size; request 5 arrives 10 µs
-// after the cut. It waits one full BatchDelay for company, not what was
+// after the cut. It waits one full batchDelay for company, not what was
 // left of the timer request 1 armed.
 func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
 	cfg := DefaultConfig()
@@ -62,8 +62,8 @@ func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
 	}
 	for (r.lookup(2) == nil || r.lookup(2).pp == nil) && loop.Step() {
 	}
-	if want := 4*gap + cfg.BatchDelay; loop.Now() != want {
-		t.Errorf("the request admitted after the size cut was proposed at %v, want %v: its own BatchDelay after it arrived",
+	if want := 4*gap + batchDelay; loop.Now() != want {
+		t.Errorf("the request admitted after the size cut was proposed at %v, want %v: its own batchDelay after it arrived",
 			loop.Now(), want)
 	}
 }

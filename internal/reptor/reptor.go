@@ -201,7 +201,6 @@ type Executor struct {
 	// to Config.HeartbeatMax) each heartbeat round the instance sits idle.
 	hbDelay  []sim.Time
 	hbRounds uint64
-	delivers uint64
 	// subsumed[k] is the highest instance-k sequence folded into an
 	// adopted state-transfer checkpoint: those rounds will never be
 	// delivered through OnExecute and the merge must not wait for them.
@@ -255,7 +254,6 @@ func (e *Executor) Backlog() int {
 }
 
 func (e *Executor) deliver(instance int, seq uint64, batch []pbft.Request) {
-	e.delivers++
 	// A delivery behind the merge cursor can only follow a subsumed-round
 	// skip (normal execution is strictly in-order per instance); buffering
 	// it would leave a permanently unmergeable entry behind.

@@ -83,18 +83,22 @@ func (r *Router) InvokeOp(op []byte, done func([]byte)) string {
 	return r.invokeRetry(p.Part, op, finish)
 }
 
-// invokeRetry submits op to one shard, resubmitting after the
-// configured backoff for as long as the state machine replies
-// kvstore.Locked. The condition clears when the lock-holding prepared
-// transaction's decision executes, so in a live system the retry loop
-// terminates. Each resubmission is a fresh request; the returned trace
-// id is the first attempt's.
+// lockRetry is the backoff before a router re-submits an operation the
+// state machine refused with kvstore.Locked (a single-key write or
+// one-phase transaction that hit a prepared transaction's locks).
+const lockRetry = 200 * sim.Microsecond
+
+// invokeRetry submits op to one shard, resubmitting after lockRetry for as
+// long as the state machine replies kvstore.Locked. The condition clears
+// when the lock-holding prepared transaction's decision executes, so in a
+// live system the retry loop terminates. Each resubmission is a fresh
+// request; the returned trace id is the first attempt's.
 func (r *Router) invokeRetry(shard int, op []byte, done func([]byte)) string {
 	var submit func() string
 	handle := func(res []byte) {
 		if string(res) == kvstore.Locked {
 			*r.retries++
-			r.dep.Loop.After(r.dep.Config.Retry, func() { submit() })
+			r.dep.Loop.After(lockRetry, func() { submit() })
 			return
 		}
 		done(res)

@@ -31,24 +31,17 @@ type Config struct {
 	Shards int
 	// PBFT configures every group identically.
 	PBFT pbft.Config
-	// Retry is the backoff before a router re-submits an operation the
-	// state machine refused with kvstore.Locked (a single-key write or
-	// one-phase transaction that hit a prepared transaction's locks).
-	Retry sim.Time
 }
 
 // DefaultConfig returns a 2-shard deployment of default PBFT groups.
 func DefaultConfig() Config {
-	return Config{Shards: 2, PBFT: pbft.DefaultConfig(), Retry: 200 * sim.Microsecond}
+	return Config{Shards: 2, PBFT: pbft.DefaultConfig()}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Shards < 1 {
 		return fmt.Errorf("shard: need at least 1 shard, have %d", c.Shards)
-	}
-	if c.Retry <= 0 {
-		return fmt.Errorf("shard: retry backoff must be positive, have %v", c.Retry)
 	}
 	return c.PBFT.Validate()
 }

@@ -65,11 +65,6 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Shards=0 accepted")
 	}
-	bad = DefaultConfig()
-	bad.Retry = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Retry=0 accepted")
-	}
 }
 
 func TestSingleKeyOpsRouteToOwningShard(t *testing.T) {

@@ -64,8 +64,6 @@ type Config struct {
 	// unique "u<user>.<seq>" stem regardless, so every write in the
 	// history is distinguishable.
 	ValueSize int
-	// ScanLimit caps the pairs one scan returns (0 means 16).
-	ScanLimit int
 	// TxnPick chooses the two distinct keys of a multi-key transaction.
 	// The bench layer injects a picker here to control the share of
 	// transactions whose keys land on different shards. Nil draws both
@@ -89,14 +87,17 @@ func (c Config) Validate() error {
 	if c.Keys == nil || c.Keys.Keys() < 1 {
 		return fmt.Errorf("workload: missing key distribution")
 	}
-	if c.ValueSize < 0 || c.ScanLimit < 0 {
-		return fmt.Errorf("workload: negative ValueSize/ScanLimit")
+	if c.ValueSize < 0 {
+		return fmt.Errorf("workload: negative ValueSize %d", c.ValueSize)
 	}
 	if err := c.Mix.Validate(); err != nil {
 		return err
 	}
 	return c.Arrival.Validate()
 }
+
+// scanLimit caps the pairs one scan returns.
+const scanLimit = 16
 
 // Driver runs one workload configuration against an Invoker on the
 // simulation loop, recording every operation.
@@ -162,9 +163,6 @@ func New(loop *sim.Loop, cfg Config, invoke Invoker) (*Driver, error) {
 	}
 	if invoke == nil {
 		return nil, fmt.Errorf("workload: nil invoker")
-	}
-	if cfg.ScanLimit == 0 {
-		cfg.ScanLimit = 16
 	}
 	return &Driver{
 		loop: loop, cfg: cfg, invoke: invoke,
@@ -256,7 +254,7 @@ func (d *Driver) issue(f *flight, arrive sim.Time) {
 	case Scan:
 		// Scan the run of up to ten adjacent keys sharing the prefix.
 		rec.Key = key[:len(key)-1]
-		raw = kvstore.EncodeOp(kvstore.OpScan, rec.Key, strconv.Itoa(d.cfg.ScanLimit))
+		raw = kvstore.EncodeOp(kvstore.OpScan, rec.Key, strconv.Itoa(scanLimit))
 	case Txn:
 		raw = d.buildTxn(rec, f.user, seq)
 	}

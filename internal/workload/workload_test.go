@@ -407,12 +407,20 @@ func TestWriteValueBytesPinned(t *testing.T) {
 	}
 }
 
+// TestDriverScanRepliesMatchPrefix: every prefix the driver scans matches
+// more keys than scanLimit, so each scan returns exactly scanLimit pairs,
+// all under its prefix.
 func TestDriverScanRepliesMatchPrefix(t *testing.T) {
 	cfg := testConfig(Closed(1, 0))
 	cfg.Mix = Mix{WritePct: 50, ScanPct: 50}
-	cfg.ScanLimit = 3
 	loop := sim.NewLoop(1)
 	store := kvstore.New()
+	for key := 0; key < cfg.Keys.Keys(); key += 10 { // one key per scanned prefix
+		prefix := KeyName(key)[:len(KeyName(key))-1]
+		for i := 0; i <= scanLimit; i++ {
+			store.Execute(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("%s-%d", prefix, i), "v"))
+		}
+	}
 	scans := 0
 	d, err := New(loop, cfg, func(_ int, op []byte, done func([]byte)) string {
 		loop.After(sim.Microsecond, func() {
@@ -420,8 +428,8 @@ func TestDriverScanRepliesMatchPrefix(t *testing.T) {
 			if code, prefix, _, _ := kvstore.DecodeOp(op); code == kvstore.OpScan {
 				scans++
 				lines := strings.Split(string(res), "\n")
-				if len(lines) > 3 {
-					t.Errorf("scan returned %d pairs, limit 3", len(lines))
+				if len(lines) != scanLimit {
+					t.Errorf("scan of %q returned %d pairs, want the limit %d", prefix, len(lines), scanLimit)
 				}
 				for _, l := range lines {
 					if l != "" && !strings.HasPrefix(l, prefix) {

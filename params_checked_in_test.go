@@ -1,6 +1,7 @@
 package rubin_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"rubin/internal/bench"
@@ -14,12 +15,21 @@ import (
 // dropped) fails here instead of silently changing what regenerating the
 // file means. Config entries a run derives on top (cluster labels, notes
 // on modes) are not knobs; they are counted so a dropped knob shows too.
+// Every checked-in file also passes the schema check, one per experiment,
+// each under its experiment's name.
 func TestParamsMatchCheckedIn(t *testing.T) {
 	derived := map[string]int{"E5": 1 /* cluster */, "E7": 4 /* cluster × 2, phases, counter_index */, "E12": 2 /* cluster, modes */}
-	for _, name := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"} {
+	names := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12"}
+	if files, _ := filepath.Glob("BENCH_*.json"); len(files) != len(names) {
+		t.Errorf("%d BENCH_*.json files are checked in, want one per experiment: %v", len(files), files)
+	}
+	for _, name := range names {
 		stored, err := metrics.ReadResultFile(metrics.ResultFilename(name))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if stored.Experiment != name {
+			t.Errorf("%s holds experiment %s", metrics.ResultFilename(name), stored.Experiment)
 		}
 		e, ok := bench.Lookup(name)
 		if !ok {
