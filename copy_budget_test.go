@@ -35,7 +35,7 @@ func TestCopyBudgetPerPayloadByte(t *testing.T) {
 	}
 	const users, ops, keys, valueSize, budget = 32, 768, 64, 32 << 10, 17
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		allocated, _ := putRun(t, kind, users, ops, keys, valueSize)
+		allocated := putRun(t, kind, users, ops, keys, valueSize).bytes
 		if perByte := float64(allocated) / (ops * valueSize); perByte > budget {
 			t.Errorf("%s: %.1f host bytes allocated per payload byte, want <= %d", kind, perByte, budget)
 		} else {

@@ -122,10 +122,14 @@ func init() {
 		Name:   "E10",
 		Title:  "shard scale-out: committed throughput vs shard count and cross-shard transaction share",
 		Figure: "beyond the paper: keyspace partitioning over independent consensus groups with 2PC-over-consensus",
-		// The full-mode load (users, conns) is sized to saturate a single
-		// group with headroom for eight: the scaling curve must measure the
-		// shards, not the client pool. 16 routers keep the front-end off the
-		// critical path up to S=8.
+		// The full-mode load (users, conns) saturates every shard up to
+		// S=8: each replica's application thread is 0.90–1.0 busy over the
+		// measured window on both stacks. It does not saturate S shards S
+		// times over: a shard carrying a share of the load bundles fewer
+		// messages per transport message, so each request costs it more
+		// (ROADMAP O31). 16 routers keep the front-end off the critical
+		// path through S=4 (the busiest router thread 0.77 busy); at S=8
+		// over rdma-rubin one is 0.97 busy beside the shards.
 		knobs: []knob{
 			{name: "shards", def: "1,2,4,8", quick: "1,2", min: 1, list: true},
 			{name: "cross_pcts", def: "0,1,10", quick: "0,10", list: true}, // cross-shard transaction shares, percent

@@ -81,7 +81,9 @@ type TCPParams struct {
 	// selector after data becomes readable.
 	Wakeup sim.Time
 	// MsgHandle is the per-message framing/deframing and handler
-	// dispatch cost of the byte-stream transport above the socket.
+	// dispatch cost of the byte-stream transport above the socket,
+	// charged once per transport message: a msgnet bundle of several
+	// protocol messages pays it once.
 	MsgHandle sim.Time
 	// ConnectRTTs is the number of round trips for connection setup.
 	ConnectRTTs int
@@ -156,7 +158,8 @@ type SelectorParams struct {
 	CopyPerKB sim.Time
 	// MsgHandle is the per-message handling cost of the
 	// message-oriented RUBIN transport (no deframing needed, cheaper
-	// than the byte-stream path).
+	// than the byte-stream path), charged once per transport message: a
+	// msgnet bundle of several protocol messages pays it once.
 	MsgHandle sim.Time
 	// SignalInterval is every how many sends RUBIN requests a signaled
 	// completion (selective signaling). 1 disables the optimization.

@@ -10,18 +10,29 @@ import (
 // Frame kinds on the wire. Every msgnet frame travels as one transport
 // message; the first byte discriminates.
 const (
-	frameWhole byte = 1 // a complete message in one frame
-	frameChunk byte = 2 // one fragment of a chunked message
+	frameWhole  byte = 1 // a complete message in one frame
+	frameChunk  byte = 2 // one fragment of a chunked message
+	frameBundle byte = 3 // two or more complete messages of one class
 )
 
 // Header sizes. A whole frame is [kind u8][class u8][payload]; a chunk
 // frame is [kind u8][class u8][stream u64][index u32][count u32]
 // [digest 32][prev 32][payload] — the digest pair forms the chain that
-// lets a receiver detect corrupted or mis-sequenced fragments.
+// lets a receiver detect corrupted or mis-sequenced fragments. A bundle
+// frame is [kind u8][class u8]([len u32][payload])*: at least two
+// members, none empty, whose lengths use up the frame exactly.
 const (
-	wholeHeaderLen = 2
-	chunkHeaderLen = 2 + 8 + 4 + 4 + 2*auth.DigestSize
+	wholeHeaderLen  = 2
+	chunkHeaderLen  = 2 + 8 + 4 + 4 + 2*auth.DigestSize
+	memberHeaderLen = 4
 )
+
+// bundleMax caps a bundle frame: the pump packs the whole messages queued
+// in one class into one transport message while the frame stays within
+// it. It is small beside MaxMessage so that large messages keep
+// travelling alone and a kept member pins at most this much of its
+// delivered buffer.
+const bundleMax = 4 << 10
 
 // frame is one decoded msgnet wire frame.
 type frame struct {
@@ -49,6 +60,21 @@ func putChunkHeader(f []byte, class Class, stream uint64, index, count uint32, d
 	copy(f[18+auth.DigestSize:], prev[:])
 }
 
+// putMember writes one bundle member at f[off:] and returns the offset
+// past it.
+func putMember(f []byte, off int, msg []byte) int {
+	binary.BigEndian.PutUint32(f[off:], uint32(len(msg)))
+	return off + memberHeaderLen + copy(f[off+memberHeaderLen:], msg)
+}
+
+// nextMember splits the first member off the rest of a bundle payload
+// decodeFrame accepted. The member is capacity-limited: appending to it
+// cannot reach the members behind it.
+func nextMember(b []byte) (member, rest []byte) {
+	end := memberHeaderLen + int(binary.BigEndian.Uint32(b))
+	return b[memberHeaderLen:end:end], b[end:]
+}
+
 func decodeFrame(raw []byte) (frame, error) {
 	if len(raw) < wholeHeaderLen {
 		return frame{}, fmt.Errorf("msgnet: frame truncated (%d bytes)", len(raw))
@@ -68,6 +94,25 @@ func decodeFrame(raw []byte) (frame, error) {
 		copy(f.digest[:], raw[18:])
 		copy(f.prev[:], raw[18+auth.DigestSize:])
 		f.payload = raw[chunkHeaderLen:]
+		return f, nil
+	case frameBundle:
+		// The whole layout is checked before anything is delivered, so a
+		// bundle is handed up whole or rejected whole.
+		f.payload = raw[wholeHeaderLen:]
+		members := 0
+		for rest := f.payload; len(rest) > 0; members++ {
+			if len(rest) < memberHeaderLen {
+				return frame{}, fmt.Errorf("msgnet: bundle member header truncated (%d bytes)", len(rest))
+			}
+			n := uint64(binary.BigEndian.Uint32(rest))
+			if n == 0 || n > uint64(len(rest)-memberHeaderLen) {
+				return frame{}, fmt.Errorf("msgnet: bundle member of %d bytes in %d", n, len(rest)-memberHeaderLen)
+			}
+			rest = rest[memberHeaderLen+int(n):]
+		}
+		if members < 2 {
+			return frame{}, fmt.Errorf("msgnet: bundle of %d members", members)
+		}
 		return f, nil
 	default:
 		return frame{}, fmt.Errorf("msgnet: unknown frame kind %d", f.kind)

@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzDecodeFrame asserts the frame parser is total: arbitrary bytes
-// either decode or error, never panic, and an accepted chunk frame's
-// fields must round-trip through the encoder.
+// either decode or error, never panic, and an accepted frame's fields — a
+// chunk's header, a bundle's members — must round-trip through the
+// encoder.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(encodeWhole(ClassControl, []byte("hello")))
 	var d, prev auth.Digest
@@ -20,6 +21,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(encodeChunk(ClassBulk, 7, 1, 3, d, prev, []byte("chunk")))
 	f.Add([]byte{})
 	f.Add([]byte{9, 9, 9})
+	f.Add(encodeBundle(ClassControl, []byte("prepare"), []byte("commit"), []byte{0}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := decodeFrame(data)
 		if err != nil {
@@ -34,6 +36,22 @@ func FuzzDecodeFrame(f *testing.F) {
 			re := encodeChunk(fr.class, fr.stream, fr.index, fr.count, fr.digest, fr.prev, fr.payload)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("chunk frame %x round-trips to %x", data, re)
+			}
+		case frameBundle:
+			var members [][]byte
+			for rest := fr.payload; len(rest) > 0; {
+				var m []byte
+				m, rest = nextMember(rest)
+				if len(m) == 0 {
+					t.Fatalf("bundle %x accepted with an empty member", data)
+				}
+				members = append(members, m)
+			}
+			if len(members) < 2 {
+				t.Fatalf("bundle %x accepted with %d members", data, len(members))
+			}
+			if re := encodeBundle(fr.class, members...); !bytes.Equal(re, data) {
+				t.Fatalf("bundle frame %x round-trips to %x", data, re)
 			}
 		default:
 			t.Fatalf("decodeFrame accepted unknown kind %d", fr.kind)

@@ -9,8 +9,13 @@
 // Messages larger than the transport's MaxMessage are fragmented
 // transparently into digest-chained chunks and reassembled at the
 // receiver, so multi-megabyte state snapshots and aggregated view-change
-// proofs traverse the same API as a 100-byte PREPARE. The chunk scheduler
-// runs on the simulation loop and round-robins traffic classes, so a bulk
+// proofs traverse the same API as a 100-byte PREPARE. Small messages go
+// the other way: the whole messages already queued to a peer in one class
+// when the scheduler runs travel as one bundle frame of up to 4 KiB, so a
+// burst of votes, requests and replies costs the transport below one work
+// request, one completion and one handler dispatch rather than one each;
+// nothing waits for company. The scheduler runs on the simulation loop
+// and round-robins traffic classes, so a bulk
 // transfer cannot head-of-line-block latency-critical agreement traffic
 // beyond the substrate's own queues; bounded per-peer send queues with
 // high/low watermarks surface backpressure through ErrBacklog and
@@ -79,8 +84,8 @@ type Options struct {
 	// rejected, OnWritable fires once the queue drains to or below it.
 	LowWaterBytes int
 	// Burst is how many frames the scheduler releases to the substrate
-	// per turn before yielding — together with SubstrateBacklog it bounds
-	// head-of-line blocking across classes.
+	// per turn before yielding (a bundle is one frame) — together with
+	// SubstrateBacklog it bounds head-of-line blocking across classes.
 	Burst int
 	// SubstrateBacklog pauses the scheduler while the transport reports
 	// at least this many unsent messages; pumping resumes on the

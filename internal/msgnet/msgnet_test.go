@@ -142,10 +142,10 @@ func TestFragmentationRoundTrip(t *testing.T) {
 
 // TestDeliveredBytesBelongToReceiver is the hand-over rule pbft's
 // decode-by-reference rests on: a consumer that keeps every delivered
-// message, whole or reassembled, without copying finds each one intact
-// after the receive ring below has come round many times over — on both
-// backends, and with the rubin channel's zero-copy receive on and off; the
-// channel hands out the backing of each slot it re-posts in either mode.
+// message, whole, bundled or reassembled, without copying finds each one
+// intact after the receive ring below has come round many times over — on
+// both backends, and with the rubin channel's zero-copy receive on and off;
+// the channel hands out the backing of each slot it re-posts in either mode.
 func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Transport.WRs = 4
@@ -160,8 +160,21 @@ func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 				params := model.Default()
 				params.Selector.ZeroCopyReceive = zeroCopy
 				p := newPairWith(t, kind, opts, params)
+				frames := transportKinds(p)
 				var held [][]byte
 				p.ba.OnMessage(func(_ Class, m []byte) { held = append(held, m) })
+				// First four small messages queued in one turn: one bundle,
+				// each member a sub-slice of its one delivered buffer.
+				const bundled, small = 4, 900
+				for i := 0; i < bundled; i++ {
+					if err := p.ab.Send(ClassControl, pattern(small, byte(100+i))); err != nil {
+						t.Fatalf("bundled send %d: %v", i, err)
+					}
+				}
+				p.loop.Run()
+				if len(*frames) != 1 || (*frames)[0] != frameBundle {
+					t.Fatalf("%d small messages arrived as transport messages of kinds %v, want one bundle", bundled, *frames)
+				}
 				const messages = 64 // 16 × WRs whole frames, more chunk frames
 				for i := 0; i < messages; i++ {
 					if err := p.ab.Send(ClassControl, pattern(sizes[i%2], byte(i))); err != nil {
@@ -169,10 +182,15 @@ func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 					}
 				}
 				p.loop.Run()
-				if len(held) != messages {
-					t.Fatalf("delivered %d of %d messages", len(held), messages)
+				if len(held) != bundled+messages {
+					t.Fatalf("delivered %d of %d messages", len(held), bundled+messages)
 				}
-				for i, m := range held {
+				for i, m := range held[:bundled] {
+					if !bytes.Equal(m, pattern(small, byte(100+i))) {
+						t.Fatalf("bundled message %d changed after delivery: the layer below reused its bytes", i)
+					}
+				}
+				for i, m := range held[bundled:] {
 					if !bytes.Equal(m, pattern(sizes[i%2], byte(i))) {
 						t.Fatalf("message %d changed after delivery: the layer below reused its bytes", i)
 					}

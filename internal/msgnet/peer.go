@@ -212,9 +212,9 @@ func (p *Peer) arm() {
 }
 
 // pump releases up to Burst frames to the substrate, round-robining the
-// class queues, then yields. It pauses on substrate backlog and resumes
-// on the connection's drain edge, so a bulk stream is metered into the
-// wire queue instead of monopolizing it.
+// class queues, then yields; a bundle is one frame. It pauses on
+// substrate backlog and resumes on the connection's drain edge, so a bulk
+// stream is metered into the wire queue instead of monopolizing it.
 func (p *Peer) pump() {
 	p.pumpArmed = false
 	if p.closed {
@@ -250,12 +250,13 @@ func (p *Peer) pump() {
 }
 
 // nextFrame returns the next frame in class round-robin order: one whole
-// message or one chunk of the head-of-line chunked message. Every frame
-// is a slice of the item's owned buffer — chunk headers are filled in
-// place here, where the digest chain is known. fin is non-nil when this
-// frame completes its message: the caller recycles fin's buffer and item
-// once the substrate send returns. queueBytes drops by exactly the frame
-// length, mirroring the framed-byte admission accounting.
+// message, a bundle of it and the whole messages behind it, or one chunk
+// of the head-of-line chunked message. Every frame is a slice of an
+// item's owned buffer — chunk headers are filled in place here, where the
+// digest chain is known. fin is non-nil when this frame completes its
+// message (or is a bundle): the caller recycles fin's buffer and item
+// once the substrate send returns. queueBytes drops by exactly the framed
+// bytes each dequeued message was admitted with.
 func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
 	for i := 0; i < numClasses; i++ {
 		cls := (p.cursor + i) % numClasses
@@ -270,6 +271,9 @@ func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
 			q.Pop()
 			p.queueBytes -= len(it.msg)
 			p.traceDequeue(it, Class(cls))
+			if b := p.bundle(q, it, Class(cls)); b != nil {
+				return b.msg, b, true
+			}
 			return it.msg, it, true
 		}
 		stride := chunkHeaderLen + p.mesh.opts.chunkPayload()
@@ -294,6 +298,58 @@ func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
 		return f, fin, true
 	}
 	return nil, nil, false
+}
+
+// bundle packs head, a whole message just dequeued from q, together with
+// the whole messages queued behind it into one bundle frame, while the
+// frame stays within bundleMax and MaxMessage. It returns the bundle as
+// an item of its own, for the pump to send and recycle like a whole
+// frame, or nil — head then travels alone — when head is empty or too
+// big, or the message behind it cannot join. Nothing waits for company:
+// only what is already queued is packed. The members are copied out and
+// recycled here.
+func (p *Peer) bundle(q *sim.Queue[*outItem], head *outItem, cls Class) *outItem {
+	limit := min(bundleMax, p.mesh.opts.Transport.MaxMessage)
+	size := wholeHeaderLen + bundled(head)
+	if bundled(head) == 0 || size > limit {
+		return nil
+	}
+	n := 0
+	for ; n < q.Len(); n++ {
+		next := bundled(*q.At(n))
+		if next == 0 || size+next > limit {
+			break
+		}
+		size += next
+	}
+	if n == 0 {
+		return nil
+	}
+	b := p.mesh.getItem()
+	b.msg = p.mesh.getBuf(size)
+	b.msg[0], b.msg[1] = frameBundle, byte(cls)
+	off := putMember(b.msg, wholeHeaderLen, head.msg[wholeHeaderLen:])
+	p.mesh.putBuf(head.msg)
+	p.mesh.putItem(head)
+	for ; n > 0; n-- {
+		it := q.Pop()
+		p.queueFrames--
+		p.queueBytes -= len(it.msg)
+		p.traceDequeue(it, cls)
+		off = putMember(b.msg, off, it.msg[wholeHeaderLen:])
+		p.mesh.putBuf(it.msg)
+		p.mesh.putItem(it)
+	}
+	return b
+}
+
+// bundled is the bytes a queued message adds to a bundle frame, or 0 when
+// it cannot join one: it is chunked or empty.
+func bundled(it *outItem) int {
+	if it.count > 0 || len(it.msg) == wholeHeaderLen {
+		return 0
+	}
+	return memberHeaderLen + len(it.msg) - wholeHeaderLen
 }
 
 // traceDequeue emits the send-queue-wait span of a fully dequeued item.
@@ -385,7 +441,7 @@ func (p *Peer) connClosed() {
 }
 
 // dispatch handles one inbound transport message: decode the frame,
-// verify the chunk chain, reassemble, deliver.
+// unpack a bundle or verify the chunk chain and reassemble, deliver.
 func (p *Peer) dispatch(raw []byte) {
 	if p.closed {
 		return // frames (including late chunks) after Close are dropped
@@ -395,8 +451,18 @@ func (p *Peer) dispatch(raw []byte) {
 		p.recvFail() // malformed, or of a class nobody defined
 		return
 	}
-	if f.kind == frameWhole {
+	switch f.kind {
+	case frameWhole:
 		p.handOff(f.class, f.payload)
+		return
+	case frameBundle:
+		// decodeFrame checked the layout. Each member is a sub-slice of
+		// the delivered buffer: a consumer keeping one keeps the bundle.
+		for rest := f.payload; len(rest) > 0 && !p.closed; {
+			var m []byte
+			m, rest = nextMember(rest)
+			p.handOff(f.class, m)
+		}
 		return
 	}
 	p.chargeDigest(len(f.payload))
@@ -407,8 +473,11 @@ func (p *Peer) dispatch(raw []byte) {
 	}
 	st := p.streams[f.stream]
 	if st == nil {
-		if f.index != 0 || f.count < 1 || int(f.count) > p.maxChunks() {
-			p.recvFail() // starts past its first chunk, or advertises none or too many
+		// A message that fits one frame is never chunked, so a stream
+		// spans at least two chunks: a first chunk whose count was
+		// corrupted to 1 would otherwise complete a truncated message.
+		if f.index != 0 || f.count < 2 || int(f.count) > p.maxChunks() {
+			p.recvFail() // starts past its first chunk, or advertises too few or too many
 			return
 		}
 		st = &inStream{class: f.class, count: f.count, parts: make([][]byte, 0, f.count)}

@@ -103,7 +103,9 @@ func TestTransferShipsOnlyDivergentState(t *testing.T) {
 // serves corrupted partitions: every StatePart is verified against the
 // certified manifest on arrival, so the fetcher must reject and ban the
 // corrupt peer, count the rejection, and still recover through the
-// honest responders.
+// honest responders. The honest responders send a millisecond late, so
+// the corrupt parts reach the fetcher before the transfer can complete
+// whatever order the transport delivers them in.
 func TestByzantineCorruptedSubtree(t *testing.T) {
 	c := newTestCluster(t, transport.KindTCP, transferConfig())
 	cl, err := c.AddClient()
@@ -114,6 +116,8 @@ func TestByzantineCorruptedSubtree(t *testing.T) {
 	invokeN(t, c, cl, "byz", 20)
 	c.Loop.Post(func() {
 		c.Replicas[1].SetFaults(Faults{CorruptStateParts: true})
+		c.Replicas[0].SetFaults(Faults{SendDelay: sim.Millisecond})
+		c.Replicas[2].SetFaults(Faults{SendDelay: sim.Millisecond})
 	})
 	if err := c.Restart(3); err != nil {
 		t.Fatal(err)
