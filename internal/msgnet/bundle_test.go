@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"testing"
 
+	"rubin/internal/fabric"
+	"rubin/internal/model"
 	"rubin/internal/raceflag"
+	"rubin/internal/sim"
+	"rubin/internal/transport"
 )
 
 // transportKinds wraps b's side of the pair so that it records the kind
@@ -178,5 +182,39 @@ func TestBundleAllocsSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, turn); avg != 0 {
 		t.Errorf("24 queued messages and the bundle carrying them allocate %.2f per turn, want 0", avg)
+	}
+}
+
+// closingConn is a substrate whose connection died: every Send fails with
+// transport.ErrClosed.
+type closingConn struct{ nullConn }
+
+func (c *closingConn) Send([]byte) error { return transport.ErrClosed }
+
+// TestClosedUnderABundleReportsEveryMember: a connection that dies under a
+// bundle loses every member of it, not one message. OnSendError and
+// SendErrors report each member once and each message still queued behind
+// the bundle once — as many errors as messages accepted.
+func TestClosedUnderABundleReportsEveryMember(t *testing.T) {
+	const accepted = 45 // 39 of 100 bytes fill the first bundle; 6 stay queued
+	loop := sim.NewLoop(1)
+	node := fabric.New(loop, model.Default()).AddNode("probe")
+	m := newMesh(node, nil, DefaultOptions())
+	p := m.wrap(&closingConn{nullConn{remote: node}})
+	sendErrs, closes := 0, 0
+	p.OnSendError(func(error) { sendErrs++ })
+	p.OnClose(func() { closes++ })
+	for i := 0; i < accepted; i++ {
+		if err := p.Send(ClassControl, pattern(100, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop.Run()
+	if sendErrs != accepted || *m.sendErrs != accepted {
+		t.Errorf("OnSendError fired %d times, SendErrors %d, want %d each (one per message)",
+			sendErrs, *m.sendErrs, accepted)
+	}
+	if closes != 1 || !p.Closed() {
+		t.Errorf("OnClose fired %d times, closed %v, want 1 and true", closes, p.Closed())
 	}
 }

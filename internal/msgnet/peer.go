@@ -108,10 +108,10 @@ func (p *Peer) OnClose(fn func()) { p.onClose = fn }
 
 // OnSendError installs the asynchronous delivery-failure callback: it
 // fires once per message dropped by a dying connection and once per
-// failed substrate send. Synchronous failures are returned by Send
-// itself; both paths increment SendErrors by the same amount, so
-// counting in the hook and checking Send's return never double-reports
-// or under-reports a failure.
+// message a failed substrate send carried (a bundle carries several).
+// Synchronous failures are returned by Send itself; both paths increment
+// SendErrors by the same amount, so counting in the hook and checking
+// Send's return never double-reports or under-reports a failure.
 func (p *Peer) OnSendError(fn func(error)) { p.onSendErr = fn }
 
 // OnWritable installs the backpressure-release callback: after a Send
@@ -225,8 +225,8 @@ func (p *Peer) pump() {
 			p.waitDrain = true
 			return
 		}
-		f, fin, ok := p.nextFrame()
-		if !ok {
+		f, fin, msgs := p.nextFrame()
+		if msgs == 0 {
 			break
 		}
 		err := p.conn.Send(f)
@@ -239,7 +239,7 @@ func (p *Peer) pump() {
 			p.mesh.putItem(fin)
 		}
 		if err != nil {
-			p.asyncSendFail(err)
+			p.asyncSendFail(err, msgs)
 			return
 		}
 	}
@@ -255,9 +255,11 @@ func (p *Peer) pump() {
 // item's owned buffer — chunk headers are filled in place here, where the
 // digest chain is known. fin is non-nil when this frame completes its
 // message (or is a bundle): the caller recycles fin's buffer and item
-// once the substrate send returns. queueBytes drops by exactly the framed
-// bytes each dequeued message was admitted with.
-func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
+// once the substrate send returns. msgs is how many messages the frame
+// carries (a chunk carries part of one), 0 when every queue is empty.
+// queueBytes drops by exactly the framed bytes each dequeued message was
+// admitted with.
+func (p *Peer) nextFrame() (f []byte, fin *outItem, msgs int) {
 	for i := 0; i < numClasses; i++ {
 		cls := (p.cursor + i) % numClasses
 		q := &p.queues[cls]
@@ -271,10 +273,10 @@ func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
 			q.Pop()
 			p.queueBytes -= len(it.msg)
 			p.traceDequeue(it, Class(cls))
-			if b := p.bundle(q, it, Class(cls)); b != nil {
-				return b.msg, b, true
+			if b, members := p.bundle(q, it, Class(cls)); b != nil {
+				return b.msg, b, members
 			}
-			return it.msg, it, true
+			return it.msg, it, 1
 		}
 		stride := chunkHeaderLen + p.mesh.opts.chunkPayload()
 		start := int(it.index) * stride
@@ -295,24 +297,24 @@ func (p *Peer) nextFrame() (f []byte, fin *outItem, ok bool) {
 			p.traceDequeue(it, Class(cls))
 			fin = it
 		}
-		return f, fin, true
+		return f, fin, 1
 	}
-	return nil, nil, false
+	return nil, nil, 0
 }
 
 // bundle packs head, a whole message just dequeued from q, together with
 // the whole messages queued behind it into one bundle frame, while the
 // frame stays within bundleMax and MaxMessage. It returns the bundle as
 // an item of its own, for the pump to send and recycle like a whole
-// frame, or nil — head then travels alone — when head is empty or too
-// big, or the message behind it cannot join. Nothing waits for company:
-// only what is already queued is packed. The members are copied out and
-// recycled here.
-func (p *Peer) bundle(q *sim.Queue[*outItem], head *outItem, cls Class) *outItem {
+// frame, with its member count; or nil — head then travels alone — when
+// head is empty or too big, or the message behind it cannot join.
+// Nothing waits for company: only what is already queued is packed. The
+// members are copied out and recycled here.
+func (p *Peer) bundle(q *sim.Queue[*outItem], head *outItem, cls Class) (*outItem, int) {
 	limit := min(bundleMax, p.mesh.opts.Transport.MaxMessage)
 	size := wholeHeaderLen + bundled(head)
 	if bundled(head) == 0 || size > limit {
-		return nil
+		return nil, 0
 	}
 	n := 0
 	for ; n < q.Len(); n++ {
@@ -323,8 +325,9 @@ func (p *Peer) bundle(q *sim.Queue[*outItem], head *outItem, cls Class) *outItem
 		size += next
 	}
 	if n == 0 {
-		return nil
+		return nil, 0
 	}
+	members := n + 1
 	b := p.mesh.getItem()
 	b.msg = p.mesh.getBuf(size)
 	b.msg[0], b.msg[1] = frameBundle, byte(cls)
@@ -340,7 +343,7 @@ func (p *Peer) bundle(q *sim.Queue[*outItem], head *outItem, cls Class) *outItem
 		p.mesh.putBuf(it.msg)
 		p.mesh.putItem(it)
 	}
-	return b
+	return b, members
 }
 
 // bundled is the bytes a queued message adds to a bundle frame, or 0 when
@@ -387,11 +390,15 @@ func (p *Peer) substrateDrained() {
 	p.arm()
 }
 
-// asyncSendFail surfaces a substrate-level send failure.
-func (p *Peer) asyncSendFail(err error) {
-	*p.mesh.sendErrs++
+// asyncSendFail surfaces a substrate-level send failure of a frame
+// carrying msgs messages: one error each, as connClosed reports each
+// message still queued.
+func (p *Peer) asyncSendFail(err error, msgs int) {
+	*p.mesh.sendErrs += uint64(msgs)
 	if p.onSendErr != nil {
-		p.onSendErr(err)
+		for i := 0; i < msgs; i++ {
+			p.onSendErr(err)
+		}
 	}
 	if err == transport.ErrClosed {
 		p.connClosed()
