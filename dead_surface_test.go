@@ -29,7 +29,6 @@ nio.SocketChannel.Close — how the nio tests produce the peer close a selector 
 pbft.Replica.Stable — probe the pbft, chaos and shard tests share: last stable checkpoint
 raceflag.Enabled — allocation gates in fifteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
-reptor.Group.GlobalOrder — the merged order as request ids (pbft.RequestID), how the executor and invariant tests compare replicas
 rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up
 sim.Loop.SetEventLimit — runaway guard the sim and reptor tests set
 sim.Resource.QueueDelay — backlog probe of the service station, pinned by TestResourceQueueDelay

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -124,7 +125,7 @@ func runFaultTimeline(spec deploySpec, params model.Params, scenario *chaos.Scen
 	})
 	watch(d.cluster, base)
 	loop.RunUntil(base + end)
-	if err := sched.Err(); err != nil {
+	if err := errors.Join(sched.Err(), d.agreement()); err != nil {
 		return nil, "", err
 	}
 	return d, sched.TraceString(), nil

@@ -94,6 +94,13 @@ type deployment struct {
 
 	cluster *pbft.Cluster   // plain PBFT only: fault-injection and replica-probe handle
 	routers []*shard.Router // sharded only: 2PC protocol errors
+
+	// The agreement oracle (agree.go): a ledger per PBFT group, the first
+	// disagreement one saw, and the COP group whose merged orders stand in
+	// for its instances' ledgers.
+	ledgers      []*ledger
+	disagreement error
+	cop          *reptor.Group
 }
 
 // up brings a built system to the ready state in the one order every run
@@ -130,6 +137,7 @@ func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
 		return nil, err
 	}
 	d := &deployment{loop: c.Loop, nw: c.Network, cluster: c}
+	d.watch("PBFT group", c)
 	d.submit = func(conn int, op []byte, done func([]byte)) string { return c.Clients[conn].Invoke(op, done) }
 	return d, d.up(s, c, func() (frontEnd, error) {
 		cl, err := c.AddClient()
@@ -158,7 +166,7 @@ func newCOP(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.P
 	if s.readTimeout > 0 {
 		g.EnableReadFastPath(s.readTimeout)
 	}
-	d := &deployment{loop: g.Loop, nw: g.Network}
+	d := &deployment{loop: g.Loop, nw: g.Network, cop: g}
 	var cls []*reptor.Client
 	d.submit = func(conn int, op []byte, done func([]byte)) string { return cls[conn].Invoke(op, done) }
 	return d, d.up(s, g, func() (frontEnd, error) {
@@ -188,6 +196,9 @@ func newShards(s deploySpec, shards int, params model.Params) (*deployment, erro
 		return nil, err
 	}
 	d := &deployment{loop: dep.Loop, nw: dep.Network}
+	for s, c := range dep.Clusters {
+		d.watch(fmt.Sprintf("shard %d", s), c)
+	}
 	return d, d.up(s, dep, func() (frontEnd, error) {
 		r, err := dep.AddRouter()
 		d.routers = append(d.routers, r)
@@ -208,9 +219,12 @@ func (d *deployment) stats() map[string]float64 {
 // check is the end-of-run health gate. After a run on a fault-free network
 // four stats must read 0 — no delivery failure surfaced to a replica or its
 // mesh, no inbound frame rejected, no executor holding committed batches —
-// no front-end may still hold an invocation, and no router may have seen a
-// 2PC protocol error.
+// no front-end may still hold an invocation, no router may have seen a 2PC
+// protocol error, and the replicas must agree (see agreement).
 func (d *deployment) check() error {
+	if err := d.agreement(); err != nil {
+		return err
+	}
 	stats := d.stats()
 	for _, name := range []string{"pbft.send_faults", "msgnet.send_errors", "msgnet.recv_errors", "executor_backlog"} {
 		if v := stats[name]; v != 0 {

@@ -144,6 +144,9 @@ func (r *Replica) Stop() {
 	r.fetch.retry.Cancel()
 }
 
+// Stopped reports whether the replica has been stopped.
+func (r *Replica) Stopped() bool { return r.stopped }
+
 // OnExecute installs a hook invoked after each executed batch.
 func (r *Replica) OnExecute(fn func(seq uint64, batch []Request)) { r.onExecute = fn }
 
