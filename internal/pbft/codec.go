@@ -118,8 +118,7 @@ func (d *decoder) count(limit int) int {
 	return n
 }
 
-// encodeRequest writes the layout Request and ReadRequest share, bare or
-// as one element of a batch.
+// encodeRequest writes the layout Request and ReadRequest share.
 func encodeRequest(e *encoder, r Request) {
 	e.u32(r.Client)
 	e.u64(r.Timestamp)
@@ -128,29 +127,6 @@ func encodeRequest(e *encoder, r Request) {
 
 func decodeRequest(d *decoder) Request {
 	return Request{Client: d.u32(), Timestamp: d.u64(), Op: d.bytes()}
-}
-
-func encodeRequests(e *encoder, reqs []Request) {
-	e.u32(uint32(len(reqs)))
-	for _, r := range reqs {
-		encodeRequest(e, r)
-	}
-}
-
-func decodeRequests(d *decoder) []Request {
-	n := d.count(1 << 20)
-	if d.err != nil {
-		return nil
-	}
-	reqs := make([]Request, 0, n)
-	for i := 0; i < n; i++ {
-		r := decodeRequest(d)
-		if d.err != nil {
-			return nil
-		}
-		reqs = append(reqs, r)
-	}
-	return reqs
 }
 
 // refSize is the encoded length of a RequestRef: client, timestamp, digest.
@@ -162,9 +138,10 @@ func (e *encoder) ref(ref RequestRef) {
 	e.digest(ref.Digest)
 }
 
-// encodeRefs writes what a PRE-PREPARE carries: its Refs, or — for a
-// proposal that holds its requests instead — theirs, digested here unless
-// the encoder is only counting.
+// encodeRefs writes what a proposal carries: its Refs, or — for a
+// PrePrepare handed to Encode holding its requests instead, as the
+// benchmark's codec probe does — theirs, digested here unless the encoder
+// is only counting.
 func encodeRefs(e *encoder, pp PrePrepare) {
 	if pp.Refs == nil {
 		e.u32(uint32(len(pp.Batch)))
@@ -183,8 +160,8 @@ func encodeRefs(e *encoder, pp PrePrepare) {
 	}
 }
 
-// decodeRefs reads a PRE-PREPARE's refs into one slice, sized by a count
-// no longer than the input could hold.
+// decodeRefs reads a proposal's refs into one slice, sized by a count no
+// longer than the input could hold.
 func decodeRefs(d *decoder) []RequestRef {
 	n := d.count(len(d.buf) / refSize)
 	if n == 0 {
@@ -197,17 +174,17 @@ func decodeRefs(d *decoder) []RequestRef {
 	return refs
 }
 
-// encodeProposal writes a proposal of a VIEW-CHANGE or a NEW-VIEW: header
-// and requests.
+// encodeProposal writes the one proposal layout — a PRE-PREPARE's, a
+// VIEW-CHANGE proof's and a NEW-VIEW re-proposal's: header and refs.
 func encodeProposal(e *encoder, pp PrePrepare) {
 	e.u64(pp.View)
 	e.u64(pp.Seq)
 	e.digest(pp.Digest)
-	encodeRequests(e, pp.Batch)
+	encodeRefs(e, pp)
 }
 
 func decodeProposal(d *decoder) PrePrepare {
-	return PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Batch: decodeRequests(d)}
+	return PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Refs: decodeRefs(d)}
 }
 
 // encodeProposals writes the proposal list of a VIEW-CHANGE or a NEW-VIEW.
@@ -291,10 +268,7 @@ func (e *encoder) message(m Message) {
 		encodeRequest(e, Request(v))
 	case PrePrepare:
 		e.u8(uint8(v.msgType()))
-		e.u64(v.View)
-		e.u64(v.Seq)
-		e.digest(v.Digest)
-		encodeRefs(e, v)
+		encodeProposal(e, v)
 	case Prepare:
 		e.u8(uint8(v.msgType()))
 		encodeVote(e, v)
@@ -393,7 +367,7 @@ func (m *decoded) decode(raw []byte) error {
 	case MsgRequest, MsgReadRequest:
 		m.request = decodeRequest(&d)
 	case MsgPrePrepare:
-		m.proposal = PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Refs: decodeRefs(&d)}
+		m.proposal = decodeProposal(&d)
 	case MsgPrepare, MsgCommit:
 		m.vote = Prepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Replica: m.origin(&d)}
 	case MsgReply:

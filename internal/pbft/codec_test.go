@@ -34,8 +34,8 @@ func TestCodecRoundTripAllTypes(t *testing.T) {
 		Reply{View: 3, Timestamp: 9, Client: 7, Replica: 0, Result: []byte("OK")},
 		Checkpoint{Seq: 64, Digest: d, Replica: 3},
 		ViewChange{NewView: 5, Stable: 64, Replica: 2,
-			Prepared: []PreparedProof{{View: 4, Seq: 65, Digest: d, Batch: reqs}}},
-		NewView{View: 5, PrePrepares: []PrePrepare{{View: 5, Seq: 65, Digest: d, Batch: reqs}}},
+			Prepared: []PreparedProof{{View: 4, Seq: 65, Digest: d, Refs: refsOf(reqs)}, {View: 4, Seq: 66, Digest: d}}},
+		NewView{View: 5, PrePrepares: []PrePrepare{{View: 5, Seq: 65, Digest: d, Refs: refsOf(reqs)}, {View: 5, Seq: 66, Digest: d}}},
 		StateRequest{Seq: 42, Replica: 3},
 		StateRequest{Seq: 42, Replica: 3, Root: d, Digests: []auth.Digest{d, auth.Hash(nil)}},
 		StateManifest{Seq: 64, View: 5, Root: d, Header: []byte("hdr"), Digests: []auth.Digest{auth.Hash(nil), d}, Replica: 2},
@@ -63,30 +63,12 @@ func normalize(m Message) Message {
 		}
 		return b
 	}
-	fixReqs := func(rs []Request) []Request {
-		out := make([]Request, len(rs))
-		for i, r := range rs {
-			r.Op = fix(r.Op)
-			out[i] = r
-		}
-		return out
-	}
 	switch v := m.(type) {
 	case Request:
 		v.Op = fix(v.Op)
 		return v
 	case Reply:
 		v.Result = fix(v.Result)
-		return v
-	case ViewChange:
-		for i := range v.Prepared {
-			v.Prepared[i].Batch = fixReqs(v.Prepared[i].Batch)
-		}
-		return v
-	case NewView:
-		for i := range v.PrePrepares {
-			v.PrePrepares[i].Batch = fixReqs(v.PrePrepares[i].Batch)
-		}
 		return v
 	case StateManifest:
 		v.Header = fix(v.Header)
@@ -143,7 +125,8 @@ func refsOf(batch []Request) []RequestRef {
 
 // codecTable holds every message type, the variable-length ones at empty,
 // small and 32 KiB-operation sizes — a pre-prepare both as a replica sends
-// it, by refs, and holding its requests instead.
+// it, by refs, and holding its requests instead, and a VIEW-CHANGE's
+// proofs and a NEW-VIEW's re-proposals in the same layout.
 func codecTable() []Message {
 	d := auth.Hash([]byte("digest"))
 	var msgs []Message
@@ -151,8 +134,8 @@ func codecTable() []Message {
 		msgs = append(msgs,
 			PrePrepare{View: 3, Seq: 4, Digest: d, Refs: refsOf(batch)},
 			PrePrepare{View: 3, Seq: 4, Digest: d, Batch: batch},
-			ViewChange{NewView: 5, Stable: 64, Replica: 2, Prepared: []PreparedProof{{View: 4, Seq: 65, Digest: d, Batch: batch}, {View: 4, Seq: 66, Digest: d}}},
-			NewView{View: 5, PrePrepares: []PrePrepare{{View: 5, Seq: 65, Digest: d, Batch: batch}, {View: 5, Seq: 66, Digest: d}}},
+			ViewChange{NewView: 5, Stable: 64, Replica: 2, Prepared: []PreparedProof{{View: 4, Seq: 65, Digest: d, Refs: refsOf(batch)}, {View: 4, Seq: 66, Digest: d}}},
+			NewView{View: 5, PrePrepares: []PrePrepare{{View: 5, Seq: 65, Digest: d, Refs: refsOf(batch)}, {View: 5, Seq: 66, Digest: d}}},
 		)
 	}
 	for _, b := range [][]byte{nil, []byte("x"), make([]byte, 32<<10)} {
@@ -273,8 +256,8 @@ func TestDecodeAliasesInput(t *testing.T) {
 		}
 		return false
 	}
-	batch := batchOf(3, 100)
-	raw, _, _ := (&Replica{keyring: auth.GenerateKeyrings(4, 7)[0]}).seal(NewView{View: 1, PrePrepares: []PrePrepare{{View: 1, Seq: 2, Batch: batch}}})
+	req := batchOf(1, 100)[0]
+	raw, _, _ := (&Replica{keyring: auth.GenerateKeyrings(4, 7)[0]}).seal(req)
 	env, err := DecodeEnvelope(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -291,10 +274,8 @@ func TestDecodeAliasesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range m.(NewView).PrePrepares[0].Batch {
-		if !inside(r.Op, raw) || !bytes.Equal(r.Op, batch[i].Op) {
-			t.Errorf("operation %d does not alias the input", i)
-		}
+	if op := m.(Request).Op; !inside(op, raw) || !bytes.Equal(op, req.Op) {
+		t.Error("a sealed request's operation does not alias the input")
 	}
 	for _, m := range []Message{
 		Reply{Result: []byte("result")}, ReadReply{Result: []byte("result")}, ReadRequest{Op: []byte("op")},
@@ -341,13 +322,8 @@ func TestDecodeAliasesInput(t *testing.T) {
 		}
 	}
 	var v decoded
-	if err := v.decode(env.Payload); err != nil || v.typ != MsgNewView || len(v.nv.PrePrepares[0].Batch) != len(batch) {
-		t.Fatalf("by-value decode of the proposal: %v (type %v)", err, v.typ)
-	}
-	for i, r := range v.nv.PrePrepares[0].Batch {
-		if !inside(r.Op, raw) {
-			t.Errorf("by-value operation %d does not alias the input", i)
-		}
+	if err := v.decode(env.Payload); err != nil || v.typ != MsgRequest || !inside(v.request.Op, raw) {
+		t.Errorf("by-value decode of a sealed request: %v (type %v), or its operation does not alias the input", err, v.typ)
 	}
 }
 

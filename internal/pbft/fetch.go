@@ -1,6 +1,10 @@
 package pbft
 
-import "slices"
+import (
+	"slices"
+
+	"rubin/internal/auth"
+)
 
 // Requests by reference. A PRE-PREPARE names its requests by ref, and every
 // replica executes its own copy, filed when the client's broadcast reached
@@ -40,7 +44,7 @@ func (r *Replica) resolve(s *slot) {
 	if !r.accepts(s.pp.View, s.seq) {
 		return
 	}
-	if !s.sentPrep {
+	if !s.sentPrep && r.Leader(s.pp.View) != r.id { // a leader's proposal stands for its vote
 		s.sentPrep = true
 		s.prepares.set(r.id, s.pp.Digest)
 		r.broadcast(Prepare{View: s.pp.View, Seq: s.seq, Digest: s.pp.Digest, Replica: r.id})
@@ -65,14 +69,15 @@ func (r *Replica) parkedSlots(visit func(*slot)) {
 	}
 }
 
-// unpark retries every parked proposal that names ref, now that its copy is
-// filed.
+// unpark retries every parked proposal that names ref, and the held
+// NEW-VIEW, now that its copy is filed.
 func (r *Replica) unpark(ref RequestRef) {
 	r.parkedSlots(func(s *slot) {
 		if slices.Contains(s.pp.Refs, ref) {
 			r.resolve(s)
 		}
 	})
+	r.sendHeld()
 }
 
 // stranded reports whether a proposal is parked at or below seq.
@@ -105,16 +110,20 @@ func (r *Replica) handleFetch(sender uint32, m Fetch) {
 }
 
 // handleFetched takes one request of a FETCH answer. It is filed only as
-// the copy a parked proposal names: its digest must be the ref's.
+// the copy a parked proposal or the held NEW-VIEW names: its digest must be
+// the ref's. A released copy is taken back, its row's state unchanged: a new
+// leader answers for every request its NEW-VIEW names, executed or not.
 func (r *Replica) handleFetched(req Request) {
-	if _, seen := r.requests[req.ID()]; seen || len(r.parked) == 0 {
-		return // the client's copy landed first, or nothing waits for one
+	row, seen := r.requests[req.ID()]
+	if seen && row.digest != (auth.Digest{}) || len(r.parked) == 0 && r.held == nil {
+		return // a copy is held — the client's landed first — or nothing waits for one
 	}
 	d, _ := r.digest(req)
-	ref, wanted := RequestRef{req.ID(), d}, false
+	ref := RequestRef{req.ID(), d}
+	wanted := r.held != nil && slices.ContainsFunc(r.held.PrePrepares, func(pp PrePrepare) bool { return slices.Contains(pp.Refs, ref) })
 	r.parkedSlots(func(s *slot) { wanted = wanted || slices.Contains(s.pp.Refs, ref) })
 	if wanted {
-		r.file(req, d, known, 0)
+		r.file(req, d, row.state, 0) // a new row's zero state is known; a released row stays done
 		r.unpark(ref)
 	}
 }

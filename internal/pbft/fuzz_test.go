@@ -23,8 +23,8 @@ func fuzzSeedMessages() [][]byte {
 		Commit{View: 1, Seq: 2, Digest: d, Replica: 3},
 		Reply{View: 1, Timestamp: 2, Client: 3, Replica: 0, Result: []byte("r")},
 		Checkpoint{Seq: 64, Digest: d, Replica: 2},
-		ViewChange{NewView: 2, Stable: 64, Prepared: []PreparedProof{{View: 1, Seq: 65, Digest: d, Batch: batch}}, Replica: 1},
-		NewView{View: 2, PrePrepares: []PrePrepare{{View: 2, Seq: 65, Digest: d, Batch: batch}}},
+		ViewChange{NewView: 2, Stable: 64, Prepared: []PreparedProof{{View: 1, Seq: 65, Digest: d, Refs: refsOf(batch)}, {View: 1, Seq: 66, Digest: d}}, Replica: 1},
+		NewView{View: 2, PrePrepares: []PrePrepare{{View: 2, Seq: 65, Digest: d, Refs: refsOf(batch)}, {View: 2, Seq: 66, Digest: d}}},
 		StateRequest{Seq: 12, Replica: 1},
 		StateRequest{Seq: 12, Replica: 1, Root: d, Digests: []auth.Digest{d, d}},
 		ReadRequest{Client: 1, Timestamp: 2, Op: []byte("get/k")},

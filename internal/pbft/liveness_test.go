@@ -131,14 +131,18 @@ func TestFaultScriptSweep(t *testing.T) {
 // tapInbound calls see(to, payload) for every replica-to-replica message
 // replica `to` receives, before the replica handles it.
 func tapInbound(c *Cluster, see func(to int, payload []byte)) {
+	filterInbound(c, func(to int, payload []byte) bool { see(to, payload); return true })
+}
+
+// filterInbound is tapInbound whose keep decides whether the replica
+// handles the message or never sees it.
+func filterInbound(c *Cluster, keep func(to int, payload []byte) bool) {
 	for i, rep := range c.Replicas {
-		i, rep := i, rep
 		for _, p := range c.inboundPeer[i] {
 			p.OnMessage(func(_ msgnet.Class, raw []byte) {
-				if env, err := DecodeEnvelope(raw); err == nil && len(env.Payload) > 0 {
-					see(i, env.Payload)
+				if env, err := DecodeEnvelope(raw); err != nil || len(env.Payload) == 0 || keep(i, env.Payload) {
+					rep.handleEnvelope(raw)
 				}
-				rep.handleEnvelope(raw)
 			})
 		}
 	}

@@ -106,10 +106,10 @@ type RequestRef struct {
 // refOf returns the ref that names req.
 func refOf(req Request) RequestRef { return RequestRef{req.ID(), auth.Hash(req.Op)} }
 
-// PrePrepare is the leader's ordering proposal for one batch. On the wire a
-// PRE-PREPARE carries Refs; a proposal inside a VIEW-CHANGE or a NEW-VIEW
-// carries the requests themselves, in Batch, since its receiver may hold
-// no copy of them. Digest commits to the refs either way (BatchDigest).
+// PrePrepare is the leader's ordering proposal for one batch, and the
+// layout of a VIEW-CHANGE's proofs and a NEW-VIEW's re-proposals: each
+// carries Refs, and Digest commits to them (BatchDigest). Batch is read
+// only by Encode, which writes the refs of the requests it holds.
 type PrePrepare struct {
 	View   uint64
 	Seq    uint64
@@ -159,7 +159,8 @@ type Checkpoint struct {
 }
 
 // PreparedProof summarizes one prepared-but-unexecuted slot for a view
-// change: the proposal that prepared there, in the proposal's own layout.
+// change: the proposal that prepared there, in the proposal's own layout;
+// its sender holds the requests it names.
 type PreparedProof = PrePrepare
 
 // ViewChange asks to move to a new view, carrying the prepared set above

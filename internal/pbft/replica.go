@@ -67,6 +67,7 @@ type Replica struct {
 	demanded     uint64 // view of this replica's latest VIEW-CHANGE
 	failedViews  uint
 	vcVotes      map[uint64][]*ViewChange // by demanded view, then replica id
+	held         *NewView                 // the new leader's NEW-VIEW, until it holds every request named (see installNewView)
 
 	// Hooks.
 	onExecute         func(seq uint64, batch []Request)

@@ -165,7 +165,9 @@ func (m *modelSlot) count(votes map[uint32]auth.Digest) int {
 func TestLogRingMatchesMapModel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery, cfg.LogWindow = 4, 8
-	digests := []auth.Digest{auth.Hash([]byte("a")), auth.Hash([]byte("b")), auth.Hash([]byte("c"))}
+	// The first is an empty batch's, which a NEW-VIEW's empty re-proposals
+	// hash to: a re-proposal's refs must match its digest.
+	digests := []auth.Digest{BatchDigest(nil), auth.Hash([]byte("b")), auth.Hash([]byte("c"))}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := bareReplica(t, 3, cfg)
@@ -215,7 +217,8 @@ func TestLogRingMatchesMapModel(t *testing.T) {
 						delete(log, at)
 					}
 				}
-			default: // a NEW-VIEW re-proposing a few sequences, in and out of the window
+			default: // a NEW-VIEW re-proposing a few empty batches, in and out of the window
+				d := digests[0]
 				nv := NewView{View: r.view + 1}
 				for k := rng.Intn(4); k > 0; k-- {
 					at := r.stable + uint64(rng.Intn(int(cfg.LogWindow)+4))

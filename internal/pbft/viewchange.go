@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"slices"
 	"sort"
 
 	"rubin/internal/sim"
@@ -15,17 +16,17 @@ func (r *Replica) startViewChange(newView uint64) {
 	if r.stopped || newView <= r.view || (r.viewChanging && newView <= r.demanded) {
 		return
 	}
-	r.viewChanging, r.demanded = true, newView
+	r.viewChanging, r.demanded, r.held = true, newView, nil
 	// Cancel batch work and the progress timer (awaitNewView re-arms it);
-	// collect prepared proofs above the execution point, in sequence order,
-	// each carrying this replica's copies of its requests: the new leader
-	// may hold none of them.
+	// collect prepared proofs above the execution point, in sequence order.
+	// This replica holds the requests each names — resolve found every copy
+	// — so the new leader can fetch from it what it lacks.
 	r.batchTimer.Cancel()
 	r.progress.Cancel()
 	var proofs []PreparedProof
 	for seq := r.executed + 1; seq-r.stable <= r.cfg.LogWindow; seq++ {
 		if s := r.lookup(seq); s != nil && r.prepared(s) {
-			proofs = append(proofs, PreparedProof{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Batch: r.copies(s.pp.Refs)})
+			proofs = append(proofs, PreparedProof{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Refs: s.pp.Refs})
 		}
 	}
 	vc := ViewChange{NewView: newView, Stable: r.stable, Prepared: proofs, Replica: r.id}
@@ -55,7 +56,7 @@ func (r *Replica) handleViewChange(m ViewChange) {
 	if r.demands(m.NewView) >= r.cfg.F+1 {
 		r.startViewChange(m.NewView)
 	}
-	if r.Leader(m.NewView) == r.id && r.demands(m.NewView) >= r.cfg.Quorum() {
+	if r.Leader(m.NewView) == r.id && r.demands(m.NewView) >= r.cfg.Quorum() && (r.held == nil || r.held.View != m.NewView) {
 		r.installNewView(m.NewView)
 	}
 	r.awaitNewView()
@@ -85,7 +86,10 @@ func (r *Replica) demands(v uint64) int {
 }
 
 // installNewView (new leader): re-propose every prepared slot reported by
-// the view-change quorum, filling gaps with empty batches.
+// the view-change quorum, filling gaps with empty batches. Backups fetch
+// what they lack from this replica, so the NEW-VIEW is held until it holds
+// every request named; each it lacks — released on execution here, or
+// never received — it fetches from the senders whose proof names it.
 func (r *Replica) installNewView(v uint64) {
 	maxStable := r.stable
 	best := make(map[uint64]PreparedProof)
@@ -96,32 +100,49 @@ func (r *Replica) installNewView(v uint64) {
 		if vc == nil {
 			continue
 		}
-		if vc.Stable > maxStable {
-			maxStable = vc.Stable
-		}
+		maxStable = max(maxStable, vc.Stable)
 		for _, p := range vc.Prepared {
 			if cur, ok := best[p.Seq]; !ok || p.View > cur.View {
 				best[p.Seq] = p
 			}
-			if p.Seq > maxSeq {
-				maxSeq = p.Seq
-			}
+			maxSeq = max(maxSeq, p.Seq)
 		}
 	}
 	// Every correct replica's proofs lie in its own window, which ends at or
 	// below maxStable+LogWindow: a proof claiming more is not re-proposed,
 	// and a forged one cannot size the NEW-VIEW.
-	var pps []PrePrepare
+	r.held = &NewView{View: v}
 	for seq := maxStable + 1; seq <= maxSeq && seq-maxStable <= r.cfg.LogWindow; seq++ {
-		if p, ok := best[seq]; ok {
-			pps = append(pps, PrePrepare{View: v, Seq: seq, Digest: p.Digest, Batch: p.Batch})
-		} else {
-			pps = append(pps, PrePrepare{View: v, Seq: seq, Digest: r.batches.digest(nil)})
+		p, ok := best[seq]
+		if !ok {
+			p.Digest = r.batches.digest(nil)
+		}
+		r.held.PrePrepares = append(r.held.PrePrepares, PrePrepare{View: v, Seq: seq, Digest: p.Digest, Refs: p.Refs})
+		for id, vc := range r.vcVotes[v] {
+			if !r.holds(p.Refs) && vc != nil && uint32(id) != r.id && slices.ContainsFunc(vc.Prepared, func(q PreparedProof) bool { return q.Seq == seq && q.Digest == p.Digest }) {
+				r.send(uint32(id), Fetch{Seq: seq, Replica: r.id})
+			}
 		}
 	}
-	nv := NewView{View: v, PrePrepares: pps}
-	r.broadcast(nv)
-	r.adoptNewView(v, nv)
+	r.sendHeld()
+}
+
+// sendHeld broadcasts and adopts the held NEW-VIEW once this replica holds
+// every request it names.
+func (r *Replica) sendHeld() {
+	nv := r.held
+	if nv == nil || slices.ContainsFunc(nv.PrePrepares, func(pp PrePrepare) bool { return !r.holds(pp.Refs) }) {
+		return
+	}
+	r.held = nil
+	r.broadcast(*nv)
+	r.adoptNewView(nv.View, *nv)
+}
+
+// holds reports whether this replica holds a copy of every request refs
+// name, with the ref's digest.
+func (r *Replica) holds(refs []RequestRef) bool {
+	return !slices.ContainsFunc(refs, func(ref RequestRef) bool { return r.requests[ref.RequestID].digest != ref.Digest })
 }
 
 func (r *Replica) handleNewView(sender uint32, nv NewView) {
@@ -132,9 +153,9 @@ func (r *Replica) handleNewView(sender uint32, nv NewView) {
 }
 
 // settleView ends any view change in progress: the replica is in r.view,
-// and votes for it or older views are moot.
+// and votes for it or older views, and any NEW-VIEW held back, are moot.
 func (r *Replica) settleView() {
-	r.viewChanging = false
+	r.viewChanging, r.held = false, nil
 	for view := range r.vcVotes {
 		if view <= r.view {
 			delete(r.vcVotes, view)
@@ -142,7 +163,9 @@ func (r *Replica) settleView() {
 	}
 }
 
-// adoptNewView installs the view and replays the re-proposed slots.
+// adoptNewView installs the view and admits each re-proposal as a
+// PRE-PREPARE past its view and sender check: its refs must hash to its
+// digest, then resolve checks them against this replica's copies.
 func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	r.view = v
 	r.settleView()
@@ -154,32 +177,15 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	// and no PREPARE, however many sequences a NEW-VIEW names.
 	var maxSeq uint64
 	for _, pp := range nv.PrePrepares {
-		pp := pp
-		if pp.Seq <= r.executed {
-			continue // already executed here (state transfer not needed)
-		}
-		// The NEW-VIEW carries the requests themselves: each becomes this
-		// replica's copy, and the slot names them by ref.
-		pp.Refs = make([]RequestRef, len(pp.Batch))
-		for i, req := range pp.Batch {
-			d, _ := r.digest(req)
-			r.file(req, d, assigned, pp.Seq)
-			pp.Refs[i] = RequestRef{req.ID(), d}
-		}
-		pp.Batch = nil
-		if !r.inWindow(pp.Seq) {
-			continue // not ours to hold
+		if pp.Seq <= r.executed || !r.inWindow(pp.Seq) {
+			continue // already executed here, or not ours to hold
 		}
 		s := r.slotFor(pp.Seq)
 		s.reset(pp.Seq)
-		s.pp = &pp
-		if pp.Seq > maxSeq {
-			maxSeq = pp.Seq
-		}
-		if r.Leader(v) != r.id {
-			s.sentPrep = true
-			s.prepares.set(r.id, pp.Digest)
-			r.broadcast(Prepare{View: v, Seq: pp.Seq, Digest: pp.Digest, Replica: r.id})
+		maxSeq = max(maxSeq, pp.Seq)
+		if r.batches.digest(pp.Refs) == pp.Digest {
+			s.pp = &pp
+			r.resolve(s)
 		}
 	}
 	// seqNext is the proposal frontier of the NEW view: the highest
@@ -188,10 +194,7 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	// ordering-CPU completion observed the view change and aborted the
 	// broadcast) would otherwise stay stranded: nothing re-proposes it,
 	// and a later proposal above it could never execute past the hole.
-	r.seqNext = maxSeq
-	if r.seqNext < r.executed {
-		r.seqNext = r.executed
-	}
+	r.seqNext = max(maxSeq, r.executed)
 	// The new view will reuse sequences above the frontier, but the old
 	// view may have left slots there (a received pre-prepare sets
 	// sentPrep and records votes that are not view-tagged). Reusing such
@@ -216,10 +219,6 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	}
 	if r.IsLeader() && r.pending.Len() > 0 {
 		r.node.Loop().Post(r.propose)
-	}
-	for _, pp := range nv.PrePrepares {
-		r.tryPrepare(pp.Seq)
-		r.tryCommit(pp.Seq)
 	}
 }
 

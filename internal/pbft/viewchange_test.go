@@ -3,21 +3,25 @@ package pbft
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"rubin/internal/auth"
 	"rubin/internal/kvstore"
+	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
-// viewChangeWire runs one leader-crash scenario and returns every
-// VIEW-CHANGE and NEW-VIEW payload in the order replicas received them.
-// COMMIT is muted on every replica until after the crash, so all six
-// single-request slots are prepared but unexecuted when the request
-// timers fire: every VIEW-CHANGE carries six proofs and the NEW-VIEW
-// re-proposes six slots — enough entries that map-order iteration
-// anywhere on the path would scramble them.
-func viewChangeWire(t *testing.T) [][]byte {
+// viewChangeWire runs one leader-crash scenario, with puts of values
+// valueBytes long, and returns every VIEW-CHANGE and NEW-VIEW payload in
+// the order replicas received them. COMMIT is muted on every replica until
+// after the crash, so all six single-request slots are prepared but
+// unexecuted when the request timers fire: every VIEW-CHANGE carries six
+// proofs and the NEW-VIEW re-proposes six slots — enough entries that
+// map-order iteration anywhere on the path would scramble them.
+func viewChangeWire(t *testing.T, valueBytes int) [][]byte {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.BatchSize = 1
@@ -43,7 +47,7 @@ func viewChangeWire(t *testing.T) [][]byte {
 	base := c.Loop.Now()
 	c.Loop.Post(func() {
 		for k := 0; k < requests; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("vc%d", k), "v"), func([]byte) { done++ })
+			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("vc%d", k), strings.Repeat("v", valueBytes)), func([]byte) { done++ })
 		}
 	})
 	c.Loop.At(base+10*sim.Millisecond, func() { c.Crash(0) })
@@ -71,9 +75,9 @@ func viewChangeWire(t *testing.T) [][]byte {
 // iteration per range statement, so building the proof list by ranging
 // over the log makes this fail within a few repetitions.
 func TestViewChangeBytesDeterministic(t *testing.T) {
-	want := viewChangeWire(t)
+	want := viewChangeWire(t, 1)
 	for run := 1; run < 20; run++ {
-		got := viewChangeWire(t)
+		got := viewChangeWire(t, 1)
 		if len(got) != len(want) {
 			t.Fatalf("run %d: %d view-change payloads, first run had %d", run, len(got), len(want))
 		}
@@ -98,5 +102,158 @@ func TestNewLeaderCountsItsOwnViewChange(t *testing.T) {
 	r.handleViewChange(ViewChange{NewView: 1, Replica: 3})
 	if r.view != 1 || r.viewChanging {
 		t.Fatalf("F+1 demands plus its own: view=%d viewChanging=%v, want view 1 installed", r.view, r.viewChanging)
+	}
+}
+
+// TestViewChangeSizeIsIndependentOfOpSize: VIEW-CHANGE proofs and NEW-VIEW
+// re-proposals name their requests by ref, so the largest of each that
+// the leader-crash scenario sends is as long with 32 KiB values as with
+// 128 B ones.
+func TestViewChangeSizeIsIndependentOfOpSize(t *testing.T) {
+	var largest [2]map[MsgType]int
+	for i, valueBytes := range []int{128, 32 << 10} {
+		largest[i] = map[MsgType]int{}
+		for _, payload := range viewChangeWire(t, valueBytes) {
+			largest[i][MsgType(payload[0])] = max(largest[i][MsgType(payload[0])], len(payload))
+		}
+	}
+	for _, mt := range []MsgType{MsgViewChange, MsgNewView} {
+		if small, large := largest[0][mt], largest[1][mt]; small == 0 || small != large {
+			t.Errorf("largest %s: %d bytes with 128 B values, %d with 32 KiB ones; want equal", mt, small, large)
+		}
+	}
+}
+
+// lackingLeader runs one put through a 4-replica group whose view-1
+// leader, replica 1, lacks the put's copy when view 0 ends: the client's
+// copy never reaches it, and no FETCH sent in view 0 is answered. No
+// replica gets a COMMIT of view 0, so the put's progress timer ends the
+// view. With executed, replica 1 has the client's copy instead, and alone
+// gets view 0's COMMITs: it executes the put and releases its copy; the
+// client's copy never reaches replica 3. It returns the cluster, the put's
+// reply count, and the FETCHes ("FETCH 1→2") and NEW-VIEWs ("NEW-VIEW →2")
+// replicas received, in order.
+func lackingLeader(t *testing.T, executed bool) (c *Cluster, replies int, events []string) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.BatchSize = 1
+	c = newTestCluster(t, transport.KindTCP, cfg)
+	cl, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lacks := range []bool{false, !executed, false, executed} {
+		for _, p := range c.inboundClient[i] {
+			if lacks {
+				p.OnMessage(func(msgnet.Class, []byte) {})
+			}
+		}
+	}
+	filterInbound(c, func(to int, payload []byte) bool {
+		m, err := Decode(payload)
+		switch v := m.(type) {
+		case Fetch:
+			from := c.Replicas[v.Replica]
+			if from.View() == 0 && !from.viewChanging {
+				return false
+			}
+			events = append(events, fmt.Sprintf("FETCH %d→%d", v.Replica, to))
+		case NewView:
+			events = append(events, fmt.Sprintf("NEW-VIEW →%d", to))
+		case Commit:
+			return v.View > 0 || executed && to == 1
+		}
+		return err == nil
+	})
+	c.Loop.Post(func() { cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "v"), func([]byte) { replies++ }) })
+	c.Loop.Run()
+	return c, replies, events
+}
+
+// checkLackingLeader asserts what both lackingLeader runs must show: the
+// new leader FETCHed from senders of the proofs for the put's sequence,
+// from no other replica and never from itself (a send to itself has no
+// peer and shows as a send fault), and only then sent its NEW-VIEW; every
+// replica executed the put into the same state.
+func checkLackingLeader(t *testing.T, c *Cluster, replies int, events []string, proofSenders ...int) {
+	t.Helper()
+	first := slices.IndexFunc(events, func(e string) bool { return strings.HasPrefix(e, "NEW-VIEW") })
+	fetched := 0
+	for j := range c.Replicas {
+		at := slices.Index(events, fmt.Sprintf("FETCH 1→%d", j))
+		switch {
+		case at >= 0 && !slices.Contains(proofSenders, j):
+			t.Errorf("the new leader FETCHed from %d, which sent no proof: %v", j, events)
+		case at >= 0 && at < first:
+			fetched++
+		}
+	}
+	if fetched == 0 || *c.Replicas[1].sendFaults != 0 {
+		t.Errorf("before its NEW-VIEW the new leader FETCHed from %d proof senders and counted %d send faults, want some and none: %v",
+			fetched, *c.Replicas[1].sendFaults, events)
+	}
+	if replies != 1 {
+		t.Errorf("the put was answered %d times, want once", replies)
+	}
+	for i, rep := range c.Replicas {
+		if rep.View() != 1 || rep.Executed() != 1 || c.Apps[i].Snapshot() != c.Apps[0].Snapshot() {
+			t.Errorf("replica %d: view %d, executed %d, state equal %v; want view 1, the put executed, the group's state",
+				i, rep.View(), rep.Executed(), c.Apps[i].Snapshot() == c.Apps[0].Snapshot())
+		}
+	}
+}
+
+// TestNewLeaderFetchesWhatItLacksBeforeNewView: the put prepared at
+// replicas 0, 2 and 3 but never reached the new leader. It fetches the
+// copy from the proofs' senders before it re-proposes the put.
+func TestNewLeaderFetchesWhatItLacksBeforeNewView(t *testing.T) {
+	c, replies, events := lackingLeader(t, false)
+	checkLackingLeader(t, c, replies, events, 0, 2, 3)
+}
+
+// TestNewLeaderFetchesWhatItReleased: the new leader executed the put and
+// released its copy; replicas 0 and 2 prepared it, and replica 3 never got
+// it. The new leader takes its released copy back from a proof's sender,
+// and replica 3, which fetches the re-proposal's copy from the new leader,
+// executes it.
+func TestNewLeaderFetchesWhatItReleased(t *testing.T) {
+	c, replies, events := lackingLeader(t, true)
+	checkLackingLeader(t, c, replies, events, 0, 2)
+	if at := slices.Index(events, "FETCH 3→1"); at < slices.Index(events, "NEW-VIEW →3") {
+		t.Errorf("replica 3 did not fetch the re-proposal's copy from the new leader: %v", events)
+	}
+	if row := c.Replicas[1].requests[RequestID{100, 1}]; row.state != done || row.digest == (auth.Digest{}) {
+		t.Errorf("the new leader's row: state %d, copy held %v; want done, its copy taken back", row.state, row.digest != auth.Digest{})
+	}
+}
+
+// TestNewViewCannotReplaceACopy: a backup holds client 100's copy of a
+// request when a NEW-VIEW re-proposes that request by a ref with another
+// digest, or by its own ref under a digest the refs do not hash to. Either
+// way the backup's copy stays as it was, and it PREPAREs nothing — a bare
+// replica has no peers, so a PREPARE would show as a send fault.
+func TestNewViewCannotReplaceACopy(t *testing.T) {
+	req := Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
+	other := refOf(Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "w")})
+	for name, pp := range map[string]PrePrepare{
+		"another digest":    {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: []RequestRef{other}},
+		"refs do not match": {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: []RequestRef{refOf(req)}},
+	} {
+		if name == "another digest" {
+			var b batchDigester
+			pp.Digest = b.digest(pp.Refs)
+		}
+		backup := bareReplica(t, 2, DefaultConfig())
+		backup.handleRequest(req)
+		backup.handleEnvelope(sealedBy(backup, 1, NewView{View: 1, PrePrepares: []PrePrepare{pp}}))
+		if backup.View() != 1 {
+			t.Fatalf("%s: the NEW-VIEW was not installed", name)
+		}
+		if row := backup.requests[req.ID()]; !bytes.Equal(row.Op, req.Op) || row.digest != refOf(req).Digest {
+			t.Errorf("%s: the backup's copy was replaced", name)
+		}
+		if s := backup.lookup(1); s == nil || s.pp != nil || s.sentPrep || *backup.sendFaults != 0 {
+			t.Errorf("%s: the backup kept the re-proposal or sent %d messages; want it dropped, nothing sent", name, *backup.sendFaults)
+		}
 	}
 }
