@@ -89,7 +89,8 @@ func (r *Replica) demands(v uint64) int {
 // the view-change quorum, filling gaps with empty batches. Backups fetch
 // what they lack from this replica, so the NEW-VIEW is held until it holds
 // every request named; each it lacks — released on execution here, or
-// never received — it fetches from the senders whose proof names it.
+// never received — it fetches from the senders whose proof names it. That
+// is never itself: its own proofs name only copies it holds.
 func (r *Replica) installNewView(v uint64) {
 	maxStable := r.stable
 	best := make(map[uint64]PreparedProof)
@@ -119,7 +120,7 @@ func (r *Replica) installNewView(v uint64) {
 		}
 		r.held.PrePrepares = append(r.held.PrePrepares, PrePrepare{View: v, Seq: seq, Digest: p.Digest, Refs: p.Refs})
 		for id, vc := range r.vcVotes[v] {
-			if !r.holds(p.Refs) && vc != nil && uint32(id) != r.id && slices.ContainsFunc(vc.Prepared, func(q PreparedProof) bool { return q.Seq == seq && q.Digest == p.Digest }) {
+			if !r.holds(p.Refs) && vc != nil && slices.ContainsFunc(vc.Prepared, func(q PreparedProof) bool { return q.Seq == seq && q.Digest == p.Digest }) {
 				r.send(uint32(id), Fetch{Seq: seq, Replica: r.id})
 			}
 		}

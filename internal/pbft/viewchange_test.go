@@ -142,12 +142,12 @@ func lackingLeader(t *testing.T, executed bool) (c *Cluster, replies int, events
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, lacks := range []bool{false, !executed, false, executed} {
-		for _, p := range c.inboundClient[i] {
-			if lacks {
-				p.OnMessage(func(msgnet.Class, []byte) {})
-			}
-		}
+	lacking := 1
+	if executed {
+		lacking = 3
+	}
+	for _, p := range c.inboundClient[lacking] {
+		p.OnMessage(func(msgnet.Class, []byte) {})
 	}
 	filterInbound(c, func(to int, payload []byte) bool {
 		m, err := Decode(payload)
@@ -234,15 +234,11 @@ func TestNewLeaderFetchesWhatItReleased(t *testing.T) {
 // replica has no peers, so a PREPARE would show as a send fault.
 func TestNewViewCannotReplaceACopy(t *testing.T) {
 	req := Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
-	other := refOf(Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "w")})
+	other := []Request{{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "w")}}
 	for name, pp := range map[string]PrePrepare{
-		"another digest":    {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: []RequestRef{other}},
-		"refs do not match": {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: []RequestRef{refOf(req)}},
+		"another digest":    {View: 1, Seq: 1, Digest: BatchDigest(other), Refs: refsOf(other)},
+		"refs do not match": {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: refsOf([]Request{req})},
 	} {
-		if name == "another digest" {
-			var b batchDigester
-			pp.Digest = b.digest(pp.Refs)
-		}
 		backup := bareReplica(t, 2, DefaultConfig())
 		backup.handleRequest(req)
 		backup.handleEnvelope(sealedBy(backup, 1, NewView{View: 1, PrePrepares: []PrePrepare{pp}}))
