@@ -14,7 +14,6 @@ import (
 // one that is no longer needed, fails the test.
 const deadSurfaceAllowed = `
 chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (ROADMAP O13 will)
-chaos.Scenario.ClearFaults — scenario vocabulary, the inverse of Byzantine
 chaos.Scenario.Degrade — scenario vocabulary: link loss/latency/jitter, what makes a fault trace diverge across seeds
 fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)

@@ -4,11 +4,11 @@
 //
 // A Scenario is a script of composable fault primitives — host crash and
 // restart (with PBFT state transfer on rejoin), network partitions with
-// heal, per-link degradation (loss, added latency, jitter), and extended
-// Byzantine replica behaviours (equivocation, delayed sends, muted message
-// types, corrupted authenticators). Because every event fires at a virtual
-// time on the seeded sim.Loop and all randomness flows from the loop's
-// source, the same scenario with the same seed produces an identical
+// heal, per-link degradation (loss, added latency, jitter), and Byzantine
+// replicas — whatever a pbft.Outbox does to a replica's sends (drop,
+// delay or rewrite them). Because every event fires at a virtual time on
+// the seeded sim.Loop and all randomness flows from the loop's source,
+// the same scenario with the same seed produces an identical
 // virtual-time trace on every run: fault experiments regress like unit
 // tests and benchmark like the fault-free fast path.
 //
@@ -111,21 +111,15 @@ func (s *Scenario) Degrade(t sim.Time, i, j int, f fabric.LinkFaults) *Scenario 
 	})
 }
 
-// Byzantine installs fault behaviour on replica i at offset t:
-// equivocation, muted message types, corrupted authenticators, delayed
-// sends, or any combination.
-func (s *Scenario) Byzantine(t sim.Time, i int, f pbft.Faults) *Scenario {
-	return s.At(t, fmt.Sprintf("byzantine(r%d)", i), func(c *pbft.Cluster) error {
-		c.Replicas[i].SetFaults(f)
-		return nil
-	})
-}
-
-// ClearFaults removes injected Byzantine behaviour from replica i at
-// offset t.
-func (s *Scenario) ClearFaults(t sim.Time, i int) *Scenario {
-	return s.At(t, fmt.Sprintf("clear(r%d)", i), func(c *pbft.Cluster) error {
-		c.Replicas[i].SetFaults(pbft.Faults{})
+// Byzantine installs o as replica i's outbox at offset t; a nil o makes
+// the replica correct again.
+func (s *Scenario) Byzantine(t sim.Time, i int, o pbft.Outbox) *Scenario {
+	name := fmt.Sprintf("byzantine(r%d)", i)
+	if o == nil {
+		name = fmt.Sprintf("clear(r%d)", i)
+	}
+	return s.At(t, name, func(c *pbft.Cluster) error {
+		c.Replicas[i].SetOutbox(o)
 		return nil
 	})
 }

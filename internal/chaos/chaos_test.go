@@ -9,6 +9,7 @@ import (
 	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
+	"rubin/internal/msgnet"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -295,9 +296,9 @@ func TestByzantineAndDegradePrimitives(t *testing.T) {
 	}
 
 	s := NewScenario("degraded-backup").
-		Byzantine(0, 3, pbft.Faults{SendDelay: 2 * sim.Millisecond}).
+		Byzantine(0, 3, func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) { return env, 2 * sim.Millisecond }).
 		Degrade(0, 2, 3, fabric.LinkFaults{ExtraLatency: sim.Millisecond, Jitter: 500 * sim.Microsecond}).
-		ClearFaults(60*sim.Millisecond, 3).
+		Byzantine(60*sim.Millisecond, 3, nil).
 		Degrade(60*sim.Millisecond, 2, 3, fabric.LinkFaults{})
 	sched := Apply(c, s)
 

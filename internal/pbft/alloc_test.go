@@ -281,7 +281,7 @@ func TestBoxedDecodeAllocatesOnce(t *testing.T) {
 
 // TestDelayedSendOwnsItsBytes: every send goes out of the sender's scratch,
 // which the next message overwrites — sound only because Peer.Send copies
-// before it returns. A send deferred by the SendDelay fault fires long
+// before it returns. A send a delaying Outbox defers fires long
 // after that, so it must take its own copy first: with every replica
 // delaying, two clients' requests ordered in one batch are answered back to
 // back out of one scratch, and each client must still get its own reply
@@ -298,7 +298,7 @@ func TestDelayedSendOwnsItsBytes(t *testing.T) {
 			clients[i] = cl
 		}
 		for _, rep := range c.Replicas {
-			rep.SetFaults(Faults{SendDelay: 50 * sim.Microsecond})
+			rep.SetOutbox(delayed(50 * sim.Microsecond))
 		}
 		var batches [][]Request
 		c.Replicas[0].OnExecute(func(_ uint64, batch []Request) { batches = append(batches, batch) })

@@ -137,23 +137,3 @@ func (c Config) Validate() error {
 
 // Quorum returns the 2F+1 agreement quorum size.
 func (c Config) Quorum() int { return 2*c.F + 1 }
-
-// Faults injects Byzantine behaviours for testing (zero value = correct).
-type Faults struct {
-	// Mute drops outgoing messages of these types.
-	Mute map[MsgType]bool
-	// EquivocateLeader makes a leader send the odd backups pre-prepares
-	// that name a request by a corrupted digest (each backup's own copy
-	// does not match it, so no quorum prepares and the progress timer
-	// replaces the leader).
-	EquivocateLeader bool
-	// CorruptMACs invalidates outgoing authenticators.
-	CorruptMACs bool
-	// SendDelay postpones every outgoing message by this duration (a
-	// slow or deliberately delaying replica).
-	SendDelay sim.Time
-	// CorruptStateParts flips a byte in every served StatePart payload —
-	// a Byzantine responder feeding junk into a state transfer (caught by
-	// the fetcher's per-partition digest check on arrival).
-	CorruptStateParts bool
-}

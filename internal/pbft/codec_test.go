@@ -221,8 +221,7 @@ func TestSealMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrupted, _, _ := (&Replica{id: 2, keyring: rings[2], faults: Faults{CorruptMACs: true}}).seal(m)
-		bad, _ := DecodeEnvelope(corrupted)
+		bad, _ := DecodeEnvelope(flipMACs(got))
 		for _, to := range []int{0, 1, 3} {
 			if !rings[to].Verify(2, env.Payload[:len(covered)], env.Auth[to]) {
 				t.Errorf("%T: replica %d rejects the sealed envelope", m, to)

@@ -6,9 +6,10 @@
 // The implementation covers the full normal-case three-phase protocol
 // (pre-prepare / prepare / commit) with request batching, HMAC
 // authenticators on every replica message, periodic checkpoints with log
-// garbage collection, and view changes driven by request timers. Fault
-// injection hooks (Faults) let tests exercise Byzantine leaders and
-// crashed replicas.
+// garbage collection, and view changes driven by request timers. Every
+// message a replica sends leaves through one exit, where a test may
+// install an Outbox that drops, delays or rewrites it: that is how the
+// tests make a replica Byzantine. Stop crashes one.
 package pbft
 
 import (

@@ -536,5 +536,5 @@ func (r *Replica) sendToClient(to *client, m Message) {
 	}
 	payload := encodeTo(&r.scratch, m)
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
-	r.deferSend(r.faults.SendDelay, to.conn, msgnet.ClassControl, payload, nil)
+	r.deferSend(to.conn, msgnet.ClassControl, payload)
 }

@@ -115,9 +115,9 @@ func TestByzantineCorruptedSubtree(t *testing.T) {
 	c.Crash(3)
 	invokeN(t, c, cl, "byz", 20)
 	c.Loop.Post(func() {
-		c.Replicas[1].SetFaults(Faults{CorruptStateParts: true})
-		c.Replicas[0].SetFaults(Faults{SendDelay: sim.Millisecond})
-		c.Replicas[2].SetFaults(Faults{SendDelay: sim.Millisecond})
+		c.Replicas[1].SetOutbox(corruptStateParts(c.Replicas[1]))
+		c.Replicas[0].SetOutbox(delayed(sim.Millisecond))
+		c.Replicas[2].SetOutbox(delayed(sim.Millisecond))
 	})
 	if err := c.Restart(3); err != nil {
 		t.Fatal(err)

@@ -266,7 +266,7 @@ func TestCrashedLeaderTriggersViewChange(t *testing.T) {
 
 func TestEquivocatingLeaderIsReplaced(t *testing.T) {
 	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	c.Replicas[0].SetFaults(Faults{EquivocateLeader: true})
+	c.Replicas[0].SetOutbox(equivocating(c.Replicas[0]))
 	cl, err := c.AddClient()
 	if err != nil {
 		t.Fatal(err)
@@ -278,6 +278,12 @@ func TestEquivocatingLeaderIsReplaced(t *testing.T) {
 	c.Loop.Run()
 	if done != 1 {
 		t.Fatalf("request never executed under equivocating leader (done=%d)", done)
+	}
+	// It executed because the correct replicas replaced the leader.
+	for i := 1; i < 4; i++ {
+		if v := c.Replicas[i].View(); v == 0 {
+			t.Fatalf("replica %d is still in view 0: the equivocating leader was never replaced", i)
+		}
 	}
 	// Safety: all correct replicas agree on the final state.
 	d1 := c.Apps[1].Snapshot()
@@ -292,7 +298,7 @@ func TestCorruptMACsAreDropped(t *testing.T) {
 	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
 	// Replica 2 sends garbage MACs: its messages must be ignored, but
 	// the remaining 3 replicas still form quorums (N=4, F=1).
-	c.Replicas[2].SetFaults(Faults{CorruptMACs: true})
+	c.Replicas[2].SetOutbox(corruptMACs(c.Replicas[2]))
 	cl, err := c.AddClient()
 	if err != nil {
 		t.Fatal(err)
@@ -306,6 +312,14 @@ func TestCorruptMACsAreDropped(t *testing.T) {
 	c.Loop.Run()
 	if done != 5 {
 		t.Fatalf("completed %d of 5 with one MAC-corrupting replica", done)
+	}
+	for _, i := range []int{0, 1, 3} {
+		r := c.Replicas[i]
+		for seq := r.stable + 1; seq <= r.executed; seq++ {
+			if s := r.lookup(seq); s != nil && (s.prepares[2].cast || s.commits[2].cast) {
+				t.Errorf("replica %d counted a vote from replica 2 at sequence %d", i, seq)
+			}
+		}
 	}
 }
 

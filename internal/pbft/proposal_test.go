@@ -173,8 +173,8 @@ func TestRelayedTamperedProposalStartsNoViewChange(t *testing.T) {
 // TestPrePrepareAuthenticationCharges pins the modeled crypto of a
 // proposal: the leader's broadcast costs an authenticator over the 49-byte
 // header, and a backup's check one MAC verification over the header plus
-// the batch digest over the whole payload. Every other message is MAC'd
-// whole.
+// the batch digest over the whole payload, and then the authenticator of
+// the PREPARE it answers with. Every other message is MAC'd whole.
 func TestPrePrepareAuthenticationCharges(t *testing.T) {
 	cfg := DefaultConfig()
 	leader := bareReplica(t, 0, cfg)
@@ -196,14 +196,14 @@ func TestPrePrepareAuthenticationCharges(t *testing.T) {
 		t.Errorf("a PREPARE broadcast costs %v, want %v: an authenticator over the whole payload", got, want)
 	}
 	backup := bareReplica(t, 1, cfg)
-	backup.SetFaults(Faults{Mute: map[MsgType]bool{MsgPrepare: true}}) // a muted send is not charged
 	_, raw := sealedProposal(backup, true)
 	before = backup.node.CPU.BusyTotal()
 	backup.handleEnvelope(raw)
 	if s := backup.lookup(1); s == nil || !s.sentPrep {
 		t.Fatal("the backup did not accept the proposal")
 	}
-	if got, want := backup.node.CPU.BusyTotal()-before, auth.Cost(crypto, ppHeader)+auth.DigestCost(crypto, size); got != want {
-		t.Errorf("checking the pre-prepare costs %v, want %v: a MAC over the header and the digest over %d bytes", got, want, size)
+	answer := auth.AuthenticatorCost(crypto, cfg.N, len(Encode(Prepare{View: 0, Seq: 1, Digest: pp.Digest, Replica: 1})))
+	if got, want := backup.node.CPU.BusyTotal()-before, auth.Cost(crypto, ppHeader)+auth.DigestCost(crypto, size)+answer; got != want {
+		t.Errorf("checking the pre-prepare and answering it cost %v, want %v: a MAC over the header, the digest over %d bytes and the PREPARE's authenticator", got, want, size)
 	}
 }

@@ -241,10 +241,10 @@ func TestReadOnlyDuringViewChange(t *testing.T) {
 	// (led by replica 1) speeds back up, and the run drains.
 	c.Loop.After(300*sim.Microsecond, func() {
 		c.Crash(0)
-		c.Replicas[1].SetFaults(Faults{SendDelay: 800 * sim.Microsecond})
+		c.Replicas[1].SetOutbox(delayed(800 * sim.Microsecond))
 	})
 	c.Loop.After(4*sim.Millisecond, func() {
-		c.Replicas[1].SetFaults(Faults{})
+		c.Replicas[1].SetOutbox(nil)
 	})
 	if err := d.Run(); err != nil {
 		t.Fatalf("workload did not drain after the view change: %v", err)

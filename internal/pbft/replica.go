@@ -2,7 +2,6 @@ package pbft
 
 import (
 	"bytes"
-	"slices"
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
@@ -19,7 +18,7 @@ type Replica struct {
 	keyring *auth.Keyring
 	app     Application
 	ps      PartitionedState // app, if it can be checkpointed and transferred; else nil
-	faults  Faults
+	outbox  Outbox           // nil but in tests that make this replica Byzantine
 
 	// peers[i] is the msgnet handle used to send to replica i (nil: none
 	// attached, as for i == id).
@@ -130,8 +129,17 @@ func (r *Replica) Executed() uint64 { return r.executed }
 // Stable returns the last stable checkpoint sequence.
 func (r *Replica) Stable() uint64 { return r.stable }
 
-// SetFaults installs fault-injection behaviour.
-func (r *Replica) SetFaults(f Faults) { r.faults = f }
+// Outbox stands between a replica and the wire, where a test puts a
+// Byzantine replica's behaviour: it sees each envelope and client reply the
+// replica sends, once per recipient, and returns what to transmit (nil
+// drops it) and how long to hold it first. env is the sender's scratch,
+// which a broadcast hands every recipient in turn: an outbox that rewrites
+// a message returns bytes of its own.
+type Outbox func(to *msgnet.Peer, env []byte) (out []byte, delay sim.Time)
+
+// SetOutbox installs o on the replica's sends; nil, the default, sends
+// everything as it is.
+func (r *Replica) SetOutbox(o Outbox) { r.outbox = o }
 
 // Stop halts the replica permanently: a stopped replica sends nothing,
 // ignores all inbound traffic and fires no timers — the process-crash
@@ -211,69 +219,53 @@ func (r *Replica) HandleClientConn(p *msgnet.Peer) {
 // instant the work is done.
 func (r *Replica) crypto(d sim.Time) sim.Time { return r.node.CPU.Delay(d) }
 
-// deferSend sends env to one peer — or, with to nil, to every other replica,
-// the odd-numbered ones getting oddEnv — now, or after delay, the injected
-// SendDelay fault. env is the sender's scratch, which Peer.Send copies
-// before it returns; a delayed send copies it first, since the scratch will
-// long have been reused when it fires, and re-checks the crash state then: a
-// replica that Stop()s while a send is queued must not transmit afterwards.
-// Un-faulted, nothing here allocates — the closure belongs to the delay.
-func (r *Replica) deferSend(delay sim.Time, to *msgnet.Peer, cls msgnet.Class, env, oddEnv []byte) {
+// deferSend sends env to one peer — through the outbox, if one is
+// installed — now, or when the outbox delays it. env is the sender's
+// scratch, which Peer.Send copies before it returns; a delayed send copies
+// it first, since the scratch will long have been reused when it fires, and
+// re-checks the crash state then: a replica that Stop()s while a send is
+// queued must not transmit afterwards. Without an outbox nothing here
+// allocates — the closure belongs to the delay.
+func (r *Replica) deferSend(to *msgnet.Peer, cls msgnet.Class, env []byte) {
+	var delay sim.Time
+	if r.outbox != nil {
+		if env, delay = r.outbox(to, env); env == nil {
+			return
+		}
+	}
 	if delay > 0 {
-		env, oddEnv := bytes.Clone(env), bytes.Clone(oddEnv)
+		env := bytes.Clone(env)
 		r.node.Loop().After(delay, func() {
-			if !r.stopped {
-				r.deferSend(0, to, cls, env, oddEnv)
+			if !r.stopped && to.Send(cls, env) != nil {
+				*r.sendFaults++
 			}
 		})
 		return
 	}
-	if to != nil {
-		if to.Send(cls, env) != nil {
-			*r.sendFaults++
-		}
-		return
-	}
-	// Ascending id order, so send order (and therefore the simulation) is
-	// deterministic. A peer with no live handle (e.g. mid-re-dial after a
-	// Restart) is a delivery failure too — counted, never silently skipped.
-	for id, peer := range r.peers {
-		out := env
-		if id%2 != 0 {
-			out = oddEnv
-		}
-		if uint32(id) != r.id && (peer == nil || peer.Send(cls, out) != nil) {
-			*r.sendFaults++
-		}
+	if to.Send(cls, env) != nil {
+		*r.sendFaults++
 	}
 }
 
-// broadcast authenticates and sends a message to all other replicas.
+// broadcast authenticates and sends a message to all other replicas, in
+// ascending id order, so send order (and therefore the simulation) is
+// deterministic. A peer with no live handle (e.g. mid-re-dial after a
+// Restart) is a delivery failure too — counted, never silently skipped.
 func (r *Replica) broadcast(m Message) {
 	if r.stopped {
 		return
 	}
 	env, t, size := r.seal(m)
-	if r.faults.Mute[t] {
-		return
-	}
 	r.crypto(auth.AuthenticatorCost(r.node.Network().Params().Crypto, r.cfg.N, size))
-	// An equivocating leader's pre-prepares conflict: the even backups get
-	// the proposal, the odd ones its first request named by a corrupted
-	// digest under a batch digest to match (an empty batch: a corrupted
-	// batch digest).
-	oddEnv := env
-	if pp, isPP := m.(PrePrepare); isPP && r.faults.EquivocateLeader {
-		if pp.Refs = slices.Clone(pp.Refs); len(pp.Refs) > 0 {
-			pp.Refs[0].Digest[0] ^= 0xFF
-			pp.Digest = r.batches.digest(pp.Refs)
-		} else {
-			pp.Digest[0] ^= 0xFF
+	for id, peer := range r.peers {
+		switch {
+		case uint32(id) == r.id:
+		case peer == nil:
+			*r.sendFaults++
+		default:
+			r.deferSend(peer, classFor(t), env)
 		}
-		env = bytes.Clone(env) // the second seal reuses the scratch
-		oddEnv, _, _ = r.seal(pp)
 	}
-	r.deferSend(r.faults.SendDelay, nil, classFor(t), env, oddEnv)
 }
 
 // classFor routes protocol messages onto msgnet traffic classes: state
@@ -294,15 +286,12 @@ func (r *Replica) send(to uint32, m Message) {
 		return
 	}
 	env, t, size := r.seal(m)
-	if r.faults.Mute[t] {
-		return
-	}
 	if int(to) >= len(r.peers) || r.peers[to] == nil {
 		*r.sendFaults++ // no live handle: a delivery failure, not a silent skip
 		return
 	}
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, size))
-	r.deferSend(r.faults.SendDelay, r.peers[to], classFor(t), env, nil)
+	r.deferSend(r.peers[to], classFor(t), env)
 }
 
 // ppHeader is the length of a pre-prepare's header: type, view, sequence
@@ -341,9 +330,6 @@ func (r *Replica) seal(m Message) (env []byte, t MsgType, size int) {
 		}
 		e.u32(auth.MACSize)
 		e.buf = kr.AppendMAC(e.buf, peer, covered)
-		if r.faults.CorruptMACs {
-			e.buf[len(e.buf)-auth.MACSize] ^= 0xFF
-		}
 	}
 	return e.buf, MsgType(covered[0]), len(covered)
 }

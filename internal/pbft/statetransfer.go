@@ -322,13 +322,6 @@ func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 			continue
 		}
 		data := r.cps.part(rec.seq, i)
-		if r.faults.CorruptStateParts {
-			bad := append([]byte(nil), data...)
-			if len(bad) > 0 {
-				bad[len(bad)-1] ^= 0xFF
-			}
-			data = bad
-		}
 		*r.stateBytesServed += uint64(len(data))
 		r.send(sender, StatePart{Seq: rec.seq, Part: uint32(i), Data: data, Replica: r.id})
 	}

@@ -292,7 +292,7 @@ func TestCascadingViewChanges(t *testing.T) {
 			name: "muted-new-view-n4", n: 4, f: 1,
 			setup: func(c *Cluster) {
 				c.Crash(0)
-				c.Replicas[1].SetFaults(Faults{Mute: map[MsgType]bool{MsgNewView: true}})
+				c.Replicas[1].SetOutbox(muted(c.Replicas[1], MsgNewView))
 			},
 			minView:  2,
 			liveFrom: 1,
@@ -305,7 +305,7 @@ func TestCascadingViewChanges(t *testing.T) {
 			setup: func(c *Cluster) {
 				c.Crash(0)
 				c.Crash(1)
-				c.Replicas[2].SetFaults(Faults{Mute: map[MsgType]bool{MsgNewView: true}})
+				c.Replicas[2].SetOutbox(muted(c.Replicas[2], MsgNewView))
 			},
 			minView:  3,
 			liveFrom: 2,

@@ -38,7 +38,11 @@ func viewChangeWire(t *testing.T, valueBytes int) [][]byte {
 	})
 	setMute := func(mute bool) {
 		for _, rep := range c.Replicas {
-			rep.SetFaults(Faults{Mute: map[MsgType]bool{MsgCommit: mute}})
+			var o Outbox
+			if mute {
+				o = muted(rep, MsgCommit)
+			}
+			rep.SetOutbox(o)
 		}
 	}
 	setMute(true)

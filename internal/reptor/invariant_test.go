@@ -8,6 +8,7 @@ import (
 	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
+	"rubin/internal/msgnet"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -87,12 +88,12 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 		delay := sim.Time(rng.Int63n(int64(300 * sim.Microsecond)))
 		g.Loop.After(at, func() {
 			for k := range g.Instances {
-				g.Instances[k][i].SetFaults(pbft.Faults{SendDelay: delay})
+				g.Instances[k][i].SetOutbox(func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) { return env, delay })
 			}
 		})
 		g.Loop.After(at+dur, func() {
 			for k := range g.Instances {
-				g.Instances[k][i].SetFaults(pbft.Faults{})
+				g.Instances[k][i].SetOutbox(nil)
 			}
 		})
 	}
