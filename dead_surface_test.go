@@ -3,7 +3,9 @@ package rubin_test
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -30,7 +32,6 @@ raceflag.Enabled — allocation gates in fifteen packages skip under -race; a bu
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
 rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up
 sim.Loop.SetEventLimit — runaway guard the sim and reptor tests set
-sim.Resource.QueueDelay — backlog probe of the service station, pinned by TestResourceQueueDelay
 tcpsim.Conn.Established — probe the tcpsim and nio tests share
 `
 
@@ -161,5 +162,66 @@ func TestDeadSurface(t *testing.T) {
 		if !needed {
 			t.Errorf("allow-list entry %s is stale: the identifier is gone or a non-test file references it", id)
 		}
+	}
+}
+
+// TestModelParamsAreCharged fails on any field of model.Params' sub-structs
+// (Link, TCP, RDMA, Selector, ...) that no selector expression in a non-test
+// file reads: a cost or capacity the simulator never charges is a factor an
+// ablation can vary without moving anything. The keys of Default()'s
+// composite literal are not reads, nor is the left-hand side of an
+// assignment; model's own SerializeTime, Frames and OrderCost are reads.
+func TestModelParamsAreCharged(t *testing.T) {
+	tree := loadTree(t)
+	fields := map[string]string{} // declaration position -> Sub.Field
+	for _, u := range tree.units {
+		if u.rel != filepath.Join("internal", "model") || u.pkg.Name() != "model" {
+			continue
+		}
+		params := u.pkg.Scope().Lookup("Params").Type().Underlying().(*types.Struct)
+		for i := 0; i < params.NumFields(); i++ {
+			sub := params.Field(i)
+			st := sub.Type().Underlying().(*types.Struct)
+			for j := 0; j < st.NumFields(); j++ {
+				fields[tree.at(st.Field(j).Pos())] = sub.Name() + "." + st.Field(j).Name()
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("found no model.Params sub-struct fields: the gate checks nothing")
+	}
+	read := map[string]bool{} // declaration position
+	for _, u := range tree.units {
+		for _, f := range u.files {
+			if tree.inTest(f.Pos()) {
+				continue
+			}
+			written := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+						for _, lhs := range n.Lhs {
+							written[lhs] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					if s := u.info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !written[n] {
+						read[tree.at(s.Obj().Pos())] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unread []string
+	for pos, name := range fields {
+		if !read[pos] {
+			unread = append(unread, fmt.Sprintf("model.Params field %s (%s): no non-test file reads it", name, pos))
+		}
+	}
+	sort.Strings(unread)
+	for _, line := range unread {
+		t.Error(line)
 	}
 }

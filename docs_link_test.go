@@ -135,7 +135,7 @@ func TestDocsStatsTable(t *testing.T) {
 
 	scfg := shard.DefaultConfig()
 	scfg.Shards = 2
-	d, err := shard.NewKV(transport.KindRDMA, scfg, model.Default(), seed)
+	d, err := shard.New(transport.KindRDMA, scfg, model.Default(), seed)
 	must(err)
 	must(d.Start())
 	_, err = d.AddRouter()

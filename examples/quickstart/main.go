@@ -39,12 +39,11 @@ func check(err error) {
 func echo() {
 	// The simulated testbed: two hosts on a 10 Gbps RDMA-capable link.
 	loop := sim.NewLoop(42)
-	params := model.Default()
-	nw := fabric.New(loop, params)
+	nw := fabric.New(loop, model.Default())
 	clientNode, serverNode := nw.AddNode("client"), nw.AddNode("server")
 	nw.Connect(clientNode, serverNode)
 	clientSel, serverSel := rubin.NewSelector(rdma.OpenDevice(clientNode)), rubin.NewSelector(rdma.OpenDevice(serverNode))
-	cfg := rubin.DefaultConfig(params)
+	cfg := rubin.DefaultConfig()
 
 	// Server: accept channels via OpConnect, echo messages via OpReceive.
 	srv, err := rubin.Listen(serverSel, 7000, cfg)

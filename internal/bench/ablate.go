@@ -2,25 +2,27 @@ package bench
 
 import (
 	"rubin/internal/metrics"
+	"rubin/internal/model"
 	"rubin/internal/rubin"
 )
 
-// Ablation names one configuration variant of the RUBIN channel; the
-// ablation bench (experiment E6) quantifies each Section IV optimization
-// by disabling it in isolation.
+// Ablation names one variant of the RUBIN echo; the ablation bench
+// (experiment E6) quantifies each Section IV optimization by disabling it
+// in isolation in the channel configuration, and projects the planned
+// zero-copy receive by zeroing its cost in the model.
 type Ablation struct {
 	Name   string
-	Mutate func(*rubin.Config) // nil for the full channel
+	Mutate func(*rubin.Config, *model.Params) // nil for the full channel
 }
 
 // Ablations returns the studied variants.
 func Ablations() []Ablation {
 	return []Ablation{
 		{Name: "full (all optimizations)"},
-		{Name: "no selective signaling", Mutate: func(c *rubin.Config) { c.SignalInterval = 1 }},
-		{Name: "no doorbell batching", Mutate: func(c *rubin.Config) { c.PostBatch = 1 }},
-		{Name: "no inline sends", Mutate: func(c *rubin.Config) { c.Inline = false }},
-		{Name: "zero-copy receive (projected)", Mutate: func(c *rubin.Config) { c.ZeroCopyReceive = true }},
+		{Name: "no selective signaling", Mutate: func(c *rubin.Config, _ *model.Params) { c.SignalInterval = 1 }},
+		{Name: "no doorbell batching", Mutate: func(c *rubin.Config, _ *model.Params) { c.PostBatch = 1 }},
+		{Name: "no inline sends", Mutate: func(c *rubin.Config, _ *model.Params) { c.Inline = false }},
+		{Name: "zero-copy receive (projected)", Mutate: func(_ *rubin.Config, p *model.Params) { p.Selector.CopyPerKB = 0 }},
 	}
 }
 

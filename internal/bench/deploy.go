@@ -191,7 +191,7 @@ func newAgreement(s deploySpec, instances int, hbDelay, hbMax sim.Time, params m
 func newShards(s deploySpec, shards int, params model.Params) (*deployment, error) {
 	scfg := shard.DefaultConfig()
 	scfg.Shards, scfg.PBFT = shards, s.pbft
-	dep, err := shard.NewKV(s.kind, scfg, params, s.seed)
+	dep, err := shard.New(s.kind, scfg, params, s.seed)
 	if err != nil {
 		return nil, err
 	}

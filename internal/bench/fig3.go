@@ -429,22 +429,22 @@ func echoOneSided(cfg EchoConfig, params model.Params) (EchoResult, error) {
 // signaling, zero-copy send, inline small messages).
 // ---------------------------------------------------------------------------
 
-// echoChannelCfg lets an ablation mutate the channel configuration; nil is
-// the full channel.
-func echoChannelCfg(cfg EchoConfig, params model.Params, mutate func(*rubin.Config)) (EchoResult, error) {
-	loop, cn, sn := twoNodes(cfg.Seed, params)
-	cd, sd := rdma.OpenDevice(cn), rdma.OpenDevice(sn)
-	selC, selS := rubin.NewSelector(cd), rubin.NewSelector(sd)
-
-	ccfg := rubin.DefaultConfig(params)
+// echoChannelCfg lets an ablation mutate the channel configuration and the
+// model; nil is the full channel.
+func echoChannelCfg(cfg EchoConfig, params model.Params, mutate func(*rubin.Config, *model.Params)) (EchoResult, error) {
+	ccfg := rubin.DefaultConfig()
 	ccfg.BufferSize = cfg.Payload
 	if ccfg.BufferSize < 256 {
 		ccfg.BufferSize = 256
 	}
 	ccfg.SendWRs, ccfg.RecvWRs = qpSlots, qpSlots
 	if mutate != nil {
-		mutate(&ccfg)
+		mutate(&ccfg, &params)
 	}
+
+	loop, cn, sn := twoNodes(cfg.Seed, params)
+	cd, sd := rdma.OpenDevice(cn), rdma.OpenDevice(sn)
+	selC, selS := rubin.NewSelector(cd), rubin.NewSelector(sd)
 
 	srv, err := rubin.Listen(selS, 9, ccfg)
 	if err != nil {

@@ -85,8 +85,6 @@ type TCPParams struct {
 	// charged once per transport message: a msgnet bundle of several
 	// protocol messages pays it once.
 	MsgHandle sim.Time
-	// ConnectRTTs is the number of round trips for connection setup.
-	ConnectRTTs int
 	// SocketBuffer is the size of the send and receive socket buffers;
 	// writers stall when the in-flight window reaches this many bytes.
 	SocketBuffer int
@@ -129,18 +127,12 @@ type RDMAParams struct {
 	// is expensive, which is why buffer pools are pre-registered.
 	MemRegisterBase  sim.Time
 	MemRegisterPerKB sim.Time
-	// ConnectRTTs is the number of round trips for QP exchange
-	// (RDMA CM address/route resolution + connect).
-	ConnectRTTs int
 	// RNRRetry is how many times a send is retried after a
 	// receiver-not-ready NAK before completing with an error. Following
 	// InfiniBand semantics, the value 7 means retry forever.
 	RNRRetry int
 	// RNRDelay is the backoff before each RNR retry.
 	RNRDelay sim.Time
-	// AckPropagation is the extra one-way delay for the hardware ACK
-	// completing a reliable one-sided operation.
-	AckPropagation sim.Time
 }
 
 // SelectorParams models the event-demultiplexing layers of Figure 4.
@@ -154,21 +146,19 @@ type SelectorParams struct {
 	RubinDispatch sim.Time
 	// CopyPerKB is the cost of copying received payload from the
 	// registered receive buffer into the application buffer — RUBIN's
-	// known receive-side copy (paper Section IV).
+	// known receive-side copy (paper Section IV). Zero projects the
+	// zero-copy receive the paper plans.
 	CopyPerKB sim.Time
 	// MsgHandle is the per-message handling cost of the
 	// message-oriented RUBIN transport (no deframing needed, cheaper
 	// than the byte-stream path), charged once per transport message: a
 	// msgnet bundle of several protocol messages pays it once.
 	MsgHandle sim.Time
-	// SignalInterval is every how many sends RUBIN requests a signaled
-	// completion (selective signaling). 1 disables the optimization.
-	SignalInterval int
-	// PostBatch is how many WRs RUBIN accumulates per doorbell.
-	PostBatch int
-	// ZeroCopyReceive, when true, removes the modeled CopyPerKB charge for
-	// the receive-side copy — the paper's planned future optimization.
-	ZeroCopyReceive bool
+	// CQEvent is the per-notification cost of RUBIN's event manager
+	// reading a completion event, charged on the selector's thread in place
+	// of RDMAParams.CompletionHandle (the heavy application wakeup is the
+	// RubinDispatch charged separately).
+	CQEvent sim.Time
 }
 
 // CryptoParams models message-authentication CPU costs (Reptor protects
@@ -245,7 +235,6 @@ func Default() Params {
 			Interrupt:    8 * sim.Microsecond,
 			Wakeup:       14 * sim.Microsecond,
 			MsgHandle:    6500 * sim.Nanosecond,
-			ConnectRTTs:  1,
 			SocketBuffer: 4 << 20,
 		},
 		RDMA: RDMAParams{
@@ -261,19 +250,15 @@ func Default() Params {
 			RecvWRRefill:     1 * sim.Microsecond,
 			MemRegisterBase:  80 * sim.Microsecond,
 			MemRegisterPerKB: 250 * sim.Nanosecond,
-			ConnectRTTs:      2,
 			RNRRetry:         7,
 			RNRDelay:         60 * sim.Microsecond,
-			AckPropagation:   3 * sim.Microsecond,
 		},
 		Selector: SelectorParams{
-			NIODispatch:     4 * sim.Microsecond,
-			RubinDispatch:   5 * sim.Microsecond,
-			MsgHandle:       3500 * sim.Nanosecond,
-			CopyPerKB:       500 * sim.Nanosecond,
-			SignalInterval:  8,
-			PostBatch:       8,
-			ZeroCopyReceive: false,
+			NIODispatch:   4 * sim.Microsecond,
+			RubinDispatch: 5 * sim.Microsecond,
+			MsgHandle:     3500 * sim.Nanosecond,
+			CopyPerKB:     500 * sim.Nanosecond,
+			CQEvent:       2 * sim.Microsecond,
 		},
 		Crypto: CryptoParams{
 			HMACBase:    1500 * sim.Nanosecond,

@@ -144,8 +144,9 @@ func TestFragmentationRoundTrip(t *testing.T) {
 // decode-by-reference rests on: a consumer that keeps every delivered
 // message, whole, bundled or reassembled, without copying finds each one
 // intact after the receive ring below has come round many times over — on
-// both backends, and with the rubin channel's zero-copy receive on and off;
-// the channel hands out the backing of each slot it re-posts in either mode.
+// both backends, and with the rubin channel's receive copy charged and
+// projected away (Selector.CopyPerKB = 0); the channel hands out the backing
+// of each slot it re-posts either way.
 func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Transport.WRs = 4
@@ -158,7 +159,9 @@ func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 			kind, zeroCopy := kind, zeroCopy
 			t.Run(fmt.Sprintf("%s/zerocopy=%v", kind, zeroCopy), func(t *testing.T) {
 				params := model.Default()
-				params.Selector.ZeroCopyReceive = zeroCopy
+				if zeroCopy {
+					params.Selector.CopyPerKB = 0
+				}
 				p := newPairWith(t, kind, opts, params)
 				frames := transportKinds(p)
 				var held [][]byte

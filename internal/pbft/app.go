@@ -7,38 +7,36 @@ import (
 	"rubin/internal/sim"
 )
 
-// Application is the replicated service executed by the agreement layer.
-// A plain Application takes part in agreement and checkpoint voting but
-// cannot be state-transferred: a replica of it that falls a checkpoint
-// interval behind stays behind. Implement PartitionedState to enable
-// recovery.
+// Application is the replicated service executed by the agreement layer:
+// a state machine that can be checkpointed and state-transferred
+// (PartitionedState) and can answer tentative reads (TentativeReader).
 type Application interface {
+	PartitionedState
+	TentativeReader
+}
+
+// PartitionedState is the part of Application that executes, checkpoints
+// and transfers state (Castro & Liskov §6.3, hierarchical state
+// partitions) — the one transfer protocol this package speaks. The
+// application's state is split into a fixed number of partitions, each
+// with a stable digest; the root digest returned by Snapshot must be
+// recomputable from a transfer header plus the partition digests via
+// ComposeRoot.
+//
+// A replica retains checkpoints as delta chains (one materialized base
+// plus, per later checkpoint, only the partitions dirtied since the
+// previous one) and serves state transfer as a subtree negotiation: the
+// fetcher advertises its partition digests, the responder streams only
+// divergent partitions, and the fetcher verifies every partition against
+// the certified root's digest list on arrival. A fetcher with nothing in
+// common — a replica rebooted with an empty store — is the degenerate case
+// in which every partition diverges and the whole state crosses the wire.
+type PartitionedState interface {
 	// Execute applies one ordered operation and returns its result, which
 	// is read-only for the caller and may be shared application storage.
 	Execute(op []byte) []byte
 	// Snapshot returns a digest of the current state (checkpoints).
 	Snapshot() auth.Digest
-}
-
-// PartitionedState is the optional application interface enabling
-// checkpoint retention and state transfer (Castro & Liskov §6.3,
-// hierarchical state partitions) — the one transfer protocol this package
-// speaks. The application's state is split into a fixed number of
-// partitions, each with a stable digest; the root digest returned by
-// Snapshot must be recomputable from a transfer header plus the partition
-// digests via ComposeRoot.
-//
-// With this interface a replica retains checkpoints as delta chains (one
-// materialized base plus, per later checkpoint, only the partitions
-// dirtied since the previous one) and serves state transfer as a subtree
-// negotiation: the fetcher advertises its partition digests, the
-// responder streams only divergent partitions, and the fetcher verifies
-// every partition against the certified root's digest list on arrival. A
-// fetcher with nothing in common — a replica rebooted with an empty
-// store — is the degenerate case in which every partition diverges and
-// the whole state crosses the wire.
-type PartitionedState interface {
-	Application
 	// PartitionCount returns the fixed number of leaf partitions.
 	PartitionCount() int
 	// PartitionDigests returns the current digest of every partition.
@@ -73,17 +71,14 @@ type PartitionedState interface {
 	UnmarshalState(state []byte) error
 }
 
-// TentativeReader is the optional application interface enabling the
-// read-only fast path (Castro & Liskov §4.4): applications that can
-// evaluate side-effect-free operations without mutating state let a
-// replica answer ReadRequests tentatively from its last-executed state,
-// bypassing agreement. ExecuteReadOnly must return exactly what Execute
-// would return for the same operation and state, and must leave the
-// state — including any snapshot digest — byte-identical: replicas serve
-// tentative reads at different times, and a read that perturbed state
-// would diverge their checkpoints. Applications without this interface
-// simply never answer ReadRequests; clients fall back to the ordered
-// path on timeout.
+// TentativeReader is the part of Application behind the read-only fast
+// path (Castro & Liskov §4.4): it evaluates side-effect-free operations
+// without mutating state, so a replica answers ReadRequests tentatively
+// from its last-executed state, bypassing agreement. ExecuteReadOnly must
+// return exactly what Execute would return for the same operation and
+// state, and must leave the state — including any snapshot digest —
+// byte-identical: replicas serve tentative reads at different times, and a
+// read that perturbed state would diverge their checkpoints.
 type TentativeReader interface {
 	ExecuteReadOnly(op []byte) []byte
 }

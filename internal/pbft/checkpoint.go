@@ -50,19 +50,15 @@ func newCheckpointStore(n int) *checkpointStore {
 }
 
 // take records this replica's checkpoint at seq, where its state digests
-// to d. Given a partitioned application it also retains the state as the
-// next link of the delta chain — only the partitions dirtied since the
-// previous record, all of them for the first (the chain's base) — and
-// returns the bytes serialized. That is also what the caller charges as
-// digest cost, which is what makes the checkpoint pause O(dirty state)
-// instead of O(state).
+// to d, and retains the state as the next link of the delta chain — only
+// the partitions dirtied since the previous record, all of them for the
+// first (the chain's base) — and returns the bytes serialized. That is
+// also what the caller charges as digest cost, which is what makes the
+// checkpoint pause O(dirty state) instead of O(state).
 func (s *checkpointStore) take(seq uint64, d auth.Digest, ps PartitionedState) int {
 	rec := &cpRecord{seq: seq, digest: d}
 	prev := s.latest(seq - 1)
 	s.records = append(s.records, rec)
-	if ps == nil {
-		return 0
-	}
 	rec.applied, rec.header, rec.digests = ps.Applied(), ps.MarshalHeader(), ps.PartitionDigests()
 	rec.parts = make(map[int][]byte)
 	var dirty []int
@@ -202,9 +198,7 @@ func (r *Replica) RetainedStateBytes() uint64 { return r.cps.retainedBytes() }
 
 func (r *Replica) takeCheckpoint(seq uint64) {
 	d := r.app.Snapshot()
-	if bytes := r.cps.take(seq, d, r.ps); r.ps != nil {
-		r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, bytes))
-	}
+	r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, r.cps.take(seq, d, r.app)))
 	cp := Checkpoint{Seq: seq, Digest: d, Replica: r.id}
 	r.recordCheckpoint(r.id, cp)
 	r.broadcast(cp)

@@ -70,7 +70,7 @@ func TestDeploymentIdentityContract(t *testing.T) {
 		{2, 1, 4, "s%[1]dr%[2]d", "router%d", 0, func(t *testing.T) shape {
 			cfg := shard.DefaultConfig()
 			cfg.Shards = 2
-			d, err := shard.NewKV(transport.KindTCP, cfg, model.Default(), seed)
+			d, err := shard.New(transport.KindTCP, cfg, model.Default(), seed)
 			must(t, err)
 			must(t, d.Start())
 			sh := shape{loop: d.Loop, network: d.Network}

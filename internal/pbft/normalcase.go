@@ -503,20 +503,14 @@ func (r *Replica) tryExecute() {
 // operation tentatively against the last-executed state and report the
 // result tagged with the state position it was read from. No agreement
 // messages are exchanged — the client is responsible for only accepting
-// a result 2F+1 replicas agree on. Applications without TentativeReader
-// support never answer; the client's timeout falls the read back to the
-// ordered path.
+// a result 2F+1 replicas agree on.
 func (r *Replica) handleReadRequest(req ReadRequest) {
 	if r.stopped {
 		return
 	}
-	tr, ok := r.app.(TentativeReader)
-	if !ok {
-		return
-	}
 	proto := r.node.Network().Params().Protocol
 	r.node.CPU.Delay(proto.ExecRequest)
-	result := tr.ExecuteReadOnly(req.Op)
+	result := r.app.ExecuteReadOnly(req.Op)
 	*r.readsServed++
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.ReadServe, req.Key(), r.node.Loop().Now())

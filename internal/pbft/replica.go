@@ -17,8 +17,7 @@ type Replica struct {
 	node    *fabric.Node
 	keyring *auth.Keyring
 	app     Application
-	ps      PartitionedState // app, if it can be checkpointed and transferred; else nil
-	outbox  Outbox           // nil but in tests that make this replica Byzantine
+	outbox  Outbox // nil but in tests that make this replica Byzantine
 
 	// peers[i] is the msgnet handle used to send to replica i (nil: none
 	// attached, as for i == id).
@@ -95,9 +94,7 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ps, _ := app.(PartitionedState)
 	r := &Replica{
-		ps:       ps,
 		id:       id,
 		cfg:      cfg,
 		node:     node,

@@ -273,14 +273,14 @@ func (r *Replica) StateBytesServed() uint64 { return *r.stateBytesServed }
 // quiet until live checkpoint votes reveal a gap, keeping an idle
 // simulation drainable.
 func (r *Replica) requestStateTransfer() {
-	if r.stopped || r.fetch.fetching || r.ps == nil {
+	if r.stopped || r.fetch.fetching {
 		return
 	}
 	r.fetch.fetching = true
 	// Advertise our Merkle position so responders ship only the divergent
 	// partitions. Snapshot and the digest list come from per-partition
 	// caches, so this is cheap for a mostly-clean store.
-	r.broadcast(StateRequest{Seq: r.executed, Replica: r.id, Root: r.ps.Snapshot(), Digests: r.ps.PartitionDigests()})
+	r.broadcast(StateRequest{Seq: r.executed, Replica: r.id, Root: r.app.Snapshot(), Digests: r.app.PartitionDigests()})
 	// If no adoptable transfer arrives, ask again — unless we caught up
 	// through normal execution in the meantime. Retrying is warranted
 	// while either a checkpoint is known to be missing or peers
@@ -307,7 +307,7 @@ func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 	// responders vouching for the same (seq, root), so one correct
 	// responder is always among them.
 	rec := r.cps.latest(math.MaxUint64)
-	if r.ps == nil || rec == nil || rec.seq <= m.Seq || len(m.Digests) != len(rec.digests) {
+	if rec == nil || rec.seq <= m.Seq || len(m.Digests) != len(rec.digests) {
 		return // nothing to serve, requester as current as anything we hold, or not our partition layout
 	}
 	// Subtree negotiation: open with the manifest, then stream only the
@@ -328,7 +328,7 @@ func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 }
 
 func (r *Replica) handleStateManifest(sender uint32, m StateManifest) {
-	if r.ps != nil && r.fetch.offerManifest(r.ps, r.executed, sender, m) {
+	if r.fetch.offerManifest(r.app, r.executed, sender, m) {
 		r.tryAdoptState()
 	}
 }
@@ -346,10 +346,7 @@ func (r *Replica) handleStatePart(sender uint32, m StatePart) {
 // tryAdoptState adopts a transferred checkpoint if one is certified and
 // complete, reporting success.
 func (r *Replica) tryAdoptState() bool {
-	if r.ps == nil {
-		return false
-	}
-	a, ok := r.fetch.tryAdopt(r.ps, r.cps, r.executed, r.view)
+	a, ok := r.fetch.tryAdopt(r.app, r.cps, r.executed, r.view)
 	if ok {
 		r.adoptCheckpoint(a.seq, a.root, a.view)
 	}

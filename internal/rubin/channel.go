@@ -34,25 +34,19 @@ type Config struct {
 	// Inline sends payloads at or below the device inline limit inside
 	// the work request itself.
 	Inline bool
-	// ZeroCopyReceive removes the modeled charge (CopyPerKB on the
-	// receiving thread) for the copy out of the registered buffer, the
-	// paper's planned future optimization. The host is the same either way:
-	// Receive returns the very memory the NIC wrote, which the slot gives up.
-	ZeroCopyReceive bool
 }
 
 // DefaultConfig returns the channel configuration used by the paper's
 // evaluation: enough 128 KB buffers for the 1–100 KB payload sweep, with
-// every Section IV optimization enabled per the model's parameter set.
-func DefaultConfig(p model.Params) Config {
+// every Section IV optimization enabled.
+func DefaultConfig() Config {
 	return Config{
-		SendWRs:         64,
-		RecvWRs:         64,
-		BufferSize:      128 << 10,
-		SignalInterval:  p.Selector.SignalInterval,
-		PostBatch:       p.Selector.PostBatch,
-		Inline:          true,
-		ZeroCopyReceive: p.Selector.ZeroCopyReceive,
+		SendWRs:        64,
+		RecvWRs:        64,
+		BufferSize:     128 << 10,
+		SignalInterval: 8,
+		PostBatch:      8,
+		Inline:         true,
 	}
 }
 
@@ -203,11 +197,9 @@ func (c *Channel) pumpRx() {
 
 	p := c.node().Network().Params()
 	var copyCost sim.Time
-	if !c.cfg.ZeroCopyReceive {
-		for i := 0; i < c.rxBatch; i++ {
-			if cqe := c.rxPending.At(i); cqe.Status == rdma.StatusOK {
-				copyCost += model.KB(p.Selector.CopyPerKB, cqe.Bytes)
-			}
+	for i := 0; i < c.rxBatch; i++ {
+		if cqe := c.rxPending.At(i); cqe.Status == rdma.StatusOK {
+			copyCost += model.KB(p.Selector.CopyPerKB, cqe.Bytes)
 		}
 	}
 	c.sel.thread.Acquire(copyCost, c.rxDoneFn)

@@ -73,7 +73,7 @@ func TestOneWakeUpServesEveryChannel(t *testing.T) {
 	msg := bytes.Repeat([]byte{7}, 1024)
 	appWork := func(k int) sim.Time {
 		r := newRig(t, nil)
-		clients, servers := r.connectN(t, DefaultConfig(r.params), k)
+		clients, servers := r.connectN(t, DefaultConfig(), k)
 		got := countReceives(r.selB, servers)
 		busy := r.nb.App.BusyTotal()
 		r.loop.Post(func() {
@@ -110,7 +110,7 @@ func TestSharedCQsHoldEveryChannelsFullPools(t *testing.T) {
 	const k, depth = 4, 8
 	const hold = 2 * sim.Millisecond
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	cfg.SendWRs, cfg.RecvWRs, cfg.SignalInterval = depth, depth, 1
 	clients, servers := r.connectN(t, cfg, k)
 	if got, want := r.selB.sendCQ.Capacity(), 1+k*(depth+1); got != want {
@@ -164,7 +164,7 @@ func TestSharedCQsHoldEveryChannelsFullPools(t *testing.T) {
 func TestClosedChannelLeavesTheQPNTable(t *testing.T) {
 	const hold = 500 * sim.Microsecond
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	clients, servers := r.connectN(t, cfg, 2)
 	got := countReceives(r.selB, servers)
 	closed, open := servers[0], servers[1]

@@ -39,8 +39,9 @@
 //   - inline sends for payloads up to the device inline limit;
 //   - zero-copy send (the application buffer region is registered
 //     directly); the receive side is charged one copy out of the
-//     registered buffer — the paper's known limitation, a modeled charge
-//     that Config.ZeroCopyReceive removes to project the planned optimization.
+//     registered buffer — the paper's known limitation. Zero-copy receive
+//     is a cost-model counterfactual, not a channel setting: a model with
+//     Selector.CopyPerKB = 0 projects the planned optimization.
 //
 // Security (Section III-C): RUBIN uses two-sided Send/Receive semantics
 // exclusively, so no buffer is ever exposed to remote one-sided access and

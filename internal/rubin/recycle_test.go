@@ -15,7 +15,7 @@ import (
 // would arrive with a later message's bytes, twice, or not at all.
 func TestSmallWRPoolNeverReusesALiveWR(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	cfg.SendWRs = 4
 	cfg.SignalInterval = 3
 	client, server := r.connect(t, cfg)
@@ -80,7 +80,7 @@ func TestSmallWRPoolNeverReusesALiveWR(t *testing.T) {
 // doorbell — is not what travels.
 func TestInlineSendCopiesInsideSend(t *testing.T) {
 	r := newRig(t, nil)
-	client, server := r.connect(t, DefaultConfig(r.params))
+	client, server := r.connect(t, DefaultConfig())
 	var got [][]byte
 	pumpReceiver(r.selB, server, &got)
 	buf := []byte("the bytes at the time of Send")
@@ -117,17 +117,17 @@ func discardReceiver(sel *Selector, ch *Channel) *int {
 
 // The allocation gate of the channel layer. One message Send → Receive
 // costs one allocation: the landed slot backing, exactly the bytes the NIC
-// wrote, which MR.Take hands upward in both modes — ZeroCopyReceive removes
-// only the modeled charge for §IV's remaining copy, not a host one.
+// wrote, which MR.Take hands upward in both modes — the zero-copy model
+// (Selector.CopyPerKB = 0) removes only the modeled charge for §IV's
+// remaining copy, not a host one.
 func TestMessageAllocatesOnlyTheReceiveCopy(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime's own allocations are not the channel's")
 	}
 	for _, zeroCopy := range []bool{false, true} {
 		for name, size := range map[string]int{"inline": 128, "slot": 4096} {
-			r := newRig(t, nil)
-			cfg := DefaultConfig(r.params)
-			cfg.ZeroCopyReceive = zeroCopy
+			r := newRig(t, zeroCopyModel(zeroCopy))
+			cfg := DefaultConfig()
 			client, server := r.connect(t, cfg)
 			received := discardReceiver(r.selB, server)
 			msg := bytes.Repeat([]byte{5}, size)
@@ -166,9 +166,8 @@ func TestFirstLapOfTheRingAllocatesLikeTheNext(t *testing.T) {
 		t.Skip("the race runtime's own allocations are not the channel's")
 	}
 	for _, zeroCopy := range []bool{false, true} {
-		r := newRig(t, nil)
-		cfg := DefaultConfig(r.params)
-		cfg.ZeroCopyReceive = zeroCopy
+		r := newRig(t, zeroCopyModel(zeroCopy))
+		cfg := DefaultConfig()
 		cfg.SignalInterval = 1
 		client, server := r.connect(t, cfg)
 		received := discardReceiver(r.selB, server)

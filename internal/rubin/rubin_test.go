@@ -16,7 +16,6 @@ type rig struct {
 	na, nb     *fabric.Node
 	da, db     *rdma.Device
 	selA, selB *Selector
-	params     model.Params
 }
 
 func newRig(t *testing.T, mutate func(*model.Params)) *rig {
@@ -29,10 +28,20 @@ func newRig(t *testing.T, mutate func(*model.Params)) *rig {
 	nw := fabric.New(loop, params)
 	na, nb := nw.AddNode("a"), nw.AddNode("b")
 	nw.Connect(na, nb)
-	r := &rig{loop: loop, na: na, nb: nb, params: params}
+	r := &rig{loop: loop, na: na, nb: nb}
 	r.da, r.db = rdma.OpenDevice(na), rdma.OpenDevice(nb)
 	r.selA, r.selB = NewSelector(r.da), NewSelector(r.db)
 	return r
+}
+
+// zeroCopyModel is the rig's model mutation for a receive with (zeroCopy)
+// or without the copy charge: zero-copy receive is a cost-model
+// counterfactual, Selector.CopyPerKB = 0.
+func zeroCopyModel(zeroCopy bool) func(*model.Params) {
+	if !zeroCopy {
+		return nil
+	}
+	return func(p *model.Params) { p.Selector.CopyPerKB = 0 }
 }
 
 // connect builds a connected channel pair: client on node a, server-side
@@ -84,7 +93,7 @@ func (r *rig) connect(t *testing.T, cfg Config) (client, server *Channel) {
 
 func TestConnectEstablishesChannelPair(t *testing.T) {
 	r := newRig(t, nil)
-	client, server := r.connect(t, DefaultConfig(r.params))
+	client, server := r.connect(t, DefaultConfig())
 	if !client.connected || client.closed || !server.connected || server.closed {
 		t.Fatal("channels should be connected")
 	}
@@ -97,13 +106,24 @@ func TestConnectToClosedPortFails(t *testing.T) {
 	r := newRig(t, nil)
 	var gotErr error
 	r.loop.Post(func() {
-		_, _ = Connect(r.selA, r.nb, 99, DefaultConfig(r.params), func(ch *Channel, err error) {
+		_, _ = Connect(r.selA, r.nb, 99, DefaultConfig(), func(ch *Channel, err error) {
 			gotErr = err
 		})
 	})
 	r.loop.Run()
 	if gotErr == nil {
 		t.Fatal("expected connect failure")
+	}
+}
+
+// The entire premise: RDMA's per-message CPU cost under the default channel
+// must be far below TCP's. Compare fixed CPU costs of one receive.
+func TestDefaultChannelReceivesCheaperThanTCP(t *testing.T) {
+	p := model.Default()
+	tcpRecv := p.TCP.Interrupt + p.TCP.RecvSyscall + p.TCP.Wakeup
+	rdmaRecv := p.RDMA.CQPoll + p.RDMA.CompletionHandle/sim.Time(DefaultConfig().SignalInterval) + p.RDMA.RecvWRRefill
+	if rdmaRecv >= tcpRecv {
+		t.Fatalf("calibration broken: RDMA recv CPU %v >= TCP recv CPU %v", rdmaRecv, tcpRecv)
 	}
 }
 
@@ -146,7 +166,7 @@ func pumpReceiver(sel *Selector, ch *Channel, out *[][]byte) {
 
 func TestSendReceiveRoundTrip(t *testing.T) {
 	r := newRig(t, nil)
-	client, server := r.connect(t, DefaultConfig(r.params))
+	client, server := r.connect(t, DefaultConfig())
 
 	var got [][]byte
 	pumpReceiver(r.selB, server, &got)
@@ -179,7 +199,7 @@ func TestSendReceiveRoundTrip(t *testing.T) {
 
 func TestMessageTooBigRejected(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	cfg.BufferSize = 1024
 	client, _ := r.connect(t, cfg)
 	r.loop.Post(func() {
@@ -192,7 +212,7 @@ func TestMessageTooBigRejected(t *testing.T) {
 
 func TestSelectiveSignalingReducesCompletions(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	cfg.SignalInterval = 8
 	client, server := r.connect(t, cfg)
 	var got [][]byte
@@ -223,7 +243,7 @@ func TestSelectiveSignalingReducesCompletions(t *testing.T) {
 
 func TestEverySendSignaledWhenIntervalOne(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	cfg.SignalInterval = 1
 	client, server := r.connect(t, cfg)
 	var got [][]byte
@@ -241,7 +261,7 @@ func TestEverySendSignaledWhenIntervalOne(t *testing.T) {
 
 func TestBackpressureAndOpSend(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	cfg.SendWRs = 4
 	cfg.SignalInterval = 2
 	client, server := r.connect(t, cfg)
@@ -291,7 +311,7 @@ func TestBackpressureAndOpSend(t *testing.T) {
 
 func TestInlineSendSkipsPoolSlot(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	cfg.Inline = true
 	client, server := r.connect(t, cfg)
 	var got [][]byte
@@ -314,7 +334,7 @@ func TestInlineSendSkipsPoolSlot(t *testing.T) {
 func TestInlineLimitFollowsModel(t *testing.T) {
 	for _, tc := range []struct{ limit, slots int }{{128, 2}, {512, 0}} {
 		r := newRig(t, func(p *model.Params) { p.RDMA.InlineMax = tc.limit })
-		cfg := DefaultConfig(r.params)
+		cfg := DefaultConfig()
 		client, server := r.connect(t, cfg)
 		var got [][]byte
 		pumpReceiver(r.selB, server, &got)
@@ -343,8 +363,8 @@ func TestBatchedPostingSharesDoorbells(t *testing.T) {
 	// messages with one doorbell (PostWR + 7×PostWRBatched) must burn
 	// less sender-thread time than 8 individual doorbells (8×PostWR).
 	senderThreadBusy := func(postBatch int) sim.Time {
-		r := newRig(t, func(p *model.Params) { p.Selector.PostBatch = postBatch })
-		cfg := DefaultConfig(r.params)
+		r := newRig(t, nil)
+		cfg := DefaultConfig()
 		cfg.PostBatch = postBatch
 		client, server := r.connect(t, cfg)
 		var got [][]byte
@@ -369,15 +389,14 @@ func TestBatchedPostingSharesDoorbells(t *testing.T) {
 }
 
 // Zero-copy receive is a modeled charge and nothing else: the same messages,
-// sent one at a time, arrive as the same bytes in both modes, the receiving
-// app thread is busy for exactly CopyPerKB per delivered KB less, and
-// the sequence finishes sooner.
+// sent one at a time, arrive as the same bytes with and without the copy
+// charge (Selector.CopyPerKB zeroed), the receiving app thread is busy for
+// exactly CopyPerKB per delivered KB less, and the sequence finishes sooner.
 func TestZeroCopyReceiveAblation(t *testing.T) {
 	sizes := []int{100, 4096, 32 << 10, 100 << 10}
 	run := func(zeroCopy bool) (busy, elapsed sim.Time, got [][]byte) {
-		r := newRig(t, nil)
-		cfg := DefaultConfig(r.params)
-		cfg.ZeroCopyReceive = zeroCopy
+		r := newRig(t, zeroCopyModel(zeroCopy))
+		cfg := DefaultConfig()
 		client, server := r.connect(t, cfg)
 		pumpReceiver(r.selB, server, &got)
 		busy, start := r.nb.App.BusyTotal(), r.loop.Now()
@@ -412,7 +431,7 @@ func TestZeroCopyReceiveAblation(t *testing.T) {
 
 func TestManyChannelsOneSelector(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	srv, err := Listen(r.selB, 7, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +502,7 @@ func TestManyChannelsOneSelector(t *testing.T) {
 
 func TestEchoThroughTwoSelectors(t *testing.T) {
 	r := newRig(t, nil)
-	client, server := r.connect(t, DefaultConfig(r.params))
+	client, server := r.connect(t, DefaultConfig())
 
 	// Server: echo.
 	r.selB.Register(server, OpReceive, nil)
@@ -540,7 +559,7 @@ func TestEchoThroughTwoSelectors(t *testing.T) {
 
 func TestSendOnClosedChannelFails(t *testing.T) {
 	r := newRig(t, nil)
-	client, _ := r.connect(t, DefaultConfig(r.params))
+	client, _ := r.connect(t, DefaultConfig())
 	r.loop.Post(func() {
 		client.Close()
 		if err := client.Send([]byte("x")); err == nil {
@@ -555,7 +574,7 @@ func TestSendOnClosedChannelFails(t *testing.T) {
 
 func TestSelectorStatsAdvance(t *testing.T) {
 	r := newRig(t, nil)
-	client, server := r.connect(t, DefaultConfig(r.params))
+	client, server := r.connect(t, DefaultConfig())
 	var got [][]byte
 	pumpReceiver(r.selB, server, &got)
 	r.loop.Post(func() {
@@ -574,7 +593,7 @@ func TestSelectorStatsAdvance(t *testing.T) {
 
 func TestReceiveOrderMatchesSendOrder(t *testing.T) {
 	r := newRig(t, nil)
-	client, server := r.connect(t, DefaultConfig(r.params))
+	client, server := r.connect(t, DefaultConfig())
 	var got [][]byte
 	pumpReceiver(r.selB, server, &got)
 	const n = 40
@@ -601,7 +620,7 @@ func TestReceiveOrderMatchesSendOrder(t *testing.T) {
 
 func TestChannelIDsAreUnique(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	a, _ := r.connect(t, cfg)
 	// Second pair over a second port.
 	srv2, err := Listen(r.selB, 8, cfg)
@@ -632,7 +651,7 @@ func TestChannelIDsAreUnique(t *testing.T) {
 // counts where they started.
 func TestCloseAndRedialReleasesPools(t *testing.T) {
 	r := newRig(t, nil)
-	cfg := DefaultConfig(r.params)
+	cfg := DefaultConfig()
 	srv, err := Listen(r.selB, 7, cfg)
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -672,9 +691,8 @@ func TestCloseAndRedialReleasesPools(t *testing.T) {
 // delivered as.
 func TestZeroCopyMessageOwnsItsBytes(t *testing.T) {
 	for _, zeroCopy := range []bool{false, true} {
-		r := newRig(t, nil)
-		cfg := DefaultConfig(r.params)
-		cfg.ZeroCopyReceive = zeroCopy
+		r := newRig(t, zeroCopyModel(zeroCopy))
+		cfg := DefaultConfig()
 		cfg.RecvWRs = 1 // every message lands in the same slot
 		client, server := r.connect(t, cfg)
 		var got [][]byte

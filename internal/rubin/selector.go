@@ -87,9 +87,8 @@ func NewSelectorOn(dev *rdma.Device, thread *sim.Resource) *Selector {
 	s.recvCQ.SetThread(thread)
 	s.dispatchFn = s.dispatchTurn
 	// RUBIN's event manager reads completion events much more cheaply than
-	// the default event-channel path (the heavy application wakeup is the
-	// select dispatch, charged separately).
-	const eventCost = 2 * sim.Microsecond
+	// the default event-channel path.
+	eventCost := dev.Node().Network().Params().Selector.CQEvent
 	s.sendCQ.SetEventCost(eventCost)
 	s.recvCQ.SetEventCost(eventCost)
 	s.sendCQ.OnEvent(s.drainSendCQ)

@@ -60,11 +60,11 @@ type Deployment struct {
 }
 
 // New builds a deployment of cfg.Shards PBFT groups over a shared
-// simulated network. The application factory is invoked per (shard,
-// replica); each shard's replicas hold only that shard's partition of
-// the keyspace, populated and queried through its own group's log. Call
-// Start, then AddRouter.
-func New(kind transport.Kind, cfg Config, params model.Params, seed int64, appFactory func(shard, replica int) pbft.Application) (*Deployment, error) {
+// simulated network, each replica running a fresh kvstore.Store — the
+// sharded key/value service. Each shard's replicas hold only that shard's
+// partition of the keyspace, populated and queried through its own
+// group's log. Call Start, then AddRouter.
+func New(kind transport.Kind, cfg Config, params model.Params, seed int64) (*Deployment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -76,22 +76,15 @@ func New(kind transport.Kind, cfg Config, params model.Params, seed int64, appFa
 		Kind:    kind,
 	}
 	for s := 0; s < cfg.Shards; s++ {
-		s := s
 		cl, err := pbft.NewClusterIn(loop, d.Network, fmt.Sprintf("s%d", s), kind, cfg.PBFT,
 			seed+int64(s+1)*pbft.KeySeedStride,
-			func(i int) pbft.Application { return appFactory(s, i) })
+			func(int) pbft.Application { return kvstore.New() })
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		d.Clusters = append(d.Clusters, cl)
 	}
 	return d, nil
-}
-
-// NewKV builds a deployment whose application is a fresh kvstore.Store
-// per replica — the standard sharded key/value service.
-func NewKV(kind transport.Kind, cfg Config, params model.Params, seed int64) (*Deployment, error) {
-	return New(kind, cfg, params, seed, func(_, _ int) pbft.Application { return kvstore.New() })
 }
 
 // Start brings up every group (listeners plus full peer meshes).

@@ -26,9 +26,9 @@ func testConfig(shards int) Config {
 
 func newTestDeployment(t *testing.T, kind transport.Kind, shards int) (*Deployment, *Router) {
 	t.Helper()
-	d, err := NewKV(kind, testConfig(shards), model.Default(), 1)
+	d, err := New(kind, testConfig(shards), model.Default(), 1)
 	if err != nil {
-		t.Fatalf("NewKV: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	if err := d.Start(); err != nil {
 		t.Fatalf("Start: %v", err)

@@ -64,23 +64,6 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 // Delay is a convenience for charging time without a completion callback.
 func (r *Resource) Delay(service Time) Time { return r.Acquire(service, nil) }
 
-// QueueDelay returns how long a zero-length job submitted now would wait
-// before starting service, i.e. the current backlog of the least-loaded
-// server.
-func (r *Resource) QueueDelay() Time {
-	now := r.loop.Now()
-	best := r.busyUntil[0]
-	for _, t := range r.busyUntil[1:] {
-		if t < best {
-			best = t
-		}
-	}
-	if best <= now {
-		return 0
-	}
-	return best - now
-}
-
 // BusyTotal returns the cumulative service time charged to this resource.
 func (r *Resource) BusyTotal() Time { return r.busyTotal }
 

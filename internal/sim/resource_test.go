@@ -53,21 +53,6 @@ func TestResourceIdleGapResets(t *testing.T) {
 	}
 }
 
-func TestResourceQueueDelay(t *testing.T) {
-	l := NewLoop(1)
-	r := NewResource(l, "cpu", 1)
-	l.At(0, func() {
-		if d := r.QueueDelay(); d != 0 {
-			t.Errorf("idle QueueDelay = %v, want 0", d)
-		}
-		r.Acquire(100, nil)
-		if d := r.QueueDelay(); d != 100 {
-			t.Errorf("QueueDelay = %v, want 100", d)
-		}
-	})
-	l.Run()
-}
-
 func TestResourceStats(t *testing.T) {
 	l := NewLoop(1)
 	r := NewResource(l, "cpu", 1)

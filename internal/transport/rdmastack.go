@@ -33,7 +33,7 @@ func (s *rdmaStack) Kind() Kind         { return KindRDMA }
 
 // chanConfig sizes RUBIN channels from the stack options.
 func (s *rdmaStack) chanConfig() rubin.Config {
-	cfg := rubin.DefaultConfig(s.node.Network().Params())
+	cfg := rubin.DefaultConfig()
 	cfg.SendWRs = s.opts.WRs
 	cfg.RecvWRs = s.opts.WRs
 	cfg.BufferSize = s.opts.MaxMessage

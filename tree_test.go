@@ -16,8 +16,8 @@ import (
 )
 
 // sourceTree is every package of the repository type-checked with its
-// tests: what the source-reading gates (TestDeadSurface, TestMapRangeGate)
-// walk. The type-check is most of what those gates cost, so it is done
+// tests: what the source-reading gates (TestDeadSurface,
+// TestModelParamsAreCharged, TestMapRangeGate) walk. The type-check is most of what those gates cost, so it is done
 // once per test binary, whichever of them runs first.
 type sourceTree struct {
 	fset  *token.FileSet
@@ -91,7 +91,7 @@ var parseTree = sync.OnceValues(func() (*sourceTree, error) {
 		}
 		rel, _ := filepath.Rel(tr.root, dir)
 		for _, name := range names {
-			info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+			info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 			var errs []error
 			conf := types.Config{Importer: importerFrom{imp, dir}, Error: func(err error) { errs = append(errs, err) }}
 			pkg, _ := conf.Check(name, tr.fset, byName[name], info)
