@@ -1,7 +1,9 @@
 package msgnet
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
@@ -29,16 +31,15 @@ type outItem struct {
 	enqAt  sim.Time
 }
 
-// inStream is the reassembly state of one inbound chunked message. Verified
-// chunk payloads wait in parts (slices of delivered frames, msgnet's to
-// keep) and are joined once the size is known: one exact allocation.
+// inStream is the reassembly state of one inbound chunked message: each
+// verified chunk's payload is copied out of its lent frame into msg, the
+// stream's one buffer, made when the first chunk arrives.
 type inStream struct {
 	class Class
 	count uint32
 	next  uint32
 	prev  auth.Digest
-	parts [][]byte
-	size  int
+	msg   []byte
 }
 
 // Peer is one bidirectional message channel to a remote node. Handles are
@@ -487,7 +488,9 @@ func (p *Peer) dispatch(raw []byte) {
 			p.recvFail() // starts past its first chunk, or advertises too few or too many
 			return
 		}
-		st = &inStream{class: f.class, count: f.count, parts: make([][]byte, 0, f.count)}
+		// Every chunk but the last is as long as the first.
+		size := min(int(f.count)*len(f.payload), p.mesh.opts.MaxTransfer)
+		st = &inStream{class: f.class, count: f.count, msg: make([]byte, 0, size)}
 		p.streams[f.stream] = st
 	}
 	if f.index != st.next || f.count != st.count || f.class != st.class || f.prev != st.prev {
@@ -495,17 +498,12 @@ func (p *Peer) dispatch(raw []byte) {
 		p.recvFail() // the chunk chain is broken
 		return
 	}
-	st.parts = append(st.parts, f.payload)
-	st.size += len(f.payload)
+	st.msg = append(st.msg, f.payload...)
 	st.next++
 	st.prev = f.digest
 	if st.next == st.count {
 		delete(p.streams, f.stream)
-		msg := make([]byte, 0, st.size)
-		for _, part := range st.parts {
-			msg = append(msg, part...)
-		}
-		p.handOff(st.class, msg)
+		p.handOff(st.class, slices.Clip(st.msg))
 	}
 }
 
@@ -520,11 +518,13 @@ func (p *Peer) maxChunks() int {
 // unaffected.
 func (p *Peer) recvFail() { *p.mesh.recvErrs++ }
 
+// handOff lends msg to the consumer, or parks a copy of it until one is
+// installed.
 func (p *Peer) handOff(class Class, msg []byte) {
 	if p.onMsg != nil {
 		p.onMsg(class, msg)
 	} else {
-		p.inbox.Push(inboxEntry{class: class, msg: msg})
+		p.inbox.Push(inboxEntry{class: class, msg: bytes.Clone(msg)})
 	}
 }
 

@@ -210,7 +210,7 @@ func TestReplyAllocatesNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, roundTrip); allocs != carried {
 			t.Errorf("%s: sending and receiving two replies allocates %v times, carrying their bytes %v", kind, allocs, carried)
 		}
-		if v := cl.pending[ts].replies[3]; !v.cast || string(v.result) != "result" || !cl.reads[ts].replies[3].cast {
+		if v := cl.pending[ts].replies[3]; !v.cast || v.result != auth.Hash([]byte("result")) || !cl.reads[ts].replies[3].cast {
 			t.Fatalf("%s: the client did not count the replies: the gate measured a drop", kind)
 		}
 		if *rep.sendFaults != 0 {

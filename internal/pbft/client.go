@@ -1,9 +1,9 @@
 package pbft
 
 import (
-	"bytes"
 	"slices"
 
+	"rubin/internal/auth"
 	"rubin/internal/fabric"
 	"rubin/internal/msgnet"
 	"rubin/internal/sim"
@@ -55,9 +55,11 @@ type Client struct {
 // replyVote is one replica's cell of an invocation's replies: replies are
 // unauthenticated, so a vote is bound to the connection it arrived on —
 // the cell's index — and a replica has one however many replies it sends.
+// A vote keeps its result's digest: the result's bytes are lent by the
+// message that carried them.
 type replyVote struct {
 	cast   bool
-	result []byte
+	result auth.Digest
 }
 
 type invocation struct {
@@ -160,8 +162,9 @@ func (c *Client) AttachReplica(id uint32, p *msgnet.Peer) {
 // pre-prepare names requests by digest, and every replica executes the
 // copy it got from the client — one that missed it fetches it from the
 // leader (Castro & Liskov, TOCS 2002, separate request transmission). The
-// returned string is the request's key — the id the observability layer
-// traces it under.
+// result done receives is lent: it is valid until done returns, and a
+// caller that keeps it copies it. The returned string is the request's key
+// — the id the observability layer traces it under.
 func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 	c.next++
 	ts := c.next
@@ -176,8 +179,9 @@ func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 // InvokeRead submits a side-effect-free operation. With the fast path
 // enabled it is multicast as a ReadRequest and accepted on 2F+1 matching
 // tentative replies; otherwise (or on fallback) it travels the ordered
-// path like any other operation. The returned key is stable across a
-// fallback, so callers trace the invocation under one id either way.
+// path like any other operation. done's result is lent, as Invoke's is. The
+// returned key is stable across a fallback, so callers trace the invocation
+// under one id either way.
 func (c *Client) InvokeRead(op []byte, done func(result []byte)) string {
 	if !c.fastReadsOn {
 		return c.Invoke(op, done)
@@ -209,11 +213,11 @@ func (c *Client) broadcast(m Message) {
 	}
 }
 
-// matching counts the replicas whose reply is byte-identical to result.
-func matching(replies []replyVote, result []byte) int {
+// matching counts the replicas whose reply's result has digest result.
+func matching(replies []replyVote, result auth.Digest) int {
 	n := 0
 	for _, v := range replies {
-		if v.cast && bytes.Equal(v.result, result) {
+		if v.cast && v.result == result {
 			n++
 		}
 	}
@@ -225,9 +229,10 @@ func (c *Client) handleReply(rep Reply) {
 	if inv == nil || int(rep.Replica) >= len(inv.replies) {
 		return
 	}
-	inv.replies[rep.Replica] = replyVote{true, rep.Result}
+	d := auth.Hash(rep.Result)
+	inv.replies[rep.Replica] = replyVote{true, d}
 	// Accept when F+1 replicas report the same result.
-	if matching(inv.replies, rep.Result) >= c.f+1 {
+	if matching(inv.replies, d) >= c.f+1 {
 		delete(c.pending, rep.Timestamp)
 		done := inv.done
 		clear(inv.replies)
@@ -249,12 +254,13 @@ func (c *Client) handleReadReply(rep ReadReply) {
 	if inv.replies[rep.Replica].cast {
 		return
 	}
-	inv.replies[rep.Replica] = replyVote{true, rep.Result}
+	d := auth.Hash(rep.Result)
+	inv.replies[rep.Replica] = replyVote{true, d}
 	inv.voted++
 	// Accept when 2F+1 replicas report byte-identical results. Matching
 	// on the value (not the state tag) keeps the fast path live while
 	// replicas execute at slightly different positions.
-	if matching(inv.replies, rep.Result) >= 2*c.f+1 {
+	if matching(inv.replies, d) >= 2*c.f+1 {
 		key, done := c.finishRead(inv)
 		*c.fastReads++
 		if c.onReadPath != nil {

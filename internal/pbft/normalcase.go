@@ -1,6 +1,8 @@
 package pbft
 
 import (
+	"bytes"
+
 	"rubin/internal/auth"
 	"rubin/internal/msgnet"
 	"rubin/internal/obs"
@@ -217,12 +219,16 @@ func (r *Replica) digest(req Request) (auth.Digest, sim.Time) {
 	return auth.Hash(req.Op), r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, len(req.Op)))
 }
 
-// file stores a copy of req, digested d, in its row and, if the row is new,
-// queues the request for the progress timer — which starts watching it if
-// it was idle.
+// file stores req, digested d, in its row and, if the row is new, queues
+// the request for the progress timer — which starts watching it if it was
+// idle. A row that holds no op yet (a new or a released one) takes a copy of
+// req's: the caller's is lent by the message it came in.
 func (r *Replica) file(req Request, d auth.Digest, state reqState, seq uint64) {
 	id := req.ID()
 	row, seen := r.requests[id]
+	if row.Op == nil {
+		req.Op = r.keep(req.Op)
+	}
 	r.requests[id] = request{req, d, state, max(row.seq, seq)}
 	if seen {
 		return
@@ -231,6 +237,24 @@ func (r *Replica) file(req Request, d auth.Digest, state reqState, seq uint64) {
 	if !r.viewChanging && !r.progress.Pending() {
 		r.watchOldest()
 	}
+}
+
+// opChunk is the size of the slab chunks a replica copies small request ops
+// into: one allocation serves many rows, and the collector frees a chunk once
+// no row points into it. An op above a quarter chunk is copied alone, so a
+// chunk cut short wastes at most a quarter of itself.
+const opChunk = 16 << 10
+
+// keep returns the replica's own copy of op.
+func (r *Replica) keep(op []byte) []byte {
+	if len(op) > opChunk/4 {
+		return bytes.Clone(op)
+	}
+	if cap(r.ops)-len(r.ops) < len(op) {
+		r.ops = make([]byte, 0, opChunk)
+	}
+	r.ops = append(r.ops, op...)
+	return r.ops[len(r.ops)-len(op) : len(r.ops) : len(r.ops)]
 }
 
 // assign moves id's row, if it has one, to state, and to seq if that is the

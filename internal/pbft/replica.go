@@ -86,6 +86,9 @@ type Replica struct {
 	// envelope or a reply is encoded into it and handed to Peer.Send, which
 	// copies before it returns (see room).
 	scratch []byte
+
+	// ops is the slab chunk keep copies small request ops into.
+	ops []byte
 }
 
 // NewReplica builds a replica. Connections are attached afterwards with

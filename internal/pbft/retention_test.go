@@ -1,0 +1,103 @@
+package pbft
+
+import (
+	"bytes"
+	"testing"
+
+	"rubin/internal/kvstore"
+)
+
+// scribble overwrites a delivered buffer once its handler has returned, as
+// a transport that reuses its receive memory does.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xEE
+	}
+}
+
+// A filed request row keeps its own copy of the op: after the message it
+// came in is overwritten, the row still holds the op — a small one, copied
+// into the replica's slab, and one above a quarter slab chunk, copied alone.
+func TestFiledRequestKeepsItsOp(t *testing.T) {
+	r := bareReplica(t, 3, DefaultConfig())
+	for i, size := range []int{128, 32 << 10} {
+		op := kvstore.EncodeOp(kvstore.OpPut, "k", string(bytes.Repeat([]byte{'v'}, size)))
+		req := Request{Client: 100, Timestamp: uint64(i + 1), Op: op}
+		raw := Encode(req)
+		var m decoded
+		if err := m.decode(raw); err != nil {
+			t.Fatal(err)
+		}
+		r.handleRequest(m.request)
+		scribble(raw)
+		if row, seen := r.requests[req.ID()]; !seen || !bytes.Equal(row.Op, op) {
+			t.Fatalf("%d B value: the filed row's op changed with the message it came in", size)
+		}
+	}
+}
+
+// A state transfer in progress keeps its own copies of the manifest header
+// and of every verified part: the messages that carried them are
+// overwritten as they are handled, and the transfer still adopts the
+// source's state.
+func TestStateTransferKeepsHeaderAndParts(t *testing.T) {
+	x := newFetchFixture()
+	offerManifest := func(sender uint32) {
+		raw := Encode(x.manifest(sender, 5))
+		var m decoded
+		if err := m.decode(raw); err != nil {
+			t.Fatal(err)
+		}
+		if !x.fetch.offerManifest(x.dst, 0, sender, m.manifest) {
+			t.Fatalf("manifest from %d refused", sender)
+		}
+		scribble(raw)
+	}
+	offerManifest(1)
+	if !bytes.Equal(x.fetch.xfers[1].manifest.Header, x.src.MarshalHeader()) {
+		t.Fatal("the stored manifest header changed with the message it came in")
+	}
+	for _, i := range x.divergent() {
+		raw := Encode(StatePart{Seq: fixtureSeq, Part: uint32(i), Data: x.src.MarshalPartition(i), Replica: 1})
+		var m decoded
+		if err := m.decode(raw); err != nil {
+			t.Fatal(err)
+		}
+		if _, stored := x.fetch.offerPart(1, m.part); !stored {
+			t.Fatalf("part %d refused", i)
+		}
+		scribble(raw)
+		if !bytes.Equal(x.fetch.xfers[1].parts[i], x.src.MarshalPartition(i)) {
+			t.Fatalf("stored part %d changed with the message it came in", i)
+		}
+	}
+	offerManifest(2)
+	if _, ok := x.tryAdopt(5); !ok || x.dst.Snapshot() != x.src.Snapshot() {
+		t.Fatal("the transfer did not adopt the source's state")
+	}
+}
+
+// A client's vote outlives the reply that cast it: the first replica's
+// result is overwritten once its reply is handled, and the second replica's
+// matching result still completes the F+1 quorum — on the ordered path and,
+// at 2F+1, on the read fast path.
+func TestClientVoteOutlivesItsReply(t *testing.T) {
+	cl, _ := newReadTestClient(1, 4)
+	var results []string
+	done := func(res []byte) { results = append(results, string(res)) }
+	cl.Invoke([]byte("op"), done)
+	lent := []byte("result")
+	cl.handleReply(Reply{Timestamp: cl.next, Client: cl.id, Replica: 0, Result: lent})
+	scribble(lent)
+	cl.handleReply(Reply{Timestamp: cl.next, Client: cl.id, Replica: 1, Result: []byte("result")})
+
+	cl.InvokeRead([]byte("read"), done)
+	for r := uint32(0); r < 3; r++ {
+		lent := []byte("value")
+		cl.handleReadReply(ReadReply{Timestamp: cl.next, Client: cl.id, Replica: r, Executed: 1, Result: lent})
+		scribble(lent)
+	}
+	if len(results) != 2 || results[0] != "result" || results[1] != "value" {
+		t.Fatalf("completed with %q, want [result value]: a vote changed with the reply that cast it", results)
+	}
+}

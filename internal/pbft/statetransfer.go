@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -73,6 +74,7 @@ func (f *stateFetcher) offerManifest(ps PartitionedState, executed uint64, sende
 	if prev := f.xfers[sender]; prev != nil && prev.manifest.Seq > m.Seq {
 		return false // keep the newer transfer
 	}
+	m.Header = bytes.Clone(m.Header) // lent by the message; Digests is decoded afresh
 	f.xfers[sender] = &stateXfer{manifest: m, parts: make(map[int][]byte)}
 	return true
 }
@@ -98,7 +100,7 @@ func (f *stateFetcher) offerPart(sender uint32, m StatePart) (hashed, stored boo
 		f.reject(sender)
 		return true, false
 	}
-	x.parts[int(m.Part)] = m.Data
+	x.parts[int(m.Part)] = bytes.Clone(m.Data) // lent by the message
 	return true, true
 }
 

@@ -164,12 +164,13 @@ func (c *connCore) OnClose(fn func()) { c.onClose = fn }
 
 func (c *connCore) OnDrain(fn func()) { c.onDrain = fn }
 
-// deliver hands one received message up, or parks it in the inbox.
+// deliver lends one received message to the callback, or parks a copy of
+// it in the inbox until one is installed.
 func (c *connCore) deliver(msg []byte) {
 	if c.onMsg != nil {
 		c.onMsg(msg)
 	} else {
-		c.inbox.Push(msg)
+		c.inbox.Push(bytes.Clone(msg))
 	}
 }
 

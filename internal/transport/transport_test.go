@@ -448,3 +448,18 @@ func TestPillarsServeOnTheirOwnThreads(t *testing.T) {
 		})
 	}
 }
+
+// A connection's inbox keeps its own copy of what arrives before OnMessage
+// is installed: the transport overwrites the delivered buffer once deliver
+// returns, and the parked message is still the one received.
+func TestInboxKeepsMessagesBeforeOnMessage(t *testing.T) {
+	var c connCore
+	lent := []byte("parked")
+	c.deliver(lent)
+	copy(lent, "XXXXXX")
+	var got []string
+	c.OnMessage(func(m []byte) { got = append(got, string(m)) })
+	if len(got) != 1 || got[0] != "parked" {
+		t.Fatalf("delivered %q, want [parked]: the parked message changed with the buffer it came in", got)
+	}
+}
