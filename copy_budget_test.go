@@ -13,12 +13,15 @@ import (
 // transport — the larger reading plus 25 %. A put's value crosses the
 // client→replica hop four times and no other — a pre-prepare names it by
 // ref — and each hop is allowed its one copy in and its one copy out (the
-// per-hop table in docs/ARCHITECTURE.md): the run measures 12.4 on
-// rdma-rubin and 13.4 on tcp-nio. While a pre-prepare carried the requests
-// across the leader→backup hop three more times it measured 18.7 and 19.1
-// (18.3 and 19.8 while a batch cut by size left its timer armed; rdma-rubin
-// read 21.8 while a receive slot kept a backing
-// of its own and the channel copied each landed message out of it; 22.7
+// per-hop table in docs/ARCHITECTURE.md): the run measures 12.6 on
+// rdma-rubin and 13.3 on tcp-nio. The copy in is the replica's request row
+// keeping the op, the transports lending the landed message from memory
+// they reuse; it was the landed message's own buffer, which the row kept as
+// it was, while the run measured 12.4 and 13.4. While a pre-prepare carried
+// the requests across the leader→backup hop three more times it measured
+// 18.7 and 19.1 (18.3 and 19.8 while a batch cut by size left its timer
+// armed; rdma-rubin read 21.8 while a receive slot kept a backing of its
+// own and the channel copied each landed message out of it; 22.7
 // and 21.1 while MarshalPartition cloned every checkpointed bucket and a
 // checkpoint grew each bucket's encoding field by field; 25.1 and 23.5
 // while every request and every envelope was encoded into a fresh buffer

@@ -140,13 +140,16 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeliveredBytesBelongToReceiver is the hand-over rule pbft's
-// decode-by-reference rests on: a consumer that keeps every delivered
-// message, whole, bundled or reassembled, without copying finds each one
-// intact after the receive ring below has come round many times over — on
-// both backends, and with the rubin channel's receive copy charged and
-// projected away (Selector.CopyPerKB = 0); the channel hands out the backing
-// of each slot it re-posts either way.
+// TestDeliveredBytesBelongToReceiver is the lending rule pbft's
+// decode-by-reference rests on: a delivered message belongs to the receiver
+// until its callback returns. A consumer that copies every message in its
+// callback, whole, bundled or reassembled, finds each copy intact after the
+// receive ring below has come round many times over, while the lent slices
+// of whole and bundled messages it kept as well no longer hold their bytes:
+// the transport took that memory back — on both backends, and with the
+// rubin channel's receive copy charged and projected away
+// (Selector.CopyPerKB = 0), which lends the backing of each landed message
+// either way.
 func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Transport.WRs = 4
@@ -164,8 +167,8 @@ func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 				}
 				p := newPairWith(t, kind, opts, params)
 				frames := transportKinds(p)
-				var held [][]byte
-				p.ba.OnMessage(func(_ Class, m []byte) { held = append(held, m) })
+				var held, lent [][]byte
+				p.ba.OnMessage(func(_ Class, m []byte) { held, lent = append(held, bytes.Clone(m)), append(lent, m) })
 				// First four small messages queued in one turn: one bundle,
 				// each member a sub-slice of its one delivered buffer.
 				const bundled, small = 4, 900
@@ -190,12 +193,18 @@ func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 				}
 				for i, m := range held[:bundled] {
 					if !bytes.Equal(m, pattern(small, byte(100+i))) {
-						t.Fatalf("bundled message %d changed after delivery: the layer below reused its bytes", i)
+						t.Fatalf("bundled message %d arrived corrupted", i)
+					}
+					if bytes.Equal(lent[i], m) {
+						t.Fatalf("bundled message %d still reads its bytes after its callback returned", i)
 					}
 				}
 				for i, m := range held[bundled:] {
 					if !bytes.Equal(m, pattern(sizes[i%2], byte(i))) {
-						t.Fatalf("message %d changed after delivery: the layer below reused its bytes", i)
+						t.Fatalf("message %d arrived corrupted", i)
+					}
+					if sizes[i%2] <= opts.maxWhole() && bytes.Equal(lent[bundled+i], m) {
+						t.Fatalf("whole message %d still reads its bytes after its callback returned", i)
 					}
 				}
 			})
@@ -203,21 +212,22 @@ func TestDeliveredBytesBelongToReceiver(t *testing.T) {
 	}
 }
 
-// TestReassemblyAllocatesOnce: a chunked message is joined into a buffer of
-// exactly its size — no growth on the way, no slack for a consumer that
-// keeps the message to keep alive with it.
+// TestReassemblyAllocatesOnce: a chunked message is joined into one buffer,
+// made at its first chunk for every chunk the stream announces — no growth
+// on the way — and handed up at exactly its size.
 func TestReassemblyAllocatesOnce(t *testing.T) {
 	opts := DefaultOptions()
 	p := newPair(t, transport.KindRDMA, opts)
 	var got []byte
-	p.ba.OnMessage(func(_ Class, m []byte) { got = m })
+	size := 0
+	p.ba.OnMessage(func(_ Class, m []byte) { got, size = bytes.Clone(m), cap(m) })
 	msg := pattern(3*opts.chunkPayload()+17, 5)
 	if err := p.ab.Send(ClassBulk, msg); err != nil {
 		t.Fatal(err)
 	}
 	p.loop.Run()
-	if !bytes.Equal(got, msg) || cap(got) != len(msg) {
-		t.Fatalf("reassembled %d bytes in a %d-byte buffer, want %d exact", len(got), cap(got), len(msg))
+	if !bytes.Equal(got, msg) || size != len(msg) {
+		t.Fatalf("reassembled %d bytes handed up with capacity %d, want %d exact", len(got), size, len(msg))
 	}
 }
 

@@ -170,13 +170,14 @@ func replyFixture(t *testing.T, kind transport.Kind) (c *Cluster, cl *Client, ts
 }
 
 // TestReplyAllocatesNothing: what a reply costs the host end to end is what
-// msgnet and the transport below charge for carrying its bytes — the buffer
-// it is delivered in, pinned by their own gates and measured here by handing the
-// same bytes to Peer.Send directly. On top of that the replica encoding and
-// sending it (into its scratch and msgnet's pooled frame, no closure) and
-// the client decoding and counting it short of a quorum (by value, the
-// result aliasing the delivered buffer) allocate nothing. The two sides are
-// measured apart: first with the client's handler unplugged, then with it.
+// msgnet and the transport below charge for carrying its bytes — nothing
+// once the receive memory is warm, pinned by their own gates and measured
+// here by handing the same bytes to Peer.Send directly. On top of that the
+// replica encoding and sending it (into its scratch and msgnet's pooled
+// frame, no closure) and the client decoding and counting it short of a
+// quorum (by value, the vote keeping the result's digest) allocate nothing.
+// The two sides are measured apart: first with the client's handler
+// unplugged, then with it.
 func TestReplyAllocatesNothing(t *testing.T) {
 	skipUnderRace(t)
 	for _, kind := range kinds() {

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestSingleRequestCommitsOnBothTransports(t *testing.T) {
 			var result []byte
 			c.Loop.Post(func() {
 				cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "alpha", "1"), func(res []byte) {
-					result = res
+					result = bytes.Clone(res) // lent until the callback returns
 				})
 			})
 			c.Loop.Run()

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -176,7 +177,7 @@ func TestReadFastPathServesReads(t *testing.T) {
 			c.Loop.Post(func() {
 				cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "alpha", "1"), func([]byte) {
 					cl.InvokeRead(kvstore.EncodeOp(kvstore.OpGet, "alpha", ""), func(res []byte) {
-						got = res
+						got = bytes.Clone(res) // lent until the callback returns
 					})
 				})
 			})
@@ -344,7 +345,7 @@ func TestStaleFastReadsFailOracle(t *testing.T) {
 						c.Loop.After(sim.Microsecond, func() {
 							t2 := c.Loop.Now()
 							cl.InvokeRead(kvstore.EncodeOp(kvstore.OpGet, "k", ""), func(res []byte) {
-								readResult = res
+								readResult = bytes.Clone(res) // lent until the callback returns
 								record(workload.Read, "", string(res), t2, c.Loop.Now())
 							})
 						})

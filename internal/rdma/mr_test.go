@@ -65,6 +65,35 @@ func TestTakeDetachesBlockBacking(t *testing.T) {
 	}
 }
 
+// Recycle takes a taken backing back zeroed: the taker's slice reads zeros
+// at once, and the next first touch of any block that fits in it reuses it
+// whole — Take hands out the backing's full capacity. A touch it cannot
+// hold drops it for a backing at least twice its size, capped at the block.
+func TestRecycleReusesAZeroedBacking(t *testing.T) {
+	r := newRig(t)
+	pool := r.pa.RegisterPool(2, 4096, AccessLocalWrite, nil)
+	copy(pool.Slice(0, 100), bytes.Repeat([]byte{7}, 100))
+	taken := pool.Take(0, 60)
+	if len(taken) != 60 || cap(taken) != 100 {
+		t.Fatalf("Take returned %d bytes of capacity %d, want 60 of 100", len(taken), cap(taken))
+	}
+	pool.Recycle(taken)
+	if !bytes.Equal(taken[:cap(taken)], make([]byte, 100)) {
+		t.Fatal("a recycled backing still reads its bytes")
+	}
+	if got := pool.Slice(4096, 80); &got[0] != &taken[0] || !bytes.Equal(got, make([]byte, 80)) {
+		t.Fatal("the next first touch that fits did not reuse the recycled backing, zeroed")
+	}
+	pool.Recycle(pool.Take(4096, 80))
+	if got := pool.Slice(0, 150); &got[0] == &taken[0] || cap(pool.Take(0, 150)) != 200 {
+		t.Fatal("a touch past the recycled backing did not replace it with one twice its size")
+	}
+	pool.Recycle(pool.Take(0, 150))
+	if got := pool.Take(4096, 4096); cap(got) != 4096 {
+		t.Fatalf("a touch of the whole block got capacity %d, want the block size 4096", cap(got))
+	}
+}
+
 func TestExtentCrossingBlockRejected(t *testing.T) {
 	r := newRig(t)
 	pool := r.pa.RegisterPool(2, 64, AccessLocalWrite, nil)

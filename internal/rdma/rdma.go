@@ -177,12 +177,15 @@ type PD struct {
 // touched and only as far as the highest byte ever touched (growing by at
 // least doubling, like append, capped at the block size), so a pool of
 // large slots that carries small messages costs the host what the messages
-// cost. A receive pool whose landed messages are handed up with Take is
-// backed only while a message sits in it.
+// cost. A receive pool lends each landed message up with Take and takes its
+// backing back with Recycle once the consumer is done with it; the block's
+// next first touch reuses a recycled backing, so a steady stream of
+// messages allocates nothing.
 type MR struct {
 	pd        *PD
 	blocks    [][]byte // blocks[i] backs region bytes from i*blockSize; nil until touched
 	blockSize int
+	free      [][]byte // recycled backings, zeroed, last recycled on top
 	lkey      uint32
 	rkey      uint32
 	access    Access
@@ -227,6 +230,7 @@ func (pd *PD) RegisterPool(blocks, blockSize int, access Access, ready func()) *
 func (mr *MR) Deregister() {
 	if mr.valid {
 		mr.valid = false
+		mr.free = nil
 		delete(mr.pd.dev.mrs, mr.rkey)
 	}
 }
@@ -240,10 +244,12 @@ func (mr *MR) holds(off, n int) bool {
 
 // Slice returns the n region bytes at off, which must lie inside one block
 // (it panics on an extent the posting verbs would have rejected). The block
-// is backed as far as off+n first, so never-written bytes read as zeros.
-// The result aliases the block's backing at the time of the call: a reader
-// may keep it (it retains its bytes if the block later grows), a writer
-// must take a fresh Slice for every write.
+// is backed as far as off+n first, so never-written bytes read as zeros: a
+// block's first touch takes the last recycled backing if it reaches off+n,
+// and otherwise drops it for one at least twice its size. The result
+// aliases the block's backing at the time of the call: a reader may keep it
+// (it retains its bytes if the block later grows), a writer must take a
+// fresh Slice for every write.
 func (mr *MR) Slice(off, n int) []byte {
 	if n == 0 {
 		return nil
@@ -252,12 +258,16 @@ func (mr *MR) Slice(off, n int) []byte {
 	hi := lo + n
 	if hi > len(mr.blocks[i]) {
 		size := 2 * len(mr.blocks[i])
-		if size < hi {
-			size = hi
+		if mr.blocks[i] == nil && len(mr.free) > 0 {
+			b := mr.free[len(mr.free)-1]
+			mr.free = mr.free[:len(mr.free)-1]
+			if hi <= len(b) {
+				mr.blocks[i] = b
+				return b[lo:hi:hi]
+			}
+			size = 2 * len(b)
 		}
-		if size > mr.blockSize {
-			size = mr.blockSize
-		}
+		size = min(max(size, hi), mr.blockSize)
 		grown := make([]byte, size)
 		copy(grown, mr.blocks[i])
 		mr.blocks[i] = grown
@@ -265,13 +275,32 @@ func (mr *MR) Slice(off, n int) []byte {
 	return mr.blocks[i][lo:hi:hi]
 }
 
-// Take returns what Slice would and detaches the block's backing from the
-// region: the bytes are the caller's from here on, and the block is backed
-// afresh by its next touch — a landed message handed upward without a copy.
+// Take returns what Slice would, its capacity reaching to the end of the
+// block's backing, and detaches that backing from the region: the block is
+// backed afresh by its next touch — a landed message handed upward without
+// a copy. The bytes are lent: the caller hands them back with Recycle once
+// nobody reads them any more. Taking no bytes takes nothing.
 func (mr *MR) Take(off, n int) []byte {
-	b := mr.Slice(off, n)
-	mr.blocks[off/mr.blockSize] = nil
+	if n == 0 {
+		return nil
+	}
+	i, lo := off/mr.blockSize, off%mr.blockSize
+	mr.Slice(off, n)
+	b := mr.blocks[i][lo : lo+n]
+	mr.blocks[i] = nil
 	return b
+}
+
+// Recycle takes back b, a message Take returned, for a later first touch of
+// any block to reuse. It zeroes the backing first — Slice's promise that
+// never-written bytes read as zeros — so a reader that kept b past its
+// recycling reads zeros from then on.
+func (mr *MR) Recycle(b []byte) {
+	if b = b[:cap(b)]; len(b) == 0 || !mr.valid {
+		return
+	}
+	clear(b)
+	mr.free = append(mr.free, b)
 }
 
 // Len returns the region size.

@@ -114,8 +114,10 @@ type Channel struct {
 	rxBatch   int
 	rxDoneFn  func() // c.rxDone
 
-	// Received messages ready for Receive().
+	// Received messages ready for Receive(), and the one it lent last,
+	// whose backing goes back to recvMR at the next call.
 	inbox sim.Queue[[]byte]
+	lent  []byte
 
 	key       *SelectionKey
 	connected bool
@@ -224,7 +226,8 @@ func (c *Channel) rxDone() {
 
 // finishRecvCQE queues one received message — the slot's backing, exactly
 // the bytes the NIC wrote (pumpRx charged any modeled copy) — and re-posts
-// the slot empty; reports whether a message was queued.
+// the slot empty, for its next landing to back with a recycled backing;
+// reports whether a message was queued.
 func (c *Channel) finishRecvCQE(cqe rdma.CQE) bool {
 	if cqe.Status != rdma.StatusOK {
 		c.fail()
@@ -353,8 +356,13 @@ func (c *Channel) Flush() {
 }
 
 // Receive pops the next received message. ok is false when the inbox is
-// empty; the selector reports OpReceive readiness while messages wait.
+// empty; the selector reports OpReceive readiness while messages wait. The
+// message is lent, as bufio.Scanner.Bytes lends a token: it is valid until
+// the next call to Receive, which recycles its memory for a later landing,
+// so a caller that keeps it copies it.
 func (c *Channel) Receive() ([]byte, bool) {
+	c.recvMR.Recycle(c.lent)
+	c.lent = nil
 	if c.inbox.Len() == 0 {
 		if c.key != nil {
 			c.key.ResetReady(OpReceive)
@@ -362,6 +370,7 @@ func (c *Channel) Receive() ([]byte, bool) {
 		return nil, false
 	}
 	msg := c.inbox.Pop()
+	c.lent = msg
 	if c.inbox.Len() == 0 && c.key != nil {
 		c.key.ResetReady(OpReceive)
 	}

@@ -33,7 +33,9 @@
 // The Section IV optimizations are all implemented and individually
 // controllable through Config for ablation:
 //
-//   - pre-registered send/receive buffer pools, reused across messages;
+//   - pre-registered send/receive buffer pools, reused across messages: a
+//     received message is lent to the caller of Channel.Receive until its
+//     next call, which hands the memory back to the receive pool;
 //   - batched work-request posting (one doorbell for many WRs);
 //   - selective signaling (a send completion only every Nth message);
 //   - inline sends for payloads up to the device inline limit;

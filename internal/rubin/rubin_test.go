@@ -144,7 +144,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // pumpReceiver registers a channel for OpReceive on a selector and
-// collects messages.
+// collects a copy of every message: Receive lends each one only until its
+// next call.
 func pumpReceiver(sel *Selector, ch *Channel, out *[][]byte) {
 	sel.Register(ch, OpReceive, nil)
 	sel.Select(func(keys []*SelectionKey) {
@@ -158,7 +159,7 @@ func pumpReceiver(sel *Selector, ch *Channel, out *[][]byte) {
 				if !ok {
 					break
 				}
-				*out = append(*out, msg)
+				*out = append(*out, bytes.Clone(msg))
 			}
 		}
 	})
@@ -685,35 +686,44 @@ func TestCloseAndRedialReleasesPools(t *testing.T) {
 	}
 }
 
-// A delivered message takes its receive slot's backing with it, in both
-// modes: when the ring comes round and the slot carries another message, of
-// the same size or a larger one, the receiver's bytes stay what they were
-// delivered as.
-func TestZeroCopyMessageOwnsItsBytes(t *testing.T) {
+// A received message is lent until the next Receive, which hands its
+// memory back to the receive pool zeroed, in both modes: a receiver that
+// kept the message itself instead of a copy reads zeros once the channel is
+// drained, and the next message lands in that memory if it fits there.
+func TestLentMessageIsZeroedWhenReused(t *testing.T) {
 	for _, zeroCopy := range []bool{false, true} {
 		r := newRig(t, zeroCopyModel(zeroCopy))
 		cfg := DefaultConfig()
 		cfg.RecvWRs = 1 // every message lands in the same slot
 		client, server := r.connect(t, cfg)
-		var got [][]byte
-		pumpReceiver(r.selB, server, &got)
+		var lent, copies [][]byte
+		r.selB.Register(server, OpReceive, nil)
+		r.selB.Select(func([]*SelectionKey) {
+			for msg, ok := server.Receive(); ok; msg, ok = server.Receive() {
+				lent, copies = append(lent, msg), append(copies, bytes.Clone(msg))
+			}
+		})
 		want := [][]byte{
 			bytes.Repeat([]byte{0x11}, 300), bytes.Repeat([]byte{0x22}, 300),
 			bytes.Repeat([]byte{0x33}, 64<<10), bytes.Repeat([]byte{0x44}, 64<<10),
 		}
-		r.loop.Post(func() {
-			for _, m := range want {
-				_ = client.Send(m)
-			}
-		})
-		r.loop.Run()
-		if len(got) != len(want) {
-			t.Fatalf("zerocopy=%v: received %d messages, want %d", zeroCopy, len(got), len(want))
+		for _, m := range want {
+			r.loop.Post(func() { _ = client.Send(m) })
+			r.loop.Run()
+		}
+		if len(copies) != len(want) {
+			t.Fatalf("zerocopy=%v: received %d messages, want %d", zeroCopy, len(copies), len(want))
 		}
 		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("zerocopy=%v: message %d changed after delivery: its slot was reused under it", zeroCopy, i)
+			if !bytes.Equal(copies[i], want[i]) {
+				t.Fatalf("zerocopy=%v: message %d arrived corrupted", zeroCopy, i)
 			}
+			if !bytes.Equal(lent[i], make([]byte, len(want[i]))) {
+				t.Fatalf("zerocopy=%v: message %d still reads its bytes after the channel took its memory back", zeroCopy, i)
+			}
+		}
+		if &lent[1][0] != &lent[0][0] || &lent[3][0] != &lent[2][0] {
+			t.Fatalf("zerocopy=%v: a message did not land in the memory its predecessor gave back", zeroCopy)
 		}
 	}
 }

@@ -69,10 +69,10 @@ type Conn interface {
 	// order, exactly once (the simulated fabrics are reliable).
 	Send(msg []byte) error
 	// OnMessage installs the delivery callback. Must be set before
-	// messages arrive; delivery without a callback queues internally.
-	// A delivered msg belongs to the receiver: the connection never
-	// reads, writes or reuses those bytes again, so the layers above may
-	// keep them, and slices of them, for as long as they like.
+	// messages arrive; delivery without a callback queues a copy
+	// internally. A delivered msg is lent: it is valid until fn returns,
+	// after which the connection reuses its memory for later messages, so
+	// a layer above that keeps any of it copies what it keeps.
 	OnMessage(fn func(msg []byte))
 	// OnClose installs a callback for connection teardown.
 	OnClose(fn func())
@@ -404,13 +404,15 @@ func (c *tcpConn) drain() {
 		if len(acc) < 4+size {
 			break
 		}
-		// The delivered copy: the one allocation a message costs.
-		msg := make([]byte, size)
-		copy(msg, c.acc.Next(4 + size)[4:])
+		// Delivered in place, lent from the receive buffer, and zeroed once
+		// the callback returns: a reader that kept it by mistake loses its
+		// bytes at once, not when a later read() happens to reuse them.
+		msg := c.acc.Next(4 + size)[4:]
 		// Deframing plus handler dispatch costs real app-thread time
 		// per message.
 		c.stack.thread.Delay(params.TCP.MsgHandle)
 		c.deliver(msg)
+		clear(msg)
 	}
 }
 
