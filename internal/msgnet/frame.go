@@ -30,8 +30,7 @@ const (
 // bundleMax caps a bundle frame: the pump packs the whole messages queued
 // in one class into one transport message while the frame stays within
 // it. It is small beside MaxMessage so that large messages keep
-// travelling alone and a kept member pins at most this much of its
-// delivered buffer.
+// travelling alone.
 const bundleMax = 4 << 10
 
 // frame is one decoded msgnet wire frame.

@@ -92,10 +92,10 @@ func (p *Peer) QueueBytes() int { return p.queueBytes }
 
 // OnMessage installs the delivery callback, receiving each reassembled
 // message with its traffic class. Messages arriving before a callback is
-// installed queue internally, so a restarted consumer can re-attach
-// without loss. A delivered msg belongs to the receiver — msgnet and the
-// transport below never touch those bytes again — so a consumer may keep
-// it, or decode it by reference and keep the pieces.
+// installed queue internally, as copies, so a restarted consumer can
+// re-attach without loss. A delivered msg is lent: it is valid until fn
+// returns, after which the transport below reuses its memory, so a consumer
+// may decode it by reference but copies whatever it keeps.
 func (p *Peer) OnMessage(fn func(class Class, msg []byte)) {
 	p.onMsg = fn
 	for p.inbox.Len() > 0 && p.onMsg != nil {
@@ -465,7 +465,7 @@ func (p *Peer) dispatch(raw []byte) {
 		return
 	case frameBundle:
 		// decodeFrame checked the layout. Each member is a sub-slice of
-		// the delivered buffer: a consumer keeping one keeps the bundle.
+		// the lent buffer.
 		for rest := f.payload; len(rest) > 0 && !p.closed; {
 			var m []byte
 			m, rest = nextMember(rest)

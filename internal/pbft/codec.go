@@ -358,8 +358,8 @@ type decoded struct {
 
 // decode parses a serialized protocol message into m. The byte fields of
 // the result (operations, results, transfer headers and partitions) alias
-// raw: the caller must own raw and leave it unchanged for as long as it
-// keeps them.
+// raw and are valid while raw is: a receive path, lent raw until its
+// handler returns, copies what it keeps.
 func (m *decoded) decode(raw []byte) error {
 	d := decoder{buf: raw}
 	m.claims = false

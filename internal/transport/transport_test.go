@@ -180,6 +180,9 @@ func TestBackpressureOverflowDrains(t *testing.T) {
 	}
 }
 
+// A message that arrives before OnMessage is installed is parked as a copy:
+// both stacks reuse the memory they delivered it from once deliver returns,
+// so a parked alias would read zeros by the time OnMessage hands it on.
 func TestMessagesBeforeOnMessageAreQueued(t *testing.T) {
 	for _, kind := range kinds() {
 		kind := kind
@@ -447,21 +450,6 @@ func TestPillarsServeOnTheirOwnThreads(t *testing.T) {
 					received[0], sn.App.BusyTotal(), sn.Thread(1).BusyTotal(), busy1)
 			}
 		})
-	}
-}
-
-// A connection's inbox keeps its own copy of what arrives before OnMessage
-// is installed: the transport overwrites the delivered buffer once deliver
-// returns, and the parked message is still the one received.
-func TestInboxKeepsMessagesBeforeOnMessage(t *testing.T) {
-	var c connCore
-	lent := []byte("parked")
-	c.deliver(lent)
-	copy(lent, "XXXXXX")
-	var got []string
-	c.OnMessage(func(m []byte) { got = append(got, string(m)) })
-	if len(got) != 1 || got[0] != "parked" {
-		t.Fatalf("delivered %q, want [parked]: the parked message changed with the buffer it came in", got)
 	}
 }
 
