@@ -279,11 +279,8 @@ func (mr *MR) Slice(off, n int) []byte {
 // block's backing, and detaches that backing from the region: the block is
 // backed afresh by its next touch — a landed message handed upward without
 // a copy. The bytes are lent: the caller hands them back with Recycle once
-// nobody reads them any more. Taking no bytes takes nothing.
+// nobody reads them any more.
 func (mr *MR) Take(off, n int) []byte {
-	if n == 0 {
-		return nil
-	}
 	i, lo := off/mr.blockSize, off%mr.blockSize
 	mr.Slice(off, n)
 	b := mr.blocks[i][lo : lo+n]
