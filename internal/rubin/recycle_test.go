@@ -2,6 +2,7 @@ package rubin
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"rubin/internal/raceflag"
@@ -150,6 +151,57 @@ func TestMessageAllocatesOnlyTheReceiveCopy(t *testing.T) {
 			if *received != 2*cfg.SendWRs+201 {
 				t.Fatalf("zerocopy=%v %s: received %d messages", zeroCopy, name, *received)
 			}
+		}
+	}
+}
+
+// A receive slot is backed only while a message sits in it, and a landed
+// backing goes back to the receive region at the channel's next Receive,
+// where the next landing takes it up again. So the first lap of the ring
+// costs what every later lap does, plus one receive backing grown to the
+// message's size, which every later landing reuses. Were a slot to keep a
+// backing of its own, the first lap would back every slot of the ring. Every
+// send is signaled, so one send slot carries them all and the first lap
+// backs that one slot besides.
+func TestFirstLapOfTheRingAllocatesLikeTheNext(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime's own allocations are not the channel's")
+	}
+	for _, zeroCopy := range []bool{false, true} {
+		r := newRig(t, zeroCopyModel(zeroCopy))
+		cfg := DefaultConfig()
+		cfg.SignalInterval = 1
+		client, server := r.connect(t, cfg)
+		received := discardReceiver(r.selB, server)
+		// One inline message first makes the WR table and the queues.
+		if err := client.Send([]byte("warm-up")); err != nil {
+			t.Fatal(err)
+		}
+		r.loop.Run()
+		msg := bytes.Repeat([]byte{5}, 32<<10)
+		lap := func() uint64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun does
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < cfg.RecvWRs; i++ {
+				if err := client.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+				r.loop.Run()
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		first, second := lap(), lap()
+		t.Logf("zerocopy=%v: first lap %d B, second lap %d B", zeroCopy, first, second)
+		const stray = 1 << 10 // the test runtime's own odd allocations
+		if first > second+2*uint64(len(msg))+stray {
+			t.Errorf("zerocopy=%v: the first lap of the receive ring allocated %d B, the second %d B: want at most one send slot and one receive backing (%d B each) more",
+				zeroCopy, first, second, len(msg))
+		}
+		if *received != 2*cfg.RecvWRs+1 {
+			t.Fatalf("zerocopy=%v: received %d messages, want %d", zeroCopy, *received, 2*cfg.RecvWRs+1)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rubin/internal/model"
+	"rubin/internal/raceflag"
 	"rubin/internal/sim"
 )
 
@@ -77,6 +78,54 @@ func TestTCPFramingSurvivesShortWrites(t *testing.T) {
 		}
 		if len(m) >= 8 && bytes.Equal(lent[i], m) {
 			t.Fatalf("message %d still reads its bytes after its callback returned", i)
+		}
+	}
+}
+
+// Between Send and OnMessage a tcp-nio message costs one allocation — the
+// delivered copy, which a receiver that keeps a message makes itself, since
+// the message is lent only until its callback returns — whatever its size,
+// and a batch costs one per message: the user and socket buffers stay, the
+// segments are recycled, every callback on the way is bound once, and the
+// stack delivers in place from its receive buffer.
+func TestTCPMessageAllocatesOnlyTheDeliveredCopy(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race runtime's own allocations are not the path's")
+	}
+	for _, tc := range []struct {
+		name        string
+		size, count int
+	}{{"one 1 KB message", 1000, 1}, {"a batch of ten", 1000, 10}, {"one 100 KiB message", 100 << 10, 1}} {
+		r := newRig(t, KindTCP, 2, DefaultOptions())
+		client, server := r.pair(t, 700)
+		received := 0
+		var kept []byte
+		server.OnMessage(func(m []byte) {
+			received += len(m)
+			kept = bytes.Clone(m)
+		})
+		msg := bytes.Repeat([]byte{5}, tc.size)
+		round := func() {
+			for i := 0; i < tc.count; i++ {
+				if err := client.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r.loop.Run()
+		}
+		for i := 0; i < 4; i++ {
+			round() // warm-up: buffers grown, rings and records made
+		}
+		allocs := testing.AllocsPerRun(100, round)
+		t.Logf("%s: %v allocs", tc.name, allocs)
+		if allocs != float64(tc.count) {
+			t.Errorf("%s: %v allocs, want %d", tc.name, allocs, tc.count)
+		}
+		if received != 105*tc.count*tc.size {
+			t.Fatalf("%s: received %d bytes, want %d", tc.name, received, 105*tc.count*tc.size)
+		}
+		if !bytes.Equal(kept, msg) {
+			t.Fatalf("%s: the kept copy of the last message changed after its callback returned", tc.name)
 		}
 	}
 }
