@@ -21,6 +21,7 @@ fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
 kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it
 kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket for all 256
+kvstore.Store.Get — probe the kvstore, pbft and shard tests share: a key as a replica's store holds it, read locally, not ordered
 kvstore.Store.LockHolder — probe the kvstore and shard tests share: who holds a 2PC write lock
 main.knobFlags.Set — flag.Value, called by package flag
 msgnet.Peer.Close — how the msgnet tests reach connClosed: queued messages are reported as failed through the send-error surface, never silently discarded

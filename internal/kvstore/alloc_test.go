@@ -8,9 +8,10 @@ import (
 )
 
 // The gates on what the store allocates: an operation costs the heap what
-// the store keeps — a put's key and value — plus the one reply that is not
-// shared (a get's copy of the value, a scan's lines); a checkpoint costs one
-// exactly sized encoding per dirty bucket. Like the gates below pbft they
+// the store keeps — a put's key, and its value unless the op is long enough
+// to be kept whole — plus the one reply that is not shared (a scan's lines;
+// a get answers with the stored bytes); a checkpoint costs one exactly sized
+// encoding per dirty bucket. Like the gates below pbft they
 // skip under -race, whose runtime allocates on its own.
 
 func skipUnderRace(t *testing.T) {
@@ -27,15 +28,17 @@ func TestExecuteAllocatesOnlyWhatTheStoreKeeps(t *testing.T) {
 		s.Execute(EncodeOp(OpPut, k, "value-"+k))
 	}
 	gone := EncodeOp(OpPut, "gone", "value")
+	large := EncodeOp(OpPut, "large", string(make([]byte, 32<<10)))
 	for _, tc := range []struct {
 		name  string
 		ops   [][]byte
 		want  float64
 		reply string
 	}{
-		{"get", [][]byte{EncodeOp(OpGet, "k000010", "")}, 1, "value-k000010"},
+		{"get", [][]byte{EncodeOp(OpGet, "k000010", "")}, 0, "value-k000010"},
 		{"get of a missing key", [][]byte{EncodeOp(OpGet, "nope", "")}, 0, "NOTFOUND"},
 		{"put", [][]byte{EncodeOp(OpPut, "k000011", "value-k000011")}, 2, "OK"},
+		{"put of a 32 KiB value", [][]byte{large}, 1, "OK"},
 		{"put, then delete", [][]byte{gone, EncodeOp(OpDelete, "gone", "")}, 2, "OK"},
 		{"delete of a missing key", [][]byte{EncodeOp(OpDelete, "nope", "")}, 0, "NOTFOUND"},
 		{"scan", [][]byte{EncodeOp(OpScan, "k00001", "16")}, 1, "k000010=value-k000010\nk000011=value-k000011\nk000012=value-k000012"},

@@ -5,6 +5,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -31,10 +32,15 @@ const (
 // Store is the key/value state machine. It implements pbft.Application
 // and pbft.PartitionedState: keys live in MerkleBuckets hash partitions
 // (see merkle.go) so checkpoints and state transfer work per bucket.
+//
+// A stored value is never written again, so a get answers with it. A put
+// of an op above ownedOp keeps its value as a slice of the op, the replica's
+// own copy and an allocation of its own (pbft.PartitionedState); a shorter
+// value, and a transferred or restored one, is copied once.
 type Store struct {
 	// buckets holds the key/value data, partitioned by bucketOf. A nil
 	// bucket map is an empty bucket.
-	buckets [MerkleBuckets]map[string]string
+	buckets [MerkleBuckets]map[string][]byte
 
 	// 2PC participant state (see txn.go): staged transactions and the
 	// write locks they hold. Both are part of the marshaled state, so
@@ -78,6 +84,8 @@ var (
 	replyLocked   = []byte(Locked)[:len(Locked):len(Locked)]
 )
 
+const ownedOp = 4 << 10 // above it pbft's Replica.keep gives an op an allocation of its own
+
 // New returns an empty store.
 func New() *Store {
 	return &Store{
@@ -89,20 +97,20 @@ func New() *Store {
 // Applied returns the number of operations executed.
 func (s *Store) Applied() uint64 { return s.applied }
 
-// Get reads a key from its bucket: what the state machine does, and how a
-// test inspects a replica's store directly (local, not ordered).
+// Get reads a key from its bucket, as a copy: how a test inspects a
+// replica's store directly (local, not ordered).
 func (s *Store) Get(key string) (string, bool) {
 	v, ok := s.buckets[bucketOf(key)][key]
-	return v, ok
+	return string(v), ok
 }
 
-// put writes a key and dirties its bucket.
-func (s *Store) put(key, value string) {
+// put writes a key, keeping value as it is, and dirties its bucket.
+func (s *Store) put(key string, value []byte) {
 	b := bucketOf(key)
 	if s.buckets[b] == nil {
-		s.buckets[b] = make(map[string]string)
+		s.buckets[b] = make(map[string][]byte)
 	}
-	s.buckets[b][key] = value
+	s.buckets[b][key] = slices.Clip(value)
 	s.touchBucket(b)
 }
 
@@ -133,7 +141,7 @@ func (s *Store) touchPrepared() {
 
 // appendKeys appends the keys of m with prefix in partition part of parts,
 // in map order: every caller sorts what it collects.
-func appendKeys(keys []string, m map[string]string, prefix []byte, part, parts int) []string {
+func appendKeys(keys []string, m map[string][]byte, prefix []byte, part, parts int) []string {
 	for k := range m {
 		if len(k) >= len(prefix) && k[:len(prefix)] == string(prefix) && PartitionKey(k, parts) == part {
 			keys = append(keys, k)
@@ -185,7 +193,10 @@ func (s *Store) Execute(op []byte) []byte {
 			return replyLocked
 		}
 		if code == OpPut {
-			s.put(string(key), string(value))
+			if len(op) <= ownedOp {
+				value = bytes.Clone(value)
+			}
+			s.put(string(key), value)
 		} else if !s.del(key) {
 			return replyNotFound
 		}
@@ -244,10 +255,10 @@ func (s *Store) read(code OpCode, key, value []byte) (reply []byte, ok bool) {
 }
 
 // getReply is the reply to a read of one key, inside a transaction or
-// out: a copy of the value, or NOTFOUND.
-func getReply(v string, found bool) []byte {
+// out: the stored value itself, or NOTFOUND.
+func getReply(v []byte, found bool) []byte {
 	if found {
-		return []byte(v)
+		return v
 	}
 	return replyNotFound
 }
@@ -281,16 +292,14 @@ func (s *Store) scanPart(prefix []byte, limit, part, parts int) []byte {
 	}
 	size := max(len(keys)-1, 0) // the newlines
 	for _, k := range keys {
-		v, _ := s.Get(k)
-		size += len(k) + 1 + len(v)
+		size += len(k) + 1 + len(s.buckets[bucketOf(k)][k])
 	}
 	reply := make([]byte, 0, size)
 	for i, k := range keys {
 		if i > 0 {
 			reply = append(reply, '\n')
 		}
-		v, _ := s.Get(k)
-		reply = append(append(append(reply, k...), '='), v...)
+		reply = append(append(append(reply, k...), '='), s.buckets[bucketOf(k)][k]...)
 	}
 	return reply
 }
@@ -370,13 +379,13 @@ func (s *Store) UnmarshalState(state []byte) error {
 	if n := d.u32(); d.err == nil && n != MerkleBuckets {
 		return fmt.Errorf("kvstore: state has %d partitions (want %d)", n, MerkleBuckets)
 	}
-	var buckets [MerkleBuckets]map[string]string
+	var buckets [MerkleBuckets]map[string][]byte
 	for b := 0; b < MerkleBuckets && d.err == nil; b++ {
 		for npairs := d.u32(); npairs > 0 && d.err == nil; npairs-- {
-			k, v := d.str(), d.str()
+			k, v := d.str(), bytes.Clone(d.field())
 			home := bucketOf(k)
 			if buckets[home] == nil {
-				buckets[home] = make(map[string]string)
+				buckets[home] = make(map[string][]byte)
 			}
 			buckets[home][k] = v
 		}
@@ -390,7 +399,7 @@ func (s *Store) UnmarshalState(state []byte) error {
 }
 
 // install replaces the whole state, every bucket dirty: caches rebuild on demand.
-func (s *Store) install(applied uint64, buckets [MerkleBuckets]map[string]string, prepared map[string]*preparedTxn, locks map[string]string) {
+func (s *Store) install(applied uint64, buckets [MerkleBuckets]map[string][]byte, prepared map[string]*preparedTxn, locks map[string]string) {
 	*s = Store{buckets: buckets, prepared: prepared, locks: locks, applied: applied}
 	for i := range s.bucketMod {
 		s.bucketMod[i] = applied

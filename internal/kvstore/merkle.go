@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -149,12 +150,12 @@ func (s *Store) ApplyPartition(part int, data []byte) error {
 // decodeBucket parses one bucket encoding, enforcing canonical form:
 // strictly ascending keys, every key owned by the bucket, no trailing
 // bytes.
-func decodeBucket(part int, data []byte) (map[string]string, error) {
+func decodeBucket(part int, data []byte) (map[string][]byte, error) {
 	d := dec{buf: data, what: "partition"}
 	npairs := d.u32()
-	m := make(map[string]string, min(npairs, 1<<16))
+	m := make(map[string][]byte, min(npairs, 1<<16))
 	for prev := ""; npairs > 0 && d.err == nil; npairs-- {
-		k, v := d.str(), d.str()
+		k, v := d.str(), bytes.Clone(d.field())
 		if d.err != nil {
 			break
 		}
@@ -184,7 +185,7 @@ func (s *Store) ApplyTransfer(header []byte, parts [][]byte) error {
 	if err != nil {
 		return err
 	}
-	var buckets [MerkleBuckets]map[string]string
+	var buckets [MerkleBuckets]map[string][]byte
 	for i, p := range parts {
 		if buckets[i], err = decodeBucket(i, p); err != nil {
 			return fmt.Errorf("kvstore: transfer partition %d: %w", i, err)
@@ -236,7 +237,7 @@ func (s *Store) bucketBytes(i int) []byte {
 
 // encodeBucket serializes one bucket map in canonical form, in one
 // allocation of its exact size: the keys are sorted in the scratch.
-func (s *Store) encodeBucket(m map[string]string) []byte {
+func (s *Store) encodeBucket(m map[string][]byte) []byte {
 	s.keys = appendKeys(s.keys[:0], m, nil, 0, 1)
 	slices.Sort(s.keys)
 	size := 4

@@ -292,10 +292,11 @@ func (s *Store) executeTxn(id string, payload []byte) []byte {
 	for i, sub := range subs {
 		switch sub.Code {
 		case OpPut:
-			s.put(sub.Key, sub.Value)
+			s.put(sub.Key, []byte(sub.Value))
 			results[i] = replyOK
 		case OpGet:
-			results[i] = getReply(s.Get(sub.Key))
+			v, found := s.buckets[bucketOf(sub.Key)][sub.Key]
+			results[i] = getReply(v, found)
 		}
 	}
 	return EncodeTxnResult(TxnCommitted, results)
@@ -331,7 +332,8 @@ func (s *Store) executePrepare(id string, payload []byte) []byte {
 			if v, ok := overlay[sub.Key]; ok {
 				results[i] = []byte(v)
 			} else {
-				results[i] = getReply(s.Get(sub.Key))
+				v, found := s.buckets[bucketOf(sub.Key)][sub.Key]
+				results[i] = getReply(v, found)
 			}
 		}
 	}
@@ -349,7 +351,7 @@ func (s *Store) executeCommit(id string) []byte {
 	}
 	for _, sub := range staged.subs {
 		if sub.Code == OpPut {
-			s.put(sub.Key, sub.Value)
+			s.put(sub.Key, []byte(sub.Value))
 		}
 	}
 	s.releaseTxn(id, staged)

@@ -34,6 +34,8 @@ type Application interface {
 type PartitionedState interface {
 	// Execute applies one ordered operation and returns its result, which
 	// is read-only for the caller and may be shared application storage.
+	// op is the replica's own copy, never written again, so the application
+	// may keep slices of it; one above 4 KiB is an allocation of its own.
 	Execute(op []byte) []byte
 	// Snapshot returns a digest of the current state (checkpoints).
 	Snapshot() auth.Digest

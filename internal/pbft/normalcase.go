@@ -245,7 +245,8 @@ func (r *Replica) file(req Request, d auth.Digest, state reqState, seq uint64) {
 // chunk cut short wastes at most a quarter of itself.
 const opChunk = 16 << 10
 
-// keep returns the replica's own copy of op.
+// keep returns the replica's own copy of op. One above 4 KiB is an
+// allocation no other op shares: PartitionedState.Execute promises it.
 func (r *Replica) keep(op []byte) []byte {
 	if len(op) > opChunk/4 {
 		return bytes.Clone(op)

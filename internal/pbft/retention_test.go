@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"rubin/internal/kvstore"
+	"rubin/internal/msgnet"
+	"rubin/internal/sim"
+	"rubin/internal/transport"
 )
 
 // scribble overwrites a delivered buffer once its handler has returned, as
@@ -99,5 +102,72 @@ func TestClientVoteOutlivesItsReply(t *testing.T) {
 	}
 	if len(results) != 2 || results[0] != "result" || results[1] != "value" {
 		t.Fatalf("completed with %q, want [result value]: a vote changed with the reply that cast it", results)
+	}
+}
+
+// keep gives an op above a quarter slab chunk an allocation of its own, one
+// no other filed op shares: the rule an application relies on when it keeps
+// a slice of such an op (PartitionedState.Execute). The ops filed before and
+// after it go into the slab, not into its backing.
+func TestKeepGivesALargeOpItsOwnAllocation(t *testing.T) {
+	r := bareReplica(t, 3, DefaultConfig())
+	before := r.keep([]byte("small op"))
+	large := r.keep(bytes.Repeat([]byte{'v'}, opChunk/4+1))
+	after := r.keep([]byte("small op"))
+	if slab := r.ops[:cap(r.ops)]; within(&large[0], slab) {
+		t.Fatal("a 4,097 B op was copied into the slab chunk the small ops share")
+	}
+	if own := large[:cap(large)]; within(&before[0], own) || within(&after[0], own) {
+		t.Fatal("a small op shares the backing of a 4,097 B op")
+	}
+}
+
+// within reports whether p points into b's bytes.
+func within(p *byte, b []byte) bool {
+	for i := range b {
+		if &b[i] == p {
+			return true
+		}
+	}
+	return false
+}
+
+// A duplicate of an executed request is answered from the client's cached
+// reply, whose result is the store's bytes: a later put to the read key
+// replaces them and leaves the cached reply as it was.
+func TestDuplicateReplyOutlivesAnOverwrite(t *testing.T) {
+	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
+	reader, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := kvstore.EncodeOp(kvstore.OpGet, "k", "")
+	var getTS uint64
+	c.Loop.Post(func() {
+		reader.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "old"), func([]byte) {
+			reader.Invoke(get, func([]byte) {
+				getTS = reader.next
+				writer.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "new"), func([]byte) {})
+			})
+		})
+	})
+	c.Loop.Run()
+	r := c.Replicas[1]
+	if v, _ := r.app.(*kvstore.Store).Get("k"); getTS == 0 || v != "new" {
+		t.Fatalf("get at timestamp %d, store reads %q: want the get done and then the overwrite", getTS, v)
+	}
+	var resent []byte
+	r.SetOutbox(func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) {
+		resent = bytes.Clone(env)
+		return env, 0
+	})
+	r.handleRequest(Request{Client: reader.ID(), Timestamp: getTS, Op: get})
+	m, err := Decode(resent)
+	if reply, ok := m.(Reply); err != nil || !ok || string(reply.Result) != "old" {
+		t.Fatalf("the duplicate get was answered %+v (%v), want the cached result %q", m, err, "old")
 	}
 }
