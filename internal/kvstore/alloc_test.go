@@ -11,8 +11,8 @@ import (
 // the store keeps — a put's key, and its value unless the op is long enough
 // to be kept whole — plus the one reply that is not shared (a scan's lines;
 // a get answers with the stored bytes); a checkpoint costs one exactly sized
-// encoding per dirty bucket. Like the gates below pbft they
-// skip under -race, whose runtime allocates on its own.
+// encoding per dirty bucket, and digesting clean buckets nothing. Like the
+// gates below pbft they skip under -race, whose runtime allocates on its own.
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -78,6 +78,16 @@ func TestCheckpointAllocatesOneEncodingPerDirtyBucket(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { s.MarshalPartition(b) }); allocs != 0 {
 			t.Errorf("MarshalPartition of clean bucket %d allocates %v times, want 0: it hands out the cache", b, allocs)
 		}
+	}
+	header, digests := s.MarshalHeader(), digestsOf(s)
+	if allocs := testing.AllocsPerRun(50, func() { s.Snapshot() }); allocs != 0 {
+		t.Errorf("Snapshot over clean buckets allocates %v times, want 0: the Merkle fold runs on the stack", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { s.ComposeRoot(header, digests) }); allocs != 0 {
+		t.Errorf("ComposeRoot allocates %v times, want 0", allocs)
+	}
+	if s.ComposeRoot(header, digests) != s.Snapshot() {
+		t.Error("ComposeRoot of the store's own header and digests is not its Snapshot")
 	}
 	empty := New()
 	if allocs := testing.AllocsPerRun(50, func() {

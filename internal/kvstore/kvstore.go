@@ -73,7 +73,8 @@ type Store struct {
 	// rebuilding it only re-encodes dirty buckets.
 	marshaled []byte
 
-	keys []string // scratch: where a bucket encoding or a scan sorts its keys
+	keys  []string // scratch: where a bucket encoding or a scan sorts its keys
+	delta []int    // scratch: what CheckpointDelta lends
 }
 
 // The fixed replies, shared by every Execute: read-only like every result
@@ -358,15 +359,15 @@ func (s *Store) MarshalState() []byte {
 // map iteration order, and the digest covers every byte a transfer
 // ships. Unlike a flat digest of MarshalState, recomputation after K
 // mutated buckets costs O(K + interior nodes), not O(state) — this is
-// what makes frequent checkpoints affordable at large state sizes.
+// what makes frequent checkpoints affordable at large state sizes. The
+// tree folds in a fixed array on the stack, so over clean buckets Snapshot
+// allocates nothing.
 func (s *Store) Snapshot() auth.Digest {
-	// Not PartitionDigests: this slice never escapes, so it costs no heap.
-	digests := make([]auth.Digest, MerkleBuckets)
-	for i := range digests {
-		s.bucketBytes(i)
-		digests[i] = s.bucketDig[i]
+	var level [MerkleBuckets]auth.Digest
+	for i := range level {
+		level[i] = s.PartitionDigest(i)
 	}
-	return composeRoot(s.applied, merkleRoot(digests), auth.Hash(s.preparedBytes()))
+	return composeRoot(s.applied, merkleRoot(&level), auth.Hash(s.preparedBytes()))
 }
 
 // UnmarshalState replaces the store's contents — key/value data and

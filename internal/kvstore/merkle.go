@@ -35,30 +35,26 @@ func bucketOf[K string | []byte](key K) int { return PartitionKey(key, MerkleBuc
 // (pbft.PartitionedState).
 func (s *Store) PartitionCount() int { return MerkleBuckets }
 
-// PartitionDigests returns the current leaf digests, bucket 0 first
-// (pbft.PartitionedState). Dirty buckets are re-encoded first; the
-// returned slice is a fresh copy the caller may retain.
-func (s *Store) PartitionDigests() []auth.Digest {
-	out := make([]auth.Digest, MerkleBuckets)
-	for i := range out {
-		s.bucketBytes(i)
-		out[i] = s.bucketDig[i]
-	}
-	return out
+// PartitionDigest returns one bucket's current leaf digest, re-encoding
+// the bucket first if a mutation dirtied it (pbft.PartitionedState).
+func (s *Store) PartitionDigest(part int) auth.Digest {
+	s.bucketBytes(part)
+	return s.bucketDig[part]
 }
 
 // CheckpointDelta returns the buckets mutated by any operation applied
 // after the store's applied counter read since — the partitions a
 // checkpoint taken now must re-serialize relative to a checkpoint taken
-// at since (pbft.PartitionedState). Indices ascend.
+// at since (pbft.PartitionedState). Indices ascend. The slice is the
+// store's scratch, valid until the next CheckpointDelta.
 func (s *Store) CheckpointDelta(since uint64) []int {
-	var dirty []int
+	s.delta = s.delta[:0]
 	for i := range s.bucketMod {
 		if s.bucketMod[i] > since {
-			dirty = append(dirty, i)
+			s.delta = append(s.delta, i)
 		}
 	}
-	return dirty
+	return s.delta
 }
 
 // MarshalPartition serializes one bucket in canonical form — pair count,
@@ -75,11 +71,12 @@ func (s *Store) MarshalPartition(part int) []byte {
 // MarshalHeader serializes the non-partitioned remainder of the state:
 // the applied-operation counter and the staged 2PC transaction section
 // (pbft.PartitionedState). Together with the leaf digests it determines
-// the root: ComposeRoot(MarshalHeader(), PartitionDigests()) ==
+// the root: ComposeRoot(MarshalHeader(), every PartitionDigest) ==
 // Snapshot().
 func (s *Store) MarshalHeader() []byte {
-	buf := binary.BigEndian.AppendUint64(nil, s.applied)
-	return append(buf, s.preparedBytes()...)
+	prepared := s.preparedBytes()
+	buf := binary.BigEndian.AppendUint64(make([]byte, 0, 8+len(prepared)), s.applied)
+	return append(buf, prepared...)
 }
 
 // ComposeRoot recomputes the root digest a store with the given header
@@ -95,7 +92,8 @@ func (s *Store) ComposeRoot(header []byte, digests []auth.Digest) auth.Digest {
 	if d.err != nil || len(digests) != MerkleBuckets {
 		return auth.Digest{}
 	}
-	return composeRoot(applied, merkleRoot(digests), auth.Hash(d.buf))
+	level := [MerkleBuckets]auth.Digest(digests)
+	return composeRoot(applied, merkleRoot(&level), auth.Hash(d.buf))
 }
 
 // composeRoot combines the three state components into the root digest:
@@ -108,23 +106,19 @@ func composeRoot(applied uint64, tree auth.Digest, prepared auth.Digest) auth.Di
 	return auth.Hash(buf)
 }
 
-// merkleRoot folds leaf digests up the fixed-arity tree: each interior
-// node hashes the concatenation of its (up to MerkleArity) children.
-func merkleRoot(level []auth.Digest) auth.Digest {
-	if len(level) == 0 {
-		return auth.Hash(nil)
-	}
-	for len(level) > 1 {
-		next := make([]auth.Digest, 0, (len(level)+MerkleArity-1)/MerkleArity)
-		for i := 0; i < len(level); i += MerkleArity {
-			end := min(i+MerkleArity, len(level))
-			buf := make([]byte, 0, (end-i)*auth.DigestSize)
-			for _, d := range level[i:end] {
-				buf = append(buf, d[:]...)
+// merkleRoot folds the leaf digests up the fixed-arity tree in place:
+// each interior node hashes the concatenation of its MerkleArity children
+// (MerkleBuckets is a power of MerkleArity) and overwrites the first slot
+// of its level, which no later node of that level reads.
+func merkleRoot(level *[MerkleBuckets]auth.Digest) auth.Digest {
+	var buf [MerkleArity * auth.DigestSize]byte
+	for n := MerkleBuckets / MerkleArity; n > 0; n /= MerkleArity {
+		for j := range n {
+			for k, d := range level[j*MerkleArity : (j+1)*MerkleArity] {
+				copy(buf[k*auth.DigestSize:], d[:])
 			}
-			next = append(next, auth.Hash(buf))
+			level[j] = auth.Hash(buf[:])
 		}
-		level = next
 	}
 	return level[0]
 }

@@ -53,10 +53,10 @@ func TestMerkleRootComposition(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()
 			tc.build(s)
-			digests := s.PartitionDigests()
-			if len(digests) != s.PartitionCount() || s.PartitionCount() != MerkleBuckets {
-				t.Fatalf("digest count %d, partition count %d", len(digests), s.PartitionCount())
+			if s.PartitionCount() != MerkleBuckets {
+				t.Fatalf("partition count %d", s.PartitionCount())
 			}
+			digests := digestsOf(s)
 			if got := s.ComposeRoot(s.MarshalHeader(), digests); got != s.Snapshot() {
 				t.Fatalf("ComposeRoot %x != Snapshot %x", got, s.Snapshot())
 			}
@@ -67,6 +67,15 @@ func TestMerkleRootComposition(t *testing.T) {
 			}
 		})
 	}
+}
+
+// digestsOf lists every bucket's current digest, bucket 0 first.
+func digestsOf(s *Store) []auth.Digest {
+	out := make([]auth.Digest, s.PartitionCount())
+	for i := range out {
+		out[i] = s.PartitionDigest(i)
+	}
+	return out
 }
 
 // TestMerkleDigestStableAcrossInsertionOrder asserts the leaf digests
@@ -86,7 +95,7 @@ func TestMerkleDigestStableAcrossInsertionOrder(t *testing.T) {
 	}
 	b.Execute(EncodeOp(OpPut, "transient", "x"))
 	b.Execute(EncodeOp(OpDelete, "transient", ""))
-	da, db := a.PartitionDigests(), b.PartitionDigests()
+	da, db := digestsOf(a), digestsOf(b)
 	for i := range da {
 		if da[i] != db[i] {
 			t.Fatalf("bucket %d digest depends on history", i)
@@ -147,7 +156,7 @@ func TestApplyPartitionRoundTrip(t *testing.T) {
 	if err := dst.ApplyPartition(42, enc); err != nil {
 		t.Fatalf("ApplyPartition: %v", err)
 	}
-	if dst.PartitionDigests()[42] != src.PartitionDigests()[42] {
+	if dst.PartitionDigest(42) != src.PartitionDigest(42) {
 		t.Fatal("transferred bucket digest differs")
 	}
 	if v, ok := dst.Get(k1); !ok || v != "one" {
@@ -220,11 +229,11 @@ func TestMarshalStateCopiesDoNotAlias(t *testing.T) {
 	if err := dst.ApplyPartition(3, buf); err != nil {
 		t.Fatal(err)
 	}
-	want := dst.PartitionDigests()[3]
+	want := dst.PartitionDigest(3)
 	for i := range buf {
 		buf[i] ^= 0xFF
 	}
-	if dst.PartitionDigests()[3] != want {
+	if dst.PartitionDigest(3) != want {
 		t.Fatal("store aliases the caller's partition buffer")
 	}
 }
@@ -239,13 +248,13 @@ func TestRetainedPartitionKeepsItsDigest(t *testing.T) {
 	s := New()
 	k := keyInBucket(t, "kept", part)
 	s.Execute(EncodeOp(OpPut, k, "v0"))
-	kept, digest := s.MarshalPartition(part), s.PartitionDigests()[part]
+	kept, digest := s.MarshalPartition(part), s.PartitionDigest(part)
 	check := func(after string) {
 		t.Helper()
 		if auth.Hash(kept) != digest {
 			t.Fatalf("the retained partition no longer hashes to its digest after %s", after)
 		}
-		if s.PartitionDigests()[part] == digest {
+		if s.PartitionDigest(part) == digest {
 			t.Fatalf("the bucket did not change after %s: the test measured nothing", after)
 		}
 	}
@@ -376,7 +385,7 @@ func FuzzApplyPartition(f *testing.F) {
 		if got := s.MarshalPartition(part); !bytes.Equal(got, data) {
 			t.Fatalf("accepted partition is not canonical:\n%x\nvs\n%x", data, got)
 		}
-		if s.PartitionDigests()[part] != auth.Hash(data) {
+		if s.PartitionDigest(part) != auth.Hash(data) {
 			t.Fatal("installed digest does not hash the encoding")
 		}
 	})
@@ -393,10 +402,12 @@ func benchStore(n int) *Store {
 }
 
 // BenchmarkCheckpointTakeIncremental measures the steady-state
-// checkpoint path over a 10k-key store: one mutation, then the header,
-// digest list and dirty-partition serialization a pbft checkpoint
-// records. The interesting number is allocs/op staying flat as the
-// store grows (contrast BenchmarkCheckpointTakeFull).
+// checkpoint path over a 10k-key store: one mutation, then what a pbft
+// checkpoint takes from the store — the header, and each dirty
+// partition's serialization and digest. The interesting number is
+// allocs/op staying flat as the store grows (contrast
+// BenchmarkCheckpointTakeFull): the put, the header and the one dirty
+// bucket's encoding.
 func BenchmarkCheckpointTakeIncremental(b *testing.B) {
 	s := benchStore(10_000)
 	prev := s.Applied()
@@ -405,14 +416,14 @@ func BenchmarkCheckpointTakeIncremental(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Execute(EncodeOp(OpPut, "bench000007", fmt.Sprintf("v%d", i)))
 		header := s.MarshalHeader()
-		digests := s.PartitionDigests()
 		var bytes int
+		var digest auth.Digest
 		for _, p := range s.CheckpointDelta(prev) {
 			bytes += len(s.MarshalPartition(p))
+			digest = s.PartitionDigest(p)
 		}
 		prev = s.Applied()
-		_, _ = header, digests
-		_ = bytes
+		_, _, _ = header, bytes, digest
 	}
 }
 

@@ -25,7 +25,8 @@ type Application interface {
 //
 // A replica retains checkpoints as delta chains (one materialized base
 // plus, per later checkpoint, only the partitions dirtied since the
-// previous one) and serves state transfer as a subtree negotiation: the
+// previous one, each with its PartitionDigest; no record copies the whole
+// digest list) and serves state transfer as a subtree negotiation: the
 // fetcher advertises its partition digests, the responder streams only
 // divergent partitions, and the fetcher verifies every partition against
 // the certified root's digest list on arrival. A fetcher with nothing in
@@ -41,17 +42,22 @@ type PartitionedState interface {
 	Snapshot() auth.Digest
 	// PartitionCount returns the fixed number of leaf partitions.
 	PartitionCount() int
-	// PartitionDigests returns the current digest of every partition.
-	PartitionDigests() []auth.Digest
+	// PartitionDigest returns the current digest of one partition. A
+	// checkpoint asks it for each dirty partition, and a state transfer for
+	// every partition on each verified part, so a clean partition's should
+	// cost no allocation.
+	PartitionDigest(part int) auth.Digest
 	// CheckpointDelta returns the partitions mutated since the
-	// application's applied-operation counter read since.
+	// application's applied-operation counter read since, ascending. The
+	// result is lent: it may be the application's scratch, valid until the
+	// next CheckpointDelta, and the caller keeps none of it.
 	CheckpointDelta(since uint64) []int
 	// Applied returns the applied-operation counter (the clock
 	// CheckpointDelta is expressed in).
 	Applied() uint64
 	// MarshalPartition serializes one partition; auth.Hash of the result
-	// must equal its entry in PartitionDigests. The result is read-only and
-	// may be shared application storage, never written again: a checkpoint
+	// must equal its PartitionDigest. The result is read-only and may be
+	// shared application storage, never written again: a checkpoint
 	// retains it across later operations.
 	MarshalPartition(part int) []byte
 	// MarshalHeader serializes the state outside the partitions (e.g.

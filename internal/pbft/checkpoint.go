@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"cmp"
 	"slices"
 
 	"rubin/internal/auth"
@@ -9,17 +10,26 @@ import (
 // cpRecord is one of this replica's checkpoints: the sequence, the state
 // digest it computed (or adopted) there and — for a partitioned
 // application; the rest stays zero otherwise — the retained state. A base
-// record materializes every partition; a delta record holds only the
-// partitions dirtied since the previous record, so serving a partition
-// walks the records newest-first to the base.
+// record materializes every partition in two dense arrays indexed by
+// partition; a delta record holds only the partitions dirtied since the
+// previous record, ascending by index, so serving a partition walks the
+// records newest-first to the base.
 type cpRecord struct {
 	seq     uint64
 	digest  auth.Digest
 	applied uint64 // the application's applied counter at the checkpoint
 	header  []byte
-	digests []auth.Digest
-	parts   map[int][]byte
+	parts   [][]byte      // base: every partition's bytes
+	digests []auth.Digest // base: every partition's digest
+	delta   []cpPart      // delta: the dirtied partitions, ascending
 	base    bool
+}
+
+// cpPart is one partition a delta record retains.
+type cpPart struct {
+	index  int
+	data   []byte
+	digest auth.Digest
 }
 
 // checkpointStore owns everything a replica remembers about checkpoints:
@@ -54,28 +64,27 @@ func newCheckpointStore(n int) *checkpointStore {
 // the partitions dirtied since the previous record, all of them for the
 // first (the chain's base) — and returns the bytes serialized. That is
 // also what the caller charges as digest cost, which is what makes the
-// checkpoint pause O(dirty state) instead of O(state).
+// checkpoint pause O(dirty state) instead of O(state). What it allocates
+// is what it retains: the record, the header and the delta's entries.
 func (s *checkpointStore) take(seq uint64, d auth.Digest, ps PartitionedState) int {
-	rec := &cpRecord{seq: seq, digest: d}
+	rec := &cpRecord{seq: seq, digest: d, applied: ps.Applied(), header: ps.MarshalHeader()}
 	prev := s.latest(seq - 1)
 	s.records = append(s.records, rec)
-	rec.applied, rec.header, rec.digests = ps.Applied(), ps.MarshalHeader(), ps.PartitionDigests()
-	rec.parts = make(map[int][]byte)
-	var dirty []int
-	if prev != nil {
-		dirty = ps.CheckpointDelta(prev.applied)
-	} else {
-		rec.base = true
-		dirty = make([]int, ps.PartitionCount())
-		for i := range dirty {
-			dirty[i] = i
-		}
-	}
 	bytes := len(rec.header)
-	for _, b := range dirty {
-		part := ps.MarshalPartition(b)
-		rec.parts[b] = part
-		bytes += len(part)
+	if prev == nil {
+		n := ps.PartitionCount()
+		rec.base, rec.parts, rec.digests = true, make([][]byte, n), make([]auth.Digest, n)
+		for i := range n {
+			rec.parts[i], rec.digests[i] = ps.MarshalPartition(i), ps.PartitionDigest(i)
+			bytes += len(rec.parts[i])
+		}
+	} else {
+		dirty := ps.CheckpointDelta(prev.applied)
+		rec.delta = make([]cpPart, len(dirty))
+		for j, i := range dirty {
+			rec.delta[j] = cpPart{index: i, data: ps.MarshalPartition(i), digest: ps.PartitionDigest(i)}
+			bytes += len(rec.delta[j].data)
+		}
 	}
 	s.count++
 	s.bytes += uint64(bytes)
@@ -90,11 +99,7 @@ func (s *checkpointStore) take(seq uint64, d auth.Digest, ps PartitionedState) i
 // state retained as a fresh base, so this replica can serve lagging peers
 // in turn.
 func (s *checkpointStore) installBase(seq uint64, root auth.Digest, applied uint64, header []byte, digests []auth.Digest, parts [][]byte) {
-	rec := &cpRecord{seq: seq, digest: root, applied: applied, header: header, digests: digests, parts: make(map[int][]byte, len(parts)), base: true}
-	for i, data := range parts {
-		rec.parts[i] = data
-	}
-	s.records = append(s.records, rec)
+	s.records = append(s.records, &cpRecord{seq: seq, digest: root, applied: applied, header: header, parts: parts, digests: digests, base: true})
 }
 
 // latest returns the newest record at or below seq (nil if none).
@@ -107,17 +112,23 @@ func (s *checkpointStore) latest(seq uint64) *cpRecord {
 	return nil
 }
 
-// part materializes one partition of the retained checkpoint at seq by
-// walking the delta chain newest-first down to the base.
-func (s *checkpointStore) part(seq uint64, part int) []byte {
+// part materializes one partition of the retained checkpoint at seq — its
+// bytes and digest — by walking the delta chain newest-first down to the
+// base.
+func (s *checkpointStore) part(seq uint64, part int) ([]byte, auth.Digest) {
 	for i := len(s.records) - 1; i >= 0; i-- {
-		if rec := s.records[i]; rec.seq <= seq {
-			if data, ok := rec.parts[part]; ok {
-				return data
+		rec := s.records[i]
+		switch {
+		case rec.seq > seq: // newer than the checkpoint asked for
+		case rec.base:
+			return rec.parts[part], rec.digests[part]
+		default:
+			if j, ok := slices.BinarySearchFunc(rec.delta, part, func(p cpPart, part int) int { return cmp.Compare(p.index, part) }); ok {
+				return rec.delta[j].data, rec.delta[j].digest
 			}
 		}
 	}
-	return nil
+	return nil, auth.Digest{}
 }
 
 // vote records the digest an authenticated sender advertised for seq.
@@ -135,7 +146,9 @@ func (s *checkpointStore) vote(seq uint64, sender uint32, d auth.Digest) {
 // gc drops everything the new stable checkpoint makes unreachable: votes
 // at or below it and the records below it — folded first into one
 // materialized base record at stable, so retention is one base plus the
-// deltas above stable.
+// deltas above stable. The fold writes the deltas into the newest base's
+// own arrays, which the stable record then takes over: it allocates
+// nothing.
 func (s *checkpointStore) gc(stable uint64) {
 	for seq := range s.votes {
 		if seq <= stable {
@@ -147,18 +160,19 @@ func (s *checkpointStore) gc(stable uint64) {
 		below++
 	}
 	if below < len(s.records) && s.records[below].seq == stable && !s.records[below].base {
-		// Overlay every record up to stable in ascending order: the
-		// oldest record is always a base, so the merge holds every
-		// partition.
-		target := s.records[below]
-		merged := make(map[int][]byte)
-		for _, rec := range s.records[:below+1] {
-			for part, data := range rec.parts {
-				merged[part] = data
+		// Overlay every delta above the newest base in ascending order:
+		// the oldest record is always a base, so one is found.
+		from := below - 1
+		for !s.records[from].base {
+			from--
+		}
+		base, target := s.records[from], s.records[below]
+		for _, rec := range s.records[from+1 : below+1] {
+			for _, p := range rec.delta {
+				base.parts[p.index], base.digests[p.index] = p.data, p.digest
 			}
 		}
-		target.parts = merged
-		target.base = true
+		target.base, target.parts, target.digests, target.delta = true, base.parts, base.digests, nil
 	}
 	s.records = slices.Delete(s.records, 0, below)
 }
@@ -171,6 +185,9 @@ func (s *checkpointStore) retainedBytes() uint64 {
 		total += uint64(len(rec.header))
 		for _, p := range rec.parts {
 			total += uint64(len(p))
+		}
+		for _, p := range rec.delta {
+			total += uint64(len(p.data))
 		}
 	}
 	return total

@@ -22,17 +22,23 @@ func recordAt(cps *checkpointStore, seq uint64) *cpRecord {
 }
 
 // verifyChain asserts every partition of the retained checkpoint at seq
-// materializes to bytes hashing to that checkpoint's own digest list.
+// materializes to bytes hashing to the digest retained beside them, and
+// that those digests compose to the checkpoint's root.
 func verifyChain(t *testing.T, cps *checkpointStore, seq uint64) {
 	t.Helper()
 	rec := recordAt(cps, seq)
 	if rec == nil {
 		t.Fatalf("no record retained at %d", seq)
 	}
-	for i, want := range rec.digests {
-		if got := auth.Hash(cps.part(seq, i)); got != want {
+	digests := make([]auth.Digest, kvstore.MerkleBuckets)
+	for i := range digests {
+		var data []byte
+		if data, digests[i] = cps.part(seq, i); auth.Hash(data) != digests[i] {
 			t.Fatalf("checkpoint %d partition %d resolves to the wrong bytes", seq, i)
 		}
+	}
+	if kvstore.New().ComposeRoot(rec.header, digests) != rec.digest {
+		t.Fatalf("checkpoint %d's partition digests do not compose to its root", seq)
 	}
 }
 
@@ -55,8 +61,8 @@ func TestCheckpointStoreDeltaChain(t *testing.T) {
 	for i, seq := range []uint64{8, 12, 16} {
 		put(s, fmt.Sprintf("hot%d", i), "x")
 		cps.take(seq, s.Snapshot(), s)
-		if rec := recordAt(cps, seq); rec.base || len(rec.parts) != 1 {
-			t.Fatalf("checkpoint %d holds %d partitions (base=%v), want one dirty partition", seq, len(rec.parts), rec.base)
+		if rec := recordAt(cps, seq); rec.base || len(rec.delta) != 1 || rec.parts != nil {
+			t.Fatalf("checkpoint %d holds %d partitions (base=%v), want one dirty partition", seq, len(rec.delta), rec.base)
 		}
 	}
 	for _, seq := range []uint64{4, 8, 12, 16} {
@@ -68,7 +74,7 @@ func TestCheckpointStoreDeltaChain(t *testing.T) {
 	// The partition dirtied before checkpoint 8 must come from record 8
 	// when asked at 16, not from the stale base.
 	hot0 := kvstore.PartitionKey("hot0", kvstore.MerkleBuckets)
-	if string(cps.part(16, hot0)) == string(recordAt(cps, 4).parts[hot0]) {
+	if data, _ := cps.part(16, hot0); string(data) == string(recordAt(cps, 4).parts[hot0]) {
 		t.Fatal("partition resolved to the base copy, skipping its delta")
 	}
 }

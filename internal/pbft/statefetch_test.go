@@ -33,15 +33,15 @@ func newFetchFixture() *fetchFixture {
 func (x *fetchFixture) manifest(sender uint32, view uint64) StateManifest {
 	return StateManifest{
 		Seq: fixtureSeq, View: view, Root: x.src.Snapshot(),
-		Header: x.src.MarshalHeader(), Digests: x.src.PartitionDigests(), Replica: sender,
+		Header: x.src.MarshalHeader(), Digests: partitionDigests(x.src), Replica: sender,
 	}
 }
 
 // divergent lists the partitions the fetching store would have to receive.
 func (x *fetchFixture) divergent() []int {
 	var parts []int
-	local := x.dst.PartitionDigests()
-	for i, d := range x.src.PartitionDigests() {
+	local := partitionDigests(x.dst)
+	for i, d := range partitionDigests(x.src) {
 		if local[i] != d {
 			parts = append(parts, i)
 		}

@@ -19,10 +19,15 @@ import (
 
 // stateXfer is one in-progress transfer from one sender: the
 // self-consistency-verified manifest plus the partitions received and
-// digest-verified so far.
+// digest-verified so far, by index (nil: not yet).
 type stateXfer struct {
 	manifest StateManifest
-	parts    map[int][]byte
+	parts    [][]byte
+}
+
+// vouches reports whether x is a transfer of the checkpoint (seq, root).
+func (x *stateXfer) vouches(seq uint64, root auth.Digest) bool {
+	return x != nil && x.manifest.Seq == seq && x.manifest.Root == root
 }
 
 // stateFetcher owns the fetching side of state transfer: one in-progress
@@ -75,7 +80,7 @@ func (f *stateFetcher) offerManifest(ps PartitionedState, executed uint64, sende
 		return false // keep the newer transfer
 	}
 	m.Header = bytes.Clone(m.Header) // lent by the message; Digests is decoded afresh
-	f.xfers[sender] = &stateXfer{manifest: m, parts: make(map[int][]byte)}
+	f.xfers[sender] = &stateXfer{manifest: m, parts: make([][]byte, len(m.Digests))}
 	return true
 }
 
@@ -100,7 +105,7 @@ func (f *stateFetcher) offerPart(sender uint32, m StatePart) (hashed, stored boo
 		f.reject(sender)
 		return true, false
 	}
-	x.parts[int(m.Part)] = bytes.Clone(m.Data) // lent by the message
+	x.parts[m.Part] = append([]byte{}, m.Data...) // lent by the message; non-nil even when empty
 	return true, true
 }
 
@@ -170,51 +175,47 @@ type adoption struct {
 // transfer.
 func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, executed, view uint64) (adoption, bool) {
 	// Scan transfers in replica order, one adoption attempt per distinct
-	// (seq, root) group — made at its lowest sender.
+	// (seq, root) group — made at its lowest sender. The scan allocates
+	// nothing until a certified group is complete: it runs on every
+	// verified part.
+scan:
 	for id, x := range f.xfers {
 		if x == nil || x.manifest.Seq <= executed {
 			continue
 		}
 		seq, root := x.manifest.Seq, x.manifest.Root
-		var senders []uint32 // of the transfers vouching for (seq, root), ascending
-		for j, other := range f.xfers {
-			if other != nil && other.manifest.Seq == seq && other.manifest.Root == root {
-				senders = append(senders, uint32(j))
+		for _, other := range f.xfers[:id] {
+			if other.vouches(seq, root) {
+				continue scan // this group was tried at its lowest sender
 			}
 		}
-		if senders[0] != uint32(id) {
-			continue // this group was tried at its lowest sender
+		vouchers, vouchedView := 0, uint64(math.MaxUint64)
+		for _, other := range f.xfers[id:] {
+			if other.vouches(seq, root) {
+				vouchers, vouchedView = vouchers+1, min(vouchedView, other.manifest.View)
+			}
 		}
-		if len(senders) < f.cfg.F+1 && cps.votes[seq].count(root) < f.cfg.Quorum() {
+		if vouchers < f.cfg.F+1 && cps.votes[seq].count(root) < f.cfg.Quorum() {
 			continue
 		}
-		// Certified root. Assemble the full partition set: local
-		// partitions whose digests already match the manifest are reused
-		// as-is; the divergent ones must have arrived (from any matching
-		// sender — parts are interchangeable once verified against the
-		// same digest list).
+		// Certified root. Every partition must be at hand: local ones
+		// whose digests already match the manifest are reused as-is; the
+		// divergent ones must have arrived (from any vouching sender —
+		// parts are interchangeable once verified against the same digest
+		// list). Only then is the partition set assembled, once.
 		manifest := x.manifest
-		local := ps.PartitionDigests()
-		parts := make([][]byte, ps.PartitionCount())
-		complete := true
-		for i := range parts {
-			if i < len(local) && local[i] == manifest.Digests[i] {
-				parts[i] = ps.MarshalPartition(i)
-				continue
-			}
-			for _, s := range senders {
-				if data, ok := f.xfers[s].parts[i]; ok {
-					parts[i] = data
-					break
-				}
-			}
-			if parts[i] == nil {
-				complete = false
-				break
+		for i, d := range manifest.Digests {
+			if ps.PartitionDigest(i) != d && f.received(seq, root, i) == nil {
+				continue scan // divergent partitions still streaming in
 			}
 		}
-		if !complete {
-			continue // divergent partitions still streaming in
+		parts := make([][]byte, len(manifest.Digests))
+		for i, d := range manifest.Digests {
+			if ps.PartitionDigest(i) == d {
+				parts[i] = ps.MarshalPartition(i)
+			} else {
+				parts[i] = f.received(seq, root, i)
+			}
 		}
 		prev := ps.MarshalState()
 		err := ps.ApplyTransfer(manifest.Header, parts)
@@ -230,8 +231,10 @@ func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, execu
 			// Digest-verified partitions under a certified root that still
 			// fail to decode or compose: the vouching senders colluded on
 			// a malformed encoding. Drop them and keep fetching.
-			for _, s := range senders {
-				f.reject(s)
+			for j, other := range f.xfers {
+				if other.vouches(seq, root) {
+					f.reject(uint32(j))
+				}
 			}
 			continue
 		}
@@ -240,16 +243,24 @@ func (f *stateFetcher) tryAdopt(ps PartitionedState, cps *checkpointStore, execu
 		// that would wedge us. The minimum is conservative (at most as new
 		// as some correct replica's view); a stale view only costs extra
 		// view-change latency.
-		if len(senders) >= f.cfg.F+1 {
-			view = manifest.View
-			for _, s := range senders[1:] {
-				view = min(view, f.xfers[s].manifest.View)
-			}
+		if vouchers >= f.cfg.F+1 {
+			view = vouchedView
 		}
 		cps.installBase(seq, root, ps.Applied(), manifest.Header, manifest.Digests, parts)
 		return adoption{seq, root, view}, true
 	}
 	return adoption{}, false
+}
+
+// received returns partition i of the checkpoint (seq, root) as the first
+// vouching sender delivered it, or nil if none has.
+func (f *stateFetcher) received(seq uint64, root auth.Digest, i int) []byte {
+	for _, x := range f.xfers {
+		if x.vouches(seq, root) && x.parts[i] != nil {
+			return x.parts[i]
+		}
+	}
+	return nil
 }
 
 // Replica: requesting, serving and adopting state.
@@ -282,7 +293,7 @@ func (r *Replica) requestStateTransfer() {
 	// Advertise our Merkle position so responders ship only the divergent
 	// partitions. Snapshot and the digest list come from per-partition
 	// caches, so this is cheap for a mostly-clean store.
-	r.broadcast(StateRequest{Seq: r.executed, Replica: r.id, Root: r.app.Snapshot(), Digests: r.app.PartitionDigests()})
+	r.broadcast(StateRequest{Seq: r.executed, Replica: r.id, Root: r.app.Snapshot(), Digests: partitionDigests(r.app)})
 	// If no adoptable transfer arrives, ask again — unless we caught up
 	// through normal execution in the meantime. Retrying is warranted
 	// while either a checkpoint is known to be missing or peers
@@ -300,6 +311,16 @@ func (r *Replica) requestStateTransfer() {
 	})
 }
 
+// partitionDigests returns a fresh list of every partition's current
+// digest: what a state request advertises.
+func partitionDigests(ps PartitionedState) []auth.Digest {
+	out := make([]auth.Digest, ps.PartitionCount())
+	for i := range out {
+		out[i] = ps.PartitionDigest(i)
+	}
+	return out
+}
+
 func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 	// Serve the newest retained checkpoint beyond the requester's
 	// execution point — not only the stable one. When F+1 replicas lag
@@ -309,21 +330,25 @@ func (r *Replica) handleStateRequest(sender uint32, m StateRequest) {
 	// responders vouching for the same (seq, root), so one correct
 	// responder is always among them.
 	rec := r.cps.latest(math.MaxUint64)
-	if rec == nil || rec.seq <= m.Seq || len(m.Digests) != len(rec.digests) {
+	if rec == nil || rec.seq <= m.Seq || len(m.Digests) != r.app.PartitionCount() {
 		return // nothing to serve, requester as current as anything we hold, or not our partition layout
+	}
+	digests := make([]auth.Digest, len(m.Digests)) // the manifest's, built only to serve
+	for i := range digests {
+		_, digests[i] = r.cps.part(rec.seq, i)
 	}
 	// Subtree negotiation: open with the manifest, then stream only the
 	// partitions whose digests diverge from the requester's. Reply to the
 	// authenticated sender, not the claimed Replica field.
 	r.send(sender, StateManifest{
 		Seq: rec.seq, View: r.view, Root: rec.digest,
-		Header: rec.header, Digests: rec.digests, Replica: r.id,
+		Header: rec.header, Digests: digests, Replica: r.id,
 	})
-	for i, d := range rec.digests {
+	for i, d := range digests {
 		if m.Digests[i] == d {
 			continue
 		}
-		data := r.cps.part(rec.seq, i)
+		data, _ := r.cps.part(rec.seq, i)
 		*r.stateBytesServed += uint64(len(data))
 		r.send(sender, StatePart{Seq: rec.seq, Part: uint32(i), Data: data, Replica: r.id})
 	}
