@@ -8,19 +8,18 @@
 //	go run ./cmd/benchsuite -list
 //	go run ./cmd/benchsuite -experiments E5,E8 -out .
 //	go run ./cmd/benchsuite -quick -out /tmp/bench          # CI smoke
-//	go run ./cmd/benchsuite -experiments E5 -compare old/   # regression deltas
 //	go run ./cmd/benchsuite -quick -experiments E9 -trace out.json
 //	go run ./cmd/benchsuite -quick -experiments E9 -cpuprofile cpu.pprof
 //
 // Every run is deterministic: the same -seed, knobs and code produce
-// byte-identical JSON (including the -trace file). -compare loads a
-// previous run's files (a directory of BENCH_*.json or a single file) and
-// prints point-wise deltas sorted by drift. -knob name=value overrides
-// experiment parameters (repeatable); the accepted knobs of each
-// experiment are listed in docs/EXPERIMENTS.md and echoed in each file's
-// "config" object. -trace records per-request span trees and queue/CPU/
-// backlog time series across every measurement run and writes one Chrome
-// trace-event file (open in chrome://tracing or https://ui.perfetto.dev).
+// byte-identical JSON (including the -trace file), so a fresh result is
+// held to a stored one with cmp, and a re-baseline's per-point moves are
+// the file's git diff. -knob name=value overrides experiment parameters
+// (repeatable); the accepted knobs of each experiment are listed in
+// docs/EXPERIMENTS.md and echoed in each file's "config" object. -trace
+// records per-request span trees and queue/CPU/backlog time series across
+// every measurement run and writes one Chrome trace-event file (open in
+// chrome://tracing or https://ui.perfetto.dev).
 // -cpuprofile and -memprofile record where the simulator itself spends
 // host CPU and allocates (read with go tool pprof -top <file>).
 package main
@@ -31,14 +30,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strings"
 
 	"rubin/internal/bench"
-	"rubin/internal/metrics"
 	"rubin/internal/obs"
 )
 
@@ -66,7 +63,7 @@ func (k knobFlags) Set(s string) error {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole command: it returns the process exit status — non-zero
-// when a run fails or a requested comparison could not be made.
+// when a run fails.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "benchsuite:", err)
@@ -78,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	out := fs.String("out", ".", "directory to write BENCH_<name>.json files into")
 	quick := fs.Bool("quick", false, "shrink sweeps and message counts (CI smoke mode)")
 	seed := fs.Int64("seed", 1, "simulation seed")
-	compare := fs.String("compare", "", "previous run to diff against: a BENCH_*.json file or a directory of them")
 	trace := fs.String("trace", "", "write a Chrome trace-event JSON of every measurement run to this file")
 	list := fs.Bool("list", false, "list registered experiments and exit")
 	listKnobs := fs.Bool("knobs", false, "list each experiment's accepted knobs with effective defaults and exit")
@@ -145,7 +141,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}()
 
-	failedCompares := 0
 	for _, name := range names {
 		fmt.Fprintf(stdout, "== %s ==\n", name)
 		res, err := bench.Run(name, rc)
@@ -162,13 +157,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				fmt.Fprintln(stdout, tab.Render())
 			}
 		}
-		if *compare != "" {
-			n, err := compareAgainst(stdout, *compare, res)
-			if err != nil {
-				return fail(err)
-			}
-			failedCompares += n
-		}
 	}
 	if *trace != "" {
 		if err := writeTrace(*trace, rc.Trace); err != nil {
@@ -176,11 +164,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		fmt.Fprintf(stdout, "wrote %s (%d spans, %d samples, %d runs; %d spans dropped)\n",
 			*trace, rc.Trace.SpanCount(), rc.Trace.SampleCount(), rc.Trace.RunCount(), rc.Trace.DroppedSpans())
-	}
-	// A compare against a mistyped directory must not pass silently: the
-	// results are written, but the command fails.
-	if failedCompares > 0 {
-		return fail(fmt.Errorf("%d comparison(s) could not be made", failedCompares))
 	}
 	return 0
 }
@@ -254,33 +237,4 @@ func selectExperiments(s string) ([]string, error) {
 		names = append(names, name)
 	}
 	return names, nil
-}
-
-// compareAgainst diffs res against the stored baseline at path (a file or
-// a directory holding BENCH_<name>.json). A missing baseline for this
-// experiment is reported and counted as a failed compare, so the
-// remaining experiments still run before the command exits non-zero.
-func compareAgainst(stdout io.Writer, path string, res *metrics.Result) (failed int, err error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	file := path
-	if info.IsDir() {
-		file = filepath.Join(path, metrics.ResultFilename(res.Experiment))
-	}
-	old, err := metrics.ReadResultFile(file)
-	if os.IsNotExist(err) {
-		fmt.Fprintf(stdout, "compare: no baseline %s\n", file)
-		return 1, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	deltas, err := metrics.Compare(old, res)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(stdout, "deltas vs %s:\n%s\n", file, metrics.RenderDeltas(deltas))
-	return 0, nil
 }

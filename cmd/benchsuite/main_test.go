@@ -16,28 +16,6 @@ func tinyE1(out string, extra ...string) []string {
 	}, extra...)
 }
 
-// TestCompareAgainstMissingBaselineFails pins the exit status of
-// -compare: a baseline directory holding no file for the experiment (a
-// mistyped path in CI) must fail the command — after writing the fresh
-// result — while a real baseline compares clean and exits zero.
-func TestCompareAgainstMissingBaselineFails(t *testing.T) {
-	baseline, empty := t.TempDir(), t.TempDir()
-	if code := run(tinyE1(baseline), io.Discard, io.Discard); code != 0 {
-		t.Fatalf("baseline run exited %d", code)
-	}
-	var stdout, stderr strings.Builder
-	if code := run(tinyE1(t.TempDir(), "-compare", empty), &stdout, &stderr); code != 1 {
-		t.Errorf("compare against an empty directory exited %d, want 1", code)
-	}
-	if !strings.Contains(stderr.String(), "1 comparison(s) could not be made") ||
-		!strings.Contains(stdout.String(), "wrote ") {
-		t.Errorf("stdout %q / stderr %q: want the result written and the failed compare reported", stdout.String(), stderr.String())
-	}
-	if code := run(tinyE1(t.TempDir(), "-compare", baseline), io.Discard, io.Discard); code != 0 {
-		t.Errorf("compare against a real baseline exited %d, want 0", code)
-	}
-}
-
 // TestProfilesWritten: -cpuprofile and -memprofile each leave a non-empty
 // profile behind, and a second run in the same process can profile again
 // (the first one stopped its CPU profile).

@@ -15,23 +15,25 @@ import (
 // it: one `identifier — reason` per line. An entry without a reason, or
 // one that is no longer needed, fails the test.
 const deadSurfaceAllowed = `
-chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (ROADMAP O13 will)
-chaos.Scenario.Degrade — scenario vocabulary: link loss/latency/jitter, what makes a fault trace diverge across seeds
+chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (exits with ROADMAP O39, O13b(3) or O18)
+chaos.Scenario.Degrade — scenario vocabulary: link loss/latency/jitter, what makes a fault trace diverge across seeds; no experiment scripts it yet (exits with ROADMAP O39, O13b(3) or O18)
 fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
 kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it
 kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket for all 256
 kvstore.Store.Get — probe the kvstore, pbft and shard tests share: a key as a replica's store holds it, read locally, not ordered
 kvstore.Store.LockHolder — probe the kvstore and shard tests share: who holds a 2PC write lock
+metrics.ReadResultFile — probe the claims table, the knob-table gate and the bench tests share: a checked-in or freshly written BENCH_*.json, loaded and validated (no exit: ROADMAP O17)
+metrics.Result.GetSeries — probe those same tests share: one (name, metric) series of a loaded result (no exit: ROADMAP O17)
 main.knobFlags.Set — flag.Value, called by package flag
-msgnet.Peer.Close — how the msgnet tests reach connClosed: queued messages are reported as failed through the send-error surface, never silently discarded
-msgnet.Peer.OnClose — the teardown callback of that same path, which the tests watch
-msgnet.Peer.OnWritable — the release edge after ErrBacklog; pbft drops instead of waiting, large state transfers should wait (ROADMAP O15(3))
-nio.SocketChannel.Close — how the nio tests produce the peer close a selector must report as read-readiness, the edge msgnet's connClosed path above starts from; transport closes the tcpsim.Conn itself
+msgnet.Peer.Close — how the msgnet tests reach connClosed: queued messages are reported as failed through the send-error surface, never silently discarded (exits with ROADMAP O18's teardown)
+msgnet.Peer.OnClose — the teardown callback of that same path, which the tests watch (exits with ROADMAP O18's teardown)
+msgnet.Peer.OnWritable — the release edge after ErrBacklog; pbft drops instead of waiting, large state transfers should wait (exits with ROADMAP O15(3))
+nio.SocketChannel.Close — how the nio tests produce the peer close a selector must report as read-readiness, the edge msgnet's connClosed path above starts from; transport closes the tcpsim.Conn itself (exits with ROADMAP O18's teardown)
 pbft.Replica.Stable — probe the pbft, chaos and shard tests share: last stable checkpoint
 raceflag.Enabled — allocation gates in fifteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
-rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up
+rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up, and which one (no exit: ROADMAP O17)
 sim.Loop.SetEventLimit — runaway guard the sim and reptor tests set
 tcpsim.Conn.Established — probe the tcpsim and nio tests share
 `

@@ -22,7 +22,6 @@ import (
 // client through plainClient.
 type frontEnd interface {
 	InvokeOp(op []byte, done func([]byte)) string
-	SetReadPathHook(fn func(key string, fast bool))
 	Outstanding() int
 }
 
@@ -49,7 +48,7 @@ type deploySpec struct {
 	label string
 	trace *obs.Tracer // shared -trace tracer, or nil for a run-local one
 	// readTimeout, when positive, enables the read fast path on every
-	// front-end with this fallback timeout.
+	// plain PBFT front-end with this fallback timeout.
 	readTimeout sim.Time
 	// app overrides the per-replica state machine (default: a fresh
 	// kvstore per replica).
@@ -162,9 +161,6 @@ func newCOP(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.P
 	g, err := reptor.NewGroup(s.kind, gcfg, params, s.seed, s.appFactory())
 	if err != nil {
 		return nil, err
-	}
-	if s.readTimeout > 0 {
-		g.EnableReadFastPath(s.readTimeout)
 	}
 	d := &deployment{loop: g.Loop, nw: g.Network, cop: g}
 	var cls []*reptor.Client
@@ -279,7 +275,9 @@ func (d *deployment) runWorkload(wcfg workload.Config) (TrafficResult, error) {
 	}
 	drv.SetTracer(d.tr)
 	for _, fe := range d.fronts {
-		fe.SetReadPathHook(drv.NotePath)
+		if pc, ok := fe.(plainClient); ok {
+			pc.SetReadPathHook(drv.NotePath)
+		}
 	}
 	if err := drv.Run(); err != nil {
 		return TrafficResult{}, err

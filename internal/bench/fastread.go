@@ -102,9 +102,10 @@ func runE11(rc RunContext, v values, res *metrics.Result) error {
 	for _, sw := range sweeps {
 		for _, kind := range e8Transports {
 			for _, fast := range []bool{true, false} {
-				fp, cols := "fp=off", []column{colPeakQueue}
+				fp, cols, timeout := "fp=off", []column{colPeakQueue}, sim.Time(0)
 				if fast {
 					fp, cols = "fp=on", append(cols, fastColumns...)
+					timeout = sim.Time(v.int("read_timeout_us")) * sim.Microsecond
 				}
 				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, fp, e8Label(kind)), string(kind), sw.xLabel, cols...)
 				for _, x := range sw.xs {
@@ -114,8 +115,7 @@ func runE11(rc RunContext, v values, res *metrics.Result) error {
 						Users: v.int("users"), Conns: v.int("conns"), Keys: v.int("keys"),
 						ValueSize: v.int("value_bytes"), Ops: v.int("ops"), Warmup: v.int("warmup"),
 						Zipf100: 99, Arrival: workload.Closed(v.int("window"), 0),
-						Seed: rc.Seed, Trace: rc.Trace,
-						ReadFastPath: fast, ReadTimeout: sim.Time(v.int("read_timeout_us")) * sim.Microsecond,
+						Seed: rc.Seed, Trace: rc.Trace, ReadTimeout: timeout,
 					}
 					readPct := sw.set(&cfg, x)
 					cfg.Mix = e9Mix(readPct, 0, 0)

@@ -72,39 +72,8 @@ func TestE11SameSeedRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunTrafficCOPFastPath proves the fast path composes with COP:
-// single-key reads ride the owning instance's multicast path, the
-// history records them, and the run still passes the linearizability
-// oracle inside RunTraffic.
-func TestRunTrafficCOPFastPath(t *testing.T) {
-	cfg := TrafficConfig{
-		Kind: transport.KindRDMA, Instances: 2, N: 4, F: 1,
-		Users: 8, Conns: 2, Keys: 16, ValueSize: 16,
-		Ops: 60, Warmup: 5,
-		Mix:          workload.Mix{ReadPct: 70, WritePct: 25, ScanPct: 5},
-		Zipf100:      99,
-		Arrival:      workload.Closed(1, 0),
-		Seed:         7,
-		ReadFastPath: true,
-	}
-	r, err := RunTraffic(cfg, DefaultRunContext().Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastReads := r.Stats["pbft.fast_reads"]
-	if fastReads == 0 {
-		t.Fatalf("COP run served no fast reads (fallbacks=%v)", r.Stats["pbft.fast_read_fallbacks"])
-	}
-	if r.FastOps == 0 {
-		t.Fatal("history recorded no fast-path operations")
-	}
-	if r.FastOps > int(fastReads) {
-		t.Fatalf("history tags %d fast ops but clients served only %v", r.FastOps, fastReads)
-	}
-}
-
-// TestRunTrafficFastPathOffIsInert pins the opt-in contract: without
-// the flag, no fast reads are served and no history op is tagged, even
+// TestRunTrafficFastPathOffIsInert pins the opt-in contract: with a zero
+// ReadTimeout, no fast reads are served and no history op is tagged, even
 // for a read-heavy mix.
 func TestRunTrafficFastPathOffIsInert(t *testing.T) {
 	cfg := TrafficConfig{

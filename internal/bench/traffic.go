@@ -35,12 +35,12 @@ type TrafficConfig struct {
 	// BatchSize, when positive, overrides the protocol's default
 	// agreement batch size (E11 sweeps it; zero keeps the default).
 	BatchSize int
-	// ReadFastPath enables the PBFT read-only optimization: single-key
-	// reads are multicast and accepted on 2F+1 matching tentative
-	// replies, falling back to the ordered path after ReadTimeout
-	// (default 2ms). Off by default — E9 points are unaffected.
-	ReadFastPath bool
-	ReadTimeout  sim.Time
+	// ReadTimeout, when positive, enables the PBFT read-only optimization:
+	// single-key reads are multicast and accepted on 2F+1 matching
+	// tentative replies, falling back to the ordered path after this
+	// timeout. Zero leaves it off, as E9 does. It applies to a plain PBFT
+	// cluster only (Instances == 0); a COP group orders every read.
+	ReadTimeout sim.Time
 	// Trace, when non-nil, records spans and samples into the shared
 	// -trace tracer; nil still aggregates the latency breakdown.
 	Trace *obs.Tracer
@@ -59,12 +59,7 @@ func RunTraffic(cfg TrafficConfig, params model.Params) (TrafficResult, error) {
 		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, cfg.BatchSize), seed: cfg.Seed, conns: cfg.Conns,
 		label: fmt.Sprintf("E9 %s %s N=%d users=%d conns=%d seed=%d",
 			sysLabel, cfg.Kind, cfg.N, cfg.Users, cfg.Conns, cfg.Seed),
-		trace: cfg.Trace,
-	}
-	if cfg.ReadFastPath {
-		if spec.readTimeout = cfg.ReadTimeout; spec.readTimeout <= 0 {
-			spec.readTimeout = 2 * sim.Millisecond
-		}
+		trace: cfg.Trace, readTimeout: cfg.ReadTimeout,
 	}
 	d, err := newAgreement(spec, cfg.Instances, 0, 0, params)
 	if err != nil {

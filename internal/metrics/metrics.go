@@ -7,9 +7,10 @@
 // document (one BENCH_<experiment>.json per run) carrying per-series
 // points — the sweep curves the paper's figures plot — with explicit
 // units, the effective configuration echo and the seed, so benchmark
-// trajectories can be validated, stored and diffed across commits
-// (Compare/RenderDeltas implement the -compare output of cmd/benchsuite).
-// Table renders a result's series as aligned text tables.
+// trajectories can be validated, stored and diffed across commits (a
+// deterministic run regenerates a stored file byte for byte, so cmp and
+// git diff are the comparison). Table renders a result's series as
+// aligned text tables.
 package metrics
 
 import (

@@ -6,20 +6,18 @@ import (
 	"math"
 	"os"
 	"regexp"
-	"sort"
-	"strings"
 
 	"rubin/internal/sim"
 )
 
 // SchemaVersion identifies the layout of a BENCH_*.json file. Bump it
-// whenever a field is added, removed or changes meaning; -compare refuses
-// to diff files with mismatched schemas.
+// whenever a field is added, removed or changes meaning; ParseResult
+// refuses a file of another schema.
 const SchemaVersion = "rubin-bench/1"
 
 // Well-known metric names. A ResultSeries may use other names, but the
-// experiments in this repository stick to these so -compare can match
-// series across runs.
+// experiments in this repository stick to these so the claims table and
+// the docs can name a series the same way in every file.
 const (
 	MetricLatencyMean = "latency_mean" // unit: us
 	MetricLatencyP50  = "latency_p50"  // unit: us
@@ -148,7 +146,7 @@ func (r *Result) AddSeries(name, metric, unit, transport, xLabel string) *Result
 // workload configuration — p50/p90/p99/p999 plus goodput — the
 // histogram-style result shape the traffic experiments (E9) emit per
 // sweep. All five share one name and X axis; they stay distinct series
-// so -compare diffs each percentile on its own.
+// so a stored file's diff shows each percentile on its own.
 type PercentileSeries struct {
 	P50, P90, P99, P999 *ResultSeries
 	Goodput             *ResultSeries
@@ -318,74 +316,4 @@ func (r *Result) Tables() []*Table {
 		tables = append(tables, byAxis[key])
 	}
 	return tables
-}
-
-// Delta is one point-wise regression comparison between two runs of the
-// same experiment: Pct is the relative change (new-old)/old in percent.
-type Delta struct {
-	Series string
-	Metric string
-	Unit   string
-	X      float64
-	Old    float64
-	New    float64
-	Pct    float64
-}
-
-// Compare matches series of two results by (name, metric) and points by X,
-// returning point-wise deltas. Series or points present on one side only
-// are skipped — the comparison reports drift of the overlap, not coverage.
-// The results must be the same experiment and schema, and a matched
-// series must keep its unit: a unit change would make every percentage
-// meaningless, so it is an error rather than a silently absurd delta.
-func Compare(old, new *Result) ([]Delta, error) {
-	if old.Schema != new.Schema {
-		return nil, fmt.Errorf("metrics: comparing schema %q against %q", new.Schema, old.Schema)
-	}
-	if old.Experiment != new.Experiment {
-		return nil, fmt.Errorf("metrics: comparing experiment %s against %s", new.Experiment, old.Experiment)
-	}
-	var deltas []Delta
-	for _, ns := range new.Series {
-		os := old.GetSeries(ns.Name, ns.Metric)
-		if os == nil {
-			continue
-		}
-		if os.Unit != ns.Unit {
-			return nil, fmt.Errorf("metrics: series (%s, %s) changed unit %q -> %q",
-				ns.Name, ns.Metric, os.Unit, ns.Unit)
-		}
-		for _, p := range ns.Points {
-			oldY := os.At(p.X)
-			if math.IsNaN(oldY) {
-				continue
-			}
-			pct := 0.0
-			if oldY != 0 {
-				pct = (p.Y - oldY) / oldY * 100
-			}
-			deltas = append(deltas, Delta{
-				Series: ns.Name, Metric: ns.Metric, Unit: ns.Unit,
-				X: p.X, Old: oldY, New: p.Y, Pct: pct,
-			})
-		}
-	}
-	return deltas, nil
-}
-
-// RenderDeltas formats a comparison as an aligned text table, sorted by
-// absolute relative change (largest drift first).
-func RenderDeltas(deltas []Delta) string {
-	sorted := make([]Delta, len(deltas))
-	copy(sorted, deltas)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return math.Abs(sorted[i].Pct) > math.Abs(sorted[j].Pct)
-	})
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-32s %-14s %8s %14s %14s %9s\n", "series", "metric", "x", "old", "new", "delta")
-	for _, d := range sorted {
-		fmt.Fprintf(&b, "%-32s %-14s %8.0f %14.2f %14.2f %+8.1f%%\n",
-			d.Series, d.Metric, d.X, d.Old, d.New, d.Pct)
-	}
-	return b.String()
 }

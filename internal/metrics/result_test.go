@@ -93,128 +93,6 @@ func TestResultWriteReadFile(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	old := sampleResult()
-	cur := sampleResult()
-	cur.Series[0].Points[0].Y = 246.5 // latency at 1KB doubled
-	deltas, err := Compare(old, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 4 {
-		t.Fatalf("got %d deltas, want 4", len(deltas))
-	}
-	var worst Delta
-	for _, d := range deltas {
-		if math.Abs(d.Pct) > math.Abs(worst.Pct) {
-			worst = d
-		}
-	}
-	if worst.Metric != MetricLatencyMean || worst.X != 1 || math.Abs(worst.Pct-100) > 1e-9 {
-		t.Fatalf("worst delta = %+v, want +100%% latency at x=1", worst)
-	}
-	out := RenderDeltas(deltas)
-	if !strings.Contains(out, "+100.0%") {
-		t.Fatalf("rendered deltas missing +100.0%%:\n%s", out)
-	}
-	// Mismatched experiments refuse to compare.
-	other := sampleResult()
-	other.Experiment = "E6"
-	if _, err := Compare(old, other); err == nil {
-		t.Fatal("Compare accepted mismatched experiments")
-	}
-}
-
-func TestCompareEdgeCases(t *testing.T) {
-	t.Run("mismatched series names skip", func(t *testing.T) {
-		old := sampleResult()
-		cur := sampleResult()
-		cur.Series[0].Name = "Reptor+NIO" // no longer matches anything in old
-		deltas, err := Compare(old, cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range deltas {
-			if d.Series == "Reptor+NIO" {
-				t.Fatalf("renamed series produced a delta: %+v", d)
-			}
-		}
-		if len(deltas) != 2 {
-			t.Fatalf("got %d deltas, want 2 (only the still-matching series)", len(deltas))
-		}
-	})
-
-	t.Run("zero-point series", func(t *testing.T) {
-		old := sampleResult()
-		cur := sampleResult()
-		cur.Series[0].Points = nil // invalid per Validate, but Compare must not panic
-		deltas, err := Compare(old, cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(deltas) != 2 {
-			t.Fatalf("got %d deltas, want 2", len(deltas))
-		}
-		old.Series[1].Points = nil // empty on the old side: every X misses
-		deltas, err = Compare(old, cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(deltas) != 0 {
-			t.Fatalf("got %d deltas, want 0", len(deltas))
-		}
-	})
-
-	t.Run("unit change is an error", func(t *testing.T) {
-		old := sampleResult()
-		cur := sampleResult()
-		cur.Series[0].Unit = "ms"
-		if _, err := Compare(old, cur); err == nil {
-			t.Fatal("Compare accepted a unit change on a matched series")
-		}
-	})
-
-	t.Run("zero baseline reports zero percent", func(t *testing.T) {
-		old := sampleResult()
-		cur := sampleResult()
-		old.Series[0].Points[0].Y = 0
-		deltas, err := Compare(old, cur)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range deltas {
-			if d.Old == 0 && d.Pct != 0 {
-				t.Fatalf("zero baseline produced pct %v", d.Pct)
-			}
-		}
-	})
-}
-
-func TestRenderDeltasEdgeCases(t *testing.T) {
-	if out := RenderDeltas(nil); !strings.Contains(out, "no overlapping") {
-		// Whatever the empty rendering is, it must not panic and should
-		// say something; accept any non-empty text.
-		if strings.TrimSpace(out) == "" {
-			t.Fatal("RenderDeltas(nil) rendered nothing")
-		}
-	}
-	deltas := []Delta{
-		{Series: "a", Metric: MetricLatencyMean, Unit: "us", X: 1, Old: 100, New: 101, Pct: 1},
-		{Series: "b", Metric: MetricLatencyMean, Unit: "us", X: 1, Old: 100, New: 50, Pct: -50},
-		{Series: "c", Metric: MetricLatencyMean, Unit: "us", X: 1, Old: 100, New: 110, Pct: 10},
-	}
-	out := RenderDeltas(deltas)
-	// Sorted by |pct| descending: b (-50%) first, a (+1%) last.
-	bi, ci, ai := strings.Index(out, "\nb "), strings.Index(out, "\nc "), strings.Index(out, "\na ")
-	if !(bi < ci && ci < ai) {
-		t.Fatalf("deltas not sorted by |pct|:\n%s", out)
-	}
-	// The input slice must not be reordered in place.
-	if deltas[0].Series != "a" {
-		t.Fatalf("RenderDeltas mutated its input: %+v", deltas)
-	}
-}
-
 func TestResultTables(t *testing.T) {
 	tabs := sampleResult().Tables()
 	if len(tabs) != 2 {

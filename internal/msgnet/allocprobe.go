@@ -18,19 +18,16 @@ import (
 
 // nullConn is an inert transport.Conn: Send accepts and discards every
 // frame, mimicking a substrate that copies synchronously (as both real
-// backends do) without allocating.
-type nullConn struct {
-	remote *fabric.Node
-}
+// backends do) without allocating. It implements what a peer's send path
+// and Mesh.wrap call; the rest (Peer, Close) is the embedded nil
+// interface, which panics if the probe ever comes to depend on it.
+type nullConn struct{ transport.Conn }
 
 func (c *nullConn) Send([]byte) error      { return nil }
 func (c *nullConn) OnMessage(func([]byte)) {}
 func (c *nullConn) OnClose(func())         {}
 func (c *nullConn) OnDrain(func())         {}
 func (c *nullConn) Unsent() int            { return 0 }
-func (c *nullConn) Peer() *fabric.Node     { return c.remote }
-func (c *nullConn) Close()                 {}
-func (c *nullConn) Kind() transport.Kind   { return transport.KindTCP }
 
 // SendAllocsPerOp reports the average allocations of one Peer.Send of a
 // payloadLen-byte message plus the scheduler turns that drain it to the
@@ -41,7 +38,7 @@ func SendAllocsPerOp(runs, payloadLen int) float64 {
 	nw := fabric.New(loop, model.Default())
 	node := nw.AddNode("alloc-probe")
 	m := newMesh(node, nil, DefaultOptions())
-	p := m.wrap(&nullConn{remote: node})
+	p := m.wrap(&nullConn{})
 	msg := make([]byte, payloadLen)
 	warm := func() {
 		if err := p.Send(ClassControl, msg); err != nil {

@@ -200,7 +200,7 @@ func TestClosedUnderABundleReportsEveryMember(t *testing.T) {
 	loop := sim.NewLoop(1)
 	node := fabric.New(loop, model.Default()).AddNode("probe")
 	m := newMesh(node, nil, DefaultOptions())
-	p := m.wrap(&closingConn{nullConn{remote: node}})
+	p := m.wrap(&closingConn{nullConn{}})
 	sendErrs, closes := 0, 0
 	p.OnSendError(func(error) { sendErrs++ })
 	p.OnClose(func() { closes++ })

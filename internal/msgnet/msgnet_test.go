@@ -468,7 +468,7 @@ func probePeer(opts Options) (*sim.Loop, *Peer) {
 	nw := fabric.New(loop, model.Default())
 	node := nw.AddNode("probe")
 	m := newMesh(node, nil, opts)
-	return loop, m.wrap(&nullConn{remote: node})
+	return loop, m.wrap(&nullConn{})
 }
 
 // TestQueueBytesFramedAccounting pins the send-queue accounting to

@@ -32,8 +32,8 @@ func lendingPair(opts Options) (loop *sim.Loop, from, to *Peer) {
 	loop = sim.NewLoop(1)
 	node := fabric.New(loop, model.Default()).AddNode("n")
 	m := newMesh(node, nil, opts)
-	to = m.wrap(&nullConn{remote: node})
-	from = m.wrap(&lendingConn{nullConn: nullConn{remote: node}, to: to})
+	to = m.wrap(&nullConn{})
+	from = m.wrap(&lendingConn{nullConn: nullConn{}, to: to})
 	return loop, from, to
 }
 

@@ -40,8 +40,8 @@ type Client struct {
 	spare   sim.FreeList[invocation] // finished records, vote cells emptied and kept
 	scratch []byte                   // the request being sent, see broadcast
 
-	// Read-only fast path (disabled until EnableReadFastPath).
-	fastReadsOn bool
+	// Read-only fast path (off while readTimeout is 0; see
+	// EnableReadFastPath).
 	loop        *sim.Loop
 	readTimeout sim.Time
 	reads       map[uint64]*readInvocation
@@ -113,10 +113,9 @@ func (c *Client) SendErrors() uint64 { return *c.sendErrs }
 
 // EnableReadFastPath turns on the read-only optimization: InvokeRead
 // multicasts reads instead of ordering them, falling back to the ordered
-// path if a matching 2F+1 quorum has not formed after timeout. The loop
-// drives the fallback timer.
+// path if a matching 2F+1 quorum has not formed after timeout, which must
+// be positive. The loop drives the fallback timer.
 func (c *Client) EnableReadFastPath(loop *sim.Loop, timeout sim.Time) {
-	c.fastReadsOn = true
 	c.loop = loop
 	c.readTimeout = timeout
 }
@@ -183,7 +182,7 @@ func (c *Client) Invoke(op []byte, done func(result []byte)) string {
 // returned key is stable across a fallback, so callers trace the invocation
 // under one id either way.
 func (c *Client) InvokeRead(op []byte, done func(result []byte)) string {
-	if !c.fastReadsOn {
+	if c.readTimeout == 0 {
 		return c.Invoke(op, done)
 	}
 	c.next++

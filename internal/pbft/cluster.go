@@ -224,8 +224,6 @@ func (pl *Placement) dial(i, j int, done func(error)) {
 type FrontEnd struct {
 	Mesh    *msgnet.Mesh
 	Clients []*Client
-
-	loop *sim.Loop
 }
 
 // NewFrontEnd creates node name, links it to the hosts of every group and
@@ -245,7 +243,7 @@ func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances 
 	if err != nil {
 		return nil, err
 	}
-	fe := &FrontEnd{Mesh: mesh, loop: h0.Loop}
+	fe := &FrontEnd{Mesh: mesh}
 	var dialErr error
 	dials, want := 0, 0
 	for _, h := range groups {
@@ -275,22 +273,6 @@ func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances 
 		return nil, fmt.Errorf("pbft: front-end %s wired %d of %d connections", name, dials, want)
 	}
 	return fe, nil
-}
-
-// EnableReadFastPath turns on the read-only optimization on every client
-// with this fallback timeout (see Client.EnableReadFastPath).
-func (fe *FrontEnd) EnableReadFastPath(timeout sim.Time) {
-	for _, cl := range fe.Clients {
-		cl.EnableReadFastPath(fe.loop, timeout)
-	}
-}
-
-// SetReadPathHook propagates a path-taken callback to every client (see
-// Client.SetReadPathHook).
-func (fe *FrontEnd) SetReadPathHook(fn func(key string, fast bool)) {
-	for _, cl := range fe.Clients {
-		cl.SetReadPathHook(fn)
-	}
 }
 
 // Outstanding returns the invocations still awaiting quorum replies

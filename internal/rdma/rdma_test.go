@@ -412,6 +412,24 @@ func TestPostSendOnUnconnectedQPFails(t *testing.T) {
 	}
 }
 
+// TestSendWithoutALinkErrorsQP: a frame the fabric refuses (here, a peer
+// no link reaches) errors the QP with the work request's opcode.
+func TestSendWithoutALinkErrorsQP(t *testing.T) {
+	r := newRig(t)
+	r.qpA.remoteNode = r.nw.AddNode("unlinked")
+	r.loop.Post(func() {
+		_ = r.qpA.PostSend(&SendWR{ID: 1, Op: OpSend, Inline: []byte("x"), Signaled: true})
+	})
+	r.loop.Run()
+	cqes := poll(r.cqA)
+	if len(cqes) != 1 || cqes[0].Op != OpSend || cqes[0].Status != StatusQPError {
+		t.Fatalf("want one OpSend QP_ERROR completion, got %+v", cqes)
+	}
+	if r.qpA.state != QPError {
+		t.Fatalf("QP state = %v, want ERROR", r.qpA.state)
+	}
+}
+
 func TestPostSendBadMRRejected(t *testing.T) {
 	r := newRig(t)
 	mr := r.pa.RegisterMR(16, AccessLocalWrite, nil)

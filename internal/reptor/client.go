@@ -22,9 +22,6 @@ func (g *Group) AddClient() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if g.readFastPath > 0 {
-		fe.EnableReadFastPath(g.readFastPath)
-	}
 	cl := &Client{FrontEnd: fe, cfg: g.Config}
 	g.clients = append(g.clients, cl)
 	return cl, nil
@@ -40,11 +37,10 @@ func (c *Client) Invoke(op []byte, done func([]byte)) string {
 // InvokeOp routes one encoded kvstore operation by the state-machine
 // keys it touches (kvstore.PlanOp over K partitions). Instances execute
 // independently against the shared node-local state machine, so a key's
-// operations must all be ordered by the instance owning it. Single-key
-// reads ride that instance's fast path (a no-op routing to the ordered
-// path while the fast path is off); scans scatter across instances; a
-// transaction runs one-phase when its keys share an instance and is
-// refused otherwise — COP has no 2PC.
+// operations must all be ordered by the instance owning it. A single-key
+// operation goes to that instance's ordered path; scans scatter across
+// instances; a transaction runs one-phase when its keys share an instance
+// and is refused otherwise — COP has no 2PC.
 func (c *Client) InvokeOp(op []byte, done func([]byte)) string {
 	p := kvstore.PlanOp(op, len(c.Clients))
 	switch {
@@ -55,8 +51,6 @@ func (c *Client) InvokeOp(op []byte, done func([]byte)) string {
 	case p.Route == kvstore.RouteCross:
 		done([]byte("ERR cross-instance transaction (COP has no 2PC; use the shard layer)"))
 		return ""
-	case p.Read:
-		return c.Clients[p.Part].InvokeRead(op, done)
 	}
 	return c.Clients[p.Part].Invoke(op, done)
 }

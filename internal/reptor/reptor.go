@@ -92,24 +92,6 @@ type Group struct {
 
 	placements []*pbft.Placement
 	clients    []*Client
-
-	// readFastPath, when non-zero, enables the read-only fast path on
-	// every client (existing and future) with this fallback timeout.
-	readFastPath sim.Time
-}
-
-// EnableReadFastPath turns on the read-only optimization for the group's
-// clients: InvokeOp multicasts single-key reads to the owning instance's
-// replicas and accepts 2F+1 matching tentative replies, falling back to
-// the ordered path after timeout. Tentative reads execute against the
-// node-local state machine shared by all instances, so a read routed to
-// its key's owning instance observes that key exactly as the ordered
-// path would.
-func (g *Group) EnableReadFastPath(timeout sim.Time) {
-	g.readFastPath = timeout
-	for _, cl := range g.clients {
-		cl.EnableReadFastPath(timeout)
-	}
 }
 
 // NewGroup assembles the deployment on a fresh simulation loop.

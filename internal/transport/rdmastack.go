@@ -28,9 +28,6 @@ func newRDMAStack(dev *rdma.Device, thread *sim.Resource, opts Options) *rdmaSta
 	return s
 }
 
-func (s *rdmaStack) Node() *fabric.Node { return s.node }
-func (s *rdmaStack) Kind() Kind         { return KindRDMA }
-
 // chanConfig sizes RUBIN channels from the stack options.
 func (s *rdmaStack) chanConfig() rubin.Config {
 	cfg := rubin.DefaultConfig()
@@ -118,8 +115,6 @@ type rdmaConn struct {
 }
 
 var _ Conn = (*rdmaConn)(nil)
-
-func (c *rdmaConn) Kind() Kind { return KindRDMA }
 
 func (c *rdmaConn) Peer() *fabric.Node { return c.ch.Peer() }
 

@@ -89,8 +89,6 @@ type Conn interface {
 	Peer() *fabric.Node
 	// Close tears the connection down.
 	Close()
-	// Kind reports the backend.
-	Kind() Kind
 }
 
 // Stack accepts and originates connections on one node.
@@ -99,10 +97,6 @@ type Stack interface {
 	Listen(port int, accept func(Conn)) error
 	// Dial connects to a port on a remote node.
 	Dial(remote *fabric.Node, port int, done func(Conn, error))
-	// Node returns the fabric node this stack runs on.
-	Node() *fabric.Node
-	// Kind reports the backend.
-	Kind() Kind
 }
 
 // NewStack creates a stack of the requested kind on a node, multiplexing
@@ -207,9 +201,6 @@ func newTCPStack(st *tcpsim.Stack, opts Options) *tcpStack {
 	return s
 }
 
-func (s *tcpStack) Node() *fabric.Node { return s.node }
-func (s *tcpStack) Kind() Kind         { return KindTCP }
-
 func (s *tcpStack) Listen(port int, accept func(Conn)) error {
 	ssc, err := nio.ListenSocket(s.st, port)
 	if err != nil {
@@ -299,7 +290,6 @@ type tcpConn struct {
 
 var _ Conn = (*tcpConn)(nil)
 
-func (c *tcpConn) Kind() Kind         { return KindTCP }
 func (c *tcpConn) Peer() *fabric.Node { return c.conn.RemoteNode() }
 
 func (c *tcpConn) Unsent() int { return c.sendQ.Len() }

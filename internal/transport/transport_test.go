@@ -78,9 +78,6 @@ func TestMessageDeliveryBothBackends(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			r := newRig(t, kind, 2, DefaultOptions())
 			client, server := r.pair(t, 700)
-			if client.Kind() != kind || server.Kind() != kind {
-				t.Fatal("kind mismatch")
-			}
 			var got [][]byte
 			server.OnMessage(func(m []byte) { got = append(got, bytes.Clone(m)) })
 			want := [][]byte{

@@ -17,7 +17,7 @@ import (
 
 // sourceTree is every package of the repository type-checked with its
 // tests: what the source-reading gates (TestDeadSurface,
-// TestModelParamsAreCharged, TestMapRangeGate) walk. The type-check is most of what those gates cost, so it is done
+// TestModelParamsAreCharged, TestMapRangeGate, TestNeverRunList) walk. The type-check is most of what those gates cost, so it is done
 // once per test binary, whichever of them runs first.
 type sourceTree struct {
 	fset  *token.FileSet
