@@ -8,10 +8,11 @@ import (
 )
 
 // The gates on what the store allocates: an operation costs the heap what
-// the store keeps — a put's key, and its value unless the op is long enough
-// to be kept whole — plus the one reply that is not shared (a scan's lines;
-// a get answers with the stored bytes); a checkpoint costs one exactly sized
-// encoding per dirty bucket, and digesting clean buckets nothing. Like the
+// the store keeps — a put's value unless the op is long enough to be kept
+// whole, and for a key the store does not hold its string and cell — plus
+// the one reply that is not shared (a scan's lines; a get answers with the
+// stored bytes); a checkpoint costs one exactly sized encoding per dirty
+// bucket, and digesting clean buckets nothing. Like the
 // gates below pbft they skip under -race, whose runtime allocates on its own.
 
 func skipUnderRace(t *testing.T) {
@@ -24,11 +25,12 @@ func skipUnderRace(t *testing.T) {
 func TestExecuteAllocatesOnlyWhatTheStoreKeeps(t *testing.T) {
 	skipUnderRace(t)
 	s := New()
+	gone := EncodeOp(OpPut, "gone", "value")
+	large := EncodeOp(OpPut, "large", string(make([]byte, 32<<10)))
 	for _, k := range []string{"k000010", "k000011", "k000012", "x"} {
 		s.Execute(EncodeOp(OpPut, k, "value-"+k))
 	}
-	gone := EncodeOp(OpPut, "gone", "value")
-	large := EncodeOp(OpPut, "large", string(make([]byte, 32<<10)))
+	s.Execute(large)
 	for _, tc := range []struct {
 		name  string
 		ops   [][]byte
@@ -37,9 +39,9 @@ func TestExecuteAllocatesOnlyWhatTheStoreKeeps(t *testing.T) {
 	}{
 		{"get", [][]byte{EncodeOp(OpGet, "k000010", "")}, 0, "value-k000010"},
 		{"get of a missing key", [][]byte{EncodeOp(OpGet, "nope", "")}, 0, "NOTFOUND"},
-		{"put", [][]byte{EncodeOp(OpPut, "k000011", "value-k000011")}, 2, "OK"},
-		{"put of a 32 KiB value", [][]byte{large}, 1, "OK"},
-		{"put, then delete", [][]byte{gone, EncodeOp(OpDelete, "gone", "")}, 2, "OK"},
+		{"put to a held key", [][]byte{EncodeOp(OpPut, "k000011", "value-k000011")}, 1, "OK"},
+		{"put of a 32 KiB value to a held key", [][]byte{large}, 0, "OK"},
+		{"put to a new key, then delete", [][]byte{gone, EncodeOp(OpDelete, "gone", "")}, 3, "OK"},
 		{"delete of a missing key", [][]byte{EncodeOp(OpDelete, "nope", "")}, 0, "NOTFOUND"},
 		{"scan", [][]byte{EncodeOp(OpScan, "k00001", "16")}, 1, "k000010=value-k000010\nk000011=value-k000011\nk000012=value-k000012"},
 		{"scan matching nothing", [][]byte{EncodeOp(OpScan, "zz", "16")}, 0, ""},

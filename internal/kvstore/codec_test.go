@@ -36,7 +36,7 @@ func (l *layout) subs(subs []TxnSub) {
 	}
 }
 
-func (l *layout) bucket(m map[string][]byte) {
+func (l *layout) bucket(m bucket) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -45,7 +45,7 @@ func (l *layout) bucket(m map[string][]byte) {
 	l.u32(len(keys))
 	for _, k := range keys {
 		l.str(k)
-		l.str(string(m[k]))
+		l.str(string(*m[k]))
 	}
 }
 

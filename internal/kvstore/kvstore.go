@@ -36,11 +36,11 @@ const (
 // A stored value is never written again, so a get answers with it. A put
 // of an op above ownedOp keeps its value as a slice of the op, the replica's
 // own copy and an allocation of its own (pbft.PartitionedState); a shorter
-// value, and a transferred or restored one, is copied once.
+// value, and a transferred or restored one, is copied once. A put to a key
+// the store holds replaces the value in the key's cell.
 type Store struct {
-	// buckets holds the key/value data, partitioned by bucketOf. A nil
-	// bucket map is an empty bucket.
-	buckets [MerkleBuckets]map[string][]byte
+	// buckets holds the key/value data, partitioned by bucketOf.
+	buckets [MerkleBuckets]bucket
 
 	// 2PC participant state (see txn.go): staged transactions and the
 	// write locks they hold. Both are part of the marshaled state, so
@@ -87,6 +87,20 @@ var (
 
 const ownedOp = 4 << 10 // above it pbft's Replica.keep gives an op an allocation of its own
 
+// bucket maps each key of one partition to the cell holding its value. A
+// put finds a held key's cell with m[string(key)], a lookup, which makes no
+// string; only a key the bucket does not hold costs its string and cell. A
+// nil bucket is an empty one.
+type bucket map[string]*[]byte
+
+// stored returns key's value in b.
+func stored[K string | []byte](b bucket, key K) (v []byte, found bool) {
+	if c := b[string(key)]; c != nil {
+		return *c, true
+	}
+	return nil, false
+}
+
 // New returns an empty store.
 func New() *Store {
 	return &Store{
@@ -101,17 +115,22 @@ func (s *Store) Applied() uint64 { return s.applied }
 // Get reads a key from its bucket, as a copy: how a test inspects a
 // replica's store directly (local, not ordered).
 func (s *Store) Get(key string) (string, bool) {
-	v, ok := s.buckets[bucketOf(key)][key]
+	v, ok := stored(s.buckets[bucketOf(key)], key)
 	return string(v), ok
 }
 
 // put writes a key, keeping value as it is, and dirties its bucket.
-func (s *Store) put(key string, value []byte) {
+func (s *Store) put(key, value []byte) {
 	b := bucketOf(key)
-	if s.buckets[b] == nil {
-		s.buckets[b] = make(map[string][]byte)
+	c := s.buckets[b][string(key)]
+	if c == nil {
+		if s.buckets[b] == nil {
+			s.buckets[b] = make(bucket)
+		}
+		c = new([]byte)
+		s.buckets[b][string(key)] = c
 	}
-	s.buckets[b][key] = slices.Clip(value)
+	*c = slices.Clip(value)
 	s.touchBucket(b)
 }
 
@@ -119,7 +138,7 @@ func (s *Store) put(key string, value []byte) {
 // existed.
 func (s *Store) del(key []byte) bool {
 	b := bucketOf(key)
-	if _, ok := s.buckets[b][string(key)]; !ok {
+	if s.buckets[b][string(key)] == nil {
 		return false
 	}
 	delete(s.buckets[b], string(key))
@@ -142,7 +161,7 @@ func (s *Store) touchPrepared() {
 
 // appendKeys appends the keys of m with prefix in partition part of parts,
 // in map order: every caller sorts what it collects.
-func appendKeys(keys []string, m map[string][]byte, prefix []byte, part, parts int) []string {
+func appendKeys(keys []string, m bucket, prefix []byte, part, parts int) []string {
 	for k := range m {
 		if len(k) >= len(prefix) && k[:len(prefix)] == string(prefix) && PartitionKey(k, parts) == part {
 			keys = append(keys, k)
@@ -154,9 +173,12 @@ func appendKeys(keys []string, m map[string][]byte, prefix []byte, part, parts i
 // EncodeOp serializes an operation for submission through the agreement
 // layer.
 func EncodeOp(code OpCode, key, value string) []byte {
-	buf := make([]byte, 1, 1+4+len(key)+4+len(value))
-	buf[0] = byte(code)
-	return appendStr(appendStr(buf, key), value)
+	return AppendOp(make([]byte, 0, 1+4+len(key)+4+len(value)), code, key, value)
+}
+
+// AppendOp appends the serialization EncodeOp makes to buf.
+func AppendOp(buf []byte, code OpCode, key, value string) []byte {
+	return appendStr(appendStr(append(buf, byte(code)), key), value)
 }
 
 // DecodeOp parses an operation.
@@ -197,7 +219,7 @@ func (s *Store) Execute(op []byte) []byte {
 			if len(op) <= ownedOp {
 				value = bytes.Clone(value)
 			}
-			s.put(string(key), value)
+			s.put(key, value)
 		} else if !s.del(key) {
 			return replyNotFound
 		}
@@ -241,8 +263,7 @@ func (s *Store) ExecuteReadOnly(op []byte) []byte {
 func (s *Store) read(code OpCode, key, value []byte) (reply []byte, ok bool) {
 	switch code {
 	case OpGet: // the key indexes the map without being made a string
-		v, found := s.buckets[bucketOf(key)][string(key)]
-		return getReply(v, found), true
+		return getReply(stored(s.buckets[bucketOf(key)], key)), true
 	case OpScan:
 		limit, err := scanLimit(value)
 		if err != nil {
@@ -293,14 +314,14 @@ func (s *Store) scanPart(prefix []byte, limit, part, parts int) []byte {
 	}
 	size := max(len(keys)-1, 0) // the newlines
 	for _, k := range keys {
-		size += len(k) + 1 + len(s.buckets[bucketOf(k)][k])
+		size += len(k) + 1 + len(*s.buckets[bucketOf(k)][k])
 	}
 	reply := make([]byte, 0, size)
 	for i, k := range keys {
 		if i > 0 {
 			reply = append(reply, '\n')
 		}
-		reply = append(append(append(reply, k...), '='), s.buckets[bucketOf(k)][k]...)
+		reply = append(append(append(reply, k...), '='), *s.buckets[bucketOf(k)][k]...)
 	}
 	return reply
 }
@@ -380,15 +401,15 @@ func (s *Store) UnmarshalState(state []byte) error {
 	if n := d.u32(); d.err == nil && n != MerkleBuckets {
 		return fmt.Errorf("kvstore: state has %d partitions (want %d)", n, MerkleBuckets)
 	}
-	var buckets [MerkleBuckets]map[string][]byte
+	var buckets [MerkleBuckets]bucket
 	for b := 0; b < MerkleBuckets && d.err == nil; b++ {
 		for npairs := d.u32(); npairs > 0 && d.err == nil; npairs-- {
 			k, v := d.str(), bytes.Clone(d.field())
 			home := bucketOf(k)
 			if buckets[home] == nil {
-				buckets[home] = make(map[string][]byte)
+				buckets[home] = make(bucket)
 			}
-			buckets[home][k] = v
+			buckets[home][k] = &v
 		}
 	}
 	prepared, locks, err := decodePrepared(&d)
@@ -400,7 +421,7 @@ func (s *Store) UnmarshalState(state []byte) error {
 }
 
 // install replaces the whole state, every bucket dirty: caches rebuild on demand.
-func (s *Store) install(applied uint64, buckets [MerkleBuckets]map[string][]byte, prepared map[string]*preparedTxn, locks map[string]string) {
+func (s *Store) install(applied uint64, buckets [MerkleBuckets]bucket, prepared map[string]*preparedTxn, locks map[string]string) {
 	*s = Store{buckets: buckets, prepared: prepared, locks: locks, applied: applied}
 	for i := range s.bucketMod {
 		s.bucketMod[i] = applied

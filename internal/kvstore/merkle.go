@@ -144,10 +144,13 @@ func (s *Store) ApplyPartition(part int, data []byte) error {
 // decodeBucket parses one bucket encoding, enforcing canonical form:
 // strictly ascending keys, every key owned by the bucket, no trailing
 // bytes.
-func decodeBucket(part int, data []byte) (map[string][]byte, error) {
+func decodeBucket(part int, data []byte) (bucket, error) {
 	d := dec{buf: data, what: "partition"}
 	npairs := d.u32()
-	m := make(map[string][]byte, min(npairs, 1<<16))
+	m := make(bucket, min(npairs, 1<<16))
+	// The cells in one allocation: a pair takes at least its two length
+	// prefixes, so more than the data could hold is a decoding error.
+	cells := make([][]byte, 0, min(npairs, uint32(len(data)/8)))
 	for prev := ""; npairs > 0 && d.err == nil; npairs-- {
 		k, v := d.str(), bytes.Clone(d.field())
 		if d.err != nil {
@@ -160,7 +163,8 @@ func decodeBucket(part int, data []byte) (map[string][]byte, error) {
 			return nil, fmt.Errorf("kvstore: key %q does not belong to partition %d", k, part)
 		}
 		prev = k
-		m[k] = v
+		cells = append(cells, v)
+		m[k] = &cells[len(cells)-1]
 	}
 	return m, d.end()
 }
@@ -179,7 +183,7 @@ func (s *Store) ApplyTransfer(header []byte, parts [][]byte) error {
 	if err != nil {
 		return err
 	}
-	var buckets [MerkleBuckets]map[string][]byte
+	var buckets [MerkleBuckets]bucket
 	for i, p := range parts {
 		if buckets[i], err = decodeBucket(i, p); err != nil {
 			return fmt.Errorf("kvstore: transfer partition %d: %w", i, err)
@@ -231,16 +235,16 @@ func (s *Store) bucketBytes(i int) []byte {
 
 // encodeBucket serializes one bucket map in canonical form, in one
 // allocation of its exact size: the keys are sorted in the scratch.
-func (s *Store) encodeBucket(m map[string][]byte) []byte {
+func (s *Store) encodeBucket(m bucket) []byte {
 	s.keys = appendKeys(s.keys[:0], m, nil, 0, 1)
 	slices.Sort(s.keys)
 	size := 4
 	for _, k := range s.keys {
-		size += 4 + len(k) + 4 + len(m[k])
+		size += 4 + len(k) + 4 + len(*m[k])
 	}
 	buf := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(len(s.keys)))
 	for _, k := range s.keys {
-		buf = appendStr(appendStr(buf, k), m[k])
+		buf = appendStr(appendStr(buf, k), *m[k])
 	}
 	return buf
 }

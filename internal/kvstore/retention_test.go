@@ -31,7 +31,7 @@ func TestLargePutKeepsTheOpsBytes(t *testing.T) {
 	value := bytes.Repeat([]byte{'v'}, ownedOp)
 	op := EncodeOp(OpPut, "k", string(value))
 	s.Execute(op)
-	v := s.buckets[bucketOf("k")]["k"]
+	v := *s.buckets[bucketOf("k")]["k"]
 	if !bytes.Equal(v, value) || &v[0] != &op[len(op)-len(value)] {
 		t.Fatalf("a %d B op's value was copied, not kept as the op's last %d bytes", len(op), len(value))
 	}

@@ -292,11 +292,10 @@ func (s *Store) executeTxn(id string, payload []byte) []byte {
 	for i, sub := range subs {
 		switch sub.Code {
 		case OpPut:
-			s.put(sub.Key, []byte(sub.Value))
+			s.put([]byte(sub.Key), []byte(sub.Value))
 			results[i] = replyOK
 		case OpGet:
-			v, found := s.buckets[bucketOf(sub.Key)][sub.Key]
-			results[i] = getReply(v, found)
+			results[i] = getReply(stored(s.buckets[bucketOf(sub.Key)], sub.Key))
 		}
 	}
 	return EncodeTxnResult(TxnCommitted, results)
@@ -332,8 +331,7 @@ func (s *Store) executePrepare(id string, payload []byte) []byte {
 			if v, ok := overlay[sub.Key]; ok {
 				results[i] = []byte(v)
 			} else {
-				v, found := s.buckets[bucketOf(sub.Key)][sub.Key]
-				results[i] = getReply(v, found)
+				results[i] = getReply(stored(s.buckets[bucketOf(sub.Key)], sub.Key))
 			}
 		}
 	}
@@ -351,7 +349,7 @@ func (s *Store) executeCommit(id string) []byte {
 	}
 	for _, sub := range staged.subs {
 		if sub.Code == OpPut {
-			s.put(sub.Key, []byte(sub.Value))
+			s.put([]byte(sub.Key), []byte(sub.Value))
 		}
 	}
 	s.releaseTxn(id, staged)

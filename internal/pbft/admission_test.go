@@ -197,9 +197,9 @@ func TestStablePointPassingUnexecutedRequestsDropsThem(t *testing.T) {
 func TestRepeatedProposalKeepsItsSlot(t *testing.T) {
 	x := newTimerFixture(t)
 	x.commit(1, 1)
-	pp := *x.r.lookup(1).pp
+	pp := x.r.lookup(1).pp
 	x.r.handleEnvelope(sealedBy(x.r, x.r.Leader(pp.View), pp))
-	if s := x.r.lookup(1); s == nil || s.pp == nil || s.pp.Digest != pp.Digest {
+	if s := x.r.lookup(1); s == nil || !s.proposed || s.pp.Digest != pp.Digest {
 		t.Fatal("a repeat of the executed proposal took it out of its slot")
 	}
 	x.r.advanceStable(64)
@@ -235,7 +235,7 @@ func TestRowFollowsItsLatestSlot(t *testing.T) {
 
 	x = newTimerFixture(t)
 	x.commit(1, 1)
-	if s := x.preprepare(70, 1); s == nil || s.pp != nil {
+	if s := x.preprepare(70, 1); s == nil || s.proposed {
 		t.Error("a replay of a request this backup executed and released was not dropped")
 	}
 	if row := x.r.requests[id]; row.state != done || row.seq != 1 || row.Op != nil {

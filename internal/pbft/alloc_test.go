@@ -63,55 +63,69 @@ func TestVoteDeliveryAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestProposalAllocatesWhatItKeeps: with nothing waiting for a request, a
-// proposal costs the heap what its replicas keep. A backup that holds the
-// client's copy of every request a PRE-PREPARE names opens, checks, decodes
-// and accepts it — moves each request's row, PREPAREs — allocating the
-// proposal and its one slice of refs, as it allocated the proposal and its
-// one slice of requests when a PRE-PREPARE carried them. A leader building
-// a proposal of eight admitted requests allocates the same two and the
-// closure that sends it once its work is done: no slice of digests, and
-// nothing for the retry it posts for the requests still queued.
+// TestProposalAllocatesWhatItKeeps: once the log has wrapped, a proposal
+// costs the heap nothing at either end — its cell holds it by value, with
+// its refs in the backing they went into on the cell's last lap. A backup
+// that holds the client's copy of every request a PRE-PREPARE names opens,
+// checks and decodes it (its refs into the replica's lent scratch), copies
+// the refs into the cell, moves each request's row and PREPAREs; a leader
+// builds a proposal of eight queued requests in its cell and sends it
+// through its one bound callback, with no closure and no slice of refs. The
+// first lap pays for the cells, their tallies and the refs' backings, and
+// each request's row is what a replica keeps of it: both are made before
+// the measurement.
 func TestProposalAllocatesWhatItKeeps(t *testing.T) {
 	skipUnderRace(t)
 	cfg := DefaultConfig()
+	cfg.LogWindow = cfg.CheckpointEvery
 	const runs = 51 // AllocsPerRun's warm-up and 50 measured
 	backup, leader := bareReplica(t, 1, cfg), bareReplica(t, 0, cfg)
-	var raws [][]byte
-	for seq := uint64(1); seq <= runs+1; seq++ { // one batch more, so every proposal leaves some queued
-		batch := make([]Request, cfg.BatchSize)
-		for i := range batch {
-			batch[i] = timerRequest(seq*100 + uint64(i))
-			backup.handleRequest(batch[i])
-			d, _ := leader.digest(batch[i])
-			leader.file(batch[i], d, assigned, 0)
-			leader.order(refOf(batch[i]), 0)
+	var queued []admitted // the leader's batches, one BatchSize run each
+	ts := uint64(0)
+	batch := func(seq uint64) []byte {
+		reqs := make([]Request, cfg.BatchSize)
+		for i := range reqs {
+			ts++
+			reqs[i] = timerRequest(ts)
+			backup.handleRequest(reqs[i])
+			queued = append(queued, admitted{RequestRef: refOf(reqs[i])})
 		}
-		backup.slotFor(seq) // a ring cell is state the replica keeps
-		leader.slotFor(seq)
-		raws = append(raws, sealedBy(backup, 0, PrePrepare{Seq: seq, Digest: BatchDigest(batch), Refs: refsOf(batch)}))
+		return sealedBy(backup, 0, PrePrepare{Seq: seq, Digest: BatchDigest(reqs), Refs: refsOf(reqs)})
+	}
+	propose := func() {
+		for _, q := range queued[:cfg.BatchSize] {
+			leader.pending.Push(q)
+		}
+		queued = queued[cfg.BatchSize:]
+		leader.proposeBatch()
+		for len(leader.unsent) > 0 && leader.node.Loop().Step() {
+		}
+	}
+	for seq := uint64(1); seq <= cfg.LogWindow; seq++ { // the first lap
+		backup.handleEnvelope(batch(seq))
+		propose()
+	}
+	for _, r := range []*Replica{backup, leader} {
+		r.executed = cfg.LogWindow
+		r.advanceStable(cfg.LogWindow)
+	}
+	var raws [][]byte
+	for seq := cfg.LogWindow + 1; seq <= cfg.LogWindow+runs; seq++ {
+		raws = append(raws, batch(seq))
 	}
 	next := 0
-	if allocs := testing.AllocsPerRun(runs-1, func() { backup.handleEnvelope(raws[next]); next++ }); allocs != 2 {
-		t.Errorf("accepting a pre-prepare of %d held requests allocates %v times, want 2: the proposal and its refs", cfg.BatchSize, allocs)
+	if allocs := testing.AllocsPerRun(runs-1, func() { backup.handleEnvelope(raws[next]); next++ }); allocs != 0 {
+		t.Errorf("accepting a pre-prepare of %d held requests allocates %v times, want 0", cfg.BatchSize, allocs)
 	}
-	if s := backup.lookup(runs); s == nil || !s.sentPrep || len(backup.parked) != 0 {
+	if s := backup.lookup(cfg.LogWindow + runs); s == nil || !s.sentPrep || len(backup.parked) != 0 {
 		t.Fatal("the backup did not PREPARE the last proposal: the gate measured a drop")
 	}
-	// The loop recycles its events, but the leader's never runs here (its
-	// progress timer is armed): fill the free list it will draw on.
-	var timers []sim.Timer
-	for i := 0; i < 2*runs; i++ {
-		timers = append(timers, leader.node.Loop().Post(func() {}))
+	if allocs := testing.AllocsPerRun(runs-1, propose); allocs != 0 {
+		t.Errorf("proposing and sending %d queued requests allocates %v times, want 0", cfg.BatchSize, allocs)
 	}
-	for _, timer := range timers {
-		timer.Cancel()
-	}
-	if allocs := testing.AllocsPerRun(runs-1, leader.proposeBatch); allocs != 3 {
-		t.Errorf("proposing %d admitted requests allocates %v times, want 3: the proposal, its refs and its send", cfg.BatchSize, allocs)
-	}
-	if s := leader.lookup(runs); s == nil || s.pp == nil || len(s.pp.Refs) != cfg.BatchSize {
-		t.Fatal("the leader did not propose its last batch: the gate measured nothing")
+	s := leader.lookup(cfg.LogWindow + runs)
+	if s == nil || !s.proposed || len(s.pp.Refs) != cfg.BatchSize || *leader.sendFaults != uint64(cfg.N-1)*(cfg.LogWindow+runs) {
+		t.Fatal("the leader did not propose and send every batch: the gate measured nothing")
 	}
 }
 

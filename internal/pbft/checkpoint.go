@@ -271,7 +271,7 @@ func (r *Replica) advanceStable(seq uint64) {
 	}
 	for at := r.stable + 1; at <= seq && r.inWindow(at); at++ {
 		s := r.lookup(at)
-		if s == nil || s.pp == nil {
+		if s == nil || !s.proposed {
 			continue
 		}
 		for _, ref := range s.pp.Refs {
@@ -281,7 +281,7 @@ func (r *Replica) advanceStable(seq uint64) {
 			c := r.client(ref.Client)
 			c.floor = max(c.floor, ref.Timestamp)
 		}
-		s.pp, s.parked = nil, false
+		s.proposed, s.parked = false, false
 	}
 	r.stable = seq
 	r.cps.gc(seq)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 
 	"rubin/internal/auth"
 )
@@ -161,13 +162,20 @@ func encodeRefs(e *encoder, pp PrePrepare) {
 }
 
 // decodeRefs reads a proposal's refs into one slice, sized by a count no
-// longer than the input could hold.
-func decodeRefs(d *decoder) []RequestRef {
+// longer than the input could hold: into scratch's, regrown if it is too
+// short, or with scratch nil into a slice of their own.
+func decodeRefs(d *decoder, scratch *[]RequestRef) []RequestRef {
 	n := d.count(len(d.buf) / refSize)
 	if n == 0 {
 		return nil
 	}
-	refs := make([]RequestRef, n)
+	var refs []RequestRef
+	if scratch == nil {
+		refs = make([]RequestRef, n)
+	} else {
+		refs = slices.Grow((*scratch)[:0], n)[:n]
+		*scratch = refs
+	}
 	for i := range refs {
 		refs[i] = RequestRef{RequestID{d.u32(), d.u64()}, d.digest()}
 	}
@@ -183,8 +191,8 @@ func encodeProposal(e *encoder, pp PrePrepare) {
 	encodeRefs(e, pp)
 }
 
-func decodeProposal(d *decoder) PrePrepare {
-	return PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Refs: decodeRefs(d)}
+func decodeProposal(d *decoder, scratch *[]RequestRef) PrePrepare {
+	return PrePrepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Refs: decodeRefs(d, scratch)}
 }
 
 // encodeProposals writes the proposal list of a VIEW-CHANGE or a NEW-VIEW.
@@ -197,7 +205,7 @@ func encodeProposals(e *encoder, pps []PrePrepare) {
 
 func decodeProposals(d *decoder) (pps []PrePrepare) {
 	for n := d.count(1 << 20); n > 0 && d.err == nil; n-- {
-		pps = append(pps, decodeProposal(d))
+		pps = append(pps, decodeProposal(d, nil))
 	}
 	return pps
 }
@@ -339,6 +347,7 @@ func (e *encoder) message(m Message) {
 // layouts share a field: request holds a Request or a ReadRequest, vote a
 // Prepare or a Commit.
 type decoded struct {
+	refs     *[]RequestRef // unless nil, the scratch a PRE-PREPARE's refs are decoded into
 	typ      MsgType
 	claimed  uint32 // the replica the message names as its origin, if claims
 	claims   bool
@@ -358,8 +367,9 @@ type decoded struct {
 
 // decode parses a serialized protocol message into m. The byte fields of
 // the result (operations, results, transfer headers and partitions) alias
-// raw and are valid while raw is: a receive path, lent raw until its
-// handler returns, copies what it keeps.
+// raw and are valid while raw is, and a PRE-PREPARE's refs, with m.refs
+// set, the scratch: a receive path, lent both until its handler returns,
+// copies what it keeps.
 func (m *decoded) decode(raw []byte) error {
 	d := decoder{buf: raw}
 	m.claims = false
@@ -367,7 +377,7 @@ func (m *decoded) decode(raw []byte) error {
 	case MsgRequest, MsgReadRequest:
 		m.request = decodeRequest(&d)
 	case MsgPrePrepare:
-		m.proposal = decodeProposal(&d)
+		m.proposal = decodeProposal(&d, m.refs)
 	case MsgPrepare, MsgCommit:
 		m.vote = Prepare{View: d.u64(), Seq: d.u64(), Digest: d.digest(), Replica: m.origin(&d)}
 	case MsgReply:

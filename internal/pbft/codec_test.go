@@ -366,10 +366,10 @@ func TestPrePrepareSizeIsIndependentOfPayload(t *testing.T) {
 			leader.handleRequest(req)
 		}
 		s := leader.lookup(1)
-		if s == nil || s.pp == nil {
+		if s == nil || !s.proposed {
 			t.Fatalf("%d B requests: the leader proposed nothing", opBytes)
 		}
-		raw := Encode(*s.pp)
+		raw := Encode(s.pp)
 		if bytes.Contains(raw, batch[0].Op) {
 			t.Errorf("%d B requests: the pre-prepare carries an operation", opBytes)
 		}

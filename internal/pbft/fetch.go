@@ -26,7 +26,7 @@ func (r *Replica) resolve(s *slot) {
 		case !seen:
 			missing = true
 		case row.digest != ref.Digest:
-			s.pp, s.parked = nil, false
+			s.proposed, s.parked = false, false
 			return
 		default:
 			r.assign(ref.RequestID, assigned, s.seq) // watched since it was filed
@@ -99,7 +99,7 @@ func (r *Replica) handleFetch(sender uint32, m Fetch) {
 		return
 	}
 	s := r.lookup(m.Seq)
-	if s == nil || s.pp == nil || s.parked {
+	if s == nil || !s.proposed || s.parked {
 		return
 	}
 	for _, ref := range s.pp.Refs {

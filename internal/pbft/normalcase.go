@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"bytes"
+	"slices"
 
 	"rubin/internal/auth"
 	"rubin/internal/msgnet"
@@ -11,99 +12,6 @@ import (
 
 // Normal case: request intake, leader batching, the three-phase agreement
 // and in-order execution, plus the read-only fast path and replies.
-
-// tally holds at most one vote per replica, indexed by replica id: a
-// replica that votes again replaces its vote, and counting walks the ids
-// in order.
-type tally []struct {
-	cast   bool
-	digest auth.Digest
-}
-
-// set records id's vote; an id outside the group has no cell.
-func (t tally) set(id uint32, d auth.Digest) {
-	if int(id) < len(t) {
-		t[id].cast, t[id].digest = true, d
-	}
-}
-
-// count returns how many replicas voted for d.
-func (t tally) count(d auth.Digest) int {
-	n := 0
-	for _, v := range t {
-		if v.cast && v.digest == d {
-			n++
-		}
-	}
-	return n
-}
-
-// max returns the largest number of replicas agreeing on any one digest.
-func (t tally) max() int {
-	best := 0
-	for _, v := range t {
-		if v.cast {
-			best = max(best, t.count(v.digest))
-		}
-	}
-	return best
-}
-
-// slot is one sequence number's agreement state: a cell of the replica's
-// log, tagged with the sequence it currently holds (0: none). A proposal is
-// parked while this replica lacks a copy of a request it names (see
-// resolve); a parked slot neither prepares nor executes.
-type slot struct {
-	seq      uint64
-	pp       *PrePrepare
-	parked   bool
-	prepares tally
-	commits  tally
-	sentPrep bool
-	sentComm bool
-}
-
-// reset hands the cell to seq with no agreement state. The tallies keep
-// their storage: a log that has wrapped once allocates nothing per slot.
-func (s *slot) reset(seq uint64) {
-	clear(s.prepares)
-	clear(s.commits)
-	*s = slot{seq: seq, prepares: s.prepares, commits: s.commits}
-}
-
-// inWindow is the watermark rule h < seq <= h+L. It admits one sequence per
-// residue of LogWindow, so the log is a ring of LogWindow cells indexed by
-// seq % LogWindow and advancing the stable point sweeps nothing.
-func (r *Replica) inWindow(seq uint64) bool {
-	return seq > r.stable && seq-r.stable <= r.cfg.LogWindow
-}
-
-// lookup returns seq's slot, or nil if the log holds none: a cell answers
-// only for the sequence it is tagged with and only inside the window, so
-// what the window's previous lap left behind reads as absent.
-func (r *Replica) lookup(seq uint64) *slot {
-	if s := r.log[seq%r.cfg.LogWindow]; s != nil && s.seq == seq && r.inWindow(seq) {
-		return s
-	}
-	return nil
-}
-
-// slotFor returns seq's slot, claiming its cell if another lap's sequence
-// (or nothing) holds it. Outside the window there is no cell to claim.
-func (r *Replica) slotFor(seq uint64) *slot {
-	if !r.inWindow(seq) {
-		return nil
-	}
-	s := r.log[seq%r.cfg.LogWindow]
-	if s == nil {
-		s = &slot{prepares: make(tally, r.cfg.N), commits: make(tally, r.cfg.N)}
-		r.log[seq%r.cfg.LogWindow] = s
-	}
-	if s.seq != seq {
-		s.reset(seq)
-	}
-	return s
-}
 
 // client is a row of the client table: where the client's replies go, the
 // last one (a repeat of that request is answered from it: exactly-once) and
@@ -322,35 +230,61 @@ func (r *Replica) proposeBatch() {
 	}
 	r.seqNext++
 	seq := r.seqNext
-	refs := make([]RequestRef, min(r.pending.Len(), r.cfg.BatchSize))
+	// The proposal is built in its cell, its refs in the cell's backing.
+	s := r.slotFor(seq)
+	refs := s.pp.Refs[:0]
 	var ready sim.Time
-	for i := range refs {
+	for n := min(r.pending.Len(), r.cfg.BatchSize); n > 0; n-- {
 		q := r.pending.Pop()
-		refs[i], ready = q.RequestRef, max(ready, q.ready)
+		refs, ready = append(refs, q.RequestRef), max(ready, q.ready)
 		r.assign(q.RequestID, assigned, seq)
 	}
-	pp := PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(refs), Refs: refs}
-	ready = max(ready, r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, encodedSize(pp))))
-	r.slotFor(seq).pp = &pp
-	r.node.Loop().At(ready, func() {
-		// A view change while the proposal was being marshalled makes it
-		// stale: the requests keep their rows and the new leader
-		// re-proposes them.
-		if r.stopped || r.viewChanging || r.view != pp.View {
-			return
-		}
-		if t := r.tracer(); t != nil {
-			now := r.node.Loop().Now()
-			for _, ref := range pp.Refs {
-				t.Mark(obs.Propose, ref.Key(), now)
-			}
-		}
-		r.broadcast(pp)
-		r.tryPrepare(seq)
-	})
+	s.pp, s.proposed = PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(refs), Refs: refs}, true
+	ready = max(ready, r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, encodedSize(s.pp))))
+	r.unsent = append(r.unsent, unsentProposal{seq: seq, view: r.view, ready: ready})
+	r.node.Loop().At(ready, r.sendNext)
 	if r.pending.Len() > 0 {
 		r.node.Loop().Post(r.propose)
 	}
+}
+
+// unsentProposal is a proposal whose leader-CPU work is not yet done: its
+// sequence, the view it was made in and the instant its work is done.
+type unsentProposal struct {
+	seq, view uint64
+	ready     sim.Time
+}
+
+// sendProposal broadcasts the proposal whose work is done. Every proposal
+// schedules one call at its ready instant, and the loop fires calls in
+// (instant, scheduling) order, so the one due is the unsent proposal with
+// the earliest ready instant, the first made among equals.
+func (r *Replica) sendProposal() {
+	due := 0
+	for i, u := range r.unsent {
+		if u.ready < r.unsent[due].ready {
+			due = i
+		}
+	}
+	u := r.unsent[due]
+	r.unsent = slices.Delete(r.unsent, due, due+1)
+	// A view change while the proposal was being marshalled makes it
+	// stale: the requests keep their rows and the new leader re-proposes
+	// them. So does a stable point that passed its sequence meanwhile,
+	// which only a state transfer can move there: the cell is not its any
+	// more.
+	s := r.lookup(u.seq)
+	if r.stopped || r.viewChanging || r.view != u.view || s == nil || !s.proposed {
+		return
+	}
+	if t := r.tracer(); t != nil {
+		now := r.node.Loop().Now()
+		for _, ref := range s.pp.Refs {
+			t.Mark(obs.Propose, ref.Key(), now)
+		}
+	}
+	r.broadcast(s.pp)
+	r.tryPrepare(u.seq)
 }
 
 // ProposeHeartbeat makes a leader propose empty batches for every
@@ -370,10 +304,9 @@ func (r *Replica) ProposeHeartbeat(upTo uint64) int {
 	proposed := 0
 	for r.seqNext < upTo && r.seqNext < r.stable+r.cfg.LogWindow {
 		r.seqNext++
-		seq := r.seqNext
-		pp := PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(nil)}
-		r.slotFor(seq).pp = &pp
-		r.broadcast(pp)
+		s := r.slotFor(r.seqNext)
+		s.propose(PrePrepare{View: r.view, Seq: r.seqNext, Digest: r.batches.digest(nil)})
+		r.broadcast(s.pp)
 		proposed++
 	}
 	// Prepare after all proposals are out so the fill is one pipelined
@@ -391,7 +324,9 @@ func (r *Replica) accepts(view, seq uint64) bool {
 }
 
 // handlePrePrepare processes a proposal; size is its encoded length as
-// received, which the modeled digest check is charged for.
+// received, which the modeled digest check is charged for. pp's refs are
+// lent (the replica's decode scratch): an accepted proposal's are copied
+// into its cell.
 func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	if !r.accepts(pp.View, pp.Seq) || sender != r.Leader(pp.View) {
 		return // only the view's leader may propose
@@ -407,20 +342,20 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 		return
 	}
 	s := r.slotFor(pp.Seq)
-	if s.pp != nil && s.pp.Digest != pp.Digest && s.pp.View == pp.View {
+	if s.proposed && s.pp.Digest != pp.Digest && s.pp.View == pp.View {
 		// Conflicting proposal for the same (view, seq): Byzantine
 		// leader; demand a view change.
 		r.startViewChange(r.view + 1)
 		return
 	}
-	if s.pp != nil && s.pp.View == pp.View || pp.Seq <= r.executed {
+	if s.proposed && s.pp.View == pp.View || pp.Seq <= r.executed {
 		// A repeat, which any replica can replay since its MACs pass. Once
 		// executed, this replica has released its copies, and resolving the
 		// repeat would drop the slot's proposal and, with it, the rows
 		// advanceStable deletes.
 		return
 	}
-	s.pp = &pp
+	s.propose(pp)
 	r.resolve(s)
 }
 
@@ -438,7 +373,7 @@ func (r *Replica) handlePrepare(m Prepare) {
 // prepares (from distinct non-leader replicas, possibly including our own).
 // A parked proposal is not one yet: this replica could not execute it.
 func (r *Replica) prepared(s *slot) bool {
-	return s.pp != nil && !s.parked && s.prepares.count(s.pp.Digest) >= 2*r.cfg.F
+	return s.proposed && !s.parked && s.prepares.count(s.pp.Digest) >= 2*r.cfg.F
 }
 
 func (r *Replica) tryPrepare(seq uint64) {

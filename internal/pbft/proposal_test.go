@@ -36,7 +36,7 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	}
 	closed := 3 * gap
 	order, filed := params.Protocol.OrderCost(refSize), auth.DigestCost(params.Crypto, 1024)
-	size := encodedSize(*r.lookup(1).pp)
+	size := encodedSize(r.lookup(1).pp)
 	digest := auth.DigestCost(params.Crypto, size)
 	if want := closed + max(order, filed, digest); loop.Now() != want {
 		t.Errorf("the pre-prepare left at %v, want %v: the last admission plus its ordering (%v), its digest (%v) or the batch digest (%v)",
@@ -60,7 +60,7 @@ func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
 	for i, req := range batchOf(5, 64) {
 		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req) })
 	}
-	for (r.lookup(2) == nil || r.lookup(2).pp == nil) && loop.Step() {
+	for (r.lookup(2) == nil || !r.lookup(2).proposed) && loop.Step() {
 	}
 	if want := 4*gap + batchDelay; loop.Now() != want {
 		t.Errorf("the request admitted after the size cut was proposed at %v, want %v: its own batchDelay after it arrived",
@@ -139,15 +139,15 @@ func TestRelayedTamperedProposalStartsNoViewChange(t *testing.T) {
 		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "relay", "1"), func([]byte) { done++ })
 	})
 	leader, relay := c.Replicas[0], c.Replicas[2]
-	for (leader.lookup(1) == nil || leader.lookup(1).pp == nil) && c.Loop.Step() {
+	for (leader.lookup(1) == nil || !leader.lookup(1).proposed) && c.Loop.Step() {
 	}
 	s := leader.lookup(1)
-	if s == nil || s.pp == nil {
+	if s == nil || !s.proposed {
 		t.Fatal("the leader never proposed")
 	}
-	env, _, _ := (&Replica{id: 0, keyring: leader.keyring}).seal(*s.pp)
+	env, _, _ := (&Replica{id: 0, keyring: leader.keyring}).seal(s.pp)
 	tampered := bytes.Clone(env)
-	tampered[8+encodedSize(*s.pp)-1] ^= 0xFF
+	tampered[8+encodedSize(s.pp)-1] ^= 0xFF
 	relayTampered := func() {
 		for _, to := range []int{1, 3} {
 			if err := relay.peers[to].Send(msgnet.ClassControl, tampered); err != nil {

@@ -25,7 +25,7 @@ type Replica struct {
 
 	view     uint64
 	seqNext  uint64   // next sequence the leader assigns
-	log      []*slot  // ring of LogWindow cells, see lookup
+	log      []*slot  // ring of LogWindow cells, made a chunk at a time (see slotFor)
 	parked   []uint64 // sequences whose proposal waits for request copies (see resolve)
 	executed uint64
 	stable   uint64
@@ -42,7 +42,9 @@ type Replica struct {
 	// ordering work is done (see order).
 	pending    sim.Queue[admitted]
 	batchTimer sim.Timer
-	propose    func() // proposeBatch, bound once so arming or posting it allocates nothing
+	propose    func()           // proposeBatch, bound once so arming or posting it allocates nothing
+	unsent     []unsentProposal // proposals waiting for their CPU work, in the order they were made
+	sendNext   func()           // sendProposal, bound once
 
 	// What request admission reads, one row per client and one per request
 	// (see client, request). A request waits in its row until it executes, so
@@ -84,8 +86,10 @@ type Replica struct {
 
 	// scratch holds whatever this replica sends, one message at a time: an
 	// envelope or a reply is encoded into it and handed to Peer.Send, which
-	// copies before it returns (see room).
+	// copies before it returns (see room). refs holds a delivered
+	// PRE-PREPARE's refs until its handler returns.
 	scratch []byte
+	refs    []RequestRef
 
 	// ops is the slab chunk keep copies small request ops into.
 	ops []byte
@@ -116,7 +120,7 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		stateBytesServed: node.Counter("pbft.state_bytes_served"),
 		readsServed:      node.Counter("pbft.reads_served"),
 	}
-	r.onProgress, r.propose = r.progressExpired, r.proposeBatch
+	r.onProgress, r.propose, r.sendNext = r.progressExpired, r.proposeBatch, r.sendProposal
 	return r, nil
 }
 
@@ -369,7 +373,7 @@ func (r *Replica) handleEnvelope(raw []byte) {
 	if !r.keyring.Verify(int(sender), covered, mac) {
 		return // forged or corrupted: drop (paper III-C: HMACs detect)
 	}
-	var m decoded
+	m := decoded{refs: &r.refs}
 	// Bind claimed identity to the authenticated sender: vote-carrying
 	// messages whose in-payload Replica field does not match the MAC'd
 	// envelope sender are forgeries (one Byzantine peer spoofing other

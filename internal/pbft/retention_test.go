@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"rubin/internal/kvstore"
@@ -170,4 +171,82 @@ func TestDuplicateReplyOutlivesAnOverwrite(t *testing.T) {
 	if reply, ok := m.(Reply); err != nil || !ok || string(reply.Result) != "old" {
 		t.Fatalf("the duplicate get was answered %+v (%v), want the cached result %q", m, err, "old")
 	}
+}
+
+// A proposal keeps its refs in its cell until the cell's next lap. A backup
+// decodes each PRE-PREPARE's refs into a scratch the next delivery
+// overwrites, out of a buffer the transport reuses; what a parked slot, a
+// VIEW-CHANGE proof and a slot re-proposed by a NEW-VIEW name stays as it
+// was while those are overwritten and every other cell of the ring takes a
+// proposal.
+func TestProposalKeepsItsRefsUntilItsCellsNextLap(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LogWindow = cfg.CheckpointEvery
+	r := bareReplica(t, 2, cfg) // a backup in views 0 and 1
+	ts := uint64(0)
+	requests := func(held bool) []Request {
+		reqs := make([]Request, cfg.BatchSize)
+		for i := range reqs {
+			ts++
+			reqs[i] = timerRequest(ts)
+			if held {
+				r.handleRequest(reqs[i])
+			}
+		}
+		return reqs
+	}
+	deliver := func(from uint32, m Message) {
+		raw := sealedBy(r, from, m)
+		r.handleEnvelope(raw)
+		scribble(raw)
+	}
+	// Fill every cell but the ones under test with a proposal from view's
+	// leader: each overwrites the scratch, and none is held, so each parks.
+	fill := func(view uint64, skip ...uint64) {
+		for seq := uint64(1); seq <= cfg.LogWindow; seq++ {
+			if !slices.Contains(skip, seq) {
+				reqs := requests(false)
+				deliver(r.Leader(view), PrePrepare{View: view, Seq: seq, Digest: BatchDigest(reqs), Refs: refsOf(reqs)})
+			}
+		}
+	}
+	check := func(what string, got []RequestRef, reqs []Request) {
+		t.Helper()
+		if !slices.Equal(got, refsOf(reqs)) {
+			t.Fatalf("%s changed with the deliveries after it", what)
+		}
+	}
+
+	parked, prepared := requests(false), requests(true)
+	deliver(0, PrePrepare{Seq: 1, Digest: BatchDigest(parked), Refs: refsOf(parked)})
+	deliver(0, PrePrepare{Seq: 2, Digest: BatchDigest(prepared), Refs: refsOf(prepared)})
+	deliver(1, Prepare{Seq: 2, Digest: BatchDigest(prepared), Replica: 1})
+	fill(0, 1, 2)
+	if s := r.lookup(1); s == nil || !s.parked {
+		t.Fatal("the proposal naming requests the backup lacks did not park")
+	}
+	check("a parked slot's refs", r.lookup(1).pp.Refs, parked)
+	if s := r.lookup(2); s == nil || !r.prepared(s) {
+		t.Fatal("the proposal of held requests did not prepare")
+	}
+	check("a prepared slot's refs", r.lookup(2).pp.Refs, prepared)
+
+	r.startViewChange(1)
+	fill(0) // decoded into the scratch, then dropped: a view change is under way
+	vc := r.vcVotes[1][r.id]
+	if vc == nil || len(vc.Prepared) != 1 {
+		t.Fatal("the backup's VIEW-CHANGE does not carry its one prepared proof")
+	}
+	check("a VIEW-CHANGE proof's refs", vc.Prepared[0].Refs, prepared)
+
+	empty := BatchDigest(nil)
+	deliver(1, NewView{View: 1, PrePrepares: []PrePrepare{
+		{View: 1, Seq: 1, Digest: empty},
+		{View: 1, Seq: 2, Digest: BatchDigest(prepared), Refs: refsOf(prepared)},
+	}})
+	if r.View() != 1 || r.lookup(2) == nil || !r.lookup(2).proposed {
+		t.Fatal("the backup did not adopt the NEW-VIEW's re-proposal")
+	}
+	fill(1, 1, 2)
+	check("a re-proposed slot's refs", r.lookup(2).pp.Refs, prepared)
 }

@@ -189,7 +189,7 @@ func TestLogRingMatchesMapModel(t *testing.T) {
 			switch op := rng.Intn(100); {
 			case op < 20: // a proposal
 				if s := r.slotFor(seq); s != nil {
-					s.pp = &PrePrepare{View: r.view, Seq: seq, Digest: d}
+					s.propose(PrePrepare{View: r.view, Seq: seq, Digest: d})
 				}
 				if inWindow(seq) {
 					slotFor(seq).pp = &d
@@ -258,7 +258,7 @@ func TestLogRingMatchesMapModel(t *testing.T) {
 				if got == nil {
 					continue
 				}
-				if (got.pp == nil) != (want.pp == nil) || (got.pp != nil && got.pp.Digest != *want.pp) {
+				if got.proposed != (want.pp != nil) || (got.proposed && got.pp.Digest != *want.pp) {
 					t.Fatalf("seed %d step %d: sequence %d: ring and model hold different proposals", seed, step, at)
 				}
 				if want.pp == nil {

@@ -20,13 +20,15 @@ func (r *Replica) startViewChange(newView uint64) {
 	// Cancel batch work and the progress timer (awaitNewView re-arms it);
 	// collect prepared proofs above the execution point, in sequence order.
 	// This replica holds the requests each names — resolve found every copy
-	// — so the new leader can fetch from it what it lacks.
+	// — so the new leader can fetch from it what it lacks. A proof takes its
+	// own copy of the refs: the cell reuses its backing on its next lap, and
+	// the vote stays on file until the view it demands is settled.
 	r.batchTimer.Cancel()
 	r.progress.Cancel()
 	var proofs []PreparedProof
 	for seq := r.executed + 1; seq-r.stable <= r.cfg.LogWindow; seq++ {
 		if s := r.lookup(seq); s != nil && r.prepared(s) {
-			proofs = append(proofs, PreparedProof{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Refs: s.pp.Refs})
+			proofs = append(proofs, PreparedProof{View: s.pp.View, Seq: seq, Digest: s.pp.Digest, Refs: slices.Clone(s.pp.Refs)})
 		}
 	}
 	vc := ViewChange{NewView: newView, Stable: r.stable, Prepared: proofs, Replica: r.id}
@@ -185,7 +187,7 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 		s.reset(pp.Seq)
 		maxSeq = max(maxSeq, pp.Seq)
 		if r.batches.digest(pp.Refs) == pp.Digest {
-			s.pp = &pp
+			s.propose(pp)
 			r.resolve(s)
 		}
 	}

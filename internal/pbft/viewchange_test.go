@@ -252,7 +252,7 @@ func TestNewViewCannotReplaceACopy(t *testing.T) {
 		if row := backup.requests[req.ID()]; !bytes.Equal(row.Op, req.Op) || row.digest != refOf(req).Digest {
 			t.Errorf("%s: the backup's copy was replaced", name)
 		}
-		if s := backup.lookup(1); s == nil || s.pp != nil || s.sentPrep || *backup.sendFaults != 0 {
+		if s := backup.lookup(1); s == nil || s.proposed || s.sentPrep || *backup.sendFaults != 0 {
 			t.Errorf("%s: the backup kept the re-proposal or sent %d messages; want it dropped, nothing sent", name, *backup.sendFaults)
 		}
 	}

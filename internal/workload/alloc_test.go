@@ -46,11 +46,13 @@ func (s *replyService) answer() {
 }
 
 // TestDriverAllocatesPerOpOnlyWhatItKeeps: a completed operation costs the
-// driver what it hands on or records — its encoded bytes, a write's value, a
-// read's observed value — and nothing per completion or per think time: the
-// in-flight records and their callbacks are bound once per user slot, key
-// names once per key. Measured as the difference between a run of 2n and
-// one of n operations, in closed and in open loop.
+// driver what it records — a write's value, a read's observed value — and
+// nothing for its encoding, per completion or per think time: each user slot
+// encodes its operations into one buffer of its own, lent to the Invoker
+// until done fires, the in-flight records and their callbacks are bound once
+// per user slot, key names once per key, and the history is sized once, when
+// Run starts. Measured as the difference between a run of 2n and one of n
+// operations, in closed and in open loop.
 func TestDriverAllocatesPerOpOnlyWhatItKeeps(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race runtime's own allocations are not the path's")
@@ -75,7 +77,6 @@ func TestDriverAllocatesPerOpOnlyWhatItKeeps(t *testing.T) {
 				}
 			})
 			for _, op := range d.History().Ops() {
-				kept++ // the encoded operation
 				if op.Kind == Write || op.Kind == Read {
 					kept++ // the value written, the value seen
 				}

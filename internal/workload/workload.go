@@ -33,9 +33,10 @@ import (
 // derive the routing key(s) from the operation itself via kvstore.OpKeys
 // — the shard router and Reptor's COP client both do — so the driver
 // does not pass routing hints. done must fire exactly once with the
-// reply. The return value is the submitted request's trace id (pbft
-// request key) for the observability layer — "" when the system does
-// not trace.
+// reply. op is lent until done fires: the driver encodes the user's next
+// operation into the same buffer. The return value is the submitted
+// request's trace id (pbft request key) for the observability layer — ""
+// when the system does not trace.
 type Invoker func(conn int, op []byte, done func(result []byte)) string
 
 // Config parameterizes one workload run.
@@ -143,6 +144,7 @@ type flight struct {
 	seq     int  // of the operation last issued
 	busy    bool // it has not completed
 	op      Op
+	raw     []byte // the operation's encoding, lent to the Invoker until done
 	traceID string
 	queued  sim.Queue[sim.Time] // open loop: arrivals waiting behind it
 	done    func([]byte)        // complete, bound once
@@ -242,22 +244,23 @@ func (d *Driver) issue(f *flight, arrive sim.Time) {
 	key := d.keyName(d.cfg.Keys.Pick(d.rng))
 	f.op = Op{User: f.user, Kind: kind, Key: key, Arrive: arrive, Measured: measured}
 	rec := &f.op
-	var raw []byte
+	raw := f.raw[:0]
 	switch kind {
 	case Read:
-		raw = kvstore.EncodeOp(kvstore.OpGet, key, "")
+		raw = kvstore.AppendOp(raw, kvstore.OpGet, key, "")
 	case Write:
 		rec.Value = d.writeValue(f.user, seq, -1)
-		raw = kvstore.EncodeOp(kvstore.OpPut, key, rec.Value)
+		raw = kvstore.AppendOp(raw, kvstore.OpPut, key, rec.Value)
 	case Delete:
-		raw = kvstore.EncodeOp(kvstore.OpDelete, key, "")
+		raw = kvstore.AppendOp(raw, kvstore.OpDelete, key, "")
 	case Scan:
 		// Scan the run of up to ten adjacent keys sharing the prefix.
 		rec.Key = key[:len(key)-1]
-		raw = kvstore.EncodeOp(kvstore.OpScan, rec.Key, strconv.Itoa(scanLimit))
+		raw = kvstore.AppendOp(raw, kvstore.OpScan, rec.Key, strconv.Itoa(scanLimit))
 	case Txn:
 		raw = d.buildTxn(rec, f.user, seq)
 	}
+	f.raw = raw
 	invoke := d.loop.Now()
 	rec.Invoke = invoke
 	f.traceID = ""
