@@ -18,8 +18,10 @@ import (
 // ledger files the first batch any replica of one PBFT group — the plain
 // cluster or a shard — reports executing at each sequence and compares
 // every later report with it, by request identity and operation bytes. A
-// sequence is dropped once every live replica has executed it, so the
-// ledger holds only the spread between replicas.
+// hook's batch is lent until the hook returns (the replica reuses a request
+// copy it releases), so the ledger files a copy. A sequence is dropped once
+// every live replica has executed it, so the ledger holds only the spread
+// between replicas.
 type ledger struct {
 	name  string
 	c     *pbft.Cluster
@@ -58,7 +60,7 @@ func (d *deployment) watch(name string, c *pbft.Cluster) {
 // reports at or below the floor find nothing to compare with.
 func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 	if first, seen := l.first[seq]; seq > l.floor && !seen {
-		l.first[seq] = filed{i, batch}
+		l.first[seq] = filed{i, owned(batch)}
 	} else if seen && !slices.EqualFunc(first.batch, batch, sameRequest) {
 		return fmt.Errorf("bench: %s: replicas %d and %d executed different batches at sequence %d", l.name, first.replica, i, seq)
 	}
@@ -72,6 +74,21 @@ func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 		delete(l.first, l.floor+1)
 	}
 	return nil
+}
+
+// owned returns a copy of batch that holds its ops in one buffer of its own.
+func owned(batch []pbft.Request) []pbft.Request {
+	size := 0
+	for _, req := range batch {
+		size += len(req.Op)
+	}
+	ops := make([]byte, 0, size)
+	batch = slices.Clone(batch)
+	for i := range batch {
+		ops = append(ops, batch[i].Op...)
+		batch[i].Op = ops[len(ops)-len(batch[i].Op):]
+	}
+	return batch
 }
 
 func sameRequest(a, b pbft.Request) bool { return a.ID() == b.ID() && bytes.Equal(a.Op, b.Op) }

@@ -51,6 +51,40 @@ func TestLedgerNamesADisagreement(t *testing.T) {
 	}
 }
 
+// TestLedgerFilesACopyOfTheBatch: a hook's batch is lent, so the ledger
+// files a copy. A filed batch whose request slice and op bytes are written
+// over once the hook returns raises no disagreement with an equal later
+// report, and a really different batch is still reported.
+func TestLedgerFilesACopyOfTheBatch(t *testing.T) {
+	d, err := newPBFT(deploySpec{kind: transport.KindTCP, pbft: pbftConfig(4, 1, 0), seed: 1, conns: 1}, model.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := d.ledgers[0]
+	batch := func(value string) []pbft.Request {
+		return []pbft.Request{
+			{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "a", value)},
+			{Client: 101, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "b", value)},
+		}
+	}
+	lent := batch("v")
+	if err := l.file(0, 3, lent); err != nil {
+		t.Fatal(err)
+	}
+	for i := range lent {
+		for j := range lent[i].Op {
+			lent[i].Op[j] = 0xEE
+		}
+		lent[i].Client = 0
+	}
+	if err := l.file(2, 3, batch("v")); err != nil {
+		t.Fatalf("an equal batch disagrees once the first report's bytes were overwritten: %v", err)
+	}
+	if err := l.file(1, 3, batch("w")); err == nil || !strings.Contains(err.Error(), "replicas 0 and 1 executed different batches at sequence 3") {
+		t.Fatalf("another operation at sequence 3: %v", err)
+	}
+}
+
 // TestLedgerHoldsOnlyTheSpread: once every replica executed every batch of
 // a run, the ledger holds nothing, and the run agrees.
 func TestLedgerHoldsOnlyTheSpread(t *testing.T) {

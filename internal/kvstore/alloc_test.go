@@ -8,11 +8,11 @@ import (
 )
 
 // The gates on what the store allocates: an operation costs the heap what
-// the store keeps — a put's value unless the op is long enough to be kept
-// whole, and for a key the store does not hold its string and cell — plus
-// the one reply that is not shared (a scan's lines; a get answers with the
-// stored bytes); a checkpoint costs one exactly sized encoding per dirty
-// bucket, and digesting clean buckets nothing. Like the
+// the store keeps — for a key the store does not hold its string, cell and
+// value; a put to a held key writes over the held value — plus the one reply
+// that is not shared (a scan's lines; a get answers with the stored bytes);
+// a checkpoint costs one exactly sized encoding per dirty bucket, and
+// digesting clean buckets nothing. Like the
 // gates below pbft they skip under -race, whose runtime allocates on its own.
 
 func skipUnderRace(t *testing.T) {
@@ -26,11 +26,13 @@ func TestExecuteAllocatesOnlyWhatTheStoreKeeps(t *testing.T) {
 	skipUnderRace(t)
 	s := New()
 	gone := EncodeOp(OpPut, "gone", "value")
-	large := EncodeOp(OpPut, "large", string(make([]byte, 32<<10)))
+	sized := func(n int) []byte { return EncodeOp(OpPut, fmt.Sprint("v", n), string(make([]byte, n))) }
 	for _, k := range []string{"k000010", "k000011", "k000012", "x"} {
 		s.Execute(EncodeOp(OpPut, k, "value-"+k))
 	}
-	s.Execute(large)
+	for _, n := range []int{16, 8 << 10, 32 << 10} {
+		s.Execute(sized(n))
+	}
 	for _, tc := range []struct {
 		name  string
 		ops   [][]byte
@@ -39,8 +41,10 @@ func TestExecuteAllocatesOnlyWhatTheStoreKeeps(t *testing.T) {
 	}{
 		{"get", [][]byte{EncodeOp(OpGet, "k000010", "")}, 0, "value-k000010"},
 		{"get of a missing key", [][]byte{EncodeOp(OpGet, "nope", "")}, 0, "NOTFOUND"},
-		{"put to a held key", [][]byte{EncodeOp(OpPut, "k000011", "value-k000011")}, 1, "OK"},
-		{"put of a 32 KiB value to a held key", [][]byte{large}, 0, "OK"},
+		{"put to a held key", [][]byte{EncodeOp(OpPut, "k000011", "value-k000011")}, 0, "OK"},
+		{"put of a 16 B value to a held key", [][]byte{sized(16)}, 0, "OK"},
+		{"put of an 8 KiB value to a held key", [][]byte{sized(8 << 10)}, 0, "OK"},
+		{"put of a 32 KiB value to a held key", [][]byte{sized(32 << 10)}, 0, "OK"},
 		{"put to a new key, then delete", [][]byte{gone, EncodeOp(OpDelete, "gone", "")}, 3, "OK"},
 		{"delete of a missing key", [][]byte{EncodeOp(OpDelete, "nope", "")}, 0, "NOTFOUND"},
 		{"scan", [][]byte{EncodeOp(OpScan, "k00001", "16")}, 1, "k000010=value-k000010\nk000011=value-k000011\nk000012=value-k000012"},

@@ -33,11 +33,11 @@ const (
 // and pbft.PartitionedState: keys live in MerkleBuckets hash partitions
 // (see merkle.go) so checkpoints and state transfer work per bucket.
 //
-// A stored value is never written again, so a get answers with it. A put
-// of an op above ownedOp keeps its value as a slice of the op, the replica's
-// own copy and an allocation of its own (pbft.PartitionedState); a shorter
-// value, and a transferred or restored one, is copied once. A put to a key
-// the store holds replaces the value in the key's cell.
+// Each key's cell owns its value's backing: a put copies the value in,
+// over the held value's bytes where they fit, so a put to a held key
+// allocates nothing and Execute keeps no slice of its op. A get answers
+// with the stored bytes, lent until the store's next mutating call
+// (pbft.PartitionedState); every encoding the store hands out is a copy.
 type Store struct {
 	// buckets holds the key/value data, partitioned by bucketOf.
 	buckets [MerkleBuckets]bucket
@@ -85,8 +85,6 @@ var (
 	replyLocked   = []byte(Locked)[:len(Locked):len(Locked)]
 )
 
-const ownedOp = 4 << 10 // above it pbft's Replica.keep gives an op an allocation of its own
-
 // bucket maps each key of one partition to the cell holding its value. A
 // put finds a held key's cell with m[string(key)], a lookup, which makes no
 // string; only a key the bucket does not hold costs its string and cell. A
@@ -119,7 +117,8 @@ func (s *Store) Get(key string) (string, bool) {
 	return string(v), ok
 }
 
-// put writes a key, keeping value as it is, and dirties its bucket.
+// put copies value into key's cell, over the held value where it fits, and
+// dirties its bucket.
 func (s *Store) put(key, value []byte) {
 	b := bucketOf(key)
 	c := s.buckets[b][string(key)]
@@ -130,7 +129,7 @@ func (s *Store) put(key, value []byte) {
 		c = new([]byte)
 		s.buckets[b][string(key)] = c
 	}
-	*c = slices.Clip(value)
+	*c = append((*c)[:0], value...)
 	s.touchBucket(b)
 }
 
@@ -195,7 +194,8 @@ func decodeOp(op []byte) (code OpCode, key, value []byte, err error) {
 	return code, key, value, d.end()
 }
 
-// Execute applies one ordered operation (pbft.Application); the reply is read-only.
+// Execute applies one ordered operation (pbft.Application): op is lent for
+// the call, and the reply is read-only and lent until the next mutating call.
 func (s *Store) Execute(op []byte) []byte {
 	// The applied counter is part of the marshaled state, so the full
 	// concatenation goes stale on every operation — but the per-bucket
@@ -216,9 +216,6 @@ func (s *Store) Execute(op []byte) []byte {
 			return replyLocked
 		}
 		if code == OpPut {
-			if len(op) <= ownedOp {
-				value = bytes.Clone(value)
-			}
 			s.put(key, value)
 		} else if !s.del(key) {
 			return replyNotFound

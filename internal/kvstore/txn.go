@@ -157,12 +157,17 @@ const txnResultMarker = 'T'
 // TxnPrepared or TxnAborted) plus one result per sub-operation, in
 // sub-operation order. An aborted reply carries no results.
 func EncodeTxnResult(status string, results [][]byte) []byte {
-	buf := appendStr([]byte{txnResultMarker}, status)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(results)))
+	buf := txnResultHead(status, len(results))
 	for _, r := range results {
 		buf = appendStr(buf, r)
 	}
 	return buf
+}
+
+// txnResultHead starts a transaction reply of n results: the marker, the
+// status and the count.
+func txnResultHead(status string, n int) []byte {
+	return binary.BigEndian.AppendUint32(appendStr([]byte{txnResultMarker}, status), uint32(n))
 }
 
 // DecodeTxnResult parses a transaction reply.
@@ -279,7 +284,8 @@ func (s *Store) conflicts(id string, subs []TxnSub) bool {
 // executeTxn runs a one-phase multi-key transaction: sub-operations
 // apply in order (reads see the transaction's earlier writes), the whole
 // transaction conflicts with prepared write locks like any single-key
-// write would.
+// write would. Each result is encoded as it is produced: a read's is the
+// stored bytes, which a later put in the transaction overwrites in place.
 func (s *Store) executeTxn(id string, payload []byte) []byte {
 	subs, err := txnSubs(payload)
 	if err != nil {
@@ -288,17 +294,17 @@ func (s *Store) executeTxn(id string, payload []byte) []byte {
 	if s.conflicts(id, subs) {
 		return replyLocked
 	}
-	results := make([][]byte, len(subs))
-	for i, sub := range subs {
+	reply := txnResultHead(TxnCommitted, len(subs))
+	for _, sub := range subs {
 		switch sub.Code {
 		case OpPut:
 			s.put([]byte(sub.Key), []byte(sub.Value))
-			results[i] = replyOK
+			reply = appendStr(reply, replyOK)
 		case OpGet:
-			results[i] = getReply(stored(s.buckets[bucketOf(sub.Key)], sub.Key))
+			reply = appendStr(reply, getReply(stored(s.buckets[bucketOf(sub.Key)], sub.Key)))
 		}
 	}
-	return EncodeTxnResult(TxnCommitted, results)
+	return reply
 }
 
 // executePrepare stages one participant's slice of a cross-group

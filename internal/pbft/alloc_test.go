@@ -271,6 +271,19 @@ func TestInvokeAllocatesOnlyTheRequestKey(t *testing.T) {
 	}
 }
 
+// TestKeepAfterAReleaseAllocatesNothing: a row that releases a large op
+// gives its backing to the next large op keep copies, so once one row has
+// released, filing a 32 KiB request costs the heap nothing.
+func TestKeepAfterAReleaseAllocatesNothing(t *testing.T) {
+	skipUnderRace(t)
+	r := bareReplica(t, 3, DefaultConfig())
+	op := bytes.Repeat([]byte{'v'}, 32<<10)
+	r.release(r.keep(op))
+	if allocs := testing.AllocsPerRun(50, func() { r.release(r.keep(op)) }); allocs != 0 {
+		t.Errorf("keeping a 32 KiB op after a release allocates %v times, want 0", allocs)
+	}
+}
+
 // TestBoxedDecodeAllocatesOnce: Decode is the by-value decoder plus one
 // boxing — for a message without a list, exactly one allocation.
 func TestBoxedDecodeAllocatesOnce(t *testing.T) {

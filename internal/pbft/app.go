@@ -33,10 +33,11 @@ type Application interface {
 // common — a replica rebooted with an empty store — is the degenerate case
 // in which every partition diverges and the whole state crosses the wire.
 type PartitionedState interface {
-	// Execute applies one ordered operation and returns its result, which
-	// is read-only for the caller and may be shared application storage.
-	// op is the replica's own copy, never written again, so the application
-	// may keep slices of it; one above 4 KiB is an allocation of its own.
+	// Execute applies one ordered operation and returns its result. op is
+	// lent for the call: the replica reuses it once it releases the request,
+	// so the application copies what it keeps. The result is read-only and
+	// may be application storage, lent until the next mutating call: a
+	// caller that keeps it copies it.
 	Execute(op []byte) []byte
 	// Snapshot returns a digest of the current state (checkpoints).
 	Snapshot() auth.Digest

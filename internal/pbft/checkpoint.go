@@ -263,8 +263,8 @@ func (r *Replica) recordCheckpoint(sender uint32, m Checkpoint) {
 // checkpoint: the log's cells at or below it read as absent from here on.
 // They keep their vote storage for the next lap but not their proposal,
 // and the requests it names leave the request table with it, executed here
-// or not: below the stable point a quorum executed them, as the clients'
-// floors record.
+// or not, releasing the copies their rows still hold: below the stable
+// point a quorum executed them, as the clients' floors record.
 func (r *Replica) advanceStable(seq uint64) {
 	if seq <= r.stable {
 		return
@@ -275,7 +275,8 @@ func (r *Replica) advanceStable(seq uint64) {
 			continue
 		}
 		for _, ref := range s.pp.Refs {
-			if r.requests[ref.RequestID].seq <= at { // not one a later slot names too
+			if row := r.requests[ref.RequestID]; row.seq <= at { // not one a later slot names too
+				r.release(row.Op)
 				delete(r.requests, ref.RequestID)
 			}
 			c := r.client(ref.Client)

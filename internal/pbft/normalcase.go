@@ -14,7 +14,8 @@ import (
 // and in-order execution, plus the read-only fast path and replies.
 
 // client is a row of the client table: where the client's replies go, the
-// last one (a repeat of that request is answered from it: exactly-once) and
+// last one (a repeat of that request is answered from it: exactly-once; its
+// result is copied into a buffer the row reuses, since Execute lends it) and
 // the floor, the highest timestamp whose sequence left the watermark window.
 // At or below it a request is old news — a quorum executed it — and has no
 // row in the request table any more (Castro & Liskov §4.1).
@@ -153,10 +154,20 @@ func (r *Replica) file(req Request, d auth.Digest, state reqState, seq uint64) {
 // chunk cut short wastes at most a quarter of itself.
 const opChunk = 16 << 10
 
-// keep returns the replica's own copy of op. One above 4 KiB is an
-// allocation no other op shares: PartitionedState.Execute promises it.
+// keep returns the replica's own copy of op. One above a quarter chunk goes
+// into a backing no other row shares: the one a row released last, if op
+// fits it, else a new allocation. A backing that does not fit is dropped, so
+// the free list and the rows never hold more backings than the most rows the
+// replica held at one time.
 func (r *Replica) keep(op []byte) []byte {
 	if len(op) > opChunk/4 {
+		if n := len(r.free); n > 0 {
+			b := r.free[n-1]
+			r.free[n-1], r.free = nil, r.free[:n-1]
+			if cap(b) >= len(op) {
+				return append(b[:0], op...)
+			}
+		}
 		return bytes.Clone(op)
 	}
 	if cap(r.ops)-len(r.ops) < len(op) {
@@ -164,6 +175,15 @@ func (r *Replica) keep(op []byte) []byte {
 	}
 	r.ops = append(r.ops, op...)
 	return r.ops[len(r.ops)-len(op) : len(r.ops) : len(r.ops)]
+}
+
+// release takes back the op a row lets go of: a large op's backing goes
+// onto the free list for keep, a small op stays in its slab chunk until the
+// collector frees the chunk. The row must hold the op no more.
+func (r *Replica) release(op []byte) {
+	if len(op) > opChunk/4 {
+		r.free = append(r.free, op)
+	}
 }
 
 // assign moves id's row, if it has one, to state, and to seq if that is the
@@ -430,7 +450,8 @@ func (r *Replica) tryExecute() {
 			r.node.CPU.Delay(proto.ExecRequest)
 			result := r.app.Execute(row.Op)
 			c := r.client(ref.Client)
-			c.last = Reply{View: r.view, Timestamp: ref.Timestamp, Client: ref.Client, Replica: r.id, Result: result}
+			c.last = Reply{View: r.view, Timestamp: ref.Timestamp, Client: ref.Client, Replica: r.id,
+				Result: append(c.last.Result[:0], result...)}
 			r.sendToClient(c, c.last)
 			row.state, row.seq = done, max(row.seq, next)
 			r.requests[ref.RequestID] = row
@@ -449,6 +470,7 @@ func (r *Replica) tryExecute() {
 		// stays, digest zeroed: a replay of the request matches no ref.
 		for _, ref := range s.pp.Refs {
 			if row := r.requests[ref.RequestID]; r.Leader(s.pp.View) != r.id && row.seq == next {
+				r.release(row.Op)
 				row.Op, row.digest = nil, auth.Digest{}
 				r.requests[ref.RequestID] = row
 			}

@@ -91,8 +91,11 @@ type Replica struct {
 	scratch []byte
 	refs    []RequestRef
 
-	// ops is the slab chunk keep copies small request ops into.
-	ops []byte
+	// ops is the slab chunk keep copies small request ops into; free holds
+	// the backings of large ops rows have released, the last on top, for
+	// keep to copy the next large op into.
+	ops  []byte
+	free [][]byte
 }
 
 // NewReplica builds a replica. Connections are attached afterwards with
@@ -160,7 +163,9 @@ func (r *Replica) Stop() {
 // Stopped reports whether the replica has been stopped.
 func (r *Replica) Stopped() bool { return r.stopped }
 
-// OnExecute installs a hook invoked after each executed batch.
+// OnExecute installs a hook invoked after each executed batch. The batch's
+// ops are lent until the hook returns: the replica reuses the copies it
+// releases.
 func (r *Replica) OnExecute(fn func(seq uint64, batch []Request)) { r.onExecute = fn }
 
 // tracer returns the world's observability tracer, which records the

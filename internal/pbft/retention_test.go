@@ -2,9 +2,12 @@ package pbft
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
+	"rubin/internal/auth"
 	"rubin/internal/kvstore"
 	"rubin/internal/msgnet"
 	"rubin/internal/sim"
@@ -106,10 +109,10 @@ func TestClientVoteOutlivesItsReply(t *testing.T) {
 	}
 }
 
-// keep gives an op above a quarter slab chunk an allocation of its own, one
-// no other filed op shares: the rule an application relies on when it keeps
-// a slice of such an op (PartitionedState.Execute). The ops filed before and
-// after it go into the slab, not into its backing.
+// keep gives an op above a quarter slab chunk a backing of its own, one no
+// other filed op shares: what lets its row release the backing for the next
+// large op. The ops filed before and after it go into the slab, not into
+// its backing.
 func TestKeepGivesALargeOpItsOwnAllocation(t *testing.T) {
 	r := bareReplica(t, 3, DefaultConfig())
 	before := r.keep([]byte("small op"))
@@ -131,6 +134,154 @@ func within(p *byte, b []byte) bool {
 		}
 	}
 	return false
+}
+
+// runInOrder invokes ops on cl one after another, each once the last is
+// done, and runs the loop until it is idle.
+func runInOrder(c *Cluster, cl *Client, ops [][]byte) {
+	var next func(i int)
+	next = func(i int) {
+		if i < len(ops) {
+			cl.Invoke(ops[i], func([]byte) { next(i + 1) })
+		}
+	}
+	c.Loop.Post(func() { next(0) })
+	c.Loop.Run()
+}
+
+// largePuts returns n puts of 32 KiB values, each to a key and of a byte of
+// its own.
+func largePuts(n int) [][]byte {
+	ops := make([][]byte, n)
+	for i := range ops {
+		ops[i] = kvstore.EncodeOp(kvstore.OpPut, fmt.Sprint("k", i), strings.Repeat(string(rune('a'+i%26)), 32<<10))
+	}
+	return ops
+}
+
+// fetchAnswer returns what r sends replica 1 in answer to a FETCH of seq.
+func fetchAnswer(t *testing.T, r *Replica, seq uint64) []Message {
+	t.Helper()
+	var answer []Message
+	r.SetOutbox(func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) {
+		e, err := DecodeEnvelope(bytes.Clone(env))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Decode(e.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer = append(answer, m)
+		return nil, 0
+	})
+	defer r.SetOutbox(nil)
+	r.handleFetch(1, Fetch{Seq: seq, Replica: 1})
+	return answer
+}
+
+// The proposal's sender keeps its copy of an executed large request until
+// the stable point passes it, since it answers FETCHes for it: while the
+// backups release theirs and file the later large requests into the freed
+// backings, and the sender files them too, a FETCH of the first sequence is
+// answered with the request's bytes. Once the stable point passes it, its
+// row is gone and its backing is on the sender's free list.
+func TestSenderKeepsItsExecutedCopyUntilTheStablePoint(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CheckpointEvery, cfg.LogWindow = 4, 8
+	c := newTestCluster(t, transport.KindTCP, cfg)
+	cl, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, ops := c.Replicas[0], largePuts(3*int(cfg.CheckpointEvery))
+	runInOrder(c, cl, ops[:3])
+	if leader.Executed() != 3 || len(c.Replicas[1].free) == 0 {
+		t.Fatalf("executed %d, backup free list %d: want 3 sequences, one large request each, and a backup that released", leader.Executed(), len(c.Replicas[1].free))
+	}
+	answer := fetchAnswer(t, leader, 1)
+	if len(answer) != 1 {
+		t.Fatalf("the sender answered a FETCH of sequence 1 with %d messages, want its one request", len(answer))
+	}
+	if req, ok := answer[0].(Request); !ok || !bytes.Equal(req.Op, ops[0]) {
+		t.Fatal("the sender's copy of the first request changed once later requests were filed")
+	}
+	first := RequestID{Client: cl.ID(), Timestamp: 1}
+	backing := &leader.requests[first].Op[0]
+	runInOrder(c, cl, ops[3:])
+	if leader.Stable() < 4 {
+		t.Fatalf("stable point %d, want at least 4", leader.Stable())
+	}
+	if _, held := leader.requests[first]; held {
+		t.Fatal("the first request's row outlived the stable point")
+	}
+	if _, ok := fetchAnswer(t, leader, 1)[0].(Checkpoint); !ok {
+		t.Fatal("a FETCH below the stable point was not answered with the checkpoint")
+	}
+	if !slices.ContainsFunc(leader.free, func(b []byte) bool { return &b[0] == backing }) && !heldBacking(leader, backing) {
+		t.Fatal("the first request's backing was not released onto the free list")
+	}
+}
+
+// heldBacking reports whether one of r's rows holds an op in backing.
+func heldBacking(r *Replica, backing *byte) bool {
+	for _, row := range r.requests {
+		if len(row.Op) > 0 && &row.Op[0] == backing {
+			return true
+		}
+	}
+	return false
+}
+
+// No two rows hold their ops in one backing, and no row holds one the free
+// list offers: three clients put 32 KiB values concurrently through a
+// window of two checkpoints, and after every executed batch each replica's
+// rows still hold the bytes their digests name, each in a backing of its
+// own.
+func TestNoTwoHeldRowsShareABacking(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CheckpointEvery, cfg.LogWindow = 4, 8
+	c := newTestCluster(t, transport.KindTCP, cfg)
+	checked := 0
+	for i, r := range c.Replicas {
+		r.OnExecute(func(seq uint64, _ []Request) {
+			owner := map[*byte]string{}
+			for _, b := range r.free {
+				owner[&b[0]] = "the free list"
+			}
+			for id, row := range r.requests {
+				if len(row.Op) <= opChunk/4 {
+					continue
+				}
+				if other, shared := owner[&row.Op[0]]; shared {
+					t.Fatalf("replica %d at sequence %d: request %v holds its op in a backing %s holds too", i, seq, id, other)
+				}
+				owner[&row.Op[0]] = fmt.Sprint("request ", id)
+				if row.digest != (auth.Digest{}) && auth.Hash(row.Op) != row.digest {
+					t.Fatalf("replica %d at sequence %d: request %v's op no longer matches its digest", i, seq, id)
+				}
+			}
+			checked++
+		})
+	}
+	ops := largePuts(30)
+	for k := range 3 {
+		cl, err := c.AddClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next func(j int)
+		next = func(j int) {
+			if j < len(ops) {
+				cl.Invoke(ops[j], func([]byte) { next(j + 3) })
+			}
+		}
+		c.Loop.Post(func() { next(k) })
+	}
+	c.Loop.Run()
+	if c.Replicas[0].Executed() == 0 || c.Replicas[0].Stable() < 2*cfg.CheckpointEvery || checked == 0 {
+		t.Fatalf("executed %d, stable %d: the run did not pass two checkpoints", c.Replicas[0].Executed(), c.Replicas[0].Stable())
+	}
 }
 
 // A duplicate of an executed request is answered from the client's cached

@@ -159,7 +159,8 @@ type Executor struct {
 	node  int
 
 	// ready[k] holds batches committed by instance k, keyed by
-	// instance-local sequence.
+	// instance-local sequence. A batch is lent by OnExecute, its ops only
+	// until the hook returns, so the merge reads its request ids alone.
 	ready []map[uint64][]pbft.Request
 	// round is the next instance-local sequence to merge.
 	round uint64
