@@ -12,10 +12,10 @@ import (
 // fit, so a reply to a get is lent until the next mutating call, and no
 // encoding the store hands out or was handed shares a cell's bytes.
 
-// A put of any size keeps a copy of its value: overwriting the op it came
-// in leaves the stored value as it was.
+// A small put keeps a copy of its value: overwriting the op it came in
+// leaves the stored value as it was.
 func TestSmallPutKeepsACopyOfItsValue(t *testing.T) {
-	for _, size := range []int{16, 8 << 10, 32 << 10} {
+	for _, size := range []int{16, 4 << 10} {
 		s := New()
 		value := string(bytes.Repeat([]byte{'v'}, size))
 		op := EncodeOp(OpPut, "k", value)
@@ -25,6 +25,31 @@ func TestSmallPutKeepsACopyOfItsValue(t *testing.T) {
 		}
 		if v, ok := s.Get("k"); !ok || v != value {
 			t.Fatalf("%d B value: the stored value changed with its op", size)
+		}
+	}
+}
+
+// A large put keeps the op's value bytes in the key's cell, not in the op:
+// the cell is a backing of its own, and a later put to the held key that
+// fits writes over it instead of allocating another.
+func TestLargePutKeepsTheOpsBytes(t *testing.T) {
+	for _, size := range []int{8 << 10, 32 << 10} {
+		s := New()
+		value := bytes.Repeat([]byte{'v'}, size)
+		op := EncodeOp(OpPut, "k", string(value))
+		s.Execute(op)
+		c := s.buckets[bucketOf("k")]["k"]
+		if !bytes.Equal(*c, value) || &(*c)[0] == &op[len(op)-size] {
+			t.Fatalf("%d B value: the stored value is not a copy of the op's bytes", size)
+		}
+		cell := &(*c)[0]
+		for i := range op {
+			op[i] = 0xEE
+		}
+		next := bytes.Repeat([]byte{'n'}, size)
+		s.Execute(EncodeOp(OpPut, "k", string(next)))
+		if !bytes.Equal(*c, next) || &(*c)[0] != cell {
+			t.Fatalf("%d B value: a put to the held key did not write over its cell", size)
 		}
 	}
 }
