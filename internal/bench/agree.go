@@ -1,10 +1,10 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
+	"rubin/internal/auth"
 	"rubin/internal/pbft"
 	"rubin/internal/reptor"
 )
@@ -15,13 +15,14 @@ import (
 // what the replicas hand their hooks and what they report at the end, and
 // charges no virtual time.
 
-// ledger files the first batch any replica of one PBFT group — the plain
-// cluster or a shard — reports executing at each sequence and compares
-// every later report with it, by request identity and operation bytes. A
-// hook's batch is lent until the hook returns (the replica reuses a request
-// copy it releases), so the ledger files a copy. A sequence is dropped once
-// every live replica has executed it, so the ledger holds only the spread
-// between replicas.
+// ledger files the digest of the first batch any replica of one PBFT
+// group — the plain cluster or a shard — reports executing at each
+// sequence and compares every later report's with it. The digest
+// (pbft.BatchDigest) covers each request's client, timestamp and op
+// digest; a hook's batch is lent until the hook returns (the replica
+// reuses a request copy it releases), and the digest keeps none of it. A
+// sequence is dropped once every live replica has executed it, so the
+// ledger holds only the spread between replicas.
 type ledger struct {
 	name  string
 	c     *pbft.Cluster
@@ -32,7 +33,7 @@ type ledger struct {
 // filed is the first report at one sequence.
 type filed struct {
 	replica int
-	batch   []pbft.Request
+	digest  auth.Digest
 }
 
 // watch gives c's replicas — and each replica a restart puts in their
@@ -60,8 +61,8 @@ func (d *deployment) watch(name string, c *pbft.Cluster) {
 // reports at or below the floor find nothing to compare with.
 func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 	if first, seen := l.first[seq]; seq > l.floor && !seen {
-		l.first[seq] = filed{i, owned(batch)}
-	} else if seen && !slices.EqualFunc(first.batch, batch, sameRequest) {
+		l.first[seq] = filed{i, pbft.BatchDigest(batch)}
+	} else if seen && first.digest != pbft.BatchDigest(batch) {
 		return fmt.Errorf("bench: %s: replicas %d and %d executed different batches at sequence %d", l.name, first.replica, i, seq)
 	}
 	low := seq // the reporting replica is live and has executed seq
@@ -75,23 +76,6 @@ func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 	}
 	return nil
 }
-
-// owned returns a copy of batch that holds its ops in one buffer of its own.
-func owned(batch []pbft.Request) []pbft.Request {
-	size := 0
-	for _, req := range batch {
-		size += len(req.Op)
-	}
-	ops := make([]byte, 0, size)
-	batch = slices.Clone(batch)
-	for i := range batch {
-		ops = append(ops, batch[i].Op...)
-		batch[i].Op = ops[len(ops)-len(batch[i].Op):]
-	}
-	return batch
-}
-
-func sameRequest(a, b pbft.Request) bool { return a.ID() == b.ID() && bytes.Equal(a.Op, b.Op) }
 
 // converged checks the group's live replicas at the end of a run: those
 // that executed as far as each other report the same application state.

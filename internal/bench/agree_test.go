@@ -51,11 +51,11 @@ func TestLedgerNamesADisagreement(t *testing.T) {
 	}
 }
 
-// TestLedgerFilesACopyOfTheBatch: a hook's batch is lent, so the ledger
-// files a copy. A filed batch whose request slice and op bytes are written
-// over once the hook returns raises no disagreement with an equal later
-// report, and a really different batch is still reported.
-func TestLedgerFilesACopyOfTheBatch(t *testing.T) {
+// TestLedgerFilesTheBatchDigest: a hook's batch is lent, so the ledger
+// files its digest. A filed batch whose request slice and op bytes are
+// written over once the hook returns raises no disagreement with an equal
+// later report, and a really different batch is still reported.
+func TestLedgerFilesTheBatchDigest(t *testing.T) {
 	d, err := newPBFT(deploySpec{kind: transport.KindTCP, pbft: pbftConfig(4, 1, 0), seed: 1, conns: 1}, model.Default())
 	if err != nil {
 		t.Fatal(err)

@@ -14,14 +14,16 @@ func quickEcho(payload int) EchoConfig {
 	return EchoConfig{Payload: payload, Messages: 200, Warmup: 20, Window: 3, Seed: 1}
 }
 
-func runStack(t *testing.T, stack Fig3Stack, payload int) EchoResult {
+// runStack measures one Figure 3 point of one echo (echoTCP, echoSendRecv,
+// echoOneSided, echoChannel); a failure names its caller's line.
+func runStack(t *testing.T, echo func(EchoConfig, model.Params) (EchoResult, error), payload int) EchoResult {
 	t.Helper()
-	res, err := RunFig3(stack, quickEcho(payload), model.Default())
+	res, err := echo(quickEcho(payload), model.Default())
 	if err != nil {
-		t.Fatalf("RunFig3(%s, %d): %v", stack, payload, err)
+		t.Fatalf("%d B: %v", payload, err)
 	}
 	if res.MeanRT <= 0 || res.Throughput <= 0 {
-		t.Fatalf("degenerate result for %s/%d: %+v", stack, payload, res)
+		t.Fatalf("degenerate result at %d B: %+v", payload, res)
 	}
 	return res
 }
@@ -32,10 +34,10 @@ func runStack(t *testing.T, stack Fig3Stack, payload int) EchoResult {
 func TestFig3LatencyOrdering(t *testing.T) {
 	for _, kb := range []int{1, 4, 16, 64, 100} {
 		payload := kb << 10
-		tcp := runStack(t, StackTCP, payload)
-		sr := runStack(t, StackSendRecv, payload)
-		rw := runStack(t, StackOneSided, payload)
-		ch := runStack(t, StackChannel, payload)
+		tcp := runStack(t, echoTCP, payload)
+		sr := runStack(t, echoSendRecv, payload)
+		rw := runStack(t, echoOneSided, payload)
+		ch := runStack(t, echoChannel, payload)
 		if rw.MeanRT >= sr.MeanRT {
 			t.Errorf("%dKB: Read/Write (%v) should beat Send/Recv (%v)", kb, rw.MeanRT, sr.MeanRT)
 		}
@@ -53,14 +55,14 @@ func TestFig3LatencyOrdering(t *testing.T) {
 // and loses to it for large payloads (paper Section V).
 func TestFig3ChannelCrossover(t *testing.T) {
 	small := 2 << 10
-	chS := runStack(t, StackChannel, small)
-	srS := runStack(t, StackSendRecv, small)
+	chS := runStack(t, echoChannel, small)
+	srS := runStack(t, echoSendRecv, small)
 	if chS.MeanRT >= srS.MeanRT {
 		t.Errorf("2KB: channel (%v) should beat Send/Recv (%v) via selective signaling", chS.MeanRT, srS.MeanRT)
 	}
 	large := 100 << 10
-	chL := runStack(t, StackChannel, large)
-	srL := runStack(t, StackSendRecv, large)
+	chL := runStack(t, echoChannel, large)
+	srL := runStack(t, echoSendRecv, large)
 	if chL.MeanRT <= srL.MeanRT {
 		t.Errorf("100KB: channel (%v) should trail Send/Recv (%v) due to the receive copy", chL.MeanRT, srL.MeanRT)
 	}
@@ -72,8 +74,8 @@ func TestFig3ChannelCrossover(t *testing.T) {
 func TestFig3ChannelVsTCPBand(t *testing.T) {
 	for _, kb := range []int{1, 4, 16, 64, 100} {
 		payload := kb << 10
-		tcp := runStack(t, StackTCP, payload)
-		ch := runStack(t, StackChannel, payload)
+		tcp := runStack(t, echoTCP, payload)
+		ch := runStack(t, echoChannel, payload)
 		gain := 1 - float64(ch.MeanRT)/float64(tcp.MeanRT)
 		if gain < 0.20 || gain > 0.60 {
 			t.Errorf("%dKB: channel gain over TCP = %.0f%%, want 20-60%%", kb, gain*100)
@@ -86,16 +88,16 @@ func TestFig3ChannelVsTCPBand(t *testing.T) {
 func TestFig3ReadWriteVsSendRecvFactor(t *testing.T) {
 	for _, kb := range []int{1, 16} {
 		payload := kb << 10
-		sr := runStack(t, StackSendRecv, payload)
-		rw := runStack(t, StackOneSided, payload)
+		sr := runStack(t, echoSendRecv, payload)
+		rw := runStack(t, echoOneSided, payload)
 		ratio := float64(rw.MeanRT) / float64(sr.MeanRT)
 		if ratio < 0.30 || ratio > 0.70 {
 			t.Errorf("%dKB: RW/SR latency ratio = %.2f, want ~0.54 (0.30-0.70)", kb, ratio)
 		}
 	}
 	// At 100 KB both are DMA/wire-bound; one-sided must still not lose.
-	sr := runStack(t, StackSendRecv, 100<<10)
-	rw := runStack(t, StackOneSided, 100<<10)
+	sr := runStack(t, echoSendRecv, 100<<10)
+	rw := runStack(t, echoOneSided, 100<<10)
 	if rw.MeanRT > sr.MeanRT {
 		t.Errorf("100KB: RW (%v) should not trail SR (%v)", rw.MeanRT, sr.MeanRT)
 	}
@@ -105,10 +107,10 @@ func TestFig3ReadWriteVsSendRecvFactor(t *testing.T) {
 func TestFig3ThroughputMirrorsLatency(t *testing.T) {
 	for _, kb := range []int{1, 16, 100} {
 		payload := kb << 10
-		tcp := runStack(t, StackTCP, payload)
-		sr := runStack(t, StackSendRecv, payload)
-		rw := runStack(t, StackOneSided, payload)
-		ch := runStack(t, StackChannel, payload)
+		tcp := runStack(t, echoTCP, payload)
+		sr := runStack(t, echoSendRecv, payload)
+		rw := runStack(t, echoOneSided, payload)
+		ch := runStack(t, echoChannel, payload)
 		if rw.Throughput <= sr.Throughput {
 			t.Errorf("%dKB: RW throughput should exceed SR", kb)
 		}
@@ -151,18 +153,12 @@ func TestFig4Shape(t *testing.T) {
 // TestBFTAgreementFasterOverRUBIN asserts the end goal (experiment E5):
 // the replicated system commits faster over RUBIN than over the NIO stack.
 func TestBFTAgreementFasterOverRUBIN(t *testing.T) {
-	cfgR := quickBFTN(transport.KindRDMA, 4)
-	cfgR.Requests, cfgR.Warmup, cfgR.Window, cfgR.Clients = 120, 20, 16, 1
-	cfgT := cfgR
-	cfgT.Kind = transport.KindTCP
-	r, err := RunClosedLoop(cfgR, model.Default())
-	if err != nil {
-		t.Fatalf("bft rdma: %v", err)
-	}
-	tc, err := RunClosedLoop(cfgT, model.Default())
-	if err != nil {
-		t.Fatalf("bft tcp: %v", err)
-	}
+	specR := quickSpec(transport.KindRDMA, 4)
+	specR.conns = 1
+	specT := specR
+	specT.kind = transport.KindTCP
+	r := quickLoop(t, specR, 0, 16, 120, 20)
+	tc := quickLoop(t, specT, 0, 16, 120, 20)
 	if r.Mean >= tc.Mean {
 		t.Errorf("BFT latency over RUBIN (%v) should beat NIO (%v)", r.Mean, tc.Mean)
 	}
@@ -227,7 +223,7 @@ func TestEchoWedgeFails(t *testing.T) {
 		})
 	})
 	loop.Run()
-	if res, err := d.result(StackTCP); err == nil {
+	if res, err := d.result(); err == nil {
 		t.Fatalf("wedged echo (%d of %d round trips) reported a result: %+v", d.done, d.total(), res)
 	}
 }

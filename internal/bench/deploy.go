@@ -81,6 +81,7 @@ type deployment struct {
 	loop *sim.Loop
 	tr   *obs.Tracer // nil for untraced runs
 	nw   *fabric.Network
+	seed int64 // the spec's, which also seeds runWorkload's load
 	// hosts are the replica machines: the network's nodes as the started
 	// system left them, before the first front-end machine joined.
 	hosts  []*fabric.Node
@@ -113,7 +114,7 @@ func (d *deployment) up(s deploySpec, sys interface {
 	if err := sys.Start(); err != nil {
 		return err
 	}
-	d.hosts = d.nw.Nodes()
+	d.seed, d.hosts = s.seed, d.nw.Nodes()
 	if s.label != "" {
 		d.tr = benchTracer(s.trace, s.label)
 		sys.SetTracer(d.tr)
@@ -147,17 +148,10 @@ func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
 	})
 }
 
-// newCOP builds a Reptor COP group of the given instance count; positive
-// heartbeat delays override the reptor defaults.
-func newCOP(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.Params) (*deployment, error) {
+// newCOP builds a Reptor COP group of the given instance count.
+func newCOP(s deploySpec, instances int, params model.Params) (*deployment, error) {
 	gcfg := reptor.DefaultConfig()
 	gcfg.Instances, gcfg.PBFT = instances, s.pbft
-	if hbDelay > 0 {
-		gcfg.HeartbeatDelay = hbDelay
-	}
-	if hbMax > 0 {
-		gcfg.HeartbeatMax = hbMax
-	}
 	g, err := reptor.NewGroup(s.kind, gcfg, params, s.seed, s.appFactory())
 	if err != nil {
 		return nil, err
@@ -172,14 +166,13 @@ func newCOP(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.P
 	})
 }
 
-// newAgreement builds the one-keyspace system the closed-loop and traffic
-// runs share a convention for: instances 0 is a plain PBFT cluster, K a
-// COP group of K instances.
-func newAgreement(s deploySpec, instances int, hbDelay, hbMax sim.Time, params model.Params) (*deployment, error) {
+// newAgreement builds the one-keyspace system of E8 and E9: instances 0
+// is a plain PBFT cluster, K a COP group of K instances.
+func newAgreement(s deploySpec, instances int, params model.Params) (*deployment, error) {
 	if instances == 0 {
 		return newPBFT(s, params)
 	}
-	return newCOP(s, instances, hbDelay, hbMax, params)
+	return newCOP(s, instances, params)
 }
 
 // newShards builds a sharded deployment of independent PBFT groups, one
@@ -263,10 +256,13 @@ type TrafficResult struct {
 	FastOps int
 }
 
-// runWorkload drives one workload configuration through the deployment's
-// front-ends to completion, verifies the run was healthy (check) and the
-// recorded history linearizable and atomic, and collects the result.
+// runWorkload drives one workload through the deployment's front-ends to
+// completion, verifies the run was healthy (check) and the recorded
+// history linearizable and atomic, and collects the result. The load's
+// users share every front-end, and it draws from the deployment's seed:
+// wcfg's Conns and Seed are set here.
 func (d *deployment) runWorkload(wcfg workload.Config) (TrafficResult, error) {
+	wcfg.Conns, wcfg.Seed = len(d.fronts), d.seed
 	drv, err := workload.New(d.loop, wcfg, func(conn int, op []byte, done func([]byte)) string {
 		return d.fronts[conn].InvokeOp(op, done)
 	})
@@ -308,27 +304,13 @@ func (d *deployment) result(rec *metrics.Recorder) TrafficResult {
 	}
 }
 
-// trafficWorkload assembles the workload description the traffic
-// experiments share.
-func trafficWorkload(users, conns, keys, valueSize, ops, warmup, zipf100 int, mix workload.Mix, arrival workload.Arrival, seed int64) workload.Config {
-	var chooser workload.KeyChooser = workload.NewUniform(keys)
-	if zipf100 > 0 {
-		chooser = workload.NewZipf(keys, float64(zipf100)/100)
-	}
-	return workload.Config{
-		Users: users, Conns: conns, Ops: ops, Warmup: warmup,
-		Keys: chooser, Mix: mix, Arrival: arrival,
-		ValueSize: valueSize, Seed: seed,
-	}
-}
-
 // putLoop is the fixed-key put loop of E5, E7, E8 and E12 — the load
-// generator beside workload.Driver, for runs that stop on the clock or
-// lose requests to a crash: every connection keeps window puts of payload
-// bytes outstanding through submit. next names the key of a connection's
-// sent-th put, or stops that connection's refill; completed sees every
-// reply with its latency and says whether it counts as measured. The
-// caller runs the loop.
+// generator beside workload.Driver, for runs that count their requests
+// (closedLoop), stop on the clock or lose requests to a crash: every
+// connection keeps window puts of payload bytes outstanding through
+// submit. next names the key of a connection's sent-th put, or stops that
+// connection's refill; completed sees every reply with its latency and
+// says whether it counts as measured. The caller runs the loop.
 func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key string, ok bool), completed func(conn int, latency sim.Time) (measured bool)) {
 	loop, tr := d.loop, d.tr
 	value := string(make([]byte, payload))
@@ -364,4 +346,52 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 			}
 		})
 	}
+}
+
+// closedLoop measures the fixed-key closed loop of E5 and E8: every
+// front-end keeps window puts of payload bytes outstanding to keys of its
+// own, warmup unmeasured and then requests measured ones. Latency samples
+// start after each connection's warmup, and goodput spans the first
+// measured send to the last measured reply across all connections. A COP
+// group routes each put by hash of its bytes (submit), so adding instances
+// scales the ordering pipeline — the Middleware '15 parallelization the
+// paper targets RUBIN at.
+func (d *deployment) closedLoop(window, payload, requests, warmup int) (TrafficResult, error) {
+	keyPrefix := "bench"
+	if d.cop != nil {
+		keyPrefix = "cop"
+	}
+	rec := metrics.NewRecorder()
+	perConn := requests + warmup
+	done, finished := make([]int, len(d.fronts)), 0
+	var startAt, endAt sim.Time // first measured send, last measured reply
+	started := false
+	d.putLoop(window, payload, func(conn, sent int) (string, bool) {
+		if sent >= perConn {
+			return "", false
+		}
+		if sent == warmup && !started {
+			startAt, started = d.loop.Now(), true
+		}
+		return fmt.Sprintf("%s-%d-%06d", keyPrefix, conn, sent), true
+	}, func(conn int, latency sim.Time) bool {
+		done[conn]++
+		finished++
+		if done[conn] <= warmup {
+			return false
+		}
+		rec.Record(latency)
+		endAt = d.loop.Now()
+		return true
+	})
+	d.loop.Run()
+	if want := perConn * len(d.fronts); finished != want {
+		return TrafficResult{}, fmt.Errorf("bench: completed %d of %d requests", finished, want)
+	}
+	if err := d.check(); err != nil {
+		return TrafficResult{}, err
+	}
+	r := d.result(rec)
+	r.Goodput, r.Completed = metrics.Throughput(rec.Count(), endAt-startAt), rec.Count()
+	return r, nil
 }

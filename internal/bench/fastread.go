@@ -5,6 +5,7 @@ import (
 
 	"rubin/internal/metrics"
 	"rubin/internal/sim"
+	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
 
@@ -63,7 +64,7 @@ func init() {
 }
 
 // e11Check enforces the invariants every E11 point must satisfy beyond
-// RunTraffic's own health and linearizability checks: a fast-path-on
+// runWorkload's own health and linearizability checks: a fast-path-on
 // point with reads in the mix must actually serve fast reads (a run
 // that silently degraded to ordering is a failed experiment, not a
 // slow one), and a fast-path-off point must never use it.
@@ -82,22 +83,42 @@ func e11Check(r TrafficResult, fast bool, readPct int) error {
 }
 
 func runE11(rc RunContext, v values, res *metrics.Result) error {
+	n, users, conns := v.int("n"), v.int("users"), v.int("conns")
 	// The batch sweep pins the read share at the mix sweep's highest —
 	// where the fast path has the most agreement work to remove.
 	topRead := v.max("read_pcts")
-	// Sweep 1: read share at the default batch size. Sweep 2: agreement
-	// batch size at the highest read share.
+	// Sweep 1: read share at the default batch size (batch 0 keeps it).
+	// Sweep 2: agreement batch size at the highest read share.
 	type sweep struct {
 		prefix, xLabel string
 		xs             []int
-		set            func(cfg *TrafficConfig, x int) (readPct int)
+		at             func(x int) (readPct, batch int)
 	}
 	sweeps := []sweep{
-		{"mix", "read_pct", v.ints("read_pcts"), func(_ *TrafficConfig, readPct int) int { return readPct }},
-		{"batch", "batch", v.ints("batches"), func(cfg *TrafficConfig, batch int) int {
-			cfg.BatchSize = batch
-			return topRead
-		}},
+		{"mix", "read_pct", v.ints("read_pcts"), func(readPct int) (int, int) { return readPct, 0 }},
+		{"batch", "batch", v.ints("batches"), func(batch int) (int, int) { return topRead, batch }},
+	}
+	// point measures one x of a sweep on a fresh cluster, its fast path
+	// on with the knob's timeout or off at 0.
+	point := func(sw sweep, x int, kind transport.Kind, fp string, timeout sim.Time) (TrafficResult, error) {
+		readPct, batch := sw.at(x)
+		d, err := newPBFT(deploySpec{
+			kind: kind, pbft: pbftConfig(n, (n-1)/3, batch), seed: rc.Seed, conns: conns, trace: rc.Trace,
+			label:       fmt.Sprintf("E11 %s=%d %s %s N=%d users=%d conns=%d seed=%d", sw.xLabel, x, fp, kind, n, users, conns, rc.Seed),
+			readTimeout: timeout,
+		}, rc.Model)
+		if err != nil {
+			return TrafficResult{}, err
+		}
+		r, err := d.runWorkload(workload.Config{
+			Users: users, Ops: v.int("ops"), Warmup: v.int("warmup"),
+			Keys: keyChooser(v.int("keys"), 99), Mix: e9Mix(readPct, 0, 0), Arrival: workload.Closed(v.int("window"), 0),
+			ValueSize: v.int("value_bytes"),
+		})
+		if err == nil {
+			err = e11Check(r, timeout > 0, readPct)
+		}
+		return r, err
 	}
 	for _, sw := range sweeps {
 		for _, kind := range e8Transports {
@@ -109,20 +130,7 @@ func runE11(rc RunContext, v values, res *metrics.Result) error {
 				}
 				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, fp, e8Label(kind)), string(kind), sw.xLabel, cols...)
 				for _, x := range sw.xs {
-					cfg := TrafficConfig{
-						Kind: kind,
-						N:    v.int("n"), F: (v.int("n") - 1) / 3,
-						Users: v.int("users"), Conns: v.int("conns"), Keys: v.int("keys"),
-						ValueSize: v.int("value_bytes"), Ops: v.int("ops"), Warmup: v.int("warmup"),
-						Zipf100: 99, Arrival: workload.Closed(v.int("window"), 0),
-						Seed: rc.Seed, Trace: rc.Trace, ReadTimeout: timeout,
-					}
-					readPct := sw.set(&cfg, x)
-					cfg.Mix = e9Mix(readPct, 0, 0)
-					r, err := RunTraffic(cfg, rc.Model)
-					if err == nil {
-						err = e11Check(r, fast, readPct)
-					}
+					r, err := point(sw, x, kind, fp, timeout)
 					if err != nil {
 						return fmt.Errorf("%s=%d %s %s: %w", sw.xLabel, x, fp, kind, err)
 					}

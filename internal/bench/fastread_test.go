@@ -2,9 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"rubin/internal/metrics"
+	"rubin/internal/obs"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
@@ -73,23 +76,59 @@ func TestE11SameSeedRunsAreByteIdentical(t *testing.T) {
 }
 
 // TestRunTrafficFastPathOffIsInert pins the opt-in contract: with a zero
-// ReadTimeout, no fast reads are served and no history op is tagged, even
+// readTimeout, no fast reads are served and no history op is tagged, even
 // for a read-heavy mix.
 func TestRunTrafficFastPathOffIsInert(t *testing.T) {
-	cfg := TrafficConfig{
-		Kind: transport.KindTCP, N: 4, F: 1,
-		Users: 6, Conns: 2, Keys: 16, ValueSize: 16,
+	r, err := runTraffic(trafficSpec(transport.KindTCP, 2, 9), 0, workload.Config{
+		Users: 6, Keys: workload.NewUniform(16), ValueSize: 16,
 		Ops: 40, Warmup: 5,
 		Mix:     workload.Mix{ReadPct: 80, WritePct: 20},
 		Arrival: workload.Closed(1, 0),
-		Seed:    9,
-	}
-	r, err := RunTraffic(cfg, DefaultRunContext().Model)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reads, fallbacks := r.Stats["pbft.fast_reads"], r.Stats["pbft.fast_read_fallbacks"]; reads != 0 || fallbacks != 0 || r.FastOps != 0 {
 		t.Fatalf("fast path leaked into a disabled run: reads=%v fallbacks=%v ops=%d", reads, fallbacks, r.FastOps)
+	}
+}
+
+// TestE11TraceNamesItsPoints: in a -trace file every E11 point is a
+// process of its own whose name starts with its experiment's, so a suite
+// trace tells E11's points from E9's.
+func TestE11TraceNamesItsPoints(t *testing.T) {
+	rc := tinyE11Context()
+	rc.Trace = obs.New(obs.Options{Spans: true})
+	if _, err := Run("E11", rc); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rc.Trace.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string
+			Args struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ev := range trace.TraceEvents {
+		if ev.Name == "process_name" {
+			names = append(names, ev.Args.Name)
+		}
+	}
+	// Two sweeps of one x each, both fast-path settings, both backends.
+	if len(names) != 8 {
+		t.Fatalf("%d processes, want one per point (8): %q", len(names), names)
+	}
+	for _, name := range names {
+		if !strings.HasPrefix(name, "E11 ") {
+			t.Errorf("process %q does not name E11", name)
+		}
 	}
 }
 

@@ -32,22 +32,6 @@ import (
 	"rubin/internal/tcpsim"
 )
 
-// Fig3Stack selects one series of Figure 3.
-type Fig3Stack string
-
-// The four series of Figure 3.
-const (
-	StackTCP      Fig3Stack = "TCP"
-	StackSendRecv Fig3Stack = "RDMA Send/Recv"
-	StackOneSided Fig3Stack = "RDMA Read/Write"
-	StackChannel  Fig3Stack = "RDMA Channel"
-)
-
-// Fig3Stacks returns the series in the paper's legend order.
-func Fig3Stacks() []Fig3Stack {
-	return []Fig3Stack{StackTCP, StackSendRecv, StackOneSided, StackChannel}
-}
-
 // EchoConfig parameterizes one echo measurement.
 type EchoConfig struct {
 	Payload  int // message size in bytes
@@ -63,22 +47,6 @@ type EchoResult struct {
 	MeanRT     sim.Time // mean request round-trip latency
 	P99RT      sim.Time
 	Throughput float64 // requests per second (closed loop)
-}
-
-// RunFig3 measures one (stack, payload) point of Figure 3.
-func RunFig3(stack Fig3Stack, cfg EchoConfig, params model.Params) (EchoResult, error) {
-	switch stack {
-	case StackTCP:
-		return echoTCP(cfg, params)
-	case StackSendRecv:
-		return echoSendRecv(cfg, params)
-	case StackOneSided:
-		return echoOneSided(cfg, params)
-	case StackChannel:
-		return echoChannelCfg(cfg, params, nil)
-	default:
-		return EchoResult{}, fmt.Errorf("bench: unknown stack %q", stack)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -121,7 +89,7 @@ func registerEchoFigure(lat, tput Experiment, knobs []knob, curves []echoCurve, 
 				for _, kb := range v.ints("payloads_kb") {
 					r, err := c.run(echoConfig(rc, v, kb), rc.Model)
 					if err != nil {
-						return err
+						return fmt.Errorf("%s %d KB: %w", c.name, kb, err)
 					}
 					if latency {
 						mean.Add(float64(kb), r.MeanRT.Micros())
@@ -140,16 +108,13 @@ func registerEchoFigure(lat, tput Experiment, knobs []knob, curves []echoCurve, 
 	Register(tput)
 }
 
+// The four series of Figure 3, in the paper's legend order.
 func init() {
-	var curves []echoCurve
-	for _, stack := range Fig3Stacks() {
-		backend := "rdma"
-		if stack == StackTCP {
-			backend = "tcp"
-		}
-		curves = append(curves, echoCurve{string(stack), backend, func(cfg EchoConfig, p model.Params) (EchoResult, error) {
-			return RunFig3(stack, cfg, p)
-		}})
+	curves := []echoCurve{
+		{"TCP", "tcp", echoTCP},
+		{"RDMA Send/Recv", "rdma", echoSendRecv},
+		{"RDMA Read/Write", "rdma", echoOneSided},
+		{"RDMA Channel", "rdma", echoChannel},
 	}
 	registerEchoFigure(
 		Experiment{Name: "E1", Title: "echo latency across transport stacks", Figure: "Figure 3a"},
@@ -226,9 +191,9 @@ func (d *echoDriver) completed() {
 
 // result is the measurement once the loop has drained; an echo that
 // wedged part-way is an error, not a mean over whatever finished.
-func (d *echoDriver) result(stack Fig3Stack) (EchoResult, error) {
+func (d *echoDriver) result() (EchoResult, error) {
 	if d.done != d.total() {
-		return EchoResult{}, fmt.Errorf("bench: %s echo completed %d of %d round trips", stack, d.done, d.total())
+		return EchoResult{}, fmt.Errorf("bench: echo completed %d of %d round trips", d.done, d.total())
 	}
 	return EchoResult{
 		MeanRT:     d.rec.Mean(),
@@ -312,7 +277,7 @@ func echoTCP(cfg EchoConfig, params model.Params) (EchoResult, error) {
 		})
 	})
 	loop.Run()
-	return d.result(StackTCP)
+	return d.result()
 }
 
 // ---------------------------------------------------------------------------
@@ -379,7 +344,7 @@ func echoSendRecv(cfg EchoConfig, params model.Params) (EchoResult, error) {
 		})
 	})
 	loop.Run()
-	return d.result(StackSendRecv)
+	return d.result()
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +385,7 @@ func echoOneSided(cfg EchoConfig, params model.Params) (EchoResult, error) {
 		})
 	})
 	loop.Run()
-	return d.result(StackOneSided)
+	return d.result()
 }
 
 // ---------------------------------------------------------------------------
@@ -428,6 +393,11 @@ func echoOneSided(cfg EchoConfig, params model.Params) (EchoResult, error) {
 // optimizations (pre-registered pools, batched doorbells, selective
 // signaling, zero-copy send, inline small messages).
 // ---------------------------------------------------------------------------
+
+// echoChannel is the full channel.
+func echoChannel(cfg EchoConfig, params model.Params) (EchoResult, error) {
+	return echoChannelCfg(cfg, params, nil)
+}
 
 // echoChannelCfg lets an ablation mutate the channel configuration and the
 // model; nil is the full channel.
@@ -519,5 +489,5 @@ func echoChannelCfg(cfg EchoConfig, params model.Params, mutate func(*rubin.Conf
 		d.start(func() { _ = clientCh.Send(payload) })
 	})
 	loop.Run()
-	return d.result(StackChannel)
+	return d.result()
 }

@@ -52,7 +52,7 @@ func RunFig4(kind transport.Kind, cfg EchoConfig, params model.Params) (EchoResu
 		d.start(func() { _ = clientConn.Send(payload) })
 	})
 	loop.Run()
-	return d.result(Fig3Stack(kind))
+	return d.result()
 }
 
 // Registry entries: E3 (Figure 4a, latency) and E4 (Figure 4b,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rubin/internal/metrics"
-	"rubin/internal/model"
 	"rubin/internal/obs"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -39,31 +38,22 @@ func assertPartition(t *testing.T, label string, s obs.Summary, mean sim.Time) {
 // three measurement drivers: PBFT closed loop, COP closed loop, and the
 // workload-driven traffic study.
 func TestBreakdownPartitionsMeanLatency(t *testing.T) {
-	bft, err := RunClosedLoop(quickBFTN(transport.KindRDMA, 4), model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPartition(t, "RunClosedLoop PBFT", bft.Breakdown, bft.Mean)
+	bft := quickLoop(t, quickSpec(transport.KindRDMA, 4), 0, 8, 40, 5)
+	assertPartition(t, "closed loop PBFT", bft.Breakdown, bft.Mean)
 
-	cop, err := RunClosedLoop(quickCOP(transport.KindTCP, 2), model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertPartition(t, "RunClosedLoop COP", cop.Breakdown, cop.Mean)
+	cop := quickCOP(t, transport.KindTCP, 2)
+	assertPartition(t, "closed loop COP", cop.Breakdown, cop.Mean)
 
-	traffic, err := RunTraffic(TrafficConfig{
-		Kind: transport.KindRDMA, Instances: 2, N: 4, F: 1,
-		Users: 8, Conns: 2, Keys: 16, ValueSize: 16,
+	traffic, err := runTraffic(trafficSpec(transport.KindRDMA, 2, 7), 2, workload.Config{
+		Users: 8, Keys: keyChooser(16, 99), ValueSize: 16,
 		Ops: 40, Warmup: 5,
 		Mix:     workload.Mix{ReadPct: 50, WritePct: 50},
-		Zipf100: 99,
 		Arrival: workload.Closed(1, 0),
-		Seed:    7,
-	}, model.Default())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertPartition(t, "RunTraffic", traffic.Breakdown, traffic.Mean)
+	assertPartition(t, "traffic", traffic.Breakdown, traffic.Mean)
 	if peak := traffic.Stats["msgnet.peak_queue_bytes"]; peak <= 0 {
 		t.Errorf("traffic run saw no msgnet queueing (peak %v bytes)", peak)
 	}

@@ -14,12 +14,15 @@ func TestProbe(t *testing.T) {
 		cfg := EchoConfig{Payload: kb << 10, Messages: 300, Warmup: 30, Window: 3, Seed: 1}
 		var line string
 		line = fmt.Sprintf("%3dKB", kb)
-		for _, st := range Fig3Stacks() {
-			res, err := RunFig3(st, cfg, p)
+		for _, st := range []struct {
+			name string
+			echo func(EchoConfig, model.Params) (EchoResult, error)
+		}{{"tcp", echoTCP}, {"sr", echoSendRecv}, {"rw", echoOneSided}, {"ch", echoChannel}} {
+			res, err := st.echo(cfg, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			line += fmt.Sprintf("  %s=%7.1fus/%6.0frps", shortName(st), res.MeanRT.Micros(), res.Throughput)
+			line += fmt.Sprintf("  %s=%7.1fus/%6.0frps", st.name, res.MeanRT.Micros(), res.Throughput)
 		}
 		fmt.Println(line)
 	}
@@ -37,18 +40,4 @@ func TestProbe(t *testing.T) {
 			kb, r.MeanRT.Micros(), r.Throughput, tc.MeanRT.Micros(), tc.Throughput,
 			100*(float64(r.MeanRT)/float64(tc.MeanRT)-1), 100*(r.Throughput/tc.Throughput-1))
 	}
-}
-
-func shortName(s Fig3Stack) string {
-	switch s {
-	case StackTCP:
-		return "tcp"
-	case StackSendRecv:
-		return "sr"
-	case StackOneSided:
-		return "rw"
-	case StackChannel:
-		return "ch"
-	}
-	return "?"
 }

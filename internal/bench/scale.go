@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rubin/internal/metrics"
-	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
@@ -29,14 +28,6 @@ func init() {
 			{name: "window", def: "16", min: 1},
 			{name: "clients", def: "4", quick: "2", min: 1},
 			{name: "batch", def: "8", min: 1},
-			{name: "hb_us", def: "100", min: 1},      // adaptive heartbeat floor
-			{name: "hb_max_us", def: "4000", min: 1}, // adaptive heartbeat backoff ceiling
-		},
-		check: func(v values) error {
-			if v.int("hb_max_us") < v.int("hb_us") {
-				return fmt.Errorf("need hb_us <= hb_max_us, got %d/%d", v.int("hb_us"), v.int("hb_max_us"))
-			}
-			return nil
 		},
 		run: runE8,
 	})
@@ -54,9 +45,22 @@ func e8Label(kind transport.Kind) string {
 }
 
 func runE8(rc RunContext, v values, res *metrics.Result) error {
-	base := ClosedLoopConfig{
-		Requests: v.int("requests"), Warmup: v.int("warmup"), Window: v.int("window"),
-		Batch: v.int("batch"), Clients: v.int("clients"), Seed: rc.Seed, Trace: rc.Trace,
+	clients := v.int("clients")
+	// point measures the closed loop on a fresh system of n replicas:
+	// plain PBFT at instances 0, else a COP group of that many instances.
+	point := func(kind transport.Kind, n, instances, kb int) (TrafficResult, error) {
+		sys := fmt.Sprintf("PBFT %s", kind)
+		if instances > 0 {
+			sys = fmt.Sprintf("COP %s K=%d", kind, instances)
+		}
+		d, err := newAgreement(deploySpec{
+			kind: kind, pbft: pbftConfig(n, (n-1)/3, v.int("batch")), seed: rc.Seed, conns: clients, trace: rc.Trace,
+			label: fmt.Sprintf("E8 %s N=%d clients=%d payload=%dB seed=%d", sys, n, clients, kb<<10, rc.Seed),
+		}, instances, rc.Model)
+		if err != nil {
+			return TrafficResult{}, err
+		}
+		return d.closedLoop(v.int("window"), kb<<10, v.int("requests"), v.int("warmup"))
 	}
 	// Axis 1: PBFT agreement vs cluster size (f scales with N).
 	pbftCols := append([]column{colMean, colP99, colThroughput}, breakdownColumns...)
@@ -64,9 +68,7 @@ func runE8(rc RunContext, v values, res *metrics.Result) error {
 		for _, kb := range v.ints("payloads_kb") {
 			ss := addColumns(res, fmt.Sprintf("PBFT %s %dKB", e8Label(kind), kb), string(kind), "replicas", pbftCols...)
 			for _, n := range v.ints("ns") {
-				cfg := base
-				cfg.Kind, cfg.Payload, cfg.N, cfg.F = kind, kb<<10, n, (n-1)/3
-				r, err := RunClosedLoop(cfg, rc.Model)
+				r, err := point(kind, n, 0, kb)
 				if err != nil {
 					return fmt.Errorf("PBFT N=%d %s %dKB: %w", n, kind, kb, err)
 				}
@@ -80,20 +82,15 @@ func runE8(rc RunContext, v values, res *metrics.Result) error {
 	// adaptive/batched heartbeat keeps the merge's hole-filling cost from
 	// growing with K.
 	copCols := append(append([]column{colMean, colP99, colThroughput, colHeartbeatSlots, colLeaderCPU}, breakdownColumns...), colMergeWait)
-	base.N, base.F = v.int("cop_n"), (v.int("cop_n")-1)/3
-	base.HeartbeatDelay = sim.Time(v.int("hb_us")) * sim.Microsecond
-	base.HeartbeatMax = sim.Time(v.int("hb_max_us")) * sim.Microsecond
 	for _, kind := range e8Transports {
 		for _, kb := range v.ints("cop_payloads_kb") {
 			ss := addColumns(res, fmt.Sprintf("COP %s %dKB", e8Label(kind), kb), string(kind), "instances", copCols...)
-			for _, ki := range v.ints("ks") {
-				cfg := base
-				cfg.Kind, cfg.Payload, cfg.Instances = kind, kb<<10, ki
-				r, err := RunClosedLoop(cfg, rc.Model)
+			for _, k := range v.ints("ks") {
+				r, err := point(kind, v.int("cop_n"), k, kb)
 				if err != nil {
-					return fmt.Errorf("COP K=%d %s %dKB: %w", ki, kind, kb, err)
+					return fmt.Errorf("COP K=%d %s %dKB: %w", k, kind, kb, err)
 				}
-				ss.observe(float64(ki), r)
+				ss.observe(float64(k), r)
 			}
 		}
 	}

@@ -7,12 +7,28 @@ import (
 	"rubin/internal/transport"
 )
 
-// quickBFTN returns a small closed-loop config for an N-replica cluster.
-func quickBFTN(kind transport.Kind, n int) ClosedLoopConfig {
-	return ClosedLoopConfig{
-		Kind: kind, Payload: 1 << 10, N: n, F: (n - 1) / 3,
-		Requests: 40, Warmup: 5, Window: 8, Batch: 8, Clients: 2, Seed: 1,
+// quickSpec is a small deployment of n replicas: batch 8, two connections,
+// seed 1. Its label gives each run a tracer of its own, so a result carries
+// the latency breakdown as an experiment's does.
+func quickSpec(kind transport.Kind, n int) deploySpec {
+	return deploySpec{kind: kind, pbft: pbftConfig(n, (n-1)/3, 8), seed: 1, conns: 2, label: "closed loop"}
+}
+
+// quickLoop measures the closed loop of 1 KiB puts on a fresh system built
+// from s — plain PBFT at instances 0, else a COP group of that many — with
+// window outstanding per connection, warmup unmeasured then requests
+// measured.
+func quickLoop(t *testing.T, s deploySpec, instances, window, requests, warmup int) TrafficResult {
+	t.Helper()
+	d, err := newAgreement(s, instances, model.Default())
+	if err != nil {
+		t.Fatal(err)
 	}
+	r, err := d.closedLoop(window, 1<<10, requests, warmup)
+	if err != nil {
+		t.Fatalf("%s N=%d K=%d clients=%d: %v", s.kind, s.pbft.N, instances, s.conns, err)
+	}
+	return r
 }
 
 // TestBFTScalesWithN asserts the N axis of E8 works at all swept sizes and
@@ -22,10 +38,7 @@ func TestBFTScalesWithN(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		lats := map[int]float64{}
 		for _, n := range []int{4, 7, 10} {
-			res, err := RunClosedLoop(quickBFTN(kind, n), model.Default())
-			if err != nil {
-				t.Fatalf("%s N=%d: %v", kind, n, err)
-			}
+			res := quickLoop(t, quickSpec(kind, n), 0, 8, 40, 5)
 			if res.Mean <= 0 || res.Goodput <= 0 {
 				t.Fatalf("%s N=%d: degenerate result %+v", kind, n, res)
 			}
@@ -43,28 +56,23 @@ func TestBFTScalesWithN(t *testing.T) {
 // TestBFTMultiClientAddsLoad asserts the closed-loop client count is a real
 // load axis: two clients commit more requests per second than one.
 func TestBFTMultiClientAddsLoad(t *testing.T) {
-	one := quickBFTN(transport.KindRDMA, 4)
-	one.Requests, one.Warmup, one.Clients = 60, 10, 1
+	one := quickSpec(transport.KindRDMA, 4)
+	one.conns = 1
 	two := one
-	two.Clients = 2
-	r1, err := RunClosedLoop(one, model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := RunClosedLoop(two, model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	two.conns = 2
+	r1 := quickLoop(t, one, 0, 8, 60, 10)
+	r2 := quickLoop(t, two, 0, 8, 60, 10)
 	if r2.Goodput <= r1.Goodput {
 		t.Errorf("2 clients (%.0f req/s) should out-commit 1 client (%.0f req/s)",
 			r2.Goodput, r1.Goodput)
 	}
 }
 
-func quickCOP(kind transport.Kind, k int) ClosedLoopConfig {
-	cfg := quickBFTN(kind, 4)
-	cfg.Instances = k
-	return cfg
+// quickCOP measures quickLoop's default closed loop on a COP group of k
+// instances over four replicas.
+func quickCOP(t *testing.T, kind transport.Kind, k int) TrafficResult {
+	t.Helper()
+	return quickLoop(t, quickSpec(kind, 4), k, 8, 40, 5)
 }
 
 // TestCOPInstanceSweep asserts the K axis of E8 is measurable at every
@@ -77,10 +85,7 @@ func TestCOPInstanceSweep(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		lats := map[int]float64{}
 		for _, k := range []int{1, 2, 4} {
-			r, err := RunClosedLoop(quickCOP(kind, k), model.Default())
-			if err != nil {
-				t.Fatalf("%s K=%d: %v", kind, k, err)
-			}
+			r := quickCOP(t, kind, k)
 			if r.Mean <= 0 || r.Goodput <= 0 || r.Completed == 0 {
 				t.Fatalf("%s K=%d: degenerate result %+v", kind, k, r)
 			}
@@ -96,14 +101,8 @@ func TestCOPInstanceSweep(t *testing.T) {
 // TestCOPFasterOverRUBIN extends the paper's claim to the parallelized
 // system: COP ordering commits faster over RUBIN than over the NIO stack.
 func TestCOPFasterOverRUBIN(t *testing.T) {
-	r, err := RunClosedLoop(quickCOP(transport.KindRDMA, 4), model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := RunClosedLoop(quickCOP(transport.KindTCP, 4), model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickCOP(t, transport.KindRDMA, 4)
+	n := quickCOP(t, transport.KindTCP, 4)
 	if r.Mean >= n.Mean {
 		t.Errorf("COP latency over RUBIN (%v) should beat NIO (%v)", r.Mean, n.Mean)
 	}

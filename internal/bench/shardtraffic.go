@@ -6,38 +6,9 @@ import (
 
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
-	"rubin/internal/model"
-	"rubin/internal/obs"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
-
-// ShardTrafficConfig parameterizes one point of experiment E10: a mixed
-// workload (single-key operations, scans and multi-key transactions)
-// driven through routers against a sharded deployment of S independent
-// consensus groups. CrossPct controls what share of the transactions is
-// forced to span two shards — those commit through 2PC over consensus —
-// while the rest stay on one shard's one-phase fast path. Every
-// operation is recorded and the history must pass the atomicity plus
-// per-key linearizability check, so each E10 point doubles as a
-// correctness proof of the sharded commit path.
-type ShardTrafficConfig struct {
-	Kind      transport.Kind
-	Shards    int
-	N, F      int
-	Users     int // logical users
-	Conns     int // routers the users share
-	Keys      int // keyspace size
-	ValueSize int // written-value padding, bytes
-	Ops       int // measured operations
-	Warmup    int // unmeasured leading operations
-	Mix       workload.Mix
-	CrossPct  int // share of transactions forced cross-shard, percent
-	Zipf100   int // Zipf theta ×100 over the keyspace; 0 = uniform
-	Arrival   workload.Arrival
-	Seed      int64
-	Trace     *obs.Tracer
-}
 
 // shardPools groups the workload's key names by owning shard. Every
 // shard must own at least two keys (a transaction needs two distinct
@@ -60,7 +31,7 @@ func shardPools(keys, shards int) ([][]string, error) {
 }
 
 // crossPick builds the transaction key picker: with probability
-// CrossPct% (and more than one shard) the two keys are drawn from two
+// crossPct% (and more than one shard) the two keys are drawn from two
 // different shards' pools, otherwise both from one shard's. The picker
 // draws only from the driver's private random source, preserving run
 // determinism.
@@ -83,34 +54,6 @@ func crossPick(pools [][]string, crossPct int) func(r *rand.Rand) (string, strin
 		}
 		return pool[a], pool[b]
 	}
-}
-
-// RunShardTraffic drives one workload configuration against a sharded
-// deployment to completion, verifies the run was healthy (no send
-// faults, no dangling invocations, no 2PC protocol errors) and that the
-// history passes the atomicity plus per-key linearizability check, and
-// returns the latency and committed-throughput measurements.
-func RunShardTraffic(cfg ShardTrafficConfig, params model.Params) (TrafficResult, error) {
-	if cfg.CrossPct < 0 || cfg.CrossPct > 100 {
-		return TrafficResult{}, fmt.Errorf("bench: cross-shard share %d%% out of range", cfg.CrossPct)
-	}
-	pools, err := shardPools(cfg.Keys, cfg.Shards)
-	if err != nil {
-		return TrafficResult{}, err
-	}
-	d, err := newShards(deploySpec{
-		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, 0), seed: cfg.Seed, conns: cfg.Conns,
-		label: fmt.Sprintf("E10 S=%d cross=%d%% %s N=%d users=%d conns=%d seed=%d",
-			cfg.Shards, cfg.CrossPct, cfg.Kind, cfg.N, cfg.Users, cfg.Conns, cfg.Seed),
-		trace: cfg.Trace,
-	}, cfg.Shards, params)
-	if err != nil {
-		return TrafficResult{}, err
-	}
-	wcfg := trafficWorkload(cfg.Users, cfg.Conns, cfg.Keys, cfg.ValueSize,
-		cfg.Ops, cfg.Warmup, cfg.Zipf100, cfg.Mix, cfg.Arrival, cfg.Seed)
-	wcfg.TxnPick = crossPick(pools, cfg.CrossPct)
-	return d.runWorkload(wcfg)
 }
 
 // ---------------------------------------------------------------------------
@@ -165,27 +108,46 @@ func init() {
 	})
 }
 
+// runE10 drives a mixed workload (single-key operations, scans and
+// multi-key transactions) through routers against S independent consensus
+// groups. A cross-shard share of the transactions spans two shards and
+// commits through 2PC over consensus; the rest stay on one shard's
+// one-phase path. runWorkload fails a history that is not atomic and
+// linearizable per key, so each point doubles as a correctness proof of
+// the sharded commit path.
 func runE10(rc RunContext, v values, res *metrics.Result) error {
+	n, users, conns, keys := v.int("n"), v.int("users"), v.int("conns"), v.int("keys")
 	mix := workload.Mix{
 		ReadPct: v.int("read_pct"), ScanPct: v.int("scan_pct"),
 		DeletePct: v.int("delete_pct"), TxnPct: v.int("txn_pct"),
 	}
 	mix.WritePct = 100 - mix.ReadPct - mix.ScanPct - mix.DeletePct - mix.TxnPct
+	// point measures one shard count at one cross-shard share.
+	point := func(kind transport.Kind, shards, cross int) (TrafficResult, error) {
+		pools, err := shardPools(keys, shards)
+		if err != nil {
+			return TrafficResult{}, err
+		}
+		d, err := newShards(deploySpec{
+			kind: kind, pbft: pbftConfig(n, (n-1)/3, 0), seed: rc.Seed, conns: conns, trace: rc.Trace,
+			label: fmt.Sprintf("E10 S=%d cross=%d%% %s N=%d users=%d conns=%d seed=%d",
+				shards, cross, kind, n, users, conns, rc.Seed),
+		}, shards, rc.Model)
+		if err != nil {
+			return TrafficResult{}, err
+		}
+		return d.runWorkload(workload.Config{
+			Users: users, Ops: v.int("ops"), Warmup: v.int("warmup"),
+			Keys: workload.NewUniform(keys), Mix: mix, Arrival: workload.Closed(v.int("window"), 0),
+			ValueSize: v.int("value_bytes"), TxnPick: crossPick(pools, cross),
+		})
+	}
 	for _, kind := range e8Transports {
 		for _, cross := range v.ints("cross_pcts") {
 			name := fmt.Sprintf("scale cross=%d%% %s", cross, e8Label(kind))
 			ss := addTrafficSeries(res, name, string(kind), "shards", shardColumns...)
 			for _, shards := range v.ints("shards") {
-				cfg := ShardTrafficConfig{
-					Kind: kind, Shards: shards,
-					N: v.int("n"), F: (v.int("n") - 1) / 3,
-					Users: v.int("users"), Conns: v.int("conns"), Keys: v.int("keys"),
-					ValueSize: v.int("value_bytes"), Ops: v.int("ops"), Warmup: v.int("warmup"),
-					Mix: mix, CrossPct: cross,
-					Arrival: workload.Closed(v.int("window"), 0),
-					Seed:    rc.Seed, Trace: rc.Trace,
-				}
-				r, err := RunShardTraffic(cfg, rc.Model)
+				r, err := point(kind, shards, cross)
 				if err != nil {
 					return fmt.Errorf("shards=%d cross=%d %s: %w", shards, cross, kind, err)
 				}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rubin/internal/metrics"
+	"rubin/internal/model"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
@@ -76,20 +77,25 @@ func TestE10SameSeedRunsAreByteIdentical(t *testing.T) {
 }
 
 // TestRunShardTrafficCrossShard drives a transaction-heavy workload with
-// a high cross-shard share through a 4-shard deployment: every point
-// must pass the atomicity + linearizability check inside
-// RunShardTraffic, and the counters must show 2PC happened.
+// a high cross-shard share through a 4-shard deployment, as an E10 point
+// does: every point must pass the atomicity + linearizability check
+// inside runWorkload, and the counters must show 2PC happened.
 func TestRunShardTrafficCrossShard(t *testing.T) {
-	cfg := ShardTrafficConfig{
-		Kind: transport.KindRDMA, Shards: 4, N: 4, F: 1,
-		Users: 8, Conns: 2, Keys: 64, ValueSize: 16,
-		Ops: 60, Warmup: 5,
-		Mix:      workload.Mix{ReadPct: 20, WritePct: 20, DeletePct: 5, ScanPct: 5, TxnPct: 50},
-		CrossPct: 80,
-		Arrival:  workload.Closed(1, 0),
-		Seed:     7,
+	pools, err := shardPools(64, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r, err := RunShardTraffic(cfg, DefaultRunContext().Model)
+	d, err := newShards(trafficSpec(transport.KindRDMA, 2, 7), 4, model.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.runWorkload(workload.Config{
+		Users: 8, Keys: workload.NewUniform(64), ValueSize: 16,
+		Ops: 60, Warmup: 5,
+		Mix:     workload.Mix{ReadPct: 20, WritePct: 20, DeletePct: 5, ScanPct: 5, TxnPct: 50},
+		TxnPick: crossPick(pools, 80),
+		Arrival: workload.Closed(1, 0),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,70 +4,10 @@ import (
 	"fmt"
 
 	"rubin/internal/metrics"
-	"rubin/internal/model"
-	"rubin/internal/obs"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
-
-// TrafficConfig parameterizes one point of experiment E9: a workload
-// (key skew, operation mix, arrival model) driven against either a PBFT
-// cluster (Instances == 0) or a Reptor COP group (Instances == K) over
-// one transport backend. Logical users are multiplexed over a bounded
-// pool of client connections, every operation is recorded, and the
-// history is checked for per-key register linearizability — a failed
-// check fails the run, so every E9 point doubles as a correctness proof.
-type TrafficConfig struct {
-	Kind      transport.Kind
-	Instances int // 0 = plain PBFT cluster; K >= 1 = Reptor COP group
-	N, F      int
-	Users     int // logical users
-	Conns     int // client connections the users share
-	Keys      int // keyspace size
-	ValueSize int // written-value padding, bytes
-	Ops       int // measured operations
-	Warmup    int // unmeasured leading operations
-	Mix       workload.Mix
-	Zipf100   int // Zipf theta ×100 over the keyspace; 0 = uniform
-	Arrival   workload.Arrival
-	Seed      int64
-	// BatchSize, when positive, overrides the protocol's default
-	// agreement batch size (E11 sweeps it; zero keeps the default).
-	BatchSize int
-	// ReadTimeout, when positive, enables the PBFT read-only optimization:
-	// single-key reads are multicast and accepted on 2F+1 matching
-	// tentative replies, falling back to the ordered path after this
-	// timeout. Zero leaves it off, as E9 does. It applies to a plain PBFT
-	// cluster only (Instances == 0); a COP group orders every read.
-	ReadTimeout sim.Time
-	// Trace, when non-nil, records spans and samples into the shared
-	// -trace tracer; nil still aggregates the latency breakdown.
-	Trace *obs.Tracer
-}
-
-// RunTraffic drives one workload configuration to completion, verifies
-// the run was healthy (no send faults, no stalled executor, no dangling
-// invocations) and linearizable, and returns the latency percentiles
-// and goodput.
-func RunTraffic(cfg TrafficConfig, params model.Params) (TrafficResult, error) {
-	sysLabel := "PBFT"
-	if cfg.Instances > 0 {
-		sysLabel = fmt.Sprintf("COP-%d", cfg.Instances)
-	}
-	spec := deploySpec{
-		kind: cfg.Kind, pbft: pbftConfig(cfg.N, cfg.F, cfg.BatchSize), seed: cfg.Seed, conns: cfg.Conns,
-		label: fmt.Sprintf("E9 %s %s N=%d users=%d conns=%d seed=%d",
-			sysLabel, cfg.Kind, cfg.N, cfg.Users, cfg.Conns, cfg.Seed),
-		trace: cfg.Trace, readTimeout: cfg.ReadTimeout,
-	}
-	d, err := newAgreement(spec, cfg.Instances, 0, 0, params)
-	if err != nil {
-		return TrafficResult{}, err
-	}
-	return d.runWorkload(trafficWorkload(cfg.Users, cfg.Conns, cfg.Keys, cfg.ValueSize,
-		cfg.Ops, cfg.Warmup, cfg.Zipf100, cfg.Mix, cfg.Arrival, cfg.Seed))
-}
 
 // ---------------------------------------------------------------------------
 // Registry entry: E9 (traffic study under a linearizability oracle).
@@ -125,6 +65,14 @@ func e9Mix(readPct, scanPct, deletePct int) workload.Mix {
 	m := workload.Mix{ReadPct: readPct, ScanPct: scanPct, DeletePct: deletePct}
 	m.WritePct = 100 - m.ReadPct - m.ScanPct - m.DeletePct
 	return m
+}
+
+// keyChooser picks among keys with Zipf theta zipf100/100, uniformly at 0.
+func keyChooser(keys, zipf100 int) workload.KeyChooser {
+	if zipf100 == 0 {
+		return workload.NewUniform(keys)
+	}
+	return workload.NewZipf(keys, float64(zipf100)/100)
 }
 
 // column is one per-point series a sweep reports: its metric, unit and
@@ -224,7 +172,12 @@ func (s trafficSeries) observe(x float64, r TrafficResult) {
 	s.cols.observe(x, r)
 }
 
+// runE9 drives each point's workload against a plain PBFT cluster or a COP
+// group of K instances over one backend. Every operation is recorded and
+// runWorkload fails a history that is not linearizable per key, so every
+// E9 point doubles as a correctness proof.
 func runE9(rc RunContext, v values, res *metrics.Result) error {
+	n, users, conns, keys := v.int("n"), v.int("users"), v.int("conns"), v.int("keys")
 	scan, del, window := v.int("scan_pct"), v.int("delete_pct"), v.int("window")
 	// One sweep per x axis: open-loop arrival rate (Poisson — and, when
 	// enabled, the same rates as on/off bursts) at fixed skew and mix,
@@ -232,24 +185,37 @@ func runE9(rc RunContext, v values, res *metrics.Result) error {
 	type sweep struct {
 		prefix, xLabel string
 		xs             []int
-		set            func(cfg *TrafficConfig, x int)
+		set            func(w *workload.Config, x int)
 	}
 	closed := workload.Closed(window, 0)
-	sweeps := []sweep{{"rate", "rate_ops_s", v.ints("rates"), func(cfg *TrafficConfig, rate int) {
-		cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(e9MidRead, scan, del), 99, workload.Poisson(float64(rate))
+	sweeps := []sweep{{"rate", "rate_ops_s", v.ints("rates"), func(w *workload.Config, rate int) {
+		w.Mix, w.Keys, w.Arrival = e9Mix(e9MidRead, scan, del), keyChooser(keys, 99), workload.Poisson(float64(rate))
 	}}}
 	if burst := sim.Time(v.int("burst_us")) * sim.Microsecond; burst > 0 {
-		sweeps = append(sweeps, sweep{"burst", "rate_ops_s", v.ints("rates"), func(cfg *TrafficConfig, rate int) {
-			cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(e9MidRead, scan, del), 99, workload.Bursts(float64(rate), burst, burst)
+		sweeps = append(sweeps, sweep{"burst", "rate_ops_s", v.ints("rates"), func(w *workload.Config, rate int) {
+			w.Mix, w.Keys, w.Arrival = e9Mix(e9MidRead, scan, del), keyChooser(keys, 99), workload.Bursts(float64(rate), burst, burst)
 		}})
 	}
 	sweeps = append(sweeps,
-		sweep{"skew", "zipf_theta_x100", v.ints("skews"), func(cfg *TrafficConfig, skew int) {
-			cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(e9MidRead, scan, del), skew, closed
+		sweep{"skew", "zipf_theta_x100", v.ints("skews"), func(w *workload.Config, skew int) {
+			w.Mix, w.Keys, w.Arrival = e9Mix(e9MidRead, scan, del), keyChooser(keys, skew), closed
 		}},
-		sweep{"mix", "read_pct", v.ints("read_pcts"), func(cfg *TrafficConfig, readPct int) {
-			cfg.Mix, cfg.Zipf100, cfg.Arrival = e9Mix(readPct, scan, del), 99, closed
+		sweep{"mix", "read_pct", v.ints("read_pcts"), func(w *workload.Config, readPct int) {
+			w.Mix, w.Keys, w.Arrival = e9Mix(readPct, scan, del), keyChooser(keys, 99), closed
 		}})
+	// point measures one x of a sweep on a fresh system; sys names it.
+	point := func(sw sweep, x int, kind transport.Kind, instances int, sys string) (TrafficResult, error) {
+		d, err := newAgreement(deploySpec{
+			kind: kind, pbft: pbftConfig(n, (n-1)/3, 0), seed: rc.Seed, conns: conns, trace: rc.Trace,
+			label: fmt.Sprintf("E9 %s %s N=%d users=%d conns=%d seed=%d", sys, kind, n, users, conns, rc.Seed),
+		}, instances, rc.Model)
+		if err != nil {
+			return TrafficResult{}, err
+		}
+		w := workload.Config{Users: users, Ops: v.int("ops"), Warmup: v.int("warmup"), ValueSize: v.int("value_bytes")}
+		sw.set(&w, x)
+		return d.runWorkload(w)
+	}
 	// Systems under test: plain PBFT (0 instances), then COP at each K.
 	for _, sw := range sweeps {
 		for _, kind := range e8Transports {
@@ -260,15 +226,7 @@ func runE9(rc RunContext, v values, res *metrics.Result) error {
 				}
 				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, sys, e8Label(kind)), string(kind), sw.xLabel, cols...)
 				for _, x := range sw.xs {
-					cfg := TrafficConfig{
-						Kind: kind, Instances: instances,
-						N: v.int("n"), F: (v.int("n") - 1) / 3,
-						Users: v.int("users"), Conns: v.int("conns"), Keys: v.int("keys"),
-						ValueSize: v.int("value_bytes"), Ops: v.int("ops"), Warmup: v.int("warmup"),
-						Seed: rc.Seed, Trace: rc.Trace,
-					}
-					sw.set(&cfg, x)
-					r, err := RunTraffic(cfg, rc.Model)
+					r, err := point(sw, x, kind, instances, sys)
 					if err != nil {
 						return fmt.Errorf("%s=%d %s %s: %w", sw.xLabel, x, sys, kind, err)
 					}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rubin/internal/metrics"
+	"rubin/internal/model"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
@@ -69,21 +70,33 @@ func TestE9SameSeedRunsAreByteIdentical(t *testing.T) {
 	}
 }
 
+// trafficSpec is a four-replica deployment on default protocol settings
+// with conns front-ends; its label gives the run a tracer of its own.
+func trafficSpec(kind transport.Kind, conns int, seed int64) deploySpec {
+	return deploySpec{kind: kind, pbft: pbftConfig(4, 1, 0), seed: seed, conns: conns, label: "traffic"}
+}
+
+// runTraffic drives w through a fresh system built from s — plain PBFT at
+// instances 0, else a COP group of that many — as an E9 point does.
+func runTraffic(s deploySpec, instances int, w workload.Config) (TrafficResult, error) {
+	d, err := newAgreement(s, instances, model.Default())
+	if err != nil {
+		return TrafficResult{}, err
+	}
+	return d.runWorkload(w)
+}
+
 // TestRunTrafficCOPRoutesByKey drives a skewed, delete-heavy workload
 // through a 2-instance COP group: without per-key routing the shared
 // state machines would interleave same-key operations differently per
-// node and the linearizability check inside RunTraffic would fail.
+// node and the linearizability check inside runWorkload would fail.
 func TestRunTrafficCOPRoutesByKey(t *testing.T) {
-	cfg := TrafficConfig{
-		Kind: transport.KindRDMA, Instances: 2, N: 4, F: 1,
-		Users: 8, Conns: 2, Keys: 12, ValueSize: 16,
+	r, err := runTraffic(trafficSpec(transport.KindRDMA, 2, 5), 2, workload.Config{
+		Users: 8, Keys: keyChooser(12, 99), ValueSize: 16,
 		Ops: 60, Warmup: 5,
 		Mix:     workload.Mix{ReadPct: 40, WritePct: 40, DeletePct: 20},
-		Zipf100: 99,
 		Arrival: workload.Closed(1, 0),
-		Seed:    5,
-	}
-	r, err := RunTraffic(cfg, DefaultRunContext().Model)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,15 +111,12 @@ func TestRunTrafficCOPRoutesByKey(t *testing.T) {
 // TestRunTrafficOpenLoopPBFT exercises the Poisson path over the plain
 // cluster on the TCP backend.
 func TestRunTrafficOpenLoopPBFT(t *testing.T) {
-	cfg := TrafficConfig{
-		Kind: transport.KindTCP, N: 4, F: 1,
-		Users: 6, Conns: 2, Keys: 16, ValueSize: 16,
+	r, err := runTraffic(trafficSpec(transport.KindTCP, 2, 3), 0, workload.Config{
+		Users: 6, Keys: workload.NewUniform(16), ValueSize: 16,
 		Ops: 50, Warmup: 5,
 		Mix:     workload.Mix{ReadPct: 45, WritePct: 45, DeletePct: 5, ScanPct: 5},
 		Arrival: workload.Poisson(1200),
-		Seed:    3,
-	}
-	r, err := RunTraffic(cfg, DefaultRunContext().Model)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

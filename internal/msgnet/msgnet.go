@@ -30,6 +30,7 @@ import (
 	"fmt"
 
 	"rubin/internal/fabric"
+	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
@@ -147,10 +148,11 @@ type Mesh struct {
 	// failures, rejected inbound frames, deepest send queue of any peer.
 	sendErrs, recvErrs, peakQueue *uint64
 
-	// Free lists shared by this mesh's peers (see pool.go): frame
-	// buffers classed by power-of-two capacity, and send-queue items.
-	bufFree  [bufClasses][][]byte
-	itemFree []*outItem
+	// Free lists shared by this mesh's peers: frame buffers classed by
+	// power-of-two capacity (see pool.go), and send-queue items, each
+	// zeroed before it goes back.
+	bufFree [bufClasses][][]byte
+	items   sim.FreeList[outItem]
 }
 
 // NewMesh opens a messaging endpoint of the requested backend kind on a

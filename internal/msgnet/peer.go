@@ -162,7 +162,7 @@ func (p *Peer) Send(class Class, msg []byte) error {
 	// item owns a copy — a pooled buffer pre-laid-out as the wire frames
 	// themselves, so the pump slices frames out instead of re-encoding
 	// and a steady-state Send allocates nothing.
-	it := p.mesh.getItem()
+	it := p.mesh.items.Get()
 	it.msg = p.mesh.getBuf(framed)
 	if count > 0 {
 		chunk := p.mesh.opts.chunkPayload()
@@ -237,7 +237,8 @@ func (p *Peer) pump() {
 			// completed item's buffer recycles immediately — even when
 			// the send failed.
 			p.mesh.putBuf(fin.msg)
-			p.mesh.putItem(fin)
+			*fin = outItem{}
+			p.mesh.items.Put(fin)
 		}
 		if err != nil {
 			p.asyncSendFail(err, msgs)
@@ -329,12 +330,13 @@ func (p *Peer) bundle(q *sim.Queue[*outItem], head *outItem, cls Class) (*outIte
 		return nil, 0
 	}
 	members := n + 1
-	b := p.mesh.getItem()
+	b := p.mesh.items.Get()
 	b.msg = p.mesh.getBuf(size)
 	b.msg[0], b.msg[1] = frameBundle, byte(cls)
 	off := putMember(b.msg, wholeHeaderLen, head.msg[wholeHeaderLen:])
 	p.mesh.putBuf(head.msg)
-	p.mesh.putItem(head)
+	*head = outItem{}
+	p.mesh.items.Put(head)
 	for ; n > 0; n-- {
 		it := q.Pop()
 		p.queueFrames--
@@ -342,7 +344,8 @@ func (p *Peer) bundle(q *sim.Queue[*outItem], head *outItem, cls Class) (*outIte
 		p.traceDequeue(it, cls)
 		off = putMember(b.msg, off, it.msg[wholeHeaderLen:])
 		p.mesh.putBuf(it.msg)
-		p.mesh.putItem(it)
+		*it = outItem{}
+		p.mesh.items.Put(it)
 	}
 	return b, members
 }
@@ -420,7 +423,8 @@ func (p *Peer) connClosed() {
 		for q.Len() > 0 {
 			it := q.Pop()
 			p.mesh.putBuf(it.msg)
-			p.mesh.putItem(it)
+			*it = outItem{}
+			p.mesh.items.Put(it)
 		}
 	}
 	p.queueBytes = 0

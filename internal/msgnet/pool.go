@@ -2,10 +2,11 @@ package msgnet
 
 import "math/bits"
 
-// Free lists for frame buffers and queue items, owned by the Mesh. The
-// sim loop is single-threaded, so plain LIFO slabs are deterministic: the
-// same sequence of gets and puts reproduces the same reuse pattern every
-// run, unlike sync.Pool whose GC-driven emptying varies run to run.
+// Free lists for frame buffers, owned by the Mesh (its send-queue items
+// recycle through a sim.FreeList). The sim loop is single-threaded, so
+// plain LIFO slabs are deterministic: the same sequence of gets and puts
+// reproduces the same reuse pattern every run, unlike sync.Pool whose
+// GC-driven emptying varies run to run.
 //
 // Buffers are classed by power-of-two capacity — a get rounds its request
 // up to the class size, so a recycled buffer serves any later request of
@@ -54,22 +55,4 @@ func (m *Mesh) putBuf(b []byte) {
 		return
 	}
 	m.bufFree[c] = append(m.bufFree[c], b[:0])
-}
-
-// getItem returns a zeroed outItem, recycled when available.
-func (m *Mesh) getItem() *outItem {
-	if last := len(m.itemFree) - 1; last >= 0 {
-		it := m.itemFree[last]
-		m.itemFree[last] = nil
-		m.itemFree = m.itemFree[:last]
-		return it
-	}
-	return &outItem{}
-}
-
-// putItem clears an item and returns it to the free list. The item's msg
-// buffer is recycled separately via putBuf.
-func (m *Mesh) putItem(it *outItem) {
-	*it = outItem{}
-	m.itemFree = append(m.itemFree, it)
 }

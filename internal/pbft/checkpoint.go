@@ -8,8 +8,7 @@ import (
 )
 
 // cpRecord is one of this replica's checkpoints: the sequence, the state
-// digest it computed (or adopted) there and — for a partitioned
-// application; the rest stays zero otherwise — the retained state. A base
+// digest it computed (or adopted) there and the retained state. A base
 // record materializes every partition in two dense arrays indexed by
 // partition; a delta record holds only the partitions dirtied since the
 // previous record, ascending by index, so serving a partition walks the
@@ -33,12 +32,12 @@ type cpPart struct {
 }
 
 // checkpointStore owns everything a replica remembers about checkpoints:
-// the group's votes and its own records, which — for partitioned
-// applications — hold the retained state as a delta chain: the oldest
-// record is a materialized base holding every partition, each later record
-// holds only the partitions dirtied since the previous one, and gc folds
-// the chain at the stable point so retention stays O(state + recent
-// deltas) rather than O(retained checkpoints × state).
+// the group's votes and its own records, which hold the retained state as
+// a delta chain: the oldest record is a materialized base holding every
+// partition, each later record holds only the partitions dirtied since the
+// previous one, and gc folds the chain at the stable point so retention
+// stays O(state + recent deltas) rather than O(retained checkpoints ×
+// state).
 type checkpointStore struct {
 	// votes[seq] tallies the digest each envelope-verified sender
 	// advertised for seq. Keyed by sequence because a lagging replica must

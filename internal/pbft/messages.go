@@ -198,14 +198,14 @@ type StateRequest struct {
 }
 
 // StateManifest opens a state transfer: it describes one retained
-// checkpoint of a partitioned application — the quorum-certifiable root,
-// the transfer header (application metadata outside the partitions) and
-// every leaf partition digest. The requester verifies the manifest is
-// self-consistent (ComposeRoot(Header, Digests) == Root), then verifies
-// every arriving StatePart against Digests, so a Byzantine responder is
-// caught on the first corrupt partition rather than after a full
-// download. Adoption still requires the root be certified by F+1 matching
-// manifests or a checkpoint-quorum certificate.
+// checkpoint — the quorum-certifiable root, the transfer header
+// (application metadata outside the partitions) and every leaf partition
+// digest. The requester verifies the manifest is self-consistent
+// (ComposeRoot(Header, Digests) == Root), then verifies every arriving
+// StatePart against Digests, so a Byzantine responder is caught on the
+// first corrupt partition rather than after a full download. Adoption
+// still requires the root be certified by F+1 matching manifests or a
+// checkpoint-quorum certificate.
 type StateManifest struct {
 	// Seq is the responder's retained checkpoint sequence.
 	Seq uint64

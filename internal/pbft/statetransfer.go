@@ -278,13 +278,12 @@ func (r *Replica) StateBytesServed() uint64 { return *r.stateBytesServed }
 
 // requestStateTransfer probes peers for their newest retained checkpoint
 // (Cluster.Restart calls it for a rebooted replica). It is a no-op if the
-// application cannot transfer state or a fetch is already in flight.
-// Retries only persist while a checkpoint beyond our execution point is
-// actually known to exist (the fetch target, maintained by
-// recordCheckpoint): if no peer has anything to serve — the group has no
-// checkpoint yet — the probe goes unanswered once and the replica stays
-// quiet until live checkpoint votes reveal a gap, keeping an idle
-// simulation drainable.
+// replica is stopped or a fetch is already in flight. Retries only persist
+// while a checkpoint beyond our execution point is actually known to exist
+// (the fetch target, maintained by recordCheckpoint): if no peer has
+// anything to serve — the group has no checkpoint yet — the probe goes
+// unanswered once and the replica stays quiet until live checkpoint votes
+// reveal a gap, keeping an idle simulation drainable.
 func (r *Replica) requestStateTransfer() {
 	if r.stopped || r.fetch.fetching {
 		return
