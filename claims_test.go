@@ -68,6 +68,8 @@ var claims = []claim{
 	{id: "E6.zero-copy-flat-large", metric: "latency_mean", a: "zero-copy receive (projected)", b: "full (all optimizations)", xs: at(64, 100), rel: value, bound: "1.00000", open: "O19"},
 	{id: "E6.zero-copy-4kb", metric: "latency_mean", a: "zero-copy receive (projected)", xs: at(4), rel: value, bound: "103.447", open: "O19"},
 	{id: "E6.full-4kb", metric: "latency_mean", a: "full (all optimizations)", xs: at(4), rel: value, bound: "99.932", open: "O19"},
+	{id: "E7.rubin-view-change-reproposes", metric: "fault_counters", a: "rdma-rubin counters", xs: at(3), rel: atLeast, bound: "1"},
+	{id: "E7.nio-view-change-reproposes", metric: "fault_counters", a: "tcp-nio counters", xs: at(3), rel: atLeast, bound: "1"},
 	{id: "E8.cop-rubin-64kb-k4-over-k1", metric: "throughput", a: "COP RUBIN 64KB", b: "COP RUBIN 64KB", xs: at(4), bxs: at(1), rel: atLeast, bound: "1.5"},
 	{id: "E8.cop-rubin-1kb-rises-with-k", metric: "throughput", a: "COP RUBIN 1KB", b: "COP RUBIN 1KB", xs: at(1), bxs: at(4), rel: less},
 	{id: "E8.pbft-16kb-rubin-over-nio", metric: "throughput", a: "PBFT RUBIN 16KB", b: "PBFT NIO 16KB", xs: at(4, 7, 10), rel: atLeast, pending: "O26"},

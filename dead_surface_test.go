@@ -15,8 +15,7 @@ import (
 // it: one `identifier — reason` per line. An entry without a reason, or
 // one that is no longer needed, fails the test.
 const deadSurfaceAllowed = `
-chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (exits with ROADMAP O39, O13b(3) or O18)
-chaos.Scenario.Degrade — scenario vocabulary: link loss/latency/jitter, what makes a fault trace diverge across seeds; no experiment scripts it yet (exits with ROADMAP O39, O13b(3) or O18)
+chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (exits with ROADMAP O42 or O18)
 fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
 kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it

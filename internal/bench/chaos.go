@@ -14,17 +14,6 @@ import (
 	"rubin/internal/transport"
 )
 
-// ChaosConfig parameterizes experiment E7: BFT agreement throughput and
-// latency across a scripted fault timeline — primary crash, view change,
-// recovery via state transfer, leader partition, heal — on one transport
-// backend.
-type ChaosConfig struct {
-	Kind    transport.Kind
-	Payload int   // request operation size in bytes
-	Window  int   // client-side outstanding requests
-	Seed    int64 // simulation seed
-}
-
 // ChaosPhase is one segment of the E7 fault timeline with its measured
 // client-side metrics. Commits are attributed to the phase in which they
 // complete.
@@ -56,11 +45,15 @@ type ChaosResult struct {
 	// after.
 	LeaderAtPartition uint32
 	FinalViews        []uint64
+	// Reproposed counts the request batches sent NEW-VIEWs re-proposed.
+	Reproposed uint64
 }
 
 // The E7 timeline: replica 0 leads view 0 and crashes first; replica 1
 // leads view 1 — one crash costs one view change — and is partitioned
 // away later, forcing a second view change in the majority partition.
+// Replica 2, view 2's leader, crashes 5 ms after the heal, while replica 1
+// still trails: the next NEW-VIEW re-proposes the batches in flight.
 const (
 	e7Crash     = 150 * sim.Millisecond
 	e7Restart   = 500 * sim.Millisecond
@@ -76,13 +69,14 @@ func chaosTimeline() (*chaos.Scenario, []ChaosPhase) {
 		Crash(e7Crash, 0).
 		Restart(e7Restart, 0).
 		Partition(e7Partition, []int{1}, []int{0, 2, 3}).
-		Heal(e7Heal)
+		Heal(e7Heal).
+		Crash(e7Heal+5*sim.Millisecond, 2)
 	phases := []ChaosPhase{
 		{Name: "healthy", Start: 0, End: e7Crash},
 		{Name: "crash+viewchange", Start: e7Crash, End: e7Restart},
 		{Name: "recovery", Start: e7Restart, End: e7Partition},
 		{Name: "partition", Start: e7Partition, End: e7Heal},
-		{Name: "healed", Start: e7Heal, End: e7End},
+		{Name: "healed+crash", Start: e7Heal, End: e7End},
 	}
 	return s, phases
 }
@@ -139,10 +133,11 @@ func runFaultTimeline(spec deploySpec, params model.Params, scenario *chaos.Scen
 const maxChaosPayload = 256 << 10
 
 // RunChaos measures client-observed throughput and latency of the
-// replicated system across the E7 fault timeline.
-func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
-	if cfg.Payload < 1 || cfg.Payload > maxChaosPayload {
-		return ChaosResult{}, fmt.Errorf("bench: chaos payload %d out of range [1, %d]", cfg.Payload, maxChaosPayload)
+// replicated system on one backend across the E7 fault timeline, with
+// window puts of payload bytes outstanding.
+func RunChaos(kind transport.Kind, payload, window int, seed int64, params model.Params) (ChaosResult, error) {
+	if payload < 1 || payload > maxChaosPayload {
+		return ChaosResult{}, fmt.Errorf("bench: chaos payload %d out of range [1, %d]", payload, maxChaosPayload)
 	}
 	scenario, phases := chaosTimeline()
 	recs := make([]*metrics.Recorder, len(phases))
@@ -154,9 +149,9 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 	// space is sized to the payload to bound per-checkpoint marshal cost;
 	// state above the transport frame limit is fine (it crosses as
 	// per-partition StateParts), it just costs more virtual time to ship.
-	keySpace := min(max(200_000/(cfg.Payload+24), 4), 128)
+	keySpace := min(max(200_000/(payload+24), 4), 128)
 	var leaderAtPartition uint32
-	d, trace, err := runFaultTimeline(deploySpec{kind: cfg.Kind, seed: cfg.Seed}, params, scenario, e7End, cfg.Window, cfg.Payload,
+	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed}, params, scenario, e7End, window, payload,
 		func(sent int) string { return fmt.Sprintf("chaos-%03d", sent%keySpace) },
 		func(at, latency sim.Time) {
 			for i := range phases {
@@ -205,6 +200,7 @@ func RunChaos(cfg ChaosConfig, params model.Params) (ChaosResult, error) {
 		Trace:                    trace,
 		StateTransfers:           cluster.Replicas[0].StateTransfers(),
 		SendFaults:               uint64(stats["pbft.send_faults"]),
+		Reproposed:               uint64(stats["pbft.reproposed"]),
 		PeakQueueBytes:           int(stats["msgnet.peak_queue_bytes"]),
 		PeakQueueBytesPerReplica: perReplica,
 	}, nil
@@ -246,8 +242,7 @@ func phaseNames() []string {
 func runE7(rc RunContext, v values, res *metrics.Result) error {
 	res.SetConfig("phases", strings.Join(phaseNames(), ","))
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		cfg := ChaosConfig{Kind: kind, Payload: v.int("payload"), Window: v.int("window"), Seed: rc.Seed}
-		r, err := RunChaos(cfg, rc.Model)
+		r, err := RunChaos(kind, v.int("payload"), v.int("window"), rc.Seed, rc.Model)
 		if err != nil {
 			return err
 		}
@@ -267,6 +262,7 @@ func runE7(rc RunContext, v values, res *metrics.Result) error {
 		counters.Add(0, float64(r.StateTransfers)) // state transfers completed
 		counters.Add(1, float64(r.SendFaults))     // surfaced delivery failures
 		counters.Add(2, float64(r.PeakQueueBytes)) // peak msgnet queue depth (bytes)
+		counters.Add(3, float64(r.Reproposed))     // sequences re-proposed by a NEW-VIEW
 		peakQ := res.AddSeries(name+" queue", metrics.MetricPeakQueueBytes, "bytes", name, "replica_index")
 		for i, q := range r.PeakQueueBytesPerReplica {
 			peakQ.Add(float64(i), float64(q))
@@ -274,6 +270,6 @@ func runE7(rc RunContext, v values, res *metrics.Result) error {
 		res.SetConfig("cluster["+name+"]", fmt.Sprintf("%d replicas, f=%d", r.N, r.F))
 		res.SetNote("trace["+name+"]", r.Trace)
 	}
-	res.SetConfig("counter_index", "0=state_transfers,1=send_faults,2=peak_queue_bytes")
+	res.SetConfig("counter_index", "0=state_transfers,1=send_faults,2=peak_queue_bytes,3=reproposed")
 	return nil
 }

@@ -35,18 +35,6 @@ import (
 // prefill keys at or above it.
 const stateSizeHotBuckets = 8
 
-// StateSizeConfig parameterizes one E12 run.
-type StateSizeConfig struct {
-	Kind    transport.Kind
-	Prefill int   // cold keys preloaded into every replica's store
-	Payload int   // value size in bytes for cold and hot keys
-	Window  int   // client-side outstanding requests
-	Seed    int64 // simulation seed
-	// EmptyRestart reboots the crashed replica with an empty store instead
-	// of the cold prefill (baseline: the whole state is transferred).
-	EmptyRestart bool
-}
-
 // StateSizeResult is one E12 run: one transport, one prefill size, one
 // restart input.
 type StateSizeResult struct {
@@ -93,27 +81,31 @@ func stateSizeKeys(prefix string, n int, keep func(b int) bool) []string {
 	return keys
 }
 
-// RunStateSize executes one E12 configuration.
-func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, error) {
-	if cfg.Prefill < 0 || cfg.Prefill > 1<<20 {
-		return StateSizeResult{}, fmt.Errorf("bench: prefill %d out of range [0, %d]", cfg.Prefill, 1<<20)
+// RunStateSize executes one E12 configuration on one backend: prefill
+// cold keys preloaded into every replica's store, values of payload bytes,
+// window puts outstanding. emptyRestart reboots the crashed replica with an
+// empty store instead of the cold prefill (the baseline: the whole state is
+// transferred).
+func RunStateSize(kind transport.Kind, prefill, payload, window int, emptyRestart bool, seed int64, params model.Params) (StateSizeResult, error) {
+	if prefill < 0 || prefill > 1<<20 {
+		return StateSizeResult{}, fmt.Errorf("bench: prefill %d out of range [0, %d]", prefill, 1<<20)
 	}
-	if cfg.Payload < 1 || cfg.Payload > 4<<10 {
-		return StateSizeResult{}, fmt.Errorf("bench: payload %d out of range [1, %d]", cfg.Payload, 4<<10)
+	if payload < 1 || payload > 4<<10 {
+		return StateSizeResult{}, fmt.Errorf("bench: payload %d out of range [1, %d]", payload, 4<<10)
 	}
 	// Every store instance starts from the identical cold prefill — the
 	// restarted one too, modeling a replica that recovers from its durable
 	// local checkpoint: the cold partitions match the group's digests, so
 	// the transfer ships only the hot subtrees. Under EmptyRestart the
 	// rebooted replica has lost that too and matches nothing.
-	coldValue := string(make([]byte, cfg.Payload))
-	coldKeys := stateSizeKeys("cold", cfg.Prefill, func(b int) bool { return b >= stateSizeHotBuckets })
+	coldValue := string(make([]byte, payload))
+	coldKeys := stateSizeKeys("cold", prefill, func(b int) bool { return b >= stateSizeHotBuckets })
 	booted := make(map[int]bool)
 	appFactory := func(i int) pbft.Application {
 		s := kvstore.New()
 		restart := booted[i]
 		booted[i] = true
-		if restart && cfg.EmptyRestart {
+		if restart && emptyRestart {
 			return s
 		}
 		for _, k := range coldKeys {
@@ -127,7 +119,7 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 	committed := 0
 	var recovery sim.Time = -1
 	scenario := chaos.NewScenario("E12-state-size").Crash(e12Crash, 3).Restart(e12Restart, 3)
-	d, trace, err := runFaultTimeline(deploySpec{kind: cfg.Kind, seed: cfg.Seed, app: appFactory}, params, scenario, e12End, cfg.Window, cfg.Payload,
+	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed, app: appFactory}, params, scenario, e12End, window, payload,
 		func(sent int) string { return hotKeys[sent%len(hotKeys)] },
 		func(at, latency sim.Time) {
 			committed++
@@ -162,10 +154,10 @@ func RunStateSize(cfg StateSizeConfig, params model.Params) (StateSizeResult, er
 	}
 	cluster := d.cluster
 	if recovery < 0 {
-		return StateSizeResult{}, fmt.Errorf("bench: E12 replica never recovered (prefill=%d empty-restart=%v %s)", cfg.Prefill, cfg.EmptyRestart, cfg.Kind)
+		return StateSizeResult{}, fmt.Errorf("bench: E12 replica never recovered (prefill=%d empty-restart=%v %s)", prefill, emptyRestart, kind)
 	}
 	if healthy.Count() == 0 || recovered.Count() == 0 {
-		return StateSizeResult{}, fmt.Errorf("bench: E12 phase committed nothing (prefill=%d empty-restart=%v %s)", cfg.Prefill, cfg.EmptyRestart, cfg.Kind)
+		return StateSizeResult{}, fmt.Errorf("bench: E12 phase committed nothing (prefill=%d empty-restart=%v %s)", prefill, emptyRestart, kind)
 	}
 	cpCount, cpBytes := cluster.Replicas[0].CheckpointSteadyStats()
 	var meanCp uint64
@@ -225,9 +217,7 @@ func runE12(rc RunContext, v values, res *metrics.Result) error {
 			tputS := res.AddSeries(name, metrics.MetricThroughput, "req/s", tr, "prefill_keys")
 			dipS := res.AddSeries(name, metrics.MetricThroughputDip, "ratio", tr, "prefill_keys")
 			for _, prefill := range v.ints("prefills") {
-				cfg := StateSizeConfig{Kind: kind, Prefill: prefill, Payload: v.int("payload"),
-					Window: v.int("window"), Seed: rc.Seed, EmptyRestart: empty}
-				r, err := RunStateSize(cfg, rc.Model)
+				r, err := RunStateSize(kind, prefill, v.int("payload"), v.int("window"), empty, rc.Seed, rc.Model)
 				if err != nil {
 					return err
 				}

@@ -7,27 +7,28 @@ import (
 	"rubin/internal/transport"
 )
 
-// quickStateSize shrinks the prefill so a single run is cheap while the
-// crash/restart arc and both restart inputs stay exercised.
-func quickStateSize(kind transport.Kind, emptyRestart bool) StateSizeConfig {
-	return StateSizeConfig{Kind: kind, Prefill: 1000, Payload: 64, Window: 8, Seed: 1, EmptyRestart: emptyRestart}
-}
-
 type stateSizeRun struct {
 	res StateSizeResult
 	err error
 }
 
-// stateSizeRuns holds the quickStateSize run of each (transport, restart
-// input), made once for the tests that read it.
-var stateSizeRuns = map[StateSizeConfig]stateSizeRun{}
+// stateSizeRuns holds the quick run of each (transport, restart input) —
+// a 1000-key prefill of 64-byte values, window 8, seed 1: the crash/restart
+// arc and both restart inputs stay exercised while a run stays cheap —
+// made once for the tests that read it.
+var stateSizeRuns = map[stateSizeInput]stateSizeRun{}
+
+type stateSizeInput struct {
+	kind         transport.Kind
+	emptyRestart bool
+}
 
 func runQuickStateSize(kind transport.Kind, emptyRestart bool) (StateSizeResult, error) {
-	cfg := quickStateSize(kind, emptyRestart)
-	run, ok := stateSizeRuns[cfg]
+	key := stateSizeInput{kind, emptyRestart}
+	run, ok := stateSizeRuns[key]
 	if !ok {
-		run.res, run.err = RunStateSize(cfg, model.Default())
-		stateSizeRuns[cfg] = run
+		run.res, run.err = RunStateSize(kind, 1000, 64, 8, emptyRestart, 1, model.Default())
+		stateSizeRuns[key] = run
 	}
 	return run.res, run.err
 }

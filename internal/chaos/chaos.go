@@ -4,13 +4,14 @@
 //
 // A Scenario is a script of composable fault primitives — host crash and
 // restart (with PBFT state transfer on rejoin), network partitions with
-// heal, per-link degradation (loss, added latency, jitter), and Byzantine
-// replicas — whatever a pbft.Outbox does to a replica's sends (drop,
-// delay or rewrite them). Because every event fires at a virtual time on
-// the seeded sim.Loop and all randomness flows from the loop's source,
-// the same scenario with the same seed produces an identical
-// virtual-time trace on every run: fault experiments regress like unit
-// tests and benchmark like the fault-free fast path.
+// heal, and Byzantine replicas — whatever a pbft.Outbox does to a
+// replica's sends (drop, delay or rewrite them); any other fault, such as
+// a lossy link (pbft.Cluster.ReplicaLink), is an action scheduled with At.
+// Because every event fires at a virtual time on the seeded sim.Loop and
+// all randomness flows from the loop's source, the same scenario with the
+// same seed produces an identical virtual-time trace on every run: fault
+// experiments regress like unit tests and benchmark like the fault-free
+// fast path.
 //
 // Typical use:
 //
@@ -29,7 +30,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rubin/internal/fabric"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
 )
@@ -97,16 +97,6 @@ func (s *Scenario) Partition(t sim.Time, groups ...[]int) *Scenario {
 func (s *Scenario) Heal(t sim.Time) *Scenario {
 	return s.At(t, "heal", func(c *pbft.Cluster) error {
 		c.Heal()
-		return nil
-	})
-}
-
-// Degrade applies link fault state (loss, latency, jitter, down) to the
-// link between replicas i and j at offset t.
-func (s *Scenario) Degrade(t sim.Time, i, j int, f fabric.LinkFaults) *Scenario {
-	return s.At(t, fmt.Sprintf("degrade(r%d-r%d,loss=%g,lat=%v,jit=%v,down=%t)",
-		i, j, f.LossRate, f.ExtraLatency, f.Jitter, f.Down), func(c *pbft.Cluster) error {
-		c.DegradeLink(i, j, f)
 		return nil
 	})
 }

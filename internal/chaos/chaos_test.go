@@ -246,7 +246,10 @@ func TestScenarioDifferentSeedsDiverge(t *testing.T) {
 		s := NewScenario("jittery-links")
 		for i := 0; i < 4; i++ {
 			for j := i + 1; j < 4; j++ {
-				s.Degrade(0, i, j, fabric.LinkFaults{Jitter: 200 * sim.Microsecond})
+				s.At(0, fmt.Sprintf("jitter(r%d-r%d)", i, j), func(c *pbft.Cluster) error {
+					c.ReplicaLink(i, j).SetFaults(fabric.LinkFaults{Jitter: 200 * sim.Microsecond})
+					return nil
+				})
 			}
 		}
 		Apply(c, s)
@@ -295,11 +298,17 @@ func TestByzantineAndDegradePrimitives(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	degrade := func(f fabric.LinkFaults) Action {
+		return func(c *pbft.Cluster) error {
+			c.ReplicaLink(2, 3).SetFaults(f)
+			return nil
+		}
+	}
 	s := NewScenario("degraded-backup").
 		Byzantine(0, 3, func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) { return env, 2 * sim.Millisecond }).
-		Degrade(0, 2, 3, fabric.LinkFaults{ExtraLatency: sim.Millisecond, Jitter: 500 * sim.Microsecond}).
+		At(0, "degrade(r2-r3)", degrade(fabric.LinkFaults{ExtraLatency: sim.Millisecond, Jitter: 500 * sim.Microsecond})).
 		Byzantine(60*sim.Millisecond, 3, nil).
-		Degrade(60*sim.Millisecond, 2, 3, fabric.LinkFaults{})
+		At(60*sim.Millisecond, "clear(r2-r3)", degrade(fabric.LinkFaults{}))
 	sched := Apply(c, s)
 
 	base := c.Loop.Now()

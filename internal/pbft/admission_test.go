@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rubin/internal/auth"
@@ -50,6 +51,113 @@ func TestReplayAfterViewChangeIsNotOrderedTwice(t *testing.T) {
 		if rep.View() != 1 || rep.Executed() != 3 || v != "v3" {
 			t.Errorf("replica %d: view %d, executed %d, k=%q; want view 1 with the replay ignored (executed 3, k=v3)",
 				i+1, rep.View(), rep.Executed(), v)
+		}
+	}
+}
+
+// TestReplayedRequestLeavesTheReplyRoute: a client's reply route at a
+// replica is the connection of its latest admitted request. A second
+// connection that replays the client's executed request — bytes any node on
+// the client's path has seen — is answered on that route and moves nothing,
+// and a READ-REQUEST is answered where it came from and starts no client
+// row. So the client's next put still collects its replies.
+func TestReplayedRequestLeavesTheReplyRoute(t *testing.T) {
+	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
+	cl, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(v string) []byte { return kvstore.EncodeOp(kvstore.OpPut, "k", v) }
+	done := 0
+	c.Loop.Post(func() { cl.Invoke(put("v1"), func([]byte) { done++ }) })
+	c.Loop.Run()
+	routes := make([]*msgnet.Peer, len(c.Replicas))
+	for i, rep := range c.Replicas {
+		routes[i] = rep.clients[cl.ID()].conn
+	}
+	replay := Encode(Request{Client: cl.ID(), Timestamp: 1, Op: put("v1")})
+	read := Encode(ReadRequest{Client: 999, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpGet, "k", "")})
+	c.Loop.Post(func() {
+		for _, conn := range other.conns {
+			if conn.Send(msgnet.ClassControl, replay) != nil || conn.Send(msgnet.ClassControl, read) != nil {
+				t.Error("send failed")
+			}
+		}
+	})
+	c.Loop.Run()
+	for i, rep := range c.Replicas {
+		if rep.clients[cl.ID()].conn != routes[i] {
+			t.Errorf("replica %d: a replay from another connection moved client %d's reply route", i, cl.ID())
+		}
+		if _, ok := rep.clients[999]; ok {
+			t.Errorf("replica %d: a READ-REQUEST started a client row", i)
+		}
+	}
+	c.Loop.Post(func() { cl.Invoke(put("v2"), func([]byte) { done++ }) })
+	c.Loop.Run()
+	if done != 2 {
+		t.Errorf("%d of 2 puts completed", done)
+	}
+}
+
+// TestFetchedRequestGetsItsReply: a backup files a request from a FETCH
+// answer — the proposal overtook the client's copy — before the client's
+// copy, its first request there, arrives: while the request is assigned,
+// or once it has executed and its reply found no route. Either way that
+// copy sets the client's reply route, and the backup's reply reaches the
+// client. Every COMMIT to the backup lands 10 ms late, which holds the
+// request assigned there for the first case.
+func TestFetchedRequestGetsItsReply(t *testing.T) {
+	for _, tc := range []struct {
+		arrives sim.Time
+		state   reqState
+	}{{5 * sim.Millisecond, assigned}, {30 * sim.Millisecond, done}} {
+		c := newTestCluster(t, transport.KindTCP, DefaultConfig())
+		cl, err := c.AddClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		late := c.Replicas[3]
+		replies := 0
+		late.SetOutbox(func(to *msgnet.Peer, env []byte) ([]byte, sim.Time) {
+			if !slices.Contains(late.peers, to) && MsgType(env[0]) == MsgReply {
+				replies++
+			}
+			return env, 0
+		})
+		for _, rep := range c.Replicas[:3] {
+			rep.SetOutbox(func(to *msgnet.Peer, env []byte) ([]byte, sim.Time) {
+				if p := rep.sealed(to, env); len(p) > 0 && MsgType(p[0]) == MsgCommit && to == rep.peers[3] {
+					return env, 10 * sim.Millisecond
+				}
+				return env, 0
+			})
+		}
+		req := Request{Client: cl.ID(), Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
+		raw := Encode(req)
+		base := c.Loop.Now()
+		c.Loop.Post(func() {
+			for _, conn := range cl.conns[:3] {
+				if conn.Send(msgnet.ClassControl, raw) != nil {
+					t.Error("send failed")
+				}
+			}
+		})
+		c.Loop.At(base+tc.arrives, func() {
+			if row := late.requests[req.ID()]; row.state != tc.state || replies != 0 {
+				t.Fatalf("replica 3 before the client's copy: row state %d, %d replies; want state %d from a FETCH answer, none", row.state, replies, tc.state)
+			}
+			if cl.conns[3].Send(msgnet.ClassControl, raw) != nil {
+				t.Error("send failed")
+			}
+		})
+		c.Loop.Run()
+		if late.Executed() != 1 || replies != 1 {
+			t.Errorf("copy at %v: replica 3 executed %d and sent %d replies; want 1 and 1", tc.arrives, late.Executed(), replies)
 		}
 	}
 }

@@ -30,6 +30,16 @@ func muted(r *Replica, types ...MsgType) Outbox {
 	}
 }
 
+// withheld drops r's messages of the given type to the replicas in ids.
+func withheld(r *Replica, t MsgType, ids ...int) Outbox {
+	return func(to *msgnet.Peer, env []byte) ([]byte, sim.Time) {
+		if payload := r.sealed(to, env); len(payload) > 0 && MsgType(payload[0]) == t && slices.Contains(ids, slices.Index(r.peers, to)) {
+			return nil, 0
+		}
+		return env, 0
+	}
+}
+
 // equivocating makes leader r send the odd-numbered backups a pre-prepare
 // that names its first request by a corrupted digest, under a batch digest
 // to match (an empty batch: a corrupted batch digest). No backup's own copy

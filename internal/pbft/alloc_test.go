@@ -87,7 +87,7 @@ func TestProposalAllocatesWhatItKeeps(t *testing.T) {
 		for i := range reqs {
 			ts++
 			reqs[i] = timerRequest(ts)
-			backup.handleRequest(reqs[i])
+			backup.handleRequest(reqs[i], nil)
 			queued = append(queued, admitted{RequestRef: refOf(reqs[i])})
 		}
 		return sealedBy(backup, 0, PrePrepare{Seq: seq, Digest: BatchDigest(reqs), Refs: refsOf(reqs)})
@@ -211,8 +211,8 @@ func TestReplyAllocatesNothing(t *testing.T) {
 		testing.AllocsPerRun(149, carry) // every receive slot of the channel backed
 		carried := testing.AllocsPerRun(50, carry)
 		roundTrip := func() {
-			rep.sendToClient(rep.clients[cl.ID()], reply)
-			rep.sendToClient(rep.clients[cl.ID()], read)
+			rep.sendToClient(rep.clients[cl.ID()].conn, reply)
+			rep.sendToClient(rep.clients[cl.ID()].conn, read)
 			c.Loop.Run()
 		}
 		if allocs := testing.AllocsPerRun(50, roundTrip); allocs != carried {

@@ -290,7 +290,7 @@ func (fe *FrontEnd) Outstanding() int {
 // on one simulation loop — the harness used by tests, benchmarks and
 // examples. Beyond wiring, it exposes the fault orchestration surface
 // the chaos subsystem drives: Crash, Restart, Partition, Heal and
-// DegradeLink.
+// ReplicaLink, whose faults a scenario sets directly.
 type Cluster struct {
 	*Hosts
 	*Placement
@@ -442,8 +442,8 @@ func (c *Cluster) ReplicaLink(i, j int) *fabric.Link {
 // links between replicas in different groups go down, links within a
 // group come (back) up — so successive Partition calls over the same
 // replicas replace each other rather than accumulate. Links touching a
-// replica not listed in any group are left untouched (so independent
-// DegradeLink faults survive), as are client links. Severed links hold
+// replica not listed in any group are left untouched (so faults set on
+// them through ReplicaLink survive), as are client links. Severed links hold
 // frames and deliver them on Heal — a partition is an unbounded message
 // delay, the standard asynchronous-network model.
 func (c *Cluster) Partition(groups ...[]int) {
@@ -464,18 +464,12 @@ func (c *Cluster) Partition(groups ...[]int) {
 	}
 }
 
-// Heal restores every replica-to-replica link — including ones severed
-// via DegradeLink — releasing held frames in their original order.
+// Heal restores every replica-to-replica link — including ones set down
+// through ReplicaLink — releasing held frames in their original order.
 func (c *Cluster) Heal() {
 	for i := 0; i < c.Config.N; i++ {
 		for j := i + 1; j < c.Config.N; j++ {
 			c.ReplicaLink(i, j).SetDown(false)
 		}
 	}
-}
-
-// DegradeLink applies fault state (loss, extra latency, jitter, down) to
-// the link between replicas i and j.
-func (c *Cluster) DegradeLink(i, j int, f fabric.LinkFaults) {
-	c.ReplicaLink(i, j).SetFaults(f)
 }

@@ -363,7 +363,7 @@ func TestPrePrepareSizeIsIndependentOfPayload(t *testing.T) {
 		batch := batchOf(8, opBytes)
 		leader := bareReplica(t, 0, DefaultConfig())
 		for _, req := range batch {
-			leader.handleRequest(req)
+			leader.handleRequest(req, nil)
 		}
 		s := leader.lookup(1)
 		if s == nil || !s.proposed {

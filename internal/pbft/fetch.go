@@ -41,10 +41,17 @@ func (r *Replica) resolve(s *slot) {
 		return
 	}
 	s.parked = false
+	r.vote(s)
+}
+
+// vote PREPAREs s's proposal, unless this replica leads its view (a
+// leader's proposal stands for its vote), and goes on to COMMIT it once it
+// is prepared — in the installed view only.
+func (r *Replica) vote(s *slot) {
 	if !r.accepts(s.pp.View, s.seq) {
 		return
 	}
-	if !s.sentPrep && r.Leader(s.pp.View) != r.id { // a leader's proposal stands for its vote
+	if !s.sentPrep && r.Leader(s.pp.View) != r.id {
 		s.sentPrep = true
 		s.prepares.set(r.id, s.pp.Digest)
 		r.broadcast(Prepare{View: s.pp.View, Seq: s.seq, Digest: s.pp.Digest, Replica: r.id})

@@ -22,11 +22,11 @@ func TestProposalWaitsForTheClientsCopy(t *testing.T) {
 			s != nil, s != nil && s.parked, s != nil && s.sentPrep, *backup.sendFaults)
 	}
 	batch := batchOf(2, 64)
-	backup.handleRequest(batch[0])
+	backup.handleRequest(batch[0], nil)
 	if !s.parked || s.sentPrep {
 		t.Fatal("one of two copies filed, and the proposal is no longer parked")
 	}
-	backup.handleRequest(batch[1])
+	backup.handleRequest(batch[1], nil)
 	if s.parked || !s.sentPrep || backup.stranded(1) {
 		t.Errorf("both copies filed: parked %v, prepared %v, stranded %v; want it prepared", s.parked, s.sentPrep, backup.stranded(1))
 	}

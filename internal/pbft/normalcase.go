@@ -13,7 +13,7 @@ import (
 // Normal case: request intake, leader batching, the three-phase agreement
 // and in-order execution, plus the read-only fast path and replies.
 
-// client is a row of the client table: where the client's replies go, the
+// client is a row of the client table: where replies go (handleRequest), the
 // last one (a repeat of that request is answered from it: exactly-once; its
 // result is copied into a buffer the row reuses, since Execute lends it) and
 // the floor, the highest timestamp whose sequence left the watermark window.
@@ -59,22 +59,28 @@ const (
 	done
 )
 
-// handleRequest admits a request. The two tables decide, and only here:
-// execution applies whatever a committed batch holds, because replicas trim
-// their tables at different times and would diverge over one consulted there.
-func (r *Replica) handleRequest(req Request) {
+// handleRequest admits a request that arrived on conn. The two tables
+// decide, and only here: execution applies whatever a committed batch holds,
+// because replicas trim their tables at different times and would diverge
+// over one consulted there. The reply route moves to conn only on admission
+// (or is set by the client's first request): a replay does not move it.
+func (r *Replica) handleRequest(req Request, conn *msgnet.Peer) {
 	if r.stopped {
 		return
 	}
 	c := r.client(req.Client)
+	if c.conn == nil {
+		c.conn = conn // the first route, whichever request brings it
+	}
 	if c.last.Timestamp == req.Timestamp { // timestamps start at 1
-		r.sendToClient(c, c.last)
+		r.sendToClient(c.conn, c.last)
 		return
 	}
 	row, seen := r.requests[req.ID()]
 	if req.Timestamp <= c.floor || seen && row.state != known {
 		return
 	}
+	c.conn = conn
 	digested := r.node.Loop().Now()
 	if !seen {
 		row.Request = req
@@ -452,7 +458,7 @@ func (r *Replica) tryExecute() {
 			c := r.client(ref.Client)
 			c.last = Reply{View: r.view, Timestamp: ref.Timestamp, Client: ref.Client, Replica: r.id,
 				Result: append(c.last.Result[:0], result...)}
-			r.sendToClient(c, c.last)
+			r.sendToClient(c.conn, c.last)
 			row.state, row.seq = done, max(row.seq, next)
 			r.requests[ref.RequestID] = row
 		}
@@ -483,10 +489,10 @@ func (r *Replica) tryExecute() {
 
 // handleReadRequest serves the read-only fast path: evaluate the
 // operation tentatively against the last-executed state and report the
-// result tagged with the state position it was read from. No agreement
-// messages are exchanged — the client is responsible for only accepting
-// a result 2F+1 replicas agree on.
-func (r *Replica) handleReadRequest(req ReadRequest) {
+// result, tagged with the state position it was read from, on the read's
+// connection (it starts no client row). No agreement messages are exchanged:
+// the client accepts only a result 2F+1 replicas agree on.
+func (r *Replica) handleReadRequest(req ReadRequest, conn *msgnet.Peer) {
 	if r.stopped {
 		return
 	}
@@ -497,7 +503,7 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.ReadServe, req.Key(), r.node.Loop().Now())
 	}
-	r.sendToClient(r.client(req.Client), ReadReply{
+	r.sendToClient(conn, ReadReply{
 		Timestamp: req.Timestamp, Client: req.Client, Replica: r.id,
 		Executed: r.executed, Result: result,
 	})
@@ -506,11 +512,11 @@ func (r *Replica) handleReadRequest(req ReadRequest) {
 // sendToClient encodes one reply into the replica's scratch and transmits
 // it to a client connection (plain payload — client traffic is
 // unauthenticated; the client's reply quorum provides the integrity).
-func (r *Replica) sendToClient(to *client, m Message) {
-	if r.stopped || to.conn == nil {
+func (r *Replica) sendToClient(to *msgnet.Peer, m Message) {
+	if r.stopped || to == nil {
 		return
 	}
 	payload := encodeTo(&r.scratch, m)
 	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
-	r.deferSend(to.conn, msgnet.ClassControl, payload)
+	r.deferSend(to, msgnet.ClassControl, payload)
 }

@@ -34,7 +34,7 @@ func timerRequest(ts uint64) Request {
 	return Request{Client: 100, Timestamp: ts, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
 }
 
-func (x *timerFixture) arrive(ts uint64) { x.r.handleRequest(timerRequest(ts)) }
+func (x *timerFixture) arrive(ts uint64) { x.r.handleRequest(timerRequest(ts), nil) }
 
 // execute commits a one-request batch at the next sequence number.
 func (x *timerFixture) execute(ts uint64) { x.commit(x.r.executed+1, ts) }

@@ -27,7 +27,7 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	const gap = 50 * sim.Microsecond
 	batch := batchOf(4, 1024)
 	for i, req := range batch {
-		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req) })
+		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req, nil) })
 	}
 	for *r.sendFaults == 0 && loop.Step() { // a bare leader's broadcast shows as send faults
 	}
@@ -58,7 +58,7 @@ func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
 	loop := r.node.Loop()
 	const gap = 10 * sim.Microsecond
 	for i, req := range batchOf(5, 64) {
-		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req) })
+		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req, nil) })
 	}
 	for (r.lookup(2) == nil || !r.lookup(2).proposed) && loop.Step() {
 	}
@@ -75,7 +75,7 @@ func sealedProposal(r *Replica, hold bool) (PrePrepare, []byte) {
 	batch := batchOf(2, 64)
 	if hold {
 		for _, req := range batch {
-			r.handleRequest(req)
+			r.handleRequest(req, nil)
 		}
 	}
 	pp := PrePrepare{View: 0, Seq: 1, Digest: BatchDigest(batch), Refs: refsOf(batch)}

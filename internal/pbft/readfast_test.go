@@ -413,8 +413,8 @@ func TestClientBindsReplyVotesToConnections(t *testing.T) {
 	c.Loop.RunUntil(start + sim.Millisecond) // the requests arrive: replica 3 knows the client's connection
 	byzantine := c.Replicas[3]
 	for id := uint32(0); id < 3; id++ {
-		byzantine.sendToClient(byzantine.clients[cl.ID()], Reply{Timestamp: 1, Client: cl.ID(), Replica: id, Result: []byte("forged")})
-		byzantine.sendToClient(byzantine.clients[cl.ID()], ReadReply{Timestamp: 2, Client: cl.ID(), Replica: id, Result: []byte("forged")})
+		byzantine.sendToClient(byzantine.clients[cl.ID()].conn, Reply{Timestamp: 1, Client: cl.ID(), Replica: id, Result: []byte("forged")})
+		byzantine.sendToClient(byzantine.clients[cl.ID()].conn, ReadReply{Timestamp: 2, Client: cl.ID(), Replica: id, Result: []byte("forged")})
 	}
 	c.Loop.RunUntil(start + 3*sim.Millisecond/2) // delivered, and before the read's fallback timer
 	if len(results) != 0 || cl.Outstanding() != 2 || cl.FastReads() != 0 {

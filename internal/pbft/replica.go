@@ -78,8 +78,9 @@ type Replica struct {
 	// replica's successor registers its own, so the node keeps the history):
 	// sendFaults counts every surfaced delivery failure on the replica's
 	// outbound traffic — nothing is silently discarded — stateBytesServed
-	// the bytes it shipped to fetchers, readsServed its fast-path answers.
-	sendFaults, stateBytesServed, readsServed *uint64
+	// the bytes it shipped to fetchers, readsServed its fast-path answers,
+	// reproposed the request batches its sent NEW-VIEWs carried.
+	sendFaults, stateBytesServed, readsServed, reproposed *uint64
 
 	// batches digests proposals without materialising their encoding.
 	batches batchDigester
@@ -122,6 +123,7 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		sendFaults:       node.Counter("pbft.send_faults"),
 		stateBytesServed: node.Counter("pbft.state_bytes_served"),
 		readsServed:      node.Counter("pbft.reads_served"),
+		reproposed:       node.Counter("pbft.reproposed"),
 	}
 	r.onProgress, r.propose, r.sendNext = r.progressExpired, r.proposeBatch, r.sendProposal
 	return r, nil
@@ -215,11 +217,10 @@ func (r *Replica) HandleClientConn(p *msgnet.Peer) {
 		if m.decode(raw) != nil || (m.typ != MsgRequest && m.typ != MsgReadRequest) {
 			return
 		}
-		r.client(m.request.Client).conn = p
 		if m.typ == MsgRequest {
-			r.handleRequest(m.request)
+			r.handleRequest(m.request, p)
 		} else {
-			r.handleReadRequest(ReadRequest(m.request))
+			r.handleReadRequest(ReadRequest(m.request), p)
 		}
 	})
 }

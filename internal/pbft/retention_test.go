@@ -35,7 +35,7 @@ func TestFiledRequestKeepsItsOp(t *testing.T) {
 		if err := m.decode(raw); err != nil {
 			t.Fatal(err)
 		}
-		r.handleRequest(m.request)
+		r.handleRequest(m.request, nil)
 		scribble(raw)
 		if row, seen := r.requests[req.ID()]; !seen || !bytes.Equal(row.Op, op) {
 			t.Fatalf("%d B value: the filed row's op changed with the message it came in", size)
@@ -317,7 +317,7 @@ func TestDuplicateReplyOutlivesAnOverwrite(t *testing.T) {
 		resent = bytes.Clone(env)
 		return env, 0
 	})
-	r.handleRequest(Request{Client: reader.ID(), Timestamp: getTS, Op: get})
+	r.handleRequest(Request{Client: reader.ID(), Timestamp: getTS, Op: get}, nil)
 	m, err := Decode(resent)
 	if reply, ok := m.(Reply); err != nil || !ok || string(reply.Result) != "old" {
 		t.Fatalf("the duplicate get was answered %+v (%v), want the cached result %q", m, err, "old")
@@ -341,7 +341,7 @@ func TestProposalKeepsItsRefsUntilItsCellsNextLap(t *testing.T) {
 			ts++
 			reqs[i] = timerRequest(ts)
 			if held {
-				r.handleRequest(reqs[i])
+				r.handleRequest(reqs[i], nil)
 			}
 		}
 		return reqs

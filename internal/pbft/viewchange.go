@@ -138,6 +138,11 @@ func (r *Replica) sendHeld() {
 		return
 	}
 	r.held = nil
+	for _, pp := range nv.PrePrepares {
+		if len(pp.Refs) > 0 {
+			*r.reproposed++
+		}
+	}
 	r.broadcast(*nv)
 	r.adoptNewView(nv.View, *nv)
 }
@@ -180,8 +185,19 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	// and no PREPARE, however many sequences a NEW-VIEW names.
 	var maxSeq uint64
 	for _, pp := range nv.PrePrepares {
-		if pp.Seq <= r.executed || !r.inWindow(pp.Seq) {
-			continue // already executed here, or not ours to hold
+		if !r.inWindow(pp.Seq) {
+			continue // not ours to hold
+		}
+		if pp.Seq <= r.executed {
+			// The others may need this replica's votes (Castro & Liskov
+			// §4.4): the batch executed here, refs and all (advanceStable
+			// trusts them), is voted for again and not executed twice.
+			if s := r.lookup(pp.Seq); s != nil && s.pp.Digest == pp.Digest && r.batches.digest(pp.Refs) == pp.Digest {
+				s.reset(pp.Seq)
+				s.propose(pp)
+				r.vote(s)
+			}
+			continue
 		}
 		s := r.slotFor(pp.Seq)
 		s.reset(pp.Seq)

@@ -74,6 +74,92 @@ func viewChangeWire(t *testing.T, valueBytes int) [][]byte {
 	return wire
 }
 
+// TestExecutedReproposalIsVotedAgain: a NEW-VIEW re-proposes a batch that
+// one replica executed and two others only prepared. Every COMMIT to
+// replicas 2 and 3 is withheld, so replica 1 (and leader 0) commit sequence
+// 1 while 2 and 3 only prepare it; then the leader crashes, the withholding
+// stops, and replica 1 leads view 1. Replicas 2 and 3 need replica 1's
+// COMMIT for sequence 1 in view 1 (Castro & Liskov §4.4): a replica that skips a re-proposal it executed leaves them one
+// COMMIT short of 2F+1 for good, and the request that follows never
+// executes at them.
+func TestExecutedReproposalIsVotedAgain(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchSize = 1
+	c := newTestCluster(t, transport.KindTCP, cfg)
+	cl, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rep := range c.Replicas {
+		rep.SetOutbox(withheld(rep, MsgCommit, 2, 3))
+	}
+	done := 0
+	base := c.Loop.Now()
+	c.Loop.Post(func() {
+		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "s", "1"), func([]byte) { done++ })
+	})
+	c.Loop.At(base+10*sim.Millisecond, func() {
+		executed := []uint64{c.Replicas[1].Executed(), c.Replicas[2].Executed(), c.Replicas[3].Executed()}
+		if !slices.Equal(executed, []uint64{1, 0, 0}) {
+			t.Fatalf("replicas 1-3 executed %v before the crash, want [1 0 0]", executed)
+		}
+		c.Crash(0)
+		for _, rep := range c.Replicas {
+			rep.SetOutbox(nil)
+		}
+		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "after", "2"), func([]byte) { done++ })
+	})
+	c.Loop.RunUntil(base + 20*cfg.ViewTimeout)
+	if *c.Replicas[1].reproposed != 1 {
+		t.Errorf("view 1's leader re-proposed %d sequences, want 1", *c.Replicas[1].reproposed)
+	}
+	for i := 1; i < cfg.N; i++ {
+		if r := c.Replicas[i]; r.View() != 1 || r.Executed() != 2 {
+			t.Errorf("replica %d: view %d, executed %d; want view 1, executed 2", i, r.View(), r.Executed())
+		}
+	}
+	if done != 2 {
+		t.Errorf("%d of 2 requests completed", done)
+	}
+}
+
+// TestNewViewCannotRewriteAnExecutedBatch: replica 2 has executed client
+// 100's request at sequence 1 when a NEW-VIEW re-proposes sequence 1 under
+// that batch's digest. With refs that do not hash to the digest — a forged
+// timestamp the stable point would raise the client's floor to — the cell
+// keeps the refs and view it executed, and nothing is voted; with the true
+// refs the batch is proposed again in view 1 and PREPAREd.
+func TestNewViewCannotRewriteAnExecutedBatch(t *testing.T) {
+	req := Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
+	refs, d := refsOf([]Request{req}), BatchDigest([]Request{req})
+	forged := []RequestRef{{RequestID{100, 1 << 62}, refs[0].Digest}}
+	for name, want := range map[string]struct {
+		refs []RequestRef
+		view uint64
+	}{"forged refs": {forged, 0}, "true refs": {refs, 1}} {
+		r := bareReplica(t, 2, DefaultConfig())
+		r.handleRequest(req, nil)
+		r.handleEnvelope(sealedBy(r, 0, PrePrepare{View: 0, Seq: 1, Digest: d, Refs: refs}))
+		for _, id := range []uint32{0, 1, 3} {
+			r.handleEnvelope(sealedBy(r, id, Prepare{View: 0, Seq: 1, Digest: d, Replica: id}))
+			r.handleEnvelope(sealedBy(r, id, Commit{View: 0, Seq: 1, Digest: d, Replica: id}))
+		}
+		if r.Executed() != 1 {
+			t.Fatalf("%s: replica 2 executed %d before the NEW-VIEW, want 1", name, r.Executed())
+		}
+		faults := *r.sendFaults
+		r.handleEnvelope(sealedBy(r, 1, NewView{View: 1, PrePrepares: []PrePrepare{{View: 1, Seq: 1, Digest: d, Refs: want.refs}}}))
+		s := r.lookup(1)
+		if r.View() != 1 || s == nil || s.pp.View != want.view || !slices.Equal(s.pp.Refs, refs) || r.Executed() != 1 {
+			t.Fatalf("%s: the executed cell reads %+v in view %d, executed %d; want view %d, its own refs", name, s, r.View(), r.Executed(), want.view)
+		}
+		// A bare replica has no peers: each message it sends is a fault.
+		if voted := *r.sendFaults > faults; voted != (want.view == 1) {
+			t.Errorf("%s: replica 2 voted %v, want %v", name, voted, want.view == 1)
+		}
+	}
+}
+
 // TestViewChangeBytesDeterministic asserts VIEW-CHANGE and NEW-VIEW bytes
 // (which are MAC'd) are a function of the seed alone. Go randomises map
 // iteration per range statement, so building the proof list by ranging
@@ -244,7 +330,7 @@ func TestNewViewCannotReplaceACopy(t *testing.T) {
 		"refs do not match": {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: refsOf([]Request{req})},
 	} {
 		backup := bareReplica(t, 2, DefaultConfig())
-		backup.handleRequest(req)
+		backup.handleRequest(req, nil)
 		backup.handleEnvelope(sealedBy(backup, 1, NewView{View: 1, PrePrepares: []PrePrepare{pp}}))
 		if backup.View() != 1 {
 			t.Fatalf("%s: the NEW-VIEW was not installed", name)
