@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 
 	"rubin/internal/auth"
 	"rubin/internal/pbft"
-	"rubin/internal/reptor"
 )
 
 // The agreement oracle: safety at the replica level, on every run. No two
@@ -16,16 +14,17 @@ import (
 // charges no virtual time.
 
 // ledger files the digest of the first batch any replica of one PBFT
-// group — the plain cluster or a shard — reports executing at each
-// sequence and compares every later report's with it. The digest
-// (pbft.BatchDigest) covers each request's client, timestamp and op
-// digest; a hook's batch is lent until the hook returns (the replica
-// reuses a request copy it releases), and the digest keeps none of it. A
-// sequence is dropped once every live replica has executed it, so the
-// ledger holds only the spread between replicas.
+// group — the plain cluster, a shard or a COP instance — reports
+// executing at each sequence and compares every later report's with it.
+// The digest (pbft.BatchDigest) covers each request's client, timestamp
+// and op digest; a hook's batch is lent until the hook returns (the
+// replica reuses a request copy it releases), and the digest keeps none
+// of it. A sequence is dropped once every live replica has executed it,
+// so the ledger holds only the spread between replicas.
 type ledger struct {
 	name  string
-	c     *pbft.Cluster
+	reps  []*pbft.Replica
+	apps  []pbft.Application
 	first map[uint64]filed
 	floor uint64 // every sequence at or below it is dropped
 }
@@ -36,11 +35,13 @@ type filed struct {
 	digest  auth.Digest
 }
 
-// watch gives c's replicas — and each replica a restart puts in their
-// place — a ledger named name. The first disagreement sticks in
-// d.disagreement, which check reports.
-func (d *deployment) watch(name string, c *pbft.Cluster) {
-	l := &ledger{name: name, c: c, first: make(map[uint64]filed)}
+// watch gives one group's replicas, replica i executing into apps[i], a
+// ledger named name, and returns the hook that files a replica put in
+// slot i later (a cluster's OnRestart). The ledger reads both slices at
+// each report, so a replica or app a restart swaps in is the one checked.
+// The first disagreement sticks in d.disagreement, which check reports.
+func (d *deployment) watch(name string, reps []*pbft.Replica, apps []pbft.Application) func(i int, rep *pbft.Replica) {
+	l := &ledger{name: name, reps: reps, apps: apps, first: make(map[uint64]filed)}
 	d.ledgers = append(d.ledgers, l)
 	hook := func(i int, rep *pbft.Replica) {
 		rep.OnExecute(func(seq uint64, batch []pbft.Request) {
@@ -49,10 +50,10 @@ func (d *deployment) watch(name string, c *pbft.Cluster) {
 			}
 		})
 	}
-	for i, rep := range c.Replicas {
+	for i, rep := range reps {
 		hook(i, rep)
 	}
-	c.OnRestart = hook
+	return hook
 }
 
 // file compares replica i's batch at seq with the first one filed there,
@@ -66,7 +67,7 @@ func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 		return fmt.Errorf("bench: %s: replicas %d and %d executed different batches at sequence %d", l.name, first.replica, i, seq)
 	}
 	low := seq // the reporting replica is live and has executed seq
-	for _, rep := range l.c.Replicas {
+	for _, rep := range l.reps {
 		if !rep.Stopped() {
 			low = min(low, rep.Executed())
 		}
@@ -81,39 +82,15 @@ func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 // that executed as far as each other report the same application state.
 func (l *ledger) converged() error {
 	at := map[uint64]int{} // by Executed, the first live replica there
-	for i, rep := range l.c.Replicas {
+	for i, rep := range l.reps {
 		if rep.Stopped() {
 			continue
 		}
 		j, seen := at[rep.Executed()]
 		if !seen {
 			at[rep.Executed()] = i
-		} else if l.c.Apps[i].Snapshot() != l.c.Apps[j].Snapshot() {
+		} else if l.apps[i].Snapshot() != l.apps[j].Snapshot() {
 			return fmt.Errorf("bench: %s: replicas %d and %d executed %d sequences into different states", l.name, j, i, rep.Executed())
-		}
-	}
-	return nil
-}
-
-// copAgrees checks a COP group at the end of a run: each node's merged
-// order is a prefix of the longest, and nodes that merged as far as each
-// other report the same application state.
-func copAgrees(g *reptor.Group) error {
-	longest := 0
-	for i := range g.Executors {
-		if len(g.GlobalOrder(i)) > len(g.GlobalOrder(longest)) {
-			longest = i
-		}
-	}
-	for i := range g.Executors {
-		order := g.GlobalOrder(i)
-		if !slices.Equal(order, g.GlobalOrder(longest)[:len(order)]) {
-			return fmt.Errorf("bench: COP nodes %d and %d merged different orders", longest, i)
-		}
-		for j := range i {
-			if len(order) == len(g.GlobalOrder(j)) && g.Apps[i].Snapshot() != g.Apps[j].Snapshot() {
-				return fmt.Errorf("bench: COP nodes %d and %d merged %d requests into different states", j, i, len(order))
-			}
 		}
 	}
 	return nil
@@ -129,9 +106,6 @@ func (d *deployment) agreement() error {
 		if err := l.converged(); err != nil {
 			return err
 		}
-	}
-	if d.cop != nil {
-		return copAgrees(d.cop)
 	}
 	return nil
 }

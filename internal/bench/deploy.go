@@ -95,12 +95,12 @@ type deployment struct {
 	cluster *pbft.Cluster   // plain PBFT only: fault-injection and replica-probe handle
 	routers []*shard.Router // sharded only: 2PC protocol errors
 
-	// The agreement oracle (agree.go): a ledger per PBFT group, the first
-	// disagreement one saw, and the COP group whose merged orders stand in
-	// for its instances' ledgers.
+	// The agreement oracle (agree.go): a ledger per PBFT group — the
+	// cluster, each shard, each COP instance — and the first disagreement
+	// one saw.
 	ledgers      []*ledger
 	disagreement error
-	cop          *reptor.Group
+	cop          bool // a COP group: closedLoop's keys read "cop-…"
 }
 
 // up brings a built system to the ready state in the one order every run
@@ -137,7 +137,7 @@ func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
 		return nil, err
 	}
 	d := &deployment{loop: c.Loop, nw: c.Network, cluster: c}
-	d.watch("PBFT group", c)
+	c.OnRestart = d.watch("PBFT group", c.Replicas, c.Apps)
 	d.submit = func(conn int, op []byte, done func([]byte)) string { return c.Clients[conn].Invoke(op, done) }
 	return d, d.up(s, c, func() (frontEnd, error) {
 		cl, err := c.AddClient()
@@ -156,7 +156,10 @@ func newCOP(s deploySpec, instances int, params model.Params) (*deployment, erro
 	if err != nil {
 		return nil, err
 	}
-	d := &deployment{loop: g.Loop, nw: g.Network, cop: g}
+	d := &deployment{loop: g.Loop, nw: g.Network, cop: true}
+	for k, reps := range g.Instances {
+		d.watch(fmt.Sprintf("COP instance %d", k), reps, g.Apps[k])
+	}
 	var cls []*reptor.Client
 	d.submit = func(conn int, op []byte, done func([]byte)) string { return cls[conn].Invoke(op, done) }
 	return d, d.up(s, g, func() (frontEnd, error) {
@@ -186,7 +189,7 @@ func newShards(s deploySpec, shards int, params model.Params) (*deployment, erro
 	}
 	d := &deployment{loop: dep.Loop, nw: dep.Network}
 	for s, c := range dep.Clusters {
-		d.watch(fmt.Sprintf("shard %d", s), c)
+		c.OnRestart = d.watch(fmt.Sprintf("shard %d", s), c.Replicas, c.Apps)
 	}
 	return d, d.up(s, dep, func() (frontEnd, error) {
 		r, err := dep.AddRouter()
@@ -206,16 +209,16 @@ func (d *deployment) stats() map[string]float64 {
 }
 
 // check is the end-of-run health gate. After a run on a fault-free network
-// four stats must read 0 — no delivery failure surfaced to a replica or its
-// mesh, no inbound frame rejected, no executor holding committed batches —
-// no front-end may still hold an invocation, no router may have seen a 2PC
-// protocol error, and the replicas must agree (see agreement).
+// three stats must read 0 — no delivery failure surfaced to a replica or its
+// mesh, no inbound frame rejected — no front-end may still hold an
+// invocation, no router may have seen a 2PC protocol error, and the
+// replicas must agree (see agreement).
 func (d *deployment) check() error {
 	if err := d.agreement(); err != nil {
 		return err
 	}
 	stats := d.stats()
-	for _, name := range []string{"pbft.send_faults", "msgnet.send_errors", "msgnet.recv_errors", "executor_backlog"} {
+	for _, name := range []string{"pbft.send_faults", "msgnet.send_errors", "msgnet.recv_errors"} {
 		if v := stats[name]; v != 0 {
 			return fmt.Errorf("bench: %s = %v on a healthy network", name, v)
 		}
@@ -358,7 +361,7 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 // paper targets RUBIN at.
 func (d *deployment) closedLoop(window, payload, requests, warmup int) (TrafficResult, error) {
 	keyPrefix := "bench"
-	if d.cop != nil {
+	if d.cop {
 		keyPrefix = "cop"
 	}
 	rec := metrics.NewRecorder()

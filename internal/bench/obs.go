@@ -25,8 +25,8 @@ func benchTracer(shared *obs.Tracer, label string) *obs.Tracer {
 const samplePeriod = 250 * sim.Microsecond
 
 // startSamplers attaches the time-series samplers of one run — every
-// level-kind stat the replica hosts register: CPU utilization, msgnet queue
-// bytes and (for COP) executor backlog, one series per name and node — when
+// level-kind stat the replica hosts register: CPU, application-thread and
+// NIC utilization and msgnet queue bytes, one series per name and node — when
 // span recording is on. Samplers are pure observers on the loop: they read
 // the stat tables and record samples, so they cannot perturb the run being
 // measured, and the sampler group stops re-arming once only its own ticks

@@ -77,11 +77,9 @@ func runE8(rc RunContext, v values, res *metrics.Result) error {
 		}
 	}
 	// Axis 2: Reptor COP ordering vs instance count on a fixed group. The
-	// per-K heartbeat and CPU series document *why* the throughput curve
-	// bends: K parallel leaders split the ordering CPU, while the
-	// adaptive/batched heartbeat keeps the merge's hole-filling cost from
-	// growing with K.
-	copCols := append(append([]column{colMean, colP99, colThroughput, colHeartbeatSlots, colLeaderCPU}, breakdownColumns...), colMergeWait)
+	// per-K CPU series documents *why* the throughput curve bends: K
+	// parallel leaders split the ordering CPU.
+	copCols := append([]column{colMean, colP99, colThroughput, colLeaderCPU}, breakdownColumns...)
 	for _, kind := range e8Transports {
 		for _, kb := range v.ints("cop_payloads_kb") {
 			ss := addColumns(res, fmt.Sprintf("COP %s %dKB", e8Label(kind), kb), string(kind), "instances", copCols...)

@@ -93,27 +93,17 @@ var (
 	// stage can pay off at all.
 	colLeaderCPU = statColumn(metrics.MetricLeaderCPU, "utilization", "cpu_util")
 
-	colMean           = column{metrics.MetricLatencyMean, "us", func(r TrafficResult) float64 { return r.Mean.Micros() }}
-	colP99            = column{metrics.MetricLatencyP99, "us", func(r TrafficResult) float64 { return r.P99.Micros() }}
-	colThroughput     = column{metrics.MetricThroughput, "req/s", func(r TrafficResult) float64 { return r.Goodput }}
-	colSendFaults     = statColumn(metrics.MetricSendFaults, "count", "pbft.send_faults")
-	colPeakQueue      = statColumn(metrics.MetricPeakQueueBytes, "bytes", "msgnet.peak_queue_bytes")
-	colHeartbeatSlots = statColumn(metrics.MetricHeartbeatSlots, "count", "reptor.heartbeat_slots")
-	colMergeWait      = column{metrics.MetricMergeWait, "us", func(r TrafficResult) float64 { return r.Breakdown.MergeWait.Micros() }}
+	colMean       = column{metrics.MetricLatencyMean, "us", func(r TrafficResult) float64 { return r.Mean.Micros() }}
+	colP99        = column{metrics.MetricLatencyP99, "us", func(r TrafficResult) float64 { return r.P99.Micros() }}
+	colThroughput = column{metrics.MetricThroughput, "req/s", func(r TrafficResult) float64 { return r.Goodput }}
+	colSendFaults = statColumn(metrics.MetricSendFaults, "count", "pbft.send_faults")
+	colPeakQueue  = statColumn(metrics.MetricPeakQueueBytes, "bytes", "msgnet.peak_queue_bytes")
 	// breakdownColumns partition the measured end-to-end latency: per
 	// point, queue + order + net equals the latency_mean series.
 	breakdownColumns = []column{
 		{metrics.MetricBreakdownQueue, "us", func(r TrafficResult) float64 { return r.Breakdown.Queue.Micros() }},
 		{metrics.MetricBreakdownOrder, "us", func(r TrafficResult) float64 { return r.Breakdown.Order.Micros() }},
 		{metrics.MetricBreakdownNet, "us", func(r TrafficResult) float64 { return r.Breakdown.Net.Micros() }},
-	}
-	// copColumns are the executor health counters and the commit-to-merge
-	// wait, reported for COP systems only.
-	copColumns = []column{
-		colHeartbeatSlots,
-		statColumn(metrics.MetricHeartbeatDelay, "us", "reptor.heartbeat_delay_us"),
-		statColumn(metrics.MetricPeakBacklog, "count", "reptor.peak_backlog"),
-		colMergeWait,
 	}
 	// fastColumns are reported for fast-path-on combos only.
 	fastColumns = []column{
@@ -220,11 +210,11 @@ func runE9(rc RunContext, v values, res *metrics.Result) error {
 	for _, sw := range sweeps {
 		for _, kind := range e8Transports {
 			for _, instances := range append([]int{0}, v.ints("ks")...) {
-				sys, cols := "PBFT", []column{colPeakQueue}
+				sys := "PBFT"
 				if instances > 0 {
-					sys, cols = fmt.Sprintf("COP-%d", instances), append(cols, copColumns...)
+					sys = fmt.Sprintf("COP-%d", instances)
 				}
-				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, sys, e8Label(kind)), string(kind), sw.xLabel, cols...)
+				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, sys, e8Label(kind)), string(kind), sw.xLabel, colPeakQueue)
 				for _, x := range sw.xs {
 					r, err := point(sw, x, kind, instances, sys)
 					if err != nil {

@@ -35,13 +35,9 @@ const (
 	MetricBreakdownQueue = "breakdown_queue" // unit: us (client-side queueing)
 	MetricBreakdownOrder = "breakdown_order" // unit: us (leader ordering CPU)
 	MetricBreakdownNet   = "breakdown_net"   // unit: us (wire + agreement rounds)
-	MetricMergeWait      = "merge_wait"      // unit: us (COP commit->merge, off reply path)
 
 	// Pressure metrics exported by E7/E8/E9.
 	MetricPeakQueueBytes = "peak_queue_bytes" // unit: bytes (msgnet high watermark)
-	MetricHeartbeatSlots = "heartbeat_slots"  // unit: count (COP filler proposals)
-	MetricHeartbeatDelay = "heartbeat_delay"  // unit: us (adaptive heartbeat backoff)
-	MetricPeakBacklog    = "peak_backlog"     // unit: count (executor merge backlog)
 	MetricLeaderCPU      = "leader_cpu"       // unit: utilization (busiest node CPU)
 
 	// Read-only fast-path metrics exported by E11 (pbft.Client).

@@ -28,7 +28,7 @@
 //
 //   - Span/counter recording (Options.Spans): finished requests emit a
 //     span tree, components emit extra spans (msgnet send-queue waits,
-//     the COP executor's merge-waits) and samplers emit counter points,
+//     the shard layer's 2PC phases) and samplers emit counter points,
 //     all into fixed-size ring buffers exported as a Chrome trace-event
 //     file (chrome://tracing, Perfetto) via WriteChromeTrace.
 package obs
@@ -58,7 +58,7 @@ type Options struct {
 type Span struct {
 	Run   int    // 1-based run (sweep point) index; 0 before any BeginRun
 	Layer string // component tag: "client", "pbft", "msgnet", "reptor", ...
-	Name  string // what happened, e.g. "order", "merge-wait"
+	Name  string // what happened, e.g. "order", "sendq bulk"
 	Node  string // where it happened ("" = request-level, no single node)
 	Trace string // request key this span belongs to ("" = standalone)
 	Start sim.Time
@@ -107,8 +107,8 @@ const (
 
 // Phase names one latency recorder of a run: the three widths of the
 // request-latency partition and their total, which Finish feeds, and the
-// three waits components feed through Record — off the reply path, so
-// each is reported as its own series rather than a slice of the partition.
+// two 2PC waits the shard layer feeds through Record — each reported as
+// its own series rather than a slice of the partition.
 type Phase uint8
 
 const (
@@ -116,9 +116,6 @@ const (
 	Order
 	Net
 	Total
-	// MergeWait is one committed-to-merged delay of the COP executor (the
-	// merge barrier sits behind the replies, which leave at commit time).
-	MergeWait
 	// PrepareWait is the PREPARE phase of one cross-shard transaction:
 	// dispatching the prepares until the last participant's vote quorum
 	// lands at the coordinator.
@@ -286,8 +283,8 @@ func (t *Tracer) Sample(name, node string, at sim.Time, value float64) {
 	t.samples.push(Sample{Run: t.run(), Name: name, Node: node, At: at, Value: value})
 }
 
-// Record feeds one duration into a phase recorder — MergeWait,
-// PrepareWait or CommitWait; Finish feeds the partition itself.
+// Record feeds one duration into a phase recorder — PrepareWait or
+// CommitWait; Finish feeds the partition itself.
 func (t *Tracer) Record(p Phase, d sim.Time) {
 	if t == nil {
 		return
@@ -305,9 +302,7 @@ type Summary struct {
 	// CPU asynchronously (replies leave at the commit instant), so
 	// execution is no slice of the partition. It stays because
 	// benchmark/ reports it as obs.exec_us.
-	Exec       sim.Time
-	MergeWait  sim.Time
-	MergeCount int
+	Exec sim.Time
 	// 2PC phase means of the shard layer's cross-shard transactions (zero
 	// when the run commits nothing across shards): PREPARE dispatch to
 	// vote quorum, and decision broadcast to applied acknowledgment.
@@ -328,7 +323,6 @@ func (t *Tracer) Summary() Summary {
 	return Summary{
 		Count: t.rec[Total].Count(),
 		Queue: mean(Queue), Order: mean(Order), Net: mean(Net), Total: mean(Total),
-		MergeWait: mean(MergeWait), MergeCount: t.rec[MergeWait].Count(),
 		PrepareWait: mean(PrepareWait), CommitWait: mean(CommitWait),
 		TxnCount:  t.rec[PrepareWait].Count(),
 		FastCount: t.readServed,

@@ -23,7 +23,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Finish("k", true)
 	tr.Span("l", "n", "node", "", 1, 2)
 	tr.Sample("c", "node", 1, 2)
-	tr.Record(MergeWait, 7)
+	tr.Record(PrepareWait, 7)
 	if tr.SpansEnabled() {
 		t.Fatal("nil tracer reports spans enabled")
 	}
@@ -119,9 +119,9 @@ func TestBeginRunResetsAggregation(t *testing.T) {
 	tr.Mark(Arrive, "k", 0)
 	tr.Mark(Return, "k", 100)
 	tr.Finish("k", true)
-	tr.Record(MergeWait, 50)
+	tr.Record(PrepareWait, 50)
 	tr.BeginRun("two")
-	if s := tr.Summary(); s.Count != 0 || s.MergeCount != 0 {
+	if s := tr.Summary(); s.Count != 0 || s.TxnCount != 0 {
 		t.Fatalf("BeginRun did not reset: %+v", s)
 	}
 }
@@ -199,7 +199,7 @@ func TestChromeTraceDeterministicAndValid(t *testing.T) {
 		tr.Span("msgnet", "sendq bulk", "r0->r1", "", 2000, 2400)
 		tr.Sample("msgnet_queue_bytes", "r0", 5000, 4096)
 		tr.BeginRun("point-2")
-		tr.Span("reptor", "merge-wait", "r2", "", 100, 900)
+		tr.Span("shard", "2pc-prepare", "router0", "", 100, 900)
 		var buf bytes.Buffer
 		if err := tr.WriteChromeTrace(&buf); err != nil {
 			t.Fatalf("export: %v", err)

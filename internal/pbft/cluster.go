@@ -33,8 +33,8 @@ const (
 // clientIDStride separates the PBFT identities of one front-end's
 // clients. Request keys are (client, timestamp) pairs and every Client
 // counts timestamps independently, so clients sharing an identity would
-// make unrelated operations indistinguishable in reply caches, a merged
-// global order and the shared trace. The stride bounds a deployment at
+// make unrelated operations indistinguishable in reply caches, the
+// agreement ledgers and the shared trace. The stride bounds a deployment at
 // 1024 front-ends before identities could collide.
 const clientIDStride = 1024
 
@@ -94,7 +94,7 @@ func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix st
 func (h *Hosts) Node(i int) *fabric.Node { return h.nodes[i] }
 
 // SetTracer gives the hosts' world an observability tracer: every mesh,
-// replica, executor and front-end on the network reads it from there, so
+// replica and front-end on the network reads it from there, so
 // ones created later (AddClient meshes, Restart replicas) are traced too.
 // Call before generating traffic; a nil tracer detaches.
 func (h *Hosts) SetTracer(t *obs.Tracer) { h.Network.SetTracer(t) }

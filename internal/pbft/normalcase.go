@@ -313,36 +313,6 @@ func (r *Replica) sendProposal() {
 	r.tryPrepare(u.seq)
 }
 
-// ProposeHeartbeat makes a leader propose empty batches for every
-// unassigned sequence up to and including upTo — a ranged fill: one call
-// covers a contiguous run of holes, and the resulting agreements run
-// pipelined (all pre-prepares broadcast back-to-back) instead of one full
-// three-phase round per slot. It never proposes past upTo: if proposals at
-// or beyond upTo are already in flight the call is a no-op (otherwise
-// executors waiting on in-flight commits would mint ever-higher sequence
-// numbers and the merge would never converge). Reptor's executor uses this
-// to fill holes in the merged global order when an instance is idle.
-// It returns the number of slots proposed.
-func (r *Replica) ProposeHeartbeat(upTo uint64) int {
-	if r.stopped || !r.IsLeader() || r.viewChanging {
-		return 0
-	}
-	proposed := 0
-	for r.seqNext < upTo && r.seqNext < r.stable+r.cfg.LogWindow {
-		r.seqNext++
-		s := r.slotFor(r.seqNext)
-		s.propose(PrePrepare{View: r.view, Seq: r.seqNext, Digest: r.batches.digest(nil)})
-		r.broadcast(s.pp)
-		proposed++
-	}
-	// Prepare after all proposals are out so the fill is one pipelined
-	// round of messages rather than interleaved per-slot rounds.
-	for i := proposed; i > 0; i-- {
-		r.tryPrepare(r.seqNext - uint64(i) + 1)
-	}
-	return proposed
-}
-
 // accepts reports whether an agreement message for (view, seq) is for the
 // installed view and inside the watermark window.
 func (r *Replica) accepts(view, seq uint64) bool {

@@ -183,9 +183,9 @@ func (r *Replica) OnViewChange(fn func(uint64)) { r.onViewChange = fn }
 // fast-forwards execution to an adopted checkpoint. The sequences up to
 // seq were NOT delivered through OnExecute — their batches are folded
 // into the adopted application state and their contents are not
-// recoverable here. Consumers that derive an order from OnExecute (the
-// Reptor executor) must account for the jump or they will wait forever
-// for deliveries that can no longer happen.
+// recoverable here. A consumer that follows execution through OnExecute
+// must account for the jump: the benchmark's recovery trace counts an
+// adoption as a restarted replica's rejoin.
 func (r *Replica) OnCheckpointAdopt(fn func(seq uint64)) { r.onCheckpointAdopt = fn }
 
 // Leader returns the leader replica of a view.

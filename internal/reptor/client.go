@@ -29,15 +29,18 @@ func (g *Group) AddClient() (*Client, error) {
 
 // Invoke routes one operation to its instance by hash of its bytes; done
 // fires on a BFT quorum of matching replies. The returned string is the
-// request key the observability layer traces the operation under.
+// request key the observability layer traces the operation under. Each
+// instance executes into a store of its own, so a key written here and
+// read through InvokeOp may reach two different stores: E8's put loop is
+// Invoke's only caller, and every put it sends writes a fresh key.
 func (c *Client) Invoke(op []byte, done func([]byte)) string {
 	return c.Clients[c.cfg.Route(op)].Invoke(op, done)
 }
 
 // InvokeOp routes one encoded kvstore operation by the state-machine
-// keys it touches (kvstore.PlanOp over K partitions). Instances execute
-// independently against the shared node-local state machine, so a key's
-// operations must all be ordered by the instance owning it. A single-key
+// keys it touches (kvstore.PlanOp over K partitions). Each instance
+// executes into a store of its own that holds only the keys it owns, so a
+// key's operations must all be ordered by that instance. A single-key
 // operation goes to that instance's ordered path; scans scatter across
 // instances; a transaction runs one-phase when its keys share an instance
 // and is refused otherwise — COP has no 2PC.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rubin/internal/auth"
 	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
@@ -17,14 +18,16 @@ import (
 // TestSeededChaosInvariants runs COP groups under randomly generated but
 // fully seeded fault schedules — link latency/jitter spikes, delayed-send
 // replicas, and bounded single-replica isolations with heal — and asserts
-// the invariants that must survive any such schedule:
+// the invariants that must survive any such schedule, instance by
+// instance:
 //
 //  1. liveness: every client operation completes;
-//  2. agreement: all nodes merge byte-identical global orders containing
-//     every operation exactly once;
-//  3. no executor stall: no node is left holding committed-but-unmerged
-//     batches once the dust settles;
-//  4. state convergence: all replicas reach the same application state.
+//  2. agreement: every replica of an instance that executes a sequence
+//     executes the same batch there;
+//  3. exactly once: every operation is executed at exactly one sequence
+//     of exactly one instance;
+//  4. state convergence: each instance's replicas reach the same
+//     application state.
 //
 // The schedule derives entirely from the seed, so a failure reproduces
 // exactly by rerunning the seed.
@@ -48,6 +51,33 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 	}
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
+	}
+	// Each instance's ledger: the first batch any replica executed at a
+	// sequence, as its digest and its requests. A later report at the
+	// same sequence must carry the same digest.
+	type entry struct {
+		digest auth.Digest
+		ids    []pbft.RequestID
+	}
+	ledgers := make([]map[uint64]entry, cfg.Instances)
+	var disagreement error
+	for k, reps := range g.Instances {
+		ledgers[k] = make(map[uint64]entry)
+		for i, rep := range reps {
+			rep.OnExecute(func(seq uint64, batch []pbft.Request) {
+				d := pbft.BatchDigest(batch)
+				first, seen := ledgers[k][seq]
+				if !seen {
+					e := entry{digest: d}
+					for _, req := range batch {
+						e.ids = append(e.ids, req.ID())
+					}
+					ledgers[k][seq] = e
+				} else if first.digest != d && disagreement == nil {
+					disagreement = fmt.Errorf("instance %d: replica %d executed another batch at sequence %d", k, i, seq)
+				}
+			})
+		}
 	}
 	const clients = 2
 	cls := make([]*Client, clients)
@@ -146,7 +176,7 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 	}
 
 	// Run well past the horizon so recovery (view changes, state
-	// transfer, heartbeat fills) completes; the event cap turns a
+	// transfer) completes; the event cap turns a
 	// livelock into a loud failure instead of a hung test.
 	g.Loop.SetEventLimit(80_000_000)
 	g.Loop.RunUntil(g.Loop.Now() + 4*horizon)
@@ -154,53 +184,30 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 	if want := clients * perClient; done != want {
 		t.Fatalf("seed %d: completed %d of %d operations (liveness lost)", seed, done, want)
 	}
-	// Byte-identical orders are only promised for nodes that never
-	// state-transferred: a subsumed round legitimately gaps a node's
-	// local order (Executor.SubsumedSlots). None of the seeded schedules
-	// reaches a transfer today (isolation is hold-and-release, so a
-	// healed node replays its backlog instead of fetching state); if a
-	// future schedule does, this names the real cause instead of a
-	// baffling order mismatch.
-	for nodeIdx := 0; nodeIdx < n; nodeIdx++ {
-		if s := g.Executors[nodeIdx].subsumedSlots; s != 0 {
-			t.Fatalf("seed %d: node %d subsumed %d slots via state transfer — order comparison not applicable, adjust the schedule or the assertions", seed, nodeIdx, s)
-		}
+	if disagreement != nil {
+		t.Fatalf("seed %d: %v", seed, disagreement)
 	}
-	ref := g.GlobalOrder(0)
-	for nodeIdx := 1; nodeIdx < n; nodeIdx++ {
-		got := g.GlobalOrder(nodeIdx)
-		if len(got) != len(ref) {
-			t.Fatalf("seed %d: node %d merged %d entries, node 0 merged %d",
-				seed, nodeIdx, len(got), len(ref))
-		}
-		for p := range ref {
-			if got[p] != ref[p] {
-				t.Fatalf("seed %d: global order diverges at %d: %v vs %v", seed, p, got[p], ref[p])
+	executed := make(map[pbft.RequestID]int)
+	for _, ledger := range ledgers {
+		for _, e := range ledger {
+			for _, id := range e.ids {
+				executed[id]++
 			}
 		}
 	}
-	seen := make(map[pbft.RequestID]int)
-	for _, key := range ref {
-		seen[key]++
+	if len(executed) != clients*perClient {
+		t.Errorf("seed %d: %d distinct operations executed, want %d", seed, len(executed), clients*perClient)
 	}
-	if len(ref) != clients*perClient {
-		t.Errorf("seed %d: merged order has %d entries, want %d", seed, len(ref), clients*perClient)
-	}
-	for key, c := range seen {
+	for id, c := range executed {
 		if c != 1 {
-			t.Errorf("seed %d: operation %v merged %d times", seed, key, c)
+			t.Errorf("seed %d: operation %v executed at %d sequences", seed, id, c)
 		}
 	}
-	for nodeIdx := 0; nodeIdx < n; nodeIdx++ {
-		if b := g.Executors[nodeIdx].Backlog(); b != 0 {
-			t.Errorf("seed %d: node %d executor stalled with %d committed-but-unmerged batches",
-				seed, nodeIdx, b)
-		}
-	}
-	d0 := g.Apps[0].Snapshot()
-	for nodeIdx := 1; nodeIdx < n; nodeIdx++ {
-		if g.Apps[nodeIdx].Snapshot() != d0 {
-			t.Errorf("seed %d: replica %d application state diverged", seed, nodeIdx)
+	for k, apps := range g.Apps {
+		for i := 1; i < len(apps); i++ {
+			if apps[i].Snapshot() != apps[0].Snapshot() {
+				t.Errorf("seed %d: instance %d: replica %d application state diverged", seed, k, i)
+			}
 		}
 	}
 }

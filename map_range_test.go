@@ -26,8 +26,6 @@ pbft.Replica.knownIDs 1 — collects the known rows of the one request table (as
 pbft.Replica.resetRequests 1 — rewrites each assigned row of the request table as known in place, or deletes each row whose latest sequence is executed: no key comes, and no row's fate reads another's
 pbft.Replica.settleView 1 — delete-only sweep of the votes for views at or below the installed one; keyed by view, which is unbounded above
 pbft.checkpointStore.gc 1 — a delete-only sweep of the votes at or below the stable point (keyed by sequence, unbounded above: a lagging replica keeps votes far ahead)
-reptor.Executor.maxReadyRound 1 — a maximum
-reptor.Executor.subsume 1 — delete-only sweep of the ready slots a checkpoint subsumed
 `
 
 // TestMapRangeGate fails on any `range` whose operand is a map, in a
