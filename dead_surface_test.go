@@ -33,7 +33,7 @@ pbft.Replica.Stable — probe the pbft, chaos and shard tests share: last stable
 raceflag.Enabled — allocation gates in fifteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
 rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up, and which one (no exit: ROADMAP O17)
-sim.Loop.SetEventLimit — runaway guard the sim and reptor tests set
+sim.Loop.SetEventLimit — runaway guard the sim and shard tests set
 tcpsim.Conn.Established — probe the tcpsim and nio tests share
 `
 

@@ -12,7 +12,6 @@ import (
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
 	"rubin/internal/pbft"
-	"rubin/internal/reptor"
 	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -124,23 +123,18 @@ func TestDocsStatsTable(t *testing.T) {
 	cl.EnableReadFastPath(c.Loop, sim.Millisecond)
 	worlds = append(worlds, c.Network)
 
-	gcfg := reptor.DefaultConfig()
-	gcfg.Instances = 2
-	g, err := reptor.NewGroup(transport.KindTCP, gcfg, model.Default(), seed, kv)
-	must(err)
-	must(g.Start())
-	_, err = g.AddClient()
-	must(err)
-	worlds = append(worlds, g.Network)
-
-	scfg := shard.DefaultConfig()
-	scfg.Shards = 2
-	d, err := shard.New(transport.KindRDMA, scfg, model.Default(), seed)
-	must(err)
-	must(d.Start())
-	_, err = d.AddRouter()
-	must(err)
-	worlds = append(worlds, d.Network)
+	scfg := shard.Config{Shards: 2, PBFT: pbft.DefaultConfig()}
+	for _, build := range []struct {
+		kind transport.Kind
+		new  func(transport.Kind, shard.Config, model.Params, int64) (*shard.Deployment, error)
+	}{{transport.KindTCP, shard.NewCOP}, {transport.KindRDMA, shard.New}} {
+		d, err := build.new(build.kind, scfg, model.Default(), seed)
+		must(err)
+		must(d.Start())
+		_, err = d.AddRouter()
+		must(err)
+		worlds = append(worlds, d.Network)
+	}
 
 	kindNames := map[fabric.StatKind]string{fabric.StatCounter: "counter", fabric.StatPeak: "peak", fabric.StatLevel: "level"}
 	registered := map[string]bool{}

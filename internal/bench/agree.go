@@ -14,7 +14,7 @@ import (
 // charges no virtual time.
 
 // ledger files the digest of the first batch any replica of one PBFT
-// group — the plain cluster, a shard or a COP instance — reports
+// group — the plain cluster, a shard or a COP group's instance — reports
 // executing at each sequence and compares every later report's with it.
 // The digest (pbft.BatchDigest) covers each request's client, timestamp
 // and op digest; a hook's batch is lent until the hook returns (the
@@ -23,8 +23,7 @@ import (
 // so the ledger holds only the spread between replicas.
 type ledger struct {
 	name  string
-	reps  []*pbft.Replica
-	apps  []pbft.Application
+	group *pbft.Cluster
 	first map[uint64]filed
 	floor uint64 // every sequence at or below it is dropped
 }
@@ -35,25 +34,24 @@ type filed struct {
 	digest  auth.Digest
 }
 
-// watch gives one group's replicas, replica i executing into apps[i], a
-// ledger named name, and returns the hook that files a replica put in
-// slot i later (a cluster's OnRestart). The ledger reads both slices at
-// each report, so a replica or app a restart swaps in is the one checked.
-// The first disagreement sticks in d.disagreement, which check reports.
-func (d *deployment) watch(name string, reps []*pbft.Replica, apps []pbft.Application) func(i int, rep *pbft.Replica) {
-	l := &ledger{name: name, reps: reps, apps: apps, first: make(map[uint64]filed)}
+// watch gives one group's replicas a ledger named name, and files a
+// replica a restart puts in slot i through the group's OnRestart. The
+// ledger reads the group's replicas and apps at each report, so a replica
+// or app a restart swaps in is the one checked. The first disagreement
+// sticks in d.disagreement, which check reports.
+func (d *deployment) watch(name string, group *pbft.Cluster) {
+	l := &ledger{name: name, group: group, first: make(map[uint64]filed)}
 	d.ledgers = append(d.ledgers, l)
-	hook := func(i int, rep *pbft.Replica) {
+	group.OnRestart = func(i int, rep *pbft.Replica) {
 		rep.OnExecute(func(seq uint64, batch []pbft.Request) {
 			if d.disagreement == nil {
 				d.disagreement = l.file(i, seq, batch)
 			}
 		})
 	}
-	for i, rep := range reps {
-		hook(i, rep)
+	for i, rep := range group.Replicas {
+		group.OnRestart(i, rep)
 	}
-	return hook
 }
 
 // file compares replica i's batch at seq with the first one filed there,
@@ -67,7 +65,7 @@ func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 		return fmt.Errorf("bench: %s: replicas %d and %d executed different batches at sequence %d", l.name, first.replica, i, seq)
 	}
 	low := seq // the reporting replica is live and has executed seq
-	for _, rep := range l.reps {
+	for _, rep := range l.group.Replicas {
 		if !rep.Stopped() {
 			low = min(low, rep.Executed())
 		}
@@ -82,14 +80,14 @@ func (l *ledger) file(i int, seq uint64, batch []pbft.Request) error {
 // that executed as far as each other report the same application state.
 func (l *ledger) converged() error {
 	at := map[uint64]int{} // by Executed, the first live replica there
-	for i, rep := range l.reps {
+	for i, rep := range l.group.Replicas {
 		if rep.Stopped() {
 			continue
 		}
 		j, seen := at[rep.Executed()]
 		if !seen {
 			at[rep.Executed()] = i
-		} else if l.apps[i].Snapshot() != l.apps[j].Snapshot() {
+		} else if l.group.Apps[i].Snapshot() != l.group.Apps[j].Snapshot() {
 			return fmt.Errorf("bench: %s: replicas %d and %d executed %d sequences into different states", l.name, j, i, rep.Executed())
 		}
 	}

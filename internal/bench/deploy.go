@@ -10,7 +10,6 @@ import (
 	"rubin/internal/model"
 	"rubin/internal/obs"
 	"rubin/internal/pbft"
-	"rubin/internal/reptor"
 	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -18,8 +17,8 @@ import (
 )
 
 // frontEnd is what one client connection of any deployment exposes to
-// the harness: *reptor.Client and *shard.Router as they are, a plain PBFT
-// client through plainClient.
+// the harness: *shard.Router as it is, a plain PBFT client through
+// plainClient.
 type frontEnd interface {
 	InvokeOp(op []byte, done func([]byte)) string
 	Outstanding() int
@@ -76,7 +75,7 @@ func (s deploySpec) appFactory() func(int) pbft.Application {
 // deployment is one system under test, built and ready for load: the
 // loop to drive, the simulated world whose stat tables say what happened,
 // one front-end per connection to submit through, and the end-of-run
-// health checks. The three constructors differ only in what they build.
+// health checks. The constructors differ only in what they build.
 type deployment struct {
 	loop *sim.Loop
 	tr   *obs.Tracer // nil for untraced runs
@@ -86,14 +85,9 @@ type deployment struct {
 	// system left them, before the first front-end machine joined.
 	hosts  []*fabric.Node
 	fronts []frontEnd
-	// submit sends raw bytes down connection conn's default route with no
-	// kvstore routing — what putLoop drives: E8's COP axis routes by hash
-	// of the bytes (reptor.Client.Invoke), not by key. nil for sharded
-	// deployments, which have no default route.
-	submit workload.Invoker
 
 	cluster *pbft.Cluster   // plain PBFT only: fault-injection and replica-probe handle
-	routers []*shard.Router // sharded only: 2PC protocol errors
+	routers []*shard.Router // COP and sharded only: 2PC protocol errors
 
 	// The agreement oracle (agree.go): a ledger per PBFT group — the
 	// cluster, each shard, each COP instance — and the first disagreement
@@ -137,8 +131,7 @@ func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
 		return nil, err
 	}
 	d := &deployment{loop: c.Loop, nw: c.Network, cluster: c}
-	c.OnRestart = d.watch("PBFT group", c.Replicas, c.Apps)
-	d.submit = func(conn int, op []byte, done func([]byte)) string { return c.Clients[conn].Invoke(op, done) }
+	d.watch("PBFT group", c)
 	return d, d.up(s, c, func() (frontEnd, error) {
 		cl, err := c.AddClient()
 		if err == nil && s.readTimeout > 0 {
@@ -148,48 +141,35 @@ func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
 	})
 }
 
-// newCOP builds a Reptor COP group of the given instance count.
-func newCOP(s deploySpec, instances int, params model.Params) (*deployment, error) {
-	gcfg := reptor.DefaultConfig()
-	gcfg.Instances, gcfg.PBFT = instances, s.pbft
-	g, err := reptor.NewGroup(s.kind, gcfg, params, s.seed, s.appFactory())
-	if err != nil {
-		return nil, err
-	}
-	d := &deployment{loop: g.Loop, nw: g.Network, cop: true}
-	for k, reps := range g.Instances {
-		d.watch(fmt.Sprintf("COP instance %d", k), reps, g.Apps[k])
-	}
-	var cls []*reptor.Client
-	d.submit = func(conn int, op []byte, done func([]byte)) string { return cls[conn].Invoke(op, done) }
-	return d, d.up(s, g, func() (frontEnd, error) {
-		cl, err := g.AddClient()
-		cls = append(cls, cl)
-		return cl, err
-	})
-}
-
 // newAgreement builds the one-keyspace system of E8 and E9: instances 0
 // is a plain PBFT cluster, K a COP group of K instances.
 func newAgreement(s deploySpec, instances int, params model.Params) (*deployment, error) {
 	if instances == 0 {
 		return newPBFT(s, params)
 	}
-	return newCOP(s, instances, params)
+	d, err := newPartitioned(s, instances, params, shard.NewCOP)
+	if d != nil {
+		d.cop = true
+	}
+	return d, err
 }
 
-// newShards builds a sharded deployment of independent PBFT groups, one
-// router per connection.
+// newShards builds a sharded deployment of independent PBFT groups.
 func newShards(s deploySpec, shards int, params model.Params) (*deployment, error) {
-	scfg := shard.DefaultConfig()
-	scfg.Shards, scfg.PBFT = shards, s.pbft
-	dep, err := shard.New(s.kind, scfg, params, s.seed)
+	return newPartitioned(s, shards, params, shard.New)
+}
+
+// newPartitioned builds groups PBFT groups over disjoint keys — a COP
+// group (shard.NewCOP) or shards (shard.New) — with one router per
+// connection.
+func newPartitioned(s deploySpec, groups int, params model.Params, build func(transport.Kind, shard.Config, model.Params, int64) (*shard.Deployment, error)) (*deployment, error) {
+	dep, err := build(s.kind, shard.Config{Shards: groups, PBFT: s.pbft}, params, s.seed)
 	if err != nil {
 		return nil, err
 	}
 	d := &deployment{loop: dep.Loop, nw: dep.Network}
-	for s, c := range dep.Clusters {
-		c.OnRestart = d.watch(fmt.Sprintf("shard %d", s), c.Replicas, c.Apps)
+	for g, c := range dep.Clusters {
+		d.watch(fmt.Sprintf("group %d", g), c)
 	}
 	return d, d.up(s, dep, func() (frontEnd, error) {
 		r, err := dep.AddRouter()
@@ -310,10 +290,11 @@ func (d *deployment) result(rec *metrics.Recorder) TrafficResult {
 // putLoop is the fixed-key put loop of E5, E7, E8 and E12 — the load
 // generator beside workload.Driver, for runs that count their requests
 // (closedLoop), stop on the clock or lose requests to a crash: every
-// connection keeps window puts of payload bytes outstanding through
-// submit. next names the key of a connection's sent-th put, or stops that
-// connection's refill; completed sees every reply with its latency and
-// says whether it counts as measured. The caller runs the loop.
+// connection keeps window puts of payload bytes outstanding through its
+// front-end, which routes each by key. next names the key of a
+// connection's sent-th put, or stops that connection's refill; completed
+// sees every reply with its latency and says whether it counts as
+// measured. The caller runs the loop.
 func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key string, ok bool), completed func(conn int, latency sim.Time) (measured bool)) {
 	loop, tr := d.loop, d.tr
 	value := string(make([]byte, payload))
@@ -328,7 +309,7 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 			sent++
 			t0 := loop.Now()
 			var id string
-			id = d.submit(ci, kvstore.EncodeOp(kvstore.OpPut, key, value), func([]byte) {
+			id = d.fronts[ci].InvokeOp(kvstore.EncodeOp(kvstore.OpPut, key, value), func([]byte) {
 				measured := completed(ci, loop.Now()-t0)
 				if id != "" {
 					tr.Mark(obs.Return, id, loop.Now())
@@ -336,7 +317,7 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 				}
 				sendOne()
 			})
-			// Safe after the submit: replies cross the simulated network,
+			// Safe after the invoke: replies cross the simulated network,
 			// so the callback cannot have fired synchronously at this event.
 			if id != "" {
 				tr.Mark(obs.Arrive, id, t0)
@@ -356,9 +337,9 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 // own, warmup unmeasured and then requests measured ones. Latency samples
 // start after each connection's warmup, and goodput spans the first
 // measured send to the last measured reply across all connections. A COP
-// group routes each put by hash of its bytes (submit), so adding instances
-// scales the ordering pipeline — the Middleware '15 parallelization the
-// paper targets RUBIN at.
+// group's router sends each put to the instance owning its key, so adding
+// instances scales the ordering pipeline — the Middleware '15
+// parallelization the paper targets RUBIN at.
 func (d *deployment) closedLoop(window, payload, requests, warmup int) (TrafficResult, error) {
 	keyPrefix := "bench"
 	if d.cop {

@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
+	"rubin/internal/kvstore"
 	"rubin/internal/model"
 	"rubin/internal/transport"
 )
@@ -82,9 +84,10 @@ func quickCOP(t *testing.T, kind transport.Kind, k int) TrafficResult {
 // cause. The loop keeps 16 puts outstanding (2 connections × window 8);
 // split over K = 4 instances, each leader holds about 4, short of the batch
 // size of 8, so its batches close on the 200 µs batch timer rather than by
-// size. breakdown_order rises from 22 µs at K = 1 to 134 µs at K = 4 over
-// RUBIN (30 to 151 µs over NIO), and breakdown_net from 246 to 269 µs
-// (446 to 689 µs): the same puts take more, smaller agreements.
+// size. breakdown_order rises from 22 µs at K = 1 to 151 µs at K = 4 over
+// RUBIN (30 to 161 µs over NIO), while breakdown_net holds at 246 and
+// 243 µs over RUBIN and rises from 446 to 544 µs over NIO: the same puts
+// take more, smaller agreements.
 func TestCOPInstanceSweep(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		lats := map[int]float64{}
@@ -109,5 +112,42 @@ func TestCOPFasterOverRUBIN(t *testing.T) {
 	n := quickCOP(t, transport.KindTCP, 4)
 	if r.Mean >= n.Mean {
 		t.Errorf("COP latency over RUBIN (%v) should beat NIO (%v)", r.Mean, n.Mean)
+	}
+}
+
+// TestCOPKeysReadBackThroughTheirFrontEnd: a COP group's front-end sends a
+// put and a get of one key to the instance owning the key, so every key
+// the closed loop writes through a front-end reads back its value through
+// it, although each instance executes into a store of its own.
+func TestCOPKeysReadBackThroughTheirFrontEnd(t *testing.T) {
+	const k, window, requests, warmup = 4, 8, 40, 5
+	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
+		d, err := newAgreement(quickSpec(kind, 4), k, model.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.closedLoop(window, 1<<10, requests, warmup); err != nil {
+			t.Fatal(err)
+		}
+		want := string(make([]byte, 1<<10))
+		got := map[string]string{}
+		d.loop.Post(func() {
+			for conn, fe := range d.fronts {
+				for sent := 0; sent < requests+warmup; sent++ {
+					key := fmt.Sprintf("cop-%d-%06d", conn, sent)
+					fe.InvokeOp(kvstore.EncodeOp(kvstore.OpGet, key, ""), func(res []byte) { got[key] = string(res) })
+				}
+			}
+		})
+		d.loop.Run()
+		missing := 0
+		for _, v := range got {
+			if v != want {
+				missing++
+			}
+		}
+		if n := len(d.fronts) * (requests + warmup); len(got) != n || missing > 0 {
+			t.Errorf("%s K=%d: %d of %d gets answered, %d without the value put", kind, k, len(got), n, missing)
+		}
 	}
 }

@@ -11,8 +11,8 @@ const (
 	RouteOne Route = iota
 	// RouteScan fans out as one OpScanPart per partition (ScatterScan).
 	RouteScan
-	// RouteCross is a transaction whose keys span partitions: it needs
-	// two-phase commit, or a refusal where there is none.
+	// RouteCross is a transaction whose keys span partitions: it runs
+	// two-phase commit over the partitions' groups (shard.Router).
 	RouteCross
 )
 

@@ -24,7 +24,7 @@ import (
 //   - OpAbort discards the staged writes and releases the locks.
 //   - OpScanPart is a partition-filtered scan: it returns only the
 //     matching keys that PartitionKey assigns to one partition, so a
-//     router can scatter a scan across groups (or COP instances) and
+//     router can scatter a scan across groups (shards or COP instances) and
 //     merge per-partition results that are each deterministic.
 //
 // Single-key writes and deletes that hit a write-locked key reply
@@ -63,9 +63,9 @@ type TxnSub struct {
 // PartitionKey deterministically assigns a key to one of parts hash
 // ranges: the 32-bit FNV-1a hash space is split into parts equal ranges
 // and the key belongs to the range its hash falls in. This is THE
-// partitioning function of the repository — the shard router, the COP
-// key-routing client and the partition-filtered scan all use it, so "who
-// owns this key" has exactly one answer everywhere.
+// partitioning function of the repository — the shard router (the
+// front-end of shards and COP groups alike) and the partition-filtered
+// scan use it, so "who owns this key" has exactly one answer everywhere.
 //
 // Range partitioning keys off the hash's upper bits, and FNV-1a's upper
 // bits correlate badly across near-identical inputs (workload key names

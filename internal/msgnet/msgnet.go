@@ -21,8 +21,8 @@
 // high/low watermarks surface backpressure through ErrBacklog and
 // OnWritable, and queue depths are observable for the bench layer.
 //
-// Protocol code (pbft, reptor) talks only to this package; transport.Conn
-// remains the substrate underneath.
+// Protocol code (pbft, and the shard layer above it) talks only to this
+// package; transport.Conn remains the substrate underneath.
 package msgnet
 
 import (

@@ -57,7 +57,7 @@ type Options struct {
 // Span is one completed interval on the virtual clock.
 type Span struct {
 	Run   int    // 1-based run (sweep point) index; 0 before any BeginRun
-	Layer string // component tag: "client", "pbft", "msgnet", "reptor", ...
+	Layer string // component tag: "client", "pbft", "msgnet", "shard", ...
 	Name  string // what happened, e.g. "order", "sendq bulk"
 	Node  string // where it happened ("" = request-level, no single node)
 	Trace string // request key this span belongs to ("" = standalone)

@@ -106,8 +106,8 @@ type Config struct {
 	// ViewTimeout is how long a replica waits for a known request to
 	// execute before suspecting the leader.
 	ViewTimeout sim.Time
-	// InitialView lets multi-instance deployments (Reptor's COP) start
-	// each instance in a different view so leadership is spread across
+	// InitialView lets co-located groups (a COP group, shard.NewCOP)
+	// start each group in a different view so leadership is spread across
 	// replicas.
 	InitialView uint64
 }

@@ -13,17 +13,18 @@ import (
 	"rubin/internal/transport"
 )
 
-// Every deployment in this repository — a plain PBFT cluster, a COP
-// group of K instances, S sharded clusters — is assembled from the three
-// parts in this file: Hosts (named machines with msgnet meshes),
-// Placements (a replica group put on hosts at an instance's ports) and
-// FrontEnds (a client-side machine holding one Client per group it
-// talks to). The node names, ports, client identities and the order
-// dials are posted in are fixed here and nowhere else, so the same
-// wiring sits above both transports in every experiment.
+// Every deployment in this repository — a plain PBFT cluster, or K replica
+// groups over disjoint keys placed either on one set of hosts (a COP group)
+// or on hosts of their own (shards) — is assembled from the three parts in
+// this file: Hosts (named machines with msgnet meshes), Clusters (a replica
+// group on one pillar of a Hosts) and FrontEnds (a client-side machine
+// holding one Client per cluster it talks to). The node names, ports,
+// client identities and the order dials are posted in are fixed here and
+// nowhere else, so the same wiring sits above both transports in every
+// experiment.
 
-// Ports of instance 0; instance k of a COP group listens portStride·k
-// above them, so K groups can share one set of hosts.
+// Ports of pillar 0; a cluster on pillar k listens portStride·k above
+// them, so K clusters can share one set of hosts.
 const (
 	PeerPort   = 1000
 	ClientPort = 2000
@@ -38,15 +39,9 @@ const (
 // 1024 front-ends before identities could collide.
 const clientIDStride = 1024
 
-// KeySeedStride separates the keyring seeds of replica groups sharing a
-// network: COP instance k is keyed from seed + k·stride, shard s from
-// seed + (s+1)·stride. Any constant larger than zero works; a prime just
-// makes collisions with unrelated seed arithmetic unlikely.
-const KeySeedStride = 7919
-
 // Hosts is the machine layer of a deployment: N fabric nodes named
 // <prefix>r<i>, fully meshed by links, each with one msgnet mesh per
-// pillar. A pillar is what COP gives each of its instances: a transport
+// pillar. A pillar is what COP gives each of its groups: a transport
 // stack with a selector of its own on an application thread of its own, on
 // the node's one TCP stack or RNIC. The meshes own the peer handles, which
 // survive replica crashes.
@@ -60,15 +55,15 @@ type Hosts struct {
 
 	nodes  []*fabric.Node // host i's node: what the group's counters fold over
 	prefix string
-	// Peer dials posted by Start and not yet completed by Await.
+	// Peer dials posted by Listen and not yet completed by Await.
 	posted, dialed int
 	dialErr        error
 }
 
 // NewHosts adds n nodes to the network, each with the given number of
-// pillars: one for a replica group, K for a COP group, whose instance k
-// serves on pillar k. Co-hosted deployments (the shards of a sharded
-// service) keep their nodes disjoint by prefix.
+// pillars: one for a replica group on hosts of its own, K for a COP group,
+// whose group k serves on pillar k. Deployments sharing a network (the
+// shards of a sharded service) keep their nodes disjoint by prefix.
 func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix string, n, pillars int) (*Hosts, error) {
 	h := &Hosts{Loop: loop, Network: nw, Kind: kind, prefix: prefix, pillars: make([][]*msgnet.Mesh, pillars)}
 	for i := 0; i < n; i++ {
@@ -105,9 +100,9 @@ func (h *Hosts) PeakQueueBytes() int {
 	return int(fabric.Fold(h.nodes...)["msgnet.peak_queue_bytes"])
 }
 
-// Await runs the loop until every dial posted by Placement.Start has
-// completed — once, however many groups were started — and reports the
-// first failure.
+// Await runs the loop until every dial posted by Cluster.Listen has
+// completed — once, however many clusters on the hosts listened — and
+// reports the first failure.
 func (h *Hosts) Await() error {
 	h.Loop.Run()
 	if h.dialErr != nil {
@@ -119,66 +114,113 @@ func (h *Hosts) Await() error {
 	return nil
 }
 
-// Placement is one replica group placed on hosts — replica i on host i —
-// together with the connection bookkeeping that lets a restarted replica
-// be re-attached to the surviving msgnet peers (and dead ones re-dialed).
-type Placement struct {
+// Cluster is one replica group on one pillar of a Hosts — replica i on
+// host i — with its single-client front-ends and the connection
+// bookkeeping that lets a restarted replica be re-attached to the
+// surviving msgnet peers (and dead ones re-dialed). NewCluster builds one
+// on hosts of its own, the harness used by tests, benchmarks and
+// examples; the shard layer places several on shared or separate hosts.
+// Beyond wiring, it exposes the fault orchestration surface the chaos
+// subsystem drives: Crash, Restart, Partition, Heal and ReplicaLink,
+// whose faults a scenario sets directly.
+type Cluster struct {
+	*Hosts
+	Config   Config
 	Replicas []*Replica
+	Apps     []Application
+	Clients  []*Client
 
-	hosts    *Hosts
-	instance int
-	keyrings []*auth.Keyring
+	// OnRestart, if set, is invoked after Restart wires up a fresh
+	// replica — the place to re-attach OnExecute/OnViewChange hooks.
+	OnRestart func(i int, rep *Replica)
+
+	pillar     int
+	appFactory func(i int) Application
+	keyrings   []*auth.Keyring
 
 	peerLinks     [][]*msgnet.Peer // peerLinks[i][j]: outbound i -> j
 	inboundPeer   [][]*msgnet.Peer // peer-initiated conns accepted by i
 	inboundClient [][]*msgnet.Peer // client conns accepted by i
+
+	// attachErrs collects re-attach/re-dial failures from Restart; they
+	// surface through AttachErr (and chaos.Schedule.Err).
+	attachErrs []error
 }
 
-// NewPlacement creates one replica per host, replica i running apps[i],
-// to serve at instance's ports with keyrings derived from the seed and
-// the instance. Groups sharing a network at the same instance number
-// (shards) must pass seeds KeySeedStride apart so their keyrings differ.
-func (h *Hosts) NewPlacement(cfg Config, instance int, keySeed int64, apps []Application) (*Placement, error) {
-	if instance >= len(h.pillars) {
-		return nil, fmt.Errorf("pbft: instance %d needs a pillar, the hosts have %d", instance, len(h.pillars))
+// NewCluster builds N replica nodes (full mesh), opens msgnet meshes of
+// the given transport kind and creates replicas running app instances
+// from the factory. Call Start to complete connection setup, then
+// AddClient.
+func NewCluster(kind transport.Kind, cfg Config, params model.Params, seed int64, appFactory func(i int) Application) (*Cluster, error) {
+	loop := sim.NewLoop(seed)
+	hosts, err := NewHosts(loop, fabric.New(loop, params), kind, "", cfg.N, 1)
+	if err != nil {
+		return nil, err
+	}
+	return hosts.Place(cfg, 0, seed, appFactory)
+}
+
+// Place puts a replica group on the given pillar of the hosts: replica i
+// runs on host i, executing into appFactory(i), with keyrings derived from
+// keySeed. Groups sharing a network must pass distinct key seeds so their
+// keyrings differ.
+func (h *Hosts) Place(cfg Config, pillar int, keySeed int64, appFactory func(i int) Application) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if pillar >= len(h.pillars) {
+		return nil, fmt.Errorf("pbft: pillar %d does not exist, the hosts have %d", pillar, len(h.pillars))
 	}
 	n := len(h.Meshes)
-	pl := &Placement{
-		hosts:         h,
-		instance:      instance,
-		keyrings:      auth.GenerateKeyrings(n, uint64(keySeed+int64(instance)*KeySeedStride)+1),
+	c := &Cluster{
+		Hosts:         h,
+		Config:        cfg,
+		pillar:        pillar,
+		appFactory:    appFactory,
+		keyrings:      auth.GenerateKeyrings(n, uint64(keySeed)+1),
 		peerLinks:     make([][]*msgnet.Peer, n),
 		inboundPeer:   make([][]*msgnet.Peer, n),
 		inboundClient: make([][]*msgnet.Peer, n),
 	}
 	for i := 0; i < n; i++ {
-		rep, err := NewReplica(uint32(i), cfg, h.Node(i), pl.keyrings[i], apps[i])
+		c.Apps = append(c.Apps, appFactory(i))
+	}
+	for i := 0; i < n; i++ {
+		rep, err := NewReplica(uint32(i), cfg, h.Node(i), c.keyrings[i], c.Apps[i])
 		if err != nil {
 			return nil, err
 		}
-		pl.Replicas = append(pl.Replicas, rep)
-		pl.peerLinks[i] = make([]*msgnet.Peer, n)
+		c.Replicas = append(c.Replicas, rep)
+		c.peerLinks[i] = make([]*msgnet.Peer, n)
 	}
-	return pl, nil
+	return c, nil
 }
 
-// Start listens on every host at the instance's peer and client ports, on
-// the instance's pillar, and posts the group's N·(N−1) peer dials;
-// Hosts.Await completes them. Connections are handed to whichever replica
-// occupies the slot when they arrive, so late ones reach a restarted
-// instance.
-func (pl *Placement) Start() error {
-	h, instance := pl.hosts, pl.instance
-	for i, mesh := range h.pillars[instance] {
-		if err := mesh.Listen(PeerPort+portStride*instance, func(p *msgnet.Peer) {
-			pl.inboundPeer[i] = append(pl.inboundPeer[i], p)
-			pl.Replicas[i].AttachInbound(p)
+// Start listens on every replica and dials the full connection mesh,
+// running the loop until setup completes.
+func (c *Cluster) Start() error {
+	if err := c.Listen(); err != nil {
+		return err
+	}
+	return c.Await()
+}
+
+// Listen listens on every host at the cluster's peer and client ports, on
+// its pillar, and posts the group's N·(N−1) peer dials; Hosts.Await
+// completes them. Connections are handed to whichever replica occupies
+// the slot when they arrive, so late ones reach a restarted replica.
+func (c *Cluster) Listen() error {
+	h := c.Hosts
+	for i, mesh := range h.pillars[c.pillar] {
+		if err := mesh.Listen(PeerPort+portStride*c.pillar, func(p *msgnet.Peer) {
+			c.inboundPeer[i] = append(c.inboundPeer[i], p)
+			c.Replicas[i].AttachInbound(p)
 		}); err != nil {
 			return err
 		}
-		if err := mesh.Listen(ClientPort+portStride*instance, func(p *msgnet.Peer) {
-			pl.inboundClient[i] = append(pl.inboundClient[i], p)
-			pl.Replicas[i].HandleClientConn(p)
+		if err := mesh.Listen(ClientPort+portStride*c.pillar, func(p *msgnet.Peer) {
+			c.inboundClient[i] = append(c.inboundClient[i], p)
+			c.Replicas[i].HandleClientConn(p)
 		}); err != nil {
 			return err
 		}
@@ -190,7 +232,7 @@ func (pl *Placement) Start() error {
 			}
 			h.posted++
 			h.Loop.Post(func() {
-				pl.dial(i, j, func(err error) {
+				c.dial(i, j, func(err error) {
 					if err != nil {
 						h.dialErr = err
 						return
@@ -204,39 +246,41 @@ func (pl *Placement) Start() error {
 }
 
 // dial opens replica i's outbound link to j; done reports the outcome.
-func (pl *Placement) dial(i, j int, done func(error)) {
-	h := pl.hosts
-	h.pillars[pl.instance][i].Dial(h.Node(j), PeerPort+portStride*pl.instance, func(p *msgnet.Peer, err error) {
+func (c *Cluster) dial(i, j int, done func(error)) {
+	h := c.Hosts
+	h.pillars[c.pillar][i].Dial(h.Node(j), PeerPort+portStride*c.pillar, func(p *msgnet.Peer, err error) {
 		if err != nil {
-			done(fmt.Errorf("dial %s->%s (instance %d): %w", h.Node(i).Name(), h.Node(j).Name(), pl.instance, err))
+			done(fmt.Errorf("dial %s->%s (pillar %d): %w", h.Node(i).Name(), h.Node(j).Name(), c.pillar, err))
 			return
 		}
-		pl.peerLinks[i][j] = p
-		pl.Replicas[i].AttachPeer(uint32(j), p)
+		c.peerLinks[i][j] = p
+		c.Replicas[i].AttachPeer(uint32(j), p)
 		done(nil)
 	})
 }
 
 // FrontEnd is a client-side machine: its own node and mesh, linked to
-// every host of every group it fronts, holding one Client per (group,
-// instance). Which client an operation goes to is the application's
-// business — this package orders opaque bytes.
+// every host of every cluster it fronts, holding one Client per cluster.
+// Which client an operation goes to is the application's business — this
+// package orders opaque bytes.
 type FrontEnd struct {
 	Mesh    *msgnet.Mesh
 	Clients []*Client
 }
 
-// NewFrontEnd creates node name, links it to the hosts of every group and
-// dials one Client per (group, instance) pair: client g·instances+k has
-// identity firstID + 1024·(g·instances+k) and talks to instance k of
-// groups[g]. All dials are posted (group-outer, then instance, then
-// replica) before the loop runs once. Groups must have been awaited.
-func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances int) (*FrontEnd, error) {
-	h0 := groups[0]
+// NewFrontEnd creates node name, links it to the hosts of every cluster
+// and dials one Client per cluster: client g has identity
+// firstID + 1024·g and talks to clusters[g] at its pillar's client port.
+// All dials are posted (cluster-outer, then replica) before the loop runs
+// once. Clusters must have been started.
+func NewFrontEnd(name string, firstID uint32, clusters []*Cluster) (*FrontEnd, error) {
+	h0 := clusters[0].Hosts
 	node := h0.Network.AddNode(name)
-	for _, h := range groups {
-		for i := range h.Meshes {
-			h0.Network.Connect(node, h.Node(i))
+	for _, c := range clusters {
+		// Connect returns an existing link, so clusters sharing hosts
+		// link the node to them once.
+		for i := range c.Meshes {
+			h0.Network.Connect(node, c.Node(i))
 		}
 	}
 	mesh, err := msgnet.NewMesh(h0.Kind, node, msgnet.DefaultOptions())
@@ -246,23 +290,21 @@ func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances 
 	fe := &FrontEnd{Mesh: mesh}
 	var dialErr error
 	dials, want := 0, 0
-	for _, h := range groups {
-		for k := 0; k < instances; k++ {
-			cl := NewClient(firstID+clientIDStride*uint32(len(fe.Clients)), f, node)
-			fe.Clients = append(fe.Clients, cl)
-			for i := range h.Meshes {
-				want++
-				h0.Loop.Post(func() {
-					mesh.Dial(h.Node(i), ClientPort+portStride*k, func(p *msgnet.Peer, err error) {
-						if err != nil {
-							dialErr = err
-							return
-						}
-						cl.AttachReplica(uint32(i), p)
-						dials++
-					})
+	for g, c := range clusters {
+		cl := NewClient(firstID+clientIDStride*uint32(g), c.Config.F, node)
+		fe.Clients = append(fe.Clients, cl)
+		for i := range c.Meshes {
+			want++
+			h0.Loop.Post(func() {
+				mesh.Dial(c.Node(i), ClientPort+portStride*c.pillar, func(p *msgnet.Peer, err error) {
+					if err != nil {
+						dialErr = err
+						return
+					}
+					cl.AttachReplica(uint32(i), p)
+					dials++
 				})
-			}
+			})
 		}
 	}
 	h0.Loop.Run()
@@ -275,83 +317,11 @@ func NewFrontEnd(name string, firstID uint32, f int, groups []*Hosts, instances 
 	return fe, nil
 }
 
-// Outstanding returns the invocations still awaiting quorum replies
-// across clients.
-func (fe *FrontEnd) Outstanding() int {
-	n := 0
-	for _, cl := range fe.Clients {
-		n += cl.Outstanding()
-	}
-	return n
-}
-
-// Cluster is the S=1, K=1 deployment: one replica group on its own
-// hosts plus single-client front-ends, over a chosen transport backend
-// on one simulation loop — the harness used by tests, benchmarks and
-// examples. Beyond wiring, it exposes the fault orchestration surface
-// the chaos subsystem drives: Crash, Restart, Partition, Heal and
-// ReplicaLink, whose faults a scenario sets directly.
-type Cluster struct {
-	*Hosts
-	*Placement
-	Config  Config
-	Apps    []Application
-	Clients []*Client
-
-	appFactory func(i int) Application
-
-	// attachErrs collects re-attach/re-dial failures from Restart; they
-	// surface through AttachErr (and chaos.Schedule.Err).
-	attachErrs []error
-
-	// OnRestart, if set, is invoked after Restart wires up a fresh
-	// replica — the place to re-attach OnExecute/OnViewChange hooks.
-	OnRestart func(i int, rep *Replica)
-}
-
-// NewCluster builds N replica nodes (full mesh), opens msgnet meshes of
-// the given transport kind and creates replicas running app instances
-// from the factory. Call Start to complete connection setup, then
-// AddClient.
-func NewCluster(kind transport.Kind, cfg Config, params model.Params, seed int64, appFactory func(i int) Application) (*Cluster, error) {
-	loop := sim.NewLoop(seed)
-	return NewClusterIn(loop, fabric.New(loop, params), "", kind, cfg, seed, appFactory)
-}
-
-// NewClusterIn builds a replica group on an existing simulation loop and
-// fabric network, so several independent groups — the shard layer's
-// deployment — can share one simulated world under distinct node-name
-// prefixes and key seeds.
-func NewClusterIn(loop *sim.Loop, nw *fabric.Network, prefix string, kind transport.Kind, cfg Config, keySeed int64, appFactory func(i int) Application) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	hosts, err := NewHosts(loop, nw, kind, prefix, cfg.N, 1)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{Hosts: hosts, Config: cfg, appFactory: appFactory}
-	for i := 0; i < cfg.N; i++ {
-		c.Apps = append(c.Apps, appFactory(i))
-	}
-	c.Placement, err = hosts.NewPlacement(cfg, 0, keySeed, c.Apps)
-	return c, err
-}
-
-// Start listens on every replica and dials the full connection mesh,
-// running the loop until setup completes.
-func (c *Cluster) Start() error {
-	if err := c.Placement.Start(); err != nil {
-		return err
-	}
-	return c.Await()
-}
-
 // AddClient creates a client on its own node, links it to every replica
 // and dials the client ports. Must run after Start.
 func (c *Cluster) AddClient() (*Client, error) {
 	id := uint32(100 + len(c.Clients))
-	fe, err := NewFrontEnd(fmt.Sprintf("%sclient%d", c.prefix, id), id, c.Config.F, []*Hosts{c.Hosts}, 1)
+	fe, err := NewFrontEnd(fmt.Sprintf("%sclient%d", c.prefix, id), id, []*Cluster{c})
 	if err != nil {
 		return nil, err
 	}
@@ -360,12 +330,12 @@ func (c *Cluster) AddClient() (*Client, error) {
 }
 
 // SendFaults returns the delivery failures surfaced by every replica that
-// ever ran on the placement's hosts, and on no other host of a shared
+// ever ran on the cluster's hosts, and on no other host of a shared
 // network: a crashed replica's count stays in the sum beside its
-// successor's (the node keeps the history), and placements sharing hosts —
-// the instances of a COP group — share the sum.
-func (pl *Placement) SendFaults() uint64 {
-	return uint64(fabric.Fold(pl.hosts.nodes...)["pbft.send_faults"])
+// successor's (the node keeps the history), and clusters sharing hosts —
+// the groups of a COP deployment — share the sum.
+func (c *Cluster) SendFaults() uint64 {
+	return uint64(fabric.Fold(c.nodes...)["pbft.send_faults"])
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import (
 	"rubin/internal/model"
 	"rubin/internal/msgnet"
 	"rubin/internal/pbft"
-	"rubin/internal/reptor"
 	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -29,8 +28,8 @@ type shape struct {
 
 // TestDeploymentIdentityContract pins, for every way of building a
 // deployment, the identities the byte-identical experiment results depend
-// on: node names, listening ports, client ids and keyring seeds. All three
-// builders are the same three parts, so one table covers them.
+// on: node names, listening ports, client ids and keyring seeds. Every
+// shape is built from the same three parts, so one table covers them.
 func TestDeploymentIdentityContract(t *testing.T) {
 	const seed, fronts = 5, 2
 	kv := func(int) pbft.Application { return kvstore.New() }
@@ -53,37 +52,11 @@ func TestDeploymentIdentityContract(t *testing.T) {
 			}
 			return sh
 		}},
-		{1, 4, 4, "r%[2]d", "client%d", 100, func(t *testing.T) shape {
-			cfg := reptor.DefaultConfig()
-			cfg.Instances = 4
-			g, err := reptor.NewGroup(transport.KindTCP, cfg, model.Default(), seed, kv)
-			must(t, err)
-			must(t, g.Start())
-			sh := shape{g.Loop, g.Network, [][]*msgnet.Mesh{g.Meshes}, [][][]*pbft.Replica{g.Instances}, nil}
-			for i := 0; i < fronts; i++ {
-				cl, err := g.AddClient()
-				must(t, err)
-				sh.fronts = append(sh.fronts, cl.FrontEnd)
-			}
-			return sh
+		{1, 4, 4, "r%[2]d", "router%d", 0, func(t *testing.T) shape {
+			return partitioned(t, shard.NewCOP, 4, seed, fronts)
 		}},
 		{2, 1, 4, "s%[1]dr%[2]d", "router%d", 0, func(t *testing.T) shape {
-			cfg := shard.DefaultConfig()
-			cfg.Shards = 2
-			d, err := shard.New(transport.KindTCP, cfg, model.Default(), seed)
-			must(t, err)
-			must(t, d.Start())
-			sh := shape{loop: d.Loop, network: d.Network}
-			for _, c := range d.Clusters {
-				sh.hosts = append(sh.hosts, c.Meshes)
-				sh.replicas = append(sh.replicas, [][]*pbft.Replica{c.Replicas})
-			}
-			for i := 0; i < fronts; i++ {
-				r, err := d.AddRouter()
-				must(t, err)
-				sh.fronts = append(sh.fronts, r.FrontEnd)
-			}
-			return sh
+			return partitioned(t, shard.New, 2, seed, fronts)
 		}},
 	} {
 		t.Run(fmt.Sprintf("S=%d,K=%d,N=%d", tc.s, tc.k, tc.n), func(t *testing.T) {
@@ -113,12 +86,9 @@ func TestDeploymentIdentityContract(t *testing.T) {
 					}
 				}
 				// Keyring seeds: run seed + 7919·(group index) + 1, where a
-				// COP instance's group index is k and a shard's is s+1.
+				// COP instance's group index is k and a shard's is s.
 				for k, reps := range sh.replicas[s] {
-					group := k
-					if tc.s > 1 {
-						group = s + 1
-					}
+					group := k + s
 					want := auth.GenerateKeyrings(tc.n, uint64(seed+7919*group+1))
 					for i, rep := range reps {
 						peer, msg := (i+1)%tc.n, []byte("identity")
@@ -146,6 +116,34 @@ func TestDeploymentIdentityContract(t *testing.T) {
 			}
 		})
 	}
+}
+
+// partitioned builds and starts a deployment of groups PBFT groups
+// through a shard constructor, with the given number of routers.
+func partitioned(t *testing.T, build func(transport.Kind, shard.Config, model.Params, int64) (*shard.Deployment, error), groups int, seed int64, fronts int) shape {
+	d, err := build(transport.KindTCP, shard.Config{Shards: groups, PBFT: pbft.DefaultConfig()}, model.Default(), seed)
+	must(t, err)
+	must(t, d.Start())
+	sh := shape{loop: d.Loop, network: d.Network}
+	if d.Clusters[0].Hosts == d.Clusters[groups-1].Hosts {
+		// Co-located: one host set whose pillars carry the groups.
+		sh.hosts = [][]*msgnet.Mesh{d.Clusters[0].Meshes}
+		sh.replicas = [][][]*pbft.Replica{nil}
+		for _, c := range d.Clusters {
+			sh.replicas[0] = append(sh.replicas[0], c.Replicas)
+		}
+	} else {
+		for _, c := range d.Clusters {
+			sh.hosts = append(sh.hosts, c.Meshes)
+			sh.replicas = append(sh.replicas, [][]*pbft.Replica{c.Replicas})
+		}
+	}
+	for i := 0; i < fronts; i++ {
+		r, err := d.AddRouter()
+		must(t, err)
+		sh.fronts = append(sh.fronts, r.FrontEnd)
+	}
+	return sh
 }
 
 func must(t *testing.T, err error) {

@@ -1,4 +1,4 @@
-package reptor
+package shard
 
 import (
 	"fmt"
@@ -6,58 +6,65 @@ import (
 
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
-	"rubin/internal/pbft"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
-func newTestGroup(t *testing.T, kind transport.Kind, cfg Config) *Group {
+// newCOP builds and starts a COP group over cfg at the given seed.
+func newCOP(t *testing.T, kind transport.Kind, cfg Config, seed int64) *Deployment {
 	t.Helper()
-	g, err := NewGroup(kind, cfg, model.Default(), 1, func(i int) pbft.Application { return kvstore.New() })
+	d, err := NewCOP(kind, cfg, model.Default(), seed)
 	if err != nil {
-		t.Fatalf("NewGroup: %v", err)
+		t.Fatalf("NewCOP: %v", err)
 	}
-	if err := g.Start(); err != nil {
+	if err := d.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	return g
+	return d
+}
+
+// addRouter adds a router to a started deployment.
+func addRouter(t *testing.T, d *Deployment) *Router {
+	t.Helper()
+	r, err := d.AddRouter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestLeadershipIsSpreadAcrossInstances(t *testing.T) {
-	g := newTestGroup(t, transport.KindTCP, DefaultConfig())
+	d := newCOP(t, transport.KindTCP, defaultConfig(4), 1)
 	leaders := map[uint32]bool{}
-	for k, reps := range g.Instances {
-		leader := reps[0].Leader(reps[0].View())
+	for k, c := range d.Clusters {
+		rep := c.Replicas[0]
+		leader := rep.Leader(rep.View())
 		leaders[leader] = true
-		if want := uint32(k % g.Config.PBFT.N); leader != want {
+		if want := uint32(k % d.Config.PBFT.N); leader != want {
 			t.Fatalf("instance %d led by %d, want %d", k, leader, want)
 		}
 	}
-	if len(leaders) != g.Config.Instances {
-		t.Fatalf("only %d distinct leaders across %d instances", len(leaders), g.Config.Instances)
+	if len(leaders) != d.Config.Shards {
+		t.Fatalf("only %d distinct leaders across %d instances", len(leaders), d.Config.Shards)
 	}
 }
 
 func TestRequestsCommitAcrossInstances(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindTCP, transport.KindRDMA} {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			g := newTestGroup(t, kind, DefaultConfig())
-			cl, err := g.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := newCOP(t, kind, defaultConfig(4), 1)
+			r := addRouter(t, d)
 			const n = 40
 			done := 0
 			used := map[int]bool{}
-			g.Loop.Post(func() {
+			d.Loop.Post(func() {
 				for i := 0; i < n; i++ {
-					op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("key-%03d", i), "v")
-					used[g.Config.Route(op)] = true
-					cl.Invoke(op, func([]byte) { done++ })
+					key := fmt.Sprintf("key-%03d", i)
+					used[kvstore.PartitionKey(key, d.Config.Shards)] = true
+					r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, key, "v"), func([]byte) { done++ })
 				}
 			})
-			g.Loop.Run()
+			d.Loop.Run()
 			if done != n {
 				t.Fatalf("completed %d of %d", done, n)
 			}
@@ -65,9 +72,9 @@ func TestRequestsCommitAcrossInstances(t *testing.T) {
 				t.Fatalf("routing degenerate: only %d instances used", len(used))
 			}
 			// Each instance's replicas converge to the same state.
-			for k, apps := range g.Apps {
-				for i := 1; i < len(apps); i++ {
-					if apps[i].Snapshot() != apps[0].Snapshot() {
+			for k, c := range d.Clusters {
+				for i := 1; i < len(c.Apps); i++ {
+					if c.Apps[i].Snapshot() != c.Apps[0].Snapshot() {
 						t.Fatalf("instance %d: replica %d state diverged", k, i)
 					}
 				}
@@ -88,18 +95,15 @@ func TestRequestsCommitAcrossInstances(t *testing.T) {
 func TestInstancesCheckpointTheirOwnStores(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		t.Run(string(kind), func(t *testing.T) {
-			cfg := DefaultConfig()
+			cfg := defaultConfig(4)
 			cfg.PBFT.BatchSize, cfg.PBFT.LogWindow, cfg.PBFT.CheckpointEvery = 1, 16, 4
-			g := newTestGroup(t, kind, cfg)
-			cl, err := g.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := newCOP(t, kind, cfg, 1)
+			r := addRouter(t, d)
 			const n = 256
 			done := 0
-			g.Loop.Post(func() {
+			d.Loop.Post(func() {
 				for i := 0; i < n; i++ {
-					cl.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("key-%03d", i), "v"), func([]byte) { done++ })
+					r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("key-%03d", i), "v"), func([]byte) { done++ })
 				}
 			})
 			// A wedged group cycles through view changes for ever: bound
@@ -110,14 +114,14 @@ func TestInstancesCheckpointTheirOwnStores(t *testing.T) {
 						t.Fatalf("completed %d of %d puts: %v", done, n, p)
 					}
 				}()
-				g.Loop.SetEventLimit(20_000_000)
-				g.Loop.RunUntil(g.Loop.Now() + sim.Second)
+				d.Loop.SetEventLimit(20_000_000)
+				d.Loop.RunUntil(d.Loop.Now() + sim.Second)
 			}()
 			if done != n {
 				t.Errorf("completed %d of %d puts", done, n)
 			}
-			for k, reps := range g.Instances {
-				for i, rep := range reps {
+			for k, c := range d.Clusters {
+				for i, rep := range c.Replicas {
 					if rep.View() != uint64(k) || rep.Stable() == 0 {
 						t.Errorf("instance %d replica %d: view %d, stable %d; want view %d, stable > 0", k, i, rep.View(), rep.Stable(), k)
 					}
@@ -128,71 +132,17 @@ func TestInstancesCheckpointTheirOwnStores(t *testing.T) {
 }
 
 func TestSingleInstanceDegeneratesToPBFT(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Instances = 1
-	g := newTestGroup(t, transport.KindTCP, cfg)
-	cl, err := g.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newCOP(t, transport.KindTCP, defaultConfig(1), 1)
+	r := addRouter(t, d)
 	done := 0
-	g.Loop.Post(func() {
+	d.Loop.Post(func() {
 		for i := 0; i < 10; i++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("s%d", i), "v"), func([]byte) { done++ })
+			r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("s%d", i), "v"), func([]byte) { done++ })
 		}
 	})
-	g.Loop.Run()
+	d.Loop.Run()
 	if done != 10 {
 		t.Fatalf("completed %d of 10", done)
-	}
-}
-
-func TestRouteIsDeterministicAndInRange(t *testing.T) {
-	cfg := DefaultConfig()
-	for i := 0; i < 200; i++ {
-		op := []byte(fmt.Sprintf("op-%d", i))
-		k1, k2 := cfg.Route(op), cfg.Route(op)
-		if k1 != k2 {
-			t.Fatal("routing not deterministic")
-		}
-		if k1 < 0 || k1 >= cfg.Instances {
-			t.Fatalf("route %d out of range", k1)
-		}
-	}
-}
-
-// TestRouteSumHighHashes pins the unsigned modulo: hash sums at or above
-// 2^31 — negative once squeezed through a 32-bit int — must still land on
-// an instance in range, the one uint32 arithmetic names.
-func TestRouteSumHighHashes(t *testing.T) {
-	for _, tc := range []struct {
-		sum       uint32
-		instances int
-		want      int
-	}{
-		{1 << 31, 4, 0},
-		{1<<31 + 1, 4, 1},
-		{1<<32 - 1, 3, 0},
-		{1<<32 - 1, 7, 3},
-		{0xdeadbeef, 5, 4},
-		{7, 4, 3},
-	} {
-		if got := routeSum(tc.sum, tc.instances); got != tc.want {
-			t.Errorf("routeSum(%#x, %d) = %d, want %d", tc.sum, tc.instances, got, tc.want)
-		}
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	bad := DefaultConfig()
-	bad.Instances = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero instances should be rejected")
-	}
-	bad = DefaultConfig()
-	bad.PBFT.N = 3
-	if bad.Validate() == nil {
-		t.Fatal("invalid PBFT config should be rejected")
 	}
 }
 
@@ -210,56 +160,44 @@ func TestCOPSpreadsLeaderLoad(t *testing.T) {
 		payloadLen = 2048
 	)
 	run := func(instances int) (elapsed float64, imbalance float64) {
-		cfg := DefaultConfig()
-		cfg.Instances = instances
-		g, err := NewGroup(transport.KindRDMA, cfg, model.Default(), 1,
-			func(i int) pbft.Application { return kvstore.New() })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Start(); err != nil {
-			t.Fatal(err)
-		}
-		var cls []*Client
+		d := newCOP(t, transport.KindRDMA, defaultConfig(instances), 1)
+		var rs []*Router
 		for c := 0; c < clients; c++ {
-			cl, err := g.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
-			cls = append(cls, cl)
+			rs = append(rs, addRouter(t, d))
 		}
+		n := d.Config.PBFT.N
 		// Snapshot CPU busy before the workload (setup costs excluded).
-		before := make([]sim.Time, cfg.PBFT.N)
+		before := make([]sim.Time, n)
 		for i := range before {
-			before[i] = g.Network.Node(fmt.Sprintf("r%d", i)).CPU.BusyTotal()
+			before[i] = d.Network.Node(fmt.Sprintf("r%d", i)).CPU.BusyTotal()
 		}
-		start := g.Loop.Now()
+		start := d.Loop.Now()
 		var finish sim.Time
 		done := 0
-		g.Loop.Post(func() {
-			for c, cl := range cls {
+		d.Loop.Post(func() {
+			for c, r := range rs {
 				for i := 0; i < perClient; i++ {
 					key := fmt.Sprintf("c%dw%04d", c, i)
-					cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, key, string(make([]byte, payloadLen))), func([]byte) {
+					r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, key, string(make([]byte, payloadLen))), func([]byte) {
 						done++
-						finish = g.Loop.Now()
+						finish = d.Loop.Now()
 					})
 				}
 			}
 		})
-		g.Loop.Run()
+		d.Loop.Run()
 		if done != clients*perClient {
 			t.Fatalf("K=%d completed %d of %d", instances, done, clients*perClient)
 		}
 		var max, sum float64
 		for i := range before {
-			busy := float64(g.Network.Node(fmt.Sprintf("r%d", i)).CPU.BusyTotal() - before[i])
+			busy := float64(d.Network.Node(fmt.Sprintf("r%d", i)).CPU.BusyTotal() - before[i])
 			sum += busy
 			if busy > max {
 				max = busy
 			}
 		}
-		return (finish - start).Seconds(), max / (sum / float64(cfg.PBFT.N))
+		return (finish - start).Seconds(), max / (sum / float64(n))
 	}
 	t1, imb1 := run(1)
 	t4, imb4 := run(4)
@@ -275,34 +213,29 @@ func TestCOPSpreadsLeaderLoad(t *testing.T) {
 }
 
 // TestInstancesServeOnTheirOwnPillars: COP instance k serves on pillar k of
-// every host, a selector on the host's application thread k. Puts routed
-// to instance 2 alone load thread 2 of every host more than any other.
+// every host, a selector on the host's application thread k. Puts to keys
+// instance 2 owns load thread 2 of every host more than any other.
 func TestInstancesServeOnTheirOwnPillars(t *testing.T) {
-	g := newTestGroup(t, transport.KindRDMA, DefaultConfig())
-	cl, err := g.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := newCOP(t, transport.KindRDMA, defaultConfig(4), 1)
+	r := addRouter(t, d)
 	const target = 2
-	busy := func(i, k int) sim.Time { return g.Node(i).Thread(k).BusyTotal() }
-	before := make([][]sim.Time, g.Config.PBFT.N)
+	hosts, instances := d.Clusters[0].Hosts, d.Config.Shards
+	busy := func(i, k int) sim.Time { return hosts.Node(i).Thread(k).BusyTotal() }
+	before := make([][]sim.Time, d.Config.PBFT.N)
 	for i := range before {
-		for k := 0; k < g.Config.Instances; k++ {
+		for k := 0; k < instances; k++ {
 			before[i] = append(before[i], busy(i, k))
 		}
 	}
 	value := string(make([]byte, 8<<10))
-	g.Loop.Post(func() {
-		for i, sent := 0, 0; sent < 20; i++ {
-			if op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("p%04d", i), value); g.Config.Route(op) == target {
-				cl.Invoke(op, nil)
-				sent++
-			}
+	d.Loop.Post(func() {
+		for i := 0; i < 20; i++ {
+			r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, keyOn(target, instances, fmt.Sprintf("p%04d.", i)), value), nil)
 		}
 	})
-	g.Loop.Run()
+	d.Loop.Run()
 	for i := range before {
-		grew := make([]sim.Time, g.Config.Instances)
+		grew := make([]sim.Time, instances)
 		for k := range grew {
 			grew[k] = busy(i, k) - before[i][k]
 		}

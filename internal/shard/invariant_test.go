@@ -1,4 +1,4 @@
-package reptor
+package shard
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
 	"rubin/internal/kvstore"
-	"rubin/internal/model"
 	"rubin/internal/msgnet"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
@@ -43,15 +42,8 @@ func TestSeededChaosInvariants(t *testing.T) {
 
 func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Instances = 2 + int(seed%3) // 2..4 pipelines
-	g, err := NewGroup(kind, cfg, model.Default(), seed, func(int) pbft.Application { return kvstore.New() })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Start(); err != nil {
-		t.Fatal(err)
-	}
+	g := newCOP(t, kind, defaultConfig(2+int(seed%3)), seed) // 2..4 pipelines
+	instances := g.Config.Shards
 	// Each instance's ledger: the first batch any replica executed at a
 	// sequence, as its digest and its requests. A later report at the
 	// same sequence must carry the same digest.
@@ -59,11 +51,11 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 		digest auth.Digest
 		ids    []pbft.RequestID
 	}
-	ledgers := make([]map[uint64]entry, cfg.Instances)
+	ledgers := make([]map[uint64]entry, instances)
 	var disagreement error
-	for k, reps := range g.Instances {
+	for k, c := range g.Clusters {
 		ledgers[k] = make(map[uint64]entry)
-		for i, rep := range reps {
+		for i, rep := range c.Replicas {
 			rep.OnExecute(func(seq uint64, batch []pbft.Request) {
 				d := pbft.BatchDigest(batch)
 				first, seen := ledgers[k][seq]
@@ -80,11 +72,9 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 		}
 	}
 	const clients = 2
-	cls := make([]*Client, clients)
+	cls := make([]*Router, clients)
 	for i := range cls {
-		if cls[i], err = g.AddClient(); err != nil {
-			t.Fatal(err)
-		}
+		cls[i] = addRouter(t, g)
 	}
 
 	// Build the fault schedule from the seed alone (independent of the
@@ -117,13 +107,13 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 		dur := 20*sim.Millisecond + sim.Time(rng.Int63n(int64(30*sim.Millisecond)))
 		delay := sim.Time(rng.Int63n(int64(300 * sim.Microsecond)))
 		g.Loop.After(at, func() {
-			for k := range g.Instances {
-				g.Instances[k][i].SetOutbox(func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) { return env, delay })
+			for _, c := range g.Clusters {
+				c.Replicas[i].SetOutbox(func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) { return env, delay })
 			}
 		})
 		g.Loop.After(at+dur, func() {
-			for k := range g.Instances {
-				g.Instances[k][i].SetOutbox(nil)
+			for _, c := range g.Clusters {
+				c.Replicas[i].SetOutbox(nil)
 			}
 		})
 	}
@@ -161,7 +151,7 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 			idx := sent
 			sent++
 			op := kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("inv-%d-%04d", ci, idx), "v")
-			cls[ci].Invoke(op, func([]byte) {
+			cls[ci].InvokeOp(op, func([]byte) {
 				done++
 				if sent < perClient {
 					sendOne()
@@ -203,9 +193,9 @@ func runSeededChaos(t *testing.T, kind transport.Kind, seed int64) {
 			t.Errorf("seed %d: operation %v executed at %d sequences", seed, id, c)
 		}
 	}
-	for k, apps := range g.Apps {
-		for i := 1; i < len(apps); i++ {
-			if apps[i].Snapshot() != apps[0].Snapshot() {
+	for k, c := range g.Clusters {
+		for i := 1; i < len(c.Apps); i++ {
+			if c.Apps[i].Snapshot() != c.Apps[0].Snapshot() {
 				t.Errorf("seed %d: instance %d: replica %d application state diverged", seed, k, i)
 			}
 		}

@@ -10,8 +10,8 @@ import (
 	"rubin/internal/sim"
 )
 
-// Router is the routing front-end of a sharded deployment: it owns one
-// PBFT client per shard, routes each operation to the group owning its
+// Router is the routing front-end of a deployment, sharded or COP: it owns
+// one PBFT client per group, routes each operation to the group owning its
 // keys (kvstore.PartitionKey hash ranges), fans scans out across every
 // shard, and coordinates cross-shard transactions with two-phase commit
 // over consensus. The router is a coordinator, not a trust anchor —
@@ -33,14 +33,10 @@ type Router struct {
 }
 
 // AddRouter creates a router on its own network node, connected to
-// every replica of every shard. Must run after Start.
+// every replica of every group. Must run after Start.
 func (d *Deployment) AddRouter() (*Router, error) {
 	ridx := len(d.routers)
-	groups := make([]*pbft.Hosts, len(d.Clusters))
-	for s, cl := range d.Clusters {
-		groups[s] = cl.Hosts
-	}
-	fe, err := pbft.NewFrontEnd(fmt.Sprintf("router%d", ridx), uint32(100+ridx), d.Config.PBFT.F, groups, 1)
+	fe, err := pbft.NewFrontEnd(fmt.Sprintf("router%d", ridx), uint32(100+ridx), d.Clusters)
 	if err != nil {
 		return nil, err
 	}

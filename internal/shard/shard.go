@@ -1,15 +1,21 @@
 // Package shard partitions the keyspace across independent consensus
-// groups. Each shard is a full PBFT replica group — its own log,
+// groups. Each group is a full PBFT replica group — its own log,
 // checkpoints, state transfer and kvstore partition — and a routing
 // front-end (Router) multiplexes client sessions across the groups by
 // deterministic hash ranges (kvstore.PartitionKey). Single-key
-// operations touch exactly one shard; multi-key operations (scans and
+// operations touch exactly one group; multi-key operations (scans and
 // multi-key read/write transactions) run as scatter-gather reads or as
 // two-phase commit layered over consensus: PREPARE and COMMIT/ABORT are
-// ordered operations in each participant shard's log, so a shard's vote
+// ordered operations in each participant group's log, so a group's vote
 // and the transaction's outcome are replicated decisions that survive
 // leader crashes — only the protocol's progress, never its safety,
 // depends on the router.
+//
+// The groups are placed one of two ways. New gives each its own hosts:
+// a sharded service. NewCOP puts them side by side on one set of hosts,
+// group k on every host's pillar k and led first by replica k — Reptor's
+// Consensus-Oriented Parallelization (COP, Behl et al., Middleware '15),
+// where every replica leads one pipeline.
 package shard
 
 import (
@@ -24,18 +30,13 @@ import (
 	"rubin/internal/transport"
 )
 
-// Config parameterizes a sharded deployment.
+// Config parameterizes a partitioned deployment.
 type Config struct {
 	// Shards is the number of independent consensus groups the keyspace
-	// is hash-partitioned across.
+	// is hash-partitioned across: shards, or a COP group's instances.
 	Shards int
 	// PBFT configures every group identically.
 	PBFT pbft.Config
-}
-
-// DefaultConfig returns a 2-shard deployment of default PBFT groups.
-func DefaultConfig() Config {
-	return Config{Shards: 2, PBFT: pbft.DefaultConfig()}
 }
 
 // Validate checks the configuration.
@@ -46,9 +47,14 @@ func (c Config) Validate() error {
 	return c.PBFT.Validate()
 }
 
+// keySeedStride separates the keyring seeds of the groups sharing a
+// network: group g is keyed from seed + g·stride. Any constant larger than
+// zero works; a prime just makes collisions with unrelated seed
+// arithmetic unlikely.
+const keySeedStride = 7919
+
 // Deployment is a set of independent PBFT groups sharing one simulation
-// loop and one fabric network — shard s's replica i is node "s<s>r<i>"
-// on the shared network — plus the routers fronting them.
+// loop and one fabric network, plus the routers fronting them.
 type Deployment struct {
 	Loop     *sim.Loop
 	Network  *fabric.Network
@@ -59,39 +65,73 @@ type Deployment struct {
 	routers []*Router
 }
 
-// New builds a deployment of cfg.Shards PBFT groups over a shared
-// simulated network, each replica running a fresh kvstore.Store — the
-// sharded key/value service. Each shard's replicas hold only that shard's
-// partition of the keyspace, populated and queried through its own
-// group's log. Call Start, then AddRouter.
+// New builds a sharded deployment: cfg.Shards PBFT groups, each on hosts
+// of its own — shard s's replica i is node "s<s>r<i>" on the shared
+// network — and each replica running a fresh kvstore.Store that holds only
+// its shard's partition of the keyspace. Call Start, then AddRouter.
 func New(kind transport.Kind, cfg Config, params model.Params, seed int64) (*Deployment, error) {
+	return build(kind, cfg, params, seed, false)
+}
+
+// NewCOP builds a COP group: cfg.Shards PBFT groups on one set of N hosts
+// named "r<i>", group k on every host's pillar k (a msgnet mesh whose
+// selector runs on the host's application thread k; the pillars share the
+// host's CPU cores, NIC and TCP stack or RNIC), starting in view k so that
+// every replica leads one group. Call Start, then AddRouter.
+func NewCOP(kind transport.Kind, cfg Config, params model.Params, seed int64) (*Deployment, error) {
+	return build(kind, cfg, params, seed, true)
+}
+
+// build assembles the groups in order, group g keyed from
+// seed + g·keySeedStride: on hosts of their own, or co-located on one
+// host set's pillars.
+func build(kind transport.Kind, cfg Config, params model.Params, seed int64, colocated bool) (*Deployment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	loop := sim.NewLoop(seed)
-	d := &Deployment{
-		Loop:    loop,
-		Network: fabric.New(loop, params),
-		Config:  cfg,
-		Kind:    kind,
-	}
-	for s := 0; s < cfg.Shards; s++ {
-		cl, err := pbft.NewClusterIn(loop, d.Network, fmt.Sprintf("s%d", s), kind, cfg.PBFT,
-			seed+int64(s+1)*pbft.KeySeedStride,
-			func(int) pbft.Application { return kvstore.New() })
+	d := &Deployment{Loop: loop, Network: fabric.New(loop, params), Config: cfg, Kind: kind}
+	var hosts *pbft.Hosts
+	if colocated {
+		h, err := pbft.NewHosts(loop, d.Network, kind, "", cfg.PBFT.N, cfg.Shards)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
+			return nil, err
+		}
+		hosts = h
+	}
+	for g := 0; g < cfg.Shards; g++ {
+		gcfg, pillar := cfg.PBFT, g
+		if colocated {
+			gcfg.InitialView = uint64(g)
+		} else {
+			h, err := pbft.NewHosts(loop, d.Network, kind, fmt.Sprintf("s%d", g), cfg.PBFT.N, 1)
+			if err != nil {
+				return nil, fmt.Errorf("shard %d: %w", g, err)
+			}
+			hosts, pillar = h, 0
+		}
+		cl, err := hosts.Place(gcfg, pillar, seed+int64(g)*keySeedStride, func(int) pbft.Application { return kvstore.New() })
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", g, err)
 		}
 		d.Clusters = append(d.Clusters, cl)
 	}
 	return d, nil
 }
 
-// Start brings up every group (listeners plus full peer meshes).
+// Start brings up every group (listeners plus full peer meshes). The
+// groups on one set of hosts all post their dials before the loop runs
+// once; groups on hosts of their own come up one after another.
 func (d *Deployment) Start() error {
-	for s, cl := range d.Clusters {
-		if err := cl.Start(); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
+	for g, cl := range d.Clusters {
+		if err := cl.Listen(); err != nil {
+			return fmt.Errorf("shard %d: %w", g, err)
+		}
+		if g+1 < len(d.Clusters) && d.Clusters[g+1].Hosts == cl.Hosts {
+			continue
+		}
+		if err := cl.Await(); err != nil {
+			return fmt.Errorf("shard %d: %w", g, err)
 		}
 	}
 	return nil

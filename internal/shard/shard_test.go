@@ -9,26 +9,38 @@ import (
 	"rubin/internal/chaos"
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
+	"rubin/internal/pbft"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
+// defaultConfig is k groups over the default PBFT parameters.
+func defaultConfig(k int) Config { return Config{Shards: k, PBFT: pbft.DefaultConfig()} }
+
 // testConfig shrinks batches and checkpoint intervals so recovery
 // happens within short virtual windows, like the chaos suite does.
 func testConfig(shards int) Config {
-	cfg := DefaultConfig()
-	cfg.Shards = shards
+	cfg := defaultConfig(shards)
 	cfg.PBFT.BatchSize = 2
 	cfg.PBFT.CheckpointEvery = 4
 	cfg.PBFT.LogWindow = 64
 	return cfg
 }
 
-func newTestDeployment(t *testing.T, kind transport.Kind, shards int) (*Deployment, *Router) {
+// placements are the two ways to place the groups: on hosts of their own
+// (New) or side by side on one set of hosts (NewCOP).
+var placements = []struct {
+	name  string
+	build func(transport.Kind, Config, model.Params, int64) (*Deployment, error)
+}{{"shards", New}, {"cop", NewCOP}}
+
+// newTestDeployment builds a deployment of groups over testConfig at seed
+// 1, starts it and adds one router.
+func newTestDeployment(t *testing.T, build func(transport.Kind, Config, model.Params, int64) (*Deployment, error), kind transport.Kind, groups int) (*Deployment, *Router) {
 	t.Helper()
-	d, err := New(kind, testConfig(shards), model.Default(), 1)
+	d, err := build(kind, testConfig(groups), model.Default(), 1)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("build: %v", err)
 	}
 	if err := d.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -57,19 +69,24 @@ func store(d *Deployment, s, i int) *kvstore.Store {
 }
 
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	if err := defaultConfig(2).Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := DefaultConfig()
+	bad := defaultConfig(2)
 	bad.Shards = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Shards=0 accepted")
+	}
+	bad = defaultConfig(2)
+	bad.PBFT.N = 3
+	if err := bad.Validate(); err == nil {
+		t.Fatal("an invalid PBFT config accepted")
 	}
 }
 
 func TestSingleKeyOpsRouteToOwningShard(t *testing.T) {
 	const S = 2
-	d, r := newTestDeployment(t, transport.KindRDMA, S)
+	d, r := newTestDeployment(t, New, transport.KindRDMA, S)
 	const n = 8
 	keys := make([]string, n)
 	got := make([]string, n)
@@ -111,29 +128,33 @@ func TestSingleKeyOpsRouteToOwningShard(t *testing.T) {
 }
 
 func TestScanMergesAcrossShards(t *testing.T) {
-	d, r := newTestDeployment(t, transport.KindRDMA, 4)
-	var want []string
-	d.Loop.Post(func() {
-		for i := 0; i < 20; i++ {
-			k := fmt.Sprintf("acct%02d", i)
-			want = append(want, fmt.Sprintf("%s=%d", k, i))
-			r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, k, fmt.Sprintf("%d", i)), nil)
-			r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("other%02d", i), "x"), nil)
-		}
-	})
-	d.Loop.Run()
-	sort.Strings(want)
-	var full, capped string
-	d.Loop.Post(func() {
-		r.InvokeOp(kvstore.EncodeOp(kvstore.OpScan, "acct", ""), func(res []byte) { full = string(res) })
-		r.InvokeOp(kvstore.EncodeOp(kvstore.OpScan, "acct", "7"), func(res []byte) { capped = string(res) })
-	})
-	d.Loop.Run()
-	if full != strings.Join(want, "\n") {
-		t.Errorf("scan = %q, want %q", full, strings.Join(want, "\n"))
-	}
-	if capped != strings.Join(want[:7], "\n") {
-		t.Errorf("capped scan = %q, want %q", capped, strings.Join(want[:7], "\n"))
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			d, r := newTestDeployment(t, pl.build, transport.KindRDMA, 4)
+			var want []string
+			d.Loop.Post(func() {
+				for i := 0; i < 20; i++ {
+					k := fmt.Sprintf("acct%02d", i)
+					want = append(want, fmt.Sprintf("%s=%d", k, i))
+					r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, k, fmt.Sprintf("%d", i)), nil)
+					r.InvokeOp(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("other%02d", i), "x"), nil)
+				}
+			})
+			d.Loop.Run()
+			sort.Strings(want)
+			var full, capped string
+			d.Loop.Post(func() {
+				r.InvokeOp(kvstore.EncodeOp(kvstore.OpScan, "acct", ""), func(res []byte) { full = string(res) })
+				r.InvokeOp(kvstore.EncodeOp(kvstore.OpScan, "acct", "7"), func(res []byte) { capped = string(res) })
+			})
+			d.Loop.Run()
+			if full != strings.Join(want, "\n") {
+				t.Errorf("scan = %q, want %q", full, strings.Join(want, "\n"))
+			}
+			if capped != strings.Join(want[:7], "\n") {
+				t.Errorf("capped scan = %q, want %q", capped, strings.Join(want[:7], "\n"))
+			}
+		})
 	}
 }
 
@@ -151,64 +172,71 @@ func invokeTxn(d *Deployment, r *Router, statuses map[string]string, id string, 
 	})
 }
 
+// TestCrossShardTxnCommitsAtomically runs one transaction over two groups'
+// keys through 2PC, on both placements: co-located groups coordinate
+// through the same router as shards do.
 func TestCrossShardTxnCommitsAtomically(t *testing.T) {
 	const S = 2
-	d, r := newTestDeployment(t, transport.KindRDMA, S)
-	ka, kb := keyOn(0, S, "a"), keyOn(1, S, "b")
-	statuses := map[string]string{}
-	invokeTxn(d, r, statuses, "w", []kvstore.TxnSub{
-		{Code: kvstore.OpPut, Key: ka, Value: "1"},
-		{Code: kvstore.OpPut, Key: kb, Value: "2"},
-	})
-	d.Loop.Run()
-	if statuses["w"] != kvstore.TxnCommitted {
-		t.Fatalf("writer txn status = %q", statuses["w"])
-	}
-	if *r.txns2PC != 1 {
-		t.Fatalf("shard.cross_shard_txns = %d, want 1", *r.txns2PC)
-	}
-
-	// A cross-shard reader observes both writes; its reply carries the
-	// read values in sub order.
-	var readRes [][]byte
-	d.Loop.Post(func() {
-		r.InvokeOp(kvstore.EncodeTxn("r", []kvstore.TxnSub{
-			{Code: kvstore.OpGet, Key: kb},
-			{Code: kvstore.OpGet, Key: ka},
-		}), func(res []byte) {
-			status, rs, err := kvstore.DecodeTxnResult(res)
-			if err != nil || status != kvstore.TxnCommitted {
-				t.Errorf("reader txn reply %q (err %v)", res, err)
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			d, r := newTestDeployment(t, pl.build, transport.KindRDMA, S)
+			ka, kb := keyOn(0, S, "a"), keyOn(1, S, "b")
+			statuses := map[string]string{}
+			invokeTxn(d, r, statuses, "w", []kvstore.TxnSub{
+				{Code: kvstore.OpPut, Key: ka, Value: "1"},
+				{Code: kvstore.OpPut, Key: kb, Value: "2"},
+			})
+			d.Loop.Run()
+			if statuses["w"] != kvstore.TxnCommitted {
+				t.Fatalf("writer txn status = %q", statuses["w"])
 			}
-			readRes = rs
-		})
-	})
-	d.Loop.Run()
-	if len(readRes) != 2 || string(readRes[0]) != "2" || string(readRes[1]) != "1" {
-		t.Fatalf("reader results = %q, want [2 1]", readRes)
-	}
-
-	// Nothing stays staged or locked once the decisions executed.
-	for s := 0; s < S; s++ {
-		for i := 0; i < d.Config.PBFT.N; i++ {
-			if ids := store(d, s, i).Prepared(); len(ids) != 0 {
-				t.Errorf("shard %d replica %d still stages %v", s, i, ids)
+			if *r.txns2PC != 1 {
+				t.Fatalf("shard.cross_shard_txns = %d, want 1", *r.txns2PC)
 			}
-			for _, k := range []string{ka, kb} {
-				if h := store(d, s, i).LockHolder(k); h != "" {
-					t.Errorf("shard %d replica %d still locks %s for %s", s, i, k, h)
+
+			// A cross-shard reader observes both writes; its reply carries the
+			// read values in sub order.
+			var readRes [][]byte
+			d.Loop.Post(func() {
+				r.InvokeOp(kvstore.EncodeTxn("r", []kvstore.TxnSub{
+					{Code: kvstore.OpGet, Key: kb},
+					{Code: kvstore.OpGet, Key: ka},
+				}), func(res []byte) {
+					status, rs, err := kvstore.DecodeTxnResult(res)
+					if err != nil || status != kvstore.TxnCommitted {
+						t.Errorf("reader txn reply %q (err %v)", res, err)
+					}
+					readRes = rs
+				})
+			})
+			d.Loop.Run()
+			if len(readRes) != 2 || string(readRes[0]) != "2" || string(readRes[1]) != "1" {
+				t.Fatalf("reader results = %q, want [2 1]", readRes)
+			}
+
+			// Nothing stays staged or locked once the decisions executed.
+			for s := 0; s < S; s++ {
+				for i := 0; i < d.Config.PBFT.N; i++ {
+					if ids := store(d, s, i).Prepared(); len(ids) != 0 {
+						t.Errorf("shard %d replica %d still stages %v", s, i, ids)
+					}
+					for _, k := range []string{ka, kb} {
+						if h := store(d, s, i).LockHolder(k); h != "" {
+							t.Errorf("shard %d replica %d still locks %s for %s", s, i, k, h)
+						}
+					}
 				}
 			}
-		}
-	}
-	if err := r.Errs(); err != nil {
-		t.Fatalf("router errors: %v", err)
+			if err := r.Errs(); err != nil {
+				t.Fatalf("router errors: %v", err)
+			}
+		})
 	}
 }
 
 func TestSingleShardTxnTakesFastPath(t *testing.T) {
 	const S = 2
-	d, r := newTestDeployment(t, transport.KindRDMA, S)
+	d, r := newTestDeployment(t, New, transport.KindRDMA, S)
 	ka, kb := keyOn(0, S, "p"), keyOn(0, S, "q")
 	statuses := map[string]string{}
 	invokeTxn(d, r, statuses, "fast", []kvstore.TxnSub{
@@ -234,7 +262,7 @@ func TestSingleShardTxnTakesFastPath(t *testing.T) {
 // never a mix, and no locks or staged state may leak.
 func TestConflictingTxnsNeverTear(t *testing.T) {
 	const S = 2
-	d, r := newTestDeployment(t, transport.KindRDMA, S)
+	d, r := newTestDeployment(t, New, transport.KindRDMA, S)
 	ka, kb := keyOn(0, S, "x"), keyOn(1, S, "y")
 	statuses := map[string]string{}
 	for _, id := range []string{"A", "B"} {
@@ -289,7 +317,7 @@ func TestConflictingTxnsNeverTear(t *testing.T) {
 // of the two writers' — with the transaction's partner key intact.
 func TestLockedWriteRetriesUntilDecided(t *testing.T) {
 	const S = 2
-	d, r := newTestDeployment(t, transport.KindRDMA, S)
+	d, r := newTestDeployment(t, New, transport.KindRDMA, S)
 	ka, kb := keyOn(0, S, "m"), keyOn(1, S, "n")
 	statuses := map[string]string{}
 	invokeTxn(d, r, statuses, "T", []kvstore.TxnSub{
@@ -332,7 +360,7 @@ func TestLockedWriteRetriesUntilDecided(t *testing.T) {
 // replica's crash.
 func TestShardLeaderCrashMid2PC(t *testing.T) {
 	const S = 2
-	d, r := newTestDeployment(t, transport.KindRDMA, S)
+	d, r := newTestDeployment(t, New, transport.KindRDMA, S)
 	statuses := map[string]string{}
 
 	// Warm-up: prove the deployment commits cross-shard before faults.
@@ -410,7 +438,7 @@ func time2PCOutage(d *Deployment) sim.Time { return d.Config.PBFT.ViewTimeout / 
 // transferred header restored the 2PC staging machinery too.
 func TestShardBackupRecoveryViaPartialTransfer(t *testing.T) {
 	const S = 2
-	d, r := newTestDeployment(t, transport.KindRDMA, S)
+	d, r := newTestDeployment(t, New, transport.KindRDMA, S)
 
 	c0 := d.Clusters[0]
 	c0.Crash(3)

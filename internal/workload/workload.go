@@ -31,8 +31,8 @@ import (
 // Invoker submits one encoded kvstore operation through connection slot
 // conn (0 <= conn < Config.Conns). Systems that shard the request space
 // derive the routing key(s) from the operation itself via kvstore.OpKeys
-// — the shard router and Reptor's COP client both do — so the driver
-// does not pass routing hints. done must fire exactly once with the
+// — the shard router, which fronts shards and COP groups, does — so the
+// driver does not pass routing hints. done must fire exactly once with the
 // reply. op is lent until done fires: the driver encodes the user's next
 // operation into the same buffer. The return value is the submitted
 // request's trace id (pbft request key) for the observability layer — ""
