@@ -8,18 +8,27 @@ import (
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
 	"rubin/internal/pbft"
+	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
+
+// plainPBFT builds and starts one 4-replica PBFT group on kind, seed 1,
+// with one router.
+func plainPBFT(t *testing.T, kind transport.Kind) *deployment {
+	t.Helper()
+	d, err := deploy(deploySpec{kind: kind, seed: 1, conns: 1}, shard.Config{Shards: 1, PBFT: pbftConfig(4, 1, 0)}, oneHostSet, model.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // putRunDeployment runs puts through a fresh 4-replica deployment to
 // completion and returns it.
 func putRunDeployment(t *testing.T, puts int) *deployment {
 	t.Helper()
-	d, err := newPBFT(deploySpec{kind: transport.KindTCP, pbft: pbftConfig(4, 1, 0), seed: 1, conns: 1}, model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := plainPBFT(t, transport.KindTCP)
 	d.putLoop(2, 64, func(_, sent int) (string, bool) { return fmt.Sprintf("k%02d", sent), sent < puts },
 		func(int, sim.Time) bool { return true })
 	d.loop.Run()
@@ -31,11 +40,7 @@ func putRunDeployment(t *testing.T, puts int) *deployment {
 // naming the group, the sequence and both replicas; another client's
 // request under the same identity is a different batch too.
 func TestLedgerNamesADisagreement(t *testing.T) {
-	d, err := newPBFT(deploySpec{kind: transport.KindTCP, pbft: pbftConfig(4, 1, 0), seed: 1, conns: 1}, model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := d.ledgers[0]
+	l := plainPBFT(t, transport.KindTCP).ledgers[0]
 	put := pbft.Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
 	other := put
 	other.Op = kvstore.EncodeOp(kvstore.OpPut, "k", "w")
@@ -45,8 +50,8 @@ func TestLedgerNamesADisagreement(t *testing.T) {
 	if err := l.file(2, 3, []pbft.Request{put}); err != nil {
 		t.Fatalf("an equal batch disagrees: %v", err)
 	}
-	err = l.file(1, 3, []pbft.Request{other})
-	if err == nil || !strings.Contains(err.Error(), "PBFT group: replicas 0 and 1 executed different batches at sequence 3") {
+	err := l.file(1, 3, []pbft.Request{other})
+	if err == nil || !strings.Contains(err.Error(), "group 0: replicas 0 and 1 executed different batches at sequence 3") {
 		t.Fatalf("another operation at sequence 3: %v", err)
 	}
 }
@@ -56,11 +61,7 @@ func TestLedgerNamesADisagreement(t *testing.T) {
 // written over once the hook returns raises no disagreement with an equal
 // later report, and a really different batch is still reported.
 func TestLedgerFilesTheBatchDigest(t *testing.T) {
-	d, err := newPBFT(deploySpec{kind: transport.KindTCP, pbft: pbftConfig(4, 1, 0), seed: 1, conns: 1}, model.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := d.ledgers[0]
+	l := plainPBFT(t, transport.KindTCP).ledgers[0]
 	batch := func(value string) []pbft.Request {
 		return []pbft.Request{
 			{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "a", value)},
@@ -92,8 +93,8 @@ func TestLedgerHoldsOnlyTheSpread(t *testing.T) {
 	if err := d.check(); err != nil {
 		t.Fatal(err)
 	}
-	if l := d.ledgers[0]; len(l.first) != 0 || l.floor != d.cluster.Replicas[0].Executed() || l.floor == 0 {
-		t.Errorf("after the run the ledger holds %d sequences, floor %d; want none, floor %d", len(l.first), l.floor, d.cluster.Replicas[0].Executed())
+	if l := d.ledgers[0]; len(l.first) != 0 || l.floor != d.groups[0].Replicas[0].Executed() || l.floor == 0 {
+		t.Errorf("after the run the ledger holds %d sequences, floor %d; want none, floor %d", len(l.first), l.floor, d.groups[0].Replicas[0].Executed())
 	}
 }
 
@@ -102,7 +103,7 @@ func TestLedgerHoldsOnlyTheSpread(t *testing.T) {
 // the group never ordered fails the check.
 func TestCheckFailsOnDivergedState(t *testing.T) {
 	d := putRunDeployment(t, 8)
-	d.cluster.Apps[2].Execute(kvstore.EncodeOp(kvstore.OpPut, "stray", "x"))
+	d.groups[0].Apps[2].Execute(kvstore.EncodeOp(kvstore.OpPut, "stray", "x"))
 	if err := d.check(); err == nil || !strings.Contains(err.Error(), "replicas 0 and 2 executed") {
 		t.Fatalf("a diverged store passes the check: %v", err)
 	}

@@ -153,12 +153,12 @@ func TestFig4Shape(t *testing.T) {
 // TestBFTAgreementFasterOverRUBIN asserts the end goal (experiment E5):
 // the replicated system commits faster over RUBIN than over the NIO stack.
 func TestBFTAgreementFasterOverRUBIN(t *testing.T) {
-	specR := quickSpec(transport.KindRDMA, 4)
+	specR := quickSpec(transport.KindRDMA)
 	specR.conns = 1
 	specT := specR
 	specT.kind = transport.KindTCP
-	r := quickLoop(t, specR, 0, 16, 120, 20)
-	tc := quickLoop(t, specT, 0, 16, 120, 20)
+	r := quickLoop(t, specR, "bench", 4, 1, 16, 120, 20)
+	tc := quickLoop(t, specT, "bench", 4, 1, 16, 120, 20)
 	if r.Mean >= tc.Mean {
 		t.Errorf("BFT latency over RUBIN (%v) should beat NIO (%v)", r.Mean, tc.Mean)
 	}

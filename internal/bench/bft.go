@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rubin/internal/metrics"
+	"rubin/internal/shard"
 	"rubin/internal/transport"
 )
 
@@ -46,14 +47,14 @@ func runE5(rc RunContext, v values, res *metrics.Result) error {
 	for _, kind := range e8Transports {
 		ss := addColumns(res, e5SeriesNames[kind], string(kind), "payload_kb", colMean, colP99, colThroughput, colSendFaults)
 		for _, kb := range v.ints("payloads_kb") {
-			d, err := newPBFT(deploySpec{
-				kind: kind, pbft: pbftConfig(n, v.int("f"), v.int("batch")), seed: rc.Seed, conns: clients, trace: rc.Trace,
+			d, err := deploy(deploySpec{
+				kind: kind, seed: rc.Seed, conns: clients, trace: rc.Trace,
 				label: fmt.Sprintf("E5 PBFT %s N=%d clients=%d payload=%dB seed=%d", kind, n, clients, kb<<10, rc.Seed),
-			}, rc.Model)
+			}, shard.Config{Shards: 1, PBFT: pbftConfig(n, v.int("f"), v.int("batch"))}, oneHostSet, rc.Model)
 			if err != nil {
 				return err
 			}
-			r, err := d.closedLoop(v.int("window"), kb<<10, v.int("requests"), v.int("warmup"))
+			r, err := d.closedLoop("bench", v.int("window"), kb<<10, v.int("requests"), v.int("warmup"))
 			if err != nil {
 				return err
 			}

@@ -10,6 +10,7 @@ import (
 	"rubin/internal/metrics"
 	"rubin/internal/model"
 	"rubin/internal/pbft"
+	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -92,21 +93,22 @@ func faultTimelineConfig() pbft.Config {
 	return cfg
 }
 
-// runFaultTimeline is the one run E7 and E12 share: a plain PBFT cluster
-// on faultTimelineConfig (spec names its backend, seed and state
-// machines), the scenario applied, one connection keeping window puts
-// outstanding from now until end — key names the sent-th put's key,
-// completed sees each reply with its offset into the run and its latency —
-// and watch scheduling the caller's probes before the loop runs. It
-// returns the deployment to read counters from and the fault trace.
-func runFaultTimeline(spec deploySpec, params model.Params, scenario *chaos.Scenario, end sim.Time, window, payload int,
+// runFaultTimeline is the one run E7 and E12 share: a plain PBFT group on
+// faultTimelineConfig (spec names its backend and seed, app its state
+// machines; nil keeps the default store), the scenario applied, one
+// connection keeping window puts outstanding from now until end — key names
+// the sent-th put's key, completed sees each reply with its offset into the
+// run and its latency — and watch scheduling the caller's probes on group 0
+// before the loop runs. It returns the deployment to read counters from and
+// the fault trace.
+func runFaultTimeline(spec deploySpec, app func(int) pbft.Application, params model.Params, scenario *chaos.Scenario, end sim.Time, window, payload int,
 	key func(sent int) string, completed func(at, latency sim.Time), watch func(c *pbft.Cluster, base sim.Time)) (*deployment, string, error) {
-	spec.pbft, spec.conns = faultTimelineConfig(), 1
-	d, err := newPBFT(spec, params)
+	spec.conns = 1
+	d, err := deploy(spec, shard.Config{Shards: 1, PBFT: faultTimelineConfig(), App: app}, oneHostSet, params)
 	if err != nil {
 		return nil, "", err
 	}
-	sched := chaos.Apply(d.cluster, scenario)
+	sched := chaos.Apply(d.groups[0], scenario)
 	loop, base := d.loop, d.loop.Now()
 	d.putLoop(window, payload, func(_, sent int) (string, bool) {
 		if loop.Now()-base >= end {
@@ -117,7 +119,7 @@ func runFaultTimeline(spec deploySpec, params model.Params, scenario *chaos.Scen
 		completed(loop.Now()-base, latency)
 		return true
 	})
-	watch(d.cluster, base)
+	watch(d.groups[0], base)
 	loop.RunUntil(base + end)
 	if err := errors.Join(sched.Err(), d.agreement()); err != nil {
 		return nil, "", err
@@ -151,7 +153,7 @@ func RunChaos(kind transport.Kind, payload, window int, seed int64, params model
 	// per-partition StateParts), it just costs more virtual time to ship.
 	keySpace := min(max(200_000/(payload+24), 4), 128)
 	var leaderAtPartition uint32
-	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed}, params, scenario, e7End, window, payload,
+	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed}, nil, params, scenario, e7End, window, payload,
 		func(sent int) string { return fmt.Sprintf("chaos-%03d", sent%keySpace) },
 		func(at, latency sim.Time) {
 			for i := range phases {
@@ -169,7 +171,7 @@ func RunChaos(kind transport.Kind, payload, window int, seed int64, params model
 	if err != nil {
 		return ChaosResult{}, err
 	}
-	cluster := d.cluster
+	cluster := d.groups[0]
 	for i := range phases {
 		phases[i].Committed = recs[i].Count()
 		phases[i].MeanLat = recs[i].Mean()

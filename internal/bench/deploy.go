@@ -16,30 +16,10 @@ import (
 	"rubin/internal/workload"
 )
 
-// frontEnd is what one client connection of any deployment exposes to
-// the harness: *shard.Router as it is, a plain PBFT client through
-// plainClient.
-type frontEnd interface {
-	InvokeOp(op []byte, done func([]byte)) string
-	Outstanding() int
-}
-
-// plainClient is the one-partition front-end: every key lives in the one
-// group, so the routing plan only decides read path or ordered path.
-type plainClient struct{ *pbft.Client }
-
-func (c plainClient) InvokeOp(op []byte, done func([]byte)) string {
-	if kvstore.PlanOp(op, 1).Read {
-		return c.InvokeRead(op, done)
-	}
-	return c.Invoke(op, done)
-}
-
-// deploySpec is what every replicated-system run builds from: S shards ×
-// K instances × N replicas on one backend, plain PBFT being S=1, K=1.
+// deploySpec is what every replicated-system run builds from beside its
+// groups: the backend, the seed, the front-ends and the tracer.
 type deploySpec struct {
 	kind  transport.Kind
-	pbft  pbft.Config
 	seed  int64
 	conns int // client connections (front-ends)
 	// label names the run in the tracer; "" leaves the run untraced (the
@@ -47,11 +27,8 @@ type deploySpec struct {
 	label string
 	trace *obs.Tracer // shared -trace tracer, or nil for a run-local one
 	// readTimeout, when positive, enables the read fast path on every
-	// plain PBFT front-end with this fallback timeout.
+	// front-end with this fallback timeout.
 	readTimeout sim.Time
-	// app overrides the per-replica state machine (default: a fresh
-	// kvstore per replica).
-	app func(i int) pbft.Application
 }
 
 // pbftConfig returns the default protocol configuration for an N-replica
@@ -65,17 +42,18 @@ func pbftConfig(n, f, batch int) pbft.Config {
 	return cfg
 }
 
-func (s deploySpec) appFactory() func(int) pbft.Application {
-	if s.app != nil {
-		return s.app
-	}
-	return func(int) pbft.Application { return kvstore.New() }
-}
+// placement is where a deployment's groups run.
+type placement bool
+
+const (
+	oneHostSet    placement = false // group k on every host's pillar k (shard.NewCOP)
+	hostsPerGroup placement = true  // each group on hosts of its own (shard.New)
+)
 
 // deployment is one system under test, built and ready for load: the
 // loop to drive, the simulated world whose stat tables say what happened,
-// one front-end per connection to submit through, and the end-of-run
-// health checks. The constructors differ only in what they build.
+// one router per connection to submit through, and the end-of-run health
+// checks.
 type deployment struct {
 	loop *sim.Loop
 	tr   *obs.Tracer // nil for untraced runs
@@ -83,99 +61,59 @@ type deployment struct {
 	seed int64 // the spec's, which also seeds runWorkload's load
 	// hosts are the replica machines: the network's nodes as the started
 	// system left them, before the first front-end machine joined.
-	hosts  []*fabric.Node
-	fronts []frontEnd
+	hosts []*fabric.Node
+	// groups are the PBFT groups, group 0 the fault-injection and
+	// replica-probe handle of a one-group deployment.
+	groups []*pbft.Cluster
+	fronts []*shard.Router
 
-	cluster *pbft.Cluster   // plain PBFT only: fault-injection and replica-probe handle
-	routers []*shard.Router // COP and sharded only: 2PC protocol errors
-
-	// The agreement oracle (agree.go): a ledger per PBFT group — the
-	// cluster, each shard, each COP instance — and the first disagreement
-	// one saw.
+	// The agreement oracle (agree.go): a ledger per group and the first
+	// disagreement one saw.
 	ledgers      []*ledger
 	disagreement error
-	cop          bool // a COP group: closedLoop's keys read "cop-…"
 }
 
-// up brings a built system to the ready state in the one order every run
-// shares: start it, give its world the run's tracer (after set-up, so
-// connection establishment is not traced), add one front-end per
-// connection, start the samplers.
-func (d *deployment) up(s deploySpec, sys interface {
-	Start() error
-	SetTracer(*obs.Tracer)
-}, addFront func() (frontEnd, error)) error {
-	if err := sys.Start(); err != nil {
-		return err
+// deploy builds cfg.Shards PBFT groups over disjoint keys — on one host
+// set, where one group is plain PBFT and K a COP group, or on hosts per
+// group, a sharded service — and brings them to the ready state in the one
+// order every run shares: start them, give their world the run's tracer
+// (after set-up, so connection establishment is not traced), add one
+// router per connection, start the samplers.
+func deploy(s deploySpec, cfg shard.Config, place placement, params model.Params) (*deployment, error) {
+	build := shard.NewCOP
+	if place == hostsPerGroup {
+		build = shard.New
 	}
-	d.seed, d.hosts = s.seed, d.nw.Nodes()
-	if s.label != "" {
-		d.tr = benchTracer(s.trace, s.label)
-		sys.SetTracer(d.tr)
-	}
-	for i := 0; i < s.conns; i++ {
-		fe, err := addFront()
-		if err != nil {
-			return err
-		}
-		d.fronts = append(d.fronts, fe)
-	}
-	startSamplers(d.tr, d.loop, d.hosts)
-	return nil
-}
-
-// newPBFT builds a plain PBFT cluster.
-func newPBFT(s deploySpec, params model.Params) (*deployment, error) {
-	c, err := pbft.NewCluster(s.kind, s.pbft, params, s.seed, s.appFactory())
+	dep, err := build(s.kind, cfg, params, s.seed)
 	if err != nil {
 		return nil, err
 	}
-	d := &deployment{loop: c.Loop, nw: c.Network, cluster: c}
-	d.watch("PBFT group", c)
-	return d, d.up(s, c, func() (frontEnd, error) {
-		cl, err := c.AddClient()
-		if err == nil && s.readTimeout > 0 {
-			cl.EnableReadFastPath(c.Loop, s.readTimeout)
-		}
-		return plainClient{cl}, err
-	})
-}
-
-// newAgreement builds the one-keyspace system of E8 and E9: instances 0
-// is a plain PBFT cluster, K a COP group of K instances.
-func newAgreement(s deploySpec, instances int, params model.Params) (*deployment, error) {
-	if instances == 0 {
-		return newPBFT(s, params)
-	}
-	d, err := newPartitioned(s, instances, params, shard.NewCOP)
-	if d != nil {
-		d.cop = true
-	}
-	return d, err
-}
-
-// newShards builds a sharded deployment of independent PBFT groups.
-func newShards(s deploySpec, shards int, params model.Params) (*deployment, error) {
-	return newPartitioned(s, shards, params, shard.New)
-}
-
-// newPartitioned builds groups PBFT groups over disjoint keys — a COP
-// group (shard.NewCOP) or shards (shard.New) — with one router per
-// connection.
-func newPartitioned(s deploySpec, groups int, params model.Params, build func(transport.Kind, shard.Config, model.Params, int64) (*shard.Deployment, error)) (*deployment, error) {
-	dep, err := build(s.kind, shard.Config{Shards: groups, PBFT: s.pbft}, params, s.seed)
-	if err != nil {
-		return nil, err
-	}
-	d := &deployment{loop: dep.Loop, nw: dep.Network}
+	d := &deployment{loop: dep.Loop, nw: dep.Network, seed: s.seed, groups: dep.Clusters}
 	for g, c := range dep.Clusters {
 		d.watch(fmt.Sprintf("group %d", g), c)
 	}
-	return d, d.up(s, dep, func() (frontEnd, error) {
+	if err := dep.Start(); err != nil {
+		return nil, err
+	}
+	d.hosts = d.nw.Nodes()
+	if s.label != "" {
+		d.tr = benchTracer(s.trace, s.label)
+		dep.SetTracer(d.tr)
+	}
+	for i := 0; i < s.conns; i++ {
 		r, err := dep.AddRouter()
-		d.routers = append(d.routers, r)
-		return r, err
-	})
+		if err != nil {
+			return nil, err
+		}
+		if s.readTimeout > 0 {
+			for _, cl := range r.Clients {
+				cl.EnableReadFastPath(d.loop, s.readTimeout)
+			}
+		}
+		d.fronts = append(d.fronts, r)
+	}
+	startSamplers(d.tr, d.loop, d.hosts)
+	return d, nil
 }
 
 // stats folds the stat tables — the one place the harness does: every
@@ -190,9 +128,9 @@ func (d *deployment) stats() map[string]float64 {
 
 // check is the end-of-run health gate. After a run on a fault-free network
 // three stats must read 0 — no delivery failure surfaced to a replica or its
-// mesh, no inbound frame rejected — no front-end may still hold an
-// invocation, no router may have seen a 2PC protocol error, and the
-// replicas must agree (see agreement).
+// mesh, no inbound frame rejected — no router may have seen a 2PC protocol
+// error or still hold an invocation, and the replicas must agree (see
+// agreement).
 func (d *deployment) check() error {
 	if err := d.agreement(); err != nil {
 		return err
@@ -203,13 +141,11 @@ func (d *deployment) check() error {
 			return fmt.Errorf("bench: %s = %v on a healthy network", name, v)
 		}
 	}
-	for i, r := range d.routers {
+	for i, r := range d.fronts {
 		if err := r.Errs(); err != nil {
 			return fmt.Errorf("bench: router %d: %w", i, err)
 		}
-	}
-	for i, fe := range d.fronts {
-		if n := fe.Outstanding(); n != 0 {
+		if n := r.Outstanding(); n != 0 {
 			return fmt.Errorf("bench: connection %d left %d operations outstanding", i, n)
 		}
 	}
@@ -253,9 +189,9 @@ func (d *deployment) runWorkload(wcfg workload.Config) (TrafficResult, error) {
 		return TrafficResult{}, err
 	}
 	drv.SetTracer(d.tr)
-	for _, fe := range d.fronts {
-		if pc, ok := fe.(plainClient); ok {
-			pc.SetReadPathHook(drv.NotePath)
+	for _, r := range d.fronts {
+		for _, cl := range r.Clients {
+			cl.SetReadPathHook(drv.NotePath)
 		}
 	}
 	if err := drv.Run(); err != nil {
@@ -336,15 +272,11 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 // front-end keeps window puts of payload bytes outstanding to keys of its
 // own, warmup unmeasured and then requests measured ones. Latency samples
 // start after each connection's warmup, and goodput spans the first
-// measured send to the last measured reply across all connections. A COP
-// group's router sends each put to the instance owning its key, so adding
-// instances scales the ordering pipeline — the Middleware '15
-// parallelization the paper targets RUBIN at.
-func (d *deployment) closedLoop(window, payload, requests, warmup int) (TrafficResult, error) {
-	keyPrefix := "bench"
-	if d.cop {
-		keyPrefix = "cop"
-	}
+// measured send to the last measured reply across all connections. Keys
+// read "<prefix>-<connection>-<n>". A COP group's router sends each put to
+// the instance owning its key, so adding instances scales the ordering
+// pipeline — the Middleware '15 parallelization the paper targets RUBIN at.
+func (d *deployment) closedLoop(prefix string, window, payload, requests, warmup int) (TrafficResult, error) {
 	rec := metrics.NewRecorder()
 	perConn := requests + warmup
 	done, finished := make([]int, len(d.fronts)), 0
@@ -357,7 +289,7 @@ func (d *deployment) closedLoop(window, payload, requests, warmup int) (TrafficR
 		if sent == warmup && !started {
 			startAt, started = d.loop.Now(), true
 		}
-		return fmt.Sprintf("%s-%d-%06d", keyPrefix, conn, sent), true
+		return fmt.Sprintf("%s-%d-%06d", prefix, conn, sent), true
 	}, func(conn int, latency sim.Time) bool {
 		done[conn]++
 		finished++

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"rubin/internal/kvstore"
 	"rubin/internal/model"
 	"rubin/internal/msgnet"
 	"rubin/internal/pbft"
+	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -21,10 +23,7 @@ import (
 // msgnet.recv_errors was a gated stat such a run passed silently.
 func TestCheckFailsOnRejectedInboundFrame(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		d, err := newPBFT(deploySpec{kind: kind, pbft: pbftConfig(4, 1, 0), seed: 1, conns: 1}, model.Default())
-		if err != nil {
-			t.Fatal(err)
-		}
+		d := plainPBFT(t, kind)
 		if err := d.check(); err != nil {
 			t.Fatalf("%s: a started deployment is unhealthy: %v", kind, err)
 		}
@@ -33,7 +32,7 @@ func TestCheckFailsOnRejectedInboundFrame(t *testing.T) {
 		d.putLoop(2, 64, func(_, sent int) (string, bool) { return fmt.Sprintf("k%02d", sent), sent < puts },
 			func(int, sim.Time) bool { finished++; return true })
 
-		c := d.cluster
+		c := d.groups[0]
 		outsider := c.Network.AddNode("outsider")
 		c.Network.Connect(outsider, c.Node(1))
 		stack, err := transport.NewStack(kind, outsider, msgnet.DefaultOptions().Transport)
@@ -63,6 +62,91 @@ func TestCheckFailsOnRejectedInboundFrame(t *testing.T) {
 		}
 		if err := d.check(); err == nil || !strings.Contains(err.Error(), "msgnet.recv_errors") {
 			t.Errorf("%s: check() = %v, want a failure naming msgnet.recv_errors", kind, err)
+		}
+	}
+}
+
+// TestOneGroupIsTheBenchmarkCluster: the experiments build plain PBFT as
+// one group on one host set behind a router (deploy); the repository
+// benchmark builds it through pbft.NewCluster and Cluster.AddClient. With
+// one seed and configuration, on both stacks, the same puts and gets —
+// the gets on the read fast path — at a window of 4 complete at the same
+// instants with the same replies.
+func TestOneGroupIsTheBenchmarkCluster(t *testing.T) {
+	const seed, ops, window, timeout = 3, 60, 4, 2 * sim.Millisecond
+	cfg := pbftConfig(4, 1, 0)
+	// Operation i puts to one of eight keys; every third is a get.
+	op := func(i int) []byte {
+		key := fmt.Sprintf("k%d", i%8)
+		if i%3 == 2 {
+			return kvstore.EncodeOp(kvstore.OpGet, key, "")
+		}
+		return kvstore.EncodeOp(kvstore.OpPut, key, fmt.Sprintf("v%d", i))
+	}
+	type outcome struct {
+		at    sim.Time
+		reply string
+	}
+	drive := func(loop *sim.Loop, invoke func(op []byte, done func([]byte))) []outcome {
+		got, next := make([]outcome, ops), 0
+		var send func()
+		send = func() {
+			if next == ops {
+				return
+			}
+			i := next
+			next++
+			invoke(op(i), func(res []byte) {
+				got[i] = outcome{loop.Now(), string(res)}
+				send()
+			})
+		}
+		loop.Post(func() {
+			for w := 0; w < window; w++ {
+				send()
+			}
+		})
+		loop.Run()
+		return got
+	}
+	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
+		c, err := pbft.NewCluster(kind, cfg, model.Default(), seed, func(int) pbft.Application { return kvstore.New() })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := c.AddClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.EnableReadFastPath(c.Loop, timeout)
+		want := drive(c.Loop, func(op []byte, done func([]byte)) {
+			if code, _, _, _ := kvstore.DecodeOp(op); code == kvstore.OpGet {
+				cl.InvokeRead(op, done)
+			} else {
+				cl.Invoke(op, done)
+			}
+		})
+
+		d, err := deploy(deploySpec{kind: kind, seed: seed, conns: 1, readTimeout: timeout}, shard.Config{Shards: 1, PBFT: cfg}, oneHostSet, model.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drive(d.loop, func(op []byte, done func([]byte)) { d.fronts[0].InvokeOp(op, done) })
+
+		for i := range want {
+			if got[i] != want[i] || want[i].at == 0 {
+				t.Fatalf("%s: operation %d completes at %d ns with %q through the router, at %d ns with %q through AddClient",
+					kind, i, got[i].at, got[i].reply, want[i].at, want[i].reply)
+			}
+		}
+		if n, m := cl.FastReads(), d.fronts[0].Clients[0].FastReads(); n == 0 || n != m {
+			t.Errorf("%s: %d fast reads through AddClient, %d through the router; want equal and positive", kind, n, m)
+		}
+		if err := d.check(); err != nil {
+			t.Error(err)
 		}
 	}
 }

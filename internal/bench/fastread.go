@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rubin/internal/metrics"
+	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
@@ -102,11 +103,11 @@ func runE11(rc RunContext, v values, res *metrics.Result) error {
 	// on with the knob's timeout or off at 0.
 	point := func(sw sweep, x int, kind transport.Kind, fp string, timeout sim.Time) (TrafficResult, error) {
 		readPct, batch := sw.at(x)
-		d, err := newPBFT(deploySpec{
-			kind: kind, pbft: pbftConfig(n, (n-1)/3, batch), seed: rc.Seed, conns: conns, trace: rc.Trace,
+		d, err := deploy(deploySpec{
+			kind: kind, seed: rc.Seed, conns: conns, trace: rc.Trace,
 			label:       fmt.Sprintf("E11 %s=%d %s %s N=%d users=%d conns=%d seed=%d", sw.xLabel, x, fp, kind, n, users, conns, rc.Seed),
 			readTimeout: timeout,
-		}, rc.Model)
+		}, shard.Config{Shards: 1, PBFT: pbftConfig(n, (n-1)/3, batch)}, oneHostSet, rc.Model)
 		if err != nil {
 			return TrafficResult{}, err
 		}

@@ -79,7 +79,7 @@ func TestE11SameSeedRunsAreByteIdentical(t *testing.T) {
 // readTimeout, no fast reads are served and no history op is tagged, even
 // for a read-heavy mix.
 func TestRunTrafficFastPathOffIsInert(t *testing.T) {
-	r, err := runTraffic(trafficSpec(transport.KindTCP, 2, 9), 0, workload.Config{
+	r, err := runTraffic(trafficSpec(transport.KindTCP, 2, 9), 1, workload.Config{
 		Users: 6, Keys: workload.NewUniform(16), ValueSize: 16,
 		Ops: 40, Warmup: 5,
 		Mix:     workload.Mix{ReadPct: 80, WritePct: 20},

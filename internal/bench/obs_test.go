@@ -38,7 +38,7 @@ func assertPartition(t *testing.T, label string, s obs.Summary, mean sim.Time) {
 // three measurement drivers: PBFT closed loop, COP closed loop, and the
 // workload-driven traffic study.
 func TestBreakdownPartitionsMeanLatency(t *testing.T) {
-	bft := quickLoop(t, quickSpec(transport.KindRDMA, 4), 0, 8, 40, 5)
+	bft := quickLoop(t, quickSpec(transport.KindRDMA), "bench", 4, 1, 8, 40, 5)
 	assertPartition(t, "closed loop PBFT", bft.Breakdown, bft.Mean)
 
 	cop := quickCOP(t, transport.KindTCP, 2)
@@ -133,7 +133,7 @@ func TestE8AndE9QuickCarryBreakdownSeries(t *testing.T) {
 		t.Error("E9 carried no breakdown points")
 	}
 	// Satellite series: queue watermarks on every system.
-	for _, name := range []string{"rate PBFT RUBIN", "skew COP-1 RUBIN"} {
+	for _, name := range []string{"rate PBFT RUBIN", "skew PBFT RUBIN"} {
 		if s := res9.GetSeries(name, metrics.MetricPeakQueueBytes); s == nil || s.Points[0].Y <= 0 {
 			t.Errorf("E9 misses a positive (%s, peak_queue_bytes) series", name)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rubin/internal/metrics"
+	"rubin/internal/shard"
 	"rubin/internal/transport"
 )
 
@@ -46,21 +47,18 @@ func e8Label(kind transport.Kind) string {
 
 func runE8(rc RunContext, v values, res *metrics.Result) error {
 	clients := v.int("clients")
-	// point measures the closed loop on a fresh system of n replicas:
-	// plain PBFT at instances 0, else a COP group of that many instances.
-	point := func(kind transport.Kind, n, instances, kb int) (TrafficResult, error) {
-		sys := fmt.Sprintf("PBFT %s", kind)
-		if instances > 0 {
-			sys = fmt.Sprintf("COP %s K=%d", kind, instances)
-		}
-		d, err := newAgreement(deploySpec{
-			kind: kind, pbft: pbftConfig(n, (n-1)/3, v.int("batch")), seed: rc.Seed, conns: clients, trace: rc.Trace,
+	// point measures the closed loop on a fresh system of n replicas
+	// running the given number of instances on one host set, sys naming it
+	// and prefix its keys.
+	point := func(kind transport.Kind, n, instances, kb int, sys, prefix string) (TrafficResult, error) {
+		d, err := deploy(deploySpec{
+			kind: kind, seed: rc.Seed, conns: clients, trace: rc.Trace,
 			label: fmt.Sprintf("E8 %s N=%d clients=%d payload=%dB seed=%d", sys, n, clients, kb<<10, rc.Seed),
-		}, instances, rc.Model)
+		}, shard.Config{Shards: instances, PBFT: pbftConfig(n, (n-1)/3, v.int("batch"))}, oneHostSet, rc.Model)
 		if err != nil {
 			return TrafficResult{}, err
 		}
-		return d.closedLoop(v.int("window"), kb<<10, v.int("requests"), v.int("warmup"))
+		return d.closedLoop(prefix, v.int("window"), kb<<10, v.int("requests"), v.int("warmup"))
 	}
 	// Axis 1: PBFT agreement vs cluster size (f scales with N).
 	pbftCols := append([]column{colMean, colP99, colThroughput}, breakdownColumns...)
@@ -68,7 +66,7 @@ func runE8(rc RunContext, v values, res *metrics.Result) error {
 		for _, kb := range v.ints("payloads_kb") {
 			ss := addColumns(res, fmt.Sprintf("PBFT %s %dKB", e8Label(kind), kb), string(kind), "replicas", pbftCols...)
 			for _, n := range v.ints("ns") {
-				r, err := point(kind, n, 0, kb)
+				r, err := point(kind, n, 1, kb, fmt.Sprintf("PBFT %s", kind), "bench")
 				if err != nil {
 					return fmt.Errorf("PBFT N=%d %s %dKB: %w", n, kind, kb, err)
 				}
@@ -84,7 +82,7 @@ func runE8(rc RunContext, v values, res *metrics.Result) error {
 		for _, kb := range v.ints("cop_payloads_kb") {
 			ss := addColumns(res, fmt.Sprintf("COP %s %dKB", e8Label(kind), kb), string(kind), "instances", copCols...)
 			for _, k := range v.ints("ks") {
-				r, err := point(kind, v.int("cop_n"), k, kb)
+				r, err := point(kind, v.int("cop_n"), k, kb, fmt.Sprintf("COP %s K=%d", kind, k), "cop")
 				if err != nil {
 					return fmt.Errorf("COP K=%d %s %dKB: %w", k, kind, kb, err)
 				}

@@ -6,29 +6,35 @@ import (
 
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
+	"rubin/internal/shard"
 	"rubin/internal/transport"
 )
 
-// quickSpec is a small deployment of n replicas: batch 8, two connections,
-// seed 1. Its label gives each run a tracer of its own, so a result carries
-// the latency breakdown as an experiment's does.
-func quickSpec(kind transport.Kind, n int) deploySpec {
-	return deploySpec{kind: kind, pbft: pbftConfig(n, (n-1)/3, 8), seed: 1, conns: 2, label: "closed loop"}
+// quickSpec is a small deployment: two connections, seed 1. Its label gives
+// each run a tracer of its own, so a result carries the latency breakdown
+// as an experiment's does.
+func quickSpec(kind transport.Kind) deploySpec {
+	return deploySpec{kind: kind, seed: 1, conns: 2, label: "closed loop"}
 }
 
-// quickLoop measures the closed loop of 1 KiB puts on a fresh system built
-// from s — plain PBFT at instances 0, else a COP group of that many — with
-// window outstanding per connection, warmup unmeasured then requests
-// measured.
-func quickLoop(t *testing.T, s deploySpec, instances, window, requests, warmup int) TrafficResult {
+// quickCfg is instances groups of n replicas at batch 8.
+func quickCfg(n, instances int) shard.Config {
+	return shard.Config{Shards: instances, PBFT: pbftConfig(n, (n-1)/3, 8)}
+}
+
+// quickLoop measures the closed loop of 1 KiB puts to keys named by prefix
+// on a fresh system built from s — instances groups of n replicas on one
+// host set, plain PBFT at one — with window outstanding per connection,
+// warmup unmeasured then requests measured.
+func quickLoop(t *testing.T, s deploySpec, prefix string, n, instances, window, requests, warmup int) TrafficResult {
 	t.Helper()
-	d, err := newAgreement(s, instances, model.Default())
+	d, err := deploy(s, quickCfg(n, instances), oneHostSet, model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := d.closedLoop(window, 1<<10, requests, warmup)
+	r, err := d.closedLoop(prefix, window, 1<<10, requests, warmup)
 	if err != nil {
-		t.Fatalf("%s N=%d K=%d clients=%d: %v", s.kind, s.pbft.N, instances, s.conns, err)
+		t.Fatalf("%s N=%d K=%d clients=%d: %v", s.kind, n, instances, s.conns, err)
 	}
 	return r
 }
@@ -40,7 +46,7 @@ func TestBFTScalesWithN(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		lats := map[int]float64{}
 		for _, n := range []int{4, 7, 10} {
-			res := quickLoop(t, quickSpec(kind, n), 0, 8, 40, 5)
+			res := quickLoop(t, quickSpec(kind), "bench", n, 1, 8, 40, 5)
 			if res.Mean <= 0 || res.Goodput <= 0 {
 				t.Fatalf("%s N=%d: degenerate result %+v", kind, n, res)
 			}
@@ -58,12 +64,12 @@ func TestBFTScalesWithN(t *testing.T) {
 // TestBFTMultiClientAddsLoad asserts the closed-loop client count is a real
 // load axis: two clients commit more requests per second than one.
 func TestBFTMultiClientAddsLoad(t *testing.T) {
-	one := quickSpec(transport.KindRDMA, 4)
+	one := quickSpec(transport.KindRDMA)
 	one.conns = 1
 	two := one
 	two.conns = 2
-	r1 := quickLoop(t, one, 0, 8, 60, 10)
-	r2 := quickLoop(t, two, 0, 8, 60, 10)
+	r1 := quickLoop(t, one, "bench", 4, 1, 8, 60, 10)
+	r2 := quickLoop(t, two, "bench", 4, 1, 8, 60, 10)
 	if r2.Goodput <= r1.Goodput {
 		t.Errorf("2 clients (%.0f req/s) should out-commit 1 client (%.0f req/s)",
 			r2.Goodput, r1.Goodput)
@@ -71,10 +77,10 @@ func TestBFTMultiClientAddsLoad(t *testing.T) {
 }
 
 // quickCOP measures quickLoop's default closed loop on a COP group of k
-// instances over four replicas.
+// instances over four replicas, to "cop-…" keys as E8's COP axis.
 func quickCOP(t *testing.T, kind transport.Kind, k int) TrafficResult {
 	t.Helper()
-	return quickLoop(t, quickSpec(kind, 4), k, 8, 40, 5)
+	return quickLoop(t, quickSpec(kind), "cop", 4, k, 8, 40, 5)
 }
 
 // TestCOPInstanceSweep asserts the K axis of E8 is measurable at every
@@ -122,11 +128,11 @@ func TestCOPFasterOverRUBIN(t *testing.T) {
 func TestCOPKeysReadBackThroughTheirFrontEnd(t *testing.T) {
 	const k, window, requests, warmup = 4, 8, 40, 5
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		d, err := newAgreement(quickSpec(kind, 4), k, model.Default())
+		d, err := deploy(quickSpec(kind), quickCfg(4, k), oneHostSet, model.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.closedLoop(window, 1<<10, requests, warmup); err != nil {
+		if _, err := d.closedLoop("cop", window, 1<<10, requests, warmup); err != nil {
 			t.Fatal(err)
 		}
 		want := string(make([]byte, 1<<10))

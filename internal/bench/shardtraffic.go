@@ -6,6 +6,7 @@ import (
 
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
+	"rubin/internal/shard"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
@@ -128,11 +129,11 @@ func runE10(rc RunContext, v values, res *metrics.Result) error {
 		if err != nil {
 			return TrafficResult{}, err
 		}
-		d, err := newShards(deploySpec{
-			kind: kind, pbft: pbftConfig(n, (n-1)/3, 0), seed: rc.Seed, conns: conns, trace: rc.Trace,
+		d, err := deploy(deploySpec{
+			kind: kind, seed: rc.Seed, conns: conns, trace: rc.Trace,
 			label: fmt.Sprintf("E10 S=%d cross=%d%% %s N=%d users=%d conns=%d seed=%d",
 				shards, cross, kind, n, users, conns, rc.Seed),
-		}, shards, rc.Model)
+		}, shard.Config{Shards: shards, PBFT: pbftConfig(n, (n-1)/3, 0)}, hostsPerGroup, rc.Model)
 		if err != nil {
 			return TrafficResult{}, err
 		}

@@ -85,7 +85,7 @@ func TestRunShardTrafficCrossShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newShards(trafficSpec(transport.KindRDMA, 2, 7), 4, model.Default())
+	d, err := deploy(trafficSpec(transport.KindRDMA, 2, 7), trafficCfg(4), hostsPerGroup, model.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

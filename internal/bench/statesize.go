@@ -119,7 +119,7 @@ func RunStateSize(kind transport.Kind, prefill, payload, window int, emptyRestar
 	committed := 0
 	var recovery sim.Time = -1
 	scenario := chaos.NewScenario("E12-state-size").Crash(e12Crash, 3).Restart(e12Restart, 3)
-	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed, app: appFactory}, params, scenario, e12End, window, payload,
+	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed}, appFactory, params, scenario, e12End, window, payload,
 		func(sent int) string { return hotKeys[sent%len(hotKeys)] },
 		func(at, latency sim.Time) {
 			committed++
@@ -152,7 +152,7 @@ func RunStateSize(kind transport.Kind, prefill, payload, window int, emptyRestar
 	if err != nil {
 		return StateSizeResult{}, err
 	}
-	cluster := d.cluster
+	cluster := d.groups[0]
 	if recovery < 0 {
 		return StateSizeResult{}, fmt.Errorf("bench: E12 replica never recovered (prefill=%d empty-restart=%v %s)", prefill, emptyRestart, kind)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rubin/internal/metrics"
+	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
@@ -25,7 +26,7 @@ func init() {
 			{name: "rates", def: "3000,8000,16000", quick: "1500", min: 1, list: true}, // open-loop arrival rates, ops/s
 			{name: "skews", def: "0,90,99", quick: "99", list: true},                   // Zipf theta x100; 0 = uniform
 			{name: "read_pcts", def: "0,45,90", quick: "50", list: true},               // read shares of the mix sweep
-			{name: "ks", def: "1,4", quick: "1", min: 1, list: true},                   // COP instance counts (PBFT always runs too)
+			{name: "ks", def: "1,4", quick: "1", min: 1, list: true},                   // instance counts: 1 is plain PBFT, K > 1 a COP group
 			{name: "n", def: "4", min: 4},                                              // 3f+1
 			{name: "users", def: "96", quick: "24", min: 1},
 			{name: "conns", def: "4", quick: "2", min: 1},
@@ -162,8 +163,8 @@ func (s trafficSeries) observe(x float64, r TrafficResult) {
 	s.cols.observe(x, r)
 }
 
-// runE9 drives each point's workload against a plain PBFT cluster or a COP
-// group of K instances over one backend. Every operation is recorded and
+// runE9 drives each point's workload against K instances on one host set
+// over one backend: plain PBFT at K = 1, a COP group above. Every operation is recorded and
 // runWorkload fails a history that is not linearizable per key, so every
 // E9 point doubles as a correctness proof.
 func runE9(rc RunContext, v values, res *metrics.Result) error {
@@ -195,10 +196,10 @@ func runE9(rc RunContext, v values, res *metrics.Result) error {
 		}})
 	// point measures one x of a sweep on a fresh system; sys names it.
 	point := func(sw sweep, x int, kind transport.Kind, instances int, sys string) (TrafficResult, error) {
-		d, err := newAgreement(deploySpec{
-			kind: kind, pbft: pbftConfig(n, (n-1)/3, 0), seed: rc.Seed, conns: conns, trace: rc.Trace,
+		d, err := deploy(deploySpec{
+			kind: kind, seed: rc.Seed, conns: conns, trace: rc.Trace,
 			label: fmt.Sprintf("E9 %s %s N=%d users=%d conns=%d seed=%d", sys, kind, n, users, conns, rc.Seed),
-		}, instances, rc.Model)
+		}, shard.Config{Shards: instances, PBFT: pbftConfig(n, (n-1)/3, 0)}, oneHostSet, rc.Model)
 		if err != nil {
 			return TrafficResult{}, err
 		}
@@ -206,12 +207,11 @@ func runE9(rc RunContext, v values, res *metrics.Result) error {
 		sw.set(&w, x)
 		return d.runWorkload(w)
 	}
-	// Systems under test: plain PBFT (0 instances), then COP at each K.
 	for _, sw := range sweeps {
 		for _, kind := range e8Transports {
-			for _, instances := range append([]int{0}, v.ints("ks")...) {
+			for _, instances := range v.ints("ks") {
 				sys := "PBFT"
-				if instances > 0 {
+				if instances > 1 {
 					sys = fmt.Sprintf("COP-%d", instances)
 				}
 				ss := addTrafficSeries(res, fmt.Sprintf("%s %s %s", sw.prefix, sys, e8Label(kind)), string(kind), sw.xLabel, colPeakQueue)

@@ -6,12 +6,13 @@ import (
 
 	"rubin/internal/metrics"
 	"rubin/internal/model"
+	"rubin/internal/shard"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
 )
 
-// tinyE9Context shrinks E9 below quick mode while keeping every sweep,
-// both systems and both transports on their real code paths.
+// tinyE9Context shrinks E9 below quick mode while keeping every sweep and
+// both transports on their real code paths, on plain PBFT (K = 1).
 func tinyE9Context() RunContext {
 	rc := DefaultRunContext()
 	rc.Quick = true
@@ -26,7 +27,7 @@ func tinyE9Context() RunContext {
 // TestE9SameSeedRunsAreByteIdentical mirrors the registry determinism
 // test for the traffic study specifically: two same-seed runs must
 // marshal to byte-identical JSON, and the result must carry the full
-// percentile bundle for every sweep and system.
+// percentile bundle for every sweep on both transports.
 func TestE9SameSeedRunsAreByteIdentical(t *testing.T) {
 	rc := tinyE9Context()
 	first, err := Run("E9", rc)
@@ -49,37 +50,40 @@ func TestE9SameSeedRunsAreByteIdentical(t *testing.T) {
 		t.Fatal("two seed-11 E9 runs marshal differently")
 	}
 	for _, prefix := range []string{"rate", "skew", "mix"} {
-		for _, sys := range []string{"PBFT", "COP-1"} {
-			for _, tr := range []string{"RUBIN", "NIO"} {
-				name := prefix + " " + sys + " " + tr
-				for _, metric := range []string{
-					metrics.MetricLatencyP50, metrics.MetricLatencyP90,
-					metrics.MetricLatencyP99, metrics.MetricLatencyP999,
-					metrics.MetricGoodput,
-				} {
-					s := first.GetSeries(name, metric)
-					if s == nil {
-						t.Fatalf("missing series (%s, %s)", name, metric)
-					}
-					if len(s.Points) == 0 || s.Points[0].Y <= 0 {
-						t.Fatalf("series (%s, %s) carries no positive point", name, metric)
-					}
+		for _, tr := range []string{"RUBIN", "NIO"} {
+			name := prefix + " PBFT " + tr
+			for _, metric := range []string{
+				metrics.MetricLatencyP50, metrics.MetricLatencyP90,
+				metrics.MetricLatencyP99, metrics.MetricLatencyP999,
+				metrics.MetricGoodput,
+			} {
+				s := first.GetSeries(name, metric)
+				if s == nil {
+					t.Fatalf("missing series (%s, %s)", name, metric)
+				}
+				if len(s.Points) == 0 || s.Points[0].Y <= 0 {
+					t.Fatalf("series (%s, %s) carries no positive point", name, metric)
 				}
 			}
 		}
 	}
 }
 
-// trafficSpec is a four-replica deployment on default protocol settings
-// with conns front-ends; its label gives the run a tracer of its own.
+// trafficSpec is a deployment with conns front-ends; its label gives the
+// run a tracer of its own.
 func trafficSpec(kind transport.Kind, conns int, seed int64) deploySpec {
-	return deploySpec{kind: kind, pbft: pbftConfig(4, 1, 0), seed: seed, conns: conns, label: "traffic"}
+	return deploySpec{kind: kind, seed: seed, conns: conns, label: "traffic"}
 }
 
-// runTraffic drives w through a fresh system built from s — plain PBFT at
-// instances 0, else a COP group of that many — as an E9 point does.
+// trafficCfg is groups four-replica groups on default protocol settings.
+func trafficCfg(groups int) shard.Config {
+	return shard.Config{Shards: groups, PBFT: pbftConfig(4, 1, 0)}
+}
+
+// runTraffic drives w through a fresh system built from s — instances
+// groups on one host set, plain PBFT at one — as an E9 point does.
 func runTraffic(s deploySpec, instances int, w workload.Config) (TrafficResult, error) {
-	d, err := newAgreement(s, instances, model.Default())
+	d, err := deploy(s, trafficCfg(instances), oneHostSet, model.Default())
 	if err != nil {
 		return TrafficResult{}, err
 	}
@@ -111,7 +115,7 @@ func TestRunTrafficCOPRoutesByKey(t *testing.T) {
 // TestRunTrafficOpenLoopPBFT exercises the Poisson path over the plain
 // cluster on the TCP backend.
 func TestRunTrafficOpenLoopPBFT(t *testing.T) {
-	r, err := runTraffic(trafficSpec(transport.KindTCP, 2, 3), 0, workload.Config{
+	r, err := runTraffic(trafficSpec(transport.KindTCP, 2, 3), 1, workload.Config{
 		Users: 6, Keys: workload.NewUniform(16), ValueSize: 16,
 		Ops: 50, Warmup: 5,
 		Mix:     workload.Mix{ReadPct: 45, WritePct: 45, DeletePct: 5, ScanPct: 5},

@@ -55,6 +55,43 @@ func TestReplayAfterViewChangeIsNotOrderedTwice(t *testing.T) {
 	}
 }
 
+// TestUnregisteredClientIsNeverOrdered: a replica admits only the ids its
+// cluster's front-ends registered. A REQUEST naming another id, sent to
+// every replica over a registered client's connections, makes no client
+// row and no request row anywhere and is never ordered; the registered
+// client's put afterwards is.
+func TestUnregisteredClientIsNeverOrdered(t *testing.T) {
+	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
+	cl, err := c.AddClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stranger := Request{Client: 555, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "stranger")}
+	raw := Encode(stranger)
+	c.Loop.Post(func() {
+		for _, conn := range cl.conns {
+			if err := conn.Send(msgnet.ClassControl, raw); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	c.Loop.Run()
+	for i, rep := range c.Replicas {
+		if _, filed := rep.requests[stranger.ID()]; filed || rep.client(555) != nil || rep.Executed() != 0 {
+			t.Errorf("replica %d: request row %v, client row %v, executed %d; want no row and nothing ordered",
+				i, filed, rep.client(555) != nil, rep.Executed())
+		}
+	}
+	done := false
+	c.Loop.Post(func() { cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "v"), func([]byte) { done = true }) })
+	c.Loop.Run()
+	for i, rep := range c.Replicas {
+		if v, _ := c.Apps[i].(*kvstore.Store).Get("k"); !done || rep.Executed() != 1 || v != "v" {
+			t.Errorf("replica %d: put done %v, executed %d, k=%q; want the registered client's put alone", i, done, rep.Executed(), v)
+		}
+	}
+}
+
 // TestReplayedRequestLeavesTheReplyRoute: a client's reply route at a
 // replica is the connection of its latest admitted request. A second
 // connection that replays the client's executed request — bytes any node on
@@ -77,7 +114,7 @@ func TestReplayedRequestLeavesTheReplyRoute(t *testing.T) {
 	c.Loop.Run()
 	routes := make([]*msgnet.Peer, len(c.Replicas))
 	for i, rep := range c.Replicas {
-		routes[i] = rep.clients[cl.ID()].conn
+		routes[i] = rep.client(cl.ID()).conn
 	}
 	replay := Encode(Request{Client: cl.ID(), Timestamp: 1, Op: put("v1")})
 	read := Encode(ReadRequest{Client: 999, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpGet, "k", "")})
@@ -90,10 +127,10 @@ func TestReplayedRequestLeavesTheReplyRoute(t *testing.T) {
 	})
 	c.Loop.Run()
 	for i, rep := range c.Replicas {
-		if rep.clients[cl.ID()].conn != routes[i] {
+		if rep.client(cl.ID()).conn != routes[i] {
 			t.Errorf("replica %d: a replay from another connection moved client %d's reply route", i, cl.ID())
 		}
-		if _, ok := rep.clients[999]; ok {
+		if rep.client(999) != nil {
 			t.Errorf("replica %d: a READ-REQUEST started a client row", i)
 		}
 	}
@@ -208,7 +245,7 @@ func TestRequestTablesStayBounded(t *testing.T) {
 					i, id, row.state, row.seq, rep.stable)
 			}
 		}
-		if floor := rep.clients[cl.ID()].floor; floor == 0 || floor > puts {
+		if floor := rep.client(cl.ID()).floor; floor == 0 || floor > puts {
 			t.Errorf("replica %d: the client's floor is %d after %d puts", i, floor, puts)
 		}
 	}
@@ -287,7 +324,7 @@ func TestStablePointPassingUnexecutedRequestsDropsThem(t *testing.T) {
 	}
 	x.idle(t, "after the checkpoint")
 	x.arrive(2)
-	if floor := x.r.clients[100].floor; floor != 2 || len(x.r.requests) != 0 {
+	if floor := x.r.client(100).floor; floor != 2 || len(x.r.requests) != 0 {
 		t.Errorf("the subsumed request's late copy: floor %d, %d rows; want floor 2 and the copy ignored", floor, len(x.r.requests))
 	}
 	x.idle(t, "after the late copy")
@@ -311,9 +348,9 @@ func TestRepeatedProposalKeepsItsSlot(t *testing.T) {
 		t.Fatal("a repeat of the executed proposal took it out of its slot")
 	}
 	x.r.advanceStable(64)
-	if _, seen := x.r.requests[timerRequest(1).ID()]; seen || x.r.clients[100].floor != 1 {
+	if _, seen := x.r.requests[timerRequest(1).ID()]; seen || x.r.client(100).floor != 1 {
 		t.Errorf("sequence 1 left the window: row present %v, floor %d; want the row gone and floor 1",
-			seen, x.r.clients[100].floor)
+			seen, x.r.client(100).floor)
 	}
 }
 
@@ -333,8 +370,8 @@ func TestRowFollowsItsLatestSlot(t *testing.T) {
 		t.Fatalf("sequence 1 executed (executed %d): row %+v; want it done, at sequence 70, its copy kept", x.r.executed, row)
 	}
 	x.r.advanceStable(64)
-	if row, seen := x.r.requests[id]; !seen || row.seq != 70 || x.r.clients[100].floor != 1 {
-		t.Errorf("sequence 1 left the window: row %+v (present %v), floor %d; want the row of slot 70 and floor 1", row, seen, x.r.clients[100].floor)
+	if row, seen := x.r.requests[id]; !seen || row.seq != 70 || x.r.client(100).floor != 1 {
+		t.Errorf("sequence 1 left the window: row %+v (present %v), floor %d; want the row of slot 70 and floor 1", row, seen, x.r.client(100).floor)
 	}
 	x.r.advanceStable(128)
 	if _, seen := x.r.requests[id]; seen {

@@ -202,7 +202,7 @@ func TestReplyAllocatesNothing(t *testing.T) {
 		cl.reads[ts] = &readInvocation{replies: make([]replyVote, len(cl.conns))}
 		receive, arrived := cl.conns[3], 0
 		receive.OnMessage(func(msgnet.Class, []byte) { arrived++ })
-		out, rawReply, rawRead := rep.clients[cl.ID()].conn, Encode(reply), Encode(read)
+		out, rawReply, rawRead := rep.client(cl.ID()).conn, Encode(reply), Encode(read)
 		carry := func() {
 			_ = out.Send(msgnet.ClassControl, rawReply)
 			_ = out.Send(msgnet.ClassControl, rawRead)
@@ -211,8 +211,8 @@ func TestReplyAllocatesNothing(t *testing.T) {
 		testing.AllocsPerRun(149, carry) // every receive slot of the channel backed
 		carried := testing.AllocsPerRun(50, carry)
 		roundTrip := func() {
-			rep.sendToClient(rep.clients[cl.ID()].conn, reply)
-			rep.sendToClient(rep.clients[cl.ID()].conn, read)
+			rep.sendToClient(rep.client(cl.ID()).conn, reply)
+			rep.sendToClient(rep.client(cl.ID()).conn, read)
 			c.Loop.Run()
 		}
 		if allocs := testing.AllocsPerRun(50, roundTrip); allocs != carried {

@@ -278,8 +278,9 @@ func (r *Replica) advanceStable(seq uint64) {
 				r.release(row.Op)
 				delete(r.requests, ref.RequestID)
 			}
-			c := r.client(ref.Client)
-			c.floor = max(c.floor, ref.Timestamp)
+			if c := r.client(ref.Client); c != nil { // nil: a parked ref no registered client sent
+				c.floor = max(c.floor, ref.Timestamp)
+			}
 		}
 		s.proposed, s.parked = false, false
 	}

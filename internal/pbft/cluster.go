@@ -128,7 +128,9 @@ type Cluster struct {
 	Config   Config
 	Replicas []*Replica
 	Apps     []Application
-	Clients  []*Client
+	// Clients are the front-ends' clients of this group, in the order they
+	// were added: the ids its replicas admit requests from.
+	Clients []*Client
 
 	// OnRestart, if set, is invoked after Restart wires up a fresh
 	// replica — the place to re-attach OnExecute/OnViewChange hooks.
@@ -270,9 +272,10 @@ type FrontEnd struct {
 
 // NewFrontEnd creates node name, links it to the hosts of every cluster
 // and dials one Client per cluster: client g has identity
-// firstID + 1024·g and talks to clusters[g] at its pillar's client port.
-// All dials are posted (cluster-outer, then replica) before the loop runs
-// once. Clusters must have been started.
+// firstID + 1024·g, is registered with every replica of clusters[g] and
+// talks to it at its pillar's client port. All dials are posted
+// (cluster-outer, then replica) before the loop runs once. Clusters must
+// have been started.
 func NewFrontEnd(name string, firstID uint32, clusters []*Cluster) (*FrontEnd, error) {
 	h0 := clusters[0].Hosts
 	node := h0.Network.AddNode(name)
@@ -293,6 +296,10 @@ func NewFrontEnd(name string, firstID uint32, clusters []*Cluster) (*FrontEnd, e
 	for g, c := range clusters {
 		cl := NewClient(firstID+clientIDStride*uint32(g), c.Config.F, node)
 		fe.Clients = append(fe.Clients, cl)
+		c.Clients = append(c.Clients, cl)
+		for _, rep := range c.Replicas {
+			rep.admit(cl.ID())
+		}
 		for i := range c.Meshes {
 			want++
 			h0.Loop.Post(func() {
@@ -325,7 +332,6 @@ func (c *Cluster) AddClient() (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Clients = append(c.Clients, fe.Clients[0])
 	return fe.Clients[0], nil
 }
 
@@ -348,9 +354,9 @@ func (c *Cluster) SendFaults() uint64 {
 func (c *Cluster) Crash(i int) { c.Replicas[i].Stop() }
 
 // Restart replaces a crashed replica with a fresh instance — empty log,
-// empty application state, view 0 — attached to the surviving msgnet
-// peers, then starts state transfer so it fetches the group's latest
-// stable checkpoint and rejoins. Outbound peers whose connection died
+// empty application state, view 0 — that admits the group's clients,
+// attached to the surviving msgnet peers, then starts state transfer so it
+// fetches the group's latest stable checkpoint and rejoins. Outbound peers whose connection died
 // while the replica was down are re-dialed through the mesh; re-dial
 // failures are recorded and surface through AttachErr.
 func (c *Cluster) Restart(i int) error {
@@ -364,6 +370,9 @@ func (c *Cluster) Restart(i int) error {
 	}
 	c.Replicas[i] = rep
 	c.Apps[i] = app
+	for _, cl := range c.Clients {
+		rep.admit(cl.ID())
+	}
 	for j, p := range c.peerLinks[i] {
 		if j == i {
 			continue

@@ -117,10 +117,14 @@ func (r *Replica) handleFetch(sender uint32, m Fetch) {
 }
 
 // handleFetched takes one request of a FETCH answer. It is filed only as
-// the copy a parked proposal or the held NEW-VIEW names: its digest must be
-// the ref's. A released copy is taken back, its row's state unchanged: a new
-// leader answers for every request its NEW-VIEW names, executed or not.
+// the copy a parked proposal or the held NEW-VIEW names, of a registered
+// client: its digest must be the ref's. A released copy is taken back, its
+// row's state unchanged: a new leader answers for every request its
+// NEW-VIEW names, executed or not.
 func (r *Replica) handleFetched(req Request) {
+	if r.client(req.Client) == nil {
+		return // no front-end registered the id it names
+	}
 	row, seen := r.requests[req.ID()]
 	if seen && row.digest != (auth.Digest{}) || len(r.parked) == 0 && r.held == nil {
 		return // a copy is held — the client's landed first — or nothing waits for one

@@ -68,6 +68,26 @@ func TestFetchAnswerIsFiledOnlyIfItMatches(t *testing.T) {
 	}
 }
 
+// TestFetchAnswerOfAnUnregisteredClientFilesNothing: a leader proposes a
+// request naming a client id no front-end registered, and answers the
+// backup's FETCH with it. The answer matches the parked ref, and still the
+// backup makes no row for it: the proposal stays parked.
+func TestFetchAnswerOfAnUnregisteredClientFilesNothing(t *testing.T) {
+	backup := bareReplica(t, 1, DefaultConfig())
+	req := Request{Client: 555, Timestamp: 1, Op: []byte("put")}
+	batch := []Request{req}
+	backup.handleEnvelope(sealedBy(backup, 0, PrePrepare{View: 0, Seq: 1, Digest: BatchDigest(batch), Refs: refsOf(batch)}))
+	s := backup.lookup(1)
+	if s == nil || !s.parked {
+		t.Fatal("the proposal of a request the backup never got is not parked")
+	}
+	backup.handleEnvelope(sealedBy(backup, 0, req))
+	if _, filed := backup.requests[req.ID()]; filed || !s.parked || backup.client(555) != nil {
+		t.Errorf("an answer naming unregistered client 555: filed %v, parked %v, client row %v; want nothing filed",
+			filed, s.parked, backup.client(555) != nil)
+	}
+}
+
 // TestRestartedReplicaFetchesWhatItMissed: replica 3 crashes once the group
 // has a stable checkpoint, and a client sends three requests while it is
 // down; it restarts before the leader proposes them (the batch waits its

@@ -29,7 +29,10 @@ type shape struct {
 // TestDeploymentIdentityContract pins, for every way of building a
 // deployment, the identities the byte-identical experiment results depend
 // on: node names, listening ports, client ids and keyring seeds. Every
-// shape is built from the same three parts, so one table covers them.
+// shape is built from the same three parts, so one table covers them. Plain
+// PBFT is built two ways: by NewCluster and AddClient, as the repository
+// benchmark and this package's tests do, and as one group on one host set
+// behind routers, as every experiment does.
 func TestDeploymentIdentityContract(t *testing.T) {
 	const seed, fronts = 5, 2
 	kv := func(int) pbft.Application { return kvstore.New() }
@@ -38,9 +41,10 @@ func TestDeploymentIdentityContract(t *testing.T) {
 		hostName  string // Sprintf(shard, replica)
 		frontName string // Sprintf(front-end index)
 		frontBase int    // number in the first front-end's name
+		via       string // tells two builds of one shape apart
 		build     func(t *testing.T) shape
 	}{
-		{1, 1, 4, "r%[2]d", "client%d", 100, func(t *testing.T) shape {
+		{1, 1, 4, "r%[2]d", "client%d", 100, "", func(t *testing.T) shape {
 			c, err := pbft.NewCluster(transport.KindTCP, pbft.DefaultConfig(), model.Default(), seed, kv)
 			must(t, err)
 			must(t, c.Start())
@@ -52,14 +56,17 @@ func TestDeploymentIdentityContract(t *testing.T) {
 			}
 			return sh
 		}},
-		{1, 4, 4, "r%[2]d", "router%d", 0, func(t *testing.T) shape {
+		{1, 1, 4, "r%[2]d", "router%d", 0, ",routers", func(t *testing.T) shape {
+			return partitioned(t, shard.NewCOP, 1, seed, fronts)
+		}},
+		{1, 4, 4, "r%[2]d", "router%d", 0, "", func(t *testing.T) shape {
 			return partitioned(t, shard.NewCOP, 4, seed, fronts)
 		}},
-		{2, 1, 4, "s%[1]dr%[2]d", "router%d", 0, func(t *testing.T) shape {
+		{2, 1, 4, "s%[1]dr%[2]d", "router%d", 0, "", func(t *testing.T) shape {
 			return partitioned(t, shard.New, 2, seed, fronts)
 		}},
 	} {
-		t.Run(fmt.Sprintf("S=%d,K=%d,N=%d", tc.s, tc.k, tc.n), func(t *testing.T) {
+		t.Run(fmt.Sprintf("S=%d,K=%d,N=%d%s", tc.s, tc.k, tc.n, tc.via), func(t *testing.T) {
 			sh := tc.build(t)
 			if len(sh.hosts) != tc.s || len(sh.replicas[0]) != tc.k || len(sh.hosts[0]) != tc.n {
 				t.Fatalf("built %d×%d×%d", len(sh.hosts), len(sh.replicas[0]), len(sh.hosts[0]))

@@ -13,26 +13,36 @@ import (
 // Normal case: request intake, leader batching, the three-phase agreement
 // and in-order execution, plus the read-only fast path and replies.
 
-// client is a row of the client table: where replies go (handleRequest), the
-// last one (a repeat of that request is answered from it: exactly-once; its
-// result is copied into a buffer the row reuses, since Execute lends it) and
-// the floor, the highest timestamp whose sequence left the watermark window.
+// client is a row of the client table, one per id the cluster's front-ends
+// registered (admit): where replies go (handleRequest), the last one (a
+// repeat of that request is answered from it: exactly-once; its result is
+// copied into a buffer the row reuses, since Execute lends it) and the
+// floor, the highest timestamp whose sequence left the watermark window.
 // At or below it a request is old news — a quorum executed it — and has no
 // row in the request table any more (Castro & Liskov §4.1).
 type client struct {
+	id    uint32
 	conn  *msgnet.Peer
 	last  Reply
 	floor uint64
 }
 
-// client returns id's row, starting one at first sight.
-func (r *Replica) client(id uint32) *client {
-	c := r.clients[id]
-	if c == nil {
-		c = &client{}
-		r.clients[id] = c
+// admit registers client id: only a registered id's requests are admitted.
+func (r *Replica) admit(id uint32) {
+	if r.client(id) == nil {
+		r.clients = append(r.clients, client{id: id})
 	}
-	return c
+}
+
+// client returns id's row, or nil for an id nobody registered. A replica
+// serves a handful of front-ends, so a scan beats a hash.
+func (r *Replica) client(id uint32) *client {
+	for i := range r.clients {
+		if r.clients[i].id == id {
+			return &r.clients[i]
+		}
+	}
+	return nil
 }
 
 // request is a row of the request table: this replica's copy of a request
@@ -62,13 +72,15 @@ const (
 // handleRequest admits a request that arrived on conn. The two tables
 // decide, and only here: execution applies whatever a committed batch holds,
 // because replicas trim their tables at different times and would diverge
-// over one consulted there. The reply route moves to conn only on admission
-// (or is set by the client's first request): a replay does not move it.
+// over one consulted there. A request naming an id no front-end registered
+// is dropped before it makes a row. The reply route moves to conn only on
+// admission (or is set by the client's first request): a replay does not
+// move it.
 func (r *Replica) handleRequest(req Request, conn *msgnet.Peer) {
-	if r.stopped {
+	c := r.client(req.Client)
+	if r.stopped || c == nil {
 		return
 	}
-	c := r.client(req.Client)
 	if c.conn == nil {
 		c.conn = conn // the first route, whichever request brings it
 	}

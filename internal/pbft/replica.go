@@ -51,7 +51,7 @@ type Replica struct {
 	// a new leader can re-propose work the old leader dropped; arrivals is
 	// the order rows were first filed in, which the progress timer follows
 	// (rows done or forgotten are skipped when reached).
-	clients  map[uint32]*client
+	clients  []client
 	requests map[RequestID]request
 	arrivals sim.Queue[RequestID]
 
@@ -116,7 +116,6 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		log:      make([]*slot, cfg.LogWindow),
 		cps:      newCheckpointStore(cfg.N),
 		fetch:    newStateFetcher(cfg, node),
-		clients:  make(map[uint32]*client),
 		requests: make(map[RequestID]request),
 		vcVotes:  make(map[uint64][]*ViewChange),
 

@@ -46,7 +46,8 @@ func checkRing(t *testing.T, r *Replica) {
 
 // bareReplica is replica id of a group of four alone on a loop, with no
 // peers: protocol events are method calls, and every broadcast it attempts
-// shows as N-1 send faults (no live handle).
+// shows as N-1 send faults (no live handle). It admits client 100, a
+// cluster's first front-end, whose id the tests' requests carry.
 func bareReplica(t *testing.T, id uint32, cfg Config) *Replica {
 	t.Helper()
 	node := fabric.New(sim.NewLoop(1), model.Default()).AddNode(fmt.Sprintf("r%d", id))
@@ -54,6 +55,7 @@ func bareReplica(t *testing.T, id uint32, cfg Config) *Replica {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.admit(100)
 	return r
 }
 

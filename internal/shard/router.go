@@ -49,12 +49,12 @@ func (d *Deployment) AddRouter() (*Router, error) {
 
 // InvokeOp routes one encoded kvstore operation (kvstore.PlanOp over S
 // partitions); done fires exactly once with the final reply. Single-key
-// operations go to the shard owning the key, with a deterministic
-// backoff-and-resubmit whenever the state machine refuses a write with
-// kvstore.Locked. Scans scatter as partition-filtered sub-scans and
-// merge locally. A multi-key transaction runs one-phase on its home
-// shard when every key hashes there, and through 2PC over consensus
-// otherwise. The returned string is the trace id of the operation's
+// operations go to the shard owning the key: a Get through the client's
+// InvokeRead, a write with a deterministic backoff-and-resubmit whenever
+// the state machine refuses it with kvstore.Locked. Scans scatter as
+// partition-filtered sub-scans and merge locally. A multi-key transaction
+// runs one-phase on its home shard when every key hashes there, and
+// through 2PC over consensus otherwise. The returned string is the trace id of the operation's
 // (first) sub-request.
 func (r *Router) InvokeOp(op []byte, done func([]byte)) string {
 	r.inflight++
@@ -73,8 +73,10 @@ func (r *Router) InvokeOp(op []byte, done func([]byte)) string {
 	case p.Route == kvstore.RouteCross:
 		return r.invoke2PC(p.Key, p.Value, finish)
 	case p.Read:
-		// No lock-retry loop for a Get: a stored value may itself be the string LOCKED.
-		return r.Clients[p.Part].Invoke(op, finish)
+		// No lock-retry loop for a Get: a stored value may itself be the
+		// string LOCKED. InvokeRead orders it unless the client's read fast
+		// path is on.
+		return r.Clients[p.Part].InvokeRead(op, finish)
 	}
 	return r.invokeRetry(p.Part, op, finish)
 }

@@ -37,6 +37,10 @@ type Config struct {
 	Shards int
 	// PBFT configures every group identically.
 	PBFT pbft.Config
+	// App makes replica i's state machine in every group, and again when a
+	// restart replaces replica i; nil gives each a fresh kvstore.Store, which
+	// holds only its group's partition of the keyspace.
+	App func(i int) pbft.Application
 }
 
 // Validate checks the configuration.
@@ -67,8 +71,8 @@ type Deployment struct {
 
 // New builds a sharded deployment: cfg.Shards PBFT groups, each on hosts
 // of its own — shard s's replica i is node "s<s>r<i>" on the shared
-// network — and each replica running a fresh kvstore.Store that holds only
-// its shard's partition of the keyspace. Call Start, then AddRouter.
+// network — and each replica executing into cfg.App's state machine. Call
+// Start, then AddRouter.
 func New(kind transport.Kind, cfg Config, params model.Params, seed int64) (*Deployment, error) {
 	return build(kind, cfg, params, seed, false)
 }
@@ -91,6 +95,10 @@ func build(kind transport.Kind, cfg Config, params model.Params, seed int64, col
 	}
 	loop := sim.NewLoop(seed)
 	d := &Deployment{Loop: loop, Network: fabric.New(loop, params), Config: cfg, Kind: kind}
+	app := cfg.App
+	if app == nil {
+		app = func(int) pbft.Application { return kvstore.New() }
+	}
 	var hosts *pbft.Hosts
 	if colocated {
 		h, err := pbft.NewHosts(loop, d.Network, kind, "", cfg.PBFT.N, cfg.Shards)
@@ -110,7 +118,7 @@ func build(kind transport.Kind, cfg Config, params model.Params, seed int64, col
 			}
 			hosts, pillar = h, 0
 		}
-		cl, err := hosts.Place(gcfg, pillar, seed+int64(g)*keySeedStride, func(int) pbft.Application { return kvstore.New() })
+		cl, err := hosts.Place(gcfg, pillar, seed+int64(g)*keySeedStride, app)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", g, err)
 		}
