@@ -15,41 +15,6 @@ import (
 	"rubin/internal/transport"
 )
 
-// ChaosPhase is one segment of the E7 fault timeline with its measured
-// client-side metrics. Commits are attributed to the phase in which they
-// complete.
-type ChaosPhase struct {
-	Name       string
-	Start, End sim.Time // offsets into the run
-	Committed  int
-	MeanLat    sim.Time
-	P99Lat     sim.Time
-	Throughput float64 // requests per second
-}
-
-// ChaosResult is one full E7 run.
-type ChaosResult struct {
-	N, F           int // replica-group shape the timeline ran against
-	Phases         []ChaosPhase
-	Trace          string // virtual-time fault trace (deterministic per seed)
-	StateTransfers uint64 // completed by the restarted replica
-	SendFaults     uint64 // delivery failures surfaced by msgnet across replicas
-	PeakQueueBytes int    // deepest msgnet send queue observed on any replica
-	// PeakQueueBytesPerReplica is the per-replica send-queue high
-	// watermark (index = replica id): the fault timeline stresses
-	// replicas asymmetrically — the restarted replica absorbs a state
-	// snapshot and the partition dams up queues toward the cut-off node.
-	PeakQueueBytesPerReplica []int
-	// LeaderAtPartition is who led the group when the partition fired, and
-	// FinalViews each replica's view at the end (index = replica id): the
-	// checks that the timeline's phases contain the faults they are named
-	// after.
-	LeaderAtPartition uint32
-	FinalViews        []uint64
-	// Reproposed counts the request batches sent NEW-VIEWs re-proposed.
-	Reproposed uint64
-}
-
 // The E7 timeline: replica 0 leads view 0 and crashes first; replica 1
 // leads view 1 — one crash costs one view change — and is partitioned
 // away later, forcing a second view change in the majority partition.
@@ -63,23 +28,57 @@ const (
 	e7End       = 1900 * sim.Millisecond
 )
 
-// chaosTimeline returns the scripted fault events and the matching
-// measurement phases.
-func chaosTimeline() (*chaos.Scenario, []ChaosPhase) {
-	s := chaos.NewScenario("E7-fault-timeline").
+// e7Scenario returns the scripted fault events of the E7 timeline.
+func e7Scenario() *chaos.Scenario {
+	return chaos.NewScenario("E7-fault-timeline").
 		Crash(e7Crash, 0).
 		Restart(e7Restart, 0).
 		Partition(e7Partition, []int{1}, []int{0, 2, 3}).
 		Heal(e7Heal).
 		Crash(e7Heal+5*sim.Millisecond, 2)
-	phases := []ChaosPhase{
-		{Name: "healthy", Start: 0, End: e7Crash},
-		{Name: "crash+viewchange", Start: e7Crash, End: e7Restart},
-		{Name: "recovery", Start: e7Restart, End: e7Partition},
-		{Name: "partition", Start: e7Partition, End: e7Heal},
-		{Name: "healed+crash", Start: e7Heal, End: e7End},
+}
+
+// e7Phases returns the measurement phases of the E7 timeline, one per act
+// of e7Scenario.
+func e7Phases() []faultPhase {
+	return []faultPhase{
+		{name: "healthy", end: e7Crash},
+		{name: "crash+viewchange", end: e7Restart},
+		{name: "recovery", end: e7Partition},
+		{name: "partition", end: e7Heal},
+		{name: "healed+crash", end: e7End},
 	}
-	return s, phases
+}
+
+// faultPhase is one measurement segment of a fault timeline: it ends at
+// end, an offset into the run, where the next phase starts, and rec holds
+// the latency of every reply that lands in it.
+type faultPhase struct {
+	name string
+	end  sim.Time
+	rec  metrics.Recorder
+}
+
+// phaseOf returns the index of the phase a reply landing at offset at
+// counts to: the first phase that ends after it, so a reply exactly at a
+// phase's end counts to the next one, and the last phase for a reply at
+// the run's final instant.
+func phaseOf(phases []faultPhase, at sim.Time) int {
+	for i := range phases {
+		if at < phases[i].end {
+			return i
+		}
+	}
+	return len(phases) - 1
+}
+
+// throughput is phase i's replies per second over its own span.
+func throughput(phases []faultPhase, i int) float64 {
+	var start sim.Time
+	if i > 0 {
+		start = phases[i-1].end
+	}
+	return metrics.Throughput(phases[i].rec.Count(), phases[i].end-start)
 }
 
 // faultTimelineConfig is the protocol configuration of the fault-timeline
@@ -95,28 +94,28 @@ func faultTimelineConfig() pbft.Config {
 
 // runFaultTimeline is the one run E7 and E12 share: a plain PBFT group on
 // faultTimelineConfig (spec names its backend and seed, app its state
-// machines; nil keeps the default store), the scenario applied, one
-// connection keeping window puts outstanding from now until end — key names
-// the sent-th put's key, completed sees each reply with its offset into the
-// run and its latency — and watch scheduling the caller's probes on group 0
-// before the loop runs. It returns the deployment to read counters from and
-// the fault trace.
-func runFaultTimeline(spec deploySpec, app func(int) pbft.Application, params model.Params, scenario *chaos.Scenario, end sim.Time, window, payload int,
-	key func(sent int) string, completed func(at, latency sim.Time), watch func(c *pbft.Cluster, base sim.Time)) (*deployment, string, error) {
+// machines; nil keeps the default store), the scenario applied, and one
+// connection keeping window puts outstanding until the last phase ends —
+// key names the sent-th put's key, and each reply's latency goes to the
+// phase it lands in (phaseOf). watch schedules the caller's probes on
+// group 0 before the loop runs. It returns the deployment to read counters
+// from and the fault trace.
+func runFaultTimeline(spec deploySpec, app func(int) pbft.Application, params model.Params, scenario *chaos.Scenario, phases []faultPhase, window, payload int,
+	key func(sent int) string, watch func(c *pbft.Cluster, base sim.Time)) (*deployment, string, error) {
 	spec.conns = 1
 	d, err := deploy(spec, shard.Config{Shards: 1, PBFT: faultTimelineConfig(), App: app}, oneHostSet, params)
 	if err != nil {
 		return nil, "", err
 	}
 	sched := chaos.Apply(d.groups[0], scenario)
-	loop, base := d.loop, d.loop.Now()
+	loop, base, end := d.loop, d.loop.Now(), phases[len(phases)-1].end
 	d.putLoop(window, payload, func(_, sent int) (string, bool) {
 		if loop.Now()-base >= end {
 			return "", false
 		}
 		return key(sent), true
 	}, func(_ int, latency sim.Time) bool {
-		completed(loop.Now()-base, latency)
+		phases[phaseOf(phases, loop.Now()-base)].rec.Record(latency)
 		return true
 	})
 	watch(d.groups[0], base)
@@ -127,85 +126,20 @@ func runFaultTimeline(spec deploySpec, app func(int) pbft.Application, params mo
 	return d, sched.TraceString(), nil
 }
 
-// maxChaosPayload bounds the request payload. This is purely a
-// simulation-cost bound now: msgnet chunks any protocol message above the
-// transport frame limit (VIEW-CHANGE aggregates and state snapshots
-// included), so no payload size wedges the timeline anymore — large
-// payloads just take proportionally long to simulate.
-const maxChaosPayload = 256 << 10
-
-// RunChaos measures client-observed throughput and latency of the
-// replicated system on one backend across the E7 fault timeline, with
-// window puts of payload bytes outstanding.
-func RunChaos(kind transport.Kind, payload, window int, seed int64, params model.Params) (ChaosResult, error) {
-	if payload < 1 || payload > maxChaosPayload {
-		return ChaosResult{}, fmt.Errorf("bench: chaos payload %d out of range [1, %d]", payload, maxChaosPayload)
-	}
-	scenario, phases := chaosTimeline()
-	recs := make([]*metrics.Recorder, len(phases))
-	for i := range recs {
-		recs[i] = metrics.NewRecorder()
-	}
+// runE7Timeline runs the E7 fault timeline on one backend with window puts
+// of payload bytes outstanding, watch scheduling the caller's probes. It
+// returns the measured phases, the deployment and the fault trace.
+func runE7Timeline(kind transport.Kind, payload, window int, seed int64, params model.Params, watch func(c *pbft.Cluster, base sim.Time)) ([]faultPhase, *deployment, string, error) {
 	// Cycle a bounded key space: the store (and therefore per-checkpoint
 	// snapshot cost) stays constant over an arbitrarily long run. The
 	// space is sized to the payload to bound per-checkpoint marshal cost;
 	// state above the transport frame limit is fine (it crosses as
 	// per-partition StateParts), it just costs more virtual time to ship.
 	keySpace := min(max(200_000/(payload+24), 4), 128)
-	var leaderAtPartition uint32
-	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed}, nil, params, scenario, e7End, window, payload,
-		func(sent int) string { return fmt.Sprintf("chaos-%03d", sent%keySpace) },
-		func(at, latency sim.Time) {
-			for i := range phases {
-				if at < phases[i].End {
-					recs[i].Record(latency)
-					return
-				}
-			}
-		},
-		func(c *pbft.Cluster, base sim.Time) {
-			c.Loop.At(base+e7Partition, func() {
-				leaderAtPartition = c.Replicas[2].Leader(c.Replicas[2].View())
-			})
-		})
-	if err != nil {
-		return ChaosResult{}, err
-	}
-	cluster := d.groups[0]
-	for i := range phases {
-		phases[i].Committed = recs[i].Count()
-		phases[i].MeanLat = recs[i].Mean()
-		phases[i].P99Lat = recs[i].Percentile(99)
-		phases[i].Throughput = metrics.Throughput(recs[i].Count(), phases[i].End-phases[i].Start)
-		// The timeline is designed to stay live in every phase (the
-		// partition keeps a quorum intact); a zero-commit phase means
-		// the cluster wedged and the table would misreport a dead run.
-		if phases[i].Committed == 0 {
-			return ChaosResult{}, fmt.Errorf("bench: phase %q committed nothing (cluster wedged — check payload/transport limits)", phases[i].Name)
-		}
-	}
-	perReplica := make([]int, len(d.hosts))
-	for i, node := range d.hosts {
-		perReplica[i] = int(fabric.Fold(node)["msgnet.peak_queue_bytes"])
-	}
-	stats := d.stats()
-	views := make([]uint64, len(cluster.Replicas))
-	for i, rep := range cluster.Replicas {
-		views[i] = rep.View()
-	}
-	return ChaosResult{
-		LeaderAtPartition:        leaderAtPartition,
-		FinalViews:               views,
-		N:                        cluster.Config.N,
-		F:                        cluster.Config.F,
-		Phases:                   phases,
-		Trace:                    trace,
-		StateTransfers:           cluster.Replicas[0].StateTransfers(),
-		SendFaults:               uint64(stats["pbft.send_faults"]),
-		Reproposed:               uint64(stats["pbft.reproposed"]),
-		PeakQueueBytes:           int(stats["msgnet.peak_queue_bytes"]),
-		PeakQueueBytesPerReplica: perReplica,
-	}, nil
+	phases := e7Phases()
+	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed}, nil, params, e7Scenario(), phases, window, payload,
+		func(sent int) string { return fmt.Sprintf("chaos-%03d", sent%keySpace) }, watch)
+	return phases, d, trace, err
 }
 
 // ---------------------------------------------------------------------------
@@ -227,24 +161,27 @@ func init() {
 			// regression visible in CI.
 			{name: "window", def: "16", quick: "8", min: 1},
 		},
+		// A simulation-cost bound: msgnet chunks any message above the
+		// frame limit, so no payload wedges the timeline, but large ones
+		// take proportionally long to simulate.
+		check: func(v values) error {
+			if p := v.int("payload"); p > 256<<10 {
+				return fmt.Errorf("payload %d above %d", p, 256<<10)
+			}
+			return nil
+		},
 		run: runE7,
 	})
 }
 
-// phaseNames lists the fixed E7 timeline phases in index order.
-func phaseNames() []string {
-	_, phases := chaosTimeline()
-	names := make([]string, len(phases))
-	for i, p := range phases {
-		names[i] = p.Name
-	}
-	return names
-}
-
 func runE7(rc RunContext, v values, res *metrics.Result) error {
-	res.SetConfig("phases", strings.Join(phaseNames(), ","))
+	var names []string
+	for _, p := range e7Phases() {
+		names = append(names, p.name)
+	}
+	res.SetConfig("phases", strings.Join(names, ","))
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		r, err := RunChaos(kind, v.int("payload"), v.int("window"), rc.Seed, rc.Model)
+		phases, d, trace, err := runE7Timeline(kind, v.int("payload"), v.int("window"), rc.Seed, rc.Model, func(*pbft.Cluster, sim.Time) {})
 		if err != nil {
 			return err
 		}
@@ -253,24 +190,34 @@ func runE7(rc RunContext, v values, res *metrics.Result) error {
 		mean := res.AddSeries(name, metrics.MetricLatencyMean, "us", name, "phase_index")
 		p99 := res.AddSeries(name, metrics.MetricLatencyP99, "us", name, "phase_index")
 		commits := res.AddSeries(name, metrics.MetricCommits, "count", name, "phase_index")
-		for i, p := range r.Phases {
+		for i := range phases {
+			p := &phases[i]
+			// The timeline is designed to stay live in every phase (the
+			// partition keeps a quorum intact); a zero-commit phase means
+			// the cluster wedged and the table would misreport a dead run.
+			if p.rec.Count() == 0 {
+				return fmt.Errorf("bench: phase %q committed nothing (cluster wedged — check payload/transport limits)", p.name)
+			}
 			x := float64(i)
-			tput.Add(x, p.Throughput)
-			mean.Add(x, p.MeanLat.Micros())
-			p99.Add(x, p.P99Lat.Micros())
-			commits.Add(x, float64(p.Committed))
+			tput.Add(x, throughput(phases, i))
+			mean.Add(x, p.rec.Mean().Micros())
+			p99.Add(x, p.rec.Percentile(99).Micros())
+			commits.Add(x, float64(p.rec.Count()))
 		}
+		cluster, stats := d.groups[0], d.stats()
 		counters := res.AddSeries(name+" counters", "fault_counters", "count", name, "counter_index")
-		counters.Add(0, float64(r.StateTransfers)) // state transfers completed
-		counters.Add(1, float64(r.SendFaults))     // surfaced delivery failures
-		counters.Add(2, float64(r.PeakQueueBytes)) // peak msgnet queue depth (bytes)
-		counters.Add(3, float64(r.Reproposed))     // sequences re-proposed by a NEW-VIEW
+		counters.Add(0, float64(cluster.Replicas[0].StateTransfers())) // state transfers completed
+		counters.Add(1, stats["pbft.send_faults"])                     // surfaced delivery failures
+		counters.Add(2, stats["msgnet.peak_queue_bytes"])              // peak msgnet queue depth (bytes)
+		counters.Add(3, stats["pbft.reproposed"])                      // sequences re-proposed by a NEW-VIEW
+		// Per replica: the restarted one absorbs a state snapshot, and the
+		// partition dams up queues toward the cut-off one.
 		peakQ := res.AddSeries(name+" queue", metrics.MetricPeakQueueBytes, "bytes", name, "replica_index")
-		for i, q := range r.PeakQueueBytesPerReplica {
-			peakQ.Add(float64(i), float64(q))
+		for i, node := range d.hosts {
+			peakQ.Add(float64(i), fabric.Fold(node)["msgnet.peak_queue_bytes"])
 		}
-		res.SetConfig("cluster["+name+"]", fmt.Sprintf("%d replicas, f=%d", r.N, r.F))
-		res.SetNote("trace["+name+"]", r.Trace)
+		res.SetConfig("cluster["+name+"]", fmt.Sprintf("%d replicas, f=%d", cluster.Config.N, cluster.Config.F))
+		res.SetNote("trace["+name+"]", trace)
 	}
 	res.SetConfig("counter_index", "0=state_transfers,1=send_faults,2=peak_queue_bytes,3=reproposed")
 	return nil

@@ -6,6 +6,8 @@ import (
 
 	"rubin/internal/metrics"
 	"rubin/internal/model"
+	"rubin/internal/pbft"
+	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
@@ -33,37 +35,42 @@ func TestChaosLivenessAcrossTimeline(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			res, err := RunChaos(kind, 512, 4, 1, model.Default())
+			leaderAtPartition := uint32(99)
+			phases, d, _, err := runE7Timeline(kind, 512, 4, 1, model.Default(), func(c *pbft.Cluster, base sim.Time) {
+				c.Loop.At(base+e7Partition, func() {
+					leaderAtPartition = c.Replicas[2].Leader(c.Replicas[2].View())
+				})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range res.Phases {
-				if p.Committed == 0 {
-					t.Errorf("phase %q committed nothing: %+v", p.Name, res.Phases)
+			for _, p := range phases {
+				if p.rec.Count() == 0 {
+					t.Errorf("phase %q committed nothing", p.name)
 				}
 			}
-			if res.StateTransfers == 0 {
+			replicas := d.groups[0].Replicas
+			if replicas[0].StateTransfers() == 0 {
 				t.Errorf("restarted replica completed no state transfer")
 			}
 			// One crash, one view change: replica 1 must still lead when
 			// the partition cuts it off, or the partition phase measures
 			// a cut-off backup and contains no view change at all.
-			if res.LeaderAtPartition != 1 {
-				t.Errorf("replica %d led when the partition fired, want replica 1 (view 1)", res.LeaderAtPartition)
+			if leaderAtPartition != 1 {
+				t.Errorf("replica %d led when the partition fired, want replica 1 (view 1)", leaderAtPartition)
 			}
 			for i, want := range finalViews[kind] {
-				if res.FinalViews[i] != want {
-					t.Errorf("replica %d ended in view %d, want %d (views: %v)", i, res.FinalViews[i], want, res.FinalViews)
+				if got := replicas[i].View(); got != want {
+					t.Errorf("replica %d ended in view %d, want %d", i, got, want)
 				}
 			}
-			if last, recovery := res.Phases[4].Committed, res.Phases[2].Committed; 4*last < recovery {
-				t.Errorf("phase %q committed %d, under a quarter of the recovery phase's %d", res.Phases[4].Name, last, recovery)
+			if last, recovery := phases[4].rec.Count(), phases[2].rec.Count(); 4*last < recovery {
+				t.Errorf("phase %q committed %d, under a quarter of the recovery phase's %d", phases[4].name, last, recovery)
 			}
 			// The healthy phase must outperform the view-change phase
 			// in mean latency (faults are not free).
-			if res.Phases[0].MeanLat >= res.Phases[1].MeanLat {
-				t.Errorf("healthy mean latency %v >= crash-phase %v",
-					res.Phases[0].MeanLat, res.Phases[1].MeanLat)
+			if healthy, crash := phases[0].rec.Mean(), phases[1].rec.Mean(); healthy >= crash {
+				t.Errorf("healthy mean latency %v >= crash-phase %v", healthy, crash)
 			}
 		})
 	}
@@ -94,13 +101,14 @@ func TestChaosWindow8Regression(t *testing.T) {
 			if got := res.Config["window"]; got != "8" {
 				t.Fatalf("quick E7 runs window %s, the wedge needs 8", got)
 			}
+			phases := e7Phases()
 			commits := res.GetSeries(string(kind), metrics.MetricCommits)
-			if commits == nil || len(commits.Points) != len(phaseNames()) {
+			if commits == nil || len(commits.Points) != len(phases) {
 				t.Fatalf("missing a commits point per phase: %+v", commits)
 			}
 			for i, p := range commits.Points {
 				if p.Y == 0 {
-					t.Errorf("phase %q committed nothing (window-8 wedge is back)", phaseNames()[i])
+					t.Errorf("phase %q committed nothing (window-8 wedge is back)", phases[i].name)
 				}
 			}
 			// At window 8 the crash of view 2's leader catches batches in
@@ -112,8 +120,28 @@ func TestChaosWindow8Regression(t *testing.T) {
 				t.Errorf("no NEW-VIEW re-proposed a sequence: %+v", counters)
 			}
 			if last, recovery := commits.Points[4].Y, commits.Points[2].Y; 4*last < recovery {
-				t.Errorf("phase %q committed %v, under a quarter of the recovery phase's %v", phaseNames()[4], last, recovery)
+				t.Errorf("phase %q committed %v, under a quarter of the recovery phase's %v", phases[4].name, last, recovery)
 			}
 		})
+	}
+}
+
+// TestPhaseOf pins the one rule that files a fault timeline's replies into
+// its phases. E7 once dropped a reply at the run's final instant, where
+// E12 counted it to its last phase; both now do the latter.
+func TestPhaseOf(t *testing.T) {
+	phases := []faultPhase{{name: "a", end: 10}, {name: "b", end: 20}, {name: "c", end: 30}}
+	for _, tc := range []struct {
+		why  string
+		at   sim.Time
+		want int
+	}{
+		{"a reply exactly at a phase's end counts to the next phase", 10, 1},
+		{"a reply at the run's final instant counts to the last phase", 30, 2},
+		{"a reply inside a phase counts to that phase", 15, 1},
+	} {
+		if got := phaseOf(phases, tc.at); got != tc.want {
+			t.Errorf("%s: phaseOf(%v) = %d, want %d", tc.why, tc.at, got, tc.want)
+		}
 	}
 }

@@ -13,11 +13,10 @@
 // E12 the state-size study. Every replicated-system experiment builds its
 // system through one deployment value (deploy.go) and each experiment's
 // parameters are one declarative knob table (registry.go). Run executes
-// one experiment under a
-// RunContext (seed, quick mode, cost model, knob overrides) and returns a
-// validated metrics.Result; cmd/benchsuite persists those as
-// BENCH_<name>.json and diffs them across runs. Knob names and the
-// result schema are documented in docs/EXPERIMENTS.md.
+// one experiment under a RunContext (seed, quick mode, cost model, knob
+// overrides) and returns a validated metrics.Result; cmd/benchsuite
+// persists those as BENCH_<name>.json. Knob names and the result schema
+// are documented in docs/EXPERIMENTS.md.
 package bench
 
 import (

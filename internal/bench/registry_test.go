@@ -31,10 +31,18 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// aboveMaximum lists, per experiment, knob values above an upper bound its
+// check states: a bound a run would otherwise only meet mid-sweep.
+var aboveMaximum = map[string][][2]string{
+	"E7":  {{"payload", "262145"}},
+	"E12": {{"prefills", "500,1048577"}, {"payload", "4097"}},
+}
+
 // TestKnobTableRejections drives the rejections every experiment shares
 // through its declared table: an unknown experiment, an unknown knob, and
 // — for every knob of every experiment — a non-integer, a value below
-// the knob's stated minimum, and a list where one integer is expected.
+// the knob's stated minimum, and a list where one integer is expected;
+// then each value of aboveMaximum.
 func TestKnobTableRejections(t *testing.T) {
 	if _, err := Run("E99", DefaultRunContext()); err == nil {
 		t.Error("Run accepted unknown experiment E99")
@@ -71,6 +79,9 @@ func TestKnobTableRejections(t *testing.T) {
 			} else {
 				reject("list for a scalar", k.name, fmt.Sprintf("%d,%d", k.min+1, k.min+1))
 			}
+		}
+		for _, kv := range aboveMaximum[e.Name] {
+			reject("above-maximum", kv[0], kv[1])
 		}
 	}
 }

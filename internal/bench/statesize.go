@@ -7,7 +7,6 @@ import (
 	"rubin/internal/chaos"
 	"rubin/internal/kvstore"
 	"rubin/internal/metrics"
-	"rubin/internal/model"
 	"rubin/internal/pbft"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -35,31 +34,6 @@ import (
 // prefill keys at or above it.
 const stateSizeHotBuckets = 8
 
-// StateSizeResult is one E12 run: one transport, one prefill size, one
-// restart input.
-type StateSizeResult struct {
-	StateBytes int // serialized store size at run end
-
-	// Checkpoint cost after the first (base) checkpoint: mean bytes
-	// serialized per interval and the modeled digest pause they imply.
-	SteadyCheckpoints     uint64
-	SteadyCheckpointBytes uint64 // mean per checkpoint
-	CheckpointPause       sim.Time
-
-	// Recovery of the restarted backup.
-	Recovery       sim.Time // restart -> executed caught up to the group
-	TransferBytes  uint64   // state bytes served by all responders
-	StateTransfers uint64   // adoptions completed by the restarted replica
-	StateRejects   uint64   // corrupted/mismatched transfer rejections (0 here)
-
-	// Client-observed agreement throughput while healthy and while the
-	// restarted replica was absorbing state.
-	HealthyTput   float64
-	RecoveredTput float64
-	Committed     int
-	Trace         string // deterministic virtual-time fault trace
-}
-
 // The E12 timeline mirrors E7's crash/recover arc without the partition
 // act: traffic, a backup crash, a restart into a large state.
 const (
@@ -81,27 +55,16 @@ func stateSizeKeys(prefix string, n int, keep func(b int) bool) []string {
 	return keys
 }
 
-// RunStateSize executes one E12 configuration on one backend: prefill
-// cold keys preloaded into every replica's store, values of payload bytes,
-// window puts outstanding. emptyRestart reboots the crashed replica with an
-// empty store instead of the cold prefill (the baseline: the whole state is
-// transferred).
-func RunStateSize(kind transport.Kind, prefill, payload, window int, emptyRestart bool, seed int64, params model.Params) (StateSizeResult, error) {
-	if prefill < 0 || prefill > 1<<20 {
-		return StateSizeResult{}, fmt.Errorf("bench: prefill %d out of range [0, %d]", prefill, 1<<20)
-	}
-	if payload < 1 || payload > 4<<10 {
-		return StateSizeResult{}, fmt.Errorf("bench: payload %d out of range [1, %d]", payload, 4<<10)
-	}
-	// Every store instance starts from the identical cold prefill — the
-	// restarted one too, modeling a replica that recovers from its durable
-	// local checkpoint: the cold partitions match the group's digests, so
-	// the transfer ships only the hot subtrees. Under EmptyRestart the
-	// rebooted replica has lost that too and matches nothing.
+// e12Stores returns the state machines of one E12 run: every store, the
+// restarted one's too, starts from prefill cold keys of payload-byte values
+// — a replica recovering from its durable local checkpoint, whose cold
+// partitions match the group's digests — unless emptyRestart reboots the
+// crashed replica empty, so that the whole state is transferred.
+func e12Stores(prefill, payload int, emptyRestart bool) func(int) pbft.Application {
 	coldValue := string(make([]byte, payload))
 	coldKeys := stateSizeKeys("cold", prefill, func(b int) bool { return b >= stateSizeHotBuckets })
 	booted := make(map[int]bool)
-	appFactory := func(i int) pbft.Application {
+	return func(i int) pbft.Application {
 		s := kvstore.New()
 		restart := booted[i]
 		booted[i] = true
@@ -113,73 +76,6 @@ func RunStateSize(kind transport.Kind, prefill, payload, window int, emptyRestar
 		}
 		return s
 	}
-	// Closed-loop hot-key workload, cycling a bounded working set.
-	hotKeys := stateSizeKeys("hot", 64, func(b int) bool { return b < stateSizeHotBuckets })
-	healthy, recovered := metrics.NewRecorder(), metrics.NewRecorder()
-	committed := 0
-	var recovery sim.Time = -1
-	scenario := chaos.NewScenario("E12-state-size").Crash(e12Crash, 3).Restart(e12Restart, 3)
-	d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: seed}, appFactory, params, scenario, e12End, window, payload,
-		func(sent int) string { return hotKeys[sent%len(hotKeys)] },
-		func(at, latency sim.Time) {
-			committed++
-			switch {
-			case at < e12Crash:
-				healthy.Record(latency)
-			case at >= e12Restart:
-				recovered.Record(latency)
-			}
-		},
-		// Recovery probe: from the restart instant, poll virtual time until
-		// the restarted replica has adopted a checkpoint and executed past
-		// the group's position at restart. Polling on the deterministic loop
-		// keeps the measurement byte-reproducible.
-		func(c *pbft.Cluster, base sim.Time) {
-			loop := c.Loop
-			loop.At(base+e12Restart, func() {
-				target := c.Replicas[0].Executed()
-				var poll func()
-				poll = func() {
-					if rep := c.Replicas[3]; rep.StateTransfers() > 0 && rep.Executed() >= target {
-						recovery = loop.Now() - (base + e12Restart)
-					} else if loop.Now()-base < e12End {
-						loop.After(250*sim.Microsecond, poll)
-					}
-				}
-				poll()
-			})
-		})
-	if err != nil {
-		return StateSizeResult{}, err
-	}
-	cluster := d.groups[0]
-	if recovery < 0 {
-		return StateSizeResult{}, fmt.Errorf("bench: E12 replica never recovered (prefill=%d empty-restart=%v %s)", prefill, emptyRestart, kind)
-	}
-	if healthy.Count() == 0 || recovered.Count() == 0 {
-		return StateSizeResult{}, fmt.Errorf("bench: E12 phase committed nothing (prefill=%d empty-restart=%v %s)", prefill, emptyRestart, kind)
-	}
-	cpCount, cpBytes := cluster.Replicas[0].CheckpointSteadyStats()
-	var meanCp uint64
-	var pause sim.Time
-	if cpCount > 0 {
-		meanCp = cpBytes / cpCount
-		pause = auth.DigestCost(params.Crypto, int(meanCp))
-	}
-	return StateSizeResult{
-		StateBytes:            len(cluster.Apps[0].(*kvstore.Store).MarshalState()),
-		SteadyCheckpoints:     cpCount,
-		SteadyCheckpointBytes: meanCp,
-		CheckpointPause:       pause,
-		Recovery:              recovery,
-		TransferBytes:         uint64(d.stats()["pbft.state_bytes_served"]),
-		StateTransfers:        cluster.Replicas[3].StateTransfers(),
-		StateRejects:          cluster.Replicas[3].StateRejects(),
-		HealthyTput:           metrics.Throughput(healthy.Count(), e12Crash),
-		RecoveredTput:         metrics.Throughput(recovered.Count(), e12End-e12Restart),
-		Committed:             committed,
-		Trace:                 trace,
-	}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -196,11 +92,24 @@ func init() {
 			{name: "payload", def: "64", min: 1},
 			{name: "window", def: "8", min: 1},
 		},
+		// Simulation-cost bounds: every store instance builds the cold
+		// state in full at start and on every restart.
+		check: func(v values) error {
+			if p := v.max("prefills"); p > 1<<20 {
+				return fmt.Errorf("prefill %d above %d", p, 1<<20)
+			}
+			if p := v.int("payload"); p > 4<<10 {
+				return fmt.Errorf("payload %d above %d", p, 4<<10)
+			}
+			return nil
+		},
 		run: runE12,
 	})
 }
 
 func runE12(rc RunContext, v values, res *metrics.Result) error {
+	// Closed-loop hot-key workload, cycling a bounded working set.
+	hotKeys := stateSizeKeys("hot", 64, func(b int) bool { return b < stateSizeHotBuckets })
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
 		for _, empty := range []bool{false, true} {
 			mode := "partial"
@@ -217,22 +126,65 @@ func runE12(rc RunContext, v values, res *metrics.Result) error {
 			tputS := res.AddSeries(name, metrics.MetricThroughput, "req/s", tr, "prefill_keys")
 			dipS := res.AddSeries(name, metrics.MetricThroughputDip, "ratio", tr, "prefill_keys")
 			for _, prefill := range v.ints("prefills") {
-				r, err := RunStateSize(kind, prefill, v.int("payload"), v.int("window"), empty, rc.Seed, rc.Model)
+				run := fmt.Sprintf("%s prefill=%d", name, prefill)
+				phases := []faultPhase{{name: "healthy", end: e12Crash}, {name: "down", end: e12Restart}, {name: "recovered", end: e12End}}
+				scenario := chaos.NewScenario("E12-state-size").Crash(e12Crash, 3).Restart(e12Restart, 3)
+				var recovery sim.Time = -1
+				d, trace, err := runFaultTimeline(deploySpec{kind: kind, seed: rc.Seed}, e12Stores(prefill, v.int("payload"), empty), rc.Model, scenario, phases, v.int("window"), v.int("payload"),
+					func(sent int) string { return hotKeys[sent%len(hotKeys)] },
+					// Recovery probe: from the restart instant, poll virtual
+					// time until the restarted replica has adopted a
+					// checkpoint and executed past the group's position at
+					// restart. Polling on the deterministic loop keeps the
+					// measurement byte-reproducible.
+					func(c *pbft.Cluster, base sim.Time) {
+						loop := c.Loop
+						loop.At(base+e12Restart, func() {
+							target := c.Replicas[0].Executed()
+							var poll func()
+							poll = func() {
+								if rep := c.Replicas[3]; rep.StateTransfers() > 0 && rep.Executed() >= target {
+									recovery = loop.Now() - (base + e12Restart)
+								} else if loop.Now()-base < e12End {
+									loop.After(250*sim.Microsecond, poll)
+								}
+							}
+							poll()
+						})
+					})
 				if err != nil {
 					return err
 				}
-				if r.StateRejects != 0 {
-					return fmt.Errorf("bench: E12 rejected %d transfers on a fault-free network", r.StateRejects)
+				if recovery < 0 {
+					return fmt.Errorf("bench: E12 replica never recovered (%s)", run)
+				}
+				for i := range phases {
+					if phases[i].rec.Count() == 0 {
+						return fmt.Errorf("bench: E12 phase %q committed nothing (%s)", phases[i].name, run)
+					}
+				}
+				replicas := d.groups[0].Replicas
+				if n := replicas[3].StateRejects(); n != 0 {
+					return fmt.Errorf("bench: E12 rejected %d transfers on a fault-free network (%s)", n, run)
+				}
+				// Checkpoint cost after the first (base) checkpoint: mean
+				// bytes serialized per interval and the modeled digest pause
+				// they imply.
+				var meanCp uint64
+				var pause sim.Time
+				if cpCount, cpBytes := replicas[0].CheckpointSteadyStats(); cpCount > 0 {
+					meanCp = cpBytes / cpCount
+					pause = auth.DigestCost(rc.Model.Crypto, int(meanCp))
 				}
 				x := float64(prefill)
-				recoverS.Add(x, r.Recovery.Micros())
-				cpBytesS.Add(x, float64(r.SteadyCheckpointBytes))
-				pauseS.Add(x, r.CheckpointPause.Micros())
-				xferS.Add(x, float64(r.TransferBytes))
-				stateS.Add(x, float64(r.StateBytes))
-				tputS.Add(x, r.HealthyTput)
-				dipS.Add(x, r.RecoveredTput/r.HealthyTput)
-				res.SetNote(fmt.Sprintf("trace[%s prefill=%d]", name, prefill), r.Trace)
+				recoverS.Add(x, recovery.Micros())
+				cpBytesS.Add(x, float64(meanCp))
+				pauseS.Add(x, pause.Micros())
+				xferS.Add(x, d.stats()["pbft.state_bytes_served"])
+				stateS.Add(x, float64(len(d.groups[0].Apps[0].(*kvstore.Store).MarshalState())))
+				tputS.Add(x, throughput(phases, 0))
+				dipS.Add(x, throughput(phases, 2)/throughput(phases, 0))
+				res.SetNote("trace["+run+"]", trace)
 			}
 		}
 	}

@@ -1,58 +1,51 @@
 package bench
 
 import (
+	"sync"
 	"testing"
 
-	"rubin/internal/model"
+	"rubin/internal/metrics"
 	"rubin/internal/transport"
 )
 
-type stateSizeRun struct {
-	res StateSizeResult
-	err error
-}
+// quickE12 is the E12 run the tests read — a 1000-key prefill of 64-byte
+// values, window 8, seed 1, both transports and both restart inputs: the
+// crash/restart arc stays exercised while a run stays cheap — made once.
+// The run itself fails when the restarted replica never recovers, a phase
+// commits nothing or a transfer is rejected on the fault-free network.
+var quickE12 = sync.OnceValues(func() (*metrics.Result, error) {
+	rc := DefaultRunContext()
+	rc.Quick = true
+	rc.Knobs = map[string]string{"prefills": "1000", "payload": "64", "window": "8"}
+	return Run("E12", rc)
+})
 
-// stateSizeRuns holds the quick run of each (transport, restart input) —
-// a 1000-key prefill of 64-byte values, window 8, seed 1: the crash/restart
-// arc and both restart inputs stay exercised while a run stays cheap —
-// made once for the tests that read it.
-var stateSizeRuns = map[stateSizeInput]stateSizeRun{}
-
-type stateSizeInput struct {
-	kind         transport.Kind
-	emptyRestart bool
-}
-
-func runQuickStateSize(kind transport.Kind, emptyRestart bool) (StateSizeResult, error) {
-	key := stateSizeInput{kind, emptyRestart}
-	run, ok := stateSizeRuns[key]
-	if !ok {
-		run.res, run.err = RunStateSize(kind, 1000, 64, 8, emptyRestart, 1, model.Default())
-		stateSizeRuns[key] = run
+// stateSizeValue reads the one point of series "<mode> <kind>" in metric.
+func stateSizeValue(t *testing.T, mode string, kind transport.Kind, metric string) float64 {
+	t.Helper()
+	res, err := quickE12()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return run.res, run.err
+	s := res.GetSeries(mode+" "+string(kind), metric)
+	if s == nil || len(s.Points) != 1 {
+		t.Fatalf("%s %s: want one %s point, got %+v", mode, kind, metric, s)
+	}
+	return s.Points[0].Y
 }
 
 // TestStateSizeRecoveryBothModes asserts the E12 arc completes for both
 // restart inputs on both transports: the restarted replica adopts a
-// checkpoint, catches up, and commits resume — with zero transfer
-// rejections on a fault-free network.
+// checkpoint and catches up (the run errs otherwise, and on any transfer
+// rejection), and steady checkpoints are measured.
 func TestStateSizeRecoveryBothModes(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindRDMA, transport.KindTCP} {
-		for _, empty := range []bool{false, true} {
-			r, err := runQuickStateSize(kind, empty)
-			if err != nil {
-				t.Errorf("%s empty-restart=%v: %v", kind, empty, err)
-				continue
+		for _, mode := range []string{"partial", "empty-restart"} {
+			if r := stateSizeValue(t, mode, kind, metrics.MetricRecoveryTime); r <= 0 {
+				t.Errorf("%s %s: recovery took %v us", mode, kind, r)
 			}
-			if r.StateTransfers == 0 || r.Recovery <= 0 {
-				t.Errorf("%s empty-restart=%v: no recovery (%+v)", kind, empty, r)
-			}
-			if r.StateRejects != 0 {
-				t.Errorf("%s empty-restart=%v: %d transfer rejections on a clean network", kind, empty, r.StateRejects)
-			}
-			if r.SteadyCheckpoints == 0 || r.SteadyCheckpointBytes == 0 {
-				t.Errorf("%s empty-restart=%v: no steady checkpoints measured", kind, empty)
+			if cp := stateSizeValue(t, mode, kind, metrics.MetricCheckpointBytes); cp == 0 {
+				t.Errorf("%s %s: no steady checkpoints measured", mode, kind)
 			}
 		}
 	}
@@ -64,24 +57,18 @@ func TestStateSizeRecoveryBothModes(t *testing.T) {
 // at least the whole state — and steady checkpoints serialize a fraction
 // of the state.
 func TestStateSizePartialBeatsEmptyRestart(t *testing.T) {
-	partial, err := runQuickStateSize(transport.KindTCP, false)
-	if err != nil {
-		t.Fatal(err)
+	value := func(mode, metric string) float64 { return stateSizeValue(t, mode, transport.KindTCP, metric) }
+	partialXfer, emptyXfer := value("partial", metrics.MetricTransferBytes), value("empty-restart", metrics.MetricTransferBytes)
+	if partialXfer >= emptyXfer {
+		t.Errorf("partial transfer served %v bytes, empty restart %v", partialXfer, emptyXfer)
 	}
-	empty, err := runQuickStateSize(transport.KindTCP, true)
-	if err != nil {
-		t.Fatal(err)
+	if state := value("empty-restart", metrics.MetricStateBytes); emptyXfer < state {
+		t.Errorf("empty restart received %v bytes, below the %v-byte state", emptyXfer, state)
 	}
-	if partial.TransferBytes >= empty.TransferBytes {
-		t.Errorf("partial transfer served %d bytes, empty restart %d", partial.TransferBytes, empty.TransferBytes)
+	if partial, empty := value("partial", metrics.MetricRecoveryTime), value("empty-restart", metrics.MetricRecoveryTime); partial >= empty {
+		t.Errorf("partial recovery %v us not faster than empty restart %v us", partial, empty)
 	}
-	if empty.TransferBytes < uint64(empty.StateBytes) {
-		t.Errorf("empty restart received %d bytes, below the %d-byte state", empty.TransferBytes, empty.StateBytes)
-	}
-	if partial.Recovery >= empty.Recovery {
-		t.Errorf("partial recovery %v not faster than empty restart %v", partial.Recovery, empty.Recovery)
-	}
-	if partial.SteadyCheckpointBytes*4 >= uint64(partial.StateBytes) {
-		t.Errorf("steady checkpoint %d bytes is not a fraction of the %d-byte state", partial.SteadyCheckpointBytes, partial.StateBytes)
+	if cp, state := value("partial", metrics.MetricCheckpointBytes), value("partial", metrics.MetricStateBytes); cp*4 >= state {
+		t.Errorf("steady checkpoint %v bytes is not a fraction of the %v-byte state", cp, state)
 	}
 }
