@@ -18,12 +18,14 @@ const deadSurfaceAllowed = `
 chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (exits with ROADMAP O42 or O18)
 fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
+fabric.Link.Snapshot — probe of the charge-kind and cost-ledger tests: the serialization time each direction of a link was charged
 kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it
 kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket for all 256
 kvstore.Store.Get — probe the kvstore, pbft and shard tests share: a key as a replica's store holds it, read locally, not ordered
 kvstore.Store.LockHolder — probe the kvstore and shard tests share: who holds a 2PC write lock
 metrics.ReadResultFile — probe the claims table, the knob-table gate and the bench tests share: a checked-in or freshly written BENCH_*.json, loaded and validated (no exit: ROADMAP O17)
 metrics.Result.GetSeries — probe those same tests share: one (name, metric) series of a loaded result (no exit: ROADMAP O17)
+model.KindNames — what the charge-kind and cost-ledger tests name a kind by; no run prints one
 main.knobFlags.Set — flag.Value, called by package flag
 msgnet.Peer.Close — how the msgnet tests reach connClosed: queued messages are reported as failed through the send-error surface, never silently discarded (exits with ROADMAP O18's teardown)
 msgnet.Peer.OnClose — the teardown callback of that same path, which the tests watch (exits with ROADMAP O18's teardown)

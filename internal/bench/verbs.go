@@ -38,7 +38,7 @@ func drainCQStrict(cq *rdma.CQ, thread *sim.Resource, params model.Params) {
 		if drained > 1 {
 			// The notification already charged one CompletionHandle;
 			// charge the rest so the cost stays strictly per message.
-			thread.Delay(params.RDMA.CompletionHandle * sim.Time(drained-1))
+			thread.Delay(model.Completion, params.RDMA.CompletionHandle*sim.Time(drained-1))
 		}
 		cq.RequestNotify()
 	}

@@ -376,6 +376,10 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 // Held returns the number of frames currently queued on a down link.
 func (l *Link) Held() int { return len(l.held) }
 
+// Snapshot returns the serialization time each direction has been charged,
+// per kind.
+func (l *Link) Snapshot() (ab, ba sim.Busy) { return l.ab.Snapshot(), l.ba.Snapshot() }
+
 func (l *Link) direction(from *Node) *sim.Resource {
 	if from == l.a {
 		return l.ab
@@ -418,5 +422,5 @@ func (l *Link) transmit(from, to *Node, proto Protocol, payload any, wireBytes i
 	}
 	f.link, f.from, f.to, f.proto = l, from, to, proto
 	f.payload, f.wireBytes, f.prop = payload, wireBytes, prop
-	l.direction(from).Acquire(ser, f.onWire)
+	l.direction(from).Acquire(model.Wire, ser, f.onWire)
 }

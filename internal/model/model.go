@@ -201,6 +201,85 @@ func (pp ProtocolParams) OrderCost(size int) sim.Time {
 	return pp.OrderRequest + KB(pp.OrderPerKB, size)
 }
 
+// The kinds of charge, one per cost above, named where the cost is charged
+// (sim.Resource.Acquire): a resource keeps one busy total per kind, so a
+// ledger reads where each cost landed without asking who charged it.
+const (
+	// Wire is a link direction serializing a frame (LinkParams).
+	Wire sim.Kind = iota
+	// SocketWrite is one write() call: TCPParams.SendSyscall, the copy
+	// into the kernel (CopyPerKB) and the segments it builds (SegmentProc).
+	SocketWrite
+	// SocketRead is one read() call: TCPParams.RecvSyscall and the copy
+	// out of the kernel (CopyPerKB).
+	SocketRead
+	// Interrupt is TCPParams.Interrupt, once per burst of arrivals.
+	Interrupt
+	// Segment is TCPParams.SegmentProc for one received segment.
+	Segment
+	// Wakeup is TCPParams.Wakeup, a blocked reader made runnable.
+	Wakeup
+	// Post is a verbs post: RDMAParams.PostWR and PostWRBatched for
+	// sends, RecvWRRefill for receives.
+	Post
+	// Completion is completion work: RDMAParams.CQEGenerate on the NIC;
+	// CQPoll, CompletionHandle and SelectorParams.CQEvent on a thread.
+	Completion
+	// DMA is NIC engine work on one WR or frame: RDMAParams.NICProcess
+	// (less InlineSave) and DMAPerKB.
+	DMA
+	// Dispatch is one select turn: SelectorParams.NIODispatch or
+	// RubinDispatch.
+	Dispatch
+	// RecvCopy is RUBIN's receive copy, SelectorParams.CopyPerKB.
+	RecvCopy
+	// MsgHandle is one transport message handled: TCPParams.MsgHandle or
+	// SelectorParams.MsgHandle.
+	MsgHandle
+	// MAC is CryptoParams.HMACBase and HMACPerKB: a MAC, an authenticator
+	// or a verification.
+	MAC
+	// Digest is CryptoParams.DigestBase and DigestPerKB.
+	Digest
+	// Order is ProtocolParams.OrderCost, the leader ordering one request.
+	Order
+	// Execute is ProtocolParams.ExecRequest.
+	Execute
+	// ConnSetup is a connection's set-up call: a TCP dial's
+	// TCPParams.SendSyscall, or rdma_cm's, which costs the same.
+	ConnSetup
+	// MRSetup is RDMAParams.MemRegisterBase and MemRegisterPerKB.
+	MRSetup
+
+	kinds
+)
+
+// A sim.Resource tells sim.Kinds kinds apart: this fails to compile when
+// the kinds outgrow it.
+var _ [sim.Kinds - kinds]struct{}
+
+// KindNames names each kind, in a ledger's rows.
+var KindNames = [kinds]string{
+	Wire:        "wire",
+	SocketWrite: "socket write",
+	SocketRead:  "socket read",
+	Interrupt:   "interrupt",
+	Segment:     "segment",
+	Wakeup:      "wakeup",
+	Post:        "verbs post",
+	Completion:  "completion",
+	DMA:         "DMA",
+	Dispatch:    "select dispatch",
+	RecvCopy:    "receive copy",
+	MsgHandle:   "MsgHandle",
+	MAC:         "MAC",
+	Digest:      "digest",
+	Order:       "order",
+	Execute:     "execute",
+	ConnSetup:   "connection set-up",
+	MRSetup:     "MR set-up",
+}
+
 // Params aggregates the full cluster model.
 type Params struct {
 	Link     LinkParams

@@ -7,6 +7,7 @@ import (
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
+	"rubin/internal/model"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -536,5 +537,5 @@ func (p *Peer) handOff(class Class, msg []byte) {
 // node, keeping virtual-time traces honest about the chunking overhead.
 func (p *Peer) chargeDigest(n int) {
 	params := p.mesh.node.Network().Params()
-	p.mesh.node.CPU.Delay(auth.DigestCost(params.Crypto, n))
+	p.mesh.node.CPU.Delay(model.Digest, auth.DigestCost(params.Crypto, n))
 }

@@ -10,6 +10,7 @@
 package nio
 
 import (
+	"rubin/internal/model"
 	"rubin/internal/sim"
 	"rubin/internal/tcpsim"
 )
@@ -122,7 +123,7 @@ func (s *Selector) pump() {
 	s.dispatch = true
 	// The epoll_wait return + key scan cost of the Java selector.
 	params := s.stack.Node().Network().Params()
-	s.stack.Node().CPU.Acquire(params.Selector.NIODispatch, s.dispatchFn)
+	s.stack.Node().CPU.Acquire(model.Dispatch, params.Selector.NIODispatch, s.dispatchFn)
 }
 
 // dispatchTurn is one select turn: the handler sees the keys queued so far;

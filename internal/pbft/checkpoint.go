@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"rubin/internal/auth"
+	"rubin/internal/model"
 )
 
 // cpRecord is one of this replica's checkpoints: the sequence, the state
@@ -214,7 +215,7 @@ func (r *Replica) RetainedStateBytes() uint64 { return r.cps.retainedBytes() }
 
 func (r *Replica) takeCheckpoint(seq uint64) {
 	d := r.app.Snapshot()
-	r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, r.cps.take(seq, d, r.app)))
+	r.crypto(model.Digest, auth.DigestCost(r.node.Network().Params().Crypto, r.cps.take(seq, d, r.app)))
 	cp := Checkpoint{Seq: seq, Digest: d, Replica: r.id}
 	r.recordCheckpoint(r.id, cp)
 	r.broadcast(cp)

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"rubin/internal/auth"
+	"rubin/internal/model"
 	"rubin/internal/msgnet"
 	"rubin/internal/obs"
 	"rubin/internal/sim"
@@ -137,13 +138,13 @@ type admitted struct {
 // The request's digest is done at digested.
 func (r *Replica) order(ref RequestRef, digested sim.Time) {
 	cost := r.node.Network().Params().Protocol.OrderCost(refSize)
-	r.pending.Push(admitted{ref, max(digested, r.node.CPU.Acquire(cost, nil))})
+	r.pending.Push(admitted{ref, max(digested, r.node.CPU.Acquire(model.Order, cost, nil))})
 }
 
 // digest returns the digest of req's operation — what a ref names it by —
 // and the instant this replica's CPU has computed it.
 func (r *Replica) digest(req Request) (auth.Digest, sim.Time) {
-	return auth.Hash(req.Op), r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, len(req.Op)))
+	return auth.Hash(req.Op), r.crypto(model.Digest, auth.DigestCost(r.node.Network().Params().Crypto, len(req.Op)))
 }
 
 // file stores req, digested d, in its row and, if the row is new, queues
@@ -278,7 +279,7 @@ func (r *Replica) proposeBatch() {
 		r.assign(q.RequestID, assigned, seq)
 	}
 	s.pp, s.proposed = PrePrepare{View: r.view, Seq: seq, Digest: r.batches.digest(refs), Refs: refs}, true
-	ready = max(ready, r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, encodedSize(s.pp))))
+	ready = max(ready, r.crypto(model.Digest, auth.DigestCost(r.node.Network().Params().Crypto, encodedSize(s.pp))))
 	r.unsent = append(r.unsent, unsentProposal{seq: seq, view: r.view, ready: ready})
 	r.node.Loop().At(ready, r.sendNext)
 	if r.pending.Len() > 0 {
@@ -345,7 +346,7 @@ func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
 	// envelope with a ref altered — so the proposal is dropped, as in
 	// Castro & Liskov: a backup that never gets a valid one is covered by
 	// its progress timer.
-	r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, size))
+	r.crypto(model.Digest, auth.DigestCost(r.node.Network().Params().Crypto, size))
 	if r.batches.digest(pp.Refs) != pp.Digest {
 		return
 	}
@@ -435,7 +436,7 @@ func (r *Replica) tryExecute() {
 				t.Mark(obs.Commit, ref.Key(), r.node.Loop().Now())
 			}
 			row := r.requests[ref.RequestID]
-			r.node.CPU.Delay(proto.ExecRequest)
+			r.node.CPU.Delay(model.Execute, proto.ExecRequest)
 			result := r.app.Execute(row.Op)
 			c := r.client(ref.Client)
 			c.last = Reply{View: r.view, Timestamp: ref.Timestamp, Client: ref.Client, Replica: r.id,
@@ -479,7 +480,7 @@ func (r *Replica) handleReadRequest(req ReadRequest, conn *msgnet.Peer) {
 		return
 	}
 	proto := r.node.Network().Params().Protocol
-	r.node.CPU.Delay(proto.ExecRequest)
+	r.node.CPU.Delay(model.Execute, proto.ExecRequest)
 	result := r.app.ExecuteReadOnly(req.Op)
 	*r.readsServed++
 	if t := r.tracer(); t != nil {
@@ -499,6 +500,6 @@ func (r *Replica) sendToClient(to *msgnet.Peer, m Message) {
 		return
 	}
 	payload := encodeTo(&r.scratch, m)
-	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(payload)))
+	r.crypto(model.MAC, auth.Cost(r.node.Network().Params().Crypto, len(payload)))
 	r.deferSend(to, msgnet.ClassControl, payload)
 }

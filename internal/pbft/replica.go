@@ -5,6 +5,7 @@ import (
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
+	"rubin/internal/model"
 	"rubin/internal/msgnet"
 	"rubin/internal/obs"
 	"rubin/internal/sim"
@@ -226,7 +227,7 @@ func (r *Replica) HandleClientConn(p *msgnet.Peer) {
 
 // crypto charges modeled CPU time for cryptographic work and returns the
 // instant the work is done.
-func (r *Replica) crypto(d sim.Time) sim.Time { return r.node.CPU.Delay(d) }
+func (r *Replica) crypto(kind sim.Kind, d sim.Time) sim.Time { return r.node.CPU.Delay(kind, d) }
 
 // deferSend sends env to one peer — through the outbox, if one is
 // installed — now, or when the outbox delays it. env is the sender's
@@ -265,7 +266,7 @@ func (r *Replica) broadcast(m Message) {
 		return
 	}
 	env, t, size := r.seal(m)
-	r.crypto(auth.AuthenticatorCost(r.node.Network().Params().Crypto, r.cfg.N, size))
+	r.crypto(model.MAC, auth.AuthenticatorCost(r.node.Network().Params().Crypto, r.cfg.N, size))
 	for id, peer := range r.peers {
 		switch {
 		case uint32(id) == r.id:
@@ -299,7 +300,7 @@ func (r *Replica) send(to uint32, m Message) {
 		*r.sendFaults++ // no live handle: a delivery failure, not a silent skip
 		return
 	}
-	r.crypto(auth.Cost(r.node.Network().Params().Crypto, size))
+	r.crypto(model.MAC, auth.Cost(r.node.Network().Params().Crypto, size))
 	r.deferSend(r.peers[to], classFor(t), env)
 }
 
@@ -374,7 +375,7 @@ func (r *Replica) handleEnvelope(raw []byte) {
 		return
 	}
 	covered := authenticated(payload)
-	r.crypto(auth.Cost(r.node.Network().Params().Crypto, len(covered)))
+	r.crypto(model.MAC, auth.Cost(r.node.Network().Params().Crypto, len(covered)))
 	if !r.keyring.Verify(int(sender), covered, mac) {
 		return // forged or corrupted: drop (paper III-C: HMACs detect)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"rubin/internal/auth"
 	"rubin/internal/fabric"
+	"rubin/internal/model"
 	"rubin/internal/sim"
 )
 
@@ -362,7 +363,7 @@ func (r *Replica) handleStateManifest(sender uint32, m StateManifest) {
 func (r *Replica) handleStatePart(sender uint32, m StatePart) {
 	hashed, stored := r.fetch.offerPart(sender, m)
 	if hashed {
-		r.crypto(auth.DigestCost(r.node.Network().Params().Crypto, len(m.Data)))
+		r.crypto(model.Digest, auth.DigestCost(r.node.Network().Params().Crypto, len(m.Data)))
 	}
 	if stored {
 		r.tryAdoptState()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rubin/internal/fabric"
+	"rubin/internal/model"
 )
 
 // cmListener is a connection-manager service point accepting QP setup
@@ -54,7 +55,7 @@ func (d *Device) ConnectCM(remote *fabric.Node, port int, pd *PD, cfg QPConfig, 
 	req := &wireMsg{kind: wireCMReq, srcQPN: qp.num, cmPort: port}
 	// CM setup runs through the kernel (rdma_cm), so charge a syscall-ish
 	// cost; connection setup is off the data path.
-	d.node.CPU.Acquire(d.params.TCP.SendSyscall, func() {
+	d.node.CPU.Acquire(model.ConnSetup, d.params.TCP.SendSyscall, func() {
 		if err := d.node.Network().Send(d.node, remote, fabric.ProtoRDMA, req, ctrlWireBytes); err != nil {
 			delete(d.pendingCM, qp.num)
 			qp.state = QPError

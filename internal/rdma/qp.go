@@ -236,7 +236,7 @@ func (qp *QP) PostRecv(wrs ...RecvWR) error {
 		qp.recvQ.Push(wr)
 	}
 	// Re-posting receives is a cheap doorbell on the thread that polls them.
-	qp.cfg.RecvCQ.thread.Delay(qp.dev.params.RDMA.RecvWRRefill * sim.Time(len(wrs)))
+	qp.cfg.RecvCQ.thread.Delay(model.Post, qp.dev.params.RDMA.RecvWRRefill*sim.Time(len(wrs)))
 	return nil
 }
 
@@ -267,7 +267,7 @@ func (qp *QP) PostSend(wrs ...*SendWR) error {
 	}
 	p := qp.dev.params.RDMA
 	cost := p.PostWR + p.PostWRBatched*sim.Time(len(wrs)-1)
-	qp.cfg.SendCQ.thread.Acquire(cost, qp.pumpSendFn)
+	qp.cfg.SendCQ.thread.Acquire(model.Post, cost, qp.pumpSendFn)
 	return nil
 }
 
@@ -314,7 +314,7 @@ func (qp *QP) pumpSend() {
 		cost += model.KB(p.DMAPerKB, len(payload))
 	}
 	qp.txWR, qp.txPayload = wr, payload
-	qp.dev.node.NIC.Acquire(cost, qp.txDoneFn)
+	qp.dev.node.NIC.Acquire(model.DMA, cost, qp.txDoneFn)
 }
 
 // txDone runs when the NIC has processed the WR pumpSend admitted: the

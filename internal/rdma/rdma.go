@@ -218,7 +218,7 @@ func (pd *PD) RegisterPool(blocks, blockSize int, access Access, ready func()) *
 	dev.nextKey += 2
 	dev.mrs[mr.rkey] = mr
 	cost := dev.params.RDMA.MemRegisterBase + model.KB(dev.params.RDMA.MemRegisterPerKB, mr.Len())
-	dev.node.CPU.Acquire(cost, func() { // set-up, off the frame path: the closure stays
+	dev.node.CPU.Acquire(model.MRSetup, cost, func() { // set-up, off the frame path: the closure stays
 		if ready != nil {
 			ready()
 		}
@@ -403,7 +403,7 @@ func (cq *CQ) Poll(buf []CQE) int {
 	for i := range buf[:n] {
 		buf[i] = cq.entries.Pop()
 	}
-	cq.thread.Delay(cq.dev.params.RDMA.CQPoll)
+	cq.thread.Delay(model.Completion, cq.dev.params.RDMA.CQPoll)
 	return n
 }
 
@@ -450,7 +450,7 @@ func (cq *CQ) fire() {
 	}
 	cq.armed = false
 	cq.notifyPending = true
-	cq.thread.Acquire(cq.notifyCost(), cq.notifyFn)
+	cq.thread.Acquire(model.Completion, cq.notifyCost(), cq.notifyFn)
 }
 
 func (cq *CQ) notify() {

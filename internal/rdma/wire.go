@@ -102,7 +102,7 @@ func (qp *QP) pumpRecv() {
 	// CPU stays idle, which is RDMA's defining property.
 	cost := p.NICProcess + model.KB(p.DMAPerKB, len(msg.data))
 	qp.rxMsg = msg
-	qp.dev.node.NIC.Acquire(cost, qp.rxDoneFn)
+	qp.dev.node.NIC.Acquire(model.DMA, cost, qp.rxDoneFn)
 }
 
 // rxDone runs when the NIC has processed the message pumpRecv admitted. A QP
@@ -151,7 +151,7 @@ func (qp *QP) finishRecv(msg *wireMsg) {
 		}
 		copy(wr.MR.Slice(wr.Offset, len(msg.data)), msg.data)
 		qp.received++
-		qp.dev.node.NIC.Delay(p.CQEGenerate)
+		qp.dev.node.NIC.Delay(model.Completion, p.CQEGenerate)
 		qp.cfg.RecvCQ.push(CQE{WRID: wr.ID, QPN: qp.num, Op: OpRecv, Status: StatusOK, Bytes: len(msg.data)})
 		qp.reply(wireAck, msg.psn)
 
@@ -187,7 +187,7 @@ func (qp *QP) handleAck(psn uint64) {
 	}
 	qp.sent++
 	if entry.msg.signaled {
-		qp.dev.node.NIC.Delay(qp.dev.params.RDMA.CQEGenerate)
+		qp.dev.node.NIC.Delay(model.Completion, qp.dev.params.RDMA.CQEGenerate)
 		qp.cfg.SendCQ.push(CQE{
 			WRID:   entry.msg.wrid,
 			QPN:    qp.num,
@@ -221,7 +221,7 @@ func (qp *QP) handleRNR(psn uint64) {
 		}
 		// The NIC re-reads the payload for the retransmission.
 		cost := p.NICProcess + model.KB(p.DMAPerKB, len(entry.msg.data))
-		qp.dev.node.NIC.Acquire(cost, func() {
+		qp.dev.node.NIC.Acquire(model.DMA, cost, func() {
 			if qp.state == QPReady {
 				qp.transmit(&entry.msg, entry.wire)
 			}

@@ -204,7 +204,7 @@ func (c *Channel) pumpRx() {
 			copyCost += model.KB(p.Selector.CopyPerKB, cqe.Bytes)
 		}
 	}
-	c.sel.thread.Acquire(copyCost, c.rxDoneFn)
+	c.sel.thread.Acquire(model.RecvCopy, copyCost, c.rxDoneFn)
 }
 
 // rxDone lands the burst pumpRx charged for: the rxBatch completions at the

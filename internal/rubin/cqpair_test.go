@@ -77,7 +77,7 @@ func TestOneWakeUpServesEveryChannel(t *testing.T) {
 		got := countReceives(r.selB, servers)
 		busy := r.nb.App.BusyTotal()
 		r.loop.Post(func() {
-			r.nb.App.Delay(hold)
+			r.nb.App.Delay(model.Execute, hold)
 			for _, c := range clients {
 				if err := c.Send(msg); err != nil {
 					t.Fatal(err)
@@ -131,7 +131,7 @@ func TestSharedCQsHoldEveryChannelsFullPools(t *testing.T) {
 				}
 			}
 		}
-		r.loop.Post(func() { r.nb.App.Delay(hold) }) // behind the doorbells
+		r.loop.Post(func() { r.nb.App.Delay(model.Execute, hold) }) // behind the doorbells
 	})
 	r.loop.At(start+hold-sim.Microsecond, func() {
 		delivered := 0
@@ -181,7 +181,7 @@ func TestClosedChannelLeavesTheQPNTable(t *testing.T) {
 	}
 	start := r.loop.Now()
 	r.loop.Post(func() {
-		r.nb.App.Delay(hold)
+		r.nb.App.Delay(model.Execute, hold)
 		send(3)
 	})
 	r.loop.At(start+hold/2, func() {

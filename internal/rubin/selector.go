@@ -1,6 +1,7 @@
 package rubin
 
 import (
+	"rubin/internal/model"
 	"rubin/internal/rdma"
 	"rubin/internal/sim"
 )
@@ -240,7 +241,7 @@ func (s *Selector) pump() {
 	// The event-manager notification plus key matching: RUBIN's
 	// select() path, slower than the native epoll-backed NIO selector
 	// (paper Section IV notes native code as future work).
-	s.thread.Acquire(s.dev.Node().Network().Params().Selector.RubinDispatch, s.dispatchFn)
+	s.thread.Acquire(model.Dispatch, s.dev.Node().Network().Params().Selector.RubinDispatch, s.dispatchFn)
 }
 
 // dispatchTurn is one select turn: hand the ready keys to the handler, then

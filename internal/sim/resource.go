@@ -2,8 +2,8 @@ package sim
 
 // Resource models a k-server FIFO service station on the simulation loop,
 // e.g. a CPU with k cores, a NIC processing engine, or one direction of a
-// network link. Work is submitted with Acquire(serviceTime, done): it is
-// served in submission order as servers free up, and done runs at the
+// network link. Work is submitted with Acquire(kind, serviceTime, done): it
+// is served in submission order as servers free up, and done runs at the
 // virtual instant the work completes.
 //
 // Resources are how the simulator charges time: instead of sleeping, a
@@ -19,8 +19,28 @@ type Resource struct {
 	busyUntil []Time
 
 	// Statistics.
-	jobs      uint64
-	busyTotal Time
+	jobs uint64
+	busy Busy
+}
+
+// Kind names what a charge pays for: a syscall, a verbs post, a MAC. Package
+// model names the values, beside the costs they price; a Resource only
+// keeps one busy total per kind.
+type Kind uint8
+
+// Kinds bounds the kinds a Resource tells apart: every kind is below it.
+const Kinds = 20
+
+// Busy is a resource's cumulative service time per kind.
+type Busy [Kinds]Time
+
+// Total returns the service time of every kind together.
+func (b Busy) Total() Time {
+	var t Time
+	for _, d := range b {
+		t += d
+	}
+	return t
 }
 
 // NewResource creates a resource with the given number of parallel servers.
@@ -32,11 +52,11 @@ func NewResource(loop *Loop, name string, servers int) *Resource {
 	return &Resource{loop: loop, name: name, busyUntil: make([]Time, servers)}
 }
 
-// Acquire enqueues a job with the given service time and returns the virtual
-// time at which it will complete. If done is non-nil it is scheduled to run
-// at that completion instant. Service is FIFO per call order: a job starts
-// at max(now, earliest server free time).
-func (r *Resource) Acquire(service Time, done func()) Time {
+// Acquire enqueues a job of the given kind and service time and returns the
+// virtual time at which it will complete. If done is non-nil it is scheduled
+// to run at that completion instant. Service is FIFO per call order: a job
+// starts at max(now, earliest server free time).
+func (r *Resource) Acquire(kind Kind, service Time, done func()) Time {
 	if service < 0 {
 		service = 0
 	}
@@ -54,7 +74,7 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 	finish := start + service
 	r.busyUntil[best] = finish
 	r.jobs++
-	r.busyTotal += service
+	r.busy[kind] += service
 	if done != nil {
 		r.loop.At(finish, done)
 	}
@@ -62,10 +82,14 @@ func (r *Resource) Acquire(service Time, done func()) Time {
 }
 
 // Delay is a convenience for charging time without a completion callback.
-func (r *Resource) Delay(service Time) Time { return r.Acquire(service, nil) }
+func (r *Resource) Delay(kind Kind, service Time) Time { return r.Acquire(kind, service, nil) }
 
 // BusyTotal returns the cumulative service time charged to this resource.
-func (r *Resource) BusyTotal() Time { return r.busyTotal }
+func (r *Resource) BusyTotal() Time { return r.busy.Total() }
+
+// Snapshot returns the cumulative service time charged to this resource, per
+// kind.
+func (r *Resource) Snapshot() Busy { return r.busy }
 
 // Utilization returns busy time divided by (elapsed × servers), a value in
 // [0, 1] once the simulation has run past time zero.
@@ -74,5 +98,5 @@ func (r *Resource) Utilization() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	return float64(r.busyTotal) / (float64(elapsed) * float64(len(r.busyUntil)))
+	return float64(r.BusyTotal()) / (float64(elapsed) * float64(len(r.busyUntil)))
 }

@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"rubin/internal/raceflag"
 )
 
 func TestResourceSingleServerSerializes(t *testing.T) {
@@ -10,9 +12,9 @@ func TestResourceSingleServerSerializes(t *testing.T) {
 	r := NewResource(l, "cpu", 1)
 	var done []Time
 	l.At(0, func() {
-		r.Acquire(100, func() { done = append(done, l.Now()) })
-		r.Acquire(50, func() { done = append(done, l.Now()) })
-		r.Acquire(25, func() { done = append(done, l.Now()) })
+		r.Acquire(0, 100, func() { done = append(done, l.Now()) })
+		r.Acquire(0, 50, func() { done = append(done, l.Now()) })
+		r.Acquire(0, 25, func() { done = append(done, l.Now()) })
 	})
 	l.Run()
 	want := []Time{100, 150, 175}
@@ -28,9 +30,9 @@ func TestResourceMultiServerParallel(t *testing.T) {
 	r := NewResource(l, "cpu", 2)
 	var done []Time
 	l.At(0, func() {
-		r.Acquire(100, func() { done = append(done, l.Now()) }) // server 0: 0..100
-		r.Acquire(100, func() { done = append(done, l.Now()) }) // server 1: 0..100
-		r.Acquire(100, func() { done = append(done, l.Now()) }) // queued: 100..200
+		r.Acquire(0, 100, func() { done = append(done, l.Now()) }) // server 0: 0..100
+		r.Acquire(0, 100, func() { done = append(done, l.Now()) }) // server 1: 0..100
+		r.Acquire(0, 100, func() { done = append(done, l.Now()) }) // queued: 100..200
 	})
 	l.Run()
 	want := []Time{100, 100, 200}
@@ -45,8 +47,8 @@ func TestResourceIdleGapResets(t *testing.T) {
 	l := NewLoop(1)
 	r := NewResource(l, "cpu", 1)
 	var second Time
-	l.At(0, func() { r.Acquire(10, nil) })
-	l.At(1000, func() { r.Acquire(10, func() { second = l.Now() }) })
+	l.At(0, func() { r.Acquire(0, 10, nil) })
+	l.At(1000, func() { r.Acquire(0, 10, func() { second = l.Now() }) })
 	l.Run()
 	if second != 1010 {
 		t.Fatalf("job after idle gap finished at %v, want 1010", second)
@@ -57,8 +59,8 @@ func TestResourceStats(t *testing.T) {
 	l := NewLoop(1)
 	r := NewResource(l, "cpu", 1)
 	l.At(0, func() {
-		r.Acquire(60, func() {})
-		r.Acquire(40, func() {})
+		r.Acquire(0, 60, func() {})
+		r.Acquire(0, 40, func() {})
 	})
 	l.Run()
 	if r.jobs != 2 {
@@ -76,7 +78,7 @@ func TestResourceNegativeServiceClamped(t *testing.T) {
 	l := NewLoop(1)
 	r := NewResource(l, "cpu", 1)
 	var at Time = -1
-	l.At(5, func() { r.Acquire(-10, func() { at = l.Now() }) })
+	l.At(5, func() { r.Acquire(0, -10, func() { at = l.Now() }) })
 	l.Run()
 	if at != 5 {
 		t.Fatalf("negative-service job completed at %v, want 5", at)
@@ -101,7 +103,7 @@ func TestPropertyResourceFIFO(t *testing.T) {
 		var finishes []Time
 		l.At(0, func() {
 			for _, s := range services {
-				r.Acquire(Time(s), func() { finishes = append(finishes, l.Now()) })
+				r.Acquire(0, Time(s), func() { finishes = append(finishes, l.Now()) })
 			}
 		})
 		l.Run()
@@ -123,23 +125,45 @@ func TestPropertyResourceFIFO(t *testing.T) {
 }
 
 // Property: total busy time equals the sum of service times, regardless of
-// server count.
+// server count, and each kind's total the sum of its own charges.
 func TestPropertyResourceBusyAccounting(t *testing.T) {
 	prop := func(services []uint8, servers uint8) bool {
 		k := int(servers%4) + 1
 		l := NewLoop(1)
 		r := NewResource(l, "cpu", k)
 		var sum Time
+		var want Busy
 		l.At(0, func() {
-			for _, s := range services {
+			for i, s := range services {
+				kind := Kind(i % Kinds)
 				sum += Time(s)
-				r.Acquire(Time(s), nil)
+				want[kind] += Time(s)
+				r.Acquire(kind, Time(s), nil)
 			}
 		})
 		l.Run()
-		return r.BusyTotal() == sum
+		return r.BusyTotal() == sum && r.Snapshot() == want && r.Snapshot().Total() == sum
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Charging a kind allocates nothing: the per-kind totals are a fixed array.
+func TestChargeAllocatesNothing(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	l := NewLoop(1)
+	r := NewResource(l, "cpu", 2)
+	var kind Kind
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Acquire(kind, 3, nil)
+		r.Delay(kind, 1)
+		_ = r.Snapshot()
+		kind = (kind + 1) % Kinds
+	})
+	if allocs != 0 {
+		t.Fatalf("a charge allocates %v objects, want 0", allocs)
 	}
 }

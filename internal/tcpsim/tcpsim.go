@@ -155,7 +155,7 @@ func (s *Stack) Dial(remote *fabric.Node, port int, done func(*Conn, error)) {
 	s.conns[c.id()] = c
 	// Connection setup costs one syscall plus the handshake round trip
 	// (set-up, like the handshake and teardown's onClose post: a closure).
-	s.thread.Acquire(s.params.TCP.SendSyscall, func() {
+	s.thread.Acquire(model.ConnSetup, s.params.TCP.SendSyscall, func() {
 		c.sendControl(segSYN)
 	})
 }
@@ -275,7 +275,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 	tp := c.stack.params.TCP
 	cost := tp.SendSyscall + model.KB(tp.CopyPerKB, n) +
 		tp.SegmentProc*sim.Time(c.stack.params.Link.Frames(n))
-	c.stack.thread.Acquire(cost, c.writeDoneFn)
+	c.stack.thread.Acquire(model.SocketWrite, cost, c.writeDoneFn)
 	return n, nil
 }
 
@@ -328,7 +328,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	}
 	c.reads.Push(n)
 	tp := c.stack.params.TCP
-	c.stack.thread.Acquire(tp.RecvSyscall+model.KB(tp.CopyPerKB, n), c.readDoneFn)
+	c.stack.thread.Acquire(model.SocketRead, tp.RecvSyscall+model.KB(tp.CopyPerKB, n), c.readDoneFn)
 	return n, nil
 }
 
@@ -403,7 +403,7 @@ func (s *Stack) deliver(from *fabric.Node, payload any, wireBytes int) {
 		return
 	}
 	s.rxActive = true
-	s.node.CPU.Acquire(s.params.TCP.Interrupt, s.drainRxFn)
+	s.node.CPU.Acquire(model.Interrupt, s.params.TCP.Interrupt, s.drainRxFn)
 }
 
 func (s *Stack) drainRx() {
@@ -412,7 +412,7 @@ func (s *Stack) drainRx() {
 		return
 	}
 	s.rxCur = s.rxQueue.Pop()
-	s.node.CPU.Acquire(s.params.TCP.SegmentProc, s.rxDoneFn)
+	s.node.CPU.Acquire(model.Segment, s.params.TCP.SegmentProc, s.rxDoneFn)
 }
 
 // rxDone handles the segment whose processing cost has been served and
@@ -496,7 +496,7 @@ func (c *Conn) notifyReadable() {
 		return
 	}
 	c.notifyArm = true
-	c.stack.node.CPU.Acquire(c.stack.params.TCP.Wakeup, c.notifyFn)
+	c.stack.node.CPU.Acquire(model.Wakeup, c.stack.params.TCP.Wakeup, c.notifyFn)
 }
 
 func (c *Conn) notify() {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rubin/internal/fabric"
+	"rubin/internal/model"
 	"rubin/internal/rdma"
 	"rubin/internal/rubin"
 	"rubin/internal/sim"
@@ -179,7 +180,7 @@ func (c *rdmaConn) drain() {
 		}
 		// Per-message handler dispatch on the selector's thread (cheaper
 		// than TCP's: the channel is already message-oriented).
-		c.stack.thread.Delay(params.Selector.MsgHandle)
+		c.stack.thread.Delay(model.MsgHandle, params.Selector.MsgHandle)
 		c.deliver(msg)
 	}
 	if c.ch.Closed() {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"rubin/internal/fabric"
+	"rubin/internal/model"
 	"rubin/internal/nio"
 	"rubin/internal/rdma"
 	"rubin/internal/sim"
@@ -400,7 +401,7 @@ func (c *tcpConn) drain() {
 		msg := c.acc.Next(4 + size)[4:]
 		// Deframing plus handler dispatch costs real app-thread time
 		// per message.
-		c.stack.thread.Delay(params.TCP.MsgHandle)
+		c.stack.thread.Delay(model.MsgHandle, params.TCP.MsgHandle)
 		c.deliver(msg)
 		clear(msg)
 	}
