@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"rubin/internal/fabric"
@@ -9,6 +13,7 @@ import (
 	"rubin/internal/shard"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
+	"rubin/internal/workload"
 )
 
 // meter is one resource of a simulated world as a cost table reads it: the
@@ -16,9 +21,9 @@ import (
 // NIC and every link direction role link), what it is (CPU, app, NIC or
 // wire), its servers and its busy time per kind.
 type meter struct {
-	role, res string
-	servers   int
-	busy      func() sim.Busy
+	name, role, res string
+	servers         int
+	busy            func() sim.Busy
 }
 
 // meters lists every resource of nw. roleOf names the role of a node's CPU
@@ -29,18 +34,23 @@ func meters(nw *fabric.Network, roleOf func(*fabric.Node) (cpu string, threads [
 	nodes := nw.Nodes()
 	for _, n := range nodes {
 		cpu, threads := roleOf(n)
-		ms = append(ms, meter{cpu, "CPU", p.Host.Cores, n.CPU.Snapshot})
+		ms = append(ms, meter{n.Name() + "/cpu", cpu, "CPU", p.Host.Cores, n.CPU.Snapshot})
 		for k, role := range threads {
-			ms = append(ms, meter{role, "app", 1, n.Thread(k).Snapshot})
+			name := n.Name() + "/app"
+			if k > 0 {
+				name += fmt.Sprint(k)
+			}
+			ms = append(ms, meter{name, role, "app", 1, n.Thread(k).Snapshot})
 		}
-		ms = append(ms, meter{"NIC", "NIC", p.Host.NICEngines, n.NIC.Snapshot})
+		ms = append(ms, meter{n.Name() + "/nic", "NIC", "NIC", p.Host.NICEngines, n.NIC.Snapshot})
 	}
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {
 			if l := nw.Link(a, b); l != nil {
 				ab := func() sim.Busy { ab, _ := l.Snapshot(); return ab }
 				ba := func() sim.Busy { _, ba := l.Snapshot(); return ba }
-				ms = append(ms, meter{"link", "wire", 1, ab}, meter{"link", "wire", 1, ba})
+				ms = append(ms, meter{a.Name() + "->" + b.Name(), "link", "wire", 1, ab},
+					meter{b.Name() + "->" + a.Name(), "link", "wire", 1, ba})
 			}
 		}
 	}
@@ -200,5 +210,224 @@ func TestChargeKinds(t *testing.T) {
 			t.Fatalf("%s: %d requests completed, want 1", tc.kind, done)
 		}
 		check("PBFT request", tc.pbft, kindsOn(ms, before, snapshot(ms)))
+	}
+}
+
+// ledgerShape is one column of the cost ledger: a workload on a world of
+// its own, metered from the end of its warm-up to its last reply.
+type ledgerShape struct {
+	name string
+	run  func(t *testing.T) ledgerRun
+}
+
+// ledgerRun is what one shape measured: its meters, their snapshots at
+// the end of warm-up and at the last reply, and the requests completed in
+// between.
+type ledgerRun struct {
+	ms            []meter
+	before, after []sim.Busy
+	span          sim.Time
+	completed     int
+}
+
+// window counts completions and snapshots the meters when warm-up ends and
+// when the last reply arrives.
+type window struct {
+	loop        *sim.Loop
+	warm, total int
+	done        int
+	start       sim.Time
+	run         ledgerRun
+}
+
+func newWindow(loop *sim.Loop, ms []meter, warm, measured int) *window {
+	return &window{loop: loop, warm: warm, total: warm + measured, run: ledgerRun{ms: ms, completed: measured}}
+}
+
+// reply counts one completion.
+func (w *window) reply() {
+	w.done++
+	switch w.done {
+	case w.warm:
+		w.run.before, w.start = snapshot(w.run.ms), w.loop.Now()
+	case w.total:
+		w.run.after, w.run.span = snapshot(w.run.ms), w.loop.Now()-w.start
+	}
+}
+
+// result is the window once the loop has drained.
+func (w *window) result(t *testing.T) ledgerRun {
+	t.Helper()
+	if w.done != w.total || w.run.before == nil {
+		t.Fatalf("completed %d of %d requests", w.done, w.total)
+	}
+	return w.run
+}
+
+// echoShape is an echo on one stack, Figure 4's shape: 1 KiB messages,
+// 30 outstanding, coalesced 10 per syscall or doorbell.
+func echoShape(name string, kind transport.Kind) ledgerShape {
+	return ledgerShape{name, func(t *testing.T) ledgerRun {
+		loop, nw, conn := echoWorld(t, kind, 10)
+		w := newWindow(loop, meters(nw, echoRoles), 300, 3000)
+		msg, sent := make([]byte, 1024), 0
+		send := func() {
+			if sent < w.total {
+				sent++
+				_ = conn.Send(msg)
+			}
+		}
+		conn.OnMessage(func([]byte) { w.reply(); send() })
+		loop.Post(func() {
+			for range 30 {
+				send()
+			}
+		})
+		loop.Run()
+		return w.result(t)
+	}}
+}
+
+// putShape is the fixed-key put loop of E5 and E8 on K groups of N = 4:
+// four front-ends keep window puts of kb KiB outstanding each.
+func putShape(name string, kind transport.Kind, groups, kb, window, warm, measured int) ledgerShape {
+	return ledgerShape{name, func(t *testing.T) ledgerRun {
+		d, err := deploy(deploySpec{kind: kind, seed: 1, conns: 4}, shard.Config{Shards: groups, PBFT: pbftConfig(4, 1, 0)}, oneHostSet, model.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newWindow(d.loop, meters(d.nw, d.roles), 4*warm, 4*measured)
+		d.putLoop(window, kb<<10, func(conn, sent int) (string, bool) {
+			return fmt.Sprintf("k-%d-%d", conn, sent), sent < warm+measured
+		}, func(int, sim.Time) bool { w.reply(); return true })
+		d.loop.Run()
+		return w.result(t)
+	}}
+}
+
+// smallShape is the small-rubin / small-nio load with fewer ops: 96 users
+// in closed loop over four front-ends, 128 B values, mixed operations on
+// 1024 keys at Zipf 0.9. It saturates the group, which is where batching
+// shows.
+func smallShape(name string, kind transport.Kind) ledgerShape {
+	return ledgerShape{name, func(t *testing.T) ledgerRun {
+		d, err := deploy(deploySpec{kind: kind, seed: 1, conns: 4}, shard.Config{Shards: 1, PBFT: pbftConfig(4, 1, 0)}, oneHostSet, model.Default())
+		if err != nil {
+			t.Fatal(err)
+		}
+		const warm, measured = 300, 3000
+		w := newWindow(d.loop, meters(d.nw, d.roles), warm, measured)
+		drv, err := workload.New(d.loop, workload.Config{
+			Users: 96, Conns: 4, Ops: measured, Warmup: warm, Keys: workload.NewZipf(1024, 0.9),
+			Mix: workload.Mix{ReadPct: 45, WritePct: 45, ScanPct: 5, DeletePct: 5}, Arrival: workload.Closed(1, 0),
+			ValueSize: 128, Seed: 1,
+		}, func(conn int, op []byte, done func([]byte)) string {
+			return d.fronts[conn].InvokeOp(op, func(res []byte) { w.reply(); done(res) })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := drv.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return w.result(t)
+	}}
+}
+
+// ledgerShapes are the cost ledger's columns.
+var ledgerShapes = []ledgerShape{
+	echoShape("echo RUBIN", transport.KindRDMA),
+	echoShape("echo NIO", transport.KindTCP),
+	putShape("PBFT RUBIN 1KB", transport.KindRDMA, 1, 1, 8, 50, 400),
+	putShape("PBFT NIO 1KB", transport.KindTCP, 1, 1, 8, 50, 400),
+	putShape("PBFT RUBIN 16KB", transport.KindRDMA, 1, 16, 4, 20, 150),
+	putShape("PBFT NIO 16KB", transport.KindTCP, 1, 16, 4, 20, 150),
+	putShape("COP K=4 RUBIN 64KB", transport.KindRDMA, 4, 64, 4, 10, 60),
+	putShape("COP K=4 NIO 64KB", transport.KindTCP, 4, 64, 4, 10, 60),
+	smallShape("small RUBIN", transport.KindRDMA),
+	smallShape("small NIO", transport.KindTCP),
+}
+
+// ledgerRoles and ledgerResources order the ledger's rows.
+var (
+	ledgerRoles     = []string{"leader", "backup", "server", "client", "NIC", "link"}
+	ledgerResources = []string{"app", "CPU", "NIC", "wire"}
+)
+
+// renderLedger is the markdown table docs/ARCHITECTURE.md holds: per
+// (role, resource, kind), the busy time every resource of that role was
+// charged in the window, in µs per completed request, one column per shape;
+// then each shape's busiest resource and its utilization over the window.
+func renderLedger(runs []ledgerRun) string {
+	var b strings.Builder
+	b.WriteString("| role | resource | kind |")
+	for _, s := range ledgerShapes {
+		fmt.Fprintf(&b, " %s |", s.name)
+	}
+	b.WriteString("\n|---|---|---|" + strings.Repeat("---:|", len(ledgerShapes)) + "\n")
+	var charged [sim.Kinds]bool
+	for _, role := range ledgerRoles {
+		for _, res := range ledgerResources {
+			for k, name := range model.KindNames {
+				row, any := make([]string, len(runs)), false
+				for i, r := range runs {
+					var d sim.Time
+					for j, m := range r.ms {
+						if m.role == role && m.res == res {
+							d += r.after[j][k] - r.before[j][k]
+						}
+					}
+					if d > 0 {
+						row[i], any = fmt.Sprintf("%.2f", d.Micros()/float64(r.completed)), true
+					}
+				}
+				if any {
+					charged[k] = true
+					fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", role, res, name, strings.Join(row, " | "))
+				}
+			}
+		}
+	}
+	b.WriteString("| busiest | | utilization |")
+	for _, r := range runs {
+		best, util := "", 0.0
+		for j, m := range r.ms {
+			if u := float64(r.after[j].Total()-r.before[j].Total()) / (float64(r.span) * float64(m.servers)); u > util {
+				best, util = m.name, u
+			}
+		}
+		fmt.Fprintf(&b, " %s %.2f |", best, util)
+	}
+	b.WriteString("\n\nNo row: ")
+	var free []string
+	for k, name := range model.KindNames {
+		if !charged[k] {
+			free = append(free, name)
+		}
+	}
+	b.WriteString(strings.Join(free, ", ") + ".\n")
+	return b.String()
+}
+
+const ledgerBegin, ledgerEnd = "<!-- cost ledger: rendered from internal/bench/cost_test.go -->\n", "<!-- end of cost ledger -->"
+
+// TestCostLedger measures every ledger shape and asserts that
+// docs/ARCHITECTURE.md holds the ledger between its markers. It only
+// observes: the snapshots read the resources and charge nothing.
+func TestCostLedger(t *testing.T) {
+	runs := make([]ledgerRun, len(ledgerShapes))
+	for i, s := range ledgerShapes {
+		runs[i] = s.run(t)
+	}
+	got := renderLedger(runs)
+	t.Logf("µs per request:\n%s", got)
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "ARCHITECTURE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, _ := strings.Cut(string(data), ledgerBegin)
+	block, _, ok := strings.Cut(block, ledgerEnd)
+	if !ok || block != got {
+		t.Errorf("docs/ARCHITECTURE.md does not hold the cost ledger; paste this block under \"Cost ledger\":\n%s%s%s", ledgerBegin, got, ledgerEnd)
 	}
 }
