@@ -230,9 +230,9 @@ type ledgerRun struct {
 	completed     int
 }
 
-// window counts completions and snapshots the meters when warm-up ends and
-// when the last reply arrives.
-type window struct {
+// ledgerWindow counts completions and snapshots the meters when warm-up
+// ends and when the last reply arrives.
+type ledgerWindow struct {
 	loop        *sim.Loop
 	warm, total int
 	done        int
@@ -240,12 +240,12 @@ type window struct {
 	run         ledgerRun
 }
 
-func newWindow(loop *sim.Loop, ms []meter, warm, measured int) *window {
-	return &window{loop: loop, warm: warm, total: warm + measured, run: ledgerRun{ms: ms, completed: measured}}
+func newLedgerWindow(loop *sim.Loop, ms []meter, warm, measured int) *ledgerWindow {
+	return &ledgerWindow{loop: loop, warm: warm, total: warm + measured, run: ledgerRun{ms: ms, completed: measured}}
 }
 
 // reply counts one completion.
-func (w *window) reply() {
+func (w *ledgerWindow) reply() {
 	w.done++
 	switch w.done {
 	case w.warm:
@@ -256,7 +256,7 @@ func (w *window) reply() {
 }
 
 // result is the window once the loop has drained.
-func (w *window) result(t *testing.T) ledgerRun {
+func (w *ledgerWindow) result(t *testing.T) ledgerRun {
 	t.Helper()
 	if w.done != w.total || w.run.before == nil {
 		t.Fatalf("completed %d of %d requests", w.done, w.total)
@@ -269,7 +269,7 @@ func (w *window) result(t *testing.T) ledgerRun {
 func echoShape(name string, kind transport.Kind) ledgerShape {
 	return ledgerShape{name, func(t *testing.T) ledgerRun {
 		loop, nw, conn := echoWorld(t, kind, 10)
-		w := newWindow(loop, meters(nw, echoRoles), 300, 3000)
+		w := newLedgerWindow(loop, meters(nw, echoRoles), 300, 3000)
 		msg, sent := make([]byte, 1024), 0
 		send := func() {
 			if sent < w.total {
@@ -296,7 +296,7 @@ func putShape(name string, kind transport.Kind, groups, kb, window, warm, measur
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := newWindow(d.loop, meters(d.nw, d.roles), 4*warm, 4*measured)
+		w := newLedgerWindow(d.loop, meters(d.nw, d.roles), 4*warm, 4*measured)
 		d.putLoop(window, kb<<10, func(conn, sent int) (string, bool) {
 			return fmt.Sprintf("k-%d-%d", conn, sent), sent < warm+measured
 		}, func(int, sim.Time) bool { w.reply(); return true })
@@ -316,7 +316,7 @@ func smallShape(name string, kind transport.Kind) ledgerShape {
 			t.Fatal(err)
 		}
 		const warm, measured = 300, 3000
-		w := newWindow(d.loop, meters(d.nw, d.roles), warm, measured)
+		w := newLedgerWindow(d.loop, meters(d.nw, d.roles), warm, measured)
 		drv, err := workload.New(d.loop, workload.Config{
 			Users: 96, Conns: 4, Ops: measured, Warmup: warm, Keys: workload.NewZipf(1024, 0.9),
 			Mix: workload.Mix{ReadPct: 45, WritePct: 45, ScanPct: 5, DeletePct: 5}, Arrival: workload.Closed(1, 0),

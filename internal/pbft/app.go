@@ -96,7 +96,8 @@ type TentativeReader interface {
 type Config struct {
 	// N is the group size; F the tolerated faults. N must be >= 3F+1.
 	N, F int
-	// BatchSize is the maximum requests per pre-prepare.
+	// BatchSize is the maximum requests per pre-prepare; batchBytes bounds
+	// their operation bytes too.
 	BatchSize int
 	// CheckpointEvery takes a checkpoint each K executed sequences.
 	CheckpointEvery uint64
@@ -115,13 +116,20 @@ type Config struct {
 // batchDelay bounds how long a leader waits to fill a batch.
 const batchDelay = 200 * sim.Microsecond
 
+// batchBytes bounds a batch by the sum of its requests' operation sizes, as
+// Castro & Liskov do, beside BatchSize's count: a leader cuts a proposal
+// when its pending requests reach either bound, and the proposal holds less
+// than batchBytes of operations unless one request alone does. It equals
+// transport.DefaultOptions().MaxMessage.
+const batchBytes = 256 << 10
+
 // DefaultConfig returns a reasonable small-cluster configuration
 // tolerating one fault.
 func DefaultConfig() Config {
 	return Config{
 		N:               4,
 		F:               1,
-		BatchSize:       8,
+		BatchSize:       16,
 		CheckpointEvery: 64,
 		LogWindow:       256,
 		ViewTimeout:     40 * sim.Millisecond,

@@ -353,15 +353,18 @@ func TestBatchDigestStreamsTheEncoding(t *testing.T) {
 }
 
 // TestPrePrepareSizeIsIndependentOfPayload: a PRE-PREPARE names its
-// requests by ref, so a leader's proposal of eight 32 KiB requests encodes
-// to as many bytes as one of eight 128 B requests — as does a PrePrepare
-// handed to Encode holding the requests themselves — and carries no byte
-// of an operation.
+// requests by ref, so a leader's proposal of seven 32 KiB requests (what a
+// byte cut leaves in a batch of them) encodes to as many bytes as one of
+// seven 128 B requests — as does a PrePrepare handed to Encode holding the
+// requests themselves — and carries no byte of an operation.
 func TestPrePrepareSizeIsIndependentOfPayload(t *testing.T) {
+	const n = 7
+	cfg := DefaultConfig()
+	cfg.BatchSize = n
 	var sizes []int
 	for _, opBytes := range []int{128, 32 << 10} {
-		batch := batchOf(8, opBytes)
-		leader := bareReplica(t, 0, DefaultConfig())
+		batch := batchOf(n, opBytes)
+		leader := bareReplica(t, 0, cfg)
 		for _, req := range batch {
 			leader.handleRequest(req, nil)
 		}
@@ -375,8 +378,8 @@ func TestPrePrepareSizeIsIndependentOfPayload(t *testing.T) {
 		}
 		sizes = append(sizes, len(raw), len(Encode(PrePrepare{View: 1, Seq: 7, Digest: BatchDigest(batch), Batch: batch})))
 	}
-	if want := 1 + 8 + 8 + auth.DigestSize + 4 + 8*refSize; sizes[0] != want || sizes[1] != want || sizes[2] != want || sizes[3] != want {
-		t.Errorf("pre-prepares of 8 × 128 B and 8 × 32 KiB encode to %v bytes (proposed, handed over), want %d each", sizes, want)
+	if want := 1 + 8 + 8 + auth.DigestSize + 4 + n*refSize; sizes[0] != want || sizes[1] != want || sizes[2] != want || sizes[3] != want {
+		t.Errorf("pre-prepares of %d × 128 B and %d × 32 KiB encode to %v bytes (proposed, handed over), want %d each", n, n, sizes, want)
 	}
 }
 

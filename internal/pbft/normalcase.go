@@ -112,33 +112,47 @@ func (r *Replica) handleRequest(req Request, conn *msgnet.Peer) {
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.LeaderRecv, req.Key(), r.node.Loop().Now())
 	}
-	r.order(ref, digested)
-	if r.pending.Len() >= r.cfg.BatchSize {
-		// A batch cut by size takes the timer with it: the next request
-		// starts a full batchDelay of its own.
+	r.order(ref, len(row.Op), digested)
+	if r.cut() {
+		// A cut takes the timer with it: what it leaves behind waits for
+		// a full batchDelay of its own (see proposeBatch).
 		r.batchTimer.Cancel()
 		r.proposeBatch()
 		return
 	}
-	if !r.batchTimer.Pending() {
-		r.batchTimer = r.node.Loop().After(batchDelay, r.propose)
-	}
+	r.armBatch()
 }
 
-// admitted is a request in the leader's queue, by its ref: ready is when the
-// leader CPU has digested it and finished ordering it.
+// admitted is a request in the leader's queue, by its ref: size is its op's
+// length, and ready is when the leader CPU has digested it and finished
+// ordering it.
 type admitted struct {
 	RequestRef
+	size  int
 	ready sim.Time
 }
 
-// order queues ref for the leader's next proposal and starts its ordering
-// work on the leader CPU now: validating, bookkeeping and marshalling the
-// ref into a proposal, one job per request, served while the batch fills.
-// The request's digest is done at digested.
-func (r *Replica) order(ref RequestRef, digested sim.Time) {
+// order queues ref, whose op is size bytes, for the leader's next proposal
+// and starts its ordering work on the leader CPU now: validating,
+// bookkeeping and marshalling the ref into a proposal, one job per request,
+// served while the batch fills. The request's digest is done at digested.
+func (r *Replica) order(ref RequestRef, size int, digested sim.Time) {
 	cost := r.node.Network().Params().Protocol.OrderCost(refSize)
-	r.pending.Push(admitted{ref, max(digested, r.node.CPU.Acquire(model.Order, cost, nil))})
+	r.pending.Push(admitted{ref, size, max(digested, r.node.CPU.Acquire(model.Order, cost, nil))})
+	r.pendingBytes += size
+}
+
+// cut reports whether the pending requests fill a batch: BatchSize of them,
+// or batchBytes of operations.
+func (r *Replica) cut() bool {
+	return r.pending.Len() >= r.cfg.BatchSize || r.pendingBytes >= batchBytes
+}
+
+// armBatch starts the batch timer for the pending requests unless it runs.
+func (r *Replica) armBatch() {
+	if r.pending.Len() > 0 && !r.batchTimer.Pending() {
+		r.batchTimer = r.node.Loop().After(batchDelay, r.propose)
+	}
 }
 
 // digest returns the digest of req's operation — what a ref names it by —
@@ -253,13 +267,19 @@ func (r *Replica) progressExpired() {
 	r.startViewChange(next)
 }
 
-// proposeBatch assigns the next sequence number to the pending batch and
-// broadcasts the pre-prepare once the leader CPU has served its work: every
-// request's ordering, started when it was admitted (see order), and the
-// batch digest, started now. So a saturated leader still delays its own
-// pipeline — the single-pipeline bottleneck COP spreads across K leaders —
-// but a batch that fills while the CPU has cores to spare waits for no
-// batch-length job.
+// proposeBatch assigns the next sequence number to a batch of the pending
+// requests and broadcasts the pre-prepare once the leader CPU has served its
+// work: every request's ordering, started when it was admitted (see order),
+// and the batch digest, started now. So a saturated leader still delays its
+// own pipeline — the single-pipeline bottleneck COP spreads across K
+// leaders — but a batch that fills while the CPU has cores to spare waits
+// for no batch-length job.
+//
+// The batch takes the pending requests in order while it holds fewer than
+// BatchSize and less than batchBytes of operations, and at least one, so an
+// operation above batchBytes is proposed alone. What it leaves behind is
+// proposed at once only if it fills a batch itself; else it waits for the
+// next cut or the batch timer, never going out as a batch of one.
 func (r *Replica) proposeBatch() {
 	if r.stopped || r.pending.Len() == 0 || !r.IsLeader() || r.viewChanging {
 		return
@@ -273,8 +293,12 @@ func (r *Replica) proposeBatch() {
 	s := r.slotFor(seq)
 	refs := s.pp.Refs[:0]
 	var ready sim.Time
-	for n := min(r.pending.Len(), r.cfg.BatchSize); n > 0; n-- {
+	for size := 0; r.pending.Len() > 0 && len(refs) < r.cfg.BatchSize; {
+		if size += r.pending.Front().size; len(refs) > 0 && size >= batchBytes {
+			break
+		}
 		q := r.pending.Pop()
+		r.pendingBytes -= q.size
 		refs, ready = append(refs, q.RequestRef), max(ready, q.ready)
 		r.assign(q.RequestID, assigned, seq)
 	}
@@ -282,9 +306,11 @@ func (r *Replica) proposeBatch() {
 	ready = max(ready, r.crypto(model.Digest, auth.DigestCost(r.node.Network().Params().Crypto, encodedSize(s.pp))))
 	r.unsent = append(r.unsent, unsentProposal{seq: seq, view: r.view, ready: ready})
 	r.node.Loop().At(ready, r.sendNext)
-	if r.pending.Len() > 0 {
+	if r.cut() {
 		r.node.Loop().Post(r.propose)
+		return
 	}
+	r.armBatch()
 }
 
 // unsentProposal is a proposal whose leader-CPU work is not yet done: its
@@ -493,8 +519,10 @@ func (r *Replica) handleReadRequest(req ReadRequest, conn *msgnet.Peer) {
 }
 
 // sendToClient encodes one reply into the replica's scratch and transmits
-// it to a client connection (plain payload — client traffic is
-// unauthenticated; the client's reply quorum provides the integrity).
+// it to a client connection. The charge is the MAC PBFT puts on a reply,
+// over its whole encoding; no MAC travels, and the client checks none — it
+// relies on its reply quorum — until client authentication (ROADMAP
+// O13a(b)) lands.
 func (r *Replica) sendToClient(to *msgnet.Peer, m Message) {
 	if r.stopped || to == nil {
 		return

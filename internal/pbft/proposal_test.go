@@ -47,24 +47,76 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	}
 }
 
-// TestSizeCutRestartsTheBatchTimer: with BatchSize 4, requests 1–4 arrive
-// 10 µs apart and the fourth cuts a batch by size; request 5 arrives 10 µs
-// after the cut. It waits one full batchDelay for company, not what was
-// left of the timer request 1 armed.
+// TestSizeCutRestartsTheBatchTimer: requests 1–n arrive 10 µs apart and
+// the nth cuts a batch of n by count; request n+1 arrives 10 µs after the
+// cut. It waits one full batchDelay for company, not what was left of the
+// timer request 1 armed. Small ops are cut at BatchSize 4 when it is set,
+// and at 16 under DefaultConfig.
 func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BatchSize = 4
-	r := bareReplica(t, 0, cfg)
-	loop := r.node.Loop()
-	const gap = 10 * sim.Microsecond
-	for i, req := range batchOf(5, 64) {
-		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req, nil) })
+	for _, tc := range []struct{ batch, n int }{{4, 4}, {0, 16}} { // batch 0: DefaultConfig's
+		cfg := DefaultConfig()
+		if tc.batch > 0 {
+			cfg.BatchSize = tc.batch
+		}
+		r := bareReplica(t, 0, cfg)
+		loop := r.node.Loop()
+		const gap = 10 * sim.Microsecond
+		for i, req := range batchOf(tc.n+1, 64) {
+			loop.At(sim.Time(i)*gap, func() { r.handleRequest(req, nil) })
+		}
+		for (r.lookup(2) == nil || !r.lookup(2).proposed) && loop.Step() {
+		}
+		if got := len(r.lookup(1).pp.Refs); got != tc.n {
+			t.Errorf("BatchSize %d: the size cut proposed %d requests, want %d", cfg.BatchSize, got, tc.n)
+		}
+		if want := sim.Time(tc.n)*gap + batchDelay; loop.Now() != want {
+			t.Errorf("BatchSize %d: the request admitted after the size cut was proposed at %v, want %v: its own batchDelay after it arrived",
+				cfg.BatchSize, loop.Now(), want)
+		}
 	}
+}
+
+// TestByteCutLeavesTheRestForTheTimer: eight 32 KiB ops arrive together.
+// The eighth brings the pending bytes to batchBytes, so the leader cuts,
+// and the proposal takes the seven that stay below it. The eighth is not
+// proposed alone at once: it waits a full batchDelay for company.
+func TestByteCutLeavesTheRestForTheTimer(t *testing.T) {
+	r := bareReplica(t, 0, DefaultConfig())
+	loop := r.node.Loop()
+	loop.At(0, func() {
+		for _, req := range batchOf(8, 32<<10) {
+			r.handleRequest(req, nil)
+		}
+	})
 	for (r.lookup(2) == nil || !r.lookup(2).proposed) && loop.Step() {
 	}
-	if want := 4*gap + batchDelay; loop.Now() != want {
-		t.Errorf("the request admitted after the size cut was proposed at %v, want %v: its own batchDelay after it arrived",
-			loop.Now(), want)
+	if got := len(r.lookup(1).pp.Refs); got != 7 {
+		t.Fatalf("eight 32 KiB ops: the byte cut proposed %d, want 7", got)
+	}
+	if got := len(r.lookup(2).pp.Refs); got != 1 || loop.Now() != batchDelay {
+		t.Errorf("what the cut left, %d request(s), was proposed at %v, want 1 at %v", got, loop.Now(), batchDelay)
+	}
+}
+
+// TestOpAboveBatchBytesIsProposedAtOnce: one op larger than batchBytes fills
+// a batch on its own, so it is proposed when it arrives, not a batchDelay
+// later.
+func TestOpAboveBatchBytesIsProposedAtOnce(t *testing.T) {
+	r := bareReplica(t, 0, DefaultConfig())
+	loop := r.node.Loop()
+	loop.At(0, func() { r.handleRequest(batchOf(1, 300<<10)[0], nil) })
+	for (r.lookup(1) == nil || !r.lookup(1).proposed) && loop.Step() {
+	}
+	if s := r.lookup(1); s == nil || len(s.pp.Refs) != 1 || loop.Now() != 0 {
+		t.Errorf("a 300 KiB op was proposed at %v, want at once, alone", loop.Now())
+	}
+}
+
+// TestBatchBytesIsTheTransportMessageBound: the byte bound of a batch is
+// the largest message the transport carries by default.
+func TestBatchBytesIsTheTransportMessageBound(t *testing.T) {
+	if got := transport.DefaultOptions().MaxMessage; batchBytes != got {
+		t.Errorf("batchBytes = %d, transport.DefaultOptions().MaxMessage = %d", batchBytes, got)
 	}
 }
 

@@ -40,12 +40,13 @@ type Replica struct {
 	stopped bool
 
 	// Leader batching: admitted requests, each with the instant its
-	// ordering work is done (see order).
-	pending    sim.Queue[admitted]
-	batchTimer sim.Timer
-	propose    func()           // proposeBatch, bound once so arming or posting it allocates nothing
-	unsent     []unsentProposal // proposals waiting for their CPU work, in the order they were made
-	sendNext   func()           // sendProposal, bound once
+	// ordering work is done (see order), and the sum of their op sizes.
+	pending      sim.Queue[admitted]
+	pendingBytes int
+	batchTimer   sim.Timer
+	propose      func()           // proposeBatch, bound once so arming or posting it allocates nothing
+	unsent       []unsentProposal // proposals waiting for their CPU work, in the order they were made
+	sendNext     func()           // sendProposal, bound once
 
 	// What request admission reads, one row per client and one per request
 	// (see client, request). A request waits in its row until it executes, so

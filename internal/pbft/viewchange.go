@@ -229,7 +229,8 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	r.watchOldest() // the new leader gets a full timeout
 	if r.IsLeader() {
 		for _, id := range r.knownIDs() {
-			r.order(RequestRef{id, r.requests[id].digest}, 0)
+			row := r.requests[id]
+			r.order(RequestRef{id, row.digest}, len(row.Op), 0)
 			r.assign(id, assigned, 0)
 		}
 	}
@@ -246,7 +247,7 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 // or, with drop, forgets every request but the copies a slot above the
 // execution point names. The clients' floors outlive both.
 func (r *Replica) resetRequests(drop bool) {
-	r.pending = sim.Queue[admitted]{}
+	r.pending, r.pendingBytes = sim.Queue[admitted]{}, 0
 	if drop {
 		r.arrivals = sim.Queue[RequestID]{}
 	}
