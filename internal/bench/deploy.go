@@ -173,6 +173,9 @@ type TrafficResult struct {
 	// FastOps is the number of history operations the oracle saw tagged
 	// as fast-path-served; the checkers treat them identically.
 	FastOps int
+	// LeaderCPU is the busiest replica host's CPU utilization over the
+	// measured window of a closedLoop run (set-up excluded).
+	LeaderCPU float64
 }
 
 // runWorkload drives one workload through the deployment's front-ends to
@@ -279,15 +282,15 @@ func (d *deployment) putLoop(window, payload int, next func(conn, sent int) (key
 func (d *deployment) closedLoop(prefix string, window, payload, requests, warmup int) (TrafficResult, error) {
 	rec := metrics.NewRecorder()
 	perConn := requests + warmup
-	done, finished := make([]int, len(d.fronts)), 0
+	done, finished, want := make([]int, len(d.fronts)), 0, perConn*len(d.fronts)
 	var startAt, endAt sim.Time // first measured send, last measured reply
-	started := false
+	var busyAt, busyEnd []sim.Time
 	d.putLoop(window, payload, func(conn, sent int) (string, bool) {
 		if sent >= perConn {
 			return "", false
 		}
-		if sent == warmup && !started {
-			startAt, started = d.loop.Now(), true
+		if sent == warmup && busyAt == nil {
+			startAt, busyAt = d.loop.Now(), d.cpuBusy()
 		}
 		return fmt.Sprintf("%s-%d-%06d", prefix, conn, sent), true
 	}, func(conn int, latency sim.Time) bool {
@@ -298,10 +301,13 @@ func (d *deployment) closedLoop(prefix string, window, payload, requests, warmup
 		}
 		rec.Record(latency)
 		endAt = d.loop.Now()
+		if finished == want {
+			busyEnd = d.cpuBusy()
+		}
 		return true
 	})
 	d.loop.Run()
-	if want := perConn * len(d.fronts); finished != want {
+	if finished != want {
 		return TrafficResult{}, fmt.Errorf("bench: completed %d of %d requests", finished, want)
 	}
 	if err := d.check(); err != nil {
@@ -309,5 +315,18 @@ func (d *deployment) closedLoop(prefix string, window, payload, requests, warmup
 	}
 	r := d.result(rec)
 	r.Goodput, r.Completed = metrics.Throughput(rec.Count(), endAt-startAt), rec.Count()
+	cores := float64(d.nw.Params().Host.Cores)
+	for i := range busyAt {
+		r.LeaderCPU = max(r.LeaderCPU, float64(busyEnd[i]-busyAt[i])/(float64(endAt-startAt)*cores))
+	}
 	return r, nil
+}
+
+// cpuBusy reads the busy time of every replica host's CPU.
+func (d *deployment) cpuBusy() []sim.Time {
+	busy := make([]sim.Time, len(d.hosts))
+	for i, h := range d.hosts {
+		busy[i] = h.CPU.BusyTotal()
+	}
+	return busy
 }

@@ -89,10 +89,10 @@ func statColumn(metric, unit, stat string) column {
 }
 
 var (
-	// colLeaderCPU is the highest CPU utilization across replica nodes — the
-	// saturation signal that decides whether parallelizing the ordering
-	// stage can pay off at all.
-	colLeaderCPU = statColumn(metrics.MetricLeaderCPU, "utilization", "cpu_util")
+	// colLeaderCPU is the highest CPU utilization across replica hosts over
+	// the measured window — the saturation signal that decides whether
+	// parallelizing the ordering stage can pay off at all.
+	colLeaderCPU = column{metrics.MetricLeaderCPU, "utilization", func(r TrafficResult) float64 { return r.LeaderCPU }}
 
 	colMean       = column{metrics.MetricLatencyMean, "us", func(r TrafficResult) float64 { return r.Mean.Micros() }}
 	colP99        = column{metrics.MetricLatencyP99, "us", func(r TrafficResult) float64 { return r.P99.Micros() }}

@@ -38,7 +38,7 @@ const (
 
 	// Pressure metrics exported by E7/E8/E9.
 	MetricPeakQueueBytes = "peak_queue_bytes" // unit: bytes (msgnet high watermark)
-	MetricLeaderCPU      = "leader_cpu"       // unit: utilization (busiest node CPU)
+	MetricLeaderCPU      = "leader_cpu"       // unit: utilization (busiest replica host CPU over the measured window)
 
 	// Read-only fast-path metrics exported by E11 (pbft.Client).
 	MetricFastReads     = "fast_reads"     // unit: count (reads served by the fast path)
