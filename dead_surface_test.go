@@ -18,7 +18,7 @@ const deadSurfaceAllowed = `
 chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (exits with ROADMAP O42 or O18)
 fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
-fabric.Link.Snapshot — probe of the charge-kind and cost-ledger tests: the serialization time each direction of a link was charged
+fabric.Link.Snapshot — probe of the charge-kind and cost-ledger tests: the serialization time one direction of a link was charged
 kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it
 kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket for all 256
 kvstore.Store.Get — probe the kvstore, pbft and shard tests share: a key as a replica's store holds it, read locally, not ordered

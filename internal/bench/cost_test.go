@@ -47,10 +47,9 @@ func meters(nw *fabric.Network, roleOf func(*fabric.Node) (cpu string, threads [
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {
 			if l := nw.Link(a, b); l != nil {
-				ab := func() sim.Busy { ab, _ := l.Snapshot(); return ab }
-				ba := func() sim.Busy { _, ba := l.Snapshot(); return ba }
-				ms = append(ms, meter{a.Name() + "->" + b.Name(), "link", "wire", 1, ab},
-					meter{b.Name() + "->" + a.Name(), "link", "wire", 1, ba})
+				ms = append(ms,
+					meter{a.Name() + "->" + b.Name(), "link", "wire", 1, func() sim.Busy { return l.Snapshot(a) }},
+					meter{b.Name() + "->" + a.Name(), "link", "wire", 1, func() sim.Busy { return l.Snapshot(b) }})
 			}
 		}
 	}

@@ -376,9 +376,9 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 // Held returns the number of frames currently queued on a down link.
 func (l *Link) Held() int { return len(l.held) }
 
-// Snapshot returns the serialization time each direction has been charged,
-// per kind.
-func (l *Link) Snapshot() (ab, ba sim.Busy) { return l.ab.Snapshot(), l.ba.Snapshot() }
+// Snapshot returns the serialization time charged to the direction from
+// sends on, per kind.
+func (l *Link) Snapshot(from *Node) sim.Busy { return l.direction(from).Snapshot() }
 
 func (l *Link) direction(from *Node) *sim.Resource {
 	if from == l.a {

@@ -28,8 +28,8 @@ type Resource struct {
 // keeps one busy total per kind.
 type Kind uint8
 
-// Kinds bounds the kinds a Resource tells apart: every kind is below it.
-const Kinds = 20
+// Kinds is how many kinds a Resource tells apart: every kind is below it.
+const Kinds = 18
 
 // Busy is a resource's cumulative service time per kind.
 type Busy [Kinds]Time
