@@ -366,7 +366,7 @@ func TestRowFollowsItsLatestSlot(t *testing.T) {
 	x.preprepare(70, 1)
 	x.commit(1, 1)
 	id := timerRequest(1).ID()
-	if row := x.r.requests[id]; x.r.executed != 1 || row.state != done || row.seq != 70 || row.Op == nil {
+	if row := x.r.requests[id]; x.r.executed != 1 || row.state != done || row.seq != 70 || row.held == 0 {
 		t.Fatalf("sequence 1 executed (executed %d): row %+v; want it done, at sequence 70, its copy kept", x.r.executed, row)
 	}
 	x.r.advanceStable(64)
@@ -383,7 +383,7 @@ func TestRowFollowsItsLatestSlot(t *testing.T) {
 	if s := x.preprepare(70, 1); s == nil || s.proposed {
 		t.Error("a replay of a request this backup executed and released was not dropped")
 	}
-	if row := x.r.requests[id]; row.state != done || row.seq != 1 || row.Op != nil {
+	if row := x.r.requests[id]; row.state != done || row.seq != 1 || row.held != 0 {
 		t.Errorf("after the replay: row %+v; want it done at sequence 1, its copy released", row)
 	}
 }

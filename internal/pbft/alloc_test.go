@@ -373,3 +373,83 @@ func TestRequestKeyFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestTableAllocatesPerRowNotPerBatch: a leader files, proposes,
+// executes and stabilises two checkpoint intervals of full batches, its
+// stable point trailing execution by an eighth of an interval as a quorum's
+// CHECKPOINTs do, once at BatchSize 16 and once at 32. The table's share of
+// what it allocates is the difference to the same drive on a leader whose
+// table was grown to the same peak and emptied beforehand. The table holds
+// nine eighths of an interval of batches at its peak, so twice the rows at
+// 32: per request filed, it may allocate no more at 32 than at 16, and at
+// most tableBudget at either. It read 222 and 223 bytes while a row held its
+// request and digest by value (104 bytes, 120 with its key, per map slot),
+// and reads 125 and 123 with 16-byte rows and the copies in slab chunks.
+func TestRequestTableAllocatesPerRowNotPerBatch(t *testing.T) {
+	skipUnderRace(t)
+	// tableBudget is a 32-byte map slot (key and row) in a map at most 7/8
+	// full, its capacity a power of two reached by doubling from empty —
+	// 82 bytes per request filed here — plus a 56-byte slab entry per copy
+	// held at the peak, 32 per request filed, rounded up.
+	const tableBudget = 160
+	// drive runs the two intervals on a fresh leader, its table first grown
+	// to peak rows and emptied again if peak is above 0, and returns what
+	// the drive allocated and the most rows the table held.
+	drive := func(batch, peak int) (bytes uint64, most int) {
+		cfg := DefaultConfig()
+		cfg.BatchSize = batch
+		r := bareReplica(t, 0, cfg)
+		reqs := make([]Request, 2*int(cfg.CheckpointEvery)*batch)
+		for i := range reqs {
+			reqs[i] = timerRequest(uint64(i + 1))
+		}
+		for i := range peak {
+			r.requests[RequestID{Client: 1, Timestamp: uint64(i)}] = request{held: r.hold(nil, auth.Digest{})}
+		}
+		for id, row := range r.requests {
+			r.vacate(&row)
+			delete(r.requests, id)
+		}
+		clear(r.requests)
+		lag := cfg.CheckpointEvery / 8
+		_, bytes = heapCost(func() {
+			for i, req := range reqs {
+				if r.handleRequest(req, nil); (i+1)%batch != 0 {
+					continue // the batchth request cuts the proposal
+				}
+				for len(r.unsent) > 0 && r.node.Loop().Step() {
+				}
+				s := r.lookup(r.seqNext)
+				for id := uint32(1); id < uint32(cfg.N); id++ {
+					s.prepares.set(id, s.pp.Digest)
+					s.commits.set(id, s.pp.Digest)
+				}
+				r.tryExecute()
+				most = max(most, len(r.requests))
+				if at := r.executed - lag; r.executed > lag && at%cfg.CheckpointEvery == 0 {
+					r.advanceStable(at)
+				}
+			}
+			r.advanceStable(r.executed)
+		})
+		if r.executed != 2*cfg.CheckpointEvery || r.view != 0 || len(r.requests) != 0 {
+			t.Fatalf("BatchSize %d: executed %d in view %d, %d rows left; want %d executed in view 0 and the table empty",
+				batch, r.executed, r.view, len(r.requests), 2*cfg.CheckpointEvery)
+		}
+		return bytes, most
+	}
+	table := map[int]float64{}
+	for _, batch := range []int{16, 32} {
+		all, most := drive(batch, 0)
+		rest, _ := drive(batch, most)
+		rows := float64(2 * DefaultConfig().CheckpointEvery * uint64(batch))
+		table[batch] = float64(all-rest) / rows
+		if table[batch] > tableBudget {
+			t.Errorf("BatchSize %d: the table allocates %.1f bytes per request filed, want <= %d", batch, table[batch], tableBudget)
+		}
+		t.Logf("BatchSize %d: %.1f bytes per request filed, %.1f of them the table's (%d rows at its peak)", batch, float64(all)/rows, table[batch], most)
+	}
+	if table[32] > table[16] {
+		t.Errorf("the table allocates %.1f bytes per request filed at BatchSize 32, %.1f at 16: it grows faster than its rows", table[32], table[16])
+	}
+}

@@ -276,7 +276,7 @@ func (r *Replica) advanceStable(seq uint64) {
 		}
 		for _, ref := range s.pp.Refs {
 			if row := r.requests[ref.RequestID]; row.seq <= at { // not one a later slot names too
-				r.release(row.Op)
+				r.release(r.vacate(&row))
 				delete(r.requests, ref.RequestID)
 			}
 			if c := r.client(ref.Client); c != nil { // nil: a parked ref no registered client sent

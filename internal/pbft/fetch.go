@@ -1,10 +1,6 @@
 package pbft
 
-import (
-	"slices"
-
-	"rubin/internal/auth"
-)
+import "slices"
 
 // Requests by reference. A PRE-PREPARE names its requests by ref, and every
 // replica executes its own copy, filed when the client's broadcast reached
@@ -25,7 +21,7 @@ func (r *Replica) resolve(s *slot) {
 		switch row, seen := r.requests[ref.RequestID]; {
 		case !seen:
 			missing = true
-		case row.digest != ref.Digest:
+		case r.copyOf(row).digest != ref.Digest:
 			s.proposed, s.parked = false, false
 			return
 		default:
@@ -110,8 +106,8 @@ func (r *Replica) handleFetch(sender uint32, m Fetch) {
 		return
 	}
 	for _, ref := range s.pp.Refs {
-		if row := r.requests[ref.RequestID]; row.digest == ref.Digest { // a copy held, not released
-			r.send(sender, row.Request)
+		if cp := r.copyOf(r.requests[ref.RequestID]); cp.digest == ref.Digest { // a copy held, not released
+			r.send(sender, Request{ref.Client, ref.Timestamp, cp.op})
 		}
 	}
 }
@@ -125,8 +121,8 @@ func (r *Replica) handleFetched(req Request) {
 	if r.client(req.Client) == nil {
 		return // no front-end registered the id it names
 	}
-	row, seen := r.requests[req.ID()]
-	if seen && row.digest != (auth.Digest{}) || len(r.parked) == 0 && r.held == nil {
+	row := r.requests[req.ID()]
+	if row.held != 0 || len(r.parked) == 0 && r.held == nil {
 		return // a copy is held — the client's landed first — or nothing waits for one
 	}
 	d, _ := r.digest(req)
@@ -134,7 +130,7 @@ func (r *Replica) handleFetched(req Request) {
 	wanted := r.held != nil && slices.ContainsFunc(r.held.PrePrepares, func(pp PrePrepare) bool { return slices.Contains(pp.Refs, ref) })
 	r.parkedSlots(func(s *slot) { wanted = wanted || slices.Contains(s.pp.Refs, ref) })
 	if wanted {
-		r.file(req, d, row.state, 0) // a new row's zero state is known; a released row stays done
+		r.file(req.ID(), req.Op, d, row.state) // a new row's zero state is known; a released row stays done
 		r.unpark(ref)
 	}
 }
@@ -143,7 +139,7 @@ func (r *Replica) handleFetched(req Request) {
 func (r *Replica) copies(refs []RequestRef) []Request {
 	batch := make([]Request, len(refs))
 	for i, ref := range refs {
-		batch[i] = r.requests[ref.RequestID].Request
+		batch[i] = Request{ref.Client, ref.Timestamp, r.copyOf(r.requests[ref.RequestID]).op}
 	}
 	return batch
 }

@@ -59,7 +59,7 @@ func TestFetchAnswerIsFiledOnlyIfItMatches(t *testing.T) {
 	s := backup.lookup(1)
 	for i, req := range batch {
 		backup.handleEnvelope(sealedBy(backup, 0, req))
-		if row, filed := backup.requests[req.ID()]; !filed || string(row.Op) != string(req.Op) {
+		if row, filed := backup.requests[req.ID()]; !filed || string(backup.copyOf(row).op) != string(req.Op) {
 			t.Fatalf("the genuine answer for request %d was not filed", i)
 		}
 		if last := i == len(batch)-1; s.parked == last || s.sentPrep != last {

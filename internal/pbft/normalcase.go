@@ -46,21 +46,35 @@ func (r *Replica) client(id uint32) *client {
 	return nil
 }
 
-// request is a row of the request table: this replica's copy of a request
-// and its digest — what a proposal's ref is checked against, computed once,
-// when the copy is filed — and its state: known (stored until a leader
-// orders it), assigned (in this leader's queue, or in a slot) or done
-// (executed here; a replica that did not propose it has released the copy,
-// see tryExecute). seq is the latest sequence whose slot names the request
-// (0: none yet). advanceStable forgets the row when seq leaves the watermark
+// request is a row of the request table, keyed by the request's identity:
+// its state — known (stored until a leader orders it), assigned (in this
+// leader's queue, or in a slot) or done (executed here) — seq, the latest
+// sequence whose slot names the request (0: none yet), and held, the entry
+// of the replica's copy slab that holds its copy of the request (0: none; a
+// replica that did not propose a done request has released it, see
+// tryExecute). advanceStable forgets the row when seq leaves the watermark
 // window, so a row outlives every slot that names it, and the table holds
-// what is outstanding plus at most a window of batches.
+// what is outstanding plus at most a window of batches. A row is 16 bytes
+// and holds no pointer: the table grows with the rows a window holds, and
+// the copies live in the slab.
 type request struct {
-	Request
-	digest auth.Digest
-	state  reqState
-	seq    uint64
+	seq   uint64
+	held  uint32
+	state reqState
 }
+
+// reqCopy is an entry of a replica's copy slab: its copy of a request's op
+// and the op's digest — what a proposal's ref is checked against, computed
+// once, when the copy is filed.
+type reqCopy struct {
+	op     []byte
+	digest auth.Digest
+}
+
+// copyChunk is how many entries of the copy slab are made at once: the slab
+// grows a chunk at a time as the copies held at once outgrow it, so no copy
+// costs an allocation of its own and no entry is ever moved.
+const copyChunk = 256
 
 type reqState uint8
 
@@ -95,24 +109,25 @@ func (r *Replica) handleRequest(req Request, conn *msgnet.Peer) {
 	}
 	c.conn = conn
 	digested := r.node.Loop().Now()
+	cp := r.copyOf(row)
 	if !seen {
-		row.Request = req
-		row.digest, digested = r.digest(req)
+		cp.op = req.Op
+		cp.digest, digested = r.digest(req)
 	}
-	ref := RequestRef{req.ID(), row.digest}
+	ref := RequestRef{req.ID(), cp.digest}
 	if !r.IsLeader() {
 		// Clients broadcast requests to all replicas (see Client), so the
 		// leader has it too. A backup keeps its copy, which is what it
 		// executes once a proposal names it, and watches for progress.
-		r.file(row.Request, row.digest, known, 0)
+		r.file(ref.RequestID, cp.op, cp.digest, known)
 		r.unpark(ref)
 		return
 	}
-	r.file(row.Request, row.digest, assigned, 0)
+	r.file(ref.RequestID, cp.op, cp.digest, assigned)
 	if t := r.tracer(); t != nil {
 		t.Mark(obs.LeaderRecv, req.Key(), r.node.Loop().Now())
 	}
-	r.order(ref, len(row.Op), digested)
+	r.order(ref, len(cp.op), digested)
 	if r.cut() {
 		// A cut takes the timer with it: what it leaves behind waits for
 		// a full batchDelay of its own (see proposeBatch).
@@ -161,17 +176,17 @@ func (r *Replica) digest(req Request) (auth.Digest, sim.Time) {
 	return auth.Hash(req.Op), r.crypto(model.Digest, auth.DigestCost(r.node.Network().Params().Crypto, len(req.Op)))
 }
 
-// file stores req, digested d, in its row and, if the row is new, queues
-// the request for the progress timer — which starts watching it if it was
-// idle. A row that holds no op yet (a new or a released one) takes a copy of
-// req's: the caller's is lent by the message it came in.
-func (r *Replica) file(req Request, d auth.Digest, state reqState, seq uint64) {
-	id := req.ID()
+// file moves id's row to state and, if the row holds no copy yet (a new or
+// a released one), files a copy of op, digested d, in the slab: the
+// caller's op is lent by the message it came in. A new row is queued for
+// the progress timer, which starts watching it if it was idle.
+func (r *Replica) file(id RequestID, op []byte, d auth.Digest, state reqState) {
 	row, seen := r.requests[id]
-	if row.Op == nil {
-		req.Op = r.keep(req.Op)
+	if row.held == 0 {
+		row.held = r.hold(op, d)
 	}
-	r.requests[id] = request{req, d, state, max(row.seq, seq)}
+	row.state = state
+	r.requests[id] = row
 	if seen {
 		return
 	}
@@ -179,6 +194,52 @@ func (r *Replica) file(req Request, d auth.Digest, state reqState, seq uint64) {
 	if !r.viewChanging && !r.progress.Pending() {
 		r.watchOldest()
 	}
+}
+
+// copyOf returns row's copy: a nil op and the zero digest if it holds none.
+func (r *Replica) copyOf(row request) reqCopy {
+	if row.held == 0 {
+		return reqCopy{}
+	}
+	return *r.entry(row.held)
+}
+
+// entry returns the slab entry a row's held index names.
+func (r *Replica) entry(held uint32) *reqCopy {
+	i := held - 1
+	return &r.slab[i/copyChunk][i%copyChunk]
+}
+
+// hold puts this replica's own copy of op, digested d, in a slab entry — the
+// one vacated last, if any, else the next never used — and returns the
+// entry's held index.
+func (r *Replica) hold(op []byte, d auth.Digest) uint32 {
+	var held uint32
+	if n := len(r.vacant); n > 0 {
+		held, r.vacant = r.vacant[n-1], r.vacant[:n-1]
+	} else {
+		if r.made%copyChunk == 0 {
+			r.slab = append(r.slab, new([copyChunk]reqCopy))
+		}
+		r.made++
+		held = r.made
+	}
+	*r.entry(held) = reqCopy{r.keep(op), d}
+	return held
+}
+
+// vacate takes row's copy out of the slab, if it holds one, and returns its
+// op, which the row holds no more.
+func (r *Replica) vacate(row *request) []byte {
+	if row.held == 0 {
+		return nil
+	}
+	e := r.entry(row.held)
+	op := e.op
+	*e = reqCopy{}
+	r.vacant = append(r.vacant, row.held)
+	row.held = 0
+	return op
 }
 
 // opChunk is the size of the slab chunks a replica copies small request ops
@@ -463,7 +524,7 @@ func (r *Replica) tryExecute() {
 			}
 			row := r.requests[ref.RequestID]
 			r.node.CPU.Delay(model.Execute, proto.ExecRequest)
-			result := r.app.Execute(row.Op)
+			result := r.app.Execute(r.copyOf(row).op)
 			c := r.client(ref.Client)
 			c.last = Reply{View: r.view, Timestamp: ref.Timestamp, Client: ref.Client, Replica: r.id,
 				Result: append(c.last.Result[:0], result...)}
@@ -482,11 +543,11 @@ func (r *Replica) tryExecute() {
 		}
 		// Only the proposal's sender answers FETCHes for it, so any other
 		// replica releases each executed copy no later slot names. The row
-		// stays, digest zeroed: a replay of the request matches no ref.
+		// stays, without a copy, so with the zero digest: a replay of the
+		// request matches no ref.
 		for _, ref := range s.pp.Refs {
 			if row := r.requests[ref.RequestID]; r.Leader(s.pp.View) != r.id && row.seq == next {
-				r.release(row.Op)
-				row.Op, row.digest = nil, auth.Digest{}
+				r.release(r.vacate(&row))
 				r.requests[ref.RequestID] = row
 			}
 		}

@@ -52,9 +52,15 @@ type Replica struct {
 	// (see client, request). A request waits in its row until it executes, so
 	// a new leader can re-propose work the old leader dropped; arrivals is
 	// the order rows were first filed in, which the progress timer follows
-	// (rows done or forgotten are skipped when reached).
+	// (rows done or forgotten are skipped when reached). slab holds the
+	// rows' copies in chunks, entry held-1 for a row's held index; made
+	// entries have been handed out, and vacant lists the held indices no
+	// row holds, the last vacated on top.
 	clients  []client
 	requests map[RequestID]request
+	slab     []*[copyChunk]reqCopy
+	made     uint32
+	vacant   []uint32
 	arrivals sim.Queue[RequestID]
 
 	// Liveness: ONE timer per replica. Idle when nothing waits; else it

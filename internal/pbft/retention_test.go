@@ -37,7 +37,7 @@ func TestFiledRequestKeepsItsOp(t *testing.T) {
 		}
 		r.handleRequest(m.request, nil)
 		scribble(raw)
-		if row, seen := r.requests[req.ID()]; !seen || !bytes.Equal(row.Op, op) {
+		if row, seen := r.requests[req.ID()]; !seen || !bytes.Equal(r.copyOf(row).op, op) {
 			t.Fatalf("%d B value: the filed row's op changed with the message it came in", size)
 		}
 	}
@@ -207,7 +207,7 @@ func TestSenderKeepsItsExecutedCopyUntilTheStablePoint(t *testing.T) {
 		t.Fatal("the sender's copy of the first request changed once later requests were filed")
 	}
 	first := RequestID{Client: cl.ID(), Timestamp: 1}
-	backing := &leader.requests[first].Op[0]
+	backing := &leader.copyOf(leader.requests[first]).op[0]
 	runInOrder(c, cl, ops[3:])
 	if leader.Stable() < 4 {
 		t.Fatalf("stable point %d, want at least 4", leader.Stable())
@@ -226,7 +226,7 @@ func TestSenderKeepsItsExecutedCopyUntilTheStablePoint(t *testing.T) {
 // heldBacking reports whether one of r's rows holds an op in backing.
 func heldBacking(r *Replica, backing *byte) bool {
 	for _, row := range r.requests {
-		if len(row.Op) > 0 && &row.Op[0] == backing {
+		if op := r.copyOf(row).op; len(op) > 0 && &op[0] == backing {
 			return true
 		}
 	}
@@ -250,14 +250,15 @@ func TestNoTwoHeldRowsShareABacking(t *testing.T) {
 				owner[&b[0]] = "the free list"
 			}
 			for id, row := range r.requests {
-				if len(row.Op) <= opChunk/4 {
+				cp := r.copyOf(row)
+				if len(cp.op) <= opChunk/4 {
 					continue
 				}
-				if other, shared := owner[&row.Op[0]]; shared {
+				if other, shared := owner[&cp.op[0]]; shared {
 					t.Fatalf("replica %d at sequence %d: request %v holds its op in a backing %s holds too", i, seq, id, other)
 				}
-				owner[&row.Op[0]] = fmt.Sprint("request ", id)
-				if row.digest != (auth.Digest{}) && auth.Hash(row.Op) != row.digest {
+				owner[&cp.op[0]] = fmt.Sprint("request ", id)
+				if cp.digest != (auth.Digest{}) && auth.Hash(cp.op) != cp.digest {
 					t.Fatalf("replica %d at sequence %d: request %v's op no longer matches its digest", i, seq, id)
 				}
 			}

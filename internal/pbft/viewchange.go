@@ -150,7 +150,7 @@ func (r *Replica) sendHeld() {
 // holds reports whether this replica holds a copy of every request refs
 // name, with the ref's digest.
 func (r *Replica) holds(refs []RequestRef) bool {
-	return !slices.ContainsFunc(refs, func(ref RequestRef) bool { return r.requests[ref.RequestID].digest != ref.Digest })
+	return !slices.ContainsFunc(refs, func(ref RequestRef) bool { return r.copyOf(r.requests[ref.RequestID]).digest != ref.Digest })
 }
 
 func (r *Replica) handleNewView(sender uint32, nv NewView) {
@@ -229,8 +229,8 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 	r.watchOldest() // the new leader gets a full timeout
 	if r.IsLeader() {
 		for _, id := range r.knownIDs() {
-			row := r.requests[id]
-			r.order(RequestRef{id, row.digest}, len(row.Op), 0)
+			cp := r.copyOf(r.requests[id])
+			r.order(RequestRef{id, cp.digest}, len(cp.op), 0)
 			r.assign(id, assigned, 0)
 		}
 	}
@@ -245,7 +245,9 @@ func (r *Replica) adoptNewView(v uint64, nv NewView) {
 // resetRequests empties the leader's queue and takes every slot assignment
 // back — what was assigned is merely known again, what is done stays done —
 // or, with drop, forgets every request but the copies a slot above the
-// execution point names. The clients' floors outlive both.
+// execution point names. The clients' floors outlive both. The slab
+// entries a drop vacates are sorted, so which entry the next copy takes does
+// not follow the map's iteration order.
 func (r *Replica) resetRequests(drop bool) {
 	r.pending, r.pendingBytes = sim.Queue[admitted]{}, 0
 	if drop {
@@ -254,11 +256,15 @@ func (r *Replica) resetRequests(drop bool) {
 	for id, row := range r.requests {
 		switch {
 		case drop && row.seq <= r.executed:
+			r.vacate(&row)
 			delete(r.requests, id)
 		case !drop && row.state == assigned:
 			row.state = known
 			r.requests[id] = row
 		}
+	}
+	if drop {
+		slices.Sort(r.vacant)
 	}
 }
 

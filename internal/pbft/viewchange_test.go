@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"rubin/internal/auth"
 	"rubin/internal/kvstore"
 	"rubin/internal/msgnet"
 	"rubin/internal/sim"
@@ -312,8 +311,8 @@ func TestNewLeaderFetchesWhatItReleased(t *testing.T) {
 	if at := slices.Index(events, "FETCH 3→1"); at < slices.Index(events, "NEW-VIEW →3") {
 		t.Errorf("replica 3 did not fetch the re-proposal's copy from the new leader: %v", events)
 	}
-	if row := c.Replicas[1].requests[RequestID{100, 1}]; row.state != done || row.digest == (auth.Digest{}) {
-		t.Errorf("the new leader's row: state %d, copy held %v; want done, its copy taken back", row.state, row.digest != auth.Digest{})
+	if row := c.Replicas[1].requests[RequestID{100, 1}]; row.state != done || row.held == 0 {
+		t.Errorf("the new leader's row: state %d, copy held %v; want done, its copy taken back", row.state, row.held != 0)
 	}
 }
 
@@ -335,7 +334,7 @@ func TestNewViewCannotReplaceACopy(t *testing.T) {
 		if backup.View() != 1 {
 			t.Fatalf("%s: the NEW-VIEW was not installed", name)
 		}
-		if row := backup.requests[req.ID()]; !bytes.Equal(row.Op, req.Op) || row.digest != refOf(req).Digest {
+		if row := backup.requests[req.ID()]; !bytes.Equal(backup.copyOf(row).op, req.Op) || backup.copyOf(row).digest != refOf(req).Digest {
 			t.Errorf("%s: the backup's copy was replaced", name)
 		}
 		if s := backup.lookup(1); s == nil || s.proposed || s.sentPrep || *backup.sendFaults != 0 {
