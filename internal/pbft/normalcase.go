@@ -350,9 +350,12 @@ func (r *Replica) proposeBatch() {
 	}
 	r.seqNext++
 	seq := r.seqNext
-	// The proposal is built in its cell, its refs in the cell's backing.
+	// The proposal is built in its cell, its refs in the cell's backing,
+	// grown once to the most refs the batch can take if it is short: not
+	// by append, ref by ref, and not to BatchSize up front, which a ring of
+	// small batches would pay for in every cell.
 	s := r.slotFor(seq)
-	refs := s.pp.Refs[:0]
+	refs := slices.Grow(s.pp.Refs[:0], min(r.pending.Len(), r.cfg.BatchSize))
 	var ready sim.Time
 	for size := 0; r.pending.Len() > 0 && len(refs) < r.cfg.BatchSize; {
 		if size += r.pending.Front().size; len(refs) > 0 && size >= batchBytes {
