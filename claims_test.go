@@ -74,17 +74,16 @@ var claims = []claim{
 	{id: "E8.cop-rubin-1kb-rises-with-k", metric: "throughput", a: "COP RUBIN 1KB", b: "COP RUBIN 1KB", xs: at(1), bxs: at(4), rel: less},
 	{id: "E8.pbft-16kb-rubin-over-nio", metric: "throughput", a: "PBFT RUBIN 16KB", b: "PBFT NIO 16KB", xs: at(4, 7, 10), rel: atLeast, pending: "O26"},
 	{id: "E10.rubin-s4-over-s1", metric: "committed_goodput", a: "scale cross=0% RUBIN", b: "scale cross=0% RUBIN", xs: at(4), bxs: at(1), rel: atLeast, bound: "2.5",
-		open: "O31: app threads bind at S = 1 and 4 (0.96 and 0.99 busy), 0.75 vs 2.95 transport messages per request on the replicas", reads: "411611.8 / 338249 = 1.22 at 4"},
+		open: "O31: app threads bind at S = 1 and 4 (0.99 and 1.00 busy), 0.67 vs 2.85 transport messages per request on the replicas", reads: "426412.1 / 360092.6 = 1.18 at 4"},
 	{id: "E10.nio-s4-over-s1", metric: "committed_goodput", a: "scale cross=0% NIO", b: "scale cross=0% NIO", xs: at(4), bxs: at(1), rel: atLeast, bound: "2.0",
-		open: "O31: app threads bind at S = 1 and 4 (0.90 and 0.94 busy), 1.36 vs 4.96 transport messages per request on the replicas", reads: "90991.92 / 74021.79 = 1.23 at 4"},
+		open: "O31: app threads bind at S = 1 and 4 (0.91 and 0.96 busy), 0.71 vs 4.12 transport messages per request on the replicas", reads: "113578.5 / 143474.8 = 0.792 at 4"},
 	{id: "E10.rubin-s8-over-s2", metric: "committed_goodput", a: "scale cross=0% RUBIN", b: "scale cross=0% RUBIN", xs: at(8), bxs: at(2), rel: atLeast, bound: "1.5",
-		open: "O31: app threads bind at S = 2 and 8 (0.98 and 0.96 busy), 1.44 vs 4.28 transport messages per request on the replicas", reads: "442588.6 / 404769.4 = 1.09 at 8"},
+		open: "O31: app threads bind at S = 2 and 8 (1.00 and 0.94 busy), 1.23 vs 3.75 transport messages per request on the replicas", reads: "477073.3 / 458341.4 = 1.04 at 8"},
 	{id: "E10.nio-s8-over-s2", metric: "committed_goodput", a: "scale cross=0% NIO", b: "scale cross=0% NIO", xs: at(8), bxs: at(2), rel: atLeast, bound: "1.5",
-		open: "O31: app threads bind at S = 2 and 8 (0.93 and 0.84 busy), 2.71 vs 8.52 transport messages per request on the replicas", reads: "108954.2 / 84224.15 = 1.29 at 8"},
+		open: "O31: app threads bind at S = 2 and 8 (0.96 and 0.99 busy), 1.76 vs 8.17 transport messages per request on the replicas", reads: "120723.3 / 128808.2 = 0.937 at 8"},
 	{id: "E11.rubin-fast-path-lift", metric: "goodput", a: "mix fp=on RUBIN", b: "mix fp=off RUBIN", xs: at(99), rel: atLeast, bound: "1.5"},
 	{id: "E11.nio-fast-path-lift", metric: "goodput", a: "mix fp=on NIO", b: "mix fp=off NIO", xs: at(99), rel: atLeast, bound: "2.0"},
-	{id: "E11.rubin-fast-path-wins", metric: "goodput", a: "mix fp=off RUBIN", b: "mix fp=on RUBIN", xs: at(50, 90, 99), rel: less,
-		open: "O31: at 50 % reads the replicas handle 1.59 transport messages per request with the fast path, 1.20 without", reads: "177395.2 vs 166305.2 at 50"},
+	{id: "E11.rubin-fast-path-wins", metric: "goodput", a: "mix fp=off RUBIN", b: "mix fp=on RUBIN", xs: at(50, 90, 99), rel: less},
 	{id: "E11.nio-fast-path-crossover", metric: "goodput", a: "mix fp=on NIO", b: "mix fp=off NIO", xs: at(50, 90, 99), rel: crossover, bound: "50"},
 	{id: "E11.rubin-serves-fast-reads", metric: "fast_reads", a: "mix fp=on RUBIN", xs: at(50, 90, 99), rel: atLeast, bound: "1"},
 	{id: "E11.nio-serves-fast-reads", metric: "fast_reads", a: "mix fp=on NIO", xs: at(50, 90, 99), rel: atLeast, bound: "1"},

@@ -69,15 +69,22 @@ func TestVoteDeliveryAllocatesNothing(t *testing.T) {
 // that holds the client's copy of every request a PRE-PREPARE names opens,
 // checks and decodes it (its refs into the replica's lent scratch), copies
 // the refs into the cell, moves each request's row and PREPAREs; a leader
-// builds a proposal of eight queued requests in its cell and sends it
+// builds a proposal of BatchSize queued requests in its cell and sends it
 // through its one bound callback, with no closure and no slice of refs. The
 // first lap pays for the cells, their tallies and the refs' backings, and
 // each request's row is what a replica keeps of it: both are made before
-// the measurement.
+// the measurement. It holds at BatchSize 16 and at 32, the default.
 func TestProposalAllocatesWhatItKeeps(t *testing.T) {
 	skipUnderRace(t)
-	cfg := DefaultConfig()
-	cfg.LogWindow = cfg.CheckpointEvery
+	for _, batch := range []int{16, 32} {
+		cfg := DefaultConfig()
+		cfg.LogWindow, cfg.BatchSize = cfg.CheckpointEvery, batch
+		proposalAllocatesWhatItKeeps(t, cfg)
+	}
+}
+
+func proposalAllocatesWhatItKeeps(t *testing.T, cfg Config) {
+	t.Helper()
 	const runs = 51 // AllocsPerRun's warm-up and 50 measured
 	backup, leader := bareReplica(t, 1, cfg), bareReplica(t, 0, cfg)
 	var queued []admitted // the leader's batches, one BatchSize run each

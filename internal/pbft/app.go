@@ -129,7 +129,7 @@ func DefaultConfig() Config {
 	return Config{
 		N:               4,
 		F:               1,
-		BatchSize:       16,
+		BatchSize:       32,
 		CheckpointEvery: 64,
 		LogWindow:       256,
 		ViewTimeout:     40 * sim.Millisecond,

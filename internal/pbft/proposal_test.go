@@ -47,20 +47,20 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	}
 }
 
-// TestSizeCutRestartsTheBatchTimer: requests 1–n arrive 10 µs apart and
-// the nth cuts a batch of n by count; request n+1 arrives 10 µs after the
-// cut. It waits one full batchDelay for company, not what was left of the
-// timer request 1 armed. Small ops are cut at BatchSize 4 when it is set,
-// and at 16 under DefaultConfig.
+// TestSizeCutRestartsTheBatchTimer: requests 1–n arrive batchDelay/2n
+// apart and the nth cuts a batch of n by count; request n+1 arrives one gap
+// after the cut. It waits one full batchDelay for company, not what was
+// left of the timer request 1 armed. Small ops are cut at BatchSize 4 when
+// it is set, and at DefaultConfig's BatchSize otherwise.
 func TestSizeCutRestartsTheBatchTimer(t *testing.T) {
-	for _, tc := range []struct{ batch, n int }{{4, 4}, {0, 16}} { // batch 0: DefaultConfig's
+	for _, tc := range []struct{ batch, n int }{{4, 4}, {0, DefaultConfig().BatchSize}} { // batch 0: DefaultConfig's
 		cfg := DefaultConfig()
 		if tc.batch > 0 {
 			cfg.BatchSize = tc.batch
 		}
 		r := bareReplica(t, 0, cfg)
 		loop := r.node.Loop()
-		const gap = 10 * sim.Microsecond
+		gap := batchDelay / sim.Time(2*tc.n) // the n arrive within half a batchDelay
 		for i, req := range batchOf(tc.n+1, 64) {
 			loop.At(sim.Time(i)*gap, func() { r.handleRequest(req, nil) })
 		}
