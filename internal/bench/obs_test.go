@@ -2,9 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"testing"
 
+	"rubin/internal/fabric"
 	"rubin/internal/metrics"
+	"rubin/internal/model"
 	"rubin/internal/obs"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
@@ -187,5 +191,54 @@ func TestTracedSuiteRunIsDeterministic(t *testing.T) {
 	second := export()
 	if !bytes.Equal(first, second) {
 		t.Fatal("two identical traced E9 runs export different Chrome traces")
+	}
+}
+
+// TestSamplersReadEachPeriod: a host's application thread idles for the
+// first millisecond and is then handed a millisecond of work at once. Its
+// app_util series samples each 250 µs period on its own: 0 four times,
+// then 1 four times. The node's gauge, the busy time charged since t = 0
+// over the time since t = 0, reads 1 the instant the work is handed over
+// and then 0.8, 0.67, 0.57 and 0.5; the busy time charged in each period
+// would read 4 and then 0.
+func TestSamplersReadEachPeriod(t *testing.T) {
+	loop := sim.NewLoop(1)
+	node := fabric.New(loop, model.Default()).AddNode("h")
+	tr := obs.New(obs.Options{Spans: true})
+	tr.BeginRun("samplers")
+	startSamplers(tr, loop, []*fabric.Node{node})
+	loop.At(sim.Millisecond, func() {
+		for range 100 {
+			node.App.Acquire(model.MsgHandle, 10*sim.Microsecond, func() {})
+		}
+	})
+	loop.Run()
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Args     struct{ Value float64 }
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	for _, e := range trace.TraceEvents {
+		if e.Ph == "C" && e.Name == "app_util.h" {
+			got = append(got, e.Args.Value)
+		}
+	}
+	want := []float64{0, 0, 0, 0, 1, 1, 1, 1}
+	if len(got) != len(want) {
+		t.Fatalf("app_util sampled %v, want %v", got, want)
+	}
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("app_util sampled %v, want %v", got, want)
+		}
 	}
 }

@@ -207,6 +207,9 @@ func (n *Node) Thread(k int) *sim.Resource {
 	return n.threads[k]
 }
 
+// Threads returns the node's application threads, thread k at index k.
+func (n *Node) Threads() []*sim.Resource { return n.threads }
+
 // appUtil is the busiest application thread's utilization.
 func (n *Node) appUtil() float64 {
 	u := 0.0

@@ -91,6 +91,23 @@ func (r *Resource) BusyTotal() Time { return r.busy.Total() }
 // kind.
 func (r *Resource) Snapshot() Busy { return r.busy }
 
+// Served returns the service time this resource has delivered by now: the
+// busy time charged to it, less the work its servers still have ahead of
+// them. A server serves its jobs back to back from the instant it takes
+// one, so what lies ahead of it is exactly the time until it is free.
+func (r *Resource) Served() Time {
+	now, t := r.loop.Now(), r.BusyTotal()
+	for _, free := range r.busyUntil {
+		if free > now {
+			t -= free - now
+		}
+	}
+	return t
+}
+
+// Servers returns how many jobs the resource serves at once.
+func (r *Resource) Servers() int { return len(r.busyUntil) }
+
 // Utilization returns busy time divided by (elapsed × servers), a value in
 // [0, 1] once the simulation has run past time zero.
 func (r *Resource) Utilization() float64 {
