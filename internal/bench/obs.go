@@ -28,15 +28,14 @@ const samplePeriod = 250 * sim.Microsecond
 
 // startSamplers attaches the time-series samplers of one run when span
 // recording is on: every samplePeriod, each host's CPU, busiest
-// application thread and NIC utilization over the period just ended — the
-// service each delivered in it over (period × servers) — and every other
-// level-kind stat the hosts register (msgnet queue bytes), one series per
-// name and node. The utilization gauges the nodes register are running
-// means since t = 0, set-up included, so their series take the period's
-// value from the resources instead. Samplers are pure observers on the
-// loop: they read the resources and the stat tables and record samples,
-// so they cannot perturb the run being measured, and the sampler group
-// stops re-arming once only its own ticks remain (the loop still drains).
+// application thread and NIC utilization over the period just ended (the
+// service each delivered in it over period × servers; cpu_util, app_util
+// and nic_util) and every level-kind stat the hosts register (msgnet queue
+// bytes), one series per name and node. Samplers are pure observers on
+// the loop: they read the resources and the stat tables and record
+// samples, so they cannot perturb the run being measured, and the sampler
+// group stops re-arming once only its own ticks remain (the loop still
+// drains).
 func startSamplers(tr *obs.Tracer, loop *sim.Loop, hosts []*fabric.Node) {
 	if !tr.SpansEnabled() {
 		return
@@ -49,15 +48,10 @@ func startSamplers(tr *obs.Tracer, loop *sim.Loop, hosts []*fabric.Node) {
 	g.Every(samplePeriod, func(now sim.Time) {
 		for i, node := range hosts {
 			cpu, app, nic := meters[i].read(node, now)
+			tr.Sample("cpu_util", node.Name(), now, cpu)
+			tr.Sample("app_util", node.Name(), now, app)
+			tr.Sample("nic_util", node.Name(), now, nic)
 			node.EachStat(func(name string, kind fabric.StatKind, v float64) {
-				switch name {
-				case "cpu_util":
-					v = cpu
-				case "app_util":
-					v = app
-				case "nic_util":
-					v = nic
-				}
 				if kind == fabric.StatLevel {
 					tr.Sample(name, node.Name(), now, v)
 				}

@@ -97,9 +97,6 @@ func (nw *Network) AddNode(name string) *Node {
 		NIC:  sim.NewResource(nw.loop, name+"/nic", nw.params.Host.NICEngines),
 	}
 	n.App = n.Thread(0)
-	n.Gauge("cpu_util", StatLevel, n.CPU.Utilization)
-	n.Gauge("app_util", StatLevel, n.appUtil)
-	n.Gauge("nic_util", StatLevel, n.NIC.Utilization)
 	nw.nodes[name] = n
 	nw.order = append(nw.order, n)
 	return n
@@ -209,15 +206,6 @@ func (n *Node) Thread(k int) *sim.Resource {
 
 // Threads returns the node's application threads, thread k at index k.
 func (n *Node) Threads() []*sim.Resource { return n.threads }
-
-// appUtil is the busiest application thread's utilization.
-func (n *Node) appUtil() float64 {
-	u := 0.0
-	for _, t := range n.threads {
-		u = max(u, t.Utilization())
-	}
-	return u
-}
 
 // Name returns the node's unique name.
 func (n *Node) Name() string { return n.name }

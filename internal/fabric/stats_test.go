@@ -8,9 +8,8 @@ import (
 )
 
 // TestStatsEnumerateInRegistrationOrder pins the table's shape: entries
-// come back in the order layers registered them (behind the node's own
-// utilization gauges), a name registered twice is two entries, and a gauge
-// is read at enumeration time.
+// come back in the order layers registered them, a name registered twice is
+// two entries, and a gauge is read at enumeration time.
 func TestStatsEnumerateInRegistrationOrder(t *testing.T) {
 	_, nw := testNet()
 	n := nw.AddNode("a")
@@ -29,9 +28,6 @@ func TestStatsEnumerateInRegistrationOrder(t *testing.T) {
 	var got []entry
 	n.EachStat(func(name string, kind StatKind, v float64) { got = append(got, entry{name, kind, v}) })
 	want := []entry{
-		{"cpu_util", StatLevel, 0},
-		{"app_util", StatLevel, 0},
-		{"nic_util", StatLevel, 0},
 		{"x.events", StatCounter, 2},
 		{"x_level", StatLevel, 4},
 		{"x.peak", StatPeak, 9},

@@ -107,13 +107,3 @@ func (r *Resource) Served() Time {
 
 // Servers returns how many jobs the resource serves at once.
 func (r *Resource) Servers() int { return len(r.busyUntil) }
-
-// Utilization returns busy time divided by (elapsed × servers), a value in
-// [0, 1] once the simulation has run past time zero.
-func (r *Resource) Utilization() float64 {
-	elapsed := r.loop.Now()
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(r.BusyTotal()) / (float64(elapsed) * float64(len(r.busyUntil)))
-}

@@ -62,6 +62,11 @@ func TestResourceStats(t *testing.T) {
 		r.Acquire(0, 60, func() {})
 		r.Acquire(0, 40, func() {})
 	})
+	l.At(50, func() {
+		if s := r.Served(); s != 50 {
+			t.Errorf("Served at 50 = %v, want 50: the work still queued is not served yet", s)
+		}
+	})
 	l.Run()
 	if r.jobs != 2 {
 		t.Errorf("Jobs = %d, want 2", r.jobs)
@@ -69,8 +74,8 @@ func TestResourceStats(t *testing.T) {
 	if r.BusyTotal() != 100 {
 		t.Errorf("BusyTotal = %v, want 100", r.BusyTotal())
 	}
-	if u := r.Utilization(); u != 1.0 {
-		t.Errorf("Utilization = %v, want 1.0", u)
+	if s := r.Served(); s != 100 {
+		t.Errorf("Served = %v, want 100", s)
 	}
 }
 
