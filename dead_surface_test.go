@@ -18,7 +18,6 @@ const deadSurfaceAllowed = `
 chaos.Scenario.Byzantine — scenario vocabulary: chaos tests script Byzantine replicas with it; no experiment does yet (exits with ROADMAP O42 or O18)
 fabric.Link.Held — probe the fabric and tcpsim tests share: frames parked on a down link
 fabric.Link.SetDrop — deterministic per-frame drop predicate, how a test loses exactly the frame it means to (LinkFaults.LossRate draws from the seed)
-fabric.Link.Snapshot — probe of the charge-kind and cost-ledger tests: the serialization time one direction of a link was charged
 kvstore.RouteOne — zero value of the Route enum: what PlanOp returns without naming it
 kvstore.Store.ApplyPartition — single-bucket install that FuzzApplyPartition (CI fuzz-smoke) and the canonical-encoding tests drive; ApplyTransfer runs the same decodeBucket for all 256
 kvstore.Store.Get — probe the kvstore, pbft and shard tests share: a key as a replica's store holds it, read locally, not ordered
@@ -36,6 +35,7 @@ raceflag.Enabled — allocation gates in fifteen packages skip under -race; a bu
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
 rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up, and which one (no exit: ROADMAP O17)
 sim.Loop.SetEventLimit — runaway guard the sim and shard tests set
+sim.Resource.Snapshot — probe of the charge-kind and cost-ledger tests: a resource's busy time per kind (a link's through fabric.Link.Wire), which no run prints
 tcpsim.Conn.Established — probe the tcpsim and nio tests share
 `
 

@@ -19,37 +19,33 @@ import (
 // meter is one resource of a simulated world as a cost table reads it: the
 // role its host plays (leader, backup, client or server; every NIC is role
 // NIC and every link direction role link), what it is (CPU, app, NIC or
-// wire), its servers and its busy time per kind.
+// wire) and the resource itself.
 type meter struct {
 	name, role, res string
-	servers         int
-	busy            func() sim.Busy
+	r               *sim.Resource
 }
 
 // meters lists every resource of nw. roleOf names the role of a node's CPU
 // and of each of its application threads, thread k at index k.
 func meters(nw *fabric.Network, roleOf func(*fabric.Node) (cpu string, threads []string)) []meter {
-	p := nw.Params()
 	var ms []meter
 	nodes := nw.Nodes()
 	for _, n := range nodes {
 		cpu, threads := roleOf(n)
-		ms = append(ms, meter{n.Name() + "/cpu", cpu, "CPU", p.Host.Cores, n.CPU.Snapshot})
+		ms = append(ms, meter{n.Name() + "/cpu", cpu, "CPU", n.CPU})
 		for k, role := range threads {
 			name := n.Name() + "/app"
 			if k > 0 {
 				name += fmt.Sprint(k)
 			}
-			ms = append(ms, meter{name, role, "app", 1, n.Thread(k).Snapshot})
+			ms = append(ms, meter{name, role, "app", n.Thread(k)})
 		}
-		ms = append(ms, meter{n.Name() + "/nic", "NIC", "NIC", p.Host.NICEngines, n.NIC.Snapshot})
+		ms = append(ms, meter{n.Name() + "/nic", "NIC", "NIC", n.NIC})
 	}
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {
 			if l := nw.Link(a, b); l != nil {
-				ms = append(ms,
-					meter{a.Name() + "->" + b.Name(), "link", "wire", 1, func() sim.Busy { return l.Snapshot(a) }},
-					meter{b.Name() + "->" + a.Name(), "link", "wire", 1, func() sim.Busy { return l.Snapshot(b) }})
+				ms = append(ms, meter{a.Name() + "->" + b.Name(), "link", "wire", l.Wire(a)}, meter{b.Name() + "->" + a.Name(), "link", "wire", l.Wire(b)})
 			}
 		}
 	}
@@ -74,11 +70,18 @@ func (d *deployment) roles(n *fabric.Node) (string, []string) {
 	return cpu, threads
 }
 
+// reading is one meter at one instant: the busy time charged to it per
+// kind, and the service it has delivered (charged less what is queued).
+type reading struct {
+	busy   sim.Busy
+	served sim.Time
+}
+
 // snapshot reads every meter.
-func snapshot(ms []meter) []sim.Busy {
-	s := make([]sim.Busy, len(ms))
+func snapshot(ms []meter) []reading {
+	s := make([]reading, len(ms))
 	for i, m := range ms {
-		s[i] = m.busy()
+		s[i] = reading{m.r.Snapshot(), m.r.Served()}
 	}
 	return s
 }
@@ -123,7 +126,7 @@ func echoRoles(n *fabric.Node) (string, []string) { return n.Name(), []string{n.
 
 // kindsOn returns the kinds that landed on each class of resource between
 // two snapshots, every role together.
-func kindsOn(ms []meter, before, after []sim.Busy) map[string][]string {
+func kindsOn(ms []meter, before, after []reading) map[string][]string {
 	got := map[string][]string{}
 	for i, m := range ms {
 		class := m.res
@@ -131,7 +134,7 @@ func kindsOn(ms []meter, before, after []sim.Busy) map[string][]string {
 			class = "link"
 		}
 		for k, name := range model.KindNames {
-			if after[i][k] > before[i][k] && !slices.Contains(got[class], name) {
+			if after[i].busy[k] > before[i].busy[k] && !slices.Contains(got[class], name) {
 				got[class] = append(got[class], name)
 			}
 		}
@@ -184,7 +187,7 @@ func TestChargeKinds(t *testing.T) {
 		loop, nw, conn := echoWorld(t, tc.kind, 1)
 		ms := meters(nw, echoRoles)
 		before := snapshot(ms)
-		if got := kindsOn(ms, make([]sim.Busy, len(ms)), before)[tc.setupOn]; !slices.Equal(got, tc.setup) {
+		if got := kindsOn(ms, make([]reading, len(ms)), before)[tc.setupOn]; !slices.Equal(got, tc.setup) {
 			t.Errorf("%s set-up: kinds on %s %q, want %q", tc.kind, tc.setupOn, got, tc.setup)
 		}
 		echoed := false
@@ -224,7 +227,7 @@ type ledgerShape struct {
 // between.
 type ledgerRun struct {
 	ms            []meter
-	before, after []sim.Busy
+	before, after []reading
 	span          sim.Time
 	completed     int
 }
@@ -337,8 +340,8 @@ func smallShape(name string, kind transport.Kind) ledgerShape {
 var ledgerShapes = []ledgerShape{
 	echoShape("echo RUBIN", transport.KindRDMA),
 	echoShape("echo NIO", transport.KindTCP),
-	putShape("PBFT RUBIN 1KB", transport.KindRDMA, 1, 1, 8, 50, 400),
-	putShape("PBFT NIO 1KB", transport.KindTCP, 1, 1, 8, 50, 400),
+	putShape("PBFT RUBIN 1KB", transport.KindRDMA, 1, 1, 16, 50, 400),
+	putShape("PBFT NIO 1KB", transport.KindTCP, 1, 1, 16, 50, 400),
 	putShape("PBFT RUBIN 16KB", transport.KindRDMA, 1, 16, 4, 20, 150),
 	putShape("PBFT NIO 16KB", transport.KindTCP, 1, 16, 4, 20, 150),
 	putShape("COP K=4 RUBIN 64KB", transport.KindRDMA, 4, 64, 4, 10, 60),
@@ -373,7 +376,7 @@ func renderLedger(runs []ledgerRun) string {
 					var d sim.Time
 					for j, m := range r.ms {
 						if m.role == role && m.res == res {
-							d += r.after[j][k] - r.before[j][k]
+							d += r.after[j].busy[k] - r.before[j].busy[k]
 						}
 					}
 					if d > 0 {
@@ -391,7 +394,7 @@ func renderLedger(runs []ledgerRun) string {
 	for _, r := range runs {
 		best, util := "", 0.0
 		for j, m := range r.ms {
-			if u := float64(r.after[j].Total()-r.before[j].Total()) / (float64(r.span) * float64(m.servers)); u > util {
+			if u := float64(r.after[j].served-r.before[j].served) / (float64(r.span) * float64(m.r.Servers())); u > util {
 				best, util = m.name, u
 			}
 		}

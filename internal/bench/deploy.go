@@ -113,8 +113,15 @@ func deploy(s deploySpec, cfg shard.Config, place placement, params model.Params
 		d.fronts = append(d.fronts, r)
 	}
 	startSamplers(d.tr, d.loop, d.hosts)
+	if deployed != nil {
+		deployed(d)
+	}
 	return d, nil
 }
+
+// deployed, when set, is handed every deployment deploy builds, ready for
+// load: how a test reads the stat tables of every point a suite run makes.
+var deployed func(*deployment)
 
 // stats folds the stat tables — the one place the harness does: every
 // machine's counters, and for a name the replica hosts register (queue

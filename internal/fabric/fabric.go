@@ -367,11 +367,8 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 // Held returns the number of frames currently queued on a down link.
 func (l *Link) Held() int { return len(l.held) }
 
-// Snapshot returns the serialization time charged to the direction from
-// sends on, per kind.
-func (l *Link) Snapshot(from *Node) sim.Busy { return l.direction(from).Snapshot() }
-
-func (l *Link) direction(from *Node) *sim.Resource {
+// Wire returns the resource that serializes what from sends on the link.
+func (l *Link) Wire(from *Node) *sim.Resource {
 	if from == l.a {
 		return l.ab
 	}
@@ -413,5 +410,5 @@ func (l *Link) transmit(from, to *Node, proto Protocol, payload any, wireBytes i
 	}
 	f.link, f.from, f.to, f.proto = l, from, to, proto
 	f.payload, f.wireBytes, f.prop = payload, wireBytes, prop
-	l.direction(from).Acquire(model.Wire, ser, f.onWire)
+	l.Wire(from).Acquire(model.Wire, ser, f.onWire)
 }

@@ -68,12 +68,13 @@ func (l *putLoad) longestGap() sim.Time {
 
 // TestFaultScriptSweep runs the benchmark's leader crash + restart script
 // at five time scales under a steady put stream, on both transports. One
-// leader crash must cost exactly one view change and at most one
-// ViewTimeout (plus an agreement round) without service, whether the
-// leader is back long after the backups' timers fired (× 1, × 2) or
-// before (× 0.1, × 0.2 — where a restarted, log-less leader used to catch
-// a cascade of stale request timers and wedge the group for good). The
-// loop gets a virtual-time budget so a wedge fails instead of hanging.
+// leader crash must cost exactly one view change and at most a quarter of
+// ViewTimeout (the silence deadline, plus an agreement round) without
+// service, whether the leader is back long after the backups' timers fired
+// (× 1, × 2) or before (× 0.1, × 0.2 — where a restarted, log-less leader
+// used to catch a cascade of stale request timers and wedge the group for
+// good). The loop gets a virtual-time budget so a wedge fails instead of
+// hanging.
 func TestFaultScriptSweep(t *testing.T) {
 	const (
 		crashAt   = 150 * sim.Millisecond
@@ -106,7 +107,7 @@ func TestFaultScriptSweep(t *testing.T) {
 				})
 				load.run(t, budget) // fails unless every request was answered
 
-				if gap, limit := load.longestGap(), cfg.ViewTimeout+5*sim.Millisecond; gap >= limit {
+				if gap, limit := load.longestGap(), cfg.ViewTimeout/4+5*sim.Millisecond; gap >= limit {
 					t.Errorf("longest completion gap %v, want < %v", gap, limit)
 				}
 				for i, rep := range c.Replicas {

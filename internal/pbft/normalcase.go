@@ -295,39 +295,6 @@ func (r *Replica) waiting(id RequestID) bool {
 	return seen && row.state != done
 }
 
-// watchOldest restarts the progress timer, with a full timeout, on the
-// waiting request that arrived first — a fixed choice, so runs reproduce
-// and a leader cannot starve one client by serving the others. With
-// nothing waiting the timer stays cancelled rather than left to lapse: an
-// armed timer on an idle replica would keep Loop.Run alive past the work.
-func (r *Replica) watchOldest() {
-	r.progress.Cancel()
-	for ; r.arrivals.Len() > 0; r.arrivals.Pop() {
-		if r.waiting(*r.arrivals.Front()) {
-			r.watched = *r.arrivals.Front()
-			r.armProgress()
-			return
-		}
-	}
-}
-
-// armProgress starts the progress timer: one ViewTimeout, doubled for each
-// consecutive demanded view that failed to install.
-func (r *Replica) armProgress() {
-	r.progress = r.node.Loop().After(r.cfg.ViewTimeout<<r.failedViews, r.onProgress)
-}
-
-// progressExpired: the watched request did not execute in time, or the
-// awaited NEW-VIEW never came — then the next view's wait doubles.
-func (r *Replica) progressExpired() {
-	next := r.view + 1
-	if r.viewChanging {
-		r.failedViews++
-		next = r.demanded + 1
-	}
-	r.startViewChange(next)
-}
-
 // proposeBatch assigns the next sequence number to a batch of the pending
 // requests and broadcasts the pre-prepare once the leader CPU has served its
 // work: every request's ordering, started when it was admitted (see order),
@@ -427,6 +394,9 @@ func (r *Replica) accepts(view, seq uint64) bool {
 // lent (the replica's decode scratch): an accepted proposal's are copied
 // into its cell.
 func (r *Replica) handlePrePrepare(sender uint32, pp PrePrepare, size int) {
+	if pp.View == r.view && sender == r.Leader(pp.View) {
+		r.heardLeader()
+	}
 	if !r.accepts(pp.View, pp.Seq) || sender != r.Leader(pp.View) {
 		return // only the view's leader may propose
 	}
@@ -545,11 +515,14 @@ func (r *Replica) tryExecute() {
 			r.onExecute(next, r.copies(s.pp.Refs))
 		}
 		// Only the proposal's sender answers FETCHes for it, so any other
-		// replica releases each executed copy no later slot names. The row
+		// replica releases each executed copy no later slot names — unless
+		// a view it demanded is yet to install (it rejoined its view by a
+		// state transfer): its VIEW-CHANGE is on file with the others, and
+		// that view's leader fetches what its proofs name from it. The row
 		// stays, without a copy, so with the zero digest: a replay of the
 		// request matches no ref.
 		for _, ref := range s.pp.Refs {
-			if row := r.requests[ref.RequestID]; r.Leader(s.pp.View) != r.id && row.seq == next {
+			if row := r.requests[ref.RequestID]; r.Leader(s.pp.View) != r.id && row.seq == next && r.demanded <= r.view {
 				r.release(r.vacate(&row))
 				r.requests[ref.RequestID] = row
 			}

@@ -14,7 +14,7 @@ import (
 type timerFixture struct {
 	loop  *sim.Loop
 	r     *Replica
-	fired []sim.Time // when the progress timer expired
+	fired []sim.Time // when the progress timer expired (a firing that only re-arms it is none)
 }
 
 func newTimerFixture(t *testing.T) *timerFixture {
@@ -22,10 +22,12 @@ func newTimerFixture(t *testing.T) *timerFixture {
 	r := bareReplica(t, 3, DefaultConfig())
 	loop := r.node.Loop()
 	x := &timerFixture{loop: loop, r: r}
-	expired := r.onProgress
+	fire := r.onProgress
 	r.onProgress = func() {
-		x.fired = append(x.fired, loop.Now())
-		expired()
+		demanded, changing := r.demanded, r.viewChanging
+		if fire(); r.demanded != demanded || r.viewChanging != changing {
+			x.fired = append(x.fired, loop.Now())
+		}
 	}
 	return x
 }
@@ -50,16 +52,21 @@ func (x *timerFixture) demand(view uint64, from ...uint32) {
 // and when it would expire — and, wherever the replica ends up idle, that
 // the loop drains on the spot: an armed timer left behind on an idle
 // replica keeps Loop.Run alive for a timeout past the work, which is what
-// once halved E8's leader_cpu (busy time over loop span).
+// once halved E8's leader_cpu (busy time over loop span). A watch is due a
+// full timeout after it starts, or a quarter timeout into the view
+// leader's silence once that leader has proposed here and while the
+// watched request is known.
 func TestProgressTimerRule(t *testing.T) {
 	const (
 		ms = sim.Millisecond
 		T  = 40 * ms // DefaultConfig().ViewTimeout
+		Q  = T / 4   // the silence bound
 
 		idle     = "idle"
 		watching = "watching"
 		awaiting = "awaiting NEW-VIEW"
 	)
+	beyond := DefaultConfig().LogWindow + 1 // past the window of a replica at stable point 0
 	steps := []struct {
 		name     string
 		at       sim.Time              // when the step happens
@@ -68,24 +75,36 @@ func TestProgressTimerRule(t *testing.T) {
 		due      sim.Time              // its deadline, unless idle
 		demanded uint64                // view demanded, while a view change is on
 	}{
-		{"a request arrives", 1 * ms, func(x *timerFixture) { x.arrive(1) }, watching, 1*ms + T, 0},
+		{"a request arrives before the leader proposed: a full timeout", 1 * ms, func(x *timerFixture) { x.arrive(1) }, watching, 1*ms + T, 0},
 		{"a second arrives: the first stays watched", 2 * ms, func(x *timerFixture) { x.arrive(2) }, watching, 1*ms + T, 0},
-		{"the watched one executes, another waits: a full timeout", 5 * ms, func(x *timerFixture) { x.execute(1) }, watching, 5*ms + T, 0},
-		{"the store empties", 6 * ms, func(x *timerFixture) { x.execute(2) }, idle, 0, 0},
-		{"a request arrives", 10 * ms, func(x *timerFixture) { x.arrive(3) }, watching, 10*ms + T, 0},
-		{"a checkpoint is adopted", 12 * ms, func(x *timerFixture) { x.r.adoptCheckpoint(64, auth.Digest{}, 0) }, idle, 0, 0},
-		{"a request arrives", 20 * ms, func(x *timerFixture) { x.arrive(4) }, watching, 20*ms + T, 0},
-		{"it does not execute: demand view 1, and wait for company", 60 * ms, nil, idle, 0, 1},
-		{"2F VIEW-CHANGEs", 61 * ms, func(x *timerFixture) { x.demand(1, 0) }, idle, 0, 1},
-		{"the 2F+1st starts the NEW-VIEW wait", 62 * ms, func(x *timerFixture) { x.demand(1, 2) }, awaiting, 62*ms + T, 1},
-		{"no NEW-VIEW: demand view 2", 102 * ms, nil, idle, 0, 2},
-		{"2F+1 demand view 2: the wait is doubled", 103 * ms, func(x *timerFixture) { x.demand(2, 0, 1) }, awaiting, 103*ms + 2*T, 2},
-		{"no NEW-VIEW again: demand view 3", 183 * ms, nil, idle, 0, 3},
-		{"view 2 installs after all: the request is watched again, timeout still backed off", 190 * ms,
-			func(x *timerFixture) { x.r.handleNewView(2, NewView{View: 2}) }, watching, 190*ms + 4*T, 0},
-		{"it executes in the new view", 200 * ms, func(x *timerFixture) { x.execute(4) }, idle, 0, 0},
-		{"a request arrives: back to one ViewTimeout", 210 * ms, func(x *timerFixture) { x.arrive(5) }, watching, 210*ms + T, 0},
-		{"it executes", 220 * ms, func(x *timerFixture) { x.execute(5) }, idle, 0, 0},
+		{"a third arrives", 3 * ms, func(x *timerFixture) { x.arrive(3) }, watching, 1*ms + T, 0},
+		{"the watched one is proposed and executes, the next is known: a quarter timeout into the silence", 5 * ms,
+			func(x *timerFixture) { x.execute(1) }, watching, 5*ms + Q, 0},
+		{"the leader proposes the third, not the watched one: the silence starts again", 8 * ms,
+			func(x *timerFixture) { x.preprepare(2, 3) }, watching, 8*ms + Q, 0},
+		{"a proposal beyond this replica's window is heard too", 9 * ms, func(x *timerFixture) { x.preprepare(beyond, 9) }, watching, 9*ms + Q, 0},
+		{"the leader proposes the watched one: assigned, the full deadline again", 10 * ms,
+			func(x *timerFixture) { x.preprepare(3, 2) }, watching, 5*ms + T, 0},
+		{"the store empties", 11 * ms, func(x *timerFixture) { x.execute(3); x.execute(2) }, idle, 0, 0},
+		{"a request arrives, the leader already heard: a quarter timeout", 20 * ms, func(x *timerFixture) { x.arrive(4) }, watching, 20*ms + Q, 0},
+		{"a checkpoint is adopted", 22 * ms, func(x *timerFixture) { x.r.adoptCheckpoint(64, auth.Digest{}, 0) }, idle, 0, 0},
+		{"a request arrives, the leader unheard since the adoption: a full timeout", 30 * ms, func(x *timerFixture) { x.arrive(5) }, watching, 30*ms + T, 0},
+		{"it does not execute: demand view 1, and wait for company", 70 * ms, nil, idle, 0, 1},
+		{"2F VIEW-CHANGEs", 71 * ms, func(x *timerFixture) { x.demand(1, 0) }, idle, 0, 1},
+		{"the 2F+1st starts the NEW-VIEW wait", 72 * ms, func(x *timerFixture) { x.demand(1, 2) }, awaiting, 72*ms + T, 1},
+		{"a proposal of the old view's leader does not shorten it", 73 * ms, func(x *timerFixture) { x.preprepare(65, 9) }, awaiting, 72*ms + T, 1},
+		{"no NEW-VIEW: demand view 2", 112 * ms, nil, idle, 0, 2},
+		{"2F+1 demand view 2: the wait is doubled", 113 * ms, func(x *timerFixture) { x.demand(2, 0, 1) }, awaiting, 113*ms + 2*T, 2},
+		{"no NEW-VIEW again: demand view 3", 193 * ms, nil, idle, 0, 3},
+		{"view 2 installs after all: the request is watched again, timeout still backed off, its leader unheard", 200 * ms,
+			func(x *timerFixture) { x.r.handleNewView(2, NewView{View: 2}) }, watching, 200*ms + 4*T, 0},
+		{"another request arrives", 202 * ms, func(x *timerFixture) { x.arrive(6) }, watching, 200*ms + 4*T, 0},
+		{"view 2's leader proposes it, not the watched one: due a quarter of the backed-off timeout into the silence", 205 * ms,
+			func(x *timerFixture) { x.preprepare(65, 6) }, watching, 205*ms + T, 0},
+		{"both execute in the new view", 210 * ms, func(x *timerFixture) { x.execute(6); x.execute(5) }, idle, 0, 0},
+		{"a request arrives: back to one ViewTimeout, a quarter of it into the silence", 220 * ms,
+			func(x *timerFixture) { x.arrive(7) }, watching, 220*ms + Q, 0},
+		{"the leader stays silent: demand view 3", 230 * ms, nil, idle, 0, 3},
 	}
 	for k, step := range steps {
 		// Replay the script up to and including step k on a fresh replica.

@@ -67,10 +67,16 @@ type Replica struct {
 	// watches the oldest stored request, or — while viewChanging, and only
 	// once 2F+1 replicas demand the view this one demanded — awaits the
 	// NEW-VIEW. Each consecutive demanded view that fails to install
-	// doubles the timeout until a request executes again.
+	// doubles the timeout until a request executes again. A watch is due
+	// at its full deadline, due, or earlier if the view's leader falls
+	// silent (see progress.go): quiet is when the silence began — the
+	// leader's last PRE-PREPARE, or the watch's start if later — and heard
+	// whether the leader has proposed in this view.
 	progress     sim.Timer
 	onProgress   func() // progressExpired, bound once so arming allocates nothing
 	watched      RequestID
+	due, quiet   sim.Time
+	heard        bool
 	viewChanging bool
 	demanded     uint64 // view of this replica's latest VIEW-CHANGE
 	failedViews  uint
@@ -87,8 +93,10 @@ type Replica struct {
 	// sendFaults counts every surfaced delivery failure on the replica's
 	// outbound traffic — nothing is silently discarded — stateBytesServed
 	// the bytes it shipped to fetchers, readsServed its fast-path answers,
-	// reproposed the request batches its sent NEW-VIEWs carried.
-	sendFaults, stateBytesServed, readsServed, reproposed *uint64
+	// reproposed the request batches its sent NEW-VIEWs carried, and
+	// silencePeak the longest silence of a view's leader, in nanoseconds,
+	// held against it while it lasted (see noteSilence).
+	sendFaults, stateBytesServed, readsServed, reproposed, silencePeak *uint64
 
 	// batches digests proposals without materialising their encoding.
 	batches batchDigester
@@ -131,6 +139,7 @@ func NewReplica(id uint32, cfg Config, node *fabric.Node, keyring *auth.Keyring,
 		stateBytesServed: node.Counter("pbft.state_bytes_served"),
 		readsServed:      node.Counter("pbft.reads_served"),
 		reproposed:       node.Counter("pbft.reproposed"),
+		silencePeak:      node.Peak("pbft.silence_peak_ns"),
 	}
 	r.onProgress, r.propose, r.sendNext = r.progressExpired, r.proposeBatch, r.sendProposal
 	return r, nil

@@ -162,8 +162,9 @@ func (r *Replica) handleNewView(sender uint32, nv NewView) {
 
 // settleView ends any view change in progress: the replica is in r.view,
 // and votes for it or older views, and any NEW-VIEW held back, are moot.
+// Its leader has not been heard from yet (see silenceCounts).
 func (r *Replica) settleView() {
-	r.viewChanging, r.held = false, nil
+	r.viewChanging, r.held, r.heard = false, nil, false
 	for view := range r.vcVotes {
 		if view <= r.view {
 			delete(r.vcVotes, view)

@@ -342,3 +342,36 @@ func TestNewViewCannotReplaceACopy(t *testing.T) {
 		}
 	}
 }
+
+// TestRejoinedReplicaKeepsWhatItsViewChangeNames: a backup prepares a
+// batch, demands view 1 with a proof of it, and then rejoins view 0 — as
+// adoptCheckpoint does when a state transfer catches it up — and executes
+// the batch there. Its VIEW-CHANGE is still on file with the others, so
+// view 1's leader may fetch the batch's request from it: the backup keeps
+// its copy instead of releasing it, as it does once no demand is pending.
+func TestRejoinedReplicaKeepsWhatItsViewChangeNames(t *testing.T) {
+	for _, pending := range []bool{true, false} {
+		x := newTimerFixture(t)
+		x.arrive(1)
+		s := x.preprepare(1, 1)
+		for id := uint32(0); id < 3; id++ {
+			s.prepares.set(id, s.pp.Digest)
+		}
+		if pending {
+			x.r.startViewChange(1)
+			x.r.settleView()
+		}
+		for id := uint32(0); id < 3; id++ {
+			s.commits.set(id, s.pp.Digest)
+		}
+		x.r.tryExecute()
+		req := timerRequest(1)
+		row := x.r.requests[req.ID()]
+		if x.r.executed != 1 || row.state != done {
+			t.Fatalf("demand pending %v: executed %d, row state %d; want the batch executed", pending, x.r.executed, row.state)
+		}
+		if kept := x.r.copyOf(row).digest == refOf(req).Digest; kept != pending {
+			t.Errorf("demand pending %v: copy kept %v, want %v", pending, kept, pending)
+		}
+	}
+}
