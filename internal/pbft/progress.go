@@ -69,10 +69,13 @@ func (r *Replica) deadline() sim.Time {
 
 // heardLeader notes a PRE-PREPARE of this view from its leader, inside this
 // replica's window or not — a lagging backup hears a live leader as well —
-// and ends the silence the timer measures. The leader's first one brings a
-// watch armed for its full deadline forward to the silence deadline.
+// and ends the silence the timer measures, if it is watching. The leader's
+// first one brings a watch armed for its full deadline forward to the
+// silence deadline.
 func (r *Replica) heardLeader() {
-	r.noteSilence()
+	if r.progress.Pending() {
+		r.noteSilence()
+	}
 	first := !r.heard
 	r.quiet, r.heard = r.node.Loop().Now(), true
 	if first && r.progress.Pending() && r.deadline() < r.due {
