@@ -58,7 +58,7 @@ var claims = []claim{
 	{id: "E3.nio-pinned", metric: "latency_mean", a: "TCP", xs: at(1, 100), rel: value, bound: "287, 4890"},
 	{id: "E5.rubin-commits-more", metric: "throughput", a: "Reptor+NIO", b: "Reptor+RUBIN", xs: at(1, 4, 16), rel: less},
 	{id: "E5.rubin-lower-latency", metric: "latency_mean", a: "Reptor+RUBIN", b: "Reptor+NIO", xs: at(1, 4, 16), rel: less},
-	{id: "E5.rubin-over-nio-16kb", metric: "throughput", a: "Reptor+RUBIN", b: "Reptor+NIO", xs: at(16), rel: value, bound: "2.21"},
+	{id: "E5.rubin-over-nio-16kb", metric: "throughput", a: "Reptor+RUBIN", b: "Reptor+NIO", xs: at(16), rel: value, bound: "3.21"},
 	{id: "E6.selective-signaling-pays", metric: "latency_mean", a: "full (all optimizations)", b: "no selective signaling", xs: at(1, 4, 16), rel: less},
 	{id: "E6.doorbell-batching-pays", metric: "latency_mean", a: "full (all optimizations)", b: "no doorbell batching", xs: at(1, 4, 16), rel: less},
 	{id: "E6.zero-copy-wins-1-16kb", metric: "latency_mean", a: "zero-copy receive (projected)", b: "full (all optimizations)", xs: at(1, 16), rel: less},
@@ -74,13 +74,13 @@ var claims = []claim{
 	{id: "E8.cop-rubin-1kb-rises-with-k", metric: "throughput", a: "COP RUBIN 1KB", b: "COP RUBIN 1KB", xs: at(1), bxs: at(4), rel: less},
 	{id: "E8.pbft-16kb-rubin-over-nio", metric: "throughput", a: "PBFT RUBIN 16KB", b: "PBFT NIO 16KB", xs: at(4, 7, 10), rel: atLeast, pending: "O26"},
 	{id: "E10.rubin-s4-over-s1", metric: "committed_goodput", a: "scale cross=0% RUBIN", b: "scale cross=0% RUBIN", xs: at(4), bxs: at(1), rel: atLeast, bound: "2.5",
-		open: "O31: app threads bind at S = 1 and 4 (0.99 and 1.00 busy), 0.67 vs 2.85 transport messages per request on the replicas", reads: "426412.1 / 360092.6 = 1.18 at 4"},
+		open: "O31: the busiest replica thread is 0.96 and 0.91 busy at S = 1 and 4, 0.82 vs 2.62 transport messages per request on the replicas", reads: "689661.5 / 369599.3 = 1.87 at 4"},
 	{id: "E10.nio-s4-over-s1", metric: "committed_goodput", a: "scale cross=0% NIO", b: "scale cross=0% NIO", xs: at(4), bxs: at(1), rel: atLeast, bound: "2.0",
-		open: "O31: app threads bind at S = 1 and 4 (0.91 and 0.96 busy), 0.71 vs 4.12 transport messages per request on the replicas", reads: "113578.5 / 143474.8 = 0.792 at 4"},
+		open: "O31: the busiest replica thread is 0.96 and 0.98 busy at S = 1 and 4, 0.80 vs 4.58 transport messages per request on the replicas", reads: "197935.9 / 192197.2 = 1.03 at 4"},
 	{id: "E10.rubin-s8-over-s2", metric: "committed_goodput", a: "scale cross=0% RUBIN", b: "scale cross=0% RUBIN", xs: at(8), bxs: at(2), rel: atLeast, bound: "1.5",
-		open: "O31: app threads bind at S = 2 and 8 (1.00 and 0.94 busy), 1.23 vs 3.75 transport messages per request on the replicas", reads: "477073.3 / 458341.4 = 1.04 at 8"},
+		open: "O31: the busiest replica thread is 0.93 and 0.74 busy at S = 2 and 8, 1.52 vs 4.08 transport messages per request on the replicas", reads: "597506.7 / 613082.9 = 0.975 at 8"},
 	{id: "E10.nio-s8-over-s2", metric: "committed_goodput", a: "scale cross=0% NIO", b: "scale cross=0% NIO", xs: at(8), bxs: at(2), rel: atLeast, bound: "1.5",
-		open: "O31: app threads bind at S = 2 and 8 (0.96 and 0.99 busy), 1.76 vs 8.17 transport messages per request on the replicas", reads: "120723.3 / 128808.2 = 0.937 at 8"},
+		open: "O31: the busiest replica thread is 0.97 and 0.84 busy at S = 2 and 8, 1.87 vs 10.41 transport messages per request on the replicas", reads: "138561.3 / 232815.9 = 0.595 at 8"},
 	{id: "E11.rubin-fast-path-lift", metric: "goodput", a: "mix fp=on RUBIN", b: "mix fp=off RUBIN", xs: at(99), rel: atLeast, bound: "1.5"},
 	{id: "E11.nio-fast-path-lift", metric: "goodput", a: "mix fp=on NIO", b: "mix fp=off NIO", xs: at(99), rel: atLeast, bound: "2.0"},
 	{id: "E11.rubin-fast-path-wins", metric: "goodput", a: "mix fp=off RUBIN", b: "mix fp=on RUBIN", xs: at(50, 90, 99), rel: less},

@@ -14,8 +14,13 @@ import (
 // 25 %. A put's value crosses the client→replica hop four times and no
 // other — a pre-prepare names it by ref — and each hop is allowed its one
 // copy in and its one copy out (the per-hop table in docs/ARCHITECTURE.md),
-// and memory a replica keeps is reused, not allocated: the run measures 3.6
-// on rdma-rubin and 4.2 on tcp-nio. The copy in is the replica's request
+// and memory a replica keeps is reused, not allocated: the run measures 2.7
+// on rdma-rubin and 4.0 on tcp-nio, since a socket buffer is a ring that
+// stops growing at the socket buffer size (tcp-nio read 4.4 when replicas
+// got a client selector of their own and clients queued deeper, while a
+// bytes.Buffer re-grew under the deeper queue; 3.6 and 4.2 before that, the
+// driver then encoding each put's padded value into a string of its own).
+// The copy in is the replica's request
 // row keeping the op in the backing a released row gave back, the
 // transports lending the landed message from memory they reuse, and the
 // store copying the value over its key's held value. It measured 7.3 and

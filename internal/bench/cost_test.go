@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rubin/internal/fabric"
+	"rubin/internal/kvstore"
 	"rubin/internal/model"
 	"rubin/internal/shard"
 	"rubin/internal/sim"
@@ -18,54 +19,62 @@ import (
 
 // meter is one resource of a simulated world as a cost table reads it: the
 // role its host plays (leader, backup, client or server; every NIC is role
-// NIC and every link direction role link), what it is (CPU, app, NIC or
-// wire) and the resource itself.
+// NIC and every link direction role link), what it is (CPU, app, peer app,
+// client app, NIC or wire), the resource itself and, for a CPU or an
+// application thread, the node it serves.
 type meter struct {
 	name, role, res string
 	r               *sim.Resource
+	node            *fabric.Node
 }
+
+// thread is the role and the resource class of one application thread.
+type thread struct{ role, res string }
 
 // meters lists every resource of nw. roleOf names the role of a node's CPU
 // and of each of its application threads, thread k at index k.
-func meters(nw *fabric.Network, roleOf func(*fabric.Node) (cpu string, threads []string)) []meter {
+func meters(nw *fabric.Network, roleOf func(*fabric.Node) (cpu string, threads []thread)) []meter {
 	var ms []meter
 	nodes := nw.Nodes()
 	for _, n := range nodes {
 		cpu, threads := roleOf(n)
-		ms = append(ms, meter{n.Name() + "/cpu", cpu, "CPU", n.CPU})
-		for k, role := range threads {
+		ms = append(ms, meter{n.Name() + "/cpu", cpu, "CPU", n.CPU, n})
+		for k, th := range threads {
 			name := n.Name() + "/app"
 			if k > 0 {
 				name += fmt.Sprint(k)
 			}
-			ms = append(ms, meter{name, role, "app", n.Thread(k)})
+			ms = append(ms, meter{name, th.role, th.res, n.Thread(k), n})
 		}
-		ms = append(ms, meter{n.Name() + "/nic", "NIC", "NIC", n.NIC})
+		ms = append(ms, meter{n.Name() + "/nic", "NIC", "NIC", n.NIC, nil})
 	}
 	for i, a := range nodes {
 		for _, b := range nodes[i+1:] {
 			if l := nw.Link(a, b); l != nil {
-				ms = append(ms, meter{a.Name() + "->" + b.Name(), "link", "wire", l.Wire(a)}, meter{b.Name() + "->" + a.Name(), "link", "wire", l.Wire(b)})
+				ms = append(ms, meter{a.Name() + "->" + b.Name(), "link", "wire", l.Wire(a), nil}, meter{b.Name() + "->" + a.Name(), "link", "wire", l.Wire(b), nil})
 			}
 		}
 	}
 	return ms
 }
 
-// roles gives a deployment's hosts their roles: pillar k's thread is the
-// leader's if it hosts group k's leader, and a host's CPU is the leader's
-// if any of its pillars is. Every other node is a front-end, a client.
-func (d *deployment) roles(n *fabric.Node) (string, []string) {
+// roles gives a deployment's hosts their roles: of K groups, pillar k's
+// peer thread (k) and client thread (K+k) are the leader's if the host
+// holds group k's leader, and a host's CPU is the leader's if any of its
+// pillars is. Every other node is a front-end, a client.
+func (d *deployment) roles(n *fabric.Node) (string, []thread) {
 	i := slices.Index(d.hosts, n)
 	if i < 0 {
-		return "client", []string{"client"}
+		return "client", []thread{{"client", "app"}}
 	}
-	cpu, threads := "backup", make([]string, len(d.groups))
-	for k, g := range d.groups {
-		threads[k] = "backup"
-		if g.Replicas[i].IsLeader() {
-			threads[k], cpu = "leader", "leader"
+	k := len(d.groups)
+	cpu, threads := "backup", make([]thread, 2*k)
+	for g, c := range d.groups {
+		role := "backup"
+		if c.Replicas[i].IsLeader() {
+			role, cpu = "leader", "leader"
 		}
+		threads[g], threads[k+g] = thread{role, "peer app"}, thread{role, "client app"}
 	}
 	return cpu, threads
 }
@@ -122,7 +131,7 @@ func echoWorld(t *testing.T, kind transport.Kind, batch int) (*sim.Loop, *fabric
 }
 
 // echoRoles names the two nodes of an echo world by what they do.
-func echoRoles(n *fabric.Node) (string, []string) { return n.Name(), []string{n.Name()} }
+func echoRoles(n *fabric.Node) (string, []thread) { return n.Name(), []thread{{n.Name(), "app"}} }
 
 // kindsOn returns the kinds that landed on each class of resource between
 // two snapshots, every role together.
@@ -145,39 +154,46 @@ func kindsOn(ms []meter, before, after []reading) map[string][]string {
 	return got
 }
 
-// TestChargeKinds drives one echo and one PBFT request on each stack, from
-// a world already set up, and pins which kinds land on which resource: on
-// the application threads the socket calls or the verbs work, RUBIN's
-// dispatch and the per-message handling; on the CPU the kernel's interrupt,
-// segment and wakeup work, NIO's dispatch (ROADMAP O26), and the protocol's
-// MACs, digests, ordering and execution; on the NIC only the RNIC's DMA and
-// completions; on the links only the wire. Set-up is over before the
-// snapshot, so neither set-up kind shows there; connecting the echo charged
-// them — rdma_cm's call and the MR registrations on the CPU, the TCP dial's
-// call on the application thread.
+// TestChargeKinds drives one echo, one PBFT put and one fast read on each
+// stack, from a world already set up, and pins which kinds land on which
+// resource: on the application threads the socket calls or the verbs work,
+// RUBIN's dispatch and the per-message handling; on the CPU the kernel's
+// interrupt, segment and wakeup work, NIO's dispatch (ROADMAP O26), and the
+// protocol's MACs, digests, ordering and execution; on the NIC only the
+// RNIC's DMA and completions; on the links only the wire. A replica's
+// transport work splits by connection: PRE-PREPARE, PREPARE, COMMIT and
+// CHECKPOINT on its peer thread, REQUEST and REPLY on its client thread, so
+// a put loads both, and a fast read — READ-REQUEST and READ-REPLY, no
+// agreement — its client thread alone. Set-up is over before the snapshot,
+// so neither set-up kind shows there; connecting the echo charged them —
+// rdma_cm's call and the MR registrations on the CPU, the TCP dial's call on
+// the application thread.
 func TestChargeKinds(t *testing.T) {
-	type want struct{ app, cpu, nic []string }
+	type want struct{ app, peer, client, cpu, nic []string }
 	verbs := []string{"MsgHandle", "completion", "receive copy", "select dispatch", "verbs post"}
 	sockets := []string{"MsgHandle", "socket read", "socket write"}
 	kernel := []string{"interrupt", "segment", "select dispatch", "wakeup"}
 	protocol := []string{"MAC", "digest", "execute", "order"}
+	reads := []string{"MAC", "execute"}
 	rnic := []string{"DMA", "completion"}
 	for _, tc := range []struct {
-		kind       transport.Kind
-		echo, pbft want
-		setupOn    string   // where connecting the echo charged its set-up kinds
-		setup      []string // every kind it charged there
+		kind             transport.Kind
+		echo, put, fetch want
+		setupOn          string   // where connecting the echo charged its set-up kinds
+		setup            []string // every kind it charged there
 	}{
-		{transport.KindRDMA, want{verbs, nil, rnic}, want{verbs, protocol, rnic}, "CPU", []string{"MR set-up", "connection set-up"}},
-		{transport.KindTCP, want{sockets, kernel, nil}, want{sockets, slices.Concat(protocol, kernel), nil}, "app", []string{"connection set-up"}},
+		{transport.KindRDMA, want{verbs, nil, nil, nil, rnic}, want{verbs, verbs, verbs, protocol, rnic}, want{verbs, nil, verbs, reads, rnic}, "CPU", []string{"MR set-up", "connection set-up"}},
+		{transport.KindTCP, want{sockets, nil, nil, kernel, nil}, want{sockets, sockets, sockets, slices.Concat(protocol, kernel), nil}, want{sockets, nil, sockets, slices.Concat(reads, kernel), nil}, "app", []string{"connection set-up"}},
 	} {
 		check := func(shape string, w want, got map[string][]string) {
 			t.Helper()
 			slices.Sort(w.cpu)
+			// The front-ends' threads are class app, a replica's peer app
+			// and client app; an echo has no replica.
 			for _, c := range []struct {
 				class string
 				want  []string
-			}{{"app", w.app}, {"CPU", w.cpu}, {"NIC", w.nic}, {"link", []string{"wire"}}} {
+			}{{"app", w.app}, {"peer app", w.peer}, {"client app", w.client}, {"CPU", w.cpu}, {"NIC", w.nic}, {"link", []string{"wire"}}} {
 				if !slices.Equal(got[c.class], c.want) {
 					t.Errorf("%s %s: kinds on %s %q, want %q", tc.kind, shape, c.class, got[c.class], c.want)
 				}
@@ -199,7 +215,7 @@ func TestChargeKinds(t *testing.T) {
 		}
 		check("echo", tc.echo, kindsOn(ms, before, snapshot(ms)))
 
-		d, err := deploy(deploySpec{kind: tc.kind, seed: 1, conns: 1}, shard.Config{Shards: 1, PBFT: pbftConfig(4, 1, 0)}, oneHostSet, model.Default())
+		d, err := deploy(deploySpec{kind: tc.kind, seed: 1, conns: 1, readTimeout: 2 * sim.Millisecond}, shard.Config{Shards: 1, PBFT: pbftConfig(4, 1, 0)}, oneHostSet, model.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +227,15 @@ func TestChargeKinds(t *testing.T) {
 		if done != 1 {
 			t.Fatalf("%s: %d requests completed, want 1", tc.kind, done)
 		}
-		check("PBFT request", tc.pbft, kindsOn(ms, before, snapshot(ms)))
+		check("PBFT put", tc.put, kindsOn(ms, before, snapshot(ms)))
+
+		before = snapshot(ms)
+		d.loop.Post(func() { d.fronts[0].InvokeOp(kvstore.EncodeOp(kvstore.OpGet, "k", ""), func([]byte) { done++ }) })
+		d.loop.Run()
+		if done != 2 || d.groups[0].Replicas[0].Executed() != 1 {
+			t.Fatalf("%s: the read did not complete on the fast path", tc.kind)
+		}
+		check("fast read", tc.fetch, kindsOn(ms, before, snapshot(ms)))
 	}
 }
 
@@ -307,23 +331,18 @@ func putShape(name string, kind transport.Kind, groups, kb, window, warm, measur
 	}}
 }
 
-// smallShape is the small-rubin / small-nio load with fewer ops: 96 users
-// in closed loop over four front-ends, 128 B values, mixed operations on
-// 1024 keys at Zipf 0.9. It saturates the group, which is where batching
-// shows.
-func smallShape(name string, kind transport.Kind) ledgerShape {
+// loadShape is a benchmark workload's shape with fewer ops: wcfg's users
+// over four front-ends, metered over its measured ops; a positive
+// readTimeout serves reads on the fast path.
+func loadShape(name string, kind transport.Kind, readTimeout sim.Time, wcfg workload.Config) ledgerShape {
 	return ledgerShape{name, func(t *testing.T) ledgerRun {
-		d, err := deploy(deploySpec{kind: kind, seed: 1, conns: 4}, shard.Config{Shards: 1, PBFT: pbftConfig(4, 1, 0)}, oneHostSet, model.Default())
+		d, err := deploy(deploySpec{kind: kind, seed: 1, conns: 4, readTimeout: readTimeout}, shard.Config{Shards: 1, PBFT: pbftConfig(4, 1, 0)}, oneHostSet, model.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
-		const warm, measured = 300, 3000
-		w := newLedgerWindow(d.loop, meters(d.nw, d.roles), warm, measured)
-		drv, err := workload.New(d.loop, workload.Config{
-			Users: 96, Conns: 4, Ops: measured, Warmup: warm, Keys: workload.NewZipf(1024, 0.9),
-			Mix: workload.Mix{ReadPct: 45, WritePct: 45, ScanPct: 5, DeletePct: 5}, Arrival: workload.Closed(1, 0),
-			ValueSize: 128, Seed: 1,
-		}, func(conn int, op []byte, done func([]byte)) string {
+		w := newLedgerWindow(d.loop, meters(d.nw, d.roles), wcfg.Warmup, wcfg.Ops)
+		wcfg.Conns, wcfg.Seed = 4, 1
+		drv, err := workload.New(d.loop, wcfg, func(conn int, op []byte, done func([]byte)) string {
 			return d.fronts[conn].InvokeOp(op, func(res []byte) { w.reply(); done(res) })
 		})
 		if err != nil {
@@ -334,6 +353,16 @@ func smallShape(name string, kind transport.Kind) ledgerShape {
 		}
 		return w.result(t)
 	}}
+}
+
+// smallShape is the small-rubin / small-nio load with fewer ops: 96 users
+// in closed loop, 128 B values, mixed operations on 1024 keys at Zipf 0.9.
+// It saturates the group, which is where batching shows.
+func smallShape(name string, kind transport.Kind) ledgerShape {
+	return loadShape(name, kind, 0, workload.Config{
+		Users: 96, Ops: 3000, Warmup: 300, Keys: workload.NewZipf(1024, 0.9),
+		Mix: workload.Mix{ReadPct: 45, WritePct: 45, ScanPct: 5, DeletePct: 5}, Arrival: workload.Closed(1, 0), ValueSize: 128,
+	})
 }
 
 // ledgerShapes are the cost ledger's columns.
@@ -353,7 +382,7 @@ var ledgerShapes = []ledgerShape{
 // ledgerRoles and ledgerResources order the ledger's rows.
 var (
 	ledgerRoles     = []string{"leader", "backup", "server", "client", "NIC", "link"}
-	ledgerResources = []string{"app", "CPU", "NIC", "wire"}
+	ledgerResources = []string{"app", "peer app", "client app", "CPU", "NIC", "wire"}
 )
 
 // renderLedger is the markdown table docs/ARCHITECTURE.md holds: per
@@ -400,6 +429,11 @@ func renderLedger(runs []ledgerRun) string {
 		}
 		fmt.Fprintf(&b, " %s %.2f |", best, util)
 	}
+	b.WriteString("\n| cores in use | | busiest host |")
+	for _, r := range runs {
+		host, cores := r.busiestHost()
+		fmt.Fprintf(&b, " %s %.2f |", host.Name(), cores)
+	}
 	b.WriteString("\n\nNo row: ")
 	var free []string
 	for k, name := range model.KindNames {
@@ -411,17 +445,55 @@ func renderLedger(runs []ledgerRun) string {
 	return b.String()
 }
 
+// demand returns, per node, the service its CPU and all its application
+// threads delivered over the window, in cores: what the host would need
+// were each thread a core of its own.
+func (r ledgerRun) demand() map[*fabric.Node]float64 {
+	cores := map[*fabric.Node]float64{}
+	for j, m := range r.ms {
+		if m.node != nil {
+			cores[m.node] += float64(r.after[j].served-r.before[j].served) / float64(r.span)
+		}
+	}
+	return cores
+}
+
+// busiestHost returns the node of the largest demand and that demand, the
+// first such node in the world's order on a tie.
+func (r ledgerRun) busiestHost() (*fabric.Node, float64) {
+	cores := r.demand()
+	var host *fabric.Node
+	for _, m := range r.ms {
+		if m.node != nil && (host == nil || cores[m.node] > cores[host]) {
+			host = m.node
+		}
+	}
+	return host, cores[host]
+}
+
 const ledgerBegin, ledgerEnd = "<!-- cost ledger: rendered from internal/bench/cost_test.go -->\n", "<!-- end of cost ledger -->"
+
+// ledgerRuns measures every ledger shape once per test binary: the
+// ledger and the core demand read the same runs.
+var ledgerRuns []ledgerRun
+
+func measureLedger(t *testing.T) []ledgerRun {
+	t.Helper()
+	if ledgerRuns == nil {
+		runs := make([]ledgerRun, len(ledgerShapes))
+		for i, s := range ledgerShapes {
+			runs[i] = s.run(t)
+		}
+		ledgerRuns = runs
+	}
+	return ledgerRuns
+}
 
 // TestCostLedger measures every ledger shape and asserts that
 // docs/ARCHITECTURE.md holds the ledger between its markers. It only
 // observes: the snapshots read the resources and charge nothing.
 func TestCostLedger(t *testing.T) {
-	runs := make([]ledgerRun, len(ledgerShapes))
-	for i, s := range ledgerShapes {
-		runs[i] = s.run(t)
-	}
-	got := renderLedger(runs)
+	got := renderLedger(measureLedger(t))
 	t.Logf("µs per request:\n%s", got)
 	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "ARCHITECTURE.md"))
 	if err != nil {
@@ -431,5 +503,63 @@ func TestCostLedger(t *testing.T) {
 	block, _, ok := strings.Cut(block, ledgerEnd)
 	if !ok || block != got {
 		t.Errorf("docs/ARCHITECTURE.md does not hold the cost ledger; paste this block under \"Cost ledger\":\n%s%s%s", ledgerBegin, got, ledgerEnd)
+	}
+}
+
+// demandShapes are the benchmark's other replicated workloads with fewer
+// ops, beside the ledger's columns: large-rubin, reads-rubin and
+// open-rubin.
+var demandShapes = []ledgerShape{
+	loadShape("large RUBIN", transport.KindRDMA, 0, workload.Config{
+		Users: 32, Ops: 700, Warmup: 70, Keys: workload.NewUniform(64),
+		Mix: workload.Mix{ReadPct: 10, WritePct: 90}, Arrival: workload.Closed(1, 0), ValueSize: 32 << 10,
+	}),
+	loadShape("reads RUBIN", transport.KindRDMA, 2*sim.Millisecond, workload.Config{
+		Users: 96, Ops: 4000, Warmup: 400, Keys: workload.NewZipf(1024, 0.9),
+		Mix: workload.Mix{ReadPct: 95, WritePct: 5}, Arrival: workload.Closed(1, 0), ValueSize: 128,
+	}),
+	loadShape("open RUBIN", transport.KindRDMA, 0, workload.Config{
+		Users: 256, Ops: 3000, Warmup: 300, Keys: workload.NewUniform(1024),
+		Mix: workload.Mix{ReadPct: 45, WritePct: 45, ScanPct: 5, DeletePct: 5}, Arrival: workload.Poisson(30000), ValueSize: 128,
+	}),
+}
+
+// overCores names the shapes whose busiest host demands more than its
+// cores — its CPU's busy cores plus every application thread, each a
+// server of its own that takes none of them (ROADMAP O30) — each with its
+// reading. A saturated replica group keeps two selectors per pillar and
+// its CPU busy at once.
+var overCores = map[string]bool{
+	"PBFT RUBIN 1KB": true, "PBFT NIO 1KB": true, "COP K=4 RUBIN 64KB": true, "COP K=4 NIO 64KB": true,
+	"small RUBIN": true, "small NIO": true,
+}
+
+// TestCoreDemand reads, for every ledger shape and the benchmark's other
+// replicated workloads, each host's CPU busy time plus the busy time of all
+// its application threads over the measured window, in cores, and holds
+// the busiest host to model.Host.Cores — except the shapes overCores
+// names, which must still be above it (a list that goes stale fails too).
+// The model does not make a thread take a core, so a point above is a
+// finding about the model, not a failure of the run.
+func TestCoreDemand(t *testing.T) {
+	cores := float64(model.Default().Host.Cores)
+	runs := measureLedger(t)
+	shapes := slices.Concat(ledgerShapes, demandShapes)
+	for _, s := range demandShapes {
+		runs = append(runs, s.run(t))
+	}
+	for i, r := range runs {
+		host, demand := r.busiestHost()
+		name := shapes[i].name
+		var parts []string
+		for j, m := range r.ms {
+			if m.node == host {
+				parts = append(parts, fmt.Sprintf("%s %.2f", m.name, float64(r.after[j].served-r.before[j].served)/float64(r.span)))
+			}
+		}
+		t.Logf("%-20s %.2f cores in use of %.0f: %s", name, demand, cores, strings.Join(parts, ", "))
+		if over := demand > cores; over != overCores[name] {
+			t.Errorf("%s: %s demands %.2f cores of %.0f; overCores says above: %v", name, host.Name(), demand, cores, overCores[name])
+		}
 	}
 }

@@ -71,7 +71,8 @@ func TestCheckFailsOnRejectedInboundFrame(t *testing.T) {
 // benchmark builds it through pbft.NewCluster and Cluster.AddClient. With
 // one seed and configuration, on both stacks, the same puts and gets —
 // the gets on the read fast path — at a window of 4 complete at the same
-// instants with the same replies.
+// instants with the same replies, and every replica host's application
+// threads — a peer and a client selector each — were charged alike.
 func TestOneGroupIsTheBenchmarkCluster(t *testing.T) {
 	const seed, ops, window, timeout = 3, 60, 4, 2 * sim.Millisecond
 	cfg := pbftConfig(4, 1, 0)
@@ -140,6 +141,17 @@ func TestOneGroupIsTheBenchmarkCluster(t *testing.T) {
 			if got[i] != want[i] || want[i].at == 0 {
 				t.Fatalf("%s: operation %d completes at %d ns with %q through the router, at %d ns with %q through AddClient",
 					kind, i, got[i].at, got[i].reply, want[i].at, want[i].reply)
+			}
+		}
+		for i, host := range d.hosts {
+			a, b := c.Node(i).Threads(), host.Threads()
+			if len(a) != 2 || len(b) != 2 {
+				t.Fatalf("%s: host %d runs %d application threads through AddClient, %d through the router; want a peer and a client selector", kind, i, len(a), len(b))
+			}
+			for k := range a {
+				if a[k].Snapshot() != b[k].Snapshot() {
+					t.Errorf("%s: host %d thread %d charged %v through AddClient, %v through the router", kind, i, k, a[k].Snapshot(), b[k].Snapshot())
+				}
 			}
 		}
 		if n, m := cl.FastReads(), d.fronts[0].Clients[0].FastReads(); n == 0 || n != m {

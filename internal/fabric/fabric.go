@@ -172,13 +172,14 @@ type Node struct {
 	// kernel-bypass / zero-copy advantage.
 	NIC *sim.Resource
 
-	// App is the host's application thread (one server), onto which NIO and
-	// RUBIN both multiplex every connection (paper Section III): socket
-	// syscalls, verbs posts, CQ polls and completion handling, receive
-	// copies and per-message dispatch all queue here. Being one FIFO server,
-	// it also guarantees that a connection's writes enter the send queue in
-	// call order. It is Thread(0): a COP host runs pillar k's selector on
-	// Thread(k), and every other host has App alone.
+	// App is the host's first application thread (one server), onto which
+	// an NIO or RUBIN selector multiplexes its connections (paper Section
+	// III): socket syscalls, verbs posts, CQ polls and completion handling,
+	// receive copies and per-message dispatch all queue here. Being one
+	// FIFO server, it also guarantees that a connection's writes enter the
+	// send queue in call order. It is Thread(0): a front-end has App alone,
+	// and a replica host of K pillars runs pillar k's peer selector on
+	// Thread(k) and its client selector on Thread(K+k) (pbft.NewHosts).
 	App *sim.Resource
 
 	threads  []*sim.Resource        // application threads by index; App is the first
@@ -188,11 +189,11 @@ type Node struct {
 }
 
 // Thread returns the host's application thread k, making it and any below
-// it on first use: thread 0 is App, thread k > 0 is <node>/app<k>. A COP
-// pillar multiplexes its own connections on a thread of its own (Behl et
-// al., Middleware '15), so K pillars on one host share its CPU cores and
-// NIC but no selector. A thread is a server of its own: it does not take
-// one of the CPU's cores.
+// it on first use: thread 0 is App, thread k > 0 is <node>/app<k>. A
+// selector multiplexes its connections on a thread of its own, as COP's
+// pillars do (Behl et al., Middleware '15), so the selectors of one host
+// share its CPU cores and NIC but no thread. A thread is a server of its
+// own: it does not take one of the CPU's cores.
 func (n *Node) Thread(k int) *sim.Resource {
 	for len(n.threads) <= k {
 		name := n.name + "/app"

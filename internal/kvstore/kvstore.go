@@ -176,7 +176,7 @@ func EncodeOp(code OpCode, key, value string) []byte {
 }
 
 // AppendOp appends the serialization EncodeOp makes to buf.
-func AppendOp(buf []byte, code OpCode, key, value string) []byte {
+func AppendOp[V string | []byte](buf []byte, code OpCode, key string, value V) []byte {
 	return appendStr(appendStr(append(buf, byte(code)), key), value)
 }
 

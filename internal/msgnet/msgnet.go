@@ -165,9 +165,9 @@ func NewMesh(kind transport.Kind, node *fabric.Node, opts Options) (*Mesh, error
 	return meshes[0], nil
 }
 
-// NewMeshes opens n messaging endpoints on a node, one per COP pillar: each
-// over a transport stack of its own, on the node's application thread of
-// its index (transport.NewStacks).
+// NewMeshes opens n messaging endpoints on a node — a replica host's peer
+// and client meshes, two per pillar: each over a transport stack of its
+// own, on the node's application thread of its index (transport.NewStacks).
 func NewMeshes(kind transport.Kind, node *fabric.Node, opts Options, n int) ([]*Mesh, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

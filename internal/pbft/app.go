@@ -113,8 +113,12 @@ type Config struct {
 	InitialView uint64
 }
 
-// batchDelay bounds how long a leader waits to fill a batch.
-const batchDelay = 200 * sim.Microsecond
+// batchDelay bounds how long a leader waits to fill a batch. It was 200 µs
+// while a replica's agreement work queued behind its client traffic on one
+// application thread; with a selector for each (Hosts), a trailing batch's
+// wait is what a run's drain shows, and 100 µs keeps it within the
+// service gaps that thread used to hide it in (docs/EXPERIMENTS.md).
+const batchDelay = 100 * sim.Microsecond
 
 // batchBytes bounds a batch by the sum of its requests' operation sizes, as
 // Castro & Liskov do, beside BatchSize's count: a leader cuts a proposal

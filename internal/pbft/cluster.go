@@ -40,18 +40,23 @@ const (
 const clientIDStride = 1024
 
 // Hosts is the machine layer of a deployment: N fabric nodes named
-// <prefix>r<i>, fully meshed by links, each with one msgnet mesh per
-// pillar. A pillar is what COP gives each of its groups: a transport
-// stack with a selector of its own on an application thread of its own, on
-// the node's one TCP stack or RNIC. The meshes own the peer handles, which
-// survive replica crashes.
+// <prefix>r<i>, fully meshed by links, each with two msgnet meshes per
+// pillar. A pillar is what COP gives each of its groups; each of its two
+// meshes is a transport stack with a selector of its own on an application
+// thread of its own, on the node's one TCP stack or RNIC. The peer mesh
+// carries agreement between replicas, the client mesh requests and replies,
+// so a flood of client traffic never queues ahead of a PREPARE (Aardvark's
+// separate queues, Clement et al., NSDI '09). Of K pillars, pillar k's peer
+// selector runs on Thread(k) and its client selector on Thread(K+k). The
+// meshes own the peer handles, which survive replica crashes.
 type Hosts struct {
 	Loop    *sim.Loop
 	Network *fabric.Network
 	Kind    transport.Kind
-	Meshes  []*msgnet.Mesh // host i's mesh of pillar 0
+	Meshes  []*msgnet.Mesh // host i's peer mesh of pillar 0
 
-	pillars [][]*msgnet.Mesh // pillars[k][i]: host i's mesh of pillar k
+	pillars [][]*msgnet.Mesh // pillars[k][i]: host i's peer mesh of pillar k
+	clients [][]*msgnet.Mesh // clients[k][i]: host i's client mesh of pillar k
 
 	nodes  []*fabric.Node // host i's node: what the group's counters fold over
 	prefix string
@@ -65,15 +70,17 @@ type Hosts struct {
 // whose group k serves on pillar k. Deployments sharing a network (the
 // shards of a sharded service) keep their nodes disjoint by prefix.
 func NewHosts(loop *sim.Loop, nw *fabric.Network, kind transport.Kind, prefix string, n, pillars int) (*Hosts, error) {
-	h := &Hosts{Loop: loop, Network: nw, Kind: kind, prefix: prefix, pillars: make([][]*msgnet.Mesh, pillars)}
+	h := &Hosts{Loop: loop, Network: nw, Kind: kind, prefix: prefix,
+		pillars: make([][]*msgnet.Mesh, pillars), clients: make([][]*msgnet.Mesh, pillars)}
 	for i := 0; i < n; i++ {
 		h.nodes = append(h.nodes, nw.AddNode(fmt.Sprintf("%sr%d", prefix, i)))
-		meshes, err := msgnet.NewMeshes(kind, h.nodes[i], msgnet.DefaultOptions(), pillars)
+		meshes, err := msgnet.NewMeshes(kind, h.nodes[i], msgnet.DefaultOptions(), 2*pillars)
 		if err != nil {
 			return nil, err
 		}
-		for k, mesh := range meshes {
-			h.pillars[k] = append(h.pillars[k], mesh)
+		for k := range pillars {
+			h.pillars[k] = append(h.pillars[k], meshes[k])
+			h.clients[k] = append(h.clients[k], meshes[pillars+k])
 		}
 	}
 	h.Meshes = h.pillars[0]
@@ -142,7 +149,7 @@ type Cluster struct {
 
 	peerLinks     [][]*msgnet.Peer // peerLinks[i][j]: outbound i -> j
 	inboundPeer   [][]*msgnet.Peer // peer-initiated conns accepted by i
-	inboundClient [][]*msgnet.Peer // client conns accepted by i
+	inboundClient [][]*msgnet.Peer // client conns accepted by i on its client mesh
 
 	// attachErrs collects re-attach/re-dial failures from Restart; they
 	// surface through AttachErr (and chaos.Schedule.Err).
@@ -207,10 +214,11 @@ func (c *Cluster) Start() error {
 	return c.Await()
 }
 
-// Listen listens on every host at the cluster's peer and client ports, on
-// its pillar, and posts the group's N·(N−1) peer dials; Hosts.Await
-// completes them. Connections are handed to whichever replica occupies
-// the slot when they arrive, so late ones reach a restarted replica.
+// Listen listens on every host at the cluster's peer port on its pillar's
+// peer mesh and at its client port on the pillar's client mesh, and posts
+// the group's N·(N−1) peer dials; Hosts.Await completes them. Connections
+// are handed to whichever replica occupies the slot when they arrive, so
+// late ones reach a restarted replica.
 func (c *Cluster) Listen() error {
 	h := c.Hosts
 	for i, mesh := range h.pillars[c.pillar] {
@@ -220,7 +228,7 @@ func (c *Cluster) Listen() error {
 		}); err != nil {
 			return err
 		}
-		if err := mesh.Listen(ClientPort+portStride*c.pillar, func(p *msgnet.Peer) {
+		if err := h.clients[c.pillar][i].Listen(ClientPort+portStride*c.pillar, func(p *msgnet.Peer) {
 			c.inboundClient[i] = append(c.inboundClient[i], p)
 			c.Replicas[i].HandleClientConn(p)
 		}); err != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // TestProposalLeavesWhenItsWorkIsDone: a leader with idle cores admits four
-// 1 KB requests 50 µs apart into a batch of four. It digests each request
+// 1 KB requests a quarter batchDelay apart into a batch of four. It digests each request
 // when it files it, and each one's ordering — marshalling a 44-byte ref,
 // not the request — starts on the leader CPU when it is admitted, so the
 // pre-prepare leaves when the last request's digest and ordering and the
@@ -24,7 +24,7 @@ func TestProposalLeavesWhenItsWorkIsDone(t *testing.T) {
 	cfg.BatchSize = 4
 	r := bareReplica(t, 0, cfg)
 	loop, params := r.node.Loop(), r.node.Network().Params()
-	const gap = 50 * sim.Microsecond
+	gap := batchDelay / 4
 	batch := batchOf(4, 1024)
 	for i, req := range batch {
 		loop.At(sim.Time(i)*gap, func() { r.handleRequest(req, nil) })

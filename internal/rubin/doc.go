@@ -22,8 +22,9 @@
 // unless NewSelectorOn names another): its channels' verbs posts,
 // completion polls and receive copies and its dispatch queue there,
 // registered or not — the single-threaded event loop RUBIN shares with the
-// NIO design it replaces. A host has one selector, or, under COP, one per
-// pillar, each on a thread of its own. The selector owns one send
+// NIO design it replaces. A front-end has one selector and a replica host
+// two per pillar, one for its peers and one for its clients, each on a
+// thread of its own. The selector owns one send
 // CQ and one receive CQ, and every channel made for it (Listen and Connect
 // take the selector) completes to them: one completion event and one poll
 // serve all the channels with completions, each CQE handed to its channel

@@ -78,9 +78,10 @@ func New(kind transport.Kind, cfg Config, params model.Params, seed int64) (*Dep
 }
 
 // NewCOP builds a COP group: cfg.Shards PBFT groups on one set of N hosts
-// named "r<i>", group k on every host's pillar k (a msgnet mesh whose
-// selector runs on the host's application thread k; the pillars share the
-// host's CPU cores, NIC and TCP stack or RNIC), starting in view k so that
+// named "r<i>", group k on every host's pillar k (a peer and a client
+// msgnet mesh, each with its selector on an application thread of its own;
+// the pillars share the host's CPU cores, NIC and TCP stack or RNIC; see
+// pbft.Hosts), starting in view k so that
 // every replica leads one group. Call Start, then AddRouter.
 func NewCOP(kind transport.Kind, cfg Config, params model.Params, seed int64) (*Deployment, error) {
 	return build(kind, cfg, params, seed, true)

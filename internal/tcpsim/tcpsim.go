@@ -16,9 +16,9 @@
 package tcpsim
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rubin/internal/fabric"
 	"rubin/internal/model"
@@ -194,7 +194,7 @@ type Conn struct {
 	// in it, oldest first (a segment never spans two): the first served
 	// have had their syscall cost served and wait for window, the rest are
 	// on the app thread — a FIFO server, so writeDone needs no operand.
-	sendBuf     bytes.Buffer
+	sendBuf     ring
 	writes      sim.Queue[int]
 	served      int
 	writeDoneFn func() // c.writeDone
@@ -202,7 +202,7 @@ type Conn struct {
 
 	// Receive side: the kernel socket buffer, and the byte count of every
 	// Read whose syscall cost is being served, for readDone to advertise.
-	recvBuf    bytes.Buffer
+	recvBuf    ring
 	reads      sim.Queue[int]
 	readDoneFn func() // c.readDone
 	notifyArm  bool   // a readable wakeup is already scheduled
@@ -270,7 +270,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 		c.writeBlock = true
 		return 0, nil
 	}
-	c.sendBuf.Write(p[:n])
+	c.sendBuf.Write(p[:n], c.stack.params.TCP.SocketBuffer)
 	c.writes.Push(n)
 	tp := c.stack.params.TCP
 	cost := tp.SendSyscall + model.KB(tp.CopyPerKB, n) +
@@ -308,8 +308,8 @@ func (c *Conn) pump() {
 		}
 		c.inFlight += n
 		seg := c.segment(segDATA)
-		// Next aliases storage the next Write may slide: copy out now.
-		seg.payload = append(seg.payload, c.sendBuf.Next(n)...)
+		seg.payload = slices.Grow(seg.payload, n)[:n]
+		c.sendBuf.Read(seg.payload)
 		c.send(seg, n)
 	}
 }
@@ -322,7 +322,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	if c.state == stateClosed && c.recvBuf.Len() == 0 {
 		return 0, ErrClosed
 	}
-	n, _ := c.recvBuf.Read(p)
+	n := c.recvBuf.Read(p)
 	if n == 0 {
 		return 0, nil
 	}
@@ -470,7 +470,7 @@ func (s *Stack) handleSegment(from *fabric.Node, seg *segment) {
 		if c.state != stateEstablished {
 			return
 		}
-		c.recvBuf.Write(seg.payload)
+		c.recvBuf.Write(seg.payload, c.stack.params.TCP.SocketBuffer)
 		c.notifyReadable()
 	case segWINDOW:
 		if c.state != stateEstablished {

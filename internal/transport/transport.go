@@ -111,10 +111,10 @@ func NewStack(kind Kind, node *fabric.Node, opts Options) (Stack, error) {
 	return stacks[0], nil
 }
 
-// NewStacks creates n stacks of the requested kind on a node, the pillars
-// of a COP host: they share the node's TCP stack or RNIC, and stack k has
-// a selector of its own on the node's application thread k
-// (fabric.Node.Thread).
+// NewStacks creates n stacks of the requested kind on a node — a replica
+// host's peer and client stacks, two per pillar: they share the node's TCP
+// stack or RNIC, and stack k has a selector of its own on the node's
+// application thread k (fabric.Node.Thread).
 func NewStacks(kind Kind, node *fabric.Node, opts Options, n int) ([]Stack, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

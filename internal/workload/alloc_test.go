@@ -46,11 +46,14 @@ func (s *replyService) answer() {
 }
 
 // TestDriverAllocatesPerOpOnlyWhatItKeeps: a completed operation costs the
-// driver what it records — a write's value, a read's observed value — and
-// nothing for its encoding, per completion or per think time: each user slot
-// encodes its operations into one buffer of its own, lent to the Invoker
-// until done fires, the in-flight records and their callbacks are bound once
-// per user slot, key names once per key, and the history is sized once, when
+// driver only what it records — a write's stem and a read's observed stem
+// carved from storage a few hundred stems share, and a reply that is no
+// written value (this service's get reply) in a marked copy of its own —
+// and nothing for its encoding, per completion or per think time: each user
+// slot encodes its operations into one buffer of its own, lent to the
+// Invoker until done fires, a write's padding is encoded into the driver's
+// scratch, the in-flight records and their callbacks are bound once per
+// user slot, key names once per key, and the history is sized once, when
 // Run starts. Measured as the difference between a run of 2n and one of n
 // operations, in closed and in open loop.
 func TestDriverAllocatesPerOpOnlyWhatItKeeps(t *testing.T) {
@@ -63,7 +66,7 @@ func TestDriverAllocatesPerOpOnlyWhatItKeeps(t *testing.T) {
 			Users: 4, Conns: 2, Keys: NewUniform(4), Arrival: arrival, ValueSize: 32, Seed: 3,
 			Mix: Mix{ReadPct: 40, WritePct: 40, DeletePct: 20},
 		}
-		run := func(ops int) (mallocs float64, kept int) {
+		run := func(ops int) (mallocs float64, marked int) {
 			cfg.Ops = ops
 			var d *Driver
 			mallocs = testing.AllocsPerRun(1, func() {
@@ -77,16 +80,17 @@ func TestDriverAllocatesPerOpOnlyWhatItKeeps(t *testing.T) {
 				}
 			})
 			for _, op := range d.History().Ops() {
-				if op.Kind == Write || op.Kind == Read {
-					kept++ // the value written, the value seen
+				if op.Kind == Read {
+					marked++ // "a stored value" is not a padded stem
 				}
 			}
-			return mallocs, kept
+			return mallocs, marked
 		}
 		m1, k1 := run(n)
 		m2, k2 := run(2 * n)
-		if perOp, want := (m2-m1)/n, float64(k2-k1)/n; perOp != want {
-			t.Errorf("%s: %.3f allocations per completed operation, want %.3f", arrival, perOp, want)
+		perOp, want := (m2-m1)/n, float64(k2-k1)/n
+		if perOp < want || perOp > want+0.01 {
+			t.Errorf("%s: %.3f allocations per completed operation, want %.3f and at most 0.01 for stem storage", arrival, perOp, want)
 		}
 	}
 }

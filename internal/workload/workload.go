@@ -16,6 +16,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -63,7 +64,7 @@ type Config struct {
 	Arrival Arrival
 	// ValueSize pads written values up to this many bytes. Values keep a
 	// unique "u<user>.<seq>" stem regardless, so every write in the
-	// history is distinguishable.
+	// history is distinguishable; the history keeps only the stem.
 	ValueSize int
 	// TxnPick chooses the two distinct keys of a multi-key transaction.
 	// The bench layer injects a picker here to control the share of
@@ -119,6 +120,8 @@ type Driver struct {
 	// (user u's at u*Window) and one in open loop; KeyName by key index.
 	flights  []flight
 	keyNames []string
+	value    []byte          // the padded value of the write being encoded
+	stems    strings.Builder // the storage stems are carved from (keep)
 
 	total           int
 	issued          int
@@ -249,8 +252,8 @@ func (d *Driver) issue(f *flight, arrive sim.Time) {
 	case Read:
 		raw = kvstore.AppendOp(raw, kvstore.OpGet, key, "")
 	case Write:
-		rec.Value = d.writeValue(f.user, seq, -1)
-		raw = kvstore.AppendOp(raw, kvstore.OpPut, key, rec.Value)
+		rec.Value = d.writeStem(f.user, seq, -1)
+		raw = kvstore.AppendOp(raw, kvstore.OpPut, key, d.padded(rec.Value))
 	case Delete:
 		raw = kvstore.AppendOp(raw, kvstore.OpDelete, key, "")
 	case Scan:
@@ -292,9 +295,10 @@ func (d *Driver) buildTxn(rec *Op, user, seq int) []byte {
 	rec.Key = id
 	var subs []kvstore.TxnSub
 	if d.rng.Intn(2) == 0 {
-		va, vb := d.writeValue(user, seq, 0), d.writeValue(user, seq, 1)
+		va, vb := d.writeStem(user, seq, 0), d.writeStem(user, seq, 1)
 		rec.Sub = []SubOp{{Kind: Write, Key: a, Value: va}, {Kind: Write, Key: b, Value: vb}}
-		subs = []kvstore.TxnSub{{Code: kvstore.OpPut, Key: a, Value: va}, {Code: kvstore.OpPut, Key: b, Value: vb}}
+		pa := string(d.padded(va)) // the scratch holds one value at a time
+		subs = []kvstore.TxnSub{{Code: kvstore.OpPut, Key: a, Value: pa}, {Code: kvstore.OpPut, Key: b, Value: string(d.padded(vb))}}
 	} else {
 		rec.Sub = []SubOp{{Kind: Read, Key: a}, {Kind: Read, Key: b}}
 		subs = []kvstore.TxnSub{{Code: kvstore.OpGet, Key: a}, {Code: kvstore.OpGet, Key: b}}
@@ -332,7 +336,7 @@ func (f *flight) complete(res []byte) {
 	if traceID != "" && traceID == d.notedID {
 		rec.Fast = d.notedFast
 	}
-	normalize(rec, res)
+	d.normalize(rec, res)
 	d.hist.Add(*rec)
 	d.completed++
 	if rec.Kind == Txn && rec.Result != Committed {
@@ -360,39 +364,67 @@ func (f *flight) complete(res []byte) {
 	}
 }
 
-// writeValue builds the unique value of one write, padded to ValueSize.
-// sub is the sub-operation index inside a transaction (-1 for a plain
-// write); the stem stays unique across both forms because no stem is
-// another stem followed by padding dots.
-func (d *Driver) writeValue(user, seq, sub int) string {
+// writeStem returns the unique stem of one write's value: what the history
+// records as the value written. sub is the sub-operation index inside a
+// transaction (-1 for a plain write); the stem stays unique across both
+// forms because no stem is another stem followed by padding dots.
+func (d *Driver) writeStem(user, seq, sub int) string {
 	var scratch [64]byte // holds any stem
 	stem := strconv.AppendInt(append(scratch[:0], 'u'), int64(user), 10)
 	stem = strconv.AppendInt(append(stem, '.'), int64(seq), 10)
 	if sub >= 0 {
 		stem = strconv.AppendInt(append(stem, '.'), int64(sub), 10)
 	}
-	var v strings.Builder
-	v.Grow(max(len(stem), d.cfg.ValueSize)) // the value's one allocation
-	v.Write(stem)
-	for pad := d.cfg.ValueSize - len(stem); pad > 0; pad -= len(padding) {
-		v.WriteString(padding[:min(pad, len(padding))])
+	return d.keep(stem)
+}
+
+// stemChunk is the size of the storage the history's stems are carved
+// from: one allocation holds a few hundred of them.
+const stemChunk = 4 << 10
+
+// keep returns stem as a string carved from the driver's stem storage. A
+// strings.Builder never rewrites bytes it has handed out, so the stems
+// share its backing until it is full and a new one is started.
+func (d *Driver) keep(stem []byte) string {
+	if d.stems.Cap()-d.stems.Len() < len(stem) {
+		d.stems = strings.Builder{}
+		d.stems.Grow(max(stemChunk, len(stem)))
 	}
-	return v.String()
+	start := d.stems.Len()
+	d.stems.Write(stem)
+	return d.stems.String()[start:]
+}
+
+// padded returns the value a write with the given stem stores: the stem,
+// then dots up to ValueSize. It is the driver's scratch, valid until the
+// next call, so a write's value costs no allocation of its own.
+func (d *Driver) padded(stem string) []byte {
+	v := append(d.value[:0], stem...)
+	for len(v) < d.cfg.ValueSize {
+		v = append(v, padding[:min(d.cfg.ValueSize-len(v), len(padding))]...)
+	}
+	d.value = v
+	return v
 }
 
 const padding = "................................................................"
 
+// unpadded marks a read's reply that is not a value the driver writes. It
+// holds a NUL byte, so no stem — nor any other observation — equals a
+// marked reply.
+const unpadded = "\x00reply:"
+
 // normalize maps a kvstore reply onto the observation the history
-// records: reads record the value seen (Absent for a missing key),
-// deletes record Found/NotFound, transactions record their outcome plus
-// per-sub read observations, writes and scans record nothing the checker
-// uses. Unexpected replies are recorded verbatim so they surface as
+// records: reads record the stem of the value seen (Absent for a missing
+// key), deletes record Found/NotFound, transactions record their outcome
+// plus per-sub read observations, writes and scans record nothing the
+// checker uses. Unexpected replies are recorded verbatim so they surface as
 // correctness violations rather than vanishing. A reply becomes a string
 // only where the history keeps it.
-func normalize(rec *Op, res []byte) {
+func (d *Driver) normalize(rec *Op, res []byte) {
 	switch rec.Kind {
 	case Read:
-		rec.Result = observed(res)
+		rec.Result = d.observed(res)
 	case Delete:
 		switch string(res) {
 		case "OK":
@@ -409,7 +441,7 @@ func normalize(rec *Op, res []byte) {
 			rec.Result = Committed
 			for i := range rec.Sub {
 				if rec.Sub[i].Kind == Read {
-					rec.Sub[i].Result = observed(results[i])
+					rec.Sub[i].Result = d.observed(results[i])
 				}
 			}
 		case err == nil && status == kvstore.TxnAborted:
@@ -420,12 +452,19 @@ func normalize(rec *Op, res []byte) {
 	}
 }
 
-// observed is what a read records: the value seen, or Absent.
-func observed(res []byte) string {
+// observed is what a read records: Absent for a missing key; a stem when
+// res is byte for byte that stem padded as a write pads it, so a read
+// matches a write exactly when it returned the bytes that write stored;
+// anything else verbatim, marked unpadded.
+func (d *Driver) observed(res []byte) string {
 	if string(res) == "NOTFOUND" {
 		return Absent
 	}
-	return string(res)
+	stem := bytes.TrimRight(res, ".")
+	if len(stem) > 0 && len(res) == max(len(stem), d.cfg.ValueSize) {
+		return d.keep(stem)
+	}
+	return unpadded + string(res)
 }
 
 // NotePath records which path served the operation traced as traceID:

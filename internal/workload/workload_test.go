@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -363,15 +364,35 @@ func TestDriverDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestDriverWriteValuesUniqueAndPadded: every put carries its stem padded
+// to ValueSize, and the history keeps the stem alone, unique per write.
 func TestDriverWriteValuesUniqueAndPadded(t *testing.T) {
-	d, _ := runDriver(t, testConfig(Closed(1, 0)))
+	cfg := testConfig(Closed(1, 0))
+	loop := sim.NewLoop(1)
+	svc := &fakeService{loop: loop, store: kvstore.New(), delay: 50 * sim.Microsecond}
+	sent := map[string]bool{}
+	d, err := New(loop, cfg, func(conn int, op []byte, done func([]byte)) string {
+		if code, _, value, err := kvstore.DecodeOp(op); err == nil && code == kvstore.OpPut {
+			if len(value) != cfg.ValueSize {
+				t.Fatalf("put value %q is not ValueSize long", value)
+			}
+			sent[strings.TrimRight(value, ".")] = true
+		}
+		return svc.invoke(conn, op, done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
 	seen := map[string]bool{}
 	for _, op := range d.History().Ops() {
 		if op.Kind != Write {
 			continue
 		}
-		if len(op.Value) < 32 {
-			t.Fatalf("write value %q shorter than ValueSize", op.Value)
+		if !sent[op.Value] {
+			t.Fatalf("history value %q is not the stem of a value put", op.Value)
 		}
 		if seen[op.Value] {
 			t.Fatalf("duplicate write value %q", op.Value)
@@ -381,28 +402,88 @@ func TestDriverWriteValuesUniqueAndPadded(t *testing.T) {
 }
 
 // TestWriteValueBytesPinned holds the generated values — the benchmark's
-// input — to their definition: the stem, then dots up to ValueSize, built
-// in the value's one allocation.
+// input — to their definition: the stem, then dots up to ValueSize, encoded
+// into the driver's scratch without an allocation of its own; the history
+// keeps the stem.
 func TestWriteValueBytesPinned(t *testing.T) {
 	for _, size := range []int{0, 3, 8, 63, 64, 65, 128, 32 << 10} {
 		d := &Driver{cfg: Config{ValueSize: size}}
 		for _, c := range [][3]int{{0, 0, -1}, {7, 12, -1}, {95, 8799, 1}, {1 << 30, 1 << 40, 0}} {
-			want := fmt.Sprintf("u%d.%d", c[0], c[1])
+			stem := fmt.Sprintf("u%d.%d", c[0], c[1])
 			if c[2] >= 0 {
-				want = fmt.Sprintf("%s.%d", want, c[2])
+				stem = fmt.Sprintf("%s.%d", stem, c[2])
 			}
+			want := stem
 			if pad := size - len(want); pad > 0 {
 				want += strings.Repeat(".", pad)
 			}
-			if got := d.writeValue(c[0], c[1], c[2]); got != want {
-				t.Fatalf("writeValue(%v) at ValueSize %d = %q, want %q", c, size, got, want)
+			if got := d.writeStem(c[0], c[1], c[2]); got != stem {
+				t.Fatalf("writeStem(%v) = %q, want %q", c, got, stem)
+			}
+			if got := string(d.padded(stem)); got != want {
+				t.Fatalf("padded(%q) at ValueSize %d = %q, want %q", stem, size, got, want)
+			}
+			if got := d.observed([]byte(want)); got != stem {
+				t.Fatalf("a read of %q at ValueSize %d observed %q, want %q", want, size, got, stem)
 			}
 		}
 		if raceflag.Enabled {
 			continue
 		}
-		if allocs := testing.AllocsPerRun(20, func() { d.writeValue(7, 12, -1) }); allocs != 1 {
-			t.Errorf("writeValue at ValueSize %d allocates %v times, want 1", size, allocs)
+		if allocs := testing.AllocsPerRun(20, func() { d.padded("u7.12") }); allocs != 0 {
+			t.Errorf("padded at ValueSize %d allocates %v times, want 0", size, allocs)
+		}
+	}
+}
+
+// TestObservedMarksWhatNoWriteStored: a reply is recorded as a stem only
+// when it is byte for byte that stem's padded value; a bare stem, a value
+// padded short or long, or one of only dots is recorded marked, so no write
+// matches it.
+func TestObservedMarksWhatNoWriteStored(t *testing.T) {
+	d := &Driver{cfg: Config{ValueSize: 16}}
+	for _, reply := range []string{"u3.9", "u3.9.........", "u3.9..............", "................"} {
+		if got := d.observed([]byte(reply)); got != unpadded+reply {
+			t.Errorf("reply %q observed %q, want it marked", reply, got)
+		}
+	}
+	if got := d.observed([]byte("NOTFOUND")); got != Absent {
+		t.Errorf("NOTFOUND observed %q, want Absent", got)
+	}
+}
+
+// TestBareStemFailsTheOracle: a store that answers a get with the value's
+// stem and drops its padding — the bytes the history keeps, not the bytes
+// that were written — fails the linearizability check; the same run
+// answered in full passes it.
+func TestBareStemFailsTheOracle(t *testing.T) {
+	for _, bare := range []bool{false, true} {
+		cfg := testConfig(Closed(1, 0))
+		cfg.Mix = Mix{ReadPct: 50, WritePct: 50}
+		loop := sim.NewLoop(1)
+		store := kvstore.New()
+		d, err := New(loop, cfg, func(_ int, op []byte, done func([]byte)) string {
+			loop.After(10*sim.Microsecond, func() {
+				res := store.Execute(op)
+				if bare && kvstore.OpCode(op[0]) == kvstore.OpGet {
+					res = bytes.TrimRight(res, ".")
+				}
+				done(res)
+			})
+			return ""
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		err = d.History().CheckLinearizable()
+		if bare && err == nil {
+			t.Error("bare stems passed the oracle")
+		}
+		if !bare && err != nil {
+			t.Errorf("full values failed the oracle: %v", err)
 		}
 	}
 }
