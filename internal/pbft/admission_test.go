@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -13,44 +12,28 @@ import (
 )
 
 // TestReplayAfterViewChangeIsNotOrderedTwice: three puts to one key execute
-// in view 0, the leader crashes, view 1 installs, and the first put is
-// replayed over the client's own connections to every live replica — the
-// new leader first. What a replica executed stays done across the view
-// change, so nobody orders it again: Executed and the store do not move.
+// in view 0, one batch each, the leader falls silent — nothing reaches it
+// — view 1 installs, and the first put is replayed over the client's own
+// connections to every live replica, the new leader first. What a replica
+// executed stays done across the view change, so nobody orders it again:
+// Executed and the store do not move.
 func TestReplayAfterViewChangeIsNotOrderedTwice(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	live := func(e envelope) bool { return e.to != 0 }
+	for ts := uint64(1); ts <= 3; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
+		h.drain(everything)
 	}
-	put := func(v string) []byte { return kvstore.EncodeOp(kvstore.OpPut, "k", v) }
-	c.Loop.Post(func() {
-		cl.Invoke(put("v1"), func([]byte) {
-			cl.Invoke(put("v2"), func([]byte) { cl.Invoke(put("v3"), nil) })
-		})
-	})
-	c.Loop.Run()
-	c.Crash(0)
-	c.Loop.Post(func() {
-		for _, rep := range c.Replicas[1:] {
-			rep.startViewChange(1)
-		}
-	})
-	c.Loop.Run()
-	replay := Encode(Request{Client: cl.ID(), Timestamp: 1, Op: put("v1")})
-	c.Loop.Post(func() {
-		for _, conn := range cl.conns[1:] {
-			if err := conn.Send(msgnet.ClassControl, replay); err != nil {
-				t.Error(err)
-			}
-		}
-	})
-	c.Loop.Run()
-	for i, rep := range c.Replicas[1:] {
-		v, _ := c.Apps[i+1].(*kvstore.Store).Get("k")
-		if rep.View() != 1 || rep.Executed() != 3 || v != "v3" {
-			t.Errorf("replica %d: view %d, executed %d, k=%q; want view 1 with the replay ignored (executed 3, k=v3)",
-				i+1, rep.View(), rep.Executed(), v)
+	for _, rep := range h.Replicas[1:] {
+		rep.startViewChange(1)
+	}
+	h.drain(live)
+	h.submit(1, 1, 2, 3)
+	h.drain(live)
+	for i, rep := range h.Replicas[1:] {
+		if applied := h.Apps[i+1].(*kvstore.Store).Applied(); rep.View() != 1 || rep.Executed() != 3 || applied != 3 {
+			h.errorf("replica %d: view %d, executed %d, %d puts applied; want view 1 with the replay ignored (executed and applied 3)",
+				i+1, rep.View(), rep.Executed(), applied)
 		}
 	}
 }
@@ -61,33 +44,25 @@ func TestReplayAfterViewChangeIsNotOrderedTwice(t *testing.T) {
 // row and no request row anywhere and is never ordered; the registered
 // client's put afterwards is.
 func TestUnregisteredClientIsNeverOrdered(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
 	stranger := Request{Client: 555, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "stranger")}
-	raw := Encode(stranger)
-	c.Loop.Post(func() {
-		for _, conn := range cl.conns {
-			if err := conn.Send(msgnet.ClassControl, raw); err != nil {
-				t.Error(err)
-			}
+	for _, conn := range h.Clients[0].conns {
+		if err := conn.Send(msgnet.ClassControl, Encode(stranger)); err != nil {
+			t.Fatal(err)
 		}
-	})
-	c.Loop.Run()
-	for i, rep := range c.Replicas {
+	}
+	h.drain(everything)
+	for i, rep := range h.Replicas {
 		if _, filed := rep.requests[stranger.ID()]; filed || rep.client(555) != nil || rep.Executed() != 0 {
-			t.Errorf("replica %d: request row %v, client row %v, executed %d; want no row and nothing ordered",
+			h.errorf("replica %d: request row %v, client row %v, executed %d; want no row and nothing ordered",
 				i, filed, rep.client(555) != nil, rep.Executed())
 		}
 	}
-	done := false
-	c.Loop.Post(func() { cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "v"), func([]byte) { done = true }) })
-	c.Loop.Run()
-	for i, rep := range c.Replicas {
-		if v, _ := c.Apps[i].(*kvstore.Store).Get("k"); !done || rep.Executed() != 1 || v != "v" {
-			t.Errorf("replica %d: put done %v, executed %d, k=%q; want the registered client's put alone", i, done, rep.Executed(), v)
+	h.submit(1, 0, 1, 2, 3)
+	h.drain(everything)
+	for i, rep := range h.Replicas {
+		if v, _ := h.Apps[i].(*kvstore.Store).Get("k"); len(h.answers(1)) != 4 || rep.Executed() != 1 || v != "v" {
+			h.errorf("replica %d: put answered by %v, executed %d, k=%q; want the registered client's put alone", i, h.answers(1), rep.Executed(), v)
 		}
 	}
 }
@@ -99,189 +74,99 @@ func TestUnregisteredClientIsNeverOrdered(t *testing.T) {
 // and a READ-REQUEST is answered where it came from and starts no client
 // row. So the client's next put still collects its replies.
 func TestReplayedRequestLeavesTheReplyRoute(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	cl, err := c.AddClient()
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	other, err := h.AddClient()
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(v string) []byte { return kvstore.EncodeOp(kvstore.OpPut, "k", v) }
-	done := 0
-	c.Loop.Post(func() { cl.Invoke(put("v1"), func([]byte) { done++ }) })
-	c.Loop.Run()
-	routes := make([]*msgnet.Peer, len(c.Replicas))
-	for i, rep := range c.Replicas {
-		routes[i] = rep.client(cl.ID()).conn
-	}
-	replay := Encode(Request{Client: cl.ID(), Timestamp: 1, Op: put("v1")})
+	h.submit(1, 0, 1, 2, 3)
+	h.drain(everything)
+	replay := Encode(putRequest(1))
 	read := Encode(ReadRequest{Client: 999, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpGet, "k", "")})
-	c.Loop.Post(func() {
-		for _, conn := range other.conns {
-			if conn.Send(msgnet.ClassControl, replay) != nil || conn.Send(msgnet.ClassControl, read) != nil {
-				t.Error("send failed")
-			}
+	for _, conn := range other.conns {
+		if conn.Send(msgnet.ClassControl, replay) != nil || conn.Send(msgnet.ClassControl, read) != nil {
+			t.Fatal("send failed")
 		}
-	})
-	c.Loop.Run()
-	for i, rep := range c.Replicas {
-		if rep.client(cl.ID()).conn != routes[i] {
-			t.Errorf("replica %d: a replay from another connection moved client %d's reply route", i, cl.ID())
+	}
+	answered := len(h.replies)
+	h.drain(everything)
+	for _, e := range h.replies[answered:] {
+		if route := h.inboundClient[e.from][0]; e.typ() == MsgReply && e.conn != route || e.typ() == MsgReadReply && e.conn == route {
+			h.errorf("replica %d sent its %s to the wrong connection", e.from, e.typ())
+		}
+	}
+	if len(h.replies) != answered+2*len(h.Replicas) {
+		h.errorf("the replay and the read were answered %d times, want once each per replica", len(h.replies)-answered)
+	}
+	for i, rep := range h.Replicas {
+		if rep.client(100).conn != h.inboundClient[i][0] {
+			h.errorf("replica %d: a replay from another connection moved client 100's reply route", i)
 		}
 		if rep.client(999) != nil {
-			t.Errorf("replica %d: a READ-REQUEST started a client row", i)
+			h.errorf("replica %d: a READ-REQUEST started a client row", i)
 		}
-	}
-	c.Loop.Post(func() { cl.Invoke(put("v2"), func([]byte) { done++ }) })
-	c.Loop.Run()
-	if done != 2 {
-		t.Errorf("%d of 2 puts completed", done)
 	}
 }
 
 // TestFetchedRequestGetsItsReply: a backup files a request from a FETCH
 // answer — the proposal overtook the client's copy — before the client's
-// copy, its first request there, arrives: while the request is assigned,
-// or once it has executed and its reply found no route. Either way that
-// copy sets the client's reply route, and the backup's reply reaches the
-// client. Every COMMIT to the backup lands 10 ms late, which holds the
-// request assigned there for the first case.
+// copy, its first request there, arrives: while the request is assigned
+// (no COMMIT has reached the backup), or once it has executed and its
+// reply found no route. Either way that copy sets the client's reply
+// route, and the backup's reply reaches the client.
 func TestFetchedRequestGetsItsReply(t *testing.T) {
-	for _, tc := range []struct {
-		arrives sim.Time
-		state   reqState
-	}{{5 * sim.Millisecond, assigned}, {30 * sim.Millisecond, done}} {
-		c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-		cl, err := c.AddClient()
-		if err != nil {
-			t.Fatal(err)
+	for _, state := range []reqState{assigned, done} {
+		h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+		late := h.Replicas[3]
+		toLate := func(e envelope) bool { return e.typ() == MsgCommit && e.to == 3 }
+		h.submit(1, 0, 1, 2)
+		h.drain(func(e envelope) bool { return !toLate(e) })
+		if state == done {
+			h.drain(toLate)
 		}
-		late := c.Replicas[3]
-		replies := 0
-		late.SetOutbox(func(to *msgnet.Peer, env []byte) ([]byte, sim.Time) {
-			if !slices.Contains(late.peers, to) && MsgType(env[0]) == MsgReply {
-				replies++
-			}
-			return env, 0
-		})
-		for _, rep := range c.Replicas[:3] {
-			rep.SetOutbox(func(to *msgnet.Peer, env []byte) ([]byte, sim.Time) {
-				if p := rep.sealed(to, env); len(p) > 0 && MsgType(p[0]) == MsgCommit && to == rep.peers[3] {
-					return env, 10 * sim.Millisecond
-				}
-				return env, 0
-			})
+		if row := late.requests[putRequest(1).ID()]; row.state != state || slices.Contains(h.answers(1), 3) {
+			h.fatalf("replica 3 before the client's copy: row state %d, answered %v; want state %d from a FETCH answer, no reply", row.state, h.answers(1), state)
 		}
-		req := Request{Client: cl.ID(), Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
-		raw := Encode(req)
-		base := c.Loop.Now()
-		c.Loop.Post(func() {
-			for _, conn := range cl.conns[:3] {
-				if conn.Send(msgnet.ClassControl, raw) != nil {
-					t.Error("send failed")
-				}
-			}
-		})
-		c.Loop.At(base+tc.arrives, func() {
-			if row := late.requests[req.ID()]; row.state != tc.state || replies != 0 {
-				t.Fatalf("replica 3 before the client's copy: row state %d, %d replies; want state %d from a FETCH answer, none", row.state, replies, tc.state)
-			}
-			if cl.conns[3].Send(msgnet.ClassControl, raw) != nil {
-				t.Error("send failed")
-			}
-		})
-		c.Loop.Run()
-		if late.Executed() != 1 || replies != 1 {
-			t.Errorf("copy at %v: replica 3 executed %d and sent %d replies; want 1 and 1", tc.arrives, late.Executed(), replies)
+		h.submit(1, 3)
+		h.drain(everything)
+		if got := h.answers(1); late.Executed() != 1 || !slices.Equal(got, []int{0, 1, 2, 3}) {
+			h.errorf("copy while %d: replica 3 executed %d, the replicas answering are %v; want 1 and each once", state, late.Executed(), got)
 		}
 	}
 }
 
-// TestRequestTablesStayBounded: after 5 000 puts the request table of every
-// replica holds no more than the watermark window's worth of batches —
-// nothing is outstanding once the loop drains — every row in it is a done
-// one whose sequence the window still covers, and the client table has its
-// one row.
+// TestRequestTablesStayBounded: after 5 000 puts, 16 at a time, the
+// request table of every replica holds no more than the watermark window's
+// worth of batches — nothing is outstanding once the loop drains — every
+// row in it is a done one whose sequence the window still covers, and the
+// client table has its one row.
 func TestRequestTablesStayBounded(t *testing.T) {
 	cfg := DefaultConfig()
-	c := newTestCluster(t, transport.KindRDMA, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newStepCluster(t, transport.KindRDMA, cfg)
 	const puts, window = 5000, 16
-	sent, completed := 0, 0
-	var next func()
-	next = func() {
-		if sent == puts {
-			return
+	for ts := uint64(1); ts <= puts; ts++ {
+		if h.submit(ts, 0, 1, 2, 3); ts%window == 0 || ts == puts {
+			h.drain(everything)
 		}
-		sent++
-		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("k%d", sent%64), "v"), func([]byte) {
-			completed++
-			next()
-		})
-	}
-	c.Loop.Post(func() {
-		for i := 0; i < window; i++ {
-			next()
-		}
-	})
-	c.Loop.Run()
-	if completed != puts {
-		t.Fatalf("completed %d of %d puts", completed, puts)
 	}
 	bound := int(cfg.LogWindow) * cfg.BatchSize
-	for i, rep := range c.Replicas {
+	for i, rep := range h.Replicas {
+		if applied := h.Apps[i].(*kvstore.Store).Applied(); applied != puts {
+			h.fatalf("replica %d applied %d of %d puts", i, applied, puts)
+		}
 		if len(rep.requests) > bound || len(rep.clients) != 1 || rep.arrivals.Len() > bound {
-			t.Errorf("replica %d holds %d requests, %d arrivals (bound %d) and %d clients (want 1)",
+			h.errorf("replica %d holds %d requests, %d arrivals (bound %d) and %d clients (want 1)",
 				i, len(rep.requests), rep.arrivals.Len(), bound, len(rep.clients))
 		}
 		for id, row := range rep.requests {
 			if row.state != done || !rep.inWindow(row.seq) {
-				t.Fatalf("replica %d: row %v is in state %d at sequence %d, outside the window above %d",
+				h.fatalf("replica %d: row %v is in state %d at sequence %d, outside the window above %d",
 					i, id, row.state, row.seq, rep.stable)
 			}
 		}
-		if floor := rep.client(cl.ID()).floor; floor == 0 || floor > puts {
-			t.Errorf("replica %d: the client's floor is %d after %d puts", i, floor, puts)
+		if floor := rep.client(100).floor; floor == 0 || floor > puts {
+			h.errorf("replica %d: the client's floor is %d after %d puts", i, floor, puts)
 		}
-	}
-}
-
-// preprepare delivers the view's proposal of a one-request batch at seq, by
-// ref — and, if the replica holds no copy of the request and so parks the
-// proposal, the leader's answer to its FETCH.
-func (x *timerFixture) preprepare(seq, ts uint64) *slot {
-	req := timerRequest(ts)
-	pp := PrePrepare{View: x.r.view, Seq: seq, Digest: BatchDigest([]Request{req}), Refs: []RequestRef{refOf(req)}}
-	leader := x.r.Leader(x.r.view)
-	x.r.handlePrePrepare(leader, pp, len(Encode(pp)))
-	if s := x.r.lookup(seq); s != nil && s.parked {
-		x.r.handleEnvelope(sealedBy(x.r, leader, req))
-	}
-	return x.r.lookup(seq)
-}
-
-// commit delivers a proposal and the votes that commit it.
-func (x *timerFixture) commit(seq, ts uint64) {
-	s := x.preprepare(seq, ts)
-	for id := uint32(0); id < 3; id++ {
-		s.prepares.set(id, s.pp.Digest)
-		s.commits.set(id, s.pp.Digest)
-	}
-	x.r.tryExecute()
-}
-
-// idle fails the test unless the progress timer is idle and the loop has
-// nothing left to run.
-func (x *timerFixture) idle(t *testing.T, when string) {
-	t.Helper()
-	at := x.loop.Now()
-	if x.loop.Run(); x.r.progress.Pending() || len(x.fired) != 0 || x.loop.Now() != at {
-		t.Errorf("%s: the progress timer is not idle (expiries %v, loop ran until %v)", when, x.fired, x.loop.Now())
 	}
 }
 
@@ -291,17 +176,18 @@ func (x *timerFixture) idle(t *testing.T, when string) {
 // window and a later reply already cached. The copy changes nothing and
 // arms no timer.
 func TestLateCopyOfExecutedRequestIsIgnored(t *testing.T) {
-	x := newTimerFixture(t)
-	x.commit(1, 1)
-	x.commit(2, 2)
-	x.idle(t, "both executed")
-	before := x.r.requests[timerRequest(1).ID()]
-	x.loop.RunUntil(sim.Millisecond)
-	x.arrive(1)
-	if after := x.r.requests[timerRequest(1).ID()]; before.state != done || after.state != done || after.seq != 1 || x.r.arrivals.Len() != 0 {
-		t.Errorf("the late copy moved its row from %+v to %+v, %d arrivals queued", before, after, x.r.arrivals.Len())
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	r, id := h.Replicas[3], putRequest(1).ID()
+	h.commit(3, 1, 1)
+	h.commit(3, 2, 2)
+	h.idle("both executed")
+	before := r.requests[id]
+	h.settle(sim.Millisecond)
+	h.submit(1, 3)
+	if after := r.requests[id]; before.state != done || after.state != done || after.seq != 1 || r.arrivals.Len() != 0 {
+		h.errorf("the late copy moved its row from %+v to %+v, %d arrivals queued", before, after, r.arrivals.Len())
 	}
-	x.idle(t, "after the late copy")
+	h.idle("after the late copy")
 }
 
 // TestStablePointPassingUnexecutedRequestsDropsThem: a lagging replica
@@ -311,26 +197,27 @@ func TestLateCopyOfExecutedRequestIsIgnored(t *testing.T) {
 // client's own copy, delivered late (as E12's empty restart delivers a
 // dozen, queued behind the state parts), is not watched all over again.
 func TestStablePointPassingUnexecutedRequestsDropsThem(t *testing.T) {
-	x := newTimerFixture(t)
-	x.arrive(1)
-	x.preprepare(1, 1)
-	x.preprepare(2, 2)
-	if !x.r.progress.Pending() || x.r.watched != timerRequest(1).ID() || len(x.r.requests) != 2 {
-		t.Fatalf("before the checkpoint: watching %v (armed %v) with %d rows", x.r.watched, x.r.progress.Pending(), len(x.r.requests))
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	r := h.Replicas[3]
+	h.submit(1, 3)
+	h.propose(3, 1, 1)
+	h.propose(3, 2, 2)
+	if !r.progress.Pending() || r.watched != putRequest(1).ID() || len(r.requests) != 2 {
+		h.fatalf("before the checkpoint: watching %v (armed %v) with %d rows", r.watched, r.progress.Pending(), len(r.requests))
 	}
-	x.r.adoptCheckpoint(64, auth.Digest{}, 0)
-	if len(x.r.requests) != 0 || x.r.arrivals.Len() != 0 || x.r.pending.Len() != 0 {
-		t.Errorf("after the checkpoint: %d rows, %d arrivals, %d pending; want none", len(x.r.requests), x.r.arrivals.Len(), x.r.pending.Len())
+	r.adoptCheckpoint(64, auth.Digest{}, 0)
+	if len(r.requests) != 0 || r.arrivals.Len() != 0 || r.pending.Len() != 0 {
+		h.errorf("after the checkpoint: %d rows, %d arrivals, %d pending; want none", len(r.requests), r.arrivals.Len(), r.pending.Len())
 	}
-	x.idle(t, "after the checkpoint")
-	x.arrive(2)
-	if floor := x.r.client(100).floor; floor != 2 || len(x.r.requests) != 0 {
-		t.Errorf("the subsumed request's late copy: floor %d, %d rows; want floor 2 and the copy ignored", floor, len(x.r.requests))
+	h.idle("after the checkpoint")
+	h.submit(2, 3)
+	if floor := r.client(100).floor; floor != 2 || len(r.requests) != 0 {
+		h.errorf("the subsumed request's late copy: floor %d, %d rows; want floor 2 and the copy ignored", floor, len(r.requests))
 	}
-	x.idle(t, "after the late copy")
-	x.arrive(3)
-	if !x.r.progress.Pending() || x.r.watched != timerRequest(3).ID() {
-		t.Errorf("a request above the floor is not watched (watching %v, armed %v)", x.r.watched, x.r.progress.Pending())
+	h.idle("after the late copy")
+	h.submit(3, 3)
+	if !r.progress.Pending() || r.watched != putRequest(3).ID() {
+		h.errorf("a request above the floor is not watched (watching %v, armed %v)", r.watched, r.progress.Pending())
 	}
 }
 
@@ -340,17 +227,17 @@ func TestStablePointPassingUnexecutedRequestsDropsThem(t *testing.T) {
 // keeps its proposal, and when the sequence leaves the window its row goes
 // and the client's floor rises.
 func TestRepeatedProposalKeepsItsSlot(t *testing.T) {
-	x := newTimerFixture(t)
-	x.commit(1, 1)
-	pp := x.r.lookup(1).pp
-	x.r.handleEnvelope(sealedBy(x.r, x.r.Leader(pp.View), pp))
-	if s := x.r.lookup(1); s == nil || !s.proposed || s.pp.Digest != pp.Digest {
-		t.Fatal("a repeat of the executed proposal took it out of its slot")
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	r := h.Replicas[3]
+	h.commit(3, 1, 1)
+	pp := r.lookup(1).pp
+	h.inject(int(r.Leader(pp.View)), 3, pp)
+	if s := r.lookup(1); s == nil || !s.proposed || s.pp.Digest != pp.Digest {
+		h.fatalf("a repeat of the executed proposal took it out of its slot")
 	}
-	x.r.advanceStable(64)
-	if _, seen := x.r.requests[timerRequest(1).ID()]; seen || x.r.client(100).floor != 1 {
-		t.Errorf("sequence 1 left the window: row present %v, floor %d; want the row gone and floor 1",
-			seen, x.r.client(100).floor)
+	r.advanceStable(64)
+	if _, seen := r.requests[putRequest(1).ID()]; seen || r.client(100).floor != 1 {
+		h.errorf("sequence 1 left the window: row present %v, floor %d; want the row gone and floor 1", seen, r.client(100).floor)
 	}
 }
 
@@ -362,28 +249,29 @@ func TestRepeatedProposalKeepsItsSlot(t *testing.T) {
 // executed it and released its copy, the request matches no ref of the
 // replay, and the proposal is dropped.
 func TestRowFollowsItsLatestSlot(t *testing.T) {
-	x := newTimerFixture(t)
-	x.preprepare(70, 1)
-	x.commit(1, 1)
-	id := timerRequest(1).ID()
-	if row := x.r.requests[id]; x.r.executed != 1 || row.state != done || row.seq != 70 || row.held == 0 {
-		t.Fatalf("sequence 1 executed (executed %d): row %+v; want it done, at sequence 70, its copy kept", x.r.executed, row)
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	r, id := h.Replicas[3], putRequest(1).ID()
+	h.propose(3, 70, 1)
+	h.commit(3, 1, 1)
+	if row := r.requests[id]; r.executed != 1 || row.state != done || row.seq != 70 || row.held == 0 {
+		h.fatalf("sequence 1 executed (executed %d): row %+v; want it done, at sequence 70, its copy kept", r.executed, row)
 	}
-	x.r.advanceStable(64)
-	if row, seen := x.r.requests[id]; !seen || row.seq != 70 || x.r.client(100).floor != 1 {
-		t.Errorf("sequence 1 left the window: row %+v (present %v), floor %d; want the row of slot 70 and floor 1", row, seen, x.r.client(100).floor)
+	r.advanceStable(64)
+	if row, seen := r.requests[id]; !seen || row.seq != 70 || r.client(100).floor != 1 {
+		h.errorf("sequence 1 left the window: row %+v (present %v), floor %d; want the row of slot 70 and floor 1", row, seen, r.client(100).floor)
 	}
-	x.r.advanceStable(128)
-	if _, seen := x.r.requests[id]; seen {
-		t.Error("sequence 70 left the window and the row is still there")
+	r.advanceStable(128)
+	if _, seen := r.requests[id]; seen {
+		h.errorf("sequence 70 left the window and the row is still there")
 	}
 
-	x = newTimerFixture(t)
-	x.commit(1, 1)
-	if s := x.preprepare(70, 1); s == nil || s.proposed {
-		t.Error("a replay of a request this backup executed and released was not dropped")
+	h = newStepCluster(t, transport.KindTCP, DefaultConfig())
+	r = h.Replicas[3]
+	h.commit(3, 1, 1)
+	if s := h.propose(3, 70, 1); s == nil || s.proposed {
+		h.errorf("a replay of a request this backup executed and released was not dropped")
 	}
-	if row := x.r.requests[id]; row.state != done || row.seq != 1 || row.held != 0 {
-		t.Errorf("after the replay: row %+v; want it done at sequence 1, its copy released", row)
+	if row := r.requests[id]; row.state != done || row.seq != 1 || row.held != 0 {
+		h.errorf("after the replay: row %+v; want it done at sequence 1, its copy released", row)
 	}
 }

@@ -30,16 +30,6 @@ func muted(r *Replica, types ...MsgType) Outbox {
 	}
 }
 
-// withheld drops r's messages of the given type to the replicas in ids.
-func withheld(r *Replica, t MsgType, ids ...int) Outbox {
-	return func(to *msgnet.Peer, env []byte) ([]byte, sim.Time) {
-		if payload := r.sealed(to, env); len(payload) > 0 && MsgType(payload[0]) == t && slices.Contains(ids, slices.Index(r.peers, to)) {
-			return nil, 0
-		}
-		return env, 0
-	}
-}
-
 // equivocating makes leader r send the odd-numbered backups a pre-prepare
 // that names its first request by a corrupted digest, under a batch digest
 // to match (an empty batch: a corrupted batch digest). No backup's own copy
@@ -122,16 +112,11 @@ func TestDelayedSendOfAStoppedReplicaTransmitsNothing(t *testing.T) {
 	for _, stop := range []bool{false, true} {
 		c := newTestCluster(t, transport.KindTCP, DefaultConfig())
 		arrived := 0
-		for i, rep := range c.Replicas {
-			for _, p := range c.inboundPeer[i] {
-				p.OnMessage(func(_ msgnet.Class, raw []byte) {
-					if env, err := DecodeEnvelope(raw); err == nil && env.Sender == 1 {
-						arrived++
-					}
-					rep.handleEnvelope(raw)
-				})
+		tapInbound(c, func(_ int, payload []byte) {
+			if m, err := Decode(payload); err == nil && m == (Checkpoint{Seq: c.Config.CheckpointEvery, Replica: 1}) {
+				arrived++
 			}
-		}
+		})
 		r := c.Replicas[1]
 		r.SetOutbox(delayed(sim.Millisecond))
 		c.Loop.Post(func() {

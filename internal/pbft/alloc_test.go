@@ -93,7 +93,7 @@ func proposalAllocatesWhatItKeeps(t *testing.T, cfg Config) {
 		reqs := make([]Request, cfg.BatchSize)
 		for i := range reqs {
 			ts++
-			reqs[i] = timerRequest(ts)
+			reqs[i] = putRequest(ts)
 			backup.handleRequest(reqs[i], nil)
 			queued = append(queued, admitted{RequestRef: refOf(reqs[i])})
 		}
@@ -408,7 +408,7 @@ func TestRequestTableAllocatesPerRowNotPerBatch(t *testing.T) {
 		r := bareReplica(t, 0, cfg)
 		reqs := make([]Request, 2*int(cfg.CheckpointEvery)*batch)
 		for i := range reqs {
-			reqs[i] = timerRequest(uint64(i + 1))
+			reqs[i] = putRequest(uint64(i + 1))
 		}
 		for i := range peak {
 			r.requests[RequestID{Client: 1, Timestamp: uint64(i)}] = request{held: r.hold(nil, auth.Digest{})}

@@ -1,10 +1,6 @@
 package pbft
 
-import (
-	"testing"
-
-	"rubin/internal/kvstore"
-)
+import "testing"
 
 // TestProposalWaitsForTheClientsCopy: a PRE-PREPARE overtakes the client's
 // copies of its two requests. The backup parks it and asks the leader for
@@ -90,51 +86,46 @@ func TestFetchAnswerOfAnUnregisteredClientFilesNothing(t *testing.T) {
 
 // TestRestartedReplicaFetchesWhatItMissed: replica 3 crashes once the group
 // has a stable checkpoint, and a client sends three requests while it is
-// down; it restarts before the leader proposes them (the batch waits its
-// batchDelay). The restarted replica adopts the checkpoint, then gets a
-// proposal naming requests it never received: it fetches them from the
-// leader and reaches the group's Executed and state without waiting for
-// another checkpoint.
+// down; it restarts before the leader proposes them. The restarted replica
+// adopts the checkpoint, then gets a proposal naming requests it never
+// received: it fetches them from the leader and reaches the group's
+// Executed and state without waiting for another checkpoint.
 func TestRestartedReplicaFetchesWhatItMissed(t *testing.T) {
 	for _, kind := range kinds() {
 		cfg := DefaultConfig()
 		cfg.CheckpointEvery = 4
-		c := newTestCluster(t, kind, cfg)
-		cl, err := c.AddClient()
-		if err != nil {
+		h := newStepCluster(t, kind, cfg)
+		for ts := uint64(1); ts <= 4; ts++ { // one request per batch: sequences 1–4, a checkpoint at 4
+			h.submit(ts, 0, 1, 2, 3)
+			h.drain(everything)
+		}
+		h.Crash(3)
+		for ts := uint64(5); ts <= 7; ts++ {
+			h.submit(ts, 0, 1, 2)
+		}
+		if err := h.Restart(3); err != nil {
 			t.Fatal(err)
 		}
-		put := func(k int) []byte { return kvstore.EncodeOp(kvstore.OpPut, "k"+string(rune('a'+k)), "v") }
-		for k := 0; k < 4; k++ { // one request per batch: sequences 1–4, a checkpoint at 4
-			c.Loop.Post(func() { cl.Invoke(put(k), nil) })
-			c.Loop.Run()
-		}
+		h.drain(everything)
 		fetches := 0
-		tapInbound(c, func(to int, payload []byte) {
-			if MsgType(payload[0]) == MsgFetch && to == 0 {
+		for _, e := range h.done {
+			if e.typ() == MsgFetch && e.to == 0 {
 				fetches++
 			}
-		})
-		c.Crash(3)
-		done := 0
-		c.Loop.Post(func() {
-			for k := 4; k < 7; k++ {
-				cl.Invoke(put(k), func([]byte) { done++ })
+		}
+		rep := h.Replicas[3]
+		for ts := uint64(5); ts <= 7; ts++ {
+			if len(h.answers(ts)) <= cfg.F {
+				h.fatalf("%s: request %d answered by %v, want F+1", kind, ts, h.answers(ts))
 			}
-		})
-		c.Loop.RunUntil(c.Loop.Now() + batchDelay/2)
-		if err := c.Restart(3); err != nil {
-			t.Fatal(err)
 		}
-		c.Loop.Run()
-		rep := c.Replicas[3]
-		if done != 3 || c.Replicas[0].Executed() != 5 || c.Replicas[0].Stable() != 4 {
-			t.Fatalf("%s: %d of 3 requests done, the group executed %d (stable %d); want one batch at 5 above the checkpoint at 4",
-				kind, done, c.Replicas[0].Executed(), c.Replicas[0].Stable())
+		if h.Replicas[0].Executed() != 5 || h.Replicas[0].Stable() != 4 {
+			h.fatalf("%s: the group executed %d (stable %d); want one batch at 5 above the checkpoint at 4",
+				kind, h.Replicas[0].Executed(), h.Replicas[0].Stable())
 		}
-		if rep.Executed() != 5 || rep.StateTransfers() != 1 || fetches == 0 || c.Apps[3].Snapshot() != c.Apps[0].Snapshot() {
-			t.Errorf("%s: the restarted replica executed %d after %d state transfers and %d FETCHes, state equal %v; want 5, 1, some, true",
-				kind, rep.Executed(), rep.StateTransfers(), fetches, c.Apps[3].Snapshot() == c.Apps[0].Snapshot())
+		if rep.Executed() != 5 || rep.StateTransfers() != 1 || fetches == 0 || h.Apps[3].Snapshot() != h.Apps[0].Snapshot() {
+			h.errorf("%s: the restarted replica executed %d after %d state transfers and %d FETCHes, state equal %v; want 5, 1, some, true",
+				kind, rep.Executed(), rep.StateTransfers(), fetches, h.Apps[3].Snapshot() == h.Apps[0].Snapshot())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pbft
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rubin/internal/msgnet"
@@ -132,91 +133,77 @@ func TestFaultScriptSweep(t *testing.T) {
 // tapInbound calls see(to, payload) for every replica-to-replica message
 // replica `to` receives, before the replica handles it.
 func tapInbound(c *Cluster, see func(to int, payload []byte)) {
-	filterInbound(c, func(to int, payload []byte) bool { see(to, payload); return true })
-}
-
-// filterInbound is tapInbound whose keep decides whether the replica
-// handles the message or never sees it.
-func filterInbound(c *Cluster, keep func(to int, payload []byte) bool) {
 	for i, rep := range c.Replicas {
 		for _, p := range c.inboundPeer[i] {
 			p.OnMessage(func(_ msgnet.Class, raw []byte) {
-				if env, err := DecodeEnvelope(raw); err != nil || len(env.Payload) == 0 || keep(i, env.Payload) {
-					rep.handleEnvelope(raw)
+				if env, err := DecodeEnvelope(raw); err == nil && len(env.Payload) > 0 {
+					see(i, env.Payload)
 				}
+				rep.handleEnvelope(raw)
 			})
 		}
 	}
 }
 
-// tapViewChanges is tapInbound for VIEW-CHANGE messages.
-func tapViewChanges(c *Cluster, see func(to int, vc ViewChange)) {
-	tapInbound(c, func(to int, payload []byte) {
-		if m, err := Decode(payload); err == nil {
-			if vc, ok := m.(ViewChange); ok {
-				see(to, vc)
-			}
-		}
-	})
-}
-
-// TestCutOffBackupDemandsOneView partitions one backup away, with requests
-// outstanding, for 10 × ViewTimeout. Its progress timer fires once and it
-// demands view+1 — and there it must stay: without 2F+1 VIEW-CHANGEs no
-// NEW-VIEW wait starts, so it neither climbs a view per timeout nor queues
-// a VIEW-CHANGE (each carrying its prepared batches) per view toward peers
-// it cannot reach. After the heal it rejoins the group's view.
+// TestCutOffBackupDemandsOneView cuts one backup off — nothing it sends or
+// is sent is delivered — with a request outstanding, while the group runs
+// two checkpoints ahead and 10 × ViewTimeout pass. Its progress timer fires
+// once and it demands view+1 — and there it must stay: without 2F+1
+// VIEW-CHANGEs no NEW-VIEW wait starts, so it neither climbs a view per
+// timeout nor queues a VIEW-CHANGE (each carrying its prepared batches) per
+// view toward peers it cannot reach. After the heal it rejoins the group's
+// view.
 func TestCutOffBackupDemandsOneView(t *testing.T) {
-	const (
-		cutAt  = 50 * sim.Millisecond
-		healAt = cutAt + 10*40*sim.Millisecond
-		span   = healAt + 100*sim.Millisecond
-	)
 	for _, kind := range kinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := DefaultConfig()
-			c := newTestCluster(t, kind, cfg)
-			demands := make(map[uint64]int) // view demanded by replica 3 -> VIEW-CHANGEs delivered
-			tapViewChanges(c, func(_ int, vc ViewChange) {
-				if vc.Replica == 3 {
-					demands[vc.NewView]++
-				}
-			})
-			load := newPutLoad(t, c, 5000, span)
-			cut := c.Replicas[3]
-			c.Loop.At(load.base+cutAt, func() { c.Partition([]int{3}, []int{0, 1, 2}) })
-			c.Loop.At(load.base+healAt, func() {
-				if !cut.viewChanging || cut.demanded != 1 || cut.progress.Pending() {
-					t.Errorf("after 10 timeouts alone: viewChanging=%v demanded=%d timer armed=%v; want a lone, timerless demand for view 1",
-						cut.viewChanging, cut.demanded, cut.progress.Pending())
-				}
-				c.Heal()
-			})
-			// The heal releases what the cut-off replica queued meanwhile.
-			c.Loop.At(load.base+healAt+5*sim.Millisecond, func() {
-				if len(demands) != 1 || demands[1] != cfg.N-1 {
-					t.Errorf("VIEW-CHANGEs queued while cut off, by view: %v; want one per peer, for view 1", demands)
-				}
-			})
-			load.run(t, sim.Second)
-
-			// Catching up may take longer than a timeout, and then the
-			// replica demands view 1 again — but never a higher one.
-			delete(demands, 1)
-			if len(demands) != 0 {
-				t.Errorf("replica 3 never left view 0, yet demanded views above 1 (view: VIEW-CHANGEs delivered): %v", demands)
+			cfg.BatchSize, cfg.CheckpointEvery = 1, 4
+			h := newStepCluster(t, kind, cfg)
+			cut := h.Replicas[3]
+			h.submit(1, 0, 1, 2, 3)
+			h.fire(3)
+			for ts := uint64(2); ts <= 9; ts++ {
+				h.submit(ts, 0, 1, 2, 3)
+				h.drain(func(e envelope) bool { return e.from != 3 && e.to != 3 })
 			}
-			for i, rep := range c.Replicas {
-				if rep.View() != 0 || rep.viewChanging {
-					t.Errorf("replica %d ended in view %d (viewChanging=%v), want settled in view 0", i, rep.View(), rep.viewChanging)
+			h.settle(10 * cfg.ViewTimeout)
+			if !cut.viewChanging || cut.demanded != 1 || cut.progress.Pending() {
+				h.errorf("after 10 timeouts alone: viewChanging=%v demanded=%d timer armed=%v; want a lone, timerless demand for view 1",
+					cut.viewChanging, cut.demanded, cut.progress.Pending())
+			}
+			// demands counts the VIEW-CHANGEs sent so far, all replica 3's
+			// for view 1.
+			demands := func() (n int) {
+				for _, e := range slices.Concat(h.done, h.pending) {
+					if vc, ok := e.msg().(ViewChange); ok && (vc.Replica != 3 || vc.NewView != 1) {
+						h.errorf("replica %d demanded view %d: only replica 3 may demand, and only view 1", vc.Replica, vc.NewView)
+					} else if ok {
+						n++
+					}
 				}
-				if rep.Executed() != c.Replicas[0].Executed() || c.Apps[i].Snapshot() != c.Apps[0].Snapshot() {
-					t.Errorf("replica %d executed %d and disagrees with replica 0 (executed %d)", i, rep.Executed(), c.Replicas[0].Executed())
+				return n
+			}
+			if queued := demands(); queued != cfg.N-1 {
+				h.errorf("replica 3 queued %d VIEW-CHANGEs while cut off, want one per peer", queued)
+			}
+			// The heal delivers what it queued; traffic to the next
+			// checkpoint lets it catch up on what it skipped meanwhile.
+			for ts := uint64(10); ts <= 12; ts++ {
+				h.drain(everything)
+				h.submit(ts, 0, 1, 2, 3)
+			}
+			h.drain(everything)
+			demands()
+			for i, rep := range h.Replicas {
+				if rep.View() != 0 || rep.viewChanging {
+					h.errorf("replica %d ended in view %d (viewChanging=%v), want settled in view 0", i, rep.View(), rep.viewChanging)
+				}
+				if rep.Executed() != h.Replicas[0].Executed() || h.Apps[i].Snapshot() != h.Apps[0].Snapshot() {
+					h.errorf("replica %d executed %d and disagrees with replica 0 (executed %d)", i, rep.Executed(), h.Replicas[0].Executed())
 				}
 			}
 			if cut.StateTransfers() == 0 {
-				t.Error("the cut-off replica rejoined without adopting a checkpoint")
+				h.errorf("the cut-off replica rejoined without adopting a checkpoint")
 			}
 		})
 	}

@@ -103,44 +103,41 @@ func TestTransferShipsOnlyDivergentState(t *testing.T) {
 // serves corrupted partitions: every StatePart is verified against the
 // certified manifest on arrival, so the fetcher must reject and ban the
 // corrupt peer, count the rejection, and still recover through the
-// honest responders. The honest responders send a millisecond late, so
-// the corrupt parts reach the fetcher before the transfer can complete
-// whatever order the transport delivers them in.
+// honest responders. The corrupt parts are delivered first, before the
+// transfer could complete.
 func TestByzantineCorruptedSubtree(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, transferConfig())
-	cl, err := c.AddClient()
-	if err != nil {
+	h := newStepCluster(t, transport.KindTCP, transferConfig())
+	h.Crash(3)
+	for ts := uint64(1); ts <= 20; ts++ {
+		h.submit(ts, 0, 1, 2)
+	}
+	h.drain(everything)
+	h.byzantine[1] = corruptStateParts(h.Replicas[1])
+	if err := h.Restart(3); err != nil {
 		t.Fatal(err)
 	}
-	c.Crash(3)
-	invokeN(t, c, cl, "byz", 20)
-	c.Loop.Post(func() {
-		c.Replicas[1].SetOutbox(corruptStateParts(c.Replicas[1]))
-		c.Replicas[0].SetOutbox(delayed(sim.Millisecond))
-		c.Replicas[2].SetOutbox(delayed(sim.Millisecond))
-	})
-	if err := c.Restart(3); err != nil {
-		t.Fatal(err)
+	h.drain(func(e envelope) bool { return e.typ() != MsgStatePart || e.from == 1 })
+	h.drain(everything)
+	for ts := uint64(21); ts <= 30; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
 	}
-	c.Loop.Run()
-	invokeN(t, c, cl, "post", 10)
-	c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
+	h.drain(everything)
 
-	rep := c.Replicas[3]
+	rep := h.Replicas[3]
 	if rep.StateTransfers() == 0 {
-		t.Fatal("replica never completed a state transfer despite honest majority")
+		h.fatalf("replica never completed a state transfer despite honest majority")
 	}
-	if got, want := rep.Executed(), c.Replicas[0].Executed(); got != want {
-		t.Fatalf("replica 3 executed %d, group %d", got, want)
+	if got, want := rep.Executed(), h.Replicas[0].Executed(); got != want {
+		h.fatalf("replica 3 executed %d, group %d", got, want)
 	}
 	if rep.StateRejects() == 0 {
-		t.Fatal("corrupted partitions were never detected")
+		h.fatalf("corrupted partitions were never detected")
 	}
-	if d0 := c.Apps[0].Snapshot(); c.Apps[3].Snapshot() != d0 {
-		t.Fatal("recovered state diverged")
+	if d0 := h.Apps[0].Snapshot(); h.Apps[3].Snapshot() != d0 {
+		h.fatalf("recovered state diverged")
 	}
-	if v, ok := c.Apps[3].(*kvstore.Store).Get("byz000"); !ok || v != "v" {
-		t.Fatal("recovered state missing a committed key")
+	if v, ok := h.Apps[3].(*kvstore.Store).Get("k"); !ok || v != "v" {
+		h.fatalf("recovered state missing a committed key")
 	}
 }
 

@@ -3,11 +3,11 @@ package pbft
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"rubin/internal/kvstore"
 	"rubin/internal/model"
-	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -116,21 +116,15 @@ func TestManyRequestsTotalOrder(t *testing.T) {
 func TestBatchingGroupsRequests(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchSize = 10
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newStepCluster(t, transport.KindTCP, cfg)
 	var batches []int
-	c.Replicas[0].OnExecute(func(seq uint64, batch []Request) {
+	h.Replicas[0].OnExecute(func(seq uint64, batch []Request) {
 		batches = append(batches, len(batch))
 	})
-	c.Loop.Post(func() {
-		for k := 0; k < 30; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("k%d", k), "v"), nil)
-		}
-	})
-	c.Loop.Run()
+	for ts := uint64(1); ts <= 30; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
+	}
+	h.drain(everything)
 	total := 0
 	multi := false
 	for _, b := range batches {
@@ -140,10 +134,10 @@ func TestBatchingGroupsRequests(t *testing.T) {
 		}
 	}
 	if total != 30 {
-		t.Fatalf("executed %d requests, want 30", total)
+		h.fatalf("executed %d requests, want 30", total)
 	}
 	if !multi {
-		t.Fatalf("no batching observed: %v", batches)
+		h.fatalf("no batching observed: %v", batches)
 	}
 }
 
@@ -152,173 +146,131 @@ func TestCheckpointGarbageCollectsLog(t *testing.T) {
 	cfg.BatchSize = 1
 	cfg.CheckpointEvery = 10
 	cfg.LogWindow = 64
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newStepCluster(t, transport.KindTCP, cfg)
 	const n = 35
-	c.Loop.Post(func() {
-		for k := 0; k < n; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("k%d", k), "v"), nil)
-		}
-	})
-	c.Loop.Run()
-	for i, rep := range c.Replicas {
+	for ts := uint64(1); ts <= n; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
+	}
+	h.drain(everything)
+	for i, rep := range h.Replicas {
 		if rep.Executed() != n {
-			t.Fatalf("replica %d executed %d, want %d", i, rep.Executed(), n)
+			h.fatalf("replica %d executed %d, want %d", i, rep.Executed(), n)
 		}
 		if rep.Stable() < 30 {
-			t.Fatalf("replica %d stable checkpoint %d, want >= 30", i, rep.Stable())
+			h.fatalf("replica %d stable checkpoint %d, want >= 30", i, rep.Stable())
 		}
 		if live := liveSlots(rep); live > int(cfg.CheckpointEvery) {
-			t.Fatalf("replica %d log holds %d slots after GC", i, live)
+			h.fatalf("replica %d log holds %d slots after GC", i, live)
 		}
 	}
 }
 
+// TestExactlyOnceReplayedRequest: the identical request (same client,
+// same timestamp) replayed to every replica after it executed is answered
+// from the reply cache and not executed again.
 func TestExactlyOnceReplayedRequest(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	for range 2 {
+		h.submit(1, 0, 1, 2, 3)
+		h.drain(everything)
 	}
-	results := 0
-	c.Loop.Post(func() {
-		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "once", "1"), func([]byte) { results++ })
-	})
-	c.Loop.Run()
-	// Replay the identical request (same client, same timestamp).
-	c.Loop.Post(func() {
-		req := Request{Client: cl.ID(), Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "once", "1")}
-		raw := Encode(req)
-		for _, conn := range cl.conns {
-			if err := conn.Send(msgnet.ClassControl, raw); err != nil {
-				t.Errorf("replay send: %v", err)
-			}
-		}
-	})
-	c.Loop.Run()
-	if results != 1 {
-		t.Fatalf("client callback fired %d times", results)
+	if got := h.answers(1); !slices.Equal(got, []int{0, 0, 1, 1, 2, 2, 3, 3}) {
+		h.fatalf("the request and its replay were answered by %v, want every replica twice", got)
 	}
-	for i, app := range c.Apps {
+	for i, app := range h.Apps {
 		// The op must have been executed exactly once per replica.
 		if app.(*kvstore.Store).Applied() != 1 {
-			t.Fatalf("replica %d applied %d ops, want 1 (replay executed)", i, app.(*kvstore.Store).Applied())
+			h.fatalf("replica %d applied %d ops, want 1 (replay executed)", i, app.(*kvstore.Store).Applied())
 		}
 	}
 }
 
+// TestCrashedBackupDoesNotBlockProgress: with backup 3 crashed — nothing
+// reaches it — the other three replicas still commit every request.
 func TestCrashedBackupDoesNotBlockProgress(t *testing.T) {
-	c := newTestCluster(t, transport.KindRDMA, DefaultConfig())
-	c.Crash(3) // a non-leader replica
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
+	h := newStepCluster(t, transport.KindRDMA, DefaultConfig())
+	for ts := uint64(1); ts <= 10; ts++ {
+		h.submit(ts, 0, 1, 2)
 	}
-	done := 0
-	c.Loop.Post(func() {
-		for k := 0; k < 10; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("k%d", k), "v"), func([]byte) { done++ })
+	h.drain(func(e envelope) bool { return e.to != 3 })
+	for ts := uint64(1); ts <= 10; ts++ {
+		if got := h.answers(ts); len(got) < 2 {
+			h.fatalf("request %d answered by %v with one crashed backup, want F+1", ts, got)
 		}
-	})
-	c.Loop.Run()
-	if done != 10 {
-		t.Fatalf("completed %d of 10 with one crashed backup", done)
 	}
 }
 
+// TestCrashedLeaderTriggersViewChange: a request reaches the backups of a
+// crashed leader — nothing reaches it, and its timer never fires — and
+// their progress timers install view 1, which executes the request.
 func TestCrashedLeaderTriggersViewChange(t *testing.T) {
-	cfg := DefaultConfig()
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	c.Crash(0) // leader of view 0
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	h.submit(1, 1, 2, 3)
+	for i := 1; i < 4; i++ {
+		h.fire(i)
 	}
-	newViews := make(map[int]uint64)
-	for i, rep := range c.Replicas {
-		i := i
-		rep.OnViewChange(func(v uint64) { newViews[i] = v })
-	}
-	done := 0
-	c.Loop.Post(func() {
-		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "survive", "1"), func([]byte) { done++ })
-	})
-	// Give the view-change timers room to fire and the new view to form.
-	c.Loop.Run()
-	if done != 1 {
-		t.Fatalf("request did not execute after leader crash (done=%d)", done)
+	h.drain(func(e envelope) bool { return e.to != 0 })
+	if got := h.answers(1); len(got) < 2 {
+		h.fatalf("the request was answered by replicas %v after the leader crash, want F+1", got)
 	}
 	for i := 1; i < 4; i++ {
-		if c.Replicas[i].View() == 0 {
-			t.Fatalf("replica %d still in view 0 after leader crash", i)
+		if v := h.Replicas[i].View(); v != 1 {
+			h.fatalf("replica %d in view %d after the leader crash, want 1", i, v)
 		}
 	}
-	if len(newViews) < 3 {
-		t.Fatalf("only %d replicas installed a new view", len(newViews))
-	}
 	// The new leader is replica 1 (view 1).
-	if v, ok := c.Apps[1].(*kvstore.Store).Get("survive"); !ok || v != "1" {
-		t.Fatal("state not applied in new view")
+	if v, ok := h.Apps[1].(*kvstore.Store).Get("k"); !ok || v != "v" {
+		h.fatalf("state not applied in the new view")
 	}
 }
 
+// TestEquivocatingLeaderIsReplaced: leader 0 sends the odd-numbered
+// backups a proposal no copy of theirs matches, so no quorum prepares; the
+// backups' progress timers replace it, and all correct replicas agree.
 func TestEquivocatingLeaderIsReplaced(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	c.Replicas[0].SetOutbox(equivocating(c.Replicas[0]))
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	h.byzantine[0] = equivocating(h.Replicas[0])
+	h.submit(1, 0, 1, 2, 3)
+	h.drain(everything)
+	for i := 1; i < 4; i++ {
+		h.fire(i)
 	}
-	done := 0
-	c.Loop.Post(func() {
-		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "equi", "1"), func([]byte) { done++ })
-	})
-	c.Loop.Run()
-	if done != 1 {
-		t.Fatalf("request never executed under equivocating leader (done=%d)", done)
+	h.drain(everything)
+	if got := h.answers(1); len(got) < 2 {
+		h.fatalf("request never executed under equivocating leader (answered by %v)", got)
 	}
 	// It executed because the correct replicas replaced the leader.
 	for i := 1; i < 4; i++ {
-		if v := c.Replicas[i].View(); v == 0 {
-			t.Fatalf("replica %d is still in view 0: the equivocating leader was never replaced", i)
+		if v := h.Replicas[i].View(); v == 0 {
+			h.fatalf("replica %d is still in view 0: the equivocating leader was never replaced", i)
 		}
-	}
-	// Safety: all correct replicas agree on the final state.
-	d1 := c.Apps[1].Snapshot()
-	for i := 2; i < 4; i++ {
-		if c.Apps[i].Snapshot() != d1 {
-			t.Fatalf("replica %d diverged under equivocation", i)
+		// Safety: all correct replicas agree on the final state.
+		if h.Apps[i].Snapshot() != h.Apps[1].Snapshot() {
+			h.fatalf("replica %d diverged under equivocation", i)
 		}
 	}
 }
 
+// TestCorruptMACsAreDropped: replica 2 sends garbage MACs: its messages
+// must be ignored, but the remaining 3 replicas still form quorums (N=4,
+// F=1).
 func TestCorruptMACsAreDropped(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	// Replica 2 sends garbage MACs: its messages must be ignored, but
-	// the remaining 3 replicas still form quorums (N=4, F=1).
-	c.Replicas[2].SetOutbox(corruptMACs(c.Replicas[2]))
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
+	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	h.byzantine[2] = corruptMACs(h.Replicas[2])
+	for ts := uint64(1); ts <= 5; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
 	}
-	done := 0
-	c.Loop.Post(func() {
-		for k := 0; k < 5; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("k%d", k), "v"), func([]byte) { done++ })
+	h.drain(everything)
+	for ts := uint64(1); ts <= 5; ts++ {
+		if got := h.answers(ts); len(got) < 2 {
+			h.fatalf("request %d answered by %v with one MAC-corrupting replica, want F+1", ts, got)
 		}
-	})
-	c.Loop.Run()
-	if done != 5 {
-		t.Fatalf("completed %d of 5 with one MAC-corrupting replica", done)
 	}
 	for _, i := range []int{0, 1, 3} {
-		r := c.Replicas[i]
+		r := h.Replicas[i]
 		for seq := r.stable + 1; seq <= r.executed; seq++ {
 			if s := r.lookup(seq); s != nil && (s.prepares[2].cast || s.commits[2].cast) {
-				t.Errorf("replica %d counted a vote from replica 2 at sequence %d", i, seq)
+				h.errorf("replica %d counted a vote from replica 2 at sequence %d", i, seq)
 			}
 		}
 	}
@@ -357,23 +309,16 @@ func TestMultipleClients(t *testing.T) {
 func TestLargerClusterN7F2(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.N, cfg.F = 7, 2
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	// Crash two replicas — the maximum tolerated.
-	c.Crash(5)
-	c.Crash(6)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
+	h := newStepCluster(t, transport.KindTCP, cfg)
+	// Replicas 5 and 6 crashed — the most tolerated: nothing reaches them.
+	for ts := uint64(1); ts <= 6; ts++ {
+		h.submit(ts, 0, 1, 2, 3, 4)
 	}
-	done := 0
-	c.Loop.Post(func() {
-		for k := 0; k < 6; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("k%d", k), "v"), func([]byte) { done++ })
+	h.drain(func(e envelope) bool { return e.to < 5 })
+	for ts := uint64(1); ts <= 6; ts++ {
+		if got := h.answers(ts); len(got) <= cfg.F {
+			h.fatalf("request %d answered by %v with N=7 F=2 and two crashes, want F+1", ts, got)
 		}
-	})
-	c.Loop.Run()
-	if done != 6 {
-		t.Fatalf("completed %d of 6 with N=7 F=2 and two crashes", done)
 	}
 }
 

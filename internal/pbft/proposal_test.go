@@ -5,9 +5,7 @@ import (
 	"testing"
 
 	"rubin/internal/auth"
-	"rubin/internal/kvstore"
 	"rubin/internal/model"
-	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
@@ -181,43 +179,22 @@ func TestPrePrepareMACCoversTheHeader(t *testing.T) {
 // accepted it: the request still commits, and no replica demands a view
 // change.
 func TestRelayedTamperedProposalStartsNoViewChange(t *testing.T) {
-	c := newTestCluster(t, transport.KindRDMA, DefaultConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := 0
-	c.Loop.Post(func() {
-		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "relay", "1"), func([]byte) { done++ })
-	})
-	leader, relay := c.Replicas[0], c.Replicas[2]
-	for (leader.lookup(1) == nil || !leader.lookup(1).proposed) && c.Loop.Step() {
-	}
-	s := leader.lookup(1)
-	if s == nil || !s.proposed {
-		t.Fatal("the leader never proposed")
-	}
-	env, _, _ := (&Replica{id: 0, keyring: leader.keyring}).seal(s.pp)
-	tampered := bytes.Clone(env)
-	tampered[8+encodedSize(s.pp)-1] ^= 0xFF
-	relayTampered := func() {
+	h := newStepCluster(t, transport.KindRDMA, DefaultConfig())
+	h.submit(1, 0, 1, 2, 3)
+	h.settle(0)
+	pp := h.pending[0] // the leader's proposal, as it reaches replica 1
+	tampered := bytes.Clone(pp.raw)
+	tampered[8+len(pp.payload)-1] ^= 0xFF // the last byte of its last ref
+	for range 2 {
 		for _, to := range []int{1, 3} {
-			if err := relay.peers[to].Send(msgnet.ClassControl, tampered); err != nil {
-				t.Fatalf("relaying to replica %d: %v", to, err)
-			}
+			h.Replicas[to].handleEnvelope(tampered)
 		}
+		h.drain(everything)
 	}
-	relayTampered()
-	c.Loop.Run()
-	relayTampered()
-	c.Loop.Run()
-	if done != 1 {
-		t.Fatalf("the request executed %d times, want 1", done)
-	}
-	for i, r := range c.Replicas {
-		if r.view != 0 || r.viewChanging || r.demanded != 0 {
-			t.Errorf("replica %d: view %d, changing %v, demanded view %d; a relayed batch must not replace the leader",
-				i, r.view, r.viewChanging, r.demanded)
+	for i, r := range h.Replicas {
+		if r.Executed() != 1 || r.view != 0 || r.viewChanging || r.demanded != 0 {
+			h.errorf("replica %d: executed %d, view %d, changing %v, demanded view %d; a relayed batch must not replace the leader",
+				i, r.Executed(), r.view, r.viewChanging, r.demanded)
 		}
 	}
 }

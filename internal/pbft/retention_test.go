@@ -340,7 +340,7 @@ func TestProposalKeepsItsRefsUntilItsCellsNextLap(t *testing.T) {
 		reqs := make([]Request, cfg.BatchSize)
 		for i := range reqs {
 			ts++
-			reqs[i] = timerRequest(ts)
+			reqs[i] = putRequest(ts)
 			if held {
 				r.handleRequest(reqs[i], nil)
 			}

@@ -60,69 +60,70 @@ func bareReplica(t *testing.T, id uint32, cfg Config) *Replica {
 }
 
 // TestLogRingWrapsAcrossLeaderCrash runs a window as small as Validate
-// allows (LogWindow = CheckpointEvery = 4) through a few hundred requests
-// and a leader crash: the ring wraps dozens of times, in two views, and the
-// survivors execute the same batch at every sequence.
+// allows (LogWindow = CheckpointEvery = 4) through a few hundred requests,
+// a batch of two at a time, and a leader crash halfway — from then on
+// nothing reaches replica 0, and its timer never fires: the ring wraps
+// dozens of times, in two views, and the survivors execute the same batch
+// at every sequence.
 func TestLogRingWrapsAcrossLeaderCrash(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchSize = 2
 	cfg.CheckpointEvery, cfg.LogWindow = 4, 4
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newStepCluster(t, transport.KindTCP, cfg)
 	executed := make([]map[uint64]auth.Digest, cfg.N)
-	for i, rep := range c.Replicas {
-		i, rep := i, rep
+	requests := 0 // executed at replica 1
+	for i, rep := range h.Replicas {
 		executed[i] = map[uint64]auth.Digest{}
 		rep.OnExecute(func(seq uint64, batch []Request) {
 			if _, twice := executed[i][seq]; twice {
 				t.Errorf("replica %d executed sequence %d twice", i, seq)
 			}
 			executed[i][seq] = BatchDigest(batch)
+			if i == 1 {
+				requests += len(batch)
+			}
 			if live := liveSlots(rep); live > int(cfg.LogWindow) {
 				t.Errorf("replica %d holds %d live slots at sequence %d, window is %d", i, live, seq, cfg.LogWindow)
 			}
 		})
 	}
 	const n = 300
-	done, atCrash := 0, 0
-	c.Loop.Post(func() {
-		for k := 0; k < n; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("wrap%03d", k), "v"), func([]byte) { done++ })
+	for ts := uint64(1); ts < n; ts += 2 {
+		to := []int{0, 1, 2, 3}
+		if ts > n/2 {
+			to = to[1:]
 		}
-	})
-	c.Loop.At(c.Loop.Now()+2*sim.Millisecond, func() {
-		atCrash = done
-		c.Crash(0)
-	})
-	c.Loop.Run()
-	if done != n {
-		t.Fatalf("completed %d of %d requests", done, n)
+		h.submit(ts, to...)
+		h.submit(ts+1, to...)
+		if ts == n/2+1 {
+			for i := 1; i < cfg.N; i++ {
+				h.fire(i)
+			}
+		}
+		h.drain(func(e envelope) bool { return ts < n/2 || e.to != 0 })
 	}
-	if atCrash == 0 || atCrash == n {
-		t.Fatalf("%d of %d requests were complete at the crash: it must fall mid-run", atCrash, n)
+	if requests != n {
+		h.fatalf("replica 1 executed %d of %d requests", requests, n)
 	}
 	for i := 1; i < cfg.N; i++ {
-		rep := c.Replicas[i]
+		rep := h.Replicas[i]
 		checkRing(t, rep)
 		if rep.View() == 0 || rep.Executed() < 20*cfg.LogWindow {
-			t.Fatalf("replica %d: view %d, executed %d; want a view change and >= 20 laps of the ring", i, rep.View(), rep.Executed())
+			h.fatalf("replica %d: view %d, executed %d; want a view change and >= 20 laps of the ring", i, rep.View(), rep.Executed())
 		}
-		if rep.Executed() != c.Replicas[1].Executed() || len(executed[i]) != len(executed[1]) {
-			t.Fatalf("replica %d executed %d sequences (to %d), replica 1 %d (to %d)", i, len(executed[i]), rep.Executed(), len(executed[1]), c.Replicas[1].Executed())
+		if rep.Executed() != h.Replicas[1].Executed() || len(executed[i]) != len(executed[1]) {
+			h.fatalf("replica %d executed %d sequences (to %d), replica 1 %d (to %d)", i, len(executed[i]), rep.Executed(), len(executed[1]), h.Replicas[1].Executed())
 		}
 		for seq, d := range executed[1] {
 			if executed[i][seq] != d {
-				t.Fatalf("replica %d and replica 1 executed different batches at sequence %d", i, seq)
+				h.fatalf("replica %d and replica 1 executed different batches at sequence %d", i, seq)
 			}
 		}
 	}
 	// What the crashed leader executed, the survivors executed too.
 	for seq, d := range executed[0] {
 		if executed[1][seq] != d {
-			t.Fatalf("the crashed leader and replica 1 executed different batches at sequence %d", seq)
+			h.fatalf("the crashed leader and replica 1 executed different batches at sequence %d", seq)
 		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"rubin/internal/kvstore"
-	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 )
 
@@ -15,159 +13,112 @@ import (
 // request already assigned, a leader that has not proposed yet and the
 // NEW-VIEW wait.
 
-// demandTimes records, per replica, when its first VIEW-CHANGE for each
-// view reached any peer.
-func demandTimes(c *Cluster) map[uint64][]sim.Time {
-	first := map[uint64][]sim.Time{}
-	tapViewChanges(c, func(_ int, vc ViewChange) {
-		at := first[vc.NewView]
-		if at == nil {
-			at = make([]sim.Time, c.Config.N)
-			first[vc.NewView] = at
-		}
-		if int(vc.Replica) < len(at) && at[vc.Replica] == 0 {
-			at[vc.Replica] = c.Loop.Now()
-		}
-	})
-	return first
-}
-
-// TestCrashedLeaderSuspectedWithinQuarterTimeout crashes the view-0 leader
-// under a steady put stream, so the backups hold known requests when it
-// stops proposing. Every backup must demand view 1 within a quarter of
-// ViewTimeout, plus one round for the requests in flight to execute and the
-// VIEW-CHANGE to arrive — not after a whole ViewTimeout — and the crash
-// still costs one view change.
+// TestCrashedLeaderSuspectedWithinQuarterTimeout: view 0's leader
+// proposes, then falls silent — nothing reaches it, and its timer never
+// fires — while the backups hold a known request. Every backup demands view
+// 1 a quarter of ViewTimeout after the leader's last PRE-PREPARE — not a
+// whole ViewTimeout after the request — and the silence costs one view
+// change.
 func TestCrashedLeaderSuspectedWithinQuarterTimeout(t *testing.T) {
-	const (
-		crashAt = 50 * sim.Millisecond
-		span    = 120 * sim.Millisecond
-		round   = sim.Millisecond
-	)
 	for _, kind := range kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := DefaultConfig()
-			c := newTestCluster(t, kind, cfg)
-			demanded := demandTimes(c)
-			load := newPutLoad(t, c, 10000, span)
-			crash := load.base + crashAt
-			c.Loop.At(crash, func() { c.Crash(0) })
-			load.run(t, sim.Second)
-
-			limit := crash + cfg.ViewTimeout/4 + round
+			h := newStepCluster(t, kind, cfg)
+			h.submit(1, 0, 1, 2, 3)
+			h.drain(everything)
+			heard := h.Loop.Now() // the PRE-PREPARE was delivered as it was sent
+			h.submit(2, 1, 2, 3)
 			for id := 1; id < cfg.N; id++ {
-				var at sim.Time // 0: never
-				if demanded[1] != nil {
-					at = demanded[1][id]
-				}
-				if at == 0 || at > limit {
-					t.Errorf("replica %d demanded view 1 at %v (0: never), want by %v (crash at %v)", id, at, limit, crash)
+				if at := h.fire(id); at != heard+cfg.ViewTimeout/4 {
+					h.errorf("replica %d demanded view 1 at %v, want a quarter timeout after the last PRE-PREPARE at %v", id, at, heard)
 				}
 			}
-			for v := range demanded {
-				if v != 1 {
-					t.Errorf("a replica demanded view %d: the crash cost more than one view change", v)
+			h.drain(func(e envelope) bool { return e.to != 0 })
+			for _, e := range h.done {
+				if vc, ok := e.msg().(ViewChange); ok && vc.NewView != 1 {
+					h.errorf("replica %d demanded view %d: the silence cost more than one view change", vc.Replica, vc.NewView)
 				}
 			}
 			for id := 1; id < cfg.N; id++ {
-				if v := c.Replicas[id].View(); v != 1 {
-					t.Errorf("replica %d ended in view %d, want 1", id, v)
+				if v := h.Replicas[id].View(); v != 1 || !slices.Contains(h.answers(2), id) {
+					h.errorf("replica %d ended in view %d, answered %v; want view 1, request 2 answered", id, v, h.answers(2))
 				}
 			}
 		})
 	}
 }
 
-// TestLeaderThatSkipsOneClientKeepsFullTimeout has the leader keep
-// proposing every request but one client's, which it never sees: it is
-// never silent for a quarter timeout, so the backups watching that
-// client's request suspect it only when the full ViewTimeout has passed
-// (Castro & Liskov's timer) — and the next view orders the request.
+// TestLeaderThatSkipsOneClientKeepsFullTimeout: the leader never sees one
+// request, and keeps proposing the others, a PRE-PREPARE every eighth of
+// ViewTimeout: it is never silent for a quarter timeout, so the backups
+// watching the request it skips suspect it only when the full ViewTimeout
+// has passed (Castro & Liskov's timer) — and the next view orders the
+// request.
 func TestLeaderThatSkipsOneClientKeepsFullTimeout(t *testing.T) {
-	const (
-		skipAt = 20 * sim.Millisecond
-		span   = 100 * sim.Millisecond
-	)
 	for _, kind := range kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := DefaultConfig()
-			c := newTestCluster(t, kind, cfg)
-			demanded := demandTimes(c)
-			skipped, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
+			h := newStepCluster(t, kind, cfg)
+			h.submit(1, 1, 2, 3)
+			sent := h.Loop.Now()
+			for ts := uint64(2); ts < 9; ts++ {
+				h.settle(cfg.ViewTimeout / 8)
+				h.submit(ts, 0, 1, 2, 3)
+				h.drain(everything)
 			}
-			leader := c.Replicas[0]
-			leader.clients = slices.DeleteFunc(leader.clients, func(cl client) bool { return cl.id == skipped.ID() })
-			load := newPutLoad(t, c, 5000, span)
-			sent := load.base + skipAt
-			var answered sim.Time
-			c.Loop.At(sent, func() {
-				skipped.Invoke(kvstore.EncodeOp(kvstore.OpPut, "skipped", "1"), func([]byte) { answered = c.Loop.Now() })
-			})
-			load.run(t, sim.Second)
-
-			first := slices.Min(slices.DeleteFunc(slices.Clone(demanded[1]), func(at sim.Time) bool { return at == 0 }))
-			if first < sent+cfg.ViewTimeout || first > sent+cfg.ViewTimeout+2*sim.Millisecond {
-				t.Errorf("first demand for view 1 at %v, want one ViewTimeout after the skipped request (sent at %v)", first, sent)
+			for id := 1; id < cfg.N; id++ {
+				if at := h.fire(id); at != sent+cfg.ViewTimeout {
+					h.errorf("replica %d demanded view 1 at %v, want one ViewTimeout after the skipped request (sent at %v)", id, at, sent)
+				}
 			}
-			if answered == 0 {
-				t.Error("the skipped request was never answered")
+			h.drain(everything)
+			if len(h.answers(1)) <= cfg.F {
+				h.errorf("the skipped request was answered by replicas %v, want F+1", h.answers(1))
 			}
-			for id, rep := range c.Replicas {
+			for id, rep := range h.Replicas {
 				if rep.View() != 1 {
-					t.Errorf("replica %d ended in view %d, want 1", id, rep.View())
+					h.errorf("replica %d ended in view %d, want 1", id, rep.View())
 				}
 			}
 		})
 	}
 }
 
-// TestNewLeaderKeepsFullTimeoutUntilItProposes crashes the view-0 leader
-// and has view 1's leader send its NEW-VIEW but no PRE-PREPARE, ever. The
-// backups never hear it propose in view 1, so they give it the full
+// TestNewLeaderKeepsFullTimeoutUntilItProposes: view 0's leader falls
+// silent, and view 1's leader sends its NEW-VIEW but no PRE-PREPARE, ever.
+// The backups never hear it propose in view 1, so they give it the full
 // ViewTimeout from the install — a new leader may take that long to catch
 // up — and only then demand view 2, which orders what view 1 did not.
 func TestNewLeaderKeepsFullTimeoutUntilItProposes(t *testing.T) {
-	const (
-		crashAt = 20 * sim.Millisecond
-		span    = 120 * sim.Millisecond
-	)
 	for _, kind := range kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := DefaultConfig()
-			c := newTestCluster(t, kind, cfg)
-			demanded := demandTimes(c)
+			h := newStepCluster(t, kind, cfg)
 			installed := make([]sim.Time, cfg.N)
-			for id, rep := range c.Replicas {
+			for id, rep := range h.Replicas {
 				rep.OnViewChange(func(v uint64) {
 					if v == 1 {
-						installed[id] = c.Loop.Now()
+						installed[id] = h.Loop.Now()
 					}
 				})
 			}
-			c.Replicas[1].SetOutbox(func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) {
-				if e, err := DecodeEnvelope(env); err == nil && len(e.Payload) > 0 && MsgType(e.Payload[0]) == MsgPrePrepare {
-					return nil, 0
-				}
-				return env, 0
-			})
-			load := newPutLoad(t, c, 5000, span)
-			c.Loop.At(load.base+crashAt, func() { c.Crash(0) })
-			load.run(t, sim.Second)
-
+			delivered := func(e envelope) bool { return e.to != 0 && (e.from != 1 || e.typ() != MsgPrePrepare) }
+			h.submit(1, 0, 1, 2, 3)
+			h.drain(everything)
+			h.submit(2, 1, 2, 3)
+			for id := 1; id < cfg.N; id++ {
+				h.fire(id)
+			}
+			h.drain(delivered)
 			for _, id := range []int{2, 3} {
-				at := demanded[2]
-				if installed[id] == 0 || at == nil || at[id] == 0 {
-					t.Fatalf("replica %d installed view 1 at %v and demanded view 2 at %v (0: never)", id, installed[id], at)
-				}
-				if wait := at[id] - installed[id]; wait < cfg.ViewTimeout || wait > cfg.ViewTimeout+2*sim.Millisecond {
-					t.Errorf("replica %d demanded view 2 %v after installing view 1, want one ViewTimeout", id, wait)
+				if at := h.fire(id); installed[id] == 0 || at-installed[id] != cfg.ViewTimeout {
+					h.errorf("replica %d installed view 1 at %v and demanded view 2 at %v, want one ViewTimeout later", id, installed[id], at)
 				}
 			}
+			h.drain(delivered)
 			for id := 1; id < cfg.N; id++ {
-				if v := c.Replicas[id].View(); v != 2 {
-					t.Errorf("replica %d ended in view %d, want 2", id, v)
+				if v := h.Replicas[id].View(); v != 2 || !slices.Contains(h.answers(2), id) {
+					h.errorf("replica %d ended in view %d, answered %v; want view 2, request 2 answered", id, v, h.answers(2))
 				}
 			}
 		})

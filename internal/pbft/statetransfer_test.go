@@ -86,26 +86,35 @@ func TestStateTransferRoundTrip(t *testing.T) {
 // behind ongoing traffic must keep catching up via the live checkpoint
 // certificates recordCheckpoint assembles, without further restarts.
 func TestStateTransferLaggingReplica(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, transferConfig())
-	cl, err := c.AddClient()
-	if err != nil {
+	h := newStepCluster(t, transport.KindTCP, transferConfig())
+	// Stop replica 3 outright, run the group ahead, then restart: the fresh
+	// instance adopts the group's checkpoint, falls behind again — the
+	// group runs on while nothing reaches it — and must catch up through
+	// the live checkpoint certificates of what comes after, without any
+	// further crash.
+	h.Crash(3)
+	for ts := uint64(1); ts <= 24; ts++ {
+		h.submit(ts, 0, 1, 2)
+	}
+	h.drain(everything)
+	if err := h.Restart(3); err != nil {
 		t.Fatal(err)
 	}
-	// Stop replica 3 outright, run the group ahead, then restart: the
-	// fresh instance receives live checkpoint certificates and must
-	// catch up without any further crash.
-	c.Crash(3)
-	invokeN(t, c, cl, "a", 24)
-	if err := c.Restart(3); err != nil {
-		t.Fatal(err)
+	h.drain(everything)
+	for ts := uint64(25); ts <= 48; ts++ {
+		h.submit(ts, 0, 1, 2)
 	}
-	invokeN(t, c, cl, "b", 24)
-	c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
-	if c.Replicas[3].StateTransfers() == 0 {
-		t.Fatal("lagging replica never fetched state")
+	h.drain(func(e envelope) bool { return e.to != 3 })
+	behind := h.sent
+	for ts := uint64(49); ts <= 56; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
 	}
-	if got, want := c.Replicas[3].Executed(), c.Replicas[0].Executed(); got != want {
-		t.Fatalf("lagging replica executed %d, group %d", got, want)
+	h.drain(func(e envelope) bool { return e.to != 3 || e.n >= behind })
+	if h.Replicas[3].StateTransfers() == 0 {
+		h.fatalf("lagging replica never fetched state")
+	}
+	if got, want := h.Replicas[3].Executed(), h.Replicas[0].Executed(); got != want {
+		h.fatalf("lagging replica executed %d, group %d", got, want)
 	}
 }
 
@@ -267,91 +276,67 @@ func TestRestartRedialsDeadPeers(t *testing.T) {
 // leader installs a view — waiting one ViewTimeout for the first NEW-VIEW
 // and twice as long for each next one (Castro & Liskov §4.5.2), so a slow
 // but correct leader is eventually given the time it needs. Table-driven
-// over the failure variants.
+// over the failure variants; a crashed replica is one nothing reaches and
+// whose timer never fires.
 func TestCascadingViewChanges(t *testing.T) {
 	cases := []struct {
-		name     string
-		n, f     int
-		setup    func(c *Cluster)
-		minView  uint64
-		liveFrom int // replicas [liveFrom, n) participate at the end
+		name    string
+		n, f    int
+		crashed int // replicas [0, crashed) are crashed
+		muting  int // this replica never sends its NEW-VIEW (0: none)
+		minView uint64
 	}{
-		{
-			// Leaders of views 0 and 1 both crash before any request:
-			// N=7/F=2 keeps a 2F+1 quorum among the survivors, which
-			// must cascade to view 2.
-			name: "two-crashed-leaders-n7", n: 7, f: 2,
-			setup:    func(c *Cluster) { c.Crash(0); c.Crash(1) },
-			minView:  2,
-			liveFrom: 2,
-		},
-		{
-			// The view-0 leader crashes and the view-1 leader mutes its
-			// NEW-VIEW: replicas waiting for the installation must time
-			// out and escalate to view 2.
-			name: "muted-new-view-n4", n: 4, f: 1,
-			setup: func(c *Cluster) {
-				c.Crash(0)
-				c.Replicas[1].SetOutbox(muted(c.Replicas[1], MsgNewView))
-			},
-			minView:  2,
-			liveFrom: 1,
-		},
-		{
-			// Views 1 and 2 both fail (a crashed and a NEW-VIEW-muting
-			// leader): the wait for view 2 is the doubled one, and it
-			// has to run out before view 3 is demanded.
-			name: "crashed-then-muted-n7", n: 7, f: 2,
-			setup: func(c *Cluster) {
-				c.Crash(0)
-				c.Crash(1)
-				c.Replicas[2].SetOutbox(muted(c.Replicas[2], MsgNewView))
-			},
-			minView:  3,
-			liveFrom: 2,
-		},
+		// Leaders of views 0 and 1 both crash before any request: N=7/F=2
+		// keeps a 2F+1 quorum among the survivors, which must cascade to
+		// view 2.
+		{name: "two-crashed-leaders-n7", n: 7, f: 2, crashed: 2, minView: 2},
+		// The view-0 leader crashes and the view-1 leader mutes its
+		// NEW-VIEW: replicas waiting for the installation must time out and
+		// escalate to view 2.
+		{name: "muted-new-view-n4", n: 4, f: 1, crashed: 1, muting: 1, minView: 2},
+		// Views 1 and 2 both fail (a crashed and a NEW-VIEW-muting leader):
+		// the wait for view 2 is the doubled one, and it has to run out
+		// before view 3 is demanded.
+		{name: "crashed-then-muted-n7", n: 7, f: 2, crashed: 2, muting: 2, minView: 3},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := transferConfig()
 			cfg.N, cfg.F = tc.n, tc.f
-			c := newTestCluster(t, transport.KindTCP, cfg)
-			cl, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
+			h := newStepCluster(t, transport.KindTCP, cfg)
+			if tc.muting > 0 {
+				h.byzantine[tc.muting] = muted(h.Replicas[tc.muting], MsgNewView)
 			}
-			tc.setup(c)
-			// When the last replica heard each view demanded by the one
-			// before it (both are correct in every variant).
-			demandedAt := make(map[uint64]sim.Time)
-			tapViewChanges(c, func(to int, vc ViewChange) {
-				if _, seen := demandedAt[vc.NewView]; to == tc.n-1 && int(vc.Replica) == tc.n-2 && !seen {
-					demandedAt[vc.NewView] = c.Loop.Now()
+			var live []int
+			for i := tc.crashed; i < tc.n; i++ {
+				live = append(live, i)
+			}
+			h.submit(1, live...)
+			demandedAt := make(map[uint64]sim.Time) // when the last replica demanded each view
+			for round := 0; len(h.answers(1)) <= tc.f && round < 4; round++ {
+				for _, i := range live {
+					if r := h.Replicas[i]; r.progress.Pending() {
+						v := r.demanded + 1
+						demandedAt[v] = h.fire(i)
+					}
 				}
-			})
-			done := 0
-			c.Loop.Post(func() {
-				cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "cascade", "1"), func([]byte) { done++ })
-			})
-			c.Loop.Run()
-			if done != 1 {
-				t.Fatalf("request never committed across cascading view changes")
+				h.drain(func(e envelope) bool { return e.to >= tc.crashed })
 			}
-			// The k-th NEW-VIEW wait is 2^(k-1) ViewTimeouts, give or take
-			// the moment it takes 2F+1 VIEW-CHANGEs to get around.
+			if len(h.answers(1)) <= tc.f {
+				h.fatalf("request never committed across cascading view changes")
+			}
+			// The k-th NEW-VIEW wait is 2^(k-1) ViewTimeouts.
 			for v, wait := uint64(1), cfg.ViewTimeout; v < tc.minView; v, wait = v+1, 2*wait {
-				got := demandedAt[v+1] - demandedAt[v]
-				if got < wait || got > wait+sim.Millisecond {
-					t.Errorf("view %d was demanded %v after view %d, want %v (+ < 1ms)", v+1, got, v, wait)
+				if got := demandedAt[v+1] - demandedAt[v]; got != wait {
+					h.errorf("view %d was demanded %v after view %d, want %v", v+1, got, v, wait)
 				}
 			}
-			for i := tc.liveFrom; i < tc.n; i++ {
-				if v := c.Replicas[i].View(); v < tc.minView {
-					t.Errorf("replica %d in view %d, want >= %d", i, v, tc.minView)
+			for _, i := range live {
+				if v := h.Replicas[i].View(); v < tc.minView {
+					h.errorf("replica %d in view %d, want >= %d", i, v, tc.minView)
 				}
-				if v, ok := c.Apps[i].(*kvstore.Store).Get("cascade"); !ok || v != "1" {
-					t.Errorf("replica %d missing committed state", i)
+				if v, ok := h.Apps[i].(*kvstore.Store).Get("k"); !ok || v != "v" {
+					h.errorf("replica %d missing committed state", i)
 				}
 			}
 		})
@@ -367,22 +352,21 @@ func TestCheckpointGCAtWindowBoundary(t *testing.T) {
 	cfg.BatchSize = 1
 	cfg.CheckpointEvery = 8
 	cfg.LogWindow = 8 // == CheckpointEvery: proposals stall at each boundary
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newStepCluster(t, transport.KindTCP, cfg)
 	const n = 40 // five full windows
-	invokeN(t, c, cl, "w", n)
-	for i, rep := range c.Replicas {
+	for ts := uint64(1); ts <= n; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
+	}
+	h.drain(everything)
+	for i, rep := range h.Replicas {
 		if rep.Executed() != n {
-			t.Fatalf("replica %d executed %d, want %d", i, rep.Executed(), n)
+			h.fatalf("replica %d executed %d, want %d", i, rep.Executed(), n)
 		}
 		if rep.Stable() < uint64(n)-cfg.CheckpointEvery {
-			t.Fatalf("replica %d stable %d, want >= %d", i, rep.Stable(), uint64(n)-cfg.CheckpointEvery)
+			h.fatalf("replica %d stable %d, want >= %d", i, rep.Stable(), uint64(n)-cfg.CheckpointEvery)
 		}
 		if live := liveSlots(rep); live > int(cfg.CheckpointEvery) {
-			t.Fatalf("replica %d log holds %d slots, want <= %d", i, live, cfg.CheckpointEvery)
+			h.fatalf("replica %d log holds %d slots, want <= %d", i, live, cfg.CheckpointEvery)
 		}
 	}
 }

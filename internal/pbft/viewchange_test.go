@@ -8,118 +8,103 @@ import (
 	"testing"
 
 	"rubin/internal/kvstore"
-	"rubin/internal/msgnet"
-	"rubin/internal/sim"
 	"rubin/internal/transport"
 )
 
 // viewChangeWire runs one leader-crash scenario, with puts of values
 // valueBytes long, and returns every VIEW-CHANGE and NEW-VIEW payload in
-// the order replicas received them. COMMIT is muted on every replica until
-// after the crash, so all six single-request slots are prepared but
-// unexecuted when the request timers fire: every VIEW-CHANGE carries six
-// proofs and the NEW-VIEW re-proposes six slots — enough entries that
-// map-order iteration anywhere on the path would scramble them.
-func viewChangeWire(t *testing.T, valueBytes int) [][]byte {
+// the order replicas received them. No COMMIT of view 0 is delivered, so
+// all six single-request slots are prepared but unexecuted when the
+// backups' timers fire: every VIEW-CHANGE carries six proofs and the
+// NEW-VIEW re-proposes six slots — enough entries that map-order iteration
+// anywhere on the path would scramble them.
+func viewChangeWire(t *testing.T, valueBytes int) (wire [][]byte) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.BatchSize = 1
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire [][]byte
-	tapInbound(c, func(_ int, payload []byte) {
-		if mt := MsgType(payload[0]); mt == MsgViewChange || mt == MsgNewView {
-			wire = append(wire, bytes.Clone(payload))
-		}
-	})
-	setMute := func(mute bool) {
-		for _, rep := range c.Replicas {
-			var o Outbox
-			if mute {
-				o = muted(rep, MsgCommit)
-			}
-			rep.SetOutbox(o)
-		}
-	}
-	setMute(true)
+	h := newStepCluster(t, transport.KindTCP, cfg)
+	h.value = strings.Repeat("v", valueBytes)
 	const requests = 6
-	done := 0
-	base := c.Loop.Now()
-	c.Loop.Post(func() {
-		for k := 0; k < requests; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("vc%d", k), strings.Repeat("v", valueBytes)), func([]byte) { done++ })
-		}
-	})
-	c.Loop.At(base+10*sim.Millisecond, func() { c.Crash(0) })
-	c.Loop.At(base+20*sim.Millisecond, func() { setMute(false) })
-	c.Loop.Run()
-	if done != requests {
-		t.Fatalf("committed %d of %d requests across the view change", done, requests)
+	for ts := uint64(1); ts <= requests; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
 	}
+	muted := func(e envelope) bool { c, ok := e.msg().(Commit); return ok && c.View == 0 }
+	h.drain(func(e envelope) bool { return !muted(e) })
+	for i := 1; i < 4; i++ {
+		h.fire(i)
+	}
+	h.drain(func(e envelope) bool { return e.to != 0 && !muted(e) })
 	proofs := 0
-	for _, payload := range wire {
-		if m, err := Decode(payload); err != nil {
-			t.Fatalf("captured payload does not decode: %v", err)
-		} else if vc, ok := m.(ViewChange); ok && len(vc.Prepared) > proofs {
-			proofs = len(vc.Prepared)
+	for _, e := range h.done {
+		switch m := e.msg().(type) {
+		case ViewChange:
+			proofs = max(proofs, len(m.Prepared))
+			wire = append(wire, e.payload)
+		case NewView:
+			wire = append(wire, e.payload)
+		}
+	}
+	for ts := uint64(1); ts <= requests; ts++ {
+		if got := h.answers(ts); len(got) <= cfg.F {
+			h.fatalf("request %d was answered by replicas %v across the view change, want F+1", ts, got)
 		}
 	}
 	if proofs < 2 {
-		t.Fatalf("largest VIEW-CHANGE carried %d prepared proofs; the scenario needs >= 2 to expose ordering", proofs)
+		h.fatalf("largest VIEW-CHANGE carried %d prepared proofs; the scenario needs >= 2 to expose ordering", proofs)
 	}
 	return wire
 }
 
 // TestExecutedReproposalIsVotedAgain: a NEW-VIEW re-proposes a batch that
-// one replica executed and two others only prepared. Every COMMIT to
-// replicas 2 and 3 is withheld, so replica 1 (and leader 0) commit sequence
-// 1 while 2 and 3 only prepare it; then the leader crashes, the withholding
-// stops, and replica 1 leads view 1. Replicas 2 and 3 need replica 1's
-// COMMIT for sequence 1 in view 1 (Castro & Liskov §4.4): a replica that skips a re-proposal it executed leaves them one
-// COMMIT short of 2F+1 for good, and the request that follows never
-// executes at them.
+// one replica executed and two others only prepared. Only that replica and
+// leader 0 get view 0's COMMITs, so they commit sequence 1 while the other
+// two only prepare it; then the leader falls silent — nothing reaches it,
+// and its timer never fires — and replica 1 leads view 1. The two need the
+// executed replica's vote for sequence 1 in view 1 (Castro & Liskov §4.4):
+// its PREPARE if it backs view 1, its COMMIT either way. A replica that
+// skips a re-proposal it executed leaves them one vote short of a quorum
+// for good, and the request that follows never executes at them.
 func TestExecutedReproposalIsVotedAgain(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BatchSize = 1
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range c.Replicas {
-		rep.SetOutbox(withheld(rep, MsgCommit, 2, 3))
-	}
-	done := 0
-	base := c.Loop.Now()
-	c.Loop.Post(func() {
-		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "s", "1"), func([]byte) { done++ })
-	})
-	c.Loop.At(base+10*sim.Millisecond, func() {
-		executed := []uint64{c.Replicas[1].Executed(), c.Replicas[2].Executed(), c.Replicas[3].Executed()}
-		if !slices.Equal(executed, []uint64{1, 0, 0}) {
-			t.Fatalf("replicas 1-3 executed %v before the crash, want [1 0 0]", executed)
+	for _, executor := range []int{1, 2} {
+		h := newStepCluster(t, transport.KindTCP, cfg)
+		reproposal(h, executor)
+		if *h.Replicas[1].reproposed != 1 {
+			h.errorf("executor %d: view 1's leader re-proposed %d sequences, want 1", executor, *h.Replicas[1].reproposed)
 		}
-		c.Crash(0)
-		for _, rep := range c.Replicas {
-			rep.SetOutbox(nil)
+		for i := 1; i < cfg.N; i++ {
+			if r := h.Replicas[i]; r.View() != 1 || r.Executed() != 2 {
+				h.errorf("executor %d: replica %d: view %d, executed %d; want view 1, executed 2", executor, i, r.View(), r.Executed())
+			}
 		}
-		cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "after", "2"), func([]byte) { done++ })
-	})
-	c.Loop.RunUntil(base + 20*cfg.ViewTimeout)
-	if *c.Replicas[1].reproposed != 1 {
-		t.Errorf("view 1's leader re-proposed %d sequences, want 1", *c.Replicas[1].reproposed)
-	}
-	for i := 1; i < cfg.N; i++ {
-		if r := c.Replicas[i]; r.View() != 1 || r.Executed() != 2 {
-			t.Errorf("replica %d: view %d, executed %d; want view 1, executed 2", i, r.View(), r.Executed())
+		for ts := uint64(1); ts <= 2; ts++ {
+			if got := h.answers(ts); len(got) < cfg.F+1 {
+				h.errorf("executor %d: request %d was answered by replicas %v, want F+1", executor, ts, got)
+			}
 		}
 	}
-	if done != 2 {
-		t.Errorf("%d of 2 requests completed", done)
+}
+
+// reproposal takes TestExecutedReproposalIsVotedAgain's steps, replica
+// executor executing sequence 1 in view 0.
+func reproposal(h *stepCluster, executor int) {
+	withheld := func(e envelope) bool {
+		c, ok := e.msg().(Commit)
+		return ok && c.View == 0 && e.to != 0 && e.to != executor
 	}
+	h.submit(1, 0, 1, 2, 3)
+	h.drain(func(e envelope) bool { return !withheld(e) })
+	for i := 1; i < 4; i++ {
+		if got, want := h.Replicas[i].Executed() == 1, i == executor; got != want {
+			h.fatalf("replica %d executed sequence 1 before the leader fell silent: %v, want %v", i, got, want)
+		}
+	}
+	h.submit(2, 1, 2, 3)
+	for i := 1; i < 4; i++ {
+		h.fire(i)
+	}
+	h.drain(func(e envelope) bool { return e.to != 0 && !withheld(e) })
 }
 
 // TestNewViewCannotRewriteAnExecutedBatch: replica 2 has executed client
@@ -129,32 +114,28 @@ func TestExecutedReproposalIsVotedAgain(t *testing.T) {
 // keeps the refs and view it executed, and nothing is voted; with the true
 // refs the batch is proposed again in view 1 and PREPAREd.
 func TestNewViewCannotRewriteAnExecutedBatch(t *testing.T) {
-	req := Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
+	req := putRequest(1)
 	refs, d := refsOf([]Request{req}), BatchDigest([]Request{req})
 	forged := []RequestRef{{RequestID{100, 1 << 62}, refs[0].Digest}}
 	for name, want := range map[string]struct {
 		refs []RequestRef
 		view uint64
 	}{"forged refs": {forged, 0}, "true refs": {refs, 1}} {
-		r := bareReplica(t, 2, DefaultConfig())
-		r.handleRequest(req, nil)
-		r.handleEnvelope(sealedBy(r, 0, PrePrepare{View: 0, Seq: 1, Digest: d, Refs: refs}))
-		for _, id := range []uint32{0, 1, 3} {
-			r.handleEnvelope(sealedBy(r, id, Prepare{View: 0, Seq: 1, Digest: d, Replica: id}))
-			r.handleEnvelope(sealedBy(r, id, Commit{View: 0, Seq: 1, Digest: d, Replica: id}))
-		}
+		h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+		r := h.Replicas[2]
+		h.submit(1, 2)
+		h.commit(2, 1, 1)
 		if r.Executed() != 1 {
-			t.Fatalf("%s: replica 2 executed %d before the NEW-VIEW, want 1", name, r.Executed())
+			h.fatalf("%s: replica 2 executed %d before the NEW-VIEW, want 1", name, r.Executed())
 		}
-		faults := *r.sendFaults
-		r.handleEnvelope(sealedBy(r, 1, NewView{View: 1, PrePrepares: []PrePrepare{{View: 1, Seq: 1, Digest: d, Refs: want.refs}}}))
+		sent := len(h.pending)
+		h.inject(1, 2, NewView{View: 1, PrePrepares: []PrePrepare{{View: 1, Seq: 1, Digest: d, Refs: want.refs}}})
 		s := r.lookup(1)
 		if r.View() != 1 || s == nil || s.pp.View != want.view || !slices.Equal(s.pp.Refs, refs) || r.Executed() != 1 {
-			t.Fatalf("%s: the executed cell reads %+v in view %d, executed %d; want view %d, its own refs", name, s, r.View(), r.Executed(), want.view)
+			h.fatalf("%s: the executed cell reads %+v in view %d, executed %d; want view %d, its own refs", name, s, r.View(), r.Executed(), want.view)
 		}
-		// A bare replica has no peers: each message it sends is a fault.
-		if voted := *r.sendFaults > faults; voted != (want.view == 1) {
-			t.Errorf("%s: replica 2 voted %v, want %v", name, voted, want.view == 1)
+		if voted := len(h.pending) > sent; voted != (want.view == 1) {
+			h.errorf("%s: replica 2 voted %v, want %v", name, voted, want.view == 1)
 		}
 	}
 }
@@ -213,81 +194,74 @@ func TestViewChangeSizeIsIndependentOfOpSize(t *testing.T) {
 	}
 }
 
-// lackingLeader runs one put through a 4-replica group whose view-1
-// leader, replica 1, lacks the put's copy when view 0 ends: the client's
-// copy never reaches it, and no FETCH sent in view 0 is answered. No
-// replica gets a COMMIT of view 0, so the put's progress timer ends the
-// view. With executed, replica 1 has the client's copy instead, and alone
-// gets view 0's COMMITs: it executes the put and releases its copy; the
-// client's copy never reaches replica 3. It returns the cluster, the put's
-// reply count, and the FETCHes ("FETCH 1→2") and NEW-VIEWs ("NEW-VIEW →2")
-// replicas received, in order.
-func lackingLeader(t *testing.T, executed bool) (c *Cluster, replies int, events []string) {
-	t.Helper()
-	cfg := DefaultConfig()
-	cfg.BatchSize = 1
-	c = newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lacking := 1
+// fetchingLeader takes the steps of one put through a 4-replica group whose
+// view-1 leader, replica 1, lacks the put's copy when view 0 ends: the
+// client's copy never reaches it, and its FETCH of view 0 is never
+// delivered. No replica gets a COMMIT of view 0, so the put's progress
+// timers end the view. With executed, replica 1 has the client's copy
+// instead, and alone gets view 0's COMMITs: it executes the put and
+// releases its copy; the client's copy never reaches replica 3. It returns
+// the FETCHes ("FETCH 1→2") and NEW-VIEWs ("NEW-VIEW →2") delivered, in
+// order.
+func fetchingLeader(h *stepCluster, executed bool) (events []string) {
 	if executed {
-		lacking = 3
+		h.submit(1, 0, 1, 2)
+	} else {
+		h.submit(1, 0, 2, 3)
 	}
-	for _, p := range c.inboundClient[lacking] {
-		p.OnMessage(func(msgnet.Class, []byte) {})
+	stale := func(e envelope) bool { // view 0's FETCHes and its COMMITs but replica 1's with executed
+		c, commit := e.msg().(Commit)
+		return e.typ() == MsgFetch || commit && c.View == 0 && !(executed && e.to == 1)
 	}
-	filterInbound(c, func(to int, payload []byte) bool {
-		m, err := Decode(payload)
-		switch v := m.(type) {
-		case Fetch:
-			from := c.Replicas[v.Replica]
-			if from.View() == 0 && !from.viewChanging {
-				return false
-			}
-			events = append(events, fmt.Sprintf("FETCH %d→%d", v.Replica, to))
-		case NewView:
-			events = append(events, fmt.Sprintf("NEW-VIEW →%d", to))
-		case Commit:
-			return v.View > 0 || executed && to == 1
+	h.drain(func(e envelope) bool { return !stale(e) })
+	viewChange := h.sent
+	for i, rep := range h.Replicas {
+		if rep.progress.Pending() {
+			h.fire(i)
 		}
-		return err == nil
-	})
-	c.Loop.Post(func() { cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "v"), func([]byte) { replies++ }) })
-	c.Loop.Run()
-	return c, replies, events
+	}
+	h.drain(func(e envelope) bool { return e.n >= viewChange || !stale(e) })
+	for _, e := range h.done {
+		switch m := e.msg().(type) {
+		case Fetch:
+			events = append(events, fmt.Sprintf("FETCH %d→%d", m.Replica, e.to))
+		case NewView:
+			events = append(events, fmt.Sprintf("NEW-VIEW →%d", e.to))
+		}
+	}
+	return events
 }
 
-// checkLackingLeader asserts what both lackingLeader runs must show: the
+// checkFetchingLeader asserts what both fetchingLeader runs must show: the
 // new leader FETCHed from senders of the proofs for the put's sequence,
 // from no other replica and never from itself (a send to itself has no
 // peer and shows as a send fault), and only then sent its NEW-VIEW; every
-// replica executed the put into the same state.
-func checkLackingLeader(t *testing.T, c *Cluster, replies int, events []string, proofSenders ...int) {
-	t.Helper()
+// replica executed the put into the same state, and F+1 answered it, none
+// twice.
+func checkFetchingLeader(h *stepCluster, events []string, proofSenders ...int) {
+	h.t.Helper()
 	first := slices.IndexFunc(events, func(e string) bool { return strings.HasPrefix(e, "NEW-VIEW") })
 	fetched := 0
-	for j := range c.Replicas {
+	for j := range h.Replicas {
 		at := slices.Index(events, fmt.Sprintf("FETCH 1→%d", j))
 		switch {
 		case at >= 0 && !slices.Contains(proofSenders, j):
-			t.Errorf("the new leader FETCHed from %d, which sent no proof: %v", j, events)
+			h.errorf("the new leader FETCHed from %d, which sent no proof: %v", j, events)
 		case at >= 0 && at < first:
 			fetched++
 		}
 	}
-	if fetched == 0 || *c.Replicas[1].sendFaults != 0 {
-		t.Errorf("before its NEW-VIEW the new leader FETCHed from %d proof senders and counted %d send faults, want some and none: %v",
-			fetched, *c.Replicas[1].sendFaults, events)
+	if fetched == 0 || *h.Replicas[1].sendFaults != 0 {
+		h.errorf("before its NEW-VIEW the new leader FETCHed from %d proof senders and counted %d send faults, want some and none: %v",
+			fetched, *h.Replicas[1].sendFaults, events)
 	}
-	if replies != 1 {
-		t.Errorf("the put was answered %d times, want once", replies)
+	if got := h.answers(1); len(got) <= h.Config.F || len(slices.Compact(slices.Clone(got))) < len(got) {
+		h.errorf("the put was answered by replicas %v, want F+1, none twice", got)
 	}
-	for i, rep := range c.Replicas {
-		if rep.View() != 1 || rep.Executed() != 1 || c.Apps[i].Snapshot() != c.Apps[0].Snapshot() {
-			t.Errorf("replica %d: view %d, executed %d, state equal %v; want view 1, the put executed, the group's state",
-				i, rep.View(), rep.Executed(), c.Apps[i].Snapshot() == c.Apps[0].Snapshot())
+	for i, rep := range h.Replicas {
+		if rep.View() != 1 || rep.Executed() != 1 || h.Apps[i].Snapshot() != h.Apps[0].Snapshot() {
+			h.errorf("replica %d: view %d, executed %d, state equal %v; want view 1, the put executed, the group's state",
+				i, rep.View(), rep.Executed(), h.Apps[i].Snapshot() == h.Apps[0].Snapshot())
 		}
 	}
 }
@@ -296,8 +270,10 @@ func checkLackingLeader(t *testing.T, c *Cluster, replies int, events []string, 
 // replicas 0, 2 and 3 but never reached the new leader. It fetches the
 // copy from the proofs' senders before it re-proposes the put.
 func TestNewLeaderFetchesWhatItLacksBeforeNewView(t *testing.T) {
-	c, replies, events := lackingLeader(t, false)
-	checkLackingLeader(t, c, replies, events, 0, 2, 3)
+	cfg := DefaultConfig()
+	cfg.BatchSize = 1
+	h := newStepCluster(t, transport.KindTCP, cfg)
+	checkFetchingLeader(h, fetchingLeader(h, false), 0, 2, 3)
 }
 
 // TestNewLeaderFetchesWhatItReleased: the new leader executed the put and
@@ -306,72 +282,72 @@ func TestNewLeaderFetchesWhatItLacksBeforeNewView(t *testing.T) {
 // and replica 3, which fetches the re-proposal's copy from the new leader,
 // executes it.
 func TestNewLeaderFetchesWhatItReleased(t *testing.T) {
-	c, replies, events := lackingLeader(t, true)
-	checkLackingLeader(t, c, replies, events, 0, 2)
+	cfg := DefaultConfig()
+	cfg.BatchSize = 1
+	h := newStepCluster(t, transport.KindTCP, cfg)
+	events := fetchingLeader(h, true)
+	checkFetchingLeader(h, events, 0, 2)
 	if at := slices.Index(events, "FETCH 3→1"); at < slices.Index(events, "NEW-VIEW →3") {
-		t.Errorf("replica 3 did not fetch the re-proposal's copy from the new leader: %v", events)
+		h.errorf("replica 3 did not fetch the re-proposal's copy from the new leader: %v", events)
 	}
-	if row := c.Replicas[1].requests[RequestID{100, 1}]; row.state != done || row.held == 0 {
-		t.Errorf("the new leader's row: state %d, copy held %v; want done, its copy taken back", row.state, row.held != 0)
+	if row := h.Replicas[1].requests[RequestID{100, 1}]; row.state != done || row.held == 0 {
+		h.errorf("the new leader's row: state %d, copy held %v; want done, its copy taken back", row.state, row.held != 0)
 	}
 }
 
 // TestNewViewCannotReplaceACopy: a backup holds client 100's copy of a
 // request when a NEW-VIEW re-proposes that request by a ref with another
 // digest, or by its own ref under a digest the refs do not hash to. Either
-// way the backup's copy stays as it was, and it PREPAREs nothing — a bare
-// replica has no peers, so a PREPARE would show as a send fault.
+// way the backup's copy stays as it was, and it PREPAREs nothing.
 func TestNewViewCannotReplaceACopy(t *testing.T) {
-	req := Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
+	req := putRequest(1)
 	other := []Request{{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "w")}}
 	for name, pp := range map[string]PrePrepare{
 		"another digest":    {View: 1, Seq: 1, Digest: BatchDigest(other), Refs: refsOf(other)},
 		"refs do not match": {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: refsOf([]Request{req})},
 	} {
-		backup := bareReplica(t, 2, DefaultConfig())
-		backup.handleRequest(req, nil)
-		backup.handleEnvelope(sealedBy(backup, 1, NewView{View: 1, PrePrepares: []PrePrepare{pp}}))
+		h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+		backup := h.Replicas[2]
+		h.submit(1, 2)
+		h.inject(1, 2, NewView{View: 1, PrePrepares: []PrePrepare{pp}})
 		if backup.View() != 1 {
-			t.Fatalf("%s: the NEW-VIEW was not installed", name)
+			h.fatalf("%s: the NEW-VIEW was not installed", name)
 		}
 		if row := backup.requests[req.ID()]; !bytes.Equal(backup.copyOf(row).op, req.Op) || backup.copyOf(row).digest != refOf(req).Digest {
-			t.Errorf("%s: the backup's copy was replaced", name)
+			h.errorf("%s: the backup's copy was replaced", name)
 		}
-		if s := backup.lookup(1); s == nil || s.proposed || s.sentPrep || *backup.sendFaults != 0 {
-			t.Errorf("%s: the backup kept the re-proposal or sent %d messages; want it dropped, nothing sent", name, *backup.sendFaults)
+		if s := backup.lookup(1); s == nil || s.proposed || s.sentPrep || len(h.pending) != 0 {
+			h.errorf("%s: the backup kept the re-proposal or sent %v; want it dropped, nothing sent", name, h.pending)
 		}
 	}
 }
 
 // TestRejoinedReplicaKeepsWhatItsViewChangeNames: a backup prepares a
-// batch, demands view 1 with a proof of it, and then rejoins view 0 — as
-// adoptCheckpoint does when a state transfer catches it up — and executes
-// the batch there. Its VIEW-CHANGE is still on file with the others, so
+// batch while no COMMIT reaches it, its timer demands view 1 with a proof of
+// the batch, and then it rejoins view 0 — as adoptCheckpoint does when a
+// state transfer catches it up — and executes the batch there. Its VIEW-CHANGE is still on file with the others, so
 // view 1's leader may fetch the batch's request from it: the backup keeps
 // its copy instead of releasing it, as it does once no demand is pending.
 func TestRejoinedReplicaKeepsWhatItsViewChangeNames(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BatchSize = 1
 	for _, pending := range []bool{true, false} {
-		x := newTimerFixture(t)
-		x.arrive(1)
-		s := x.preprepare(1, 1)
-		for id := uint32(0); id < 3; id++ {
-			s.prepares.set(id, s.pp.Digest)
-		}
+		h := newStepCluster(t, transport.KindTCP, cfg)
+		r := h.Replicas[3]
+		commitTo3 := func(e envelope) bool { return e.typ() == MsgCommit && e.to == 3 }
+		h.submit(1, 0, 1, 2, 3)
+		h.drain(func(e envelope) bool { return !commitTo3(e) })
 		if pending {
-			x.r.startViewChange(1)
-			x.r.settleView()
+			h.fire(3)
+			r.settleView()
 		}
-		for id := uint32(0); id < 3; id++ {
-			s.commits.set(id, s.pp.Digest)
+		h.drain(commitTo3)
+		row := r.requests[putRequest(1).ID()]
+		if r.executed != 1 || row.state != done {
+			h.fatalf("demand pending %v: executed %d, row state %d; want the batch executed", pending, r.executed, row.state)
 		}
-		x.r.tryExecute()
-		req := timerRequest(1)
-		row := x.r.requests[req.ID()]
-		if x.r.executed != 1 || row.state != done {
-			t.Fatalf("demand pending %v: executed %d, row state %d; want the batch executed", pending, x.r.executed, row.state)
-		}
-		if kept := x.r.copyOf(row).digest == refOf(req).Digest; kept != pending {
-			t.Errorf("demand pending %v: copy kept %v, want %v", pending, kept, pending)
+		if kept := r.copyOf(row).digest == refOf(putRequest(1)).Digest; kept != pending {
+			h.errorf("demand pending %v: copy kept %v, want %v", pending, kept, pending)
 		}
 	}
 }
