@@ -24,6 +24,7 @@ func TestReplayAfterViewChangeIsNotOrderedTwice(t *testing.T) {
 		h.submit(ts, 0, 1, 2, 3)
 		h.drain(everything)
 	}
+	h.outside("startViewChange")
 	for _, rep := range h.Replicas[1:] {
 		rep.startViewChange(1)
 	}
@@ -46,10 +47,9 @@ func TestReplayAfterViewChangeIsNotOrderedTwice(t *testing.T) {
 func TestUnregisteredClientIsNeverOrdered(t *testing.T) {
 	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
 	stranger := Request{Client: 555, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "stranger")}
+	h.outside("a send on the client's connections")
 	for _, conn := range h.Clients[0].conns {
-		if err := conn.Send(msgnet.ClassControl, Encode(stranger)); err != nil {
-			t.Fatal(err)
-		}
+		must(t, conn.Send(msgnet.ClassControl, Encode(stranger)))
 	}
 	h.drain(everything)
 	for i, rep := range h.Replicas {
@@ -61,7 +61,7 @@ func TestUnregisteredClientIsNeverOrdered(t *testing.T) {
 	h.submit(1, 0, 1, 2, 3)
 	h.drain(everything)
 	for i, rep := range h.Replicas {
-		if v, _ := h.Apps[i].(*kvstore.Store).Get("k"); len(h.answers(1)) != 4 || rep.Executed() != 1 || v != "v" {
+		if v, _ := h.Apps[i].(*kvstore.Store).Get("k"); !h.completed(1) || rep.Executed() != 1 || v != "v" {
 			h.errorf("replica %d: put answered by %v, executed %d, k=%q; want the registered client's put alone", i, h.answers(1), rep.Executed(), v)
 		}
 	}
@@ -75,10 +75,9 @@ func TestUnregisteredClientIsNeverOrdered(t *testing.T) {
 // row. So the client's next put still collects its replies.
 func TestReplayedRequestLeavesTheReplyRoute(t *testing.T) {
 	h := newStepCluster(t, transport.KindTCP, DefaultConfig())
+	h.outside("AddClient")
 	other, err := h.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	h.submit(1, 0, 1, 2, 3)
 	h.drain(everything)
 	replay := Encode(putRequest(1))
@@ -105,6 +104,11 @@ func TestReplayedRequestLeavesTheReplyRoute(t *testing.T) {
 		if rep.client(999) != nil {
 			h.errorf("replica %d: a READ-REQUEST started a client row", i)
 		}
+	}
+	h.submit(2, 0, 1, 2, 3)
+	h.drain(everything)
+	if !h.completed(1) || !h.completed(2) {
+		h.errorf("the puts before and after the replay completed: %v, %v; want both", h.completed(1), h.completed(2))
 	}
 }
 
@@ -135,18 +139,33 @@ func TestFetchedRequestGetsItsReply(t *testing.T) {
 	}
 }
 
-// TestRequestTablesStayBounded: after 5 000 puts, 16 at a time, the
-// request table of every replica holds no more than the watermark window's
-// worth of batches — nothing is outstanding once the loop drains — every
-// row in it is a done one whose sequence the window still covers, and the
-// client table has its one row.
+// TestRequestTablesStayBounded: after 5 000 puts, 16 in flight at all
+// times — each put's F+1st reply submits the put 16 after it, so requests
+// straddle every checkpoint and window advance — the request table of
+// every replica holds no more than the watermark window's worth of batches
+// — nothing is outstanding once the loop drains — every row in it is a
+// done one whose sequence the window still covers, and the client table
+// has its one row.
 func TestRequestTablesStayBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	h := newStepCluster(t, transport.KindRDMA, cfg)
 	const puts, window = 5000, 16
-	for ts := uint64(1); ts <= puts; ts++ {
-		if h.submit(ts, 0, 1, 2, 3); ts%window == 0 || ts == puts {
-			h.drain(everything)
+	for ts := uint64(1); ts <= window; ts++ {
+		h.submit(ts, 0, 1, 2, 3)
+	}
+	replies, seen := map[uint64]int{}, 0
+	for {
+		if len(h.pending) == 0 {
+			if h.settle(0); len(h.pending) == 0 {
+				break
+			}
+		}
+		h.deliver(0)
+		for ; seen < len(h.replies); seen++ {
+			m, _ := h.replies[seen].msg().(Reply)
+			if replies[m.Timestamp]++; replies[m.Timestamp] == cfg.F+1 && m.Timestamp+window <= puts {
+				h.submit(m.Timestamp+window, 0, 1, 2, 3)
+			}
 		}
 	}
 	bound := int(cfg.LogWindow) * cfg.BatchSize

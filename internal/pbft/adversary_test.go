@@ -110,14 +110,17 @@ func (r *Replica) sealed(to *msgnet.Peer, env []byte) []byte {
 // other replica.
 func TestDelayedSendOfAStoppedReplicaTransmitsNothing(t *testing.T) {
 	for _, stop := range []bool{false, true} {
-		c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-		arrived := 0
-		tapInbound(c, func(_ int, payload []byte) {
-			if m, err := Decode(payload); err == nil && m == (Checkpoint{Seq: c.Config.CheckpointEvery, Replica: 1}) {
-				arrived++
+		c := newTestCluster(t, transport.KindTCP, DefaultConfig(), 0)
+		r, arrived := c.Replicas[1], 0
+		for _, in := range c.inboundPeer {
+			for _, p := range in {
+				p.OnMessage(func(_ msgnet.Class, raw []byte) {
+					if env, err := DecodeEnvelope(raw); err == nil && bytes.Equal(env.Payload, Encode(Checkpoint{Seq: r.cfg.CheckpointEvery, Replica: 1})) {
+						arrived++
+					}
+				})
 			}
-		})
-		r := c.Replicas[1]
+		}
 		r.SetOutbox(delayed(sim.Millisecond))
 		c.Loop.Post(func() {
 			r.broadcast(Checkpoint{Seq: r.cfg.CheckpointEvery, Replica: 1})

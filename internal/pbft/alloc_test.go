@@ -28,9 +28,10 @@ func skipUnderRace(t *testing.T) {
 }
 
 // sealedBy returns the envelope replica id of r's group would send for m,
-// in a buffer of its own.
+// in a buffer of its own. A bare replica and a test cluster (seed 1) hold
+// the keyrings of key seed 2.
 func sealedBy(r *Replica, id uint32, m Message) []byte {
-	env, _, _ := (&Replica{id: id, keyring: auth.GenerateKeyrings(r.cfg.N, 1)[id]}).seal(m)
+	env, _, _ := (&Replica{id: id, keyring: auth.GenerateKeyrings(r.cfg.N, 2)[id]}).seal(m)
 	return bytes.Clone(env)
 }
 
@@ -175,11 +176,8 @@ func TestForgedEnvelopeCountAllocatesNothing(t *testing.T) {
 // replica knows the client's connection from a first, completed request.
 func replyFixture(t *testing.T, kind transport.Kind) (c *Cluster, cl *Client, ts uint64) {
 	t.Helper()
-	c = newTestCluster(t, kind, DefaultConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c = newTestCluster(t, kind, DefaultConfig(), 1)
+	cl = c.Clients[0]
 	c.Loop.Post(func() { cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "k", "v"), nil) })
 	c.Loop.Run()
 	if cl.Outstanding() != 0 {
@@ -323,15 +321,8 @@ func TestBoxedDecodeAllocatesOnce(t *testing.T) {
 // (and every PREPARE and COMMIT in between its own MACs).
 func TestDelayedSendOwnsItsBytes(t *testing.T) {
 	for _, kind := range kinds() {
-		c := newTestCluster(t, kind, DefaultConfig())
-		var clients [2]*Client
-		for i := range clients {
-			cl, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients[i] = cl
-		}
+		c := newTestCluster(t, kind, DefaultConfig(), 2)
+		clients := c.Clients
 		for _, rep := range c.Replicas {
 			rep.SetOutbox(delayed(50 * sim.Microsecond))
 		}
@@ -341,7 +332,6 @@ func TestDelayedSendOwnsItsBytes(t *testing.T) {
 			var results [2]string
 			c.Loop.Post(func() {
 				for i, cl := range clients {
-					i := i
 					cl.Invoke(kvstore.EncodeOp(code, "key"+strconv.Itoa(i), "value"+strconv.Itoa(i)), func(res []byte) { results[i] = string(res) })
 				}
 			})

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"rubin/internal/msgnet"
 	"rubin/internal/sim"
 	"rubin/internal/transport"
 	"rubin/internal/workload"
@@ -14,7 +13,7 @@ import (
 // putLoad is the benchmark's open-loop shape with puts only: Poisson
 // arrivals at rate per second for span, over 256 sequential users (an
 // arrival behind a busy user queues, so an outage releases a burst) on
-// four clients. run drives it to the end; a wedged group is stopped once
+// the cluster's clients. run drives it to the end; a wedged group is stopped once
 // budget has passed after the last arrival, so it fails instead of hanging.
 type putLoad struct {
 	*workload.Driver
@@ -25,13 +24,7 @@ type putLoad struct {
 
 func newPutLoad(t *testing.T, c *Cluster, rate float64, span sim.Time) *putLoad {
 	t.Helper()
-	clients := make([]*Client, 4)
-	for i := range clients {
-		var err error
-		if clients[i], err = c.AddClient(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	clients := c.Clients
 	d, err := workload.New(c.Loop, workload.Config{
 		Users: 256, Conns: len(clients), Ops: int(rate * span.Seconds()),
 		Keys: workload.NewUniform(1024), Mix: workload.Mix{WritePct: 100},
@@ -50,9 +43,7 @@ func (l *putLoad) run(t *testing.T, budget sim.Time) {
 			rep.Stop()
 		}
 	})
-	if err := l.Run(); err != nil {
-		t.Fatal(err)
-	}
+	must(t, l.Run())
 }
 
 // longestGap is the longest interval between consecutive completions.
@@ -87,10 +78,9 @@ func TestFaultScriptSweep(t *testing.T) {
 	rates := map[transport.Kind]float64{transport.KindRDMA: 30000, transport.KindTCP: 10000}
 	for _, kind := range kinds() {
 		for _, scale := range []float64{0.1, 0.2, 0.5, 1, 2} {
-			kind, scale := kind, scale
 			t.Run(fmt.Sprintf("%s/x%g", kind, scale), func(t *testing.T) {
 				cfg := DefaultConfig()
-				c := newTestCluster(t, kind, cfg)
+				c := newTestCluster(t, kind, cfg, 4)
 				installs := make([]int, cfg.N)
 				watch := func(i int, rep *Replica) { rep.OnViewChange(func(uint64) { installs[i]++ }) }
 				for i, rep := range c.Replicas {
@@ -125,21 +115,6 @@ func TestFaultScriptSweep(t *testing.T) {
 						t.Errorf("replica %d state digest differs from replica 1", i)
 					}
 				}
-			})
-		}
-	}
-}
-
-// tapInbound calls see(to, payload) for every replica-to-replica message
-// replica `to` receives, before the replica handles it.
-func tapInbound(c *Cluster, see func(to int, payload []byte)) {
-	for i, rep := range c.Replicas {
-		for _, p := range c.inboundPeer[i] {
-			p.OnMessage(func(_ msgnet.Class, raw []byte) {
-				if env, err := DecodeEnvelope(raw); err == nil && len(env.Payload) > 0 {
-					see(i, env.Payload)
-				}
-				rep.handleEnvelope(raw)
 			})
 		}
 	}

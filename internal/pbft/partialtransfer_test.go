@@ -53,18 +53,12 @@ func TestTransferShipsOnlyDivergentState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Start(); err != nil {
-			t.Fatal(err)
-		}
+		must(t, c.Start())
 		cl, err := c.AddClient()
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		c.Crash(3)
 		invokeN(t, c, cl, "hot", 20)
-		if err := c.Restart(3); err != nil {
-			t.Fatal(err)
-		}
+		must(t, c.Restart(3))
 		c.Loop.Run()
 		invokeN(t, c, cl, "post", 10)
 		c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
@@ -113,9 +107,7 @@ func TestByzantineCorruptedSubtree(t *testing.T) {
 	}
 	h.drain(everything)
 	h.byzantine[1] = corruptStateParts(h.Replicas[1])
-	if err := h.Restart(3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, h.Restart(3))
 	h.drain(func(e envelope) bool { return e.typ() != MsgStatePart || e.from == 1 })
 	h.drain(everything)
 	for ts := uint64(21); ts <= 30; ts++ {
@@ -147,12 +139,9 @@ func TestByzantineCorruptedSubtree(t *testing.T) {
 // state snapshot (one materialized base plus delta partitions), where
 // retaining a snapshot per in-window checkpoint would hold several.
 func TestCheckpointRetentionBounded(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, transferConfig())
+	c := newTestCluster(t, transport.KindTCP, transferConfig(), 1)
 	prefillCluster(c, 2000) // sizeable cold state amplifies retention
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := c.Clients[0]
 	invokeN(t, c, cl, "ret", 48) // 24 seqs = 6 checkpoint intervals
 	count, _ := c.Replicas[0].CheckpointStats()
 	if count < 4 {
@@ -210,7 +199,7 @@ func invokeKeys(t *testing.T, c *Cluster, cl *Client, keys []string) {
 func TestIncrementalCheckpointCostSublinear(t *testing.T) {
 	steady := func(prefill int) uint64 {
 		cfg := transferConfig()
-		c := newTestCluster(t, transport.KindTCP, cfg)
+		c := newTestCluster(t, transport.KindTCP, cfg, 1)
 		cold := filteredKeys("cold", prefill, func(b int) bool { return b >= hotBuckets })
 		for i := range c.Apps {
 			s := c.Apps[i].(*kvstore.Store)
@@ -218,11 +207,7 @@ func TestIncrementalCheckpointCostSublinear(t *testing.T) {
 				s.Execute(kvstore.EncodeOp(kvstore.OpPut, k, "prefill-value"))
 			}
 		}
-		cl, err := c.AddClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		invokeKeys(t, c, cl, filteredKeys("hot", 48, func(b int) bool { return b < hotBuckets }))
+		invokeKeys(t, c, c.Clients[0], filteredKeys("hot", 48, func(b int) bool { return b < hotBuckets }))
 		count, bytes := c.Replicas[0].CheckpointSteadyStats()
 		if count == 0 {
 			t.Fatal("no steady-state checkpoints taken")

@@ -12,7 +12,9 @@ import (
 	"rubin/internal/transport"
 )
 
-func newTestCluster(t *testing.T, kind transport.Kind, cfg Config) *Cluster {
+// newTestCluster starts a group over kind, seed 1, and registers the given
+// number of clients, ids 100 on, in Cluster.Clients.
+func newTestCluster(t *testing.T, kind transport.Kind, cfg Config, clients int) *Cluster {
 	t.Helper()
 	c, err := NewCluster(kind, cfg, model.Default(), 1, func(i int) Application { return kvstore.New() })
 	if err != nil {
@@ -21,20 +23,35 @@ func newTestCluster(t *testing.T, kind transport.Kind, cfg Config) *Cluster {
 	if err := c.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
+	for range clients {
+		if _, err := c.AddClient(); err != nil {
+			t.Fatalf("AddClient: %v", err)
+		}
+	}
 	return c
 }
 
 func kinds() []transport.Kind { return []transport.Kind{transport.KindTCP, transport.KindRDMA} }
 
+// must fails the test on a non-nil err.
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diverged returns the first replica whose state differs from replica 0's,
+// or -1.
+func diverged(c *Cluster) int {
+	return slices.IndexFunc(c.Apps, func(a Application) bool { return a.Snapshot() != c.Apps[0].Snapshot() })
+}
+
 func TestSingleRequestCommitsOnBothTransports(t *testing.T) {
 	for _, kind := range kinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			c := newTestCluster(t, kind, DefaultConfig())
-			cl, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newTestCluster(t, kind, DefaultConfig(), 1)
+			cl := c.Clients[0]
 			var result []byte
 			c.Loop.Post(func() {
 				cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, "alpha", "1"), func(res []byte) {
@@ -62,35 +79,19 @@ func TestSingleRequestCommitsOnBothTransports(t *testing.T) {
 
 func TestManyRequestsTotalOrder(t *testing.T) {
 	for _, kind := range kinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			c := newTestCluster(t, kind, DefaultConfig())
-			cl, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newTestCluster(t, kind, DefaultConfig(), 1)
+			cl := c.Clients[0]
 			// Record execution order on every replica.
 			orders := make([][]string, c.Config.N)
 			for i, rep := range c.Replicas {
-				i := i
 				rep.OnExecute(func(seq uint64, batch []Request) {
 					for _, req := range batch {
 						orders[i] = append(orders[i], req.Key())
 					}
 				})
 			}
-			const n = 60
-			done := 0
-			c.Loop.Post(func() {
-				for k := 0; k < n; k++ {
-					key := fmt.Sprintf("k%03d", k)
-					cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, key, "v"), func([]byte) { done++ })
-				}
-			})
-			c.Loop.Run()
-			if done != n {
-				t.Fatalf("completed %d of %d invocations", done, n)
-			}
+			invokeN(t, c, cl, "k", 60)
 			for i := 1; i < c.Config.N; i++ {
 				if len(orders[i]) != len(orders[0]) {
 					t.Fatalf("replica %d executed %d requests, replica 0 executed %d", i, len(orders[i]), len(orders[0]))
@@ -103,11 +104,8 @@ func TestManyRequestsTotalOrder(t *testing.T) {
 				}
 			}
 			// Final states agree.
-			d0 := c.Apps[0].Snapshot()
-			for i := 1; i < c.Config.N; i++ {
-				if c.Apps[i].Snapshot() != d0 {
-					t.Fatalf("replica %d state digest diverged", i)
-				}
+			if i := diverged(c); i >= 0 {
+				t.Fatalf("replica %d state digest diverged", i)
 			}
 		})
 	}
@@ -174,8 +172,8 @@ func TestExactlyOnceReplayedRequest(t *testing.T) {
 		h.submit(1, 0, 1, 2, 3)
 		h.drain(everything)
 	}
-	if got := h.answers(1); !slices.Equal(got, []int{0, 0, 1, 1, 2, 2, 3, 3}) {
-		h.fatalf("the request and its replay were answered by %v, want every replica twice", got)
+	if got := h.answers(1); !h.completed(1) || !slices.Equal(got, []int{0, 0, 1, 1, 2, 2, 3, 3}) {
+		h.fatalf("the request and its replay were answered by %v, want every replica twice, F+1 matching", got)
 	}
 	for i, app := range h.Apps {
 		// The op must have been executed exactly once per replica.
@@ -194,8 +192,8 @@ func TestCrashedBackupDoesNotBlockProgress(t *testing.T) {
 	}
 	h.drain(func(e envelope) bool { return e.to != 3 })
 	for ts := uint64(1); ts <= 10; ts++ {
-		if got := h.answers(ts); len(got) < 2 {
-			h.fatalf("request %d answered by %v with one crashed backup, want F+1", ts, got)
+		if got := h.answers(ts); !h.completed(ts) {
+			h.fatalf("request %d answered by %v with one crashed backup, want F+1 matching", ts, got)
 		}
 	}
 }
@@ -210,8 +208,8 @@ func TestCrashedLeaderTriggersViewChange(t *testing.T) {
 		h.fire(i)
 	}
 	h.drain(func(e envelope) bool { return e.to != 0 })
-	if got := h.answers(1); len(got) < 2 {
-		h.fatalf("the request was answered by replicas %v after the leader crash, want F+1", got)
+	if got := h.answers(1); !h.completed(1) {
+		h.fatalf("the request was answered by replicas %v after the leader crash, want F+1 matching", got)
 	}
 	for i := 1; i < 4; i++ {
 		if v := h.Replicas[i].View(); v != 1 {
@@ -236,7 +234,7 @@ func TestEquivocatingLeaderIsReplaced(t *testing.T) {
 		h.fire(i)
 	}
 	h.drain(everything)
-	if got := h.answers(1); len(got) < 2 {
+	if got := h.answers(1); !h.completed(1) {
 		h.fatalf("request never executed under equivocating leader (answered by %v)", got)
 	}
 	// It executed because the correct replicas replaced the leader.
@@ -262,8 +260,8 @@ func TestCorruptMACsAreDropped(t *testing.T) {
 	}
 	h.drain(everything)
 	for ts := uint64(1); ts <= 5; ts++ {
-		if got := h.answers(ts); len(got) < 2 {
-			h.fatalf("request %d answered by %v with one MAC-corrupting replica, want F+1", ts, got)
+		if got := h.answers(ts); !h.completed(ts) {
+			h.fatalf("request %d answered by %v with one MAC-corrupting replica, want F+1 matching", ts, got)
 		}
 	}
 	for _, i := range []int{0, 1, 3} {
@@ -277,15 +275,8 @@ func TestCorruptMACsAreDropped(t *testing.T) {
 }
 
 func TestMultipleClients(t *testing.T) {
-	c := newTestCluster(t, transport.KindRDMA, DefaultConfig())
-	var clients []*Client
-	for i := 0; i < 3; i++ {
-		cl, err := c.AddClient()
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients = append(clients, cl)
-	}
+	c := newTestCluster(t, transport.KindRDMA, DefaultConfig(), 3)
+	clients := c.Clients
 	done := 0
 	c.Loop.Post(func() {
 		for ci, cl := range clients {
@@ -298,11 +289,8 @@ func TestMultipleClients(t *testing.T) {
 	if done != 24 {
 		t.Fatalf("completed %d of 24 across clients", done)
 	}
-	d0 := c.Apps[0].Snapshot()
-	for i := 1; i < 4; i++ {
-		if c.Apps[i].Snapshot() != d0 {
-			t.Fatalf("replica %d diverged", i)
-		}
+	if i := diverged(c); i >= 0 {
+		t.Fatalf("replica %d diverged", i)
 	}
 }
 
@@ -316,8 +304,8 @@ func TestLargerClusterN7F2(t *testing.T) {
 	}
 	h.drain(func(e envelope) bool { return e.to < 5 })
 	for ts := uint64(1); ts <= 6; ts++ {
-		if got := h.answers(ts); len(got) <= cfg.F {
-			h.fatalf("request %d answered by %v with N=7 F=2 and two crashes, want F+1", ts, got)
+		if got := h.answers(ts); !h.completed(ts) {
+			h.fatalf("request %d answered by %v with N=7 F=2 and two crashes, want F+1 matching", ts, got)
 		}
 	}
 }
@@ -338,18 +326,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (uint64, sim.Time) {
-		c, err := NewCluster(transport.KindRDMA, DefaultConfig(), model.Default(), 7,
-			func(i int) Application { return kvstore.New() })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Start(); err != nil {
-			t.Fatal(err)
-		}
-		cl, err := c.AddClient()
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newTestCluster(t, transport.KindRDMA, DefaultConfig(), 1)
+		cl := c.Clients[0]
 		c.Loop.Post(func() {
 			for k := 0; k < 12; k++ {
 				cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("k%d", k), "v"), nil)

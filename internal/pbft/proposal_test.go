@@ -185,11 +185,15 @@ func TestRelayedTamperedProposalStartsNoViewChange(t *testing.T) {
 	pp := h.pending[0] // the leader's proposal, as it reaches replica 1
 	tampered := bytes.Clone(pp.raw)
 	tampered[8+len(pp.payload)-1] ^= 0xFF // the last byte of its last ref
+	h.outside("a tampered proposal")
 	for range 2 {
 		for _, to := range []int{1, 3} {
 			h.Replicas[to].handleEnvelope(tampered)
 		}
 		h.drain(everything)
+	}
+	if !h.completed(1) {
+		h.errorf("the request did not complete: answered by %v", h.answers(1))
 	}
 	for i, r := range h.Replicas {
 		if r.Executed() != 1 || r.view != 0 || r.viewChanging || r.demanded != 0 {

@@ -80,7 +80,6 @@ func TestReadQuorumTable(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cl, _ := newReadTestClient(1, 4)
 			var result []byte
@@ -163,13 +162,9 @@ func TestReadTimeoutFallsBackAndCompletesOrdered(t *testing.T) {
 // for the read.
 func TestReadFastPathServesReads(t *testing.T) {
 	for _, kind := range kinds() {
-		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			c := newTestCluster(t, kind, DefaultConfig())
-			cl, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newTestCluster(t, kind, DefaultConfig(), 1)
+			cl := c.Clients[0]
 			cl.EnableReadFastPath(c.Loop, 2*sim.Millisecond)
 			var paths []bool
 			cl.SetReadPathHook(func(_ string, fast bool) { paths = append(paths, fast) })
@@ -213,11 +208,8 @@ func TestReadFastPathServesReads(t *testing.T) {
 // liveness, and the full history — fast and ordered reads interleaved
 // with writes across the fault window — must stay linearizable.
 func TestReadOnlyDuringViewChange(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, transport.KindTCP, DefaultConfig(), 1)
+	cl := c.Clients[0]
 	cl.EnableReadFastPath(c.Loop, 500*sim.Microsecond)
 	invoke := func(_ int, op []byte, done func([]byte)) string {
 		if code, _, _, err := kvstore.DecodeOp(op); err == nil && code == kvstore.OpGet {
@@ -362,9 +354,7 @@ func TestStaleFastReadsFailOracle(t *testing.T) {
 	}
 
 	h, res, err := run(true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	// All four replicas froze identically, so the stale value forms a
 	// perfectly matching quorum — undetectable at the protocol level.
 	if string(res) != "v1" {
@@ -375,9 +365,7 @@ func TestStaleFastReadsFailOracle(t *testing.T) {
 	}
 
 	h, res, err = run(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if string(res) != "v2" {
 		t.Fatalf("honest replicas returned %q, want v2", res)
 	}
@@ -392,11 +380,8 @@ func TestStaleFastReadsFailOracle(t *testing.T) {
 // that sends replies claiming its peers' identities over its own
 // connection — F+1 ordered ones, 2F+1 tentative reads — completes nothing.
 func TestClientBindsReplyVotesToConnections(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, transport.KindTCP, DefaultConfig(), 1)
+	cl := c.Clients[0]
 	cl.EnableReadFastPath(c.Loop, 2*sim.Millisecond)
 	// The honest replicas stay silent, so every reply the client sees is
 	// replica 3's.

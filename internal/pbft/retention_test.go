@@ -32,9 +32,7 @@ func TestFiledRequestKeepsItsOp(t *testing.T) {
 		req := Request{Client: 100, Timestamp: uint64(i + 1), Op: op}
 		raw := Encode(req)
 		var m decoded
-		if err := m.decode(raw); err != nil {
-			t.Fatal(err)
-		}
+		must(t, m.decode(raw))
 		r.handleRequest(m.request, nil)
 		scribble(raw)
 		if row, seen := r.requests[req.ID()]; !seen || !bytes.Equal(r.copyOf(row).op, op) {
@@ -52,9 +50,7 @@ func TestStateTransferKeepsHeaderAndParts(t *testing.T) {
 	offerManifest := func(sender uint32) {
 		raw := Encode(x.manifest(sender, 5))
 		var m decoded
-		if err := m.decode(raw); err != nil {
-			t.Fatal(err)
-		}
+		must(t, m.decode(raw))
 		if !x.fetch.offerManifest(x.dst, 0, sender, m.manifest) {
 			t.Fatalf("manifest from %d refused", sender)
 		}
@@ -67,9 +63,7 @@ func TestStateTransferKeepsHeaderAndParts(t *testing.T) {
 	for _, i := range x.divergent() {
 		raw := Encode(StatePart{Seq: fixtureSeq, Part: uint32(i), Data: x.src.MarshalPartition(i), Replica: 1})
 		var m decoded
-		if err := m.decode(raw); err != nil {
-			t.Fatal(err)
-		}
+		must(t, m.decode(raw))
 		if _, stored := x.fetch.offerPart(1, m.part); !stored {
 			t.Fatalf("part %d refused", i)
 		}
@@ -165,13 +159,9 @@ func fetchAnswer(t *testing.T, r *Replica, seq uint64) []Message {
 	var answer []Message
 	r.SetOutbox(func(_ *msgnet.Peer, env []byte) ([]byte, sim.Time) {
 		e, err := DecodeEnvelope(bytes.Clone(env))
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		m, err := Decode(e.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		answer = append(answer, m)
 		return nil, 0
 	})
@@ -189,11 +179,8 @@ func fetchAnswer(t *testing.T, r *Replica, seq uint64) []Message {
 func TestSenderKeepsItsExecutedCopyUntilTheStablePoint(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery, cfg.LogWindow = 4, 8
-	c := newTestCluster(t, transport.KindTCP, cfg)
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, transport.KindTCP, cfg, 1)
+	cl := c.Clients[0]
 	leader, ops := c.Replicas[0], largePuts(3*int(cfg.CheckpointEvery))
 	runInOrder(c, cl, ops[:3])
 	if leader.Executed() != 3 || len(c.Replicas[1].free) == 0 {
@@ -241,7 +228,7 @@ func heldBacking(r *Replica, backing *byte) bool {
 func TestNoTwoHeldRowsShareABacking(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery, cfg.LogWindow = 4, 8
-	c := newTestCluster(t, transport.KindTCP, cfg)
+	c := newTestCluster(t, transport.KindTCP, cfg, 0)
 	checked := 0
 	for i, r := range c.Replicas {
 		r.OnExecute(func(seq uint64, _ []Request) {
@@ -268,9 +255,7 @@ func TestNoTwoHeldRowsShareABacking(t *testing.T) {
 	ops := largePuts(30)
 	for k := range 3 {
 		cl, err := c.AddClient()
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(t, err)
 		var next func(j int)
 		next = func(j int) {
 			if j < len(ops) {
@@ -289,15 +274,10 @@ func TestNoTwoHeldRowsShareABacking(t *testing.T) {
 // reply, whose result is the store's bytes: a later put to the read key
 // replaces them and leaves the cached reply as it was.
 func TestDuplicateReplyOutlivesAnOverwrite(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, DefaultConfig())
-	reader, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, transport.KindTCP, DefaultConfig(), 1)
+	reader := c.Clients[0]
 	writer, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	get := kvstore.EncodeOp(kvstore.OpGet, "k", "")
 	var getTS uint64
 	c.Loop.Post(func() {

@@ -51,10 +51,8 @@ func checkRing(t *testing.T, r *Replica) {
 func bareReplica(t *testing.T, id uint32, cfg Config) *Replica {
 	t.Helper()
 	node := fabric.New(sim.NewLoop(1), model.Default()).AddNode(fmt.Sprintf("r%d", id))
-	r, err := NewReplica(id, cfg, node, auth.GenerateKeyrings(cfg.N, 1)[id], kvstore.New())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, err := NewReplica(id, cfg, node, auth.GenerateKeyrings(cfg.N, 2)[id], kvstore.New())
+	must(t, err)
 	r.admit(100)
 	return r
 }
@@ -71,7 +69,6 @@ func TestLogRingWrapsAcrossLeaderCrash(t *testing.T) {
 	cfg.CheckpointEvery, cfg.LogWindow = 4, 4
 	h := newStepCluster(t, transport.KindTCP, cfg)
 	executed := make([]map[uint64]auth.Digest, cfg.N)
-	requests := 0 // executed at replica 1
 	for i, rep := range h.Replicas {
 		executed[i] = map[uint64]auth.Digest{}
 		rep.OnExecute(func(seq uint64, batch []Request) {
@@ -79,9 +76,6 @@ func TestLogRingWrapsAcrossLeaderCrash(t *testing.T) {
 				t.Errorf("replica %d executed sequence %d twice", i, seq)
 			}
 			executed[i][seq] = BatchDigest(batch)
-			if i == 1 {
-				requests += len(batch)
-			}
 			if live := liveSlots(rep); live > int(cfg.LogWindow) {
 				t.Errorf("replica %d holds %d live slots at sequence %d, window is %d", i, live, seq, cfg.LogWindow)
 			}
@@ -102,8 +96,10 @@ func TestLogRingWrapsAcrossLeaderCrash(t *testing.T) {
 		}
 		h.drain(func(e envelope) bool { return ts < n/2 || e.to != 0 })
 	}
-	if requests != n {
-		h.fatalf("replica 1 executed %d of %d requests", requests, n)
+	for ts := uint64(1); ts <= n; ts++ {
+		if !h.completed(ts) {
+			h.fatalf("request %d of %d did not complete", ts, n)
+		}
 	}
 	for i := 1; i < cfg.N; i++ {
 		rep := h.Replicas[i]

@@ -20,18 +20,14 @@ func transferConfig() Config {
 	return cfg
 }
 
+// invokeN commits puts to prefix000 ... through the client, n of them.
 func invokeN(t *testing.T, c *Cluster, cl *Client, prefix string, n int) {
 	t.Helper()
-	done := 0
-	c.Loop.Post(func() {
-		for k := 0; k < n; k++ {
-			cl.Invoke(kvstore.EncodeOp(kvstore.OpPut, fmt.Sprintf("%s%03d", prefix, k), "v"), func([]byte) { done++ })
-		}
-	})
-	c.Loop.Run()
-	if done != n {
-		t.Fatalf("completed %d of %d %q requests", done, n, prefix)
+	keys := make([]string, n)
+	for k := range keys {
+		keys[k] = fmt.Sprintf("%s%03d", prefix, k)
 	}
+	invokeKeys(t, c, cl, keys)
 }
 
 // TestStateTransferRoundTrip crashes a backup, advances the group past
@@ -39,22 +35,16 @@ func invokeN(t *testing.T, c *Cluster, cl *Client, prefix string, n int) {
 // stable checkpoint, verifies it against the certified digest, and
 // converges to the group's state — on both transport backends.
 func TestStateTransferRoundTrip(t *testing.T) {
-	for _, kind := range []transport.Kind{transport.KindTCP, transport.KindRDMA} {
-		kind := kind
+	for _, kind := range kinds() {
 		t.Run(string(kind), func(t *testing.T) {
-			c := newTestCluster(t, kind, transferConfig())
-			cl, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newTestCluster(t, kind, transferConfig(), 1)
+			cl := c.Clients[0]
 			c.Crash(3)
 			invokeN(t, c, cl, "down", 20) // 10 seqs, stable reaches 8
 			if c.Replicas[0].Stable() < 8 {
 				t.Fatalf("stable = %d before restart, want >= 8", c.Replicas[0].Stable())
 			}
-			if err := c.Restart(3); err != nil {
-				t.Fatal(err)
-			}
+			must(t, c.Restart(3))
 			c.Loop.Run() // let the state transfer complete
 			invokeN(t, c, cl, "up", 10)
 			c.Loop.RunUntil(c.Loop.Now() + 200*sim.Millisecond)
@@ -67,11 +57,8 @@ func TestStateTransferRoundTrip(t *testing.T) {
 				t.Fatalf("restarted replica executed %d, group executed %d",
 					rep.Executed(), c.Replicas[0].Executed())
 			}
-			d0 := c.Apps[0].Snapshot()
-			for i := 1; i < 4; i++ {
-				if c.Apps[i].Snapshot() != d0 {
-					t.Fatalf("replica %d state diverged after transfer", i)
-				}
+			if i := diverged(c); i >= 0 {
+				t.Fatalf("replica %d state diverged after transfer", i)
 			}
 			// The transferred store contents are readable.
 			if v, ok := c.Apps[3].(*kvstore.Store).Get("down000"); !ok || v != "v" {
@@ -97,9 +84,7 @@ func TestStateTransferLaggingReplica(t *testing.T) {
 		h.submit(ts, 0, 1, 2)
 	}
 	h.drain(everything)
-	if err := h.Restart(3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, h.Restart(3))
 	h.drain(everything)
 	for ts := uint64(25); ts <= 48; ts++ {
 		h.submit(ts, 0, 1, 2)
@@ -124,15 +109,10 @@ func TestStateTransferLaggingReplica(t *testing.T) {
 // drain — and the replica must still recover via live certificates once
 // checkpoints exist.
 func TestRestartBeforeFirstCheckpointDrains(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, transferConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, transport.KindTCP, transferConfig(), 1)
+	cl := c.Clients[0]
 	c.Crash(3)
-	if err := c.Restart(3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, c.Restart(3))
 	c.Loop.Run() // must terminate: no checkpoint exists, no retry loop
 	if c.Replicas[3].StateTransfers() != 0 {
 		t.Fatalf("nothing to transfer yet, got %d transfers", c.Replicas[3].StateTransfers())
@@ -150,8 +130,7 @@ func TestRestartBeforeFirstCheckpointDrains(t *testing.T) {
 // after Crash/Restart — it crosses as per-partition StateParts on msgnet's
 // bulk class — on both backends.
 func TestStateTransferLargeSnapshot(t *testing.T) {
-	for _, kind := range []transport.Kind{transport.KindTCP, transport.KindRDMA} {
-		kind := kind
+	for _, kind := range kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := transferConfig()
 			cfg.BatchSize = 4
@@ -159,11 +138,8 @@ func TestStateTransferLargeSnapshot(t *testing.T) {
 			// Bulk writes take real wire time; keep request timers from
 			// demanding view changes mid-flood.
 			cfg.ViewTimeout = 400 * sim.Millisecond
-			c := newTestCluster(t, kind, cfg)
-			cl, err := c.AddClient()
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newTestCluster(t, kind, cfg, 1)
+			cl := c.Clients[0]
 			c.Crash(3)
 			// 36 distinct 32 KB values ≈ 1.15 MB of serialized store,
 			// submitted with a bounded window (closed loop) like a real
@@ -196,9 +172,7 @@ func TestStateTransferLargeSnapshot(t *testing.T) {
 			if maxMsg := transport.DefaultOptions().MaxMessage; len(snapshot) <= maxMsg {
 				t.Fatalf("snapshot %d bytes does not exceed MaxMessage %d — test lost its point", len(snapshot), maxMsg)
 			}
-			if err := c.Restart(3); err != nil {
-				t.Fatal(err)
-			}
+			must(t, c.Restart(3))
 			c.Loop.Run() // chunked transfer completes
 			// Enough post-restart writes to cross the next checkpoint
 			// boundary: the restarted replica adopts the previous stable
@@ -213,11 +187,8 @@ func TestStateTransferLargeSnapshot(t *testing.T) {
 			if rep.Executed() != c.Replicas[0].Executed() {
 				t.Fatalf("restarted replica executed %d, group executed %d", rep.Executed(), c.Replicas[0].Executed())
 			}
-			d0 := c.Apps[0].Snapshot()
-			for i := 1; i < 4; i++ {
-				if c.Apps[i].Snapshot() != d0 {
-					t.Fatalf("replica %d state diverged after chunked transfer", i)
-				}
+			if i := diverged(c); i >= 0 {
+				t.Fatalf("replica %d state diverged after chunked transfer", i)
 			}
 			if v, ok := c.Apps[3].(*kvstore.Store).Get("big000"); !ok || v != value {
 				t.Fatal("transferred state missing or corrupted a bulk key")
@@ -234,11 +205,8 @@ func TestStateTransferLargeSnapshot(t *testing.T) {
 // through the mesh (instead of silently leaving the replica half-wired)
 // and record zero attach errors, and the replica must still catch up.
 func TestRestartRedialsDeadPeers(t *testing.T) {
-	c := newTestCluster(t, transport.KindTCP, transferConfig())
-	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, transport.KindTCP, transferConfig(), 1)
+	cl := c.Clients[0]
 	c.Crash(3)
 	invokeN(t, c, cl, "pre", 20)
 	c.Loop.Post(func() {
@@ -249,9 +217,7 @@ func TestRestartRedialsDeadPeers(t *testing.T) {
 		}
 	})
 	c.Loop.Run()
-	if err := c.Restart(3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, c.Restart(3))
 	c.Loop.Run() // re-dials and state transfer complete
 	if err := c.AttachErr(); err != nil {
 		t.Fatalf("re-attach errors: %v", err)
@@ -313,7 +279,7 @@ func TestCascadingViewChanges(t *testing.T) {
 			}
 			h.submit(1, live...)
 			demandedAt := make(map[uint64]sim.Time) // when the last replica demanded each view
-			for round := 0; len(h.answers(1)) <= tc.f && round < 4; round++ {
+			for round := 0; !h.completed(1) && round < 4; round++ {
 				for _, i := range live {
 					if r := h.Replicas[i]; r.progress.Pending() {
 						v := r.demanded + 1
@@ -322,7 +288,7 @@ func TestCascadingViewChanges(t *testing.T) {
 				}
 				h.drain(func(e envelope) bool { return e.to >= tc.crashed })
 			}
-			if len(h.answers(1)) <= tc.f {
+			if !h.completed(1) {
 				h.fatalf("request never committed across cascading view changes")
 			}
 			// The k-th NEW-VIEW wait is 2^(k-1) ViewTimeouts.

@@ -37,6 +37,7 @@ type stepCluster struct {
 	log     []byte     // every capture: instant, sender, recipient, bytes
 	sent    int        // captures so far
 	ran     script     // the steps taken so far
+	aside   string     // the first action the test took outside the steps, if any
 	value   string     // what a submitted put writes
 
 	byzantine []Outbox    // byzantine[i], if set, rewrites or drops what replica i sends before it is captured
@@ -66,19 +67,29 @@ const never = sim.Time(math.MaxInt64)
 // restarted replica's included. A replica's progress timer that falls due
 // while another's is being fired, or while the test settles, is held back —
 // re-armed at never — until the test fires it: which timer expires first is
-// the test's choice.
+// the test's choice. AddClient runs the loop to connect a client, which
+// never ends once a timer is held back: add one before the first step.
 func newStepCluster(t *testing.T, kind transport.Kind, cfg Config) *stepCluster {
 	t.Helper()
-	c := newTestCluster(t, kind, cfg)
-	if _, err := c.AddClient(); err != nil {
-		t.Fatal(err)
-	}
+	c := newTestCluster(t, kind, cfg, 1)
 	h := &stepCluster{Cluster: c, t: t, value: "v", byzantine: make([]Outbox, cfg.N), chosen: -1, held: make([]sim.Timer, cfg.N)}
 	for i, rep := range c.Replicas {
 		h.attach(i, rep)
 	}
-	c.OnRestart = h.attach
+	c.OnRestart = func(i int, rep *Replica) { h.outside("Restart"); h.attach(i, rep) }
 	return h
+}
+
+// Crash stops replica i, an action outside the steps.
+func (h *stepCluster) Crash(i int) { h.outside("Crash"); h.Cluster.Crash(i) }
+
+// outside notes, the first time, an action the test took on the cluster
+// other than a step: the script of a failure after it does not replay
+// alone.
+func (h *stepCluster) outside(what string) {
+	if h.aside == "" {
+		h.aside = what
+	}
 }
 
 // attach captures what replica i sends and lets its progress timer expire
@@ -86,6 +97,7 @@ func newStepCluster(t *testing.T, kind transport.Kind, cfg Config) *stepCluster 
 func (h *stepCluster) attach(i int, rep *Replica) {
 	rep.SetOutbox(func(to *msgnet.Peer, env []byte) ([]byte, sim.Time) {
 		if o := h.byzantine[i]; o != nil {
+			h.outside("a Byzantine outbox")
 			env, _ = o(to, env)
 		}
 		if env != nil {
@@ -120,7 +132,7 @@ func (h *stepCluster) capture(e envelope) {
 }
 
 // putRequest is client 100's request ts as a step cluster submits it with
-// its value unchanged.
+// its value unchanged, "v".
 func putRequest(ts uint64) Request {
 	return Request{Client: 100, Timestamp: ts, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
 }
@@ -162,6 +174,9 @@ func (h *stepCluster) fire(r int) sim.Time {
 // captured.
 func (h *stepCluster) submit(ts uint64, to ...int) {
 	h.ran = append(h.ran, submit(ts, to...))
+	if h.value != "v" {
+		h.outside("a put of another value")
+	}
 	for _, i := range to {
 		h.Replicas[i].handleRequest(Request{Client: 100, Timestamp: ts, Op: kvstore.EncodeOp(kvstore.OpPut, "k", h.value)}, h.inboundClient[i][0])
 	}
@@ -239,7 +254,8 @@ func (h *stepCluster) drain(match func(envelope) bool) {
 // test plays a peer whose history it does not script, or a Byzantine one.
 // The capture log records it; the script does not.
 func (h *stepCluster) inject(from, to int, m Message) {
-	env, _, _ := (&Replica{id: uint32(from), keyring: h.keyrings[from]}).seal(m)
+	h.outside("inject")
+	env := sealedBy(h.Replicas[to], uint32(from), m)
 	h.log = fmt.Appendf(h.log, "%d inject %d→%d %x\n", h.Loop.Now(), from, to, env)
 	h.Replicas[to].handleEnvelope(env)
 }
@@ -264,15 +280,23 @@ func (h *stepCluster) state(i int) string {
 	return string(b) + strings.Join(rows, "")
 }
 
-// errorf and fatalf report a failure followed by the script taken so far.
+// errorf and fatalf report a failure followed by the script taken so far,
+// and the first action outside it, if the test took one.
 func (h *stepCluster) errorf(format string, args ...any) {
 	h.t.Helper()
-	h.t.Errorf(format+"\nafter %v", append(args, h.ran)...)
+	h.t.Errorf(format+"\nafter %v%s", append(args, h.ran, h.offScript())...)
 }
 
 func (h *stepCluster) fatalf(format string, args ...any) {
 	h.t.Helper()
-	h.t.Fatalf(format+"\nafter %v", append(args, h.ran)...)
+	h.t.Fatalf(format+"\nafter %v%s", append(args, h.ran, h.offScript())...)
+}
+
+func (h *stepCluster) offScript() string {
+	if h.aside == "" {
+		return ""
+	}
+	return "\nplus actions outside the script (the first: " + h.aside + "): run alone does not replay them"
 }
 
 // A step is one choice of the test — deliver(i), fire(r), submit(ts,
@@ -301,16 +325,12 @@ func parseScript(text string) script { return stepSyntax.FindAllString(text, -1)
 // run takes the steps of sc in order.
 func (h *stepCluster) run(sc script) {
 	for _, s := range sc {
-		m := stepSyntax.FindStringSubmatch(s)
-		var a []int
-		for _, f := range strings.FieldsFunc(m[2], func(c rune) bool { return c == ',' || c == ' ' }) {
-			n, err := strconv.Atoi(f)
-			if err != nil {
-				h.fatalf("%s: %v", s, err)
-			}
-			a = append(a, n)
+		f := strings.FieldsFunc(s, func(c rune) bool { return strings.ContainsRune("(), ", c) })
+		a := make([]int, len(f)-1)
+		for k := range a {
+			a[k], _ = strconv.Atoi(f[k+1]) // parseScript let only digits through
 		}
-		switch m[1] {
+		switch f[0] {
 		case "deliver":
 			h.deliver(a[0])
 		case "fire":
@@ -324,7 +344,7 @@ func (h *stepCluster) run(sc script) {
 }
 
 // answers returns the replicas that replied to request ts, in id order,
-// one entry per reply.
+// one entry per reply, whatever the result.
 func (h *stepCluster) answers(ts uint64) []int {
 	var ids []int
 	for _, e := range h.replies {
@@ -334,6 +354,28 @@ func (h *stepCluster) answers(ts uint64) []int {
 	}
 	slices.Sort(ids)
 	return ids
+}
+
+// completed reports whether client 100 accepts request ts from the
+// captured replies, by Client.handleReply's rule: F+1 replicas, each by its
+// latest reply, returned byte-identical results.
+func (h *stepCluster) completed(ts uint64) bool {
+	latest := map[int]string{}
+	for _, e := range h.replies {
+		if m, ok := e.msg().(Reply); ok && m.Timestamp == ts {
+			latest[e.from] = string(m.Result)
+			n := 0
+			for _, r := range latest {
+				if r == string(m.Result) {
+					n++
+				}
+			}
+			if n > h.Config.F {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestStepClusterReplaysAScript: the steps a scenario took print as a

@@ -15,20 +15,16 @@ import (
 // they are created in — and a short run through the late client is
 // attributed end to end, replica-side milestones included.
 func TestTracerReachesWhatJoinsLater(t *testing.T) {
-	c := newTestCluster(t, transport.KindRDMA, DefaultConfig())
+	c := newTestCluster(t, transport.KindRDMA, DefaultConfig(), 0)
 	tr := obs.New(obs.Options{Spans: true})
 	tr.BeginRun("late joiners")
 	c.SetTracer(tr)
 
 	old := c.Replicas[3]
 	c.Crash(3)
-	if err := c.Restart(3); err != nil {
-		t.Fatal(err)
-	}
+	must(t, c.Restart(3))
 	cl, err := c.AddClient()
-	if err != nil {
-		t.Fatal(err)
-	}
+	must(t, err)
 	if c.Replicas[3] == old || c.Replicas[3].tracer() != tr {
 		t.Fatal("the replica Restart installed does not report the world's tracer")
 	}

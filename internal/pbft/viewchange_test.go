@@ -45,8 +45,8 @@ func viewChangeWire(t *testing.T, valueBytes int) (wire [][]byte) {
 		}
 	}
 	for ts := uint64(1); ts <= requests; ts++ {
-		if got := h.answers(ts); len(got) <= cfg.F {
-			h.fatalf("request %d was answered by replicas %v across the view change, want F+1", ts, got)
+		if got := h.answers(ts); !h.completed(ts) {
+			h.fatalf("request %d was answered by replicas %v across the view change, want F+1 matching", ts, got)
 		}
 	}
 	if proofs < 2 {
@@ -79,8 +79,8 @@ func TestExecutedReproposalIsVotedAgain(t *testing.T) {
 			}
 		}
 		for ts := uint64(1); ts <= 2; ts++ {
-			if got := h.answers(ts); len(got) < cfg.F+1 {
-				h.errorf("executor %d: request %d was answered by replicas %v, want F+1", executor, ts, got)
+			if got := h.answers(ts); !h.completed(ts) {
+				h.errorf("executor %d: request %d was answered by replicas %v, want F+1 matching", executor, ts, got)
 			}
 		}
 	}
@@ -114,28 +114,32 @@ func reproposal(h *stepCluster, executor int) {
 // keeps the refs and view it executed, and nothing is voted; with the true
 // refs the batch is proposed again in view 1 and PREPAREd.
 func TestNewViewCannotRewriteAnExecutedBatch(t *testing.T) {
-	req := putRequest(1)
+	req := Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
 	refs, d := refsOf([]Request{req}), BatchDigest([]Request{req})
 	forged := []RequestRef{{RequestID{100, 1 << 62}, refs[0].Digest}}
 	for name, want := range map[string]struct {
 		refs []RequestRef
 		view uint64
 	}{"forged refs": {forged, 0}, "true refs": {refs, 1}} {
-		h := newStepCluster(t, transport.KindTCP, DefaultConfig())
-		r := h.Replicas[2]
-		h.submit(1, 2)
-		h.commit(2, 1, 1)
-		if r.Executed() != 1 {
-			h.fatalf("%s: replica 2 executed %d before the NEW-VIEW, want 1", name, r.Executed())
+		r := bareReplica(t, 2, DefaultConfig())
+		r.handleRequest(req, nil)
+		r.handleEnvelope(sealedBy(r, 0, PrePrepare{View: 0, Seq: 1, Digest: d, Refs: refs}))
+		for _, id := range []uint32{0, 1, 3} {
+			r.handleEnvelope(sealedBy(r, id, Prepare{View: 0, Seq: 1, Digest: d, Replica: id}))
+			r.handleEnvelope(sealedBy(r, id, Commit{View: 0, Seq: 1, Digest: d, Replica: id}))
 		}
-		sent := len(h.pending)
-		h.inject(1, 2, NewView{View: 1, PrePrepares: []PrePrepare{{View: 1, Seq: 1, Digest: d, Refs: want.refs}}})
+		if r.Executed() != 1 {
+			t.Fatalf("%s: replica 2 executed %d before the NEW-VIEW, want 1", name, r.Executed())
+		}
+		faults := *r.sendFaults
+		r.handleEnvelope(sealedBy(r, 1, NewView{View: 1, PrePrepares: []PrePrepare{{View: 1, Seq: 1, Digest: d, Refs: want.refs}}}))
 		s := r.lookup(1)
 		if r.View() != 1 || s == nil || s.pp.View != want.view || !slices.Equal(s.pp.Refs, refs) || r.Executed() != 1 {
-			h.fatalf("%s: the executed cell reads %+v in view %d, executed %d; want view %d, its own refs", name, s, r.View(), r.Executed(), want.view)
+			t.Fatalf("%s: the executed cell reads %+v in view %d, executed %d; want view %d, its own refs", name, s, r.View(), r.Executed(), want.view)
 		}
-		if voted := len(h.pending) > sent; voted != (want.view == 1) {
-			h.errorf("%s: replica 2 voted %v, want %v", name, voted, want.view == 1)
+		// A bare replica has no peers: each message it sends is a fault.
+		if voted := *r.sendFaults > faults; voted != (want.view == 1) {
+			t.Errorf("%s: replica 2 voted %v, want %v", name, voted, want.view == 1)
 		}
 	}
 }
@@ -255,8 +259,8 @@ func checkFetchingLeader(h *stepCluster, events []string, proofSenders ...int) {
 		h.errorf("before its NEW-VIEW the new leader FETCHed from %d proof senders and counted %d send faults, want some and none: %v",
 			fetched, *h.Replicas[1].sendFaults, events)
 	}
-	if got := h.answers(1); len(got) <= h.Config.F || len(slices.Compact(slices.Clone(got))) < len(got) {
-		h.errorf("the put was answered by replicas %v, want F+1, none twice", got)
+	if got := h.answers(1); !h.completed(1) || len(slices.Compact(slices.Clone(got))) < len(got) {
+		h.errorf("the put was answered by replicas %v, want F+1 matching, none twice", got)
 	}
 	for i, rep := range h.Replicas {
 		if rep.View() != 1 || rep.Executed() != 1 || h.Apps[i].Snapshot() != h.Apps[0].Snapshot() {
@@ -298,26 +302,26 @@ func TestNewLeaderFetchesWhatItReleased(t *testing.T) {
 // TestNewViewCannotReplaceACopy: a backup holds client 100's copy of a
 // request when a NEW-VIEW re-proposes that request by a ref with another
 // digest, or by its own ref under a digest the refs do not hash to. Either
-// way the backup's copy stays as it was, and it PREPAREs nothing.
+// way the backup's copy stays as it was, and it PREPAREs nothing — a bare
+// replica has no peers, so a PREPARE would show as a send fault.
 func TestNewViewCannotReplaceACopy(t *testing.T) {
-	req := putRequest(1)
+	req := Request{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "v")}
 	other := []Request{{Client: 100, Timestamp: 1, Op: kvstore.EncodeOp(kvstore.OpPut, "k", "w")}}
 	for name, pp := range map[string]PrePrepare{
 		"another digest":    {View: 1, Seq: 1, Digest: BatchDigest(other), Refs: refsOf(other)},
 		"refs do not match": {View: 1, Seq: 1, Digest: BatchDigest(nil), Refs: refsOf([]Request{req})},
 	} {
-		h := newStepCluster(t, transport.KindTCP, DefaultConfig())
-		backup := h.Replicas[2]
-		h.submit(1, 2)
-		h.inject(1, 2, NewView{View: 1, PrePrepares: []PrePrepare{pp}})
+		backup := bareReplica(t, 2, DefaultConfig())
+		backup.handleRequest(req, nil)
+		backup.handleEnvelope(sealedBy(backup, 1, NewView{View: 1, PrePrepares: []PrePrepare{pp}}))
 		if backup.View() != 1 {
-			h.fatalf("%s: the NEW-VIEW was not installed", name)
+			t.Fatalf("%s: the NEW-VIEW was not installed", name)
 		}
 		if row := backup.requests[req.ID()]; !bytes.Equal(backup.copyOf(row).op, req.Op) || backup.copyOf(row).digest != refOf(req).Digest {
-			h.errorf("%s: the backup's copy was replaced", name)
+			t.Errorf("%s: the backup's copy was replaced", name)
 		}
-		if s := backup.lookup(1); s == nil || s.proposed || s.sentPrep || len(h.pending) != 0 {
-			h.errorf("%s: the backup kept the re-proposal or sent %v; want it dropped, nothing sent", name, h.pending)
+		if s := backup.lookup(1); s == nil || s.proposed || s.sentPrep || *backup.sendFaults != 0 {
+			t.Errorf("%s: the backup kept the re-proposal or sent %d messages; want it dropped, nothing sent", name, *backup.sendFaults)
 		}
 	}
 }
@@ -339,6 +343,7 @@ func TestRejoinedReplicaKeepsWhatItsViewChangeNames(t *testing.T) {
 		h.drain(func(e envelope) bool { return !commitTo3(e) })
 		if pending {
 			h.fire(3)
+			h.outside("settleView")
 			r.settleView()
 		}
 		h.drain(commitTo3)
