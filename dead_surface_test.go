@@ -29,14 +29,13 @@ main.knobFlags.Set — flag.Value, called by package flag
 msgnet.Peer.Close — how the msgnet tests reach connClosed: queued messages are reported as failed through the send-error surface, never silently discarded (exits with ROADMAP O18's teardown)
 msgnet.Peer.OnClose — the teardown callback of that same path, which the tests watch (exits with ROADMAP O18's teardown)
 msgnet.Peer.OnWritable — the release edge after ErrBacklog; pbft drops instead of waiting, large state transfers should wait (exits with ROADMAP O15(3))
-nio.SocketChannel.Close — how the nio tests produce the peer close a selector must report as read-readiness, the edge msgnet's connClosed path above starts from; transport closes the tcpsim.Conn itself (exits with ROADMAP O18's teardown)
 pbft.Replica.Stable — probe the pbft, chaos and shard tests share: last stable checkpoint
 raceflag.Enabled — allocation gates in fifteen packages skip under -race; a build-tagged constant cannot live in a _test.go file they all import
 rdma.Device.RegisteredMRs — probe of the rubin tests: a closed channel deregisters its pools
 rubin.ServerChannel.Err — the only way to learn that an accepted connection failed its set-up, and which one (no exit: ROADMAP O17)
 sim.Loop.SetEventLimit — runaway guard the sim and shard tests set
 sim.Resource.Snapshot — probe of the charge-kind and cost-ledger tests: a resource's busy time per kind (a link's through fabric.Link.Wire), which no run prints
-tcpsim.Conn.Established — probe the tcpsim and nio tests share
+tcpsim.Conn.Established — probe of the tcpsim tests: the handshake completed, or a close reached the other end
 `
 
 // TestDeadSurface type-checks every package of the tree with its tests

@@ -19,7 +19,7 @@ import (
 // by the request key, so the concurrent requests of one run nest as
 // separate tracks; samples are counter events.
 //
-// The output is deterministic: events are emitted in ring order (virtual
+// The output is deterministic: events are emitted in insertion order (virtual
 // time), thread ids depend only on event order, and timestamps are
 // formatted with integer arithmetic — two runs of the same seed produce
 // byte-identical files, which the CI determinism job diffs.
@@ -35,30 +35,28 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		for i, label := range t.runs {
 			e.meta(i+1, 0, "process_name", label)
 		}
-		if t.spans != nil {
-			t.spans.each(func(sp Span) {
-				tid := e.tid(sp.Run, sp.Node)
-				id := sp.Trace
-				if id == "" {
-					e.seq++
-					id = "s" + strconv.Itoa(e.seq)
-				}
-				e.event(`{"name":%s,"cat":%s,"ph":"b","id":%s,"pid":%d,"tid":%d,"ts":%s}`,
-					strconv.Quote(sp.Name), strconv.Quote(sp.Layer), strconv.Quote(id), sp.Run, tid, tsMicros(sp.Start))
-				e.event(`{"name":%s,"cat":%s,"ph":"e","id":%s,"pid":%d,"tid":%d,"ts":%s}`,
-					strconv.Quote(sp.Name), strconv.Quote(sp.Layer), strconv.Quote(id), sp.Run, tid, tsMicros(sp.End))
-			})
+		for i := range t.spans.Len() {
+			sp := t.spans.At(i)
+			tid := e.tid(sp.Run, sp.Node)
+			id := sp.Trace
+			if id == "" {
+				e.seq++
+				id = "s" + strconv.Itoa(e.seq)
+			}
+			e.event(`{"name":%s,"cat":%s,"ph":"b","id":%s,"pid":%d,"tid":%d,"ts":%s}`,
+				strconv.Quote(sp.Name), strconv.Quote(sp.Layer), strconv.Quote(id), sp.Run, tid, tsMicros(sp.Start))
+			e.event(`{"name":%s,"cat":%s,"ph":"e","id":%s,"pid":%d,"tid":%d,"ts":%s}`,
+				strconv.Quote(sp.Name), strconv.Quote(sp.Layer), strconv.Quote(id), sp.Run, tid, tsMicros(sp.End))
 		}
-		if t.samples != nil {
-			t.samples.each(func(s Sample) {
-				name := s.Name
-				if s.Node != "" {
-					name += "." + s.Node
-				}
-				e.event(`{"name":%s,"ph":"C","pid":%d,"tid":0,"ts":%s,"args":{"value":%s}}`,
-					strconv.Quote(name), s.Run, tsMicros(s.At),
-					strconv.FormatFloat(s.Value, 'g', -1, 64))
-			})
+		for i := range t.samples.Len() {
+			s := t.samples.At(i)
+			name := s.Name
+			if s.Node != "" {
+				name += "." + s.Node
+			}
+			e.event(`{"name":%s,"ph":"C","pid":%d,"tid":0,"ts":%s,"args":{"value":%s}}`,
+				strconv.Quote(name), s.Run, tsMicros(s.At),
+				strconv.FormatFloat(s.Value, 'g', -1, 64))
 		}
 	}
 	if e.err != nil {

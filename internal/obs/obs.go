@@ -29,7 +29,7 @@
 //   - Span/counter recording (Options.Spans): finished requests emit a
 //     span tree, components emit extra spans (msgnet send-queue waits,
 //     the shard layer's 2PC phases) and samplers emit counter points,
-//     all into fixed-size ring buffers exported as a Chrome trace-event
+//     all into bounded queues exported as a Chrome trace-event
 //     file (chrome://tracing, Perfetto) via WriteChromeTrace.
 package obs
 
@@ -38,10 +38,11 @@ import (
 	"rubin/internal/sim"
 )
 
-// DefaultSpanCap is the ring-buffer capacity used when Options.SpanCap is
+// DefaultSpanCap is the span and sample cap used when Options.SpanCap is
 // zero. When a run emits more spans (or samples) than this, the oldest
 // are dropped — deterministically, since insertion order is virtual-time
-// order.
+// order — so a bounded trace of a long run keeps its tail, which is what a
+// latency investigation wants.
 const DefaultSpanCap = 1 << 16
 
 // Options configures a Tracer.
@@ -50,7 +51,7 @@ type Options struct {
 	// the tracer still aggregates the latency breakdown but stores no
 	// per-event data beyond the in-flight milestone marks.
 	Spans bool
-	// SpanCap bounds the span and sample ring buffers (0 = DefaultSpanCap).
+	// SpanCap bounds the spans and the samples kept (0 = DefaultSpanCap).
 	SpanCap int
 }
 
@@ -145,23 +146,38 @@ type Tracer struct {
 	readServed int
 
 	runs    []string
-	spans   *ring[Span]
-	samples *ring[Sample]
+	spans   sim.Queue[Span]
+	samples sim.Queue[Sample]
+	spanCap int
+	dropped uint64 // spans evicted at the cap
 }
 
 // New creates an enabled tracer. The disabled state is a nil *Tracer, not
 // an Options combination: nil is what makes the off path a true no-op.
 func New(opts Options) *Tracer {
-	t := &Tracer{spansOn: opts.Spans, marks: make(map[string]*reqMarks)}
-	if opts.Spans {
-		cap := opts.SpanCap
-		if cap <= 0 {
-			cap = DefaultSpanCap
-		}
-		t.spans = newRing[Span](cap)
-		t.samples = newRing[Sample](cap)
+	t := &Tracer{spansOn: opts.Spans, marks: make(map[string]*reqMarks), spanCap: opts.SpanCap}
+	if t.spanCap <= 0 {
+		t.spanCap = DefaultSpanCap
 	}
 	return t
+}
+
+// push appends v to q, first dropping the oldest entry if q holds limit; it
+// reports whether it dropped one.
+func push[T any](q *sim.Queue[T], limit int, v T) bool {
+	full := q.Len() >= limit
+	if full {
+		q.Pop()
+	}
+	q.Push(v)
+	return full
+}
+
+// span keeps one span, counting the one it evicts at the cap.
+func (t *Tracer) span(sp Span) {
+	if push(&t.spans, t.spanCap, sp) {
+		t.dropped++
+	}
 }
 
 // SpansEnabled reports whether span/counter recording is on. Components
@@ -250,7 +266,7 @@ func (t *Tracer) Finish(key string, measured bool) {
 		return
 	}
 	run := t.run()
-	t.spans.push(Span{Run: run, Layer: "client", Name: "request", Trace: key, Start: a, End: r})
+	t.span(Span{Run: run, Layer: "client", Name: "request", Trace: key, Start: a, End: r})
 	sub := []Span{
 		{Layer: "client", Name: "queue", Start: a, End: i},
 		{Layer: "msgnet", Name: "req-net", Start: i, End: s},
@@ -262,7 +278,7 @@ func (t *Tracer) Finish(key string, measured bool) {
 	for _, sp := range sub {
 		if sp.End > sp.Start {
 			sp.Run, sp.Trace = run, key
-			t.spans.push(sp)
+			t.span(sp)
 		}
 	}
 }
@@ -272,7 +288,7 @@ func (t *Tracer) Span(layer, name, node, trace string, start, end sim.Time) {
 	if t == nil || !t.spansOn {
 		return
 	}
-	t.spans.push(Span{Run: t.run(), Layer: layer, Name: name, Node: node, Trace: trace, Start: start, End: end})
+	t.span(Span{Run: t.run(), Layer: layer, Name: name, Node: node, Trace: trace, Start: start, End: end})
 }
 
 // Sample records one counter observation (when span recording is on).
@@ -280,7 +296,7 @@ func (t *Tracer) Sample(name, node string, at sim.Time, value float64) {
 	if t == nil || !t.spansOn {
 		return
 	}
-	t.samples.push(Sample{Run: t.run(), Name: name, Node: node, At: at, Value: value})
+	push(&t.samples, t.spanCap, Sample{Run: t.run(), Name: name, Node: node, At: at, Value: value})
 }
 
 // Record feeds one duration into a phase recorder — PrepareWait or
@@ -339,24 +355,24 @@ func (t *Tracer) RunCount() int {
 
 // SpanCount returns the spans currently retained (tests, export stats).
 func (t *Tracer) SpanCount() int {
-	if t == nil || t.spans == nil {
+	if t == nil {
 		return 0
 	}
-	return t.spans.len()
+	return t.spans.Len()
 }
 
 // SampleCount returns the samples currently retained.
 func (t *Tracer) SampleCount() int {
-	if t == nil || t.samples == nil {
+	if t == nil {
 		return 0
 	}
-	return t.samples.len()
+	return t.samples.Len()
 }
 
-// DroppedSpans returns how many spans the ring evicted.
+// DroppedSpans returns how many spans the cap evicted.
 func (t *Tracer) DroppedSpans() uint64 {
-	if t == nil || t.spans == nil {
+	if t == nil {
 		return 0
 	}
-	return t.spans.dropped()
+	return t.dropped
 }

@@ -126,21 +126,7 @@ func TestBeginRunResetsAggregation(t *testing.T) {
 	}
 }
 
-func TestRingOverflowDropsOldest(t *testing.T) {
-	r := newRing[int](3)
-	for i := 1; i <= 5; i++ {
-		r.push(i)
-	}
-	if r.len() != 3 || r.dropped() != 2 {
-		t.Fatalf("len=%d dropped=%d, want 3/2", r.len(), r.dropped())
-	}
-	var got []int
-	r.each(func(v int) { got = append(got, v) })
-	if len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 5 {
-		t.Fatalf("retained %v, want [3 4 5]", got)
-	}
-}
-
+// At the cap the oldest span goes: a bounded trace keeps the run's tail.
 func TestTracerSpanCapOverflow(t *testing.T) {
 	tr := New(Options{Spans: true, SpanCap: 4})
 	tr.BeginRun("run")
@@ -149,6 +135,11 @@ func TestTracerSpanCapOverflow(t *testing.T) {
 	}
 	if tr.SpanCount() != 4 || tr.DroppedSpans() != 6 {
 		t.Fatalf("spans=%d dropped=%d, want 4/6", tr.SpanCount(), tr.DroppedSpans())
+	}
+	for i := range 4 {
+		if start := tr.spans.At(i).Start; start != sim.Time(6+i) {
+			t.Fatalf("span %d starts at %d, want %d: not the newest four, oldest first", i, start, 6+i)
+		}
 	}
 }
 
@@ -283,13 +274,13 @@ func TestClampHoldsForEverySubsetOfMilestones(t *testing.T) {
 				t.Fatalf("set %07b: FastCount = %d", set, s.FastCount)
 			}
 			var request, tiled sim.Time
-			tr.spans.each(func(sp Span) {
-				if sp.Name == "request" {
+			for i := range tr.spans.Len() {
+				if sp := tr.spans.At(i); sp.Name == "request" {
 					request = sp.End - sp.Start
 				} else {
 					tiled += sp.End - sp.Start
 				}
-			})
+			}
 			if request != s.Total || tiled != s.Total {
 				t.Fatalf("set %07b: request span %d, sub-spans %d, total %d", set, request, tiled, s.Total)
 			}

@@ -8,8 +8,8 @@
 // The API is non-blocking and event-driven (the simulator has no blocked
 // goroutines): Read and Write transfer whatever is possible immediately and
 // return short counts otherwise, and OnReadable/OnWritable callbacks signal
-// readiness transitions. Package nio builds a Java-NIO-style selector on
-// top of these callbacks.
+// readiness transitions. Package transport's TCP backend builds a
+// Java-NIO-style selector on top of these callbacks.
 //
 // Delivery relies on the fabric's in-order per-direction links, so no
 // retransmission logic is modeled; flow control (socket-buffer windows) is.

@@ -1,7 +1,7 @@
 // Package transport is the replica communication stack: framed,
 // message-oriented, batched connections with two interchangeable backends —
-// the Java-NIO-style selector over simulated TCP (package nio) and RUBIN
-// over simulated RDMA (package rubin).
+// a Java-NIO-style selector over simulated TCP (package tcpsim), which this
+// package holds, and RUBIN over simulated RDMA (package rubin).
 //
 // This is the integration point the paper describes: Reptor's protocol
 // layer talks to exactly this interface, so swapping the NIO selector for
@@ -15,10 +15,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rubin/internal/fabric"
 	"rubin/internal/model"
-	"rubin/internal/nio"
 	"rubin/internal/rdma"
 	"rubin/internal/sim"
 	"rubin/internal/tcpsim"
@@ -69,11 +69,11 @@ type Conn interface {
 	// Send queues one message for delivery. Messages arrive whole, in
 	// order, exactly once (the simulated fabrics are reliable).
 	Send(msg []byte) error
-	// OnMessage installs the delivery callback. Must be set before
-	// messages arrive; delivery without a callback queues a copy
-	// internally. A delivered msg is lent: it is valid until fn returns,
-	// after which the connection reuses its memory for later messages, so
-	// a layer above that keeps any of it copies what it keeps.
+	// OnMessage installs the delivery callback. A message delivered
+	// before it is installed is queued as a copy and handed to fn when it
+	// is. A delivered msg is lent: it is valid until fn returns, after
+	// which the connection reuses its memory for later messages, so a
+	// layer above that keeps any of it copies what it keeps.
 	OnMessage(fn func(msg []byte))
 	// OnClose installs a callback for connection teardown.
 	OnClose(fn func())
@@ -187,27 +187,43 @@ func (c *connCore) teardown(key interface{ Cancel() }) {
 // TCP / Java-NIO backend
 // ---------------------------------------------------------------------------
 
+// tcpStack is the baseline of the paper's Figure 4: a Java NIO selector,
+// all of the stack's sockets multiplexed on one application thread, each
+// select turn priced by the epoll dispatch on the host CPU.
 type tcpStack struct {
 	node   *fabric.Node
 	thread *sim.Resource
 	opts   Options
 	st     *tcpsim.Stack
-	sel    *nio.Selector
+
+	// The selector: the keys of the stack's listeners and connections in
+	// registration order, each with a flag for the ready set and a count of
+	// the flags set. One select turn is scheduled at a time, so its callback
+	// is bound once and its key list is one slice, good until the next turn.
+	keys   []*tcpKey
+	queued int
+	turn   []*tcpKey
+	pumped bool   // a turn is already scheduled
+	turnFn func() // s.selectTurn
 }
 
 // newTCPStack puts a selector on st's application thread.
 func newTCPStack(st *tcpsim.Stack, opts Options) *tcpStack {
-	s := &tcpStack{node: st.Node(), thread: st.Thread(), opts: opts, st: st, sel: nio.NewSelector(st)}
-	s.sel.Select(s.dispatch)
+	s := &tcpStack{node: st.Node(), thread: st.Thread(), opts: opts, st: st}
+	s.turnFn = s.selectTurn
 	return s
 }
 
 func (s *tcpStack) Listen(port int, accept func(Conn)) error {
-	ssc, err := nio.ListenSocket(s.st, port)
+	k := &tcpKey{stack: s, interest: opAccept, accept: accept}
+	_, err := s.st.Listen(port, func(c *tcpsim.Conn) {
+		k.backlog.Push(c)
+		k.signal(opAccept)
+	})
 	if err != nil {
 		return err
 	}
-	s.sel.Register(ssc, nio.OpAccept, accept)
+	s.keys = append(s.keys, k)
 	return nil
 }
 
@@ -217,64 +233,151 @@ func (s *tcpStack) Dial(remote *fabric.Node, port int, done func(Conn, error)) {
 			done(nil, err)
 			return
 		}
-		tc := s.wrap(nio.WrapConn(c))
-		done(tc, nil)
+		done(s.wrap(c), nil)
 	})
 }
 
-// wrap builds the framed connection around an established socket channel
-// and registers it for reads.
-func (s *tcpStack) wrap(ch *nio.SocketChannel) *tcpConn {
-	tc := &tcpConn{stack: s, conn: ch.Conn(), ch: ch}
+// wrap builds the framed connection around an established socket and
+// registers it for reads (set-up: the socket's callbacks are closures).
+func (s *tcpStack) wrap(conn *tcpsim.Conn) *tcpConn {
+	tc := &tcpConn{stack: s, conn: conn}
+	tc.key = tcpKey{stack: s, conn: tc}
 	tc.flushFn = tc.flushTurn
-	tc.key = s.sel.Register(ch, nio.OpRead, tc)
+	conn.OnReadable(func() { tc.key.signal(opRead) })
+	conn.OnWritable(func() { tc.key.signal(opWrite) })
+	conn.OnClose(func() {
+		// A peer's close shows as read readiness: the read finds it.
+		tc.peerClosed = true
+		tc.key.signal(opRead)
+	})
+	s.keys = append(s.keys, &tc.key)
+	tc.key.setInterest(opRead)
 	return tc
 }
 
-// dispatch is the stack's single selector loop.
-func (s *tcpStack) dispatch(keys []*nio.SelectionKey) {
-	for _, k := range keys {
-		switch ch := k.Channel().(type) {
-		case *nio.ServerSocketChannel:
-			if k.Ready()&nio.OpAccept != 0 {
-				accept, _ := k.Attachment().(func(Conn))
-				for {
-					sc := ch.Accept()
-					if sc == nil {
-						break
-					}
-					tc := s.wrap(sc)
-					if accept != nil {
-						accept(tc)
-					}
-				}
-			}
-		case *nio.SocketChannel:
-			tc, _ := k.Attachment().(*tcpConn)
-			if tc == nil {
-				k.ResetReady(k.Ready())
-				continue
-			}
-			if k.Ready()&nio.OpRead != 0 {
-				tc.drain()
-			}
-			if k.Ready()&nio.OpWrite != 0 {
-				k.ResetReady(nio.OpWrite)
-				k.SetInterest(nio.OpRead)
-				tc.flush()
-			}
+// pump puts k in the ready set and, unless one is already scheduled,
+// schedules a select turn behind the epoll_wait return and key scan of the
+// Java selector on the node's CPU.
+func (s *tcpStack) pump(k *tcpKey) {
+	if k.cancelled {
+		return
+	}
+	if !k.queued {
+		k.queued = true
+		s.queued++
+	}
+	if !s.pumped {
+		s.pumped = true
+		s.node.CPU.Acquire(model.Dispatch, s.node.Network().Params().Selector.NIODispatch, s.turnFn)
+	}
+}
+
+// selectTurn is one select turn, the stack's single selector loop. It
+// serves the keys queued when it started, in registration order: what it
+// makes ready waits for the next turn. Readiness is level-triggered, so a
+// key the turn leaves ready is queued again.
+func (s *tcpStack) selectTurn() {
+	s.pumped = false
+	s.turn = s.turn[:0]
+	for _, k := range s.keys {
+		if k.queued {
+			k.queued = false
+			s.turn = append(s.turn, k)
 		}
 	}
+	s.queued = 0
+	for _, k := range s.turn {
+		tc := k.conn
+		if tc == nil { // a listener: accept its whole backlog
+			for k.backlog.Len() > 0 {
+				c := s.wrap(k.backlog.Pop())
+				if k.accept != nil {
+					k.accept(c)
+				}
+			}
+			k.ready = 0
+			continue
+		}
+		if k.ready&opRead != 0 {
+			tc.drain()
+		}
+		if k.ready&opWrite != 0 {
+			// Room in a full socket: the rest of the send buffer goes out.
+			// No experiment reaches this yet: a short write that fills the
+			// window gets no writability edge (ROADMAP O15(3)).
+			k.ready &^= opWrite
+			k.setInterest(opRead)
+			tc.flush()
+		}
+	}
+	for _, k := range s.turn {
+		if k.ready&k.interest != 0 {
+			s.pump(k)
+		}
+	}
+}
+
+// Interest and readiness bits of a key: java.nio's SelectionKey.OP_ACCEPT,
+// OP_READ and OP_WRITE.
+const (
+	opAccept uint8 = 1 << iota
+	opRead
+	opWrite
+)
+
+// tcpKey is a listener's or a connection's registration with its stack's
+// selector. A ready bit stays set until the turn consumes it: the backlog
+// accepted, the socket drained, the write resumed.
+type tcpKey struct {
+	stack             *tcpStack
+	interest, ready   uint8
+	queued, cancelled bool
+
+	conn *tcpConn // nil on a listener's key
+	// A listener's established inbound connections, waiting for the turn
+	// that accepts them.
+	backlog sim.Queue[*tcpsim.Conn]
+	accept  func(Conn)
+}
+
+// signal sets the bits of ops the key is interested in ready and queues it.
+func (k *tcpKey) signal(ops uint8) {
+	if r := ops & k.interest; r != 0 {
+		k.ready |= r
+		k.stack.pump(k)
+	}
+}
+
+// setInterest replaces a connection key's interest set; what its socket is
+// ready for already among the new set is ready at once.
+func (k *tcpKey) setInterest(ops uint8) {
+	k.interest = ops
+	if r := k.conn.readiness() & ops; r != 0 {
+		k.ready |= r
+		k.stack.pump(k)
+	}
+}
+
+// Cancel takes the key out of the ready set and off its stack's list, once
+// its connection is torn down.
+func (k *tcpKey) Cancel() {
+	k.cancelled = true
+	if k.queued {
+		k.queued = false
+		k.stack.queued--
+	}
+	i := slices.Index(k.stack.keys, k)
+	k.stack.keys = slices.Delete(k.stack.keys, i, i+1)
 }
 
 // tcpConn frames messages with a 4-byte big-endian length prefix and
 // coalesces up to Batch messages per write syscall.
 type tcpConn struct {
 	connCore
-	stack *tcpStack
-	conn  *tcpsim.Conn
-	ch    *nio.SocketChannel
-	key   *nio.SelectionKey
+	stack      *tcpStack
+	conn       *tcpsim.Conn
+	key        tcpKey
+	peerClosed bool
 
 	// Reassembly state: acc is the user-space receive buffer, holding
 	// what read() returned and deframing has not yet consumed.
@@ -337,7 +440,7 @@ func (c *tcpConn) flush() {
 		// own bytes.
 		wrote, err := c.conn.Write(c.out.Bytes()[:size])
 		if err != nil {
-			c.teardown(c.key)
+			c.teardown(&c.key)
 			return
 		}
 		c.out.Next(wrote)
@@ -348,7 +451,7 @@ func (c *tcpConn) flush() {
 				c.sendQ.Pop()
 			}
 			*c.sendQ.Front() = size - wrote
-			c.key.SetInterest(nio.OpRead | nio.OpWrite)
+			c.key.setInterest(opRead | opWrite)
 			return
 		}
 		for ; n > 0; n-- {
@@ -365,19 +468,19 @@ func (c *tcpConn) drain() {
 	if c.closed {
 		return
 	}
-	if c.ch.Closed() {
-		c.teardown(c.key)
+	if c.peerClosed {
+		c.teardown(&c.key)
 		return
 	}
 	for {
 		// One read() of up to 64 KiB, straight into acc's spare room. The
 		// last one finds nothing and is still made: it is what reports a
-		// torn-down connection and clears OpRead.
-		window := min(c.ch.Readable(), 64<<10)
+		// torn-down connection.
+		window := min(c.conn.Readable(), 64<<10)
 		c.acc.Grow(window)
-		n, err := c.ch.Read(c.acc.AvailableBuffer()[:window])
+		n, err := c.conn.Read(c.acc.AvailableBuffer()[:window])
 		if err != nil {
-			c.teardown(c.key)
+			c.teardown(&c.key)
 			return
 		}
 		if n == 0 {
@@ -385,6 +488,7 @@ func (c *tcpConn) drain() {
 		}
 		c.acc.Write(c.acc.AvailableBuffer()[:n]) // in place: commits, copies nothing
 	}
+	c.key.ready &^= opRead // drained
 	params := c.stack.node.Network().Params()
 	for {
 		acc := c.acc.Bytes()
@@ -412,5 +516,17 @@ func (c *tcpConn) Close() {
 		return
 	}
 	c.conn.Close()
-	c.teardown(c.key)
+	c.teardown(&c.key)
+}
+
+// readiness is what the connection's socket is ready for now.
+func (c *tcpConn) readiness() uint8 {
+	var r uint8
+	if c.conn.Readable() > 0 || c.peerClosed {
+		r |= opRead
+	}
+	if c.conn.WritableSpace() > 0 {
+		r |= opWrite
+	}
+	return r
 }
