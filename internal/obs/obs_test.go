@@ -126,6 +126,28 @@ func TestBeginRunResetsAggregation(t *testing.T) {
 	}
 }
 
+// A capped queue is a ring: at the cap the oldest entry goes, and each
+// eviction is reported.
+func TestRingOverflowDropsOldest(t *testing.T) {
+	var q sim.Queue[int]
+	dropped := 0
+	for i := 1; i <= 5; i++ {
+		if push(&q, 3, i) {
+			dropped++
+		}
+	}
+	if q.Len() != 3 || dropped != 2 {
+		t.Fatalf("len=%d dropped=%d, want 3/2", q.Len(), dropped)
+	}
+	var got []int
+	for i := range q.Len() {
+		got = append(got, *q.At(i))
+	}
+	if len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 5 {
+		t.Fatalf("retained %v, want [3 4 5]", got)
+	}
+}
+
 // At the cap the oldest span goes: a bounded trace keeps the run's tail.
 func TestTracerSpanCapOverflow(t *testing.T) {
 	tr := New(Options{Spans: true, SpanCap: 4})

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
@@ -76,9 +77,160 @@ func newTurnRig(t *testing.T) *turnRig {
 	return tr
 }
 
-// turnsCharged is how many select turns the server stack has scheduled.
-func (tr *turnRig) turnsCharged() int {
-	return int(tr.nodes[1].CPU.Snapshot()[model.Dispatch] / tr.nw.Params().Selector.NIODispatch)
+// turnsCharged is how many select turns the server stack, stack 1, has
+// scheduled.
+func (r *rig) turnsCharged() int {
+	return int(r.nodes[1].CPU.Snapshot()[model.Dispatch] / r.nw.Params().Selector.NIODispatch)
+}
+
+// A listener's key is ready for OpAccept once an inbound connection is
+// established; the select turn accepts it and registers it for reads.
+func TestAcceptViaSelector(t *testing.T) {
+	r := newRig(t, KindTCP, 2, DefaultOptions())
+	s := r.stacks[1].(*tcpStack)
+	var accepted *tcpConn
+	if err := s.Listen(700, func(c Conn) { accepted = c.(*tcpConn) }); err != nil {
+		t.Fatal(err)
+	}
+	lk := s.keys[0]
+	r.loop.Post(func() {
+		r.stacks[0].Dial(r.nodes[1], 700, func(_ Conn, err error) {
+			if err != nil {
+				t.Errorf("Dial: %v", err)
+			}
+		})
+	})
+	for lk.backlog.Len() == 0 && r.loop.Step() {
+	}
+	if lk.ready&opAccept == 0 || !lk.queued || accepted != nil {
+		t.Fatalf("established: ready %b, queued %v, accepted %v; want OpAccept, queued, not yet accepted",
+			lk.ready, lk.queued, accepted != nil)
+	}
+	r.loop.Run()
+	if accepted == nil || !accepted.conn.Established() {
+		t.Fatal("the turn did not accept an established connection")
+	}
+	if lk.ready != 0 || lk.backlog.Len() != 0 || len(s.keys) != 2 || s.keys[1] != &accepted.key || accepted.key.interest != opRead {
+		t.Fatalf("after the turn: listener ready %b, backlog %d, %d keys; want none, empty, listener's and the read-registered connection's",
+			lk.ready, lk.backlog.Len(), len(s.keys))
+	}
+}
+
+// An echo through both stacks' selectors comes back whole.
+func TestReadWriteThroughSelector(t *testing.T) {
+	r := newRig(t, KindTCP, 2, DefaultOptions())
+	client, server := r.pair(t, 700)
+	server.OnMessage(func(m []byte) { _ = server.Send(m) })
+	var got []byte
+	client.OnMessage(func(m []byte) { got = append(got, m...) })
+	msg := bytes.Repeat([]byte("nio!"), 1000)
+	before := r.turnsCharged()
+	r.loop.Post(func() { _ = client.Send(msg) })
+	r.loop.Run()
+	if !bytes.Equal(got, msg) {
+		t.Fatalf("echo mismatch: got %d bytes, want %d", len(got), len(msg))
+	}
+	if r.turnsCharged() == before {
+		t.Fatal("the server echoed without a select turn")
+	}
+}
+
+// Once a connection's key is cancelled, what arrives on its socket is
+// neither delivered nor given a select turn.
+func TestCancelStopsDelivery(t *testing.T) {
+	r := newRig(t, KindTCP, 2, DefaultOptions())
+	client, server := r.pair(t, 700)
+	var got []string
+	server.OnMessage(func(m []byte) { got = append(got, string(m)) })
+	r.loop.Post(func() { _ = client.Send([]byte("one")) })
+	r.loop.Run()
+	tc := server.(*tcpConn)
+	tc.key.Cancel()
+	before := r.turnsCharged()
+	r.loop.Post(func() { _ = client.Send([]byte("two")) })
+	r.loop.Run()
+	if !reflect.DeepEqual(got, []string{"one"}) || tc.conn.Readable() == 0 {
+		t.Fatalf("delivered %q, %d bytes left unread; want only \"one\", \"two\" unread", got, tc.conn.Readable())
+	}
+	if turns := r.turnsCharged() - before; turns != 0 || tc.key.queued {
+		t.Fatalf("cancelled key: %d turns, queued %v; want none", turns, tc.key.queued)
+	}
+}
+
+// A turn takes every queued key and leaves the ready set empty: the next
+// turn finds nothing to serve.
+func TestSelectNowDrainsReadySet(t *testing.T) {
+	tr := newTurnRig(t)
+	before := tr.turnsCharged()
+	tr.loop.Post(func() {
+		tr.c.key.signal(opRead)
+		tr.a.key.signal(opRead)
+		if tr.s.queued != 2 {
+			t.Errorf("%d keys queued, want 2", tr.s.queued)
+		}
+	})
+	tr.loop.Run()
+	if want := [][]string{{"a", "c"}}; !reflect.DeepEqual(tr.turns, want) {
+		t.Fatalf("turns = %v, want %v", tr.turns, want)
+	}
+	if len(tr.s.turn) != 2 || tr.s.queued != 0 || tr.a.key.queued || tr.c.key.queued || tr.a.key.ready != 0 || tr.c.key.ready != 0 {
+		t.Fatalf("the turn took %d keys and left %d queued; want 2 taken, none left", len(tr.s.turn), tr.s.queued)
+	}
+	if turns := tr.turnsCharged() - before; turns != 1 {
+		t.Fatalf("%d turns, want 1", turns)
+	}
+}
+
+// One stack's single selector serves every connection of its listener.
+func TestMultipleChannelsOneSelector(t *testing.T) {
+	const nConns = 5
+	r := newRig(t, KindTCP, 2, DefaultOptions())
+	s := r.stacks[1].(*tcpStack)
+	received := map[byte]int{}
+	err := s.Listen(700, func(c Conn) {
+		c.OnMessage(func(m []byte) {
+			for _, b := range m {
+				received[b]++
+			}
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clients []Conn
+	r.loop.Post(func() {
+		for range nConns {
+			r.stacks[0].Dial(r.nodes[1], 700, func(c Conn, err error) {
+				if err != nil {
+					t.Errorf("Dial: %v", err)
+					return
+				}
+				clients = append(clients, c)
+			})
+		}
+	})
+	r.loop.Run()
+	if len(clients) != nConns || len(s.keys) != 1+nConns {
+		t.Fatalf("%d clients connected, %d keys registered; want %d and %d", len(clients), len(s.keys), nConns, 1+nConns)
+	}
+	before := r.turnsCharged()
+	r.loop.Post(func() {
+		for i, c := range clients {
+			_ = c.Send(bytes.Repeat([]byte{byte('a' + i)}, 10))
+		}
+	})
+	r.loop.Run()
+	if len(received) != nConns {
+		t.Fatalf("received bytes from %d connections, want %d (%v)", len(received), nConns, received)
+	}
+	for b, n := range received {
+		if n != 10 {
+			t.Fatalf("connection %c delivered %d bytes, want 10", b, n)
+		}
+	}
+	if r.turnsCharged() == before {
+		t.Fatal("no select turn charged")
+	}
 }
 
 // What a turn makes ready is the next turn's, and a turn takes its keys in
